@@ -459,14 +459,15 @@ fn search_diag(a: &formad::FormadAnalysis, core: SearchCore) {
     let s = &a.stats;
     eprintln!(
         "formad: search core {}: {} propagations / {} conflicts / {} learned ({} lits) / \
-         {} restarts / {} presolve discharges",
+         {} restarts / {} presolve discharges / {} presolve clauses",
         core.label(),
         s.propagations,
         s.conflicts,
         s.learned_clauses,
         s.learned_literals,
         s.restarts,
-        s.presolve_discharges
+        s.presolve_discharges,
+        s.presolve_clauses
     );
 }
 

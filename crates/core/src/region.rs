@@ -1234,48 +1234,60 @@ fn prove_array<S: SolverApi>(
     }
     // Group pairs by the set of fact indices usable at their common
     // context. Groups keep first-encounter order, so proofs run in the
-    // same order on every machine and job count.
+    // same order on every machine and job count. The usable sites, and
+    // with them the fact group, depend only on the two contexts, so both
+    // are worked out once per context pair, not once per tuple pair.
+    struct CtxPair {
+        usable: Vec<CtxId>,
+        group: Option<usize>,
+    }
+    let mut by_ctx: HashMap<(CtxId, CtxId), CtxPair> = HashMap::new();
     let mut group_of: HashMap<Vec<usize>, usize> = HashMap::new();
     let mut groups: FactGroups = Vec::new();
     for (wi, (w_terms, w_ctx, _)) in q_writes.iter().enumerate() {
         for (ei, (e_terms, e_ctx)) in q_all.iter().enumerate() {
-            let usable = contexts.usable_for(*w_ctx, *e_ctx);
+            let ctx_pair = by_ctx.entry((*w_ctx, *e_ctx)).or_insert_with(|| CtxPair {
+                usable: contexts.usable_for(*w_ctx, *e_ctx),
+                group: None,
+            });
             // Redundant self-pair skip: when a write tuple meets its own
             // identical entry of `q_all` in the same context and the
             // knowledge base contains `primed(w) ≠ e` verbatim at a usable
             // site, the query `primed(w) = e` is UNSAT by direct
             // contradiction with that fact — no prover call needed.
-            if w_ctx == e_ctx
-                && render_tuple(w_terms) == render_tuple(e_terms)
-                && usable
+            if w_ctx == e_ctx && w_terms == e_terms {
+                let mut probe = (*w_ctx, pair_key(w_terms, e_terms));
+                let mut known = |site: &CtxId| {
+                    probe.0 = *site;
+                    fact_keys.contains(&probe)
+                };
+                if ctx_pair.usable.iter().any(&mut known) {
+                    if let Some(t) = tracer.as_mut() {
+                        t.events.push(TraceEvent::PairSkipped {
+                            region: t.region,
+                            array: t.array.clone(),
+                            seq: t.sseq,
+                            write: render_tuple(w_terms),
+                            entry: render_tuple(e_terms),
+                        });
+                        t.sseq += 1;
+                    }
+                    continue;
+                }
+            }
+            let g = *ctx_pair.group.get_or_insert_with(|| {
+                let included: Vec<usize> = facts
                     .iter()
-                    .any(|site| fact_keys.contains(&(*site, pair_key(w_terms, e_terms))))
-            {
-                if let Some(t) = tracer.as_mut() {
-                    t.events.push(TraceEvent::PairSkipped {
-                        region: t.region,
-                        array: t.array.clone(),
-                        seq: t.sseq,
-                        write: render_tuple(w_terms),
-                        entry: render_tuple(e_terms),
-                    });
-                    t.sseq += 1;
-                }
-                continue;
-            }
-            let included: Vec<usize> = facts
-                .iter()
-                .enumerate()
-                .filter(|(_, (site, _))| usable.contains(site))
-                .map(|(k, _)| k)
-                .collect();
-            match group_of.get(&included) {
-                Some(&g) => groups[g].1.push((wi, ei)),
-                None => {
-                    group_of.insert(included.clone(), groups.len());
-                    groups.push((included, vec![(wi, ei)]));
-                }
-            }
+                    .enumerate()
+                    .filter(|(_, (site, _))| ctx_pair.usable.contains(site))
+                    .map(|(k, _)| k)
+                    .collect();
+                *group_of.entry(included).or_insert_with_key(|included| {
+                    groups.push((included.clone(), Vec::new()));
+                    groups.len() - 1
+                })
+            });
+            groups[g].1.push((wi, ei));
         }
     }
     for (included, pairs) in &groups {

@@ -154,3 +154,38 @@ fn cdcl_does_less_linear_arithmetic_work() {
         "cdcl made {cdcl_lia} lia calls vs legacy {legacy_lia}; the new core must be cheaper"
     );
 }
+
+/// What the flatten-and-represolve `check()` canonicalized on LBM: the
+/// sum of the assertion-stack sizes over its 349 checks (measured before
+/// frame snapshots; the stack sizes are a property of the kernel).
+const LBM_STACK_CLAUSES_OVER_CHECKS: u64 = 126_686;
+
+#[test]
+fn lbm_presolve_work_tracks_assertions_not_checks() {
+    let (_, program, indep, dep) = suite().into_iter().find(|k| k.0 == "lbm").unwrap();
+    let run = |jobs: usize, cache: bool| {
+        analyze_with(&program, &indep, &dep, |o| {
+            o.region.search_core = SearchCore::Cdcl;
+            o.region.jobs = jobs;
+            o.region.cache = cache.then(ProofCache::new);
+        })
+        .stats
+    };
+    let stats = run(1, true);
+    assert_eq!(
+        stats.checks, 349,
+        "LBM's query count moved; re-derive the bound"
+    );
+    assert!(
+        stats.presolve_clauses * 20 < LBM_STACK_CLAUSES_OVER_CHECKS,
+        "presolve canonicalized {} clauses over {} checks — more than 5% of the \
+         {LBM_STACK_CLAUSES_OVER_CHECKS} a per-check represolve costs",
+        stats.presolve_clauses,
+        stats.checks
+    );
+    // The counter is exact: it repeats across runs, job counts and cache
+    // settings (presolve runs before the cache is consulted).
+    for (jobs, cache) in [(1, true), (4, true), (1, false), (4, false)] {
+        assert_eq!(run(jobs, cache).presolve_clauses, stats.presolve_clauses);
+    }
+}

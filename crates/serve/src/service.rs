@@ -762,6 +762,7 @@ fn stats_json(s: &SolverStats) -> Json {
         ("learned_literals", s.learned_literals.into()),
         ("restarts", s.restarts.into()),
         ("presolve_discharges", s.presolve_discharges.into()),
+        ("presolve_clauses", s.presolve_clauses.into()),
     ])
 }
 

@@ -30,7 +30,7 @@ use crate::fm::Feasibility;
 use crate::formula::{Clause, Literal};
 use crate::solver::SatResult;
 
-use super::presolve::{canon_lit, presolve, CanonLit, Presolved, VarKey};
+use super::presolve::{canon_lit, CanonLit, VarKey};
 use super::theory::lits_feasible;
 use super::{SearchCtx, SearchOutcome};
 
@@ -361,55 +361,15 @@ fn minimize_explanation(
         .collect())
 }
 
-/// The *boolean* discharge prefix of [`solve`] — the presolve fixpoint
-/// alone, with no theory (linear-arithmetic) work. `Some` only for a
-/// *definite* verdict reached by pure propagation; interrupts and
-/// anything needing the feasibility core map to `None` so the full
-/// search keeps sole responsibility for them. Used by the cache fast
-/// path in `Solver::check()`: trivially-boolean queries die here for
-/// free, while every query that would cost lia calls is canonicalized
-/// and looked up first — a warm cache therefore answers repeat queries
-/// with *zero* lia calls.
-pub(crate) fn presolve_discharge(input: &[Clause], ctx: &mut SearchCtx<'_>) -> Option<SatResult> {
-    if ctx.gov.poll().is_some() {
-        return None;
-    }
-    let (fixed, reduced) = match presolve(input, ctx) {
-        Presolved::Unsat => {
-            ctx.presolve_discharges += 1;
-            return Some(SatResult::Unsat);
-        }
-        Presolved::Stopped(_) => return None,
-        Presolved::Reduced { fixed, clauses } => (fixed, clauses),
-    };
-    if fixed.is_empty() && reduced.is_empty() {
-        // Nothing left at all after propagation: trivially satisfiable.
-        ctx.presolve_discharges += 1;
-        return Some(SatResult::Sat);
-    }
-    // Fixed literals would need a theory check, residual clauses a
-    // search — both are lia-bearing, so both go through the cache.
-    None
-}
-
-pub(crate) fn solve(input: &[Clause], ctx: &mut SearchCtx<'_>) -> SearchOutcome {
+/// Search the presolve-reduced problem: `fixed` holds conjunctively,
+/// `reduced` are the residual clauses of ≥ 2 canonical literals each.
+pub(crate) fn search(
+    fixed: &[Literal],
+    reduced: &[Vec<Literal>],
+    ctx: &mut SearchCtx<'_>,
+) -> SearchOutcome {
     let mut learned_out: Vec<Clause> = Vec::new();
     let done = |result: SatResult, learned: Vec<Clause>| SearchOutcome { result, learned };
-
-    // A pre-tripped deadline/cancellation must win before any presolve
-    // conclusion (first governor poll is immediate).
-    if let Some(r) = ctx.gov.poll() {
-        return done(SatResult::Unknown(r), learned_out);
-    }
-
-    let (fixed, reduced) = match presolve(input, ctx) {
-        Presolved::Unsat => {
-            ctx.presolve_discharges += 1;
-            return done(SatResult::Unsat, learned_out);
-        }
-        Presolved::Stopped(r) => return done(SatResult::Unknown(r), learned_out),
-        Presolved::Reduced { fixed, clauses } => (fixed, clauses),
-    };
 
     // Level-0 theory check of the fixed (conjunctive) literals.
     {
@@ -445,10 +405,10 @@ pub(crate) fn solve(input: &[Clause], ctx: &mut SearchCtx<'_>) -> SearchOutcome 
         trail_lim: Vec::new(),
         prop_head: 0,
     };
-    for clause in &reduced {
+    for clause in reduced {
         let mut bl: Vec<BLit> = Vec::with_capacity(clause.len());
         for lit in clause {
-            let CanonLit::Var { key, polarity, .. } = canon_lit(lit) else {
+            let CanonLit::Var { key, polarity } = canon_lit(lit) else {
                 unreachable!("presolve leaves only variable literals");
             };
             let v = *var_of.entry(key.clone()).or_insert_with(|| {
@@ -498,12 +458,12 @@ pub(crate) fn solve(input: &[Clause], ctx: &mut SearchCtx<'_>) -> SearchOutcome 
                     // Full assignment: lazy theory check on the
                     // chosen-literal subset.
                     let subset = eng.chosen_subset();
-                    match theory_check(&eng, &fixed, &subset, ctx) {
+                    match theory_check(&eng, fixed, &subset, ctx) {
                         Feasibility::Feasible => return done(SatResult::Sat, learned_out),
                         Feasibility::Unknown(r) => return done(SatResult::Unknown(r), learned_out),
                         Feasibility::Infeasible => {
                             ctx.conflicts += 1;
-                            let s = match minimize_explanation(&eng, &fixed, subset, ctx) {
+                            let s = match minimize_explanation(&eng, fixed, subset, ctx) {
                                 Ok(s) => s,
                                 Err(r) => return done(SatResult::Unknown(r), learned_out),
                             };

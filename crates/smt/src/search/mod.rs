@@ -1,16 +1,19 @@
 //! Search cores for `Solver::check()`.
 //!
 //! Two interchangeable engines solve the same problem — "is this CNF over
-//! linear-integer literals satisfiable?" — behind one entry point:
+//! linear-integer literals satisfiable?":
 //!
 //! * [`SearchCore::Cdcl`] (default): a CDCL(T)-style engine — presolve
-//!   ([`presolve`]), boolean abstraction with two-watched-literal unit
-//!   propagation and a trail, theory checks through the Fourier–Motzkin
-//!   core with *minimized conflict explanations*, 1UIP learning with
-//!   non-chronological backjumping, VSIDS-lite decisions, Luby restarts
-//!   ([`cdcl`]).
-//! * [`SearchCore::Legacy`]: the original enumerate-and-split search
-//!   ([`legacy`]), kept verbatim as a differential-testing oracle.
+//!   over per-frame snapshots of the assertion stack ([`presolve`],
+//!   entered once per `check()` through [`prepare`]), then, for what
+//!   presolve leaves ([`search_reduced`]), boolean abstraction with
+//!   two-watched-literal unit propagation and a trail, theory checks
+//!   through the Fourier–Motzkin core with *minimized conflict
+//!   explanations*, 1UIP learning with non-chronological backjumping,
+//!   VSIDS-lite decisions, Luby restarts ([`cdcl`]).
+//! * [`SearchCore::Legacy`]: the original enumerate-and-split search over
+//!   the flat clause list ([`legacy`], through [`search_flat`]), kept
+//!   verbatim as a differential-testing oracle.
 //!
 //! Both cores are deterministic — no RNG, ties broken by atom/variable
 //! id — so verdicts, reports, and the deterministic trace section are
@@ -23,9 +26,11 @@ pub(crate) mod legacy;
 pub(crate) mod presolve;
 pub(crate) mod theory;
 
+use std::sync::Arc;
+
 use crate::ctrl::{Governor, StopReason};
 use crate::fm::{feasible_paced, Feasibility};
-use crate::formula::Clause;
+use crate::formula::{Clause, Literal};
 use crate::linexpr::{AtomTable, LinExpr};
 use crate::solver::{SatResult, SolverBudget};
 
@@ -84,6 +89,7 @@ pub(crate) struct SearchCtx<'t> {
     pub(crate) learned_literals: u64,
     pub(crate) restarts: u64,
     pub(crate) presolve_discharges: u64,
+    pub(crate) presolve_clauses: u64,
     pub(crate) table: &'t AtomTable,
     pub(crate) gov: Governor<'t>,
 }
@@ -104,6 +110,7 @@ impl<'t> SearchCtx<'t> {
             learned_literals: 0,
             restarts: 0,
             presolve_discharges: 0,
+            presolve_clauses: 0,
             table,
             gov,
         }
@@ -129,29 +136,68 @@ pub(crate) struct SearchOutcome {
     pub(crate) learned: Vec<Clause>,
 }
 
-/// Cheap discharge attempt for the cache fast path: run only the CDCL
-/// presolve prefix (no boolean abstraction, no search) and return a
-/// definite verdict when the query never needed one. `None` means the
-/// query is presolve-hard — worth canonicalizing and caching — or the
-/// core has no presolve layer (legacy).
-pub(crate) fn try_discharge(
-    core: SearchCore,
-    clauses: &[Clause],
+/// What the one presolve of a CDCL `check()` left to do.
+pub(crate) enum Prepared {
+    /// Settled by propagation alone: no theory work was needed, so the
+    /// verdict is not worth a canonical key or a cache entry.
+    Discharged(SatResult),
+    /// Interrupted before any conclusion.
+    Stopped(StopReason),
+    /// Presolve-hard: the fixed literals need a theory check and the
+    /// residual clauses a search — both lia-bearing, so the caller looks
+    /// the query up in the cache before paying for [`search_reduced`].
+    Reduced {
+        fixed: Vec<(Arc<presolve::VarKey>, bool)>,
+        clauses: Vec<Vec<Literal>>,
+    },
+}
+
+/// Presolve the assertion stack for the CDCL core, building whatever
+/// frame snapshots `frames` does not hold yet.
+pub(crate) fn prepare(
+    frames: &mut Vec<presolve::Frame>,
+    chunks: &[presolve::Chunk],
+    marks: &[usize],
     ctx: &mut SearchCtx<'_>,
-) -> Option<SatResult> {
-    match core {
-        SearchCore::Legacy => None,
-        SearchCore::Cdcl => cdcl::presolve_discharge(clauses, ctx),
+) -> Prepared {
+    // A pre-tripped deadline/cancellation must win before any presolve
+    // conclusion (first governor poll is immediate).
+    if let Some(r) = ctx.gov.poll() {
+        return Prepared::Stopped(r);
+    }
+    match presolve::presolve_stack(frames, chunks, marks, ctx) {
+        presolve::Presolved::Unsat => {
+            ctx.presolve_discharges += 1;
+            Prepared::Discharged(SatResult::Unsat)
+        }
+        presolve::Presolved::Stopped(r) => Prepared::Stopped(r),
+        presolve::Presolved::Reduced { fixed, clauses } => {
+            if fixed.is_empty() && clauses.is_empty() {
+                // Nothing left at all after propagation: trivially
+                // satisfiable.
+                ctx.presolve_discharges += 1;
+                Prepared::Discharged(SatResult::Sat)
+            } else {
+                Prepared::Reduced { fixed, clauses }
+            }
+        }
     }
 }
 
-/// Run the selected core over the flattened assertion clauses.
-pub(crate) fn run(core: SearchCore, clauses: &[Clause], ctx: &mut SearchCtx<'_>) -> SearchOutcome {
-    match core {
-        SearchCore::Legacy => SearchOutcome {
-            result: legacy::search(&theory::Committed::default(), clauses, ctx),
-            learned: Vec::new(),
-        },
-        SearchCore::Cdcl => cdcl::solve(clauses, ctx),
+/// Run the CDCL core over a presolve-reduced problem.
+pub(crate) fn search_reduced(
+    fixed: &[(Arc<presolve::VarKey>, bool)],
+    clauses: &[Vec<Literal>],
+    ctx: &mut SearchCtx<'_>,
+) -> SearchOutcome {
+    let fixed: Vec<Literal> = fixed.iter().map(|(key, p)| key.lit(*p)).collect();
+    cdcl::search(&fixed, clauses, ctx)
+}
+
+/// Run the legacy core over the flattened assertion clauses.
+pub(crate) fn search_flat(clauses: &[Clause], ctx: &mut SearchCtx<'_>) -> SearchOutcome {
+    SearchOutcome {
+        result: legacy::search(&theory::Committed::default(), clauses, ctx),
+        learned: Vec::new(),
     }
 }

@@ -12,7 +12,8 @@ use crate::ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
 use crate::fm::FmBudget;
 use crate::formula::{Clause, Formula};
 use crate::linexpr::AtomTable;
-use crate::search::{self, SearchCore, SearchCtx};
+use crate::search::presolve::Frame;
+use crate::search::{self, Prepared, SearchCore, SearchCtx};
 
 /// Result of a satisfiability check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +83,10 @@ pub struct SolverStats {
     /// `check()` calls fully resolved by the presolve layer / level-0
     /// theory check, without entering the search (CDCL core).
     pub presolve_discharges: u64,
+    /// Clauses canonicalized by the presolve layer, frame-snapshot builds
+    /// included (CDCL core). With the stack presolved once per frame this
+    /// tracks the clauses *asserted*, not checks × stack size.
+    pub presolve_clauses: u64,
 }
 
 impl SolverStats {
@@ -107,6 +112,7 @@ impl SolverStats {
         self.presolve_discharges = self
             .presolve_discharges
             .saturating_add(other.presolve_discharges);
+        self.presolve_clauses = self.presolve_clauses.saturating_add(other.presolve_clauses);
     }
 
     /// Counters accumulated since an earlier snapshot `since` of the same
@@ -132,6 +138,7 @@ impl SolverStats {
             presolve_discharges: self
                 .presolve_discharges
                 .saturating_sub(since.presolve_discharges),
+            presolve_clauses: self.presolve_clauses.saturating_sub(since.presolve_clauses),
         }
     }
 }
@@ -204,12 +211,21 @@ impl From<Formula> for InternedFormula {
 /// so asserting an [`InternedFormula`] is a reference-count bump instead
 /// of a clause copy, and [`Solver::fork`] can snapshot the whole stack in
 /// O(chunks).
+///
+/// Beside the chunks sits one presolve snapshot per frame level, built
+/// lazily by the first `check()` that needs it and shared (behind an
+/// `Arc`) with every fork, so a `push; assert(query); check; pop` round
+/// costs the query's clauses, not the stack's.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     /// Atom interner shared by all assertions.
     pub table: AtomTable,
     chunks: Vec<Arc<Vec<Clause>>>,
     frames: Vec<usize>,
+    /// `snapshots[l]` is the presolved state of the chunks below frame
+    /// mark `l` (of the whole stack for the top level). Never longer than
+    /// `frames.len() + 1`; a level is dropped when its chunks change.
+    snapshots: Vec<Frame>,
     /// Statistics accumulated over the solver's lifetime.
     pub stats: SolverStats,
     budget: SolverBudget,
@@ -276,6 +292,8 @@ impl Solver {
         while let Some(mark) = self.frames.pop() {
             self.chunks.truncate(mark);
         }
+        // Whatever interrupted the query may have done so mid-presolve.
+        self.snapshots.clear();
     }
 
     /// Number of asserted clauses currently on the stack.
@@ -292,6 +310,7 @@ impl Solver {
     pub fn pop(&mut self) {
         let mark = self.frames.pop().expect("pop without matching push");
         self.chunks.truncate(mark);
+        self.snapshots.truncate(self.frames.len() + 1);
     }
 
     /// Assert a formula (converted to CNF clauses).
@@ -304,6 +323,8 @@ impl Solver {
     pub fn assert_interned(&mut self, f: &InternedFormula) {
         self.stats.assertions_added += 1;
         self.chunks.push(Arc::clone(&f.clauses));
+        // The top level's snapshot no longer covers its frame.
+        self.snapshots.truncate(self.frames.len());
     }
 
     /// Attach (or detach, with `None`) a shared proof cache consulted by
@@ -362,59 +383,80 @@ impl Solver {
         if let Some(t) = self.timeout {
             interrupt.deadline = interrupt.deadline.earliest(Deadline::after(t));
         }
-        let clauses: Vec<Clause> = self
-            .chunks
-            .iter()
-            .flat_map(|ch| ch.iter().cloned())
-            .collect();
-        // Canonical-cache fast path: a definite verdict cached for any
-        // equisatisfiable assertion stack short-circuits the search.
-        // Computing a canonical key costs more than the boolean presolve
-        // prefix, so that prefix runs first; everything it cannot settle
-        // needs linear-arithmetic work, and exactly those queries — the
-        // ones worth remembering — are keyed and looked up, which makes
-        // a warm cache answer repeats with zero lia calls. `Unknown` is
-        // never served from (or stored into) the cache.
-        let keyed = match self.cache.clone() {
-            None => None,
-            Some(cache) => {
-                let gov = Governor::new(&interrupt);
-                let mut ctx = SearchCtx::new(self.budget, &self.table, gov);
-                let discharged = search::try_discharge(self.search_core, &clauses, &mut ctx);
-                fold_search_counters(&mut self.stats, &ctx);
-                if let Some(result) = discharged {
-                    return result;
-                }
-                let key =
-                    canonical_query_key(self.chunks.iter().flat_map(|ch| ch.iter()), &self.table);
-                if let Some((hit, from_disk)) = cache.lookup_tiered(&key) {
+        let gov = Governor::new(&interrupt);
+        let mut ctx = SearchCtx::new(self.budget, &self.table, gov);
+        // One presolve per check (CDCL core): it either settles the query
+        // outright or leaves the reduced problem that both the cache
+        // decision and the search work from. The legacy core has no
+        // presolve layer and searches the flat clause list.
+        let prepared = match self.search_core {
+            SearchCore::Legacy => None,
+            SearchCore::Cdcl => Some(search::prepare(
+                &mut self.snapshots,
+                &self.chunks,
+                &self.frames,
+                &mut ctx,
+            )),
+        };
+        let result = 'answer: {
+            if let Some(Prepared::Discharged(result)) = prepared {
+                break 'answer result;
+            }
+            // Canonical-cache fast path: a definite verdict cached for any
+            // equisatisfiable assertion stack short-circuits the search.
+            // Computing a canonical key costs more than presolve, so only
+            // what presolve could not settle — queries that need
+            // linear-arithmetic work, the ones worth remembering — is
+            // keyed and looked up, which makes a warm cache answer
+            // repeats with zero lia calls. `Unknown` is never served from
+            // (or stored into) the cache.
+            let keyed = self.cache.clone().map(|cache| {
+                let clauses = self.chunks.iter().flat_map(|ch| ch.iter());
+                (canonical_query_key(clauses, &self.table), cache)
+            });
+            if let Some((key, cache)) = &keyed {
+                if let Some((hit, from_disk)) = cache.lookup_tiered(key) {
                     self.stats.cache_hits = self.stats.cache_hits.saturating_add(1);
                     if from_disk {
                         self.stats.cache_disk_hits = self.stats.cache_disk_hits.saturating_add(1);
                     }
-                    return hit;
+                    break 'answer hit;
                 }
                 self.stats.cache_misses = self.stats.cache_misses.saturating_add(1);
-                Some((key, cache))
             }
+            let outcome = match prepared {
+                None => {
+                    let clauses: Vec<Clause> = self
+                        .chunks
+                        .iter()
+                        .flat_map(|ch| ch.iter().cloned())
+                        .collect();
+                    search::search_flat(&clauses, &mut ctx)
+                }
+                Some(Prepared::Reduced { fixed, clauses }) => {
+                    search::search_reduced(&fixed, &clauses, &mut ctx)
+                }
+                Some(Prepared::Stopped(reason)) => search::SearchOutcome {
+                    result: SatResult::Unknown(reason),
+                    learned: Vec::new(),
+                },
+                Some(Prepared::Discharged(_)) => unreachable!("answered above"),
+            };
+            self.last_learned = outcome.learned;
+            if let SatResult::Unknown(reason) = outcome.result {
+                self.stats.unknowns = self.stats.unknowns.saturating_add(1);
+                if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
+                    self.stats.interrupts = self.stats.interrupts.saturating_add(1);
+                }
+            }
+            if let Some((key, cache)) = keyed {
+                if cache.insert(key, outcome.result) {
+                    self.stats.cache_inserts = self.stats.cache_inserts.saturating_add(1);
+                }
+            }
+            outcome.result
         };
-        let gov = Governor::new(&interrupt);
-        let mut ctx = SearchCtx::new(self.budget, &self.table, gov);
-        let outcome = search::run(self.search_core, &clauses, &mut ctx);
-        let result = outcome.result;
-        self.last_learned = outcome.learned;
         fold_search_counters(&mut self.stats, &ctx);
-        if let SatResult::Unknown(reason) = result {
-            self.stats.unknowns = self.stats.unknowns.saturating_add(1);
-            if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
-                self.stats.interrupts = self.stats.interrupts.saturating_add(1);
-            }
-        }
-        if let Some((key, cache)) = keyed {
-            if cache.insert(key, result) {
-                self.stats.cache_inserts = self.stats.cache_inserts.saturating_add(1);
-            }
-        }
         result
     }
 
@@ -428,8 +470,7 @@ impl Solver {
     }
 }
 
-/// Accumulate a search context's work counters into the solver stats
-/// (shared by the discharge attempt and the full search of one `check()`).
+/// Accumulate a search context's work counters into the solver stats.
 fn fold_search_counters(stats: &mut SolverStats, ctx: &SearchCtx<'_>) {
     stats.lia_calls = stats.lia_calls.saturating_add(ctx.lia_calls);
     stats.branches = stats.branches.saturating_add(ctx.branches);
@@ -441,6 +482,7 @@ fn fold_search_counters(stats: &mut SolverStats, ctx: &SearchCtx<'_>) {
     stats.presolve_discharges = stats
         .presolve_discharges
         .saturating_add(ctx.presolve_discharges);
+    stats.presolve_clauses = stats.presolve_clauses.saturating_add(ctx.presolve_clauses);
 }
 
 /// The solver surface the analysis pipeline programs against. Both the
@@ -700,13 +742,15 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut s = Solver::new();
-        let f = Formula::term_ne(&sym("a"), &sym("b"), &mut s.table).unwrap();
+        let f = hard_sat_query(&mut s.table, "a", "b");
         s.assert(f);
         s.check();
         s.check();
         assert_eq!(s.stats.checks, 2);
         assert_eq!(s.stats.assertions_added, 1);
         assert!(s.stats.lia_calls > 0);
+        // The stack was canonicalized for the first check only.
+        assert_eq!(s.stats.presolve_clauses, 1);
     }
 
     #[test]

@@ -8,9 +8,16 @@
 //! found by enumeration forbids `Unsat`). Finally, the clauses the CDCL
 //! core learns must be consequences of the assertions: re-asserting them
 //! can never change a verdict.
+//!
+//! The second half is the wall around the frame-scoped presolve
+//! snapshots: a framed `check()` must answer exactly what the same
+//! assertions give a solver that has never seen a frame.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use formad_smt::{
-    brute, AtomTable, Clause, Formula, LinExpr, Literal, SatResult, SearchCore, Solver,
+    brute, normalize, AtomTable, ChaosConfig, ChaosSolver, Clause, Formula, LinExpr, Literal,
+    SatResult, SearchCore, Solver, SolverApi, Term,
 };
 use proptest::prelude::*;
 
@@ -166,4 +173,354 @@ fn pinned_core_agreement_cases() {
         let (legacy, _) = run_core(SearchCore::Legacy, spec, &[]);
         assert_eq!(cdcl, legacy, "cores diverged on pinned case {spec:?}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Frame-scoped presolve snapshots: a framed `check()` must answer exactly
+// what the same assertions give a solver that has never seen a frame.
+// ---------------------------------------------------------------------
+
+/// Atoms of the script tests: plain symbols (linear, and strided through
+/// even coefficients), uninterpreted applications over them, and the
+/// `mod`/`div` opaque atoms — whatever can bind a symbol inside an opaque
+/// key and so gate a substitution pivot.
+fn pool(k: u8) -> Term {
+    let (x, y, z) = (Term::sym("x"), Term::sym("y"), Term::sym("z"));
+    match k % 7 {
+        0 => x,
+        1 => y,
+        2 => z,
+        3 => Term::app("c", vec![x]),
+        4 => Term::app("c", vec![y + Term::int(1)]),
+        5 => Term::Mod(Box::new(x), Box::new(Term::int(2))),
+        _ => Term::Div(Box::new(y), Box::new(Term::int(2))),
+    }
+}
+
+/// `(relation, constant, [(pool atom, coefficient)])`.
+type ScriptLit = (u8, i64, Vec<(u8, i64)>);
+/// One `assert`: a conjunction of disjunctions, i.e. one chunk that may
+/// hold several clauses.
+type ScriptFormula = Vec<Vec<ScriptLit>>;
+
+#[derive(Debug, Clone)]
+enum Op {
+    Push,
+    Pop,
+    Assert(ScriptFormula),
+    Check,
+    /// Continue on a fork; the parent waits for `Return`.
+    Fork(u64),
+    Return,
+    Reset,
+}
+
+fn script_formula(table: &mut AtomTable, spec: &ScriptFormula) -> Formula {
+    let lit = |table: &mut AtomTable, (rel, c0, terms): &ScriptLit| {
+        let mut e = LinExpr::constant(*c0 as i128);
+        for (atom, coeff) in terms {
+            let a = normalize(&pool(*atom), table).expect("small terms");
+            e = e.add_scaled(&a, *coeff as i128);
+        }
+        let zero = LinExpr::constant(0);
+        Formula::Lit(match rel % 3 {
+            0 => Literal::eq(e, zero),
+            1 => Literal::ne(e, zero),
+            _ => Literal::le(e, zero),
+        })
+    };
+    Formula::and(
+        spec.iter()
+            .map(|clause| Formula::or(clause.iter().map(|l| lit(table, l)).collect()))
+            .collect(),
+    )
+}
+
+/// The same assertions, one `assert` each, on a solver without frames.
+fn frameless(core: SearchCore, stack: &[Vec<ScriptFormula>]) -> Solver {
+    let mut s = Solver::new();
+    s.set_search_core(core);
+    for spec in stack.iter().flatten() {
+        let f = script_formula(&mut s.table, spec);
+        s.assert(f);
+    }
+    s
+}
+
+/// Compare one framed verdict against (i) a frameless CDCL solver,
+/// (ii) the legacy core, (iii) brute force where it applies.
+fn cross_check(framed: SatResult, stack: &[Vec<ScriptFormula>]) -> Result<(), String> {
+    let fresh = frameless(SearchCore::Cdcl, stack).check();
+    if framed != fresh {
+        return Err(format!(
+            "framed {framed:?} but frameless {fresh:?} on {stack:?}"
+        ));
+    }
+    let legacy = frameless(SearchCore::Legacy, stack).check();
+    if !framed.is_unknown() && !legacy.is_unknown() && framed != legacy {
+        return Err(format!(
+            "framed {framed:?} but legacy {legacy:?} on {stack:?}"
+        ));
+    }
+    let mut table = AtomTable::new();
+    let formulas: Vec<Formula> = stack
+        .iter()
+        .flatten()
+        .map(|spec| script_formula(&mut table, spec))
+        .collect();
+    // `Err` means an opaque atom is present: not enumerable.
+    if let Ok(Some(model)) = brute::find_model(&formulas, &table, -6, 6) {
+        if framed == SatResult::Unsat {
+            return Err(format!("refuted a stack with model {model:?}: {stack:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// Run `ops` on one framed solver, cross-checking every `check()`.
+fn run_script(ops: &[Op]) -> Result<(), String> {
+    let mut solver = Solver::new();
+    // `stack[l]` mirrors what frame level `l` holds.
+    let mut stack: Vec<Vec<ScriptFormula>> = vec![Vec::new()];
+    let mut parents: Vec<(Solver, Vec<Vec<ScriptFormula>>)> = Vec::new();
+    for op in ops {
+        match op {
+            Op::Push => {
+                solver.push();
+                stack.push(Vec::new());
+            }
+            Op::Pop => {
+                if stack.len() > 1 {
+                    solver.pop();
+                    stack.pop();
+                }
+            }
+            Op::Assert(spec) => {
+                let f = script_formula(&mut solver.table, spec);
+                solver.assert(f);
+                stack.last_mut().expect("level 0").push(spec.clone());
+            }
+            Op::Check => cross_check(solver.check(), &stack)?,
+            Op::Fork(salt) => {
+                let child = solver.fork(*salt);
+                parents.push((std::mem::replace(&mut solver, child), stack.clone()));
+            }
+            Op::Return => {
+                if let Some((parent, mirror)) = parents.pop() {
+                    solver = parent;
+                    stack = mirror;
+                }
+            }
+            Op::Reset => {
+                solver.reset_to_base();
+                stack.truncate(1);
+            }
+        }
+    }
+    // Whatever a fork did, its parents still answer for their own stacks.
+    while let Some((mut parent, mirror)) = parents.pop() {
+        cross_check(parent.check(), &mirror)?;
+    }
+    Ok(())
+}
+
+fn script_lit() -> impl Strategy<Value = ScriptLit> {
+    (
+        0u8..3,
+        -3i64..=3,
+        prop::collection::vec((0u8..7, -2i64..=2), 1..3),
+    )
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let formula = || prop::collection::vec(prop::collection::vec(script_lit(), 1..3), 1..3);
+    prop_oneof![
+        Just(Op::Push),
+        Just(Op::Push),
+        Just(Op::Pop),
+        formula().prop_map(Op::Assert),
+        formula().prop_map(Op::Assert),
+        formula().prop_map(Op::Assert),
+        Just(Op::Check),
+        Just(Op::Check),
+        Just(Op::Check),
+        (0u64..4).prop_map(Op::Fork),
+        Just(Op::Return),
+        Just(Op::Reset),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every framed `check()` of a random push / assert / check / pop /
+    /// fork / reset script agrees with a frameless solver, with the
+    /// legacy core, and with brute force.
+    #[test]
+    fn framed_checks_match_frameless_solvers(ops in prop::collection::vec(op(), 4..28)) {
+        if let Err(msg) = run_script(&ops) {
+            prop_assert!(false, "{msg}\nscript: {ops:?}");
+        }
+    }
+}
+
+fn eq(a: &Term, b: &Term, s: &mut Solver) -> Formula {
+    Formula::term_eq(a, b, &mut s.table).unwrap()
+}
+
+fn ne(a: &Term, b: &Term, s: &mut Solver) -> Formula {
+    Formula::term_ne(a, b, &mut s.table).unwrap()
+}
+
+#[test]
+fn free_atom_discharge_is_not_baked_into_the_snapshot() {
+    // `x ≠ y` alone is discharged (both symbols occur once) — but only for
+    // that query: the unit must still be there to contradict `x = y`.
+    let (x, y) = (Term::sym("x"), Term::sym("y"));
+    let mut s = Solver::new();
+    let f = ne(&x, &y, &mut s);
+    s.assert(f);
+    assert_eq!(s.check(), SatResult::Sat);
+    assert_eq!(s.stats.presolve_discharges, 1);
+    let q = eq(&x, &y, &mut s);
+    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.check(), SatResult::Sat);
+    assert_eq!(s.stats.lia_calls, 0);
+}
+
+#[test]
+fn delta_binding_a_recorded_pivot_rederives_the_prefix() {
+    // The base `x = y + 1` is solved for `x` in its snapshot. A delta that
+    // mentions `c(x)` makes `x` ineligible as a pivot: substituting it away
+    // would cut the link congruence needs to see `c(x) = c(y + 1)`.
+    let (x, y) = (Term::sym("x"), Term::sym("y"));
+    let mut s = Solver::new();
+    let base = eq(&x, &(y.clone() + Term::int(1)), &mut s);
+    s.assert(base);
+    assert_eq!(s.check(), SatResult::Sat);
+    assert_eq!(s.stats.presolve_clauses, 1);
+    let cx = Term::app("c", vec![x.clone()]);
+    let cy1 = Term::app("c", vec![y.clone() + Term::int(1)]);
+    let q = ne(&cx, &cy1, &mut s);
+    assert_eq!(s.check_with(q), SatResult::Unsat);
+    // The query re-derived the base clause along with its own.
+    assert_eq!(s.stats.presolve_clauses, 3);
+    // A delta that leaves the pivot alone extends the snapshot as is.
+    let q = eq(&x, &y, &mut s);
+    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.stats.presolve_clauses, 4);
+}
+
+/// A solver with `facts` disequalities `x ≠ y + k` under one frame.
+fn solver_with_fact_frame(facts: i64) -> Solver {
+    let (x, y) = (Term::sym("x"), Term::sym("y"));
+    let mut s = Solver::new();
+    s.push();
+    for k in 1..=facts {
+        let f = ne(&x, &(y.clone() + Term::int(k)), &mut s);
+        s.assert(f);
+    }
+    s
+}
+
+fn offset_query(s: &mut Solver, k: i64) -> Formula {
+    let (x, y) = (Term::sym("x"), Term::sym("y"));
+    eq(&x, &(y + Term::int(k)), s)
+}
+
+#[test]
+fn snapshot_survives_pop_and_dies_with_its_frame() {
+    let mut s = solver_with_fact_frame(8);
+    let q = offset_query(&mut s, 3);
+    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.stats.presolve_clauses, 8 + 1);
+    // pop + re-push: the fact frame's snapshot is reused, each query
+    // costs its own clause.
+    for k in [5, 8, 9] {
+        let q = offset_query(&mut s, k);
+        let expect = if k <= 8 {
+            SatResult::Unsat
+        } else {
+            SatResult::Sat
+        };
+        assert_eq!(s.check_with(q), expect);
+    }
+    assert_eq!(s.stats.presolve_clauses, 8 + 4);
+    // An assert into the covered frame drops its snapshot: the next check
+    // canonicalizes that frame again (9 facts now) plus its query.
+    let f = {
+        let (x, y) = (Term::sym("x"), Term::sym("y"));
+        ne(&x, &(y + Term::int(9)), &mut s)
+    };
+    s.assert(f);
+    let q = offset_query(&mut s, 9);
+    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.stats.presolve_clauses, 8 + 4 + 9 + 1);
+    // Popping the frame itself leaves nothing to contradict.
+    s.pop();
+    let q = offset_query(&mut s, 3);
+    assert_eq!(s.check_with(q), SatResult::Sat);
+}
+
+#[test]
+fn fork_asserts_never_reach_the_parent_snapshot() {
+    let mut parent = solver_with_fact_frame(4);
+    let q = offset_query(&mut parent, 2);
+    assert_eq!(parent.check_with(q), SatResult::Unsat);
+    let mut child = parent.fork(7);
+    // The fork starts from the parent's snapshots…
+    let q = offset_query(&mut child, 4);
+    assert_eq!(child.check_with(q), SatResult::Unsat);
+    assert_eq!(child.stats.presolve_clauses, 1);
+    // …and what it asserts into the shared frame stays its own.
+    let f = {
+        let (x, y) = (Term::sym("x"), Term::sym("y"));
+        ne(&x, &(y + Term::int(6)), &mut child)
+    };
+    child.assert(f);
+    let q = offset_query(&mut child, 6);
+    assert_eq!(child.check_with(q), SatResult::Unsat);
+    let before = parent.stats.presolve_clauses;
+    let q = offset_query(&mut parent, 6);
+    assert_eq!(parent.check_with(q), SatResult::Sat);
+    assert_eq!(parent.stats.presolve_clauses, before + 1);
+}
+
+#[test]
+fn reset_after_a_caught_panic_drops_every_snapshot() {
+    // A fault stream whose second check panics and whose others do not.
+    let quiet = |seed: u64| ChaosConfig {
+        seed,
+        panic_per_mille: 300,
+        unknown_per_mille: 0,
+        delay_per_mille: 0,
+        delay: std::time::Duration::ZERO,
+    };
+    let panics = |seed: u64| -> Vec<bool> {
+        let mut probe = ChaosSolver::new(quiet(seed));
+        (0..3)
+            .map(|_| catch_unwind(AssertUnwindSafe(|| probe.check())).is_err())
+            .collect()
+    };
+    let seed = (0..10_000)
+        .find(|&seed| panics(seed) == [false, true, false])
+        .expect("some seed faults only the second check");
+
+    let (x, y) = (Term::sym("x"), Term::sym("y"));
+    let mut s = ChaosSolver::new(quiet(seed));
+    for k in 1..=5 {
+        let f = Formula::term_ne(&x, &(y.clone() + Term::int(k)), s.table_mut()).unwrap();
+        s.assert(f);
+    }
+    assert_eq!(s.check(), SatResult::Sat);
+    assert_eq!(s.stats().presolve_clauses, 5);
+    // The faulting query leaves its frame open behind the panic.
+    let q = Formula::term_eq(&x, &(y.clone() + Term::int(2)), s.table_mut()).unwrap();
+    let outcome = catch_unwind(AssertUnwindSafe(|| s.check_with(q)));
+    assert!(outcome.is_err());
+    s.reset_to_base();
+    // The base is presolved afresh, and answers as before.
+    let q = Formula::term_eq(&x, &(y + Term::int(2)), s.table_mut()).unwrap();
+    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.stats().presolve_clauses, 5 + 5 + 1);
 }
