@@ -7,17 +7,10 @@
 //! repro fig7 | fig8       absolute time / speedup, GFMC
 //! repro fig9 | fig10      absolute time / speedup, Green-Gauss
 //! repro lbm               §7.3 LBM analysis narrative
-//! repro bench-prover [--iters K] [--jobs N] [--out PATH]
-//!                         prover throughput: the Table-1 suite analyzed
-//!                         sequential-uncached vs parallel+cached; JSON
-//!                         written to PATH (default BENCH_prover.json),
-//!                         plus a traced per-phase timing attribution to
-//!                         PATH with a `_phases` suffix
-//!                         (default BENCH_prover_phases.json)
 //! repro bench-incremental [--iters K] [--out PATH]
 //!                         incremental re-analysis: the Table-1 suite run
-//!                         cold, warm from a durable on-disk cache (zero
-//!                         prover work), and with one GFMC loop edited
+//!                         cold, warm from a durable fingerprint index
+//!                         (zero prover work), and with one GFMC loop edited
 //!                         (only the edited region re-proved); JSON
 //!                         written to PATH (default BENCH_incremental.json)
 //! repro bench-kernels [--iters K] [--threads LIST] [--smoke] [--out PATH]
@@ -100,7 +93,6 @@ fn main() {
             formad_bench::ablation_text(&formad_bench::ablation_grid())
         ),
         "lbm" => print!("{}", lbm_report()),
-        "bench-prover" => bench_prover(&args[1..]),
         "bench-incremental" => bench_incremental(&args[1..]),
         "bench-kernels" => bench_kernels(&args[1..]),
         "fig3" => print_fig(
@@ -146,97 +138,12 @@ fn main() {
         other => {
             eprintln!("unknown command `{other}`");
             eprintln!(
-                "commands: table1 ablations lbm bench-prover bench-incremental bench-kernels \
+                "commands: table1 ablations lbm bench-incremental bench-kernels \
                  fig3..fig10 all [outdir] [--scale small|big]"
             );
             std::process::exit(2);
         }
     }
-}
-
-/// `bench-prover [--iters K] [--jobs N] [--out PATH]` — measure the
-/// parallel+cached prover against the sequential seed path and record
-/// the result as JSON.
-fn bench_prover(rest: &[String]) {
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut iters = 12usize;
-    // Default the worker count to what the host can actually run: asking
-    // for more threads than cores makes the "optimized" configuration
-    // *slower* than the sequential baseline (contended oversubscription)
-    // and records an inverted speedup. Explicit `--jobs` is honored.
-    let mut jobs = host.min(4);
-    let mut out = "BENCH_prover.json".to_string();
-    let mut k = 0;
-    while k < rest.len() {
-        let need = |k: usize| {
-            rest.get(k + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{} expects a value", rest[k]);
-                std::process::exit(2);
-            })
-        };
-        match rest[k].as_str() {
-            "--iters" => {
-                iters = need(k).parse().unwrap_or_else(|_| {
-                    eprintln!("--iters expects an integer");
-                    std::process::exit(2);
-                });
-                k += 2;
-            }
-            "--jobs" => {
-                jobs = need(k).parse().unwrap_or_else(|_| {
-                    eprintln!("--jobs expects an integer");
-                    std::process::exit(2);
-                });
-                k += 2;
-            }
-            "--out" => {
-                out = need(k);
-                k += 2;
-            }
-            other => {
-                eprintln!("unknown bench-prover option `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    if jobs > host {
-        eprintln!(
-            "bench-prover: warning: --jobs {jobs} exceeds host parallelism {host}; \
-             expect the pool to run slower than the baseline"
-        );
-    }
-    let r = formad_bench::prover_bench(iters, jobs);
-    let json = formad_bench::prover_bench_json(&r);
-    fs::write(&out, &json).expect("write bench output");
-    print!("{json}");
-    eprintln!(
-        "bench-prover: {iters}×table1 suite, baseline {:.3}s vs optimized {:.3}s \
-         (jobs={jobs}, cache {} hits / {} misses) → speedup {:.2}×; wrote {out}",
-        r.baseline_s, r.optimized_s, r.cache_hits, r.cache_misses, r.speedup
-    );
-    eprintln!(
-        "bench-prover: cdcl {} vs legacy {} lia calls per pass ({:.1}× fewer), \
-         cores agree: {}",
-        r.lia_calls_per_pass,
-        r.legacy_lia_calls_per_pass,
-        r.legacy_lia_calls_per_pass as f64 / (r.lia_calls_per_pass as f64).max(1.0),
-        r.search_cores_agree
-    );
-    // One traced pass attributes where the time goes per phase; written
-    // next to the main record so regressions can be localized.
-    let phases_out = match out.strip_suffix(".json") {
-        Some(stem) => format!("{stem}_phases.json"),
-        None => format!("{out}.phases.json"),
-    };
-    let p = formad_bench::prover_phases(jobs);
-    fs::write(&phases_out, formad_bench::prover_phases_json(&p)).expect("write phase output");
-    eprintln!(
-        "bench-prover: traced pass {:.3}s, query time {:.3}s over {} queries \
-         ({} hits / {} misses); wrote {phases_out}",
-        p.wall_s, p.query_s, p.queries, p.query_hits, p.query_misses
-    );
 }
 
 /// `bench-incremental [--iters K] [--out PATH]` — measure warm-disk and
@@ -282,13 +189,8 @@ fn bench_incremental(rest: &[String]) {
     );
     eprintln!(
         "bench-incremental: one edited {} loop re-analyzes in {:.3}s \
-         ({} lia calls, {}/{} regions still fingerprint-served, {} disk hits)",
-        r.edited_kernel,
-        r.edited_s,
-        r.edited_lia_calls,
-        r.edited_fp_served,
-        r.regions_per_pass,
-        r.edited_disk_hits
+         ({} lia calls, {}/{} regions still fingerprint-served)",
+        r.edited_kernel, r.edited_s, r.edited_lia_calls, r.edited_fp_served, r.regions_per_pass
     );
 }
 

@@ -1,12 +1,12 @@
 //! Incremental re-analysis benchmark: the Table-1 suite against a durable
-//! on-disk proof cache (`BENCH_incremental.json`).
+//! on-disk fingerprint index (`BENCH_incremental.json`).
 //!
 //! Three configurations, each a full suite pass over a fresh
 //! [`formad::SharedEngine`] so nothing survives in process memory — the
 //! only carrier between passes is the cache directory:
 //!
 //! * **cold** — empty cache dir: every region enumerated, every query
-//!   solved from scratch, verdicts flushed to disk.
+//!   solved from scratch, region records flushed to disk.
 //! * **warm** — same dir, new engine: every region's full decision set
 //!   must be served from the fingerprint index with zero
 //!   linear-feasibility calls. This is the "re-analyze an unchanged
@@ -24,7 +24,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use formad::{Decision, Formad, FormadOptions, SearchCore, SharedEngine};
+use formad::{Decision, Formad, FormadOptions, SharedEngine};
 use formad_ir::{BinOp, Expr, ForLoop, Program, Stmt};
 use formad_smt::SolverStats;
 
@@ -44,7 +44,7 @@ struct Pass {
 }
 
 /// Analyze every kernel once over a fresh engine rooted at `dir`,
-/// flushing the durable tiers before returning.
+/// flushing the index before returning.
 fn run_pass(kernels: &[SuiteKernel], dir: &Path) -> Pass {
     let engine = SharedEngine::with_cache_dir(dir);
     let mut stats = SolverStats::default();
@@ -56,9 +56,7 @@ fn run_pass(kernels: &[SuiteKernel], dir: &Path) -> Pass {
         let dep: Vec<&str> = k.dependents.iter().map(|s| s.as_str()).collect();
         let mut opts = FormadOptions::new(&indep, &dep);
         opts.region.jobs = 1;
-        opts.region.cache = engine.cache().cloned();
         opts.region.fingerprints = engine.fingerprints().cloned();
-        opts.region.search_core = SearchCore::Cdcl;
         let a = Formad::new(opts).analyze(&k.program).expect("analysis");
         stats.merge(&a.stats);
         regions += a.regions.len();
@@ -168,9 +166,6 @@ pub struct IncrementalBenchResult {
     pub cold_fp_served: u64,
     pub warm_fp_served: u64,
     pub edited_fp_served: u64,
-    /// Proof-cache disk hits of the edited pass (the edited region's
-    /// unchanged queries still reuse durable per-query verdicts).
-    pub edited_disk_hits: u64,
     /// True when every per-array verdict agreed across all three passes.
     pub verdicts_agree: bool,
 }
@@ -181,7 +176,7 @@ pub struct IncrementalBenchResult {
 /// Panics if the warm pass costs any linear-feasibility call, if the
 /// warm pass fails to serve every region from the fingerprint index, or
 /// if any per-array verdict differs across the passes — each of those
-/// would invalidate the measurement (and the durable cache).
+/// would invalidate the measurement (and the durable index).
 pub fn incremental_bench(iters: usize) -> IncrementalBenchResult {
     assert!(iters > 0, "need at least one iteration");
     let kernels = suite();
@@ -222,7 +217,7 @@ pub fn incremental_bench(iters: usize) -> IncrementalBenchResult {
 
     assert_eq!(
         warm.stats.lia_calls, 0,
-        "warm pass did fresh linear-feasibility work over a complete disk cache"
+        "warm pass did fresh linear-feasibility work over a complete index"
     );
     assert_eq!(
         warm.fp_served as usize, warm.regions,
@@ -257,7 +252,6 @@ pub fn incremental_bench(iters: usize) -> IncrementalBenchResult {
         cold_fp_served: cold.fp_served,
         warm_fp_served: warm.fp_served,
         edited_fp_served: one_edit.fp_served,
-        edited_disk_hits: one_edit.stats.cache_disk_hits,
         verdicts_agree,
     }
 }
@@ -280,7 +274,7 @@ pub fn incremental_bench_json(r: &IncrementalBenchResult) -> String {
          \"edited_iter_s\": {},\n  \"cold_lia_calls\": {},\n  \
          \"warm_lia_calls\": {},\n  \"edited_lia_calls\": {},\n  \
          \"cold_fp_served\": {},\n  \"warm_fp_served\": {},\n  \
-         \"edited_fp_served\": {},\n  \"edited_disk_hits\": {},\n  \
+         \"edited_fp_served\": {},\n  \
          \"verdicts_agree\": {}\n}}\n",
         r.iters,
         r.kernels,
@@ -300,7 +294,6 @@ pub fn incremental_bench_json(r: &IncrementalBenchResult) -> String {
         r.cold_fp_served,
         r.warm_fp_served,
         r.edited_fp_served,
-        r.edited_disk_hits,
         r.verdicts_agree,
     )
 }

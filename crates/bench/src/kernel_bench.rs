@@ -46,7 +46,7 @@
 //! dispatch away.
 //!
 //! Results serialize to JSON by hand (`BENCH_kernels.json` at the repo
-//! root) — same no-serde policy as `BENCH_prover.json`.
+//! root) — the workspace takes no serde dependency.
 
 use std::fmt::Write as _;
 use std::time::Instant;

@@ -23,8 +23,4 @@ pub use kernel_bench::{
     kernel_bench, kernel_bench_json, Calibration, KernelBenchResult, KernelExecData, VersionTiming,
     BACKENDS, EXEC_THREADS,
 };
-pub use prover_bench::{
-    prover_bench, prover_bench_json, prover_phases, prover_phases_json, PhaseAttribution,
-    ProverBenchResult, ProverPhasesResult,
-};
 pub use versions::{adjoint_bindings, ProgramVersions};

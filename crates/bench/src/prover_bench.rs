@@ -1,29 +1,9 @@
-//! Prover-throughput benchmark: the paper's six-kernel analysis suite run
-//! end to end under two configurations.
-//!
-//! * **baseline** — `jobs = 1`, no proof cache: the sequential seed path,
-//!   every query solved from scratch.
-//! * **optimized** — a worker pool (`jobs`) plus ONE [`ProofCache`] shared
-//!   across every array, region, kernel, and iteration of the suite.
-//!
-//! Each configuration analyzes the whole suite `iters` times. Repeated
-//! iterations model the realistic workload the cache targets: a build
-//! system or test harness re-analyzing mostly-unchanged kernels, where
-//! canonically identical queries recur across runs. The benchmark also
-//! cross-checks every per-array verdict between the two configurations —
-//! a speedup obtained by changing an answer would be a soundness bug, so
-//! the harness refuses to report one.
-//!
-//! Results serialize to JSON by hand (`BENCH_prover.json` at the repo
-//! root) — the workspace takes no serde dependency for one flat record.
+//! The paper's six-kernel analysis suite (Table 1), shared by the
+//! incremental benchmark, the root prover tests and the `benchmark/`
+//! package's prover-heavy workload.
 
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
-
-use formad::{CacheAttr, Decision, Formad, FormadOptions, SearchCore, TraceEvent, TraceSink};
 use formad_ir::Program;
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
-use formad_smt::{ProofCache, SolverStats};
 
 /// One kernel of the suite: a primal program plus its differentiation
 /// in- and outputs.
@@ -82,492 +62,4 @@ pub fn suite() -> Vec<SuiteKernel> {
             dependents: own(GreenGaussCase::dependents()),
         },
     ]
-}
-
-/// Per-array verdicts of one suite pass, flattened for comparison:
-/// `(kernel, region, array, shared?)` in deterministic order.
-type Verdicts = Vec<(String, usize, String, bool)>;
-
-/// Analyze every kernel once; returns elapsed wall-clock, aggregated
-/// prover stats, and the flattened verdicts.
-fn run_suite_once(
-    kernels: &[SuiteKernel],
-    jobs: usize,
-    cache: &Option<ProofCache>,
-    core: SearchCore,
-) -> (Duration, SolverStats, Verdicts) {
-    let mut stats = SolverStats::default();
-    let mut verdicts = Verdicts::new();
-    let start = Instant::now();
-    for k in kernels {
-        let indep: Vec<&str> = k.independents.iter().map(|s| s.as_str()).collect();
-        let dep: Vec<&str> = k.dependents.iter().map(|s| s.as_str()).collect();
-        let mut opts = FormadOptions::new(&indep, &dep);
-        opts.region.jobs = jobs;
-        opts.region.cache = cache.clone();
-        opts.region.search_core = core;
-        let a = Formad::new(opts).analyze(&k.program).expect("analysis");
-        stats.merge(&a.stats);
-        for (ri, region) in a.regions.iter().enumerate() {
-            let mut arrays: Vec<&String> = region.decisions.keys().collect();
-            arrays.sort();
-            for arr in arrays {
-                let shared = matches!(region.decisions[arr], Decision::Shared);
-                verdicts.push((k.name.clone(), ri, arr.clone(), shared));
-            }
-        }
-    }
-    (start.elapsed(), stats, verdicts)
-}
-
-/// Everything `BENCH_prover.json` records.
-#[derive(Debug)]
-pub struct ProverBenchResult {
-    /// Suite passes per configuration.
-    pub iters: usize,
-    /// Worker threads of the optimized configuration.
-    pub jobs: usize,
-    /// Total baseline wall-clock (seconds).
-    pub baseline_s: f64,
-    /// Total optimized wall-clock (seconds).
-    pub optimized_s: f64,
-    /// `baseline_s / optimized_s`.
-    pub speedup: f64,
-    /// Per-iteration baseline times.
-    pub baseline_iter_s: Vec<f64>,
-    /// Per-iteration optimized times.
-    pub optimized_iter_s: Vec<f64>,
-    /// Cache hits across the whole optimized run.
-    pub cache_hits: u64,
-    /// Cache misses across the whole optimized run.
-    pub cache_misses: u64,
-    /// Cache inserts across the whole optimized run.
-    pub cache_inserts: u64,
-    /// Prover queries per suite pass (identical across configurations).
-    pub queries_per_pass: u64,
-    /// True when every per-array verdict agreed between configurations.
-    pub verdicts_agree: bool,
-    /// True when the legacy enumerate-and-split core reproduced every
-    /// per-array verdict of the CDCL core on an uncached sequential pass.
-    pub search_cores_agree: bool,
-    /// Linear-feasibility core calls of one uncached CDCL suite pass.
-    pub lia_calls_per_pass: u64,
-    /// Same measurement under the legacy core (the old cost of the suite).
-    pub legacy_lia_calls_per_pass: u64,
-    /// Watched-literal unit propagations per uncached CDCL pass.
-    pub propagations_per_pass: u64,
-    /// Conflicts analyzed per uncached CDCL pass.
-    pub conflicts_per_pass: u64,
-    /// Clauses learned per uncached CDCL pass.
-    pub learned_clauses_per_pass: u64,
-    /// Restarts per uncached CDCL pass.
-    pub restarts_per_pass: u64,
-    /// Queries fully discharged by presolve per uncached CDCL pass.
-    pub presolve_discharges_per_pass: u64,
-}
-
-/// Run the benchmark: `iters` suite passes sequential-uncached, then
-/// `iters` passes with `jobs` workers and one shared cache.
-///
-/// Panics if any per-array verdict differs between the configurations —
-/// the cache and the worker pool are pure accelerators and a disagreement
-/// would invalidate the measurement (and the tool).
-pub fn prover_bench(iters: usize, jobs: usize) -> ProverBenchResult {
-    assert!(iters > 0, "need at least one iteration");
-    let kernels = suite();
-
-    let mut baseline_iter_s = Vec::with_capacity(iters);
-    let mut baseline_verdicts = None;
-    let mut pass_stats = SolverStats::default();
-    for _ in 0..iters {
-        let (t, stats, v) = run_suite_once(&kernels, 1, &None, SearchCore::Cdcl);
-        baseline_iter_s.push(t.as_secs_f64());
-        pass_stats = stats;
-        baseline_verdicts = Some(v);
-    }
-
-    let shared = Some(ProofCache::new());
-    let mut optimized_iter_s = Vec::with_capacity(iters);
-    let mut optimized_verdicts = None;
-    let mut hits = 0;
-    let mut misses = 0;
-    let mut inserts = 0;
-    for _ in 0..iters {
-        let (t, stats, v) = run_suite_once(&kernels, jobs, &shared, SearchCore::Cdcl);
-        optimized_iter_s.push(t.as_secs_f64());
-        hits += stats.cache_hits;
-        misses += stats.cache_misses;
-        inserts += stats.cache_inserts;
-        optimized_verdicts = Some(v);
-    }
-
-    // Differential oracle: one uncached sequential pass under the legacy
-    // enumerate-and-split core. The CDCL core is an accelerator, not a
-    // different theory — a verdict flip on Table 1 is a soundness bug and
-    // aborts the benchmark (the CI smoke run relies on this).
-    let (_, legacy_stats, legacy_verdicts) = run_suite_once(&kernels, 1, &None, SearchCore::Legacy);
-
-    let baseline_verdicts = baseline_verdicts.expect("baseline ran");
-    let optimized_verdicts = optimized_verdicts.expect("optimized ran");
-    let verdicts_agree = baseline_verdicts == optimized_verdicts;
-    assert!(
-        verdicts_agree,
-        "verdicts diverged between configurations:\n  baseline  {baseline_verdicts:?}\n  \
-         optimized {optimized_verdicts:?}"
-    );
-    let search_cores_agree = baseline_verdicts == legacy_verdicts;
-    assert!(
-        search_cores_agree,
-        "verdicts diverged between search cores:\n  cdcl   {baseline_verdicts:?}\n  \
-         legacy {legacy_verdicts:?}"
-    );
-
-    let baseline_s: f64 = baseline_iter_s.iter().sum();
-    let optimized_s: f64 = optimized_iter_s.iter().sum();
-    ProverBenchResult {
-        iters,
-        jobs,
-        baseline_s,
-        optimized_s,
-        speedup: baseline_s / optimized_s.max(f64::MIN_POSITIVE),
-        baseline_iter_s,
-        optimized_iter_s,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_inserts: inserts,
-        queries_per_pass: pass_stats.checks,
-        verdicts_agree,
-        search_cores_agree,
-        lia_calls_per_pass: pass_stats.lia_calls,
-        legacy_lia_calls_per_pass: legacy_stats.lia_calls,
-        propagations_per_pass: pass_stats.propagations,
-        conflicts_per_pass: pass_stats.conflicts,
-        learned_clauses_per_pass: pass_stats.learned_clauses,
-        restarts_per_pass: pass_stats.restarts,
-        presolve_discharges_per_pass: pass_stats.presolve_discharges,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Per-phase timing attribution (from the structured trace).
-// ---------------------------------------------------------------------
-
-/// Wall-clock total of one named phase across a traced suite pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseAttribution {
-    /// Phase name: pipeline phases keep their name (`validate`,
-    /// `activity`, `ad`), region-level phases get a `region-` prefix
-    /// (`region-extract`, `region-validate`, `region-prove`).
-    pub phase: String,
-    /// Total wall-clock attributed (seconds).
-    pub total_s: f64,
-    /// Phase events aggregated.
-    pub events: u64,
-}
-
-/// Where a traced suite pass spent its time, split by pipeline phase and
-/// — inside the proof fan-out — by cache attribution. `query_*` times
-/// overlap `region-prove` (queries run inside that phase); phase totals
-/// across regions can exceed wall-clock when `jobs > 1`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProverPhasesResult {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Wall-clock of the traced pass (seconds).
-    pub wall_s: f64,
-    /// Per-phase totals, sorted by phase name.
-    pub phases: Vec<PhaseAttribution>,
-    /// Total prover-query time (seconds) and count.
-    pub query_s: f64,
-    pub queries: u64,
-    /// Query time answered from the canonical proof cache.
-    pub query_hit_s: f64,
-    pub query_hits: u64,
-    /// Query time solved from scratch (cache miss).
-    pub query_miss_s: f64,
-    pub query_misses: u64,
-    /// Linear-feasibility core calls across all queries.
-    pub lia_calls: u64,
-    /// Branch nodes explored across all queries.
-    pub branches: u64,
-    /// Watched-literal unit propagations across all queries.
-    pub propagations: u64,
-    /// Conflicts analyzed across all queries.
-    pub conflicts: u64,
-    /// Distribution of `lia_calls` over cache-miss queries (hits cost
-    /// zero): median, 90th percentile, and maximum.
-    pub miss_lia_p50: u64,
-    pub miss_lia_p90: u64,
-    pub miss_lia_max: u64,
-}
-
-/// `p`-th percentile (nearest-rank) of an unsorted sample; 0 when empty.
-fn percentile(sorted: &[u64], p: usize) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (sorted.len() * p).div_ceil(100).max(1);
-    sorted[rank - 1]
-}
-
-/// Analyze the suite once with tracing on (shared cache, `jobs` workers)
-/// and aggregate where the time went from the trace's perf data.
-pub fn prover_phases(jobs: usize) -> ProverPhasesResult {
-    let kernels = suite();
-    let cache = Some(ProofCache::new());
-    let mut phases: BTreeMap<String, (f64, u64)> = BTreeMap::new();
-    let mut r = ProverPhasesResult {
-        jobs,
-        wall_s: 0.0,
-        phases: Vec::new(),
-        query_s: 0.0,
-        queries: 0,
-        query_hit_s: 0.0,
-        query_hits: 0,
-        query_miss_s: 0.0,
-        query_misses: 0,
-        lia_calls: 0,
-        branches: 0,
-        propagations: 0,
-        conflicts: 0,
-        miss_lia_p50: 0,
-        miss_lia_p90: 0,
-        miss_lia_max: 0,
-    };
-    let mut miss_lia: Vec<u64> = Vec::new();
-    let start = Instant::now();
-    for k in kernels {
-        let indep: Vec<&str> = k.independents.iter().map(|s| s.as_str()).collect();
-        let dep: Vec<&str> = k.dependents.iter().map(|s| s.as_str()).collect();
-        let sink = TraceSink::new();
-        let mut opts = FormadOptions::new(&indep, &dep);
-        opts.region.jobs = jobs;
-        opts.region.cache = cache.clone();
-        opts.region.search_core = SearchCore::Cdcl;
-        opts.region.trace = Some(sink.clone());
-        Formad::new(opts).analyze(&k.program).expect("analysis");
-        for e in sink.snapshot() {
-            match e {
-                TraceEvent::Phase { id, dur_us } => {
-                    // `phase/ad` → `ad`; `r3/phase/prove` → `region-prove`.
-                    let name = match id.split_once("/phase/") {
-                        Some((_, name)) => format!("region-{name}"),
-                        None => id.trim_start_matches("phase/").to_string(),
-                    };
-                    let slot = phases.entry(name).or_insert((0.0, 0));
-                    slot.0 += dur_us as f64 / 1e6;
-                    slot.1 += 1;
-                }
-                TraceEvent::Query { perf, .. } => {
-                    let s = perf.dur_us as f64 / 1e6;
-                    r.query_s += s;
-                    r.queries += 1;
-                    r.lia_calls += perf.lia_calls;
-                    r.branches += perf.branches;
-                    r.propagations += perf.propagations;
-                    r.conflicts += perf.conflicts;
-                    match perf.cache {
-                        CacheAttr::Hit | CacheAttr::Disk => {
-                            r.query_hit_s += s;
-                            r.query_hits += 1;
-                        }
-                        CacheAttr::Miss => {
-                            r.query_miss_s += s;
-                            r.query_misses += 1;
-                            miss_lia.push(perf.lia_calls);
-                        }
-                        CacheAttr::Off | CacheAttr::Fingerprint => {}
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    r.wall_s = start.elapsed().as_secs_f64();
-    miss_lia.sort_unstable();
-    r.miss_lia_p50 = percentile(&miss_lia, 50);
-    r.miss_lia_p90 = percentile(&miss_lia, 90);
-    r.miss_lia_max = miss_lia.last().copied().unwrap_or(0);
-    r.phases = phases
-        .into_iter()
-        .map(|(phase, (total_s, events))| PhaseAttribution {
-            phase,
-            total_s,
-            events,
-        })
-        .collect();
-    r
-}
-
-/// Hand-rolled JSON for [`ProverPhasesResult`] (`BENCH_prover_phases.json`).
-pub fn prover_phases_json(r: &ProverPhasesResult) -> String {
-    let phases: Vec<String> = r
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"phase\": \"{}\", \"total_s\": {:.6}, \"events\": {}}}",
-                p.phase, p.total_s, p.events
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"prover_phases\",\n  \"suite\": \"table1\",\n  \
-         \"jobs\": {},\n  \"wall_s\": {:.6},\n  \"phases\": [\n{}\n  ],\n  \
-         \"query_s\": {:.6},\n  \"queries\": {},\n  \
-         \"query_hit_s\": {:.6},\n  \"query_hits\": {},\n  \
-         \"query_miss_s\": {:.6},\n  \"query_misses\": {},\n  \
-         \"lia_calls\": {},\n  \"branches\": {},\n  \
-         \"propagations\": {},\n  \"conflicts\": {},\n  \
-         \"miss_lia_p50\": {},\n  \"miss_lia_p90\": {},\n  \
-         \"miss_lia_max\": {}\n}}\n",
-        r.jobs,
-        r.wall_s,
-        phases.join(",\n"),
-        r.query_s,
-        r.queries,
-        r.query_hit_s,
-        r.query_hits,
-        r.query_miss_s,
-        r.query_misses,
-        r.lia_calls,
-        r.branches,
-        r.propagations,
-        r.conflicts,
-        r.miss_lia_p50,
-        r.miss_lia_p90,
-        r.miss_lia_max,
-    )
-}
-
-fn json_f64_list(xs: &[f64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{x:.6}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// Hand-rolled JSON for [`ProverBenchResult`] — a flat record, stable key
-/// order, newline-terminated.
-pub fn prover_bench_json(r: &ProverBenchResult) -> String {
-    format!(
-        "{{\n  \"bench\": \"prover_suite\",\n  \"suite\": \"table1\",\n  \
-         \"iters\": {},\n  \"jobs\": {},\n  \"baseline_s\": {:.6},\n  \
-         \"optimized_s\": {:.6},\n  \"speedup\": {:.3},\n  \
-         \"baseline_iter_s\": {},\n  \"optimized_iter_s\": {},\n  \
-         \"cache_hits\": {},\n  \"cache_misses\": {},\n  \
-         \"cache_inserts\": {},\n  \"queries_per_pass\": {},\n  \
-         \"verdicts_agree\": {},\n  \"search_cores_agree\": {},\n  \
-         \"lia_calls_per_pass\": {},\n  \"legacy_lia_calls_per_pass\": {},\n  \
-         \"propagations_per_pass\": {},\n  \"conflicts_per_pass\": {},\n  \
-         \"learned_clauses_per_pass\": {},\n  \"restarts_per_pass\": {},\n  \
-         \"presolve_discharges_per_pass\": {}\n}}\n",
-        r.iters,
-        r.jobs,
-        r.baseline_s,
-        r.optimized_s,
-        r.speedup,
-        json_f64_list(&r.baseline_iter_s),
-        json_f64_list(&r.optimized_iter_s),
-        r.cache_hits,
-        r.cache_misses,
-        r.cache_inserts,
-        r.queries_per_pass,
-        r.verdicts_agree,
-        r.search_cores_agree,
-        r.lia_calls_per_pass,
-        r.legacy_lia_calls_per_pass,
-        r.propagations_per_pass,
-        r.conflicts_per_pass,
-        r.learned_clauses_per_pass,
-        r.restarts_per_pass,
-        r.presolve_discharges_per_pass,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_runs_and_verdicts_agree() {
-        let r = prover_bench(2, 2);
-        assert!(r.verdicts_agree);
-        assert!(r.search_cores_agree, "cdcl and legacy cores diverged");
-        assert!(r.queries_per_pass > 0);
-        // The second cached pass must answer queries from the cache.
-        assert!(r.cache_hits > 0, "no cache hits across {} passes", r.iters);
-        assert!(r.baseline_s > 0.0 && r.optimized_s > 0.0);
-        // The CDCL core must do strictly less linear-arithmetic work than
-        // the legacy splitter on the same suite — that is its entire point.
-        assert!(
-            r.lia_calls_per_pass < r.legacy_lia_calls_per_pass,
-            "cdcl {} vs legacy {} lia calls",
-            r.lia_calls_per_pass,
-            r.legacy_lia_calls_per_pass
-        );
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        assert_eq!(percentile(&[], 50), 0);
-        assert_eq!(percentile(&[7], 50), 7);
-        assert_eq!(percentile(&[1, 2, 3, 4], 50), 2);
-        assert_eq!(percentile(&[1, 2, 3, 4], 90), 4);
-        assert_eq!(percentile(&[1, 2, 3, 4, 100], 90), 100);
-    }
-
-    #[test]
-    fn phases_attribute_time_and_queries() {
-        let r = prover_phases(2);
-        assert!(r.wall_s > 0.0);
-        assert!(r.queries > 0);
-        // The suite must exercise the whole ladder of phases.
-        let names: Vec<&str> = r.phases.iter().map(|p| p.phase.as_str()).collect();
-        for want in ["activity", "region-extract", "region-prove"] {
-            assert!(names.contains(&want), "missing phase `{want}` in {names:?}");
-        }
-        // Since the solver consults the cache only for queries its
-        // presolve prefix cannot discharge, most (possibly all) traced
-        // region queries carry the `off` attribution; hit/miss counts
-        // can only account for a subset of the queries.
-        assert!(r.query_hits + r.query_misses <= r.queries);
-        assert!(r.query_hit_s + r.query_miss_s <= r.query_s + 1e-9);
-        let j = prover_phases_json(&r);
-        assert!(j.contains("\"bench\": \"prover_phases\""));
-        assert!(j.contains("\"phase\": \"region-prove\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let r = ProverBenchResult {
-            iters: 1,
-            jobs: 4,
-            baseline_s: 1.0,
-            optimized_s: 0.25,
-            speedup: 4.0,
-            baseline_iter_s: vec![1.0],
-            optimized_iter_s: vec![0.25],
-            cache_hits: 10,
-            cache_misses: 5,
-            cache_inserts: 5,
-            queries_per_pass: 15,
-            verdicts_agree: true,
-            search_cores_agree: true,
-            lia_calls_per_pass: 40,
-            legacy_lia_calls_per_pass: 400,
-            propagations_per_pass: 30,
-            conflicts_per_pass: 2,
-            learned_clauses_per_pass: 2,
-            restarts_per_pass: 0,
-            presolve_discharges_per_pass: 9,
-        };
-        let j = prover_bench_json(&r);
-        assert!(j.starts_with("{\n"));
-        assert!(j.ends_with("}\n"));
-        assert!(j.contains("\"speedup\": 4.000"));
-        assert!(j.contains("\"optimized_iter_s\": [0.250000]"));
-        assert!(j.contains("\"search_cores_agree\": true"));
-        assert!(j.contains("\"legacy_lia_calls_per_pass\": 400"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
 }

@@ -27,21 +27,21 @@
 //!                                                every oracle pair in the
 //!                                                stack (exit 1 on divergence)
 //! formad cache    <stats|verify|clear>           inspect or reset the durable
-//!                 [--cache-dir DIR]              on-disk proof cache (DIR
-//!                                                defaults to the
+//!                 [--cache-dir DIR]              region-fingerprint index
+//!                                                (DIR defaults to the
 //!                                                FORMAD_CACHE_DIR env var)
 //!
 //! cache subcommands:
-//!   stats              print format version, shard/entry/byte counts and
-//!                      fingerprint records for the cache directory
-//!   verify             re-parse every shard and the fingerprint index;
-//!                      exit 0 when clean, 1 when any corrupt entry,
-//!                      bad-version file or unreadable file was found
-//!                      (corruption is never an error for analysis runs —
-//!                      they degrade to cold misses — so this verb exists
-//!                      for operators who want to know)
-//!   clear              delete the cache's own files from DIR (only files
-//!                      the cache wrote; the directory itself stays)
+//!   stats              print format version, record and byte counts of
+//!                      the directory's fingerprint index
+//!   verify             re-parse the fingerprint index and probe a write;
+//!                      exit 0 when clean, 1 when a corrupt record, a
+//!                      bad-version or unreadable index file, or a failed
+//!                      write was found (none of these is an error for
+//!                      analysis runs — they degrade to cold misses — so
+//!                      this verb exists for operators who want to know)
+//!   clear              delete the index file from DIR (the directory and
+//!                      anything else in it stay)
 //!
 //! fuzz options:
 //!   --seed N           master seed (default 42); each case derives its
@@ -78,8 +78,8 @@
 //!   --deadline-ms N    default per-request deadline for requests that
 //!                      do not carry their own
 //!   --cache-dir DIR    durable cache directory shared with the one-shot
-//!                      verbs: proofs and region fingerprints survive
-//!                      daemon restarts, so a restarted daemon answers
+//!                      verbs: region fingerprints survive daemon
+//!                      restarts, so a restarted daemon answers
 //!                      repeat requests from disk (FORMAD_CACHE_DIR sets
 //!                      the default)
 //!
@@ -123,24 +123,15 @@
 //!   --jobs N           prover worker threads (0 or omitted = one per
 //!                      available core); reports are byte-identical for
 //!                      every value
-//!   --no-cache         disable the canonical proof cache (useful for
-//!                      benchmarking; verdicts are unaffected); also
-//!                      disables the durable disk tier
-//!   --cache-dir DIR    durable cache directory: proof verdicts and region
-//!                      fingerprints are read through from DIR and batched
-//!                      back after the run, so a warm re-run answers from
-//!                      disk without re-proving (FORMAD_CACHE_DIR sets the
-//!                      default; the flag wins; reports stay byte-identical
-//!                      with or without it)
-//!   --search-core CORE cdcl (default) | legacy — SMT search engine;
-//!                      legacy keeps the original enumerate-and-split
-//!                      core as a differential oracle. Verdicts, reports
-//!                      and traces are byte-identical for both (the
-//!                      FORMAD_SEARCH_CORE env var sets the default)
+//!   --cache-dir DIR    durable cache directory: region fingerprints are
+//!                      read through from DIR and batched back after the
+//!                      run, so a warm re-run serves unchanged regions
+//!                      from disk without re-proving (FORMAD_CACHE_DIR
+//!                      sets the default; the flag wins; reports stay
+//!                      byte-identical with or without it)
 //!   --trace PATH       write the structured proof trace (versioned JSON,
 //!                      schema formad-trace/v1) to PATH; its `events`
-//!                      section is byte-identical across --jobs and cache
-//!                      settings
+//!                      section is byte-identical across --jobs
 //! ```
 //!
 //! Exit codes: 0 success (a report that keeps every safeguard is still a
@@ -157,8 +148,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use formad::{
-    Deadline, Formad, FormadErrorKind, FormadOptions, IncMode, ParallelTreatment, SearchCore,
-    TraceSink,
+    Deadline, Formad, FormadErrorKind, FormadOptions, IncMode, ParallelTreatment, TraceSink,
 };
 use formad_ir::{parse_any, program_to_clike, program_to_string};
 
@@ -190,14 +180,10 @@ struct Args {
     prover_timeout: Option<Duration>,
     deadline_ms: Option<u64>,
     jobs: usize,
-    cache: bool,
     /// Durable cache directory (`--cache-dir`, falling back to the
-    /// `FORMAD_CACHE_DIR` env var). `--no-cache` disables both tiers.
+    /// `FORMAD_CACHE_DIR` env var).
     cache_dir: Option<String>,
     trace: Option<String>,
-    /// `None` keeps the `RegionOptions` default (`FORMAD_SEARCH_CORE` or
-    /// the built-in CDCL core).
-    search_core: Option<SearchCore>,
     /// `exec`: execution backend, `sim` or `native`.
     backend: String,
     /// `exec`: thread count for parallel regions.
@@ -214,8 +200,8 @@ fn usage() -> ExitCode {
          --wrt a,b --of c,d \
          [--mode formad|serial|atomic|reduction|transposed] [--no-stride] \
          [--no-contexts] [--no-increment] [--table1 NAME] \
-         [--prover-timeout-ms N] [--deadline-ms N] [--jobs N] [--no-cache] \
-         [--cache-dir DIR] [--search-core cdcl|legacy] [--trace PATH]\n       \
+         [--prover-timeout-ms N] [--deadline-ms N] [--jobs N] \
+         [--cache-dir DIR] [--trace PATH]\n       \
          formad exec FILE [--backend sim|native|aot] [--threads N] \
          [--set k=v,...] [--seed S] [--deadline-ms N]\n       \
          formad compile FILE [--set k=v,...] [--seed S]\n       \
@@ -248,10 +234,8 @@ fn parse_args() -> Result<Args, ExitCode> {
         prover_timeout: None,
         deadline_ms: None,
         jobs: 0,
-        cache: true,
         cache_dir: std::env::var("FORMAD_CACHE_DIR").ok(),
         trace: None,
-        search_core: None,
         backend: "sim".into(),
         threads: 1,
         sets: Vec::new(),
@@ -328,17 +312,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                     }
                 }
             }
-            "--search-core" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                match SearchCore::parse(raw) {
-                    Some(core) => args.search_core = Some(core),
-                    None => {
-                        eprintln!("--search-core expects `cdcl` or `legacy`, got `{raw}`");
-                        return Err(usage());
-                    }
-                }
-            }
             "--backend" => {
                 k += 1;
                 let raw = rest.get(k).ok_or_else(usage)?;
@@ -385,7 +358,6 @@ fn parse_args() -> Result<Args, ExitCode> {
                 k += 1;
                 args.cache_dir = Some(rest.get(k).ok_or_else(usage)?.clone());
             }
-            "--no-cache" => args.cache = false,
             "--no-stride" => args.stride = false,
             "--no-contexts" => args.contexts = false,
             "--no-increment" => args.increment = false,
@@ -415,52 +387,26 @@ fn parse_args() -> Result<Args, ExitCode> {
     Ok(args)
 }
 
-/// One stderr line of proof-cache effectiveness, printed after every
-/// analysis so benchmarking scripts can scrape it without parsing the
-/// report (which stays byte-identical across cache and jobs settings).
-fn cache_diag(a: &formad::FormadAnalysis, cache_enabled: bool) {
-    if !cache_enabled {
-        eprintln!("formad: prover cache disabled");
-        return;
-    }
-    let s = &a.stats;
-    if s.cache_disk_hits > 0 {
-        eprintln!(
-            "formad: prover cache: {} hits ({} from disk) / {} misses / {} inserts",
-            s.cache_hits, s.cache_disk_hits, s.cache_misses, s.cache_inserts
-        );
-    } else {
-        eprintln!(
-            "formad: prover cache: {} hits / {} misses / {} inserts",
-            s.cache_hits, s.cache_misses, s.cache_inserts
-        );
-    }
-}
-
-/// One stderr line about the durable cache tier, printed after the
-/// run's batched flush so warm-run scripts can confirm persistence
+/// One stderr line about the durable fingerprint index, printed after
+/// the run's batched flush so warm-run scripts can confirm persistence
 /// landed without parsing the directory themselves.
 fn disk_diag(engine: &formad::SharedEngine, dir: &str, flushed: usize) {
-    let proofs = engine.cache().and_then(|c| c.disk_stats());
-    let fps = engine.fingerprints().map(|f| f.stats());
+    let fps = engine.fingerprints().map(|f| f.stats()).unwrap_or_default();
     eprintln!(
-        "formad: disk cache {dir}: {} proof entries loaded / {} disk hits / \
-         {} regions fingerprint-served / {} entries flushed",
-        proofs.as_ref().map_or(0, |d| d.entries),
-        proofs.as_ref().map_or(0, |d| d.hits),
-        fps.as_ref().map_or(0, |f| f.hits),
-        flushed
+        "formad: disk cache {dir}: {} regions fingerprint-served ({} from disk) / \
+         {} records flushed / {} write errors",
+        fps.hits, fps.disk_hits, flushed, fps.write_errors
     );
 }
 
-/// One stderr line of search-core work counters (scrapeable like
-/// [`cache_diag`]; the report itself never contains perf numbers).
-fn search_diag(a: &formad::FormadAnalysis, core: SearchCore) {
+/// One stderr line of search-core work counters, printed after every
+/// analysis so benchmarking scripts can scrape it without parsing the
+/// report (which never contains perf numbers).
+fn search_diag(a: &formad::FormadAnalysis) {
     let s = &a.stats;
     eprintln!(
-        "formad: search core {}: {} propagations / {} conflicts / {} learned ({} lits) / \
+        "formad: search core cdcl: {} propagations / {} conflicts / {} learned ({} lits) / \
          {} restarts / {} presolve discharges / {} presolve clauses",
-        core.label(),
         s.propagations,
         s.conflicts,
         s.learned_clauses,
@@ -548,11 +494,11 @@ fn write_trace(args: &Args, sink: &Option<TraceSink>) -> Result<(), ExitCode> {
 }
 
 /// `formad cache <stats|verify|clear>`: operator tooling for the durable
-/// on-disk cache. Analysis runs never need this — corrupt or
-/// version-mismatched files silently degrade to cold misses — so these
+/// fingerprint index. Analysis runs never need this — a corrupt or
+/// version-mismatched file silently degrades to cold misses — so these
 /// verbs exist for humans who want to inspect or reset the directory.
-/// Exit codes: 0 success (for `verify`: everything parsed clean),
-/// 1 `verify` found corruption, 2 usage/IO.
+/// Exit codes: 0 success (for `verify`: everything parsed clean and the
+/// directory takes writes), 1 `verify` found a problem, 2 usage/IO.
 fn cache_cmd(rest: &[String]) -> ExitCode {
     let cache_usage = || -> ExitCode {
         eprintln!("usage: formad cache <stats|verify|clear> [--cache-dir DIR]");
@@ -588,84 +534,53 @@ fn cache_cmd(rest: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     let path = std::path::Path::new(&dir);
-    match action.as_str() {
-        "clear" => {
-            let proofs = match formad::clear_dir(path) {
-                Ok(n) => n,
-                Err(e) => {
-                    eprintln!("formad cache clear: {dir}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let fp = match formad::clear_fp_file(path) {
-                Ok(removed) => removed,
-                Err(e) => {
-                    eprintln!("formad cache clear: {dir}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            println!(
-                "cleared {dir}: {proofs} proof shard file(s), {} fingerprint index file(s)",
-                u64::from(fp)
-            );
-            ExitCode::SUCCESS
-        }
-        verb => {
-            let report = match formad::inspect_dir(path) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("formad cache {verb}: {dir}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            // (records, corrupt record lines, bytes); None when the
-            // index file does not exist yet, which is not corruption.
-            let fp = formad::inspect_fp_file(path);
-            let (fp_records, fp_corrupt, fp_bytes) = fp.unwrap_or((0, 0, 0));
-            println!("cache dir:      {dir}");
-            println!("format:         {}", formad::DISK_FORMAT_VERSION);
-            println!("proof shards:   {} file(s)", report.files);
-            println!("proof entries:  {}", report.entries);
-            println!("fingerprints:   {fp_records} record(s)");
-            println!("bytes:          {}", report.bytes + fp_bytes);
-            if verb == "stats" {
-                return ExitCode::SUCCESS;
-            }
-            let mut dirty = false;
-            if report.corrupt_entries > 0 || fp_corrupt > 0 {
-                dirty = true;
+    if !path.is_dir() {
+        eprintln!("formad cache {action}: {dir}: not a directory");
+        return ExitCode::from(2);
+    }
+    if action == "clear" {
+        return match formad::clear_fp_file(path) {
+            Ok(removed) => {
                 println!(
-                    "corrupt:      {} proof entr{}, {} fingerprint record(s) \
-                     (skipped as cold misses by analysis runs)",
-                    report.corrupt_entries,
-                    if report.corrupt_entries == 1 {
-                        "y"
-                    } else {
-                        "ies"
-                    },
-                    fp_corrupt
+                    "cleared {dir}: {} fingerprint index file(s)",
+                    u64::from(removed)
                 );
-            }
-            if report.bad_version_files > 0 {
-                dirty = true;
-                println!(
-                    "bad version:  {} file(s) not {}",
-                    report.bad_version_files,
-                    formad::DISK_FORMAT_VERSION
-                );
-            }
-            if report.unreadable_files > 0 {
-                dirty = true;
-                println!("unreadable:   {} file(s)", report.unreadable_files);
-            }
-            if dirty {
-                println!("verify: corruption found (analysis output is unaffected)");
-                ExitCode::from(1)
-            } else {
-                println!("verify: clean");
                 ExitCode::SUCCESS
             }
-        }
+            Err(e) => {
+                eprintln!("formad cache clear: {dir}: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
+    let report = formad::inspect_fp_file(path);
+    println!("cache dir:      {dir}");
+    println!("format:         {}", formad::FP_FORMAT_VERSION);
+    println!("fingerprints:   {} record(s)", report.records);
+    println!("bytes:          {}", report.bytes);
+    if action == "stats" {
+        return ExitCode::SUCCESS;
+    }
+    let write_errors = u64::from(formad::probe_fp_write(path).is_err());
+    println!("write errors:   {write_errors}");
+    if report.corrupt > 0 {
+        println!(
+            "corrupt:        {} fingerprint record(s) (skipped as cold misses by analysis runs)",
+            report.corrupt
+        );
+    }
+    if report.bad_version {
+        println!(
+            "bad version:    index file is unreadable or not {}",
+            formad::FP_FORMAT_VERSION
+        );
+    }
+    if report.corrupt > 0 || report.bad_version || write_errors > 0 {
+        println!("verify: problems found (analysis output is unaffected)");
+        ExitCode::from(1)
+    } else {
+        println!("verify: clean");
+        ExitCode::SUCCESS
     }
 }
 
@@ -1025,33 +940,20 @@ fn run(args: &Args, primal: &formad_ir::Program) -> ExitCode {
     opts.region.prover_timeout = args.prover_timeout;
     opts.region.deadline = args.deadline_ms.map(Deadline::in_ms);
     opts.region.jobs = args.jobs;
-    if let Some(core) = args.search_core {
-        opts.region.search_core = core;
-    }
-    if !args.cache {
-        opts.region.cache = None;
-    }
-    // Durable tier: a read-through disk base under the in-memory proof
-    // cache plus the region fingerprint index, both rooted at
-    // `--cache-dir` (or `FORMAD_CACHE_DIR`). `--no-cache` disables it
-    // along with the memory tier.
-    let disk = match (&args.cache_dir, args.cache) {
-        (Some(dir), true) => {
-            let engine = formad::SharedEngine::with_cache_dir(std::path::Path::new(dir));
-            opts.region.cache = engine.cache().cloned();
-            opts.region.fingerprints = engine.fingerprints().cloned();
-            Some((dir.clone(), engine))
-        }
-        _ => None,
-    };
+    // Durable region-fingerprint index rooted at `--cache-dir` (or
+    // `FORMAD_CACHE_DIR`); without one every region is analyzed.
+    let disk = args.cache_dir.as_ref().map(|dir| {
+        let engine = formad::SharedEngine::with_cache_dir(std::path::Path::new(dir));
+        opts.region.fingerprints = engine.fingerprints().cloned();
+        (dir.clone(), engine)
+    });
     // `explain` always needs the event stream; other commands record one
     // only when `--trace` asks for it.
     let sink = (args.trace.is_some() || args.command == "explain").then(TraceSink::new);
     opts.region.trace = sink.clone();
-    let core = opts.region.search_core;
     let tool = Formad::new(opts);
 
-    let code = run_diff(args, primal, &tool, &sink, core);
+    let code = run_diff(args, primal, &tool, &sink);
     // Flush even when the run degraded or missed its deadline: every
     // verdict proven so far is still valid and warms the next attempt.
     if let Some((dir, engine)) = &disk {
@@ -1069,7 +971,6 @@ fn run_diff(
     primal: &formad_ir::Program,
     tool: &Formad,
     sink: &Option<TraceSink>,
-    core: SearchCore,
 ) -> ExitCode {
     match args.command.as_str() {
         "analyze" | "prove" => {
@@ -1080,8 +981,7 @@ fn run_diff(
                     return code_for(e.kind);
                 }
             };
-            cache_diag(&a, args.cache);
-            search_diag(&a, core);
+            search_diag(&a);
             match &args.table1 {
                 Some(name) => {
                     println!("{}", formad::table1_header());
@@ -1102,8 +1002,7 @@ fn run_diff(
                     return code_for(e.kind);
                 }
             };
-            cache_diag(&a, args.cache);
-            search_diag(&a, core);
+            search_diag(&a);
             let events = sink.as_ref().map(TraceSink::snapshot).unwrap_or_default();
             print!("{}", formad::explain(&events, args.array.as_deref()));
             if let Err(c) = write_trace(args, sink) {
@@ -1126,8 +1025,7 @@ fn run_diff(
             let adjoint = match treatment {
                 None => match tool.differentiate(primal) {
                     Ok(r) => {
-                        cache_diag(&r.analysis, args.cache);
-                        search_diag(&r.analysis, core);
+                        search_diag(&r.analysis);
                         eprint!("{}", formad::full_report(&primal.name, &r.analysis));
                         r.adjoint
                     }

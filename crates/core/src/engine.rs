@@ -1,34 +1,32 @@
 //! A long-lived, shareable pipeline engine.
 //!
-//! The one-shot CLI builds its proof cache, thread pool, and interned
-//! state per invocation and throws them away. A service cannot afford
-//! that: the whole point of a resident daemon is that the 102nd user's
-//! stencil proves in microseconds because the first user's verdicts are
-//! still warm. [`SharedEngine`] is the seam between the two worlds: it
-//! owns the shared proof cache, and every pipeline entry point —
-//! one-shot [`Formad`](crate::Formad) methods included — runs *through*
-//! it rather than constructing cache state inline.
+//! The one-shot CLI builds its state per invocation and throws it away.
+//! A service cannot afford that: the whole point of a resident daemon is
+//! that the 102nd user's stencil is answered in microseconds because the
+//! first user's verdicts are still warm. [`SharedEngine`] is the seam
+//! between the two worlds: it owns the one shared store — the
+//! region-fingerprint index ([`crate::fingerprint`]) — and every pipeline
+//! entry point, one-shot [`Formad`](crate::Formad) methods included, runs
+//! *through* it rather than constructing state inline.
 //!
 //! Two execution modes:
 //!
 //! - **direct** ([`SharedEngine::analyze`] /
-//!   [`SharedEngine::differentiate`]): prover verdicts land straight in
-//!   the shared cache. This is the one-shot path; counters and entries
-//!   accrue on the caller's own handle exactly as before the engine
-//!   existed.
+//!   [`SharedEngine::differentiate`]): definite region outcomes land
+//!   straight in the shared index. This is the one-shot path.
 //! - **isolated** ([`SharedEngine::analyze_isolated`] /
 //!   [`SharedEngine::differentiate_isolated`]): the request runs against
-//!   a private [`overlay`](formad_smt::ProofCache::overlay) of the
-//!   shared cache. On success the overlay is absorbed (published); on
-//!   error — or if the pipeline panics and unwinds through the call —
-//!   the overlay is dropped and the shared cache is untouched. A
+//!   a private [`overlay`](FingerprintIndex::overlay) of the shared
+//!   index. On success the overlay is absorbed (published); on error —
+//!   or if the pipeline panics and unwinds through the call — the
+//!   overlay is dropped and the shared index is untouched. A
 //!   multi-tenant daemon uses this so a poisoned request cannot leak
 //!   half-finished state into every later request's lookups.
 //!
-//! The execution side has an analogue of this cache: the process-wide
+//! The execution side has an analogue of this store: the process-wide
 //! AOT kernel registry in `formad-machine`'s `aot` module, which
 //! memoizes compiled native kernels (keyed by generated-source hash, on
-//! disk and in-process) the same way this engine memoizes prover
+//! disk and in-process) the same way this engine memoizes region
 //! verdicts, so a daemon's repeat `exec` requests skip `rustc` exactly
 //! like its repeat `prove` requests skip the solver.
 
@@ -39,69 +37,48 @@ use std::time::Instant;
 use formad_ad::{differentiate, AdjointOptions, IncMode, ParallelTreatment};
 use formad_analysis::Activity;
 use formad_ir::Program;
-use formad_smt::{ProofCache, SolverStats};
+use formad_smt::SolverStats;
 
 use crate::fingerprint::{region_fingerprint, FingerprintIndex, RegionRecord};
 use crate::pipeline::{DiffResult, FormadAnalysis, FormadError, FormadErrorKind, FormadOptions};
 use crate::region::{analyze_region, decision_event, Decision, RegionAnalysis};
 use crate::trace::TraceEvent;
 
-/// Shared pipeline state: the proof cache every request reads through,
-/// plus the region-fingerprint index that serves unchanged regions'
-/// whole decision sets. Cloning is cheap and shares both (they are
-/// handles), so one engine can serve any number of threads.
+/// Shared pipeline state: the region-fingerprint index that serves
+/// unchanged regions' whole decision sets. Cloning is cheap and shares
+/// the index (it is a handle), so one engine can serve any number of
+/// threads.
 #[derive(Debug, Clone, Default)]
 pub struct SharedEngine {
-    cache: Option<ProofCache>,
     fingerprints: Option<FingerprintIndex>,
 }
 
 impl SharedEngine {
-    /// An engine with a fresh, empty proof cache and fingerprint index.
+    /// An engine with a fresh, empty fingerprint index.
     pub fn new() -> SharedEngine {
         SharedEngine {
-            cache: Some(ProofCache::new()),
             fingerprints: Some(FingerprintIndex::new()),
         }
     }
 
-    /// An engine whose proof cache and fingerprint index are durable
-    /// under `dir` (see `formad_smt::cache::disk` and
-    /// [`crate::fingerprint`]): verdicts proved by this engine survive
-    /// the process, and a restarted engine over the same directory
-    /// answers warm. Never fails — a missing or corrupt directory
-    /// degrades to cold state.
+    /// An engine whose fingerprint index is durable under `dir` (see
+    /// [`crate::fingerprint`]): region outcomes proved by this engine
+    /// survive the process, and a restarted engine over the same
+    /// directory answers warm. Never fails — a missing or corrupt
+    /// directory degrades to cold state.
     pub fn with_cache_dir(dir: &Path) -> SharedEngine {
         SharedEngine {
-            cache: Some(ProofCache::with_disk_dir(dir)),
             fingerprints: Some(FingerprintIndex::with_disk_dir(dir)),
         }
     }
 
-    /// An engine over an explicit cache handle (`None` disables caching
-    /// entirely — every query is proved from scratch). No fingerprint
-    /// index is attached: callers managing their own cache keep the
-    /// pre-index behavior of analyzing every region.
-    pub fn with_cache(cache: Option<ProofCache>) -> SharedEngine {
-        SharedEngine {
-            cache,
-            fingerprints: None,
-        }
-    }
-
-    /// Adopt the cache and fingerprint handles already configured in
-    /// `options` — the one-shot constructor: whatever the caller wired
-    /// into `options.region` *is* the engine's shared state.
+    /// Adopt the fingerprint handle already configured in `options` —
+    /// the one-shot constructor: whatever the caller wired into
+    /// `options.region` *is* the engine's shared state.
     pub fn from_options(options: &FormadOptions) -> SharedEngine {
         SharedEngine {
-            cache: options.region.cache.clone(),
             fingerprints: options.region.fingerprints.clone(),
         }
-    }
-
-    /// The shared proof cache, if caching is enabled.
-    pub fn cache(&self) -> Option<&ProofCache> {
-        self.cache.as_ref()
     }
 
     /// The shared fingerprint index, if one is attached.
@@ -109,52 +86,32 @@ impl SharedEngine {
         self.fingerprints.as_ref()
     }
 
-    /// Batch both durable stores to disk (no-op for in-memory engines).
-    /// Returns the number of entries written.
+    /// Batch staged records to disk (no-op for in-memory engines).
+    /// Returns the number of records written.
     pub fn flush_disk(&self) -> usize {
-        let a = self.cache.as_ref().map_or(0, |c| c.flush_disk());
-        let b = self.fingerprints.as_ref().map_or(0, |f| f.flush());
-        a + b
+        self.fingerprints.as_ref().map_or(0, |f| f.flush())
     }
 
-    fn options_with(
-        &self,
-        options: &FormadOptions,
-        cache: Option<ProofCache>,
-        fingerprints: Option<FingerprintIndex>,
-    ) -> FormadOptions {
-        let mut o = options.clone();
-        o.region.cache = cache;
-        o.region.fingerprints = fingerprints;
-        o
-    }
-
-    /// Analysis with verdicts published directly to the shared cache.
+    /// Analysis with outcomes published directly to the shared index.
     pub fn analyze(
         &self,
         primal: &Program,
         options: &FormadOptions,
     ) -> Result<FormadAnalysis, FormadError> {
-        run_analysis(
-            primal,
-            &self.options_with(options, self.cache.clone(), self.fingerprints.clone()),
-        )
+        run_analysis(primal, &with_index(options, self.fingerprints.clone()))
     }
 
-    /// Full pipeline with verdicts published directly to the shared
-    /// cache.
+    /// Full pipeline with outcomes published directly to the shared
+    /// index.
     pub fn differentiate(
         &self,
         primal: &Program,
         options: &FormadOptions,
     ) -> Result<DiffResult, FormadError> {
-        run_differentiate(
-            primal,
-            &self.options_with(options, self.cache.clone(), self.fingerprints.clone()),
-        )
+        run_differentiate(primal, &with_index(options, self.fingerprints.clone()))
     }
 
-    /// Analysis against a private overlay of the shared cache: absorbed
+    /// Analysis against a private overlay of the shared index: absorbed
     /// on success, rolled back (dropped) on error or unwind.
     pub fn analyze_isolated(
         &self,
@@ -164,7 +121,7 @@ impl SharedEngine {
         self.isolated(options, |o| run_analysis(primal, o))
     }
 
-    /// Full pipeline against a private overlay of the shared cache:
+    /// Full pipeline against a private overlay of the shared index:
     /// absorbed on success, rolled back (dropped) on error or unwind.
     pub fn differentiate_isolated(
         &self,
@@ -192,23 +149,26 @@ impl SharedEngine {
         options: &FormadOptions,
         run: impl FnOnce(&FormadOptions) -> Result<T, FormadError>,
     ) -> Result<T, FormadError> {
-        // Both shared structures get a private overlay; on success both
-        // are absorbed (which, on disk-backed bases, also batches the
-        // new entries to disk). If `run` unwinds, the overlays are
-        // dropped without an absorb — rollback is the no-op path.
-        let cache_overlay = self.cache.as_ref().map(|c| c.overlay());
-        let fp_overlay = self.fingerprints.as_ref().map(|f| f.overlay());
-        let result = run(&self.options_with(options, cache_overlay.clone(), fp_overlay.clone()));
+        // On success the overlay is absorbed (which, on a disk-backed
+        // base, also batches the new records to disk). If `run` unwinds,
+        // the overlay is dropped without an absorb — rollback is the
+        // no-op path.
+        let overlay = self.fingerprints.as_ref().map(|f| f.overlay());
+        let result = run(&with_index(options, overlay.clone()));
         if result.is_ok() {
-            if let (Some(base), Some(ov)) = (&self.cache, &cache_overlay) {
-                base.absorb(ov);
-            }
-            if let (Some(base), Some(ov)) = (&self.fingerprints, &fp_overlay) {
+            if let (Some(base), Some(ov)) = (&self.fingerprints, &overlay) {
                 base.absorb(ov);
             }
         }
         result
     }
+}
+
+/// `options` with `fingerprints` as the index the regions read and write.
+fn with_index(options: &FormadOptions, fingerprints: Option<FingerprintIndex>) -> FormadOptions {
+    let mut o = options.clone();
+    o.region.fingerprints = fingerprints;
+    o
 }
 
 /// Derived `AdjointOptions` for a treatment under `options`' inputs and
@@ -235,8 +195,8 @@ pub(crate) fn check_deadline(options: &FormadOptions, stage: &str) -> Result<(),
 }
 
 /// The analysis pipeline body (knowledge extraction + exploitation +
-/// safeguard planning), run against exactly the cache wired into
-/// `options.region.cache`.
+/// safeguard planning), run against exactly the fingerprint index wired
+/// into `options.region.fingerprints`.
 pub(crate) fn run_analysis(
     primal: &Program,
     options: &FormadOptions,
@@ -401,29 +361,29 @@ end subroutine
     }
 
     #[test]
-    fn direct_mode_publishes_to_the_shared_cache() {
+    fn direct_mode_publishes_to_the_shared_index() {
         let primal = parse_program(FIG2).unwrap();
         let engine = SharedEngine::new();
         let a = engine.analyze(&primal, &opts()).unwrap();
         assert!(a.all_safe());
-        // A second run against the same engine issues no new lia calls
-        // for presolve-hard queries (everything is discharged or served
-        // warm), and the verdicts agree.
+        assert!(a.stats.checks > 0);
+        // A second run against the same engine is served whole: no
+        // prover check at all, and the verdicts agree.
         let b = engine.analyze(&primal, &opts()).unwrap();
         assert!(b.all_safe());
+        assert_eq!(b.stats.checks, 0);
+        assert_eq!(engine.fingerprints().unwrap().stats().hits, 1);
     }
 
     #[test]
     fn isolated_mode_absorbs_on_success() {
         let primal = parse_program(FIG2).unwrap();
         let engine = SharedEngine::new();
-        let before = engine.cache().unwrap().len();
         let a = engine.analyze_isolated(&primal, &opts()).unwrap();
         assert!(a.all_safe());
-        // Whatever the request proved (if anything was presolve-hard) is
-        // now in the shared base, not stranded in a dropped overlay.
-        assert!(engine.cache().unwrap().len() >= before);
-        assert_eq!(engine.cache().unwrap().depth(), 0);
+        // What the request proved is now in the shared base, not
+        // stranded in a dropped overlay.
+        assert_eq!(engine.fingerprints().unwrap().len(), 1);
     }
 
     #[test]
@@ -436,7 +396,7 @@ end subroutine
         o.region.deadline = Some(formad_smt::Deadline::in_ms(0));
         let err = engine.analyze_isolated(&primal, &o).unwrap_err();
         assert_eq!(err.kind, FormadErrorKind::Deadline);
-        assert_eq!(engine.cache().unwrap().len(), 0);
+        assert!(engine.fingerprints().unwrap().is_empty());
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! Region-level fingerprinting: serve a whole region's verdict set
-//! without re-enumerating its per-pair queries.
+//! Region-level fingerprinting: the pipeline's one cache. It serves a
+//! whole region's verdict set without extracting its knowledge model or
+//! enumerating its per-pair queries.
 //!
-//! The canonical proof cache (formad-smt) remembers individual prover
-//! queries; warm re-analysis of an unchanged program still re-extracts
-//! the knowledge model and re-enumerates every candidate pair just to
-//! discover that each query is cached. The fingerprint index removes even
-//! that: each analyzed region's *canonical form* — its printed loop text
+//! Each analyzed region's *canonical form* — its printed loop text
 //! (print∘parse is a fixpoint, so formatting variants of the same AST
 //! agree) together with every declaration, its activity classification,
 //! and the semantics-bearing analysis options — is hashed into a 128-bit
@@ -13,29 +10,46 @@
 //! ([`RegionRecord`]) is stored under it. Re-analysis of an edited
 //! program recomputes fingerprints (parse + hash time), serves unchanged
 //! regions whole, and re-proves only the regions whose canonical form
-//! changed.
+//! changed. Nothing is remembered below region granularity: a region the
+//! index misses is proved from scratch, which presolve makes cheap.
 //!
 //! Only *definite* regions are indexed: every per-array provenance must
 //! be `Proved` or `Refuted` with no unknowns and no recovered panics. A
 //! budget- or deadline-degraded region is a property of one run's
-//! resources, not of the region (exactly the rule the proof cache applies
-//! to `Unknown`), and excluding degraded regions also guarantees a
-//! replayed region renders byte-identically to a cold run (the report's
-//! prover-health line can never be owed).
+//! resources, not of the region, and excluding degraded regions also
+//! guarantees a replayed region renders byte-identically to a cold run
+//! (the report's prover-health line can never be owed).
 //!
-//! The fingerprint is deliberately *not* renaming-invariant (decisions
-//! are keyed by concrete array names); renaming-invariant reuse across
-//! different programs is the query tier's job, which still backs the
-//! re-proof of any region the index misses.
+//! The fingerprint is deliberately *not* renaming-invariant: decisions
+//! are keyed by concrete array names.
 //!
-//! Layering mirrors [`ProofCache`](formad_smt::ProofCache): overlays
-//! stage privately and are absorbed on success, and a base index opened
-//! with [`with_disk_dir`](FingerprintIndex::with_disk_dir) persists
-//! records to `fingerprints.fpi` in the cache directory (same version
-//! header + checksummed-line + atomic-rename discipline as the proof
-//! shards; any corruption degrades to a cold miss).
+//! Layering: an [`overlay`](FingerprintIndex::overlay) stages a
+//! request's records privately — lookups read through to the layers
+//! beneath, inserts stay in the overlay — and is
+//! [`absorb`](FingerprintIndex::absorb)ed on success or simply dropped
+//! on error/unwind. A base index opened with
+//! [`with_disk_dir`](FingerprintIndex::with_disk_dir) persists records
+//! to `fingerprints.fpi` in the cache directory; only the base stages
+//! records for the file. The store is strictly best-effort:
+//!
+//! * any read error, version mismatch, or torn/corrupt line degrades
+//!   silently to a cold miss, never an error;
+//! * any write error is counted ([`FpStats::write_errors`]) and
+//!   otherwise ignored — the run's results are unaffected, only future
+//!   warmth is lost;
+//! * writes are atomic: the merged content goes to a process-unique
+//!   `*.tmp-…` sibling that is `rename`d into place. Every writer merges
+//!   the freshly re-read file with its own pending records before
+//!   renaming; writers in one process do so one at a time and lose
+//!   nothing, while a race between processes drops only the loser's
+//!   not-yet-re-read records (a future cold miss, never a wrong answer).
+//!
+//! Other files in the directory — such as the `proof-NN.fsc` shards an
+//! older release wrote — are never read or removed.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,7 +57,6 @@ use std::time::Duration;
 
 use formad_analysis::Activity;
 use formad_ir::{expr_to_string, printer::write_body, ForLoop, Program, Stmt};
-use formad_smt::cache::disk::{fnv64, read_versioned_lines, write_atomic};
 use formad_smt::SolverStats;
 
 use crate::region::{Decision, Provenance, RegionAnalysis, RegionOptions};
@@ -54,6 +67,43 @@ pub const FP_FORMAT_VERSION: &str = "formad-fpi/v1";
 
 /// File name of the fingerprint index within a cache directory.
 pub const FP_FILE: &str = "fingerprints.fpi";
+
+/// FNV-1a 64-bit hash, used for fingerprints and record checksums.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Atomically replace `path` with `contents` (tmp file + rename). The tmp
+/// name is unique per process so concurrent writers never clobber each
+/// other's tmp files.
+fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut os = path.as_os_str().to_os_string();
+    os.push(format!(".tmp-{}-{seq}", std::process::id()));
+    let tmp = PathBuf::from(os);
+    fs::write(&tmp, contents)?;
+    fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
+}
+
+/// Read a version-headed line file. Returns the body lines, or `None` if
+/// the file is missing, unreadable, not valid UTF-8, or carries a
+/// different version header — all of which degrade to "no records".
+fn read_versioned_lines(path: &Path, version: &str) -> Option<Vec<String>> {
+    let text = fs::read_to_string(path).ok()?;
+    let mut lines = text.lines();
+    if lines.next() != Some(version) {
+        return None;
+    }
+    Some(lines.map(str::to_owned).collect())
+}
 
 /// Which tier served a fingerprint lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,7 +258,8 @@ pub fn region_fingerprint(
 /// and `/v1/status`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FpStats {
-    /// Records reachable from this layer (own + parents + disk snapshot).
+    /// Distinct fingerprints reachable from this layer (own, parents
+    /// and disk snapshot).
     pub entries: u64,
     /// Lookups served (memory or disk).
     pub hits: u64,
@@ -218,6 +269,9 @@ pub struct FpStats {
     pub misses: u64,
     /// Records inserted by analyses.
     pub inserts: u64,
+    /// Flushes whose write to the durable file failed; their records
+    /// were dropped (a future cold miss).
+    pub write_errors: u64,
 }
 
 #[derive(Debug)]
@@ -263,6 +317,7 @@ impl FpDisk {
 
     /// Merge pending records into the index file (re-reading it fresh so
     /// concurrent writers' records survive) and atomically replace it.
+    /// Returns the number of records that landed: 0 when the write failed.
     fn flush(&self) -> usize {
         let drained: HashMap<String, Arc<RegionRecord>> = match self.pending.lock() {
             Ok(mut p) => std::mem::take(&mut *p),
@@ -271,6 +326,11 @@ impl FpDisk {
         if drained.is_empty() {
             return 0;
         }
+        // Read-merge-replace is one step for the writers of this process,
+        // so they lose nothing to each other. Another process can still
+        // replace the file between this read and the rename.
+        static FLUSHING: Mutex<()> = Mutex::new(());
+        let _one_writer = FLUSHING.lock();
         let mut merged: HashMap<String, String> = HashMap::new();
         if let Some(lines) = read_versioned_lines(&self.path, FP_FORMAT_VERSION) {
             for line in lines {
@@ -293,6 +353,7 @@ impl FpDisk {
         }
         if write_atomic(&self.path, &out).is_err() {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
+            return 0;
         }
         written
     }
@@ -313,9 +374,9 @@ impl FpInner {
     }
 }
 
-/// Concurrent fingerprint → [`RegionRecord`] index with
-/// `ProofCache`-style overlay/absorb layering and an optional durable
-/// file beneath the memory chain. Cloning shares the index.
+/// Concurrent fingerprint → [`RegionRecord`] index with overlay/absorb
+/// layering and an optional durable file beneath the memory chain.
+/// Cloning shares the index.
 #[derive(Debug, Clone, Default)]
 pub struct FingerprintIndex {
     inner: Arc<FpInner>,
@@ -330,9 +391,8 @@ impl FingerprintIndex {
         FingerprintIndex::default()
     }
 
-    /// An index persisted under `dir` (shared with the proof cache's
-    /// shard files). Never fails; corruption degrades to an empty
-    /// snapshot.
+    /// An index persisted under `dir`. Never fails; corruption degrades
+    /// to an empty snapshot.
     pub fn with_disk_dir(dir: &Path) -> FingerprintIndex {
         FingerprintIndex {
             inner: Arc::new(FpInner::default()),
@@ -341,9 +401,8 @@ impl FingerprintIndex {
         }
     }
 
-    /// A private write layer over this index; see
-    /// [`ProofCache::overlay`](formad_smt::ProofCache::overlay) for the
-    /// layering rules (identical here).
+    /// A private write layer over this index: lookups read through to
+    /// every layer beneath, inserts stay here until [`absorb`](Self::absorb).
     pub fn overlay(&self) -> FingerprintIndex {
         let mut parents = Vec::with_capacity(self.parents.len() + 1);
         parents.push(Arc::clone(&self.inner));
@@ -433,16 +492,21 @@ impl FingerprintIndex {
         self.disk.as_ref().map_or(0, |d| d.flush())
     }
 
-    /// Records reachable from this layer.
+    /// Distinct fingerprints reachable from this layer. A record promoted
+    /// from the disk snapshot, or present in several layers, counts once.
     pub fn len(&self) -> usize {
-        let own: usize = self.inner.map.lock().map_or(0, |m| m.len());
-        let parents: usize = self
-            .parents
-            .iter()
-            .map(|p| p.map.lock().map_or(0, |m| m.len()))
-            .sum();
-        let disk = self.disk.as_ref().map_or(0, |d| d.snapshot.len());
-        own + parents + disk
+        let layers: Vec<_> = std::iter::once(&self.inner)
+            .chain(&self.parents)
+            .filter_map(|l| l.map.lock().ok())
+            .collect();
+        let mut seen: HashSet<&str> = HashSet::new();
+        if let Some(d) = &self.disk {
+            seen.extend(d.snapshot.keys().map(String::as_str));
+        }
+        for m in &layers {
+            seen.extend(m.keys().map(String::as_str));
+        }
+        seen.len()
     }
 
     /// Whether no records are reachable.
@@ -458,6 +522,10 @@ impl FingerprintIndex {
             disk_hits: self.inner.disk_hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
             inserts: self.inner.inserts.load(Ordering::Relaxed),
+            write_errors: self
+                .disk
+                .as_ref()
+                .map_or(0, |d| d.write_errors.load(Ordering::Relaxed)),
         }
     }
 }
@@ -619,33 +687,58 @@ fn parse_record_line(line: &str) -> Option<(String, RegionRecord)> {
 }
 
 /// Offline report over a cache directory's fingerprint index, for the
-/// `formad cache` verb: `(records, corrupt_lines, bytes)`, or `None` when
-/// no index file is present or its version header does not match (the
-/// verb reports that distinctly).
-pub fn inspect_fp_file(dir: &Path) -> Option<(u64, u64, u64)> {
+/// `formad cache` verb. All zero when no index file exists yet, which is
+/// not corruption.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FpFileReport {
+    /// Record lines that parse.
+    pub records: u64,
+    /// Record lines with a bad checksum or an unparseable payload.
+    pub corrupt: u64,
+    /// Size of the index file.
+    pub bytes: u64,
+    /// The file exists but is unreadable or does not start with
+    /// [`FP_FORMAT_VERSION`]; analysis runs treat it as empty.
+    pub bad_version: bool,
+}
+
+/// Inspect `dir`'s index file without touching it.
+pub fn inspect_fp_file(dir: &Path) -> FpFileReport {
     let path = dir.join(FP_FILE);
-    let bytes = std::fs::metadata(&path).map(|m| m.len()).ok()?;
-    let lines = read_versioned_lines(&path, FP_FORMAT_VERSION)?;
-    let mut records = 0;
-    let mut corrupt = 0;
-    for line in &lines {
-        if line.is_empty() {
-            continue;
-        }
+    let Ok(meta) = fs::metadata(&path) else {
+        return FpFileReport::default();
+    };
+    let mut report = FpFileReport {
+        bytes: meta.len(),
+        ..FpFileReport::default()
+    };
+    let Some(lines) = read_versioned_lines(&path, FP_FORMAT_VERSION) else {
+        report.bad_version = true;
+        return report;
+    };
+    for line in lines.iter().filter(|l| !l.is_empty()) {
         match parse_record_line(line) {
-            Some(_) => records += 1,
-            None => corrupt += 1,
+            Some(_) => report.records += 1,
+            None => report.corrupt += 1,
         }
     }
-    Some((records, corrupt, bytes))
+    report
+}
+
+/// Whether a flush into `dir` would land: writes and removes an empty
+/// probe file through the same tmp + rename path a flush takes.
+pub fn probe_fp_write(dir: &Path) -> io::Result<()> {
+    let probe = dir.join(format!("{FP_FILE}.probe"));
+    write_atomic(&probe, "")?;
+    fs::remove_file(&probe)
 }
 
 /// Remove the fingerprint index file, if present. Returns whether a file
 /// was removed.
-pub fn clear_fp_file(dir: &Path) -> std::io::Result<bool> {
+pub fn clear_fp_file(dir: &Path) -> io::Result<bool> {
     let path = dir.join(FP_FILE);
     if path.exists() {
-        std::fs::remove_file(&path)?;
+        fs::remove_file(&path)?;
         return Ok(true);
     }
     Ok(false)
@@ -775,6 +868,43 @@ end subroutine
         // Second lookup is a memory hit (promotion).
         assert_eq!(fresh.lookup("f1").unwrap().1, FpTier::Memory);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn len_counts_a_disk_promoted_record_once() {
+        let dir = std::env::temp_dir().join(format!("formad-fpi-len-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let writer = FingerprintIndex::with_disk_dir(&dir);
+        writer.insert("f1".to_string(), sample_record());
+        assert_eq!(writer.flush(), 1);
+        let fresh = FingerprintIndex::with_disk_dir(&dir);
+        assert_eq!(fresh.len(), 1);
+        // Promotion copies the record into memory; it is still one record,
+        // also when seen through an overlay that promoted it again.
+        assert_eq!(fresh.lookup("f1").unwrap().1, FpTier::Disk);
+        assert_eq!(fresh.len(), 1);
+        let ov = fresh.overlay();
+        ov.insert("f1".to_string(), sample_record());
+        ov.insert("f2".to_string(), sample_record());
+        assert_eq!(ov.len(), 2);
+        assert_eq!(fresh.stats().entries, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_flush_lands_nothing_and_is_counted() {
+        let dir = std::env::temp_dir().join(format!("formad-fpi-werr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let idx = FingerprintIndex::with_disk_dir(&dir);
+        idx.insert("f1".to_string(), sample_record());
+        // The directory vanishes under the index: the tmp file cannot be
+        // created, so the flush must not claim a record landed.
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(idx.flush(), 0);
+        assert_eq!(idx.stats().write_errors, 1);
+        assert!(probe_fp_write(&dir).is_err());
+        // The in-memory record still serves.
+        assert!(idx.lookup("f1").is_some());
     }
 
     #[test]

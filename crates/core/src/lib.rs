@@ -36,8 +36,9 @@
 //! - [`Formad::adjoint_with`] — the *Serial* / *Atomic* / *Reduction*
 //!   baseline versions;
 //! - [`SharedEngine`] — the resident-service form of the same pipeline:
-//!   one shared proof cache across requests, with per-request overlay
-//!   isolation (absorb on success, roll back on failure).
+//!   one shared region-fingerprint index across requests, with
+//!   per-request overlay isolation (absorb on success, roll back on
+//!   failure).
 
 pub mod engine;
 pub mod fingerprint;
@@ -49,21 +50,18 @@ pub mod translate;
 
 pub use engine::SharedEngine;
 pub use fingerprint::{
-    clear_fp_file, inspect_fp_file, region_fingerprint, FingerprintIndex, FpStats, FpTier,
-    RegionRecord,
+    clear_fp_file, inspect_fp_file, probe_fp_write, region_fingerprint, FingerprintIndex,
+    FpFileReport, FpStats, FpTier, RegionRecord, FP_FORMAT_VERSION,
 };
 pub use formad_ad::{IncMode, ParallelTreatment};
-pub use formad_smt::{
-    clear_dir, inspect_dir, Deadline, DirReport, DiskStats, ProofCache, SearchCore,
-    DISK_FORMAT_VERSION,
-};
+pub use formad_smt::{Deadline, SearchCore};
 pub use pipeline::{
     DiffResult, Formad, FormadAnalysis, FormadError, FormadErrorKind, FormadOptions,
 };
 pub use region::{analyze_region_with, Decision, Provenance, RegionAnalysis, RegionOptions};
 pub use report::{full_report, region_report, table1_header, table1_row};
 pub use trace::{
-    deterministic_json, explain, trace_json, validate_trace, CacheAttr, QueryPerf, TraceDecision,
-    TraceEvent, TraceSink, TraceSummary, TRACE_SCHEMA,
+    deterministic_json, explain, trace_json, validate_trace, QueryPerf, TraceDecision, TraceEvent,
+    TraceSink, TraceSummary, TRACE_SCHEMA,
 };
 pub use translate::{Taint, Translator};

@@ -210,10 +210,10 @@ impl Formad {
         Formad { options }
     }
 
-    /// The engine this invocation runs on: whatever cache handle is
-    /// wired into `options.region.cache` *is* the shared state, so
-    /// one-shot callers keep per-invocation caches and a resident caller
-    /// can pass the same handle to every `Formad` it builds.
+    /// The engine this invocation runs on: whatever fingerprint index
+    /// is wired into `options.region.fingerprints` *is* the shared
+    /// state, so one-shot callers analyze every region and a resident
+    /// caller can pass the same handle to every `Formad` it builds.
     fn engine(&self) -> SharedEngine {
         SharedEngine::from_options(&self.options)
     }

@@ -41,11 +41,11 @@ use formad_analysis::{
 };
 use formad_ir::{count_stmts, Expr, ForLoop, Program, Stmt, Ty};
 use formad_smt::{
-    CancelToken, ChaosConfig, ChaosSolver, Deadline, Formula, InternedFormula, ProofCache,
-    SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats, StopReason, Term,
+    CancelToken, ChaosConfig, ChaosSolver, Deadline, Formula, InternedFormula, SatResult,
+    SearchCore, Solver, SolverApi, SolverBudget, SolverStats, StopReason, Term,
 };
 
-use crate::trace::{CacheAttr, QueryPerf, TraceEvent, TraceSink};
+use crate::trace::{QueryPerf, TraceEvent, TraceSink};
 use crate::translate::{Taint, Translator};
 
 /// Decision for one adjoint array in one region.
@@ -176,11 +176,6 @@ pub struct RegionOptions {
     /// report text are identical for every value — parallelism only
     /// changes wall-clock time.
     pub jobs: usize,
-    /// Shared canonical-query proof cache consulted by every prover
-    /// `check()`. Cloning `RegionOptions` shares the cache (it is a
-    /// handle), which is how verdicts are reused across regions and whole
-    /// kernel suites. `None` disables caching.
-    pub cache: Option<ProofCache>,
     /// Hard wall-clock deadline for the whole analysis. Unlike
     /// `prover_timeout` (whose expiry *degrades* the affected arrays and
     /// still exits 0), an expired global deadline makes the pipeline fail
@@ -191,7 +186,7 @@ pub struct RegionOptions {
     /// — records nothing and costs one branch per instrumentation site;
     /// `Some` collects a deterministic proof trace (worker events are
     /// buffered and merged in candidate order, so the recorded stream is
-    /// identical for every `jobs` value and cache setting).
+    /// identical for every `jobs` value).
     pub trace: Option<TraceSink>,
     /// Which SMT search core answers the per-array queries. `Cdcl` (the
     /// default) is the watched-literal CDCL(T) engine with presolve;
@@ -221,10 +216,9 @@ impl Default for RegionOptions {
             cancel: None,
             chaos: None,
             jobs: 0,
-            cache: Some(ProofCache::new()),
             deadline: None,
             trace: None,
-            search_core: SearchCore::from_env(),
+            search_core: SearchCore::Cdcl,
             fingerprints: None,
         }
     }
@@ -307,7 +301,6 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     if let Some(d) = opts.deadline {
         solver.set_deadline(d);
     }
-    solver.set_cache(opts.cache.clone());
 
     let sink = opts.trace.as_ref();
     if let Some(s) = sink {
@@ -554,7 +547,6 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     // (`Ready`) or by proof task `i` (`Task`), so trace events can be
     // flushed in candidate order after the fan-out.
     let mut tasks: Vec<ProofTask<S>> = Vec::new();
-    let mut overlays: Vec<Option<ProofCache>> = Vec::new();
     let mut chunks: Vec<TraceChunk> = Vec::new();
     for array in &candidates {
         let trefs = by_array.get(array).unwrap_or(&EMPTY);
@@ -643,14 +635,7 @@ pub fn analyze_region_with<S: SolverApi + Send>(
         // state — e.g. a `ChaosSolver`'s fault stream — depends only on
         // which array is being proven, never on thread scheduling.
         let salt = tasks.len() as u64;
-        let overlay = opts.cache.as_ref().map(ProofCache::overlay);
-        let mut worker = solver.fork(salt);
-        // Workers read the shared cache through a private overlay: lookups
-        // see exactly (verdicts published before this region's fan-out) ∪
-        // (the worker's own inserts), never a sibling's in-flight inserts,
-        // so hit/miss behavior is schedule-independent.
-        worker.set_cache(overlay.clone());
-        overlays.push(overlay);
+        let worker = solver.fork(salt);
         if sink.is_some() {
             chunks.push(TraceChunk::Task(tasks.len()));
         }
@@ -705,15 +690,6 @@ pub fn analyze_region_with<S: SolverApi + Send>(
             }
         })
         .expect("prover worker pool");
-    }
-
-    // Publish worker cache overlays (candidate order; verdicts are unique
-    // per canonical key, so order only matters for determinism of the
-    // publication itself).
-    if let Some(base) = &opts.cache {
-        for ov in overlays.iter().flatten() {
-            base.absorb(ov);
-        }
     }
 
     // Merge outcomes in candidate order — reports are byte-identical to a
@@ -1118,15 +1094,6 @@ fn prove_transpose<S: SolverApi>(
             if let Some(t) = tracer.as_mut() {
                 let (since, t0) = before.expect("stats snapshot taken when tracing");
                 let d = solver.stats().delta(&since);
-                let cache = if d.cache_disk_hits > 0 {
-                    CacheAttr::Disk
-                } else if d.cache_hits > 0 {
-                    CacheAttr::Hit
-                } else if d.cache_misses > 0 {
-                    CacheAttr::Miss
-                } else {
-                    CacheAttr::Off
-                };
                 t.events.push(TraceEvent::Query {
                     region: t.region,
                     array: t.array.clone(),
@@ -1141,7 +1108,6 @@ fn prove_transpose<S: SolverApi>(
                         branches: d.branches,
                         propagations: d.propagations,
                         conflicts: d.conflicts,
-                        cache,
                     },
                 });
                 t.qseq += 1;
@@ -1317,15 +1283,6 @@ fn prove_array<S: SolverApi>(
             if let Some(t) = tracer.as_mut() {
                 let (since, t0) = before.expect("stats snapshot taken when tracing");
                 let d = solver.stats().delta(&since);
-                let cache = if d.cache_disk_hits > 0 {
-                    CacheAttr::Disk
-                } else if d.cache_hits > 0 {
-                    CacheAttr::Hit
-                } else if d.cache_misses > 0 {
-                    CacheAttr::Miss
-                } else {
-                    CacheAttr::Off
-                };
                 t.events.push(TraceEvent::Query {
                     region: t.region,
                     array: t.array.clone(),
@@ -1340,7 +1297,6 @@ fn prove_array<S: SolverApi>(
                         branches: d.branches,
                         propagations: d.propagations,
                         conflicts: d.conflicts,
-                        cache,
                     },
                 });
                 t.qseq += 1;

@@ -11,9 +11,9 @@
 //!   into a deterministic `events` section and a volatile `perf` section.
 //!   Every event has a span-style id (`r0`, `r0/grad`, `r0/grad/q3`);
 //!   `perf` entries reference those ids and carry wall-clock durations,
-//!   SMT stats deltas, and cache hit/miss attribution. The `events`
-//!   section is byte-identical for every `--jobs` value and cache setting
-//!   — workers buffer their events locally and the coordinator merges the
+//!   SMT stats deltas, and whether the fingerprint index answered. The
+//!   `events` section is byte-identical for every `--jobs` value —
+//!   workers buffer their events locally and the coordinator merges the
 //!   buffers in candidate order — while `perf` is allowed to vary.
 //! * [`explain`] — a human-readable proof narrative per array (the
 //!   `formad explain` subcommand).
@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 pub const TRACE_SCHEMA: &str = "formad-trace/v1";
 
 /// Volatile per-query measurements: everything about a prover call that
-/// may legitimately differ between runs, job counts, or cache settings.
+/// may legitimately differ between runs or job counts.
 /// Rendered into the `perf` section only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryPerf {
@@ -45,42 +45,6 @@ pub struct QueryPerf {
     pub propagations: u64,
     /// Theory/boolean conflicts analyzed (0 under the legacy core).
     pub conflicts: u64,
-    /// `"hit"` / `"miss"` when a proof cache was consulted, `"off"`
-    /// otherwise.
-    pub cache: CacheAttr,
-}
-
-/// Cache attribution of one query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheAttr {
-    /// Answered from the canonical proof cache.
-    Hit,
-    /// Answered from the cache's durable disk tier — the verdict was in
-    /// no memory layer and was promoted from the on-disk store.
-    Disk,
-    /// The enclosing region was served whole from the fingerprint index
-    /// (carried by `region-served` perf entries, never per-query — a
-    /// served region issues no queries at all).
-    Fingerprint,
-    /// Consulted the cache and missed.
-    Miss,
-    /// The cache was never consulted: none attached, or the solver's
-    /// presolve prefix discharged the query before the cache fast path
-    /// (canonicalizing such queries costs more than answering them).
-    #[default]
-    Off,
-}
-
-impl CacheAttr {
-    fn label(self) -> &'static str {
-        match self {
-            CacheAttr::Hit => "hit",
-            CacheAttr::Disk => "disk",
-            CacheAttr::Fingerprint => "fingerprint",
-            CacheAttr::Miss => "miss",
-            CacheAttr::Off => "off",
-        }
-    }
 }
 
 /// One structured event. The deterministic fields (everything except
@@ -422,13 +386,15 @@ impl TraceEvent {
                 o.num("branches", perf.branches);
                 o.num("propagations", perf.propagations);
                 o.num("conflicts", perf.conflicts);
-                o.str("cache", perf.cache.label());
+                // A query is never answered from a cache: the only store
+                // is the fingerprint index, which serves whole regions.
+                o.str("cache", "off");
                 Some(o.finish())
             }
             TraceEvent::RegionServed { dur_us, .. } => {
                 let mut o = JObj::bare(&self.id());
                 o.num("dur_us", *dur_us);
-                o.str("cache", CacheAttr::Fingerprint.label());
+                o.str("cache", "fingerprint");
                 Some(o.finish())
             }
             TraceEvent::RegionEnd { dur_us, .. } => {
@@ -551,7 +517,7 @@ impl JObj {
 }
 
 /// The deterministic `events` section alone (one JSON array). Tests use
-/// this to assert byte-identity across `--jobs` and cache settings.
+/// this to assert byte-identity across `--jobs`.
 pub fn deterministic_json(events: &[TraceEvent]) -> String {
     let mut s = String::from("[\n");
     for (k, e) in events.iter().enumerate() {
@@ -1198,7 +1164,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
             let c = c
                 .as_str()
                 .ok_or_else(|| format!("{at}: `cache` must be a string"))?;
-            if !matches!(c, "hit" | "disk" | "fingerprint" | "miss" | "off") {
+            if !matches!(c, "fingerprint" | "off") {
                 return Err(format!("{at}: bad cache attribution `{c}`"));
             }
         }
@@ -1258,7 +1224,6 @@ mod tests {
                     branches: 1,
                     propagations: 0,
                     conflicts: 0,
-                    cache: CacheAttr::Miss,
                 },
             },
             TraceEvent::Attempt {
@@ -1310,7 +1275,6 @@ mod tests {
                 TraceEvent::Query { perf, .. } => {
                     perf.dur_us += 1000;
                     perf.lia_calls = 0;
-                    perf.cache = CacheAttr::Hit;
                 }
                 _ => {}
             }

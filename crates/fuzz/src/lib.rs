@@ -9,7 +9,7 @@
 //!   near the provable/unprovable boundary;
 //! - [`oracle`] — the differential harness: one generated case is
 //!   pushed through the full pipeline and every independent oracle pair
-//!   is cross-checked (verdicts across search cores / jobs / cache,
+//!   is cross-checked (verdicts across search cores / jobs / a durable index,
 //!   trace validity, the concrete brute-force footprint check, bitwise
 //!   execution across backends and thread counts, adjoint-vs-FD);
 //! - [`footprint`] — the concrete race oracle backing the `Brute`

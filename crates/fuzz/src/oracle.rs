@@ -12,9 +12,8 @@
 //!    be a fixpoint (`print ∘ parse ∘ print = print`).
 //! 3. `Trace` — every collected proof trace must pass
 //!    [`formad::validate_trace`].
-//! 4. `JobsCache` — the analysis report (wall-clock stripped) and the
-//!    deterministic trace JSON must be byte-identical with `jobs > 1`
-//!    and with the proof cache disabled.
+//! 4. `Jobs` — the analysis report (wall-clock stripped) and the
+//!    deterministic trace JSON must be byte-identical with `jobs > 1`.
 //! 5. `Persistence` — a cold-then-warm pass against a durable tempdir
 //!    cache must keep the report byte-identical, and when the cold pass
 //!    decided everything (no unknowns, no recovered panics) the warm
@@ -60,8 +59,8 @@ pub enum OracleId {
     RoundTrip,
     /// A proof trace failed `validate_trace`.
     Trace,
-    /// Report or deterministic trace changed under jobs / cache.
-    JobsCache,
+    /// Report or deterministic trace changed under `jobs`.
+    Jobs,
     /// Durable-cache warm pass changed the report or did fresh work.
     Persistence,
     /// Legacy and CDCL search cores disagree.
@@ -81,7 +80,7 @@ impl OracleId {
             OracleId::Pipeline => "pipeline",
             OracleId::RoundTrip => "round-trip",
             OracleId::Trace => "trace",
-            OracleId::JobsCache => "jobs-cache",
+            OracleId::Jobs => "jobs",
             OracleId::Persistence => "persistence",
             OracleId::CrossCore => "cross-core",
             OracleId::Brute => "brute",
@@ -96,7 +95,7 @@ impl OracleId {
             "pipeline" => OracleId::Pipeline,
             "round-trip" => OracleId::RoundTrip,
             "trace" => OracleId::Trace,
-            "jobs-cache" => OracleId::JobsCache,
+            "jobs" => OracleId::Jobs,
             "persistence" => OracleId::Persistence,
             "cross-core" => OracleId::CrossCore,
             "brute" => OracleId::Brute,
@@ -316,7 +315,6 @@ type AnalyzedVariant = (
 fn analyze_variant(
     case: &FuzzCase,
     jobs: usize,
-    cache: bool,
     core: SearchCore,
     chaos: Option<ChaosConfig>,
     want_trace: bool,
@@ -324,9 +322,6 @@ fn analyze_variant(
     let mut opts = options(case);
     opts.region.jobs = jobs;
     opts.region.search_core = core;
-    if !cache {
-        opts.region.cache = None;
-    }
     opts.region.chaos = chaos;
     let sink = want_trace.then(TraceSink::new);
     opts.region.trace = sink.clone();
@@ -375,7 +370,7 @@ pub fn run_case(
         .bindings()
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("bind failed: {e}")))?;
 
-    // 4. Reference analysis (CDCL, jobs=1, cache on, traced). The
+    // 4. Reference analysis (CDCL, jobs=1, traced). The
     //    adjoint comes from a separate untraced pipeline run so the
     //    reference trace covers exactly what the variant runs record.
     let mut opts = options(case);
@@ -409,25 +404,25 @@ pub fn run_case(
         }
     }
 
-    // 5. Jobs- and cache-invariance (report and deterministic trace).
-    for (label, jobs, cache) in [("jobs", cfg.jobs.max(2), true), ("no-cache", 1, false)] {
-        let (_, report, trace) = analyze_variant(case, jobs, cache, SearchCore::Cdcl, None, true)
-            .map_err(|e| {
-            Divergence::new(OracleId::JobsCache, format!("{label} analysis failed: {e}"))
-        })?;
+    // 5. Jobs-invariance (report and deterministic trace).
+    {
+        let (_, report, trace) =
+            analyze_variant(case, cfg.jobs.max(2), SearchCore::Cdcl, None, true).map_err(|e| {
+                Divergence::new(OracleId::Jobs, format!("jobs analysis failed: {e}"))
+            })?;
         if report != ref_report {
             return Err(Divergence::new(
-                OracleId::JobsCache,
-                first_diff(&format!("report ({label})"), &ref_report, &report),
+                OracleId::Jobs,
+                first_diff("report (jobs)", &ref_report, &report),
             ));
         }
         let (events, det) = trace.expect("trace requested");
         validate_trace(&trace_json(&events))
-            .map_err(|e| Divergence::new(OracleId::Trace, format!("{label} trace invalid: {e}")))?;
+            .map_err(|e| Divergence::new(OracleId::Trace, format!("jobs trace invalid: {e}")))?;
         if det != ref_det {
             return Err(Divergence::new(
-                OracleId::JobsCache,
-                first_diff(&format!("deterministic trace ({label})"), &ref_det, &det),
+                OracleId::Jobs,
+                first_diff("deterministic trace (jobs)", &ref_det, &det),
             ));
         }
     }
@@ -449,7 +444,6 @@ pub fn run_case(
             let engine = formad::SharedEngine::with_cache_dir(&dir);
             let mut opts = options(case);
             opts.region.jobs = 1;
-            opts.region.cache = engine.cache().cloned();
             opts.region.fingerprints = engine.fingerprints().cloned();
             let a = Formad::new(opts).analyze(prog).map_err(|e| {
                 Divergence::new(
@@ -499,7 +493,6 @@ pub fn run_case(
     match analyze_variant(
         case,
         1,
-        true,
         SearchCore::Legacy,
         cfg.poison_legacy.clone(),
         false,

@@ -36,17 +36,34 @@ pub fn parse_clike(src: &str) -> Result<Program, ParseError> {
     Ok(prog)
 }
 
-/// Parse either dialect, keyed on the leading keyword (`subroutine` →
-/// Fortran-like, `void` → C-like).
+/// Parse either dialect, keyed on the leading keyword (`void` → C-like,
+/// anything else → Fortran-like, whose parser reports what it expected).
 pub fn parse_any(src: &str) -> Result<Program, ParseError> {
-    let lower = src.to_ascii_lowercase();
-    let void_at = lower.find("void");
-    let sub_at = lower.find("subroutine");
-    match (void_at, sub_at) {
-        (Some(v), Some(s)) if v < s => parse_clike(src),
-        (Some(_), None) => parse_clike(src),
-        _ => crate::parser::parse_program(src),
+    if first_word(src).eq_ignore_ascii_case("void") {
+        parse_clike(src)
+    } else {
+        crate::parser::parse_program(src)
     }
+}
+
+/// The first word of `src` after whitespace and the comments of either
+/// dialect (`!…`, `//…`, `/*…*/`); empty if something else comes first.
+fn first_word(src: &str) -> &str {
+    let mut rest = src.trim_start();
+    loop {
+        let after = if rest.starts_with('!') || rest.starts_with("//") {
+            rest.split_once('\n').map_or("", |(_, r)| r)
+        } else if let Some(body) = rest.strip_prefix("/*") {
+            body.split_once("*/").map_or("", |(_, r)| r)
+        } else {
+            break;
+        };
+        rest = after.trim_start();
+    }
+    let end = rest
+        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    &rest[..end]
 }
 
 // ---------------------------------------------------------------------
@@ -1165,6 +1182,15 @@ void t(int n, double y[n]) {
     fn parse_any_dispatches() {
         assert!(parse_any(SAXPY_C).is_ok());
         assert!(parse_any(SAXPY_F).is_ok());
+        // The first token decides, not a substring of a header comment.
+        let fortran = format!("! avoid aliasing between x and y\n{SAXPY_F}");
+        assert_eq!(parse_any(&fortran), parse_any(SAXPY_F));
+        for header in ["/* subroutine saxpy */", "// a subroutine\n/* void */"] {
+            assert_eq!(
+                parse_any(&format!("{header}\n{SAXPY_C}")),
+                parse_any(SAXPY_C)
+            );
+        }
     }
 
     #[test]

@@ -152,7 +152,7 @@ golden!(golden_lbm_exec, "lbm_exec");
 golden!(golden_green_gauss, "green_gauss");
 
 /// The snapshots themselves must be deterministic: rendering twice (fresh
-/// solvers, fresh caches) yields identical bytes.
+/// solvers) yields identical bytes.
 #[test]
 fn golden_rendering_is_deterministic() {
     for k in suite() {

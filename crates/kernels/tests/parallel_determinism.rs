@@ -1,25 +1,22 @@
-//! Determinism and cache-soundness contract of the parallel prover.
+//! Determinism contract of the parallel prover.
 //!
-//! The worker pool and the canonical proof cache are *pure accelerators*:
-//! for any `--jobs` value and with the cache on or off, every verdict,
-//! provenance tag, warning, and report byte (wall-clock zeroed) must be
-//! identical to the sequential uncached run. Three mechanisms make this
+//! The worker pool and the fingerprint index are *pure accelerators*:
+//! for any `--jobs` value and with an index attached or not, every
+//! verdict, provenance tag, warning, and report byte (wall-clock zeroed)
+//! must be identical to the sequential run. Two mechanisms make this
 //! hold and are exercised here:
 //!
 //! - results are collected and merged in candidate order, not completion
 //!   order;
-//! - workers prove against *overlay* caches (pre-existing entries plus
-//!   their own inserts, never a sibling's in-flight inserts), absorbed
-//!   only after the join — so cache hits cannot depend on scheduling;
 //! - chaos fault streams are salted by task index, not worker thread, so
 //!   which checks fault is a function of the program alone.
 
 use std::time::Duration;
 
-use formad::{region_report, Decision, Formad, FormadAnalysis, FormadOptions};
+use formad::{region_report, Decision, FingerprintIndex, Formad, FormadAnalysis, FormadOptions};
 use formad_ir::Program;
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
-use formad_smt::{ChaosConfig, ProofCache};
+use formad_smt::ChaosConfig;
 use proptest::prelude::*;
 
 /// The paper's Table-1 kernel suite at analysis-relevant sizes.
@@ -107,60 +104,28 @@ fn reports_identical_for_every_job_count() {
 }
 
 #[test]
-fn cache_on_and_off_verdicts_agree_on_every_kernel() {
-    // One cache handle shared across the entire suite — the harshest
-    // sharing pattern: entries inserted while analyzing one kernel are
+fn shared_index_on_and_off_reports_agree_on_every_kernel() {
+    // One index handle shared across the entire suite — the harshest
+    // sharing pattern: records inserted while analyzing one kernel are
     // eligible hits for every later kernel.
-    let shared = ProofCache::new();
+    let shared = FingerprintIndex::new();
     for (name, program, indep, dep) in suite() {
-        let mut cached = analyze_with(&program, &indep, &dep, |o| {
-            o.region.jobs = 4;
-            o.region.cache = Some(shared.clone());
-        });
-        let mut plain = analyze_with(&program, &indep, &dep, |o| {
-            o.region.jobs = 1;
-            o.region.cache = None;
-        });
-        assert_eq!(
-            fingerprint(&mut cached),
-            fingerprint(&mut plain),
-            "{name}: cached and uncached analyses disagree"
-        );
-    }
-    // The solver keys only presolve-hard queries (everything else is
-    // discharged before the cache fast path), so not every kernel
-    // produces cache traffic. Re-analyze the whole suite against the
-    // now-warm cache: the hard queries that populated it must now be
-    // served from it.
-    assert!(shared.inserts() > 0, "cache was never populated");
-    let hits_before = shared.hits();
-    for (_, program, indep, dep) in suite() {
-        let _ = analyze_with(&program, &indep, &dep, |o| {
-            o.region.cache = Some(shared.clone());
-        });
-    }
-    assert!(
-        shared.hits() > hits_before,
-        "warm cache served no hits (hits stayed at {hits_before})"
-    );
-}
-
-#[test]
-fn decisions_do_not_depend_on_cache_state() {
-    // Analyzing twice against the same cache (cold, then warm) must give
-    // the same decisions — a cache hit substitutes for a search, never
-    // for a different answer.
-    for (name, program, indep, dep) in suite() {
-        let shared = ProofCache::new();
-        let run = || {
+        let mut plain = analyze_with(&program, &indep, &dep, |o| o.region.jobs = 1);
+        let want = fingerprint(&mut plain);
+        // Cold, then warm against the same index: a served region
+        // substitutes for an analysis, never for a different answer.
+        for pass in ["cold", "warm"] {
             let mut a = analyze_with(&program, &indep, &dep, |o| {
-                o.region.cache = Some(shared.clone());
+                o.region.jobs = 4;
+                o.region.fingerprints = Some(shared.clone());
             });
-            fingerprint(&mut a)
-        };
-        let cold = run();
-        let warm = run();
-        assert_eq!(cold, warm, "{name}: warm-cache analysis diverged");
+            assert_eq!(
+                want,
+                fingerprint(&mut a),
+                "{name}: {pass} analysis over the shared index disagrees"
+            );
+            assert_eq!(a.stats.checks == 0, pass == "warm", "{name}: {pass}");
+        }
     }
 }
 

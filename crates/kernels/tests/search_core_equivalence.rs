@@ -2,9 +2,8 @@
 //! accelerator over the legacy enumerate-and-split core. On the whole
 //! Table-1 suite, every report byte (wall-clock zeroed), every proof
 //! narrative, and every deterministic trace section must be identical
-//! under `--search-core cdcl` and `--search-core legacy`, for any job
-//! count and cache setting — while the CDCL core does strictly less
-//! linear-arithmetic work.
+//! under `SearchCore::Cdcl` and `SearchCore::Legacy`, for any job count
+//! — while the CDCL core does strictly less linear-arithmetic work.
 
 use std::time::Duration;
 
@@ -14,7 +13,6 @@ use formad::{
 };
 use formad_ir::Program;
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
-use formad_smt::ProofCache;
 
 /// The paper's Table-1 kernel suite at analysis-relevant sizes.
 fn suite() -> Vec<(&'static str, Program, Vec<&'static str>, Vec<&'static str>)> {
@@ -83,26 +81,23 @@ fn analyze_with(
 }
 
 #[test]
-fn reports_identical_across_cores_jobs_and_cache() {
+fn reports_identical_across_cores_and_jobs() {
     for (name, program, indep, dep) in suite() {
-        let run = |core: SearchCore, jobs: usize, cache: bool| {
+        let run = |core: SearchCore, jobs: usize| {
             let mut a = analyze_with(&program, &indep, &dep, |o| {
                 o.region.search_core = core;
                 o.region.jobs = jobs;
-                o.region.cache = cache.then(ProofCache::new);
             });
             fingerprint(&mut a)
         };
-        let reference = run(SearchCore::Cdcl, 1, false);
+        let reference = run(SearchCore::Cdcl, 1);
         for jobs in [1, 4] {
-            for cache in [false, true] {
-                for core in [SearchCore::Cdcl, SearchCore::Legacy] {
-                    assert_eq!(
-                        reference,
-                        run(core, jobs, cache),
-                        "{name}: report differs under core={core:?} jobs={jobs} cache={cache}"
-                    );
-                }
+            for core in [SearchCore::Cdcl, SearchCore::Legacy] {
+                assert_eq!(
+                    reference,
+                    run(core, jobs),
+                    "{name}: report differs under core={core:?} jobs={jobs}"
+                );
             }
         }
     }
@@ -139,12 +134,9 @@ fn cdcl_does_less_linear_arithmetic_work() {
     let mut legacy_lia = 0u64;
     for (_, program, indep, dep) in suite() {
         let run = |core: SearchCore| {
-            analyze_with(&program, &indep, &dep, |o| {
-                o.region.search_core = core;
-                o.region.cache = None;
-            })
-            .stats
-            .lia_calls
+            analyze_with(&program, &indep, &dep, |o| o.region.search_core = core)
+                .stats
+                .lia_calls
         };
         cdcl_lia += run(SearchCore::Cdcl);
         legacy_lia += run(SearchCore::Legacy);
@@ -163,15 +155,8 @@ const LBM_STACK_CLAUSES_OVER_CHECKS: u64 = 126_686;
 #[test]
 fn lbm_presolve_work_tracks_assertions_not_checks() {
     let (_, program, indep, dep) = suite().into_iter().find(|k| k.0 == "lbm").unwrap();
-    let run = |jobs: usize, cache: bool| {
-        analyze_with(&program, &indep, &dep, |o| {
-            o.region.search_core = SearchCore::Cdcl;
-            o.region.jobs = jobs;
-            o.region.cache = cache.then(ProofCache::new);
-        })
-        .stats
-    };
-    let stats = run(1, true);
+    let run = |jobs: usize| analyze_with(&program, &indep, &dep, |o| o.region.jobs = jobs).stats;
+    let stats = run(1);
     assert_eq!(
         stats.checks, 349,
         "LBM's query count moved; re-derive the bound"
@@ -183,9 +168,8 @@ fn lbm_presolve_work_tracks_assertions_not_checks() {
         stats.presolve_clauses,
         stats.checks
     );
-    // The counter is exact: it repeats across runs, job counts and cache
-    // settings (presolve runs before the cache is consulted).
-    for (jobs, cache) in [(1, true), (4, true), (1, false), (4, false)] {
-        assert_eq!(run(jobs, cache).presolve_clauses, stats.presolve_clauses);
+    // The counter is exact: it repeats across runs and job counts.
+    for jobs in [1, 4] {
+        assert_eq!(run(jobs).presolve_clauses, stats.presolve_clauses);
     }
 }

@@ -1,7 +1,7 @@
 //! The deterministic trace section must be byte-identical across worker
-//! counts and cache settings: parallelism and caching are allowed to
-//! change *performance* (the `perf` section), never the recorded sequence
-//! of phases, queries, verdicts, or decisions. Each trace must also
+//! counts: parallelism is allowed to change *performance* (the `perf`
+//! section), never the recorded sequence of phases, queries, verdicts,
+//! or decisions. Each trace must also
 //! validate against the `formad-trace/v1` schema, and its decisions must
 //! agree with the analysis result it was recorded from.
 
@@ -11,7 +11,6 @@ use formad::{
 };
 use formad_ir::Program;
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
-use formad_smt::ProofCache;
 
 struct Kernel {
     name: &'static str,
@@ -63,16 +62,15 @@ fn suite() -> Vec<Kernel> {
     ]
 }
 
-/// Run the analysis under the given worker count and cache setting,
-/// returning the analysis, the deterministic trace section, and the full
-/// trace document.
-fn traced_run(k: &Kernel, jobs: usize, cache: bool) -> (FormadAnalysis, String, String) {
+/// Run the analysis under the given worker count, returning the
+/// analysis, the deterministic trace section, and the full trace
+/// document.
+fn traced_run(k: &Kernel, jobs: usize) -> (FormadAnalysis, String, String) {
     let sink = TraceSink::new();
     let mut opts = FormadOptions::new(&[], &[]);
     opts.independents = k.independents.clone();
     opts.dependents = k.dependents.clone();
     opts.region.jobs = jobs;
-    opts.region.cache = cache.then(ProofCache::new);
     opts.region.trace = Some(sink.clone());
     let analysis = Formad::new(opts)
         .analyze(&k.program)
@@ -83,24 +81,22 @@ fn traced_run(k: &Kernel, jobs: usize, cache: bool) -> (FormadAnalysis, String, 
 }
 
 #[test]
-fn trace_is_identical_across_jobs_and_cache() {
+fn trace_is_identical_across_jobs() {
     for k in suite() {
-        let (_, reference, _) = traced_run(&k, 1, true);
-        for (jobs, cache) in [(4, true), (1, false), (4, false)] {
-            let (_, got, _) = traced_run(&k, jobs, cache);
-            assert_eq!(
-                got, reference,
-                "{}: deterministic trace section diverged at jobs={jobs} cache={cache}",
-                k.name
-            );
-        }
+        let (_, reference, _) = traced_run(&k, 1);
+        let (_, got, _) = traced_run(&k, 4);
+        assert_eq!(
+            got, reference,
+            "{}: deterministic trace section diverged at jobs=4",
+            k.name
+        );
     }
 }
 
 #[test]
 fn trace_validates_and_matches_analysis_decisions() {
     for k in suite() {
-        let (analysis, _, doc) = traced_run(&k, 4, true);
+        let (analysis, _, doc) = traced_run(&k, 4);
         let summary =
             validate_trace(&doc).unwrap_or_else(|e| panic!("{}: invalid trace: {e}", k.name));
         assert!(summary.queries > 0, "{}: no query events", k.name);

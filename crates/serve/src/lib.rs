@@ -2,8 +2,8 @@
 //!
 //! One long-lived daemon multiplexes `analyze` / `prove` / `exec`
 //! requests (JSON over HTTP on a local socket) onto a single shared
-//! engine: one proof cache, one runtime worker pool, one set of
-//! aggregate statistics. The robustness contract is
+//! engine: one region-fingerprint index, one runtime worker pool, one
+//! set of aggregate statistics. The robustness contract is
 //! *degradation-not-errors*, lifted from the pipeline to the wire:
 //!
 //! - Requests that the prover cannot serve in time — saturation, an
@@ -14,9 +14,9 @@
 //!   ladder ([`admission`]) keeps latency flat under load. Only `exec`
 //!   (which has no cheaper correct answer) can be told to retry later
 //!   (HTTP 429 + `retry_after_ms`).
-//! - Each request runs against a private overlay of the shared proof
-//!   cache; success absorbs it, failure rolls it back, so a poisoned
-//!   request can never corrupt the warm cache.
+//! - Each request runs against a private overlay of the shared
+//!   fingerprint index; success absorbs it, failure rolls it back, so a
+//!   poisoned request can never corrupt the warm index.
 //!
 //! Start one with [`serve`] or via the CLI: `formad serve --addr
 //! 127.0.0.1:7878`.

@@ -7,8 +7,8 @@
 //! 2. Pass the admission gate. Saturation *sheds*: the request is
 //!    answered immediately with the always-safe atomic discipline (HTTP
 //!    200, `degraded: true`) instead of queueing or erroring.
-//! 3. Run the pipeline against a private overlay of the shared proof
-//!    cache ([`SharedEngine::differentiate_isolated`]), inside
+//! 3. Run the pipeline against a private overlay of the shared
+//!    fingerprint index ([`SharedEngine::differentiate_isolated`]), inside
 //!    `catch_unwind`. Success absorbs the overlay; an error or a panic
 //!    rolls it back, and a panic (or a pipeline-level deadline expiry)
 //!    still answers 200 with the atomic fallback.
@@ -51,9 +51,9 @@ pub struct ServiceConfig {
     pub analysis_jobs: usize,
     /// Upper bound on `exec` logical threads per request.
     pub exec_threads_max: usize,
-    /// Durable cache directory. When set, proof verdicts and region
-    /// fingerprints are read through from disk and batched back on
-    /// every absorbed request, so warmth survives daemon restarts.
+    /// Durable cache directory. When set, region fingerprints are read
+    /// through from disk and batched back on every absorbed request, so
+    /// warmth survives daemon restarts.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -118,7 +118,7 @@ impl Service {
         }
     }
 
-    /// The shared engine (tests reach the cache through this).
+    /// The shared engine (tests reach the fingerprint index through this).
     pub fn engine(&self) -> &SharedEngine {
         &self.engine
     }
@@ -237,7 +237,7 @@ impl Service {
         }
 
         // Per-request panic isolation: the pipeline runs against a
-        // private cache overlay (absorbed only on success), and a panic
+        // private index overlay (absorbed only on success), and a panic
         // — injected chaos or a genuine bug — degrades the answer
         // instead of killing the daemon.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -552,8 +552,6 @@ impl Service {
     fn status_json(&self) -> Json {
         let (running, queued) = self.admission.occupancy();
         let stats = self.stats.lock().map(|s| *s).unwrap_or_default();
-        let cache = self.engine.cache();
-        let disk = cache.and_then(|c| c.disk_stats());
         let fp = self.engine.fingerprints().map(|f| f.stats());
         let aot = formad_machine::aot::stats();
         obj(vec![
@@ -623,36 +621,10 @@ impl Service {
                 "panics_caught",
                 self.counters.panics_caught.load(Ordering::Relaxed).into(),
             ),
-            (
-                "cache",
-                obj(vec![
-                    ("entries", cache.map(|c| c.len()).unwrap_or(0).into()),
-                    ("hits", cache.map(|c| c.hits()).unwrap_or(0).into()),
-                    ("misses", cache.map(|c| c.misses()).unwrap_or(0).into()),
-                    ("inserts", cache.map(|c| c.inserts()).unwrap_or(0).into()),
-                    // Durable tier (all-zero when no cache_dir is set).
-                    (
-                        "disk",
-                        obj(vec![
-                            ("entries", disk.as_ref().map_or(0, |d| d.entries).into()),
-                            ("hits", disk.as_ref().map_or(0, |d| d.hits).into()),
-                            ("flushes", disk.as_ref().map_or(0, |d| d.flushes).into()),
-                            (
-                                "flushed_entries",
-                                disk.as_ref().map_or(0, |d| d.flushed_entries).into(),
-                            ),
-                            (
-                                "corrupt_entries",
-                                disk.as_ref().map_or(0, |d| d.corrupt_entries).into(),
-                            ),
-                            (
-                                "write_errors",
-                                disk.as_ref().map_or(0, |d| d.write_errors).into(),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ),
+            // Always 0: the frozen `benchmark/` package reads
+            // `cache.inserts`. It goes with the follow-up `benchmark` PR
+            // that drops the `serve.cache_inserts` row.
+            ("cache", obj(vec![("inserts", 0u64.into())])),
             // Region fingerprint index: whole decision sets replayed
             // without re-enumerating per-pair queries.
             (
@@ -663,9 +635,13 @@ impl Service {
                     ("disk_hits", fp.as_ref().map_or(0, |f| f.disk_hits).into()),
                     ("misses", fp.as_ref().map_or(0, |f| f.misses).into()),
                     ("inserts", fp.as_ref().map_or(0, |f| f.inserts).into()),
+                    (
+                        "write_errors",
+                        fp.as_ref().map_or(0, |f| f.write_errors).into(),
+                    ),
                 ]),
             ),
-            // Exec-side analogue of the proof cache: the process-wide AOT
+            // Exec-side analogue of the fingerprint index: the process-wide AOT
             // kernel registry backing `exec` requests with `backend: aot`.
             (
                 "aot",
@@ -752,10 +728,6 @@ fn stats_json(s: &SolverStats) -> Json {
         ("branches", s.branches.into()),
         ("unknowns", s.unknowns.into()),
         ("interrupts", s.interrupts.into()),
-        ("cache_hits", s.cache_hits.into()),
-        ("cache_disk_hits", s.cache_disk_hits.into()),
-        ("cache_misses", s.cache_misses.into()),
-        ("cache_inserts", s.cache_inserts.into()),
         ("propagations", s.propagations.into()),
         ("conflicts", s.conflicts.into()),
         ("learned_clauses", s.learned_clauses.into()),

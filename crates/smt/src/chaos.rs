@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cache::ProofCache;
 use crate::ctrl::{CancelToken, Deadline, StopReason};
 use crate::formula::Formula;
 use crate::linexpr::AtomTable;
@@ -208,9 +207,6 @@ impl SolverApi for ChaosSolver {
     }
     fn assert_interned(&mut self, f: &InternedFormula) {
         self.inner.assert_interned(f);
-    }
-    fn set_cache(&mut self, cache: Option<ProofCache>) {
-        self.inner.set_cache(cache);
     }
     fn set_search_core(&mut self, core: SearchCore) {
         self.inner.set_search_core(core);

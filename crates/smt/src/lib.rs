@@ -42,7 +42,6 @@
 //! ```
 
 pub mod brute;
-pub mod cache;
 pub mod chaos;
 pub mod ctrl;
 pub mod fm;
@@ -52,8 +51,6 @@ pub mod search;
 pub mod solver;
 pub mod term;
 
-pub use cache::disk::{clear_dir, inspect_dir, DirReport, DiskStats, DISK_FORMAT_VERSION};
-pub use cache::{canonical_query_key, ProofCache};
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosSolver};
 pub use ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
 pub use fm::{feasible, feasible_paced, Feasibility, FmBudget};

@@ -1,5 +1,5 @@
 //! The original enumerate-and-split search, preserved as a differential
-//! oracle for the CDCL(T) core (`--search-core legacy`). Semantics are
+//! oracle for the CDCL(T) core (`SearchCore::Legacy`). Semantics are
 //! unchanged from the pre-CDCL solver: recursive unit propagation with
 //! feasibility-based literal pruning, EUF-lite closure at the leaves, and
 //! branching on the smallest live clause.

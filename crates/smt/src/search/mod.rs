@@ -5,8 +5,8 @@
 //!
 //! * [`SearchCore::Cdcl`] (default): a CDCL(T)-style engine — presolve
 //!   over per-frame snapshots of the assertion stack ([`presolve`],
-//!   entered once per `check()` through [`prepare`]), then, for what
-//!   presolve leaves ([`search_reduced`]), boolean abstraction with
+//!   entered once per `check()` through [`search_stack`]), then, for
+//!   what presolve leaves, boolean abstraction with
 //!   two-watched-literal unit propagation and a trail, theory checks
 //!   through the Fourier–Motzkin core with *minimized conflict
 //!   explanations*, 1UIP learning with non-chronological backjumping,
@@ -17,7 +17,7 @@
 //!
 //! Both cores are deterministic — no RNG, ties broken by atom/variable
 //! id — so verdicts, reports, and the deterministic trace section are
-//! byte-identical across `--jobs`, cache settings, and (by the
+//! byte-identical across `--jobs` and (by the
 //! verdict-preserving design, validated by the differential suite and the
 //! golden reports) across the cores themselves.
 
@@ -25,8 +25,6 @@ pub(crate) mod cdcl;
 pub(crate) mod legacy;
 pub(crate) mod presolve;
 pub(crate) mod theory;
-
-use std::sync::Arc;
 
 use crate::ctrl::{Governor, StopReason};
 use crate::fm::{feasible_paced, Feasibility};
@@ -42,39 +40,8 @@ pub enum SearchCore {
     #[default]
     Cdcl,
     /// The original clause-splitting search, kept as a differential
-    /// oracle (`--search-core legacy`).
+    /// oracle that tests select programmatically.
     Legacy,
-}
-
-impl SearchCore {
-    /// Parse a CLI/env spelling (`"cdcl"` / `"legacy"`).
-    pub fn parse(s: &str) -> Option<SearchCore> {
-        match s {
-            "cdcl" => Some(SearchCore::Cdcl),
-            "legacy" => Some(SearchCore::Legacy),
-            _ => None,
-        }
-    }
-
-    /// The core selected by the `FORMAD_SEARCH_CORE` environment variable
-    /// (used by the CI matrix), falling back to the default. Unknown
-    /// values fall back to the default rather than erroring, so a typo'd
-    /// environment cannot change verdicts — only which (verdict-identical)
-    /// engine produced them.
-    pub fn from_env() -> SearchCore {
-        match std::env::var("FORMAD_SEARCH_CORE") {
-            Ok(v) => SearchCore::parse(&v).unwrap_or_default(),
-            Err(_) => SearchCore::default(),
-        }
-    }
-
-    /// CLI/JSON label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SearchCore::Cdcl => "cdcl",
-            SearchCore::Legacy => "legacy",
-        }
-    }
 }
 
 /// Per-`check()` working state shared by both cores: budgets, work
@@ -136,62 +103,42 @@ pub(crate) struct SearchOutcome {
     pub(crate) learned: Vec<Clause>,
 }
 
-/// What the one presolve of a CDCL `check()` left to do.
-pub(crate) enum Prepared {
-    /// Settled by propagation alone: no theory work was needed, so the
-    /// verdict is not worth a canonical key or a cache entry.
-    Discharged(SatResult),
-    /// Interrupted before any conclusion.
-    Stopped(StopReason),
-    /// Presolve-hard: the fixed literals need a theory check and the
-    /// residual clauses a search — both lia-bearing, so the caller looks
-    /// the query up in the cache before paying for [`search_reduced`].
-    Reduced {
-        fixed: Vec<(Arc<presolve::VarKey>, bool)>,
-        clauses: Vec<Vec<Literal>>,
-    },
-}
-
-/// Presolve the assertion stack for the CDCL core, building whatever
-/// frame snapshots `frames` does not hold yet.
-pub(crate) fn prepare(
+/// Run the CDCL core over the assertion stack: one presolve (building
+/// whatever frame snapshots `frames` does not hold yet), then — for the
+/// presolve-hard remainder only — a theory check of the fixed literals
+/// and a search over the residual clauses.
+pub(crate) fn search_stack(
     frames: &mut Vec<presolve::Frame>,
     chunks: &[presolve::Chunk],
     marks: &[usize],
     ctx: &mut SearchCtx<'_>,
-) -> Prepared {
+) -> SearchOutcome {
+    let settled = |result| SearchOutcome {
+        result,
+        learned: Vec::new(),
+    };
     // A pre-tripped deadline/cancellation must win before any presolve
     // conclusion (first governor poll is immediate).
     if let Some(r) = ctx.gov.poll() {
-        return Prepared::Stopped(r);
+        return settled(SatResult::Unknown(r));
     }
     match presolve::presolve_stack(frames, chunks, marks, ctx) {
         presolve::Presolved::Unsat => {
             ctx.presolve_discharges += 1;
-            Prepared::Discharged(SatResult::Unsat)
+            settled(SatResult::Unsat)
         }
-        presolve::Presolved::Stopped(r) => Prepared::Stopped(r),
+        presolve::Presolved::Stopped(r) => settled(SatResult::Unknown(r)),
         presolve::Presolved::Reduced { fixed, clauses } => {
             if fixed.is_empty() && clauses.is_empty() {
                 // Nothing left at all after propagation: trivially
                 // satisfiable.
                 ctx.presolve_discharges += 1;
-                Prepared::Discharged(SatResult::Sat)
-            } else {
-                Prepared::Reduced { fixed, clauses }
+                return settled(SatResult::Sat);
             }
+            let fixed: Vec<Literal> = fixed.iter().map(|(key, p)| key.lit(*p)).collect();
+            cdcl::search(&fixed, &clauses, ctx)
         }
     }
-}
-
-/// Run the CDCL core over a presolve-reduced problem.
-pub(crate) fn search_reduced(
-    fixed: &[(Arc<presolve::VarKey>, bool)],
-    clauses: &[Vec<Literal>],
-    ctx: &mut SearchCtx<'_>,
-) -> SearchOutcome {
-    let fixed: Vec<Literal> = fixed.iter().map(|(key, p)| key.lit(*p)).collect();
-    cdcl::search(&fixed, clauses, ctx)
 }
 
 /// Run the legacy core over the flattened assertion clauses.

@@ -7,13 +7,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cache::{canonical_query_key, ProofCache};
 use crate::ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
 use crate::fm::FmBudget;
 use crate::formula::{Clause, Formula};
 use crate::linexpr::AtomTable;
 use crate::search::presolve::Frame;
-use crate::search::{self, Prepared, SearchCore, SearchCtx};
+use crate::search::{self, SearchCore, SearchCtx};
 
 /// Result of a satisfiability check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +60,12 @@ pub struct SolverStats {
     /// `Unknown`s attributable to the wall-clock deadline or an explicit
     /// cancellation (as opposed to work-counter budgets).
     pub interrupts: u64,
-    /// `check()` calls answered from the canonical proof cache.
+    /// Always 0: counters of the deleted query-level cache, read by the
+    /// frozen `benchmark/` package. They go with the follow-up `benchmark`
+    /// PR that drops its `smt.cache_*` rows.
     pub cache_hits: u64,
-    /// The subset of `cache_hits` served by the durable disk tier (the
-    /// verdict was not in any memory layer and was promoted from disk).
     pub cache_disk_hits: u64,
-    /// `check()` calls that consulted the cache and missed.
     pub cache_misses: u64,
-    /// Definite verdicts this solver stored into the cache.
     pub cache_inserts: u64,
     /// Literals assigned by unit propagation (CDCL core).
     pub propagations: u64,
@@ -100,10 +97,6 @@ impl SolverStats {
         self.branches = self.branches.saturating_add(other.branches);
         self.unknowns = self.unknowns.saturating_add(other.unknowns);
         self.interrupts = self.interrupts.saturating_add(other.interrupts);
-        self.cache_hits = self.cache_hits.saturating_add(other.cache_hits);
-        self.cache_disk_hits = self.cache_disk_hits.saturating_add(other.cache_disk_hits);
-        self.cache_misses = self.cache_misses.saturating_add(other.cache_misses);
-        self.cache_inserts = self.cache_inserts.saturating_add(other.cache_inserts);
         self.propagations = self.propagations.saturating_add(other.propagations);
         self.conflicts = self.conflicts.saturating_add(other.conflicts);
         self.learned_clauses = self.learned_clauses.saturating_add(other.learned_clauses);
@@ -117,7 +110,7 @@ impl SolverStats {
 
     /// Counters accumulated since an earlier snapshot `since` of the same
     /// solver, saturating at zero. Tracing uses this to attribute work
-    /// (LIA calls, branches, cache hits) to a single `check()`.
+    /// (LIA calls, branches) to a single `check()`.
     pub fn delta(&self, since: &SolverStats) -> SolverStats {
         SolverStats {
             checks: self.checks.saturating_sub(since.checks),
@@ -126,10 +119,6 @@ impl SolverStats {
             branches: self.branches.saturating_sub(since.branches),
             unknowns: self.unknowns.saturating_sub(since.unknowns),
             interrupts: self.interrupts.saturating_sub(since.interrupts),
-            cache_hits: self.cache_hits.saturating_sub(since.cache_hits),
-            cache_disk_hits: self.cache_disk_hits.saturating_sub(since.cache_disk_hits),
-            cache_misses: self.cache_misses.saturating_sub(since.cache_misses),
-            cache_inserts: self.cache_inserts.saturating_sub(since.cache_inserts),
             propagations: self.propagations.saturating_sub(since.propagations),
             conflicts: self.conflicts.saturating_sub(since.conflicts),
             learned_clauses: self.learned_clauses.saturating_sub(since.learned_clauses),
@@ -139,6 +128,7 @@ impl SolverStats {
                 .presolve_discharges
                 .saturating_sub(since.presolve_discharges),
             presolve_clauses: self.presolve_clauses.saturating_sub(since.presolve_clauses),
+            ..SolverStats::default()
         }
     }
 }
@@ -234,14 +224,12 @@ pub struct Solver {
     /// Per-`check()` wall-clock allowance, combined with the absolute
     /// deadline at each call (the tighter bound wins).
     timeout: Option<Duration>,
-    /// Shared canonical-query verdict cache, if attached.
-    cache: Option<ProofCache>,
     /// Which search engine answers `check()` (CDCL by default; the legacy
     /// splitter remains available as a differential oracle).
     search_core: SearchCore,
-    /// Clauses learned by the CDCL core during the most recent
-    /// non-cache-hit `check()` (empty for the legacy core and for cache
-    /// hits). Exposed for learned-clause soundness tests.
+    /// Clauses learned by the CDCL core during the most recent `check()`
+    /// (empty for the legacy core). Exposed for learned-clause soundness
+    /// tests.
     last_learned: Vec<Clause>,
 }
 
@@ -327,17 +315,6 @@ impl Solver {
         self.snapshots.truncate(self.frames.len());
     }
 
-    /// Attach (or detach, with `None`) a shared proof cache consulted by
-    /// every later `check()`.
-    pub fn set_cache(&mut self, cache: Option<ProofCache>) {
-        self.cache = cache;
-    }
-
-    /// The attached proof cache, if any.
-    pub fn cache(&self) -> Option<&ProofCache> {
-        self.cache.as_ref()
-    }
-
     /// Select the search engine used by later `check()` calls.
     pub fn set_search_core(&mut self, core: SearchCore) {
         self.search_core = core;
@@ -349,8 +326,7 @@ impl Solver {
     }
 
     /// Clauses learned by the CDCL core during the most recent `check()`
-    /// that actually ran a search (cache hits and the legacy core leave
-    /// this empty). Each is a valid consequence of the assertions checked,
+    /// that actually ran a search (the legacy core leaves this empty). Each is a valid consequence of the assertions checked,
     /// so re-asserting them must not change any verdict — the
     /// learned-clause soundness suite relies on exactly that.
     pub fn last_learned(&self) -> &[Clause] {
@@ -358,8 +334,8 @@ impl Solver {
     }
 
     /// Snapshot this solver into an independent worker solver: same
-    /// assertion stack (shared chunks), table, budget, interrupt wiring,
-    /// search core, and cache, but fresh statistics.
+    /// assertion stack (shared chunks), table, budget, interrupt wiring
+    /// and search core, but fresh statistics.
     ///
     /// `_salt` is deliberately unused by the real solver: both search
     /// cores are RNG-free and fully deterministic, so there is no
@@ -385,77 +361,30 @@ impl Solver {
         }
         let gov = Governor::new(&interrupt);
         let mut ctx = SearchCtx::new(self.budget, &self.table, gov);
-        // One presolve per check (CDCL core): it either settles the query
-        // outright or leaves the reduced problem that both the cache
-        // decision and the search work from. The legacy core has no
-        // presolve layer and searches the flat clause list.
-        let prepared = match self.search_core {
-            SearchCore::Legacy => None,
-            SearchCore::Cdcl => Some(search::prepare(
-                &mut self.snapshots,
-                &self.chunks,
-                &self.frames,
-                &mut ctx,
-            )),
+        // The legacy core has no presolve layer and searches the flat
+        // clause list; the CDCL core presolves the delta against the
+        // frame snapshots and never flattens the stack.
+        let outcome = match self.search_core {
+            SearchCore::Legacy => {
+                let clauses: Vec<Clause> = self
+                    .chunks
+                    .iter()
+                    .flat_map(|ch| ch.iter().cloned())
+                    .collect();
+                search::search_flat(&clauses, &mut ctx)
+            }
+            SearchCore::Cdcl => {
+                search::search_stack(&mut self.snapshots, &self.chunks, &self.frames, &mut ctx)
+            }
         };
-        let result = 'answer: {
-            if let Some(Prepared::Discharged(result)) = prepared {
-                break 'answer result;
+        self.last_learned = outcome.learned;
+        let result = outcome.result;
+        if let SatResult::Unknown(reason) = result {
+            self.stats.unknowns = self.stats.unknowns.saturating_add(1);
+            if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
+                self.stats.interrupts = self.stats.interrupts.saturating_add(1);
             }
-            // Canonical-cache fast path: a definite verdict cached for any
-            // equisatisfiable assertion stack short-circuits the search.
-            // Computing a canonical key costs more than presolve, so only
-            // what presolve could not settle — queries that need
-            // linear-arithmetic work, the ones worth remembering — is
-            // keyed and looked up, which makes a warm cache answer
-            // repeats with zero lia calls. `Unknown` is never served from
-            // (or stored into) the cache.
-            let keyed = self.cache.clone().map(|cache| {
-                let clauses = self.chunks.iter().flat_map(|ch| ch.iter());
-                (canonical_query_key(clauses, &self.table), cache)
-            });
-            if let Some((key, cache)) = &keyed {
-                if let Some((hit, from_disk)) = cache.lookup_tiered(key) {
-                    self.stats.cache_hits = self.stats.cache_hits.saturating_add(1);
-                    if from_disk {
-                        self.stats.cache_disk_hits = self.stats.cache_disk_hits.saturating_add(1);
-                    }
-                    break 'answer hit;
-                }
-                self.stats.cache_misses = self.stats.cache_misses.saturating_add(1);
-            }
-            let outcome = match prepared {
-                None => {
-                    let clauses: Vec<Clause> = self
-                        .chunks
-                        .iter()
-                        .flat_map(|ch| ch.iter().cloned())
-                        .collect();
-                    search::search_flat(&clauses, &mut ctx)
-                }
-                Some(Prepared::Reduced { fixed, clauses }) => {
-                    search::search_reduced(&fixed, &clauses, &mut ctx)
-                }
-                Some(Prepared::Stopped(reason)) => search::SearchOutcome {
-                    result: SatResult::Unknown(reason),
-                    learned: Vec::new(),
-                },
-                Some(Prepared::Discharged(_)) => unreachable!("answered above"),
-            };
-            self.last_learned = outcome.learned;
-            if let SatResult::Unknown(reason) = outcome.result {
-                self.stats.unknowns = self.stats.unknowns.saturating_add(1);
-                if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
-                    self.stats.interrupts = self.stats.interrupts.saturating_add(1);
-                }
-            }
-            if let Some((key, cache)) = keyed {
-                if cache.insert(key, outcome.result) {
-                    self.stats.cache_inserts = self.stats.cache_inserts.saturating_add(1);
-                }
-            }
-            outcome.result
-        };
+        }
         fold_search_counters(&mut self.stats, &ctx);
         result
     }
@@ -517,12 +446,10 @@ pub trait SolverApi {
     /// Assert a pre-lowered formula without re-running CNF conversion or
     /// copying clauses.
     fn assert_interned(&mut self, f: &InternedFormula);
-    /// Attach (or detach, with `None`) a shared canonical proof cache.
-    fn set_cache(&mut self, cache: Option<ProofCache>);
     /// Select the search engine answering later `check()` calls.
     fn set_search_core(&mut self, core: SearchCore);
     /// Snapshot into an independent worker solver: same assertions,
-    /// budget, interrupt wiring, and cache, fresh statistics. `salt`
+    /// budget and interrupt wiring, fresh statistics. `salt`
     /// deterministically varies derived per-fork state (fault-injection
     /// wrappers use it to reseed their RNG).
     fn fork(&self, salt: u64) -> Self
@@ -578,9 +505,6 @@ impl SolverApi for Solver {
     }
     fn assert_interned(&mut self, f: &InternedFormula) {
         Solver::assert_interned(self, f);
-    }
-    fn set_cache(&mut self, cache: Option<ProofCache>) {
-        Solver::set_cache(self, cache);
     }
     fn set_search_core(&mut self, core: SearchCore) {
         Solver::set_search_core(self, core);
@@ -883,8 +807,7 @@ mod tests {
     }
 
     /// A query the CDCL presolve prefix cannot discharge: a genuine
-    /// disjunction of inequalities with no unit literal to fix. Keeps the
-    /// cache path reachable under the default core.
+    /// disjunction of inequalities with no unit literal to fix.
     fn hard_sat_query(table: &mut AtomTable, x: &str, y: &str) -> Formula {
         let le = |a: &Term, b: &Term, t: &mut AtomTable| {
             Formula::Lit(crate::formula::Literal::le(
@@ -896,120 +819,5 @@ mod tests {
             le(&sym(x), &sym(y), table),
             le(&sym(y), &sym(x), table),
         ])
-    }
-
-    #[test]
-    fn cache_serves_second_check() {
-        let cache = ProofCache::new();
-        let mut s = Solver::new();
-        s.set_cache(Some(cache.clone()));
-        let f = hard_sat_query(&mut s.table, "x", "y");
-        s.assert(f);
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.stats.cache_misses, 1);
-        assert_eq!(s.stats.cache_inserts, 1);
-        let lia_after_first = s.stats.lia_calls;
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.stats.cache_hits, 1);
-        assert_eq!(s.stats.lia_calls, lia_after_first, "hit skips the search");
-        assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn presolve_discharged_checks_bypass_the_cache() {
-        // `x ≠ y` dies in the presolve prefix; with a cache attached the
-        // canonical key must never be computed for it — no miss, no
-        // insert, the cache stays empty.
-        let cache = ProofCache::new();
-        let mut s = Solver::new();
-        s.set_cache(Some(cache.clone()));
-        let f = Formula::term_ne(&sym("x"), &sym("y"), &mut s.table).unwrap();
-        s.assert(f);
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.stats.presolve_discharges, 2);
-        assert_eq!(s.stats.cache_hits, 0);
-        assert_eq!(s.stats.cache_misses, 0);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn legacy_core_caches_every_check() {
-        // The legacy splitter has no presolve prefix: with a cache
-        // attached even a trivial query is keyed, missed once, and served
-        // on the second check.
-        let cache = ProofCache::new();
-        let mut s = Solver::new();
-        s.set_search_core(SearchCore::Legacy);
-        s.set_cache(Some(cache.clone()));
-        let f = Formula::term_ne(&sym("x"), &sym("y"), &mut s.table).unwrap();
-        s.assert(f);
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.stats.cache_misses, 1);
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn cache_is_shared_across_solvers_modulo_renaming() {
-        let cache = ProofCache::new();
-        let mut a = Solver::new();
-        a.set_cache(Some(cache.clone()));
-        let f = hard_sat_query(&mut a.table, "i", "i'");
-        a.assert(f);
-        assert_eq!(a.check(), SatResult::Sat);
-        // A different solver with a renamed but isomorphic stack hits.
-        let mut b = Solver::new();
-        b.set_cache(Some(cache.clone()));
-        let f = hard_sat_query(&mut b.table, "j", "j'");
-        b.assert(f);
-        assert_eq!(b.check(), SatResult::Sat);
-        assert_eq!(b.stats.cache_hits, 1);
-        assert_eq!(b.stats.lia_calls, 0);
-    }
-
-    #[test]
-    fn cached_verdicts_respect_push_pop() {
-        let cache = ProofCache::new();
-        let mut s = Solver::new();
-        s.set_cache(Some(cache));
-        let f = hard_sat_query(&mut s.table, "x", "y");
-        s.assert(f);
-        assert_eq!(s.check(), SatResult::Sat);
-        s.push();
-        let g = Formula::term_eq(&sym("x"), &(sym("y") + Term::int(1)), &mut s.table).unwrap();
-        let h = Formula::term_eq(&sym("x"), &sym("y"), &mut s.table).unwrap();
-        s.assert(g);
-        s.assert(h);
-        assert_eq!(s.check(), SatResult::Unsat);
-        s.pop();
-        // Back to the base stack: the cached Sat must be served, not the
-        // Unsat of the extended stack.
-        assert_eq!(s.check(), SatResult::Sat);
-        assert_eq!(s.stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn unknown_results_are_not_cached() {
-        let cache = ProofCache::new();
-        let mut s = Solver::with_budget(SolverBudget {
-            max_lia_calls: 0, // every check exhausts immediately
-            max_branches: 100,
-            fm: crate::fm::FmBudget::default(),
-        });
-        s.set_cache(Some(cache.clone()));
-        let f = hard_sat_query(&mut s.table, "x", "y");
-        s.assert(f);
-        assert!(s.check().is_unknown());
-        assert_eq!(s.stats.cache_inserts, 0);
-        assert!(cache.is_empty());
-        // A later well-funded solver gets a real verdict, not a stale
-        // Unknown.
-        let mut s2 = Solver::new();
-        s2.set_cache(Some(cache.clone()));
-        let f = hard_sat_query(&mut s2.table, "x", "y");
-        s2.assert(f);
-        assert_eq!(s2.check(), SatResult::Sat);
-        assert_eq!(cache.inserts(), 1);
     }
 }

@@ -1,19 +1,16 @@
 //! Tier-1 view of the frame-scoped presolve: the prover-heavy programs
 //! of the benchmark's `prove_heavy` workload must report exactly what
-//! they always did — whatever the job count and cache setting, and byte
-//! for byte against the kernels crate's golden files — while presolve
+//! they always did — whatever the job count, and byte for byte against
+//! the kernels crate's golden files — while presolve
 //! canonicalizes a small fraction of what a per-check represolve did.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
-use formad::{
-    full_report, table1_header, table1_row, Formad, FormadAnalysis, FormadOptions, SearchCore,
-};
+use formad::{full_report, table1_header, table1_row, Formad, FormadAnalysis, FormadOptions};
 use formad_bench::prover_bench;
 use formad_ir::Program;
 use formad_kernels::{lbm, LbmExecCase, StencilCase};
-use formad_smt::ProofCache;
 
 struct Heavy {
     name: String,
@@ -80,15 +77,11 @@ fn heavy() -> Vec<Heavy> {
     out
 }
 
-fn analyze(k: &Heavy, jobs: usize, cache: bool) -> FormadAnalysis {
+fn analyze(k: &Heavy, jobs: usize) -> FormadAnalysis {
     let mut opts = FormadOptions::new(&[], &[]);
     opts.independents = k.independents.clone();
     opts.dependents = k.dependents.clone();
     opts.region.jobs = jobs;
-    opts.region.cache = cache.then(ProofCache::new);
-    // The snapshots belong to the CDCL core, whatever the environment's
-    // default core is; the legacy oracle is compared elsewhere.
-    opts.region.search_core = SearchCore::Cdcl;
     let mut analysis = Formad::new(opts)
         .analyze(&k.program)
         .unwrap_or_else(|e| panic!("{}: analysis failed: {e}", k.name));
@@ -109,17 +102,15 @@ fn render(k: &Heavy, analysis: &FormadAnalysis) -> String {
 }
 
 #[test]
-fn heavy_reports_identical_across_jobs_and_cache_and_match_goldens() {
+fn heavy_reports_identical_across_jobs_and_match_goldens() {
     for k in heavy() {
-        let reference = render(&k, &analyze(&k, 1, true));
-        for (jobs, cache) in [(1, false), (2, true), (2, false)] {
-            assert_eq!(
-                reference,
-                render(&k, &analyze(&k, jobs, cache)),
-                "{}: report differs at jobs={jobs} cache={cache}",
-                k.name
-            );
-        }
+        let reference = render(&k, &analyze(&k, 1));
+        assert_eq!(
+            reference,
+            render(&k, &analyze(&k, 2)),
+            "{}: report differs at jobs=2",
+            k.name
+        );
         if let Some(stem) = k.golden {
             let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
                 .join("crates/kernels/tests/golden")
@@ -140,7 +131,7 @@ const LBM_STACK_CLAUSES_OVER_CHECKS: u64 = 126_686;
 fn presolve_canonicalizes_the_delta_not_the_stack() {
     let suite = heavy();
     let lbm = suite.iter().find(|k| k.golden == Some("lbm")).unwrap();
-    let stats = analyze(lbm, 1, true).stats;
+    let stats = analyze(lbm, 1).stats;
     assert_eq!(
         stats.checks, 349,
         "LBM's query count moved; re-derive the bound"
@@ -154,14 +145,11 @@ fn presolve_canonicalizes_the_delta_not_the_stack() {
     );
     // The counter repeats exactly, so the bound is not a timing claim.
     for k in &suite {
-        let reference = analyze(k, 1, true).stats.presolve_clauses;
-        for (jobs, cache) in [(1, false), (2, true), (2, false)] {
-            assert_eq!(
-                reference,
-                analyze(k, jobs, cache).stats.presolve_clauses,
-                "{}: presolve_clauses differs at jobs={jobs} cache={cache}",
-                k.name
-            );
-        }
+        assert_eq!(
+            analyze(k, 1).stats.presolve_clauses,
+            analyze(k, 2).stats.presolve_clauses,
+            "{}: presolve_clauses differs at jobs=2",
+            k.name
+        );
     }
 }
