@@ -48,5 +48,5 @@ pub mod transpose;
 pub use adjoint_expr::{adjoint_of_assign, AdjCtx, ExprAdjoint};
 pub use options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
 pub use tangent::differentiate_tangent;
-pub use transform::differentiate;
-pub use transpose::{affine_in, plan_transpose, Aff, ObligationPair, TransposePlan};
+pub use transform::{differentiate, differentiate_validated};
+pub use transpose::{affine_in, plan_transpose, Aff, ObligationPair, RegionWrites, TransposePlan};

@@ -34,7 +34,7 @@ use formad_ir::{
 
 use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
 use crate::options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
-use crate::transpose::plan_transpose;
+use crate::transpose::{plan_transpose, RegionWrites};
 
 /// Differentiate `p` in reverse mode.
 ///
@@ -45,6 +45,21 @@ use crate::transpose::plan_transpose;
 /// contributions (accumulated, per adjoint convention).
 pub fn differentiate(p: &Program, opts: &AdjointOptions) -> Result<Program, AdError> {
     formad_ir::validate_strict(p).map_err(|e| AdError::new(format!("invalid primal: {e}")))?;
+    let act = Activity::analyze(p, &opts.independents, &opts.dependents);
+    differentiate_validated(p, opts, act)
+}
+
+/// [`differentiate`] for a caller that owns the front end: `p` has passed
+/// `formad_ir::validate_strict`, and `act` is
+/// `Activity::analyze(p, &opts.independents, &opts.dependents)`. Neither
+/// is recomputed here; the checks that are the transformation's own (no
+/// tape statements in the primal, every independent and dependent
+/// declared) still run.
+pub fn differentiate_validated(
+    p: &Program,
+    opts: &AdjointOptions,
+    act: Activity,
+) -> Result<Program, AdError> {
     for s in &p.body {
         let mut bad = false;
         s.walk(&mut |st| {
@@ -65,7 +80,6 @@ pub fn differentiate(p: &Program, opts: &AdjointOptions) -> Result<Program, AdEr
         }
     }
 
-    let act = Activity::analyze(p, &opts.independents, &opts.dependents);
     let mut xf = Xform::new(p, act, opts)?;
     xf.compute_needed_values();
     xf.index_regions();
@@ -98,6 +112,9 @@ pub fn differentiate(p: &Program, opts: &AdjointOptions) -> Result<Program, AdEr
     Ok(adj)
 }
 
+/// Adjoint statements of one assignment: `(increments, vb-finalization)`.
+type AssignAdjoint = (Vec<Stmt>, Option<Stmt>);
+
 struct Xform<'a> {
     prog: &'a Program,
     act: Activity,
@@ -105,6 +122,11 @@ struct Xform<'a> {
     /// Primal names whose values appear in adjoint statements or loop
     /// bounds: these must be taped when overwritten.
     needed: HashSet<String>,
+    /// Adjoint statements of the active assignments, generated once by
+    /// the TBR scan and consumed by the backward sweep. Keyed by
+    /// statement address: `prog` is borrowed for the whole life of the
+    /// transformation, so addresses are stable.
+    adjoints: HashMap<usize, AssignAdjoint>,
     /// Pre-order region index of each parallel loop (keyed by address).
     region_of: HashMap<usize, usize>,
     branch_counter: usize,
@@ -129,6 +151,7 @@ impl<'a> Xform<'a> {
             act,
             opts,
             needed: HashSet::new(),
+            adjoints: HashMap::new(),
             region_of: HashMap::new(),
             branch_counter: 0,
             new_locals: Vec::new(),
@@ -160,9 +183,8 @@ impl<'a> Xform<'a> {
         }
     }
 
-    /// Adjoint statements of one assignment (shared by the dry run and the
-    /// real emission). Returns `(increments, vb-finalization)`.
-    fn assign_adjoint(&self, lhs: &LValue, rhs: &Expr) -> (Vec<Stmt>, Option<Stmt>) {
+    /// Adjoint statements of one assignment.
+    fn assign_adjoint(&self, lhs: &LValue, rhs: &Expr) -> AssignAdjoint {
         let seed = match lhs {
             LValue::Var(n) => Expr::var(self.adjoint_name(n)),
             LValue::Index { array, indices } => {
@@ -193,59 +215,53 @@ impl<'a> Xform<'a> {
         (adj.increments, finalize)
     }
 
-    /// TBR-lite: collect every primal name whose value occurs in any
-    /// adjoint statement or loop bound expression.
-    fn compute_needed_values(&mut self) {
-        let mut needed: HashSet<String> = HashSet::new();
-        let mut scan_expr = |e: &Expr, needed: &mut HashSet<String>| {
-            e.walk(&mut |sub| match sub {
-                Expr::Var(n) if self.prog.decl(n).is_some() => {
-                    needed.insert(n.clone());
-                }
-                Expr::Index { array, indices: _ } if self.prog.decl(array).is_some() => {
-                    needed.insert(array.clone());
-                }
-                _ => {}
-            });
-        };
-        fn scan_stmts(
-            stmts: &[Stmt],
-            scan_expr: &mut impl FnMut(&Expr, &mut HashSet<String>),
-            needed: &mut HashSet<String>,
-        ) {
-            for s in stmts {
-                s.walk_exprs(&mut |e| scan_expr(e, needed));
-            }
-        }
-
-        self.prog.walk_stmts(&mut |s| match s {
+    /// Adjoint statements of an assignment-like primal statement whose
+    /// lvalue is active; `None` for anything else.
+    fn stmt_adjoint(&self, s: &Stmt) -> Option<AssignAdjoint> {
+        match s {
             Stmt::Assign { lhs, rhs } if self.is_active(lhs.name()) => {
-                let (incs, fin) = self.assign_adjoint(lhs, rhs);
-                scan_stmts(&incs, &mut scan_expr, &mut needed);
-                if let Some(f) = fin {
-                    scan_stmts(std::slice::from_ref(&f), &mut scan_expr, &mut needed);
-                }
+                Some(self.assign_adjoint(lhs, rhs))
             }
             Stmt::AtomicAdd { lhs, rhs } if self.is_active(lhs.name()) => {
                 let full = lhs.as_expr() + rhs.clone();
-                let (incs, fin) = self.assign_adjoint(lhs, &full);
-                scan_stmts(&incs, &mut scan_expr, &mut needed);
-                if let Some(f) = fin {
-                    scan_stmts(std::slice::from_ref(&f), &mut scan_expr, &mut needed);
-                }
+                Some(self.assign_adjoint(lhs, &full))
             }
-            Stmt::For(l) => {
-                // Reversed loops re-evaluate their bound expressions.
-                scan_expr(&l.lo, &mut needed);
-                scan_expr(&l.hi, &mut needed);
-                scan_expr(&l.step, &mut needed);
-            }
-            _ => {}
-        });
+            _ => None,
+        }
+    }
 
-        // Adjoint names are not primal declarations, so the decl check above
-        // already filtered them out.
+    /// TBR-lite: collect every primal name whose value occurs in any
+    /// adjoint statement or loop bound expression. The adjoint statements
+    /// generated to find that out are kept for the backward sweep.
+    fn compute_needed_values(&mut self) {
+        let mut needed: HashSet<String> = HashSet::new();
+        let mut adjoints: HashMap<usize, AssignAdjoint> = HashMap::new();
+        // Adjoint names are not primal declarations, so the decl check
+        // filters them out.
+        let mut scan_expr = |e: &Expr| {
+            e.walk(&mut |sub| {
+                if let Expr::Var(n) | Expr::Index { array: n, .. } = sub {
+                    if !needed.contains(n) && self.prog.decl(n).is_some() {
+                        needed.insert(n.clone());
+                    }
+                }
+            });
+        };
+        self.prog.walk_stmts(&mut |s| {
+            if let Some((incs, fin)) = self.stmt_adjoint(s) {
+                for st in incs.iter().chain(&fin) {
+                    st.walk_exprs(&mut scan_expr);
+                }
+                adjoints.insert(s as *const Stmt as usize, (incs, fin));
+            } else if let Stmt::For(l) = s {
+                // Reversed loops re-evaluate their bound expressions.
+                scan_expr(&l.lo);
+                scan_expr(&l.hi);
+                scan_expr(&l.step);
+            }
+        });
         self.needed = needed;
+        self.adjoints = adjoints;
     }
 
     fn index_regions(&mut self) {
@@ -393,24 +409,17 @@ impl<'a> Xform<'a> {
 
     fn bwd_stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) -> Result<(), AdError> {
         match s {
-            Stmt::Assign { lhs, rhs } => {
+            Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } => {
                 if self.taped(lhs) {
                     out.push(Stmt::Pop(lhs.clone()));
                 }
-                if self.is_active(lhs.name()) {
-                    let (incs, fin) = self.assign_adjoint(lhs, rhs);
-                    out.extend(incs);
-                    out.extend(fin);
-                }
-                Ok(())
-            }
-            Stmt::AtomicAdd { lhs, rhs } => {
-                if self.taped(lhs) {
-                    out.push(Stmt::Pop(lhs.clone()));
-                }
-                if self.is_active(lhs.name()) {
-                    let full = lhs.as_expr() + rhs.clone();
-                    let (incs, fin) = self.assign_adjoint(lhs, &full);
+                // Generated by the TBR scan; regenerated on a miss, so
+                // the output never depends on the memo.
+                let adjoint = self
+                    .adjoints
+                    .remove(&(s as *const Stmt as usize))
+                    .or_else(|| self.stmt_adjoint(s));
+                if let Some((incs, fin)) = adjoint {
                     out.extend(incs);
                     out.extend(fin);
                 }
@@ -540,7 +549,7 @@ impl<'a> Xform<'a> {
         let mut candidates: Vec<String> = Vec::new();
         for s in &body {
             s.walk(&mut |st| {
-                if let Some((lhs, _)) = st.as_increment() {
+                if let Some((lhs, _)) = st.increment_parts() {
                     if matches!(lhs, LValue::Index { .. }) {
                         if let Some(p) = self.primal_of_adjoint(lhs.name()) {
                             if !candidates.contains(&p) {
@@ -555,13 +564,19 @@ impl<'a> Xform<'a> {
         let mut body = body;
         let mut fallback: HashSet<String> = HashSet::new();
         let forced = matches!(self.opts.parallel, ParallelTreatment::Uniform(_));
+        let mut writes: Option<RegionWrites> = None;
         for p in candidates {
             if self.opts.parallel.mode_of(region, &p) != IncMode::Transposed {
                 continue;
             }
-            let plan = match plan_transpose(self.prog, l, &p, &self.opts.adjoint_suffix, &|n| {
-                self.is_active(n)
-            }) {
+            let plan = match plan_transpose(
+                self.prog,
+                l,
+                writes.get_or_insert_with(|| RegionWrites::scan(l)),
+                &p,
+                &self.opts.adjoint_suffix,
+                &|n| self.is_active(n),
+            ) {
                 Ok(plan) if !forced || plan.forced_safe => plan,
                 _ => {
                     fallback.insert(p);
@@ -572,7 +587,7 @@ impl<'a> Xform<'a> {
             let mut kept: Vec<Stmt> = Vec::with_capacity(body.len());
             let mut removed = 0usize;
             for s in &body {
-                let is_scatter = s.as_increment().is_some_and(|(lhs, _)| {
+                let is_scatter = s.increment_parts().is_some_and(|(lhs, _)| {
                     matches!(lhs, LValue::Index { .. }) && lhs.name() == bname
                 });
                 if is_scatter {
@@ -615,7 +630,7 @@ impl<'a> Xform<'a> {
                         assigned_scalars.insert(v.clone());
                     }
                     if let Some(primal_name) = self.primal_of_adjoint(lhs.name()) {
-                        if st.as_increment().is_some() || matches!(st, Stmt::AtomicAdd { .. }) {
+                        if st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. }) {
                             if matches!(lhs, LValue::Index { .. }) {
                                 incremented_adjoint_arrays.insert(primal_name);
                             } else {
@@ -629,18 +644,18 @@ impl<'a> Xform<'a> {
                 }
                 _ => {}
             });
-            s.walk_exprs(&mut |e| match e {
-                Expr::Var(n) => {
-                    referenced.insert(n.clone());
+            s.walk_exprs(&mut |e| {
+                if let Expr::Var(n) | Expr::Index { array: n, .. } = e {
+                    if !referenced.contains(n) {
+                        referenced.insert(n.clone());
+                    }
                 }
-                Expr::Index { array, .. } => {
-                    referenced.insert(array.clone());
-                }
-                _ => {}
             });
             // Lvalue names too.
             s.walk(&mut |st| match st {
-                Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => {
+                Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs)
+                    if !referenced.contains(lhs.name()) =>
+                {
                     referenced.insert(lhs.name().to_string());
                 }
                 _ => {}
@@ -696,7 +711,7 @@ impl<'a> Xform<'a> {
             for s in &body {
                 s.walk(&mut |st| {
                     let is_inc =
-                        st.as_increment().is_some() || matches!(st, Stmt::AtomicAdd { .. });
+                        st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. });
                     match st {
                         Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. }
                             if lhs.name() == bname =>
@@ -802,15 +817,20 @@ impl<'a> Xform<'a> {
 fn apply_atomic(s: Stmt, arrays: &HashSet<String>) -> Stmt {
     match s {
         Stmt::Assign { .. } => {
-            if let Some((lhs, added)) = s.as_increment() {
-                if matches!(lhs, LValue::Index { .. }) && arrays.contains(lhs.name()) {
-                    return Stmt::AtomicAdd {
-                        lhs: lhs.clone(),
-                        rhs: added,
-                    };
+            let guarded = s.increment_parts().is_some_and(|(lhs, _)| {
+                matches!(lhs, LValue::Index { .. }) && arrays.contains(lhs.name())
+            });
+            match s {
+                // Take the increment apart the way `increment_parts` reads it.
+                Stmt::Assign {
+                    lhs,
+                    rhs: Expr::Binary { lhs: a, rhs: b, .. },
+                } if guarded => {
+                    let added = if lhs.reads_as(&a) { *b } else { *a };
+                    Stmt::AtomicAdd { lhs, rhs: added }
                 }
+                s => s,
             }
-            s
         }
         Stmt::If {
             cond,

@@ -28,7 +28,7 @@
 //! ([`TransposePlan::forced_safe`]) for uniform forced mode where no
 //! prover is in the loop.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use formad_ir::{
     expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, LValue, ParallelInfo, Program, Stmt, Ty,
@@ -186,15 +186,56 @@ pub struct TransposePlan {
     pub forced_safe: bool,
 }
 
+/// What [`plan_transpose`] reads off a region body regardless of the
+/// target array; scanned once per region and shared by every array's plan.
+#[derive(Debug)]
+pub struct RegionWrites {
+    /// Arrays written anywhere in the region.
+    written_arrays: HashSet<String>,
+    /// Scalars assigned anywhere in the region, inner loop counters
+    /// included.
+    assigned_scalars: HashSet<String>,
+}
+
+impl RegionWrites {
+    /// Scan the body of the parallel loop `l`.
+    pub fn scan(l: &ForLoop) -> RegionWrites {
+        let mut written_arrays: HashSet<String> = HashSet::new();
+        let mut assigned_scalars: HashSet<String> = HashSet::new();
+        for s in &l.body {
+            s.walk(&mut |st| match st {
+                Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => {
+                    let (set, name) = match lhs {
+                        LValue::Var(v) => (&mut assigned_scalars, v),
+                        LValue::Index { array: a, .. } => (&mut written_arrays, a),
+                    };
+                    if !set.contains(name) {
+                        set.insert(name.clone());
+                    }
+                }
+                Stmt::For(inner) => {
+                    assigned_scalars.insert(inner.var.clone());
+                }
+                _ => {}
+            });
+        }
+        RegionWrites {
+            written_arrays,
+            assigned_scalars,
+        }
+    }
+}
+
 /// Plan the transposed-stencil gather for `array` in the parallel loop `l`
-/// of `prog`. `is_active` tells which primal names carry adjoints (an
-/// assignment to an inactive lvalue emits no adjoint and contributes no
-/// scatter). Returns a human-readable refusal reason when the region shape
-/// is not invertible; proving the recorded obligation pairs is the
-/// caller's job.
+/// of `prog`, whose body scan is `writes`. `is_active` tells which primal
+/// names carry adjoints (an assignment to an inactive lvalue emits no
+/// adjoint and contributes no scatter). Returns a human-readable refusal
+/// reason when the region shape is not invertible; proving the recorded
+/// obligation pairs is the caller's job.
 pub fn plan_transpose(
     prog: &Program,
     l: &ForLoop,
+    writes: &RegionWrites,
     array: &str,
     suffix: &str,
     is_active: &dyn Fn(&str) -> bool,
@@ -217,27 +258,13 @@ pub fn plan_transpose(
         return Err(format!("`{array}` is privatized in the region"));
     }
 
-    // Names written anywhere in the region, and scalars assigned anywhere
-    // (including inner loop counters): gather values may not depend on
-    // either, since the gather runs outside the per-iteration context.
-    let mut written_arrays: HashSet<String> = HashSet::new();
-    let mut assigned_scalars: HashSet<String> = HashSet::new();
-    for s in &l.body {
-        s.walk(&mut |st| match st {
-            Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => match lhs {
-                LValue::Var(v) => {
-                    assigned_scalars.insert(v.clone());
-                }
-                LValue::Index { array: a, .. } => {
-                    written_arrays.insert(a.clone());
-                }
-            },
-            Stmt::For(inner) => {
-                assigned_scalars.insert(inner.var.clone());
-            }
-            _ => {}
-        });
-    }
+    // Gather values may depend neither on names written anywhere in the
+    // region nor on scalars assigned anywhere (including inner loop
+    // counters), since the gather runs outside the per-iteration context.
+    let RegionWrites {
+        written_arrays,
+        assigned_scalars,
+    } = writes;
     if written_arrays.contains(array) {
         return Err(format!("`{array}` is written in the region"));
     }
@@ -311,29 +338,16 @@ pub fn plan_transpose(
                     }) {
                         return Err(format!("seed array `{y}` indexes itself"));
                     }
-                    match s.as_increment() {
-                        Some((_, added)) => {
-                            let mut reads_y = false;
-                            added.walk(&mut |e| {
-                                if matches!(e, Expr::Index { array: a, .. } if a == y) {
-                                    reads_y = true;
-                                }
-                            });
-                            if reads_y {
-                                return Err(format!("seed array `{y}` reads itself"));
-                            }
+                    // An exact increment's own self-read does not count.
+                    let value = s.increment_parts().map_or(rhs, |(_, added)| added);
+                    let mut reads_y = false;
+                    value.walk(&mut |e| {
+                        if matches!(e, Expr::Index { array: a, .. } if a == y) {
+                            reads_y = true;
                         }
-                        None => {
-                            let mut reads_y = false;
-                            rhs.walk(&mut |e| {
-                                if matches!(e, Expr::Index { array: a, .. } if a == y) {
-                                    reads_y = true;
-                                }
-                            });
-                            if reads_y {
-                                return Err(format!("seed array `{y}` reads itself"));
-                            }
-                        }
+                    });
+                    if reads_y {
+                        return Err(format!("seed array `{y}` reads itself"));
                     }
                 }
                 other => {
@@ -375,7 +389,7 @@ pub fn plan_transpose(
         let seed = Expr::index(format!("{y}{suffix}"), indices.clone());
         let adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
         for inc in &adj.increments {
-            let Some((inc_lhs, value)) = inc.as_increment() else {
+            let Some((inc_lhs, value)) = inc.increment_parts() else {
                 return Err(format!(
                     "adjoint of `{array}` needs a guarded increment (non-smooth intrinsic)"
                 ));
@@ -431,7 +445,7 @@ pub fn plan_transpose(
             }
             contributions.push(Contribution {
                 aff,
-                value,
+                value: value.clone(),
                 order: contributions.len(),
             });
         }
@@ -450,7 +464,7 @@ pub fn plan_transpose(
     for (idx, s) in l.body.iter().enumerate() {
         if let Stmt::Assign { lhs, .. } = s {
             let y = lhs.name();
-            if seed_set.contains(y) && is_active(y) && s.as_increment().is_none() {
+            if seed_set.contains(y) && is_active(y) && s.increment_parts().is_none() {
                 finalizations.push((idx, y.to_string(), lhs.indices()[0].clone()));
             }
         }
@@ -458,15 +472,24 @@ pub fn plan_transpose(
 
     let mut cross_iter: Vec<ObligationPair> = Vec::new();
     let mut same_iter: Vec<ObligationPair> = Vec::new();
-    let mut seen_cross: HashSet<String> = HashSet::new();
-    let mut seen_same: HashSet<String> = HashSet::new();
-    for (sidx, y, seed) in &stmt_seeds {
-        for (fidx, fy, w) in &finalizations {
+    // Pairs are distinct by (array, printed seed, printed write) — `Expr`
+    // is not `Hash`. Each index is printed once, not once per pair.
+    let mut printed: HashMap<String, usize> = HashMap::new();
+    let mut print_id = |e: &Expr| {
+        let next = printed.len();
+        *printed.entry(expr_to_string(e)).or_insert(next)
+    };
+    let seed_ids: Vec<usize> = stmt_seeds.iter().map(|(_, _, e)| print_id(e)).collect();
+    let write_ids: Vec<usize> = finalizations.iter().map(|(_, _, e)| print_id(e)).collect();
+    let mut seen_cross: HashSet<(&str, usize, usize)> = HashSet::new();
+    let mut seen_same: HashSet<(&str, usize, usize)> = HashSet::new();
+    for ((sidx, y, seed), seed_id) in stmt_seeds.iter().zip(seed_ids) {
+        for ((fidx, fy, w), &write_id) in finalizations.iter().zip(&write_ids) {
             if y != fy {
                 continue;
             }
-            let key = format!("{y}:{}:{}", expr_to_string(seed), expr_to_string(w));
-            if seen_cross.insert(key.clone()) {
+            let key = (y.as_str(), seed_id, write_id);
+            if seen_cross.insert(key) {
                 cross_iter.push(ObligationPair {
                     array: y.clone(),
                     seed: vec![seed.clone()],
@@ -829,7 +852,7 @@ mod tests {
     fn plan(src: &str, array: &str) -> Result<TransposePlan, String> {
         let p = parse_program(src).unwrap();
         let l = parallel_loop(&p);
-        plan_transpose(&p, l, array, "b", &|_| true)
+        plan_transpose(&p, l, &RegionWrites::scan(l), array, "b", &|_| true)
     }
 
     fn body_text(stmts: &[Stmt]) -> String {

@@ -49,15 +49,14 @@ impl Activity {
             changed = false;
             p.walk_stmts(&mut |s| {
                 if let Some((lhs, rhs)) = assign_parts(s) {
-                    let lhs_name = lhs.name().to_string();
-                    if !real_vars.contains(&lhs_name) {
+                    let lhs_name = lhs.name();
+                    if !real_vars.contains(lhs_name) || varied.contains(lhs_name) {
                         return;
                     }
-                    if rhs_real_sources(rhs, &real_vars)
-                        .iter()
-                        .any(|v| varied.contains(v))
-                        && varied.insert(lhs_name)
-                    {
+                    let mut fed = false;
+                    value_sources(rhs, &real_vars, &mut |v| fed |= varied.contains(v));
+                    if fed {
+                        varied.insert(lhs_name.to_string());
                         changed = true;
                     }
                 }
@@ -78,11 +77,12 @@ impl Activity {
                     if !useful.contains(lhs.name()) {
                         return;
                     }
-                    for v in rhs_real_sources(rhs, &real_vars) {
-                        if useful.insert(v) {
+                    value_sources(rhs, &real_vars, &mut |v| {
+                        if !useful.contains(v) {
+                            useful.insert(v.to_string());
                             changed = true;
                         }
-                    }
+                    });
                 }
             });
         }
@@ -99,37 +99,27 @@ fn assign_parts(s: &Stmt) -> Option<(&LValue, &Expr)> {
     }
 }
 
-/// Real-typed variables whose *values* feed the rhs (index expressions
-/// are integer-valued and cannot carry derivatives, so arrays appearing
-/// only inside indices are excluded).
-fn rhs_real_sources(rhs: &Expr, real_vars: &HashSet<String>) -> Vec<String> {
-    let mut out = Vec::new();
-    collect_value_sources(rhs, real_vars, &mut out);
-    out
-}
-
-fn collect_value_sources(e: &Expr, real_vars: &HashSet<String>, out: &mut Vec<String>) {
+/// Visit the real-typed variables whose *values* feed `e` (index
+/// expressions are integer-valued and cannot carry derivatives, so arrays
+/// appearing only inside indices are excluded). A name is visited once per
+/// occurrence.
+fn value_sources(e: &Expr, real_vars: &HashSet<String>, f: &mut impl FnMut(&str)) {
     match e {
         Expr::IntLit(_) | Expr::RealLit(_) => {}
-        Expr::Var(n) => {
-            if real_vars.contains(n) && !out.contains(n) {
-                out.push(n.clone());
+        // For an element the value flows; the (integer) indices do not.
+        Expr::Var(n) | Expr::Index { array: n, .. } => {
+            if real_vars.contains(n) {
+                f(n);
             }
         }
-        Expr::Index { array, .. } => {
-            // The element value flows; the (integer) indices do not.
-            if real_vars.contains(array) && !out.contains(array) {
-                out.push(array.clone());
-            }
-        }
-        Expr::Unary { arg, .. } => collect_value_sources(arg, real_vars, out),
+        Expr::Unary { arg, .. } => value_sources(arg, real_vars, f),
         Expr::Binary { lhs, rhs, .. } => {
-            collect_value_sources(lhs, real_vars, out);
-            collect_value_sources(rhs, real_vars, out);
+            value_sources(lhs, real_vars, f);
+            value_sources(rhs, real_vars, f);
         }
         Expr::Call { args, .. } => {
             for a in args {
-                collect_value_sources(a, real_vars, out);
+                value_sources(a, real_vars, f);
             }
         }
     }

@@ -265,7 +265,7 @@ end subroutine
             .find(|&n| matches!(cfg.nodes[n], NodeKind::LoopHead(_)))
             .unwrap();
         let inner = (0..cfg.len())
-            .find(|&n| matches!(cfg.nodes[n], NodeKind::Simple(s) if s.as_increment().is_some()))
+            .find(|&n| matches!(cfg.nodes[n], NodeKind::Simple(s) if s.increment_parts().is_some()))
             .unwrap();
         assert_eq!(ctx.ctx_of[head], ctx.root);
         let body_ctx = ctx.ctx_of[inner];

@@ -67,9 +67,8 @@ pub fn collect_refs(cfg: &Cfg<'_>) -> Vec<ArrayRef> {
 fn collect_stmt(s: &Stmt, node: NodeId, out: &mut Vec<ArrayRef>) {
     match s {
         Stmt::Assign { lhs, rhs } => {
-            let inc = s.as_increment();
-            let (wrole, added) = match &inc {
-                Some((_, added)) => (IncRole::IncrementWrite, Some(added.clone())),
+            let (wrole, added) = match s.increment_parts() {
+                Some((_, added)) => (IncRole::IncrementWrite, Some(added)),
                 None => (IncRole::None, None),
             };
             collect_lvalue_write(lhs, node, wrole, out);
@@ -86,7 +85,7 @@ fn collect_stmt(s: &Stmt, node: NodeId, out: &mut Vec<ArrayRef>) {
                             inc: IncRole::IncrementRead,
                         });
                     }
-                    collect_expr_reads_deep(&added, node, out);
+                    collect_expr_reads_deep(added, node, out);
                 }
                 None => collect_expr_reads_deep(rhs, node, out),
             }

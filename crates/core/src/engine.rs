@@ -32,9 +32,11 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use formad_ad::{differentiate, AdjointOptions, IncMode, ParallelTreatment};
+use formad_ad::{
+    differentiate, differentiate_validated, AdjointOptions, IncMode, ParallelTreatment,
+};
 use formad_analysis::Activity;
 use formad_ir::Program;
 use formad_smt::SolverStats;
@@ -201,6 +203,15 @@ pub(crate) fn run_analysis(
     primal: &Program,
     options: &FormadOptions,
 ) -> Result<FormadAnalysis, FormadError> {
+    analyze_front_end(primal, options).map(|(analysis, _)| analysis)
+}
+
+/// [`run_analysis`], also handing back the activity it computed on the
+/// validated primal so the AD transform does not redo either step.
+fn analyze_front_end(
+    primal: &Program,
+    options: &FormadOptions,
+) -> Result<(FormadAnalysis, Activity), FormadError> {
     let sink = options.region.trace.as_ref();
     if let Some(s) = sink {
         s.record(TraceEvent::Pipeline {
@@ -241,9 +252,11 @@ pub(crate) fn run_analysis(
         let ra = match fpi {
             None => analyze_region(primal, l, k, &activity, &options.region),
             Some(idx) => {
+                // A served region's time is fingerprint + lookup + replay.
+                let mark = Instant::now();
                 let fp = region_fingerprint(primal, l, &activity, &options.region);
                 match idx.lookup(&fp) {
-                    Some((rec, tier)) => serve_region(k, &fp, &rec, tier, &options.region),
+                    Some((rec, tier)) => serve_region(k, &fp, &rec, tier, &options.region, mark),
                     None => {
                         let ra = analyze_region(primal, l, k, &activity, &options.region);
                         if let Some(rec) = RegionRecord::from_analysis(&ra) {
@@ -270,25 +283,29 @@ pub(crate) fn run_analysis(
         regions.push(ra);
     }
     check_deadline(options, "analysis")?;
-    Ok(FormadAnalysis {
+    let analysis = FormadAnalysis {
         regions,
         plan: ParallelTreatment::PerArray(maps),
         stats,
-    })
+    };
+    Ok((analysis, activity))
 }
 
 /// Replay a fingerprint-served region: reconstitute its analysis from
 /// the recorded decision set and emit the trace shape of a served region
 /// (`region-begin`, `region-served`, the replayed `decision`s in sorted
-/// array order, `region-end`) — no model, no queries.
+/// array order, `region-end`) — no model, no queries. `mark` was taken
+/// before the region was fingerprinted, so the served duration covers
+/// fingerprint, lookup and replay.
 fn serve_region(
     region: usize,
     fp: &str,
     rec: &RegionRecord,
     tier: crate::fingerprint::FpTier,
     opts: &crate::region::RegionOptions,
+    mark: Instant,
 ) -> RegionAnalysis {
-    let mark = Instant::now();
+    let mut ra = rec.to_analysis(region, Duration::ZERO);
     if let Some(s) = opts.trace.as_ref() {
         s.record(TraceEvent::RegionBegin {
             region,
@@ -312,7 +329,8 @@ fn serve_region(
             dur_us: mark.elapsed().as_micros() as u64,
         });
     }
-    rec.to_analysis(region, mark.elapsed())
+    ra.time = mark.elapsed();
+    ra
 }
 
 /// The full pipeline body: analysis + reverse-mode transformation with
@@ -321,9 +339,10 @@ pub(crate) fn run_differentiate(
     primal: &Program,
     options: &FormadOptions,
 ) -> Result<DiffResult, FormadError> {
-    let analysis = run_analysis(primal, options)?;
+    let (analysis, activity) = analyze_front_end(primal, options)?;
     let mark = Instant::now();
-    let adjoint = differentiate(primal, &ad_options(options, analysis.plan.clone()))?;
+    let ad_opts = ad_options(options, analysis.plan.clone());
+    let adjoint = differentiate_validated(primal, &ad_opts, activity)?;
     if let Some(s) = options.region.trace.as_ref() {
         s.record(TraceEvent::Phase {
             id: "phase/ad".to_string(),
@@ -373,6 +392,46 @@ end subroutine
         assert!(b.all_safe());
         assert_eq!(b.stats.checks, 0);
         assert_eq!(engine.fingerprints().unwrap().stats().hits, 1);
+    }
+
+    #[test]
+    fn served_region_duration_covers_the_fingerprint() {
+        // A region long enough that printing it for the fingerprint takes
+        // whole microseconds, which is the unit the event records.
+        let mut src = String::from(
+            "subroutine wide(n, x, y)\n  integer, intent(in) :: n\n  \
+             real, intent(in) :: x(n + 400)\n  real, intent(inout) :: y(n)\n  \
+             integer :: i\n  !$omp parallel do shared(x, y)\n  do i = 1, n\n",
+        );
+        for k in 0..400 {
+            src.push_str(&format!("    y(i) = y(i) + {k}.5 * x(i + {k})\n"));
+        }
+        src.push_str("  end do\nend subroutine\n");
+        let primal = parse_program(&src).unwrap();
+        let engine = SharedEngine::new();
+        engine.analyze(&primal, &opts()).unwrap();
+
+        let mut traced = opts();
+        let sink = crate::trace::TraceSink::new();
+        traced.region.trace = Some(sink.clone());
+        let served = engine.analyze(&primal, &traced).unwrap();
+        assert_eq!(served.stats.checks, 0);
+        let events = sink.snapshot();
+        let served_us = events.iter().find_map(|e| match e {
+            TraceEvent::RegionServed { dur_us, .. } => Some(*dur_us),
+            _ => None,
+        });
+        let end_us = events.iter().find_map(|e| match e {
+            TraceEvent::RegionEnd { dur_us, .. } => Some(*dur_us),
+            _ => None,
+        });
+        let served_us = served_us.expect("the region is fingerprint-served");
+        assert!(
+            served_us > 0,
+            "served in {served_us} us: fingerprint not timed"
+        );
+        assert!(end_us.expect("region-end") >= served_us);
+        assert!(served.regions[0].time.as_micros() as u64 >= served_us);
     }
 
     #[test]

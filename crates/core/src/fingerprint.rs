@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use formad_analysis::Activity;
-use formad_ir::{expr_to_string, printer::write_body, ForLoop, Program, Stmt};
+use formad_ir::{expr_to_string, printer::write_loop, ForLoop, Program};
 use formad_smt::SolverStats;
 
 use crate::region::{Decision, Provenance, RegionAnalysis, RegionOptions};
@@ -70,7 +70,11 @@ pub const FP_FILE: &str = "fingerprints.fpi";
 
 /// FNV-1a 64-bit hash, used for fingerprints and record checksums.
 fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash whose state is `h` over `bytes`.
+fn fnv64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -244,13 +248,10 @@ pub fn region_fingerprint(
         }
         buf.push_str("]\n");
     }
-    let stmt = Stmt::For(Box::new(l.clone()));
-    write_body(&mut buf, std::slice::from_ref(&stmt), 1);
+    write_loop(&mut buf, l, 1);
     let h1 = fnv64(buf.as_bytes());
-    let mut salted = String::with_capacity(buf.len() + 4);
-    salted.push_str("fp2\n");
-    salted.push_str(&buf);
-    let h2 = fnv64(salted.as_bytes());
+    // FNV is a running hash: `fp2\n` followed by the buffer.
+    let h2 = fnv64_from(fnv64(b"fp2\n"), buf.as_bytes());
     format!("{h1:016x}{h2:016x}")
 }
 

@@ -29,20 +29,22 @@
 //! (atomics stay in place) and records why; it never aborts the analysis
 //! and never produces an unsound `Shared`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use formad_ad::plan_transpose;
+use formad_ad::{plan_transpose, RegionWrites};
 use formad_analysis::{
     collect_refs, AccessKind, Activity, ArrayRef, Cfg, Contexts, CtxId, IncRole, Instances,
 };
 use formad_ir::{count_stmts, Expr, ForLoop, Program, Stmt, Ty};
 use formad_smt::{
-    CancelToken, ChaosConfig, ChaosSolver, Deadline, Formula, InternedFormula, SatResult,
-    SearchCore, Solver, SolverApi, SolverBudget, SolverStats, StopReason, Term,
+    CancelToken, ChaosConfig, ChaosSolver, Deadline, Formula, FxHashMap, FxHashSet,
+    InternedFormula, LinExpr, SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats,
+    StopReason, Term,
 };
 
 use crate::trace::{QueryPerf, TraceEvent, TraceSink};
@@ -329,12 +331,12 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     };
 
     // Written arrays and privatized scalars.
-    let written_arrays: HashSet<String> = refs
+    let written_arrays: FxHashSet<String> = refs
         .iter()
         .filter(|r| r.kind == AccessKind::Write)
         .map(|r| r.array.clone())
         .collect();
-    let mut privatized: HashSet<String> = info.private.iter().cloned().collect();
+    let mut privatized: FxHashSet<String> = info.private.iter().cloned().collect();
     privatized.extend(info.reductions.iter().map(|(_, v)| v.clone()));
     for s in &l.body {
         s.walk(&mut |st| match st {
@@ -359,8 +361,8 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     };
 
     // Translate all references once; remember taints per array.
-    let mut by_array: HashMap<String, Vec<TrRef>> = HashMap::new();
-    let mut tainted_arrays: HashMap<String, String> = HashMap::new();
+    let mut by_array: FxHashMap<&str, Vec<TrRef>> = FxHashMap::default();
+    let mut tainted_arrays: FxHashMap<&str, String> = FxHashMap::default();
     for r in &refs {
         let ctx = contexts.ctx_of[r.node];
         let ctx = if opts.use_contexts {
@@ -375,7 +377,7 @@ pub fn analyze_region_with<S: SolverApi + Send>(
         };
         match tr.tuple(&r.indices, r.node) {
             Ok(terms) => {
-                by_array.entry(r.array.clone()).or_default().push(TrRef {
+                by_array.entry(&r.array).or_default().push(TrRef {
                     terms,
                     ctx,
                     kind: r.kind,
@@ -384,7 +386,7 @@ pub fn analyze_region_with<S: SolverApi + Send>(
             }
             Err(taint) => {
                 tainted_arrays
-                    .entry(r.array.clone())
+                    .entry(&r.array)
                     .or_insert_with(|| taint_msg(&taint, r));
             }
         }
@@ -416,9 +418,11 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     // Facts: (site context, formula). Expressions dedup'd per array.
     // `fact_keys` remembers which `(site, primed(w) ≠ e)` facts exist
     // verbatim, so phase 2 can skip queries they contradict directly.
+    // Tuples are keyed structurally (the fully parenthesized rendering is
+    // one-to-one with the term), borrowed from `by_array`.
     let mut facts: Vec<(CtxId, InternedFormula)> = Vec::new();
-    let mut fact_keys: HashSet<(CtxId, String)> = HashSet::new();
-    let mut expr_set: HashSet<String> = HashSet::new();
+    let mut fact_keys: FactKeys<'_> = FxHashSet::default();
+    let mut expr_set: FxHashSet<&[Term]> = FxHashSet::default();
     for (array, trefs) in &by_array {
         if tainted_arrays.contains_key(array) {
             continue;
@@ -430,18 +434,29 @@ pub fn analyze_region_with<S: SolverApi + Send>(
         // Unique (terms, ctx) for writes and for all refs.
         let writes = dedup_refs(trefs.iter().filter(|r| r.kind == AccessKind::Write));
         let all = dedup_refs(trefs.iter());
+        // Every write meets every entry: normal forms are kept per tuple.
+        let mut all_normal: Vec<Vec<Option<LinExpr>>> =
+            all.iter().map(|(t, _)| vec![None; t.len()]).collect();
         for (w_terms, w_ctx) in &writes {
-            expr_set.insert(render_tuple(w_terms));
+            expr_set.insert(w_terms);
             out.safe_write_exprs.push(render_tuple(w_terms));
-            for (e_terms, e_ctx) in &all {
-                expr_set.insert(render_tuple(e_terms));
+            let wp = tr.prime_tuple(w_terms);
+            let mut wp_normal = vec![None; wp.len()];
+            for ((e_terms, e_ctx), e_normal) in all.iter().zip(&mut all_normal) {
+                expr_set.insert(e_terms);
                 let Some(site) = contexts.knowledge_site(*w_ctx, *e_ctx) else {
                     continue;
                 };
-                let wp = tr.prime_tuple(w_terms);
-                match Formula::tuple_ne(&wp, e_terms, solver.table_mut()) {
+                let fact = Formula::tuple_ne_memo(
+                    &wp,
+                    &mut wp_normal,
+                    e_terms,
+                    e_normal,
+                    solver.table_mut(),
+                );
+                match fact {
                     Ok(f) => {
-                        fact_keys.insert((site, pair_key(w_terms, e_terms)));
+                        fact_keys.insert((site, w_terms, e_terms));
                         facts.push((site, InternedFormula::new(f)));
                         out.model_size += 1;
                     }
@@ -537,8 +552,8 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     // ------------------------------------------------------------------
     // Candidate arrays: active real shared arrays referenced in the region
     // (including arrays whose every reference failed to translate).
-    let mut candidates: Vec<String> = refs.iter().map(|r| r.array.clone()).collect();
-    candidates.sort();
+    let mut candidates: Vec<&str> = refs.iter().map(|r| r.array.as_str()).collect();
+    candidates.sort_unstable();
     candidates.dedup();
     static EMPTY: Vec<TrRef> = Vec::new();
     // Arrays with an immediate decision are settled in-line; the rest
@@ -546,9 +561,9 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     // candidate order, whether each decided array was settled here
     // (`Ready`) or by proof task `i` (`Task`), so trace events can be
     // flushed in candidate order after the fan-out.
-    let mut tasks: Vec<ProofTask<S>> = Vec::new();
+    let mut tasks: Vec<ProofTask<'_, S>> = Vec::new();
     let mut chunks: Vec<TraceChunk> = Vec::new();
-    for array in &candidates {
+    for &array in &candidates {
         let trefs = by_array.get(array).unwrap_or(&EMPTY);
         if prog.ty_of(array) != Some(Ty::Real) {
             continue;
@@ -566,8 +581,8 @@ pub fn analyze_region_with<S: SolverApi + Send>(
                     race_provenance,
                 )));
             }
-            out.decisions.insert(array.clone(), d);
-            out.provenance.insert(array.clone(), race_provenance);
+            out.decisions.insert(array.to_string(), d);
+            out.provenance.insert(array.to_string(), race_provenance);
             continue;
         }
         if let Some(reason) = tainted_arrays.get(array) {
@@ -580,40 +595,41 @@ pub fn analyze_region_with<S: SolverApi + Send>(
                     Provenance::Refuted,
                 )));
             }
-            out.decisions.insert(array.clone(), d);
-            out.provenance.insert(array.clone(), Provenance::Refuted);
+            out.decisions.insert(array.to_string(), d);
+            out.provenance
+                .insert(array.to_string(), Provenance::Refuted);
             continue;
         }
         // Adjoint reference sets derived from the primal ones (§5.4).
-        let mut q_writes: Vec<(Vec<Term>, CtxId, bool)> = Vec::new(); // bool: from overwrite
-        let mut q_reads: Vec<(Vec<Term>, CtxId)> = Vec::new();
+        let mut q_writes: Vec<(&[Term], CtxId, bool)> = Vec::new(); // bool: from overwrite
+        let mut q_reads: Vec<(&[Term], CtxId)> = Vec::new();
         for r in trefs {
             match (r.kind, r.inc) {
                 // Primal read → adjoint increment (write).
                 (AccessKind::Read, IncRole::None) => {
-                    q_writes.push((r.terms.clone(), r.ctx, false));
+                    q_writes.push((&r.terms, r.ctx, false));
                 }
                 // Self-read of an exact increment: covered by the write.
                 (AccessKind::Read, IncRole::IncrementRead) => {}
                 (AccessKind::Read, IncRole::IncrementWrite) => unreachable!(),
                 // Plain overwrite → adjoint reads then zeroes.
                 (AccessKind::Write, IncRole::None) => {
-                    q_writes.push((r.terms.clone(), r.ctx, true));
+                    q_writes.push((&r.terms, r.ctx, true));
                 }
                 // Exact increment → adjoint only reads (§5.4).
                 (AccessKind::Write, IncRole::IncrementWrite) => {
-                    q_reads.push((r.terms.clone(), r.ctx));
+                    q_reads.push((&r.terms, r.ctx));
                 }
                 (AccessKind::Write, IncRole::IncrementRead) => unreachable!(),
             }
         }
-        dedup_triples(&mut q_writes);
-        let mut q_all: Vec<(Vec<Term>, CtxId)> = q_writes
+        dedup(&mut q_writes);
+        let mut q_all: Vec<(&[Term], CtxId)> = q_writes
             .iter()
-            .map(|(t, c, _)| (t.clone(), *c))
-            .chain(q_reads.iter().cloned())
+            .map(|&(t, c, _)| (t, c))
+            .chain(q_reads)
             .collect();
-        dedup_pairs(&mut q_all);
+        dedup(&mut q_all);
 
         if q_writes.is_empty() {
             // Adjoint only reads this array: trivially shared.
@@ -625,8 +641,8 @@ pub fn analyze_region_with<S: SolverApi + Send>(
                     Provenance::Proved,
                 )));
             }
-            out.decisions.insert(array.clone(), Decision::Shared);
-            out.provenance.insert(array.clone(), Provenance::Proved);
+            out.decisions.insert(array.to_string(), Decision::Shared);
+            out.provenance.insert(array.to_string(), Provenance::Proved);
             continue;
         }
 
@@ -640,15 +656,22 @@ pub fn analyze_region_with<S: SolverApi + Send>(
             chunks.push(TraceChunk::Task(tasks.len()));
         }
         tasks.push(ProofTask {
-            array: array.clone(),
+            array: array.to_string(),
             region,
             trace: sink.is_some(),
             q_writes,
             q_all,
-            transpose: transpose_queries(prog, l, array, activity, &tr),
             solver: worker,
         });
     }
+    // The transposition plan is only read when an array's shared proof
+    // finds a conflict, so it is built there; the body scan it starts
+    // from is the same for every array of the region.
+    let region_writes: OnceLock<RegionWrites> = OnceLock::new();
+    let plan_transposed = |array: &str| {
+        let writes = region_writes.get_or_init(|| RegionWrites::scan(l));
+        transpose_queries(prog, l, writes, array, activity, &tr)
+    };
 
     // ------------------------------------------------------------------
     // Parallel per-array proof fan-out.
@@ -657,7 +680,7 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     let jobs = effective_jobs(opts.jobs, tasks.len());
     let results: Vec<Mutex<Option<ArrayOutcome>>> =
         tasks.iter().map(|_| Mutex::new(None)).collect();
-    let cells: Vec<Mutex<Option<ProofTask<S>>>> =
+    let cells: Vec<Mutex<Option<ProofTask<'_, S>>>> =
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let next = AtomicUsize::new(0);
     let drain = || loop {
@@ -674,6 +697,7 @@ pub fn analyze_region_with<S: SolverApi + Send>(
             &fact_keys,
             &contexts,
             &tr,
+            &plan_transposed,
             &safe_exprs,
             opts,
         );
@@ -814,11 +838,12 @@ struct TransposeQueries {
 fn transpose_queries(
     prog: &Program,
     l: &ForLoop,
+    writes: &RegionWrites,
     array: &str,
     activity: &Activity,
     tr: &Translator<'_>,
 ) -> Option<TransposeQueries> {
-    let plan = plan_transpose(prog, l, array, "b", &|n| activity.is_active(n)).ok()?;
+    let plan = plan_transpose(prog, l, writes, array, "b", &|n| activity.is_active(n)).ok()?;
     let entry = formad_analysis::ENTRY;
     let lower = |pairs: &[formad_ad::ObligationPair]| -> Option<Vec<(Vec<Term>, Vec<Term>)>> {
         pairs
@@ -840,16 +865,18 @@ fn transpose_queries(
 
 /// One candidate array whose adjoint conflict pairs need proving, bundled
 /// with the worker solver forked for it.
-struct ProofTask<S> {
+struct ProofTask<'a, S> {
     array: String,
     region: usize,
     trace: bool,
-    q_writes: Vec<(Vec<Term>, CtxId, bool)>,
-    q_all: Vec<(Vec<Term>, CtxId)>,
-    /// Transposed-gather obligations to try when the shared proof refutes.
-    transpose: Option<TransposeQueries>,
+    q_writes: Vec<(&'a [Term], CtxId, bool)>,
+    q_all: Vec<(&'a [Term], CtxId)>,
     solver: S,
 }
+
+/// The `(site, w, e)` triples for which the fact `primed(w) ≠ e` is in
+/// the knowledge base verbatim.
+type FactKeys<'a> = FxHashSet<(CtxId, &'a [Term], &'a [Term])>;
 
 /// The decision a proof task produced, with everything the coordinator
 /// needs to merge deterministically.
@@ -885,12 +912,13 @@ struct TaskTracer {
 /// attempt but leaves the solver usable via `reset_to_base`.
 #[allow(clippy::too_many_arguments)]
 fn run_proof_task<S: SolverApi>(
-    task: &mut ProofTask<S>,
+    task: &mut ProofTask<'_, S>,
     roots: &[InternedFormula],
     facts: &[(CtxId, InternedFormula)],
-    fact_keys: &HashSet<(CtxId, String)>,
+    fact_keys: &FactKeys<'_>,
     contexts: &Contexts,
     tr: &Translator<'_>,
+    plan_transposed: &dyn Fn(&str) -> Option<TransposeQueries>,
     safe_write_exprs: &[String],
     opts: &RegionOptions,
 ) -> ArrayOutcome {
@@ -908,7 +936,6 @@ fn run_proof_task<S: SolverApi>(
             entries: task.q_all.len(),
         }],
     });
-    let transpose = task.transpose.take();
     let solver = &mut task.solver;
     let mut budget = opts.budget;
     let mut panics_here = 0u32;
@@ -979,7 +1006,7 @@ fn run_proof_task<S: SolverApi>(
                 // gather-disjointness obligation is UNSAT, plain
                 // increments over owned elements are safe.
                 let mut transposed: Option<Decision> = None;
-                if let Some(tq) = &transpose {
+                if let Some(tq) = &plan_transposed(&array) {
                     let proof = catch_unwind(AssertUnwindSafe(|| {
                         prove_transpose(&mut *solver, roots, facts, contexts, tr, tq, &mut tracer)
                     }));
@@ -1184,11 +1211,11 @@ fn prove_array<S: SolverApi>(
     solver: &mut S,
     roots: &[InternedFormula],
     facts: &[(CtxId, InternedFormula)],
-    fact_keys: &HashSet<(CtxId, String)>,
+    fact_keys: &FactKeys<'_>,
     contexts: &Contexts,
     tr: &Translator<'_>,
-    q_writes: &[(Vec<Term>, CtxId, bool)],
-    q_all: &[(Vec<Term>, CtxId)],
+    q_writes: &[(&[Term], CtxId, bool)],
+    q_all: &[(&[Term], CtxId)],
     safe_write_exprs: &[String],
     tracer: &mut Option<TaskTracer>,
 ) -> ArrayProof {
@@ -1207,11 +1234,11 @@ fn prove_array<S: SolverApi>(
         usable: Vec<CtxId>,
         group: Option<usize>,
     }
-    let mut by_ctx: HashMap<(CtxId, CtxId), CtxPair> = HashMap::new();
-    let mut group_of: HashMap<Vec<usize>, usize> = HashMap::new();
+    let mut by_ctx: FxHashMap<(CtxId, CtxId), CtxPair> = FxHashMap::default();
+    let mut group_of: FxHashMap<Vec<usize>, usize> = FxHashMap::default();
     let mut groups: FactGroups = Vec::new();
-    for (wi, (w_terms, w_ctx, _)) in q_writes.iter().enumerate() {
-        for (ei, (e_terms, e_ctx)) in q_all.iter().enumerate() {
+    for (wi, &(w_terms, ref w_ctx, _)) in q_writes.iter().enumerate() {
+        for (ei, &(e_terms, ref e_ctx)) in q_all.iter().enumerate() {
             let ctx_pair = by_ctx.entry((*w_ctx, *e_ctx)).or_insert_with(|| CtxPair {
                 usable: contexts.usable_for(*w_ctx, *e_ctx),
                 group: None,
@@ -1222,12 +1249,8 @@ fn prove_array<S: SolverApi>(
             // site, the query `primed(w) = e` is UNSAT by direct
             // contradiction with that fact — no prover call needed.
             if w_ctx == e_ctx && w_terms == e_terms {
-                let mut probe = (*w_ctx, pair_key(w_terms, e_terms));
-                let mut known = |site: &CtxId| {
-                    probe.0 = *site;
-                    fact_keys.contains(&probe)
-                };
-                if ctx_pair.usable.iter().any(&mut known) {
+                let known = |site: &CtxId| fact_keys.contains(&(*site, w_terms, e_terms));
+                if ctx_pair.usable.iter().any(known) {
                     if let Some(t) = tracer.as_mut() {
                         t.events.push(TraceEvent::PairSkipped {
                             region: t.region,
@@ -1256,6 +1279,13 @@ fn prove_array<S: SolverApi>(
             groups[g].1.push((wi, ei));
         }
     }
+    // A write tuple meets many entries: it is primed once, on first use,
+    // and both sides keep their normal forms.
+    let mut primed: Vec<Option<Vec<Term>>> = vec![None; q_writes.len()];
+    let mut primed_normal: Vec<Vec<Option<LinExpr>>> =
+        q_writes.iter().map(|(t, ..)| vec![None; t.len()]).collect();
+    let mut all_normal: Vec<Vec<Option<LinExpr>>> =
+        q_all.iter().map(|(t, _)| vec![None; t.len()]).collect();
     for (included, pairs) in &groups {
         // Group frame: this fact set is shared by every pair in the group.
         solver.push();
@@ -1263,10 +1293,17 @@ fn prove_array<S: SolverApi>(
             solver.assert_interned(&facts[k].1);
         }
         for &(wi, ei) in pairs {
-            let (w_terms, _, from_overwrite) = &q_writes[wi];
-            let (e_terms, _) = &q_all[ei];
-            let wp = tr.prime_tuple(w_terms);
-            let q = match Formula::tuple_eq(&wp, e_terms, solver.table_mut()) {
+            let (w_terms, _, from_overwrite) = q_writes[wi];
+            let (e_terms, _) = q_all[ei];
+            let wp = primed[wi].get_or_insert_with(|| tr.prime_tuple(w_terms));
+            let q = Formula::tuple_eq_memo(
+                wp,
+                &mut primed_normal[wi],
+                e_terms,
+                &mut all_normal[ei],
+                solver.table_mut(),
+            );
+            let q = match q {
                 Ok(q) => q,
                 Err(e) => {
                     solver.pop(); // group frame
@@ -1312,7 +1349,7 @@ fn prove_array<S: SolverApi>(
                 SatResult::Sat => {
                     solver.pop(); // group frame
                     solver.pop(); // base frame
-                    return conflict(w_terms, e_terms, *from_overwrite, safe_write_exprs);
+                    return conflict(w_terms, e_terms, from_overwrite, safe_write_exprs);
                 }
             }
         }
@@ -1323,12 +1360,6 @@ fn prove_array<S: SolverApi>(
         Some(reason) => ArrayProof::Unknown(reason),
         None => ArrayProof::Safe,
     }
-}
-
-/// Canonical lookup key of a `primed(w) ≠ e` fact, used to recognize
-/// queries the knowledge base contradicts verbatim.
-fn pair_key(w_terms: &[Term], e_terms: &[Term]) -> String {
-    format!("{} | {}", render_tuple(w_terms), render_tuple(e_terms))
 }
 
 /// Build the `Conflict` outcome for a satisfiable pair, preferring to
@@ -1363,25 +1394,29 @@ fn conflict(
     }
 }
 
-fn dedup_refs<'a>(iter: impl Iterator<Item = &'a TrRef>) -> Vec<(Vec<Term>, CtxId)> {
-    let mut v: Vec<(Vec<Term>, CtxId)> = iter.map(|r| (r.terms.clone(), r.ctx)).collect();
-    dedup_pairs(&mut v);
+/// Distinct `(tuple, context)` pairs of `iter`, in first-seen order.
+fn dedup_refs<'a>(iter: impl Iterator<Item = &'a TrRef>) -> Vec<(&'a [Term], CtxId)> {
+    let mut v: Vec<(&[Term], CtxId)> = iter.map(|r| (r.terms.as_slice(), r.ctx)).collect();
+    dedup(&mut v);
     v
 }
 
-fn dedup_pairs(v: &mut Vec<(Vec<Term>, CtxId)>) {
-    let mut seen = HashSet::new();
-    v.retain(|(t, c)| seen.insert((render_tuple(t), *c)));
+/// Drop repeated entries, keeping the first of each.
+fn dedup<T: Copy + Eq + std::hash::Hash>(v: &mut Vec<T>) {
+    let mut seen = FxHashSet::default();
+    v.retain(|entry| seen.insert(*entry));
 }
 
-fn dedup_triples(v: &mut Vec<(Vec<Term>, CtxId, bool)>) {
-    let mut seen = HashSet::new();
-    v.retain(|(t, c, b)| seen.insert((render_tuple(t), *c, *b)));
-}
-
+/// The tuple as reports and traces print it.
 fn render_tuple(ts: &[Term]) -> String {
-    let parts: Vec<String> = ts.iter().map(|t| t.to_string()).collect();
-    parts.join(", ")
+    let mut s = String::new();
+    for (k, t) in ts.iter().enumerate() {
+        if k > 0 {
+            s.push_str(", ");
+        }
+        let _ = write!(s, "{t}");
+    }
+    s
 }
 
 fn taint_msg(t: &Taint, r: &ArrayRef) -> String {

@@ -8,11 +8,9 @@
 //! Privatized variables are *primed* on one side of each pair (§5.3) by a
 //! renaming pass over the resulting term.
 
-use std::collections::HashSet;
-
 use formad_analysis::{Instances, NodeId};
 use formad_ir::{BinOp, Expr, UnOp};
-use formad_smt::Term;
+use formad_smt::{FxHashSet, Term};
 
 /// Why an index expression could not be translated.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +30,10 @@ pub struct Translator<'a> {
     /// Parallel loop counter (kept as a bare symbol).
     pub counter: &'a str,
     /// Arrays written anywhere in the region (index reads of these taint).
-    pub written_arrays: &'a HashSet<String>,
+    pub written_arrays: &'a FxHashSet<String>,
     /// Privatized scalars (clause privates + in-body assigned scalars +
     /// inner loop counters); these are primed on one side of a pair.
-    pub privatized: &'a HashSet<String>,
+    pub privatized: &'a FxHashSet<String>,
 }
 
 impl<'a> Translator<'a> {
@@ -152,8 +150,8 @@ end subroutine
         );
         let cfg = Cfg::build(&body);
         let inst = Instances::analyze(&cfg);
-        let written: HashSet<String> = HashSet::new();
-        let privatized: HashSet<String> = HashSet::new();
+        let written: FxHashSet<String> = FxHashSet::default();
+        let privatized: FxHashSet<String> = FxHashSet::default();
         let tr = Translator {
             instances: &inst,
             counter: "i",
@@ -190,8 +188,8 @@ end subroutine
         );
         let cfg = Cfg::build(&body);
         let inst = Instances::analyze(&cfg);
-        let written: HashSet<String> = HashSet::from(["c".to_string()]);
-        let privatized = HashSet::new();
+        let written: FxHashSet<String> = FxHashSet::from_iter(["c".to_string()]);
+        let privatized = FxHashSet::default();
         let tr = Translator {
             instances: &inst,
             counter: "i",
@@ -224,8 +222,8 @@ end subroutine
         );
         let cfg = Cfg::build(&body);
         let inst = Instances::analyze(&cfg);
-        let written = HashSet::new();
-        let privatized: HashSet<String> = HashSet::from(["idd".to_string()]);
+        let written = FxHashSet::default();
+        let privatized: FxHashSet<String> = FxHashSet::from_iter(["idd".to_string()]);
         let tr = Translator {
             instances: &inst,
             counter: "i",
@@ -247,8 +245,8 @@ end subroutine
 
     #[test]
     fn shared_scalars_not_primed() {
-        let written = HashSet::new();
-        let privatized = HashSet::new();
+        let written = FxHashSet::default();
+        let privatized = FxHashSet::default();
         let (body,) = setup(
             r#"
 subroutine t(n, y)

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 
 use formad::{Decision, FormadAnalysis};
-use formad_ad::plan_transpose;
+use formad_ad::{plan_transpose, RegionWrites};
 use formad_analysis::Activity;
 use formad_ir::{expr_to_string, BinOp, BoolExpr, CmpOp, Expr, Intrinsic, Program, Stmt, Ty, UnOp};
 use formad_machine::Bindings;
@@ -248,9 +248,9 @@ impl State {
                     formad_ir::LValue::Index { array, indices } if self.is_real_array(array) => {
                         let k = self.index(array, indices)?;
                         // Adjoint footprint of the assignment itself.
-                        if let Some((_, added)) = s.as_increment() {
+                        if let Some((_, added)) = s.increment_parts() {
                             rec.push((array.clone(), k, false));
-                            self.record_reads(&added, rec)?;
+                            self.record_reads(added, rec)?;
                         } else {
                             rec.push((array.clone(), k, true));
                             self.record_reads(rhs, rec)?;
@@ -438,13 +438,14 @@ fn check_stmt(
         }
         is
     };
+    let writes = RegionWrites::scan(l);
     for (arr, decision) in &region.decisions {
         if !matches!(decision, Decision::Transposed(_)) {
             continue;
         }
-        let plan = plan_transpose(prog, l, arr, "b", &|n| activity.is_active(n)).map_err(|e| {
-            format!("region {k}: `{arr}` decided Transposed but the scatter plan fails: {e}")
-        })?;
+        let plan = plan_transpose(prog, l, &writes, arr, "b", &|n| activity.is_active(n)).map_err(
+            |e| format!("region {k}: `{arr}` decided Transposed but the scatter plan fails: {e}"),
+        )?;
         let eval_tuple = |st: &mut State, v: i64, es: &[Expr]| -> Result<Vec<i64>, String> {
             st.ints.insert(l.var.clone(), v);
             es.iter().map(|e| st.eval(e)?.as_i()).collect()

@@ -7,7 +7,7 @@ use std::fmt::Write;
 
 use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
 use crate::program::{Decl, Program};
-use crate::stmt::{LValue, ParallelInfo, Stmt};
+use crate::stmt::{ForLoop, LValue, ParallelInfo, Stmt};
 
 /// Render an expression to surface syntax.
 pub fn expr_to_string(e: &Expr) -> String {
@@ -63,6 +63,27 @@ pub fn write_body(s: &mut String, body: &[Stmt], level: usize) {
     for st in body {
         write_stmt(s, st, level);
     }
+}
+
+/// Render one loop (pragma, header, body, `end do`) at the given
+/// indentation level.
+pub fn write_loop(s: &mut String, l: &ForLoop, level: usize) {
+    if let Some(info) = &l.parallel {
+        write_parallel_pragma(s, info, level);
+    }
+    indent(s, level);
+    let _ = write!(s, "do {} = ", l.var);
+    write_expr(s, &l.lo, 0);
+    s.push_str(", ");
+    write_expr(s, &l.hi, 0);
+    if l.step != Expr::IntLit(1) {
+        s.push_str(", ");
+        write_expr(s, &l.step, 0);
+    }
+    s.push('\n');
+    write_body(s, &l.body, level + 1);
+    indent(s, level);
+    s.push_str("end do\n");
 }
 
 fn write_lvalue(s: &mut String, lv: &LValue) {
@@ -136,24 +157,7 @@ fn write_stmt(s: &mut String, st: &Stmt, level: usize) {
             indent(s, level);
             s.push_str("end if\n");
         }
-        Stmt::For(l) => {
-            if let Some(info) = &l.parallel {
-                write_parallel_pragma(s, info, level);
-            }
-            indent(s, level);
-            let _ = write!(s, "do {} = ", l.var);
-            write_expr(s, &l.lo, 0);
-            s.push_str(", ");
-            write_expr(s, &l.hi, 0);
-            if l.step != Expr::IntLit(1) {
-                s.push_str(", ");
-                write_expr(s, &l.step, 0);
-            }
-            s.push('\n');
-            write_body(s, &l.body, level + 1);
-            indent(s, level);
-            s.push_str("end do\n");
-        }
+        Stmt::For(l) => write_loop(s, l, level),
         Stmt::Push(e) => {
             indent(s, level);
             s.push_str("call push(");

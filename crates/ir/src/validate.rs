@@ -43,7 +43,7 @@ pub fn validate(p: &Program) -> Vec<ValidateError> {
                 .push(err(format!("duplicate declaration `{}`", d.name)));
         }
         for dim in &d.dims {
-            v.check_int_expr(dim, &format!("extent of `{}`", d.name));
+            v.check_int_expr(dim, format_args!("extent of `{}`", d.name));
         }
     }
     v.check_body(&p.body);
@@ -72,43 +72,8 @@ impl<'a> Validator<'a> {
         match e {
             Expr::IntLit(_) => Some(Ty::Int),
             Expr::RealLit(_) => Some(Ty::Real),
-            Expr::Var(name) => match self.prog.decl(name) {
-                Some(d) => {
-                    if d.is_array() {
-                        self.errors
-                            .push(err(format!("array `{name}` used without indices")));
-                    }
-                    Some(d.ty)
-                }
-                None => {
-                    self.errors
-                        .push(err(format!("use of undeclared variable `{name}`")));
-                    None
-                }
-            },
-            Expr::Index { array, indices } => match self.prog.decl(array) {
-                Some(d) => {
-                    if !d.is_array() {
-                        self.errors
-                            .push(err(format!("scalar `{array}` indexed like an array")));
-                    } else if d.dims.len() != indices.len() {
-                        self.errors.push(err(format!(
-                            "array `{array}` has {} dimension(s) but is indexed with {}",
-                            d.dims.len(),
-                            indices.len()
-                        )));
-                    }
-                    for ix in indices {
-                        self.check_int_expr(ix, &format!("index of `{array}`"));
-                    }
-                    Some(d.ty)
-                }
-                None => {
-                    self.errors
-                        .push(err(format!("use of undeclared array `{array}`")));
-                    None
-                }
-            },
+            Expr::Var(name) => self.ty_of_var(name),
+            Expr::Index { array, indices } => self.ty_of_element(array, indices),
             Expr::Unary { arg, .. } => self.ty_of_expr(arg),
             Expr::Binary { op, lhs, rhs } => {
                 let a = self.ty_of_expr(lhs)?;
@@ -150,7 +115,50 @@ impl<'a> Validator<'a> {
         }
     }
 
-    fn check_int_expr(&mut self, e: &Expr, what: &str) {
+    fn ty_of_var(&mut self, name: &str) -> Option<Ty> {
+        match self.prog.decl(name) {
+            Some(d) => {
+                if d.is_array() {
+                    self.errors
+                        .push(err(format!("array `{name}` used without indices")));
+                }
+                Some(d.ty)
+            }
+            None => {
+                self.errors
+                    .push(err(format!("use of undeclared variable `{name}`")));
+                None
+            }
+        }
+    }
+
+    fn ty_of_element(&mut self, array: &str, indices: &[Expr]) -> Option<Ty> {
+        match self.prog.decl(array) {
+            Some(d) => {
+                if !d.is_array() {
+                    self.errors
+                        .push(err(format!("scalar `{array}` indexed like an array")));
+                } else if d.dims.len() != indices.len() {
+                    self.errors.push(err(format!(
+                        "array `{array}` has {} dimension(s) but is indexed with {}",
+                        d.dims.len(),
+                        indices.len()
+                    )));
+                }
+                for ix in indices {
+                    self.check_int_expr(ix, format_args!("index of `{array}`"));
+                }
+                Some(d.ty)
+            }
+            None => {
+                self.errors
+                    .push(err(format!("use of undeclared array `{array}`")));
+                None
+            }
+        }
+    }
+
+    fn check_int_expr(&mut self, e: &Expr, what: std::fmt::Arguments<'_>) {
         if let Some(ty) = self.ty_of_expr(e) {
             if ty != Ty::Int {
                 self.errors
@@ -174,7 +182,10 @@ impl<'a> Validator<'a> {
     }
 
     fn check_lvalue(&mut self, lv: &LValue) -> Option<Ty> {
-        let ty = self.ty_of_expr(&lv.as_expr());
+        let ty = match lv {
+            LValue::Var(name) => self.ty_of_var(name),
+            LValue::Index { array, indices } => self.ty_of_element(array, indices),
+        };
         if self.parallel_depth > 0 {
             if let LValue::Var(name) = lv {
                 if !self.privatized.iter().any(|p| p == name) {
@@ -225,9 +236,9 @@ impl<'a> Validator<'a> {
                         .errors
                         .push(err(format!("loop counter `{}` is not declared", l.var))),
                 }
-                self.check_int_expr(&l.lo, "loop lower bound");
-                self.check_int_expr(&l.hi, "loop upper bound");
-                self.check_int_expr(&l.step, "loop step");
+                self.check_int_expr(&l.lo, format_args!("loop lower bound"));
+                self.check_int_expr(&l.hi, format_args!("loop upper bound"));
+                self.check_int_expr(&l.step, format_args!("loop step"));
                 if let Expr::IntLit(0) = l.step {
                     self.errors.push(err("loop step must be nonzero"));
                 }

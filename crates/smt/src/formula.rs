@@ -137,12 +137,8 @@ impl Formula {
         b: &[Term],
         table: &mut AtomTable,
     ) -> Result<Formula, NormalizeError> {
-        assert_eq!(a.len(), b.len(), "tuple arity mismatch");
-        let mut lits = Vec::with_capacity(a.len());
-        for (x, y) in a.iter().zip(b) {
-            lits.push(Formula::term_ne(x, y, table)?);
-        }
-        Ok(Formula::Or(lits))
+        let (mut na, mut nb) = (vec![None; a.len()], vec![None; b.len()]);
+        Formula::tuple_ne_memo(a, &mut na, b, &mut nb, table)
     }
 
     /// Tuple equality: `a₁=b₁ ∧ … ∧ aₖ=bₖ` (used when *querying* whether two
@@ -152,12 +148,34 @@ impl Formula {
         b: &[Term],
         table: &mut AtomTable,
     ) -> Result<Formula, NormalizeError> {
-        assert_eq!(a.len(), b.len(), "tuple arity mismatch");
-        let mut lits = Vec::with_capacity(a.len());
-        for (x, y) in a.iter().zip(b) {
-            lits.push(Formula::term_eq(x, y, table)?);
-        }
-        Ok(Formula::And(lits))
+        let (mut na, mut nb) = (vec![None; a.len()], vec![None; b.len()]);
+        Formula::tuple_eq_memo(a, &mut na, b, &mut nb, table)
+    }
+
+    /// [`Formula::tuple_ne`] for a tuple that meets many others: `na` and
+    /// `nb` run parallel to `a` and `b` and keep each element's normal
+    /// form once it has been computed (`None` before). Elements are
+    /// normalized in the order `tuple_ne` would, so the table interns the
+    /// same atoms in the same order with or without the memo.
+    pub fn tuple_ne_memo(
+        a: &[Term],
+        na: &mut [Option<LinExpr>],
+        b: &[Term],
+        nb: &mut [Option<LinExpr>],
+        table: &mut AtomTable,
+    ) -> Result<Formula, NormalizeError> {
+        Ok(Formula::Or(tuple_lits(Rel::Ne, a, na, b, nb, table)?))
+    }
+
+    /// [`Formula::tuple_eq`] with the memo of [`Formula::tuple_ne_memo`].
+    pub fn tuple_eq_memo(
+        a: &[Term],
+        na: &mut [Option<LinExpr>],
+        b: &[Term],
+        nb: &mut [Option<LinExpr>],
+        table: &mut AtomTable,
+    ) -> Result<Formula, NormalizeError> {
+        Ok(Formula::And(tuple_lits(Rel::Eq, a, na, b, nb, table)?))
     }
 
     /// Negation-normal form (push `Not` to literals).
@@ -226,6 +244,39 @@ impl Formula {
     }
 }
 
+/// The literals `aᵢ - bᵢ ⋈ 0`, normalizing `aᵢ` then `bᵢ` where the memo
+/// has no normal form yet.
+fn tuple_lits(
+    rel: Rel,
+    a: &[Term],
+    na: &mut [Option<LinExpr>],
+    b: &[Term],
+    nb: &mut [Option<LinExpr>],
+    table: &mut AtomTable,
+) -> Result<Vec<Formula>, NormalizeError> {
+    assert_eq!(a.len(), b.len(), "tuple arity mismatch");
+    fn normal<'m>(
+        t: &Term,
+        memo: &'m mut Option<LinExpr>,
+        table: &mut AtomTable,
+    ) -> Result<&'m LinExpr, NormalizeError> {
+        if memo.is_none() {
+            *memo = Some(crate::linexpr::normalize(t, table)?);
+        }
+        Ok(memo.as_ref().expect("just filled"))
+    }
+    let mut lits = Vec::with_capacity(a.len());
+    for k in 0..a.len() {
+        let x = normal(&a[k], &mut na[k], table)?;
+        let y = normal(&b[k], &mut nb[k], table)?;
+        lits.push(Formula::Lit(Literal {
+            rel,
+            expr: x.sub(y),
+        }));
+    }
+    Ok(lits)
+}
+
 /// A disjunction of literals. The empty clause is unsatisfiable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clause {
@@ -238,6 +289,17 @@ fn cnf(f: Formula) -> Vec<Clause> {
         Formula::True => vec![],
         Formula::False => vec![Clause { lits: vec![] }],
         Formula::And(fs) => fs.into_iter().flat_map(cnf).collect(),
+        Formula::Or(fs) if fs.iter().all(|f| matches!(f, Formula::Lit(_))) => {
+            // A disjunction of literals (tuple disjointness) is its own
+            // clause; the product below would rebuild it literal by literal.
+            let lits = fs.into_iter().map(|f| match f {
+                Formula::Lit(l) => l,
+                _ => unreachable!("checked by the guard"),
+            });
+            vec![Clause {
+                lits: lits.collect(),
+            }]
+        }
         Formula::Or(fs) => {
             // Cartesian product of the operands' clause sets.
             let mut acc: Vec<Clause> = vec![Clause { lits: vec![] }];
@@ -301,6 +363,75 @@ mod tests {
         assert_eq!(clauses.len(), 1);
         assert_eq!(clauses[0].lits.len(), 2);
         assert!(clauses[0].lits.iter().all(|l| l.rel == Rel::Ne));
+    }
+
+    #[test]
+    fn memoized_tuples_build_the_same_formulas_and_table() {
+        let c = |t: Term| Term::app("c", vec![t]);
+        let tuples = [
+            vec![Term::sym("i"), c(Term::sym("j")) + Term::int(1)],
+            vec![c(Term::sym("i")), Term::sym("k") * Term::sym("j")],
+            vec![Term::sym("j") - Term::int(2), c(c(Term::sym("i")))],
+        ];
+        // Plain: every pair normalizes both sides again.
+        let mut plain_table = AtomTable::new();
+        let mut plain = Vec::new();
+        // Memoized: each tuple keeps its normal forms across pairs.
+        let mut memo_table = AtomTable::new();
+        let mut memo: Vec<Vec<Option<LinExpr>>> =
+            tuples.iter().map(|t| vec![None; t.len()]).collect();
+        let mut memoized = Vec::new();
+        for a in 0..tuples.len() {
+            for b in 0..tuples.len() {
+                if a == b {
+                    continue;
+                }
+                plain.push(Formula::tuple_ne(&tuples[a], &tuples[b], &mut plain_table).unwrap());
+                plain.push(Formula::tuple_eq(&tuples[a], &tuples[b], &mut plain_table).unwrap());
+                let (lo, hi) = memo.split_at_mut(a.max(b));
+                let (na, nb) = if a < b {
+                    (&mut lo[a], &mut hi[0])
+                } else {
+                    (&mut hi[0], &mut lo[b])
+                };
+                memoized.push(
+                    Formula::tuple_ne_memo(&tuples[a], na, &tuples[b], nb, &mut memo_table)
+                        .unwrap(),
+                );
+                memoized.push(
+                    Formula::tuple_eq_memo(&tuples[a], na, &tuples[b], nb, &mut memo_table)
+                        .unwrap(),
+                );
+            }
+        }
+        assert_eq!(plain, memoized);
+        assert_eq!(plain_table.len(), memo_table.len());
+        for k in 0..plain_table.len() as u32 {
+            assert_eq!(
+                plain_table.key(crate::linexpr::AtomId(k)),
+                memo_table.key(crate::linexpr::AtomId(k)),
+                "atom {k} interned in a different order"
+            );
+        }
+    }
+
+    #[test]
+    fn disjunction_of_literals_is_one_clause_either_way() {
+        let mut tab = AtomTable::new();
+        let lit = |name: &str, tab: &mut AtomTable| {
+            Formula::term_ne(&Term::sym(name), &Term::int(0), tab).unwrap()
+        };
+        let (a, b, c) = (lit("a", &mut tab), lit("b", &mut tab), lit("c", &mut tab));
+        // All literals: the direct path. One nested `Or`: the product path.
+        let flat = Formula::Or(vec![a.clone(), b.clone(), c.clone()]).to_cnf();
+        let nested = Formula::Or(vec![a, Formula::Or(vec![b, c])]).to_cnf();
+        assert_eq!(flat, nested);
+        assert_eq!(flat.len(), 1);
+        assert_eq!(flat[0].lits.len(), 3);
+        assert_eq!(
+            Formula::Or(Vec::new()).to_cnf(),
+            vec![Clause { lits: vec![] }]
+        );
     }
 
     #[test]

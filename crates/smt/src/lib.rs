@@ -46,6 +46,7 @@ pub mod chaos;
 pub mod ctrl;
 pub mod fm;
 pub mod formula;
+pub mod fx;
 pub mod linexpr;
 pub mod search;
 pub mod solver;
@@ -55,6 +56,7 @@ pub use chaos::{ChaosConfig, ChaosCounters, ChaosSolver};
 pub use ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
 pub use fm::{feasible, feasible_paced, Feasibility, FmBudget};
 pub use formula::{Clause, Formula, Literal, Rel};
+pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use linexpr::{normalize, AtomId, AtomKey, AtomTable, LinExpr, NormalizeError};
 pub use search::SearchCore;
 pub use solver::{InternedFormula, SatResult, Solver, SolverApi, SolverBudget, SolverStats};

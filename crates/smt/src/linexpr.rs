@@ -6,9 +6,9 @@
 //! giving syntactic congruence — `c(i+0)` and `c(i)` intern to the same
 //! atom), a non-linear product, a division, or a modulo.
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::fx::FxHashMap;
 use crate::term::Term;
 
 /// Interned atom identifier.
@@ -34,7 +34,11 @@ pub enum AtomKey {
 #[derive(Debug, Clone, Default)]
 pub struct AtomTable {
     keys: Vec<AtomKey>,
-    map: HashMap<AtomKey, AtomId>,
+    /// Ids of the compound keys (everything but `Sym`).
+    map: FxHashMap<AtomKey, AtomId>,
+    /// Ids of the symbols, by name, so that looking one up borrows the
+    /// name instead of building an `AtomKey` around a copy of it.
+    syms: FxHashMap<String, AtomId>,
 }
 
 impl AtomTable {
@@ -45,6 +49,9 @@ impl AtomTable {
 
     /// Intern a key, returning its id.
     pub fn intern(&mut self, key: AtomKey) -> AtomId {
+        if let AtomKey::Sym(name) = &key {
+            return self.sym(name);
+        }
         if let Some(id) = self.map.get(&key) {
             return *id;
         }
@@ -56,7 +63,13 @@ impl AtomTable {
 
     /// Intern a plain symbol.
     pub fn sym(&mut self, name: &str) -> AtomId {
-        self.intern(AtomKey::Sym(name.to_string()))
+        if let Some(id) = self.syms.get(name) {
+            return *id;
+        }
+        let id = AtomId(self.keys.len() as u32);
+        self.keys.push(AtomKey::Sym(name.to_string()));
+        self.syms.insert(name.to_string(), id);
+        id
     }
 
     /// Key of an atom.
@@ -360,6 +373,19 @@ mod tests {
         let i = tab.sym("i");
         assert_eq!(e.constant, 4);
         assert_eq!(e.terms, vec![(i, 1)]);
+    }
+
+    #[test]
+    fn symbols_intern_once_by_name_or_by_key() {
+        let mut tab = AtomTable::new();
+        let i = tab.sym("i");
+        let app = tab.intern(AtomKey::App("c".into(), vec![LinExpr::atom(i)]));
+        assert_eq!(tab.intern(AtomKey::Sym("i".into())), i);
+        let j = tab.intern(AtomKey::Sym("j".into()));
+        assert_eq!(tab.sym("j"), j);
+        assert_eq!((i, app, j), (AtomId(0), AtomId(1), AtomId(2)));
+        assert_eq!(tab.len(), 3);
+        assert_eq!(tab.key(j), &AtomKey::Sym("j".into()));
     }
 
     #[test]

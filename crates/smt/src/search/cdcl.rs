@@ -23,11 +23,10 @@
 //! legacy branch commitment, so the independent-disequality approximation
 //! sees the same kind of literal sets under both cores.
 
-use std::collections::HashMap;
-
 use crate::ctrl::StopReason;
 use crate::fm::Feasibility;
 use crate::formula::{Clause, Literal};
+use crate::fx::FxHashMap;
 use crate::solver::SatResult;
 
 use super::presolve::{canon_lit, CanonLit, VarKey};
@@ -332,7 +331,7 @@ fn minimize_explanation(
     if subset.len() > MINIMIZE_MAX || subset.len() <= 1 {
         return Ok(subset);
     }
-    let mut pos: HashMap<usize, usize> = HashMap::new();
+    let mut pos: FxHashMap<usize, usize> = FxHashMap::default();
     for (i, &(v, _)) in eng.trail.iter().enumerate() {
         pos.insert(v, i);
     }
@@ -389,7 +388,7 @@ pub(crate) fn search(
     }
 
     // Boolean abstraction: number variables by first occurrence.
-    let mut var_of: HashMap<VarKey, usize> = HashMap::new();
+    let mut var_of: FxHashMap<VarKey, usize> = FxHashMap::default();
     let mut eng = Engine {
         keys: Vec::new(),
         value: Vec::new(),

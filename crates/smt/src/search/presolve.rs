@@ -51,11 +51,12 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::ctrl::StopReason;
 use crate::formula::{Clause, Literal, Rel};
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::linexpr::{AtomId, AtomKey, AtomTable, LinExpr};
 
 use super::SearchCtx;
@@ -132,6 +133,14 @@ fn scale_down(e: &LinExpr, g: i128, ceil_constant: bool) -> LinExpr {
     }
 }
 
+/// `e ← -e`, in place.
+fn negate(e: &mut LinExpr) {
+    e.constant = -e.constant;
+    for (_, c) in &mut e.terms {
+        *c = -*c;
+    }
+}
+
 /// Canonicalize one literal. Exact over ℤ.
 pub(crate) fn canon_lit(lit: &Literal) -> CanonLit {
     let e = &lit.expr;
@@ -160,7 +169,7 @@ pub(crate) fn canon_lit(lit: &Literal) -> CanonLit {
             }
             let mut n = scale_down(e, g, false);
             if n.terms[0].1 < 0 {
-                n = n.scale(-1);
+                negate(&mut n);
             }
             CanonLit::Var {
                 key: VarKey { class: 0, expr: n },
@@ -168,17 +177,17 @@ pub(crate) fn canon_lit(lit: &Literal) -> CanonLit {
             }
         }
         Rel::Le => {
-            let n = scale_down(e, g, true);
-            let mut neg = n.scale(-1);
-            neg.constant += 1;
-            // The variable representative is the lesser of the literal and
-            // its negation; tightening is involutive (gcd is now 1), so
-            // both polarities of one constraint land on the same key.
-            let (expr, polarity) = if lin_key_cmp(&n, &neg) != Ordering::Greater {
-                (n, true)
-            } else {
-                (neg, false)
-            };
+            // The variable representative is the lesser (by
+            // `lin_key_cmp`) of the literal and its negation `-n + 1`;
+            // tightening is involutive (gcd is now 1), so both polarities
+            // of one constraint land on the same key. The two differ in
+            // the sign of every coefficient, so the leading one decides.
+            let mut expr = scale_down(e, g, true);
+            let polarity = expr.terms[0].1 < 0;
+            if !polarity {
+                negate(&mut expr);
+                expr.constant += 1;
+            }
             CanonLit::Var {
                 key: VarKey { class: 1, expr },
                 polarity,
@@ -189,13 +198,13 @@ pub(crate) fn canon_lit(lit: &Literal) -> CanonLit {
 
 /// Count symbol occurrences in `e`, descending into application/opaque
 /// atom keys so a symbol feeding a gather index is never considered free.
-fn count_syms(e: &LinExpr, table: &AtomTable, counts: &mut HashMap<AtomId, u64>) {
+fn count_syms(e: &LinExpr, table: &AtomTable, counts: &mut FxHashMap<AtomId, u64>) {
     for a in e.atoms() {
         count_syms_atom(a, table, counts);
     }
 }
 
-fn count_syms_atom(a: AtomId, table: &AtomTable, counts: &mut HashMap<AtomId, u64>) {
+fn count_syms_atom(a: AtomId, table: &AtomTable, counts: &mut FxHashMap<AtomId, u64>) {
     match table.key(a) {
         AtomKey::Sym(_) => *counts.entry(a).or_insert(0) += 1,
         AtomKey::App(_, args) => {
@@ -213,7 +222,7 @@ fn count_syms_atom(a: AtomId, table: &AtomTable, counts: &mut HashMap<AtomId, u6
 /// Symbols appearing (transitively) inside any opaque/application key of
 /// `e` — these must not be used as substitution pivots, or congruence
 /// reasoning over the enclosing applications would lose the link.
-fn opaque_bound_syms(e: &LinExpr, table: &AtomTable, out: &mut HashSet<AtomId>) {
+fn opaque_bound_syms(e: &LinExpr, table: &AtomTable, out: &mut FxHashSet<AtomId>) {
     for a in e.atoms() {
         match table.key(a) {
             AtomKey::Sym(_) => {}
@@ -230,7 +239,7 @@ fn opaque_bound_syms(e: &LinExpr, table: &AtomTable, out: &mut HashSet<AtomId>) 
     }
 }
 
-fn inner_syms(e: &LinExpr, table: &AtomTable, out: &mut HashSet<AtomId>) {
+fn inner_syms(e: &LinExpr, table: &AtomTable, out: &mut FxHashSet<AtomId>) {
     for a in e.atoms() {
         match table.key(a) {
             AtomKey::Sym(_) => {
@@ -317,7 +326,19 @@ fn solve_for(def: &LinExpr, a: AtomId, k: i128) -> LinExpr {
 /// `e` with `a` replaced by `subst`, if `a` occurs in it.
 fn substitute(e: &LinExpr, a: AtomId, subst: &LinExpr) -> Option<LinExpr> {
     let c = e.coeff(a);
-    (c != 0).then(|| e.add_scaled(&LinExpr::atom(a), -c).add_scaled(subst, c))
+    (c != 0).then(|| {
+        // e - c·a + c·subst, merged in one pass.
+        let mut out = e.add_scaled(subst, c);
+        if let Ok(i) = out.terms.binary_search_by_key(&a, |&(x, _)| x) {
+            out.terms[i].1 -= c;
+            if out.terms[i].1 == 0 {
+                out.terms.remove(i);
+            }
+        } else {
+            out = out.add_scaled(&LinExpr::atom(a), -c);
+        }
+        out
+    })
 }
 
 /// A variable key shared between the slot holding it and the lookup
@@ -418,7 +439,7 @@ enum Holder {
 struct Slots<T> {
     base: usize,
     own: Vec<Option<T>>,
-    over: HashMap<usize, Option<T>>,
+    over: FxHashMap<usize, Option<T>>,
 }
 
 impl<T> Default for Slots<T> {
@@ -426,7 +447,7 @@ impl<T> Default for Slots<T> {
         Slots {
             base: 0,
             own: Vec::new(),
-            over: HashMap::new(),
+            over: FxHashMap::default(),
         }
     }
 }
@@ -479,7 +500,7 @@ fn occurrences<'a>(lists: impl Iterator<Item = &'a Vec<usize>>) -> Vec<usize> {
 fn live_slots<'a, T>(layers: &[&'a Slots<T>]) -> Vec<&'a T> {
     let mut out = Vec::new();
     for (depth, owner) in layers.iter().enumerate().rev() {
-        let rewrites: Vec<&HashMap<usize, Option<T>>> = layers[..depth]
+        let rewrites: Vec<&FxHashMap<usize, Option<T>>> = layers[..depth]
             .iter()
             .map(|l| &l.over)
             .filter(|over| !over.is_empty())
@@ -511,18 +532,18 @@ pub(crate) struct Snapshot {
     parent: Option<Arc<Snapshot>>,
     units: Slots<Unit>,
     clauses: Slots<Residual>,
-    unit_of: HashMap<Key, usize>,
-    clause_of: HashMap<Signature, usize>,
+    unit_of: FxHashMap<Key, usize>,
+    clause_of: FxHashMap<Signature, usize>,
     /// Clause slots mentioning a variable key.
-    key_occ: HashMap<Key, Vec<usize>>,
+    key_occ: FxHashMap<Key, Vec<usize>>,
     /// Clause slots mentioning an atom at top level.
-    atom_occ: HashMap<AtomId, Vec<usize>>,
+    atom_occ: FxHashMap<AtomId, Vec<usize>>,
     /// Substitutions recorded by this layer, in application order.
     subst: Vec<(AtomId, LinExpr)>,
     /// Intervals tightened by this layer (overriding the layers below).
-    iv: HashMap<AtomId, (i128, i128)>,
+    iv: FxHashMap<AtomId, (i128, i128)>,
     /// Atoms this layer's clauses bind inside opaque/application keys.
-    opaque: HashSet<AtomId>,
+    opaque: FxHashSet<AtomId>,
 }
 
 impl Snapshot {
@@ -707,7 +728,7 @@ impl<'t> Extender<'t> {
         // Pivot eligibility is judged against everything the prefix binds
         // inside opaque atoms, so the delta's bindings are known before
         // its first clause is closed.
-        let mut bound: HashSet<AtomId> = HashSet::new();
+        let mut bound: FxHashSet<AtomId> = FxHashSet::default();
         for lit in chunks.iter().flat_map(|ch| ch.iter()).flat_map(|c| &c.lits) {
             opaque_bound_syms(&lit.expr, self.table, &mut bound);
         }
@@ -947,7 +968,7 @@ pub(crate) enum Presolved {
 struct Fixed {
     // Insertion-ordered for determinism; the map only answers lookups.
     items: Vec<Unit>,
-    index: HashMap<Key, usize>,
+    index: FxHashMap<Key, usize>,
 }
 
 impl Fixed {
@@ -984,7 +1005,7 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
     let (items, mut work) = snapshot.materialize();
     let mut fixed = Fixed {
         items,
-        index: HashMap::new(),
+        index: FxHashMap::default(),
     };
     // The snapshot is already closed under rule 1, so the first round
     // starts at rule 2 and the unit index is built only if a later round
@@ -1004,7 +1025,7 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
                 fixed.rebuild_index();
             }
             ctx.presolve_clauses += work.len() as u64;
-            let mut seen_clauses: HashSet<Signature> = HashSet::new();
+            let mut seen_clauses: FxHashSet<Signature> = FxHashSet::default();
             let mut next: Vec<Vec<Literal>> = Vec::with_capacity(work.len());
             for clause in work.drain(..) {
                 let Some(mut keys) =
@@ -1040,7 +1061,7 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
         //    against what the *current* problem binds inside opaque
         //    atoms, which discharges may have shrunk since the snapshot
         //    was taken.
-        let mut opaque: HashSet<AtomId> = HashSet::new();
+        let mut opaque: FxHashSet<AtomId> = FxHashSet::default();
         for unit in &fixed.items {
             opaque_bound_syms(&unit.parts().1, ctx.table, &mut opaque);
         }
@@ -1091,7 +1112,7 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
         }
 
         // 3. Interval propagation from single-atom fixed literals.
-        let mut iv: HashMap<AtomId, (i128, i128)> = HashMap::new();
+        let mut iv: FxHashMap<AtomId, (i128, i128)> = FxHashMap::default();
         for unit in &fixed.items {
             let (rel, expr) = unit.parts();
             if let Some((a, (lo, hi))) = unit_bound(rel, &expr) {
@@ -1133,7 +1154,7 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
         // 4. Free-atom discharge: a symbol with exactly one occurrence in
         //    the whole problem makes its literal unconditionally
         //    satisfiable (Ne/Le any coefficient; Eq needs ±1).
-        let mut counts: HashMap<AtomId, u64> = HashMap::new();
+        let mut counts: FxHashMap<AtomId, u64> = FxHashMap::default();
         for unit in &fixed.items {
             count_syms(&unit.parts().1, ctx.table, &mut counts);
         }
@@ -1176,5 +1197,97 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
             .map(|unit| (unit.key, unit.polarity))
             .collect(),
         clauses: work,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every expression over atoms 0 and 1 with small coefficients.
+    fn small_exprs() -> Vec<LinExpr> {
+        let mut out = Vec::new();
+        for constant in -3..=3 {
+            for c0 in -4..=4 {
+                for c1 in -4..=4 {
+                    let terms = [(AtomId(0), c0), (AtomId(1), c1)]
+                        .into_iter()
+                        .filter(|&(_, c)| c != 0)
+                        .collect();
+                    out.push(LinExpr { constant, terms });
+                }
+            }
+        }
+        out
+    }
+
+    /// `Le` canonicalization spelled out: build the negation and keep the
+    /// lesser of the two.
+    fn reference_le(e: &LinExpr) -> (LinExpr, bool) {
+        let n = scale_down(e, e.coeff_gcd(), true);
+        let mut neg = n.scale(-1);
+        neg.constant += 1;
+        if lin_key_cmp(&n, &neg) != Ordering::Greater {
+            (n, true)
+        } else {
+            (neg, false)
+        }
+    }
+
+    #[test]
+    fn le_representative_is_the_lesser_of_literal_and_negation() {
+        for e in small_exprs().into_iter().filter(|e| !e.is_const()) {
+            let lit = Literal {
+                rel: Rel::Le,
+                expr: e.clone(),
+            };
+            let CanonLit::Var { key, polarity } = canon_lit(&lit) else {
+                panic!("{e:?} is not ground");
+            };
+            assert_eq!((key.expr.clone(), polarity), reference_le(&e), "{e:?}");
+            // Both polarities of one constraint share the key.
+            let CanonLit::Var {
+                key: neg_key,
+                polarity: neg_polarity,
+            } = canon_lit(&lit.negate())
+            else {
+                panic!("negation of {e:?} is not ground");
+            };
+            assert_eq!((neg_key, neg_polarity), (key, !polarity), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn eq_representative_has_a_positive_leading_coefficient() {
+        for e in small_exprs().into_iter().filter(|e| !e.is_const()) {
+            let lit = Literal {
+                rel: Rel::Eq,
+                expr: e.clone(),
+            };
+            match canon_lit(&lit) {
+                CanonLit::Var { key, polarity } => {
+                    assert!(polarity);
+                    assert!(key.expr.terms[0].1 > 0, "{e:?}");
+                    let g = e.coeff_gcd();
+                    let sign = if e.terms[0].1 < 0 { -1 } else { 1 };
+                    assert_eq!(key.expr, scale_down(&e, g, false).scale(sign), "{e:?}");
+                }
+                CanonLit::False => assert_ne!(e.constant.rem_euclid(e.coeff_gcd()), 0),
+                CanonLit::True => panic!("{e:?} = 0 is not a tautology"),
+            }
+        }
+    }
+
+    #[test]
+    fn substitute_is_remove_then_add() {
+        let a = AtomId(0);
+        for e in small_exprs() {
+            for subst in small_exprs() {
+                let c = e.coeff(a);
+                let want =
+                    (c != 0).then(|| e.add_scaled(&LinExpr::atom(a), -c).add_scaled(&subst, c));
+                assert_eq!(substitute(&e, a, &subst), want, "{e:?} [{subst:?}]");
+            }
+        }
     }
 }
