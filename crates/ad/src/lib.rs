@@ -3,12 +3,20 @@
 //! Reverse-mode (adjoint) source transformation over the `formad-ir` loop
 //! language — the AD engine that FormAD's analysis plugs into (paper §4).
 //!
-//! The transformation is *store-all split mode*: the generated adjoint
-//! subroutine runs a forward sweep (primal computation plus tape pushes of
-//! to-be-overwritten recorded values and branch decisions) followed by a
-//! backward sweep (pops restoring primal state, adjoint increments from
-//! the chain rule, reversed loops). Parallel loops remain parallel in both
-//! sweeps with the same static schedule, so tapes stay thread-local.
+//! The transformation is *split mode*: the generated adjoint subroutine
+//! runs a forward sweep followed by a backward sweep (pops restoring
+//! primal state, adjoint increments from the chain rule, reversed loops).
+//! The forward sweep is not the primal: three data-flow analyses
+//! (recompute set, per-site to-be-recorded, adjoint liveness — see
+//! [`transform`]) keep only the tape pushes the backward sweep pops and
+//! the primal statements those pushes depend on. Parallel loops remain
+//! parallel in both sweeps with the same static schedule, so tapes stay
+//! thread-local.
+//!
+//! **Contract.** `{name}_b` computes adjoints; primal outputs are not
+//! returned; run the primal for the value. What `_b` leaves in a primal
+//! `intent(out)`/`intent(inout)` parameter is unspecified — for a kernel
+//! that is linear in its active data it is the value on entry.
 //!
 //! Safeguards for shared adjoint increments are selected per
 //! [`ParallelTreatment`]: the four program versions of the paper's
@@ -36,10 +44,13 @@
 //!     &primal,
 //!     &AdjointOptions::new(&["x"], &["y"], ParallelTreatment::Uniform(IncMode::Plain)),
 //! ).unwrap();
-//! assert_eq!(adj.name, "scale_b");
+//! assert_eq!(adj.program.name, "scale_b");
+//! // Linear in `x`: nothing of the primal is re-executed or taped.
+//! assert_eq!((adj.stats.fwd_kept, adj.stats.push_sites), (0, 0));
 //! ```
 
 pub mod adjoint_expr;
+mod dataflow;
 pub mod options;
 pub mod tangent;
 pub mod transform;
@@ -48,5 +59,5 @@ pub mod transpose;
 pub use adjoint_expr::{adjoint_of_assign, AdjCtx, ExprAdjoint};
 pub use options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
 pub use tangent::differentiate_tangent;
-pub use transform::{differentiate, differentiate_validated};
+pub use transform::{differentiate, differentiate_validated, Adjoint, AdjointStats};
 pub use transpose::{affine_in, plan_transpose, Aff, ObligationPair, RegionWrites, TransposePlan};

@@ -1,30 +1,40 @@
-//! Whole-program reverse-mode transformation (store-all / split mode).
+//! Whole-program reverse-mode transformation (split mode).
 //!
 //! The adjoint of a subroutine is `forward sweep ; backward sweep`:
 //!
-//! - The **forward sweep** re-executes the primal, pushing the
-//!   to-be-overwritten value of every *recorded* location onto a
-//!   (thread-local) tape, and pushing branch decisions of `if`s that will
-//!   need reversal. Parallel loops stay parallel — each thread pushes to
-//!   its own tape.
-//! - The **backward sweep** processes statements in reverse. Each recorded
-//!   assignment first pops (restores) its left-hand side, re-establishing
-//!   the exact primal memory state in which the statement executed, then
-//!   emits the adjoint increments from the chain-rule walker. Loops run
-//!   with reversed iteration order; parallel loops stay parallel with the
+//! - The **backward sweep** processes statements in reverse. A recorded
+//!   assignment first pops (restores) its left-hand side, then emits the
+//!   adjoint increments from the chain-rule walker. Loops run with
+//!   reversed iteration order; parallel loops stay parallel with the
 //!   *same static schedule*, so every thread pops exactly what it pushed
 //!   (this is the standard treatment from Hückelheim & Hascoët,
 //!   "Source-to-Source AD of OpenMP Parallel Loops", reference \[12\] of the
 //!   paper).
+//! - The **forward sweep** is what is left of the primal once only the
+//!   backward sweep is served: the pushes of recorded values and branch
+//!   decisions, and the statements those pushes and the backward sweep
+//!   depend on. Parallel loops stay parallel — each thread pushes to its
+//!   own tape.
 //!
-//! Which locations are recorded is decided by a TBR-lite analysis: a
-//! location is recorded only if its primal *value* appears in some adjoint
-//! statement (a partial derivative, an adjoint index expression, or a loop
-//! bound). Arrays that are only ever updated by exact increments therefore
-//! need no tape at all — this is what makes the FormAD stencil adjoint as
-//! cheap as the primal (paper §7.1, §5.4).
+//! Three data-flow analyses ([`crate::dataflow`]) decide what each sweep
+//! contains. Scalars that are a function of the loop counters and of data
+//! the program never writes (gather indices, strided lower bounds) are
+//! *recomputed* at the head of the reversed loop body rather than taped,
+//! and branches on such values are reversed by evaluating the condition
+//! again. *To-be-recorded* analysis pushes the value an assignment
+//! overwrites only where the backward sweep reads that value. *Adjoint
+//! liveness* then deletes every forward statement whose result neither a
+//! push nor the backward sweep reads. For a kernel that is linear in its
+//! active data nothing of the forward sweep survives, so its adjoint
+//! costs about what the primal does; a kernel whose partial derivatives
+//! read overwritten primal values (GFMC's `tanh`) keeps that part of the
+//! primal and its tape.
+//!
+//! The generated subroutine computes adjoints only. The primal's outputs
+//! are **not** returned by it: run the primal for the value.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::fmt;
 
 use formad_analysis::Activity;
 use formad_ir::{
@@ -33,8 +43,61 @@ use formad_ir::{
 };
 
 use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
+use crate::dataflow::{AssignAdjoint, ForNode, Names, Node, Plan};
 use crate::options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
 use crate::transpose::{plan_transpose, RegionWrites};
+
+/// What the data-flow analyses left of the forward sweep and the tape.
+/// Counts are static (statements of the generated code, not executions)
+/// and do not depend on the parallel treatment.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AdjointStats {
+    /// Primal statements (assignments, `if`s, loops) the forward sweep
+    /// keeps.
+    pub fwd_kept: usize,
+    /// Primal statements the forward sweep drops.
+    pub fwd_dropped: usize,
+    /// `push` statements in the forward sweep: overwritten values,
+    /// scalars saved where a parallel iteration ends, branch flags.
+    pub push_sites: usize,
+    /// Scalars re-assigned at the head of a reversed loop body instead of
+    /// being taped, in declaration order.
+    pub recomputed: Vec<String>,
+    /// `if`s reversed by evaluating their condition again instead of
+    /// popping a flag.
+    pub branches_reevaluated: usize,
+}
+
+impl fmt::Display for AdjointStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "forward sweep keeps {} of {} statements / {} push sites / \
+             {} branches re-evaluated / recomputed: {}",
+            self.fwd_kept,
+            self.fwd_kept + self.fwd_dropped,
+            self.push_sites,
+            self.branches_reevaluated,
+            if self.recomputed.is_empty() {
+                "none".to_string()
+            } else {
+                self.recomputed.join(", ")
+            }
+        )
+    }
+}
+
+/// A generated adjoint.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Adjoint {
+    /// The subroutine `{primal}_b`.
+    pub program: Program,
+    /// Whole-program statistics.
+    pub stats: AdjointStats,
+    /// The share of [`Adjoint::stats`] inside each parallel loop of the
+    /// primal, in pre-order.
+    pub regions: Vec<AdjointStats>,
+}
 
 /// Differentiate `p` in reverse mode.
 ///
@@ -42,8 +105,9 @@ use crate::transpose::{plan_transpose, RegionWrites};
 /// parameters followed by one `intent(inout)` adjoint parameter for every
 /// *active* primal parameter. On entry the caller seeds the adjoints of the
 /// dependents; on exit the adjoints of the independents hold the gradient
-/// contributions (accumulated, per adjoint convention).
-pub fn differentiate(p: &Program, opts: &AdjointOptions) -> Result<Program, AdError> {
+/// contributions (accumulated, per adjoint convention). The primal
+/// parameters are inputs only: their values on exit are unspecified.
+pub fn differentiate(p: &Program, opts: &AdjointOptions) -> Result<Adjoint, AdError> {
     formad_ir::validate_strict(p).map_err(|e| AdError::new(format!("invalid primal: {e}")))?;
     let act = Activity::analyze(p, &opts.independents, &opts.dependents);
     differentiate_validated(p, opts, act)
@@ -59,7 +123,7 @@ pub fn differentiate_validated(
     p: &Program,
     opts: &AdjointOptions,
     act: Activity,
-) -> Result<Program, AdError> {
+) -> Result<Adjoint, AdError> {
     for s in &p.body {
         let mut bad = false;
         s.walk(&mut |st| {
@@ -81,11 +145,9 @@ pub fn differentiate_validated(
     }
 
     let mut xf = Xform::new(p, act, opts)?;
-    xf.compute_needed_values();
-    xf.index_regions();
-
-    let fwd = xf.fwd_sweep(&p.body);
-    let bwd = xf.bwd_sweep(&p.body)?;
+    let Plan { names, mut body } = Plan::build(p, |s| xf.stmt_adjoint(s));
+    let fwd = xf.fwd_sweep(&names, &body);
+    let bwd = xf.bwd_sweep(&names, &mut body)?;
 
     // Assemble the adjoint subroutine.
     let mut adj = Program::new(format!("{}_b", p.name));
@@ -106,31 +168,32 @@ pub fn differentiate_validated(
             adj.locals.push(a);
         }
     }
-    adj.locals.extend(xf.new_locals.clone());
+    adj.locals.extend(xf.new_locals);
     adj.body = fwd;
     adj.body.extend(bwd);
-    Ok(adj)
+    // The backward sweep meets the loops last to first.
+    for stats in std::iter::once(&mut xf.stats).chain(&mut xf.region_stats) {
+        stats
+            .recomputed
+            .sort_by_key(|v| p.decls().position(|d| d.name == *v));
+    }
+    Ok(Adjoint {
+        program: adj,
+        stats: xf.stats,
+        regions: xf.region_stats,
+    })
 }
-
-/// Adjoint statements of one assignment: `(increments, vb-finalization)`.
-type AssignAdjoint = (Vec<Stmt>, Option<Stmt>);
 
 struct Xform<'a> {
     prog: &'a Program,
     act: Activity,
     opts: &'a AdjointOptions,
-    /// Primal names whose values appear in adjoint statements or loop
-    /// bounds: these must be taped when overwritten.
-    needed: HashSet<String>,
-    /// Adjoint statements of the active assignments, generated once by
-    /// the TBR scan and consumed by the backward sweep. Keyed by
-    /// statement address: `prog` is borrowed for the whole life of the
-    /// transformation, so addresses are stable.
-    adjoints: HashMap<usize, AssignAdjoint>,
-    /// Pre-order region index of each parallel loop (keyed by address).
-    region_of: HashMap<usize, usize>,
     branch_counter: usize,
     new_locals: Vec<Decl>,
+    stats: AdjointStats,
+    region_stats: Vec<AdjointStats>,
+    /// The parallel loop of the primal being emitted, if inside one.
+    region: Option<usize>,
 }
 
 impl<'a> Xform<'a> {
@@ -150,11 +213,11 @@ impl<'a> Xform<'a> {
             prog: p,
             act,
             opts,
-            needed: HashSet::new(),
-            adjoints: HashMap::new(),
-            region_of: HashMap::new(),
             branch_counter: 0,
             new_locals: Vec::new(),
+            stats: AdjointStats::default(),
+            region_stats: vec![AdjointStats::default(); p.parallel_loop_count()],
+            region: None,
         })
     }
 
@@ -230,307 +293,240 @@ impl<'a> Xform<'a> {
         }
     }
 
-    /// TBR-lite: collect every primal name whose value occurs in any
-    /// adjoint statement or loop bound expression. The adjoint statements
-    /// generated to find that out are kept for the backward sweep.
-    fn compute_needed_values(&mut self) {
-        let mut needed: HashSet<String> = HashSet::new();
-        let mut adjoints: HashMap<usize, AssignAdjoint> = HashMap::new();
-        // Adjoint names are not primal declarations, so the decl check
-        // filters them out.
-        let mut scan_expr = |e: &Expr| {
-            e.walk(&mut |sub| {
-                if let Expr::Var(n) | Expr::Index { array: n, .. } = sub {
-                    if !needed.contains(n) && self.prog.decl(n).is_some() {
-                        needed.insert(n.clone());
-                    }
-                }
-            });
-        };
-        self.prog.walk_stmts(&mut |s| {
-            if let Some((incs, fin)) = self.stmt_adjoint(s) {
-                for st in incs.iter().chain(&fin) {
-                    st.walk_exprs(&mut scan_expr);
-                }
-                adjoints.insert(s as *const Stmt as usize, (incs, fin));
-            } else if let Stmt::For(l) = s {
-                // Reversed loops re-evaluate their bound expressions.
-                scan_expr(&l.lo);
-                scan_expr(&l.hi);
-                scan_expr(&l.step);
-            }
-        });
-        self.needed = needed;
-        self.adjoints = adjoints;
-    }
-
-    fn index_regions(&mut self) {
-        for (k, l) in self.prog.parallel_loops().into_iter().enumerate() {
-            self.region_of.insert(l as *const ForLoop as usize, k);
+    /// Add to the statistics of the whole program and of the parallel
+    /// loop being emitted.
+    fn count(&mut self, add: impl Fn(&mut AdjointStats)) {
+        add(&mut self.stats);
+        if let Some(k) = self.region {
+            add(&mut self.region_stats[k]);
         }
     }
 
-    /// Is this assignment's old lhs value recorded on the tape?
-    fn taped(&self, lhs: &LValue) -> bool {
-        self.needed.contains(lhs.name())
-    }
-
-    /// Does this statement subtree require any backward-sweep work
-    /// (adjoint statements or restores)?
-    fn needs_reversal(&self, stmts: &[Stmt]) -> bool {
-        let mut yes = false;
-        for s in stmts {
-            s.walk(&mut |st| match st {
-                Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. }
-                    if (self.is_active(lhs.name()) || self.taped(lhs)) =>
-                {
-                    yes = true;
-                }
-                _ => {}
-            });
-        }
-        yes
-    }
-
-    /// Scalars assigned inside a parallel-loop body whose values the
-    /// adjoint needs (gather indices, accumulators). Loop counters are
-    /// excluded: reversed loops re-establish them. Sorted for a
-    /// deterministic push/pop order.
-    fn iteration_scalars(&self, body: &[Stmt]) -> Vec<String> {
-        let mut assigned = Vec::new();
-        let mut counters = HashSet::new();
-        for s in body {
-            s.walk(&mut |st| match st {
-                Stmt::Assign {
-                    lhs: LValue::Var(v),
-                    ..
-                }
-                | Stmt::AtomicAdd {
-                    lhs: LValue::Var(v),
-                    ..
-                } if !assigned.contains(v) => {
-                    assigned.push(v.clone());
-                }
-                Stmt::For(inner) => {
-                    counters.insert(inner.var.clone());
-                }
-                _ => {}
-            });
-        }
-        let mut out: Vec<String> = assigned
-            .into_iter()
-            .filter(|v| !counters.contains(v) && self.needed.contains(v))
-            .collect();
-        out.sort();
-        out
+    /// Emit a loop with the statistics going to its `region` too, if it
+    /// is a parallel loop.
+    fn in_region<R>(&mut self, region: Option<usize>, emit: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = self.region;
+        self.region = region.or(outer);
+        let r = emit(self);
+        self.region = outer;
+        r
     }
 
     // ------------------------------------------------------------------
     // Forward sweep
     // ------------------------------------------------------------------
 
-    fn fwd_sweep(&mut self, stmts: &[Stmt]) -> Vec<Stmt> {
+    fn fwd_sweep(&mut self, names: &Names, nodes: &[Node]) -> Vec<Stmt> {
         let mut out = Vec::new();
-        for s in stmts {
-            self.fwd_stmt(s, &mut out);
+        for node in nodes {
+            match node {
+                Node::Assign(a) => {
+                    if a.kept {
+                        if a.push {
+                            self.count(|s| s.push_sites += 1);
+                            out.push(Stmt::Push(a.lhs.as_expr()));
+                        }
+                        out.push(a.stmt.clone());
+                    }
+                    self.count_fwd(a.kept);
+                }
+                Node::If(i) => {
+                    let mut then_f = self.fwd_sweep(names, &i.then_body);
+                    let mut else_f = self.fwd_sweep(names, &i.else_body);
+                    if i.kept {
+                        if i.reversed && !i.reeval {
+                            self.count(|s| s.push_sites += 2);
+                            then_f.push(Stmt::Push(Expr::IntLit(1)));
+                            else_f.push(Stmt::Push(Expr::IntLit(0)));
+                        }
+                        out.push(Stmt::If {
+                            cond: i.cond.clone(),
+                            then_body: then_f,
+                            else_body: else_f,
+                        });
+                    }
+                    self.count_fwd(i.kept);
+                }
+                Node::For(f) => self.in_region(f.region, |xf| {
+                    let mut body = xf.fwd_sweep(names, &f.body);
+                    xf.count_fwd(f.kept);
+                    if !f.kept {
+                        return;
+                    }
+                    // The scalars of this iteration that the backward
+                    // sweep reads and cannot recompute: each thread
+                    // reverses its chunk in a new parallel region, so
+                    // they do not survive to it any other way.
+                    for v in f.exit_pushes.iter() {
+                        xf.count(|s| s.push_sites += 1);
+                        body.push(Stmt::Push(Expr::var(names.name(v))));
+                    }
+                    let parallel = if xf.opts.parallel.is_serial() {
+                        None
+                    } else {
+                        f.l.parallel.clone()
+                    };
+                    out.push(Stmt::For(Box::new(ForLoop {
+                        var: f.l.var.clone(),
+                        lo: f.l.lo.clone(),
+                        hi: f.l.hi.clone(),
+                        step: f.l.step.clone(),
+                        body,
+                        parallel,
+                    })));
+                }),
+            }
         }
         out
     }
 
-    fn fwd_stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) {
-        match s {
-            Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } => {
-                if self.taped(lhs) {
-                    out.push(Stmt::Push(lhs.as_expr()));
-                }
-                out.push(s.clone());
+    /// One primal statement, kept in the forward sweep or dropped from it.
+    fn count_fwd(&mut self, kept: bool) {
+        self.count(|s| {
+            if kept {
+                s.fwd_kept += 1
+            } else {
+                s.fwd_dropped += 1
             }
-            Stmt::Push(_) | Stmt::Pop(_) => unreachable!("rejected in differentiate"),
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                if !self.needs_reversal(then_body) && !self.needs_reversal(else_body) {
-                    out.push(s.clone());
-                    return;
-                }
-                let mut then_f = self.fwd_sweep(then_body);
-                then_f.push(Stmt::Push(Expr::IntLit(1)));
-                let mut else_f = self.fwd_sweep(else_body);
-                else_f.push(Stmt::Push(Expr::IntLit(0)));
-                out.push(Stmt::If {
-                    cond: cond.clone(),
-                    then_body: then_f,
-                    else_body: else_f,
-                });
-            }
-            Stmt::For(l) => {
-                let mut body = self.fwd_sweep(&l.body);
-                if l.parallel.is_some() && self.needs_reversal(&l.body) {
-                    // End-of-iteration snapshot: the backward parallel loop
-                    // reverses each thread's chunk independently, so unlike
-                    // a sequential reversal it cannot rely on later
-                    // iterations' pops to restore iteration-local scalars.
-                    // Push their post-iteration values here; the backward
-                    // body pops them first.
-                    for v in self.iteration_scalars(&l.body) {
-                        body.push(Stmt::Push(Expr::var(v)));
-                    }
-                }
-                let parallel = if self.opts.parallel.is_serial() {
-                    None
-                } else {
-                    l.parallel.clone()
-                };
-                out.push(Stmt::For(Box::new(ForLoop {
-                    var: l.var.clone(),
-                    lo: l.lo.clone(),
-                    hi: l.hi.clone(),
-                    step: l.step.clone(),
-                    body,
-                    parallel,
-                })));
-            }
-        }
+        });
     }
 
     // ------------------------------------------------------------------
     // Backward sweep
     // ------------------------------------------------------------------
 
-    fn bwd_sweep(&mut self, stmts: &[Stmt]) -> Result<Vec<Stmt>, AdError> {
+    fn bwd_sweep(&mut self, names: &Names, nodes: &mut [Node]) -> Result<Vec<Stmt>, AdError> {
         let mut out = Vec::new();
-        for s in stmts.iter().rev() {
-            self.bwd_stmt(s, &mut out)?;
+        for node in nodes.iter_mut().rev() {
+            match node {
+                Node::Assign(a) => {
+                    if a.push {
+                        out.push(Stmt::Pop(a.lhs.clone()));
+                    }
+                    if let Some((incs, fin)) = a.adjoint.take() {
+                        out.extend(incs);
+                        out.extend(fin);
+                    }
+                }
+                Node::If(i) => {
+                    if !i.reversed {
+                        continue;
+                    }
+                    let cond = if i.reeval {
+                        self.count(|s| s.branches_reevaluated += 1);
+                        i.cond.clone()
+                    } else {
+                        let bv = format!("ad_branch{}", self.branch_counter);
+                        self.branch_counter += 1;
+                        self.new_locals.push(Decl::local(bv.clone(), Ty::Int));
+                        out.push(Stmt::Pop(LValue::var(bv.clone())));
+                        BoolExpr::cmp(CmpOp::Eq, Expr::var(bv), Expr::IntLit(1))
+                    };
+                    let then_b = self.bwd_sweep(names, &mut i.then_body)?;
+                    let else_b = self.bwd_sweep(names, &mut i.else_body)?;
+                    out.push(Stmt::If {
+                        cond,
+                        then_body: then_b,
+                        else_body: else_b,
+                    });
+                }
+                Node::For(f) if f.reversed => {
+                    out.extend(self.in_region(f.region, |xf| xf.bwd_loop(names, f))?);
+                }
+                Node::For(_) => {}
+            }
         }
         Ok(out)
     }
 
-    fn bwd_stmt(&mut self, s: &Stmt, out: &mut Vec<Stmt>) -> Result<(), AdError> {
-        match s {
-            Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } => {
-                if self.taped(lhs) {
-                    out.push(Stmt::Pop(lhs.clone()));
+    /// The reversed loop of `f`, preceded by the gather loops of its
+    /// transposed arrays.
+    fn bwd_loop(&mut self, names: &Names, f: &mut ForNode) -> Result<Vec<Stmt>, AdError> {
+        let l = f.l;
+        // Bound variables must be loop-invariant for the reversed
+        // bounds to be correct.
+        let mut bound_vars = Vec::new();
+        for e in [&l.lo, &l.hi, &l.step] {
+            e.scalar_vars(&mut bound_vars);
+        }
+        let mut assigned = HashSet::new();
+        for s in &l.body {
+            s.walk(&mut |st| {
+                if let Stmt::Assign {
+                    lhs: LValue::Var(v),
+                    ..
+                } = st
+                {
+                    assigned.insert(v.clone());
                 }
-                // Generated by the TBR scan; regenerated on a miss, so
-                // the output never depends on the memo.
-                let adjoint = self
-                    .adjoints
-                    .remove(&(s as *const Stmt as usize))
-                    .or_else(|| self.stmt_adjoint(s));
-                if let Some((incs, fin)) = adjoint {
-                    out.extend(incs);
-                    out.extend(fin);
+                if let Stmt::For(inner) = st {
+                    assigned.insert(inner.var.clone());
                 }
-                Ok(())
-            }
-            Stmt::Push(_) | Stmt::Pop(_) => unreachable!("rejected in differentiate"),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                if !self.needs_reversal(then_body) && !self.needs_reversal(else_body) {
-                    return Ok(());
-                }
-                let bv = format!("ad_branch{}", self.branch_counter);
-                self.branch_counter += 1;
-                self.new_locals.push(Decl::local(bv.clone(), Ty::Int));
-                out.push(Stmt::Pop(LValue::var(bv.clone())));
-                let then_b = self.bwd_sweep(then_body)?;
-                let else_b = self.bwd_sweep(else_body)?;
-                out.push(Stmt::If {
-                    cond: BoolExpr::cmp(CmpOp::Eq, Expr::var(bv), Expr::IntLit(1)),
-                    then_body: then_b,
-                    else_body: else_b,
-                });
-                Ok(())
-            }
-            Stmt::For(l) => {
-                if !self.needs_reversal(&l.body) {
-                    return Ok(());
-                }
-                // Bound variables must be loop-invariant for the reversed
-                // bounds to be correct.
-                let mut bound_vars = Vec::new();
-                for e in [&l.lo, &l.hi, &l.step] {
-                    e.scalar_vars(&mut bound_vars);
-                }
-                let mut assigned = HashSet::new();
-                for s in &l.body {
-                    s.walk(&mut |st| {
-                        if let Stmt::Assign {
-                            lhs: LValue::Var(v),
-                            ..
-                        } = st
-                        {
-                            assigned.insert(v.clone());
-                        }
-                        if let Stmt::For(inner) = st {
-                            assigned.insert(inner.var.clone());
-                        }
-                    });
-                }
-                if let Some(v) = bound_vars.iter().find(|v| assigned.contains(*v)) {
-                    return Err(AdError::new(format!(
-                        "loop bound variable `{v}` is modified inside the loop; \
-                         reversal would be incorrect"
-                    )));
-                }
+            });
+        }
+        if let Some(v) = bound_vars.iter().find(|v| assigned.contains(*v)) {
+            return Err(AdError::new(format!(
+                "loop bound variable `{v}` is modified inside the loop; \
+                 reversal would be incorrect"
+            )));
+        }
 
-                let mut body = self.bwd_sweep(&l.body)?;
-                if l.parallel.is_some() {
-                    // Mirror of the forward snapshot: restore the
-                    // iteration-defined scalars before any adjoint work.
-                    let mut pops = Vec::new();
-                    for v in self.iteration_scalars(&l.body).into_iter().rev() {
-                        pops.push(Stmt::Pop(LValue::var(v)));
-                    }
-                    pops.extend(body);
-                    body = pops;
+        // Before any adjoint work of an iteration: restore the scalars
+        // pushed where it ended, then recompute the ones that are a
+        // function of the counters and of data nobody writes.
+        let mut head: Vec<Stmt> = f
+            .exit_pushes
+            .iter()
+            .map(|v| Stmt::Pop(LValue::var(names.name(v))))
+            .collect();
+        head.reverse();
+        let mut recomputed = Vec::new();
+        for node in &f.body {
+            if let Node::Assign(a) = node {
+                if a.recompute {
+                    recomputed.push(a.lhs.name().to_string());
+                    head.push(a.stmt.clone());
                 }
-                let (last, first, neg_step) = reversed_bounds(l);
-                let region = self.region_of.get(&(l.as_ref() as *const ForLoop as usize));
-                match (region, &l.parallel) {
-                    (Some(&region), Some(primal_info)) if !self.opts.parallel.is_serial() => {
-                        let (gathers, body, transposed_fallback) =
-                            self.apply_transposed(region, l, body);
-                        // Gather loops read region-entry seed adjoints, so
-                        // they run before the residual reversed loop.
-                        out.extend(gathers);
-                        let (info, body) = self.parallel_adjoint_pragma(
-                            region,
-                            primal_info,
-                            &l.var,
-                            body,
-                            &transposed_fallback,
-                        );
-                        if !body.is_empty() {
-                            out.push(Stmt::For(Box::new(ForLoop {
-                                var: l.var.clone(),
-                                lo: last,
-                                hi: first,
-                                step: neg_step,
-                                body,
-                                parallel: Some(info),
-                            })));
-                        }
-                    }
-                    _ => {
-                        out.push(Stmt::For(Box::new(ForLoop {
-                            var: l.var.clone(),
-                            lo: last,
-                            hi: first,
-                            step: neg_step,
-                            body,
-                            parallel: None,
-                        })));
-                    }
-                }
-                Ok(())
             }
         }
+        let body = self.bwd_sweep(names, &mut f.body)?;
+
+        let mut out = Vec::new();
+        let (parallel, body) = match (f.region, &l.parallel) {
+            (Some(region), Some(primal_info)) if !self.opts.parallel.is_serial() => {
+                let (gathers, body, transposed_fallback) = self.apply_transposed(region, l, body);
+                // Gather loops read region-entry seed adjoints, so
+                // they run before the residual reversed loop.
+                out.extend(gathers);
+                if body.is_empty() && f.exit_pushes.is_empty() {
+                    return Ok(out);
+                }
+                head.extend(body);
+                let (info, body) = self.parallel_adjoint_pragma(
+                    region,
+                    primal_info,
+                    &l.var,
+                    head,
+                    &transposed_fallback,
+                );
+                (Some(info), body)
+            }
+            _ => {
+                head.extend(body);
+                (None, head)
+            }
+        };
+        self.count(|s| s.recomputed.extend_from_slice(&recomputed));
+        let (last, first, neg_step) = reversed_bounds(l);
+        out.push(Stmt::For(Box::new(ForLoop {
+            var: l.var.clone(),
+            lo: last,
+            hi: first,
+            step: neg_step,
+            body,
+            parallel,
+        })));
+        Ok(out)
     }
 
     /// Replace the adjoint scatter of every `Transposed`-mode array with
@@ -885,7 +881,9 @@ mod tests {
 
     fn diff(src: &str, indep: &[&str], dep: &[&str], par: ParallelTreatment) -> Program {
         let p = parse_program(src).unwrap();
-        differentiate(&p, &AdjointOptions::new(indep, dep, par)).unwrap()
+        differentiate(&p, &AdjointOptions::new(indep, dep, par))
+            .unwrap()
+            .program
     }
 
     const SAXPY: &str = r#"
@@ -1016,7 +1014,7 @@ end subroutine
     }
 
     #[test]
-    fn branch_decisions_pushed_and_popped() {
+    fn branch_on_unwritten_data_is_evaluated_again() {
         let src = r#"
 subroutine br(n, x, y, c)
   integer, intent(in) :: n
@@ -1031,6 +1029,39 @@ subroutine br(n, x, y, c)
   end do
 end subroutine
 "#;
+        let p = parse_program(src).unwrap();
+        let adj = differentiate(
+            &p,
+            &AdjointOptions::new(&["x"], &["y"], ParallelTreatment::Serial),
+        )
+        .unwrap();
+        let text = program_to_string(&adj.program);
+        assert!(!text.contains("push"), "{text}");
+        assert!(!text.contains("ad_branch"), "{text}");
+        assert_eq!(text.matches("if (c(i) .gt. 0) then").count(), 1, "{text}");
+        assert_eq!(adj.stats.branches_reevaluated, 1);
+        assert_eq!((adj.stats.fwd_kept, adj.stats.fwd_dropped), (0, 3));
+    }
+
+    #[test]
+    fn branch_on_written_data_pushes_its_decision() {
+        // `c` is written by the program, so the condition may not hold
+        // the same value when the backward sweep reaches the branch.
+        let src = r#"
+subroutine br(n, x, y, c)
+  integer, intent(in) :: n
+  integer, intent(inout) :: c(n)
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  do i = 1, n
+    if (c(i) .gt. 0) then
+      y(i) = y(i) + 2.0 * x(i)
+    end if
+    c(i) = 0
+  end do
+end subroutine
+"#;
         let adj = diff(src, &["x"], &["y"], ParallelTreatment::Serial);
         let text = program_to_string(&adj);
         assert!(text.contains("call push(1)"), "{text}");
@@ -1039,6 +1070,59 @@ end subroutine
         assert!(text.contains("if (ad_branch0 .eq. 1) then"), "{text}");
         // The branch local is declared.
         assert!(adj.locals.iter().any(|d| d.name == "ad_branch0"));
+        // The flag is all the forward sweep keeps of the branch; the
+        // write to `c` stays, for the next iteration's condition.
+        assert!(!text.contains("y(i) = y(i) + 2.0 * x(i)"), "{text}");
+        assert!(text.contains("c(i) = 0"), "{text}");
+    }
+
+    #[test]
+    fn statistics_split_by_region() {
+        // Statements outside the parallel loops count for the program
+        // only; `from` is recomputed in the sequential `k` loop, `t` in
+        // region 0.
+        let src = r#"
+subroutine two(n, c, x, y)
+  integer, intent(in) :: n
+  integer, intent(in) :: c(n)
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i, k, t, from
+  do k = 1, 2
+    from = k + 1
+    !$omp parallel do shared(c, x, y) private(t)
+    do i = from, n
+      t = c(i)
+      y(i) = y(i) + x(t) * x(t)
+    end do
+    !$omp parallel do shared(y)
+    do i = 1, n
+      y(i) = sin(y(i))
+    end do
+  end do
+end subroutine
+"#;
+        let p = parse_program(src).unwrap();
+        let adj = differentiate(
+            &p,
+            &AdjointOptions::new(&["x"], &["y"], ParallelTreatment::Uniform(IncMode::Plain)),
+        )
+        .unwrap();
+        let text = program_to_string(&adj.program);
+        let stats = |kept, dropped, pushes, recomputed: &[&str]| AdjointStats {
+            fwd_kept: kept,
+            fwd_dropped: dropped,
+            push_sites: pushes,
+            recomputed: recomputed.iter().map(|s| s.to_string()).collect(),
+            branches_reevaluated: 0,
+        };
+        // `sin` reads the `y` it overwrites, and that `y` comes out of
+        // region 0, so every statement stays; arrays are recorded by
+        // name, so both writes to `y` push.
+        assert_eq!(adj.stats, stats(7, 0, 2, &["t", "from"]), "{text}");
+        assert_eq!(adj.regions[0], stats(3, 0, 1, &["t"]), "{text}");
+        assert_eq!(adj.regions[1], stats(2, 0, 1, &[]), "{text}");
+        assert_eq!(text.matches("call push(y(i))").count(), 2, "{text}");
     }
 
     #[test]

@@ -369,11 +369,22 @@ impl KernelExecData {
         let tr = self.best_s_on("adj-transposed", backend, self.check_threads)?;
         Some(a / tr)
     }
+
+    /// The paper's own metric: FormAD adjoint over primal on one backend
+    /// at one thread, where no parallel speedup is mixed in.
+    pub fn adjoint_over_primal_on(&self, backend: &str) -> Option<f64> {
+        let a = self.best_s_on("adj-FormAD", backend, 1)?;
+        let p = self.best_s_on("primal", backend, 1)?;
+        Some(a / p)
+    }
 }
 
 /// Everything `BENCH_kernels.json` records.
 #[derive(Debug)]
 pub struct KernelBenchResult {
+    /// Cores of the host the cells were timed on: thread counts above it
+    /// are oversubscribed.
+    pub nproc: usize,
     /// Timed iterations per cell.
     pub iters: usize,
     /// Thread counts measured.
@@ -713,6 +724,7 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
         }
     }
     KernelBenchResult {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         iters,
         threads: threads.to_vec(),
         smoke,
@@ -757,7 +769,9 @@ fn json_ratio(x: f64) -> String {
 
 /// The top-level `summary` block: per kernel, the fastest cell overall
 /// and among adjoints, the per-version dispatch-removal factor
-/// (`aot_over_bytecode`), and the FormAD-over-atomic ratio per backend.
+/// (`aot_over_bytecode`), the FormAD adjoint over the primal at one
+/// thread per backend (`adjoint_over_primal`), and the FormAD-over-atomic
+/// ratio per backend.
 fn summary_json(r: &KernelBenchResult) -> String {
     let mut entries = Vec::new();
     for k in &r.kernels {
@@ -817,6 +831,20 @@ fn summary_json(r: &KernelBenchResult) -> String {
             o,
             "        \"aot_over_bytecode\": {{{}}},",
             speedups.join(", ")
+        );
+        let aop: Vec<String> = BACKENDS
+            .iter()
+            .map(|b| {
+                format!(
+                    "\"{b}\": {}",
+                    json_ratio(k.adjoint_over_primal_on(b).unwrap_or(f64::NAN))
+                )
+            })
+            .collect();
+        let _ = writeln!(
+            o,
+            "        \"adjoint_over_primal\": {{{}}},",
+            aop.join(", ")
         );
         let _ = writeln!(o, "        \"formad_over_atomic\": {{{}}},", foa.join(", "));
         let _ = writeln!(
@@ -942,10 +970,11 @@ pub fn kernel_bench_json(r: &KernelBenchResult) -> String {
     );
     format!(
         "{{\n  \"bench\": \"kernel_exec\",\n  \"backends\": [\"bytecode\", \"aot\"],\n  \
-         \"iters\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \
+         \"nproc\": {},\n  \"iters\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \
          \"all_bitwise\": {},\n  \"orderings_agree\": {},\n  \
          \"calibration\": {},\n  \"summary\": {},\n  \
          \"kernels\": [\n{}\n  ]\n}}\n",
+        r.nproc,
         r.iters,
         json_usize_list(&r.threads),
         r.smoke,

@@ -78,6 +78,8 @@ fn summary_block_is_complete_and_consistent() {
         threads.contains(&num_of(summary, "check_threads")),
         "check_threads must be one of the measured thread counts"
     );
+    // Cells above the recorded core count ran oversubscribed.
+    assert!(num_of(&j, "nproc") >= 1.0, "host core count not recorded");
 
     // One summary row per raw kernel row, same names, same order.
     let raw_names: Vec<String> = items(get(&j, "kernels"))
@@ -139,6 +141,21 @@ fn summary_block_is_complete_and_consistent() {
                 "`{name}`: aot_over_bytecode[adj-transposed] = {r}"
             ),
             other => panic!("`{name}`: aot_over_bytecode[adj-transposed] = {other}"),
+        }
+        // The paper's metric at one thread, per backend. ROADMAP item 5's
+        // bar for the stencils: the AOT adjoint within 1.5x of the primal
+        // (2.05x / 2.15x while the forward sweep was the whole primal).
+        let aop = get(k, "adjoint_over_primal");
+        for b in &backends {
+            let r = num_of(aop, b);
+            assert!(
+                r.is_finite() && r > 0.0,
+                "`{name}`: adjoint_over_primal[{b}] = {r}"
+            );
+        }
+        if name.starts_with("stencil") {
+            let r = num_of(aop, "aot");
+            assert!(r <= 1.5, "`{name}`: AOT adjoint / primal = {r}");
         }
         let foa = get(k, "formad_over_atomic");
         for b in &backends {

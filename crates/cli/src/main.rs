@@ -401,7 +401,9 @@ fn disk_diag(engine: &formad::SharedEngine, dir: &str, flushed: usize) {
 
 /// One stderr line of search-core work counters, printed after every
 /// analysis so benchmarking scripts can scrape it without parsing the
-/// report (which never contains perf numbers).
+/// report (which never contains perf numbers). When the adjoint was
+/// generated too, a second line says what it keeps of the forward sweep
+/// and the tape.
 fn search_diag(a: &formad::FormadAnalysis) {
     let s = &a.stats;
     eprintln!(
@@ -415,6 +417,9 @@ fn search_diag(a: &formad::FormadAnalysis) {
         s.presolve_discharges,
         s.presolve_clauses
     );
+    if let Some(adjoint) = &a.adjoint {
+        eprintln!("formad: adjoint: {adjoint}");
+    }
 }
 
 fn render(p: &formad_ir::Program, emit: &str) -> String {
@@ -995,8 +1000,10 @@ fn run_diff(
             ExitCode::SUCCESS
         }
         "explain" => {
-            let a = match tool.analyze(primal) {
-                Ok(a) => a,
+            // The narrative covers the adjoint's tape as well as the
+            // safeguards, so the transformation runs too.
+            let a = match tool.differentiate(primal) {
+                Ok(r) => r.analysis,
                 Err(e) => {
                     eprintln!("{e}");
                     return code_for(e.kind);

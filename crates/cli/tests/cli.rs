@@ -724,6 +724,78 @@ fn exec_aot_falls_back_when_the_toolchain_is_broken() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Green-Gauss-shaped gather: the index scalar is recomputed, the branch
+/// on it is evaluated again, and nothing of the primal is re-executed.
+const GATHER_F: &str = r#"
+subroutine gather(n, c, x, y)
+  integer, intent(in) :: n
+  integer, intent(in) :: c(n)
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i, t
+  !$omp parallel do shared(c, x, y) private(t)
+  do i = 1, n
+    t = c(i)
+    if (t .gt. 1) then
+      y(i) = y(i) + 2.0 * x(t)
+    end if
+  end do
+end subroutine
+"#;
+
+#[test]
+fn adjoint_statistics_reach_stderr_explain_and_the_trace() {
+    let f = write_temp("gather.f90", GATHER_F);
+    let file = f.to_str().unwrap();
+    let line = "forward sweep keeps 0 of 4 statements / 0 push sites / \
+                1 branches re-evaluated / recomputed: t";
+
+    // `adjoint`: one stderr line beside the search-core line.
+    let (out, err, ok) = formad(&["adjoint", file, "--wrt", "x", "--of", "y"]);
+    assert!(ok, "{err}");
+    assert!(err.contains("formad: search core cdcl:"), "{err}");
+    assert!(err.contains(&format!("formad: adjoint: {line}")), "{err}");
+    assert!(!out.contains("push"), "{out}");
+
+    // `explain`: the program's line and the narrated region's.
+    let (out, _, ok) = formad(&["explain", file, "--wrt", "x", "--of", "y"]);
+    assert!(ok);
+    assert!(
+        out.contains(&format!("adjoint of the program: {line}")),
+        "{out}"
+    );
+    assert!(
+        out.contains(&format!("adjoint of region 0: {line}")),
+        "{out}"
+    );
+
+    // `--trace`: two `adjoint` events in the deterministic section, after
+    // the AD phase, and the document still validates.
+    let trace = std::env::temp_dir().join("formad-cli-tests/gather-trace.json");
+    let (_, err, ok) = formad(&[
+        "adjoint",
+        file,
+        "--wrt",
+        "x",
+        "--of",
+        "y",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(ok, "{err}");
+    let doc = std::fs::read_to_string(&trace).unwrap();
+    formad::validate_trace(&doc).expect("trace validates");
+    let ad = doc.find("\"id\": \"phase/ad\"").expect("AD phase recorded");
+    let whole = doc
+        .find("{\"ev\": \"adjoint\", \"id\": \"adjoint\", \"fwd_kept\": 0, \"fwd_dropped\": 4")
+        .expect("program-level adjoint event");
+    let region = doc
+        .find("\"id\": \"r0/adjoint\", \"region\": 0, \"fwd_kept\": 0, \"fwd_dropped\": 4")
+        .expect("per-region adjoint event");
+    assert!(ad < whole && whole < region, "{doc}");
+    assert!(doc.contains("\"recomputed\": [\"t\"], \"branches_reevaluated\": 1"));
+}
+
 #[test]
 fn explain_narrates_decisions() {
     let f = write_temp("explain.f90", FIG2_F);

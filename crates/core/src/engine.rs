@@ -35,7 +35,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use formad_ad::{
-    differentiate, differentiate_validated, AdjointOptions, IncMode, ParallelTreatment,
+    differentiate, differentiate_validated, Adjoint, AdjointOptions, IncMode, ParallelTreatment,
 };
 use formad_analysis::Activity;
 use formad_ir::Program;
@@ -143,7 +143,7 @@ impl SharedEngine {
         options: &FormadOptions,
         treatment: ParallelTreatment,
     ) -> Result<Program, FormadError> {
-        Ok(differentiate(primal, &ad_options(options, treatment))?)
+        Ok(differentiate(primal, &ad_options(options, treatment))?.program)
     }
 
     fn isolated<T>(
@@ -287,6 +287,7 @@ fn analyze_front_end(
         regions,
         plan: ParallelTreatment::PerArray(maps),
         stats,
+        adjoint: None,
     };
     Ok((analysis, activity))
 }
@@ -339,17 +340,34 @@ pub(crate) fn run_differentiate(
     primal: &Program,
     options: &FormadOptions,
 ) -> Result<DiffResult, FormadError> {
-    let (analysis, activity) = analyze_front_end(primal, options)?;
+    let (mut analysis, activity) = analyze_front_end(primal, options)?;
     let mark = Instant::now();
     let ad_opts = ad_options(options, analysis.plan.clone());
-    let adjoint = differentiate_validated(primal, &ad_opts, activity)?;
+    let Adjoint {
+        program: adjoint,
+        stats,
+        regions,
+    } = differentiate_validated(primal, &ad_opts, activity)?;
     if let Some(s) = options.region.trace.as_ref() {
         s.record(TraceEvent::Phase {
             id: "phase/ad".to_string(),
             dur_us: mark.elapsed().as_micros() as u64,
         });
+        // What the transformation kept of the forward sweep and the
+        // tape: the whole program, then each parallel region.
+        s.record(TraceEvent::Adjoint {
+            region: None,
+            stats: stats.clone(),
+        });
+        for (k, stats) in regions.into_iter().enumerate() {
+            s.record(TraceEvent::Adjoint {
+                region: Some(k),
+                stats,
+            });
+        }
     }
     check_deadline(options, "differentiation")?;
+    analysis.adjoint = Some(stats);
     Ok(DiffResult { adjoint, analysis })
 }
 

@@ -53,7 +53,7 @@ pub use fingerprint::{
     clear_fp_file, inspect_fp_file, probe_fp_write, region_fingerprint, FingerprintIndex,
     FpFileReport, FpStats, FpTier, RegionRecord, FP_FORMAT_VERSION,
 };
-pub use formad_ad::{IncMode, ParallelTreatment};
+pub use formad_ad::{AdjointStats, IncMode, ParallelTreatment};
 pub use formad_smt::{Deadline, SearchCore};
 pub use pipeline::{
     DiffResult, Formad, FormadAnalysis, FormadError, FormadErrorKind, FormadOptions,

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use formad_ad::{AdError, IncMode, ParallelTreatment};
+use formad_ad::{AdError, AdjointStats, IncMode, ParallelTreatment};
 use formad_ir::Program;
 use formad_smt::SolverStats;
 
@@ -42,6 +42,10 @@ pub struct FormadAnalysis {
     pub plan: ParallelTreatment,
     /// Prover statistics aggregated over every region (saturating).
     pub stats: SolverStats,
+    /// What the adjoint generated from `plan` keeps of the forward sweep
+    /// and the tape; `None` until the transformation ran
+    /// ([`Formad::differentiate`]).
+    pub adjoint: Option<AdjointStats>,
 }
 
 impl FormadAnalysis {

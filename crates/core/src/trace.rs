@@ -27,6 +27,8 @@
 
 use std::sync::{Arc, Mutex};
 
+use formad_ad::AdjointStats;
+
 /// Version tag of the JSON document layout.
 pub const TRACE_SCHEMA: &str = "formad-trace/v1";
 
@@ -184,6 +186,14 @@ pub enum TraceEvent {
         /// Wall-clock duration (perf section only).
         dur_us: u64,
     },
+    /// What the reverse-mode transformation kept of the forward sweep and
+    /// of the tape, after `phase/ad`: once for the whole program
+    /// (`region: None`), then once per parallel region with the share
+    /// inside it.
+    Adjoint {
+        region: Option<usize>,
+        stats: AdjointStats,
+    },
 }
 
 impl TraceEvent {
@@ -211,6 +221,11 @@ impl TraceEvent {
             } => format!("r{region}/{array}/t{attempt}"),
             TraceEvent::Decision { region, array, .. } => format!("r{region}/{array}/decision"),
             TraceEvent::RegionEnd { region, .. } => format!("r{region}/end"),
+            TraceEvent::Adjoint { region: None, .. } => "adjoint".to_string(),
+            TraceEvent::Adjoint {
+                region: Some(region),
+                ..
+            } => format!("r{region}/adjoint"),
         }
     }
 
@@ -229,6 +244,7 @@ impl TraceEvent {
             TraceEvent::Attempt { .. } => "attempt",
             TraceEvent::Decision { .. } => "decision",
             TraceEvent::RegionEnd { .. } => "region-end",
+            TraceEvent::Adjoint { .. } => "adjoint",
         }
     }
 
@@ -366,6 +382,16 @@ impl TraceEvent {
                 o.num("region", *region as u64);
                 o.num("queries", *queries);
                 o.num("warnings", *warnings as u64);
+            }
+            TraceEvent::Adjoint { region, stats } => {
+                if let Some(region) = region {
+                    o.num("region", *region as u64);
+                }
+                o.num("fwd_kept", stats.fwd_kept as u64);
+                o.num("fwd_dropped", stats.fwd_dropped as u64);
+                o.num("push_sites", stats.push_sites as u64);
+                o.str_list("recomputed", &stats.recomputed);
+                o.num("branches_reevaluated", stats.branches_reevaluated as u64);
             }
         }
         o.finish()
@@ -657,6 +683,7 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
 
     let mut s = String::new();
     let mut matched = false;
+    let mut narrated: Vec<usize> = Vec::new();
     for e in events {
         let TraceEvent::Decision {
             region,
@@ -674,6 +701,7 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
             }
         }
         matched = true;
+        narrated.push(*region);
         let (loop_var, loc) = region_meta
             .get(region)
             .cloned()
@@ -724,6 +752,25 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
             None => {
                 let _ = writeln!(s, "no decisions recorded");
             }
+        }
+    }
+    // Why a value is taped or not: the whole program's adjoint, then
+    // each narrated region's share of it.
+    for e in events {
+        match e {
+            TraceEvent::Adjoint {
+                region: None,
+                stats,
+            } => {
+                let _ = writeln!(s, "adjoint of the program: {stats}");
+            }
+            TraceEvent::Adjoint {
+                region: Some(k),
+                stats,
+            } if narrated.contains(k) => {
+                let _ = writeln!(s, "adjoint of region {k}: {stats}");
+            }
+            _ => {}
         }
     }
     s
@@ -1064,7 +1111,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
         if !segment_ids.insert(id.clone()) {
             return Err(format!("{at}: duplicate span id `{id}` within a segment"));
         }
-        all_ids.insert(id);
+        all_ids.insert(id.clone());
         match ev.as_str() {
             "pipeline" => {
                 need_str(e, "program", &at)?;
@@ -1149,6 +1196,20 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
                 need_num(e, "region", &at)?;
                 need_num(e, "queries", &at)?;
                 need_num(e, "warnings", &at)?;
+            }
+            "adjoint" => {
+                if id != "adjoint" {
+                    need_num(e, "region", &at)?;
+                }
+                for f in [
+                    "fwd_kept",
+                    "fwd_dropped",
+                    "push_sites",
+                    "branches_reevaluated",
+                ] {
+                    need_num(e, f, &at)?;
+                }
+                need_str_list(e, "recomputed", &at)?;
             }
             other => return Err(format!("{at}: unknown event kind `{other}`")),
         }
@@ -1324,6 +1385,61 @@ mod tests {
         }];
         let doc = trace_json(&events);
         validate_trace(&doc).expect("escaped strings stay valid");
+    }
+
+    /// The events `run_differentiate` appends after `phase/ad`.
+    fn adjoint_events() -> Vec<TraceEvent> {
+        let stats = AdjointStats {
+            fwd_kept: 0,
+            fwd_dropped: 2,
+            push_sites: 0,
+            recomputed: vec!["t".into()],
+            branches_reevaluated: 1,
+        };
+        vec![
+            TraceEvent::Adjoint {
+                region: None,
+                stats: stats.clone(),
+            },
+            TraceEvent::Adjoint {
+                region: Some(0),
+                stats,
+            },
+        ]
+    }
+
+    #[test]
+    fn adjoint_events_validate_and_are_explained() {
+        let mut events = sample_events();
+        events.extend(adjoint_events());
+        let doc = trace_json(&events);
+        validate_trace(&doc).expect("valid trace");
+        assert!(
+            doc.contains(
+                "{\"ev\": \"adjoint\", \"id\": \"r0/adjoint\", \"region\": 0, \
+                 \"fwd_kept\": 0, \"fwd_dropped\": 2, \"push_sites\": 0, \
+                 \"recomputed\": [\"t\"], \"branches_reevaluated\": 1}"
+            ),
+            "{doc}"
+        );
+        assert!(doc.contains("\"id\": \"adjoint\", \"fwd_kept\""), "{doc}");
+        // A per-region event without its region is rejected.
+        assert!(
+            validate_trace(&doc.replace("\"region\": 0, \"fwd_kept\"", "\"fwd_kept\"")).is_err()
+        );
+
+        let text = explain(&events, Some("x"));
+        assert!(
+            text.contains(
+                "adjoint of region 0: forward sweep keeps 0 of 2 statements / 0 push sites / \
+                 1 branches re-evaluated / recomputed: t"
+            ),
+            "{text}"
+        );
+        assert!(text.contains("adjoint of the program: forward sweep keeps 0 of 2"));
+        // A region with no narrated decision keeps its line out.
+        let other = explain(&events, Some("nope"));
+        assert!(!other.contains("adjoint of region"), "{other}");
     }
 
     #[test]

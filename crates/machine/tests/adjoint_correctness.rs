@@ -36,7 +36,8 @@ fn check_all(
         let indep_names: Vec<&str> = independents.iter().map(|(n, _)| *n).collect();
         let dep_names: Vec<&str> = dependents.iter().map(|(n, _)| *n).collect();
         let adj = differentiate(&primal, &AdjointOptions::new(&indep_names, &dep_names, tr))
-            .unwrap_or_else(|e| panic!("differentiate failed ({tname}): {e}"));
+            .unwrap_or_else(|e| panic!("differentiate failed ({tname}): {e}"))
+            .program;
         for threads in [1usize, 3, 8] {
             let m = Machine::with_threads(threads);
             let t = dot_product_test(&primal, &adj, base, independents, dependents, &m, 1e-6, "b")
@@ -282,7 +283,8 @@ end subroutine
         &primal,
         &AdjointOptions::new(&["x"], &["y"], ParallelTreatment::Uniform(IncMode::Plain)),
     )
-    .unwrap();
+    .unwrap()
+    .program;
     let x = rand_vec(&mut r, n);
     let y = rand_vec(&mut r, n);
     let yb = rand_vec(&mut r, n);

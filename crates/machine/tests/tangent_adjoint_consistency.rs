@@ -24,7 +24,7 @@ fn consistency(
     let primal = parse_program(src).unwrap();
     let opts = AdjointOptions::new(indep, dep, ParallelTreatment::Uniform(IncMode::Plain));
     let tangent = differentiate_tangent(&primal, &opts).unwrap();
-    let adjoint = differentiate(&primal, &opts).unwrap();
+    let adjoint = differentiate(&primal, &opts).unwrap().program;
     let m = Machine::with_threads(threads);
 
     // Tangent run: seed xd, read yd.

@@ -80,11 +80,13 @@ fn adjoint_values_identical_across_versions() {
     }
 }
 
-/// The primal value is reproduced by the adjoint program's forward sweep:
-/// running the adjoint leaves the dependent outputs exactly as the primal
-/// does.
+/// `_b` computes adjoints; primal outputs are not returned. The stencil
+/// is linear in its active data, so no adjoint statement reads a value
+/// the primal computes: the adjoint runs no forward region, tapes
+/// nothing, leaves `unew` as it found it — and `uoldb` is what the
+/// store-all adjoint, which re-executed the whole primal, computed.
 #[test]
-fn adjoint_forward_sweep_reproduces_primal() {
+fn adjoint_skips_primal_work_the_derivative_does_not_need() {
     let case = StencilCase::small(48, 2);
     let primal = case.ir();
     let tool = Formad::new(FormadOptions::new(
@@ -92,19 +94,61 @@ fn adjoint_forward_sweep_reproduces_primal() {
         StencilCase::dependents(),
     ));
     let adj = tool.differentiate(&primal).unwrap().adjoint;
+    let text = program_to_string(&adj);
+    assert_eq!(adj.parallel_loop_count(), 1, "{text}");
+    assert!(text.contains("do i = from + (n - 1 - from) / 2 * 2, from, -2"));
+    assert!(!text.contains("push") && !text.contains("pop"), "{text}");
+    assert!(!text.contains("unew(i"), "{text}");
 
-    let mut b_primal = case.bindings(5);
-    run(&primal, &mut b_primal, &Machine::with_threads(3)).unwrap();
-
-    let mut b_adj = case.bindings(5);
-    b_adj.real_arrays.insert("unewb".into(), vec![1.0; case.n]);
-    b_adj.real_arrays.insert("uoldb".into(), vec![0.0; case.n]);
+    let mut base = case.bindings(5);
+    base.real_arrays.insert("unewb".into(), vec![1.0; case.n]);
+    base.real_arrays.insert("uoldb".into(), vec![0.0; case.n]);
+    let mut b_adj = base.clone();
     run(&adj, &mut b_adj, &Machine::with_threads(3)).unwrap();
+    assert_eq!(base.get_real_array("unew"), b_adj.get_real_array("unew"));
 
-    assert_eq!(
-        b_primal.get_real_array("unew"),
-        b_adj.get_real_array("unew")
-    );
+    // The store-all adjoint: the whole primal, then the same backward
+    // sweep.
+    let mut store_all = adj.clone();
+    store_all.body.splice(0..0, primal.body.iter().cloned());
+    let mut b_all = base.clone();
+    run(&store_all, &mut b_all, &Machine::with_threads(3)).unwrap();
+    assert_ne!(base.get_real_array("unew"), b_all.get_real_array("unew"));
+    assert_eq!(b_all.get_real_array("uoldb"), b_adj.get_real_array("uoldb"));
+}
+
+/// GFMC's spin flip is `cr = tanh(cr) + …`: the derivative of `tanh`
+/// reads the `cr` the statement overwrites, and that `cr` depends on the
+/// exchange region before it. Both forward regions stay, and the one
+/// value the backward sweep cannot get otherwise is taped.
+#[test]
+fn adjoint_keeps_primal_work_the_derivative_needs() {
+    let case = GfmcCase::new(8, 2);
+    let primal = case.ir();
+    let tool = Formad::new(FormadOptions::new(
+        GfmcCase::independents(),
+        GfmcCase::dependents(),
+    ));
+    let adj = tool.differentiate(&primal).unwrap().adjoint;
+    let text = program_to_string(&adj);
+    // Two forward regions, two reversed ones.
+    assert_eq!(adj.parallel_loop_count(), 4, "{text}");
+    assert!(text.contains("do k12 = 1, np"), "{text}");
+    assert!(text.contains("do i = 1, ns"), "{text}");
+    assert_eq!(text.matches("call push(").count(), 1, "{text}");
+    assert!(text.contains("call push(cr(i, j))"), "{text}");
+    assert_eq!(text.matches("call pop(").count(), 1, "{text}");
+
+    // The forward sweep is the primal here, so the primal's outputs come
+    // out of the adjoint run as well — a by-product, not the contract.
+    let mut b_primal = case.bindings_split(9);
+    run(&primal, &mut b_primal, &Machine::with_threads(3)).unwrap();
+    let np = case.ns * case.ns;
+    let mut b_adj = case.bindings_split(9);
+    b_adj.real_arrays.insert("crb".into(), vec![1.0; np]);
+    b_adj.real_arrays.insert("clb".into(), vec![1.0; np]);
+    run(&adj, &mut b_adj, &Machine::with_threads(3)).unwrap();
+    assert_eq!(b_primal.get_real_array("cl"), b_adj.get_real_array("cl"));
 }
 
 /// Linearity check for the stencil: the gradient of Σ unew w.r.t. uold is

@@ -25,10 +25,15 @@ fn assert_common_shape(fig: &FigureData) {
     );
     // Atomics are far below serial even at one thread and get *worse*
     // with more threads (paper: "actually slow down as more threads are
-    // added").
+    // added"). Paper at one thread: 0.039 on the small stencil
+    // (1.58 s / 40.7 s), 0.01–0.1 on GFMC. Every adjoint version runs the
+    // same forward sweep F, so the ratio is (F + b_serial) / (F + b_atomic):
+    // with F the whole primal it read 0.034–0.059 here; with F gone for
+    // the linear kernels it reads 0.018 (stencils) to 0.059 (GFMC, whose
+    // forward sweep stays).
     let atomic_1 = fig.speedup("adj-atomic", 1);
     let atomic_18 = fig.speedup("adj-atomic", 18);
-    assert!(atomic_1 < 0.25, "{}: atomic @1T {atomic_1:.3}", fig.name);
+    assert!(atomic_1 < 0.1, "{}: atomic @1T {atomic_1:.3}", fig.name);
     assert!(
         atomic_18 < atomic_1,
         "{}: atomics must degrade with threads ({atomic_1:.3} → {atomic_18:.3})",
@@ -75,9 +80,15 @@ fn small_stencil_shape_fig3_fig5() {
     assert!(p18 > 8.0, "primal @18T = {p18:.1}");
     assert!(f18 > 8.0, "FormAD @18T = {f18:.1}");
     assert!((p18 / f18 - 1.0).abs() < 0.4);
-    // Reduction at one thread ≈ 0.43× (paper: 1.58 s / 3.65 s).
+    // Reduction at one thread: paper 0.43× (1.58 s / 3.65 s). The cost
+    // model was fitted to that figure while the serial adjoint still
+    // re-executed the primal (it read 0.41 = 2b / (b + 3.84b) with the
+    // forward sweep as long as the backward one); without the forward
+    // sweep the same model reads b / 3.84b = 0.26. The window holds both
+    // the paper's value and the model's, and no longer the 0.5–0.7 no
+    // version of this kernel can reach.
     let r1 = fig.speedup("adj-reduction", 1);
-    assert!(r1 > 0.2 && r1 < 0.7, "reduction @1T = {r1:.2}");
+    assert!(r1 > 0.2 && r1 < 0.5, "reduction @1T = {r1:.2}");
 }
 
 #[test]

@@ -184,7 +184,9 @@ proptest! {
             ParallelTreatment::Uniform(IncMode::Atomic),
             ParallelTreatment::Uniform(IncMode::Reduction),
         ] {
-            let adj = differentiate(&primal, &AdjointOptions::new(&["x"], &["y"], tr)).unwrap();
+            let adj = differentiate(&primal, &AdjointOptions::new(&["x"], &["y"], tr))
+                .unwrap()
+                .program;
             let t = dot_product_test(
                 &primal,
                 &adj,
