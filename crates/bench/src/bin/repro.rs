@@ -7,12 +7,6 @@
 //! repro fig7 | fig8       absolute time / speedup, GFMC
 //! repro fig9 | fig10      absolute time / speedup, Green-Gauss
 //! repro lbm               §7.3 LBM analysis narrative
-//! repro bench-incremental [--iters K] [--out PATH]
-//!                         incremental re-analysis: the Table-1 suite run
-//!                         cold, warm from a durable fingerprint index
-//!                         (zero prover work), and with one GFMC loop edited
-//!                         (only the edited region re-proved); JSON
-//!                         written to PATH (default BENCH_incremental.json)
 //! repro bench-kernels [--iters K] [--threads LIST] [--smoke] [--out PATH]
 //!                         real wall-clock of the version protocol (primal,
 //!                         FormAD/atomic/reduction adjoints, plus the
@@ -93,7 +87,6 @@ fn main() {
             formad_bench::ablation_text(&formad_bench::ablation_grid())
         ),
         "lbm" => print!("{}", lbm_report()),
-        "bench-incremental" => bench_incremental(&args[1..]),
         "bench-kernels" => bench_kernels(&args[1..]),
         "fig3" => print_fig(
             &small_stencil(scale),
@@ -138,60 +131,12 @@ fn main() {
         other => {
             eprintln!("unknown command `{other}`");
             eprintln!(
-                "commands: table1 ablations lbm bench-incremental bench-kernels \
+                "commands: table1 ablations lbm bench-kernels \
                  fig3..fig10 all [outdir] [--scale small|big]"
             );
             std::process::exit(2);
         }
     }
-}
-
-/// `bench-incremental [--iters K] [--out PATH]` — measure warm-disk and
-/// one-region-edited re-analysis of the Table-1 suite against a cold run
-/// over a durable cache directory, and record the result as JSON.
-fn bench_incremental(rest: &[String]) {
-    let mut iters = 5usize;
-    let mut out = "BENCH_incremental.json".to_string();
-    let mut k = 0;
-    while k < rest.len() {
-        let need = |k: usize| {
-            rest.get(k + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{} expects a value", rest[k]);
-                std::process::exit(2);
-            })
-        };
-        match rest[k].as_str() {
-            "--iters" => {
-                iters = need(k).parse().unwrap_or_else(|_| {
-                    eprintln!("--iters expects an integer");
-                    std::process::exit(2);
-                });
-                k += 2;
-            }
-            "--out" => {
-                out = need(k);
-                k += 2;
-            }
-            other => {
-                eprintln!("unknown bench-incremental option `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let r = formad_bench::incremental_bench(iters);
-    let json = formad_bench::incremental_bench_json(&r);
-    fs::write(&out, &json).expect("write bench output");
-    print!("{json}");
-    eprintln!(
-        "bench-incremental: {iters}×table1 suite, cold {:.3}s vs warm {:.3}s \
-         ({} vs {} lia calls) → speedup {:.2}×; wrote {out}",
-        r.cold_s, r.warm_s, r.cold_lia_calls, r.warm_lia_calls, r.warm_speedup
-    );
-    eprintln!(
-        "bench-incremental: one edited {} loop re-analyzes in {:.3}s \
-         ({} lia calls, {}/{} regions still fingerprint-served)",
-        r.edited_kernel, r.edited_s, r.edited_lia_calls, r.edited_fp_served, r.regions_per_pass
-    );
 }
 
 /// `bench-kernels [--iters K] [--threads LIST] [--smoke] [--out PATH]` —

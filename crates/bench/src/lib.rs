@@ -8,7 +8,6 @@
 
 pub mod ablation;
 pub mod experiments;
-pub mod incremental;
 pub mod kernel_bench;
 pub mod prover_bench;
 pub mod versions;
@@ -18,7 +17,6 @@ pub use experiments::{
     gfmc_figure, green_gauss_figure, lbm_report, stencil_figure, table1, FigureData, Table1Row,
     PAPER_THREADS,
 };
-pub use incremental::{incremental_bench, incremental_bench_json, IncrementalBenchResult};
 pub use kernel_bench::{
     kernel_bench, kernel_bench_json, Calibration, KernelBenchResult, KernelExecData, VersionTiming,
     BACKENDS, EXEC_THREADS,

@@ -1,6 +1,5 @@
-//! The paper's six-kernel analysis suite (Table 1), shared by the
-//! incremental benchmark, the root prover tests and the `benchmark/`
-//! package's prover-heavy workload.
+//! The paper's six-kernel analysis suite (Table 1), shared by the root
+//! prover tests and the `benchmark/` package's prover-heavy workload.
 
 use formad_ir::Program;
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};

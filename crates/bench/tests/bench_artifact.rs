@@ -182,44 +182,6 @@ fn summary_block_is_complete_and_consistent() {
     }
 }
 
-#[test]
-fn incremental_artifact_warm_pass_is_free() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_incremental.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_incremental.json is committed");
-    let j = Json::parse(&text).expect("BENCH_incremental.json parses");
-    assert_eq!(str_of(&j, "bench"), "incremental");
-    assert_eq!(str_of(&j, "suite"), "table1");
-    assert_eq!(get(&j, "verdicts_agree").as_bool(), Some(true));
-
-    // The warm pass must be answered entirely from the durable tiers:
-    // zero prover work, every region served whole from the fingerprint
-    // index, and the acceptance bar of a 10x speedup over cold.
-    assert_eq!(num_of(&j, "warm_lia_calls"), 0.0);
-    assert!(num_of(&j, "cold_lia_calls") > 0.0, "cold pass did no work");
-    assert_eq!(num_of(&j, "cold_fp_served"), 0.0);
-    let regions = num_of(&j, "regions_per_pass");
-    assert_eq!(num_of(&j, "warm_fp_served"), regions);
-    assert!(
-        num_of(&j, "warm_speedup") >= 10.0,
-        "warm re-analysis not 10x faster than cold: {}",
-        num_of(&j, "warm_speedup")
-    );
-
-    // Editing one loop invalidates exactly that region; the rest of the
-    // suite is still served from the index.
-    let served = num_of(&j, "edited_fp_served");
-    assert!(
-        served > 0.0 && served < regions,
-        "edited pass served {served}/{regions}"
-    );
-    assert!(num_of(&j, "edited_lia_calls") <= num_of(&j, "cold_lia_calls"));
-
-    let iters = num_of(&j, "iters") as usize;
-    for key in ["cold_iter_s", "warm_iter_s", "edited_iter_s"] {
-        assert_eq!(items(get(&j, key)).len(), iters, "`{key}` length");
-    }
-}
-
 /// Does the raw kernel row carry `adj-transposed` series cells?
 fn kernel_has_transposed(j: &Json, name: &str) -> bool {
     items(get(j, "kernels"))

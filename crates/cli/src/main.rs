@@ -58,7 +58,7 @@
 //!   --aot-every N      also build + run the AOT kernel on every N-th
 //!                      case (one `rustc` invocation per program
 //!                      version; default: every 16th, --smoke: never)
-//!   --chaos-legacy P   poison the legacy-core oracle with P‰ Unknown
+//!   --chaos-legacy P   poison the flat search oracle with P‰ Unknown
 //!                      answers — a self-test that the harness catches,
 //!                      shrinks and reports an injected oracle bug
 //!   --smoke            CI profile: skip AOT checks so the run stays in
@@ -407,15 +407,9 @@ fn disk_diag(engine: &formad::SharedEngine, dir: &str, flushed: usize) {
 fn search_diag(a: &formad::FormadAnalysis) {
     let s = &a.stats;
     eprintln!(
-        "formad: search core cdcl: {} propagations / {} conflicts / {} learned ({} lits) / \
-         {} restarts / {} presolve discharges / {} presolve clauses",
-        s.propagations,
-        s.conflicts,
-        s.learned_clauses,
-        s.learned_literals,
-        s.restarts,
-        s.presolve_discharges,
-        s.presolve_clauses
+        "formad: search core: {} propagations / {} conflicts / {} presolve discharges / \
+         {} presolve clauses",
+        s.propagations, s.conflicts, s.presolve_discharges, s.presolve_clauses
     );
     if let Some(adjoint) = &a.adjoint {
         eprintln!("formad: adjoint: {adjoint}");

@@ -190,10 +190,10 @@ pub struct RegionOptions {
     /// buffered and merged in candidate order, so the recorded stream is
     /// identical for every `jobs` value).
     pub trace: Option<TraceSink>,
-    /// Which SMT search core answers the per-array queries. `Cdcl` (the
-    /// default) is the watched-literal CDCL(T) engine with presolve;
-    /// `Legacy` is the original enumerate-and-split core, kept as a
-    /// differential oracle. Verdicts and reports are identical for both.
+    /// Which SMT search path answers the per-array queries: `Presolved`
+    /// (the default) or `Flat`, the presolve-free splitter that tests
+    /// select as a differential oracle. Verdicts and reports are
+    /// identical for both.
     pub search_core: SearchCore,
     /// Region-level fingerprint → verdict-set index (see
     /// [`crate::fingerprint`]). `None` — the default — analyzes every
@@ -220,7 +220,7 @@ impl Default for RegionOptions {
             jobs: 0,
             deadline: None,
             trace: None,
-            search_core: SearchCore::Cdcl,
+            search_core: SearchCore::Presolved,
             fingerprints: None,
         }
     }

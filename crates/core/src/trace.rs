@@ -43,9 +43,9 @@ pub struct QueryPerf {
     pub lia_calls: u64,
     /// Branch nodes explored by this query.
     pub branches: u64,
-    /// Watched-literal unit propagations (0 under the legacy core).
+    /// Unit commitments made by the splitter.
     pub propagations: u64,
-    /// Theory/boolean conflicts analyzed (0 under the legacy core).
+    /// Branches (the probe included) the theory refuted.
     pub conflicts: u64,
 }
 

@@ -19,10 +19,10 @@
 //!    decided everything (no unknowns, no recovered panics) the warm
 //!    pass must do zero fresh lia calls: every region replays from the
 //!    on-disk fingerprint index.
-//! 6. `CrossCore` — the legacy search core must produce the same report
-//!    as CDCL. An injected [`ChaosConfig`] poisons only this run, which
-//!    is how the acceptance test proves the fuzzer catches an oracle
-//!    bug.
+//! 6. `CrossCore` — the flat, presolve-free search core must produce
+//!    the same report as the default one. An injected [`ChaosConfig`]
+//!    poisons only this run, which is how the acceptance test proves
+//!    the fuzzer catches an oracle bug.
 //! 7. `Brute` — concrete adjoint footprints must not contradict a
 //!    `Shared` verdict (see [`crate::footprint`]).
 //! 8. `ExecBitwise` — primal and all three adjoint disciplines must be
@@ -63,7 +63,7 @@ pub enum OracleId {
     Jobs,
     /// Durable-cache warm pass changed the report or did fresh work.
     Persistence,
-    /// Legacy and CDCL search cores disagree.
+    /// The flat oracle and the default search core disagree.
     CrossCore,
     /// A `Shared` verdict contradicts the concrete adjoint footprint.
     Brute,
@@ -149,7 +149,7 @@ pub struct OracleConfig {
     pub fd_h: f64,
     /// Relative-error tolerance for the dot-product test.
     pub fd_tol: f64,
-    /// Fault injection applied to the *legacy* analysis run only. Used
+    /// Fault injection applied to the flat-oracle analysis run only. Used
     /// by tests to prove a poisoned oracle is caught.
     pub poison_legacy: Option<ChaosConfig>,
 }
@@ -370,7 +370,7 @@ pub fn run_case(
         .bindings()
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("bind failed: {e}")))?;
 
-    // 4. Reference analysis (CDCL, jobs=1, traced). The
+    // 4. Reference analysis (default core, jobs=1, traced). The
     //    adjoint comes from a separate untraced pipeline run so the
     //    reference trace covers exactly what the variant runs record.
     let mut opts = options(case);
@@ -407,9 +407,9 @@ pub fn run_case(
     // 5. Jobs-invariance (report and deterministic trace).
     {
         let (_, report, trace) =
-            analyze_variant(case, cfg.jobs.max(2), SearchCore::Cdcl, None, true).map_err(|e| {
-                Divergence::new(OracleId::Jobs, format!("jobs analysis failed: {e}"))
-            })?;
+            analyze_variant(case, cfg.jobs.max(2), SearchCore::Presolved, None, true).map_err(
+                |e| Divergence::new(OracleId::Jobs, format!("jobs analysis failed: {e}")),
+            )?;
         if report != ref_report {
             return Err(Divergence::new(
                 OracleId::Jobs,
@@ -489,26 +489,20 @@ pub fn run_case(
         summary.persisted = replayable;
     }
 
-    // 6. Cross-core: legacy must agree with CDCL (possibly poisoned).
-    match analyze_variant(
-        case,
-        1,
-        SearchCore::Legacy,
-        cfg.poison_legacy.clone(),
-        false,
-    ) {
+    // 6. Cross-core: the flat oracle (possibly poisoned) must agree.
+    match analyze_variant(case, 1, SearchCore::Flat, cfg.poison_legacy.clone(), false) {
         Ok((_, report, _)) => {
             if report != ref_report {
                 return Err(Divergence::new(
                     OracleId::CrossCore,
-                    first_diff("report (legacy vs cdcl)", &ref_report, &report),
+                    first_diff("report (flat vs presolved)", &ref_report, &report),
                 ));
             }
         }
         Err(e) => {
             return Err(Divergence::new(
                 OracleId::CrossCore,
-                format!("legacy analysis failed where cdcl succeeded: {e}"),
+                format!("flat-oracle analysis failed where the default succeeded: {e}"),
             ));
         }
     }

@@ -1,9 +1,10 @@
-//! Cross-core equivalence contract: the CDCL(T) search engine is a pure
-//! accelerator over the legacy enumerate-and-split core. On the whole
+//! Cross-core equivalence contract: presolve and the probe are a pure
+//! accelerator over the enumerate-and-split search. On the whole
 //! Table-1 suite, every report byte (wall-clock zeroed), every proof
 //! narrative, and every deterministic trace section must be identical
-//! under `SearchCore::Cdcl` and `SearchCore::Legacy`, for any job count
-//! — while the CDCL core does strictly less linear-arithmetic work.
+//! under `SearchCore::Presolved` and `SearchCore::Flat`, for any job
+//! count — while the default core does strictly less linear-arithmetic
+//! work.
 
 use std::time::Duration;
 
@@ -90,9 +91,9 @@ fn reports_identical_across_cores_and_jobs() {
             });
             fingerprint(&mut a)
         };
-        let reference = run(SearchCore::Cdcl, 1);
+        let reference = run(SearchCore::Presolved, 1);
         for jobs in [1, 4] {
-            for core in [SearchCore::Cdcl, SearchCore::Legacy] {
+            for core in [SearchCore::Presolved, SearchCore::Flat] {
                 assert_eq!(
                     reference,
                     run(core, jobs),
@@ -115,35 +116,35 @@ fn explain_and_trace_identical_across_cores() {
             let events = sink.snapshot();
             (explain(&events, None), deterministic_json(&events))
         };
-        let (cdcl_explain, cdcl_trace) = run(SearchCore::Cdcl);
-        let (legacy_explain, legacy_trace) = run(SearchCore::Legacy);
+        let (default_explain, default_trace) = run(SearchCore::Presolved);
+        let (flat_explain, flat_trace) = run(SearchCore::Flat);
         assert_eq!(
-            cdcl_explain, legacy_explain,
+            default_explain, flat_explain,
             "{name}: explain narrative differs between search cores"
         );
         assert_eq!(
-            cdcl_trace, legacy_trace,
+            default_trace, flat_trace,
             "{name}: deterministic trace section differs between search cores"
         );
     }
 }
 
 #[test]
-fn cdcl_does_less_linear_arithmetic_work() {
-    let mut cdcl_lia = 0u64;
-    let mut legacy_lia = 0u64;
+fn default_core_does_less_linear_arithmetic_work() {
+    let mut default_lia = 0u64;
+    let mut flat_lia = 0u64;
     for (_, program, indep, dep) in suite() {
         let run = |core: SearchCore| {
             analyze_with(&program, &indep, &dep, |o| o.region.search_core = core)
                 .stats
                 .lia_calls
         };
-        cdcl_lia += run(SearchCore::Cdcl);
-        legacy_lia += run(SearchCore::Legacy);
+        default_lia += run(SearchCore::Presolved);
+        flat_lia += run(SearchCore::Flat);
     }
     assert!(
-        cdcl_lia < legacy_lia,
-        "cdcl made {cdcl_lia} lia calls vs legacy {legacy_lia}; the new core must be cheaper"
+        default_lia < flat_lia,
+        "the default core made {default_lia} lia calls vs the flat oracle's {flat_lia}; it must be cheaper"
     );
 }
 

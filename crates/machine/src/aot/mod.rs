@@ -40,9 +40,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use formad_ir::Program;
 
 use crate::bindings::{Bindings, ExecError};
-use crate::bytecode::{compile, BcProgram};
-use crate::exec::NativeEngine;
-use crate::lower::{lower, LProgram};
+use crate::bytecode::BcProgram;
+use crate::exec::{NativeEngine, NativeProgram};
+use crate::lower::LProgram;
 
 pub use codegen::generate_source;
 
@@ -416,26 +416,9 @@ pub fn run_aot(
     bind: &mut Bindings,
     threads: usize,
 ) -> Result<Option<String>, ExecError> {
-    let lp = lower(prog, bind)?;
-    let bc = compile(&lp, prog)?;
-    let mut eng = NativeEngine::new(threads);
-    // Only parallel regions are compiled ahead of time; with none there
-    // is nothing to build, so skip the rustc invocation entirely (and
-    // report no fallback — bytecode IS the complete plan here).
-    if bc.regions.is_empty() {
-        eng.run(&bc, bind)?;
-        return Ok(None);
-    }
-    match load_or_compile(&lp, &bc) {
-        Ok(kernel) => {
-            eng.run_with(&bc, Some(&kernel), bind)?;
-            Ok(None)
-        }
-        Err(e) => {
-            eng.run(&bc, bind)?;
-            Ok(Some(e.to_string()))
-        }
-    }
+    let np = NativeProgram::compile(prog, bind, true)?;
+    NativeEngine::new(threads).run_program(&np, bind)?;
+    Ok(np.aot_fallback)
 }
 
 // ---- host-side tape growth ----
@@ -446,7 +429,7 @@ pub fn run_aot(
 /// # Safety
 /// `env.tape_r.host` must point at the live `Vec<f64>` backing the tape
 /// and `env.tape_r.len` must count initialized elements — both upheld by
-/// `run_region_aot`'s env construction and the generated push sequence.
+/// `NativeEngine::chunk_aot`'s env construction and the generated push sequence.
 pub(crate) unsafe extern "C" fn grow_tape_r(env: *mut abi::AotEnv) {
     let e = &mut *env;
     let v = &mut *(e.tape_r.host as *mut Vec<f64>);
@@ -472,7 +455,9 @@ pub(crate) unsafe extern "C" fn grow_tape_i(env: *mut abi::AotEnv) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::compile;
     use crate::interp::{run as run_sim, Machine};
+    use crate::lower::lower;
     use formad_ir::parse_program;
 
     const SAXPY: &str = r#"

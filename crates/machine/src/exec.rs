@@ -25,10 +25,12 @@
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use formad_ir::{BinOp, CmpOp, Intrinsic, Program, RedOp, Ty};
 use formad_runtime::ThreadPool;
 
+use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
 use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
 use crate::lower::lower;
@@ -38,10 +40,46 @@ use crate::lower::lower;
 /// counterpart of [`crate::interp::run`]. For repeated execution, keep a
 /// [`NativeEngine`] and a compiled [`BcProgram`] instead.
 pub fn run_native(prog: &Program, bind: &mut Bindings, threads: usize) -> Result<(), ExecError> {
-    let lp = lower(prog, bind)?;
-    let bc = compile(&lp, prog)?;
-    let mut eng = NativeEngine::new(threads);
-    eng.run(&bc, bind)
+    let np = NativeProgram::compile(prog, bind, false)?;
+    NativeEngine::new(threads).run_program(&np, bind)
+}
+
+/// The backend ladder, climbed once: a program lowered and compiled to
+/// bytecode and — when the AOT backend was asked for and its kernel
+/// could be built — the compiled entry points of its parallel regions.
+/// Any engine runs it with [`NativeEngine::run_program`]; the one-shot
+/// [`run_native`] / [`crate::aot::run_aot`] and the service's parked
+/// engines all go through here.
+pub struct NativeProgram {
+    bc: BcProgram,
+    kernel: Option<Arc<AotKernel>>,
+    /// Why an asked-for AOT kernel is missing: the run degrades to the
+    /// bytecode backend (results are bitwise identical either way) and
+    /// this is the reason to report.
+    pub aot_fallback: Option<String>,
+}
+
+impl NativeProgram {
+    pub fn compile(prog: &Program, bind: &Bindings, aot: bool) -> Result<NativeProgram, ExecError> {
+        let lp = lower(prog, bind)?;
+        let bc = compile(&lp, prog)?;
+        // Only parallel regions are compiled ahead of time; with none
+        // there is nothing to build, so skip the rustc invocation entirely
+        // (and report no fallback — bytecode IS the complete plan here).
+        let (kernel, aot_fallback) = if aot && !bc.regions.is_empty() {
+            match load_or_compile(&lp, &bc) {
+                Ok(kernel) => (Some(kernel), None),
+                Err(e) => (None, Some(e.to_string())),
+            }
+        } else {
+            (None, None)
+        };
+        Ok(NativeProgram {
+            bc,
+            kernel,
+            aot_fallback,
+        })
+    }
 }
 
 // ---- shared-memory array views ----
@@ -175,6 +213,17 @@ enum Exit {
     Par { region: u16, resume: usize },
 }
 
+/// One logical thread's share of a parallel region: the loop geometry
+/// and the rank range `a_begin..a_end` of the static schedule.
+struct Chunk {
+    thread: usize,
+    lo: i64,
+    step: i64,
+    count: i64,
+    a_begin: i64,
+    a_end: i64,
+}
+
 /// Shared array base pointers handed to AOT region workers. Sync under
 /// the same contract as [`RawView`]: the generated code performs element
 /// accesses through relaxed atomics, never plain concurrent writes.
@@ -249,6 +298,16 @@ impl NativeEngine {
         self.run_with(bc, None, bind)
     }
 
+    /// Execute a [`NativeProgram`]: its AOT kernel where it has one,
+    /// bytecode otherwise.
+    pub fn run_program(
+        &mut self,
+        np: &NativeProgram,
+        bind: &mut Bindings,
+    ) -> Result<(), ExecError> {
+        self.run_with(&np.bc, np.kernel.as_deref(), bind)
+    }
+
     /// Like [`NativeEngine::run`], but parallel regions dispatch to the
     /// AOT `kernel`'s compiled entry points when one is provided (and it
     /// has the region — otherwise that region interprets bytecode).
@@ -258,7 +317,7 @@ impl NativeEngine {
     pub fn run_with(
         &mut self,
         bc: &BcProgram,
-        kernel: Option<&crate::aot::AotKernel>,
+        kernel: Option<&AotKernel>,
         bind: &mut Bindings,
     ) -> Result<(), ExecError> {
         let mut reals = vec![0.0f64; bc.n_real_regs];
@@ -352,8 +411,21 @@ impl NativeEngine {
                 Exit::Par { region, resume } => {
                     let reg = &bc.regions[region as usize];
                     match kernel.and_then(|k| k.region(region as usize)) {
-                        Some(f) => self.run_region_aot(bc, reg, f, &mut reals, &mut ints, &mem)?,
-                        None => self.run_region(bc, reg, &mut reals, &mut ints, &mem)?,
+                        Some(f) => {
+                            let bases = Bases(mem.views.iter().map(|v| v.ptr).collect());
+                            // Capture the `Sync` wrapper, not its field
+                            // (2021 disjoint capture would otherwise seize
+                            // the non-Sync `Vec` itself).
+                            let bases = &bases;
+                            self.run_region(bc, reg, &mut reals, &mut ints, &mem, |c, scratch| {
+                                self.chunk_aot(bc, reg, f, bases, c, scratch)
+                            })?
+                        }
+                        None => {
+                            self.run_region(bc, reg, &mut reals, &mut ints, &mem, |c, scratch| {
+                                self.chunk_bytecode(bc, reg, &mem, c, scratch)
+                            })?
+                        }
                     }
                     pc = resume;
                 }
@@ -386,6 +458,13 @@ impl NativeEngine {
         Ok(())
     }
 
+    /// Run one parallel region: geometry, static chunking, per-thread
+    /// scratch preparation and identity initialization, multiplexing onto
+    /// the OS workers, first-error-in-thread-order, and the
+    /// ascending-thread reduction merge. `body` executes one logical
+    /// thread's chunk — [`Self::chunk_bytecode`] or [`Self::chunk_aot`] —
+    /// and is the only thing the backends do differently, which is what
+    /// makes them bitwise equal.
     fn run_region(
         &self,
         bc: &BcProgram,
@@ -393,6 +472,7 @@ impl NativeEngine {
         reals: &mut [f64],
         ints: &mut [i64],
         mem: &Mem,
+        body: impl Fn(&Chunk, &mut Scratch) -> Result<(), ExecError> + Sync,
     ) -> Result<(), ExecError> {
         let lo = ints[reg.lo as usize];
         let hi = ints[reg.hi as usize];
@@ -416,7 +496,6 @@ impl NativeEngine {
         }
         let t_n = self.threads;
         let chunk = (count as usize).div_ceil(t_n);
-        let n_arrays = bc.arrays.len();
 
         let worker = |t: usize| {
             // Sound: worker `t` is the only toucher of slots `t` now.
@@ -443,10 +522,7 @@ impl NativeEngine {
                     scratch.ints[*s as usize] = identity(*op) as i64;
                 }
             }
-            scratch.red_map.clear();
-            scratch.red_map.resize(n_arrays, u16::MAX);
             for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-                scratch.red_map[*id as usize] = k as u16;
                 if scratch.red_bufs.len() <= k {
                     scratch.red_bufs.push(Vec::new());
                 }
@@ -454,52 +530,15 @@ impl NativeEngine {
                 buf.clear();
                 buf.resize(bc.arrays[*id as usize].len, identity(*op));
             }
-            let Scratch {
-                reals: w_reals,
-                ints: w_ints,
-                red_map,
-                red_bufs,
-                err,
-                ..
-            } = scratch;
-            let mut redirect = Redirect {
-                map: red_map,
-                bufs: red_bufs,
+            let share = Chunk {
+                thread: t,
+                lo,
+                step,
+                count,
+                a_begin,
+                a_end,
             };
-            // Ascending ranks in loop order (descending loops walk their
-            // chunk backwards) — identical to the simulated machine.
-            let ranks: Box<dyn Iterator<Item = i64>> = if step > 0 {
-                Box::new(a_begin..a_end)
-            } else {
-                Box::new((a_begin..a_end).rev())
-            };
-            for a in ranks {
-                let v = if step > 0 {
-                    lo + a * step
-                } else {
-                    lo + (count - 1 - a) * step
-                };
-                w_ints[reg.var as usize] = v;
-                let r = exec_code(
-                    bc,
-                    &reg.code,
-                    0,
-                    w_reals,
-                    w_ints,
-                    mem,
-                    &self.tapes,
-                    t,
-                    Some(&mut redirect),
-                );
-                match r {
-                    Ok(Exit::Done) => {}
-                    Ok(Exit::Par { .. }) => unreachable!("nested regions rejected at compile"),
-                    Err(e) => {
-                        *err = Some(e);
-                        return;
-                    }
-                }
-            }
+            scratch.err = body(&share, scratch).err();
         };
 
         // Multiplex the logical threads onto the OS workers (round-robin
@@ -532,28 +571,26 @@ impl NativeEngine {
         // Merge reductions in ascending thread order over participating
         // threads, then combine onto the pre-region value — the exact
         // association the interpreter uses.
-        if !reg.red_scalars.is_empty() {
-            for (op, s, is_real) in &reg.red_scalars {
-                let mut acc = identity(*op);
-                for t in 0..t_n {
-                    let scratch = unsafe { self.scratch.get(t) };
-                    if !scratch.participated {
-                        continue;
-                    }
-                    let part = if *is_real {
-                        scratch.reals[*s as usize]
-                    } else {
-                        scratch.ints[*s as usize] as f64
-                    };
-                    acc = combine(*op, acc, part);
+        for (op, s, is_real) in &reg.red_scalars {
+            let mut acc = identity(*op);
+            for t in 0..t_n {
+                let scratch = unsafe { self.scratch.get(t) };
+                if !scratch.participated {
+                    continue;
                 }
-                if *is_real {
-                    let saved = reals[*s as usize];
-                    reals[*s as usize] = combine(*op, saved, acc);
+                let part = if *is_real {
+                    scratch.reals[*s as usize]
                 } else {
-                    let saved = ints[*s as usize] as f64;
-                    ints[*s as usize] = combine(*op, saved, acc) as i64;
-                }
+                    scratch.ints[*s as usize] as f64
+                };
+                acc = combine(*op, acc, part);
+            }
+            if *is_real {
+                let saved = reals[*s as usize];
+                reals[*s as usize] = combine(*op, saved, acc);
+            } else {
+                let saved = ints[*s as usize] as f64;
+                ints[*s as usize] = combine(*op, saved, acc) as i64;
             }
         }
         for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
@@ -576,189 +613,113 @@ impl NativeEngine {
         Ok(())
     }
 
-    /// [`Self::run_region`] with the per-iteration body replaced by one
-    /// call into the region's compiled entry point. Everything around
-    /// that call — geometry, chunking, scratch preparation, identity
-    /// initialization, error precedence, and the ascending-thread
-    /// reduction merge — is kept line-for-line identical to the bytecode
-    /// path, because that is what makes the backends bitwise equal.
-    fn run_region_aot(
+    /// Chunk body of the bytecode backend: interpret the region's code
+    /// once per iteration, reduction arrays redirected to the thread's
+    /// privatized buffers.
+    fn chunk_bytecode(
+        &self,
+        bc: &BcProgram,
+        reg: &BcRegion,
+        mem: &Mem,
+        c: &Chunk,
+        scratch: &mut Scratch,
+    ) -> Result<(), ExecError> {
+        scratch.red_map.clear();
+        scratch.red_map.resize(bc.arrays.len(), u16::MAX);
+        for (k, (_, id)) in reg.red_arrays.iter().enumerate() {
+            scratch.red_map[*id as usize] = k as u16;
+        }
+        let mut redirect = Redirect {
+            map: &scratch.red_map,
+            bufs: &mut scratch.red_bufs,
+        };
+        // Ascending ranks in loop order (descending loops walk their
+        // chunk backwards) — identical to the simulated machine.
+        let ranks: Box<dyn Iterator<Item = i64>> = if c.step > 0 {
+            Box::new(c.a_begin..c.a_end)
+        } else {
+            Box::new((c.a_begin..c.a_end).rev())
+        };
+        for a in ranks {
+            scratch.ints[reg.var as usize] = if c.step > 0 {
+                c.lo + a * c.step
+            } else {
+                c.lo + (c.count - 1 - a) * c.step
+            };
+            let exit = exec_code(
+                bc,
+                &reg.code,
+                0,
+                &mut scratch.reals,
+                &mut scratch.ints,
+                mem,
+                &self.tapes,
+                c.thread,
+                Some(&mut redirect),
+            )?;
+            if let Exit::Par { .. } = exit {
+                unreachable!("nested regions rejected at compile");
+            }
+        }
+        Ok(())
+    }
+
+    /// Chunk body of the AOT backend: one call into the region's compiled
+    /// entry point, which walks the chunk itself.
+    fn chunk_aot(
         &self,
         bc: &BcProgram,
         reg: &BcRegion,
         f: crate::aot::RegionFn,
-        reals: &mut [f64],
-        ints: &mut [i64],
-        mem: &Mem,
+        bases: &Bases,
+        c: &Chunk,
+        scratch: &mut Scratch,
     ) -> Result<(), ExecError> {
         use crate::aot::abi::{AotEnv, AotTape, FORMAD_AOT_ABI};
 
-        let lo = ints[reg.lo as usize];
-        let hi = ints[reg.hi as usize];
-        let step = ints[reg.step as usize];
-        if step == 0 {
-            return Err(ExecError::new("zero loop step"));
-        }
-        let count: i64 = if step > 0 {
-            if hi < lo {
-                0
-            } else {
-                (hi - lo) / step + 1
-            }
-        } else if hi > lo {
-            0
-        } else {
-            (lo - hi) / (-step) + 1
+        let red_ptrs: Vec<*mut f64> = (0..reg.red_arrays.len())
+            .map(|k| scratch.red_bufs[k].as_mut_ptr())
+            .collect();
+        // Sound: only logical thread `c.thread` touches its tape now.
+        let tapes = unsafe { self.tapes.get(c.thread) };
+        let mut env = AotEnv {
+            abi: FORMAD_AOT_ABI,
+            lo: c.lo,
+            step: c.step,
+            count: c.count,
+            a_begin: c.a_begin,
+            a_end: c.a_end,
+            reals: scratch.reals.as_mut_ptr(),
+            ints: scratch.ints.as_mut_ptr(),
+            arrays: bases.0.as_ptr(),
+            red_bufs: red_ptrs.as_ptr(),
+            tape_r: AotTape {
+                ptr: tapes.r.as_mut_ptr() as *mut u8,
+                len: tapes.r.len(),
+                cap: tapes.r.capacity(),
+                host: (&mut tapes.r) as *mut Vec<f64> as *mut core::ffi::c_void,
+            },
+            tape_i: AotTape {
+                ptr: tapes.i.as_mut_ptr() as *mut u8,
+                len: tapes.i.len(),
+                cap: tapes.i.capacity(),
+                host: (&mut tapes.i) as *mut Vec<i64> as *mut core::ffi::c_void,
+            },
+            grow_r: crate::aot::grow_tape_r,
+            grow_i: crate::aot::grow_tape_i,
+            err_value: 0,
+            err_arr: 0,
+            err_dim: 0,
         };
-        if count == 0 {
-            return Ok(());
+        let rc = unsafe { f(&mut env) };
+        // Adopt whatever the region pushed/popped; the generated
+        // epilogue synced `len` on success *and* error exits.
+        unsafe {
+            tapes.r.set_len(env.tape_r.len);
+            tapes.i.set_len(env.tape_i.len);
         }
-        let t_n = self.threads;
-        let chunk = (count as usize).div_ceil(t_n);
-        let bases = Bases(mem.views.iter().map(|v| v.ptr).collect());
-        // Capture the `Sync` wrapper, not its field (2021 disjoint
-        // capture would otherwise seize the non-Sync `Vec` itself).
-        let bases = &bases;
-
-        let worker = |t: usize| {
-            // Sound: worker `t` is the only toucher of slots `t` now.
-            let scratch = unsafe { self.scratch.get(t) };
-            scratch.err = None;
-            scratch.participated = false;
-            let a_begin = (t * chunk) as i64;
-            let a_end = (((t + 1) * chunk).min(count as usize)) as i64;
-            if a_begin >= a_end {
-                return;
-            }
-            scratch.participated = true;
-            scratch.reals.clear();
-            scratch.reals.extend_from_slice(reals);
-            scratch.ints.clear();
-            scratch.ints.extend_from_slice(ints);
-            for (op, s, is_real) in &reg.red_scalars {
-                if *is_real {
-                    scratch.reals[*s as usize] = identity(*op);
-                } else {
-                    scratch.ints[*s as usize] = identity(*op) as i64;
-                }
-            }
-            for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-                if scratch.red_bufs.len() <= k {
-                    scratch.red_bufs.push(Vec::new());
-                }
-                let buf = &mut scratch.red_bufs[k];
-                buf.clear();
-                buf.resize(bc.arrays[*id as usize].len, identity(*op));
-            }
-            let red_ptrs: Vec<*mut f64> = (0..reg.red_arrays.len())
-                .map(|k| scratch.red_bufs[k].as_mut_ptr())
-                .collect();
-            let tapes = unsafe { self.tapes.get(t) };
-            let mut env = AotEnv {
-                abi: FORMAD_AOT_ABI,
-                lo,
-                step,
-                count,
-                a_begin,
-                a_end,
-                reals: scratch.reals.as_mut_ptr(),
-                ints: scratch.ints.as_mut_ptr(),
-                arrays: bases.0.as_ptr(),
-                red_bufs: red_ptrs.as_ptr(),
-                tape_r: AotTape {
-                    ptr: tapes.r.as_mut_ptr() as *mut u8,
-                    len: tapes.r.len(),
-                    cap: tapes.r.capacity(),
-                    host: (&mut tapes.r) as *mut Vec<f64> as *mut core::ffi::c_void,
-                },
-                tape_i: AotTape {
-                    ptr: tapes.i.as_mut_ptr() as *mut u8,
-                    len: tapes.i.len(),
-                    cap: tapes.i.capacity(),
-                    host: (&mut tapes.i) as *mut Vec<i64> as *mut core::ffi::c_void,
-                },
-                grow_r: crate::aot::grow_tape_r,
-                grow_i: crate::aot::grow_tape_i,
-                err_value: 0,
-                err_arr: 0,
-                err_dim: 0,
-            };
-            let rc = unsafe { f(&mut env) };
-            // Adopt whatever the region pushed/popped; the generated
-            // epilogue synced `len` on success *and* error exits.
-            unsafe {
-                tapes.r.set_len(env.tape_r.len);
-                tapes.i.set_len(env.tape_i.len);
-            }
-            if rc != 0 {
-                scratch.err = Some(decode_aot_error(bc, &env, rc));
-            }
-        };
-
-        let os = self.os_threads.min(t_n);
-        if os <= 1 {
-            for t in 0..t_n {
-                worker(t);
-            }
-        } else {
-            self.pool.run(os, &|w| {
-                let mut t = w;
-                while t < t_n {
-                    worker(t);
-                    t += os;
-                }
-            });
-        }
-
-        // First error in thread order — the order the simulated machine
-        // would have encountered it.
-        for t in 0..t_n {
-            let scratch = unsafe { self.scratch.get(t) };
-            if let Some(e) = scratch.err.take() {
-                return Err(e);
-            }
-        }
-
-        if !reg.red_scalars.is_empty() {
-            for (op, s, is_real) in &reg.red_scalars {
-                let mut acc = identity(*op);
-                for t in 0..t_n {
-                    let scratch = unsafe { self.scratch.get(t) };
-                    if !scratch.participated {
-                        continue;
-                    }
-                    let part = if *is_real {
-                        scratch.reals[*s as usize]
-                    } else {
-                        scratch.ints[*s as usize] as f64
-                    };
-                    acc = combine(*op, acc, part);
-                }
-                if *is_real {
-                    let saved = reals[*s as usize];
-                    reals[*s as usize] = combine(*op, saved, acc);
-                } else {
-                    let saved = ints[*s as usize] as f64;
-                    ints[*s as usize] = combine(*op, saved, acc) as i64;
-                }
-            }
-        }
-        for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-            let view = mem.views[*id as usize];
-            let len = bc.arrays[*id as usize].len;
-            let mut acc = vec![identity(*op); len];
-            for t in 0..t_n {
-                let scratch = unsafe { self.scratch.get(t) };
-                if !scratch.participated {
-                    continue;
-                }
-                for (a, v) in acc.iter_mut().zip(&scratch.red_bufs[k]) {
-                    *a = combine(*op, *a, *v);
-                }
-            }
-            for (j, a) in acc.iter().enumerate() {
-                view.store_r(j, combine(*op, view.load_r(j), *a));
-            }
+        if rc != 0 {
+            return Err(decode_aot_error(bc, &env, rc));
         }
         Ok(())
     }

@@ -41,7 +41,7 @@ pub use bindings::{Bindings, ExecError};
 pub use bytecode::{compile, BcProgram};
 pub use cost::{CostModel, ExecResult, ExecStats};
 pub use driver::{bind_params, fill_real, output_lines, BindError};
-pub use exec::{run_native, NativeEngine};
+pub use exec::{run_native, NativeEngine, NativeProgram};
 pub use fd::{dot_product_test, dot_product_test_with, tangent_dot_test, DotTest};
 pub use interp::{run, Machine};
 pub use lower::{lower, LProgram};

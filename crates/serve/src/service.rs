@@ -30,7 +30,7 @@ use formad::{
     ParallelTreatment, SharedEngine,
 };
 use formad_ir::{parse_any, program_to_clike, program_to_string, Program};
-use formad_machine::{bind_params, compile, lower, output_lines, Machine, NativeEngine};
+use formad_machine::{bind_params, output_lines, Machine, NativeEngine, NativeProgram};
 use formad_smt::{ChaosConfig, SolverBudget, SolverStats};
 
 use crate::admission::{Admission, Admit, ShedLevel};
@@ -442,10 +442,9 @@ impl Service {
         // `aot_fallback` carries the degradation note when an AOT kernel
         // build fails and the request lands on the bytecode backend.
         let outcome = catch_unwind(AssertUnwindSafe(|| match backend {
-            "native" => self
-                .run_native_shared(&primal, &mut bind, threads)
-                .map(|_| None),
-            "aot" => self.run_aot_shared(&primal, &mut bind, threads),
+            "native" | "aot" => {
+                self.run_on_parked_engine(&primal, &mut bind, threads, backend == "aot")
+            }
             _ => formad_machine::run(&primal, &mut bind, &Machine::with_threads(threads))
                 .map(|_| None)
                 .map_err(|e| e.to_string()),
@@ -487,64 +486,25 @@ impl Service {
         Response::json(200, obj(fields).render())
     }
 
-    /// Run on a persistent [`NativeEngine`] (one per logical thread
-    /// count), so repeated requests reuse parked worker pools.
-    fn run_native_shared(
-        &self,
-        primal: &Program,
-        bind: &mut formad_machine::Bindings,
-        threads: usize,
-    ) -> Result<(), String> {
-        let lp = lower(primal, bind).map_err(|e| e.to_string())?;
-        let bc = compile(&lp, primal).map_err(|e| e.to_string())?;
-        let mut engines = self.native.lock().unwrap_or_else(|e| e.into_inner());
-        let engine = engines
-            .entry(threads)
-            .or_insert_with(|| NativeEngine::new(threads));
-        engine.run(&bc, bind).map_err(|e| e.to_string())
-    }
-
-    /// The AOT rung: compile (or fetch from the process registry / disk
-    /// cache) a native kernel for the program's parallel regions and run
-    /// it on the same persistent engines as the bytecode backend. A
-    /// failed build degrades to bytecode — `Ok(Some(reason))` — instead
+    /// Climb the backend ladder ([`NativeProgram::compile`]) and run on a
+    /// persistent [`NativeEngine`] (one per logical thread count), so
+    /// repeated requests reuse parked worker pools. With `aot`, a failed
+    /// kernel build degrades to bytecode — `Ok(Some(reason))` — instead
     /// of erroring, mirroring `formad exec --backend aot`.
-    fn run_aot_shared(
+    fn run_on_parked_engine(
         &self,
         primal: &Program,
         bind: &mut formad_machine::Bindings,
         threads: usize,
+        aot: bool,
     ) -> Result<Option<String>, String> {
-        let lp = lower(primal, bind).map_err(|e| e.to_string())?;
-        let bc = compile(&lp, primal).map_err(|e| e.to_string())?;
-        // No parallel regions means nothing to compile ahead of time:
-        // run the complete bytecode plan without touching rustc and
-        // without a degradation note.
-        if bc.regions.is_empty() {
-            let mut engines = self.native.lock().unwrap_or_else(|e| e.into_inner());
-            let engine = engines
-                .entry(threads)
-                .or_insert_with(|| NativeEngine::new(threads));
-            return engine
-                .run(&bc, bind)
-                .map(|_| None)
-                .map_err(|e| e.to_string());
-        }
-        let kernel = formad_machine::load_or_compile(&lp, &bc);
+        let np = NativeProgram::compile(primal, bind, aot).map_err(|e| e.to_string())?;
         let mut engines = self.native.lock().unwrap_or_else(|e| e.into_inner());
         let engine = engines
             .entry(threads)
             .or_insert_with(|| NativeEngine::new(threads));
-        match kernel {
-            Ok(k) => engine
-                .run_with(&bc, Some(&k), bind)
-                .map(|_| None)
-                .map_err(|e| e.to_string()),
-            Err(e) => engine
-                .run(&bc, bind)
-                .map(|_| Some(e.to_string()))
-                .map_err(|e| e.to_string()),
-        }
+        engine.run_program(&np, bind).map_err(|e| e.to_string())?;
+        Ok(np.aot_fallback)
     }
 
     // ---- status ----
@@ -730,9 +690,6 @@ fn stats_json(s: &SolverStats) -> Json {
         ("interrupts", s.interrupts.into()),
         ("propagations", s.propagations.into()),
         ("conflicts", s.conflicts.into()),
-        ("learned_clauses", s.learned_clauses.into()),
-        ("learned_literals", s.learned_literals.into()),
-        ("restarts", s.restarts.into()),
         ("presolve_discharges", s.presolve_discharges.into()),
         ("presolve_clauses", s.presolve_clauses.into()),
     ])

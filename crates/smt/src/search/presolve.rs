@@ -1,5 +1,5 @@
 //! Presolve: cheap, exact (equisatisfiable over ℤ) simplifications applied
-//! before the CDCL(T) search, so most Table-1-style queries resolve with
+//! before any search, so most Table-1-style queries resolve with
 //! zero Fourier–Motzkin calls — and, because the assertion stack is
 //! presolved *once per frame*, at a cost proportional to the query's own
 //! clauses rather than to the whole stack.
@@ -46,8 +46,8 @@
 //! sequence alone: a stack split into any frames presolves to exactly
 //! the problem the same chunks give a frameless solver.
 //!
-//! Every rule is verdict-exact, which is what lets the CDCL core keep
-//! reports byte-identical to the legacy splitter.
+//! Every rule is verdict-exact, which is what keeps reports
+//! byte-identical to the flat, presolve-free oracle.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;

@@ -1,8 +1,12 @@
-//! The original enumerate-and-split search, preserved as a differential
-//! oracle for the CDCL(T) core (`SearchCore::Legacy`). Semantics are
-//! unchanged from the pre-CDCL solver: recursive unit propagation with
+//! The enumerate-and-split search: recursive unit propagation with
 //! feasibility-based literal pruning, EUF-lite closure at the leaves, and
-//! branching on the smallest live clause.
+//! branching on the smallest live clause. It is the last step of the
+//! default path (over what presolve and the probe leave) and, over the
+//! flat clause list, the whole of the differential oracle
+//! (`SearchCore::Flat`).
+//!
+//! `ctx.propagations` counts the unit commitments made here and
+//! `ctx.conflicts` the branches the theory refuted.
 
 use crate::ctrl::StopReason;
 use crate::fm::Feasibility;
@@ -13,12 +17,8 @@ use super::theory::{committed_feasible, congruence_close, lit_feasible, Committe
 use super::SearchCtx;
 
 pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>) -> SatResult {
-    if let Some(reason) = ctx.gov.poll() {
+    if let Err(reason) = ctx.enter_branch() {
         return SatResult::Unknown(reason);
-    }
-    ctx.branches += 1;
-    if ctx.branches > ctx.budget.max_branches {
-        return SatResult::Unknown(StopReason::Budget);
     }
 
     // Unit propagation with feasibility-based literal pruning.
@@ -47,10 +47,14 @@ pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>)
                     // Every disjunct contradicts the committed set.
                     return match saw_unknown {
                         Some(r) => SatResult::Unknown(r),
-                        None => SatResult::Unsat,
+                        None => {
+                            ctx.conflicts += 1;
+                            SatResult::Unsat
+                        }
                     };
                 }
                 1 => {
+                    ctx.propagations += 1;
                     committed = committed.with(&kept[0]);
                     changed = true;
                 }
@@ -70,7 +74,10 @@ pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>)
     if live.is_empty() {
         return match committed_feasible(&committed, ctx) {
             Feasibility::Feasible => SatResult::Sat,
-            Feasibility::Infeasible => SatResult::Unsat,
+            Feasibility::Infeasible => {
+                ctx.conflicts += 1;
+                SatResult::Unsat
+            }
             Feasibility::Unknown(r) => SatResult::Unknown(r),
         };
     }

@@ -1,4 +1,4 @@
-//! Theory side of the search cores: the committed-literal set, feasibility
+//! Theory side of the search: the committed-literal set, feasibility
 //! checks through the Fourier–Motzkin core, the EUF-lite congruence
 //! closure, and cheap exact fast paths that avoid FM calls for literals
 //! over atoms the linear core does not constrain.
@@ -228,9 +228,9 @@ pub(crate) fn entailed_zero(e: &LinExpr, c: &Committed, ctx: &mut SearchCtx<'_>)
     ctx.lia(&c.eqs, &ineqs) == Feasibility::Infeasible
 }
 
-/// Feasibility of an explicit literal set (used by CDCL leaf checks and
-/// explanation minimization): build the committed set, close it under
-/// congruence, and run the committed check.
+/// Feasibility of an explicit literal set (the level-0 check of the
+/// presolve-fixed literals and the probe): build the committed set,
+/// close it under congruence, and run the committed check.
 pub(crate) fn lits_feasible(lits: &[&Literal], ctx: &mut SearchCtx<'_>) -> Feasibility {
     let mut c = Committed::default();
     for lit in lits {

@@ -1,8 +1,8 @@
 //! The incremental solver: assertion stack, search-core dispatch, and
 //! statistics. This is the component that stands in for Z3 in the
 //! paper's pipeline (§5.5, §6). The actual satisfiability search lives in
-//! [`crate::search`]: a CDCL(T) engine by default, with the original
-//! clause splitter selectable as a differential oracle.
+//! [`crate::search`]: presolve, one lazy probe and a clause splitter,
+//! with the splitter alone selectable as a differential oracle.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -67,22 +67,19 @@ pub struct SolverStats {
     pub cache_disk_hits: u64,
     pub cache_misses: u64,
     pub cache_inserts: u64,
-    /// Literals assigned by unit propagation (CDCL core).
+    /// Unit commitments made by the splitter.
     pub propagations: u64,
-    /// Conflicts hit — boolean or theory (CDCL core).
+    /// Branches the theory refuted: splitter leaves, and the probe when
+    /// its one pick set was infeasible.
     pub conflicts: u64,
-    /// Clauses learned from conflict analysis (CDCL core).
-    pub learned_clauses: u64,
-    /// Total literals across learned clauses (CDCL core).
-    pub learned_literals: u64,
-    /// Luby restarts performed (CDCL core).
-    pub restarts: u64,
-    /// `check()` calls fully resolved by the presolve layer / level-0
-    /// theory check, without entering the search (CDCL core).
+    /// `check()` calls settled by the presolve layer *or* by the one
+    /// level-0 theory check of the literals it fixed — everything that
+    /// never reached the probe. (The second kind is where a corpus with
+    /// `discharge_ratio` 1 still gets its LIA calls from.)
     pub presolve_discharges: u64,
     /// Clauses canonicalized by the presolve layer, frame-snapshot builds
-    /// included (CDCL core). With the stack presolved once per frame this
-    /// tracks the clauses *asserted*, not checks × stack size.
+    /// included. With the stack presolved once per frame this tracks the
+    /// clauses *asserted*, not checks × stack size.
     pub presolve_clauses: u64,
 }
 
@@ -99,9 +96,6 @@ impl SolverStats {
         self.interrupts = self.interrupts.saturating_add(other.interrupts);
         self.propagations = self.propagations.saturating_add(other.propagations);
         self.conflicts = self.conflicts.saturating_add(other.conflicts);
-        self.learned_clauses = self.learned_clauses.saturating_add(other.learned_clauses);
-        self.learned_literals = self.learned_literals.saturating_add(other.learned_literals);
-        self.restarts = self.restarts.saturating_add(other.restarts);
         self.presolve_discharges = self
             .presolve_discharges
             .saturating_add(other.presolve_discharges);
@@ -121,9 +115,6 @@ impl SolverStats {
             interrupts: self.interrupts.saturating_sub(since.interrupts),
             propagations: self.propagations.saturating_sub(since.propagations),
             conflicts: self.conflicts.saturating_sub(since.conflicts),
-            learned_clauses: self.learned_clauses.saturating_sub(since.learned_clauses),
-            learned_literals: self.learned_literals.saturating_sub(since.learned_literals),
-            restarts: self.restarts.saturating_sub(since.restarts),
             presolve_discharges: self
                 .presolve_discharges
                 .saturating_sub(since.presolve_discharges),
@@ -224,13 +215,9 @@ pub struct Solver {
     /// Per-`check()` wall-clock allowance, combined with the absolute
     /// deadline at each call (the tighter bound wins).
     timeout: Option<Duration>,
-    /// Which search engine answers `check()` (CDCL by default; the legacy
-    /// splitter remains available as a differential oracle).
+    /// Which path answers `check()` (the flat splitter is a differential
+    /// oracle that only tests select).
     search_core: SearchCore,
-    /// Clauses learned by the CDCL core during the most recent `check()`
-    /// (empty for the legacy core). Exposed for learned-clause soundness
-    /// tests.
-    last_learned: Vec<Clause>,
 }
 
 impl Solver {
@@ -325,20 +312,12 @@ impl Solver {
         self.search_core
     }
 
-    /// Clauses learned by the CDCL core during the most recent `check()`
-    /// that actually ran a search (the legacy core leaves this empty). Each is a valid consequence of the assertions checked,
-    /// so re-asserting them must not change any verdict — the
-    /// learned-clause soundness suite relies on exactly that.
-    pub fn last_learned(&self) -> &[Clause] {
-        &self.last_learned
-    }
-
     /// Snapshot this solver into an independent worker solver: same
     /// assertion stack (shared chunks), table, budget, interrupt wiring
     /// and search core, but fresh statistics.
     ///
-    /// `_salt` is deliberately unused by the real solver: both search
-    /// cores are RNG-free and fully deterministic, so there is no
+    /// `_salt` is deliberately unused by the real solver: the search is
+    /// RNG-free and fully deterministic, so there is no
     /// per-fork stream to seed and forked solvers return identical
     /// verdicts for every salt (covered by
     /// `fork_salt_does_not_affect_verdicts`). Fault-injecting wrappers
@@ -353,7 +332,6 @@ impl Solver {
     /// the work budget, the wall-clock deadline, and the cancel token.
     pub fn check(&mut self) -> SatResult {
         self.stats.checks = self.stats.checks.saturating_add(1);
-        self.last_learned.clear();
         // Effective interrupt: absolute deadline ∧ per-check timeout.
         let mut interrupt = self.interrupt.clone();
         if let Some(t) = self.timeout {
@@ -361,11 +339,11 @@ impl Solver {
         }
         let gov = Governor::new(&interrupt);
         let mut ctx = SearchCtx::new(self.budget, &self.table, gov);
-        // The legacy core has no presolve layer and searches the flat
-        // clause list; the CDCL core presolves the delta against the
-        // frame snapshots and never flattens the stack.
-        let outcome = match self.search_core {
-            SearchCore::Legacy => {
+        // The oracle has no presolve layer and searches the flat clause
+        // list; the default path presolves the delta against the frame
+        // snapshots and never flattens the stack.
+        let result = match self.search_core {
+            SearchCore::Flat => {
                 let clauses: Vec<Clause> = self
                     .chunks
                     .iter()
@@ -373,12 +351,10 @@ impl Solver {
                     .collect();
                 search::search_flat(&clauses, &mut ctx)
             }
-            SearchCore::Cdcl => {
+            SearchCore::Presolved => {
                 search::search_stack(&mut self.snapshots, &self.chunks, &self.frames, &mut ctx)
             }
         };
-        self.last_learned = outcome.learned;
-        let result = outcome.result;
         if let SatResult::Unknown(reason) = result {
             self.stats.unknowns = self.stats.unknowns.saturating_add(1);
             if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
@@ -405,9 +381,6 @@ fn fold_search_counters(stats: &mut SolverStats, ctx: &SearchCtx<'_>) {
     stats.branches = stats.branches.saturating_add(ctx.branches);
     stats.propagations = stats.propagations.saturating_add(ctx.propagations);
     stats.conflicts = stats.conflicts.saturating_add(ctx.conflicts);
-    stats.learned_clauses = stats.learned_clauses.saturating_add(ctx.learned_clauses);
-    stats.learned_literals = stats.learned_literals.saturating_add(ctx.learned_literals);
-    stats.restarts = stats.restarts.saturating_add(ctx.restarts);
     stats.presolve_discharges = stats
         .presolve_discharges
         .saturating_add(ctx.presolve_discharges);
@@ -782,7 +755,7 @@ mod tests {
         // `fork(salt)` takes a salt only for API symmetry with
         // `ChaosSolver::fork`; the plain solver is RNG-free, so every salt
         // must yield the same verdicts and the same work counters.
-        for core in [SearchCore::Cdcl, SearchCore::Legacy] {
+        for core in [SearchCore::Presolved, SearchCore::Flat] {
             let mut s = Solver::new();
             s.set_search_core(core);
             let f = Formula::term_ne(&sym("x"), &sym("y"), &mut s.table).unwrap();
@@ -806,7 +779,7 @@ mod tests {
         }
     }
 
-    /// A query the CDCL presolve prefix cannot discharge: a genuine
+    /// A query presolve cannot discharge: a genuine
     /// disjunction of inequalities with no unit literal to fix.
     fn hard_sat_query(table: &mut AtomTable, x: &str, y: &str) -> Formula {
         let le = |a: &Term, b: &Term, t: &mut AtomTable| {

@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use formad_smt::{Formula, SatResult, Solver, SolverBudget, Term};
+use formad_smt::{normalize, Formula, Literal, SatResult, Solver, SolverBudget, StopReason, Term};
 
 /// A random conjunction of `=` / `≠` constraints between small linear
 /// terms over a 4-symbol pool.
@@ -92,5 +92,68 @@ proptest! {
         if let SatResult::Sat | SatResult::Unsat = r_small {
             prop_assert_eq!(r_small, r_full);
         }
+    }
+}
+
+/// `(x ≤ y − a ∨ y ≤ x − 2) ∧ (y ≤ z ∨ z ≤ y − 2) ∧ (z ≤ x ∨ x ≤ z − 2)`:
+/// nothing for presolve to fix, so the query reaches the probe. With
+/// `a = 0` the probe's first picks are feasible; with `a = 1` they close
+/// a cycle and only the splitter finds the model.
+fn disjunctive_query(s: &mut Solver, a: i64) {
+    let (x, y, z) = (Term::sym("x"), Term::sym("y"), Term::sym("z"));
+    let mut le = |l: &Term, r: Term| {
+        let l = normalize(l, &mut s.table).unwrap();
+        let r = normalize(&r, &mut s.table).unwrap();
+        Formula::Lit(Literal::le(l, r))
+    };
+    let clauses = [
+        [
+            le(&x, y.clone() - Term::int(a)),
+            le(&y, x.clone() - Term::int(2)),
+        ],
+        [le(&y, z.clone()), le(&z, y.clone() - Term::int(2))],
+        [le(&z, x.clone()), le(&x, z.clone() - Term::int(2))],
+    ];
+    for clause in clauses {
+        s.assert(Formula::or(clause.to_vec()));
+    }
+}
+
+/// The budget can run out *inside the probe*: that `Unknown` is the
+/// answer (no splitter run behind it reaches a verdict a larger budget
+/// would reach differently), and from the first definite verdict on,
+/// every larger budget repeats it.
+#[test]
+fn an_unknown_probe_is_terminal_and_resolves_monotonically() {
+    for a in [0, 1] {
+        let run = |lia: u64, branches: u64| {
+            let mut s = Solver::with_budget(SolverBudget {
+                max_lia_calls: lia,
+                max_branches: branches,
+                ..SolverBudget::default()
+            });
+            disjunctive_query(&mut s, a);
+            (s.check(), s.stats)
+        };
+        // One call pays for the level-0 check; the probe's own is refused.
+        let (verdict, stats) = run(1, u64::MAX);
+        assert_eq!(verdict, SatResult::Unknown(StopReason::Budget), "a={a}");
+        assert_eq!(
+            (stats.lia_calls, stats.branches, stats.conflicts),
+            (1, 1, 0)
+        );
+        // So is the probe's branch node when no branch is allowed.
+        assert_eq!(run(u64::MAX, 0).0, SatResult::Unknown(StopReason::Budget));
+
+        let mut settled = None;
+        for lia in 0..200 {
+            let (verdict, _) = run(lia, u64::MAX);
+            match (settled, verdict) {
+                (None, SatResult::Unknown(_)) => {}
+                (None, definite) => settled = Some(definite),
+                (Some(before), now) => assert_eq!(now, before, "a={a} lia={lia}"),
+            }
+        }
+        assert_eq!(settled, Some(SatResult::Sat), "a={a}");
     }
 }

@@ -1,13 +1,13 @@
-//! Differential property tests of the two SMT search cores.
+//! Differential property tests of the SMT search.
 //!
-//! The CDCL(T) engine is a pure accelerator over the legacy
-//! enumerate-and-split core: on every input where both return a definite
-//! verdict, the verdicts must be identical. Both are cross-validated
-//! against brute-force model enumeration in the repo's one-directional
-//! contract (an `Unsat` answer means no model exists anywhere; a model
-//! found by enumeration forbids `Unsat`). Finally, the clauses the CDCL
-//! core learns must be consequences of the assertions: re-asserting them
-//! can never change a verdict.
+//! The default path (presolve, one lazy probe, then the splitter) must
+//! answer exactly what the splitter alone answers over the flat clause
+//! list: on every input where both return a definite verdict, the
+//! verdicts are identical. Both are cross-validated against brute-force
+//! model enumeration in the repo's one-directional contract (an `Unsat`
+//! answer means no model exists anywhere; a model found by enumeration
+//! forbids `Unsat`). One generator arm builds formulas that defeat the
+//! probe on purpose, so the splitter behind it is exercised too.
 //!
 //! The second half is the wall around the frame-scoped presolve
 //! snapshots: a framed `check()` must answer exactly what the same
@@ -16,8 +16,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use formad_smt::{
-    brute, normalize, AtomTable, ChaosConfig, ChaosSolver, Clause, Formula, LinExpr, Literal,
-    SatResult, SearchCore, Solver, SolverApi, Term,
+    brute, normalize, AtomTable, ChaosConfig, ChaosSolver, Formula, LinExpr, Literal, SatResult,
+    SearchCore, Solver, SolverApi, SolverStats, Term,
 };
 use proptest::prelude::*;
 
@@ -62,30 +62,73 @@ fn build(table: &mut AtomTable, spec: &FormulaSpec) -> Vec<Formula> {
         .collect()
 }
 
-/// Solve `spec` from scratch under `core`; optionally re-assert `extra`
-/// clauses (e.g. previously learned ones) before checking.
-fn run_core(core: SearchCore, spec: &FormulaSpec, extra: &[Clause]) -> (SatResult, Vec<Clause>) {
+/// Solve `spec` from scratch under `core`.
+fn run_core(core: SearchCore, spec: &FormulaSpec) -> (SatResult, SolverStats) {
     let mut s = Solver::new();
     s.set_search_core(core);
     for f in build(&mut s.table, spec) {
         s.assert(f);
     }
-    for c in extra {
-        s.assert(Formula::or(
-            c.lits.iter().cloned().map(Formula::Lit).collect(),
-        ));
-    }
-    let r = s.check();
-    let learned = s.last_learned().to_vec();
-    (r, learned)
+    (s.check(), s.stats)
 }
 
 fn lit_spec() -> impl Strategy<Value = LitSpec> {
     (0u8..3, -4i64..=4, [-2i64..=2, -2i64..=2, -2i64..=2])
 }
 
+/// Three clauses whose *first* literals close the cycle `x ≤ y − a`,
+/// `y ≤ z − b`, `z ≤ x − c` with `a + b + c ≥ 1` — jointly infeasible,
+/// so the probe's one pick set is refuted. Each clause's second literal
+/// either tightens the first (`x ≤ y − a − k`, still on the cycle) or
+/// escapes it (`y ≤ x − d`): the formula is satisfiable iff some clause
+/// escapes, and then only a later combination is feasible.
+#[derive(Debug, Clone)]
+struct ProbeDefeater {
+    /// `(offset of the first literal, escape?, k or d)` per clause.
+    clauses: [(i64, bool, i64); 3],
+}
+
+impl ProbeDefeater {
+    fn satisfiable(&self) -> bool {
+        self.clauses.iter().any(|&(_, escape, _)| escape)
+    }
+
+    fn spec(&self) -> FormulaSpec {
+        // Clause `k` orders symbol `k` below symbol `k + 1 (mod 3)`.
+        (0..3)
+            .map(|k| {
+                let (offset, escape, step) = self.clauses[k];
+                let mut forward = [0i64; 3];
+                forward[k] = 1;
+                forward[(k + 1) % 3] = -1;
+                let backward = forward.map(|c| -c);
+                let second = if escape {
+                    (2, step, backward)
+                } else {
+                    (2, offset + step, forward)
+                };
+                vec![(2, offset, forward), second]
+            })
+            .collect()
+    }
+}
+
+fn probe_defeater() -> impl Strategy<Value = ProbeDefeater> {
+    // A step ≥ 2 keeps an escape from being the exact negation of its
+    // first literal (`y ≤ x − 1` is `¬(x ≤ y)`: a tautology presolve drops).
+    let clause = |min_offset: i64| (min_offset..3, prop_oneof![Just(true), Just(false)], 2i64..4);
+    // The first offset is ≥ 1, so the cycle's offsets never sum to 0.
+    (clause(1), clause(0), clause(0)).prop_map(|(a, b, c)| ProbeDefeater { clauses: [a, b, c] })
+}
+
 fn formula_spec() -> impl Strategy<Value = FormulaSpec> {
-    prop::collection::vec(prop::collection::vec(lit_spec(), 1..4), 1..5)
+    let random = || prop::collection::vec(prop::collection::vec(lit_spec(), 1..4), 1..5);
+    prop_oneof![
+        random(),
+        random(),
+        random(),
+        probe_defeater().prop_map(|d| d.spec()),
+    ]
 }
 
 proptest! {
@@ -94,11 +137,11 @@ proptest! {
     /// Wherever both cores are definite, they agree.
     #[test]
     fn cores_agree_when_definite(spec in formula_spec()) {
-        let (cdcl, _) = run_core(SearchCore::Cdcl, &spec, &[]);
-        let (legacy, _) = run_core(SearchCore::Legacy, &spec, &[]);
-        match (&cdcl, &legacy) {
+        let (presolved, _) = run_core(SearchCore::Presolved, &spec);
+        let (flat, _) = run_core(SearchCore::Flat, &spec);
+        match (&presolved, &flat) {
             (SatResult::Unknown(_), _) | (_, SatResult::Unknown(_)) => {}
-            _ => prop_assert_eq!(cdcl, legacy, "search cores diverged on {:?}", spec),
+            _ => prop_assert_eq!(presolved, flat, "search cores diverged on {:?}", spec),
         }
     }
 
@@ -110,8 +153,8 @@ proptest! {
         let mut table = AtomTable::new();
         let formulas = build(&mut table, &spec);
         let model = brute::find_model(&formulas, &table, -8, 8).expect("no opaque atoms");
-        for core in [SearchCore::Cdcl, SearchCore::Legacy] {
-            let (r, _) = run_core(core, &spec, &[]);
+        for core in [SearchCore::Presolved, SearchCore::Flat] {
+            let (r, _) = run_core(core, &spec);
             if r == SatResult::Unsat {
                 prop_assert!(
                     model.is_none(),
@@ -121,25 +164,24 @@ proptest! {
         }
     }
 
-    /// Learned clauses are consequences: re-asserting everything the CDCL
-    /// core learned changes no verdict — under either core.
+    /// The defeater arm does what it says: presolve settles nothing, the
+    /// probe is refuted (a conflict), the splitter behind it reaches the
+    /// verdict the construction dictates, and the flat oracle and brute
+    /// force agree with it.
     #[test]
-    fn learned_clauses_are_sound(spec in formula_spec()) {
-        let (first, learned) = run_core(SearchCore::Cdcl, &spec, &[]);
-        let (again, _) = run_core(SearchCore::Cdcl, &spec, &learned);
-        prop_assert_eq!(
-            &first, &again,
-            "re-asserting learned clauses flipped the cdcl verdict on {:?}", spec
-        );
-        let (legacy, _) = run_core(SearchCore::Legacy, &spec, &[]);
-        let (legacy_aug, _) = run_core(SearchCore::Legacy, &spec, &learned);
-        match (&legacy, &legacy_aug) {
-            (SatResult::Unknown(_), _) | (_, SatResult::Unknown(_)) => {}
-            _ => prop_assert_eq!(
-                legacy, legacy_aug,
-                "learned clauses flipped the legacy verdict on {:?}", spec
-            ),
-        }
+    fn a_defeated_probe_falls_through_to_the_splitter(d in probe_defeater()) {
+        let spec = d.spec();
+        let expect = if d.satisfiable() { SatResult::Sat } else { SatResult::Unsat };
+        let (verdict, stats) = run_core(SearchCore::Presolved, &spec);
+        prop_assert_eq!(verdict, expect, "{:?}", d);
+        prop_assert_eq!(stats.presolve_discharges, 0, "{:?}", d);
+        prop_assert!(stats.conflicts >= 1, "probe not refuted on {:?}", d);
+        prop_assert!(stats.branches >= 2, "splitter not entered on {:?}", d);
+        prop_assert_eq!(run_core(SearchCore::Flat, &spec).0, expect, "{:?}", d);
+        let mut table = AtomTable::new();
+        let model = brute::find_model(&build(&mut table, &spec), &table, -8, 8)
+            .expect("no opaque atoms");
+        prop_assert_eq!(model.is_some(), d.satisfiable(), "{:?}", d);
     }
 }
 
@@ -169,10 +211,29 @@ fn pinned_core_agreement_cases() {
         ],
     ];
     for spec in &cases {
-        let (cdcl, _) = run_core(SearchCore::Cdcl, spec, &[]);
-        let (legacy, _) = run_core(SearchCore::Legacy, spec, &[]);
-        assert_eq!(cdcl, legacy, "cores diverged on pinned case {spec:?}");
+        let (presolved, _) = run_core(SearchCore::Presolved, spec);
+        let (flat, _) = run_core(SearchCore::Flat, spec);
+        assert_eq!(presolved, flat, "cores diverged on pinned case {spec:?}");
     }
+}
+
+/// The other way past the probe: a clause whose every literal an
+/// earlier pick contradicts leaves the walk incomplete — no theory call
+/// — and the splitter decides.
+#[test]
+fn an_incomplete_probe_falls_through_too() {
+    // (x ≤ 0 ∨ y ≤ −5) ∧ (x ≥ 1 ∨ y ≤ 0) ∧ (x ≥ 1 ∨ y ≥ 1): the picks
+    // `x ≤ 0`, `y ≤ 0` contradict both literals of the third clause.
+    let spec: FormulaSpec = vec![
+        vec![(2, 0, [1, 0, 0]), (2, 5, [0, 1, 0])],
+        vec![(2, 1, [-1, 0, 0]), (2, 0, [0, 1, 0])],
+        vec![(2, 1, [-1, 0, 0]), (2, 1, [0, -1, 0])],
+    ];
+    let (verdict, stats) = run_core(SearchCore::Presolved, &spec);
+    assert_eq!(verdict, SatResult::Sat);
+    assert_eq!(stats.presolve_discharges, 0);
+    assert!(stats.branches >= 2, "splitter not entered: {stats:?}");
+    assert_eq!(run_core(SearchCore::Flat, &spec).0, SatResult::Sat);
 }
 
 // ---------------------------------------------------------------------
@@ -247,20 +308,18 @@ fn frameless(core: SearchCore, stack: &[Vec<ScriptFormula>]) -> Solver {
     s
 }
 
-/// Compare one framed verdict against (i) a frameless CDCL solver,
-/// (ii) the legacy core, (iii) brute force where it applies.
+/// Compare one framed verdict against (i) a frameless solver, (ii) the
+/// flat oracle, (iii) brute force where it applies.
 fn cross_check(framed: SatResult, stack: &[Vec<ScriptFormula>]) -> Result<(), String> {
-    let fresh = frameless(SearchCore::Cdcl, stack).check();
+    let fresh = frameless(SearchCore::Presolved, stack).check();
     if framed != fresh {
         return Err(format!(
             "framed {framed:?} but frameless {fresh:?} on {stack:?}"
         ));
     }
-    let legacy = frameless(SearchCore::Legacy, stack).check();
-    if !framed.is_unknown() && !legacy.is_unknown() && framed != legacy {
-        return Err(format!(
-            "framed {framed:?} but legacy {legacy:?} on {stack:?}"
-        ));
+    let flat = frameless(SearchCore::Flat, stack).check();
+    if !framed.is_unknown() && !flat.is_unknown() && framed != flat {
+        return Err(format!("framed {framed:?} but flat {flat:?} on {stack:?}"));
     }
     let mut table = AtomTable::new();
     let formulas: Vec<Formula> = stack
@@ -355,7 +414,7 @@ proptest! {
 
     /// Every framed `check()` of a random push / assert / check / pop /
     /// fork / reset script agrees with a frameless solver, with the
-    /// legacy core, and with brute force.
+    /// flat oracle, and with brute force.
     #[test]
     fn framed_checks_match_frameless_solvers(ops in prop::collection::vec(op(), 4..28)) {
         if let Err(msg) = run_script(&ops) {

@@ -60,3 +60,27 @@ fn presolve_canonicalizes_the_delta_not_the_stack() {
         );
     }
 }
+
+/// One pass over the nine `prove_heavy` programs, in exact counts: all
+/// but three of the 2231 checks end in presolve or its level-0 theory
+/// check, and those three (GFMC 1, GFMC* 2) cost one probe each. A
+/// search that splits eagerly where the probe would have answered shows
+/// up here as hundreds of extra LIA calls.
+#[test]
+fn heavy_pass_costs_exactly_what_presolve_and_the_probe_cost() {
+    for jobs in [1, 2] {
+        let (mut checks, mut lia_calls, mut discharges) = (0, 0, 0);
+        // The CI-scale LBM-exec twin is not one of the nine.
+        for k in heavy().iter().filter(|k| k.golden != Some("lbm_exec")) {
+            let stats = analyze(k, jobs).stats;
+            checks += stats.checks;
+            lia_calls += stats.lia_calls;
+            discharges += stats.presolve_discharges;
+        }
+        assert_eq!(
+            (checks, lia_calls, discharges),
+            (2231, 19, 2228),
+            "(checks, lia_calls, presolve_discharges) at jobs={jobs}"
+        );
+    }
+}
