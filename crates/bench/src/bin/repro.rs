@@ -12,8 +12,9 @@
 //!                         FormAD/atomic/reduction adjoints, plus the
 //!                         transposed gather where the scatter inverts) on
 //!                         both native backends (register bytecode and
-//!                         AOT-compiled kernels), bitwise-verified against
-//!                         the simulated interpreter, with the interpreter
+//!                         AOT-compiled kernels), held to the determinism
+//!                         contract against the simulated interpreter
+//!                         (bitwise, atomic adjoints excepted), with the
 //!                         dispatch overhead calibrated from the measured
 //!                         data; JSON written to PATH (default
 //!                         BENCH_kernels.json)
@@ -142,7 +143,8 @@ fn main() {
 /// `bench-kernels [--iters K] [--threads LIST] [--smoke] [--out PATH]` —
 /// run the four-version protocol natively on both real backends
 /// (register bytecode on OS threads, and AOT-compiled native kernels),
-/// bitwise-verify every cell against the simulated interpreter, fit the
+/// hold every cell to the determinism contract against the simulated
+/// interpreter, fit the
 /// interpreter dispatch-overhead calibration, and record wall-clock per
 /// discipline × backend as JSON.
 fn bench_kernels(rest: &[String]) {
@@ -231,7 +233,8 @@ fn bench_kernels(rest: &[String]) {
         r.calibration.dispatch_cycles_per_op
     );
     eprintln!(
-        "bench-kernels: all cells bitwise-identical to the simulated interpreter: {}; \
+        "bench-kernels: all cells within the determinism contract against the simulated \
+         interpreter: {}; \
          measured orderings match the cost model: {}; wrote {out}",
         r.all_bitwise, r.orderings_agree
     );

@@ -13,17 +13,20 @@
 //!
 //! Cross-checks guarding the numbers:
 //!
-//! * **bitwise** — every (kernel, version, backend, thread-count) cell
-//!   is run once under the simulated interpreter and both native
-//!   backends must be bitwise identical to it; a divergent backend would
-//!   invalidate every measurement, so the harness panics instead of
-//!   reporting. The one principled exception: a *truly colliding*
-//!   atomic adjoint at T>1 accumulates in scheduling-dependent order,
-//!   so those cells are verified within `1e-9` relative tolerance and
-//!   the observed bitwise status is recorded per series instead.
-//!   Transposed cells carry no such exemption — the gather is
-//!   deterministic by construction, which is half the point of the
-//!   discipline.
+//! * **determinism contract** — every (kernel, version, thread-count)
+//!   cell goes through [`formad_machine::check_cell`] on both native
+//!   backends before it is timed, and the engine that is then timed
+//!   (clamped to the host's cores) runs each cell once against the same
+//!   reference; a divergent backend would invalidate every measurement,
+//!   so the harness panics instead of reporting. The
+//!   comparison mode is read off the compiled program, not set here: a
+//!   version with no shared atomic increment (primal, FormAD, reduction,
+//!   transposed — the gather is deterministic by construction, which is
+//!   half the point of the discipline) must reproduce the simulated
+//!   interpreter bit for bit on real OS workers; an atomic adjoint
+//!   commits in hardware order, so it is held bitwise on one OS worker
+//!   and within `1e-9` relative tolerance on real ones, and what the
+//!   timed engine actually produced is recorded per series (`bitwise`).
 //! * **ordering** — the simulated cost model predicts which of
 //!   FormAD/atomic is faster at the check thread count; the measured
 //!   wall-clock ordering must be available for comparison (recorded,
@@ -53,7 +56,9 @@ use std::time::Instant;
 
 use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
-use formad_machine::{compile, load_or_compile, lower, run, Bindings, Machine, NativeEngine};
+use formad_machine::{
+    check_cell, compile, load_or_compile, lower, Bindings, EngineCache, NativeEngine,
+};
 
 use crate::versions::{adjoint_bindings, ProgramVersions};
 
@@ -65,18 +70,12 @@ pub const EXEC_THREADS: [usize; 3] = [1, 2, 4];
 pub const BACKENDS: [&str; 2] = ["bytecode", "aot"];
 
 /// One kernel of the executable suite: primal, bindings, AD in/outputs.
-/// `colliding` marks kernels whose *atomic* adjoint truly contends —
-/// distinct iterations increment the same adjoint element, so the
-/// acquire-release accumulation order (and hence the floating-point
-/// rounding) is scheduling-dependent at T>1. Those cells are verified
-/// within tolerance instead of bitwise.
 struct KernelCase {
     name: String,
     program: Program,
     base: Bindings,
     indep: &'static [&'static str],
     dep: &'static [&'static str],
-    colliding: bool,
 }
 
 /// The executable Table-2 kernels (both stencils, split GFMC,
@@ -108,7 +107,6 @@ fn cases(smoke: bool) -> Vec<KernelCase> {
             base: st1.bindings(0xBEEF),
             indep: StencilCase::independents(),
             dep: StencilCase::dependents(),
-            colliding: false,
         },
         KernelCase {
             name: format!("stencil r=8 n={st_n} sweeps={st_sweeps}"),
@@ -116,7 +114,6 @@ fn cases(smoke: bool) -> Vec<KernelCase> {
             base: st8.bindings(0xBEEF),
             indep: StencilCase::independents(),
             dep: StencilCase::dependents(),
-            colliding: false,
         },
         KernelCase {
             name: format!("gfmc ns={gf_ns} reps={gf_reps}"),
@@ -124,7 +121,6 @@ fn cases(smoke: bool) -> Vec<KernelCase> {
             base: gf.bindings_split(0xBEEF),
             indep: GfmcCase::independents(),
             dep: GfmcCase::dependents(),
-            colliding: false,
         },
         KernelCase {
             name: format!("green-gauss nodes={gg_nodes} reps={gg_reps}"),
@@ -132,7 +128,6 @@ fn cases(smoke: bool) -> Vec<KernelCase> {
             base: gg.bindings(0xBEEF),
             indep: GreenGaussCase::independents(),
             dep: GreenGaussCase::dependents(),
-            colliding: false,
         },
         KernelCase {
             name: format!("lbm ncells={} nce={}", lbm.ncells, lbm.nce),
@@ -140,7 +135,6 @@ fn cases(smoke: bool) -> Vec<KernelCase> {
             base: lbm.bindings(0xBEEF),
             indep: LbmExecCase::independents(),
             dep: LbmExecCase::dependents(),
-            colliding: true,
         },
     ]
 }
@@ -157,10 +151,10 @@ pub struct VersionTiming {
     /// OS threads used.
     pub threads: usize,
     /// Observed verification status: true when this cell reproduced the
-    /// simulated interpreter bit-for-bit. Deterministic cells *must* be
-    /// bitwise (the harness panics otherwise); the colliding-atomic
-    /// cells at T>1 are allowed to differ within tolerance and record
-    /// what actually happened.
+    /// simulated interpreter bit for bit on real OS workers.
+    /// Schedule-independent cells *must* (the harness panics otherwise);
+    /// a commit-order-dependent one may differ within tolerance there
+    /// and records what actually happened.
     pub bitwise: bool,
     /// Per-iteration wall-clock (seconds), in measurement order.
     pub iter_s: Vec<f64>,
@@ -259,9 +253,8 @@ pub struct KernelExecData {
     /// array ran under in the FormAD version, from the analysis report.
     pub disciplines: Vec<(usize, String, String)>,
     /// True: every cell was cross-run under the simulated interpreter
-    /// and verified — bitwise for deterministic cells (the harness
-    /// panics otherwise), within tolerance for the colliding-atomic
-    /// cells at T>1 whose accumulation order is scheduling-dependent.
+    /// and satisfied the determinism contract (the harness panics
+    /// otherwise).
     pub native_matches_sim: bool,
     /// True when the AOT kernels built and were measured; false means
     /// the build degraded and only bytecode numbers exist.
@@ -393,122 +386,16 @@ pub struct KernelBenchResult {
     pub smoke: bool,
     /// Per-kernel data.
     pub kernels: Vec<KernelExecData>,
-    /// All deterministic cells (both backends) bitwise-verified against
-    /// the simulated interpreter; the colliding-atomic cells at T>1 were
-    /// verified within tolerance (see each series' `bitwise` flag for
-    /// what was actually observed).
+    /// Every cell satisfied the determinism contract on both backends:
+    /// schedule-independent ones bitwise on real workers, atomic ones
+    /// bitwise on one worker and within tolerance on real ones (see each
+    /// series' `bitwise` flag for what was actually observed).
     pub all_bitwise: bool,
     /// Every kernel's measured FormAD/atomic ordering matched the cost
     /// model's prediction.
     pub orderings_agree: bool,
     /// The fitted dispatch-overhead calibration.
     pub calibration: Calibration,
-}
-
-/// First bitwise divergence between two executions, or `None` when they
-/// are bit-for-bit identical.
-fn bitwise_diff(sim: &Bindings, nat: &Bindings) -> Option<String> {
-    for (name, v) in &sim.real_scalars {
-        let n = nat.real_scalars.get(name)?;
-        if v.to_bits() != n.to_bits() {
-            return Some(format!("scalar `{name}`: sim {v} vs native {n}"));
-        }
-    }
-    for (name, v) in &sim.int_scalars {
-        if nat.int_scalars.get(name) != Some(v) {
-            return Some(format!("int scalar `{name}`"));
-        }
-    }
-    for (name, v) in &sim.real_arrays {
-        let Some(n) = nat.real_arrays.get(name) else {
-            return Some(format!("native lost array `{name}`"));
-        };
-        if v.len() != n.len() {
-            return Some(format!("array `{name}` length: {} vs {}", v.len(), n.len()));
-        }
-        for (k, (a, b)) in v.iter().zip(n).enumerate() {
-            if a.to_bits() != b.to_bits() {
-                return Some(format!("array `{name}`[{k}]: sim {a} vs native {b}"));
-            }
-        }
-    }
-    for (name, v) in &sim.int_arrays {
-        if nat.int_arrays.get(name) != Some(v) {
-            return Some(format!("int array `{name}`"));
-        }
-    }
-    None
-}
-
-/// Tolerance verification for the cells bitwise identity cannot cover:
-/// a truly colliding atomic adjoint at T>1 accumulates in
-/// scheduling-dependent order, so the values must agree only up to
-/// floating-point reassociation. Panics beyond `REL_TOL`.
-const REL_TOL: f64 = 1e-9;
-
-fn assert_close(ctx: &str, sim: &Bindings, nat: &Bindings) {
-    for (name, v) in &sim.real_arrays {
-        let n = nat
-            .real_arrays
-            .get(name)
-            .unwrap_or_else(|| panic!("{ctx}: native lost array `{name}`"));
-        assert_eq!(v.len(), n.len(), "{ctx}: array `{name}` length");
-        for (k, (a, b)) in v.iter().zip(n).enumerate() {
-            let scale = a.abs().max(b.abs()).max(1.0);
-            assert!(
-                (a - b).abs() <= REL_TOL * scale,
-                "{ctx}: array `{name}`[{k}] beyond tolerance: sim {a} vs native {b}"
-            );
-        }
-    }
-    for (name, v) in &sim.real_scalars {
-        let n = nat
-            .real_scalars
-            .get(name)
-            .unwrap_or_else(|| panic!("{ctx}: native lost scalar `{name}`"));
-        let scale = v.abs().max(n.abs()).max(1.0);
-        assert!(
-            (v - n).abs() <= REL_TOL * scale,
-            "{ctx}: scalar `{name}` beyond tolerance: sim {v} vs native {n}"
-        );
-    }
-    for (name, v) in &sim.int_scalars {
-        assert_eq!(nat.int_scalars.get(name), Some(v), "{ctx}: int `{name}`");
-    }
-    for (name, v) in &sim.int_arrays {
-        assert_eq!(
-            nat.int_arrays.get(name),
-            Some(v),
-            "{ctx}: int array `{name}`"
-        );
-    }
-}
-
-/// Verify one native cell against its simulated run: bitwise when the
-/// cell is deterministic, tolerance otherwise. Returns the observed
-/// bitwise status.
-#[allow(clippy::too_many_arguments)]
-fn verify_cell(
-    kernel: &str,
-    version: &str,
-    backend: &str,
-    threads: usize,
-    deterministic: bool,
-    sim: &Bindings,
-    nat: &Bindings,
-) -> bool {
-    match bitwise_diff(sim, nat) {
-        None => true,
-        Some(what) => {
-            let ctx = format!("{kernel} / {version} [{backend}] at T={threads}");
-            assert!(
-                !deterministic,
-                "{ctx}: {what} (deterministic cell must be bitwise)"
-            );
-            assert_close(&ctx, sim, nat);
-            false
-        }
-    }
 }
 
 /// The dispatch-bearing event count of one simulated run.
@@ -523,13 +410,14 @@ fn instruction_count(stats: &formad_machine::ExecStats) -> f64 {
 }
 
 /// Run the benchmark: the four-version protocol over `threads` and both
-/// backends, `iters` timed iterations per cell, every cell
-/// bitwise-verified against the simulated interpreter.
+/// backends, `iters` timed iterations per cell, every cell held to the
+/// determinism contract against the simulated interpreter.
 pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBenchResult {
     assert!(iters > 0, "need at least one iteration");
     assert!(!threads.is_empty(), "need at least one thread count");
     let check_threads = *threads.iter().max().unwrap();
     let mut kernels = Vec::new();
+    let mut engines = EngineCache::new();
     for case in cases(smoke) {
         let versions = ProgramVersions::generate(&case.program, case.indep, case.dep);
         let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
@@ -580,37 +468,40 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
         let mut gcycles_transposed = f64::NAN;
         for &t in threads {
             let mut engine = NativeEngine::new(t);
-            // Verification pass (doubles as warm-up): simulated vs both
-            // native backends — bitwise, except the colliding-atomic
-            // cells at T>1 (scheduling-dependent CAS order), which are
-            // held to tolerance with the observed status recorded. The
-            // sim run also yields the cost model's cycles and event
-            // counts for the ordering check and the dispatch
-            // calibration.
+            // Verification pass: the determinism contract on both native
+            // backends, on its own engines (one OS worker per logical
+            // thread, whatever the host), then one untimed run of each
+            // cell on the timed engine above (clamped to the host's
+            // cores), held to the same reference — so the engine whose
+            // times are published is verified and warm, and `bitwise` is
+            // what *it* produced. The sim run inside the contract also
+            // yields the cost model's cycles and event counts for the
+            // ordering check and the dispatch calibration.
             let mut cell_bitwise: Vec<(usize, &'static str, bool)> = Vec::new();
             for (i, (label, bc, kernel, bind)) in compiled.iter().enumerate() {
-                let deterministic = !(case.colliding && *label == "adj-atomic" && t > 1);
-                let mut sim = (*bind).clone();
-                let res = run(
+                let cell = check_cell(
+                    &mut engines,
                     compiled_program(&progs, label),
-                    &mut sim,
-                    &Machine::with_threads(t),
+                    bc,
+                    kernel.as_deref(),
+                    bind,
+                    t,
                 )
-                .unwrap_or_else(|e| panic!("simulated run of `{label}` failed: {e}"));
-                let mut byt = (*bind).clone();
-                engine
-                    .run(bc, &mut byt)
-                    .unwrap_or_else(|e| panic!("bytecode run of `{label}` failed: {e}"));
-                let bw = verify_cell(&case.name, label, "bytecode", t, deterministic, &sim, &byt);
-                cell_bitwise.push((i, "bytecode", bw));
-                if let Some(k) = kernel {
-                    let mut aot = (*bind).clone();
+                .unwrap_or_else(|e| panic!("{} / {label}: {e}", case.name));
+                let backends = std::iter::once(("bytecode", None))
+                    .chain(kernel.as_deref().map(|k| ("aot", Some(k))));
+                for (backend, k) in backends {
+                    let ctx = format!("{} / {label} [{backend}] at T={t}", case.name);
+                    let mut out = Bindings::clone(bind);
                     engine
-                        .run_with(bc, Some(k), &mut aot)
-                        .unwrap_or_else(|e| panic!("aot run of `{label}` failed: {e}"));
-                    let bw = verify_cell(&case.name, label, "aot", t, deterministic, &sim, &aot);
-                    cell_bitwise.push((i, "aot", bw));
+                        .run_with(bc, k, &mut out)
+                        .unwrap_or_else(|e| panic!("{ctx}: timed engine failed: {e}"));
+                    let bw = cell
+                        .admits(&out)
+                        .unwrap_or_else(|d| panic!("{ctx}: sim vs timed engine: {d}"));
+                    cell_bitwise.push((i, backend, bw));
                 }
+                let res = cell.sim;
                 cal_cells.push((
                     label.to_string(),
                     t,

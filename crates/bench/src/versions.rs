@@ -9,7 +9,10 @@ use std::collections::HashMap;
 
 use formad::{Formad, FormadOptions, IncMode, ParallelTreatment};
 use formad_ir::{program_to_string, Program};
-use formad_machine::Bindings;
+
+/// The adjoint seeding every suite shares; kept at this path because the
+/// frozen benchmark package imports it from here.
+pub use formad_machine::adjoint_bindings;
 
 /// All program versions generated from one primal.
 #[derive(Debug)]
@@ -93,37 +96,6 @@ impl ProgramVersions {
             analysis: diff.analysis,
         }
     }
-}
-
-/// Extend primal bindings with adjoint seeds: dependents' adjoints are
-/// seeded with 1.0 (a full backpropagation pass), independents' adjoints
-/// accumulate from zero.
-pub fn adjoint_bindings(
-    primal: &Program,
-    base: &Bindings,
-    indep: &[&str],
-    dep: &[&str],
-) -> Bindings {
-    let mut b = base.clone();
-    for name in dep {
-        let len = base
-            .get_real_array(name)
-            .unwrap_or_else(|| panic!("dependent `{name}` unbound"))
-            .len();
-        b.real_arrays.insert(format!("{name}b"), vec![1.0; len]);
-    }
-    for name in indep {
-        let key = format!("{name}b");
-        b.real_arrays.entry(key).or_insert_with(|| {
-            let len = base
-                .get_real_array(name)
-                .unwrap_or_else(|| panic!("independent `{name}` unbound"))
-                .len();
-            vec![0.0; len]
-        });
-    }
-    let _ = primal;
-    b
 }
 
 #[cfg(test)]

@@ -1,13 +1,18 @@
 //! Kernel-level validation of the native bytecode backend: every
-//! generated adjoint version of every executable Table-2 kernel must be
-//! (a) bitwise identical between the simulated interpreter and the
-//! native executor, and (b) a correct derivative when executed natively
-//! (finite-difference dot-product test with a native runner).
+//! generated adjoint version of every executable Table-2 kernel must
+//! (a) satisfy the determinism contract (`formad_machine::differential`)
+//! between the simulated interpreter and the native executor, in the
+//! class its compiled program falls in, and (b) be a correct derivative
+//! when executed natively (finite-difference dot-product test with a
+//! native runner).
 
 use formad_bench::{adjoint_bindings, ProgramVersions};
 use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
-use formad_machine::{dot_product_test_with, run, run_native, Bindings, Machine};
+use formad_machine::{
+    check_cell, compile, dot_product_test_with, lower, run, run_native, Bindings, EngineCache,
+    Machine,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,17 +22,12 @@ fn rand_vec(seed: u64, n: usize) -> Vec<f64> {
 }
 
 /// One executable kernel at test scale: primal, bindings, AD in/outputs.
-/// `colliding` marks kernels whose atomic adjoint truly contends at
-/// T>1, where the acquire-release accumulation order (and hence the
-/// rounding) is scheduling-dependent: those cells are held to tolerance
-/// instead of bitwise.
 struct Case {
     name: &'static str,
     program: Program,
     base: Bindings,
     indep: &'static [&'static str],
     dep: &'static [&'static str],
-    colliding: bool,
 }
 
 fn cases() -> Vec<Case> {
@@ -43,7 +43,6 @@ fn cases() -> Vec<Case> {
             base: st1.bindings(7),
             indep: StencilCase::independents(),
             dep: StencilCase::dependents(),
-            colliding: false,
         },
         Case {
             name: "stencil r=8",
@@ -51,7 +50,6 @@ fn cases() -> Vec<Case> {
             base: st8.bindings(7),
             indep: StencilCase::independents(),
             dep: StencilCase::dependents(),
-            colliding: false,
         },
         Case {
             name: "gfmc",
@@ -59,7 +57,6 @@ fn cases() -> Vec<Case> {
             base: gf.bindings_split(7),
             indep: GfmcCase::independents(),
             dep: GfmcCase::dependents(),
-            colliding: false,
         },
         Case {
             name: "green-gauss",
@@ -67,7 +64,6 @@ fn cases() -> Vec<Case> {
             base: gg.bindings(7),
             indep: GreenGaussCase::independents(),
             dep: GreenGaussCase::dependents(),
-            colliding: false,
         },
         Case {
             name: "lbm-exec",
@@ -75,63 +71,19 @@ fn cases() -> Vec<Case> {
             base: lbm.bindings(7),
             indep: LbmExecCase::independents(),
             dep: LbmExecCase::dependents(),
-            colliding: true,
         },
     ]
 }
 
-/// Tolerance verification for the one cell class bitwise identity
-/// cannot cover: the colliding atomic adjoint at T>1, whose CAS
-/// accumulation order depends on scheduling. The values must still
-/// agree up to floating-point reassociation.
-fn assert_close(ctx: &str, sim: &Bindings, nat: &Bindings) {
-    for (name, v) in &sim.real_arrays {
-        let n = &nat.real_arrays[name];
-        assert_eq!(v.len(), n.len(), "{ctx}: array `{name}` length");
-        for (k, (a, b)) in v.iter().zip(n).enumerate() {
-            let scale = a.abs().max(b.abs()).max(1.0);
-            assert!(
-                (a - b).abs() <= 1e-9 * scale,
-                "{ctx}: array `{name}`[{k}] beyond tolerance: sim {a} vs native {b}"
-            );
-        }
-    }
-    for (name, v) in &sim.int_scalars {
-        assert_eq!(nat.int_scalars.get(name), Some(v), "{ctx}: int `{name}`");
-    }
-}
-
-fn assert_bitwise(ctx: &str, sim: &Bindings, nat: &Bindings) {
-    for (name, v) in &sim.real_scalars {
-        let n = nat.real_scalars[name];
-        assert_eq!(v.to_bits(), n.to_bits(), "{ctx}: scalar `{name}`");
-    }
-    for (name, v) in &sim.real_arrays {
-        let n = &nat.real_arrays[name];
-        assert_eq!(v.len(), n.len(), "{ctx}: array `{name}` length");
-        for (k, (a, b)) in v.iter().zip(n).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{ctx}: array `{name}`[{k}]: sim {a} vs native {b}"
-            );
-        }
-    }
-    for (name, v) in &sim.int_scalars {
-        assert_eq!(nat.int_scalars.get(name), Some(v), "{ctx}: int `{name}`");
-    }
-    for (name, v) in &sim.int_arrays {
-        assert_eq!(nat.int_arrays.get(name), Some(v), "{ctx}: int arr `{name}`");
-    }
-}
-
 /// Every kernel × every discipline (FormAD plan / uniform atomic /
 /// uniform reduction / transposed gather where it exists, plus the
-/// primal) × {1, 4} threads: the native executor must reproduce the
-/// simulated interpreter bit for bit — except the truly colliding
-/// atomic cells at T>1, which are held to tolerance.
+/// primal) × {1, 4} threads satisfies the determinism contract, and the
+/// class each cell is held to is the table the hand-set per-kernel flags
+/// used to approximate: the atomic adjoint depends on commit order on
+/// *every* kernel, and nothing else does.
 #[test]
-fn all_kernels_all_disciplines_bitwise() {
+fn all_kernels_all_disciplines_satisfy_the_contract() {
+    let mut engines = EngineCache::new();
     for case in cases() {
         let versions = ProgramVersions::generate(&case.program, case.indep, case.dep);
         let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
@@ -145,19 +97,17 @@ fn all_kernels_all_disciplines_bitwise() {
             progs.push(("adj-transposed", tr, &adj_base));
         }
         for (label, prog, bind) in progs {
+            let lp = lower(prog, bind).expect("lower");
+            let bc = compile(&lp, prog).expect("bytecode");
+            assert_eq!(
+                bc.commit_order_dependent(),
+                label == "adj-atomic",
+                "{} / {label}: classification",
+                case.name
+            );
             for threads in [1usize, 4] {
-                let ctx = format!("{} / {label} at T={threads}", case.name);
-                let mut sim = bind.clone();
-                run(prog, &mut sim, &Machine::with_threads(threads))
-                    .unwrap_or_else(|e| panic!("{ctx}: sim run failed: {e}"));
-                let mut nat = bind.clone();
-                run_native(prog, &mut nat, threads)
-                    .unwrap_or_else(|e| panic!("{ctx}: native run failed: {e}"));
-                if case.colliding && label == "adj-atomic" && threads > 1 {
-                    assert_close(&ctx, &sim, &nat);
-                } else {
-                    assert_bitwise(&ctx, &sim, &nat);
-                }
+                check_cell(&mut engines, prog, &bc, None, bind, threads)
+                    .unwrap_or_else(|e| panic!("{} / {label}: {e}", case.name));
             }
         }
     }
@@ -257,7 +207,7 @@ fn fd_vectors(case: &Case) -> (SeedVectors, SeedVectors) {
 /// above.
 #[test]
 fn transposed_adjoints_pass_fd_on_sim_and_aot() {
-    use formad_machine::{compile, load_or_compile, lower, NativeEngine};
+    use formad_machine::{load_or_compile, NativeEngine};
     use std::collections::HashMap;
 
     let mut tested = 0;
@@ -344,7 +294,6 @@ fn forced_transposed_request_falls_back_to_atomic_and_stays_correct() {
         base: gg.bindings(7),
         indep: GreenGaussCase::independents(),
         dep: GreenGaussCase::dependents(),
-        colliding: false,
     };
     let tool = Formad::new(FormadOptions::new(case.indep, case.dep));
     let forced = tool
@@ -360,6 +309,12 @@ fn forced_transposed_request_falls_back_to_atomic_and_stays_correct() {
     assert!(
         forced_txt.contains("!$omp atomic"),
         "fallback must guard the non-invertible scatter: {forced_txt}"
+    );
+    let adj_base = adjoint_bindings(&case.program, &case.base, case.indep, case.dep);
+    let bc = compile(&lower(&forced, &adj_base).expect("lower"), &forced).expect("bytecode");
+    assert!(
+        bc.commit_order_dependent(),
+        "a request that degraded to atomics is held to the atomic class"
     );
     assert_eq!(
         forced_txt,

@@ -90,7 +90,11 @@
 //!                      regions compiled to a native cdylib via `rustc`,
 //!                      cached under `FORMAD_AOT_DIR`, falling back to
 //!                      native bytecode if the compile fails). Outputs
-//!                      are bitwise-identical across all three.
+//!                      are bitwise-identical across all three unless
+//!                      the program holds an `!$omp atomic` increment:
+//!                      colliding atomics commit in hardware order on
+//!                      real cores, so those agree up to floating-point
+//!                      reassociation (bitwise again at `--threads 1`).
 //!   --threads N        execution threads for `!$omp parallel do` regions
 //!                      (default 1)
 //!   --set k=v,...      scalar parameter values; every integer parameter
@@ -120,9 +124,10 @@
 //!                      degrades the affected arrays to atomics
 //!   --deadline-ms N    hard wall-clock budget for the whole run; expiry
 //!                      is an error (exit 7), unlike per-query timeouts
-//!   --jobs N           prover worker threads (0 or omitted = one per
-//!                      available core); reports are byte-identical for
-//!                      every value
+//!   --jobs N           prover worker threads (default 1: in-line, which
+//!                      measures fastest on every shipped input; 0 = one
+//!                      per available core); reports are byte-identical
+//!                      for every value
 //!   --cache-dir DIR    durable cache directory: region fingerprints are
 //!                      read through from DIR and batched back after the
 //!                      run, so a warm re-run serves unchanged regions
@@ -233,7 +238,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         table1: None,
         prover_timeout: None,
         deadline_ms: None,
-        jobs: 0,
+        jobs: formad::RegionOptions::default().jobs,
         cache_dir: std::env::var("FORMAD_CACHE_DIR").ok(),
         trace: None,
         backend: "sim".into(),
@@ -791,7 +796,8 @@ fn bind_for_exec(
 
 /// `formad exec`: bind parameters, run on the chosen backend, print the
 /// `intent(out)`/`intent(inout)` results. All three backends are
-/// bitwise-identical, so this output can be diffed across them directly.
+/// bitwise-identical on every program without an `!$omp atomic`
+/// increment, so that output can be diffed across them directly.
 /// `--deadline-ms` is honored like `prove`: expiry — before or during
 /// the run — is a hard error (exit 7), so every CLI verb shares one
 /// deadline story and the service can reuse it per-request.

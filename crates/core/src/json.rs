@@ -1,6 +1,7 @@
-//! Minimal JSON: exactly the subset the service protocol needs, with no
-//! external dependency (the build environment is offline). Objects keep
-//! insertion order so responses render deterministically.
+//! Minimal JSON: exactly the subset the service protocol and the trace
+//! validator need, with no external dependency (the build environment is
+//! offline). Objects keep insertion order so responses render
+//! deterministically.
 
 use std::fmt;
 

@@ -42,6 +42,7 @@
 
 pub mod engine;
 pub mod fingerprint;
+pub mod json;
 pub mod pipeline;
 pub mod region;
 pub mod report;

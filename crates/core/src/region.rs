@@ -173,10 +173,12 @@ pub struct RegionOptions {
     /// Fault injection for robustness tests: wraps the prover in a
     /// `ChaosSolver` (seed offset by region index).
     pub chaos: Option<ChaosConfig>,
-    /// Worker threads for per-array proofs: `0` = one per available core,
-    /// `1` = run in-line on the calling thread. Verdicts, provenance, and
-    /// report text are identical for every value — parallelism only
-    /// changes wall-clock time.
+    /// Worker threads for per-array proofs: `1` — the default — runs
+    /// in-line on the calling thread, `0` = one per available core.
+    /// Verdicts, provenance, and report text are identical for every
+    /// value — parallelism only changes wall-clock time, and since a
+    /// query costs microseconds it loses on every measured input (spawn
+    /// and merge outweigh the proofs; DESIGN.md "Worker pool").
     pub jobs: usize,
     /// Hard wall-clock deadline for the whole analysis. Unlike
     /// `prover_timeout` (whose expiry *degrades* the affected arrays and
@@ -217,7 +219,7 @@ impl Default for RegionOptions {
             prover_timeout: None,
             cancel: None,
             chaos: None,
-            jobs: 0,
+            jobs: 1,
             deadline: None,
             trace: None,
             search_core: SearchCore::Presolved,

@@ -29,6 +29,8 @@ use std::sync::{Arc, Mutex};
 
 use formad_ad::AdjointStats;
 
+use crate::json::Json;
+
 /// Version tag of the JSON document layout.
 pub const TRACE_SCHEMA: &str = "formad-trace/v1";
 
@@ -777,238 +779,8 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Schema validation (hand-rolled JSON reader; no serde in the workspace).
+// Schema validation (read through `crate::json`; no serde in the workspace).
 // ---------------------------------------------------------------------
-
-/// Minimal JSON value for validation.
-#[derive(Debug, Clone, PartialEq)]
-enum JVal {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a JVal> {
-        match self {
-            JVal::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JVal::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[JVal]> {
-        match self {
-            JVal::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct JParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JParser<'a> {
-    fn new(src: &'a str) -> JParser<'a> {
-        JParser {
-            b: src.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("trace JSON invalid at byte {}: {msg}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JVal, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JVal::Str(self.string()?)),
-            Some(b't') => self.literal("true", JVal::Bool(true)),
-            Some(b'f') => self.literal("false", JVal::Bool(false)),
-            Some(b'n') => self.literal("null", JVal::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, val: JVal) -> Result<JVal, String> {
-        self.skip_ws();
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(val)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn number(&mut self) -> Result<JVal, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(JVal::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(&c) = self.b.get(self.i) else {
-                return Err(self.err("unterminated string"));
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&e) = self.b.get(self.i) else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("malformed \\u escape"))?;
-                            self.i += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at c.
-                    let start = self.i - 1;
-                    let len = match c {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .b
-                        .get(start..start + len)
-                        .and_then(|s| std::str::from_utf8(s).ok())
-                        .ok_or_else(|| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.i = start + len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JVal, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(JVal::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JVal::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JVal, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(JVal::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JVal::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn document(mut self) -> Result<JVal, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.i != self.b.len() {
-            return Err(self.err("trailing content"));
-        }
-        Ok(v)
-    }
-}
 
 /// One `decision` event as seen by the validator, for cross-checking a
 /// trace against the textual report.
@@ -1037,25 +809,25 @@ pub struct TraceSummary {
     pub decisions: Vec<TraceDecision>,
 }
 
-fn need_str(o: &JVal, key: &str, at: &str) -> Result<String, String> {
+fn need_str(o: &Json, key: &str, at: &str) -> Result<String, String> {
     o.get(key)
-        .and_then(JVal::as_str)
+        .and_then(Json::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("{at}: missing string field `{key}`"))
 }
 
-fn need_num(o: &JVal, key: &str, at: &str) -> Result<u64, String> {
+fn need_num(o: &Json, key: &str, at: &str) -> Result<u64, String> {
     o.get(key)
-        .and_then(JVal::as_u64)
+        .and_then(Json::as_u64)
         .ok_or_else(|| format!("{at}: missing integer field `{key}`"))
 }
 
-fn need_str_list(o: &JVal, key: &str, at: &str) -> Result<(), String> {
+fn need_str_list(o: &Json, key: &str, at: &str) -> Result<(), String> {
     let arr = o
         .get(key)
-        .and_then(JVal::as_arr)
+        .and_then(Json::as_arr)
         .ok_or_else(|| format!("{at}: missing array field `{key}`"))?;
-    if arr.iter().all(|v| matches!(v, JVal::Str(_))) {
+    if arr.iter().all(|v| matches!(v, Json::Str(_))) {
         Ok(())
     } else {
         Err(format!("{at}: `{key}` must contain only strings"))
@@ -1075,7 +847,7 @@ const PROVENANCE_TAGS: [&str; 5] = [
 /// pipeline segment, and that every `perf` entry references a recorded
 /// event id.
 pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
-    let doc = JParser::new(src).document()?;
+    let doc = Json::parse(src).map_err(|e| format!("trace JSON invalid: {e}"))?;
     let schema = need_str(&doc, "schema", "document")?;
     if schema != TRACE_SCHEMA {
         return Err(format!(
@@ -1084,11 +856,11 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
     }
     let events = doc
         .get("events")
-        .and_then(JVal::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("document: missing `events` array")?;
     let perf = doc
         .get("perf")
-        .and_then(JVal::as_arr)
+        .and_then(Json::as_arr)
         .ok_or("document: missing `perf` array")?;
 
     let mut summary = TraceSummary {

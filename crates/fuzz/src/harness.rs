@@ -7,10 +7,11 @@
 
 use std::path::PathBuf;
 
+use formad_machine::EngineCache;
 use proptest::test_runner::TestRng;
 
 use crate::grammar::{generate_case, FuzzCase, GenConfig};
-use crate::oracle::{run_case, Divergence, EngineCache, OracleConfig};
+use crate::oracle::{run_case, Divergence, OracleConfig};
 use crate::repro::Reproducer;
 use crate::shrink::shrink_case;
 

@@ -10,8 +10,9 @@
 //! - [`oracle`] — the differential harness: one generated case is
 //!   pushed through the full pipeline and every independent oracle pair
 //!   is cross-checked (verdicts across search cores / jobs / a durable index,
-//!   trace validity, the concrete brute-force footprint check, bitwise
-//!   execution across backends and thread counts, adjoint-vs-FD);
+//!   trace validity, the concrete brute-force footprint check, the
+//!   execution backends' determinism contract at every thread count,
+//!   adjoint-vs-FD);
 //! - [`footprint`] — the concrete race oracle backing the `Brute`
 //!   check;
 //! - [`shrink`] — a delta-debugging minimizer that preserves the
@@ -34,8 +35,10 @@ pub mod strategies;
 
 pub use grammar::{generate_case, FuzzCase, GenConfig};
 pub use harness::{run_fuzz, FuzzConfig, FuzzOutcome};
-pub use oracle::{run_case, Divergence, EngineCache, OracleConfig, OracleId};
+pub use oracle::{run_case, Divergence, OracleConfig, OracleId};
 pub use repro::Reproducer;
-// Re-exported so the CLI can build `--chaos-legacy` poison configs
-// without depending on the SMT crate directly.
+// Re-exported so the CLI can build `--chaos-legacy` poison configs and
+// replay reproducers without depending on the SMT and machine crates
+// directly.
+pub use formad_machine::EngineCache;
 pub use formad_smt::ChaosConfig;

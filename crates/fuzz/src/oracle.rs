@@ -25,15 +25,17 @@
 //!    the fuzzer catches an oracle bug.
 //! 7. `Brute` — concrete adjoint footprints must not contradict a
 //!    `Shared` verdict (see [`crate::footprint`]).
-//! 8. `ExecBitwise` — primal and all three adjoint disciplines must be
-//!    bitwise identical across {sim, bytecode, aot} at every thread
-//!    count; reduction-free primals additionally across thread counts
+//! 8. `ExecBitwise` — primal and all four adjoint disciplines must
+//!    satisfy the determinism contract ([`formad_machine::differential`])
+//!    across {sim, bytecode, aot} at every thread count: programs with no
+//!    shared atomic increment bitwise on real OS workers, the others
+//!    bitwise on one OS worker and within tolerance on real ones;
+//!    reduction-free primals additionally bitwise across thread counts
 //!    (guarded adjoints reassociate with the schedule, so cross-count
 //!    identity is not an invariant for them).
 //! 9. `Fd` — the FormAD adjoint must pass the dot-product test against
 //!    central finite differences.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use formad::{
@@ -42,8 +44,8 @@ use formad::{
 };
 use formad_ir::{parse_program, program_to_string, validate, Program};
 use formad_machine::{
-    compile, dot_product_test, fill_real, load_or_compile, lower, run, Bindings, Machine,
-    NativeEngine,
+    adjoint_bindings, check_cell, compile, dot_product_test, fill_real, load_or_compile, lower,
+    Bindings, CellError, Compare, DotTest, EngineCache, Machine,
 };
 use formad_smt::ChaosConfig;
 
@@ -67,7 +69,7 @@ pub enum OracleId {
     CrossCore,
     /// A `Shared` verdict contradicts the concrete adjoint footprint.
     Brute,
-    /// Backends or thread counts disagree bitwise.
+    /// Backends or thread counts disagree beyond the determinism contract.
     ExecBitwise,
     /// Adjoint-vs-finite-difference dot test failed.
     Fd,
@@ -180,25 +182,6 @@ pub struct CaseSummary {
     pub persisted: bool,
 }
 
-/// `NativeEngine` spawns its worker threads at construction, so the
-/// harness shares one engine per thread count across all cases.
-#[derive(Default)]
-pub struct EngineCache {
-    engines: HashMap<usize, NativeEngine>,
-}
-
-impl EngineCache {
-    pub fn new() -> EngineCache {
-        EngineCache::default()
-    }
-
-    fn get(&mut self, threads: usize) -> &mut NativeEngine {
-        self.engines
-            .entry(threads)
-            .or_insert_with(|| NativeEngine::new(threads))
-    }
-}
-
 /// Drop the only wall-clock-dependent token (the region time that ends
 /// `… N queries, 0.123s` header lines) so reports compare bytewise.
 pub fn strip_times(report: &str) -> String {
@@ -232,73 +215,18 @@ fn options(case: &FuzzCase) -> FormadOptions {
     FormadOptions::new(&wrt, &of)
 }
 
-/// Bitwise comparison of two executed binding sets; `None` = identical.
-fn bitwise_diff(a: &Bindings, b: &Bindings) -> Option<String> {
-    for (name, v) in &a.real_scalars {
-        let w = b.real_scalars.get(name)?;
-        if v.to_bits() != w.to_bits() {
-            return Some(format!("scalar `{name}`: {v} vs {w}"));
-        }
-    }
-    for (name, v) in &a.real_arrays {
-        let w = b.real_arrays.get(name)?;
-        if v.len() != w.len() {
-            return Some(format!("array `{name}` length {} vs {}", v.len(), w.len()));
-        }
-        for (k, (p, q)) in v.iter().zip(w).enumerate() {
-            if p.to_bits() != q.to_bits() {
-                return Some(format!("array `{name}`[{k}]: {p} vs {q}"));
-            }
-        }
-    }
-    for (name, v) in &a.int_scalars {
-        if b.int_scalars.get(name) != Some(v) {
-            return Some(format!("int `{name}`"));
-        }
-    }
-    for (name, v) in &a.int_arrays {
-        if b.int_arrays.get(name) != Some(v) {
-            return Some(format!("int array `{name}`"));
-        }
-    }
-    None
-}
-
-/// Seed adjoint bindings the way `fd::dot_product_test` and the AOT
-/// differential wall do: dependents' bars at 1.0, independents' bars
-/// zeroed, any remaining active bar array zeroed to its primal length.
-fn adjoint_bindings(adjoint: &Program, base: &Bindings, case: &FuzzCase) -> Bindings {
-    let mut b = base.clone();
-    for name in &case.of {
-        if let Some(arr) = base.get_real_array(name) {
-            b.real_arrays
-                .insert(format!("{name}b"), vec![1.0; arr.len()]);
-        }
-    }
-    for name in &case.wrt {
-        if let Some(arr) = base.get_real_array(name) {
-            b.real_arrays
-                .entry(format!("{name}b"))
-                .or_insert_with(|| vec![0.0; arr.len()]);
-        }
-    }
-    for d in &adjoint.params {
-        if d.ty != formad_ir::Ty::Real {
-            continue;
-        }
-        if d.dims.is_empty() {
-            if !b.real_scalars.contains_key(&d.name) {
-                b.real_scalars.insert(d.name.clone(), 0.0);
-            }
-        } else if !b.real_arrays.contains_key(&d.name) {
-            if let Some(stem) = d.name.strip_suffix('b') {
-                if let Some(arr) = base.get_real_array(stem) {
-                    b.real_arrays.insert(d.name.clone(), vec![0.0; arr.len()]);
-                }
-            }
-        }
-    }
-    b
+/// Does the dot-product test contradict the adjoint? Beyond `fd_tol`,
+/// with one exemption: where the dependents' sum does not move with the
+/// independents at all (`y = y + (x - (y + x))`, `y(c(i)) = x(i) - x(n+1-i)`
+/// summed over a permutation) the adjoint is *exactly* 0 and the central
+/// difference reads the round-off of its own two sums, a few ulps over
+/// `h` (2–4e-10 on the three cases of a 10 000-case campaign) — noise,
+/// not a disagreement. Anything the adjoint computes, however small, is
+/// held to `fd_tol`.
+fn fd_disagrees(dot: &DotTest, cfg: &OracleConfig) -> bool {
+    let round_off =
+        dot.adjoint_value == 0.0 && dot.fd_value.abs() <= 64.0 * f64::EPSILON / cfg.fd_h;
+    !(dot.passes(cfg.fd_tol) || round_off)
 }
 
 /// Analysis outcome of one knob setting: the analysis itself, the
@@ -511,8 +439,9 @@ pub fn run_case(
     check_footprints(prog, &base, &analysis, &case.wrt, &case.of)
         .map_err(|e| Divergence::new(OracleId::Brute, e))?;
 
-    // 8. Execution: primal + three adjoint disciplines, bitwise across
-    //    backends and thread counts.
+    // 8. Execution: primal + four adjoint disciplines, each cell held to
+    //    the determinism contract across backends; reduction-free primals
+    //    bitwise across thread counts too.
     let atomic = tool
         .adjoint_with(prog, ParallelTreatment::Uniform(IncMode::Atomic))
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("atomic adjoint: {e}")))?;
@@ -520,8 +449,8 @@ pub fn run_case(
         .adjoint_with(prog, ParallelTreatment::Uniform(IncMode::Reduction))
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("reduction adjoint: {e}")))?;
     // Uniform(Transposed) transposes scatters where structurally safe and
-    // falls back to atomics elsewhere — always a valid program, so it
-    // rides the same bitwise wall as the other disciplines.
+    // falls back to atomics elsewhere — always a valid program, and the
+    // compiled result says which class of the contract it is held to.
     let transposed = tool
         .adjoint_with(prog, ParallelTreatment::Uniform(IncMode::Transposed))
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("transposed adjoint: {e}")))?;
@@ -533,13 +462,11 @@ pub fn run_case(
         ("adj-transposed", &transposed),
     ];
     let ref_threads = *cfg.threads.first().unwrap_or(&1);
-    // Guarded adjoints (atomic/reduction increments) are only bitwise
-    // deterministic at a *fixed* thread count — accumulation order moves
-    // with the schedule. The primal of a race-free generated program is
-    // schedule-independent, unless it carries a scalar reduction (whose
-    // combine tree also depends on the partition). So: backends are
-    // compared at every thread count; thread counts are compared against
-    // each other only for reduction-free primals.
+    // Guarded adjoints (atomic/reduction increments) accumulate in an
+    // order that moves with the partition, and so does the combine tree
+    // of a primal's scalar reduction. So: backends are compared at every
+    // thread count; thread counts are compared against each other only
+    // for reduction-free primals, whose results do not depend on T.
     let has_reductions = {
         let mut found = false;
         for s in &prog.body {
@@ -557,7 +484,7 @@ pub fn run_case(
         let bind = if *label == "primal" {
             base.clone()
         } else {
-            adjoint_bindings(vprog, &base, case)
+            adjoint_bindings(vprog, &base, &case.wrt, &case.of)
         };
         let lp = lower(vprog, &bind).map_err(|e| {
             Divergence::new(OracleId::Pipeline, format!("{label}: lower failed: {e}"))
@@ -578,55 +505,25 @@ pub fn run_case(
         };
         let mut primal_ref: Option<Bindings> = None;
         for &t in &cfg.threads {
-            let mut sim = bind.clone();
-            run(vprog, &mut sim, &Machine::with_threads(t)).map_err(|e| {
-                Divergence::new(
-                    OracleId::Pipeline,
-                    format!("{label}: sim run (T={t}) failed: {e}"),
-                )
-            })?;
+            let cell =
+                check_cell(engines, vprog, &bc, kernel.as_deref(), &bind, t).map_err(|e| {
+                    let oracle = match e {
+                        CellError::Run(_) => OracleId::Pipeline,
+                        CellError::Diverged(_) => OracleId::ExecBitwise,
+                    };
+                    Divergence::new(oracle, format!("{label}: {e}"))
+                })?;
             if *label == "primal" && !has_reductions {
                 match &primal_ref {
-                    None => primal_ref = Some(sim.clone()),
-                    Some(r) => {
-                        if let Some(d) = bitwise_diff(r, &sim) {
+                    None => primal_ref = Some(cell.reference),
+                    Some(first) => {
+                        if let Some(d) = first.first_difference(&cell.reference, Compare::Bitwise) {
                             return Err(Divergence::new(
                                 OracleId::ExecBitwise,
                                 format!("{label}: sim T={ref_threads} vs sim T={t}: {d}"),
                             ));
                         }
                     }
-                }
-            }
-            let mut byt = bind.clone();
-            engines.get(t).run(&bc, &mut byt).map_err(|e| {
-                Divergence::new(
-                    OracleId::Pipeline,
-                    format!("{label}: bytecode run (T={t}) failed: {e}"),
-                )
-            })?;
-            if let Some(d) = bitwise_diff(&sim, &byt) {
-                return Err(Divergence::new(
-                    OracleId::ExecBitwise,
-                    format!("{label}: sim vs bytecode T={t}: {d}"),
-                ));
-            }
-            if let Some(kernel) = &kernel {
-                let mut aot = bind.clone();
-                engines
-                    .get(t)
-                    .run_with(&bc, Some(kernel), &mut aot)
-                    .map_err(|e| {
-                        Divergence::new(
-                            OracleId::Pipeline,
-                            format!("{label}: aot run (T={t}) failed: {e}"),
-                        )
-                    })?;
-                if let Some(d) = bitwise_diff(&sim, &aot) {
-                    return Err(Divergence::new(
-                        OracleId::ExecBitwise,
-                        format!("{label}: sim vs aot T={t}: {d}"),
-                    ));
                 }
             }
         }
@@ -668,7 +565,7 @@ pub fn run_case(
         "b",
     )
     .map_err(|e| Divergence::new(OracleId::Fd, format!("dot-product run failed: {e}")))?;
-    if !dot.passes(cfg.fd_tol) {
+    if fd_disagrees(&dot, cfg) {
         return Err(Divergence::new(
             OracleId::Fd,
             format!(
@@ -679,4 +576,33 @@ pub fn run_case(
     }
 
     Ok(summary)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn dot(fd_value: f64, adjoint_value: f64) -> DotTest {
+        let denom = fd_value.abs().max(adjoint_value.abs()).max(1e-12);
+        DotTest {
+            fd_value,
+            adjoint_value,
+            rel_error: (fd_value - adjoint_value).abs() / denom,
+        }
+    }
+
+    #[test]
+    fn fd_exempts_only_round_off_against_an_exactly_zero_adjoint() {
+        let cfg = OracleConfig::default();
+        // The observed shape: adjoint exactly 0, quotient a few ulps / h.
+        assert!(!fd_disagrees(&dot(-2.220446049250313e-10, 0.0), &cfg));
+        assert!(!fd_disagrees(&dot(4.440892098500626e-10, 0.0), &cfg));
+        // A small wrong adjoint is still a disagreement…
+        assert!(fd_disagrees(&dot(1e-7, 1e-8), &cfg));
+        assert!(fd_disagrees(&dot(2e-10, 1e-10), &cfg));
+        // …and so is a zero adjoint where the function visibly moves.
+        assert!(fd_disagrees(&dot(1e-7, 0.0), &cfg));
+        assert!(!fd_disagrees(&dot(1.0, 1.00001), &cfg));
+        assert!(fd_disagrees(&dot(1.0, 1.001), &cfg));
+    }
 }

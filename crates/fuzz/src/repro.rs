@@ -11,10 +11,11 @@
 use std::time::Duration;
 
 use formad_ir::parse_program;
+use formad_machine::EngineCache;
 use formad_smt::ChaosConfig;
 
 use crate::grammar::FuzzCase;
-use crate::oracle::{run_case, CaseSummary, Divergence, EngineCache, OracleConfig, OracleId};
+use crate::oracle::{run_case, CaseSummary, Divergence, OracleConfig, OracleId};
 
 /// Format tag written as the first line of every reproducer.
 pub const REPRO_HEADER: &str = "! formad-fuzz reproducer v1";

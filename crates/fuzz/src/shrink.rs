@@ -12,9 +12,10 @@
 use std::collections::HashSet;
 
 use formad_ir::{validate, Expr, ForLoop, LValue, Stmt};
+use formad_machine::EngineCache;
 
 use crate::grammar::FuzzCase;
-use crate::oracle::{run_case, EngineCache, OracleConfig, OracleId};
+use crate::oracle::{run_case, OracleConfig, OracleId};
 
 /// Minimize `case` while `oracle` keeps diverging. Returns the smallest
 /// reproducing case found and the number of oracle evaluations spent.

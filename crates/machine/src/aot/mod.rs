@@ -9,7 +9,9 @@
 //! it and the region functions are dispatched by
 //! [`NativeEngine::run_with`] with the exact chunk schedule, scratch
 //! preparation, and reduction merge the bytecode path uses — which is
-//! why results stay bitwise identical.
+//! why results stay inside the determinism contract
+//! ([`crate::differential`]): bitwise identical to the other backends for
+//! every program without a shared atomic increment.
 //!
 //! Cache directory resolution: `FORMAD_AOT_DIR` env var, else
 //! `$CARGO_TARGET_DIR/formad-aot`, else a `formad-aot` directory inside
@@ -24,7 +26,7 @@
 //! Failure contract: every error here is an [`AotError`] the caller is
 //! expected to *degrade* on — [`run_aot`] and the CLI/service wire-ups
 //! fall back to the bytecode backend, report the reason, and still
-//! return bitwise-correct results. Test hook: `FORMAD_AOT_RUSTC`
+//! return the results the contract promises. Test hook: `FORMAD_AOT_RUSTC`
 //! overrides the compiler binary, so pointing it at a nonexistent path
 //! forces the compile-failure path deterministically.
 
@@ -409,8 +411,8 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
 /// Compile `prog` and run it on the AOT backend with `threads` logical
 /// threads — the AOT counterpart of [`crate::exec::run_native`]. On any
 /// AOT failure the run transparently degrades to the bytecode backend
-/// (results are bitwise identical either way) and the fallback reason is
-/// returned for reporting.
+/// (the determinism contract holds either way) and the fallback reason
+/// is returned for reporting.
 pub fn run_aot(
     prog: &Program,
     bind: &mut Bindings,

@@ -1,5 +1,6 @@
 //! Shared execution-driver plumbing: parameter binding and output
-//! rendering used identically by `formad exec` and the resident service.
+//! rendering used identically by `formad exec` and the resident service,
+//! and the adjoint seeding every differential suite shares.
 //!
 //! Both front ends take the same inputs — scalar `k=v` assignments plus a
 //! fill seed — and must produce bitwise-identical runs, so the binding
@@ -171,6 +172,49 @@ pub fn bind_params(
     Ok(bind)
 }
 
+/// Extend primal bindings with adjoint seeds, the way every differential
+/// suite and `fd::dot_product_test` seed a full backpropagation pass:
+/// dependents' bars at 1.0, independents' bars accumulated from zero
+/// (names that bind no real array are skipped), and every other real
+/// parameter `prog` declares that is still unbound zeroed — a bar array
+/// to the length of the array it shadows. Handed the primal, whose
+/// parameters `base` already binds, the last step adds nothing.
+pub fn adjoint_bindings<S: AsRef<str>>(
+    prog: &Program,
+    base: &Bindings,
+    indep: &[S],
+    dep: &[S],
+) -> Bindings {
+    let mut b = base.clone();
+    for name in dep {
+        if let Some(arr) = base.get_real_array(name.as_ref()) {
+            b.real_arrays
+                .insert(format!("{}b", name.as_ref()), vec![1.0; arr.len()]);
+        }
+    }
+    for name in indep {
+        if let Some(arr) = base.get_real_array(name.as_ref()) {
+            b.real_arrays
+                .entry(format!("{}b", name.as_ref()))
+                .or_insert_with(|| vec![0.0; arr.len()]);
+        }
+    }
+    for d in prog.params.iter().filter(|d| d.ty == Ty::Real) {
+        if !d.is_array() {
+            b.real_scalars.entry(d.name.clone()).or_insert(0.0);
+        } else if !b.real_arrays.contains_key(&d.name) {
+            let shadowed = d
+                .name
+                .strip_suffix('b')
+                .and_then(|s| base.get_real_array(s));
+            if let Some(arr) = shadowed {
+                b.real_arrays.insert(d.name.clone(), vec![0.0; arr.len()]);
+            }
+        }
+    }
+    b
+}
+
 /// Render the `intent(out)` / `intent(inout)` results of a finished run,
 /// one line per parameter in declaration order — the exact lines
 /// `formad exec` prints, so service responses diff cleanly against CLI
@@ -235,6 +279,37 @@ end subroutine
         let lines = output_lines(&prog, &bind);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("y: len=8 sum="), "{}", lines[0]);
+    }
+
+    #[test]
+    fn adjoint_seeds_cover_every_bar_the_adjoint_declares() {
+        let prog = parse_program(AXPY).unwrap();
+        let sets = vec![("n".to_string(), "4".to_string()), ("a".into(), "2".into())];
+        let base = bind_params(&prog, &sets, 42).unwrap();
+        // Handed the primal: the seeds, and nothing else.
+        let seeded = adjoint_bindings(&prog, &base, &["x", "nope"], &["y"]);
+        assert_eq!(seeded.real_arrays["yb"], vec![1.0; 4]);
+        assert_eq!(seeded.real_arrays["xb"], vec![0.0; 4]);
+        assert_eq!(seeded.real_arrays.len(), base.real_arrays.len() + 2);
+        assert_eq!(seeded.real_scalars, base.real_scalars);
+        // Handed an adjoint that declares more bars than were asked for
+        // (an active scalar, an array neither independent nor dependent):
+        // they start from zero, sized by what they shadow.
+        let adjoint = parse_program(
+            &AXPY
+                .replace("axpy(n, a, x, y)", "axpy_b(n, a, ab, x, xb, y, yb)")
+                .replace(
+                    "  integer :: i\n",
+                    "  real, intent(inout) :: ab\n  real, intent(inout) :: xb(n)\n  \
+                     real, intent(inout) :: yb(n)\n  integer :: i\n",
+                ),
+        )
+        .unwrap();
+        let none: [&str; 0] = [];
+        let seeded = adjoint_bindings(&adjoint, &base, &none, &["y"]);
+        assert_eq!(seeded.real_scalars["ab"], 0.0);
+        assert_eq!(seeded.real_arrays["xb"], vec![0.0; 4]);
+        assert_eq!(seeded.real_arrays["yb"], vec![1.0; 4]);
     }
 
     #[test]

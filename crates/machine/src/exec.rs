@@ -6,8 +6,13 @@
 //! [`formad_runtime::ThreadPool`] with the **same static chunk
 //! scheduling** the simulated machine uses (value-ascending ranks,
 //! `div_ceil` chunks), so thread `t` executes — and tapes — exactly the
-//! iterations simulated thread `t` does, and results are bitwise equal
-//! to the interpreter's. Logical threads are multiplexed onto at most
+//! iterations simulated thread `t` does. Results are bitwise equal to
+//! the interpreter's on any number of OS workers for every program with
+//! no shared `!$omp atomic` increment; colliding atomic increments commit
+//! in hardware order, so such a program is bitwise equal on one OS worker
+//! (logical threads then run in rank order) and equal up to
+//! floating-point reassociation on several — the determinism contract of
+//! [`crate::differential`]. Logical threads are multiplexed onto at most
 //! the host's physically available cores (see [`NativeEngine::new`]).
 //!
 //! Memory model: array elements are accessed through relaxed
@@ -54,7 +59,7 @@ pub struct NativeProgram {
     bc: BcProgram,
     kernel: Option<Arc<AotKernel>>,
     /// Why an asked-for AOT kernel is missing: the run degrades to the
-    /// bytecode backend (results are bitwise identical either way) and
+    /// bytecode backend (the determinism contract holds either way) and
     /// this is the reason to report.
     pub aot_fallback: Option<String>,
 }
@@ -243,9 +248,10 @@ unsafe impl Sync for Bases {}
 /// are multiplexed onto at most `os_threads` real OS workers: asking a
 /// host for more threads than it has cores adds context-switch noise
 /// without adding parallelism, so [`NativeEngine::new`] clamps the
-/// worker count to the host's available parallelism. Results are
-/// bitwise-independent of the multiplexing because every logical thread
-/// owns its register file, tape, and reduction buffers.
+/// worker count to the host's available parallelism. Every logical thread
+/// owns its register file, tape, and reduction buffers, so the
+/// multiplexing changes no result except the commit order of colliding
+/// `!$omp atomic` increments.
 pub struct NativeEngine {
     threads: usize,
     os_threads: usize,
@@ -464,7 +470,7 @@ impl NativeEngine {
     /// ascending-thread reduction merge. `body` executes one logical
     /// thread's chunk — [`Self::chunk_bytecode`] or [`Self::chunk_aot`] —
     /// and is the only thing the backends do differently, which is what
-    /// makes them bitwise equal.
+    /// keeps them in lockstep.
     fn run_region(
         &self,
         bc: &BcProgram,

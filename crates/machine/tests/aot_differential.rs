@@ -1,8 +1,9 @@
 //! The AOT differential wall: every generated adjoint version of every
-//! executable Table-2 kernel, run through the AOT native backend, must
-//! be bitwise identical to BOTH the simulated interpreter and the
-//! bytecode executor, at 1 and 4 logical threads — the same gate the
-//! bytecode backend passed in `bench/tests/native_kernels.rs`.
+//! executable Table-2 kernel, run through the AOT native backend AND the
+//! bytecode executor, must satisfy the determinism contract
+//! (`formad_machine::differential`) against the simulated interpreter at
+//! 1 and 4 logical threads — the same gate the bytecode backend passed
+//! in `bench/tests/native_kernels.rs`.
 //!
 //! A second test forces kernel compilation to fail (by pointing
 //! `FORMAD_AOT_RUSTC` at a nonexistent binary and the cache at an empty
@@ -15,7 +16,8 @@ use formad::{Formad, FormadOptions, IncMode, ParallelTreatment};
 use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, StencilCase};
 use formad_machine::{
-    compile, load_or_compile, lower, run, run_aot, Bindings, Machine, NativeEngine,
+    adjoint_bindings, check_cell, compile, load_or_compile, lower, run, run_aot, Bindings, Compare,
+    EngineCache, Machine,
 };
 
 /// `FORMAD_AOT_RUSTC`/`FORMAD_AOT_DIR` are process-global; tests that
@@ -93,57 +95,12 @@ fn versions(case: &Case) -> Vec<(&'static str, Program)> {
     ]
 }
 
-/// Seed the adjoint inputs: dependents' bars at 1.0, independents' bars
-/// accumulated from zero (mirrors `formad_bench::adjoint_bindings`).
-fn adjoint_bindings(base: &Bindings, indep: &[&str], dep: &[&str]) -> Bindings {
-    let mut b = base.clone();
-    for name in dep {
-        let len = base.get_real_array(name).expect("dependent bound").len();
-        b.real_arrays.insert(format!("{name}b"), vec![1.0; len]);
-    }
-    for name in indep {
-        let key = format!("{name}b");
-        b.real_arrays.entry(key).or_insert_with(|| {
-            let len = base.get_real_array(name).expect("independent bound").len();
-            vec![0.0; len]
-        });
-    }
-    b
-}
-
-fn assert_bitwise(ctx: &str, a_name: &str, a: &Bindings, b_name: &str, b: &Bindings) {
-    for (name, v) in &a.real_scalars {
-        let w = b.real_scalars[name];
-        assert_eq!(
-            v.to_bits(),
-            w.to_bits(),
-            "{ctx}: scalar `{name}`: {a_name} {v} vs {b_name} {w}"
-        );
-    }
-    for (name, v) in &a.real_arrays {
-        let w = &b.real_arrays[name];
-        assert_eq!(v.len(), w.len(), "{ctx}: array `{name}` length");
-        for (k, (p, q)) in v.iter().zip(w).enumerate() {
-            assert_eq!(
-                p.to_bits(),
-                q.to_bits(),
-                "{ctx}: array `{name}`[{k}]: {a_name} {p} vs {b_name} {q}"
-            );
-        }
-    }
-    for (name, v) in &a.int_scalars {
-        assert_eq!(b.int_scalars.get(name), Some(v), "{ctx}: int `{name}`");
-    }
-    for (name, v) in &a.int_arrays {
-        assert_eq!(b.int_arrays.get(name), Some(v), "{ctx}: int arr `{name}`");
-    }
-}
-
 #[test]
 fn all_kernels_all_disciplines_bitwise_aot() {
     let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());
+    let mut engines = EngineCache::new();
     for case in cases() {
-        let adj_base = adjoint_bindings(&case.base, case.indep, case.dep);
+        let adj_base = adjoint_bindings(&case.program, &case.base, case.indep, case.dep);
         for (label, prog) in versions(&case) {
             let bind = if label == "primal" {
                 &case.base
@@ -156,20 +113,8 @@ fn all_kernels_all_disciplines_bitwise_aot() {
                 .unwrap_or_else(|e| panic!("{} / {label}: AOT must build in-tree: {e}", case.name));
             assert_eq!(kernel.region_count(), bc.regions.len());
             for threads in [1usize, 4] {
-                let ctx = format!("{} / {label} at T={threads}", case.name);
-                let mut sim = bind.clone();
-                run(&prog, &mut sim, &Machine::with_threads(threads))
-                    .unwrap_or_else(|e| panic!("{ctx}: sim run failed: {e}"));
-                let mut byt = bind.clone();
-                NativeEngine::new(threads)
-                    .run(&bc, &mut byt)
-                    .unwrap_or_else(|e| panic!("{ctx}: bytecode run failed: {e}"));
-                let mut aot = bind.clone();
-                NativeEngine::new(threads)
-                    .run_with(&bc, Some(&kernel), &mut aot)
-                    .unwrap_or_else(|e| panic!("{ctx}: aot run failed: {e}"));
-                assert_bitwise(&ctx, "sim", &sim, "aot", &aot);
-                assert_bitwise(&ctx, "bytecode", &byt, "aot", &aot);
+                check_cell(&mut engines, &prog, &bc, Some(&kernel), bind, threads)
+                    .unwrap_or_else(|e| panic!("{} / {label}: {e}", case.name));
             }
         }
     }
@@ -208,5 +153,9 @@ fn forced_compile_failure_falls_back_to_bytecode() {
         reason.contains("failed to spawn"),
         "unexpected fallback reason: {reason}"
     );
-    assert_bitwise("forced-failure fallback", "sim", &sim, "aot", &aot);
+    assert_eq!(
+        sim.first_difference(&aot, Compare::Bitwise),
+        None,
+        "forced-failure fallback: sim vs aot"
+    );
 }

@@ -1,56 +1,43 @@
-//! Differential tests: the native bytecode executor must be bitwise
-//! identical to the simulated tree-walking interpreter on every program
-//! it accepts — same results, same errors.
+//! Differential tests: the native bytecode executor must agree with the
+//! simulated tree-walking interpreter on every program it accepts —
+//! same results, under the determinism contract of
+//! `formad_machine::differential`, and the same errors.
 
 use formad_ir::parse_program;
-use formad_machine::{compile, lower, run, run_native, Bindings, Machine, NativeEngine};
+use formad_machine::{check_cell, compile, lower, run, run_native, Bindings, EngineCache, Machine};
 
-/// Run `src` under both backends at `threads` and assert every written
-/// parameter is bitwise equal.
-fn assert_backends_agree(src: &str, bind: &Bindings, threads: usize) {
+/// Run `src` under both backends at `threads`: the cell must satisfy the
+/// contract.
+fn assert_backends_agree(engines: &mut EngineCache, src: &str, bind: &Bindings, threads: usize) {
     let p = parse_program(src).expect("parse");
-    let mut sim = bind.clone();
-    let sim_res = run(&p, &mut sim, &Machine::with_threads(threads));
-    let mut nat = bind.clone();
-    let nat_res = run_native(&p, &mut nat, threads);
-    match (&sim_res, &nat_res) {
-        (Ok(_), Ok(())) => {}
-        (Err(a), Err(b)) => {
-            assert_eq!(a.message, b.message, "error divergence at T={threads}");
-            return;
-        }
-        _ => panic!("backend divergence at T={threads}: sim={sim_res:?} native={nat_res:?}"),
-    }
-    for (name, v) in &sim.real_scalars {
-        let n = nat.real_scalars.get(name).expect("native scalar");
-        assert_eq!(
-            v.to_bits(),
-            n.to_bits(),
-            "scalar `{name}` diverges at T={threads}: {v} vs {n}"
-        );
-    }
-    for (name, v) in &sim.int_scalars {
-        assert_eq!(nat.int_scalars.get(name), Some(v), "int scalar `{name}`");
-    }
-    for (name, v) in &sim.real_arrays {
-        let n = nat.real_arrays.get(name).expect("native array");
-        assert_eq!(v.len(), n.len(), "array `{name}` length");
-        for (k, (a, b)) in v.iter().zip(n).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "array `{name}`[{k}] diverges at T={threads}: {a} vs {b}"
-            );
-        }
-    }
-    for (name, v) in &sim.int_arrays {
-        assert_eq!(nat.int_arrays.get(name), Some(v), "int array `{name}`");
-    }
+    let bc = compile(&lower(&p, bind).expect("lower"), &p).expect("compile");
+    check_cell(engines, &p, &bc, None, bind, threads)
+        .unwrap_or_else(|e| panic!("`{}`: {e}", p.name));
+}
+
+/// Where the simulator errors the native executor must report the same
+/// error.
+fn assert_same_error(src: &str, bind: &Bindings, threads: usize) {
+    let p = parse_program(src).expect("parse");
+    let a = run(&p, &mut bind.clone(), &Machine::with_threads(threads))
+        .expect_err("the simulator must fail");
+    let b = run_native(&p, &mut bind.clone(), threads)
+        .expect_err("native must fail where the simulator does");
+    assert_eq!(a.message, b.message, "error divergence at T={threads}");
+}
+
+/// The class of the contract `src` compiles into.
+fn commit_order_dependent(src: &str, bind: &Bindings) -> bool {
+    let p = parse_program(src).expect("parse");
+    compile(&lower(&p, bind).expect("lower"), &p)
+        .expect("compile")
+        .commit_order_dependent()
 }
 
 fn all_threads(src: &str, bind: Bindings) {
+    let mut engines = EngineCache::new();
     for threads in [1, 2, 3, 4, 8] {
-        assert_backends_agree(src, &bind, threads);
+        assert_backends_agree(&mut engines, src, &bind, threads);
     }
 }
 
@@ -118,15 +105,54 @@ subroutine red(n, x, y)
 end subroutine
 "#;
 
+fn overlap_bindings(n: usize) -> Bindings {
+    Bindings::new()
+        .int("n", n as i64)
+        .real_array("x", (0..n).map(|k| (k as f64 * 0.3).sin()).collect())
+        .real_array("y", (0..n).map(|k| k as f64 * 0.01).collect())
+}
+
 #[test]
 fn array_reduction_bitwise() {
-    all_threads(
-        OVERLAP_REDUCTION,
-        Bindings::new()
-            .int("n", 61)
-            .real_array("x", (0..61).map(|k| (k as f64 * 0.3).sin()).collect())
-            .real_array("y", (0..61).map(|k| k as f64 * 0.01).collect()),
-    );
+    all_threads(OVERLAP_REDUCTION, overlap_bindings(61));
+}
+
+// The same scatter guarded by `!$omp atomic` instead: seven cells take
+// every increment, so on real workers the commits interleave in hardware
+// order and the rounding moves with them.
+const OVERLAP_ATOMIC: &str = r#"
+subroutine sc(n, x, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, y)
+  do i = 1, n
+    !$omp atomic
+    y(mod(i, 7) + 1) = y(mod(i, 7) + 1) + x(i)
+  end do
+end subroutine
+"#;
+
+/// The two classes of the determinism contract, read off compiled code:
+/// a shared atomic increment makes a program commit-order-dependent —
+/// bitwise against the simulator on one OS worker, within tolerance on
+/// 2–4 forced ones (`check_cell` runs both legs) — while the same
+/// scatter under `reduction`, SAXPY and the tape round-trip are
+/// schedule-independent and held bitwise on forced OS workers by their
+/// own tests in this file, on any host.
+#[test]
+fn colliding_atomic_scatter_is_commit_order_dependent_and_nothing_else_is() {
+    // One binding set serves all four programs (SAXPY also reads `a`).
+    let bind = overlap_bindings(4001).real("a", 1.7);
+    assert!(commit_order_dependent(OVERLAP_ATOMIC, &bind));
+    let mut engines = EngineCache::new();
+    for threads in [1, 2, 3, 4] {
+        assert_backends_agree(&mut engines, OVERLAP_ATOMIC, &bind, threads);
+    }
+    for src in [OVERLAP_REDUCTION, SAXPY, TAPE_ROUNDTRIP] {
+        assert!(!commit_order_dependent(src, &bind));
+    }
 }
 
 #[test]
@@ -254,7 +280,7 @@ subroutine ob(n, y)
   end do
 end subroutine
 "#;
-    assert_backends_agree(
+    assert_same_error(
         src,
         &Bindings::new().int("n", 3).real_array("y", vec![0.0; 3]),
         1,
@@ -275,7 +301,7 @@ subroutine ob(n, y)
 end subroutine
 "#;
     for threads in [1, 4] {
-        assert_backends_agree(
+        assert_same_error(
             src,
             &Bindings::new().int("n", 8).real_array("y", vec![0.0; 8]),
             threads,
@@ -300,52 +326,6 @@ end subroutine
         src,
         Bindings::new().int("n", 3).real_array("y", vec![1.0; 3]),
     );
-}
-
-#[test]
-fn forced_os_workers_bitwise() {
-    // `NativeEngine::new` clamps OS workers to the host's cores; force a
-    // genuinely concurrent pool so the multi-worker region path (worker
-    // wakeup, per-thread tapes, reduction merge) runs on real threads
-    // regardless of the machine the tests land on.
-    for src in [SAXPY, TAPE_ROUNDTRIP, OVERLAP_REDUCTION] {
-        let p = parse_program(src).expect("parse");
-        let bind = match p.name.as_str() {
-            "saxpy" => Bindings::new()
-                .int("n", 23)
-                .real("a", 1.7)
-                .real_array("x", (0..23).map(|k| (k as f64).sin()).collect())
-                .real_array("y", (0..23).map(|k| 1.0 / (k + 1) as f64).collect()),
-            "tp" => Bindings::new()
-                .int("n", 17)
-                .real_array("y", (0..17).map(|k| k as f64 * 1.25).collect()),
-            _ => Bindings::new()
-                .int("n", 61)
-                .real_array("x", (0..61).map(|k| (k as f64 * 0.3).sin()).collect())
-                .real_array("y", (0..61).map(|k| k as f64 * 0.01).collect()),
-        };
-        for threads in [2, 4] {
-            let mut sim = bind.clone();
-            run(&p, &mut sim, &Machine::with_threads(threads)).expect("sim");
-            let lp = lower(&p, &bind).expect("lower");
-            let bc = compile(&lp, &p).expect("compile");
-            let mut engine = NativeEngine::with_os_threads(threads, threads);
-            assert_eq!(engine.os_threads(), threads);
-            let mut nat = bind.clone();
-            engine.run(&bc, &mut nat).expect("native");
-            for (name, v) in &sim.real_arrays {
-                let n = &nat.real_arrays[name];
-                for (k, (a, b)) in v.iter().zip(n).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "`{}` array `{name}`[{k}] diverges on {threads} OS workers",
-                        p.name
-                    );
-                }
-            }
-        }
-    }
 }
 
 #[test]

@@ -23,11 +23,12 @@
 
 pub mod admission;
 pub mod http;
-pub mod json;
 pub mod server;
 pub mod service;
 
 pub use admission::{Admission, Admit, Permit, ShedLevel};
-pub use json::Json;
+/// The workspace's one JSON value and parser lives in `formad::json`;
+/// re-exported at the path the service protocol's callers use.
+pub use formad::json::{self, Json};
 pub use server::{install_sigint_handler, interrupted, serve, ServerHandle};
 pub use service::{Service, ServiceConfig};

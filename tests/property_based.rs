@@ -22,7 +22,10 @@ use proptest::prelude::*;
 // Prover vs brute force.
 // ---------------------------------------------------------------------
 
-/// A random literal over a small symbol pool.
+/// A random literal over a pool of three symbols: with up to six
+/// literals among three symbols most draws interact (cycles, a
+/// disequality cutting an equality chain), and the exhaustive oracle
+/// below walks 43³ points per case, not 43⁴.
 #[derive(Debug, Clone)]
 enum RandLit {
     Eq(usize, usize, i64),
@@ -31,7 +34,7 @@ enum RandLit {
 }
 
 fn rand_lit() -> impl Strategy<Value = RandLit> {
-    (0usize..4, 0usize..4, -3i64..=3, 0u8..3).prop_map(|(a, b, c, k)| match k {
+    (0usize..3, 0usize..3, -3i64..=3, 0u8..3).prop_map(|(a, b, c, k)| match k {
         0 => RandLit::Eq(a, b, c),
         1 => RandLit::Ne(a, b, c),
         _ => RandLit::Le(a, b, c),
@@ -39,14 +42,14 @@ fn rand_lit() -> impl Strategy<Value = RandLit> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// Whenever the solver says UNSAT, brute force over a domain box must
     /// find no model; whenever brute force finds a model, the solver must
     /// not claim UNSAT.
     #[test]
     fn solver_unsat_is_sound(lits in prop::collection::vec(rand_lit(), 1..7)) {
-        let names = ["a", "b", "c", "d"];
+        let names = ["a", "b", "c"];
         let mut s = Solver::new();
         let mut formulas = Vec::new();
         for l in &lits {
