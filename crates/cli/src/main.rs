@@ -155,7 +155,7 @@ use std::time::Duration;
 use formad::{
     Deadline, Formad, FormadErrorKind, FormadOptions, IncMode, ParallelTreatment, TraceSink,
 };
-use formad_ir::{parse_any, program_to_clike, program_to_string};
+use formad_ir::{parse_any, SourceFlavor};
 
 /// Distinct nonzero exit code per error classification.
 fn code_for(kind: FormadErrorKind) -> ExitCode {
@@ -177,7 +177,7 @@ struct Args {
     wrt: Vec<String>,
     of: Vec<String>,
     mode: String,
-    emit: String,
+    emit: SourceFlavor,
     stride: bool,
     contexts: bool,
     increment: bool,
@@ -231,7 +231,7 @@ fn parse_args() -> Result<Args, ExitCode> {
         wrt: Vec::new(),
         of: Vec::new(),
         mode: "formad".into(),
-        emit: "fortran".into(),
+        emit: SourceFlavor::Fortran,
         stride: true,
         contexts: true,
         increment: true,
@@ -274,7 +274,11 @@ fn parse_args() -> Result<Args, ExitCode> {
             }
             "--emit" => {
                 k += 1;
-                args.emit = rest.get(k).ok_or_else(usage)?.clone();
+                let name = rest.get(k).ok_or_else(usage)?;
+                args.emit = SourceFlavor::from_name(name).ok_or_else(|| {
+                    eprintln!("unknown emit dialect `{name}`");
+                    usage()
+                })?;
             }
             "--table1" => {
                 k += 1;
@@ -385,10 +389,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         eprintln!("--wrt and --of are required");
         return Err(usage());
     }
-    if !matches!(args.emit.as_str(), "fortran" | "c") {
-        eprintln!("unknown emit dialect `{}`", args.emit);
-        return Err(usage());
-    }
     Ok(args)
 }
 
@@ -418,13 +418,6 @@ fn search_diag(a: &formad::FormadAnalysis) {
     );
     if let Some(adjoint) = &a.adjoint {
         eprintln!("formad: adjoint: {adjoint}");
-    }
-}
-
-fn render(p: &formad_ir::Program, emit: &str) -> String {
-    match emit {
-        "c" => program_to_clike(p),
-        _ => program_to_string(p),
     }
 }
 
@@ -1049,7 +1042,7 @@ fn run_diff(
                     }
                 },
             };
-            print!("{}", render(&adjoint, &args.emit));
+            print!("{}", args.emit.print(&adjoint));
             if let Err(c) = write_trace(args, sink) {
                 return c;
             }
@@ -1068,7 +1061,7 @@ fn run_diff(
                 println!("! {line}");
             }
             println!("\n! ===== adjoint (FormAD) =====");
-            print!("{}", render(&r.adjoint, &args.emit));
+            print!("{}", args.emit.print(&r.adjoint));
             for (label, t) in [
                 ("serial", ParallelTreatment::Serial),
                 ("atomic", ParallelTreatment::Uniform(IncMode::Atomic)),
@@ -1080,7 +1073,7 @@ fn run_diff(
             ] {
                 println!("\n! ===== adjoint ({label}) =====");
                 match tool.adjoint_with(primal, t) {
-                    Ok(a) => print!("{}", render(&a, &args.emit)),
+                    Ok(a) => print!("{}", args.emit.print(&a)),
                     Err(e) => {
                         eprintln!("{e}");
                         return code_for(e.kind);

@@ -48,6 +48,9 @@ void fig2(int n, const double x[n + 7], double y[n], const int c[n]) {
 }
 "#;
 
+const KERNEL_FIG2_C: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels_src/fig2.c");
+const KERNEL_FIG2_F: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../kernels_src/fig2.f90");
+
 #[test]
 fn analyze_fortran_dialect() {
     // A header comment that merely contains the C keyword ("avoid") must
@@ -71,6 +74,25 @@ fn analyze_c_dialect() {
         assert!(ok, "{name}: {err}");
         assert!(out.contains("shared (no atomics needed)"), "{name}: {out}");
     }
+    // The two spellings of Figure 2 are one program: same report.
+    let (in_c, _, _) = formad(&["analyze", KERNEL_FIG2_C, "--wrt", "x", "--of", "y"]);
+    let (in_f, _, _) = formad(&["analyze", KERNEL_FIG2_F, "--wrt", "x", "--of", "y"]);
+    assert!(in_c.contains("adjoint of `x`: shared"), "{in_c}");
+    assert_eq!(strip_times(&in_c), strip_times(&in_f));
+    // A C syntax error is a parse error (exit 3) that names tokens the way
+    // the Fortran front end does.
+    let broken = write_temp("broken.c", "void fig2 x(int n) {\n}\n");
+    let args = [
+        "analyze",
+        broken.to_str().unwrap(),
+        "--wrt",
+        "x",
+        "--of",
+        "y",
+    ];
+    let (_, err, _) = formad(&args);
+    assert!(err.contains("expected `(`, found identifier `x`"), "{err}");
+    assert_eq!(formad_code(&args), 3);
 }
 
 #[test]
@@ -175,6 +197,15 @@ fn emit_c_dialect() {
     assert!(out.contains("void fig2_b("), "{out}");
     assert!(out.contains("xb[c[i] + 7] += yb[c[i]];"), "{out}");
     assert!(out.contains("#pragma omp parallel for"), "{out}");
+    // Whichever dialect Figure 2 comes in, each `--emit` writes the same
+    // bytes.
+    for emit in ["fortran", "c"] {
+        let adjoint =
+            |file| formad(&["adjoint", file, "--wrt", "x", "--of", "y", "--emit", emit]).0;
+        let from_c = adjoint(KERNEL_FIG2_C);
+        assert!(from_c.contains("fig2_b("), "{emit}: {from_c}");
+        assert_eq!(from_c, adjoint(KERNEL_FIG2_F), "--emit {emit}");
+    }
     // Invalid dialect rejected.
     let (_, err, ok) = formad(&[
         "adjoint",
@@ -591,6 +622,26 @@ fn exec_runs_generated_adjoints() {
     ]);
     assert!(ok, "{err}");
     assert!(out.contains("xb: len=32 sum="), "{out}");
+    // An adjoint with tape statements runs from its C print too, to the
+    // bits of its Fortran print.
+    let f = write_temp(
+        "sq.f90",
+        "subroutine sq(n, x, y)\n  integer, intent(in) :: n\n  real, intent(in) :: x(n)\n  \
+         real, intent(inout) :: y(n)\n  integer :: i\n  do i = 1, n\n    \
+         y(i) = y(i) * y(i) * x(i)\n  end do\nend subroutine\n",
+    );
+    let exec_adjoint = |emit: &str, name: &str| {
+        let file = f.to_str().unwrap();
+        let (adj, _, ok) = formad(&["adjoint", file, "--wrt", "x", "--of", "y", "--emit", emit]);
+        assert!(ok && adj.contains("pop(y"), "{adj}");
+        let g = write_temp(name, &adj);
+        let (out, err, ok) = formad(&["exec", g.to_str().unwrap(), "--set", "n=64"]);
+        assert!(ok, "{err}");
+        out
+    };
+    let out = exec_adjoint("c", "sq_b.c");
+    assert!(out.contains("xb: len=64 sum="), "{out}");
+    assert_eq!(out, exec_adjoint("fortran", "sq_b.f90"));
 }
 
 #[test]

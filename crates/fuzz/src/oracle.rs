@@ -8,8 +8,12 @@
 //!    `differentiate` call must succeed. A generated program is
 //!    well-typed by construction, so any rejection is a bug in the
 //!    generator or the pipeline.
-//! 2. `RoundTrip` — printing the program and re-parsing the print must
-//!    be a fixpoint (`print ∘ parse ∘ print = print`).
+//! 2. `RoundTrip` — the primal and the FormAD adjoint go through the
+//!    printer and parser of every [`SourceFlavor`]: the print is a fixpoint
+//!    (`print ∘ parse ∘ print = print`), the Fortran flavour returns the
+//!    identical tree, and the primal routed through C analyses to the same
+//!    report. (C is not held to tree identity: a commuted exact increment
+//!    `y = e + y` prints as `y += e` and returns as `y = y + e`.)
 //! 3. `Trace` — every collected proof trace must pass
 //!    [`formad::validate_trace`].
 //! 4. `Jobs` — the analysis report (wall-clock stripped) and the
@@ -42,7 +46,7 @@ use formad::{
     deterministic_json, full_report, trace_json, validate_trace, Decision, Formad, FormadAnalysis,
     FormadOptions, IncMode, ParallelTreatment, SearchCore, TraceSink,
 };
-use formad_ir::{parse_program, program_to_string, validate, Program};
+use formad_ir::{validate, Program, SourceFlavor};
 use formad_machine::{
     adjoint_bindings, check_cell, compile, dot_product_test, fill_real, load_or_compile, lower,
     Bindings, CellError, Compare, DotTest, EngineCache, Machine,
@@ -229,6 +233,29 @@ fn fd_disagrees(dot: &DotTest, cfg: &OracleConfig) -> bool {
     !(dot.passes(cfg.fd_tol) || round_off)
 }
 
+/// Print `p` in `flavor` and read it back: the print must be a fixpoint,
+/// and Fortran must return the identical tree. Returns what came back.
+fn round_trip(flavor: SourceFlavor, what: &str, p: &Program) -> Result<Program, Divergence> {
+    let fail = |detail: String| {
+        let flavor = flavor.name();
+        Divergence::new(OracleId::RoundTrip, format!("{what} ({flavor}): {detail}"))
+    };
+    let src = flavor.print(p);
+    let back = flavor
+        .parse(&src)
+        .map_err(|e| fail(format!("re-parse failed: {e}")))?;
+    let src2 = flavor.print(&back);
+    if src2 != src {
+        return Err(fail(first_diff("printed source", &src, &src2)));
+    }
+    if flavor == SourceFlavor::Fortran && back != *p {
+        return Err(fail(
+            "re-parsed tree differs behind an identical print".into(),
+        ));
+    }
+    Ok(back)
+}
+
 /// Analysis outcome of one knob setting: the analysis itself, the
 /// stripped report, and (when requested) the deterministic trace
 /// events plus their rendered JSON.
@@ -281,17 +308,12 @@ pub fn run_case(
         ));
     }
 
-    // 2. Printer/parser fixpoint.
-    let src = program_to_string(prog);
-    let reparsed = parse_program(&src)
-        .map_err(|e| Divergence::new(OracleId::RoundTrip, format!("re-parse failed: {e}")))?;
-    let src2 = program_to_string(&reparsed);
-    if src2 != src {
-        return Err(Divergence::new(
-            OracleId::RoundTrip,
-            first_diff("printed source", &src, &src2),
-        ));
-    }
+    // 2. Printer/parser round trip of the primal, both flavours.
+    round_trip(SourceFlavor::Fortran, "primal", prog)?;
+    let c_routed = FuzzCase {
+        program: round_trip(SourceFlavor::C, "primal", prog)?,
+        ..case.clone()
+    };
 
     // 3. Driver bindings.
     let base = case
@@ -317,6 +339,23 @@ pub fn run_case(
     let diff = tool
         .differentiate(prog)
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("differentiate failed: {e}")))?;
+
+    // 2b. Round trip, continued: the adjoint, and the report of the primal
+    //     that went through C.
+    for flavor in SourceFlavor::ALL {
+        round_trip(flavor, "adjoint", &diff.adjoint)?;
+    }
+    let (_, c_report, _) = analyze_variant(&c_routed, 1, SearchCore::Presolved, None, false)
+        .map_err(|e| {
+            let detail = format!("C-routed primal: analysis failed: {e}");
+            Divergence::new(OracleId::RoundTrip, detail)
+        })?;
+    if c_report != ref_report {
+        return Err(Divergence::new(
+            OracleId::RoundTrip,
+            first_diff("report (C-routed primal)", &ref_report, &c_report),
+        ));
+    }
 
     let mut summary = CaseSummary {
         regions: analysis.regions.len(),

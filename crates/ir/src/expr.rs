@@ -16,18 +16,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Surface-syntax spelling, when the operator is infix.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Pow => "**",
-            BinOp::Mod => "mod",
-        }
-    }
-
     /// Parser precedence: higher binds tighter.
     pub fn precedence(self) -> u8 {
         match self {
@@ -60,6 +48,19 @@ pub enum Intrinsic {
 }
 
 impl Intrinsic {
+    /// Every intrinsic.
+    pub const ALL: [Intrinsic; 9] = [
+        Intrinsic::Sin,
+        Intrinsic::Cos,
+        Intrinsic::Exp,
+        Intrinsic::Log,
+        Intrinsic::Sqrt,
+        Intrinsic::Abs,
+        Intrinsic::Min,
+        Intrinsic::Max,
+        Intrinsic::Tanh,
+    ];
+
     /// Surface-syntax name.
     pub fn name(self) -> &'static str {
         match self {
@@ -85,18 +86,7 @@ impl Intrinsic {
 
     /// Look an intrinsic up by its surface name.
     pub fn from_name(name: &str) -> Option<Intrinsic> {
-        Some(match name {
-            "sin" => Intrinsic::Sin,
-            "cos" => Intrinsic::Cos,
-            "exp" => Intrinsic::Exp,
-            "log" => Intrinsic::Log,
-            "sqrt" => Intrinsic::Sqrt,
-            "abs" => Intrinsic::Abs,
-            "min" => Intrinsic::Min,
-            "max" => Intrinsic::Max,
-            "tanh" => Intrinsic::Tanh,
-            _ => return None,
-        })
+        Intrinsic::ALL.into_iter().find(|f| f.name() == name)
     }
 }
 
@@ -287,18 +277,6 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Fortran-style spelling (`.eq.` etc.).
-    pub fn fortran(self) -> &'static str {
-        match self {
-            CmpOp::Eq => ".eq.",
-            CmpOp::Ne => ".ne.",
-            CmpOp::Lt => ".lt.",
-            CmpOp::Le => ".le.",
-            CmpOp::Gt => ".gt.",
-            CmpOp::Ge => ".ge.",
-        }
-    }
-
     /// The comparison with operands swapped (`a < b` ⇔ `b > a`).
     pub fn flip(self) -> CmpOp {
         match self {
@@ -483,17 +461,7 @@ mod tests {
 
     #[test]
     fn intrinsic_roundtrip() {
-        for i in [
-            Intrinsic::Sin,
-            Intrinsic::Cos,
-            Intrinsic::Exp,
-            Intrinsic::Log,
-            Intrinsic::Sqrt,
-            Intrinsic::Abs,
-            Intrinsic::Min,
-            Intrinsic::Max,
-            Intrinsic::Tanh,
-        ] {
+        for i in Intrinsic::ALL {
             assert_eq!(Intrinsic::from_name(i.name()), Some(i));
         }
         assert_eq!(Intrinsic::from_name("nope"), None);

@@ -1,36 +1,54 @@
-//! Hand-written lexer for the Fortran-like surface syntax.
+//! The one hand-written lexer of both surface flavours.
+//!
+//! Tokens borrow identifiers and pragma text from the source. The flavour
+//! decides only the comment and pragma prefixes, whether a newline ends a
+//! statement, and which operator spellings exist
+//! ([`crate::flavor::Spelling`]); numbers and identifiers are the same.
 
-use std::fmt;
+use std::borrow::Cow;
+
+use crate::flavor::SourceFlavor;
+use crate::parser::ParseError;
 
 /// A lexical token with its source line (1-based) for diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokKind,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Token<'a> {
+    pub kind: Tok<'a>,
     pub line: u32,
 }
 
-/// Token kinds. Keywords are lexed as `Ident` and classified by the parser,
-/// except the dotted operators (`.and.`, `.ne.`, ...) which are lexed
-/// directly.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokKind {
-    Ident(String),
+/// Token kinds. Keywords are lexed as `Ident` and classified by the parser.
+/// A flavour never produces the operator tokens it has no spelling for, so
+/// the shared grammar can mention all of them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Real(f64),
-    /// `!$omp ...` pragma line, contents after `!$omp`, trimmed.
-    Pragma(String),
+    /// An OpenMP directive line: the text after the flavour's pragma
+    /// prefix, trimmed.
+    Pragma(&'a str),
     Plus,
     Minus,
     Star,
     DoubleStar,
     Slash,
+    Percent,
     LParen,
     RParen,
+    LBracket,
+    RBracket,
+    LBrace,
+    RBrace,
     Comma,
     Colon,
     DoubleColon,
+    Semi,
     Assign,
-    // comparisons
+    PlusPlus,
+    MinusMinus,
+    PlusAssign,
+    MinusAssign,
     Eq,
     Ne,
     Lt,
@@ -40,296 +58,155 @@ pub enum TokKind {
     And,
     Or,
     Not,
-    /// End of a logical line.
+    /// End of a logical line (Fortran only).
     Newline,
     /// End of input.
     Eof,
 }
 
-impl fmt::Display for TokKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Tok<'_> {
+    /// The token as error messages name it, operators in the spelling of
+    /// `flavor`.
+    pub fn describe(self, flavor: SourceFlavor) -> String {
+        let spelling = flavor.spelling();
         match self {
-            TokKind::Ident(s) => write!(f, "identifier `{s}`"),
-            TokKind::Int(v) => write!(f, "integer `{v}`"),
-            TokKind::Real(v) => write!(f, "real `{v}`"),
-            TokKind::Pragma(p) => write!(f, "pragma `!$omp {p}`"),
-            TokKind::Plus => write!(f, "`+`"),
-            TokKind::Minus => write!(f, "`-`"),
-            TokKind::Star => write!(f, "`*`"),
-            TokKind::DoubleStar => write!(f, "`**`"),
-            TokKind::Slash => write!(f, "`/`"),
-            TokKind::LParen => write!(f, "`(`"),
-            TokKind::RParen => write!(f, "`)`"),
-            TokKind::Comma => write!(f, "`,`"),
-            TokKind::Colon => write!(f, "`:`"),
-            TokKind::DoubleColon => write!(f, "`::`"),
-            TokKind::Assign => write!(f, "`=`"),
-            TokKind::Eq => write!(f, "`.eq.`"),
-            TokKind::Ne => write!(f, "`.ne.`"),
-            TokKind::Lt => write!(f, "`.lt.`"),
-            TokKind::Le => write!(f, "`.le.`"),
-            TokKind::Gt => write!(f, "`.gt.`"),
-            TokKind::Ge => write!(f, "`.ge.`"),
-            TokKind::And => write!(f, "`.and.`"),
-            TokKind::Or => write!(f, "`.or.`"),
-            TokKind::Not => write!(f, "`.not.`"),
-            TokKind::Newline => write!(f, "end of line"),
-            TokKind::Eof => write!(f, "end of input"),
+            Tok::Ident(s) => format!("identifier `{s}`"),
+            Tok::Int(v) => format!("integer `{v}`"),
+            Tok::Real(v) => format!("real `{v}`"),
+            Tok::Pragma(p) => format!("pragma `{} {p}`", spelling.pragma),
+            Tok::Newline => "end of line".to_string(),
+            Tok::Eof => "end of input".to_string(),
+            op => format!("`{}`", spelling.of(op).unwrap_or("operator")),
         }
     }
 }
 
-/// Lexer error with line number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
-    pub line: u32,
-    pub message: String,
+/// Does `rest` start with `pat`, ASCII case ignored? Allocates nothing and
+/// looks at no more than `pat.len()` bytes.
+fn starts_with(rest: &[u8], pat: &str) -> bool {
+    rest.len() >= pat.len() && rest[..pat.len()].eq_ignore_ascii_case(pat.as_bytes())
 }
 
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
-    }
+/// Bytes up to the end of the line `rest` starts in.
+fn line_len(rest: &[u8]) -> usize {
+    rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len())
 }
-
-impl std::error::Error for LexError {}
 
 /// Tokenize a whole source string.
 ///
-/// Comments start with `!` (except `!$omp` pragmas, which become
-/// [`TokKind::Pragma`]) and run to end of line. Consecutive newlines are
-/// collapsed into one `Newline` token.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut toks = Vec::new();
-    let bytes = src.as_bytes();
-    let mut i = 0;
-    let mut line: u32 = 1;
-    let n = bytes.len();
+/// Comments are skipped; a directive line becomes one [`Tok::Pragma`]. In
+/// the Fortran flavour consecutive newlines collapse into one `Newline`
+/// token and a pragma both ends the statement before it and swallows the
+/// newline after it; the C flavour has no `Newline` tokens.
+pub(crate) fn lex(src: &str, flavor: SourceFlavor) -> Result<Vec<Token<'_>>, ParseError> {
+    let b = src.as_bytes();
+    let n = b.len();
+    let fortran = flavor == SourceFlavor::Fortran;
+    let spelling = flavor.spelling();
+    let mut toks: Vec<Token> = Vec::with_capacity(n / 4 + 2);
+    let (mut i, mut line) = (0usize, 1u32);
 
-    let push = |kind: TokKind, line: u32, toks: &mut Vec<Token>| {
-        if kind == TokKind::Newline
-            && matches!(
-                toks.last().map(|t| &t.kind),
-                None | Some(TokKind::Newline) | Some(TokKind::Pragma(_))
-            )
-        {
-            return;
+    let end_line = |toks: &mut Vec<Token>, line: u32| {
+        let last = toks.last().map(|t| t.kind);
+        if fortran && !matches!(last, None | Some(Tok::Newline | Tok::Pragma(_))) {
+            toks.push(Token {
+                kind: Tok::Newline,
+                line,
+            });
         }
-        toks.push(Token { kind, line });
+    };
+    let digits = |mut i: usize| {
+        while i < n && b[i].is_ascii_digit() {
+            i += 1;
+        }
+        i
     };
 
     while i < n {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\r' => i += 1,
-            '\n' => {
-                push(TokKind::Newline, line, &mut toks);
-                line += 1;
+        let c = b[i];
+        let rest = &b[i..];
+        let start = i;
+        let kind = if c == b'\n' {
+            end_line(&mut toks, line);
+            line += 1;
+            i += 1;
+            continue;
+        } else if matches!(c, b' ' | b'\t' | b'\r') {
+            i += 1;
+            continue;
+        } else if c.is_ascii_alphabetic() || c == b'_' {
+            while i < n && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                 i += 1;
             }
-            '!' => {
-                // Pragma or comment: consume to end of line.
-                let start = i;
-                while i < n && bytes[i] != b'\n' {
-                    i += 1;
-                }
-                let text = &src[start..i];
-                let lower = text.to_ascii_lowercase();
-                if let Some(rest) = lower.strip_prefix("!$omp") {
-                    // Terminate any in-progress statement first.
-                    push(TokKind::Newline, line, &mut toks);
-                    toks.push(Token {
-                        kind: TokKind::Pragma(rest.trim().to_string()),
-                        line,
-                    });
-                }
-                // Plain comments are skipped entirely.
+            Tok::Ident(&src[start..i])
+        } else if c.is_ascii_digit() {
+            i = digits(i);
+            // A fraction — unless the dot starts a Fortran dotted operator,
+            // as in `1.and.`.
+            let dotted_op = fortran && i + 1 < n && b[i + 1].is_ascii_alphabetic();
+            let mut is_real = i < n && b[i] == b'.' && !dotted_op;
+            if is_real {
+                i = digits(i + 1);
             }
-            '+' => {
-                push(TokKind::Plus, line, &mut toks);
-                i += 1;
-            }
-            '-' => {
-                push(TokKind::Minus, line, &mut toks);
-                i += 1;
-            }
-            '*' => {
-                if i + 1 < n && bytes[i + 1] == b'*' {
-                    push(TokKind::DoubleStar, line, &mut toks);
-                    i += 2;
-                } else {
-                    push(TokKind::Star, line, &mut toks);
-                    i += 1;
+            // An exponent; Fortran also writes it `d`.
+            if i < n && (matches!(b[i], b'e' | b'E') || fortran && matches!(b[i], b'd' | b'D')) {
+                let sign = usize::from(i + 1 < n && matches!(b[i + 1], b'+' | b'-'));
+                if i + 1 + sign < n && b[i + 1 + sign].is_ascii_digit() {
+                    is_real = true;
+                    i = digits(i + 1 + sign);
                 }
             }
-            '/' => {
-                if i + 1 < n && bytes[i + 1] == b'=' {
-                    push(TokKind::Ne, line, &mut toks);
-                    i += 2;
-                } else {
-                    push(TokKind::Slash, line, &mut toks);
-                    i += 1;
-                }
+            let mut text = Cow::Borrowed(&src[start..i]);
+            if text.contains(['d', 'D']) {
+                text = Cow::Owned(text.replace(['d', 'D'], "e"));
             }
-            '(' => {
-                push(TokKind::LParen, line, &mut toks);
-                i += 1;
+            let bad = |what: &str| ParseError {
+                line,
+                message: format!("bad {what} literal `{text}`"),
+            };
+            if is_real {
+                Tok::Real(text.parse().map_err(|_| bad("real"))?)
+            } else {
+                Tok::Int(text.parse().map_err(|_| bad("integer"))?)
             }
-            ')' => {
-                push(TokKind::RParen, line, &mut toks);
-                i += 1;
-            }
-            ',' => {
-                push(TokKind::Comma, line, &mut toks);
-                i += 1;
-            }
-            ':' => {
-                if i + 1 < n && bytes[i + 1] == b':' {
-                    push(TokKind::DoubleColon, line, &mut toks);
-                    i += 2;
-                } else {
-                    push(TokKind::Colon, line, &mut toks);
-                    i += 1;
-                }
-            }
-            '=' => {
-                if i + 1 < n && bytes[i + 1] == b'=' {
-                    push(TokKind::Eq, line, &mut toks);
-                    i += 2;
-                } else {
-                    push(TokKind::Assign, line, &mut toks);
-                    i += 1;
-                }
-            }
-            '<' => {
-                if i + 1 < n && bytes[i + 1] == b'=' {
-                    push(TokKind::Le, line, &mut toks);
-                    i += 2;
-                } else {
-                    push(TokKind::Lt, line, &mut toks);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < n && bytes[i + 1] == b'=' {
-                    push(TokKind::Ge, line, &mut toks);
-                    i += 2;
-                } else {
-                    push(TokKind::Gt, line, &mut toks);
-                    i += 1;
-                }
-            }
-            '.' => {
-                // Either a dotted operator (.and., .ne., ...) or a real
-                // literal like `.5` (we require a leading digit, so `.5` is
-                // rejected; Fortran programmers write `0.5`).
-                let rest = &src[i..];
-                let dotted: &[(&str, TokKind)] = &[
-                    (".and.", TokKind::And),
-                    (".or.", TokKind::Or),
-                    (".not.", TokKind::Not),
-                    (".eq.", TokKind::Eq),
-                    (".ne.", TokKind::Ne),
-                    (".lt.", TokKind::Lt),
-                    (".le.", TokKind::Le),
-                    (".gt.", TokKind::Gt),
-                    (".ge.", TokKind::Ge),
-                ];
-                let lower = rest.to_ascii_lowercase();
-                let mut matched = false;
-                for (pat, kind) in dotted {
-                    if lower.starts_with(pat) {
-                        push(kind.clone(), line, &mut toks);
-                        i += pat.len();
-                        matched = true;
-                        break;
-                    }
-                }
-                if !matched {
-                    return Err(LexError {
-                        line,
-                        message: format!("unexpected character `.` (context: {:.10})", rest),
-                    });
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < n && (bytes[i] as char).is_ascii_digit() {
-                    i += 1;
-                }
-                let mut is_real = false;
-                // Fractional part — but not if the dot starts a dotted
-                // operator like `1.and.`.
-                if i < n && bytes[i] == b'.' {
-                    let after = i + 1;
-                    let next_is_digit = after < n && (bytes[after] as char).is_ascii_digit();
-                    let next_is_alpha = after < n && (bytes[after] as char).is_ascii_alphabetic();
-                    if next_is_digit || !next_is_alpha {
-                        is_real = true;
-                        i += 1;
-                        while i < n && (bytes[i] as char).is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
-                // Exponent part.
-                if i < n
-                    && (bytes[i] == b'e'
-                        || bytes[i] == b'E'
-                        || bytes[i] == b'd'
-                        || bytes[i] == b'D')
-                {
-                    let mut j = i + 1;
-                    if j < n && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
-                    }
-                    if j < n && (bytes[j] as char).is_ascii_digit() {
-                        is_real = true;
-                        i = j;
-                        while i < n && (bytes[i] as char).is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
-                let text = src[start..i].replace(['d', 'D'], "e");
-                if is_real {
-                    let v: f64 = text.parse().map_err(|_| LexError {
-                        line,
-                        message: format!("bad real literal `{text}`"),
-                    })?;
-                    push(TokKind::Real(v), line, &mut toks);
-                } else {
-                    let v: i64 = text.parse().map_err(|_| LexError {
-                        line,
-                        message: format!("bad integer literal `{text}`"),
-                    })?;
-                    push(TokKind::Int(v), line, &mut toks);
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < n {
-                    let c = bytes[i] as char;
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let word = src[start..i].to_string();
-                push(TokKind::Ident(word), line, &mut toks);
-            }
-            other => {
-                return Err(LexError {
-                    line,
-                    message: format!("unexpected character `{other}`"),
-                });
-            }
-        }
+        } else if starts_with(rest, spelling.pragma) {
+            // A directive line; it also ends the statement before it.
+            i += line_len(rest);
+            end_line(&mut toks, line);
+            Tok::Pragma(src[start + spelling.pragma.len()..i].trim())
+        } else if starts_with(rest, spelling.line_comment) {
+            i += line_len(rest);
+            continue;
+        } else if !fortran && c == b'#' {
+            let text = src[start..start + line_len(rest)].trim();
+            return Err(ParseError {
+                line,
+                message: format!("unsupported directive `{text}`"),
+            });
+        } else if !fortran && rest.starts_with(b"/*") {
+            let len = src[start + 2..].find("*/").map_or(rest.len(), |at| at + 4);
+            line += rest[..len].iter().filter(|&&c| c == b'\n').count() as u32;
+            i += len;
+            continue;
+        } else if let Some((pat, kind)) = spelling
+            .ops()
+            // The first byte rejects most spellings without a slice compare.
+            .find(|(pat, _)| pat.as_bytes()[0] == c.to_ascii_lowercase() && starts_with(rest, pat))
+        {
+            i += pat.len();
+            *kind
+        } else {
+            let other = src[start..].chars().next().unwrap_or('?');
+            return Err(ParseError {
+                line,
+                message: format!("unexpected character `{other}`"),
+            });
+        };
+        toks.push(Token { kind, line });
     }
-    push(TokKind::Newline, line, &mut toks);
+    end_line(&mut toks, line);
     toks.push(Token {
-        kind: TokKind::Eof,
+        kind: Tok::Eof,
         line,
     });
     Ok(toks)
@@ -339,8 +216,9 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
+        let toks = lex(src, SourceFlavor::Fortran).unwrap();
+        toks.into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -349,77 +227,108 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokKind::Ident("u".into()),
-                TokKind::LParen,
-                TokKind::Ident("i".into()),
-                TokKind::RParen,
-                TokKind::Assign,
-                TokKind::Ident("a".into()),
-                TokKind::Star,
-                TokKind::Ident("v".into()),
-                TokKind::Plus,
-                TokKind::Real(1.5),
-                TokKind::Newline,
-                TokKind::Eof,
+                Tok::Ident("u"),
+                Tok::LParen,
+                Tok::Ident("i"),
+                Tok::RParen,
+                Tok::Assign,
+                Tok::Ident("a"),
+                Tok::Star,
+                Tok::Ident("v"),
+                Tok::Plus,
+                Tok::Real(1.5),
+                Tok::Newline,
+                Tok::Eof,
             ]
         );
     }
 
     #[test]
     fn dotted_ops_and_symbols() {
-        let k = kinds("i .ne. j .and. i<=n .or. a/=b");
-        assert!(k.contains(&TokKind::Ne));
-        assert!(k.contains(&TokKind::And));
-        assert!(k.contains(&TokKind::Le));
-        assert!(k.contains(&TokKind::Or));
-        assert_eq!(k.iter().filter(|t| **t == TokKind::Ne).count(), 2);
+        let k = kinds("i .ne. j .AND. i<=n .or. a/=b");
+        assert!(k.contains(&Tok::Ne));
+        assert!(k.contains(&Tok::And));
+        assert!(k.contains(&Tok::Le));
+        assert!(k.contains(&Tok::Or));
+        assert_eq!(k.iter().filter(|t| **t == Tok::Ne).count(), 2);
     }
 
     #[test]
     fn pragma_lexed_comment_skipped() {
-        let k = kinds("x = 1 ! trailing comment\n!$omp parallel do shared(u)\ndo i = 1, n");
+        let k = kinds("x = 1 ! trailing comment\n!$OMP parallel do shared(u)\ndo i = 1, n");
         assert!(k
             .iter()
-            .any(|t| matches!(t, TokKind::Pragma(p) if p == "parallel do shared(u)")));
+            .any(|t| matches!(t, Tok::Pragma(p) if *p == "parallel do shared(u)")));
         // the comment text is gone
         assert!(!k
             .iter()
-            .any(|t| matches!(t, TokKind::Ident(s) if s == "trailing")));
+            .any(|t| matches!(t, Tok::Ident(s) if *s == "trailing")));
     }
 
     #[test]
     fn numbers() {
-        assert_eq!(kinds("42")[0], TokKind::Int(42));
-        assert_eq!(kinds("4.25")[0], TokKind::Real(4.25));
-        assert_eq!(kinds("1e3")[0], TokKind::Real(1000.0));
-        assert_eq!(kinds("0.5d0")[0], TokKind::Real(0.5));
-        assert_eq!(kinds("2.")[0], TokKind::Real(2.0));
+        assert_eq!(kinds("42")[0], Tok::Int(42));
+        assert_eq!(kinds("4.25")[0], Tok::Real(4.25));
+        assert_eq!(kinds("1e3")[0], Tok::Real(1000.0));
+        assert_eq!(kinds("0.5d0")[0], Tok::Real(0.5));
+        assert_eq!(kinds("2.")[0], Tok::Real(2.0));
     }
 
     #[test]
     fn integer_followed_by_dotted_op() {
         let k = kinds("if (i .eq. 1.and.j .eq. 2) then");
         // `1.and.` must lex as Int(1), And — not Real.
-        assert!(k.contains(&TokKind::Int(1)));
-        assert_eq!(k.iter().filter(|t| **t == TokKind::And).count(), 1);
+        assert!(k.contains(&Tok::Int(1)));
+        assert_eq!(k.iter().filter(|t| **t == Tok::And).count(), 1);
     }
 
     #[test]
     fn double_star_and_double_colon() {
         let k = kinds("real :: x\ny = x**2");
-        assert!(k.contains(&TokKind::DoubleColon));
-        assert!(k.contains(&TokKind::DoubleStar));
+        assert!(k.contains(&Tok::DoubleColon));
+        assert!(k.contains(&Tok::DoubleStar));
     }
 
     #[test]
     fn newline_collapse() {
         let k = kinds("a = 1\n\n\nb = 2");
-        let nl = k.iter().filter(|t| **t == TokKind::Newline).count();
+        let nl = k.iter().filter(|t| **t == Tok::Newline).count();
         assert_eq!(nl, 2);
     }
 
     #[test]
     fn error_on_garbage() {
-        assert!(lex("a = #").is_err());
+        assert!(lex("a = #", SourceFlavor::Fortran).is_err());
+    }
+
+    #[test]
+    fn c_flavour_has_its_own_spellings_and_no_newlines() {
+        let toks = lex(
+            "a[i] += !b % 2; /* x\ny */ // z\n#pragma omp atomic\n",
+            SourceFlavor::C,
+        )
+        .unwrap();
+        let k: Vec<Tok> = toks.iter().map(|t| t.kind).collect();
+        assert_eq!(
+            k,
+            vec![
+                Tok::Ident("a"),
+                Tok::LBracket,
+                Tok::Ident("i"),
+                Tok::RBracket,
+                Tok::PlusAssign,
+                Tok::Not,
+                Tok::Ident("b"),
+                Tok::Percent,
+                Tok::Int(2),
+                Tok::Semi,
+                Tok::Pragma("atomic"),
+                Tok::Eof,
+            ]
+        );
+        assert_eq!(toks[10].line, 3);
+        // Each flavour rejects the other's operators.
+        assert!(lex("a .lt. b", SourceFlavor::C).is_err());
+        assert!(lex("a && b", SourceFlavor::Fortran).is_err());
     }
 }

@@ -6,8 +6,8 @@
 //! This crate provides:
 //!
 //! - the AST ([`Expr`], [`BoolExpr`], [`Stmt`], [`ForLoop`], [`Program`]);
-//! - a lexer and recursive-descent [`parser`] for the surface syntax;
-//! - a [`printer`] emitting that syntax back (parser ∘ printer = identity);
+//! - one lexer, recursive-descent [`parser`] and [`printer`] (parser ∘ printer
+//!   = identity) for both spellings of the surface syntax ([`SourceFlavor`]);
 //! - [`mod@validate`]: static well-formedness checks, including detection of
 //!   obviously racy primal programs (shared scalar writes in parallel loops).
 //!
@@ -42,7 +42,8 @@
 
 pub mod clike;
 pub mod expr;
-pub mod lexer;
+pub mod flavor;
+mod lexer;
 pub mod parser;
 pub mod printer;
 pub mod printer_c;
@@ -53,6 +54,7 @@ pub mod validate;
 
 pub use clike::{parse_any, parse_clike};
 pub use expr::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, UnOp};
+pub use flavor::SourceFlavor;
 pub use parser::{parse_expr, parse_program, ParseError};
 pub use printer::{expr_to_string, program_to_string};
 pub use printer_c::program_to_clike;

@@ -1,9 +1,17 @@
-//! Recursive-descent parser for the Fortran-like surface syntax.
+//! The one recursive-descent parser of both surface flavours.
+//!
+//! The cursor, expressions, conditions, subscripts, assignments, tape
+//! calls, pragmas and `parallel` clauses are written once and read the
+//! flavour's [`Spelling`](crate::flavor::Spelling). What differs per
+//! flavour is the declaration and statement shell: the Fortran one
+//! (`subroutine`, declaration lines, `do`, `if … then`, `call`) is at the
+//! end of this file, the C one is in [`crate::clike`].
 
 use std::fmt;
 
-use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, UnOp};
-use crate::lexer::{lex, LexError, TokKind, Token};
+use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
+use crate::flavor::{Callee, SourceFlavor};
+use crate::lexer::{lex, Tok, Token};
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, LValue, ParallelInfo, RedOp, Stmt};
 use crate::types::{Intent, Ty};
@@ -23,196 +31,499 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            line: e.line,
-            message: e.message,
-        }
-    }
-}
-
-/// Parse a complete subroutine from source text.
+/// Parse a complete subroutine from Fortran-flavoured source text.
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    p.skip_newlines();
-    let prog = p.program()?;
-    p.skip_newlines();
-    p.expect_eof()?;
-    Ok(prog)
+    SourceFlavor::Fortran.parse(src)
 }
 
-/// Parse a single expression (used by tests and tools).
+/// Parse a single Fortran-flavoured expression (used by tests and tools).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.expr()?;
-    Ok(e)
+    Parser::new(src, SourceFlavor::Fortran)?.expr()
 }
 
-struct Parser {
-    toks: Vec<Token>,
+pub(crate) type Parsed<T> = Result<T, ParseError>;
+
+/// The token cursor and everything both flavours parse the same way.
+pub(crate) struct Parser<'a> {
+    pub flavor: SourceFlavor,
+    toks: Vec<Token<'a>>,
     pos: usize,
+    /// Local declarations met so far (C declares them among statements).
+    pub locals: Vec<Decl>,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokKind {
-        &self.toks[self.pos].kind
+impl<'a> Parser<'a> {
+    pub fn new(src: &'a str, flavor: SourceFlavor) -> Parsed<Parser<'a>> {
+        Ok(Parser {
+            flavor,
+            toks: lex(src, flavor)?,
+            pos: 0,
+            locals: Vec::new(),
+        })
     }
 
-    fn line(&self) -> u32 {
-        self.toks[self.pos].line
+    // ---- cursor ----
+
+    pub fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].kind
     }
 
-    fn bump(&mut self) -> TokKind {
-        let t = self.toks[self.pos].kind.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
+    /// The token after the current one.
+    pub fn peek_next(&self) -> Tok<'a> {
+        self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind
+    }
+
+    pub fn bump(&mut self) -> Tok<'a> {
+        let t = self.peek();
+        self.pos = (self.pos + 1).min(self.toks.len() - 1);
         t
     }
 
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
+    pub fn err<T>(&self, msg: impl Into<String>) -> Parsed<T> {
         Err(ParseError {
-            line: self.line(),
+            line: self.toks[self.pos].line,
             message: msg.into(),
         })
     }
 
-    fn expect(&mut self, kind: TokKind) -> Result<(), ParseError> {
-        if *self.peek() == kind {
-            self.bump();
+    /// An error saying what was expected instead of the current token.
+    pub fn unexpected<T>(&self, expected: &str) -> Parsed<T> {
+        let found = self.peek().describe(self.flavor);
+        self.err(format!("expected {expected}, found {found}"))
+    }
+
+    pub fn expect(&mut self, kind: Tok<'_>) -> Parsed<()> {
+        if self.eat(kind) {
             Ok(())
         } else {
-            self.err(format!("expected {kind}, found {}", self.peek()))
+            self.unexpected(&kind.describe(self.flavor))
         }
     }
 
-    fn expect_eof(&mut self) -> Result<(), ParseError> {
-        if *self.peek() == TokKind::Eof {
-            Ok(())
-        } else {
-            self.err(format!("expected end of input, found {}", self.peek()))
-        }
-    }
-
-    fn eat(&mut self, kind: &TokKind) -> bool {
-        if self.peek() == kind {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn skip_newlines(&mut self) {
-        while *self.peek() == TokKind::Newline {
+    pub fn eat(&mut self, kind: Tok<'_>) -> bool {
+        let hit = self.peek() == kind;
+        if hit {
             self.bump();
         }
+        hit
     }
 
-    fn expect_newline(&mut self) -> Result<(), ParseError> {
-        if matches!(self.peek(), TokKind::Newline | TokKind::Eof) {
-            self.skip_newlines();
-            Ok(())
-        } else {
-            self.err(format!("expected end of line, found {}", self.peek()))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            TokKind::Ident(s) => {
+    pub fn ident(&mut self) -> Parsed<&'a str> {
+        match self.peek() {
+            Tok::Ident(s) => {
                 self.bump();
                 Ok(s)
             }
-            other => self.err(format!("expected identifier, found {other}")),
+            _ => self.unexpected("identifier"),
         }
     }
 
-    /// True if the current token is the identifier `word` (case-insensitive).
-    fn at_kw(&self, word: &str) -> bool {
-        matches!(self.peek(), TokKind::Ident(s) if s.eq_ignore_ascii_case(word))
+    /// True if the current token is the keyword `word`. Fortran keywords
+    /// are case-insensitive.
+    pub fn at_kw(&self, word: &str) -> bool {
+        match (self.peek(), self.flavor) {
+            (Tok::Ident(s), SourceFlavor::Fortran) => s.eq_ignore_ascii_case(word),
+            (Tok::Ident(s), SourceFlavor::C) => s == word,
+            _ => false,
+        }
     }
 
-    fn eat_kw(&mut self, word: &str) -> bool {
-        if self.at_kw(word) {
+    pub fn eat_kw(&mut self, word: &str) -> bool {
+        let hit = self.at_kw(word);
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn expect_kw(&mut self, word: &str) -> Result<(), ParseError> {
+    pub fn expect_kw(&mut self, word: &str) -> Parsed<()> {
         if self.eat_kw(word) {
             Ok(())
         } else {
-            self.err(format!("expected keyword `{word}`, found {}", self.peek()))
+            self.unexpected(&format!("keyword `{word}`"))
         }
     }
 
-    // ---- program & declarations ----
+    /// One or more comma-separated `item`s up to and including `close`.
+    pub fn list<T>(
+        &mut self,
+        close: Tok<'_>,
+        mut item: impl FnMut(&mut Self) -> Parsed<T>,
+    ) -> Parsed<Vec<T>> {
+        let mut out = Vec::new();
+        loop {
+            out.push(item(self)?);
+            if self.eat(close) {
+                return Ok(out);
+            }
+            self.expect(Tok::Comma)?;
+        }
+    }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
-        self.expect_kw("subroutine")?;
-        let name = self.ident()?;
-        let mut param_names = Vec::new();
-        self.expect(TokKind::LParen)?;
-        if !self.eat(&TokKind::RParen) {
-            loop {
-                param_names.push(self.ident()?);
-                if self.eat(&TokKind::RParen) {
-                    break;
+    // ---- statements both flavours share ----
+
+    pub fn stmt(&mut self) -> Parsed<Stmt> {
+        if let Tok::Pragma(p) = self.peek() {
+            self.bump();
+            return self.pragma_stmt(p);
+        }
+        match self.flavor {
+            SourceFlavor::Fortran => self.fortran_stmt(),
+            SourceFlavor::C => self.c_stmt(),
+        }
+    }
+
+    /// The end of a simple statement: the line's in Fortran, `;` in C.
+    pub fn end_stmt(&mut self) -> Parsed<()> {
+        if self.flavor == SourceFlavor::C {
+            self.expect(Tok::Semi)
+        } else if self.eat(Tok::Newline) || self.peek() == Tok::Eof {
+            Ok(())
+        } else {
+            self.unexpected("end of line")
+        }
+    }
+
+    /// `lv = e`, and where the flavour has the tokens `lv += e` / `lv -= e`
+    /// (an increment by `e` / `-e`).
+    pub fn assignment(&mut self) -> Parsed<Stmt> {
+        let lhs = self.lvalue()?;
+        let op = self.peek();
+        if !matches!(op, Tok::Assign | Tok::PlusAssign | Tok::MinusAssign) {
+            return self.unexpected("assignment operator");
+        }
+        self.bump();
+        let rhs = self.expr()?;
+        self.end_stmt()?;
+        Ok(match op {
+            Tok::Assign => Stmt::Assign { lhs, rhs },
+            Tok::PlusAssign => Stmt::increment(lhs, rhs),
+            _ => Stmt::increment(lhs, rhs.neg()),
+        })
+    }
+
+    /// `push(e)` / `pop(lv)`: after Fortran's `call`, a statement in C.
+    pub fn tape_call(&mut self) -> Parsed<Stmt> {
+        let push = self.at_kw("push");
+        if !push && !self.at_kw("pop") {
+            return self.unexpected("call target `push` or `pop`");
+        }
+        self.bump();
+        self.expect(Tok::LParen)?;
+        let stmt = if push {
+            Stmt::Push(self.expr()?)
+        } else {
+            Stmt::Pop(self.lvalue()?)
+        };
+        self.expect(Tok::RParen)?;
+        self.end_stmt()?;
+        Ok(stmt)
+    }
+
+    /// The statement an OpenMP directive applies to: `atomic` turns the
+    /// increment after it into an `AtomicAdd`, `parallel do|for` annotates
+    /// the loop after it.
+    fn pragma_stmt(&mut self, pragma: &str) -> Parsed<Stmt> {
+        let spelling = self.flavor.spelling();
+        let (prefix, kw) = (spelling.pragma, spelling.loop_kw);
+        let lower = pragma.to_ascii_lowercase();
+        if lower == "atomic" {
+            return match self.assignment()?.as_increment() {
+                Some((lhs, added)) => Ok(Stmt::AtomicAdd {
+                    lhs: lhs.clone(),
+                    rhs: added,
+                }),
+                None => self.err(format!(
+                    "`{prefix} atomic` must be followed by an increment statement"
+                )),
+            };
+        }
+        let clauses = lower
+            .strip_prefix("parallel ")
+            .and_then(|r| r.strip_prefix(kw));
+        let Some(clauses) = clauses else {
+            return self.err(format!("unsupported pragma `{prefix} {pragma}`"));
+        };
+        let info = parse_parallel_clauses(clauses).or_else(|m| self.err(m))?;
+        if !self.at_kw(kw) {
+            return self.err(format!(
+                "`{prefix} parallel {kw}` must be followed by a {kw} loop"
+            ));
+        }
+        match self.flavor {
+            SourceFlavor::Fortran => self.do_stmt(Some(info)),
+            SourceFlavor::C => self.for_stmt(Some(info)),
+        }
+    }
+
+    pub fn lvalue(&mut self) -> Parsed<LValue> {
+        let name = self.ident()?.to_string();
+        let indices = self.subscripts()?;
+        Ok(if indices.is_empty() {
+            LValue::Var(name)
+        } else {
+            LValue::Index {
+                array: name,
+                indices,
+            }
+        })
+    }
+
+    /// The subscripts (or declared extents) after a name: `(i, j)` in
+    /// Fortran, `[i][j]` in C; empty if none follow.
+    pub fn subscripts(&mut self) -> Parsed<Vec<Expr>> {
+        let mut out = Vec::new();
+        match self.flavor {
+            SourceFlavor::Fortran => {
+                if self.eat(Tok::LParen) {
+                    out = self.list(Tok::RParen, Self::expr)?;
                 }
-                self.expect(TokKind::Comma)?;
+            }
+            SourceFlavor::C => {
+                while self.eat(Tok::LBracket) {
+                    out.push(self.expr()?);
+                    self.expect(Tok::RBracket)?;
+                }
             }
         }
-        self.expect_newline()?;
+        Ok(out)
+    }
 
-        // Declarations.
+    // ---- expressions ----
+
+    pub fn expr(&mut self) -> Parsed<Expr> {
+        self.add_expr()
+    }
+
+    fn add_expr(&mut self) -> Parsed<Expr> {
+        let mut lhs = self.mul_expr()?;
+        loop {
+            let op = match self.peek() {
+                Tok::Plus => BinOp::Add,
+                Tok::Minus => BinOp::Sub,
+                _ => return Ok(lhs),
+            };
+            self.bump();
+            lhs = Expr::binary(op, lhs, self.mul_expr()?);
+        }
+    }
+
+    fn mul_expr(&mut self) -> Parsed<Expr> {
+        let mut lhs = self.unary_expr()?;
+        loop {
+            let op = match self.peek() {
+                Tok::Star => BinOp::Mul,
+                Tok::Slash => BinOp::Div,
+                Tok::Percent => BinOp::Mod,
+                _ => return Ok(lhs),
+            };
+            self.bump();
+            lhs = Expr::binary(op, lhs, self.unary_expr()?);
+        }
+    }
+
+    fn unary_expr(&mut self) -> Parsed<Expr> {
+        if self.eat(Tok::Minus) {
+            // Fold negated literals so `-1` is a literal, keeping parsed
+            // and programmatically-built trees structurally identical.
+            return Ok(match self.unary_expr()? {
+                Expr::IntLit(v) => Expr::IntLit(-v),
+                Expr::RealLit(v) => Expr::RealLit(-v),
+                other => Expr::Unary {
+                    op: UnOp::Neg,
+                    arg: Box::new(other),
+                },
+            });
+        }
+        if self.eat(Tok::Plus) {
+            return self.unary_expr();
+        }
+        self.pow_expr()
+    }
+
+    fn pow_expr(&mut self) -> Parsed<Expr> {
+        let base = self.primary_expr()?;
+        if self.eat(Tok::DoubleStar) {
+            // `**` is right-associative.
+            return Ok(Expr::binary(BinOp::Pow, base, self.unary_expr()?));
+        }
+        Ok(base)
+    }
+
+    fn primary_expr(&mut self) -> Parsed<Expr> {
+        match self.peek() {
+            Tok::Int(v) => {
+                self.bump();
+                Ok(Expr::IntLit(v))
+            }
+            Tok::Real(v) => {
+                self.bump();
+                Ok(Expr::RealLit(v))
+            }
+            Tok::LParen => {
+                self.bump();
+                let e = self.expr()?;
+                self.expect(Tok::RParen)?;
+                Ok(e)
+            }
+            Tok::Ident(name) => {
+                self.bump();
+                // `name(` is a call if the flavour knows the function; in
+                // Fortran it is otherwise an array reference.
+                if self.peek() == Tok::LParen {
+                    if let Some(callee) = self.flavor.callee(name) {
+                        return self.call(name, callee);
+                    }
+                    if self.flavor == SourceFlavor::C {
+                        return self.err(format!("unknown function `{name}`"));
+                    }
+                }
+                let indices = self.subscripts()?;
+                Ok(if indices.is_empty() {
+                    Expr::Var(name.to_string())
+                } else {
+                    Expr::index(name, indices)
+                })
+            }
+            _ => self.unexpected("expression"),
+        }
+    }
+
+    fn call(&mut self, name: &str, callee: Callee) -> Parsed<Expr> {
+        self.expect(Tok::LParen)?;
+        let args = self.list(Tok::RParen, Self::expr)?;
+        let arity = match callee {
+            Callee::Bin(_) => 2,
+            Callee::Fun(f) => f.arity(),
+        };
+        if args.len() != arity {
+            let got = args.len();
+            return self.err(format!("`{name}` takes {arity} argument(s), got {got}"));
+        }
+        match callee {
+            Callee::Fun(func) => Ok(Expr::Call { func, args }),
+            Callee::Bin(op) => {
+                let mut args = args.into_iter();
+                let (Some(lhs), Some(rhs)) = (args.next(), args.next()) else {
+                    unreachable!("arity checked above");
+                };
+                Ok(Expr::binary(op, lhs, rhs))
+            }
+        }
+    }
+
+    // ---- boolean expressions ----
+
+    pub fn bool_expr(&mut self) -> Parsed<BoolExpr> {
+        let mut lhs = self.bool_and()?;
+        while self.eat(Tok::Or) {
+            let rhs = self.bool_and()?;
+            lhs = BoolExpr::Or(Box::new(lhs), Box::new(rhs));
+        }
+        Ok(lhs)
+    }
+
+    fn bool_and(&mut self) -> Parsed<BoolExpr> {
+        let mut lhs = self.bool_not()?;
+        while self.eat(Tok::And) {
+            let rhs = self.bool_not()?;
+            lhs = BoolExpr::And(Box::new(lhs), Box::new(rhs));
+        }
+        Ok(lhs)
+    }
+
+    fn bool_not(&mut self) -> Parsed<BoolExpr> {
+        if self.eat(Tok::Not) {
+            return Ok(BoolExpr::Not(Box::new(self.bool_not()?)));
+        }
+        self.bool_primary()
+    }
+
+    fn bool_primary(&mut self) -> Parsed<BoolExpr> {
+        // Disambiguate `(boolexpr)` from `(arith) cmp arith` by
+        // backtracking: first try a comparison.
+        let save = self.pos;
+        match self.try_cmp() {
+            Ok(c) => Ok(c),
+            Err(first_err) => {
+                self.pos = save;
+                if self.eat(Tok::LParen) {
+                    let inner = self.bool_expr()?;
+                    self.expect(Tok::RParen)?;
+                    Ok(inner)
+                } else {
+                    Err(first_err)
+                }
+            }
+        }
+    }
+
+    fn try_cmp(&mut self) -> Parsed<BoolExpr> {
+        let lhs = self.expr()?;
+        let op = match self.peek() {
+            Tok::Eq => CmpOp::Eq,
+            Tok::Ne => CmpOp::Ne,
+            Tok::Lt => CmpOp::Lt,
+            Tok::Le => CmpOp::Le,
+            Tok::Gt => CmpOp::Gt,
+            Tok::Ge => CmpOp::Ge,
+            _ => return self.unexpected("comparison operator"),
+        };
+        self.bump();
+        let rhs = self.expr()?;
+        Ok(BoolExpr::Cmp { op, lhs, rhs })
+    }
+
+    // ---- the Fortran shell: declarations and block statements ----
+
+    pub fn subroutine(&mut self) -> Parsed<Program> {
+        self.expect_kw("subroutine")?;
+        let name = self.ident()?.to_string();
+        self.expect(Tok::LParen)?;
+        let param_names = if self.eat(Tok::RParen) {
+            Vec::new()
+        } else {
+            self.list(Tok::RParen, Self::ident)?
+        };
+        self.end_stmt()?;
+
         let mut params: Vec<Option<Decl>> = vec![None; param_names.len()];
-        let mut locals = Vec::new();
         while self.at_kw("real") || self.at_kw("integer") {
-            for d in self.decl_line()? {
+            for mut d in self.decl_line()? {
                 if let Some(k) = param_names.iter().position(|p| *p == d.name) {
                     if params[k].is_some() {
                         return self.err(format!("duplicate declaration of `{}`", d.name));
                     }
                     params[k] = Some(d);
                 } else {
-                    let mut d = d;
                     d.is_local = true;
-                    locals.push(d);
+                    self.locals.push(d);
                 }
             }
-            self.expect_newline()?;
+            self.end_stmt()?;
         }
-        for (k, d) in params.iter().enumerate() {
-            if d.is_none() {
-                return self.err(format!("parameter `{}` is never declared", param_names[k]));
-            }
+        if let Some(k) = params.iter().position(Option::is_none) {
+            return self.err(format!("parameter `{}` is never declared", param_names[k]));
         }
-        let params = params.into_iter().map(|d| d.unwrap()).collect();
 
         let body = self.stmts_until(&["end"])?;
         self.expect_kw("end")?;
         self.expect_kw("subroutine")?;
         // optional trailing name
-        if let TokKind::Ident(_) = self.peek() {
+        if let Tok::Ident(_) = self.peek() {
             self.bump();
         }
-        self.expect_newline()?;
+        self.end_stmt()?;
         Ok(Program {
             name,
-            params,
-            locals,
+            params: params.into_iter().flatten().collect(),
+            locals: std::mem::take(&mut self.locals),
             body,
         })
     }
 
-    fn decl_line(&mut self) -> Result<Vec<Decl>, ParseError> {
+    /// `real|integer [, intent(…)] :: name[(extents)], …`
+    fn decl_line(&mut self) -> Parsed<Vec<Decl>> {
         let ty = if self.eat_kw("real") {
             Ty::Real
         } else {
@@ -220,135 +531,75 @@ impl Parser {
             Ty::Int
         };
         let mut intent = None;
-        let mut is_param = false;
-        if self.eat(&TokKind::Comma) {
+        if self.eat(Tok::Comma) {
             self.expect_kw("intent")?;
-            self.expect(TokKind::LParen)?;
+            self.expect(Tok::LParen)?;
             let word = self.ident()?;
-            intent = Some(match word.to_ascii_lowercase().as_str() {
-                "in" => Intent::In,
-                "out" => Intent::Out,
-                "inout" => Intent::InOut,
-                other => return self.err(format!("unknown intent `{other}`")),
+            intent = Some(if word.eq_ignore_ascii_case("in") {
+                Intent::In
+            } else if word.eq_ignore_ascii_case("out") {
+                Intent::Out
+            } else if word.eq_ignore_ascii_case("inout") {
+                Intent::InOut
+            } else {
+                return self.err(format!("unknown intent `{word}`"));
             });
-            is_param = true;
-            self.expect(TokKind::RParen)?;
+            self.expect(Tok::RParen)?;
         }
-        self.expect(TokKind::DoubleColon)?;
+        self.expect(Tok::DoubleColon)?;
         let mut decls = Vec::new();
         loop {
-            let name = self.ident()?;
-            let mut dims = Vec::new();
-            if self.eat(&TokKind::LParen) {
-                loop {
-                    dims.push(self.expr()?);
-                    if self.eat(&TokKind::RParen) {
-                        break;
-                    }
-                    self.expect(TokKind::Comma)?;
-                }
-            }
             decls.push(Decl {
-                name,
+                name: self.ident()?.to_string(),
                 ty,
-                dims,
+                dims: self.subscripts()?,
                 intent: intent.unwrap_or(Intent::InOut),
-                is_local: !is_param,
+                is_local: intent.is_none(),
             });
-            if !self.eat(&TokKind::Comma) {
-                break;
+            if !self.eat(Tok::Comma) {
+                return Ok(decls);
             }
         }
-        Ok(decls)
     }
-
-    // ---- statements ----
 
     /// Parse statements until one of the stopper keywords (not consumed).
-    fn stmts_until(&mut self, stoppers: &[&str]) -> Result<Vec<Stmt>, ParseError> {
+    fn stmts_until(&mut self, stoppers: &[&str]) -> Parsed<Vec<Stmt>> {
         let mut out = Vec::new();
-        loop {
-            self.skip_newlines();
-            if stoppers.iter().any(|s| self.at_kw(s)) || *self.peek() == TokKind::Eof {
-                return Ok(out);
-            }
+        while !stoppers.iter().any(|s| self.at_kw(s)) && self.peek() != Tok::Eof {
             out.push(self.stmt()?);
         }
+        Ok(out)
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        if let TokKind::Pragma(p) = self.peek().clone() {
-            self.bump();
-            return self.pragma_stmt(&p);
-        }
+    fn fortran_stmt(&mut self) -> Parsed<Stmt> {
         if self.at_kw("if") {
-            return self.if_stmt();
-        }
-        if self.at_kw("do") {
-            return self.do_stmt(None);
-        }
-        if self.at_kw("call") {
-            return self.call_stmt();
-        }
-        // assignment
-        let lv = self.lvalue()?;
-        self.expect(TokKind::Assign)?;
-        let rhs = self.expr()?;
-        self.expect_newline()?;
-        Ok(Stmt::Assign { lhs: lv, rhs })
-    }
-
-    fn pragma_stmt(&mut self, pragma: &str) -> Result<Stmt, ParseError> {
-        let p = pragma.trim().to_ascii_lowercase();
-        if p == "atomic" {
-            // The next statement must be an increment; re-express it as
-            // AtomicAdd.
-            self.skip_newlines();
-            let lv = self.lvalue()?;
-            self.expect(TokKind::Assign)?;
-            let rhs = self.expr()?;
-            self.expect_newline()?;
-            let stmt = Stmt::Assign { lhs: lv, rhs };
-            match stmt.as_increment() {
-                Some((lhs, added)) => Ok(Stmt::AtomicAdd {
-                    lhs: lhs.clone(),
-                    rhs: added,
-                }),
-                None => self.err("!$omp atomic must be followed by an increment statement"),
-            }
-        } else if p.starts_with("parallel do") {
-            let info =
-                parse_parallel_clauses(&pragma["parallel do".len()..]).map_err(|m| ParseError {
-                    line: self.line(),
-                    message: m,
-                })?;
-            self.skip_newlines();
-            if !self.at_kw("do") {
-                return self.err("`!$omp parallel do` must be followed by a do loop");
-            }
-            self.do_stmt(Some(info))
+            self.fortran_if()
+        } else if self.at_kw("do") {
+            self.do_stmt(None)
+        } else if self.eat_kw("call") {
+            self.tape_call()
         } else {
-            self.err(format!("unsupported pragma `!$omp {pragma}`"))
+            self.assignment()
         }
     }
 
-    fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
+    fn fortran_if(&mut self) -> Parsed<Stmt> {
         self.expect_kw("if")?;
-        self.expect(TokKind::LParen)?;
+        self.expect(Tok::LParen)?;
         let cond = self.bool_expr()?;
-        self.expect(TokKind::RParen)?;
+        self.expect(Tok::RParen)?;
         self.expect_kw("then")?;
-        self.expect_newline()?;
+        self.end_stmt()?;
         let then_body = self.stmts_until(&["else", "end"])?;
         let else_body = if self.eat_kw("else") {
-            self.expect_newline()?;
+            self.end_stmt()?;
             self.stmts_until(&["end"])?
         } else {
             Vec::new()
         };
         self.expect_kw("end")?;
         self.expect_kw("if")?;
-        self.expect_newline()?;
+        self.end_stmt()?;
         Ok(Stmt::If {
             cond,
             then_body,
@@ -356,23 +607,24 @@ impl Parser {
         })
     }
 
-    fn do_stmt(&mut self, parallel: Option<ParallelInfo>) -> Result<Stmt, ParseError> {
+    /// `do v = lo, hi[, step]` … `end do`
+    fn do_stmt(&mut self, parallel: Option<ParallelInfo>) -> Parsed<Stmt> {
         self.expect_kw("do")?;
-        let var = self.ident()?;
-        self.expect(TokKind::Assign)?;
+        let var = self.ident()?.to_string();
+        self.expect(Tok::Assign)?;
         let lo = self.expr()?;
-        self.expect(TokKind::Comma)?;
+        self.expect(Tok::Comma)?;
         let hi = self.expr()?;
-        let step = if self.eat(&TokKind::Comma) {
+        let step = if self.eat(Tok::Comma) {
             self.expr()?
         } else {
             Expr::IntLit(1)
         };
-        self.expect_newline()?;
+        self.end_stmt()?;
         let body = self.stmts_until(&["end"])?;
         self.expect_kw("end")?;
         self.expect_kw("do")?;
-        self.expect_newline()?;
+        self.end_stmt()?;
         Ok(Stmt::For(Box::new(ForLoop {
             var,
             lo,
@@ -382,277 +634,38 @@ impl Parser {
             parallel,
         })))
     }
-
-    fn call_stmt(&mut self) -> Result<Stmt, ParseError> {
-        self.expect_kw("call")?;
-        let name = self.ident()?.to_ascii_lowercase();
-        self.expect(TokKind::LParen)?;
-        let stmt = match name.as_str() {
-            "push" => {
-                let e = self.expr()?;
-                Stmt::Push(e)
-            }
-            "pop" => {
-                let lv = self.lvalue()?;
-                Stmt::Pop(lv)
-            }
-            other => return self.err(format!("unknown call target `{other}`")),
-        };
-        self.expect(TokKind::RParen)?;
-        self.expect_newline()?;
-        Ok(stmt)
-    }
-
-    fn lvalue(&mut self) -> Result<LValue, ParseError> {
-        let name = self.ident()?;
-        if self.eat(&TokKind::LParen) {
-            let mut indices = Vec::new();
-            loop {
-                indices.push(self.expr()?);
-                if self.eat(&TokKind::RParen) {
-                    break;
-                }
-                self.expect(TokKind::Comma)?;
-            }
-            Ok(LValue::Index {
-                array: name,
-                indices,
-            })
-        } else {
-            Ok(LValue::Var(name))
-        }
-    }
-
-    // ---- expressions ----
-
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.add_expr()
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokKind::Plus => BinOp::Add,
-                TokKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokKind::Star => BinOp::Mul,
-                TokKind::Slash => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat(&TokKind::Minus) {
-            let arg = self.unary_expr()?;
-            // Fold negated literals so `-1` is a literal, keeping parsed
-            // and programmatically-built trees structurally identical.
-            return Ok(match arg {
-                Expr::IntLit(v) => Expr::IntLit(-v),
-                Expr::RealLit(v) => Expr::RealLit(-v),
-                other => Expr::Unary {
-                    op: UnOp::Neg,
-                    arg: Box::new(other),
-                },
-            });
-        }
-        if self.eat(&TokKind::Plus) {
-            return self.unary_expr();
-        }
-        self.pow_expr()
-    }
-
-    fn pow_expr(&mut self) -> Result<Expr, ParseError> {
-        let base = self.primary_expr()?;
-        if self.eat(&TokKind::DoubleStar) {
-            // `**` is right-associative.
-            let exp = self.unary_expr()?;
-            return Ok(Expr::binary(BinOp::Pow, base, exp));
-        }
-        Ok(base)
-    }
-
-    fn primary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            TokKind::Int(v) => {
-                self.bump();
-                Ok(Expr::IntLit(v))
-            }
-            TokKind::Real(v) => {
-                self.bump();
-                Ok(Expr::RealLit(v))
-            }
-            TokKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(TokKind::RParen)?;
-                Ok(e)
-            }
-            TokKind::Ident(name) => {
-                self.bump();
-                if self.eat(&TokKind::LParen) {
-                    let mut args = Vec::new();
-                    loop {
-                        args.push(self.expr()?);
-                        if self.eat(&TokKind::RParen) {
-                            break;
-                        }
-                        self.expect(TokKind::Comma)?;
-                    }
-                    let lname = name.to_ascii_lowercase();
-                    if lname == "mod" {
-                        if args.len() != 2 {
-                            return self.err("mod takes exactly 2 arguments");
-                        }
-                        let mut it = args.into_iter();
-                        let a = it.next().unwrap();
-                        let b = it.next().unwrap();
-                        return Ok(Expr::binary(BinOp::Mod, a, b));
-                    }
-                    if let Some(f) = Intrinsic::from_name(&lname) {
-                        if args.len() != f.arity() {
-                            return self.err(format!(
-                                "intrinsic {} takes {} arguments, got {}",
-                                f.name(),
-                                f.arity(),
-                                args.len()
-                            ));
-                        }
-                        return Ok(Expr::Call { func: f, args });
-                    }
-                    Ok(Expr::Index {
-                        array: name,
-                        indices: args,
-                    })
-                } else {
-                    Ok(Expr::Var(name))
-                }
-            }
-            other => self.err(format!("expected expression, found {other}")),
-        }
-    }
-
-    // ---- boolean expressions ----
-
-    fn bool_expr(&mut self) -> Result<BoolExpr, ParseError> {
-        let mut lhs = self.bool_and()?;
-        while self.eat(&TokKind::Or) {
-            let rhs = self.bool_and()?;
-            lhs = BoolExpr::Or(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bool_and(&mut self) -> Result<BoolExpr, ParseError> {
-        let mut lhs = self.bool_not()?;
-        while self.eat(&TokKind::And) {
-            let rhs = self.bool_not()?;
-            lhs = BoolExpr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn bool_not(&mut self) -> Result<BoolExpr, ParseError> {
-        if self.eat(&TokKind::Not) {
-            let inner = self.bool_not()?;
-            return Ok(BoolExpr::Not(Box::new(inner)));
-        }
-        self.bool_primary()
-    }
-
-    fn bool_primary(&mut self) -> Result<BoolExpr, ParseError> {
-        // Disambiguate `(boolexpr)` from `(arith) cmp arith` by
-        // backtracking: first try a comparison.
-        let save = self.pos;
-        match self.try_cmp() {
-            Ok(c) => Ok(c),
-            Err(first_err) => {
-                self.pos = save;
-                if self.eat(&TokKind::LParen) {
-                    let inner = self.bool_expr()?;
-                    self.expect(TokKind::RParen)?;
-                    Ok(inner)
-                } else {
-                    Err(first_err)
-                }
-            }
-        }
-    }
-
-    fn try_cmp(&mut self) -> Result<BoolExpr, ParseError> {
-        let lhs = self.expr()?;
-        let op = match self.peek() {
-            TokKind::Eq => CmpOp::Eq,
-            TokKind::Ne => CmpOp::Ne,
-            TokKind::Lt => CmpOp::Lt,
-            TokKind::Le => CmpOp::Le,
-            TokKind::Gt => CmpOp::Gt,
-            TokKind::Ge => CmpOp::Ge,
-            other => {
-                return self.err(format!("expected comparison operator, found {other}"));
-            }
-        };
-        self.bump();
-        let rhs = self.expr()?;
-        Ok(BoolExpr::Cmp { op, lhs, rhs })
-    }
 }
 
-/// Parse the clause list of a `parallel do` pragma:
+/// Parse the (lower-cased) clause list of a `parallel` loop pragma:
 /// `shared(a, b) private(c) reduction(+: x)`.
 fn parse_parallel_clauses(text: &str) -> Result<ParallelInfo, String> {
+    fn names(args: &str) -> impl Iterator<Item = String> + '_ {
+        args.split(',').map(|s| s.trim().to_string())
+    }
     let mut info = ParallelInfo::default();
     let mut rest = text.trim();
     while !rest.is_empty() {
         let open = rest
             .find('(')
             .ok_or_else(|| format!("malformed pragma clause near `{rest}`"))?;
-        let name = rest[..open].trim().to_ascii_lowercase();
+        let name = rest[..open].trim();
         let close = rest[open..]
             .find(')')
             .ok_or_else(|| format!("unterminated clause `{name}`"))?
             + open;
         let args = &rest[open + 1..close];
-        match name.as_str() {
-            "shared" => {
-                info.shared
-                    .extend(args.split(',').map(|s| s.trim().to_string()));
-            }
-            "private" => {
-                info.private
-                    .extend(args.split(',').map(|s| s.trim().to_string()));
-            }
+        match name {
+            "shared" => info.shared.extend(names(args)),
+            "private" => info.private.extend(names(args)),
             "reduction" => {
                 let (op, vars) = args
                     .split_once(':')
                     .ok_or_else(|| "reduction clause needs `op: vars`".to_string())?;
-                let op = match op.trim() {
-                    "+" => RedOp::Add,
-                    "*" => RedOp::Mul,
-                    "min" => RedOp::Min,
-                    "max" => RedOp::Max,
-                    other => return Err(format!("unknown reduction operator `{other}`")),
-                };
-                for v in vars.split(',') {
-                    info.reductions.push((op, v.trim().to_string()));
-                }
+                let op = [RedOp::Add, RedOp::Mul, RedOp::Min, RedOp::Max]
+                    .into_iter()
+                    .find(|r| r.symbol() == op.trim())
+                    .ok_or_else(|| format!("unknown reduction operator `{}`", op.trim()))?;
+                info.reductions.extend(names(vars).map(|v| (op, v)));
             }
             other => return Err(format!("unknown pragma clause `{other}`")),
         }

@@ -1,308 +1,369 @@
-//! Pretty-printer emitting the Fortran-like surface syntax.
+//! The one pretty-printer of both surface flavours.
 //!
-//! The printer and parser round-trip: `parse(print(p)) == p` for every valid
-//! program (verified by property tests).
+//! Expressions, conditions, lvalues, subscripts and pragmas are written
+//! once, precedence-aware, in the spellings of the flavour's
+//! [`Spelling`](crate::flavor::Spelling) table. What differs per flavour is
+//! the declaration and statement shell: the Fortran one is at the end of
+//! this file, the C one is in [`crate::printer_c`].
+//!
+//! The Fortran printer and parser round-trip: `parse(print(p)) == p` for
+//! every valid program (verified by property tests and the fuzzer's
+//! `round-trip` oracle).
 
 use std::fmt::Write;
 
 use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
+use crate::flavor::{Callee, SourceFlavor};
+use crate::lexer::Tok;
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, LValue, ParallelInfo, Stmt};
 
-/// Render an expression to surface syntax.
+/// Render an expression to Fortran-flavoured surface syntax.
 pub fn expr_to_string(e: &Expr) -> String {
     let mut s = String::new();
-    write_expr(&mut s, e, 0);
+    Writer::new(&mut s, SourceFlavor::Fortran).expr(e, 0);
     s
 }
 
-/// Render a boolean condition to surface syntax.
+/// Render a boolean condition to Fortran-flavoured surface syntax.
 pub fn bool_to_string(b: &BoolExpr) -> String {
     let mut s = String::new();
-    write_bool(&mut s, b, 0);
+    Writer::new(&mut s, SourceFlavor::Fortran).bool(b, 0);
     s
 }
 
-/// Render a whole program to surface syntax.
+/// Render a whole program to Fortran-flavoured surface syntax.
 pub fn program_to_string(p: &Program) -> String {
-    let mut s = String::new();
-    let params: Vec<&str> = p.params.iter().map(|d| d.name.as_str()).collect();
-    let _ = writeln!(s, "subroutine {}({})", p.name, params.join(", "));
-    for d in &p.params {
-        write_decl(&mut s, d);
-    }
-    for d in &p.locals {
-        write_decl(&mut s, d);
-    }
-    write_body(&mut s, &p.body, 1);
-    let _ = writeln!(s, "end subroutine");
-    s
-}
-
-fn write_decl(s: &mut String, d: &Decl) {
-    let _ = write!(s, "  {}", d.ty);
-    if !d.is_local {
-        let _ = write!(s, ", {}", d.intent);
-    }
-    let _ = write!(s, " :: {}", d.name);
-    if !d.dims.is_empty() {
-        let dims: Vec<String> = d.dims.iter().map(expr_to_string).collect();
-        let _ = write!(s, "({})", dims.join(", "));
-    }
-    let _ = writeln!(s);
-}
-
-fn indent(s: &mut String, level: usize) {
-    for _ in 0..level {
-        s.push_str("  ");
-    }
+    SourceFlavor::Fortran.print(p)
 }
 
 /// Render a statement list at the given indentation level.
 pub fn write_body(s: &mut String, body: &[Stmt], level: usize) {
-    for st in body {
-        write_stmt(s, st, level);
-    }
+    Writer::new(s, SourceFlavor::Fortran).body(body, level);
 }
 
 /// Render one loop (pragma, header, body, `end do`) at the given
 /// indentation level.
 pub fn write_loop(s: &mut String, l: &ForLoop, level: usize) {
-    if let Some(info) = &l.parallel {
-        write_parallel_pragma(s, info, level);
-    }
-    indent(s, level);
-    let _ = write!(s, "do {} = ", l.var);
-    write_expr(s, &l.lo, 0);
-    s.push_str(", ");
-    write_expr(s, &l.hi, 0);
-    if l.step != Expr::IntLit(1) {
-        s.push_str(", ");
-        write_expr(s, &l.step, 0);
-    }
-    s.push('\n');
-    write_body(s, &l.body, level + 1);
-    indent(s, level);
-    s.push_str("end do\n");
+    Writer::new(s, SourceFlavor::Fortran).do_loop(l, level);
 }
 
-fn write_lvalue(s: &mut String, lv: &LValue) {
-    match lv {
-        LValue::Var(n) => s.push_str(n),
-        LValue::Index { array, indices } => {
-            s.push_str(array);
-            s.push('(');
-            for (k, ix) in indices.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
+/// Brackets and separator of a call's argument list (and of a Fortran
+/// subscript list).
+const CALL: [&str; 3] = ["(", ", ", ")"];
+
+/// The output buffer and everything both flavours write the same way.
+pub(crate) struct Writer<'s> {
+    pub out: &'s mut String,
+    pub flavor: SourceFlavor,
+}
+
+impl<'s> Writer<'s> {
+    pub fn new(out: &'s mut String, flavor: SourceFlavor) -> Writer<'s> {
+        Writer { out, flavor }
+    }
+
+    /// The flavour's spelling of an operator it has.
+    fn op(&self, tok: Tok<'_>) -> &'static str {
+        let spelled = self.flavor.spelling().of(tok);
+        spelled.expect("the writer only asks for operators of its flavour")
+    }
+
+    pub fn indent(&mut self, level: usize) {
+        for _ in 0..level {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// One simple statement on a line of its own, ended the flavour's way.
+    pub fn line(&mut self, level: usize, write: impl FnOnce(&mut Self)) {
+        self.indent(level);
+        write(self);
+        self.out.push_str(match self.flavor {
+            SourceFlavor::Fortran => "\n",
+            SourceFlavor::C => ";\n",
+        });
+    }
+
+    /// `push(e)` / `pop(lv)`: after `call` in Fortran, a statement in C.
+    pub fn tape_call(&mut self, level: usize, name: &str, arg: impl FnOnce(&mut Self)) {
+        self.line(level, |w| {
+            if w.flavor == SourceFlavor::Fortran {
+                w.out.push_str("call ");
+            }
+            w.out.push_str(name);
+            w.out.push('(');
+            arg(w);
+            w.out.push(')');
+        });
+    }
+
+    pub fn body(&mut self, body: &[Stmt], level: usize) {
+        for st in body {
+            match self.flavor {
+                SourceFlavor::Fortran => self.fortran_stmt(st, level),
+                SourceFlavor::C => self.c_stmt(st, level),
+            }
+        }
+    }
+
+    /// `open item sep item … close`, each item a top-level expression.
+    fn seq<'e>(
+        &mut self,
+        [open, sep, close]: [&str; 3],
+        items: impl IntoIterator<Item = &'e Expr>,
+    ) {
+        self.out.push_str(open);
+        for (k, item) in items.into_iter().enumerate() {
+            if k > 0 {
+                self.out.push_str(sep);
+            }
+            self.expr(item, 0);
+        }
+        self.out.push_str(close);
+    }
+
+    /// The subscripts (or declared extents) after an array name.
+    pub fn subscripts(&mut self, indices: &[Expr]) {
+        self.seq(self.flavor.spelling().subscript, indices);
+    }
+
+    pub fn lvalue(&mut self, lv: &LValue) {
+        self.out.push_str(lv.name());
+        if let LValue::Index { indices, .. } = lv {
+            self.subscripts(indices);
+        }
+    }
+
+    /// An OpenMP directive line: `what`, then the clauses of `info`.
+    pub fn pragma(&mut self, what: &str, info: Option<&ParallelInfo>, level: usize) {
+        self.indent(level);
+        let _ = write!(self.out, "{} {what}", self.flavor.spelling().pragma);
+        if let Some(info) = info {
+            let _ = write!(self.out, " {}", self.flavor.spelling().loop_kw);
+            if !info.shared.is_empty() {
+                let _ = write!(self.out, " shared({})", info.shared.join(", "));
+            }
+            if !info.private.is_empty() {
+                let _ = write!(self.out, " private({})", info.private.join(", "));
+            }
+            for (op, var) in &info.reductions {
+                let _ = write!(self.out, " reduction({}: {})", op.symbol(), var);
+            }
+        }
+        self.out.push('\n');
+    }
+
+    fn open(&mut self, need: bool) {
+        if need {
+            self.out.push('(');
+        }
+    }
+
+    fn close(&mut self, need: bool) {
+        if need {
+            self.out.push(')');
+        }
+    }
+
+    /// Writes `e`; parenthesizes if the surrounding precedence demands it.
+    pub fn expr(&mut self, e: &Expr, parent_prec: u8) {
+        match e {
+            Expr::IntLit(v) => {
+                let need = *v < 0 && parent_prec > 0;
+                self.open(need);
+                let _ = write!(self.out, "{v}");
+                self.close(need);
+            }
+            Expr::RealLit(v) => {
+                let need = *v < 0.0 && parent_prec > 0;
+                self.open(need);
+                // Always with a decimal point, so it re-parses as a real.
+                let start = self.out.len();
+                let _ = write!(self.out, "{v}");
+                if v.is_finite() && !self.out[start..].contains('.') {
+                    self.out.push_str(".0");
                 }
-                write_expr(s, ix, 0);
+                self.close(need);
             }
-            s.push(')');
+            Expr::Var(n) => self.out.push_str(n),
+            Expr::Index { array, indices } => {
+                self.out.push_str(array);
+                self.subscripts(indices);
+            }
+            Expr::Unary { op: UnOp::Neg, arg } => {
+                self.open(parent_prec > 0);
+                self.out.push('-');
+                self.expr(arg, 4);
+                self.close(parent_prec > 0);
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let tok = match op {
+                    BinOp::Add => Tok::Plus,
+                    BinOp::Sub => Tok::Minus,
+                    BinOp::Mul => Tok::Star,
+                    BinOp::Div => Tok::Slash,
+                    BinOp::Pow => Tok::DoubleStar,
+                    BinOp::Mod => Tok::Percent,
+                };
+                let spelling = self.flavor.spelling();
+                // An operator the flavour has no infix spelling for is a call.
+                let Some(symbol) = spelling.of(tok) else {
+                    self.out.push_str(spelling.func_name(Callee::Bin(*op)));
+                    return self.seq(CALL, [&**lhs, &**rhs]);
+                };
+                let prec = op.precedence();
+                self.open(prec < parent_prec);
+                self.expr(lhs, prec);
+                let _ = write!(self.out, " {symbol} ");
+                // Right operand of a left-associative operator needs a tighter
+                // context so that `a - (b - c)` keeps its parentheses.
+                self.expr(rhs, prec + 1);
+                self.close(prec < parent_prec);
+            }
+            Expr::Call { func, args } => {
+                let name = self.flavor.spelling().func_name(Callee::Fun(*func));
+                self.out.push_str(name);
+                self.seq(CALL, args);
+            }
         }
     }
-}
 
-fn write_parallel_pragma(s: &mut String, info: &ParallelInfo, level: usize) {
-    indent(s, level);
-    s.push_str("!$omp parallel do");
-    if !info.shared.is_empty() {
-        let _ = write!(s, " shared({})", info.shared.join(", "));
-    }
-    if !info.private.is_empty() {
-        let _ = write!(s, " private({})", info.private.join(", "));
-    }
-    for (op, var) in &info.reductions {
-        let _ = write!(s, " reduction({}: {})", op.symbol(), var);
-    }
-    s.push('\n');
-}
-
-fn write_stmt(s: &mut String, st: &Stmt, level: usize) {
-    match st {
-        Stmt::Assign { lhs, rhs } => {
-            indent(s, level);
-            write_lvalue(s, lhs);
-            s.push_str(" = ");
-            write_expr(s, rhs, 0);
-            s.push('\n');
-        }
-        Stmt::AtomicAdd { lhs, rhs } => {
-            indent(s, level);
-            s.push_str("!$omp atomic\n");
-            indent(s, level);
-            write_lvalue(s, lhs);
-            s.push_str(" = ");
-            write_lvalue(s, lhs);
-            s.push_str(" + ");
-            // Parenthesize so the increment re-parses unambiguously.
-            write_expr(s, rhs, 2);
-            s.push('\n');
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            indent(s, level);
-            s.push_str("if (");
-            write_bool(s, cond, 0);
-            s.push_str(") then\n");
-            write_body(s, then_body, level + 1);
-            if !else_body.is_empty() {
-                indent(s, level);
-                s.push_str("else\n");
-                write_body(s, else_body, level + 1);
+    pub fn bool(&mut self, b: &BoolExpr, parent_prec: u8) {
+        // precedence: or=1, and=2, not=3, cmp=4
+        match b {
+            BoolExpr::Cmp { op, lhs, rhs } => {
+                let tok = match op {
+                    CmpOp::Eq => Tok::Eq,
+                    CmpOp::Ne => Tok::Ne,
+                    CmpOp::Lt => Tok::Lt,
+                    CmpOp::Le => Tok::Le,
+                    CmpOp::Gt => Tok::Gt,
+                    CmpOp::Ge => Tok::Ge,
+                };
+                self.expr(lhs, 1);
+                let _ = write!(self.out, " {} ", self.op(tok));
+                self.expr(rhs, 1);
             }
-            indent(s, level);
-            s.push_str("end if\n");
-        }
-        Stmt::For(l) => write_loop(s, l, level),
-        Stmt::Push(e) => {
-            indent(s, level);
-            s.push_str("call push(");
-            write_expr(s, e, 0);
-            s.push_str(")\n");
-        }
-        Stmt::Pop(lv) => {
-            indent(s, level);
-            s.push_str("call pop(");
-            write_lvalue(s, lv);
-            s.push_str(")\n");
-        }
-    }
-}
-
-/// Writes `e`; parenthesizes if the surrounding precedence demands it.
-fn write_expr(s: &mut String, e: &Expr, parent_prec: u8) {
-    match e {
-        Expr::IntLit(v) => {
-            if *v < 0 && parent_prec > 0 {
-                let _ = write!(s, "({v})");
-            } else {
-                let _ = write!(s, "{v}");
-            }
-        }
-        Expr::RealLit(v) => {
-            let printed = format_real(*v);
-            if *v < 0.0 && parent_prec > 0 {
-                let _ = write!(s, "({printed})");
-            } else {
-                s.push_str(&printed);
-            }
-        }
-        Expr::Var(n) => s.push_str(n),
-        Expr::Index { array, indices } => {
-            s.push_str(array);
-            s.push('(');
-            for (k, ix) in indices.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
+            BoolExpr::And(a, c) => self.connective(Tok::And, 2, a, c, parent_prec),
+            BoolExpr::Or(a, c) => self.connective(Tok::Or, 1, a, c, parent_prec),
+            BoolExpr::Not(a) => {
+                self.out.push_str(self.op(Tok::Not));
+                match self.flavor {
+                    SourceFlavor::Fortran => {
+                        self.out.push(' ');
+                        self.bool(a, 3);
+                    }
+                    // `!a < b` is `(!a) < b` in C proper: always parenthesize.
+                    SourceFlavor::C => {
+                        self.out.push('(');
+                        self.bool(a, 0);
+                        self.out.push(')');
+                    }
                 }
-                write_expr(s, ix, 0);
-            }
-            s.push(')');
-        }
-        Expr::Unary { op: UnOp::Neg, arg } => {
-            let need = parent_prec > 0;
-            if need {
-                s.push('(');
-            }
-            s.push('-');
-            write_expr(s, arg, 4);
-            if need {
-                s.push(')');
             }
         }
-        Expr::Binary { op, lhs, rhs } => {
-            let prec = op.precedence();
-            if *op == BinOp::Mod {
-                s.push_str("mod(");
-                write_expr(s, lhs, 0);
-                s.push_str(", ");
-                write_expr(s, rhs, 0);
-                s.push(')');
-                return;
+    }
+
+    /// `a tok c` for a left-associative connective of precedence `prec`.
+    fn connective(&mut self, tok: Tok<'_>, prec: u8, a: &BoolExpr, c: &BoolExpr, parent_prec: u8) {
+        self.open(parent_prec > prec);
+        self.bool(a, prec);
+        let _ = write!(self.out, " {} ", self.op(tok));
+        self.bool(c, prec + 1);
+        self.close(parent_prec > prec);
+    }
+
+    // ---- the Fortran shell: declarations and statements ----
+
+    pub fn subroutine(&mut self, p: &Program) {
+        let _ = write!(self.out, "subroutine {}(", p.name);
+        for (k, d) in p.params.iter().enumerate() {
+            if k > 0 {
+                self.out.push_str(", ");
             }
-            let need = prec < parent_prec;
-            if need {
-                s.push('(');
-            }
-            write_expr(s, lhs, prec);
-            let _ = write!(s, " {} ", op.symbol());
-            // Right operand of a left-associative operator needs a tighter
-            // context so that `a - (b - c)` keeps its parentheses.
-            write_expr(s, rhs, prec + 1);
-            if need {
-                s.push(')');
-            }
+            self.out.push_str(&d.name);
         }
-        Expr::Call { func, args } => {
-            s.push_str(func.name());
-            s.push('(');
-            for (k, a) in args.iter().enumerate() {
-                if k > 0 {
-                    s.push_str(", ");
+        self.out.push_str(")\n");
+        for d in p.decls() {
+            self.fortran_decl(d);
+        }
+        self.body(&p.body, 1);
+        self.out.push_str("end subroutine\n");
+    }
+
+    fn fortran_decl(&mut self, d: &Decl) {
+        let _ = write!(self.out, "  {}", d.ty);
+        if !d.is_local {
+            let _ = write!(self.out, ", {}", d.intent);
+        }
+        let _ = write!(self.out, " :: {}", d.name);
+        if !d.dims.is_empty() {
+            self.subscripts(&d.dims);
+        }
+        self.out.push('\n');
+    }
+
+    fn do_loop(&mut self, l: &ForLoop, level: usize) {
+        if let Some(info) = &l.parallel {
+            self.pragma("parallel", Some(info), level);
+        }
+        self.indent(level);
+        let _ = write!(self.out, "do {} = ", l.var);
+        self.expr(&l.lo, 0);
+        self.out.push_str(", ");
+        self.expr(&l.hi, 0);
+        if l.step != Expr::IntLit(1) {
+            self.out.push_str(", ");
+            self.expr(&l.step, 0);
+        }
+        self.out.push('\n');
+        self.body(&l.body, level + 1);
+        self.indent(level);
+        self.out.push_str("end do\n");
+    }
+
+    fn fortran_stmt(&mut self, st: &Stmt, level: usize) {
+        match st {
+            Stmt::Assign { lhs, rhs } => self.line(level, |w| {
+                w.lvalue(lhs);
+                w.out.push_str(" = ");
+                w.expr(rhs, 0);
+            }),
+            Stmt::AtomicAdd { lhs, rhs } => {
+                self.pragma("atomic", None, level);
+                self.line(level, |w| {
+                    w.lvalue(lhs);
+                    w.out.push_str(" = ");
+                    w.lvalue(lhs);
+                    w.out.push_str(" + ");
+                    // Parenthesize so the increment re-parses unambiguously.
+                    w.expr(rhs, 2);
+                });
+            }
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                self.indent(level);
+                self.out.push_str("if (");
+                self.bool(cond, 0);
+                self.out.push_str(") then\n");
+                self.body(then_body, level + 1);
+                if !else_body.is_empty() {
+                    self.indent(level);
+                    self.out.push_str("else\n");
+                    self.body(else_body, level + 1);
                 }
-                write_expr(s, a, 0);
+                self.indent(level);
+                self.out.push_str("end if\n");
             }
-            s.push(')');
+            Stmt::For(l) => self.do_loop(l, level),
+            Stmt::Push(e) => self.tape_call(level, "push", |w| w.expr(e, 0)),
+            Stmt::Pop(lv) => self.tape_call(level, "pop", |w| w.lvalue(lv)),
         }
     }
-}
-
-/// Format a real literal so it re-parses as a real (always with a decimal
-/// point or exponent).
-fn format_real(v: f64) -> String {
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-        s
-    } else {
-        format!("{s}.0")
-    }
-}
-
-fn write_bool(s: &mut String, b: &BoolExpr, parent_prec: u8) {
-    // precedence: or=1, and=2, not=3, cmp=4
-    match b {
-        BoolExpr::Cmp { op, lhs, rhs } => {
-            write_expr(s, lhs, 1);
-            let _ = write!(s, " {} ", cmp_str(*op));
-            write_expr(s, rhs, 1);
-        }
-        BoolExpr::And(a, c) => {
-            let need = parent_prec > 2;
-            if need {
-                s.push('(');
-            }
-            write_bool(s, a, 2);
-            s.push_str(" .and. ");
-            write_bool(s, c, 3);
-            if need {
-                s.push(')');
-            }
-        }
-        BoolExpr::Or(a, c) => {
-            let need = parent_prec > 1;
-            if need {
-                s.push('(');
-            }
-            write_bool(s, a, 1);
-            s.push_str(" .or. ");
-            write_bool(s, c, 2);
-            if need {
-                s.push(')');
-            }
-        }
-        BoolExpr::Not(a) => {
-            s.push_str(".not. ");
-            write_bool(s, a, 3);
-        }
-    }
-}
-
-fn cmp_str(op: CmpOp) -> &'static str {
-    op.fortran()
 }
 
 #[cfg(test)]
@@ -366,11 +427,8 @@ mod tests {
     #[test]
     fn stmt_printing_shapes() {
         let mut s = String::new();
-        write_stmt(
-            &mut s,
-            &Stmt::increment(LValue::index("u", vec![v("i")]), v("a")),
-            0,
-        );
+        let stmt = Stmt::increment(LValue::index("u", vec![v("i")]), v("a"));
+        write_body(&mut s, std::slice::from_ref(&stmt), 0);
         assert_eq!(s, "u(i) = u(i) + a\n");
     }
 }

@@ -29,7 +29,7 @@ use formad::{
     full_report, Deadline, FormadAnalysis, FormadErrorKind, FormadOptions, IncMode,
     ParallelTreatment, SharedEngine,
 };
-use formad_ir::{parse_any, program_to_clike, program_to_string, Program};
+use formad_ir::{parse_any, Program, SourceFlavor};
 use formad_machine::{bind_params, output_lines, Machine, NativeEngine, NativeProgram};
 use formad_smt::{ChaosConfig, SolverBudget, SolverStats};
 
@@ -186,9 +186,9 @@ impl Service {
             return client_error(400, "validate", "`wrt` and `of` are required");
         }
         let emit = req.get("emit").and_then(Json::as_str).unwrap_or("fortran");
-        if !matches!(emit, "fortran" | "c") {
+        let Some(emit) = SourceFlavor::from_name(emit) else {
             return client_error(400, "validate", &format!("unknown emit dialect `{emit}`"));
-        }
+        };
         let want_adjoint = req
             .get("adjoint")
             .and_then(Json::as_bool)
@@ -247,7 +247,7 @@ impl Service {
             if want_adjoint {
                 self.engine
                     .differentiate_isolated(&primal, &opts)
-                    .map(|r| (r.analysis, Some(render(&r.adjoint, emit))))
+                    .map(|r| (r.analysis, Some(emit.print(&r.adjoint))))
             } else {
                 self.engine
                     .analyze_isolated(&primal, &opts)
@@ -328,7 +328,7 @@ impl Service {
         primal: &Program,
         opts: &FormadOptions,
         want_adjoint: bool,
-        emit: &str,
+        emit: SourceFlavor,
         reason: &str,
         shed_level: &str,
     ) -> Response {
@@ -339,7 +339,7 @@ impl Service {
                     .adjoint_with(primal, opts, ParallelTreatment::Uniform(IncMode::Atomic))
             }));
             match built {
-                Ok(Ok(p)) => Some(render(&p, emit)),
+                Ok(Ok(p)) => Some(emit.print(&p)),
                 Ok(Err(e)) => return client_error(400, e.kind.label(), &e.message),
                 Err(_) => {
                     self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
@@ -671,13 +671,6 @@ fn shrink_budgets(opts: &mut FormadOptions) {
     opts.region.max_retries = 0;
     let cap = Duration::from_millis(250);
     opts.region.prover_timeout = Some(opts.region.prover_timeout.map_or(cap, |t| t.min(cap)));
-}
-
-fn render(p: &Program, emit: &str) -> String {
-    match emit {
-        "c" => program_to_clike(p),
-        _ => program_to_string(p),
-    }
 }
 
 fn stats_json(s: &SolverStats) -> Json {
