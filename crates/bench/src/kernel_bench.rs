@@ -98,7 +98,13 @@ fn cases(smoke: bool) -> Vec<KernelCase> {
     let lbm = if smoke {
         LbmExecCase::smoke()
     } else {
-        LbmExecCase::full()
+        // Four times `LbmExecCase::full()`. At 6000 cells each of the
+        // adjoint's 19 gather regions is ≈ 20 µs of work — less than one
+        // pool dispatch on this host — so every T ≥ 2 cell of the gather
+        // measured 19 dispatches and the atomic version (one region) won
+        // by default; while each run still cloned its bindings, 10 ms of
+        // copy on both sides hid that.
+        LbmExecCase::new(24_000, 25_600)
     };
     vec![
         KernelCase {
@@ -361,6 +367,13 @@ impl KernelExecData {
         let a = self.best_s_on("adj-atomic", backend, self.check_threads)?;
         let tr = self.best_s_on("adj-transposed", backend, self.check_threads)?;
         Some(a / tr)
+    }
+
+    /// One version's best wall-clock at two threads over its best at one,
+    /// on the AOT backend: below 1 means the second thread paid for its
+    /// dispatch. `None` unless both thread counts were measured there.
+    pub fn t2_over_t1(&self, version: &str) -> Option<f64> {
+        Some(self.best_s_on(version, "aot", 2)? / self.best_s_on(version, "aot", 1)?)
     }
 
     /// The paper's own metric: FormAD adjoint over primal on one backend
@@ -660,7 +673,8 @@ fn json_ratio(x: f64) -> String {
 
 /// The top-level `summary` block: per kernel, the fastest cell overall
 /// and among adjoints, the per-version dispatch-removal factor
-/// (`aot_over_bytecode`), the FormAD adjoint over the primal at one
+/// (`aot_over_bytecode`), each version's AOT time at two threads over its
+/// time at one (`t2_over_t1`), the FormAD adjoint over the primal at one
 /// thread per backend (`adjoint_over_primal`), and the FormAD-over-atomic
 /// ratio per backend.
 fn summary_json(r: &KernelBenchResult) -> String {
@@ -681,21 +695,19 @@ fn summary_json(r: &KernelBenchResult) -> String {
             .fastest_of(|s| s.version.starts_with("adj-"))
             .map(&cell)
             .unwrap_or_else(|| "null".to_string());
-        let speedups: Vec<String> = [
-            "primal",
-            "adj-FormAD",
-            "adj-atomic",
-            "adj-reduction",
-            "adj-transposed",
-        ]
-        .iter()
-        .map(|v| {
-            format!(
-                "\"{v}\": {}",
-                json_ratio(k.aot_over_bytecode(v).unwrap_or(f64::NAN))
-            )
-        })
-        .collect();
+        let per_version = |ratio: &dyn Fn(&str) -> Option<f64>| -> String {
+            let entries: Vec<String> = [
+                "primal",
+                "adj-FormAD",
+                "adj-atomic",
+                "adj-reduction",
+                "adj-transposed",
+            ]
+            .iter()
+            .map(|v| format!("\"{v}\": {}", json_ratio(ratio(v).unwrap_or(f64::NAN))))
+            .collect();
+            entries.join(", ")
+        };
         let foa: Vec<String> = BACKENDS
             .iter()
             .map(|b| {
@@ -721,7 +733,12 @@ fn summary_json(r: &KernelBenchResult) -> String {
         let _ = writeln!(
             o,
             "        \"aot_over_bytecode\": {{{}}},",
-            speedups.join(", ")
+            per_version(&|v| k.aot_over_bytecode(v))
+        );
+        let _ = writeln!(
+            o,
+            "        \"t2_over_t1\": {{{}}},",
+            per_version(&|v| k.t2_over_t1(v))
         );
         let aop: Vec<String> = BACKENDS
             .iter()
@@ -988,6 +1005,7 @@ mod tests {
         assert!(j.contains("\"mode\": \"transposed\""));
         assert!(j.contains("\"bitwise\": true"));
         assert!(j.contains("\"formad_over_atomic_transposed\""));
+        assert!(j.contains("\"t2_over_t1\": {\"primal\": "));
         assert!(j.contains("\"note\""));
         assert!(j.contains("\"summary\""));
         assert!(j.contains("\"calibration\""));

@@ -142,6 +142,27 @@ fn summary_block_is_complete_and_consistent() {
             ),
             other => panic!("`{name}`: aot_over_bytecode[adj-transposed] = {other}"),
         }
+        // ROADMAP item 2's baseline: what the second thread buys each
+        // version on AOT. Recorded, not yet held to a threshold.
+        let t2 = get(k, "t2_over_t1");
+        for version in ["primal", "adj-FormAD", "adj-atomic", "adj-reduction"] {
+            let r = num_of(t2, version);
+            assert!(
+                r.is_finite() && r > 0.0,
+                "`{name}`: t2_over_t1[{version}] = {r}"
+            );
+        }
+        match get(t2, "adj-transposed") {
+            Json::Null => assert!(
+                !has_transposed,
+                "`{name}`: transposed cells exist but no t2_over_t1 ratio"
+            ),
+            Json::Num(r) => assert!(
+                has_transposed && *r > 0.0,
+                "`{name}`: t2_over_t1[adj-transposed] = {r}"
+            ),
+            other => panic!("`{name}`: t2_over_t1[adj-transposed] = {other}"),
+        }
         // The paper's metric at one thread, per backend. ROADMAP item 5's
         // bar for the stencils: the AOT adjoint within 1.5x of the primal
         // (2.05x / 2.15x while the forward sweep was the whole primal).

@@ -9,6 +9,7 @@
 use formad_bench::{adjoint_bindings, ProgramVersions};
 use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
+use formad_machine::aot::generate_source;
 use formad_machine::{
     check_cell, compile, dot_product_test_with, lower, run, run_native, Bindings, EngineCache,
     Machine,
@@ -75,6 +76,26 @@ fn cases() -> Vec<Case> {
     ]
 }
 
+/// The versions of one kernel that run on the native backends — the
+/// primal and every adjoint discipline, the transposed gather where it
+/// exists — each with the bindings it runs against.
+fn executed_versions<'a>(
+    v: &'a ProgramVersions,
+    base: &'a Bindings,
+    adj_base: &'a Bindings,
+) -> Vec<(&'static str, &'a Program, &'a Bindings)> {
+    let mut progs = vec![
+        ("primal", &v.primal, base),
+        ("adj-FormAD", &v.adj_formad, adj_base),
+        ("adj-atomic", &v.adj_atomic, adj_base),
+        ("adj-reduction", &v.adj_reduction, adj_base),
+    ];
+    if let Some(tr) = &v.adj_transposed {
+        progs.push(("adj-transposed", tr, adj_base));
+    }
+    progs
+}
+
 /// Every kernel × every discipline (FormAD plan / uniform atomic /
 /// uniform reduction / transposed gather where it exists, plus the
 /// primal) × {1, 4} threads satisfies the determinism contract, and the
@@ -87,16 +108,7 @@ fn all_kernels_all_disciplines_satisfy_the_contract() {
     for case in cases() {
         let versions = ProgramVersions::generate(&case.program, case.indep, case.dep);
         let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
-        let mut progs: Vec<(&str, &Program, &Bindings)> = vec![
-            ("primal", &versions.primal, &case.base),
-            ("adj-FormAD", &versions.adj_formad, &adj_base),
-            ("adj-atomic", &versions.adj_atomic, &adj_base),
-            ("adj-reduction", &versions.adj_reduction, &adj_base),
-        ];
-        if let Some(tr) = &versions.adj_transposed {
-            progs.push(("adj-transposed", tr, &adj_base));
-        }
-        for (label, prog, bind) in progs {
+        for (label, prog, bind) in executed_versions(&versions, &case.base, &adj_base) {
             let lp = lower(prog, bind).expect("lower");
             let bc = compile(&lp, prog).expect("bytecode");
             assert_eq!(
@@ -111,6 +123,43 @@ fn all_kernels_all_disciplines_satisfy_the_contract() {
             }
         }
     }
+}
+
+/// The generated kernels build without a single warning: `compile_cdylib`
+/// captures rustc's stderr and nobody reads it, so a lint the generated
+/// `#![allow]` line does not cover is rendered, snippet and all, on every
+/// cold build. `-D warnings` over the source of every version of the five
+/// kernels turns any such lint into a failure here.
+#[test]
+fn generated_kernels_compile_without_warnings() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("aot-lint");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    for case in cases() {
+        let versions = ProgramVersions::generate(&case.program, case.indep, case.dep);
+        let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
+        for (_, prog, bind) in executed_versions(&versions, &case.base, &adj_base) {
+            let lp = lower(prog, bind).expect("lower");
+            let bc = compile(&lp, prog).expect("bytecode");
+            let src = generate_source(&lp, &bc).expect("codegen");
+            let file = dir.join(format!("{}.rs", prog.name));
+            std::fs::write(&file, src).expect("write generated source");
+            let out = std::process::Command::new("rustc")
+                .args(["--edition=2021", "--crate-type=cdylib", "--emit=metadata"])
+                .args(["-D", "warnings", "--out-dir"])
+                .arg(&dir)
+                .arg(&file)
+                .output()
+                .expect("rustc runs");
+            assert!(
+                out.status.success(),
+                "{} / `{}`: the generated kernel does not compile cleanly:\n{}",
+                case.name,
+                prog.name,
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The natively executed adjoints must also be *correct* derivatives:

@@ -262,6 +262,15 @@ pub enum BcParam {
     Array(String, ArrId),
 }
 
+impl BcParam {
+    /// The parameter's declared name.
+    pub fn name(&self) -> &str {
+        match self {
+            BcParam::RealScalar(n, _) | BcParam::IntScalar(n, _) | BcParam::Array(n, _) => n,
+        }
+    }
+}
+
 /// A compiled program, self-contained for execution: code, regions,
 /// register file sizes, array descriptors, and binding-transfer tables.
 #[derive(Debug)]

@@ -23,12 +23,18 @@
 //! into reusable per-thread buffers merged in ascending thread order,
 //! replicating the interpreter's combine order bit for bit.
 //!
-//! Per-thread state (register-file copies, tapes, reduction buffers) is
-//! allocated once per engine and reused across regions and runs, so the
-//! hot loop performs no allocation.
+//! A run touches no memory that is not the program's own traffic.
+//! Parameter arrays are used where they sit in the caller's
+//! [`Bindings`] — the engine holds the bindings exclusively for the run
+//! and points its views at their vectors, so nothing is copied in or out
+//! and an array can never be missing afterwards. Everything else a run
+//! needs — the main register file, the views, local arrays, per-thread
+//! register-file copies, tapes, reduction buffers — lives in buffers the
+//! engine keeps across regions and runs, so a warm run (same engine, a
+//! program it has run before) makes no heap allocation at all, whatever
+//! the array lengths; `tests/exec_alloc_ceiling.rs` holds that.
 
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -37,7 +43,7 @@ use formad_runtime::ThreadPool;
 
 use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
-use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
+use crate::bytecode::{compile, BcArray, BcParam, BcProgram, BcRegion, Instr};
 use crate::lower::lower;
 
 /// Compile `prog` against `bind` and run it with `threads` logical
@@ -102,6 +108,26 @@ unsafe impl Send for RawView {}
 unsafe impl Sync for RawView {}
 
 impl RawView {
+    /// View of `data`, whose elements are 8-byte words (`f64` or `i64`).
+    fn of<T>(data: &mut [T]) -> RawView {
+        const { assert!(std::mem::size_of::<T>() == 8 && std::mem::align_of::<T>() == 8) };
+        RawView {
+            ptr: data.as_mut_ptr() as *mut u64,
+            len: data.len(),
+        }
+    }
+
+    /// The storage as a plain real slice.
+    ///
+    /// # Safety
+    /// The view must be of a real array whose storage is still alive, and
+    /// nothing else may access that storage while the slice is: no region
+    /// is running and the caller holds no other slice of it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn as_reals_mut(&self) -> &mut [f64] {
+        std::slice::from_raw_parts_mut(self.ptr as *mut f64, self.len)
+    }
+
     #[inline]
     fn load_r(&self, off: usize) -> f64 {
         debug_assert!(off < self.len);
@@ -146,6 +172,7 @@ impl RawView {
 }
 
 /// Per-array views for one run (indexed by `ArrId`).
+#[derive(Default)]
 struct Mem {
     views: Vec<RawView>,
 }
@@ -166,12 +193,6 @@ impl<T: Default> PerThread<T> {
     fn new(n: usize) -> PerThread<T> {
         PerThread {
             slots: (0..n).map(|_| UnsafeCell::new(T::default())).collect(),
-        }
-    }
-
-    fn grow_to(&mut self, n: usize) {
-        while self.slots.len() < n {
-            self.slots.push(UnsafeCell::new(T::default()));
         }
     }
 
@@ -202,9 +223,20 @@ struct Scratch {
     /// array in the current region.
     red_map: Vec<u16>,
     red_bufs: Vec<Vec<f64>>,
+    red_ptrs: RedPtrs,
     err: Option<ExecError>,
     participated: bool,
 }
+
+/// Base pointers of one thread's `red_bufs`, laid out as AOT regions take
+/// them.
+#[derive(Default)]
+struct RedPtrs(Vec<*mut f64>);
+
+// SAFETY: the pointers address the `red_bufs` of the `Scratch` that holds
+// them and are rewritten before every use, so they change threads only
+// together with the buffers they point into.
+unsafe impl Send for RedPtrs {}
 
 /// Redirects real-array accesses of reduction arrays to the worker's
 /// privatized buffer (everything else goes to shared memory).
@@ -232,15 +264,49 @@ struct Chunk {
 /// Shared array base pointers handed to AOT region workers. Sync under
 /// the same contract as [`RawView`]: the generated code performs element
 /// accesses through relaxed atomics, never plain concurrent writes.
+#[derive(Default)]
 struct Bases(Vec<*mut u64>);
 
 unsafe impl Send for Bases {}
 unsafe impl Sync for Bases {}
 
+/// What one run needs besides the program's own arrays and the
+/// per-thread state: kept by the engine across runs, so a warm run
+/// re-fills these buffers instead of allocating them.
+#[derive(Default)]
+struct RunState {
+    /// The main thread's register file.
+    reals: Vec<f64>,
+    ints: Vec<i64>,
+    /// Valid for one run only: they point into the caller's bindings.
+    mem: Mem,
+    bases: Bases,
+    locals_r: Locals<f64>,
+    locals_i: Locals<i64>,
+}
+
+/// Storage of a program's local arrays: buffers handed out in `ArrId`
+/// order, whose capacity outlives the run.
+#[derive(Default)]
+struct Locals<T> {
+    bufs: Vec<Vec<T>>,
+    used: usize,
+}
+
+impl<T> Locals<T> {
+    fn next(&mut self) -> &mut Vec<T> {
+        if self.used == self.bufs.len() {
+            self.bufs.push(Vec::new());
+        }
+        self.used += 1;
+        &mut self.bufs[self.used - 1]
+    }
+}
+
 // ---- the engine ----
 
-/// A reusable native executor: persistent thread pool plus per-thread
-/// tapes and scratch buffers.
+/// A reusable native executor: persistent thread pool, per-thread tapes
+/// and scratch buffers, and the buffers of the run itself.
 ///
 /// `threads` is the number of *logical* threads — it fixes the static
 /// chunk schedule, the per-thread tapes, and the reduction merge order,
@@ -258,6 +324,7 @@ pub struct NativeEngine {
     pool: ThreadPool,
     tapes: PerThread<Tapes>,
     scratch: PerThread<Scratch>,
+    state: RunState,
 }
 
 impl NativeEngine {
@@ -283,6 +350,7 @@ impl NativeEngine {
             pool: ThreadPool::new(if os > 1 { os } else { 0 }),
             tapes: PerThread::new(threads),
             scratch: PerThread::new(threads),
+            state: RunState::default(),
         }
     }
 
@@ -299,13 +367,14 @@ impl NativeEngine {
     /// Execute `bc` against `bind`: parameters are read from the
     /// bindings and written back afterwards, locals zero-initialized —
     /// the same contract (and the same error messages) as the simulated
-    /// interpreter.
+    /// interpreter. The error contract is [`NativeEngine::run_with`]'s.
     pub fn run(&mut self, bc: &BcProgram, bind: &mut Bindings) -> Result<(), ExecError> {
         self.run_with(bc, None, bind)
     }
 
     /// Execute a [`NativeProgram`]: its AOT kernel where it has one,
-    /// bytecode otherwise.
+    /// bytecode otherwise. The error contract is
+    /// [`NativeEngine::run_with`]'s.
     pub fn run_program(
         &mut self,
         np: &NativeProgram,
@@ -320,80 +389,92 @@ impl NativeEngine {
     /// Sequential code always interprets: regions are the hot path, and
     /// keeping one interpreter for the scaffolding keeps the backends
     /// trivially in lockstep everywhere except the generated functions.
+    ///
+    /// Parameter arrays are read and written where they sit in `bind`;
+    /// an array bound under the name of a *local* is that local's initial
+    /// value and is left as it was.
+    ///
+    /// # Errors
+    /// An unbound parameter or an array bound with the wrong length is
+    /// reported before anything has been written. After any `Err` — those,
+    /// or an out-of-bounds index, a `pop` from an empty tape, a zero step
+    /// … in the middle of the run — every array is still in `bind` under
+    /// its name with its declared length (its contents are whatever the
+    /// run had written so far), no scalar in `bind` has changed, and the
+    /// engine runs the next program as if the failed one had never been
+    /// submitted.
     pub fn run_with(
         &mut self,
         bc: &BcProgram,
         kernel: Option<&AotKernel>,
         bind: &mut Bindings,
     ) -> Result<(), ExecError> {
-        let mut reals = vec![0.0f64; bc.n_real_regs];
-        let mut ints = vec![0i64; bc.n_int_regs];
-        let param_names: Vec<&str> = bc
-            .params
-            .iter()
-            .map(|p| match p {
-                BcParam::RealScalar(n, _) | BcParam::IntScalar(n, _) | BcParam::Array(n, _) => {
-                    n.as_str()
-                }
-            })
-            .collect();
+        // The state leaves the engine for the run, so that regions can
+        // share `self` with the workers while the main register file is
+        // borrowed mutably, and returns to it on every exit.
+        let mut st = std::mem::take(&mut self.state);
+        let res = self.run_on(&mut st, bc, kernel, bind);
+        // They point into `bind`, which the caller gets back now.
+        st.mem.views.clear();
+        st.bases.0.clear();
+        self.state = st;
+        res
+    }
+
+    fn run_on(
+        &self,
+        st: &mut RunState,
+        bc: &BcProgram,
+        kernel: Option<&AotKernel>,
+        bind: &mut Bindings,
+    ) -> Result<(), ExecError> {
+        let is_param = |name: &str| bc.params.iter().any(|p| p.name() == name);
+        st.reals.clear();
+        st.reals.resize(bc.n_real_regs, 0.0);
+        st.ints.clear();
+        st.ints.resize(bc.n_int_regs, 0);
         for (name, (slot, ty)) in &bc.scalar_slots {
             match ty {
                 Ty::Real => {
                     if let Some(v) = bind.real_scalars.get(name) {
-                        reals[*slot as usize] = *v;
-                    } else if param_names.contains(&name.as_str()) {
+                        st.reals[*slot as usize] = *v;
+                    } else if is_param(name) {
                         return Err(ExecError::new(format!("parameter `{name}` is unbound")));
                     }
                 }
                 Ty::Int => {
                     if let Some(v) = bind.int_scalars.get(name) {
-                        ints[*slot as usize] = *v;
-                    } else if param_names.contains(&name.as_str()) {
+                        st.ints[*slot as usize] = *v;
+                    } else if is_param(name) {
                         return Err(ExecError::new(format!("parameter `{name}` is unbound")));
                     }
                 }
             }
         }
-        let mut arr_r: Vec<Vec<f64>> = Vec::with_capacity(bc.arrays.len());
-        let mut arr_i: Vec<Vec<i64>> = Vec::with_capacity(bc.arrays.len());
+        st.locals_r.used = 0;
+        st.locals_i.used = 0;
         for meta in &bc.arrays {
-            let is_param = param_names.contains(&meta.name.as_str());
-            match meta.ty {
+            let param = is_param(&meta.name);
+            let view = match meta.ty {
                 Ty::Real => {
-                    let data = fetch_array(&bind.real_arrays, meta, is_param, 0.0)?;
-                    arr_r.push(data);
-                    arr_i.push(Vec::new());
+                    let bound = bind.real_arrays.get_mut(&meta.name);
+                    array_view(bound, meta, param, &mut st.locals_r)?
                 }
                 Ty::Int => {
-                    let data = fetch_array(&bind.int_arrays, meta, is_param, 0i64)?;
-                    arr_i.push(data);
-                    arr_r.push(Vec::new());
+                    let bound = bind.int_arrays.get_mut(&meta.name);
+                    array_view(bound, meta, param, &mut st.locals_i)?
                 }
-            }
+            };
+            st.mem.views.push(view);
+            st.bases.0.push(view.ptr);
         }
-        let mem = Mem {
-            views: bc
-                .arrays
-                .iter()
-                .enumerate()
-                .map(|(k, meta)| match meta.ty {
-                    Ty::Real => RawView {
-                        ptr: arr_r[k].as_mut_ptr() as *mut u64,
-                        len: arr_r[k].len(),
-                    },
-                    Ty::Int => RawView {
-                        ptr: arr_i[k].as_mut_ptr() as *mut u64,
-                        len: arr_i[k].len(),
-                    },
-                })
-                .collect(),
-        };
+        // From here to the scalar write-back `bind` is not touched: the
+        // views are the only way to its arrays.
+        let (mem, bases) = (&st.mem, &st.bases);
 
-        self.tapes.grow_to(self.threads);
-        self.scratch.grow_to(self.threads);
         for t in 0..self.threads {
-            // Exclusive: no region is running.
+            // SAFETY: no region is running, so the main thread is the
+            // only toucher of every slot.
             let tp = unsafe { self.tapes.get(t) };
             tp.r.clear();
             tp.i.clear();
@@ -405,9 +486,9 @@ impl NativeEngine {
                 bc,
                 &bc.code,
                 pc,
-                &mut reals,
-                &mut ints,
-                &mem,
+                &mut st.reals,
+                &mut st.ints,
+                mem,
                 &self.tapes,
                 0,
                 None,
@@ -418,18 +499,13 @@ impl NativeEngine {
                     let reg = &bc.regions[region as usize];
                     match kernel.and_then(|k| k.region(region as usize)) {
                         Some(f) => {
-                            let bases = Bases(mem.views.iter().map(|v| v.ptr).collect());
-                            // Capture the `Sync` wrapper, not its field
-                            // (2021 disjoint capture would otherwise seize
-                            // the non-Sync `Vec` itself).
-                            let bases = &bases;
-                            self.run_region(bc, reg, &mut reals, &mut ints, &mem, |c, scratch| {
+                            self.run_region(reg, &mut st.reals, &mut st.ints, mem, |c, scratch| {
                                 self.chunk_aot(bc, reg, f, bases, c, scratch)
                             })?
                         }
                         None => {
-                            self.run_region(bc, reg, &mut reals, &mut ints, &mem, |c, scratch| {
-                                self.chunk_bytecode(bc, reg, &mem, c, scratch)
+                            self.run_region(reg, &mut st.reals, &mut st.ints, mem, |c, scratch| {
+                                self.chunk_bytecode(bc, reg, mem, c, scratch)
                             })?
                         }
                     }
@@ -438,27 +514,24 @@ impl NativeEngine {
             }
         }
 
-        // Views are dead from here on; arrays are exclusively ours again.
-        drop(mem);
         for p in &bc.params {
             match p {
                 BcParam::RealScalar(name, slot) => {
-                    bind.real_scalars
-                        .insert(name.clone(), reals[*slot as usize]);
+                    *bind
+                        .real_scalars
+                        .get_mut(name)
+                        .expect("scalar parameters were found bound at entry") =
+                        st.reals[*slot as usize];
                 }
                 BcParam::IntScalar(name, slot) => {
-                    bind.int_scalars.insert(name.clone(), ints[*slot as usize]);
+                    *bind
+                        .int_scalars
+                        .get_mut(name)
+                        .expect("scalar parameters were found bound at entry") =
+                        st.ints[*slot as usize];
                 }
-                BcParam::Array(name, id) => match bc.arrays[*id as usize].ty {
-                    Ty::Real => {
-                        bind.real_arrays
-                            .insert(name.clone(), std::mem::take(&mut arr_r[*id as usize]));
-                    }
-                    Ty::Int => {
-                        bind.int_arrays
-                            .insert(name.clone(), std::mem::take(&mut arr_i[*id as usize]));
-                    }
-                },
+                // Ran in place.
+                BcParam::Array(..) => {}
             }
         }
         Ok(())
@@ -473,7 +546,6 @@ impl NativeEngine {
     /// keeps them in lockstep.
     fn run_region(
         &self,
-        bc: &BcProgram,
         reg: &BcRegion,
         reals: &mut [f64],
         ints: &mut [i64],
@@ -534,7 +606,7 @@ impl NativeEngine {
                 }
                 let buf = &mut scratch.red_bufs[k];
                 buf.clear();
-                buf.resize(bc.arrays[*id as usize].len, identity(*op));
+                buf.resize(mem.views[*id as usize].len, identity(*op));
             }
             let share = Chunk {
                 thread: t,
@@ -600,23 +672,50 @@ impl NativeEngine {
             }
         }
         for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-            let view = mem.views[*id as usize];
-            let len = bc.arrays[*id as usize].len;
-            let mut acc = vec![identity(*op); len];
-            for t in 0..t_n {
+            // SAFETY: a real array (only those reduce) whose storage the
+            // run holds exclusively; the region is over, so the main
+            // thread is its only accessor, and this is the only slice.
+            let dst = unsafe { mem.views[*id as usize].as_reals_mut() };
+            let id = identity(*op);
+            match op {
+                RedOp::Add => self.merge_array(k, id, dst, |a, b| a + b),
+                RedOp::Mul => self.merge_array(k, id, dst, |a, b| a * b),
+                RedOp::Min => self.merge_array(k, id, dst, f64::min),
+                RedOp::Max => self.merge_array(k, id, dst, f64::max),
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold every participating thread's private copy of the region's
+    /// `k`-th reduced array onto the shared one, `dst`: per element
+    /// `dst ⊕ ((identity ⊕ p0) ⊕ p1 …)`, threads ascending — the
+    /// interpreter's association bit for bit, `-0.0` and NaNs included.
+    /// One sweep over every buffer, a block at a time so the accumulator
+    /// stays on the stack; `op` is the reduction's operator, chosen once
+    /// per array instead of once per element.
+    fn merge_array(&self, k: usize, identity: f64, dst: &mut [f64], op: impl Fn(f64, f64) -> f64) {
+        const BLOCK: usize = 256;
+        let mut acc = [0.0f64; BLOCK];
+        for (b, out) in dst.chunks_mut(BLOCK).enumerate() {
+            let acc = &mut acc[..out.len()];
+            acc.fill(identity);
+            for t in 0..self.threads {
+                // SAFETY: no region is running, so the main thread is the
+                // only toucher of every slot.
                 let scratch = unsafe { self.scratch.get(t) };
                 if !scratch.participated {
                     continue;
                 }
-                for (a, v) in acc.iter_mut().zip(&scratch.red_bufs[k]) {
-                    *a = combine(*op, *a, *v);
+                let part = &scratch.red_bufs[k][b * BLOCK..][..out.len()];
+                for (a, p) in acc.iter_mut().zip(part) {
+                    *a = op(*a, *p);
                 }
             }
-            for (j, a) in acc.iter().enumerate() {
-                view.store_r(j, combine(*op, view.load_r(j), *a));
+            for (d, a) in out.iter_mut().zip(acc.iter()) {
+                *d = op(*d, *a);
             }
         }
-        Ok(())
     }
 
     /// Chunk body of the bytecode backend: interpret the region's code
@@ -641,16 +740,11 @@ impl NativeEngine {
         };
         // Ascending ranks in loop order (descending loops walk their
         // chunk backwards) — identical to the simulated machine.
-        let ranks: Box<dyn Iterator<Item = i64>> = if c.step > 0 {
-            Box::new(c.a_begin..c.a_end)
-        } else {
-            Box::new((c.a_begin..c.a_end).rev())
-        };
-        for a in ranks {
+        for k in 0..c.a_end - c.a_begin {
             scratch.ints[reg.var as usize] = if c.step > 0 {
-                c.lo + a * c.step
+                c.lo + (c.a_begin + k) * c.step
             } else {
-                c.lo + (c.count - 1 - a) * c.step
+                c.lo + (c.count - c.a_end + k) * c.step
             };
             let exit = exec_code(
                 bc,
@@ -683,9 +777,12 @@ impl NativeEngine {
     ) -> Result<(), ExecError> {
         use crate::aot::abi::{AotEnv, AotTape, FORMAD_AOT_ABI};
 
-        let red_ptrs: Vec<*mut f64> = (0..reg.red_arrays.len())
-            .map(|k| scratch.red_bufs[k].as_mut_ptr())
-            .collect();
+        let red_bufs = &mut scratch.red_bufs[..reg.red_arrays.len()];
+        scratch.red_ptrs.0.clear();
+        scratch
+            .red_ptrs
+            .0
+            .extend(red_bufs.iter_mut().map(|buf| buf.as_mut_ptr()));
         // Sound: only logical thread `c.thread` touches its tape now.
         let tapes = unsafe { self.tapes.get(c.thread) };
         let mut env = AotEnv {
@@ -698,7 +795,7 @@ impl NativeEngine {
             reals: scratch.reals.as_mut_ptr(),
             ints: scratch.ints.as_mut_ptr(),
             arrays: bases.0.as_ptr(),
-            red_bufs: red_ptrs.as_ptr(),
+            red_bufs: scratch.red_ptrs.0.as_ptr(),
             tape_r: AotTape {
                 ptr: tapes.r.as_mut_ptr() as *mut u8,
                 len: tapes.r.len(),
@@ -751,29 +848,37 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
     }
 }
 
-fn fetch_array<T: Clone>(
-    bound: &HashMap<String, Vec<T>>,
-    meta: &crate::bytecode::BcArray,
+/// The storage a run uses for one array. A parameter runs in the vector
+/// bound to it, where that sits in the caller's bindings; a local gets
+/// the next engine-owned buffer, zero-filled — or filled with a copy of
+/// what is bound under the local's name, which stays as it was.
+fn array_view<T: Copy + Default>(
+    bound: Option<&mut Vec<T>>,
+    meta: &BcArray,
     is_param: bool,
-    zero: T,
-) -> Result<Vec<T>, ExecError> {
-    match bound.get(&meta.name) {
-        Some(v) => {
-            if v.len() != meta.len {
-                return Err(ExecError::new(format!(
-                    "array `{}` bound with {} elements, declared {}",
-                    meta.name,
-                    v.len(),
-                    meta.len
-                )));
-            }
-            Ok(v.clone())
-        }
+    locals: &mut Locals<T>,
+) -> Result<RawView, ExecError> {
+    match bound {
+        Some(v) if v.len() != meta.len => Err(ExecError::new(format!(
+            "array `{}` bound with {} elements, declared {}",
+            meta.name,
+            v.len(),
+            meta.len
+        ))),
+        Some(v) if is_param => Ok(RawView::of(v)),
         None if is_param => Err(ExecError::new(format!(
             "parameter array `{}` is unbound",
             meta.name
         ))),
-        None => Ok(vec![zero; meta.len]),
+        initial => {
+            let buf = locals.next();
+            buf.clear();
+            match initial {
+                Some(v) => buf.extend_from_slice(v),
+                None => buf.resize(meta.len, T::default()),
+            }
+            Ok(RawView::of(buf))
+        }
     }
 }
 

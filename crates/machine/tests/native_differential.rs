@@ -1,10 +1,15 @@
 //! Differential tests: the native bytecode executor must agree with the
 //! simulated tree-walking interpreter on every program it accepts —
 //! same results, under the determinism contract of
-//! `formad_machine::differential`, and the same errors.
+//! `formad_machine::differential`, and the same errors. The reduction
+//! merge and the error contract of `NativeEngine::run_with` are shared
+//! with the AOT backend and held on both.
 
 use formad_ir::parse_program;
-use formad_machine::{check_cell, compile, lower, run, run_native, Bindings, EngineCache, Machine};
+use formad_machine::{
+    check_cell, compile, load_or_compile, lower, run, run_native, Bindings, Compare, EngineCache,
+    Machine, NativeEngine,
+};
 
 /// Run `src` under both backends at `threads`: the cell must satisfy the
 /// contract.
@@ -355,5 +360,232 @@ end subroutine
     assert!(
         err.message.contains("written inside a parallel region"),
         "{err}"
+    );
+}
+
+// ---- reduction merge: association, special values, idle ranks ----
+
+/// `y(j) = y(j) ⊕ x(i)` under `reduction(⊕: y)`, every iteration folding
+/// into cell `mod(i, m) + 1`. The extents `k`, `m` are fixed and `n` only
+/// bounds the loop, so one compiled program (and one AOT kernel) serves
+/// every iteration count.
+fn reduction_kernel(op: &str) -> String {
+    let update = match op {
+        "min" | "max" => format!("{op}(y(j), x(i))"),
+        _ => format!("y(j) {op} x(i)"),
+    };
+    format!(
+        "subroutine red(n, k, m, x, y)\n  integer, intent(in) :: n, k, m\n  \
+         real, intent(in) :: x(k)\n  real, intent(inout) :: y(m)\n  integer :: i, j\n  \
+         !$omp parallel do shared(x) reduction({op}: y) private(j)\n  do i = 1, n\n    \
+         j = mod(i, m) + 1\n    y(j) = {update}\n  end do\nend subroutine\n"
+    )
+}
+
+/// What each cell holds before the region (first entry) and what is
+/// folded into it, round-robin. One cell per hazard, so that a cell meets
+/// at most one NaN payload (which of two different payloads an operation
+/// propagates is the hardware's choice, not the association's).
+fn reduction_scenarios() -> Vec<Vec<f64>> {
+    let tiny = f64::from_bits(1);
+    vec![
+        // Every operand -0.0: `0.0 + -0.0` is +0.0, so skipping the
+        // identity, or folding the saved value first, flips the sign.
+        vec![-0.0, -0.0, -0.0, -0.0],
+        vec![0.0, -0.0, 0.0, -0.0, -0.0],
+        vec![-0.0, 0.0, 3.5, -3.5, 0.0],
+        vec![1.0, f64::NAN, 2.0, -7.25, 0.5],
+        vec![2.0, f64::INFINITY, 1.0e300, -1.0e300, 4.0],
+        // +inf meets -inf (and, under `*`, zero): the invalid operation's
+        // default NaN is the only one this cell sees.
+        vec![-1.0, f64::INFINITY, f64::NEG_INFINITY, 0.0, 1.0],
+        vec![tiny, tiny, -tiny, f64::MIN_POSITIVE, 3.0 * tiny, 0.5],
+        // Rounding depends on the association.
+        vec![0.1, 1.0e16, 1.0, -1.0e16, 0.3, 0.7, 1.0e-3, 3.0],
+    ]
+}
+
+#[test]
+fn array_reductions_merge_in_the_interpreters_association() {
+    const K: usize = 200;
+    let scenarios = reduction_scenarios();
+    let m = scenarios.len();
+    // Iteration `i` folds into cell `c = mod(i, m)`, as that cell's
+    // `i / m`-th contribution.
+    let x: Vec<f64> = (1..=K)
+        .map(|i| {
+            let folded = &scenarios[i % m][1..];
+            folded[(i / m) % folded.len()]
+        })
+        .collect();
+    // `y(j)` is cell `c = j - 1`.
+    let y: Vec<f64> = scenarios.iter().map(|s| s[0]).collect();
+    let mut engines = EngineCache::new();
+    for op in ["+", "*", "min", "max"] {
+        let src = reduction_kernel(op);
+        let p = parse_program(&src).expect("parse");
+        let bind_n = |n: usize| {
+            Bindings::new()
+                .int("n", n as i64)
+                .int("k", K as i64)
+                .int("m", m as i64)
+                .real_array("x", x.clone())
+                .real_array("y", y.clone())
+        };
+        let lp = lower(&p, &bind_n(K)).expect("lower");
+        let bc = compile(&lp, &p).expect("compile");
+        let kernel = load_or_compile(&lp, &bc).expect("AOT must build in-tree");
+        assert!(!bc.commit_order_dependent());
+        // 2 and 5 iterations leave ranks idle at T = 3, 4, 7: they take
+        // no part in the merge, not even with the identity.
+        for n in [2, 5, 61, K] {
+            for threads in [1, 3, 4, 7] {
+                check_cell(&mut engines, &p, &bc, Some(&kernel), &bind_n(n), threads)
+                    .unwrap_or_else(|e| panic!("reduction({op}: y), n={n}: {e}"));
+            }
+        }
+    }
+}
+
+// ---- the error contract of `NativeEngine::run_with` ----
+
+/// After a failed run: every array still bound, with its length; no
+/// scalar changed.
+fn assert_bindings_intact(what: &str, before: &Bindings, after: &Bindings) {
+    assert_eq!(before.real_scalars, after.real_scalars, "{what}");
+    assert_eq!(before.int_scalars, after.int_scalars, "{what}");
+    let lens = |b: &Bindings| {
+        let mut v: Vec<(String, usize)> = b
+            .real_arrays
+            .iter()
+            .map(|(n, a)| (n.clone(), a.len()))
+            .chain(b.int_arrays.iter().map(|(n, a)| (n.clone(), a.len())))
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(lens(before), lens(after), "{what}");
+}
+
+#[test]
+fn a_failed_run_leaves_bindings_and_engine_usable() {
+    // Every failure writes `s` and part of `y` first.
+    let failing = [
+        (
+            "out of bounds inside a region",
+            "  s = 9.0\n  !$omp parallel do shared(y)\n  do i = 1, n\n    y(i + 1) = 1.0\n  end do\n",
+            "out of bounds",
+        ),
+        (
+            "pop from an empty tape inside a region",
+            "  s = 9.0\n  y(1) = 5.0\n  !$omp parallel do shared(y)\n  do i = 1, n\n    \
+             call pop(y(i))\n  end do\n",
+            "pop from empty real tape",
+        ),
+        (
+            "pop from an empty tape in sequential code",
+            "  s = 9.0\n  y(1) = 5.0\n  call pop(y(2))\n",
+            "pop from empty real tape",
+        ),
+        (
+            "zero step of a region",
+            "  s = 9.0\n  y(1) = 5.0\n  !$omp parallel do shared(y)\n  do i = 1, n, z\n    \
+             y(i) = 1.0\n  end do\n",
+            "zero loop step",
+        ),
+    ];
+    let good = Bindings::new()
+        .int("n", 64)
+        .int("z", 0)
+        .real("s", 0.5)
+        .int_array("c", (1..=64).collect())
+        .real_array("y", vec![0.25; 64]);
+    let saxpy = parse_program(SAXPY).expect("parse");
+    let saxpy_bind = Bindings::new()
+        .int("n", 64)
+        .real("a", 1.7)
+        .real_array("x", (0..64).map(|k| (k as f64).sin()).collect())
+        .real_array("y", (0..64).map(|k| 1.0 / (k + 1) as f64).collect());
+    let mut saxpy_want = saxpy_bind.clone();
+    run(&saxpy, &mut saxpy_want, &Machine::with_threads(3)).expect("sim");
+    let saxpy_lp = lower(&saxpy, &saxpy_bind).expect("lower");
+    let saxpy_bc = compile(&saxpy_lp, &saxpy).expect("compile");
+    let saxpy_kernel = load_or_compile(&saxpy_lp, &saxpy_bc).expect("AOT must build in-tree");
+
+    let mut engine = NativeEngine::with_os_threads(3, 3);
+    let mut run_failing = |what: &str, body: &str, bad: Option<&Bindings>, expect: &str| {
+        let src = format!(
+            "subroutine f(n, z, s, c, y)\n  integer, intent(in) :: n, z\n  \
+             real, intent(inout) :: s\n  integer, intent(in) :: c(n)\n  \
+             real, intent(inout) :: y(n)\n  integer :: i\n{body}end subroutine\n"
+        );
+        let p = parse_program(&src).expect("parse");
+        let lp = lower(&p, &good).expect("lower");
+        let bc = compile(&lp, &p).expect("compile");
+        let aot = (!bc.regions.is_empty())
+            .then(|| load_or_compile(&lp, &bc).expect("AOT must build in-tree"));
+        let before = bad.unwrap_or(&good);
+        for kernel in [None, aot.as_deref()] {
+            let backend = if kernel.is_some() { "aot" } else { "bytecode" };
+            let what = format!("{what} [{backend}]");
+            let mut bind = before.clone();
+            let err = engine
+                .run_with(&bc, kernel, &mut bind)
+                .expect_err("the run must fail");
+            assert!(err.message.contains(expect), "{what}: {err}");
+            assert_bindings_intact(&what, before, &bind);
+            if bad.is_some() {
+                // Refused at entry: nothing was written at all.
+                assert_eq!(
+                    before.first_difference(&bind, Compare::Bitwise),
+                    None,
+                    "{what}"
+                );
+            }
+            // The engine is as good as new, on either backend.
+            for next in [None, Some(&*saxpy_kernel)] {
+                let mut got = saxpy_bind.clone();
+                engine
+                    .run_with(&saxpy_bc, next, &mut got)
+                    .unwrap_or_else(|e| panic!("{what}: the next run failed: {e}"));
+                assert_eq!(
+                    saxpy_want.first_difference(&got, Compare::Bitwise),
+                    None,
+                    "{what}: the next run"
+                );
+            }
+        }
+    };
+    for (what, body, expect) in failing {
+        run_failing(what, body, None, expect);
+    }
+    // Refused before the run starts. `c` sorts and is declared before
+    // `y`, so whichever order arrays are fetched in, a sound one comes
+    // first and must be left alone.
+    let writes_first = "  s = 9.0\n  !$omp parallel do shared(y)\n  do i = 1, n\n    \
+                        y(i) = 1.0\n  end do\n";
+    let mut short = good.clone();
+    short.real_arrays.insert("y".into(), vec![0.25; 63]);
+    run_failing(
+        "wrong-length array",
+        writes_first,
+        Some(&short),
+        "bound with 63 elements, declared 64",
+    );
+    let mut unbound = good.clone();
+    unbound.real_arrays.remove("y");
+    run_failing(
+        "unbound parameter array",
+        writes_first,
+        Some(&unbound),
+        "parameter array `y` is unbound",
+    );
+    let mut no_scalar = good.clone();
+    no_scalar.real_scalars.remove("s");
+    run_failing(
+        "unbound scalar parameter",
+        writes_first,
+        Some(&no_scalar),
+        "parameter `s` is unbound",
     );
 }
