@@ -9,7 +9,7 @@
 use formad_bench::{adjoint_bindings, ProgramVersions};
 use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
-use formad_machine::aot::generate_source;
+use formad_machine::aot::{generate_source, kernel_rustc_flags};
 use formad_machine::{
     check_cell, compile, dot_product_test_with, lower, run, run_native, Bindings, EngineCache,
     Machine,
@@ -129,7 +129,8 @@ fn all_kernels_all_disciplines_satisfy_the_contract() {
 /// captures rustc's stderr and nobody reads it, so a lint the generated
 /// `#![allow]` line does not cover is rendered, snippet and all, on every
 /// cold build. `-D warnings` over the source of every version of the five
-/// kernels turns any such lint into a failure here.
+/// kernels, under the flags of the real build, turns any such lint — an
+/// unused libm declaration, say — into a failure here.
 #[test]
 fn generated_kernels_compile_without_warnings() {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("aot-lint");
@@ -144,8 +145,8 @@ fn generated_kernels_compile_without_warnings() {
             let file = dir.join(format!("{}.rs", prog.name));
             std::fs::write(&file, src).expect("write generated source");
             let out = std::process::Command::new("rustc")
-                .args(["--edition=2021", "--crate-type=cdylib", "--emit=metadata"])
-                .args(["-D", "warnings", "--out-dir"])
+                .args(kernel_rustc_flags())
+                .args(["--emit=metadata", "-D", "warnings", "--out-dir"])
                 .arg(&dir)
                 .arg(&file)
                 .output()

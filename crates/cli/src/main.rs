@@ -898,6 +898,9 @@ fn compile_cmd(args: &Args, primal: &formad_ir::Program) -> ExitCode {
     println!("hash:    {}", kernel.hash());
     println!("regions: {}", kernel.region_count());
     println!("cdylib:  {}", kernel.lib_path().display());
+    if let Ok(meta) = std::fs::metadata(kernel.lib_path()) {
+        println!("bytes:   {}", meta.len());
+    }
     println!("source:  {}", kernel.source_path().display());
     ExitCode::SUCCESS
 }

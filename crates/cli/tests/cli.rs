@@ -699,6 +699,15 @@ fn exec_aot_backend_matches_sim_and_compile_prewarms() {
         .trim()
         .to_string();
     assert!(std::path::Path::new(&so).exists(), "missing artifact {so}");
+    // A freestanding kernel is a few KiB; with `std` linked in it was 4 MB.
+    let bytes: u64 = out
+        .lines()
+        .find_map(|l| l.strip_prefix("bytes:"))
+        .expect("bytes line")
+        .trim()
+        .parse()
+        .expect("a byte count");
+    assert!(bytes > 0 && bytes <= 64 << 10, "{bytes}-byte cdylib");
     // The warmed cache serves `exec --backend aot`, bitwise equal to sim.
     let exec = |backend: &str| {
         let (out, err, code) = run_in(&[

@@ -11,7 +11,7 @@
 // bytecode backend instead of misreading memory.
 
 /// ABI version stamped into every artifact.
-pub const FORMAD_AOT_ABI: u32 = 1;
+pub const FORMAD_AOT_ABI: u32 = 2;
 
 /// Error codes a region function may return. `0` is success; everything
 /// else maps 1:1 onto an interpreter `ExecError` message (the host owns
@@ -26,6 +26,14 @@ pub const AOT_ERR_POW_OVERFLOW: i32 = 5;
 pub const AOT_ERR_ZERO_STEP: i32 = 6;
 pub const AOT_ERR_POP_EMPTY_R: i32 = 7;
 pub const AOT_ERR_POP_EMPTY_I: i32 = 8;
+/// `i64::MIN / -1` and `mod(i64::MIN, -1)`: the one quotient an `i64`
+/// cannot hold.
+pub const AOT_ERR_DIV_OVERFLOW: i32 = 9;
+pub const AOT_ERR_MOD_OVERFLOW: i32 = 10;
+/// The host's `step` is not the literal this region was generated for.
+/// Both sides read the same lowered loop, so this marks a bug in one of
+/// them, not an error of the program being run.
+pub const AOT_ERR_STEP_MISMATCH: i32 = 11;
 
 /// One value tape (f64 or i64 elements), shared between the host `Vec`
 /// and the generated code. The dylib pushes/pops inline through

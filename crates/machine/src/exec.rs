@@ -844,6 +844,12 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
         a::AOT_ERR_ZERO_STEP => ExecError::new("zero loop step"),
         a::AOT_ERR_POP_EMPTY_R => ExecError::new("pop from empty real tape"),
         a::AOT_ERR_POP_EMPTY_I => ExecError::new("pop from empty int tape"),
+        a::AOT_ERR_DIV_OVERFLOW => ExecError::new("integer overflow in /"),
+        a::AOT_ERR_MOD_OVERFLOW => ExecError::new("integer overflow in mod"),
+        a::AOT_ERR_STEP_MISMATCH => ExecError::new(format!(
+            "AOT region was generated for a literal step other than {}",
+            env.step
+        )),
         other => ExecError::new(format!("AOT region returned unknown error code {other}")),
     }
 }
@@ -941,13 +947,15 @@ fn exec_code(
                         if y == 0 {
                             return Err(ExecError::new("integer division by zero"));
                         }
-                        x / y
+                        x.checked_div(y)
+                            .ok_or_else(|| ExecError::new("integer overflow in /"))?
                     }
                     BinOp::Mod => {
                         if y == 0 {
                             return Err(ExecError::new("mod by zero"));
                         }
-                        x % y
+                        x.checked_rem(y)
+                            .ok_or_else(|| ExecError::new("integer overflow in mod"))?
                     }
                     BinOp::Pow => {
                         if y < 0 {

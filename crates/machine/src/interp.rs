@@ -351,13 +351,15 @@ impl<'a> Interp<'a> {
                         if y == 0 {
                             return Err(ExecError::new("integer division by zero"));
                         }
-                        x / y
+                        x.checked_div(y)
+                            .ok_or_else(|| ExecError::new("integer overflow in /"))?
                     }
                     BinOp::Mod => {
                         if y == 0 {
                             return Err(ExecError::new("mod by zero"));
                         }
-                        x % y
+                        x.checked_rem(y)
+                            .ok_or_else(|| ExecError::new("integer overflow in mod"))?
                     }
                     BinOp::Pow => {
                         if y < 0 {

@@ -513,18 +513,9 @@ fn eval_const_int(e: &Expr, bind: &Bindings) -> Option<i64> {
                 BinOp::Add => a + b,
                 BinOp::Sub => a - b,
                 BinOp::Mul => a * b,
-                BinOp::Div => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a / b
-                }
-                BinOp::Mod => {
-                    if b == 0 {
-                        return None;
-                    }
-                    a % b
-                }
+                // `None` on a zero divisor and on `i64::MIN / -1`.
+                BinOp::Div => a.checked_div(b)?,
+                BinOp::Mod => a.checked_rem(b)?,
                 BinOp::Pow => {
                     if b < 0 {
                         return None;

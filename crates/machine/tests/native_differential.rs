@@ -5,10 +5,12 @@
 //! merge and the error contract of `NativeEngine::run_with` are shared
 //! with the AOT backend and held on both.
 
-use formad_ir::parse_program;
+use std::sync::Arc;
+
+use formad_ir::{parse_program, Program};
 use formad_machine::{
-    check_cell, compile, load_or_compile, lower, run, run_native, Bindings, Compare, EngineCache,
-    Machine, NativeEngine,
+    check_cell, compile, load_or_compile, lower, run, run_native, AotKernel, BcProgram, Bindings,
+    Compare, EngineCache, Machine, NativeEngine,
 };
 
 /// Run `src` under both backends at `threads`: the cell must satisfy the
@@ -44,6 +46,15 @@ fn all_threads(src: &str, bind: Bindings) {
     for threads in [1, 2, 3, 4, 8] {
         assert_backends_agree(&mut engines, src, &bind, threads);
     }
+}
+
+/// `src` compiled for `bind`'s extents, with its AOT kernel.
+fn build_aot(src: &str, bind: &Bindings) -> (Program, BcProgram, Arc<AotKernel>) {
+    let p = parse_program(src).expect("parse");
+    let lp = lower(&p, bind).expect("lower");
+    let bc = compile(&lp, &p).expect("compile");
+    let kernel = load_or_compile(&lp, &bc).expect("AOT must build in-tree");
+    (p, bc, kernel)
 }
 
 const SAXPY: &str = r#"
@@ -273,6 +284,130 @@ end subroutine
     );
 }
 
+/// Every intrinsic and both `**` on run-time operands *inside a region*,
+/// where the AOT backend runs generated code: its libm calls (`log` for
+/// `f64::ln`, `pow` for `powf` …) must be the functions the interpreters'
+/// `std` methods reach, special values included. `x` against `w` covers
+/// every pair for `**`; `min` / `max` see `w + 2.5`, because which of two
+/// operands that compare equal (`0.0` and `-0.0`) they return is
+/// unspecified.
+#[test]
+fn intrinsics_in_a_region_bitwise_on_special_values() {
+    let src = r#"
+subroutine wall(n, x, w, e, k, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n), w(n)
+  integer, intent(in) :: e(n), k(n)
+  real, intent(inout) :: y(n, 12)
+  integer :: i
+  !$omp parallel do shared(x, w, e, k, y)
+  do i = 1, n
+    y(i, 1) = sin(x(i))
+    y(i, 2) = cos(x(i))
+    y(i, 3) = exp(x(i))
+    y(i, 4) = log(x(i))
+    y(i, 5) = sqrt(x(i))
+    y(i, 6) = tanh(x(i))
+    y(i, 7) = abs(x(i))
+    y(i, 8) = min(x(i), w(i) + 2.5)
+    y(i, 9) = max(x(i), w(i) + 2.5)
+    y(i, 10) = x(i) ** w(i)
+    y(i, 11) = e(i) ** k(i)
+    y(i, 12) = abs(e(i)) + min(e(i), k(i)) * max(e(i), k(i))
+  end do
+end subroutine
+"#;
+    let specials = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f64::from_bits(1),
+        1.0e-300,
+        1.0e300,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -2.5,
+        0.5,
+    ];
+    let m = specials.len();
+    let n = m * m;
+    let bind = Bindings::new()
+        .int("n", n as i64)
+        .real_array("x", (0..n).map(|i| specials[i % m]).collect())
+        .real_array("w", (0..n).map(|i| specials[i / m]).collect())
+        .int_array("e", (0..n).map(|i| (i % 7) as i64 - 3).collect())
+        .int_array("k", (0..n).map(|i| (i / 7 % 6) as i64).collect())
+        .real_array("y", vec![0.0; n * 12]);
+    let (p, bc, kernel) = build_aot(src, &bind);
+    let mut engines = EngineCache::new();
+    for threads in [1, 3] {
+        check_cell(&mut engines, &p, &bc, Some(&kernel), &bind, threads)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Literal steps (compiled into the kernel as its stride) and a run-time
+/// one, both directions, iteration counts no thread count divides. Each
+/// loop pushes and its reversal pops, as an adjoint does, so a chunk
+/// walked from the wrong end or handed to the wrong rank meets another
+/// thread's tape; `r` folds in rank order on top of that.
+fn steps_kernel() -> String {
+    // (forward bounds and step, reversed bounds and step); `n` is odd.
+    let loops = [
+        ("1, n, 1", "n, 1, -1"),
+        ("2, n, 3", "2 + (n - 2) / 3 * 3, 2, -3"),
+        ("n, 1, -2", "1, n, 2"),
+        ("a, b, s", "a + (b - a) / s * s, a, -s"),
+    ];
+    let mut body = String::new();
+    for (forward, reversed) in loops {
+        body += &format!(
+            "  !$omp parallel do shared(x, y)\n  do i = {forward}\n    call push(y(i))\n    \
+             y(i) = y(i) * 1.5 + x(i) * i\n  end do\n  \
+             !$omp parallel do shared(x, y) private(p) reduction(+: r)\n  do i = {reversed}\n    \
+             call pop(p)\n    y(i) = y(i) - p * x(i)\n    r = r + y(i)\n  end do\n"
+        );
+    }
+    format!(
+        "subroutine steps(n, a, b, s, x, y, r)\n  integer, intent(in) :: n, a, b, s\n  \
+         real, intent(in) :: x(n)\n  real, intent(inout) :: y(n)\n  real, intent(inout) :: r\n  \
+         integer :: i\n  real :: p\n{body}end subroutine\n"
+    )
+}
+
+#[test]
+fn literal_and_run_time_steps_bitwise_on_aot() {
+    let src = steps_kernel();
+    let bind = |a: i64, b: i64, s: i64| {
+        Bindings::new()
+            .int("n", 23)
+            .int("a", a)
+            .int("b", b)
+            .int("s", s)
+            .real("r", 0.125)
+            .real_array("x", (0..23).map(|k| (k as f64 * 0.7).sin()).collect())
+            .real_array("y", (0..23).map(|k| 1.0 / (k + 3) as f64).collect())
+    };
+    // One kernel serves all three bindings: only `n` is baked in.
+    let (p, bc, kernel) = build_aot(&src, &bind(1, 23, 2));
+    let mut engines = EngineCache::new();
+    for bind in [bind(1, 23, 2), bind(22, 2, -3)] {
+        for threads in [1, 3, 4] {
+            check_cell(&mut engines, &p, &bc, Some(&kernel), &bind, threads)
+                .unwrap_or_else(|e| panic!("s={}: {e}", bind.int_scalars["s"]));
+        }
+    }
+    let zero = bind(1, 23, 0);
+    let sim = run(&p, &mut zero.clone(), &Machine::with_threads(3)).expect_err("sim");
+    let aot = NativeEngine::with_os_threads(3, 3)
+        .run_with(&bc, Some(&kernel), &mut zero.clone())
+        .expect_err("aot");
+    assert_eq!(sim.message, "zero loop step");
+    assert_eq!(aot.message, sim.message);
+}
+
 #[test]
 fn oob_error_matches() {
     let src = r#"
@@ -493,6 +628,20 @@ fn a_failed_run_leaves_bindings_and_engine_usable() {
              y(i) = 1.0\n  end do\n",
             "zero loop step",
         ),
+        // `z - 1` is -1 at run time: the one quotient an i64 cannot hold
+        // is an error of the program, not a panic of the process.
+        (
+            "i64::MIN / -1 inside a region",
+            "  s = 9.0\n  y(1) = 5.0\n  !$omp parallel do shared(y)\n  do i = 1, n\n    \
+             y(i) = (-9223372036854775807 - 1) / (z - 1)\n  end do\n",
+            "integer overflow in /",
+        ),
+        (
+            "mod(i64::MIN, -1) inside a region",
+            "  s = 9.0\n  y(1) = 5.0\n  !$omp parallel do shared(y)\n  do i = 1, n\n    \
+             y(i) = mod(-9223372036854775807 - 1, z - 1)\n  end do\n",
+            "integer overflow in mod",
+        ),
     ];
     let good = Bindings::new()
         .int("n", 64)
@@ -500,17 +649,14 @@ fn a_failed_run_leaves_bindings_and_engine_usable() {
         .real("s", 0.5)
         .int_array("c", (1..=64).collect())
         .real_array("y", vec![0.25; 64]);
-    let saxpy = parse_program(SAXPY).expect("parse");
     let saxpy_bind = Bindings::new()
         .int("n", 64)
         .real("a", 1.7)
         .real_array("x", (0..64).map(|k| (k as f64).sin()).collect())
         .real_array("y", (0..64).map(|k| 1.0 / (k + 1) as f64).collect());
+    let (saxpy, saxpy_bc, saxpy_kernel) = build_aot(SAXPY, &saxpy_bind);
     let mut saxpy_want = saxpy_bind.clone();
     run(&saxpy, &mut saxpy_want, &Machine::with_threads(3)).expect("sim");
-    let saxpy_lp = lower(&saxpy, &saxpy_bind).expect("lower");
-    let saxpy_bc = compile(&saxpy_lp, &saxpy).expect("compile");
-    let saxpy_kernel = load_or_compile(&saxpy_lp, &saxpy_bc).expect("AOT must build in-tree");
 
     let mut engine = NativeEngine::with_os_threads(3, 3);
     let mut run_failing = |what: &str, body: &str, bad: Option<&Bindings>, expect: &str| {
