@@ -124,10 +124,6 @@
 //!                      degrades the affected arrays to atomics
 //!   --deadline-ms N    hard wall-clock budget for the whole run; expiry
 //!                      is an error (exit 7), unlike per-query timeouts
-//!   --jobs N           prover worker threads (default 1: in-line, which
-//!                      measures fastest on every shipped input; 0 = one
-//!                      per available core); reports are byte-identical
-//!                      for every value
 //!   --cache-dir DIR    durable cache directory: region fingerprints are
 //!                      read through from DIR and batched back after the
 //!                      run, so a warm re-run serves unchanged regions
@@ -136,7 +132,7 @@
 //!                      byte-identical with or without it)
 //!   --trace PATH       write the structured proof trace (versioned JSON,
 //!                      schema formad-trace/v1) to PATH; its `events`
-//!                      section is byte-identical across --jobs
+//!                      section is byte-identical from run to run
 //! ```
 //!
 //! Exit codes: 0 success (a report that keeps every safeguard is still a
@@ -184,7 +180,6 @@ struct Args {
     table1: Option<String>,
     prover_timeout: Option<Duration>,
     deadline_ms: Option<u64>,
-    jobs: usize,
     /// Durable cache directory (`--cache-dir`, falling back to the
     /// `FORMAD_CACHE_DIR` env var).
     cache_dir: Option<String>,
@@ -205,7 +200,7 @@ fn usage() -> ExitCode {
          --wrt a,b --of c,d \
          [--mode formad|serial|atomic|reduction|transposed] [--no-stride] \
          [--no-contexts] [--no-increment] [--table1 NAME] \
-         [--prover-timeout-ms N] [--deadline-ms N] [--jobs N] \
+         [--prover-timeout-ms N] [--deadline-ms N] \
          [--cache-dir DIR] [--trace PATH]\n       \
          formad exec FILE [--backend sim|native|aot] [--threads N] \
          [--set k=v,...] [--seed S] [--deadline-ms N]\n       \
@@ -238,7 +233,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         table1: None,
         prover_timeout: None,
         deadline_ms: None,
-        jobs: formad::RegionOptions::default().jobs,
         cache_dir: std::env::var("FORMAD_CACHE_DIR").ok(),
         trace: None,
         backend: "sim".into(),
@@ -310,15 +304,15 @@ fn parse_args() -> Result<Args, ExitCode> {
                 k += 1;
                 args.trace = Some(rest.get(k).ok_or_else(usage)?.clone());
             }
+            // Parsed and discarded: proving is in-line, but the frozen
+            // `benchmark/src/cli.rs` still passes `--jobs 1`. Goes with
+            // ROADMAP item 10's benchmark PR.
             "--jobs" => {
                 k += 1;
                 let raw = rest.get(k).ok_or_else(usage)?;
-                match raw.parse::<usize>() {
-                    Ok(n) => args.jobs = n,
-                    Err(_) => {
-                        eprintln!("--jobs expects an integer, got `{raw}`");
-                        return Err(usage());
-                    }
+                if raw.parse::<usize>().is_err() {
+                    eprintln!("--jobs expects an integer, got `{raw}`");
+                    return Err(usage());
                 }
             }
             "--backend" => {
@@ -370,9 +364,15 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--no-stride" => args.stride = false,
             "--no-contexts" => args.contexts = false,
             "--no-increment" => args.increment = false,
-            other if !other.starts_with('-') && args.array.is_none() => {
-                // Bare positional: the array name for `explain`.
+            // Bare positional: the array name, for `explain` only.
+            other
+                if !other.starts_with('-') && args.command == "explain" && args.array.is_none() =>
+            {
                 args.array = Some(other.to_string());
+            }
+            other if !other.starts_with('-') => {
+                eprintln!("unexpected argument `{other}`");
+                return Err(usage());
             }
             other => {
                 eprintln!("unknown option `{other}`");
@@ -940,7 +940,6 @@ fn run(args: &Args, primal: &formad_ir::Program) -> ExitCode {
     opts.region.use_increment_detection = args.increment;
     opts.region.prover_timeout = args.prover_timeout;
     opts.region.deadline = args.deadline_ms.map(Deadline::in_ms);
-    opts.region.jobs = args.jobs;
     // Durable region-fingerprint index rooted at `--cache-dir` (or
     // `FORMAD_CACHE_DIR`); without one every region is analyzed.
     let disk = args.cache_dir.as_ref().map(|dir| {

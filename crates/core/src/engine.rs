@@ -392,9 +392,7 @@ end subroutine
 "#;
 
     fn opts() -> FormadOptions {
-        let mut o = FormadOptions::new(&["x"], &["y"]);
-        o.region.jobs = 1;
-        o
+        FormadOptions::new(&["x"], &["y"])
     }
 
     #[test]

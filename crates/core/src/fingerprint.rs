@@ -215,7 +215,7 @@ impl RegionRecord {
 /// Compute a region's fingerprint: a 128-bit FNV hash (hex) over the
 /// format version, the semantics-bearing analysis options, every
 /// declaration with its activity classification, and the printed loop.
-/// Budgets, timeouts, job counts, and the search core are deliberately
+/// Budgets, timeouts, and the search core are deliberately
 /// excluded — they cannot change a *definite* verdict set, and only
 /// definite regions are indexed.
 pub fn region_fingerprint(
@@ -836,7 +836,6 @@ end subroutine
         assert_ne!(f0, region_fingerprint(&prog, loops[0], &activity, &o2));
         // …while resource knobs do not.
         let o3 = RegionOptions {
-            jobs: 7,
             max_retries: 0,
             ..Default::default()
         };

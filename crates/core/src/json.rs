@@ -344,10 +344,10 @@ mod tests {
 
     #[test]
     fn round_trips_the_protocol_subset() {
-        let doc = r#"{"program":"do i = 1, n\n","wrt":["x","y"],"jobs":4,"deadline_ms":250,"degraded":false,"pi":3.25,"none":null}"#;
+        let doc = r#"{"program":"do i = 1, n\n","wrt":["x","y"],"threads":4,"deadline_ms":250,"degraded":false,"pi":3.25,"none":null}"#;
         let v = Json::parse(doc).unwrap();
         assert_eq!(v.get("wrt").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(v.get("jobs").unwrap().as_u64(), Some(4));
+        assert_eq!(v.get("threads").unwrap().as_u64(), Some(4));
         assert_eq!(v.get("degraded").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("pi").unwrap().as_f64(), Some(3.25));
         assert_eq!(v.get("none"), Some(&Json::Null));

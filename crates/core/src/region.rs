@@ -29,11 +29,10 @@
 //! (atomics stay in place) and records why; it never aborts the analysis
 //! and never produces an unsound `Shared`.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use formad_ad::{plan_transpose, RegionWrites};
@@ -173,12 +172,9 @@ pub struct RegionOptions {
     /// Fault injection for robustness tests: wraps the prover in a
     /// `ChaosSolver` (seed offset by region index).
     pub chaos: Option<ChaosConfig>,
-    /// Worker threads for per-array proofs: `1` — the default — runs
-    /// in-line on the calling thread, `0` = one per available core.
-    /// Verdicts, provenance, and report text are identical for every
-    /// value — parallelism only changes wall-clock time, and since a
-    /// query costs microseconds it loses on every measured input (spawn
-    /// and merge outweigh the proofs; DESIGN.md "Worker pool").
+    /// Read by nothing: proving is in-line on the region's one solver. The
+    /// field stays only because the frozen `benchmark/src/pipeline.rs`
+    /// assigns it; it goes with ROADMAP item 10's benchmark PR.
     pub jobs: usize,
     /// Hard wall-clock deadline for the whole analysis. Unlike
     /// `prover_timeout` (whose expiry *degrades* the affected arrays and
@@ -188,9 +184,8 @@ pub struct RegionOptions {
     pub deadline: Option<Deadline>,
     /// Structured event sink (see [`crate::trace`]). `None` — the default
     /// — records nothing and costs one branch per instrumentation site;
-    /// `Some` collects a deterministic proof trace (worker events are
-    /// buffered and merged in candidate order, so the recorded stream is
-    /// identical for every `jobs` value).
+    /// `Some` collects a deterministic proof trace (events are recorded as
+    /// they happen, in candidate order).
     pub trace: Option<TraceSink>,
     /// Which SMT search path answers the per-array queries: `Presolved`
     /// (the default) or `Flat`, the presolve-free splitter that tests
@@ -228,19 +223,6 @@ impl Default for RegionOptions {
     }
 }
 
-/// Resolve a `jobs` request against the machine, never exceeding the
-/// number of tasks there are to run.
-fn effective_jobs(requested: usize, tasks: usize) -> usize {
-    let jobs = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    jobs.min(tasks).max(1)
-}
-
 /// One translated reference.
 struct TrRef {
     terms: Vec<Term>,
@@ -274,14 +256,12 @@ pub fn analyze_region(
 /// [`analyze_region`] against a caller-provided prover (the real
 /// [`Solver`] or a fault-injecting [`ChaosSolver`]).
 ///
-/// Phase 1 (knowledge extraction and the per-context satisfiability
-/// safeguard) runs on the calling thread against `solver`. Phase 2 forks
-/// one worker solver per candidate array (salted by candidate order, so
-/// results do not depend on thread scheduling) and fans the per-array
-/// proofs out over [`RegionOptions::jobs`] scoped threads; outcomes are
-/// merged back in candidate order, making reports byte-identical for any
-/// job count.
-pub fn analyze_region_with<S: SolverApi + Send>(
+/// Both phases run on the calling thread against `solver`, the paper's
+/// one solver per parallel loop driven by `push` / `pop` (`testVar`, §5):
+/// phase 1 extracts the knowledge and checks it satisfiable per context,
+/// phase 2 walks the candidate arrays in sorted order and decides each
+/// where it is met.
+pub fn analyze_region_with<S: SolverApi>(
     prog: &Program,
     l: &ForLoop,
     region: usize,
@@ -558,13 +538,14 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     candidates.sort_unstable();
     candidates.dedup();
     static EMPTY: Vec<TrRef> = Vec::new();
-    // Arrays with an immediate decision are settled in-line; the rest
-    // become proof tasks for the worker pool below. `chunks` remembers, in
-    // candidate order, whether each decided array was settled here
-    // (`Ready`) or by proof task `i` (`Task`), so trace events can be
-    // flushed in candidate order after the fan-out.
-    let mut tasks: Vec<ProofTask<'_, S>> = Vec::new();
-    let mut chunks: Vec<TraceChunk> = Vec::new();
+    // The transposition plan is only read when an array's shared proof
+    // finds a conflict, so it is built there; the body scan it starts
+    // from is the same for every array of the region.
+    let region_writes: OnceCell<RegionWrites> = OnceCell::new();
+    let plan_transposed = |array: &str| {
+        let writes = region_writes.get_or_init(|| RegionWrites::scan(l));
+        transpose_queries(prog, l, writes, array, activity, &tr)
+    };
     for &array in &candidates {
         let trefs = by_array.get(array).unwrap_or(&EMPTY);
         if prog.ty_of(array) != Some(Ty::Real) {
@@ -575,31 +556,12 @@ pub fn analyze_region_with<S: SolverApi + Send>(
         }
         if race_detected {
             let d = Decision::Guarded("primal race suspected; all safeguards kept".into());
-            if sink.is_some() {
-                chunks.push(TraceChunk::Ready(decision_event(
-                    region,
-                    array,
-                    &d,
-                    race_provenance,
-                )));
-            }
-            out.decisions.insert(array.to_string(), d);
-            out.provenance.insert(array.to_string(), race_provenance);
+            settle(&mut out, sink, array, d, race_provenance);
             continue;
         }
         if let Some(reason) = tainted_arrays.get(array) {
             let d = Decision::Guarded(reason.clone());
-            if sink.is_some() {
-                chunks.push(TraceChunk::Ready(decision_event(
-                    region,
-                    array,
-                    &d,
-                    Provenance::Refuted,
-                )));
-            }
-            out.decisions.insert(array.to_string(), d);
-            out.provenance
-                .insert(array.to_string(), Provenance::Refuted);
+            settle(&mut out, sink, array, d, Provenance::Refuted);
             continue;
         }
         // Adjoint reference sets derived from the primal ones (§5.4).
@@ -635,133 +597,40 @@ pub fn analyze_region_with<S: SolverApi + Send>(
 
         if q_writes.is_empty() {
             // Adjoint only reads this array: trivially shared.
-            if sink.is_some() {
-                chunks.push(TraceChunk::Ready(decision_event(
-                    region,
-                    array,
-                    &Decision::Shared,
-                    Provenance::Proved,
-                )));
-            }
-            out.decisions.insert(array.to_string(), Decision::Shared);
-            out.provenance.insert(array.to_string(), Provenance::Proved);
+            settle(&mut out, sink, array, Decision::Shared, Provenance::Proved);
             continue;
         }
 
-        // Needs proving: fork a worker solver for the fan-out. The fork
-        // salt is the *candidate* index (not the worker id), so derived
-        // state — e.g. a `ChaosSolver`'s fault stream — depends only on
-        // which array is being proven, never on thread scheduling.
-        let salt = tasks.len() as u64;
-        let worker = solver.fork(salt);
-        if sink.is_some() {
-            chunks.push(TraceChunk::Task(tasks.len()));
-        }
-        tasks.push(ProofTask {
-            array: array.to_string(),
+        let task = ProofTask {
+            array,
             region,
-            trace: sink.is_some(),
             q_writes,
             q_all,
-            solver: worker,
-        });
-    }
-    // The transposition plan is only read when an array's shared proof
-    // finds a conflict, so it is built there; the body scan it starts
-    // from is the same for every array of the region.
-    let region_writes: OnceLock<RegionWrites> = OnceLock::new();
-    let plan_transposed = |array: &str| {
-        let writes = region_writes.get_or_init(|| RegionWrites::scan(l));
-        transpose_queries(prog, l, writes, array, activity, &tr)
-    };
-
-    // ------------------------------------------------------------------
-    // Parallel per-array proof fan-out.
-    // ------------------------------------------------------------------
-    let safe_exprs = out.safe_write_exprs.clone();
-    let jobs = effective_jobs(opts.jobs, tasks.len());
-    let results: Vec<Mutex<Option<ArrayOutcome>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
-    let cells: Vec<Mutex<Option<ProofTask<'_, S>>>> =
-        tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let next = AtomicUsize::new(0);
-    let drain = || loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= cells.len() {
-            break;
-        }
-        let task = cells[idx].lock().ok().and_then(|mut c| c.take());
-        let Some(mut task) = task else { continue };
+        };
         let outcome = run_proof_task(
-            &mut task,
+            &task,
+            solver,
             &roots,
             &facts,
             &fact_keys,
             &contexts,
             &tr,
             &plan_transposed,
-            &safe_exprs,
+            &out.safe_write_exprs,
             opts,
         );
-        if let Ok(mut slot) = results[idx].lock() {
-            *slot = Some(outcome);
-        }
-    };
-    if jobs <= 1 {
-        drain();
-    } else {
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|_| drain());
-            }
-        })
-        .expect("prover worker pool");
-    }
-
-    // Merge outcomes in candidate order — reports are byte-identical to a
-    // sequential run regardless of `jobs`.
-    let mut task_trace: Vec<Vec<TraceEvent>> = Vec::new();
-    for slot in &results {
-        let mut outcome = slot
-            .lock()
-            .expect("proof worker poisoned a result slot")
-            .take()
-            .expect("every proof task produces an outcome");
-        if sink.is_some() {
-            let mut evs = std::mem::take(&mut outcome.events);
-            evs.push(decision_event(
-                region,
-                &outcome.array,
-                &outcome.decision,
-                outcome.provenance,
-            ));
-            task_trace.push(evs);
-        }
-        out.decisions
-            .insert(outcome.array.clone(), outcome.decision);
-        out.provenance.insert(outcome.array, outcome.provenance);
-        if let Some(r) = outcome.rejected {
-            out.rejected_exprs.push(r);
-        }
+        settle(&mut out, sink, array, outcome.decision, outcome.provenance);
+        out.rejected_exprs.extend(outcome.rejected);
         out.warnings.extend(outcome.warnings);
         out.recovered_panics += outcome.recovered_panics;
-        out.stats.merge(&outcome.stats);
     }
+    // The retry ladder escalates the budget on the caller's solver.
     solver.set_budget(opts.budget);
 
-    let phase1 = solver.stats();
-    out.stats.merge(&phase1);
+    out.stats = solver.stats();
     out.queries = out.stats.checks;
     out.time = started.elapsed();
-    // Flush the deterministic trace: immediate decisions and worker
-    // buffers interleave exactly in candidate order, for every job count.
     if let Some(s) = sink {
-        for chunk in chunks {
-            match chunk {
-                TraceChunk::Ready(ev) => s.record(ev),
-                TraceChunk::Task(i) => s.extend(std::mem::take(&mut task_trace[i])),
-            }
-        }
         s.record(TraceEvent::Phase {
             id: format!("r{region}/phase/prove"),
             dur_us: phase_mark.elapsed().as_micros() as u64,
@@ -776,11 +645,19 @@ pub fn analyze_region_with<S: SolverApi + Send>(
     out
 }
 
-/// Trace bookkeeping for one candidate array: either a single immediate
-/// `Decision` event, or a reference to proof task `i`'s event buffer.
-enum TraceChunk {
-    Ready(TraceEvent),
-    Task(usize),
+/// Record one array's decision in the region's output and its trace.
+fn settle(
+    out: &mut RegionAnalysis,
+    sink: Option<&TraceSink>,
+    array: &str,
+    d: Decision,
+    p: Provenance,
+) {
+    if let Some(s) = sink {
+        s.record(decision_event(out.region, array, &d, p));
+    }
+    out.decisions.insert(array.to_string(), d);
+    out.provenance.insert(array.to_string(), p);
 }
 
 /// Render a per-array decision as a trace event.
@@ -814,7 +691,7 @@ fn verdict_str(r: &SatResult) -> String {
 }
 
 /// The gather-disjointness obligations of a transposed-scatter plan,
-/// lowered into prover tuples at the coordinator (every index is
+/// lowered into prover tuples (every index is
 /// loop-invariant apart from the counter, so the entry node's instance
 /// numbering applies). `None` whenever the scatter map is not invertible
 /// or some obligation index does not translate — the array then stays on
@@ -865,56 +742,49 @@ fn transpose_queries(
     })
 }
 
-/// One candidate array whose adjoint conflict pairs need proving, bundled
-/// with the worker solver forked for it.
-struct ProofTask<'a, S> {
-    array: String,
+/// One candidate array whose adjoint conflict pairs need proving.
+struct ProofTask<'a> {
+    array: &'a str,
     region: usize,
-    trace: bool,
     q_writes: Vec<(&'a [Term], CtxId, bool)>,
     q_all: Vec<(&'a [Term], CtxId)>,
-    solver: S,
 }
 
 /// The `(site, w, e)` triples for which the fact `primed(w) ≠ e` is in
 /// the knowledge base verbatim.
 type FactKeys<'a> = FxHashSet<(CtxId, &'a [Term], &'a [Term])>;
 
-/// The decision a proof task produced, with everything the coordinator
-/// needs to merge deterministically.
+/// What a proof task decided and what it has to add to the region's
+/// output.
 struct ArrayOutcome {
-    array: String,
     decision: Decision,
     provenance: Provenance,
     rejected: Option<String>,
     warnings: Vec<String>,
     recovered_panics: u64,
-    stats: SolverStats,
-    /// Worker-buffered trace events (empty when tracing is off); the
-    /// coordinator flushes them in candidate order.
-    events: Vec<TraceEvent>,
 }
 
-/// Per-task trace state: the worker's private event buffer plus the
-/// sequence counters that keep span ids unique across retry attempts.
-struct TaskTracer {
+/// Per-task trace state: the region's sink plus the sequence counters
+/// that keep span ids unique across retry attempts.
+struct TaskTracer<'a> {
+    sink: &'a TraceSink,
     region: usize,
     array: String,
     attempt: u32,
     qseq: usize,
     sseq: usize,
-    events: Vec<TraceEvent>,
 }
 
-/// Run the escalating-budget retry ladder for one array on its worker
-/// solver. This is the panic-isolated unit of work the fan-out schedules;
-/// the cheap pass runs first and only `Unknown(Budget)` outcomes are
-/// re-proven with larger counters. A deadline/cancellation trip is final
-/// (a bigger budget cannot beat the clock), and a panic consumes the
-/// attempt but leaves the solver usable via `reset_to_base`.
+/// Run the escalating-budget retry ladder for one array on the region's
+/// solver. This is the panic-isolated unit of work: the cheap pass runs
+/// first and only `Unknown(Budget)` outcomes are re-proven with larger
+/// counters. A deadline/cancellation trip is final (a bigger budget
+/// cannot beat the clock), and a panic consumes the attempt but leaves
+/// the solver balanced for the next array via `reset_to_base`.
 #[allow(clippy::too_many_arguments)]
 fn run_proof_task<S: SolverApi>(
-    task: &mut ProofTask<'_, S>,
+    task: &ProofTask<'_>,
+    solver: &mut S,
     roots: &[InternedFormula],
     facts: &[(CtxId, InternedFormula)],
     fact_keys: &FactKeys<'_>,
@@ -924,21 +794,23 @@ fn run_proof_task<S: SolverApi>(
     safe_write_exprs: &[String],
     opts: &RegionOptions,
 ) -> ArrayOutcome {
-    let array = task.array.clone();
-    let mut tracer = task.trace.then(|| TaskTracer {
-        region: task.region,
-        array: array.clone(),
-        attempt: 0,
-        qseq: 0,
-        sseq: 0,
-        events: vec![TraceEvent::ArrayBegin {
+    let array = task.array;
+    let mut tracer = opts.trace.as_ref().map(|sink| {
+        sink.record(TraceEvent::ArrayBegin {
             region: task.region,
-            array: array.clone(),
+            array: array.to_string(),
             writes: task.q_writes.len(),
             entries: task.q_all.len(),
-        }],
+        });
+        TaskTracer {
+            sink,
+            region: task.region,
+            array: array.to_string(),
+            attempt: 0,
+            qseq: 0,
+            sseq: 0,
+        }
     });
-    let solver = &mut task.solver;
     let mut budget = opts.budget;
     let mut panics_here = 0u32;
     let mut last_failure = StopReason::Budget;
@@ -972,7 +844,7 @@ fn run_proof_task<S: SolverApi>(
             )
         }));
         if let Some(t) = tracer.as_mut() {
-            t.events.push(TraceEvent::Attempt {
+            t.sink.record(TraceEvent::Attempt {
                 region: t.region,
                 array: t.array.clone(),
                 attempt,
@@ -1008,7 +880,7 @@ fn run_proof_task<S: SolverApi>(
                 // gather-disjointness obligation is UNSAT, plain
                 // increments over owned elements are safe.
                 let mut transposed: Option<Decision> = None;
-                if let Some(tq) = &plan_transposed(&array) {
+                if let Some(tq) = &plan_transposed(array) {
                     let proof = catch_unwind(AssertUnwindSafe(|| {
                         prove_transpose(&mut *solver, roots, facts, contexts, tr, tq, &mut tracer)
                     }));
@@ -1080,14 +952,11 @@ fn run_proof_task<S: SolverApi>(
         ),
     });
     ArrayOutcome {
-        array,
         decision,
         provenance,
         rejected,
         warnings,
         recovered_panics: u64::from(panics_here),
-        stats: solver.stats(),
-        events: tracer.map(|t| t.events).unwrap_or_default(),
     }
 }
 
@@ -1108,42 +977,45 @@ fn prove_transpose<S: SolverApi>(
     contexts: &Contexts,
     tr: &Translator<'_>,
     tq: &TransposeQueries,
-    tracer: &mut Option<TaskTracer>,
+    tracer: &mut Option<TaskTracer<'_>>,
 ) -> bool {
-    let check_pair =
-        |solver: &mut S, seed: &[Term], other: &[Term], tracer: &mut Option<TaskTracer>| -> bool {
-            let q = match Formula::tuple_eq(seed, other, solver.table_mut()) {
-                Ok(q) => q,
-                Err(_) => return false,
-            };
-            solver.push();
-            solver.assert(q);
-            let before = tracer.as_ref().map(|_| (solver.stats(), Instant::now()));
-            let r = solver.check();
-            if let Some(t) = tracer.as_mut() {
-                let (since, t0) = before.expect("stats snapshot taken when tracing");
-                let d = solver.stats().delta(&since);
-                t.events.push(TraceEvent::Query {
-                    region: t.region,
-                    array: t.array.clone(),
-                    seq: t.qseq,
-                    attempt: t.attempt,
-                    write: render_tuple(other),
-                    entry: render_tuple(seed),
-                    verdict: verdict_str(&r),
-                    perf: QueryPerf {
-                        dur_us: t0.elapsed().as_micros() as u64,
-                        lia_calls: d.lia_calls,
-                        branches: d.branches,
-                        propagations: d.propagations,
-                        conflicts: d.conflicts,
-                    },
-                });
-                t.qseq += 1;
-            }
-            solver.pop();
-            matches!(r, SatResult::Unsat)
+    let check_pair = |solver: &mut S,
+                      seed: &[Term],
+                      other: &[Term],
+                      tracer: &mut Option<TaskTracer<'_>>|
+     -> bool {
+        let q = match Formula::tuple_eq(seed, other, solver.table_mut()) {
+            Ok(q) => q,
+            Err(_) => return false,
         };
+        solver.push();
+        solver.assert(q);
+        let before = tracer.as_ref().map(|_| (solver.stats(), Instant::now()));
+        let r = solver.check();
+        if let Some(t) = tracer.as_mut() {
+            let (since, t0) = before.expect("stats snapshot taken when tracing");
+            let d = solver.stats().delta(&since);
+            t.sink.record(TraceEvent::Query {
+                region: t.region,
+                array: t.array.clone(),
+                seq: t.qseq,
+                attempt: t.attempt,
+                write: render_tuple(other),
+                entry: render_tuple(seed),
+                verdict: verdict_str(&r),
+                perf: QueryPerf {
+                    dur_us: t0.elapsed().as_micros() as u64,
+                    lia_calls: d.lia_calls,
+                    branches: d.branches,
+                    propagations: d.propagations,
+                    conflicts: d.conflicts,
+                },
+            });
+            t.qseq += 1;
+        }
+        solver.pop();
+        matches!(r, SatResult::Unsat)
+    };
 
     // Cross-iteration obligations share the roots and root-usable facts.
     solver.push();
@@ -1219,7 +1091,7 @@ fn prove_array<S: SolverApi>(
     q_writes: &[(&[Term], CtxId, bool)],
     q_all: &[(&[Term], CtxId)],
     safe_write_exprs: &[String],
-    tracer: &mut Option<TaskTracer>,
+    tracer: &mut Option<TaskTracer<'_>>,
 ) -> ArrayProof {
     let mut unknown: Option<StopReason> = None;
     // Base frame: the roots hold for every pair of this array.
@@ -1229,7 +1101,7 @@ fn prove_array<S: SolverApi>(
     }
     // Group pairs by the set of fact indices usable at their common
     // context. Groups keep first-encounter order, so proofs run in the
-    // same order on every machine and job count. The usable sites, and
+    // same order on every machine. The usable sites, and
     // with them the fact group, depend only on the two contexts, so both
     // are worked out once per context pair, not once per tuple pair.
     struct CtxPair {
@@ -1254,7 +1126,7 @@ fn prove_array<S: SolverApi>(
                 let known = |site: &CtxId| fact_keys.contains(&(*site, w_terms, e_terms));
                 if ctx_pair.usable.iter().any(known) {
                     if let Some(t) = tracer.as_mut() {
-                        t.events.push(TraceEvent::PairSkipped {
+                        t.sink.record(TraceEvent::PairSkipped {
                             region: t.region,
                             array: t.array.clone(),
                             seq: t.sseq,
@@ -1322,7 +1194,7 @@ fn prove_array<S: SolverApi>(
             if let Some(t) = tracer.as_mut() {
                 let (since, t0) = before.expect("stats snapshot taken when tracing");
                 let d = solver.stats().delta(&since);
-                t.events.push(TraceEvent::Query {
+                t.sink.record(TraceEvent::Query {
                     region: t.region,
                     array: t.array.clone(),
                     seq: t.qseq,

@@ -12,9 +12,9 @@
 //!   Every event has a span-style id (`r0`, `r0/grad`, `r0/grad/q3`);
 //!   `perf` entries reference those ids and carry wall-clock durations,
 //!   SMT stats deltas, and whether the fingerprint index answered. The
-//!   `events` section is byte-identical for every `--jobs` value —
-//!   workers buffer their events locally and the coordinator merges the
-//!   buffers in candidate order — while `perf` is allowed to vary.
+//!   `events` section is byte-identical from run to run — the analysis is
+//!   single-threaded and records events as they happen, arrays in sorted
+//!   order — while `perf` is allowed to vary.
 //! * [`explain`] — a human-readable proof narrative per array (the
 //!   `formad explain` subcommand).
 //! * [`validate_trace`] — schema validation of an emitted document (a
@@ -35,7 +35,7 @@ use crate::json::Json;
 pub const TRACE_SCHEMA: &str = "formad-trace/v1";
 
 /// Volatile per-query measurements: everything about a prover call that
-/// may legitimately differ between runs or job counts.
+/// may legitimately differ between runs.
 /// Rendered into the `perf` section only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QueryPerf {
@@ -435,10 +435,9 @@ impl TraceEvent {
     }
 }
 
-/// Shared, clonable event collector. Workers buffer events privately and
-/// the coordinator [`TraceSink::extend`]s the buffers in candidate order,
-/// so the recorded stream is deterministic for every job count; the
-/// mutex is only ever contended at merge points, never per event.
+/// Shared, clonable event collector: the caller keeps one handle and the
+/// analysis records into another. One analysis records from one thread, so
+/// the mutex is never contended.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     inner: Arc<Mutex<Vec<TraceEvent>>>,
@@ -454,13 +453,6 @@ impl TraceSink {
     pub fn record(&self, e: TraceEvent) {
         if let Ok(mut v) = self.inner.lock() {
             v.push(e);
-        }
-    }
-
-    /// Append a worker's buffered events in order.
-    pub fn extend(&self, events: Vec<TraceEvent>) {
-        if let Ok(mut v) = self.inner.lock() {
-            v.extend(events);
         }
     }
 
@@ -545,7 +537,7 @@ impl JObj {
 }
 
 /// The deterministic `events` section alone (one JSON array). Tests use
-/// this to assert byte-identity across `--jobs`.
+/// this to assert byte-identity across runs, cache tiers and search cores.
 pub fn deterministic_json(events: &[TraceEvent]) -> String {
     let mut s = String::from("[\n");
     for (k, e) in events.iter().enumerate() {

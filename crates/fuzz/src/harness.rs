@@ -24,7 +24,7 @@ pub struct FuzzConfig {
     pub cases: u64,
     /// Program-shape knobs.
     pub gen: GenConfig,
-    /// Oracle knobs (threads, jobs, FD tolerances, poison hook).
+    /// Oracle knobs (threads, FD tolerances, poison hook).
     pub oracle: OracleConfig,
     /// Directory for reproducer files (`None` = don't write).
     pub corpus: Option<PathBuf>,

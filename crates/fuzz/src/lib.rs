@@ -9,7 +9,7 @@
 //!   near the provable/unprovable boundary;
 //! - [`oracle`] — the differential harness: one generated case is
 //!   pushed through the full pipeline and every independent oracle pair
-//!   is cross-checked (verdicts across search cores / jobs / a durable index,
+//!   is cross-checked (verdicts across search cores / a durable index,
 //!   trace validity, the concrete brute-force footprint check, the
 //!   execution backends' determinism contract at every thread count,
 //!   adjoint-vs-FD);

@@ -16,20 +16,18 @@
 //!    `y = e + y` prints as `y += e` and returns as `y = y + e`.)
 //! 3. `Trace` — every collected proof trace must pass
 //!    [`formad::validate_trace`].
-//! 4. `Jobs` — the analysis report (wall-clock stripped) and the
-//!    deterministic trace JSON must be byte-identical with `jobs > 1`.
-//! 5. `Persistence` — a cold-then-warm pass against a durable tempdir
+//! 4. `Persistence` — a cold-then-warm pass against a durable tempdir
 //!    cache must keep the report byte-identical, and when the cold pass
 //!    decided everything (no unknowns, no recovered panics) the warm
 //!    pass must do zero fresh lia calls: every region replays from the
 //!    on-disk fingerprint index.
-//! 6. `CrossCore` — the flat, presolve-free search core must produce
+//! 5. `CrossCore` — the flat, presolve-free search core must produce
 //!    the same report as the default one. An injected [`ChaosConfig`]
 //!    poisons only this run, which is how the acceptance test proves
 //!    the fuzzer catches an oracle bug.
-//! 7. `Brute` — concrete adjoint footprints must not contradict a
+//! 6. `Brute` — concrete adjoint footprints must not contradict a
 //!    `Shared` verdict (see [`crate::footprint`]).
-//! 8. `ExecBitwise` — primal and all four adjoint disciplines must
+//! 7. `ExecBitwise` — primal and all four adjoint disciplines must
 //!    satisfy the determinism contract ([`formad_machine::differential`])
 //!    across {sim, bytecode, aot} at every thread count: programs with no
 //!    shared atomic increment bitwise on real OS workers, the others
@@ -37,14 +35,14 @@
 //!    reduction-free primals additionally bitwise across thread counts
 //!    (guarded adjoints reassociate with the schedule, so cross-count
 //!    identity is not an invariant for them).
-//! 9. `Fd` — the FormAD adjoint must pass the dot-product test against
+//! 8. `Fd` — the FormAD adjoint must pass the dot-product test against
 //!    central finite differences.
 
 use std::fmt;
 
 use formad::{
-    deterministic_json, full_report, trace_json, validate_trace, Decision, Formad, FormadAnalysis,
-    FormadOptions, IncMode, ParallelTreatment, SearchCore, TraceSink,
+    full_report, trace_json, validate_trace, Decision, Formad, FormadAnalysis, FormadOptions,
+    IncMode, ParallelTreatment, SearchCore, TraceSink,
 };
 use formad_ir::{validate, Program, SourceFlavor};
 use formad_machine::{
@@ -65,8 +63,6 @@ pub enum OracleId {
     RoundTrip,
     /// A proof trace failed `validate_trace`.
     Trace,
-    /// Report or deterministic trace changed under `jobs`.
-    Jobs,
     /// Durable-cache warm pass changed the report or did fresh work.
     Persistence,
     /// The flat oracle and the default search core disagree.
@@ -86,7 +82,6 @@ impl OracleId {
             OracleId::Pipeline => "pipeline",
             OracleId::RoundTrip => "round-trip",
             OracleId::Trace => "trace",
-            OracleId::Jobs => "jobs",
             OracleId::Persistence => "persistence",
             OracleId::CrossCore => "cross-core",
             OracleId::Brute => "brute",
@@ -101,7 +96,6 @@ impl OracleId {
             "pipeline" => OracleId::Pipeline,
             "round-trip" => OracleId::RoundTrip,
             "trace" => OracleId::Trace,
-            "jobs" => OracleId::Jobs,
             "persistence" => OracleId::Persistence,
             "cross-core" => OracleId::CrossCore,
             "brute" => OracleId::Brute,
@@ -146,8 +140,6 @@ pub struct OracleConfig {
     /// Thread counts for the execution cross-check; the first entry is
     /// the reference schedule.
     pub threads: Vec<usize>,
-    /// Extra worker count for the jobs-invariance check.
-    pub jobs: usize,
     /// Also build and run the AOT kernel (one `rustc` invocation per
     /// program — expensive; the harness samples it).
     pub check_aot: bool,
@@ -164,7 +156,6 @@ impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
             threads: vec![1, 3],
-            jobs: 2,
             check_aot: false,
             fd_h: 1e-6,
             fd_tol: 1e-4,
@@ -256,39 +247,19 @@ fn round_trip(flavor: SourceFlavor, what: &str, p: &Program) -> Result<Program, 
     Ok(back)
 }
 
-/// Analysis outcome of one knob setting: the analysis itself, the
-/// stripped report, and (when requested) the deterministic trace
-/// events plus their rendered JSON.
-type AnalyzedVariant = (
-    FormadAnalysis,
-    String,
-    Option<(Vec<formad::TraceEvent>, String)>,
-);
-
-/// One analysis run with the given knobs; returns the stripped report
-/// and (optionally) the deterministic trace JSON.
+/// One analysis run with the given knobs; returns the stripped report.
 fn analyze_variant(
     case: &FuzzCase,
-    jobs: usize,
     core: SearchCore,
     chaos: Option<ChaosConfig>,
-    want_trace: bool,
-) -> Result<AnalyzedVariant, String> {
+) -> Result<String, String> {
     let mut opts = options(case);
-    opts.region.jobs = jobs;
     opts.region.search_core = core;
     opts.region.chaos = chaos;
-    let sink = want_trace.then(TraceSink::new);
-    opts.region.trace = sink.clone();
-    let tool = Formad::new(opts);
-    let analysis = tool.analyze(&case.program).map_err(|e| e.to_string())?;
-    let report = strip_times(&full_report(&case.program.name, &analysis));
-    let trace = sink.map(|s| {
-        let events = s.snapshot();
-        let det = deterministic_json(&events);
-        (events, det)
-    });
-    Ok((analysis, report, trace))
+    let analysis = Formad::new(opts)
+        .analyze(&case.program)
+        .map_err(|e| e.to_string())?;
+    Ok(strip_times(&full_report(&case.program.name, &analysis)))
 }
 
 /// Run every oracle over one case. `Err` is the first divergence found.
@@ -320,20 +291,16 @@ pub fn run_case(
         .bindings()
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("bind failed: {e}")))?;
 
-    // 4. Reference analysis (default core, jobs=1, traced). The
-    //    adjoint comes from a separate untraced pipeline run so the
-    //    reference trace covers exactly what the variant runs record.
+    // 4. Reference analysis (default core, traced); the adjoint comes
+    //    from a separate untraced pipeline run.
     let mut opts = options(case);
-    opts.region.jobs = 1;
     let sink = TraceSink::new();
     opts.region.trace = Some(sink.clone());
     let analysis = Formad::new(opts)
         .analyze(prog)
         .map_err(|e| Divergence::new(OracleId::Pipeline, format!("analyze failed: {e}")))?;
-    let ref_events = sink.snapshot();
-    validate_trace(&trace_json(&ref_events))
+    validate_trace(&trace_json(&sink.snapshot()))
         .map_err(|e| Divergence::new(OracleId::Trace, format!("reference trace invalid: {e}")))?;
-    let ref_det = deterministic_json(&ref_events);
     let ref_report = strip_times(&full_report(&prog.name, &analysis));
     let tool = Formad::new(options(case));
     let diff = tool
@@ -345,11 +312,10 @@ pub fn run_case(
     for flavor in SourceFlavor::ALL {
         round_trip(flavor, "adjoint", &diff.adjoint)?;
     }
-    let (_, c_report, _) = analyze_variant(&c_routed, 1, SearchCore::Presolved, None, false)
-        .map_err(|e| {
-            let detail = format!("C-routed primal: analysis failed: {e}");
-            Divergence::new(OracleId::RoundTrip, detail)
-        })?;
+    let c_report = analyze_variant(&c_routed, SearchCore::Presolved, None).map_err(|e| {
+        let detail = format!("C-routed primal: analysis failed: {e}");
+        Divergence::new(OracleId::RoundTrip, detail)
+    })?;
     if c_report != ref_report {
         return Err(Divergence::new(
             OracleId::RoundTrip,
@@ -371,30 +337,7 @@ pub fn run_case(
         }
     }
 
-    // 5. Jobs-invariance (report and deterministic trace).
-    {
-        let (_, report, trace) =
-            analyze_variant(case, cfg.jobs.max(2), SearchCore::Presolved, None, true).map_err(
-                |e| Divergence::new(OracleId::Jobs, format!("jobs analysis failed: {e}")),
-            )?;
-        if report != ref_report {
-            return Err(Divergence::new(
-                OracleId::Jobs,
-                first_diff("report (jobs)", &ref_report, &report),
-            ));
-        }
-        let (events, det) = trace.expect("trace requested");
-        validate_trace(&trace_json(&events))
-            .map_err(|e| Divergence::new(OracleId::Trace, format!("jobs trace invalid: {e}")))?;
-        if det != ref_det {
-            return Err(Divergence::new(
-                OracleId::Jobs,
-                first_diff("deterministic trace (jobs)", &ref_det, &det),
-            ));
-        }
-    }
-
-    // 5b. Persistence: cold-then-warm against a durable tempdir cache.
+    // 5. Persistence: cold-then-warm against a durable tempdir cache.
     //     The report must stay byte-identical in both passes, and a
     //     fully-decided cold pass (every region eligible for the
     //     fingerprint index) makes the warm pass free: zero lia calls.
@@ -410,7 +353,6 @@ pub fn run_case(
         let run_pass = |label: &str| -> Result<(FormadAnalysis, String), Divergence> {
             let engine = formad::SharedEngine::with_cache_dir(&dir);
             let mut opts = options(case);
-            opts.region.jobs = 1;
             opts.region.fingerprints = engine.fingerprints().cloned();
             let a = Formad::new(opts).analyze(prog).map_err(|e| {
                 Divergence::new(
@@ -457,8 +399,8 @@ pub fn run_case(
     }
 
     // 6. Cross-core: the flat oracle (possibly poisoned) must agree.
-    match analyze_variant(case, 1, SearchCore::Flat, cfg.poison_legacy.clone(), false) {
-        Ok((_, report, _)) => {
+    match analyze_variant(case, SearchCore::Flat, cfg.poison_legacy.clone()) {
+        Ok(report) => {
             if report != ref_report {
                 return Err(Divergence::new(
                     OracleId::CrossCore,

@@ -87,7 +87,6 @@ impl Reproducer {
             "! threads: {}\n",
             fmt_usizes(&self.config.threads)
         ));
-        s.push_str(&format!("! jobs: {}\n", self.config.jobs));
         s.push_str(&format!("! aot: {}\n", self.config.check_aot));
         s.push_str(&format!("! fd-h: {}\n", self.config.fd_h));
         s.push_str(&format!("! fd-tol: {}\n", self.config.fd_tol));
@@ -160,7 +159,6 @@ impl Reproducer {
                         .map(|t| t.parse().map_err(|e| format!("threads: {e}")))
                         .collect::<Result<_, _>>()?;
                 }
-                "jobs" => config.jobs = value.parse().map_err(|e| format!("jobs: {e}"))?,
                 "aot" => config.check_aot = value == "true",
                 "fd-h" => config.fd_h = value.parse().map_err(|e| format!("fd-h: {e}"))?,
                 "fd-tol" => {

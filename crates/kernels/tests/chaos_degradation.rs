@@ -14,8 +14,8 @@
 
 use std::time::Duration;
 
-use formad::{Decision, Formad, FormadAnalysis, FormadOptions};
-use formad_kernels::{GfmcCase, GreenGaussCase, StencilCase};
+use formad::{Decision, Formad, FormadAnalysis, FormadOptions, Provenance};
+use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
 use formad_machine::{dot_product_test, Bindings, Machine};
 use formad_smt::ChaosConfig;
 use rand::rngs::StdRng;
@@ -28,13 +28,9 @@ fn rand_vec(seed: u64, n: usize) -> Vec<f64> {
     (0..n).map(|_| r.gen_range(-1.0..1.0)).collect()
 }
 
-/// Hostile but survivable fault rates: 20% panics, 25% unknowns. The
-/// proofs run on a 4-worker pool so every degradation path is exercised
-/// under parallelism too — per-task fault-stream salting keeps the runs
-/// reproducible regardless of scheduling.
+/// Hostile but survivable fault rates: 20% panics, 25% unknowns.
 fn chaos_options(independents: &[&str], dependents: &[&str], seed: u64) -> FormadOptions {
     let mut o = FormadOptions::new(independents, dependents);
-    o.region.jobs = 4;
     o.region.chaos = Some(ChaosConfig {
         seed,
         panic_per_mille: 200,
@@ -213,7 +209,6 @@ fn total_prover_failure_still_produces_correct_adjoint() {
     let primal = c.ir();
     let base = c.bindings(11);
     let mut opts = FormadOptions::new(StencilCase::independents(), StencilCase::dependents());
-    opts.region.jobs = 4;
     opts.region.chaos = Some(ChaosConfig {
         seed: 3,
         panic_per_mille: 1000,
@@ -242,5 +237,67 @@ fn total_prover_failure_still_produces_correct_adjoint() {
                 "`{arr}` decided {d:?} with a dead prover"
             );
         }
+    }
+}
+
+#[test]
+fn a_caught_panic_in_one_array_does_not_reach_the_next() {
+    // The region's arrays are proved one after another on one solver, so
+    // what a panicking proof leaves on the assertion stack must be gone
+    // before the next array starts: stale frames hold a query equality the
+    // knowledge contradicts, under which *every* later query is UNSAT.
+    // Two regions whose arrays are both proof tasks, met in this order:
+    // GFMC's first (`cr` proved) and LBM's (`srcgrid` refuted — the
+    // verdict a stale stack would turn into a wrong `Proved`).
+    let gfmc = GfmcCase::new(8, 1).ir();
+    let cases = [
+        (
+            &gfmc,
+            GfmcCase::independents(),
+            GfmcCase::dependents(),
+            ["cl", "cr"],
+            Provenance::Proved,
+        ),
+        (
+            &lbm::lbm_ir(),
+            lbm::independents(),
+            lbm::dependents(),
+            ["dstgrid", "srcgrid"],
+            Provenance::Refuted,
+        ),
+    ];
+    for (primal, indep, dep, [first, second], want) in cases {
+        let baseline = Formad::new(FormadOptions::new(indep, dep))
+            .analyze(primal)
+            .unwrap();
+        let base = &baseline.regions[0];
+        assert_eq!(base.provenance[second], want);
+        // The first seed whose faults recover `first` from panics caught
+        // inside its own proof and let `second` reach a verdict.
+        let hit = (0..200u64).find_map(|seed| {
+            let mut opts = FormadOptions::new(indep, dep);
+            opts.region.chaos = Some(ChaosConfig {
+                seed,
+                panic_per_mille: 300,
+                unknown_per_mille: 0,
+                delay_per_mille: 0,
+                delay: Duration::ZERO,
+            });
+            let mut a = Formad::new(opts).analyze(primal).unwrap();
+            let r = a.regions.swap_remove(0);
+            let in_its_own_proof = format!("analyzing adjoint of `{first}`");
+            (r.provenance[first] == Provenance::Recovered
+                && r.warnings.iter().any(|w| w.contains(&in_its_own_proof))
+                && r.provenance[second] != Provenance::Recovered)
+                .then_some((seed, r))
+        });
+        let (seed, r) = hit.unwrap_or_else(|| {
+            panic!("no seed below 200 recovers `{first}` and decides `{second}`")
+        });
+        assert_eq!(r.provenance[second], want, "seed {seed}: `{second}`");
+        assert_eq!(
+            r.decisions[second], base.decisions[second],
+            "seed {seed}: `{second}`"
+        );
     }
 }

@@ -1,9 +1,8 @@
 //! Durable-cache contract of the full pipeline, on the Table-1 kernels.
 //!
-//! The region fingerprint index is a *pure accelerator*, like the worker
-//! pool: for every `--jobs` value and every warmth tier — cold, served
-//! from disk, served from memory — the report must be byte-identical
-//! (wall-clock zeroed) to the sequential run without an index. And
+//! The region fingerprint index is a *pure accelerator*: for every warmth
+//! tier — cold, served from disk, served from memory — the report must be
+//! byte-identical (wall-clock zeroed) to the run without an index. And
 //! because the index lives in a directory anyone can truncate, corrupt,
 //! write-protect or write concurrently, every damaged-directory scenario
 //! must degrade to a cold miss with the *same* report, never an error.
@@ -12,7 +11,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use formad::{
-    region_report, Formad, FormadAnalysis, FormadOptions, SharedEngine, TraceEvent, TraceSink,
+    region_report, FingerprintIndex, Formad, FormadAnalysis, FormadOptions, SharedEngine,
+    TraceEvent, TraceSink,
 };
 use formad_ir::{Expr, Program, Stmt};
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
@@ -69,16 +69,9 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// Analyze one kernel against an engine rooted at `dir` (fresh engine
 /// per call, so only the directory carries state), flushing on return.
-fn analyze_disk(
-    program: &Program,
-    indep: &[&str],
-    dep: &[&str],
-    dir: &Path,
-    jobs: usize,
-) -> FormadAnalysis {
+fn analyze_disk(program: &Program, indep: &[&str], dep: &[&str], dir: &Path) -> FormadAnalysis {
     let engine = SharedEngine::with_cache_dir(dir);
     let mut opts = FormadOptions::new(indep, dep);
-    opts.region.jobs = jobs;
     opts.region.fingerprints = engine.fingerprints().cloned();
     let a = Formad::new(opts).analyze(program).expect("analysis");
     engine.flush_disk();
@@ -93,30 +86,63 @@ fn reports_identical_across_warmth_tiers_and_job_counts() {
             Formad::new(opts).analyze(&program).expect("analysis")
         };
         let want = report_of(&mut baseline);
-        for jobs in [1, 4, 0] {
-            let dir = fresh_dir(&format!("tiers-{name}-{jobs}"));
-            // Cold: empty dir, pays the prover, populates the index.
-            let mut cold = analyze_disk(&program, &indep, &dep, &dir, jobs);
-            assert_eq!(want, report_of(&mut cold), "{name} jobs={jobs}: cold");
-            // Disk-warm: whole decision sets from the index file.
-            let mut served = analyze_disk(&program, &indep, &dep, &dir, jobs);
-            assert_eq!(want, report_of(&mut served), "{name} jobs={jobs}: served");
-            assert_eq!(served.stats.checks, 0, "{name} jobs={jobs}: served");
-            // Memory-warm: same engine analyzes twice; the second pass
-            // hits the promoted records without touching disk again.
-            let engine = SharedEngine::with_cache_dir(&dir);
-            for label in ["first", "second"] {
-                let mut opts = FormadOptions::new(&indep, &dep);
-                opts.region.jobs = jobs;
-                opts.region.fingerprints = engine.fingerprints().cloned();
-                let mut a = Formad::new(opts).analyze(&program).expect("analysis");
-                assert_eq!(
-                    want,
-                    report_of(&mut a),
-                    "{name} jobs={jobs}: memory-warm ({label})"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = fresh_dir(&format!("tiers-{name}"));
+        // Cold: empty dir, pays the prover, populates the index.
+        let mut cold = analyze_disk(&program, &indep, &dep, &dir);
+        assert_eq!(want, report_of(&mut cold), "{name}: cold");
+        // Disk-warm: whole decision sets from the index file.
+        let mut served = analyze_disk(&program, &indep, &dep, &dir);
+        assert_eq!(want, report_of(&mut served), "{name}: served");
+        assert_eq!(served.stats.checks, 0, "{name}: served");
+        // Memory-warm: same engine analyzes twice; the second pass
+        // hits the promoted records without touching disk again.
+        let engine = SharedEngine::with_cache_dir(&dir);
+        for label in ["first", "second"] {
+            let mut opts = FormadOptions::new(&indep, &dep);
+            opts.region.fingerprints = engine.fingerprints().cloned();
+            let mut a = Formad::new(opts).analyze(&program).expect("analysis");
+            assert_eq!(want, report_of(&mut a), "{name}: memory-warm ({label})");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn shared_index_on_and_off_reports_agree_on_every_kernel() {
+    let gf = GfmcCase::new(8, 1);
+    let mut kernels = suite();
+    kernels.push((
+        "stencil8",
+        StencilCase::large(64, 1).ir(),
+        StencilCase::independents().to_vec(),
+        StencilCase::dependents().to_vec(),
+    ));
+    kernels.push((
+        "gfmc*",
+        gf.ir_star(),
+        GfmcCase::independents().to_vec(),
+        GfmcCase::dependents().to_vec(),
+    ));
+    // One index handle shared across the entire suite — the harshest
+    // sharing pattern: records inserted while analyzing one kernel are
+    // eligible hits for every later kernel.
+    let shared = FingerprintIndex::new();
+    for (name, program, indep, dep) in kernels {
+        let opts = FormadOptions::new(&indep, &dep);
+        let mut plain = Formad::new(opts).analyze(&program).expect("analysis");
+        let want = report_of(&mut plain);
+        // Cold, then warm against the same index: a served region
+        // substitutes for an analysis, never for a different answer.
+        for pass in ["cold", "warm"] {
+            let mut opts = FormadOptions::new(&indep, &dep);
+            opts.region.fingerprints = Some(shared.clone());
+            let mut a = Formad::new(opts).analyze(&program).expect("analysis");
+            assert_eq!(
+                want,
+                report_of(&mut a),
+                "{name}: {pass} analysis over the shared index disagrees"
+            );
+            assert_eq!(a.stats.checks == 0, pass == "warm", "{name}: {pass}");
         }
     }
 }
@@ -154,11 +180,11 @@ fn corrupt(dir: &Path, mode: &str) {
 fn corrupted_dirs_degrade_to_cold_miss_with_identical_reports() {
     let (name, program, indep, dep) = suite().swap_remove(1); // gfmc
     let dir = fresh_dir("corrupt");
-    let mut cold = analyze_disk(&program, &indep, &dep, &dir, 1);
+    let mut cold = analyze_disk(&program, &indep, &dep, &dir);
     let want = report_of(&mut cold);
     for mode in ["truncated", "garbage", "wrong-version"] {
         corrupt(&dir, mode);
-        let mut a = analyze_disk(&program, &indep, &dep, &dir, 1);
+        let mut a = analyze_disk(&program, &indep, &dep, &dir);
         assert_eq!(
             want,
             report_of(&mut a),
@@ -184,7 +210,7 @@ fn corrupted_dirs_degrade_to_cold_miss_with_identical_reports() {
     std::fs::write(&blocker, b"").expect("write blocker file");
     let unwritable = blocker.join("cache");
     for pass in ["first", "second"] {
-        let mut a = analyze_disk(&program, &indep, &dep, &unwritable, 1);
+        let mut a = analyze_disk(&program, &indep, &dep, &unwritable);
         assert_eq!(want, report_of(&mut a), "{name}: unwritable dir ({pass})");
         assert_eq!(a.stats.checks, cold.stats.checks, "{name}: {pass}");
     }
@@ -213,7 +239,6 @@ fn concurrent_writers_to_one_dir_lose_no_record() {
                 s.spawn(move || {
                     let engine = SharedEngine::with_cache_dir(dir);
                     let mut opts = FormadOptions::new(indep, dep);
-                    opts.region.jobs = 2;
                     opts.region.fingerprints = engine.fingerprints().cloned();
                     let a = Formad::new(opts).analyze(program).expect("analysis");
                     barrier.wait();
@@ -232,7 +257,7 @@ fn concurrent_writers_to_one_dir_lose_no_record() {
             let opts = FormadOptions::new(indep, dep);
             Formad::new(opts).analyze(program).expect("analysis")
         };
-        let mut warm = analyze_disk(program, indep, dep, &dir, 1);
+        let mut warm = analyze_disk(program, indep, dep, &dir);
         assert_eq!(
             report_of(&mut baseline),
             report_of(&mut warm),
@@ -255,7 +280,7 @@ fn editing_one_gfmc_loop_reproves_only_that_region() {
     let indep = GfmcCase::independents().to_vec();
     let dep = GfmcCase::dependents().to_vec();
     let dir = fresh_dir("edit-one-loop");
-    let mut cold = analyze_disk(&gf, &indep, &dep, &dir, 1);
+    let mut cold = analyze_disk(&gf, &indep, &dep, &dir);
     let regions = cold.regions.len();
     assert!(regions >= 2, "need multiple regions for the experiment");
 

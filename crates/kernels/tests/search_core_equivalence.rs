@@ -2,9 +2,8 @@
 //! accelerator over the enumerate-and-split search. On the whole
 //! Table-1 suite, every report byte (wall-clock zeroed), every proof
 //! narrative, and every deterministic trace section must be identical
-//! under `SearchCore::Presolved` and `SearchCore::Flat`, for any job
-//! count — while the default core does strictly less linear-arithmetic
-//! work.
+//! under `SearchCore::Presolved` and `SearchCore::Flat` — while the
+//! default core does strictly less linear-arithmetic work.
 
 use std::time::Duration;
 
@@ -84,22 +83,17 @@ fn analyze_with(
 #[test]
 fn reports_identical_across_cores_and_jobs() {
     for (name, program, indep, dep) in suite() {
-        let run = |core: SearchCore, jobs: usize| {
-            let mut a = analyze_with(&program, &indep, &dep, |o| {
-                o.region.search_core = core;
-                o.region.jobs = jobs;
-            });
+        let run = |core: SearchCore| {
+            let mut a = analyze_with(&program, &indep, &dep, |o| o.region.search_core = core);
             fingerprint(&mut a)
         };
-        let reference = run(SearchCore::Presolved, 1);
-        for jobs in [1, 4] {
-            for core in [SearchCore::Presolved, SearchCore::Flat] {
-                assert_eq!(
-                    reference,
-                    run(core, jobs),
-                    "{name}: report differs under core={core:?} jobs={jobs}"
-                );
-            }
+        let reference = run(SearchCore::Presolved);
+        for core in [SearchCore::Presolved, SearchCore::Flat] {
+            assert_eq!(
+                reference,
+                run(core),
+                "{name}: report differs under core={core:?}"
+            );
         }
     }
 }
@@ -156,8 +150,8 @@ const LBM_STACK_CLAUSES_OVER_CHECKS: u64 = 126_686;
 #[test]
 fn lbm_presolve_work_tracks_assertions_not_checks() {
     let (_, program, indep, dep) = suite().into_iter().find(|k| k.0 == "lbm").unwrap();
-    let run = |jobs: usize| analyze_with(&program, &indep, &dep, |o| o.region.jobs = jobs).stats;
-    let stats = run(1);
+    let run = || analyze_with(&program, &indep, &dep, |_| {}).stats;
+    let stats = run();
     assert_eq!(
         stats.checks, 349,
         "LBM's query count moved; re-derive the bound"
@@ -169,8 +163,6 @@ fn lbm_presolve_work_tracks_assertions_not_checks() {
         stats.presolve_clauses,
         stats.checks
     );
-    // The counter is exact: it repeats across runs and job counts.
-    for jobs in [1, 4] {
-        assert_eq!(run(jobs).presolve_clauses, stats.presolve_clauses);
-    }
+    // The counter is exact: it repeats across runs.
+    assert_eq!(run().presolve_clauses, stats.presolve_clauses);
 }

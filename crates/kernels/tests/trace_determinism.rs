@@ -1,9 +1,8 @@
-//! The deterministic trace section must be byte-identical across worker
-//! counts: parallelism is allowed to change *performance* (the `perf`
-//! section), never the recorded sequence of phases, queries, verdicts,
-//! or decisions. Each trace must also
-//! validate against the `formad-trace/v1` schema, and its decisions must
-//! agree with the analysis result it was recorded from.
+//! The deterministic trace section must be byte-identical from run to
+//! run: only *performance* (the `perf` section) may vary, never the
+//! recorded sequence of phases, queries, verdicts, or decisions. Each
+//! trace must also validate against the `formad-trace/v1` schema, and its
+//! decisions must agree with the analysis result it was recorded from.
 
 use formad::{
     deterministic_json, trace_json, validate_trace, Decision, Formad, FormadAnalysis,
@@ -62,15 +61,13 @@ fn suite() -> Vec<Kernel> {
     ]
 }
 
-/// Run the analysis under the given worker count, returning the
-/// analysis, the deterministic trace section, and the full trace
-/// document.
-fn traced_run(k: &Kernel, jobs: usize) -> (FormadAnalysis, String, String) {
+/// Run the analysis, returning it, the deterministic trace section, and
+/// the full trace document.
+fn traced_run(k: &Kernel) -> (FormadAnalysis, String, String) {
     let sink = TraceSink::new();
     let mut opts = FormadOptions::new(&[], &[]);
     opts.independents = k.independents.clone();
     opts.dependents = k.dependents.clone();
-    opts.region.jobs = jobs;
     opts.region.trace = Some(sink.clone());
     let analysis = Formad::new(opts)
         .analyze(&k.program)
@@ -81,13 +78,13 @@ fn traced_run(k: &Kernel, jobs: usize) -> (FormadAnalysis, String, String) {
 }
 
 #[test]
-fn trace_is_identical_across_jobs() {
+fn trace_is_identical_across_runs() {
     for k in suite() {
-        let (_, reference, _) = traced_run(&k, 1);
-        let (_, got, _) = traced_run(&k, 4);
+        let (_, reference, _) = traced_run(&k);
+        let (_, got, _) = traced_run(&k);
         assert_eq!(
             got, reference,
-            "{}: deterministic trace section diverged at jobs=4",
+            "{}: deterministic trace section differs between two runs",
             k.name
         );
     }
@@ -96,7 +93,7 @@ fn trace_is_identical_across_jobs() {
 #[test]
 fn trace_validates_and_matches_analysis_decisions() {
     for k in suite() {
-        let (analysis, _, doc) = traced_run(&k, 4);
+        let (analysis, _, doc) = traced_run(&k);
         let summary =
             validate_trace(&doc).unwrap_or_else(|e| panic!("{}: invalid trace: {e}", k.name));
         assert!(summary.queries > 0, "{}: no query events", k.name);

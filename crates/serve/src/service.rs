@@ -46,9 +46,6 @@ pub struct ServiceConfig {
     pub queue: usize,
     /// Deadline applied to requests that don't carry their own.
     pub default_deadline_ms: Option<u64>,
-    /// Prover worker threads per request (requests multiplex, so the
-    /// default is in-line proving; a request may override with `jobs`).
-    pub analysis_jobs: usize,
     /// Upper bound on `exec` logical threads per request.
     pub exec_threads_max: usize,
     /// Durable cache directory. When set, region fingerprints are read
@@ -63,7 +60,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue: 8,
             default_deadline_ms: None,
-            analysis_jobs: 1,
             exec_threads_max: 16,
             cache_dir: None,
         }
@@ -195,11 +191,6 @@ impl Service {
             .unwrap_or(want_adjoint);
 
         let mut opts = base_options(&wrt, &of);
-        opts.region.jobs = req
-            .get("jobs")
-            .and_then(Json::as_u64)
-            .map(|j| j as usize)
-            .unwrap_or(self.cfg.analysis_jobs);
         let deadline_ms = req
             .get("deadline_ms")
             .and_then(Json::as_u64)

@@ -112,14 +112,6 @@ impl ChaosSolver {
         &self.inner
     }
 
-    /// Derive a deterministic per-fork seed from a base seed and a salt.
-    /// Workers forked with distinct salts draw independent fault streams,
-    /// while the same (seed, salt) pair always reproduces the same stream
-    /// — parallel schedules cannot change which checks fault.
-    pub fn derive_seed(seed: u64, salt: u64) -> u64 {
-        seed ^ salt.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    }
-
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -211,20 +203,6 @@ impl SolverApi for ChaosSolver {
     fn set_search_core(&mut self, core: SearchCore) {
         self.inner.set_search_core(core);
     }
-    /// Fork with a salted fault stream: the wrapped solver is forked as
-    /// usual, the chaos RNG is reseeded from `(seed, salt)` so each fork
-    /// faults independently but reproducibly, and the counters handle is
-    /// shared so faults across all forks aggregate.
-    fn fork(&self, salt: u64) -> ChaosSolver {
-        let mut cfg = self.cfg.clone();
-        cfg.seed = ChaosSolver::derive_seed(cfg.seed, salt);
-        ChaosSolver {
-            inner: self.inner.fork(salt),
-            state: cfg.seed ^ 0x6c62_272e_07bb_0142,
-            cfg,
-            counters: self.counters.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -287,34 +265,6 @@ mod tests {
             "{}",
             counters.unknowns()
         );
-    }
-
-    #[test]
-    fn forks_fault_independently_but_reproducibly() {
-        let pattern = |s: &mut ChaosSolver| {
-            let mut p = Vec::new();
-            for _ in 0..100 {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.check()));
-                if r.is_err() {
-                    s.reset_to_base();
-                }
-                p.push(r.is_err());
-            }
-            p
-        };
-        let mut base = ChaosSolver::new(ChaosConfig::with_seed(9));
-        assert_xy_ne(&mut base);
-        let mut f1 = base.fork(0);
-        let mut f1b = base.fork(0);
-        let mut f2 = base.fork(1);
-        assert_eq!(
-            pattern(&mut f1),
-            pattern(&mut f1b),
-            "same salt, same stream"
-        );
-        assert_ne!(pattern(&mut base.fork(0)), pattern(&mut f2));
-        // Counters are shared across base and all forks.
-        assert!(base.counters.checks() >= 400);
     }
 
     #[test]

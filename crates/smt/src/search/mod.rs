@@ -20,7 +20,7 @@
 //!
 //! Everything is deterministic — no RNG, clauses and literals visited in
 //! stack order — so verdicts, reports, and the deterministic trace
-//! section are byte-identical across `--jobs` and (validated by the
+//! section are byte-identical from run to run and (validated by the
 //! differential suite and the golden reports) across the two cores.
 //! An `Unknown` from the level-0 check or the probe is terminal: falling
 //! through to the splitter past one could let a small budget reach a

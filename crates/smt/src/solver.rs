@@ -190,13 +190,11 @@ impl From<Formula> for InternedFormula {
 ///
 /// The assertion stack is a stack of shared *chunks* (one per `assert`),
 /// so asserting an [`InternedFormula`] is a reference-count bump instead
-/// of a clause copy, and [`Solver::fork`] can snapshot the whole stack in
-/// O(chunks).
+/// of a clause copy.
 ///
 /// Beside the chunks sits one presolve snapshot per frame level, built
-/// lazily by the first `check()` that needs it and shared (behind an
-/// `Arc`) with every fork, so a `push; assert(query); check; pop` round
-/// costs the query's clauses, not the stack's.
+/// lazily by the first `check()` that needs it, so a `push; assert(query);
+/// check; pop` round costs the query's clauses, not the stack's.
 #[derive(Debug, Clone, Default)]
 pub struct Solver {
     /// Atom interner shared by all assertions.
@@ -312,22 +310,6 @@ impl Solver {
         self.search_core
     }
 
-    /// Snapshot this solver into an independent worker solver: same
-    /// assertion stack (shared chunks), table, budget, interrupt wiring
-    /// and search core, but fresh statistics.
-    ///
-    /// `_salt` is deliberately unused by the real solver: the search is
-    /// RNG-free and fully deterministic, so there is no
-    /// per-fork stream to seed and forked solvers return identical
-    /// verdicts for every salt (covered by
-    /// `fork_salt_does_not_affect_verdicts`). Fault-injecting wrappers
-    /// (`ChaosSolver`) use the salt to derive per-fork fault streams.
-    pub fn fork(&self, _salt: u64) -> Solver {
-        let mut s = self.clone();
-        s.stats = SolverStats::default();
-        s
-    }
-
     /// Check satisfiability of all assertions on the stack, respecting
     /// the work budget, the wall-clock deadline, and the cancel token.
     pub fn check(&mut self) -> SatResult {
@@ -421,14 +403,6 @@ pub trait SolverApi {
     fn assert_interned(&mut self, f: &InternedFormula);
     /// Select the search engine answering later `check()` calls.
     fn set_search_core(&mut self, core: SearchCore);
-    /// Snapshot into an independent worker solver: same assertions,
-    /// budget and interrupt wiring, fresh statistics. `salt`
-    /// deterministically varies derived per-fork state (fault-injection
-    /// wrappers use it to reseed their RNG).
-    fn fork(&self, salt: u64) -> Self
-    where
-        Self: Sized;
-
     /// `push(); assert(f); check(); pop();` in one call.
     fn check_with(&mut self, f: Formula) -> SatResult {
         self.push();
@@ -481,9 +455,6 @@ impl SolverApi for Solver {
     }
     fn set_search_core(&mut self, core: SearchCore) {
         Solver::set_search_core(self, core);
-    }
-    fn fork(&self, salt: u64) -> Solver {
-        Solver::fork(self, salt)
     }
 }
 
@@ -730,53 +701,6 @@ mod tests {
         assert_eq!(b.num_clauses(), 3);
         b.pop();
         assert_eq!(b.num_clauses(), 2);
-    }
-
-    #[test]
-    fn fork_snapshots_assertions_with_fresh_stats() {
-        let mut s = Solver::new();
-        let f = Formula::term_ne(&sym("x"), &sym("y"), &mut s.table).unwrap();
-        s.assert(f);
-        s.check();
-        let mut w = s.fork(3);
-        assert_eq!(w.stats, SolverStats::default());
-        assert_eq!(w.num_clauses(), 1);
-        assert_eq!(w.check(), SatResult::Sat);
-        // Forks are independent: asserting in the fork leaves the base alone.
-        let g = Formula::term_eq(&sym("x"), &sym("y"), &mut w.table).unwrap();
-        w.assert(g);
-        assert_eq!(w.check(), SatResult::Unsat);
-        assert_eq!(s.num_clauses(), 1);
-        assert_eq!(s.check(), SatResult::Sat);
-    }
-
-    #[test]
-    fn fork_salt_does_not_affect_verdicts() {
-        // `fork(salt)` takes a salt only for API symmetry with
-        // `ChaosSolver::fork`; the plain solver is RNG-free, so every salt
-        // must yield the same verdicts and the same work counters.
-        for core in [SearchCore::Presolved, SearchCore::Flat] {
-            let mut s = Solver::new();
-            s.set_search_core(core);
-            let f = Formula::term_ne(&sym("x"), &sym("y"), &mut s.table).unwrap();
-            s.assert(f);
-            let q = Formula::term_eq(&sym("x"), &sym("y"), &mut s.table).unwrap();
-            let qf = InternedFormula::new(q);
-            let mut baseline = None;
-            for salt in [0u64, 1, 7, u64::MAX] {
-                let mut w = s.fork(salt);
-                let sat = w.check();
-                w.assert_interned(&qf);
-                let unsat = w.check();
-                let run = (sat, unsat, w.stats);
-                match &baseline {
-                    None => baseline = Some(run),
-                    Some(b) => assert_eq!(*b, run, "salt {salt} changed the outcome"),
-                }
-            }
-            let b = baseline.unwrap();
-            assert_eq!((b.0, b.1), (SatResult::Sat, SatResult::Unsat));
-        }
     }
 
     /// A query presolve cannot discharge: a genuine

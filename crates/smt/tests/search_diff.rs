@@ -270,9 +270,6 @@ enum Op {
     Pop,
     Assert(ScriptFormula),
     Check,
-    /// Continue on a fork; the parent waits for `Return`.
-    Fork(u64),
-    Return,
     Reset,
 }
 
@@ -341,7 +338,6 @@ fn run_script(ops: &[Op]) -> Result<(), String> {
     let mut solver = Solver::new();
     // `stack[l]` mirrors what frame level `l` holds.
     let mut stack: Vec<Vec<ScriptFormula>> = vec![Vec::new()];
-    let mut parents: Vec<(Solver, Vec<Vec<ScriptFormula>>)> = Vec::new();
     for op in ops {
         match op {
             Op::Push => {
@@ -360,25 +356,11 @@ fn run_script(ops: &[Op]) -> Result<(), String> {
                 stack.last_mut().expect("level 0").push(spec.clone());
             }
             Op::Check => cross_check(solver.check(), &stack)?,
-            Op::Fork(salt) => {
-                let child = solver.fork(*salt);
-                parents.push((std::mem::replace(&mut solver, child), stack.clone()));
-            }
-            Op::Return => {
-                if let Some((parent, mirror)) = parents.pop() {
-                    solver = parent;
-                    stack = mirror;
-                }
-            }
             Op::Reset => {
                 solver.reset_to_base();
                 stack.truncate(1);
             }
         }
-    }
-    // Whatever a fork did, its parents still answer for their own stacks.
-    while let Some((mut parent, mirror)) = parents.pop() {
-        cross_check(parent.check(), &mirror)?;
     }
     Ok(())
 }
@@ -403,8 +385,6 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Check),
         Just(Op::Check),
         Just(Op::Check),
-        (0u64..4).prop_map(Op::Fork),
-        Just(Op::Return),
         Just(Op::Reset),
     ]
 }
@@ -413,7 +393,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Every framed `check()` of a random push / assert / check / pop /
-    /// fork / reset script agrees with a frameless solver, with the
+    /// reset script agrees with a frameless solver, with the
     /// flat oracle, and with brute force.
     #[test]
     fn framed_checks_match_frameless_solvers(ops in prop::collection::vec(op(), 4..28)) {
@@ -519,30 +499,6 @@ fn snapshot_survives_pop_and_dies_with_its_frame() {
     s.pop();
     let q = offset_query(&mut s, 3);
     assert_eq!(s.check_with(q), SatResult::Sat);
-}
-
-#[test]
-fn fork_asserts_never_reach_the_parent_snapshot() {
-    let mut parent = solver_with_fact_frame(4);
-    let q = offset_query(&mut parent, 2);
-    assert_eq!(parent.check_with(q), SatResult::Unsat);
-    let mut child = parent.fork(7);
-    // The fork starts from the parent's snapshots…
-    let q = offset_query(&mut child, 4);
-    assert_eq!(child.check_with(q), SatResult::Unsat);
-    assert_eq!(child.stats.presolve_clauses, 1);
-    // …and what it asserts into the shared frame stays its own.
-    let f = {
-        let (x, y) = (Term::sym("x"), Term::sym("y"));
-        ne(&x, &(y + Term::int(6)), &mut child)
-    };
-    child.assert(f);
-    let q = offset_query(&mut child, 6);
-    assert_eq!(child.check_with(q), SatResult::Unsat);
-    let before = parent.stats.presolve_clauses;
-    let q = offset_query(&mut parent, 6);
-    assert_eq!(parent.check_with(q), SatResult::Sat);
-    assert_eq!(parent.stats.presolve_clauses, before + 1);
 }
 
 #[test]

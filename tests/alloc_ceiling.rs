@@ -5,9 +5,9 @@
 //! clock-free stand-in for its front-end time: it repeats exactly from
 //! run to run and from host to host. This test runs the nine
 //! `prove_heavy` programs of the benchmark and 200 fuzz-grammar corpus
-//! programs through parse → `Formad::differentiate` → print at
-//! `jobs = 1` and holds each pass under a ceiling 5 % above what it
-//! measured when the ceiling was set. A change that re-introduces a
+//! programs through parse → `Formad::differentiate` → print and holds
+//! each pass under a ceiling 5 % above what it measured when the ceiling
+//! was set. A change that re-introduces a
 //! second validate/activity pass, a dry-run adjoint generation or
 //! cloning predicates trips it.
 //!
@@ -129,8 +129,7 @@ fn pass(inputs: &[Input]) -> usize {
     for input in inputs {
         let wrt: Vec<&str> = input.wrt.iter().map(String::as_str).collect();
         let of: Vec<&str> = input.of.iter().map(String::as_str).collect();
-        let mut opts = FormadOptions::new(&wrt, &of);
-        opts.region.jobs = 1;
+        let opts = FormadOptions::new(&wrt, &of);
         let primal = parse_any(&input.source).expect("input parses");
         let result = Formad::new(opts)
             .differentiate(&primal)
@@ -152,13 +151,11 @@ fn measured(inputs: &[Input]) -> u64 {
     first
 }
 
-/// Measured when the ceilings were set (PR 18, identical in debug and
-/// release builds). The parent commit made 126 684 and 437 664 on the
-/// same inputs: its two lexers allocated a `String` per identifier token
-/// and cloned it at every `peek`/`bump`, and lower-cased a copy of every
-/// called or subscripted name; tokens now borrow from the source.
-const HEAVY_MEASURED: u64 = 121_000;
-const CORPUS_MEASURED: u64 = 388_852;
+/// Measured when the ceilings were set (PR 22, `--release`). The parent
+/// commit made 121 000 and 388 852 on the same inputs: it deep-cloned the
+/// region's solver, `AtomTable` included, for every array it proved.
+const HEAVY_MEASURED: u64 = 120_323;
+const CORPUS_MEASURED: u64 = 375_140;
 
 #[test]
 fn allocations_per_pass_stay_under_the_ceiling() {

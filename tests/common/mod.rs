@@ -74,11 +74,10 @@ pub fn heavy() -> Vec<Heavy> {
     out
 }
 
-pub fn analyze(k: &Heavy, jobs: usize) -> FormadAnalysis {
+pub fn analyze(k: &Heavy) -> FormadAnalysis {
     let mut opts = FormadOptions::new(&[], &[]);
     opts.independents = k.independents.clone();
     opts.dependents = k.dependents.clone();
-    opts.region.jobs = jobs;
     let mut analysis = Formad::new(opts)
         .analyze(&k.program)
         .unwrap_or_else(|e| panic!("{}: analysis failed: {e}", k.name));

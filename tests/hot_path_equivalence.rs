@@ -164,7 +164,7 @@ fn treatments(case: &Heavy) -> Vec<(&'static str, ParallelTreatment)> {
         ("serial", ParallelTreatment::Serial),
         ("atomic", ParallelTreatment::Uniform(IncMode::Atomic)),
         ("reduction", ParallelTreatment::Uniform(IncMode::Reduction)),
-        ("formad", analyze(case, 1).plan),
+        ("formad", analyze(case).plan),
         ("plain", ParallelTreatment::Uniform(IncMode::Plain)),
         (
             "transposed",
@@ -224,7 +224,7 @@ fn lazy_transposition_plan_leaves_the_golden_reports_alone() {
 
     // Stencil r = 8: every array proves Shared, so no plan is ever built.
     let stencil8 = &suite[1];
-    let analysis = analyze(stencil8, 1);
+    let analysis = analyze(stencil8);
     let decisions: Vec<&Decision> = analysis
         .regions
         .iter()
@@ -240,7 +240,7 @@ fn lazy_transposition_plan_leaves_the_golden_reports_alone() {
     // LBM-exec: the scatter conflicts, the plan is built in the conflict
     // arm and all 532 of its obligations are proved.
     let lbm_exec = suite.iter().find(|k| k.golden == Some("lbm_exec")).unwrap();
-    let analysis = analyze(lbm_exec, 1);
+    let analysis = analyze(lbm_exec);
     let transposed: Vec<&String> = analysis
         .regions
         .iter()

@@ -1,8 +1,8 @@
 //! Tier-1 view of the frame-scoped presolve: the prover-heavy programs
 //! of the benchmark's `prove_heavy` workload must report exactly what
-//! they always did — whatever the job count, and byte for byte against
-//! the kernels crate's golden files — while presolve
-//! canonicalizes a small fraction of what a per-check represolve did.
+//! they always did — byte for byte against the kernels crate's golden
+//! files — while presolve canonicalizes a small fraction of what a
+//! per-check represolve did.
 
 mod common;
 
@@ -11,13 +11,7 @@ use common::{analyze, golden, heavy, render};
 #[test]
 fn heavy_reports_identical_across_jobs_and_match_goldens() {
     for k in heavy() {
-        let reference = render(&k, &analyze(&k, 1));
-        assert_eq!(
-            reference,
-            render(&k, &analyze(&k, 2)),
-            "{}: report differs at jobs=2",
-            k.name
-        );
+        let reference = render(&k, &analyze(&k));
         if let Some(stem) = k.golden {
             assert_eq!(
                 reference,
@@ -38,7 +32,7 @@ const LBM_STACK_CLAUSES_OVER_CHECKS: u64 = 126_686;
 fn presolve_canonicalizes_the_delta_not_the_stack() {
     let suite = heavy();
     let lbm = suite.iter().find(|k| k.golden == Some("lbm")).unwrap();
-    let stats = analyze(lbm, 1).stats;
+    let stats = analyze(lbm).stats;
     assert_eq!(
         stats.checks, 349,
         "LBM's query count moved; re-derive the bound"
@@ -53,9 +47,9 @@ fn presolve_canonicalizes_the_delta_not_the_stack() {
     // The counter repeats exactly, so the bound is not a timing claim.
     for k in &suite {
         assert_eq!(
-            analyze(k, 1).stats.presolve_clauses,
-            analyze(k, 2).stats.presolve_clauses,
-            "{}: presolve_clauses differs at jobs=2",
+            analyze(k).stats.presolve_clauses,
+            analyze(k).stats.presolve_clauses,
+            "{}: presolve_clauses differs between two runs",
             k.name
         );
     }
@@ -68,19 +62,17 @@ fn presolve_canonicalizes_the_delta_not_the_stack() {
 /// up here as hundreds of extra LIA calls.
 #[test]
 fn heavy_pass_costs_exactly_what_presolve_and_the_probe_cost() {
-    for jobs in [1, 2] {
-        let (mut checks, mut lia_calls, mut discharges) = (0, 0, 0);
-        // The CI-scale LBM-exec twin is not one of the nine.
-        for k in heavy().iter().filter(|k| k.golden != Some("lbm_exec")) {
-            let stats = analyze(k, jobs).stats;
-            checks += stats.checks;
-            lia_calls += stats.lia_calls;
-            discharges += stats.presolve_discharges;
-        }
-        assert_eq!(
-            (checks, lia_calls, discharges),
-            (2231, 19, 2228),
-            "(checks, lia_calls, presolve_discharges) at jobs={jobs}"
-        );
+    let (mut checks, mut lia_calls, mut discharges) = (0, 0, 0);
+    // The CI-scale LBM-exec twin is not one of the nine.
+    for k in heavy().iter().filter(|k| k.golden != Some("lbm_exec")) {
+        let stats = analyze(k).stats;
+        checks += stats.checks;
+        lia_calls += stats.lia_calls;
+        discharges += stats.presolve_discharges;
     }
+    assert_eq!(
+        (checks, lia_calls, discharges),
+        (2231, 19, 2228),
+        "(checks, lia_calls, presolve_discharges)"
+    );
 }
