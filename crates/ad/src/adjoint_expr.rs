@@ -17,7 +17,9 @@
 //! can implement the `z̄ = Σ self-seeds` (or `z̄ = 0`, or — for exact
 //! increments — no statement at all, paper §5.4) rule.
 
-use formad_ir::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, LValue, Stmt, UnOp};
+use std::sync::Arc;
+
+use formad_ir::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, LValue, Name, Stmt, UnOp};
 
 /// Result of differentiating one right-hand side.
 #[derive(Debug, Default)]
@@ -25,15 +27,14 @@ pub struct ExprAdjoint {
     /// Increment statements `r̄ += seed` for every active non-self read.
     pub increments: Vec<Stmt>,
     /// Seeds flowing into occurrences of the lhs itself (`z̄·∂e/∂z` terms).
-    pub self_seeds: Vec<Expr>,
+    pub self_seeds: Vec<Arc<Expr>>,
 }
 
 /// Environment for the walker.
 pub struct AdjCtx<'a> {
-    /// Is this variable/array active (has an adjoint)?
-    pub is_active: Box<dyn Fn(&str) -> bool + 'a>,
-    /// Adjoint name of a primal variable (`u` → `ub`).
-    pub adjoint_name: Box<dyn Fn(&str) -> String + 'a>,
+    /// Adjoint name of a primal variable (`u` → `ub`) if it is active (has
+    /// an adjoint), `None` otherwise.
+    pub adjoint_of: &'a dyn Fn(&str) -> Option<Name>,
 }
 
 /// Differentiate `lhs = rhs`, producing adjoint increments with the given
@@ -43,7 +44,7 @@ pub fn adjoint_of_assign(lhs: &LValue, rhs: &Expr, seed: &Expr, ctx: &AdjCtx<'_>
     let lhs_expr = lhs.as_expr();
     walk(
         rhs,
-        seed.clone(),
+        Arc::new(seed.clone()),
         &lhs_expr,
         ctx,
         &mut out.increments,
@@ -56,34 +57,46 @@ fn is_self(e: &Expr, lhs: &Expr) -> bool {
     e == lhs
 }
 
+/// `func(arg)` for a one-argument intrinsic.
+fn call1(func: Intrinsic, arg: &Expr) -> Expr {
+    Expr::call(func, [arg.clone()])
+}
+
+/// The seed is shared: every partial derivative built from it holds the
+/// same tree, not a copy.
 fn walk(
     e: &Expr,
-    seed: Expr,
+    seed: Arc<Expr>,
     lhs: &Expr,
     ctx: &AdjCtx<'_>,
     out: &mut Vec<Stmt>,
-    self_seeds: &mut Vec<Expr>,
+    self_seeds: &mut Vec<Arc<Expr>>,
 ) {
+    use BinOp::{Div, Mul, Pow};
     if is_self(e, lhs) {
         self_seeds.push(seed);
         return;
     }
+    let neg = |seed: Arc<Expr>| {
+        Arc::new(Expr::Unary {
+            op: UnOp::Neg,
+            arg: seed,
+        })
+    };
     match e {
         Expr::IntLit(_) | Expr::RealLit(_) => {}
         Expr::Var(name) => {
-            if (ctx.is_active)(name) {
-                let b = (ctx.adjoint_name)(name);
-                out.push(Stmt::increment(LValue::var(b), seed));
+            if let Some(b) = (ctx.adjoint_of)(name) {
+                out.push(Stmt::increment(LValue::Var(b), seed));
             }
         }
         Expr::Index { array, indices } => {
-            if (ctx.is_active)(array) {
-                let b = (ctx.adjoint_name)(array);
+            if let Some(b) = (ctx.adjoint_of)(array) {
                 out.push(Stmt::increment(LValue::index(b, indices.clone()), seed));
             }
         }
         Expr::Unary { op: UnOp::Neg, arg } => {
-            walk(arg, seed.neg(), lhs, ctx, out, self_seeds);
+            walk(arg, neg(seed), lhs, ctx, out, self_seeds);
         }
         Expr::Binary { op, lhs: a, rhs: b } => match op {
             BinOp::Add => {
@@ -92,39 +105,35 @@ fn walk(
             }
             BinOp::Sub => {
                 walk(a, seed.clone(), lhs, ctx, out, self_seeds);
-                walk(b, seed.neg(), lhs, ctx, out, self_seeds);
+                walk(b, neg(seed), lhs, ctx, out, self_seeds);
             }
             BinOp::Mul => {
-                walk(a, seed.clone() * (**b).clone(), lhs, ctx, out, self_seeds);
-                walk(b, seed * (**a).clone(), lhs, ctx, out, self_seeds);
+                let da = Expr::binary(Mul, seed.clone(), b.clone());
+                walk(a, da.into(), lhs, ctx, out, self_seeds);
+                let db = Expr::binary(Mul, seed, a.clone());
+                walk(b, db.into(), lhs, ctx, out, self_seeds);
             }
             BinOp::Div => {
                 // d(a/b) = da/b − a·db/b².
-                walk(a, seed.clone() / (**b).clone(), lhs, ctx, out, self_seeds);
-                let b_sq = (**b).clone() * (**b).clone();
-                walk(
-                    b,
-                    (seed * (**a).clone()).neg() / b_sq,
-                    lhs,
-                    ctx,
-                    out,
-                    self_seeds,
-                );
+                let da = Expr::binary(Div, seed.clone(), b.clone());
+                walk(a, da.into(), lhs, ctx, out, self_seeds);
+                let b_sq = Expr::binary(Mul, b.clone(), b.clone());
+                let db = Expr::binary(Div, Expr::binary(Mul, seed, a.clone()).neg(), b_sq);
+                walk(b, db.into(), lhs, ctx, out, self_seeds);
             }
             BinOp::Pow => {
                 // d(a**k) = k·a**(k−1)·da; exponent treated as constant
                 // w.r.t. the base (integer exponents in practice). If the
                 // exponent is itself active, d/dk = a**k·log(a)·dk.
-                let k = (**b).clone();
-                let da = seed.clone()
-                    * k.clone()
-                    * Expr::binary(BinOp::Pow, (**a).clone(), k.clone() - Expr::IntLit(1));
-                walk(a, da, lhs, ctx, out, self_seeds);
+                let k = b;
+                let k_minus_1 = Expr::binary(BinOp::Sub, k.clone(), Expr::IntLit(1));
+                let da = Expr::binary(Mul, seed.clone(), k.clone())
+                    * Expr::binary(Pow, a.clone(), k_minus_1);
+                walk(a, da.into(), lhs, ctx, out, self_seeds);
                 if expr_may_be_active(b, ctx) {
-                    let dk = seed
-                        * Expr::binary(BinOp::Pow, (**a).clone(), k)
-                        * Expr::call(Intrinsic::Log, vec![(**a).clone()]);
-                    walk(b, dk, lhs, ctx, out, self_seeds);
+                    let dk = Expr::binary(Mul, seed, Expr::binary(Pow, a.clone(), k.clone()))
+                        * call1(Intrinsic::Log, a);
+                    walk(b, dk.into(), lhs, ctx, out, self_seeds);
                 }
             }
             BinOp::Mod => {
@@ -133,30 +142,37 @@ fn walk(
         },
         Expr::Call { func, args } => match func {
             Intrinsic::Sin => {
-                let d = seed * Expr::call(Intrinsic::Cos, vec![args[0].clone()]);
-                walk(&args[0], d, lhs, ctx, out, self_seeds);
+                let d = Expr::binary(Mul, seed, call1(Intrinsic::Cos, &args[0]));
+                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Cos => {
-                let d = (seed * Expr::call(Intrinsic::Sin, vec![args[0].clone()])).neg();
-                walk(&args[0], d, lhs, ctx, out, self_seeds);
+                let d = Expr::binary(Mul, seed, call1(Intrinsic::Sin, &args[0])).neg();
+                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Exp => {
-                let d = seed * Expr::call(Intrinsic::Exp, vec![args[0].clone()]);
-                walk(&args[0], d, lhs, ctx, out, self_seeds);
+                let d = Expr::binary(Mul, seed, call1(Intrinsic::Exp, &args[0]));
+                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Log => {
-                let d = seed / args[0].clone();
-                walk(&args[0], d, lhs, ctx, out, self_seeds);
+                let d = Expr::binary(Div, seed, args[0].clone());
+                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Sqrt => {
-                let d = seed
-                    / (Expr::RealLit(2.0) * Expr::call(Intrinsic::Sqrt, vec![args[0].clone()]));
-                walk(&args[0], d, lhs, ctx, out, self_seeds);
+                let d = Expr::binary(
+                    Div,
+                    seed,
+                    Expr::RealLit(2.0) * call1(Intrinsic::Sqrt, &args[0]),
+                );
+                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Tanh => {
-                let t = Expr::call(Intrinsic::Tanh, vec![args[0].clone()]);
-                let d = seed * (Expr::RealLit(1.0) - t.clone() * t);
-                walk(&args[0], d, lhs, ctx, out, self_seeds);
+                let t: Arc<Expr> = call1(Intrinsic::Tanh, &args[0]).into();
+                let d = Expr::binary(
+                    Mul,
+                    seed,
+                    Expr::RealLit(1.0) - Expr::binary(Mul, t.clone(), t),
+                );
+                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Abs => {
                 // Guarded subgradient: sign(x)·seed, with sign(0) = +1.
@@ -174,7 +190,7 @@ fn walk(
                 );
                 walk(
                     &args[0],
-                    seed.neg(),
+                    neg(seed),
                     lhs,
                     ctx,
                     &mut else_out,
@@ -187,7 +203,6 @@ fn walk(
                     then_selfs,
                     else_selfs,
                     out,
-                    self_seeds,
                 );
             }
             Intrinsic::Min | Intrinsic::Max => {
@@ -216,7 +231,6 @@ fn walk(
                     then_selfs,
                     else_selfs,
                     out,
-                    self_seeds,
                 );
             }
         },
@@ -231,10 +245,9 @@ fn emit_guarded(
     guard: BoolExpr,
     then_out: Vec<Stmt>,
     else_out: Vec<Stmt>,
-    then_selfs: Vec<Expr>,
-    else_selfs: Vec<Expr>,
+    then_selfs: Vec<Arc<Expr>>,
+    else_selfs: Vec<Arc<Expr>>,
     out: &mut Vec<Stmt>,
-    _self_seeds: &mut [Expr],
 ) {
     assert!(
         then_selfs.is_empty() && else_selfs.is_empty(),
@@ -253,10 +266,10 @@ fn emit_guarded(
 /// Could any leaf of `e` be active?
 fn expr_may_be_active(e: &Expr, ctx: &AdjCtx<'_>) -> bool {
     let mut active = false;
-    e.walk(&mut |sub| match sub {
-        Expr::Var(n) => active |= (ctx.is_active)(n),
-        Expr::Index { array, .. } => active |= (ctx.is_active)(array),
-        _ => {}
+    e.walk(&mut |sub| {
+        if let Expr::Var(n) | Expr::Index { array: n, .. } = sub {
+            active |= (ctx.adjoint_of)(n).is_some();
+        }
     });
     active
 }
@@ -268,8 +281,9 @@ mod tests {
 
     fn ctx_all_active() -> AdjCtx<'static> {
         AdjCtx {
-            is_active: Box::new(|n: &str| !n.ends_with(char::from(98)) && n != "c"),
-            adjoint_name: Box::new(|n: &str| format!("{n}b")),
+            adjoint_of: &|n: &str| {
+                (!n.ends_with(char::from(98)) && n != "c").then(|| format!("{n}b").into())
+            },
         }
     }
 

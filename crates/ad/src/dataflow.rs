@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use formad_ir::{BoolExpr, Decl, Expr, ForLoop, LValue, Program, Stmt};
+use formad_ir::{BoolExpr, Decl, Expr, ForLoop, LValue, Name, Program, Stmt};
 
 /// Adjoint statements of one assignment: `(increments, vb-finalization)`.
 pub(crate) type AssignAdjoint = (Vec<Stmt>, Option<Stmt>);
@@ -113,7 +113,7 @@ impl<'a> Names<'a> {
         Names { index, decls }
     }
 
-    pub(crate) fn name(&self, i: u32) -> &'a str {
+    pub(crate) fn name(&self, i: u32) -> &'a Name {
         &self.decls[i as usize].name
     }
 
@@ -344,7 +344,7 @@ impl<'a> Builder<'a, '_> {
         rhs: &'a Expr,
         site: Option<(u32, u32)>,
     ) -> Node<'a> {
-        let target = self.names.index[lhs.name()];
+        let target = self.names.index[lhs.name().as_str()];
         let scalar = matches!(lhs, LValue::Var(_));
         let mut index_reads = self.bits();
         for ix in lhs.indices() {

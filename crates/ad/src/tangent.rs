@@ -12,8 +12,8 @@
 //! tangent and adjoint results.
 
 use formad_ir::{
-    BinOp, BoolExpr, CmpOp, Expr, ForLoop, Intent, Intrinsic, LValue, ParallelInfo, Program, Stmt,
-    Ty, UnOp,
+    BinOp, BoolExpr, CmpOp, Expr, ForLoop, Intent, Intrinsic, LValue, Name, ParallelInfo, Program,
+    Stmt, Ty, UnOp,
 };
 
 use formad_analysis::Activity;
@@ -77,8 +77,8 @@ impl<'a> Tangent<'a> {
         self.prog.ty_of(name) == Some(Ty::Real) && self.act.is_active(name)
     }
 
-    fn tname(&self, name: &str) -> String {
-        format!("{}{}", name, self.suffix)
+    fn tname(&self, name: &str) -> Name {
+        format!("{}{}", name, self.suffix).into()
     }
 
     fn body(&self, stmts: &[Stmt]) -> Result<Vec<Stmt>, AdError> {
@@ -152,14 +152,14 @@ impl<'a> Tangent<'a> {
 
     /// Tangent arrays/scalars inherit the primal's sharing.
     fn extend_clauses(&self, info: &mut ParallelInfo) {
-        let shared: Vec<String> = info
+        let shared: Vec<Name> = info
             .shared
             .iter()
             .filter(|v| self.is_active(v))
             .map(|v| self.tname(v))
             .collect();
         info.shared.extend(shared);
-        let private: Vec<String> = info
+        let private: Vec<Name> = info
             .private
             .iter()
             .filter(|v| self.is_active(v))
@@ -334,7 +334,7 @@ fn collect_guards(e: &Expr, out: &mut Vec<BoolExpr>) {
                 collect_guards(&args[1], out);
             }
             _ => {
-                for a in args {
+                for a in args.iter() {
                     collect_guards(a, out);
                 }
             }

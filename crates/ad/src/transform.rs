@@ -33,13 +33,14 @@
 //! The generated subroutine computes adjoints only. The primal's outputs
 //! are **not** returned by it: run the primal for the value.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use formad_analysis::Activity;
 use formad_ir::{
-    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, Intent, LValue, ParallelInfo, Program, RedOp,
-    Stmt, Ty,
+    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, Intent, LValue, Name, ParallelInfo, Program,
+    RedOp, Stmt, Ty,
 };
 
 use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
@@ -153,18 +154,18 @@ pub fn differentiate_validated(
     let mut adj = Program::new(format!("{}_b", p.name));
     adj.params = p.params.clone();
     for d in &p.params {
-        if xf.is_active(&d.name) {
+        if let Some(b) = xf.adjoint_of(&d.name) {
             let mut a = d.clone();
-            a.name = xf.adjoint_name(&d.name);
+            a.name = b;
             a.intent = Intent::InOut;
             adj.params.push(a);
         }
     }
     adj.locals = p.locals.clone();
     for d in &p.locals {
-        if xf.is_active(&d.name) {
+        if let Some(b) = xf.adjoint_of(&d.name) {
             let mut a = d.clone();
-            a.name = xf.adjoint_name(&d.name);
+            a.name = b;
             adj.locals.push(a);
         }
     }
@@ -186,7 +187,10 @@ pub fn differentiate_validated(
 
 struct Xform<'a> {
     prog: &'a Program,
-    act: Activity,
+    /// Every active variable's adjoint name, made once, …
+    adjoints: HashMap<Name, Name>,
+    /// … and the way back.
+    primals: HashMap<Name, Name>,
     opts: &'a AdjointOptions,
     branch_counter: usize,
     new_locals: Vec<Decl>,
@@ -199,19 +203,24 @@ struct Xform<'a> {
 impl<'a> Xform<'a> {
     fn new(p: &'a Program, act: Activity, opts: &'a AdjointOptions) -> Result<Xform<'a>, AdError> {
         // Adjoint-name collisions with existing declarations are errors.
+        let mut adjoints = HashMap::new();
+        let mut primals = HashMap::new();
         for d in p.decls() {
             if act.is_active(&d.name) && d.ty == Ty::Real {
-                let b = format!("{}{}", d.name, opts.adjoint_suffix);
+                let b = Name::from(format!("{}{}", d.name, opts.adjoint_suffix));
                 if p.decl(&b).is_some() {
                     return Err(AdError::new(format!(
                         "adjoint name `{b}` collides with an existing declaration"
                     )));
                 }
+                adjoints.insert(d.name.clone(), b.clone());
+                primals.insert(b, d.name.clone());
             }
         }
         Ok(Xform {
             prog: p,
-            act,
+            adjoints,
+            primals,
             opts,
             branch_counter: 0,
             new_locals: Vec::new(),
@@ -222,57 +231,41 @@ impl<'a> Xform<'a> {
     }
 
     fn is_active(&self, name: &str) -> bool {
-        self.prog.ty_of(name) == Some(Ty::Real) && self.act.is_active(name)
+        self.adjoints.contains_key(name)
     }
 
-    fn adjoint_name(&self, name: &str) -> String {
-        format!("{}{}", name, self.opts.adjoint_suffix)
+    /// The adjoint name of `name`, if it is active.
+    fn adjoint_of(&self, name: &str) -> Option<Name> {
+        self.adjoints.get(name).cloned()
     }
 
     /// Map an adjoint name back to its primal name, if it is one.
-    fn primal_of_adjoint(&self, name: &str) -> Option<String> {
-        let stem = name.strip_suffix(&self.opts.adjoint_suffix)?;
-        if self.is_active(stem) {
-            Some(stem.to_string())
-        } else {
-            None
-        }
+    fn primal_of_adjoint(&self, name: &str) -> Option<Name> {
+        self.primals.get(name).cloned()
     }
 
-    fn walker_ctx(&self) -> AdjCtx<'_> {
-        AdjCtx {
-            is_active: Box::new(move |n: &str| self.is_active(n)),
-            adjoint_name: Box::new(move |n: &str| self.adjoint_name(n)),
-        }
-    }
-
-    /// Adjoint statements of one assignment.
-    fn assign_adjoint(&self, lhs: &LValue, rhs: &Expr) -> AssignAdjoint {
-        let seed = match lhs {
-            LValue::Var(n) => Expr::var(self.adjoint_name(n)),
-            LValue::Index { array, indices } => {
-                Expr::index(self.adjoint_name(array), indices.clone())
-            }
-        };
-        let ctx = self.walker_ctx();
-        let adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
+    /// Adjoint statements of one assignment to the active `lhs`, whose
+    /// adjoint is named `b`.
+    fn assign_adjoint(&self, lhs: &LValue, b: Name, rhs: &Expr) -> AssignAdjoint {
         let adjoint_lv = match lhs {
-            LValue::Var(n) => LValue::var(self.adjoint_name(n)),
-            LValue::Index { array, indices } => {
-                LValue::index(self.adjoint_name(array), indices.clone())
-            }
+            LValue::Var(_) => LValue::Var(b),
+            LValue::Index { indices, .. } => LValue::index(b, indices.clone()),
         };
+        let seed = adjoint_lv.as_expr();
+        let ctx = AdjCtx {
+            adjoint_of: &|n: &str| self.adjoint_of(n),
+        };
+        let adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
         let finalize = if adj.self_seeds.is_empty() {
             Some(Stmt::assign(adjoint_lv, Expr::real(0.0)))
-        } else if adj.self_seeds.len() == 1 && adj.self_seeds[0] == seed {
+        } else if adj.self_seeds.len() == 1 && *adj.self_seeds[0] == seed {
             // Exact increment: the adjoint of the lhs is unchanged
             // (paper §5.4) — no statement at all.
             None
         } else {
-            let mut sum = adj.self_seeds[0].clone();
-            for s in &adj.self_seeds[1..] {
-                sum = sum + s.clone();
-            }
+            let mut seeds = adj.self_seeds.into_iter();
+            let first = seeds.next().expect("checked non-empty above");
+            let sum = seeds.fold(Arc::unwrap_or_clone(first), |sum, s| sum + s);
             Some(Stmt::assign(adjoint_lv, sum))
         };
         (adj.increments, finalize)
@@ -282,12 +275,13 @@ impl<'a> Xform<'a> {
     /// lvalue is active; `None` for anything else.
     fn stmt_adjoint(&self, s: &Stmt) -> Option<AssignAdjoint> {
         match s {
-            Stmt::Assign { lhs, rhs } if self.is_active(lhs.name()) => {
-                Some(self.assign_adjoint(lhs, rhs))
+            Stmt::Assign { lhs, rhs } => {
+                Some(self.assign_adjoint(lhs, self.adjoint_of(lhs.name())?, rhs))
             }
-            Stmt::AtomicAdd { lhs, rhs } if self.is_active(lhs.name()) => {
+            Stmt::AtomicAdd { lhs, rhs } => {
+                let b = self.adjoint_of(lhs.name())?;
                 let full = lhs.as_expr() + rhs.clone();
-                Some(self.assign_adjoint(lhs, &full))
+                Some(self.assign_adjoint(lhs, b, &full))
             }
             _ => None,
         }
@@ -359,7 +353,7 @@ impl<'a> Xform<'a> {
                     // they do not survive to it any other way.
                     for v in f.exit_pushes.iter() {
                         xf.count(|s| s.push_sites += 1);
-                        body.push(Stmt::Push(Expr::var(names.name(v))));
+                        body.push(Stmt::Push(Expr::Var(names.name(v).clone())));
                     }
                     let parallel = if xf.opts.parallel.is_serial() {
                         None
@@ -416,7 +410,7 @@ impl<'a> Xform<'a> {
                         self.count(|s| s.branches_reevaluated += 1);
                         i.cond.clone()
                     } else {
-                        let bv = format!("ad_branch{}", self.branch_counter);
+                        let bv = Name::from(format!("ad_branch{}", self.branch_counter));
                         self.branch_counter += 1;
                         self.new_locals.push(Decl::local(bv.clone(), Ty::Int));
                         out.push(Stmt::Pop(LValue::var(bv.clone())));
@@ -477,7 +471,7 @@ impl<'a> Xform<'a> {
         let mut head: Vec<Stmt> = f
             .exit_pushes
             .iter()
-            .map(|v| Stmt::Pop(LValue::var(names.name(v))))
+            .map(|v| Stmt::Pop(LValue::Var(names.name(v).clone())))
             .collect();
         head.reverse();
         let mut recomputed = Vec::new();
@@ -541,16 +535,16 @@ impl<'a> Xform<'a> {
         region: usize,
         l: &ForLoop,
         body: Vec<Stmt>,
-    ) -> (Vec<Stmt>, Vec<Stmt>, HashSet<String>) {
-        let mut candidates: Vec<String> = Vec::new();
+    ) -> (Vec<Stmt>, Vec<Stmt>, HashSet<Name>) {
+        // Primal arrays with an adjoint scatter in the body, with the
+        // adjoint's name.
+        let mut candidates: Vec<(Name, Name)> = Vec::new();
         for s in &body {
             s.walk(&mut |st| {
-                if let Some((lhs, _)) = st.increment_parts() {
-                    if matches!(lhs, LValue::Index { .. }) {
-                        if let Some(p) = self.primal_of_adjoint(lhs.name()) {
-                            if !candidates.contains(&p) {
-                                candidates.push(p);
-                            }
+                if let Some((LValue::Index { array: bname, .. }, _)) = st.increment_parts() {
+                    if let Some(p) = self.primal_of_adjoint(bname) {
+                        if !candidates.iter().any(|(c, _)| *c == p) {
+                            candidates.push((p, bname.clone()));
                         }
                     }
                 }
@@ -558,10 +552,10 @@ impl<'a> Xform<'a> {
         }
         let mut gathers: Vec<Stmt> = Vec::new();
         let mut body = body;
-        let mut fallback: HashSet<String> = HashSet::new();
+        let mut fallback: HashSet<Name> = HashSet::new();
         let forced = matches!(self.opts.parallel, ParallelTreatment::Uniform(_));
         let mut writes: Option<RegionWrites> = None;
-        for p in candidates {
+        for (p, bname) in candidates {
             if self.opts.parallel.mode_of(region, &p) != IncMode::Transposed {
                 continue;
             }
@@ -579,12 +573,11 @@ impl<'a> Xform<'a> {
                     continue;
                 }
             };
-            let bname = self.adjoint_name(&p);
             let mut kept: Vec<Stmt> = Vec::with_capacity(body.len());
             let mut removed = 0usize;
             for s in &body {
                 let is_scatter = s.increment_parts().is_some_and(|(lhs, _)| {
-                    matches!(lhs, LValue::Index { .. }) && lhs.name() == bname
+                    matches!(lhs, LValue::Index { .. }) && *lhs.name() == bname
                 });
                 if is_scatter {
                     removed += 1;
@@ -612,13 +605,14 @@ impl<'a> Xform<'a> {
         primal: &ParallelInfo,
         counter: &str,
         body: Vec<Stmt>,
-        transposed_fallback: &HashSet<String>,
+        transposed_fallback: &HashSet<Name>,
     ) -> (ParallelInfo, Vec<Stmt>) {
         // Names assigned (scalars) and referenced in the body.
-        let mut assigned_scalars: HashSet<String> = HashSet::new();
-        let mut referenced: HashSet<String> = HashSet::new();
-        let mut incremented_adjoint_arrays: HashSet<String> = HashSet::new();
-        let mut incremented_adjoint_scalars: HashSet<String> = HashSet::new();
+        let mut assigned_scalars: HashSet<Name> = HashSet::new();
+        let mut referenced: HashSet<Name> = HashSet::new();
+        // Primal name → adjoint name.
+        let mut incremented_adjoint_arrays: HashMap<Name, Name> = HashMap::new();
+        let mut incremented_adjoint_scalars: HashSet<Name> = HashSet::new();
         for s in &body {
             s.walk(&mut |st| match st {
                 Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => {
@@ -628,9 +622,9 @@ impl<'a> Xform<'a> {
                     if let Some(primal_name) = self.primal_of_adjoint(lhs.name()) {
                         if st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. }) {
                             if matches!(lhs, LValue::Index { .. }) {
-                                incremented_adjoint_arrays.insert(primal_name);
+                                incremented_adjoint_arrays.insert(primal_name, lhs.name().clone());
                             } else {
-                                incremented_adjoint_scalars.insert(lhs.name().to_string());
+                                incremented_adjoint_scalars.insert(lhs.name().clone());
                             }
                         }
                     }
@@ -652,7 +646,7 @@ impl<'a> Xform<'a> {
                 Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs)
                     if !referenced.contains(lhs.name()) =>
                 {
-                    referenced.insert(lhs.name().to_string());
+                    referenced.insert(lhs.name().clone());
                 }
                 _ => {}
             });
@@ -676,10 +670,9 @@ impl<'a> Xform<'a> {
         // start (OpenMP privates are uninitialized).
         let mut preamble = Vec::new();
         for pvar in &primal.private {
-            if self.is_active(pvar) {
-                let b = self.adjoint_name(pvar);
+            if let Some(b) = self.adjoint_of(pvar) {
                 if referenced.contains(&b) {
-                    preamble.push(Stmt::assign(LValue::var(b), Expr::real(0.0)));
+                    preamble.push(Stmt::assign(LValue::Var(b), Expr::real(0.0)));
                 }
             }
         }
@@ -694,13 +687,12 @@ impl<'a> Xform<'a> {
         // zero-initialized copy instead of the incoming seed values, and
         // any overwrite could not be merged. Mixed-access arrays fall back
         // to atomics on their increments.
-        let mut reduction_eligible: HashSet<String> = HashSet::new();
-        let mut reduction_fallback_atomic: HashSet<String> = HashSet::new();
-        for primal_name in &incremented_adjoint_arrays {
+        let mut reduction_eligible: HashSet<Name> = HashSet::new();
+        let mut reduction_fallback_atomic: HashSet<Name> = HashSet::new();
+        for (primal_name, bname) in &incremented_adjoint_arrays {
             if self.opts.parallel.mode_of(region, primal_name) != IncMode::Reduction {
                 continue;
             }
-            let bname = self.adjoint_name(primal_name);
             let mut total_reads = 0usize;
             let mut self_reads = 0usize;
             let mut non_increment_writes = 0usize;
@@ -726,7 +718,7 @@ impl<'a> Xform<'a> {
                 });
                 s.walk_exprs(&mut |e| {
                     if let Expr::Index { array, .. } = e {
-                        if array == &bname {
+                        if array == bname {
                             total_reads += 1;
                         }
                     }
@@ -789,14 +781,14 @@ impl<'a> Xform<'a> {
         // Apply atomic mode: rewrite plain increments to AtomicAdd — both
         // for arrays the plan marked Atomic and for reduction-ineligible
         // mixed-access arrays.
-        let atomic_arrays: HashSet<String> = incremented_adjoint_arrays
+        let atomic_arrays: HashSet<Name> = incremented_adjoint_arrays
             .iter()
-            .filter(|p| {
+            .filter(|(p, _)| {
                 self.opts.parallel.mode_of(region, p) == IncMode::Atomic
                     || reduction_fallback_atomic.contains(*p)
                     || transposed_fallback.contains(*p)
             })
-            .map(|p| self.adjoint_name(p))
+            .map(|(_, b)| b.clone())
             .collect();
         if !atomic_arrays.is_empty() {
             body = body
@@ -810,7 +802,7 @@ impl<'a> Xform<'a> {
 
 /// Rewrite increments to the given adjoint arrays as atomic updates,
 /// recursively through control flow.
-fn apply_atomic(s: Stmt, arrays: &HashSet<String>) -> Stmt {
+fn apply_atomic(s: Stmt, arrays: &HashSet<Name>) -> Stmt {
     match s {
         Stmt::Assign { .. } => {
             let guarded = s.increment_parts().is_some_and(|(lhs, _)| {
@@ -822,8 +814,11 @@ fn apply_atomic(s: Stmt, arrays: &HashSet<String>) -> Stmt {
                     lhs,
                     rhs: Expr::Binary { lhs: a, rhs: b, .. },
                 } if guarded => {
-                    let added = if lhs.reads_as(&a) { *b } else { *a };
-                    Stmt::AtomicAdd { lhs, rhs: added }
+                    let added = if lhs.reads_as(&a) { b } else { a };
+                    Stmt::AtomicAdd {
+                        lhs,
+                        rhs: Arc::unwrap_or_clone(added),
+                    }
                 }
                 s => s,
             }
@@ -1369,7 +1364,7 @@ end subroutine
             })
             .expect("adjoint keeps the parallel region");
         assert!(
-            region.private.contains(&"j".to_string()),
+            region.private.iter().any(|p| p == "j"),
             "inner counter must be private: {region:?}"
         );
     }

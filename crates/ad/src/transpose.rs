@@ -29,10 +29,11 @@
 //! prover is in the loop.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use formad_ir::{
-    expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, LValue, ParallelInfo, Program, Stmt, Ty,
-    UnOp,
+    expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, LValue, Name, ParallelInfo, Program,
+    Stmt, Ty, UnOp,
 };
 
 use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
@@ -142,7 +143,7 @@ fn contains_var(e: &Expr, var: &str) -> bool {
 #[derive(Debug, Clone)]
 pub struct ObligationPair {
     /// The seed array `y` whose adjoint is both read and finalized.
-    pub array: String,
+    pub array: Name,
     /// Index tuple of the gathered seed read `yb(seed)`.
     pub seed: Vec<Expr>,
     /// Index tuple of the adjoint finalization write `yb(write)`.
@@ -165,9 +166,9 @@ struct Contribution {
 #[derive(Debug, Clone)]
 pub struct TransposePlan {
     /// The primal array whose adjoint scatter is inverted.
-    pub array: String,
+    pub array: Name,
     /// Its adjoint name.
-    pub adjoint: String,
+    pub adjoint: Name,
     /// Replacement gather loops, to run *before* the residual reversed
     /// loop (they read region-entry seed adjoint values).
     pub gather_loops: Vec<Stmt>,
@@ -175,7 +176,7 @@ pub struct TransposePlan {
     /// must remove exactly this many from the backward body.
     pub contributions: usize,
     /// Seed arrays whose adjoints the gather reads.
-    pub seed_arrays: Vec<String>,
+    pub seed_arrays: Vec<Name>,
     /// Seed-read vs finalization pairs at *different* iterations.
     pub cross_iter: Vec<ObligationPair>,
     /// Seed-read (statement s) vs finalization (statement s' > s) pairs at
@@ -191,17 +192,17 @@ pub struct TransposePlan {
 #[derive(Debug)]
 pub struct RegionWrites {
     /// Arrays written anywhere in the region.
-    written_arrays: HashSet<String>,
+    written_arrays: HashSet<Name>,
     /// Scalars assigned anywhere in the region, inner loop counters
     /// included.
-    assigned_scalars: HashSet<String>,
+    assigned_scalars: HashSet<Name>,
 }
 
 impl RegionWrites {
     /// Scan the body of the parallel loop `l`.
     pub fn scan(l: &ForLoop) -> RegionWrites {
-        let mut written_arrays: HashSet<String> = HashSet::new();
-        let mut assigned_scalars: HashSet<String> = HashSet::new();
+        let mut written_arrays: HashSet<Name> = HashSet::new();
+        let mut assigned_scalars: HashSet<Name> = HashSet::new();
         for s in &l.body {
             s.walk(&mut |st| match st {
                 Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => {
@@ -319,9 +320,9 @@ pub fn plan_transpose(
     // Seed arrays: their adjoints are read at region-entry values by the
     // gather, so the region must not *increment* them (no genuine primal
     // reads) and every write must be a recognizable top-level assignment.
-    let seed_set: BTreeSet<String> = contributing
+    let seed_set: BTreeSet<Name> = contributing
         .iter()
-        .map(|(_, lhs, _)| lhs.name().to_string())
+        .map(|(_, lhs, _)| lhs.name().clone())
         .collect();
     for y in &seed_set {
         for s in l.body.iter() {
@@ -373,15 +374,14 @@ pub fn plan_transpose(
     // Extract the adjoint increments of each contributing statement, with
     // activity restricted to the target array: the increments come out
     // structurally identical to what the full backward sweep emits for it.
-    let adjoint = format!("{array}{suffix}");
+    let adjoint = Name::from(format!("{array}{suffix}"));
     let ctx = AdjCtx {
-        is_active: Box::new(|n: &str| n == array),
-        adjoint_name: Box::new(|n: &str| format!("{n}{suffix}")),
+        adjoint_of: &|n: &str| (n == array).then(|| adjoint.clone()),
     };
     let mut contributions: Vec<Contribution> = Vec::new();
     // (contribution index ranges, seed index, stmt idx) per statement, for
     // the obligation pairs below.
-    let mut stmt_seeds: Vec<(usize, String, Expr)> = Vec::new();
+    let mut stmt_seeds: Vec<(usize, Name, Expr)> = Vec::new();
     for (idx, lhs, rhs) in &contributing {
         let LValue::Index { array: y, indices } = lhs else {
             unreachable!()
@@ -460,12 +460,12 @@ pub fn plan_transpose(
     // Adjoint finalizations per seed array: every top-level write that is
     // not an exact increment zeroes (or rescales) `yb(w)` in the backward
     // sweep. Exact increments finalize nothing (paper §5.4).
-    let mut finalizations: Vec<(usize, String, Expr)> = Vec::new();
+    let mut finalizations: Vec<(usize, Name, Expr)> = Vec::new();
     for (idx, s) in l.body.iter().enumerate() {
         if let Stmt::Assign { lhs, .. } = s {
             let y = lhs.name();
             if seed_set.contains(y) && is_active(y) && s.increment_parts().is_none() {
-                finalizations.push((idx, y.to_string(), lhs.indices()[0].clone()));
+                finalizations.push((idx, y.clone(), lhs.indices()[0].clone()));
             }
         }
     }
@@ -542,7 +542,7 @@ pub fn plan_transpose(
     let gather_loops = build_gather_loops(l, &adjoint, &contributions, step)?;
 
     Ok(TransposePlan {
-        array: array.to_string(),
+        array: array.into(),
         adjoint,
         gather_loops,
         contributions: contributions.len(),
@@ -609,23 +609,23 @@ fn syms_plus_lit(syms: &[(i64, Expr)], k: i64) -> Expr {
 /// for free, but the interpreted backends would pay it on every gather
 /// element.
 fn fold_lit_chain(e: Expr) -> Expr {
+    let fold = |e: Arc<Expr>| fold_lit_chain(Arc::unwrap_or_clone(e));
+    let fold_all = |es: Arc<[Expr]>| es.iter().cloned().map(fold_lit_chain).collect();
     match e {
         Expr::Unary { op, arg } => Expr::Unary {
             op,
-            arg: Box::new(fold_lit_chain(*arg)),
+            arg: fold(arg).into(),
         },
         Expr::Call { func, args } => Expr::Call {
             func,
-            args: args.into_iter().map(fold_lit_chain).collect(),
+            args: fold_all(args),
         },
         Expr::Index { array, indices } => Expr::Index {
             array,
-            indices: indices.into_iter().map(fold_lit_chain).collect(),
+            indices: fold_all(indices),
         },
         Expr::Binary { op, lhs, rhs } if matches!(op, BinOp::Add | BinOp::Sub) => {
-            let lhs = fold_lit_chain(*lhs);
-            let rhs = fold_lit_chain(*rhs);
-            match (lhs, rhs) {
+            match (fold(lhs), fold(rhs)) {
                 (Expr::IntLit(a), Expr::IntLit(b)) => {
                     Expr::IntLit(if op == BinOp::Add { a + b } else { a - b })
                 }
@@ -640,13 +640,13 @@ fn fold_lit_chain(e: Expr) -> Expr {
                         } if matches!(inner, BinOp::Add | BinOp::Sub) => match *ir {
                             Expr::IntLit(a) => {
                                 let a = if inner == BinOp::Add { a } else { -a };
-                                add_lit(*x, a + k)
+                                add_lit(Arc::unwrap_or_clone(x), a + k)
                             }
-                            ir => add_lit(
+                            _ => add_lit(
                                 Expr::Binary {
                                     op: inner,
                                     lhs: x,
-                                    rhs: Box::new(ir),
+                                    rhs: ir,
                                 },
                                 k,
                             ),
@@ -654,18 +654,10 @@ fn fold_lit_chain(e: Expr) -> Expr {
                         l => add_lit(l, k),
                     }
                 }
-                (l, r) => Expr::Binary {
-                    op,
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
-                },
+                (l, r) => Expr::binary(op, l, r),
             }
         }
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op,
-            lhs: Box::new(fold_lit_chain(*lhs)),
-            rhs: Box::new(fold_lit_chain(*rhs)),
-        },
+        Expr::Binary { op, lhs, rhs } => Expr::binary(op, fold(lhs), fold(rhs)),
         other => other,
     }
 }
@@ -692,7 +684,7 @@ fn last_iterate(l: &ForLoop, step: i64) -> Expr {
 
 fn build_gather_loops(
     l: &ForLoop,
-    adjoint: &str,
+    adjoint: &Name,
     contributions: &[Contribution],
     step: i64,
 ) -> Result<Vec<Stmt>, String> {
@@ -757,10 +749,7 @@ fn build_gather_loops(
                     fold_sub(syms_plus_lit(syms, d), Expr::var(&l.var))
                 };
                 let value = fold_lit_chain(c.value.subst_var(&l.var, &inverse));
-                let inc = Stmt::increment(
-                    LValue::index(adjoint.to_string(), vec![Expr::var(&l.var)]),
-                    value,
-                );
+                let inc = Stmt::increment(LValue::index(adjoint, [Expr::var(&l.var)]), value);
                 // One-sided edge guards: only needed where the member's
                 // own band is narrower than the cluster's.
                 let (lo_bound, hi_bound) = if *coef == 1 {
@@ -792,7 +781,7 @@ fn build_gather_loops(
                         let hi_g = guards.pop().unwrap();
                         let lo_g = guards.pop().unwrap();
                         Stmt::If {
-                            cond: BoolExpr::And(Box::new(lo_g), Box::new(hi_g)),
+                            cond: BoolExpr::And(lo_g.into(), hi_g.into()),
                             then_body: vec![inc],
                             else_body: Vec::new(),
                         }
@@ -802,7 +791,7 @@ fn build_gather_loops(
 
             // Each iteration writes only its own element: plain shared
             // increments are race-free by construction.
-            let mut referenced: BTreeSet<String> = BTreeSet::new();
+            let mut referenced: BTreeSet<Name> = BTreeSet::new();
             for s in &body {
                 s.walk_exprs(&mut |e| match e {
                     Expr::Var(n) => {

@@ -11,15 +11,15 @@
 
 use std::collections::HashSet;
 
-use formad_ir::{Expr, LValue, Program, Stmt, Ty};
+use formad_ir::{Expr, LValue, Name, Program, Stmt, Ty};
 
 /// Result of activity analysis.
 #[derive(Debug, Clone)]
 pub struct Activity {
     /// Variables whose value may depend on an independent input.
-    pub varied: HashSet<String>,
+    pub varied: HashSet<Name>,
     /// Variables whose value may influence a dependent output.
-    pub useful: HashSet<String>,
+    pub useful: HashSet<Name>,
 }
 
 impl Activity {
@@ -32,18 +32,22 @@ impl Activity {
     /// and dependent (outputs) variable sets. Integer variables never
     /// carry derivatives.
     pub fn analyze(p: &Program, independents: &[String], dependents: &[String]) -> Activity {
-        let real_vars: HashSet<String> = p
+        let real_vars: HashSet<Name> = p
             .decls()
             .filter(|d| d.ty == Ty::Real)
             .map(|d| d.name.clone())
             .collect();
+        // The declared real variables among `names`, as the program's own
+        // `Name`s.
+        let real_among = |names: &[String]| -> HashSet<Name> {
+            names
+                .iter()
+                .filter_map(|v| real_vars.get(v.as_str()).cloned())
+                .collect()
+        };
 
         // Forward: varied.
-        let mut varied: HashSet<String> = independents
-            .iter()
-            .filter(|v| real_vars.contains(*v))
-            .cloned()
-            .collect();
+        let mut varied = real_among(independents);
         let mut changed = true;
         while changed {
             changed = false;
@@ -56,7 +60,7 @@ impl Activity {
                     let mut fed = false;
                     value_sources(rhs, &real_vars, &mut |v| fed |= varied.contains(v));
                     if fed {
-                        varied.insert(lhs_name.to_string());
+                        varied.insert(lhs_name.clone());
                         changed = true;
                     }
                 }
@@ -64,11 +68,7 @@ impl Activity {
         }
 
         // Backward: useful.
-        let mut useful: HashSet<String> = dependents
-            .iter()
-            .filter(|v| real_vars.contains(*v))
-            .cloned()
-            .collect();
+        let mut useful = real_among(dependents);
         let mut changed = true;
         while changed {
             changed = false;
@@ -79,7 +79,7 @@ impl Activity {
                     }
                     value_sources(rhs, &real_vars, &mut |v| {
                         if !useful.contains(v) {
-                            useful.insert(v.to_string());
+                            useful.insert(v.clone());
                             changed = true;
                         }
                     });
@@ -103,7 +103,7 @@ fn assign_parts(s: &Stmt) -> Option<(&LValue, &Expr)> {
 /// expressions are integer-valued and cannot carry derivatives, so arrays
 /// appearing only inside indices are excluded). A name is visited once per
 /// occurrence.
-fn value_sources(e: &Expr, real_vars: &HashSet<String>, f: &mut impl FnMut(&str)) {
+fn value_sources(e: &Expr, real_vars: &HashSet<Name>, f: &mut impl FnMut(&Name)) {
     match e {
         Expr::IntLit(_) | Expr::RealLit(_) => {}
         // For an element the value flows; the (integer) indices do not.
@@ -118,7 +118,7 @@ fn value_sources(e: &Expr, real_vars: &HashSet<String>, f: &mut impl FnMut(&str)
             value_sources(rhs, real_vars, f);
         }
         Expr::Call { args, .. } => {
-            for a in args {
+            for a in args.iter() {
                 value_sources(a, real_vars, f);
             }
         }

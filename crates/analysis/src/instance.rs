@@ -9,8 +9,9 @@
 //! different values.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-use formad_ir::{LValue, Stmt};
+use formad_ir::{LValue, Name, Stmt};
 
 use crate::cfg::{Cfg, NodeId, NodeKind, ENTRY};
 
@@ -20,22 +21,31 @@ pub type InstanceId = u32;
 /// Result of the reaching-definitions pass.
 #[derive(Debug)]
 pub struct Instances {
-    /// `(node, var) → instance` for every node where `var` is visible.
-    at: HashMap<(NodeId, String), InstanceId>,
-    /// Per-variable intern table of definition sets.
-    interned: HashMap<String, Vec<BTreeSet<NodeId>>>,
+    /// `var → instance at each node`, for every variable the region
+    /// defines.
+    at: HashMap<Name, Vec<InstanceId>>,
+    /// Number of distinct definition sets per variable.
+    counts: HashMap<Name, usize>,
 }
+
+/// The definitions of one variable reaching a point. Shared between the
+/// nodes it passes through unchanged.
+type DefSet = Arc<BTreeSet<NodeId>>;
+
+/// Reaching definitions per variable (by index into the sorted variable
+/// list); `None` until a definition reaches the point.
+type Env = Vec<Option<DefSet>>;
 
 impl Instances {
     /// Instance of `var` for *uses* occurring at `node`. Variables never
     /// assigned in the region have instance 0 everywhere.
     pub fn instance(&self, node: NodeId, var: &str) -> InstanceId {
-        self.at.get(&(node, var.to_string())).copied().unwrap_or(0)
+        self.at.get(var).map_or(0, |ids| ids[node])
     }
 
     /// Number of distinct instances of `var` in the region.
     pub fn instance_count(&self, var: &str) -> usize {
-        self.interned.get(var).map(|v| v.len()).unwrap_or(1)
+        self.counts.get(var).copied().unwrap_or(1)
     }
 
     /// Run reaching definitions over `cfg`.
@@ -46,7 +56,7 @@ impl Instances {
     /// "the value on entry to the region".
     pub fn analyze(cfg: &Cfg<'_>) -> Instances {
         // Which variable does each node define, if any?
-        let defs: Vec<Option<String>> = cfg
+        let def_names: Vec<Option<&Name>> = cfg
             .nodes
             .iter()
             .map(|n| match n {
@@ -58,27 +68,37 @@ impl Instances {
                 | NodeKind::Simple(Stmt::AtomicAdd {
                     lhs: LValue::Var(v),
                     ..
-                }) => Some(v.clone()),
-                NodeKind::LoopHead(l) => Some(l.var.clone()),
+                }) => Some(v),
+                NodeKind::LoopHead(l) => Some(&l.var),
                 _ => None,
             })
             .collect();
 
-        let vars: BTreeSet<String> = defs.iter().flatten().cloned().collect();
-
-        // IN/OUT: var → set of defining nodes. ENTRY is the virtual def.
-        type Env = HashMap<String, BTreeSet<NodeId>>;
-        let entry_env: Env = vars
+        let vars: Vec<&Name> = def_names
             .iter()
-            .map(|v| (v.clone(), BTreeSet::from([ENTRY])))
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        // What each defining node generates: the variable's index and the
+        // set holding just that node.
+        let gens: Vec<Option<(usize, DefSet)>> = def_names
+            .iter()
+            .enumerate()
+            .map(|(node, name)| {
+                let k = vars.binary_search(&(*name)?).expect("collected above");
+                Some((k, Arc::new(BTreeSet::from([node]))))
+            })
             .collect();
 
-        let n = cfg.len();
-        let mut out: Vec<Env> = vec![Env::new(); n];
-        out[ENTRY] = entry_env;
+        // IN: var → set of defining nodes; ENTRY holds the virtual defs.
+        // OUT = gen ∪ (IN − kill) is read off IN where it is needed.
+        let entry_set: DefSet = Arc::new(BTreeSet::from([ENTRY]));
+        let mut ins: Vec<Env> = vec![vec![None; vars.len()]; cfg.len()];
+        ins[ENTRY] = vec![Some(entry_set.clone()); vars.len()];
         let rpo = cfg.reverse_postorder();
 
-        let mut ins: Vec<Env> = vec![Env::new(); n];
         let mut changed = true;
         while changed {
             changed = false;
@@ -86,22 +106,28 @@ impl Instances {
                 if node == ENTRY {
                     continue;
                 }
-                // IN = union of predecessor OUTs.
-                let mut env: Env = Env::new();
-                for &p in &cfg.preds[node] {
-                    for (v, set) in &out[p] {
-                        env.entry(v.clone())
-                            .or_default()
-                            .extend(set.iter().copied());
-                    }
-                }
-                ins[node] = env.clone();
-                // OUT = gen ∪ (IN − kill).
-                if let Some(v) = &defs[node] {
-                    env.insert(v.clone(), BTreeSet::from([node]));
-                }
-                if env != out[node] {
-                    out[node] = env;
+                // IN = union of predecessor OUTs. A set that arrives the
+                // same from every predecessor is shared, not copied.
+                let env: Env = (0..vars.len())
+                    .map(|k| {
+                        let mut acc: Option<DefSet> = None;
+                        for &p in &cfg.preds[node] {
+                            let out = match &gens[p] {
+                                Some((var, own)) if *var == k => Some(own),
+                                _ => ins[p][k].as_ref(),
+                            };
+                            let Some(set) = out else { continue };
+                            match &mut acc {
+                                None => acc = Some(set.clone()),
+                                Some(a) if Arc::ptr_eq(a, set) || set.is_subset(a) => {}
+                                Some(a) => Arc::make_mut(a).extend(set.iter().copied()),
+                            }
+                        }
+                        acc
+                    })
+                    .collect();
+                if env != ins[node] {
+                    ins[node] = env;
                     changed = true;
                 }
             }
@@ -109,29 +135,25 @@ impl Instances {
 
         // Intern reaching sets into per-variable instance numbers, with
         // instance 0 reserved for the entry-only set.
-        let mut interned: HashMap<String, Vec<BTreeSet<NodeId>>> = HashMap::new();
-        for v in &vars {
-            interned.insert(v.clone(), vec![BTreeSet::from([ENTRY])]);
-        }
         let mut at = HashMap::new();
-        for (node, ins_node) in ins.iter().enumerate() {
-            for v in &vars {
-                let set = match ins_node.get(v) {
-                    Some(s) if !s.is_empty() => s.clone(),
-                    _ => BTreeSet::from([ENTRY]),
-                };
-                let table = interned.get_mut(v).expect("var registered");
-                let id = match table.iter().position(|s| *s == set) {
-                    Some(k) => k as InstanceId,
-                    None => {
+        let mut counts = HashMap::new();
+        for (k, v) in vars.iter().enumerate() {
+            let mut table: Vec<&DefSet> = vec![&entry_set];
+            let ids: Vec<InstanceId> = ins
+                .iter()
+                .map(|env| {
+                    let set = env[k].as_ref().unwrap_or(&entry_set);
+                    let id = table.iter().position(|s| *s == set).unwrap_or_else(|| {
                         table.push(set);
-                        (table.len() - 1) as InstanceId
-                    }
-                };
-                at.insert((node, v.clone()), id);
-            }
+                        table.len() - 1
+                    });
+                    id as InstanceId
+                })
+                .collect();
+            at.insert((*v).clone(), ids);
+            counts.insert((*v).clone(), table.len());
         }
-        Instances { at, interned }
+        Instances { at, counts }
     }
 }
 

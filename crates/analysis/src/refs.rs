@@ -7,7 +7,9 @@
 //! only *reads* the adjoint of `u`, so such references can be excluded
 //! from the adjoint conflict-pair set.
 
-use formad_ir::{Expr, LValue, Stmt};
+use std::sync::Arc;
+
+use formad_ir::{Expr, LValue, Name, Stmt};
 
 use crate::cfg::{Cfg, NodeId, NodeKind};
 
@@ -33,9 +35,9 @@ pub enum IncRole {
 #[derive(Debug, Clone)]
 pub struct ArrayRef {
     /// Array name.
-    pub array: String,
+    pub array: Name,
     /// Index expressions at the reference.
-    pub indices: Vec<Expr>,
+    pub indices: Arc<[Expr]>,
     /// Read or write.
     pub kind: AccessKind,
     /// CFG node containing the reference.
@@ -120,7 +122,7 @@ fn collect_lvalue_write(lv: &LValue, node: NodeId, role: IncRole, out: &mut Vec<
             inc: role,
         });
         // Reads performed while computing the address.
-        for ix in indices {
+        for ix in indices.iter() {
             collect_expr_reads_deep(ix, node, out);
         }
     }

@@ -39,7 +39,7 @@ use formad_ad::{plan_transpose, RegionWrites};
 use formad_analysis::{
     collect_refs, AccessKind, Activity, ArrayRef, Cfg, Contexts, CtxId, IncRole, Instances,
 };
-use formad_ir::{count_stmts, Expr, ForLoop, Program, Stmt, Ty};
+use formad_ir::{count_stmts, Expr, ForLoop, Name, Program, Stmt, Ty};
 use formad_smt::{
     CancelToken, ChaosConfig, ChaosSolver, Deadline, Formula, FxHashMap, FxHashSet,
     InternedFormula, LinExpr, SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats,
@@ -290,14 +290,14 @@ pub fn analyze_region_with<S: SolverApi>(
     if let Some(s) = sink {
         s.record(TraceEvent::RegionBegin {
             region,
-            loop_var: l.var.clone(),
+            loop_var: l.var.to_string(),
             loc: count_stmts(&l.body),
         });
     }
 
     let mut out = RegionAnalysis {
         region,
-        loop_var: l.var.clone(),
+        loop_var: l.var.to_string(),
         loc: count_stmts(&l.body),
         model_size: 0,
         unique_exprs: 0,
@@ -313,12 +313,12 @@ pub fn analyze_region_with<S: SolverApi>(
     };
 
     // Written arrays and privatized scalars.
-    let written_arrays: FxHashSet<String> = refs
+    let written_arrays: FxHashSet<Name> = refs
         .iter()
         .filter(|r| r.kind == AccessKind::Write)
         .map(|r| r.array.clone())
         .collect();
-    let mut privatized: FxHashSet<String> = info.private.iter().cloned().collect();
+    let mut privatized: FxHashSet<Name> = info.private.iter().cloned().collect();
     privatized.extend(info.reductions.iter().map(|(_, v)| v.clone()));
     for s in &l.body {
         s.walk(&mut |st| match st {
@@ -377,7 +377,7 @@ pub fn analyze_region_with<S: SolverApi>(
     // ------------------------------------------------------------------
     // Root assertions.
     // ------------------------------------------------------------------
-    let counter = Term::sym(l.var.clone());
+    let counter = Term::sym(l.var.as_str());
     let counter_p = tr.prime(&counter);
     // Roots and facts are lowered to CNF exactly once; re-asserting one is
     // a reference-count bump, not a clone (hot-loop `Formula::clone` is

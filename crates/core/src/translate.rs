@@ -9,7 +9,7 @@
 //! renaming pass over the resulting term.
 
 use formad_analysis::{Instances, NodeId};
-use formad_ir::{BinOp, Expr, UnOp};
+use formad_ir::{BinOp, Expr, Name, UnOp};
 use formad_smt::{FxHashSet, Term};
 
 /// Why an index expression could not be translated.
@@ -30,10 +30,10 @@ pub struct Translator<'a> {
     /// Parallel loop counter (kept as a bare symbol).
     pub counter: &'a str,
     /// Arrays written anywhere in the region (index reads of these taint).
-    pub written_arrays: &'a FxHashSet<String>,
+    pub written_arrays: &'a FxHashSet<Name>,
     /// Privatized scalars (clause privates + in-body assigned scalars +
     /// inner loop counters); these are primed on one side of a pair.
-    pub privatized: &'a FxHashSet<String>,
+    pub privatized: &'a FxHashSet<Name>,
 }
 
 impl<'a> Translator<'a> {
@@ -61,11 +61,11 @@ impl<'a> Translator<'a> {
             Expr::Var(n) => Term::sym(self.sym_at(n, node)),
             Expr::Index { array, indices } => {
                 if self.written_arrays.contains(array) {
-                    return Err(Taint::MutatedIndexArray(array.clone()));
+                    return Err(Taint::MutatedIndexArray(array.to_string()));
                 }
                 let args: Result<Vec<Term>, Taint> =
                     indices.iter().map(|ix| self.term(ix, node)).collect();
-                Term::App(array.clone(), args?)
+                Term::App(array.to_string(), args?)
             }
             Expr::Unary { op: UnOp::Neg, arg } => Term::Neg(Box::new(self.term(arg, node)?)),
             Expr::Binary { op, lhs, rhs } => {
@@ -150,8 +150,8 @@ end subroutine
         );
         let cfg = Cfg::build(&body);
         let inst = Instances::analyze(&cfg);
-        let written: FxHashSet<String> = FxHashSet::default();
-        let privatized: FxHashSet<String> = FxHashSet::default();
+        let written: FxHashSet<Name> = FxHashSet::default();
+        let privatized: FxHashSet<Name> = FxHashSet::default();
         let tr = Translator {
             instances: &inst,
             counter: "i",
@@ -188,7 +188,7 @@ end subroutine
         );
         let cfg = Cfg::build(&body);
         let inst = Instances::analyze(&cfg);
-        let written: FxHashSet<String> = FxHashSet::from_iter(["c".to_string()]);
+        let written: FxHashSet<Name> = FxHashSet::from_iter(["c".into()]);
         let privatized = FxHashSet::default();
         let tr = Translator {
             instances: &inst,
@@ -223,7 +223,7 @@ end subroutine
         let cfg = Cfg::build(&body);
         let inst = Instances::analyze(&cfg);
         let written = FxHashSet::default();
-        let privatized: FxHashSet<String> = FxHashSet::from_iter(["idd".to_string()]);
+        let privatized: FxHashSet<Name> = FxHashSet::from_iter(["idd".into()]);
         let tr = Translator {
             instances: &inst,
             counter: "i",

@@ -79,10 +79,10 @@ impl State {
             if d.dims.is_empty() {
                 match d.ty {
                     Ty::Int => {
-                        st.ints.entry(d.name.clone()).or_insert(0);
+                        st.ints.entry(d.name.to_string()).or_insert(0);
                     }
                     Ty::Real => {
-                        st.reals.entry(d.name.clone()).or_insert(0.0);
+                        st.reals.entry(d.name.to_string()).or_insert(0.0);
                     }
                 }
             }
@@ -108,9 +108,9 @@ impl State {
             Expr::IntLit(v) => V::I(*v),
             Expr::RealLit(v) => V::R(*v),
             Expr::Var(n) => {
-                if let Some(v) = self.ints.get(n) {
+                if let Some(v) = self.ints.get(n.as_str()) {
                     V::I(*v)
-                } else if let Some(v) = self.reals.get(n) {
+                } else if let Some(v) = self.reals.get(n.as_str()) {
                     V::R(*v)
                 } else {
                     return Err(format!("unbound scalar `{n}`"));
@@ -118,12 +118,12 @@ impl State {
             }
             Expr::Index { array, indices } => {
                 let k = self.index(array, indices)?;
-                if let Some(arr) = self.int_arrays.get(array) {
+                if let Some(arr) = self.int_arrays.get(array.as_str()) {
                     V::I(
                         *arr.get((k - 1) as usize)
                             .ok_or_else(|| format!("index {k} out of bounds for `{array}`"))?,
                     )
-                } else if let Some(arr) = self.real_arrays.get(array) {
+                } else if let Some(arr) = self.real_arrays.get(array.as_str()) {
                     V::R(
                         *arr.get((k - 1) as usize)
                             .ok_or_else(|| format!("index {k} out of bounds for `{array}`"))?,
@@ -215,11 +215,11 @@ impl State {
         match e {
             Expr::Index { array, indices } if self.is_real_array(array) => {
                 let k = self.index(array, indices)?;
-                rec.push((array.clone(), k, true));
+                rec.push((array.to_string(), k, true));
                 Ok(())
             }
             Expr::Index { indices, .. } => {
-                for ix in indices {
+                for ix in indices.iter() {
                     self.record_reads(ix, rec)?;
                 }
                 Ok(())
@@ -230,7 +230,7 @@ impl State {
                 self.record_reads(rhs, rec)
             }
             Expr::Call { args, .. } => {
-                for a in args {
+                for a in args.iter() {
                     self.record_reads(a, rec)?;
                 }
                 Ok(())
@@ -249,15 +249,15 @@ impl State {
                         let k = self.index(array, indices)?;
                         // Adjoint footprint of the assignment itself.
                         if let Some((_, added)) = s.increment_parts() {
-                            rec.push((array.clone(), k, false));
+                            rec.push((array.to_string(), k, false));
                             self.record_reads(added, rec)?;
                         } else {
-                            rec.push((array.clone(), k, true));
+                            rec.push((array.to_string(), k, true));
                             self.record_reads(rhs, rec)?;
                         }
                         // Primal state update.
                         let v = self.eval(rhs)?.as_r();
-                        let arr = self.real_arrays.get_mut(array).unwrap();
+                        let arr = self.real_arrays.get_mut(array.as_str()).unwrap();
                         let slot = arr
                             .get_mut((k - 1) as usize)
                             .ok_or_else(|| format!("index {k} out of bounds for `{array}`"))?;
@@ -268,7 +268,7 @@ impl State {
                         let v = self.eval(rhs)?.as_i()?;
                         let arr = self
                             .int_arrays
-                            .get_mut(array)
+                            .get_mut(array.as_str())
                             .ok_or_else(|| format!("unbound array `{array}`"))?;
                         let slot = arr
                             .get_mut((k - 1) as usize)
@@ -281,10 +281,10 @@ impl State {
                         // only the data reads feed array adjoints.
                         self.record_reads(rhs, rec)?;
                         let v = self.eval(rhs)?;
-                        if self.ints.contains_key(name) {
-                            self.ints.insert(name.clone(), v.as_i()?);
+                        if self.ints.contains_key(name.as_str()) {
+                            self.ints.insert(name.to_string(), v.as_i()?);
                         } else {
-                            self.reals.insert(name.clone(), v.as_r());
+                            self.reals.insert(name.to_string(), v.as_r());
                         }
                     }
                 }
@@ -314,7 +314,7 @@ impl State {
                 }
                 let mut v = lo;
                 while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
-                    self.ints.insert(l.var.clone(), v);
+                    self.ints.insert(l.var.to_string(), v);
                     for t in &l.body {
                         self.exec(t, rec)?;
                     }
@@ -379,7 +379,7 @@ fn check_stmt(
     let mut touchers: HashMap<(String, i64), Vec<i64>> = HashMap::new();
     let mut v = lo;
     while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
-        st.ints.insert(l.var.clone(), v);
+        st.ints.insert(l.var.to_string(), v);
         let mut rec = Vec::new();
         for t in &l.body {
             st.exec(t, &mut rec)?;
@@ -447,7 +447,7 @@ fn check_stmt(
             |e| format!("region {k}: `{arr}` decided Transposed but the scatter plan fails: {e}"),
         )?;
         let eval_tuple = |st: &mut State, v: i64, es: &[Expr]| -> Result<Vec<i64>, String> {
-            st.ints.insert(l.var.clone(), v);
+            st.ints.insert(l.var.to_string(), v);
             es.iter().map(|e| st.eval(e)?.as_i()).collect()
         };
         for p in plan.cross_iter.iter() {

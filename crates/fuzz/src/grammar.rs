@@ -35,7 +35,7 @@ use std::collections::BTreeMap;
 
 use formad_ir::{
     program_to_string, BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, Intent, Intrinsic, LValue,
-    ParallelInfo, Program, RedOp, Stmt, Ty,
+    Name, ParallelInfo, Program, RedOp, Stmt, Ty,
 };
 use proptest::test_runner::TestRng;
 
@@ -512,7 +512,7 @@ impl<'r> Builder<'r> {
             );
         }
         // shared(...) lists every array the region touches, in name order.
-        let mut shared: Vec<String> = Vec::new();
+        let mut shared: Vec<Name> = Vec::new();
         for s in &body {
             collect_arrays(s, &mut shared);
         }
@@ -546,12 +546,12 @@ impl<'r> Builder<'r> {
 }
 
 /// Collect array names referenced anywhere in a statement.
-fn collect_arrays(s: &Stmt, out: &mut Vec<String>) {
+fn collect_arrays(s: &Stmt, out: &mut Vec<Name>) {
     s.walk(&mut |st| match st {
         Stmt::Assign { lhs, rhs } => {
             if let LValue::Index { array, indices } = lhs {
                 out.push(array.clone());
-                for ix in indices {
+                for ix in indices.iter() {
                     ix.array_names(out);
                 }
             }

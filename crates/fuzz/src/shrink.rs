@@ -11,7 +11,7 @@
 
 use std::collections::HashSet;
 
-use formad_ir::{validate, Expr, ForLoop, LValue, Stmt};
+use formad_ir::{validate, Expr, ForLoop, LValue, Name, Stmt};
 use formad_machine::EngineCache;
 
 use crate::grammar::FuzzCase;
@@ -161,14 +161,14 @@ fn subexprs(e: &Expr) -> Vec<Expr> {
     match e {
         Expr::Binary { lhs, rhs, .. } => vec![(**lhs).clone(), (**rhs).clone()],
         Expr::Unary { arg, .. } => vec![(**arg).clone()],
-        Expr::Call { args, .. } => args.clone(),
+        Expr::Call { args, .. } => args.to_vec(),
         _ => Vec::new(),
     }
 }
 
 /// Names referenced (as scalar or array) anywhere in `stmts`.
-fn referenced(stmts: &[Stmt]) -> HashSet<String> {
-    fn grab_expr(names: &mut HashSet<String>, e: &Expr) {
+fn referenced(stmts: &[Stmt]) -> HashSet<Name> {
+    fn grab_expr(names: &mut HashSet<Name>, e: &Expr) {
         e.walk(&mut |x| match x {
             Expr::Var(n) => {
                 names.insert(n.clone());
@@ -189,7 +189,7 @@ fn referenced(stmts: &[Stmt]) -> HashSet<String> {
                     }
                     LValue::Index { array, indices } => {
                         names.insert(array.clone());
-                        for ix in indices {
+                        for ix in indices.iter() {
                             grab_expr(&mut names, ix);
                         }
                     }
@@ -232,10 +232,10 @@ fn cleanup(mut case: FuzzCase) -> Option<FuzzCase> {
     let keep = |name: &str| name == "n" || used.contains(name);
     case.program.params.retain(|d| keep(&d.name));
     case.program.locals.retain(|d| keep(&d.name));
-    let params: HashSet<String> = case.program.params.iter().map(|d| d.name.clone()).collect();
-    case.wrt.retain(|n| params.contains(n));
-    case.of.retain(|n| params.contains(n));
-    case.sets.retain(|(k, _)| params.contains(k));
+    let params: HashSet<Name> = case.program.params.iter().map(|d| d.name.clone()).collect();
+    case.wrt.retain(|n| params.contains(n.as_str()));
+    case.of.retain(|n| params.contains(n.as_str()));
+    case.sets.retain(|(k, _)| params.contains(k.as_str()));
     if case.wrt.is_empty() || case.of.is_empty() {
         return None;
     }

@@ -80,7 +80,7 @@ impl Parser<'_> {
     /// `name[extent]…` after its type.
     fn declarator(&mut self, ty: Ty, intent: Intent, is_local: bool) -> Parsed<Decl> {
         Ok(Decl {
-            name: self.ident()?.to_string(),
+            name: self.name()?,
             ty,
             dims: self.subscripts()?,
             intent,
@@ -140,15 +140,15 @@ impl Parser<'_> {
         self.expect_kw("for")?;
         self.expect(Tok::LParen)?;
         let declares = self.eat_kw("int");
-        let var = self.ident()?;
+        let var = self.name()?;
         if declares && !self.locals.iter().any(|d| d.name == var) {
-            self.locals.push(Decl::local(var, Ty::Int));
+            self.locals.push(Decl::local(&var, Ty::Int));
         }
         self.expect(Tok::Assign)?;
         let lo = self.expr()?;
         self.expect(Tok::Semi)?;
 
-        if self.ident()? != var {
+        if self.ident()? != var.as_str() {
             return self.err("for-loop condition must test the loop variable");
         }
         let cmp = self.peek();
@@ -166,7 +166,7 @@ impl Parser<'_> {
         };
         self.expect(Tok::Semi)?;
 
-        if self.ident()? != var {
+        if self.ident()? != var.as_str() {
             return self.err("for-loop step must update the loop variable");
         }
         let update = self.peek();
@@ -190,7 +190,7 @@ impl Parser<'_> {
         self.expect(Tok::RParen)?;
         let body = self.block()?;
         Ok(Stmt::For(Box::new(ForLoop {
-            var: var.to_string(),
+            var,
             lo,
             hi,
             step,

@@ -1,6 +1,9 @@
 //! Arithmetic and boolean expressions of the loop language.
 
 use std::fmt;
+use std::sync::Arc;
+
+use crate::name::Name;
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,6 +94,10 @@ impl Intrinsic {
 }
 
 /// An arithmetic expression.
+///
+/// Trees are immutable and shared: children sit behind `Arc`, so `clone`
+/// bumps reference counts instead of copying, and a tree is changed by
+/// building a new one ([`Expr::map`]) that shares what it keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
@@ -98,24 +105,24 @@ pub enum Expr {
     /// Real literal.
     RealLit(f64),
     /// Scalar variable reference.
-    Var(String),
+    Var(Name),
     /// Array element reference `array(indices...)` (1-based, Fortran style).
-    Index { array: String, indices: Vec<Expr> },
+    Index { array: Name, indices: Arc<[Expr]> },
     /// Unary operation.
-    Unary { op: UnOp, arg: Box<Expr> },
+    Unary { op: UnOp, arg: Arc<Expr> },
     /// Binary operation.
     Binary {
         op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: Arc<Expr>,
+        rhs: Arc<Expr>,
     },
     /// Intrinsic function call.
-    Call { func: Intrinsic, args: Vec<Expr> },
+    Call { func: Intrinsic, args: Arc<[Expr]> },
 }
 
 impl Expr {
     /// Shorthand for a scalar variable reference.
-    pub fn var(name: impl Into<String>) -> Expr {
+    pub fn var(name: impl Into<Name>) -> Expr {
         Expr::Var(name.into())
     }
 
@@ -130,25 +137,27 @@ impl Expr {
     }
 
     /// Shorthand for an array element reference.
-    pub fn index(array: impl Into<String>, indices: Vec<Expr>) -> Expr {
+    pub fn index(array: impl Into<Name>, indices: impl Into<Arc<[Expr]>>) -> Expr {
         Expr::Index {
             array: array.into(),
-            indices,
+            indices: indices.into(),
         }
     }
 
-    /// Build a binary operation.
-    pub fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    /// Build a binary operation. An operand that is already shared
+    /// (`Arc<Expr>`) is used as it is.
+    pub fn binary(op: BinOp, lhs: impl Into<Arc<Expr>>, rhs: impl Into<Arc<Expr>>) -> Expr {
         Expr::Binary {
             op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
+            lhs: lhs.into(),
+            rhs: rhs.into(),
         }
     }
 
     /// Build an intrinsic call; panics if the arity is wrong (programming
     /// error in builders, caught by `validate` for parsed programs).
-    pub fn call(func: Intrinsic, args: Vec<Expr>) -> Expr {
+    pub fn call(func: Intrinsic, args: impl Into<Arc<[Expr]>>) -> Expr {
+        let args = args.into();
         assert_eq!(
             args.len(),
             func.arity(),
@@ -164,7 +173,7 @@ impl Expr {
     pub fn neg(self) -> Expr {
         Expr::Unary {
             op: UnOp::Neg,
-            arg: Box::new(self),
+            arg: Arc::new(self),
         }
     }
 
@@ -174,7 +183,7 @@ impl Expr {
         match self {
             Expr::IntLit(_) | Expr::RealLit(_) | Expr::Var(_) => {}
             Expr::Index { indices, .. } => {
-                for ix in indices {
+                for ix in indices.iter() {
                     ix.walk(f);
                 }
             }
@@ -184,7 +193,7 @@ impl Expr {
                 rhs.walk(f);
             }
             Expr::Call { args, .. } => {
-                for a in args {
+                for a in args.iter() {
                     a.walk(f);
                 }
             }
@@ -201,12 +210,12 @@ impl Expr {
             },
             Expr::Unary { op, arg } => Expr::Unary {
                 op: *op,
-                arg: Box::new(arg.map(f)),
+                arg: Arc::new(arg.map(f)),
             },
             Expr::Binary { op, lhs, rhs } => Expr::Binary {
                 op: *op,
-                lhs: Box::new(lhs.map(f)),
-                rhs: Box::new(rhs.map(f)),
+                lhs: Arc::new(lhs.map(f)),
+                rhs: Arc::new(rhs.map(f)),
             },
             Expr::Call { func, args } => Expr::Call {
                 func: *func,
@@ -218,7 +227,7 @@ impl Expr {
 
     /// Collect the names of all scalar variables read by this expression
     /// (array names are *not* included; their index variables are).
-    pub fn scalar_vars(&self, out: &mut Vec<String>) {
+    pub fn scalar_vars(&self, out: &mut Vec<Name>) {
         self.walk(&mut |e| {
             if let Expr::Var(name) = e {
                 if !out.contains(name) {
@@ -229,7 +238,7 @@ impl Expr {
     }
 
     /// Collect the names of all arrays referenced by this expression.
-    pub fn array_names(&self, out: &mut Vec<String>) {
+    pub fn array_names(&self, out: &mut Vec<Name>) {
         self.walk(&mut |e| {
             if let Expr::Index { array, .. } = e {
                 if !out.contains(array) {
@@ -306,9 +315,9 @@ impl CmpOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum BoolExpr {
     Cmp { op: CmpOp, lhs: Expr, rhs: Expr },
-    And(Box<BoolExpr>, Box<BoolExpr>),
-    Or(Box<BoolExpr>, Box<BoolExpr>),
-    Not(Box<BoolExpr>),
+    And(Arc<BoolExpr>, Arc<BoolExpr>),
+    Or(Arc<BoolExpr>, Arc<BoolExpr>),
+    Not(Arc<BoolExpr>),
 }
 
 impl BoolExpr {
@@ -341,36 +350,37 @@ impl BoolExpr {
                 rhs: rhs.map(f),
             },
             BoolExpr::And(a, b) => {
-                BoolExpr::And(Box::new(a.map_exprs(f)), Box::new(b.map_exprs(f)))
+                BoolExpr::And(Arc::new(a.map_exprs(f)), Arc::new(b.map_exprs(f)))
             }
-            BoolExpr::Or(a, b) => BoolExpr::Or(Box::new(a.map_exprs(f)), Box::new(b.map_exprs(f))),
-            BoolExpr::Not(a) => BoolExpr::Not(Box::new(a.map_exprs(f))),
+            BoolExpr::Or(a, b) => BoolExpr::Or(Arc::new(a.map_exprs(f)), Arc::new(b.map_exprs(f))),
+            BoolExpr::Not(a) => BoolExpr::Not(Arc::new(a.map_exprs(f))),
         }
     }
 }
 
 // Operator-overload sugar so builder code reads like the source language.
-impl std::ops::Add for Expr {
+// The right operand may be an `Expr` or an already shared `Arc<Expr>`.
+impl<R: Into<Arc<Expr>>> std::ops::Add<R> for Expr {
     type Output = Expr;
-    fn add(self, rhs: Expr) -> Expr {
+    fn add(self, rhs: R) -> Expr {
         Expr::binary(BinOp::Add, self, rhs)
     }
 }
-impl std::ops::Sub for Expr {
+impl<R: Into<Arc<Expr>>> std::ops::Sub<R> for Expr {
     type Output = Expr;
-    fn sub(self, rhs: Expr) -> Expr {
+    fn sub(self, rhs: R) -> Expr {
         Expr::binary(BinOp::Sub, self, rhs)
     }
 }
-impl std::ops::Mul for Expr {
+impl<R: Into<Arc<Expr>>> std::ops::Mul<R> for Expr {
     type Output = Expr;
-    fn mul(self, rhs: Expr) -> Expr {
+    fn mul(self, rhs: R) -> Expr {
         Expr::binary(BinOp::Mul, self, rhs)
     }
 }
-impl std::ops::Div for Expr {
+impl<R: Into<Arc<Expr>>> std::ops::Div<R> for Expr {
     type Output = Expr;
-    fn div(self, rhs: Expr) -> Expr {
+    fn div(self, rhs: R) -> Expr {
         Expr::binary(BinOp::Div, self, rhs)
     }
 }
@@ -471,6 +481,44 @@ mod tests {
     #[should_panic(expected = "expects 2 arguments")]
     fn call_arity_checked() {
         let _ = Expr::call(Intrinsic::Min, vec![Expr::int(1)]);
+    }
+
+    #[test]
+    fn clone_shares_children_and_expr_did_not_grow() {
+        let e =
+            Expr::index("u", vec![v("i") + Expr::int(1)]) * Expr::call(Intrinsic::Sin, [v("x")]);
+        let Expr::Binary { lhs, rhs, .. } = &e else {
+            unreachable!()
+        };
+        let Expr::Binary {
+            lhs: lhs2,
+            rhs: rhs2,
+            ..
+        } = &e.clone()
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(lhs, lhs2) && Arc::ptr_eq(rhs, rhs2));
+        let (
+            Expr::Index { array, indices },
+            Expr::Index {
+                array: a2,
+                indices: i2,
+            },
+        ) = (&**lhs, (**lhs).clone())
+        else {
+            unreachable!()
+        };
+        assert!(Name::ptr_eq(array, &a2) && Arc::ptr_eq(indices, &i2));
+        let (Expr::Call { args, .. }, Expr::Call { args: args2, .. }) = (&**rhs, (**rhs).clone())
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(args, &args2));
+        // The owned tree's `Expr` (`String` name + `Vec` of indices) was 48
+        // bytes.
+        println!("size_of::<Expr>() = {}", std::mem::size_of::<Expr>());
+        assert!(std::mem::size_of::<Expr>() <= 48);
     }
 
     #[test]

@@ -255,8 +255,8 @@ mod tests {
         let (i, k) = (Expr::var("i"), Expr::var("k"));
         let guard = Stmt::If {
             cond: BoolExpr::And(
-                Box::new(BoolExpr::cmp(CmpOp::Lt, i.clone(), k)),
-                Box::new(BoolExpr::cmp(CmpOp::Ge, i.clone(), Expr::int(2))),
+                BoolExpr::cmp(CmpOp::Lt, i.clone(), k).into(),
+                BoolExpr::cmp(CmpOp::Ge, i.clone(), Expr::int(2)).into(),
             ),
             then_body: vec![Stmt::assign(LValue::index("y", vec![i]), Expr::real(1.0))],
             else_body: Vec::new(),

@@ -44,6 +44,7 @@ pub mod clike;
 pub mod expr;
 pub mod flavor;
 mod lexer;
+pub mod name;
 pub mod parser;
 pub mod printer;
 pub mod printer_c;
@@ -55,6 +56,7 @@ pub mod validate;
 pub use clike::{parse_any, parse_clike};
 pub use expr::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, UnOp};
 pub use flavor::SourceFlavor;
+pub use name::Name;
 pub use parser::{parse_expr, parse_program, ParseError};
 pub use printer::{expr_to_string, program_to_string};
 pub use printer_c::program_to_clike;

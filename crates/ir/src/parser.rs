@@ -7,11 +7,14 @@
 //! (`subroutine`, declaration lines, `do`, `if … then`, `call`) is at the
 //! end of this file, the C one is in [`crate::clike`].
 
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
 use crate::flavor::{Callee, SourceFlavor};
 use crate::lexer::{lex, Tok, Token};
+use crate::name::Name;
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, LValue, ParallelInfo, RedOp, Stmt};
 use crate::types::{Intent, Ty};
@@ -50,6 +53,8 @@ pub(crate) struct Parser<'a> {
     pos: usize,
     /// Local declarations met so far (C declares them among statements).
     pub locals: Vec<Decl>,
+    /// Every identifier met so far: each is allocated once per program.
+    names: HashSet<Name>,
 }
 
 impl<'a> Parser<'a> {
@@ -59,6 +64,7 @@ impl<'a> Parser<'a> {
             toks: lex(src, flavor)?,
             pos: 0,
             locals: Vec::new(),
+            names: HashSet::new(),
         })
     }
 
@@ -116,6 +122,22 @@ impl<'a> Parser<'a> {
             }
             _ => self.unexpected("identifier"),
         }
+    }
+
+    /// The one shared [`Name`] of the identifier `s`.
+    pub fn intern(&mut self, s: &str) -> Name {
+        if let Some(n) = self.names.get(s) {
+            return n.clone();
+        }
+        let n = Name::from(s);
+        self.names.insert(n.clone());
+        n
+    }
+
+    /// An identifier token, as a variable name.
+    pub fn name(&mut self) -> Parsed<Name> {
+        let s = self.ident()?;
+        Ok(self.intern(s))
     }
 
     /// True if the current token is the keyword `word`. Fortran keywords
@@ -244,7 +266,8 @@ impl<'a> Parser<'a> {
         let Some(clauses) = clauses else {
             return self.err(format!("unsupported pragma `{prefix} {pragma}`"));
         };
-        let info = parse_parallel_clauses(clauses).or_else(|m| self.err(m))?;
+        let info = parse_parallel_clauses(clauses, &mut |s| self.intern(s));
+        let info = info.or_else(|m| self.err(m))?;
         if !self.at_kw(kw) {
             return self.err(format!(
                 "`{prefix} parallel {kw}` must be followed by a {kw} loop"
@@ -257,15 +280,12 @@ impl<'a> Parser<'a> {
     }
 
     pub fn lvalue(&mut self) -> Parsed<LValue> {
-        let name = self.ident()?.to_string();
+        let name = self.name()?;
         let indices = self.subscripts()?;
         Ok(if indices.is_empty() {
             LValue::Var(name)
         } else {
-            LValue::Index {
-                array: name,
-                indices,
-            }
+            LValue::index(name, indices)
         })
     }
 
@@ -331,7 +351,7 @@ impl<'a> Parser<'a> {
                 Expr::RealLit(v) => Expr::RealLit(-v),
                 other => Expr::Unary {
                     op: UnOp::Neg,
-                    arg: Box::new(other),
+                    arg: Arc::new(other),
                 },
             });
         }
@@ -380,9 +400,9 @@ impl<'a> Parser<'a> {
                 }
                 let indices = self.subscripts()?;
                 Ok(if indices.is_empty() {
-                    Expr::Var(name.to_string())
+                    Expr::Var(self.intern(name))
                 } else {
-                    Expr::index(name, indices)
+                    Expr::index(self.intern(name), indices)
                 })
             }
             _ => self.unexpected("expression"),
@@ -401,7 +421,7 @@ impl<'a> Parser<'a> {
             return self.err(format!("`{name}` takes {arity} argument(s), got {got}"));
         }
         match callee {
-            Callee::Fun(func) => Ok(Expr::Call { func, args }),
+            Callee::Fun(func) => Ok(Expr::call(func, args)),
             Callee::Bin(op) => {
                 let mut args = args.into_iter();
                 let (Some(lhs), Some(rhs)) = (args.next(), args.next()) else {
@@ -418,7 +438,7 @@ impl<'a> Parser<'a> {
         let mut lhs = self.bool_and()?;
         while self.eat(Tok::Or) {
             let rhs = self.bool_and()?;
-            lhs = BoolExpr::Or(Box::new(lhs), Box::new(rhs));
+            lhs = BoolExpr::Or(Arc::new(lhs), Arc::new(rhs));
         }
         Ok(lhs)
     }
@@ -427,14 +447,14 @@ impl<'a> Parser<'a> {
         let mut lhs = self.bool_not()?;
         while self.eat(Tok::And) {
             let rhs = self.bool_not()?;
-            lhs = BoolExpr::And(Box::new(lhs), Box::new(rhs));
+            lhs = BoolExpr::And(Arc::new(lhs), Arc::new(rhs));
         }
         Ok(lhs)
     }
 
     fn bool_not(&mut self) -> Parsed<BoolExpr> {
         if self.eat(Tok::Not) {
-            return Ok(BoolExpr::Not(Box::new(self.bool_not()?)));
+            return Ok(BoolExpr::Not(Arc::new(self.bool_not()?)));
         }
         self.bool_primary()
     }
@@ -550,7 +570,7 @@ impl<'a> Parser<'a> {
         let mut decls = Vec::new();
         loop {
             decls.push(Decl {
-                name: self.ident()?.to_string(),
+                name: self.name()?,
                 ty,
                 dims: self.subscripts()?,
                 intent: intent.unwrap_or(Intent::InOut),
@@ -610,7 +630,7 @@ impl<'a> Parser<'a> {
     /// `do v = lo, hi[, step]` … `end do`
     fn do_stmt(&mut self, parallel: Option<ParallelInfo>) -> Parsed<Stmt> {
         self.expect_kw("do")?;
-        let var = self.ident()?.to_string();
+        let var = self.name()?;
         self.expect(Tok::Assign)?;
         let lo = self.expr()?;
         self.expect(Tok::Comma)?;
@@ -638,9 +658,15 @@ impl<'a> Parser<'a> {
 
 /// Parse the (lower-cased) clause list of a `parallel` loop pragma:
 /// `shared(a, b) private(c) reduction(+: x)`.
-fn parse_parallel_clauses(text: &str) -> Result<ParallelInfo, String> {
-    fn names(args: &str) -> impl Iterator<Item = String> + '_ {
-        args.split(',').map(|s| s.trim().to_string())
+fn parse_parallel_clauses(
+    text: &str,
+    intern: &mut dyn FnMut(&str) -> Name,
+) -> Result<ParallelInfo, String> {
+    fn names<'a>(
+        args: &'a str,
+        intern: &'a mut dyn FnMut(&str) -> Name,
+    ) -> impl Iterator<Item = Name> + 'a {
+        args.split(',').map(|s| intern(s.trim()))
     }
     let mut info = ParallelInfo::default();
     let mut rest = text.trim();
@@ -655,8 +681,8 @@ fn parse_parallel_clauses(text: &str) -> Result<ParallelInfo, String> {
             + open;
         let args = &rest[open + 1..close];
         match name {
-            "shared" => info.shared.extend(names(args)),
-            "private" => info.private.extend(names(args)),
+            "shared" => info.shared.extend(names(args, intern)),
+            "private" => info.private.extend(names(args, intern)),
             "reduction" => {
                 let (op, vars) = args
                     .split_once(':')
@@ -665,7 +691,7 @@ fn parse_parallel_clauses(text: &str) -> Result<ParallelInfo, String> {
                     .into_iter()
                     .find(|r| r.symbol() == op.trim())
                     .ok_or_else(|| format!("unknown reduction operator `{}`", op.trim()))?;
-                info.reductions.extend(names(vars).map(|v| (op, v)));
+                info.reductions.extend(names(vars, intern).map(|v| (op, v)));
             }
             other => return Err(format!("unknown pragma clause `{other}`")),
         }
@@ -804,11 +830,14 @@ end subroutine
 
     #[test]
     fn reduction_clause() {
-        let info = parse_parallel_clauses(" shared(u) reduction(+: s, t) private(w)").unwrap();
+        let info = parse_parallel_clauses(" shared(u) reduction(+: s, t) private(w)", &mut |s| {
+            Name::from(s)
+        })
+        .unwrap();
         assert_eq!(info.shared, vec!["u"]);
         assert_eq!(info.private, vec!["w"]);
         assert_eq!(info.reductions.len(), 2);
-        assert_eq!(info.reductions[0], (RedOp::Add, "s".to_string()));
+        assert_eq!(info.reductions[0], (RedOp::Add, Name::from("s")));
     }
 
     #[test]

@@ -224,7 +224,7 @@ impl<'s> Writer<'s> {
             Expr::Call { func, args } => {
                 let name = self.flavor.spelling().func_name(Callee::Fun(*func));
                 self.out.push_str(name);
-                self.seq(CALL, args);
+                self.seq(CALL, args.iter());
             }
         }
     }
@@ -412,8 +412,8 @@ mod tests {
     #[test]
     fn bool_printing() {
         let b = BoolExpr::And(
-            Box::new(BoolExpr::cmp(CmpOp::Ne, v("i"), v("j"))),
-            Box::new(BoolExpr::cmp(CmpOp::Lt, v("i"), v("n"))),
+            BoolExpr::cmp(CmpOp::Ne, v("i"), v("j")).into(),
+            BoolExpr::cmp(CmpOp::Lt, v("i"), v("n")).into(),
         );
         assert_eq!(bool_to_string(&b), "i .ne. j .and. i .lt. n");
     }

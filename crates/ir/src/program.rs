@@ -1,6 +1,7 @@
 //! Whole-program (subroutine) representation.
 
 use crate::expr::Expr;
+use crate::name::Name;
 use crate::stmt::{ForLoop, Stmt};
 use crate::types::{Intent, Ty};
 
@@ -8,7 +9,7 @@ use crate::types::{Intent, Ty};
 #[derive(Debug, Clone, PartialEq)]
 pub struct Decl {
     /// Variable name.
-    pub name: String,
+    pub name: Name,
     /// Element type.
     pub ty: Ty,
     /// Extent expression per dimension; empty for scalars. Extents are
@@ -23,7 +24,7 @@ pub struct Decl {
 
 impl Decl {
     /// Scalar parameter.
-    pub fn scalar(name: impl Into<String>, ty: Ty, intent: Intent) -> Decl {
+    pub fn scalar(name: impl Into<Name>, ty: Ty, intent: Intent) -> Decl {
         Decl {
             name: name.into(),
             ty,
@@ -34,7 +35,7 @@ impl Decl {
     }
 
     /// Array parameter.
-    pub fn array(name: impl Into<String>, ty: Ty, dims: Vec<Expr>, intent: Intent) -> Decl {
+    pub fn array(name: impl Into<Name>, ty: Ty, dims: Vec<Expr>, intent: Intent) -> Decl {
         Decl {
             name: name.into(),
             ty,
@@ -45,7 +46,7 @@ impl Decl {
     }
 
     /// Scalar local.
-    pub fn local(name: impl Into<String>, ty: Ty) -> Decl {
+    pub fn local(name: impl Into<Name>, ty: Ty) -> Decl {
         Decl {
             name: name.into(),
             ty,
@@ -56,7 +57,7 @@ impl Decl {
     }
 
     /// Array local.
-    pub fn local_array(name: impl Into<String>, ty: Ty, dims: Vec<Expr>) -> Decl {
+    pub fn local_array(name: impl Into<Name>, ty: Ty, dims: Vec<Expr>) -> Decl {
         Decl {
             name: name.into(),
             ty,

@@ -4,6 +4,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use crate::expr::{BinOp, BoolExpr, Expr};
+use crate::name::Name;
 use crate::program::Program;
 use crate::stmt::{LValue, Stmt};
 use crate::types::Ty;
@@ -64,7 +65,7 @@ struct Validator<'a> {
     errors: Vec<ValidateError>,
     parallel_depth: usize,
     /// Names privatized by enclosing parallel loops (incl. loop counters).
-    privatized: Vec<String>,
+    privatized: Vec<Name>,
 }
 
 impl<'a> Validator<'a> {
@@ -95,7 +96,7 @@ impl<'a> Validator<'a> {
                 }
             }
             Expr::Call { func, args } => {
-                for a in args {
+                for a in args.iter() {
                     self.ty_of_expr(a);
                 }
                 use crate::expr::Intrinsic::*;

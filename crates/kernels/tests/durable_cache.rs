@@ -309,11 +309,7 @@ fn editing_one_gfmc_loop_reproves_only_that_region() {
     let mut edited = gf.clone();
     let l = first_parallel(&mut edited.body).expect("gfmc has a parallel loop");
     let old = std::mem::replace(&mut l.hi, Expr::IntLit(0));
-    l.hi = Expr::Binary {
-        op: formad_ir::BinOp::Add,
-        lhs: Box::new(old),
-        rhs: Box::new(Expr::IntLit(0)),
-    };
+    l.hi = Expr::binary(formad_ir::BinOp::Add, old, Expr::IntLit(0));
 
     let engine = SharedEngine::with_cache_dir(&dir);
     let sink = TraceSink::new();

@@ -277,7 +277,9 @@ fn compile_cdylib(src: &Path, out: &Path) -> Result<(), AotError> {
     if !out_res.status.success() {
         let mut msg = String::from_utf8_lossy(&out_res.stderr).into_owned();
         if msg.len() > 2000 {
-            msg.truncate(2000);
+            // `truncate` panics inside a character, and rustc echoes the
+            // generated source's non-ASCII header comment in diagnostics.
+            msg.truncate(msg.floor_char_boundary(2000));
             msg.push_str(" …");
         }
         let _ = std::fs::remove_file(&tmp);

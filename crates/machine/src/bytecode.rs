@@ -317,12 +317,15 @@ pub fn compile(lp: &LProgram, prog: &Program) -> Result<BcProgram, ExecError> {
     let mut params = Vec::with_capacity(prog.params.len());
     for d in &prog.params {
         if d.is_array() {
-            params.push(BcParam::Array(d.name.clone(), lp.array_ids[&d.name]));
+            params.push(BcParam::Array(
+                d.name.to_string(),
+                lp.array_ids[d.name.as_str()],
+            ));
         } else {
-            let (slot, ty) = lp.scalar_slots[&d.name];
+            let (slot, ty) = lp.scalar_slots[d.name.as_str()];
             match ty {
-                Ty::Real => params.push(BcParam::RealScalar(d.name.clone(), slot)),
-                Ty::Int => params.push(BcParam::IntScalar(d.name.clone(), slot)),
+                Ty::Real => params.push(BcParam::RealScalar(d.name.to_string(), slot)),
+                Ty::Int => params.push(BcParam::IntScalar(d.name.to_string(), slot)),
             }
         }
     }

@@ -137,13 +137,13 @@ pub fn bind_params(
         match d.ty {
             // Array extents are expressions over the integer parameters,
             // so a missing one cannot be defaulted meaningfully.
-            Ty::Int if !bind.int_scalars.contains_key(&d.name) => {
+            Ty::Int if !bind.int_scalars.contains_key(d.name.as_str()) => {
                 return Err(BindError::MissingInt {
-                    name: d.name.clone(),
+                    name: d.name.to_string(),
                 });
             }
             Ty::Real => {
-                bind.real_scalars.entry(d.name.clone()).or_insert(0.0);
+                bind.real_scalars.entry(d.name.to_string()).or_insert(0.0);
             }
             _ => {}
         }
@@ -155,17 +155,17 @@ pub fn bind_params(
         if !d.is_array() {
             continue;
         }
-        let len = lp.arrays[lp.array_ids[&d.name] as usize].len;
+        let len = lp.arrays[lp.array_ids[d.name.as_str()] as usize].len;
         match d.ty {
             Ty::Real => {
                 bind.real_arrays
-                    .insert(d.name.clone(), fill_real(&d.name, seed, len));
+                    .insert(d.name.to_string(), fill_real(&d.name, seed, len));
             }
             // 1, 2, 3, … so integer arrays used as subscripts stay within
             // the 1-based bounds of same-extent arrays.
             Ty::Int => {
                 bind.int_arrays
-                    .insert(d.name.clone(), (1..=len as i64).collect());
+                    .insert(d.name.to_string(), (1..=len as i64).collect());
             }
         }
     }
@@ -201,14 +201,15 @@ pub fn adjoint_bindings<S: AsRef<str>>(
     }
     for d in prog.params.iter().filter(|d| d.ty == Ty::Real) {
         if !d.is_array() {
-            b.real_scalars.entry(d.name.clone()).or_insert(0.0);
-        } else if !b.real_arrays.contains_key(&d.name) {
+            b.real_scalars.entry(d.name.to_string()).or_insert(0.0);
+        } else if !b.real_arrays.contains_key(d.name.as_str()) {
             let shadowed = d
                 .name
                 .strip_suffix('b')
                 .and_then(|s| base.get_real_array(s));
             if let Some(arr) = shadowed {
-                b.real_arrays.insert(d.name.clone(), vec![0.0; arr.len()]);
+                b.real_arrays
+                    .insert(d.name.to_string(), vec![0.0; arr.len()]);
             }
         }
     }
@@ -227,16 +228,24 @@ pub fn output_lines(prog: &Program, bind: &Bindings) -> Vec<String> {
         }
         match (d.is_array(), d.ty) {
             (false, Ty::Real) => {
-                out.push(format!("{} = {:.17e}", d.name, bind.real_scalars[&d.name]));
+                out.push(format!(
+                    "{} = {:.17e}",
+                    d.name,
+                    bind.real_scalars[d.name.as_str()]
+                ));
             }
-            (false, Ty::Int) => out.push(format!("{} = {}", d.name, bind.int_scalars[&d.name])),
+            (false, Ty::Int) => out.push(format!(
+                "{} = {}",
+                d.name,
+                bind.int_scalars[d.name.as_str()]
+            )),
             (true, Ty::Real) => {
-                let a = &bind.real_arrays[&d.name];
+                let a = &bind.real_arrays[d.name.as_str()];
                 let sum: f64 = a.iter().sum();
                 out.push(format!("{}: len={} sum={:.17e}", d.name, a.len(), sum));
             }
             (true, Ty::Int) => {
-                let a = &bind.int_arrays[&d.name];
+                let a = &bind.int_arrays[d.name.as_str()];
                 let sum: i64 = a.iter().sum();
                 out.push(format!("{}: len={} sum={}", d.name, a.len(), sum));
             }

@@ -129,11 +129,14 @@ where
     }
     // Any other active adjoint parameters default to zero.
     for d in &adjoint.params {
-        if d.is_array() && !b.real_arrays.contains_key(&d.name) && d.ty == formad_ir::Ty::Real {
+        if d.is_array()
+            && !b.real_arrays.contains_key(d.name.as_str())
+            && d.ty == formad_ir::Ty::Real
+        {
             if let Some(stem) = d.name.strip_suffix(suffix) {
                 if let Some(primal_arr) = base.get_real_array(stem) {
                     b.real_arrays
-                        .insert(d.name.clone(), vec![0.0; primal_arr.len()]);
+                        .insert(d.name.to_string(), vec![0.0; primal_arr.len()]);
                 }
             }
         }
@@ -225,11 +228,14 @@ pub fn tangent_dot_test(
     }
     // Any other active tangent parameters default to zero.
     for d in &tangent.params {
-        if d.is_array() && !b.real_arrays.contains_key(&d.name) && d.ty == formad_ir::Ty::Real {
+        if d.is_array()
+            && !b.real_arrays.contains_key(d.name.as_str())
+            && d.ty == formad_ir::Ty::Real
+        {
             if let Some(stem) = d.name.strip_suffix(suffix) {
                 if let Some(primal_arr) = base.get_real_array(stem) {
                     b.real_arrays
-                        .insert(d.name.clone(), vec![0.0; primal_arr.len()]);
+                        .insert(d.name.to_string(), vec![0.0; primal_arr.len()]);
                 }
             }
         }

@@ -191,27 +191,27 @@ impl<'a> Interp<'a> {
     fn write_back(&mut self, bind: &mut Bindings, prog: &Program) {
         for d in &prog.params {
             if d.is_array() {
-                let id = self.lp.array_ids[&d.name] as usize;
+                let id = self.lp.array_ids[d.name.as_str()] as usize;
                 match d.ty {
                     Ty::Real => {
                         bind.real_arrays
-                            .insert(d.name.clone(), std::mem::take(&mut self.arr_r[id]));
+                            .insert(d.name.to_string(), std::mem::take(&mut self.arr_r[id]));
                     }
                     Ty::Int => {
                         bind.int_arrays
-                            .insert(d.name.clone(), std::mem::take(&mut self.arr_i[id]));
+                            .insert(d.name.to_string(), std::mem::take(&mut self.arr_i[id]));
                     }
                 }
             } else {
-                let (slot, ty) = self.lp.scalar_slots[&d.name];
+                let (slot, ty) = self.lp.scalar_slots[d.name.as_str()];
                 match ty {
                     Ty::Real => {
                         bind.real_scalars
-                            .insert(d.name.clone(), self.reals[slot as usize]);
+                            .insert(d.name.to_string(), self.reals[slot as usize]);
                     }
                     Ty::Int => {
                         bind.int_scalars
-                            .insert(d.name.clone(), self.ints[slot as usize]);
+                            .insert(d.name.to_string(), self.ints[slot as usize]);
                     }
                 }
             }

@@ -116,7 +116,7 @@ struct Lowerer<'a> {
     /// body: indices referencing them are per-iteration gathers (cache
     /// misses). Scalars gathered in an outer loop are innermost-invariant
     /// (strided, prefetchable) and not counted.
-    gather_ctx: std::collections::HashSet<String>,
+    gather_ctx: std::collections::HashSet<formad_ir::Name>,
 }
 
 /// Lower `prog`, evaluating array extents from the scalar bindings.
@@ -144,7 +144,7 @@ pub fn lower(prog: &Program, bind: &Bindings) -> Result<LProgram, ExecError> {
                     (lw.n_int - 1) as Slot
                 }
             };
-            lw.scalar_slots.insert(d.name.clone(), (slot, d.ty));
+            lw.scalar_slots.insert(d.name.to_string(), (slot, d.ty));
         }
     }
     for d in prog.decls() {
@@ -181,7 +181,7 @@ impl<'a> Lowerer<'a> {
 
     /// Scalars assigned from array-reading expressions directly in `body`
     /// (descending into `if` branches but not into nested loops).
-    fn gather_scalars(body: &[Stmt], out: &mut std::collections::HashSet<String>) {
+    fn gather_scalars(body: &[Stmt], out: &mut std::collections::HashSet<formad_ir::Name>) {
         for s in body {
             match s {
                 Stmt::Assign {
@@ -222,12 +222,12 @@ impl<'a> Lowerer<'a> {
         }
         let id = self.arrays.len() as ArrId;
         self.arrays.push(ArrMeta {
-            name: d.name.clone(),
+            name: d.name.to_string(),
             ty: d.ty,
             dims,
             len: len as usize,
         });
-        self.array_ids.insert(d.name.clone(), id);
+        self.array_ids.insert(d.name.to_string(), id);
         Ok(())
     }
 
@@ -281,7 +281,7 @@ impl<'a> Lowerer<'a> {
             Expr::Var(n) => {
                 let (slot, ty) = *self
                     .scalar_slots
-                    .get(n)
+                    .get(n.as_str())
                     .ok_or_else(|| ExecError::new(format!("unbound scalar `{n}`")))?;
                 match ty {
                     Ty::Real => LExpr::ScalarR(slot),
@@ -291,7 +291,7 @@ impl<'a> Lowerer<'a> {
             Expr::Index { array, indices } => {
                 let id = *self
                     .array_ids
-                    .get(array)
+                    .get(array.as_str())
                     .ok_or_else(|| ExecError::new(format!("unbound array `{array}`")))?;
                 let indirect = self.is_indirect(indices);
                 let idx: Result<Vec<LExpr>, _> = indices
@@ -360,7 +360,7 @@ impl<'a> Lowerer<'a> {
                 LValue::Var(n) => {
                     let (slot, ty) = *self
                         .scalar_slots
-                        .get(n)
+                        .get(n.as_str())
                         .ok_or_else(|| ExecError::new(format!("unbound scalar `{n}`")))?;
                     let r = self.lower_expr(rhs, ty)?;
                     match ty {
@@ -371,7 +371,7 @@ impl<'a> Lowerer<'a> {
                 LValue::Index { array, indices } => {
                     let id = *self
                         .array_ids
-                        .get(array)
+                        .get(array.as_str())
                         .ok_or_else(|| ExecError::new(format!("unbound array `{array}`")))?;
                     let ty = self.arrays[id as usize].ty;
                     let indirect = self.is_indirect(indices);
@@ -386,7 +386,7 @@ impl<'a> Lowerer<'a> {
                 LValue::Index { array, indices } => {
                     let id = *self
                         .array_ids
-                        .get(array)
+                        .get(array.as_str())
                         .ok_or_else(|| ExecError::new(format!("unbound array `{array}`")))?;
                     let idx: Result<Vec<LExpr>, _> = indices
                         .iter()
@@ -410,7 +410,7 @@ impl<'a> Lowerer<'a> {
             Stmt::For(l) => {
                 let (var, vty) = *self
                     .scalar_slots
-                    .get(&l.var)
+                    .get(l.var.as_str())
                     .ok_or_else(|| ExecError::new(format!("unbound loop counter `{}`", l.var)))?;
                 if vty != Ty::Int {
                     return Err(ExecError::new("loop counter must be integer"));
@@ -422,7 +422,7 @@ impl<'a> Lowerer<'a> {
                         for p in &info.private {
                             let (slot, ty) = *self
                                 .scalar_slots
-                                .get(p)
+                                .get(p.as_str())
                                 .ok_or_else(|| ExecError::new(format!("unbound private `{p}`")))?;
                             match ty {
                                 Ty::Real => lp.private_r.push(slot),
@@ -430,9 +430,9 @@ impl<'a> Lowerer<'a> {
                             }
                         }
                         for (op, v) in &info.reductions {
-                            if let Some((slot, ty)) = self.scalar_slots.get(v) {
+                            if let Some((slot, ty)) = self.scalar_slots.get(v.as_str()) {
                                 lp.red_scalars.push((*op, *slot, *ty == Ty::Real));
-                            } else if let Some(id) = self.array_ids.get(v) {
+                            } else if let Some(id) = self.array_ids.get(v.as_str()) {
                                 if self.arrays[*id as usize].ty != Ty::Real {
                                     return Err(ExecError::new(
                                         "array reductions only supported on real arrays",
@@ -475,7 +475,7 @@ impl<'a> Lowerer<'a> {
                 LValue::Var(n) => {
                     let (slot, ty) = *self
                         .scalar_slots
-                        .get(n)
+                        .get(n.as_str())
                         .ok_or_else(|| ExecError::new(format!("unbound scalar `{n}`")))?;
                     match ty {
                         Ty::Real => LStmt::PopR(slot),
@@ -485,7 +485,7 @@ impl<'a> Lowerer<'a> {
                 LValue::Index { array, indices } => {
                     let id = *self
                         .array_ids
-                        .get(array)
+                        .get(array.as_str())
                         .ok_or_else(|| ExecError::new(format!("unbound array `{array}`")))?;
                     let indirect = self.is_indirect(indices);
                     let idx: Result<Vec<LExpr>, _> = indices
@@ -504,7 +504,7 @@ impl<'a> Lowerer<'a> {
 fn eval_const_int(e: &Expr, bind: &Bindings) -> Option<i64> {
     match e {
         Expr::IntLit(v) => Some(*v),
-        Expr::Var(n) => bind.int_scalars.get(n).copied(),
+        Expr::Var(n) => bind.int_scalars.get(n.as_str()).copied(),
         Expr::Unary { op: UnOp::Neg, arg } => Some(-eval_const_int(arg, bind)?),
         Expr::Binary { op, lhs, rhs } => {
             let a = eval_const_int(lhs, bind)?;

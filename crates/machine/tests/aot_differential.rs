@@ -159,3 +159,53 @@ fn forced_compile_failure_falls_back_to_bytecode() {
         "forced-failure fallback: sim vs aot"
     );
 }
+
+/// A failing `rustc` whose stderr has a multi-byte character across byte
+/// 2000 (every generated source opens with a comment containing `—`,
+/// which rustc echoes in diagnostics): shortening the message must not
+/// split the character. The run degrades like any other compile failure.
+#[cfg(unix)]
+#[test]
+fn rustc_stderr_is_cut_at_a_char_boundary() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());
+    // A size no other test binds, for the reason given above.
+    let st = StencilCase::small(41, 1);
+    let prog = st.ir();
+    let base = st.bindings(13);
+    let dir = std::env::temp_dir().join(format!("formad-aot-cuttest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    // 1999 ASCII bytes, then `é` (bytes 1999..2001), then more.
+    let fake = dir.join("fake-rustc.sh");
+    let script = "#!/bin/sh\nhead -c 1999 /dev/zero | tr '\\0' 'x' >&2\nprintf 'é and more\\n' >&2\nexit 1\n";
+    std::fs::write(&fake, script).expect("write fake rustc");
+    std::fs::set_permissions(&fake, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    std::env::set_var("FORMAD_AOT_DIR", dir.join("cache"));
+    std::env::set_var("FORMAD_AOT_RUSTC", &fake);
+    let result = std::panic::catch_unwind(|| {
+        let mut sim = base.clone();
+        run(&prog, &mut sim, &Machine::with_threads(4))?;
+        let mut aot = base.clone();
+        let fallback = run_aot(&prog, &mut aot, 4)?;
+        Ok::<_, formad_machine::ExecError>((sim, aot, fallback))
+    });
+    std::env::remove_var("FORMAD_AOT_RUSTC");
+    std::env::remove_var("FORMAD_AOT_DIR");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (sim, aot, fallback) = result
+        .expect("run_aot must not unwind")
+        .expect("fallback run must succeed");
+    let reason = fallback.expect("compile failure must be reported as a fallback reason");
+    assert!(
+        reason.contains("rustc failed"),
+        "unexpected fallback reason: {reason}"
+    );
+    assert!(reason.ends_with("x …"), "cut below the `é`: {reason}");
+    assert_eq!(
+        sim.first_difference(&aot, Compare::Bitwise),
+        None,
+        "cut-stderr fallback: sim vs aot"
+    );
+}

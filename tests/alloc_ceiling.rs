@@ -7,9 +7,9 @@
 //! `prove_heavy` programs of the benchmark and 200 fuzz-grammar corpus
 //! programs through parse → `Formad::differentiate` → print and holds
 //! each pass under a ceiling 5 % above what it measured when the ceiling
-//! was set. A change that re-introduces a
-//! second validate/activity pass, a dry-run adjoint generation or
-//! cloning predicates trips it.
+//! was set, printing the count per stage. A change that re-introduces a
+//! second validate/activity pass, a dry-run adjoint generation, cloning
+//! predicates or an IR that deep-copies its children trips it.
 //!
 //! The only test in this binary: the counter is per thread, but a quiet
 //! process keeps the numbers easy to reason about.
@@ -52,11 +52,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations (and reallocations) this thread made while running `f`.
-fn allocations_in(f: impl FnOnce()) -> u64 {
+/// What `f` returns, and the allocations (and reallocations) this thread
+/// made while running it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
+    let value = f();
+    (value, ALLOCATIONS.with(Cell::get) - before)
 }
 
 struct Input {
@@ -122,40 +123,61 @@ fn corpus() -> Vec<Input> {
         .collect()
 }
 
-/// One pass: every input through parse → differentiate → print. Returns
-/// the printed bytes so the work cannot be optimized away.
-fn pass(inputs: &[Input]) -> usize {
-    let mut bytes = 0;
-    for input in inputs {
-        let wrt: Vec<&str> = input.wrt.iter().map(String::as_str).collect();
-        let of: Vec<&str> = input.of.iter().map(String::as_str).collect();
-        let opts = FormadOptions::new(&wrt, &of);
-        let primal = parse_any(&input.source).expect("input parses");
-        let result = Formad::new(opts)
-            .differentiate(&primal)
-            .expect("input differentiates");
-        bytes += program_to_string(&result.adjoint).len();
+/// Allocations of one pass, by stage.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Stages {
+    parse: u64,
+    differentiate: u64,
+    print: u64,
+}
+
+impl Stages {
+    fn total(self) -> u64 {
+        self.parse + self.differentiate + self.print
     }
-    bytes
+}
+
+/// One pass: every input through parse → differentiate → print. Returns
+/// the printed bytes so the work cannot be optimized away, and what each
+/// stage allocated.
+fn pass(inputs: &[Input]) -> (usize, Stages) {
+    let mut bytes = 0;
+    let mut stages = Stages::default();
+    for input in inputs {
+        let (primal, n) = counted(|| parse_any(&input.source).expect("input parses"));
+        stages.parse += n;
+        let (result, n) = counted(|| {
+            let wrt: Vec<&str> = input.wrt.iter().map(String::as_str).collect();
+            let of: Vec<&str> = input.of.iter().map(String::as_str).collect();
+            let opts = FormadOptions::new(&wrt, &of);
+            let diff = Formad::new(opts).differentiate(&primal);
+            diff.expect("input differentiates")
+        });
+        stages.differentiate += n;
+        let (printed, n) = counted(|| program_to_string(&result.adjoint).len());
+        stages.print += n;
+        bytes += printed;
+    }
+    (bytes, stages)
 }
 
 /// Allocations of one pass over `inputs`, after a warm-up pass; checked
 /// to repeat exactly.
-fn measured(inputs: &[Input]) -> u64 {
-    let warm = pass(inputs);
-    let mut printed = 0;
-    let first = allocations_in(|| printed = pass(inputs));
+fn measured(inputs: &[Input]) -> Stages {
+    let (warm, _) = pass(inputs);
+    let (printed, first) = pass(inputs);
     assert_eq!(printed, warm, "passes print different adjoints");
-    let second = allocations_in(|| printed = pass(inputs));
+    let (_, second) = pass(inputs);
     assert_eq!(first, second, "allocation count does not repeat");
     first
 }
 
-/// Measured when the ceilings were set (PR 22, `--release`). The parent
-/// commit made 121 000 and 388 852 on the same inputs: it deep-cloned the
-/// region's solver, `AtomTable` included, for every array it proved.
-const HEAVY_MEASURED: u64 = 120_323;
-const CORPUS_MEASURED: u64 = 375_140;
+/// Measured when the ceilings were set (PR 23, `--release`). The parent
+/// commit made 120 323 and 375 140 on the same inputs: its IR owned its
+/// children (`Box<Expr>`, `Vec<Expr>`) and spelled every identifier as a
+/// `String`, so each duplicated operand or seed was a deep copy.
+const HEAVY_MEASURED: u64 = 82_270;
+const CORPUS_MEASURED: u64 = 222_706;
 
 #[test]
 fn allocations_per_pass_stay_under_the_ceiling() {
@@ -163,11 +185,16 @@ fn allocations_per_pass_stay_under_the_ceiling() {
         ("prove_heavy", heavy(), HEAVY_MEASURED),
         ("corpus", corpus(), CORPUS_MEASURED),
     ] {
-        let now = measured(&inputs);
+        let stages = measured(&inputs);
+        let now = stages.total();
         let ceiling = measured_then + measured_then / 20;
         println!(
-            "{name}: {now} allocations per pass over {} programs (ceiling {ceiling})",
-            inputs.len()
+            "{name}: {now} allocations per pass over {} programs (ceiling {ceiling}): \
+             parse {} / differentiate {} / print {}",
+            inputs.len(),
+            stages.parse,
+            stages.differentiate,
+            stages.print
         );
         assert!(
             now <= ceiling,
