@@ -18,6 +18,12 @@
 //!                         dispatch overhead calibrated from the measured
 //!                         data; JSON written to PATH (default
 //!                         BENCH_kernels.json)
+//! repro pairs --parent REV [--workload W]... [--pairs N] [--seeds S,S,…]
+//!             [--seconds T]
+//!                         the benchmark in alternated pairs against REV,
+//!                         summarized against BENCHMARK.json's bounds;
+//!                         every result line to bench/pairs/<sha>.json
+//! repro pairs --self-test the summary logic on synthetic result lines
 //! repro all [outdir]      everything; CSVs written to outdir (default
 //!                         repro_out/)
 //! repro --scale big ...   closer-to-paper problem sizes (slower)
@@ -89,6 +95,7 @@ fn main() {
         ),
         "lbm" => print!("{}", lbm_report()),
         "bench-kernels" => bench_kernels(&args[1..]),
+        "pairs" => pairs(&args[1..]),
         "fig3" => print_fig(
             &small_stencil(scale),
             Kind::Absolute,
@@ -132,11 +139,59 @@ fn main() {
         other => {
             eprintln!("unknown command `{other}`");
             eprintln!(
-                "commands: table1 ablations lbm bench-kernels \
+                "commands: table1 ablations lbm bench-kernels pairs \
                  fig3..fig10 all [outdir] [--scale small|big]"
             );
             std::process::exit(2);
         }
+    }
+}
+
+/// `pairs --parent REV [--workload W]... [--pairs N] [--seeds S,S,…]
+/// [--seconds T]` or `pairs --self-test` (see [`formad_bench::pairs`]).
+fn pairs(rest: &[String]) {
+    let fail = |msg: String| -> ! {
+        eprintln!("pairs: {msg}");
+        std::process::exit(2);
+    };
+    if rest == ["--self-test"] {
+        match formad_bench::pairs::self_test() {
+            Ok(()) => return println!("pairs: self-test passed"),
+            Err(e) => fail(format!("self-test failed: {e}")),
+        }
+    }
+    let mut opts = formad_bench::pairs::PairsOptions {
+        parent: String::new(),
+        workloads: Vec::new(),
+        pairs: 10,
+        seeds: vec![1, 2, 3],
+        seconds: 12,
+    };
+    let mut k = 0;
+    while k < rest.len() {
+        let value = rest
+            .get(k + 1)
+            .unwrap_or_else(|| fail(format!("{} expects a value", rest[k])));
+        let number = |v: &str| -> u64 {
+            v.parse()
+                .unwrap_or_else(|_| fail(format!("{} expects a number, got `{v}`", rest[k])))
+        };
+        match rest[k].as_str() {
+            "--parent" => opts.parent = value.clone(),
+            "--workload" => opts.workloads.push(value.clone()),
+            "--pairs" => opts.pairs = number(value) as usize,
+            "--seconds" => opts.seconds = number(value),
+            "--seeds" => opts.seeds = value.split(',').map(|s| number(s.trim())).collect(),
+            other => fail(format!("unknown option `{other}`")),
+        }
+        k += 2;
+    }
+    if opts.parent.is_empty() || opts.pairs == 0 || opts.seeds.is_empty() {
+        fail("usage: repro pairs --parent REV [--workload W]... [--pairs N] [--seeds S,S,…] [--seconds T] | --self-test".into());
+    }
+    if let Err(e) = formad_bench::pairs::run_pairs(&opts) {
+        eprintln!("pairs: {e}");
+        std::process::exit(1);
     }
 }
 

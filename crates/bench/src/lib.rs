@@ -9,6 +9,7 @@
 pub mod ablation;
 pub mod experiments;
 pub mod kernel_bench;
+pub mod pairs;
 pub mod prover_bench;
 pub mod versions;
 

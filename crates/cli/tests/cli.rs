@@ -965,6 +965,179 @@ fn serve_starts_answers_and_shuts_down_over_the_wire() {
     );
 }
 
+// ---- the nesting budget ----
+
+/// `y(i) = rhs(x)` in a parallel loop, in the Fortran or the C flavour,
+/// where `x` is the flavour's spelling of `x(i)`.
+fn deep_program(c: bool, rhs: impl Fn(&str) -> String) -> String {
+    if c {
+        format!(
+            "void deep(int n, const double x[n], double y[n]) {{\n  \
+             #pragma omp parallel for shared(x, y)\n  \
+             for (int i = 1; i <= n; i++) {{\n    y[i] = {};\n  }}\n}}\n",
+            rhs("x[i]")
+        )
+    } else {
+        format!(
+            "subroutine deep(n, x, y)\n  integer, intent(in) :: n\n  \
+             real, intent(in) :: x(n)\n  real, intent(inout) :: y(n)\n  integer :: i\n  \
+             !$omp parallel do shared(x, y)\n  do i = 1, n\n    y(i) = {}\n  \
+             end do\nend subroutine\n",
+            rhs("x(i)")
+        )
+    }
+}
+
+/// The two probes, each in both flavours: 20 000 levels of parentheses
+/// (≈ 40 KB) and a flat 50 000-term sum.
+fn deep_probes() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for c in [false, true] {
+        let ext = if c { "c" } else { "f90" };
+        let parens = |x: &str| format!("{}{x}{}", "(".repeat(20_000), ")".repeat(20_000));
+        let sum = |x: &str| vec![x; 50_000].join(" + ");
+        out.push((format!("probe-parens.{ext}"), deep_program(c, parens)));
+        out.push((format!("probe-sum.{ext}"), deep_program(c, sum)));
+    }
+    out
+}
+
+/// A flat sum of `k` terms and a `tanh` chain `k` calls deep.
+fn sum_of(k: usize) -> impl Fn(&str) -> String {
+    move |x: &str| vec![x; k].join(" + ")
+}
+
+fn tanh_chain(k: usize) -> impl Fn(&str) -> String {
+    move |x: &str| format!("{}{x}{}", "tanh(".repeat(k), ")".repeat(k))
+}
+
+#[test]
+fn deep_probes_end_in_a_parse_error() {
+    for (name, src) in deep_probes() {
+        let f = write_temp(&name, &src);
+        let f = f.to_str().unwrap();
+        let (_, err, _) = formad(&["analyze", f, "--wrt", "x", "--of", "y"]);
+        assert!(
+            err.contains("nesting deeper than 256 levels"),
+            "{name}: {err}"
+        );
+        for verb in ["analyze", "adjoint"] {
+            assert_eq!(
+                formad_code(&[verb, f, "--wrt", "x", "--of", "y"]),
+                3,
+                "{verb} {name}"
+            );
+        }
+    }
+}
+
+#[test]
+fn programs_at_the_nesting_limit_run_every_verb() {
+    // In the loop body `x(i)` is 2 levels tall and one block down: 254
+    // terms or 253 `tanh` calls reach the limit of 256.
+    for c in [false, true] {
+        for (shape, src) in [
+            ("sum", deep_program(c, sum_of(254))),
+            ("tanh", deep_program(c, tanh_chain(253))),
+        ] {
+            let f = write_temp(&format!("limit-{shape}-{c}.src"), &src);
+            let f = f.to_str().unwrap();
+            for verb in ["analyze", "explain", "adjoint"] {
+                let (out, err, ok) = formad(&[verb, f, "--wrt", "x", "--of", "y"]);
+                assert!(ok, "{verb} {shape} (C: {c}): {err}");
+                assert!(!out.is_empty(), "{verb} {shape}");
+            }
+            let (out, err, ok) = formad(&["exec", f, "--backend", "sim", "--set", "n=4"]);
+            assert!(
+                ok && out.contains('y'),
+                "exec {shape} (C: {c}): {err}\n{out}"
+            );
+        }
+    }
+}
+
+#[test]
+fn one_past_the_nesting_limit_is_a_parse_error() {
+    for c in [false, true] {
+        for (shape, src) in [
+            ("sum", deep_program(c, sum_of(255))),
+            ("tanh", deep_program(c, tanh_chain(254))),
+        ] {
+            let f = write_temp(&format!("past-{shape}-{c}.src"), &src);
+            let f = f.to_str().unwrap();
+            for verb in ["analyze", "adjoint"] {
+                let code = formad_code(&[verb, f, "--wrt", "x", "--of", "y"]);
+                assert_eq!(code, 3, "{verb} {shape} (C: {c})");
+            }
+            assert_eq!(
+                formad_code(&["exec", f, "--backend", "sim", "--set", "n=4"]),
+                3
+            );
+        }
+    }
+}
+
+#[test]
+fn serve_survives_deep_probes() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::net::TcpStream;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_formad"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn formad serve");
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr = banner.rsplit(' ').next().unwrap().to_string();
+    let send = |method: &str, path: &str, body: &str| -> (u16, String) {
+        let mut s = TcpStream::connect(&addr).expect("connect to daemon");
+        s.write_all(
+            format!(
+                "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let mut text = String::new();
+        s.read_to_string(&mut text).unwrap();
+        let status = text.split_whitespace().nth(1).unwrap().parse().unwrap();
+        (
+            status,
+            text.split("\r\n\r\n").nth(1).unwrap_or("").to_string(),
+        )
+    };
+    let analyze = |src: &str| {
+        let program = src.replace('\n', "\\n").replace('"', "\\\"");
+        send(
+            "POST",
+            "/v1/analyze",
+            &format!(r#"{{"program":"{program}","wrt":"x","of":"y"}}"#),
+        )
+    };
+    for (name, src) in deep_probes() {
+        let (status, body) = analyze(&src);
+        assert_eq!(status, 400, "{name}: {body}");
+        assert!(body.contains("nesting deeper"), "{name}: {body}");
+        let (status, body) = send("GET", "/v1/status", "");
+        assert_eq!(status, 200, "after {name}: {body}");
+    }
+    // A program at the limit is analyzed on the connection thread.
+    let (status, body) = analyze(&deep_program(false, tanh_chain(253)));
+    assert_eq!(status, 200, "{body}");
+    // So is a request body nested past the JSON limit refused, not fatal.
+    let (status, _) = send("POST", "/v1/analyze", &"[".repeat(100_000));
+    assert_eq!(status, 400);
+    let (status, _) = send("POST", "/v1/shutdown", "{}");
+    assert_eq!(status, 200);
+    assert!(child
+        .wait_with_output()
+        .expect("daemon exit")
+        .status
+        .success());
+}
+
 // ---- zero-parallel-region AOT path ----
 
 const SEQ_F: &str = r#"

@@ -31,23 +31,21 @@
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use formad_ad::{plan_transpose, RegionWrites};
+use formad_ad::{plan_transpose, ObligationPair, RegionWrites};
 use formad_analysis::{
-    collect_refs, AccessKind, Activity, ArrayRef, Cfg, Contexts, CtxId, IncRole, Instances,
+    collect_refs, AccessKind, Activity, ArrayRef, Cfg, Contexts, CtxId, IncRole, Instances, NodeId,
 };
 use formad_ir::{count_stmts, Expr, ForLoop, Name, Program, Stmt, Ty};
 use formad_smt::{
-    CancelToken, ChaosConfig, ChaosSolver, Deadline, Formula, FxHashMap, FxHashSet,
-    InternedFormula, LinExpr, SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats,
-    StopReason, Term,
+    Assertion, CancelToken, ChaosConfig, ChaosSolver, Deadline, FxHashMap, FxHashSet, LinExpr,
+    Literal, Rel, SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats, StopReason,
 };
 
 use crate::trace::{QueryPerf, TraceEvent, TraceSink};
-use crate::translate::{Taint, Translator};
+use crate::translate::{Side, Taint, Translator};
 
 /// Decision for one adjoint array in one region.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,12 +221,24 @@ impl Default for RegionOptions {
     }
 }
 
-/// One translated reference.
-struct TrRef {
-    terms: Vec<Term>,
+/// One translated reference: its index tuple, kept as the IR expressions
+/// and the node whose instance numbering names their scalars.
+struct TrRef<'r> {
+    exprs: &'r [Expr],
+    node: NodeId,
+    /// The tuple as reports print it; one-to-one with what the prover is
+    /// given, so it also identifies the tuple.
+    text: String,
     ctx: CtxId,
     kind: AccessKind,
     inc: IncRole,
+}
+
+impl<'r> TrRef<'r> {
+    /// This tuple as one side of a pair.
+    fn side(&self, primed: bool) -> Side<'r> {
+        Side::new(self.exprs, self.node, primed)
+    }
 }
 
 /// Analyze one parallel region of `prog`.
@@ -357,10 +367,12 @@ pub fn analyze_region_with<S: SolverApi>(
         } else {
             IncRole::None
         };
-        match tr.tuple(&r.indices, r.node) {
-            Ok(terms) => {
+        match tr.check_tuple(&r.indices) {
+            Ok(()) => {
                 by_array.entry(&r.array).or_default().push(TrRef {
-                    terms,
+                    exprs: &r.indices,
+                    node: r.node,
+                    text: tr.render(&r.indices, r.node, false),
                     ctx,
                     kind: r.kind,
                     inc,
@@ -377,34 +389,30 @@ pub fn analyze_region_with<S: SolverApi>(
     // ------------------------------------------------------------------
     // Root assertions.
     // ------------------------------------------------------------------
-    let counter = Term::sym(l.var.as_str());
-    let counter_p = tr.prime(&counter);
-    // Roots and facts are lowered to CNF exactly once; re-asserting one is
-    // a reference-count bump, not a clone (hot-loop `Formula::clone` is
-    // gone).
-    let mut roots: Vec<InternedFormula> = Vec::new();
-    match Formula::term_ne(&counter, &counter_p, solver.table_mut()) {
-        Ok(f) => roots.push(InternedFormula::new(f)),
-        Err(e) => out.warnings.push(format!("root assertion failed: {e}")),
-    }
+    let counter = solver.table_mut().scalar((&l.var).into(), 0, false);
+    let counter_p = solver.table_mut().scalar((&l.var).into(), 0, true);
+    // Roots and facts are built once; re-asserting one is a
+    // reference-count bump, not a copy.
+    let ne = Literal::ne(counter.clone(), counter_p.clone());
+    let mut roots: Vec<Assertion> = vec![Assertion::all(vec![ne])];
     out.model_size += 1;
     if opts.stride_constraints {
-        if let Some(fs) = stride_formulas(&tr, l, &counter, &counter_p, solver.table_mut()) {
-            roots.extend(fs.into_iter().map(InternedFormula::new));
+        if let Some(fs) = stride_roots(&tr, l, &counter, &counter_p, solver.table_mut()) {
+            roots.extend(fs);
         }
     }
 
     // ------------------------------------------------------------------
     // Knowledge extraction (phase 1).
     // ------------------------------------------------------------------
-    // Facts: (site context, formula). Expressions dedup'd per array.
+    // Facts: (site context, clause). Expressions dedup'd per array.
     // `fact_keys` remembers which `(site, primed(w) ≠ e)` facts exist
     // verbatim, so phase 2 can skip queries they contradict directly.
-    // Tuples are keyed structurally (the fully parenthesized rendering is
-    // one-to-one with the term), borrowed from `by_array`.
-    let mut facts: Vec<(CtxId, InternedFormula)> = Vec::new();
+    // Tuples are keyed by their rendering (one-to-one with the IR tuple
+    // and its instances), borrowed from `by_array`.
+    let mut facts: Vec<(CtxId, Assertion)> = Vec::new();
     let mut fact_keys: FactKeys<'_> = FxHashSet::default();
-    let mut expr_set: FxHashSet<&[Term]> = FxHashSet::default();
+    let mut expr_set: FxHashSet<&str> = FxHashSet::default();
     for (array, trefs) in &by_array {
         if tainted_arrays.contains_key(array) {
             continue;
@@ -413,33 +421,24 @@ pub fn analyze_region_with<S: SolverApi>(
         if !has_write {
             continue;
         }
-        // Unique (terms, ctx) for writes and for all refs.
+        // Unique (tuple, ctx) for writes and for all refs.
         let writes = dedup_refs(trefs.iter().filter(|r| r.kind == AccessKind::Write));
         let all = dedup_refs(trefs.iter());
-        // Every write meets every entry: normal forms are kept per tuple.
-        let mut all_normal: Vec<Vec<Option<LinExpr>>> =
-            all.iter().map(|(t, _)| vec![None; t.len()]).collect();
-        for (w_terms, w_ctx) in &writes {
-            expr_set.insert(w_terms);
-            out.safe_write_exprs.push(render_tuple(w_terms));
-            let wp = tr.prime_tuple(w_terms);
-            let mut wp_normal = vec![None; wp.len()];
-            for ((e_terms, e_ctx), e_normal) in all.iter().zip(&mut all_normal) {
-                expr_set.insert(e_terms);
-                let Some(site) = contexts.knowledge_site(*w_ctx, *e_ctx) else {
+        // Every write meets every entry: rows are kept per tuple.
+        let mut all_sides: Vec<Side<'_>> = all.iter().map(|(e, _)| e.side(false)).collect();
+        for &(w, w_ctx) in &writes {
+            expr_set.insert(&w.text);
+            out.safe_write_exprs.push(w.text.clone());
+            let mut wp = w.side(true);
+            for (&(e, e_ctx), e_side) in all.iter().zip(&mut all_sides) {
+                expr_set.insert(&e.text);
+                let Some(site) = contexts.knowledge_site(w_ctx, e_ctx) else {
                     continue;
                 };
-                let fact = Formula::tuple_ne_memo(
-                    &wp,
-                    &mut wp_normal,
-                    e_terms,
-                    e_normal,
-                    solver.table_mut(),
-                );
-                match fact {
-                    Ok(f) => {
-                        fact_keys.insert((site, w_terms, e_terms));
-                        facts.push((site, InternedFormula::new(f)));
+                match tr.pair(Rel::Ne, &mut wp, e_side, solver.table_mut()) {
+                    Ok(fact) => {
+                        fact_keys.insert((site, &w.text, &e.text));
+                        facts.push((site, fact));
                         out.model_size += 1;
                     }
                     Err(e) => out
@@ -476,11 +475,11 @@ pub fn analyze_region_with<S: SolverApi>(
         let checked = catch_unwind(AssertUnwindSafe(|| {
             solver.push();
             for f in &roots {
-                solver.assert_interned(f);
+                solver.assert(f);
             }
             for (site, f) in &facts {
                 if contexts.included(c, *site) {
-                    solver.assert_interned(f);
+                    solver.assert(f);
                 }
             }
             let r = solver.check();
@@ -565,35 +564,35 @@ pub fn analyze_region_with<S: SolverApi>(
             continue;
         }
         // Adjoint reference sets derived from the primal ones (§5.4).
-        let mut q_writes: Vec<(&[Term], CtxId, bool)> = Vec::new(); // bool: from overwrite
-        let mut q_reads: Vec<(&[Term], CtxId)> = Vec::new();
+        let mut q_writes: Vec<(&TrRef<'_>, CtxId, bool)> = Vec::new(); // bool: from overwrite
+        let mut q_reads: Vec<(&TrRef<'_>, CtxId)> = Vec::new();
         for r in trefs {
             match (r.kind, r.inc) {
                 // Primal read → adjoint increment (write).
                 (AccessKind::Read, IncRole::None) => {
-                    q_writes.push((&r.terms, r.ctx, false));
+                    q_writes.push((r, r.ctx, false));
                 }
                 // Self-read of an exact increment: covered by the write.
                 (AccessKind::Read, IncRole::IncrementRead) => {}
                 (AccessKind::Read, IncRole::IncrementWrite) => unreachable!(),
                 // Plain overwrite → adjoint reads then zeroes.
                 (AccessKind::Write, IncRole::None) => {
-                    q_writes.push((&r.terms, r.ctx, true));
+                    q_writes.push((r, r.ctx, true));
                 }
                 // Exact increment → adjoint only reads (§5.4).
                 (AccessKind::Write, IncRole::IncrementWrite) => {
-                    q_reads.push((&r.terms, r.ctx));
+                    q_reads.push((r, r.ctx));
                 }
                 (AccessKind::Write, IncRole::IncrementRead) => unreachable!(),
             }
         }
-        dedup(&mut q_writes);
-        let mut q_all: Vec<(&[Term], CtxId)> = q_writes
+        dedup(&mut q_writes, |&(r, c, o)| (r.text.as_str(), c, o));
+        let mut q_all: Vec<(&TrRef<'_>, CtxId)> = q_writes
             .iter()
-            .map(|&(t, c, _)| (t, c))
+            .map(|&(r, c, _)| (r, c))
             .chain(q_reads)
             .collect();
-        dedup(&mut q_all);
+        dedup(&mut q_all, |&(r, c)| (r.text.as_str(), c));
 
         if q_writes.is_empty() {
             // Adjoint only reads this array: trivially shared.
@@ -691,9 +690,9 @@ fn verdict_str(r: &SatResult) -> String {
 }
 
 /// The gather-disjointness obligations of a transposed-scatter plan,
-/// lowered into prover tuples (every index is
-/// loop-invariant apart from the counter, so the entry node's instance
-/// numbering applies). `None` whenever the scatter map is not invertible
+/// with every index translatable (every index is loop-invariant apart
+/// from the counter, so the entry node's instance numbering applies).
+/// `None` whenever the scatter map is not invertible
 /// or some obligation index does not translate — the array then stays on
 /// the ordinary guard ladder.
 struct TransposeQueries {
@@ -701,11 +700,11 @@ struct TransposeQueries {
     /// the gather's seed reads must be disjoint from every other thread's
     /// finalizing writes, i.e. `seed = primed(write)` must be UNSAT under
     /// the roots and the root-usable knowledge facts.
-    cross: Vec<(Vec<Term>, Vec<Term>)>,
+    cross: Vec<ObligationPair>,
     /// Same-iteration pairs: a seed value read by the gather must not be
     /// overwritten by a *later* finalization of the same iteration, i.e.
     /// `seed = write` (both unprimed) must be UNSAT with no assumptions.
-    same: Vec<(Vec<Term>, Vec<Term>)>,
+    same: Vec<ObligationPair>,
     /// Scatter increments folded into gather loops (for the report).
     contributions: usize,
     /// Gather loops the emission will produce (for the report).
@@ -723,20 +722,17 @@ fn transpose_queries(
     tr: &Translator<'_>,
 ) -> Option<TransposeQueries> {
     let plan = plan_transpose(prog, l, writes, array, "b", &|n| activity.is_active(n)).ok()?;
-    let entry = formad_analysis::ENTRY;
-    let lower = |pairs: &[formad_ad::ObligationPair]| -> Option<Vec<(Vec<Term>, Vec<Term>)>> {
+    let translatable = |pairs: &[ObligationPair]| {
         pairs
             .iter()
-            .map(|p| {
-                let seed = tr.tuple(&p.seed, entry).ok()?;
-                let write = tr.tuple(&p.write, entry).ok()?;
-                Some((seed, write))
-            })
-            .collect()
+            .all(|p| tr.check_tuple(&p.seed).is_ok() && tr.check_tuple(&p.write).is_ok())
     };
+    if !translatable(&plan.cross_iter) || !translatable(&plan.same_iter) {
+        return None;
+    }
     Some(TransposeQueries {
-        cross: lower(&plan.cross_iter)?,
-        same: lower(&plan.same_iter)?,
+        cross: plan.cross_iter,
+        same: plan.same_iter,
         contributions: plan.contributions,
         gather_loops: plan.gather_loops.len(),
     })
@@ -746,13 +742,13 @@ fn transpose_queries(
 struct ProofTask<'a> {
     array: &'a str,
     region: usize,
-    q_writes: Vec<(&'a [Term], CtxId, bool)>,
-    q_all: Vec<(&'a [Term], CtxId)>,
+    q_writes: Vec<(&'a TrRef<'a>, CtxId, bool)>,
+    q_all: Vec<(&'a TrRef<'a>, CtxId)>,
 }
 
 /// The `(site, w, e)` triples for which the fact `primed(w) ≠ e` is in
 /// the knowledge base verbatim.
-type FactKeys<'a> = FxHashSet<(CtxId, &'a [Term], &'a [Term])>;
+type FactKeys<'a> = FxHashSet<(CtxId, &'a str, &'a str)>;
 
 /// What a proof task decided and what it has to add to the region's
 /// output.
@@ -785,8 +781,8 @@ struct TaskTracer<'a> {
 fn run_proof_task<S: SolverApi>(
     task: &ProofTask<'_>,
     solver: &mut S,
-    roots: &[InternedFormula],
-    facts: &[(CtxId, InternedFormula)],
+    roots: &[Assertion],
+    facts: &[(CtxId, Assertion)],
     fact_keys: &FactKeys<'_>,
     contexts: &Contexts,
     tr: &Translator<'_>,
@@ -972,24 +968,27 @@ fn run_proof_task<S: SolverApi>(
 /// disjointness knowledge applies.
 fn prove_transpose<S: SolverApi>(
     solver: &mut S,
-    roots: &[InternedFormula],
-    facts: &[(CtxId, InternedFormula)],
+    roots: &[Assertion],
+    facts: &[(CtxId, Assertion)],
     contexts: &Contexts,
     tr: &Translator<'_>,
     tq: &TransposeQueries,
     tracer: &mut Option<TaskTracer<'_>>,
 ) -> bool {
+    let entry = formad_analysis::ENTRY;
+    // `seed = write`, the write primed for a cross-iteration obligation.
     let check_pair = |solver: &mut S,
-                      seed: &[Term],
-                      other: &[Term],
+                      p: &ObligationPair,
+                      cross: bool,
                       tracer: &mut Option<TaskTracer<'_>>|
      -> bool {
-        let q = match Formula::tuple_eq(seed, other, solver.table_mut()) {
-            Ok(q) => q,
-            Err(_) => return false,
+        let mut seed = Side::new(&p.seed, entry, false);
+        let mut other = Side::new(&p.write, entry, cross);
+        let Ok(q) = tr.pair(Rel::Eq, &mut seed, &mut other, solver.table_mut()) else {
+            return false;
         };
         solver.push();
-        solver.assert(q);
+        solver.assert(&q);
         let before = tracer.as_ref().map(|_| (solver.stats(), Instant::now()));
         let r = solver.check();
         if let Some(t) = tracer.as_mut() {
@@ -1000,8 +999,8 @@ fn prove_transpose<S: SolverApi>(
                 array: t.array.clone(),
                 seq: t.qseq,
                 attempt: t.attempt,
-                write: render_tuple(other),
-                entry: render_tuple(seed),
+                write: tr.render(&p.write, entry, cross),
+                entry: tr.render(&p.seed, entry, false),
                 verdict: verdict_str(&r),
                 perf: QueryPerf {
                     dur_us: t0.elapsed().as_micros() as u64,
@@ -1020,18 +1019,17 @@ fn prove_transpose<S: SolverApi>(
     // Cross-iteration obligations share the roots and root-usable facts.
     solver.push();
     for f in roots {
-        solver.assert_interned(f);
+        solver.assert(f);
     }
     let usable = contexts.usable_for(contexts.root, contexts.root);
     for (site, f) in facts {
         if usable.contains(site) {
-            solver.assert_interned(f);
+            solver.assert(f);
         }
     }
     let mut ok = true;
-    for (seed, write) in &tq.cross {
-        let wp = tr.prime_tuple(write);
-        if !check_pair(solver, seed, &wp, tracer) {
+    for p in &tq.cross {
+        if !check_pair(solver, p, true, tracer) {
             ok = false;
             break;
         }
@@ -1041,8 +1039,8 @@ fn prove_transpose<S: SolverApi>(
         return false;
     }
     // Same-iteration obligations: bare equality, no assumptions.
-    for (seed, write) in &tq.same {
-        if !check_pair(solver, seed, write, tracer) {
+    for p in &tq.same {
+        if !check_pair(solver, p, false, tracer) {
             return false;
         }
     }
@@ -1083,13 +1081,13 @@ enum ArrayProof {
 #[allow(clippy::too_many_arguments)]
 fn prove_array<S: SolverApi>(
     solver: &mut S,
-    roots: &[InternedFormula],
-    facts: &[(CtxId, InternedFormula)],
+    roots: &[Assertion],
+    facts: &[(CtxId, Assertion)],
     fact_keys: &FactKeys<'_>,
     contexts: &Contexts,
     tr: &Translator<'_>,
-    q_writes: &[(&[Term], CtxId, bool)],
-    q_all: &[(&[Term], CtxId)],
+    q_writes: &[(&TrRef<'_>, CtxId, bool)],
+    q_all: &[(&TrRef<'_>, CtxId)],
     safe_write_exprs: &[String],
     tracer: &mut Option<TaskTracer<'_>>,
 ) -> ArrayProof {
@@ -1097,7 +1095,7 @@ fn prove_array<S: SolverApi>(
     // Base frame: the roots hold for every pair of this array.
     solver.push();
     for f in roots {
-        solver.assert_interned(f);
+        solver.assert(f);
     }
     // Group pairs by the set of fact indices usable at their common
     // context. Groups keep first-encounter order, so proofs run in the
@@ -1111,8 +1109,8 @@ fn prove_array<S: SolverApi>(
     let mut by_ctx: FxHashMap<(CtxId, CtxId), CtxPair> = FxHashMap::default();
     let mut group_of: FxHashMap<Vec<usize>, usize> = FxHashMap::default();
     let mut groups: FactGroups = Vec::new();
-    for (wi, &(w_terms, ref w_ctx, _)) in q_writes.iter().enumerate() {
-        for (ei, &(e_terms, ref e_ctx)) in q_all.iter().enumerate() {
+    for (wi, &(w, ref w_ctx, _)) in q_writes.iter().enumerate() {
+        for (ei, &(e, ref e_ctx)) in q_all.iter().enumerate() {
             let ctx_pair = by_ctx.entry((*w_ctx, *e_ctx)).or_insert_with(|| CtxPair {
                 usable: contexts.usable_for(*w_ctx, *e_ctx),
                 group: None,
@@ -1122,16 +1120,17 @@ fn prove_array<S: SolverApi>(
             // knowledge base contains `primed(w) ≠ e` verbatim at a usable
             // site, the query `primed(w) = e` is UNSAT by direct
             // contradiction with that fact — no prover call needed.
-            if w_ctx == e_ctx && w_terms == e_terms {
-                let known = |site: &CtxId| fact_keys.contains(&(*site, w_terms, e_terms));
+            if w_ctx == e_ctx && w.text == e.text {
+                let known =
+                    |site: &CtxId| fact_keys.contains(&(*site, w.text.as_str(), e.text.as_str()));
                 if ctx_pair.usable.iter().any(known) {
                     if let Some(t) = tracer.as_mut() {
                         t.sink.record(TraceEvent::PairSkipped {
                             region: t.region,
                             array: t.array.clone(),
                             seq: t.sseq,
-                            write: render_tuple(w_terms),
-                            entry: render_tuple(e_terms),
+                            write: w.text.clone(),
+                            entry: e.text.clone(),
                         });
                         t.sseq += 1;
                     }
@@ -1153,28 +1152,22 @@ fn prove_array<S: SolverApi>(
             groups[g].1.push((wi, ei));
         }
     }
-    // A write tuple meets many entries: it is primed once, on first use,
-    // and both sides keep their normal forms.
-    let mut primed: Vec<Option<Vec<Term>>> = vec![None; q_writes.len()];
-    let mut primed_normal: Vec<Vec<Option<LinExpr>>> =
-        q_writes.iter().map(|(t, ..)| vec![None; t.len()]).collect();
-    let mut all_normal: Vec<Vec<Option<LinExpr>>> =
-        q_all.iter().map(|(t, _)| vec![None; t.len()]).collect();
+    // A write tuple meets many entries: both sides keep their rows.
+    let mut primed: Vec<Side<'_>> = q_writes.iter().map(|(w, ..)| w.side(true)).collect();
+    let mut entries: Vec<Side<'_>> = q_all.iter().map(|(e, _)| e.side(false)).collect();
     for (included, pairs) in &groups {
         // Group frame: this fact set is shared by every pair in the group.
         solver.push();
         for &k in included {
-            solver.assert_interned(&facts[k].1);
+            solver.assert(&facts[k].1);
         }
         for &(wi, ei) in pairs {
-            let (w_terms, _, from_overwrite) = q_writes[wi];
-            let (e_terms, _) = q_all[ei];
-            let wp = primed[wi].get_or_insert_with(|| tr.prime_tuple(w_terms));
-            let q = Formula::tuple_eq_memo(
-                wp,
-                &mut primed_normal[wi],
-                e_terms,
-                &mut all_normal[ei],
+            let (w, _, from_overwrite) = q_writes[wi];
+            let (e, _) = q_all[ei];
+            let q = tr.pair(
+                Rel::Eq,
+                &mut primed[wi],
+                &mut entries[ei],
                 solver.table_mut(),
             );
             let q = match q {
@@ -1188,7 +1181,7 @@ fn prove_array<S: SolverApi>(
                 }
             };
             solver.push();
-            solver.assert(q);
+            solver.assert(&q);
             let before = tracer.as_ref().map(|_| (solver.stats(), Instant::now()));
             let r = solver.check();
             if let Some(t) = tracer.as_mut() {
@@ -1199,8 +1192,8 @@ fn prove_array<S: SolverApi>(
                     array: t.array.clone(),
                     seq: t.qseq,
                     attempt: t.attempt,
-                    write: render_tuple(w_terms),
-                    entry: render_tuple(e_terms),
+                    write: w.text.clone(),
+                    entry: e.text.clone(),
                     verdict: verdict_str(&r),
                     perf: QueryPerf {
                         dur_us: t0.elapsed().as_micros() as u64,
@@ -1223,7 +1216,7 @@ fn prove_array<S: SolverApi>(
                 SatResult::Sat => {
                     solver.pop(); // group frame
                     solver.pop(); // base frame
-                    return conflict(w_terms, e_terms, from_overwrite, safe_write_exprs);
+                    return conflict(&w.text, &e.text, from_overwrite, safe_write_exprs);
                 }
             }
         }
@@ -1239,20 +1232,12 @@ fn prove_array<S: SolverApi>(
 /// Build the `Conflict` outcome for a satisfiable pair, preferring to
 /// report the expression outside the proven-safe write set (the paper's
 /// §7.3 presentation).
-fn conflict(
-    w_terms: &[Term],
-    e_terms: &[Term],
-    from_overwrite: bool,
-    safe_write_exprs: &[String],
-) -> ArrayProof {
-    let w_r = render_tuple(w_terms);
-    let e_r = render_tuple(e_terms);
-    let rejected = if !safe_write_exprs.contains(&e_r) {
-        e_r.clone()
-    } else if !safe_write_exprs.contains(&w_r) {
-        w_r.clone()
+fn conflict(w_r: &str, e_r: &str, from_overwrite: bool, safe_write_exprs: &[String]) -> ArrayProof {
+    let safe = |r: &str| safe_write_exprs.iter().any(|s| s == r);
+    let rejected = if !safe(e_r) || safe(w_r) {
+        e_r.to_string()
     } else {
-        e_r.clone()
+        w_r.to_string()
     };
     let overwrite_warning = from_overwrite.then(|| {
         format!(
@@ -1269,28 +1254,16 @@ fn conflict(
 }
 
 /// Distinct `(tuple, context)` pairs of `iter`, in first-seen order.
-fn dedup_refs<'a>(iter: impl Iterator<Item = &'a TrRef>) -> Vec<(&'a [Term], CtxId)> {
-    let mut v: Vec<(&[Term], CtxId)> = iter.map(|r| (r.terms.as_slice(), r.ctx)).collect();
-    dedup(&mut v);
+fn dedup_refs<'a, 'r>(iter: impl Iterator<Item = &'a TrRef<'r>>) -> Vec<(&'a TrRef<'r>, CtxId)> {
+    let mut v: Vec<(&TrRef<'r>, CtxId)> = iter.map(|r| (r, r.ctx)).collect();
+    dedup(&mut v, |&(r, c)| (r.text.as_str(), c));
     v
 }
 
-/// Drop repeated entries, keeping the first of each.
-fn dedup<T: Copy + Eq + std::hash::Hash>(v: &mut Vec<T>) {
+/// Drop entries whose `key` repeats, keeping the first of each.
+fn dedup<T, K: Eq + std::hash::Hash>(v: &mut Vec<T>, key: impl Fn(&T) -> K) {
     let mut seen = FxHashSet::default();
-    v.retain(|entry| seen.insert(*entry));
-}
-
-/// The tuple as reports and traces print it.
-fn render_tuple(ts: &[Term]) -> String {
-    let mut s = String::new();
-    for (k, t) in ts.iter().enumerate() {
-        if k > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{t}");
-    }
-    s
+    v.retain(|entry| seen.insert(key(entry)));
 }
 
 fn taint_msg(t: &Taint, r: &ArrayRef) -> String {
@@ -1304,39 +1277,44 @@ fn taint_msg(t: &Taint, r: &ArrayRef) -> String {
 }
 
 /// Root stride assertions `i = lo + step·k`, `i' = lo + step·k'`, `k ≠ k'`
-/// (plus `k ≥ 0`, `k' ≥ 0`), when the loop bounds are translatable and
-/// loop-invariant.
-fn stride_formulas(
+/// (plus `k ≥ 0`, `k' ≥ 0`), one assertion each, when the loop bounds are
+/// translatable and loop-invariant.
+fn stride_roots(
     tr: &Translator<'_>,
     l: &ForLoop,
-    counter: &Term,
-    counter_p: &Term,
+    counter: &LinExpr,
+    counter_p: &LinExpr,
     table: &mut formad_smt::AtomTable,
-) -> Option<Vec<Formula>> {
+) -> Option<Vec<Assertion>> {
     // Only worthwhile for non-unit strides.
     if l.step == Expr::IntLit(1) {
         return None;
     }
-    let entry = formad_analysis::ENTRY;
-    let lo = tr.term(&l.lo, entry).ok()?;
-    let step = tr.term(&l.step, entry).ok()?;
+    tr.check(&l.lo).ok()?;
+    tr.check(&l.step).ok()?;
     // Bail out if the bounds reference privatized variables (their value
-    // would differ per thread, invalidating the shared `lo`/`step` terms).
-    if tr.prime(&lo) != lo || tr.prime(&step) != step {
+    // would differ per thread, invalidating the shared `lo`/`step` rows).
+    if tr.varies(&l.lo) || tr.varies(&l.step) {
         return None;
     }
-    let k = Term::sym("k$");
-    let kp = Term::sym("k$'");
-    let mut fs = Vec::new();
-    fs.push(Formula::term_eq(counter, &(lo.clone() + step.clone() * k.clone()), table).ok()?);
-    fs.push(Formula::term_eq(counter_p, &(lo + step * kp.clone()), table).ok()?);
-    fs.push(Formula::term_ne(&k, &kp, table).ok()?);
-    // k ≥ 0 on both ranks.
-    for kk in [k, kp] {
-        fs.push(Formula::Lit(formad_smt::Literal::le(
-            formad_smt::LinExpr::constant(0),
-            formad_smt::normalize(&kk, table).ok()?,
-        )));
-    }
-    Some(fs)
+    let entry = formad_analysis::ENTRY;
+    let lo = tr.row(&l.lo, entry, false, table).ok()?;
+    let step = tr.row(&l.step, entry, false, table).ok()?;
+    // `counter = lo + step·k`, interning `k` after the bounds' atoms.
+    let mut at = |counter: &LinExpr, primed: bool| -> Option<(Assertion, LinExpr)> {
+        let k = table.scalar("k$".into(), 0, primed);
+        let rhs = lo.plus(&step.clone().times(k.clone(), table).ok()?).ok()?;
+        Some((Assertion::all(vec![Literal::eq(counter.clone(), rhs)]), k))
+    };
+    let (on_i, k) = at(counter, false)?;
+    let (on_ip, kp) = at(counter_p, true)?;
+    let zero = LinExpr::constant(0);
+    Some(vec![
+        on_i,
+        on_ip,
+        Assertion::all(vec![Literal::ne(k.clone(), kp.clone())]),
+        // k ≥ 0 on both ranks.
+        Assertion::all(vec![Literal::le(zero.clone(), k)]),
+        Assertion::all(vec![Literal::le(zero, kp)]),
+    ])
 }

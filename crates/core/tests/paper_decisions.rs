@@ -455,3 +455,34 @@ fn pipeline_applies_decisions() {
     let text = formad_ir::program_to_string(&r.adjoint);
     assert!(text.contains("!$omp atomic"), "{text}");
 }
+
+/// A fact that holds by parity alone (`2i' ≠ 2i ± 3`) says nothing about
+/// `i'` and `i + 1`: read as `i' ≠ i ± 1` it would prove the scatter
+/// `xb(i)`, `xb(i + 1)` conflict-free, which it is not.
+#[test]
+fn parity_facts_are_not_knowledge() {
+    let a = analyze(
+        r#"
+subroutine par(n, x, y, z)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n + 1)
+  real, intent(inout) :: y(2 * n + 3)
+  real, intent(inout) :: z(n)
+  integer :: i
+  !$omp parallel do shared(x, y, z)
+  do i = 2, n
+    y(2 * i) = y(2 * i + 3) + y(2 * i - 3)
+    z(i) = x(i) + x(i + 1)
+  end do
+end subroutine
+"#,
+        &["x"],
+        &["z"],
+    );
+    assert!(
+        matches!(decision(&a, 0, "x"), Decision::Transposed(_)),
+        "{:?}",
+        decision(&a, 0, "x")
+    );
+    assert_eq!(decision(&a, 0, "z"), &Decision::Shared);
+}

@@ -122,9 +122,9 @@ impl Parser<'_> {
         self.expect(Tok::LParen)?;
         let cond = self.bool_expr()?;
         self.expect(Tok::RParen)?;
-        let then_body = self.block()?;
+        let then_body = self.nested(Self::block)?;
         let else_body = if self.eat_kw("else") {
-            self.block()?
+            self.nested(Self::block)?
         } else {
             Vec::new()
         };
@@ -156,12 +156,12 @@ impl Parser<'_> {
             return self.unexpected("loop condition `<=`, `<`, `>=` or `>`");
         }
         self.bump();
-        let bound = self.expr()?;
+        let (bound, h) = self.expr_h()?;
         // The IR's bounds are inclusive: `< n` is `<= n - 1`, `> n` is
         // `>= n + 1`.
         let hi = match cmp {
-            Tok::Lt => bound - Expr::IntLit(1),
-            Tok::Gt => bound + Expr::IntLit(1),
+            Tok::Lt => self.fits(bound - Expr::IntLit(1), h + 1)?.0,
+            Tok::Gt => self.fits(bound + Expr::IntLit(1), h + 1)?.0,
             _ => bound,
         };
         self.expect(Tok::Semi)?;
@@ -182,13 +182,13 @@ impl Parser<'_> {
             Tok::MinusMinus => Expr::IntLit(-1),
             Tok::PlusAssign => self.expr()?,
             // `v -= 2` is the literal step -2.
-            _ => match self.expr()? {
-                Expr::IntLit(v) => Expr::IntLit(-v),
-                other => other.neg(),
+            _ => match self.expr_h()? {
+                (Expr::IntLit(v), _) => Expr::IntLit(-v),
+                (other, h) => self.fits(other.neg(), h + 1)?.0,
             },
         };
         self.expect(Tok::RParen)?;
-        let body = self.block()?;
+        let body = self.nested(Self::block)?;
         Ok(Stmt::For(Box::new(ForLoop {
             var,
             lo,

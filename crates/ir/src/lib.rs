@@ -57,7 +57,7 @@ pub use clike::{parse_any, parse_clike};
 pub use expr::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, UnOp};
 pub use flavor::SourceFlavor;
 pub use name::Name;
-pub use parser::{parse_expr, parse_program, ParseError};
+pub use parser::{parse_expr, parse_program, ParseError, MAX_NESTING};
 pub use printer::{expr_to_string, program_to_string};
 pub use printer_c::program_to_clike;
 pub use program::{Decl, Program};

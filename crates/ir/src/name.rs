@@ -57,6 +57,13 @@ impl From<&Name> for Name {
     }
 }
 
+impl From<&Name> for Arc<str> {
+    /// The shared text itself: a reference-count bump.
+    fn from(n: &Name) -> Arc<str> {
+        Arc::clone(&n.0)
+    }
+}
+
 impl fmt::Display for Name {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)

@@ -46,6 +46,20 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 
 pub(crate) type Parsed<T> = Result<T, ParseError>;
 
+/// A parsed tree and its height (a leaf is 1).
+pub(crate) type Tree<T> = Parsed<(T, u32)>;
+
+/// The deepest nesting a program may have: the block levels around a
+/// statement (`do`, `for`, `if` bodies) plus the height of an expression
+/// or condition tree in it, where a literal or variable is height 1 and an
+/// operator, comparison, call or array subscript adds a level. A flat sum
+/// `a + b + …` is as deep as it has terms, since `+` is not re-associated.
+/// The parser rejects deeper input with a positioned error (parentheses
+/// count toward the budget while they are read) and
+/// [`validate`](crate::validate) rejects deeper IR built in code, so every
+/// recursive walk over an accepted program stays within a bounded stack.
+pub const MAX_NESTING: u32 = 256;
+
 /// The token cursor and everything both flavours parse the same way.
 pub(crate) struct Parser<'a> {
     pub flavor: SourceFlavor,
@@ -55,6 +69,8 @@ pub(crate) struct Parser<'a> {
     pub locals: Vec<Decl>,
     /// Every identifier met so far: each is allocated once per program.
     names: HashSet<Name>,
+    /// Nesting levels open at the cursor (see [`MAX_NESTING`]).
+    nest: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -65,6 +81,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             locals: Vec::new(),
             names: HashSet::new(),
+            nest: 0,
         })
     }
 
@@ -166,6 +183,36 @@ impl<'a> Parser<'a> {
         }
     }
 
+    // ---- the nesting budget ----
+
+    /// Run `f` one nesting level down — a parenthesized, negated or
+    /// exponent operand, a subscript or argument list, a block body —
+    /// refusing to go past [`MAX_NESTING`].
+    pub fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Parsed<T>) -> Parsed<T> {
+        self.nest += 1;
+        let out = if self.nest >= MAX_NESTING {
+            self.too_deep()
+        } else {
+            f(self)
+        };
+        self.nest -= 1;
+        out
+    }
+
+    /// `t`, a tree of height `h` read at the cursor's nesting, if it fits
+    /// the budget.
+    pub fn fits<T>(&self, t: T, h: u32) -> Tree<T> {
+        if self.nest + h > MAX_NESTING {
+            self.too_deep()
+        } else {
+            Ok((t, h))
+        }
+    }
+
+    fn too_deep<T>(&self) -> Parsed<T> {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
     /// One or more comma-separated `item`s up to and including `close`.
     pub fn list<T>(
         &mut self,
@@ -209,18 +256,22 @@ impl<'a> Parser<'a> {
     /// `lv = e`, and where the flavour has the tokens `lv += e` / `lv -= e`
     /// (an increment by `e` / `-e`).
     pub fn assignment(&mut self) -> Parsed<Stmt> {
-        let lhs = self.lvalue()?;
+        let lhs = self.lvalue_h()?;
         let op = self.peek();
         if !matches!(op, Tok::Assign | Tok::PlusAssign | Tok::MinusAssign) {
             return self.unexpected("assignment operator");
         }
         self.bump();
-        let rhs = self.expr()?;
+        let ((lhs, hl), (rhs, hr)) = (lhs, self.expr_h()?);
         self.end_stmt()?;
         Ok(match op {
             Tok::Assign => Stmt::Assign { lhs, rhs },
-            Tok::PlusAssign => Stmt::increment(lhs, rhs),
-            _ => Stmt::increment(lhs, rhs.neg()),
+            // `x += e` is `x = x + e`; `x -= e` is `x = x + (-e)`.
+            Tok::PlusAssign => self.fits(Stmt::increment(lhs, rhs), hl.max(hr) + 1)?.0,
+            _ => {
+                self.fits(Stmt::increment(lhs, rhs.neg()), hl.max(hr + 1) + 1)?
+                    .0
+            }
         })
     }
 
@@ -235,7 +286,7 @@ impl<'a> Parser<'a> {
         let stmt = if push {
             Stmt::Push(self.expr()?)
         } else {
-            Stmt::Pop(self.lvalue()?)
+            Stmt::Pop(self.lvalue_h()?.0)
         };
         self.expect(Tok::RParen)?;
         self.end_stmt()?;
@@ -279,110 +330,134 @@ impl<'a> Parser<'a> {
         }
     }
 
-    pub fn lvalue(&mut self) -> Parsed<LValue> {
+    /// An assignment target and its height.
+    fn lvalue_h(&mut self) -> Tree<LValue> {
         let name = self.name()?;
-        let indices = self.subscripts()?;
-        Ok(if indices.is_empty() {
-            LValue::Var(name)
-        } else {
-            LValue::index(name, indices)
-        })
+        let (indices, h) = self.subscripts_h()?;
+        if indices.is_empty() {
+            return Ok((LValue::Var(name), 1));
+        }
+        self.fits(LValue::index(name, indices), h + 1)
     }
 
     /// The subscripts (or declared extents) after a name: `(i, j)` in
     /// Fortran, `[i][j]` in C; empty if none follow.
     pub fn subscripts(&mut self) -> Parsed<Vec<Expr>> {
+        Ok(self.subscripts_h()?.0)
+    }
+
+    /// [`Parser::subscripts`] and the height of the tallest (0 if none).
+    fn subscripts_h(&mut self) -> Tree<Vec<Expr>> {
         let mut out = Vec::new();
+        let mut h = 0;
         match self.flavor {
             SourceFlavor::Fortran => {
                 if self.eat(Tok::LParen) {
-                    out = self.list(Tok::RParen, Self::expr)?;
+                    out = self.nested(|p| p.list(Tok::RParen, |p| p.tallest(&mut h)))?;
                 }
             }
             SourceFlavor::C => {
                 while self.eat(Tok::LBracket) {
-                    out.push(self.expr()?);
+                    out.push(self.nested(|p| p.tallest(&mut h))?);
                     self.expect(Tok::RBracket)?;
                 }
             }
         }
-        Ok(out)
+        Ok((out, h))
+    }
+
+    /// An expression, raising `h` to its height.
+    fn tallest(&mut self, h: &mut u32) -> Parsed<Expr> {
+        let (e, he) = self.expr_h()?;
+        *h = (*h).max(he);
+        Ok(e)
     }
 
     // ---- expressions ----
 
     pub fn expr(&mut self) -> Parsed<Expr> {
+        Ok(self.expr_h()?.0)
+    }
+
+    /// An expression and its height.
+    pub fn expr_h(&mut self) -> Tree<Expr> {
         self.add_expr()
     }
 
-    fn add_expr(&mut self) -> Parsed<Expr> {
-        let mut lhs = self.mul_expr()?;
+    fn add_expr(&mut self) -> Tree<Expr> {
+        let (mut lhs, mut h) = self.mul_expr()?;
         loop {
             let op = match self.peek() {
                 Tok::Plus => BinOp::Add,
                 Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, h)),
             };
             self.bump();
-            lhs = Expr::binary(op, lhs, self.mul_expr()?);
+            let (rhs, hr) = self.mul_expr()?;
+            (lhs, h) = self.fits(Expr::binary(op, lhs, rhs), h.max(hr) + 1)?;
         }
     }
 
-    fn mul_expr(&mut self) -> Parsed<Expr> {
-        let mut lhs = self.unary_expr()?;
+    fn mul_expr(&mut self) -> Tree<Expr> {
+        let (mut lhs, mut h) = self.unary_expr()?;
         loop {
             let op = match self.peek() {
                 Tok::Star => BinOp::Mul,
                 Tok::Slash => BinOp::Div,
                 Tok::Percent => BinOp::Mod,
-                _ => return Ok(lhs),
+                _ => return Ok((lhs, h)),
             };
             self.bump();
-            lhs = Expr::binary(op, lhs, self.unary_expr()?);
+            let (rhs, hr) = self.unary_expr()?;
+            (lhs, h) = self.fits(Expr::binary(op, lhs, rhs), h.max(hr) + 1)?;
         }
     }
 
-    fn unary_expr(&mut self) -> Parsed<Expr> {
+    fn unary_expr(&mut self) -> Tree<Expr> {
         if self.eat(Tok::Minus) {
             // Fold negated literals so `-1` is a literal, keeping parsed
             // and programmatically-built trees structurally identical.
-            return Ok(match self.unary_expr()? {
-                Expr::IntLit(v) => Expr::IntLit(-v),
-                Expr::RealLit(v) => Expr::RealLit(-v),
-                other => Expr::Unary {
-                    op: UnOp::Neg,
-                    arg: Arc::new(other),
-                },
-            });
+            return match self.nested(Self::unary_expr)? {
+                (Expr::IntLit(v), h) => Ok((Expr::IntLit(-v), h)),
+                (Expr::RealLit(v), h) => Ok((Expr::RealLit(-v), h)),
+                (other, h) => self.fits(
+                    Expr::Unary {
+                        op: UnOp::Neg,
+                        arg: Arc::new(other),
+                    },
+                    h + 1,
+                ),
+            };
         }
         if self.eat(Tok::Plus) {
-            return self.unary_expr();
+            return self.nested(Self::unary_expr);
         }
         self.pow_expr()
     }
 
-    fn pow_expr(&mut self) -> Parsed<Expr> {
-        let base = self.primary_expr()?;
+    fn pow_expr(&mut self) -> Tree<Expr> {
+        let (base, h) = self.primary_expr()?;
         if self.eat(Tok::DoubleStar) {
             // `**` is right-associative.
-            return Ok(Expr::binary(BinOp::Pow, base, self.unary_expr()?));
+            let (exp, he) = self.nested(Self::unary_expr)?;
+            return self.fits(Expr::binary(BinOp::Pow, base, exp), h.max(he) + 1);
         }
-        Ok(base)
+        Ok((base, h))
     }
 
-    fn primary_expr(&mut self) -> Parsed<Expr> {
+    fn primary_expr(&mut self) -> Tree<Expr> {
         match self.peek() {
             Tok::Int(v) => {
                 self.bump();
-                Ok(Expr::IntLit(v))
+                Ok((Expr::IntLit(v), 1))
             }
             Tok::Real(v) => {
                 self.bump();
-                Ok(Expr::RealLit(v))
+                Ok((Expr::RealLit(v), 1))
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr_h)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -398,20 +473,22 @@ impl<'a> Parser<'a> {
                         return self.err(format!("unknown function `{name}`"));
                     }
                 }
-                let indices = self.subscripts()?;
-                Ok(if indices.is_empty() {
-                    Expr::Var(self.intern(name))
-                } else {
-                    Expr::index(self.intern(name), indices)
-                })
+                let (indices, h) = self.subscripts_h()?;
+                if indices.is_empty() {
+                    return Ok((Expr::Var(self.intern(name)), 1));
+                }
+                let name = self.intern(name);
+                self.fits(Expr::index(name, indices), h + 1)
             }
             _ => self.unexpected("expression"),
         }
     }
 
-    fn call(&mut self, name: &str, callee: Callee) -> Parsed<Expr> {
+    fn call(&mut self, name: &str, callee: Callee) -> Tree<Expr> {
         self.expect(Tok::LParen)?;
-        let args = self.list(Tok::RParen, Self::expr)?;
+        let mut h = 0;
+        let args = self.nested(|p| p.list(Tok::RParen, |p| p.tallest(&mut h)))?;
+        let h = h + 1;
         let arity = match callee {
             Callee::Bin(_) => 2,
             Callee::Fun(f) => f.arity(),
@@ -420,46 +497,52 @@ impl<'a> Parser<'a> {
             let got = args.len();
             return self.err(format!("`{name}` takes {arity} argument(s), got {got}"));
         }
-        match callee {
-            Callee::Fun(func) => Ok(Expr::call(func, args)),
+        let e = match callee {
+            Callee::Fun(func) => Expr::call(func, args),
             Callee::Bin(op) => {
                 let mut args = args.into_iter();
                 let (Some(lhs), Some(rhs)) = (args.next(), args.next()) else {
                     unreachable!("arity checked above");
                 };
-                Ok(Expr::binary(op, lhs, rhs))
+                Expr::binary(op, lhs, rhs)
             }
-        }
+        };
+        self.fits(e, h)
     }
 
     // ---- boolean expressions ----
 
     pub fn bool_expr(&mut self) -> Parsed<BoolExpr> {
-        let mut lhs = self.bool_and()?;
+        Ok(self.bool_or()?.0)
+    }
+
+    fn bool_or(&mut self) -> Tree<BoolExpr> {
+        let (mut lhs, mut h) = self.bool_and()?;
         while self.eat(Tok::Or) {
-            let rhs = self.bool_and()?;
-            lhs = BoolExpr::Or(Arc::new(lhs), Arc::new(rhs));
+            let (rhs, hr) = self.bool_and()?;
+            (lhs, h) = self.fits(BoolExpr::Or(Arc::new(lhs), Arc::new(rhs)), h.max(hr) + 1)?;
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn bool_and(&mut self) -> Parsed<BoolExpr> {
-        let mut lhs = self.bool_not()?;
+    fn bool_and(&mut self) -> Tree<BoolExpr> {
+        let (mut lhs, mut h) = self.bool_not()?;
         while self.eat(Tok::And) {
-            let rhs = self.bool_not()?;
-            lhs = BoolExpr::And(Arc::new(lhs), Arc::new(rhs));
+            let (rhs, hr) = self.bool_not()?;
+            (lhs, h) = self.fits(BoolExpr::And(Arc::new(lhs), Arc::new(rhs)), h.max(hr) + 1)?;
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn bool_not(&mut self) -> Parsed<BoolExpr> {
+    fn bool_not(&mut self) -> Tree<BoolExpr> {
         if self.eat(Tok::Not) {
-            return Ok(BoolExpr::Not(Arc::new(self.bool_not()?)));
+            let (b, h) = self.nested(Self::bool_not)?;
+            return self.fits(BoolExpr::Not(Arc::new(b)), h + 1);
         }
         self.bool_primary()
     }
 
-    fn bool_primary(&mut self) -> Parsed<BoolExpr> {
+    fn bool_primary(&mut self) -> Tree<BoolExpr> {
         // Disambiguate `(boolexpr)` from `(arith) cmp arith` by
         // backtracking: first try a comparison.
         let save = self.pos;
@@ -468,7 +551,7 @@ impl<'a> Parser<'a> {
             Err(first_err) => {
                 self.pos = save;
                 if self.eat(Tok::LParen) {
-                    let inner = self.bool_expr()?;
+                    let inner = self.nested(Self::bool_or)?;
                     self.expect(Tok::RParen)?;
                     Ok(inner)
                 } else {
@@ -478,8 +561,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn try_cmp(&mut self) -> Parsed<BoolExpr> {
-        let lhs = self.expr()?;
+    fn try_cmp(&mut self) -> Tree<BoolExpr> {
+        let (lhs, hl) = self.expr_h()?;
         let op = match self.peek() {
             Tok::Eq => CmpOp::Eq,
             Tok::Ne => CmpOp::Ne,
@@ -490,8 +573,8 @@ impl<'a> Parser<'a> {
             _ => return self.unexpected("comparison operator"),
         };
         self.bump();
-        let rhs = self.expr()?;
-        Ok(BoolExpr::Cmp { op, lhs, rhs })
+        let (rhs, hr) = self.expr_h()?;
+        self.fits(BoolExpr::Cmp { op, lhs, rhs }, hl.max(hr) + 1)
     }
 
     // ---- the Fortran shell: declarations and block statements ----
@@ -610,10 +693,10 @@ impl<'a> Parser<'a> {
         self.expect(Tok::RParen)?;
         self.expect_kw("then")?;
         self.end_stmt()?;
-        let then_body = self.stmts_until(&["else", "end"])?;
+        let then_body = self.nested(|p| p.stmts_until(&["else", "end"]))?;
         let else_body = if self.eat_kw("else") {
             self.end_stmt()?;
-            self.stmts_until(&["end"])?
+            self.nested(|p| p.stmts_until(&["end"]))?
         } else {
             Vec::new()
         };
@@ -641,7 +724,7 @@ impl<'a> Parser<'a> {
             Expr::IntLit(1)
         };
         self.end_stmt()?;
-        let body = self.stmts_until(&["end"])?;
+        let body = self.nested(|p| p.stmts_until(&["end"]))?;
         self.expect_kw("end")?;
         self.expect_kw("do")?;
         self.end_stmt()?;
@@ -894,5 +977,84 @@ end subroutine
 "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.locals.len(), 3);
+    }
+
+    /// `y(i) = rhs` in a parallel loop body (one block level down), in
+    /// either flavour.
+    fn in_loop(c: bool, rhs: &str) -> String {
+        if c {
+            format!(
+                "void t(int n, const double x[n], double y[n]) {{\n\
+                 #pragma omp parallel for shared(x, y)\n\
+                 for (int i = 1; i <= n; i++) {{\n    y[i] = {rhs};\n  }}\n}}\n"
+            )
+        } else {
+            format!(
+                "subroutine t(n, x, y)\n  integer, intent(in) :: n\n  \
+                 real, intent(in) :: x(n)\n  real, intent(inout) :: y(n)\n  \
+                 integer :: i\n  !$omp parallel do shared(x, y)\n  do i = 1, n\n    \
+                 y(i) = {rhs}\n  end do\nend subroutine\n"
+            )
+        }
+    }
+
+    fn deep(c: bool, shape: &str, k: usize) -> String {
+        let x = if c { "x[i]" } else { "x(i)" };
+        in_loop(
+            c,
+            &match shape {
+                "sum" => vec![x; k].join(" + "),
+                "parens" => format!("{}{x}{}", "(".repeat(k), ")".repeat(k)),
+                _ => format!("{}{x}{}", "tanh(".repeat(k), ")".repeat(k)),
+            },
+        )
+    }
+
+    #[test]
+    fn nesting_limit_is_exact() {
+        let m = MAX_NESTING as usize;
+        // In the loop body (level 1), `x(i)` is 2 tall: a sum of `k` of
+        // them is `k + 1`, a `tanh` chain `k + 2`; parentheses count while
+        // read, and `i` is read inside both them and the subscript.
+        for c in [false, true] {
+            for (shape, limit) in [("sum", m - 2), ("parens", m - 3), ("tanh", m - 3)] {
+                let at = crate::parse_any(&deep(c, shape, limit));
+                assert!(at.is_ok(), "{shape} at the limit (C: {c}): {at:?}");
+                let past = crate::parse_any(&deep(c, shape, limit + 1)).unwrap_err();
+                assert!(past.message.contains("nesting deeper"), "{shape}: {past}");
+                assert_eq!(past.line, if c { 4 } else { 8 }, "{shape}: {past}");
+            }
+        }
+    }
+
+    #[test]
+    fn nested_blocks_count_toward_the_limit() {
+        let m = MAX_NESTING as usize;
+        let nest = |levels: usize| {
+            let mut body = "y(1) = x(1)\n".to_string();
+            for _ in 0..levels {
+                body = format!("do i = 1, n\n{body}end do\n");
+            }
+            format!(
+                "subroutine t(n, x, y)\ninteger, intent(in) :: n\nreal, intent(in) :: x(n)\n\
+                 real, intent(inout) :: y(n)\ninteger :: i\n{body}end subroutine\n"
+            )
+        };
+        // `x(1)` is 2 tall: it fits `m - 2` loops deep, not one more.
+        assert!(parse_program(&nest(m - 2)).is_ok());
+        let err = parse_program(&nest(m - 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper"), "{err}");
+    }
+
+    #[test]
+    fn far_past_the_limit_is_an_error_not_an_abort() {
+        // 40 KB of parentheses, and a 50 000-term flat sum: `+` is not
+        // re-associated, so the sum is as deep as it is long.
+        for c in [false, true] {
+            for (shape, k) in [("parens", 20_000), ("sum", 50_000)] {
+                let err = crate::parse_any(&deep(c, shape, k)).unwrap_err();
+                assert!(err.message.contains("nesting deeper"), "{err}");
+            }
+        }
     }
 }

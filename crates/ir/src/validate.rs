@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::expr::{BinOp, BoolExpr, Expr};
 use crate::name::Name;
+use crate::parser::MAX_NESTING;
 use crate::program::Program;
 use crate::stmt::{LValue, Stmt};
 use crate::types::Ty;
@@ -30,12 +31,17 @@ fn err(msg: impl Into<String>) -> ValidateError {
 }
 
 /// Validate a program; returns all diagnostics found (empty = valid).
+///
+/// A program nested deeper than [`MAX_NESTING`] is one diagnostic, and
+/// no check looks past that depth.
 pub fn validate(p: &Program) -> Vec<ValidateError> {
     let mut v = Validator {
         prog: p,
         errors: Vec::new(),
         parallel_depth: 0,
         privatized: Vec::new(),
+        room: MAX_NESTING,
+        too_deep: false,
     };
     let mut seen = HashSet::new();
     for d in p.decls() {
@@ -66,10 +72,35 @@ struct Validator<'a> {
     parallel_depth: usize,
     /// Names privatized by enclosing parallel loops (incl. loop counters).
     privatized: Vec<Name>,
+    /// Levels left before [`MAX_NESTING`] at the walk's position.
+    room: u32,
+    /// Whether the nesting diagnostic was given.
+    too_deep: bool,
 }
 
 impl<'a> Validator<'a> {
+    /// `f` one level down — a node, or a block body — unless that is past
+    /// [`MAX_NESTING`], which is diagnosed once.
+    fn level_down<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
+        if self.room == 0 {
+            if !std::mem::replace(&mut self.too_deep, true) {
+                self.errors.push(err(format!(
+                    "program is nested deeper than {MAX_NESTING} levels"
+                )));
+            }
+            return None;
+        }
+        self.room -= 1;
+        let out = f(self);
+        self.room += 1;
+        out
+    }
+
     fn ty_of_expr(&mut self, e: &Expr) -> Option<Ty> {
+        self.level_down(|v| v.ty_of_node(e))
+    }
+
+    fn ty_of_node(&mut self, e: &Expr) -> Option<Ty> {
         match e {
             Expr::IntLit(_) => Some(Ty::Int),
             Expr::RealLit(_) => Some(Ty::Real),
@@ -169,24 +200,27 @@ impl<'a> Validator<'a> {
     }
 
     fn check_bool(&mut self, b: &BoolExpr) {
-        match b {
-            BoolExpr::Cmp { lhs, rhs, .. } => {
-                self.ty_of_expr(lhs);
-                self.ty_of_expr(rhs);
+        self.level_down(|v| {
+            match b {
+                BoolExpr::Cmp { lhs, rhs, .. } => {
+                    v.ty_of_expr(lhs);
+                    v.ty_of_expr(rhs);
+                }
+                BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+                    v.check_bool(a);
+                    v.check_bool(b);
+                }
+                BoolExpr::Not(a) => v.check_bool(a),
             }
-            BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                self.check_bool(a);
-                self.check_bool(b);
-            }
-            BoolExpr::Not(a) => self.check_bool(a),
-        }
+            Some(())
+        });
     }
 
     fn check_lvalue(&mut self, lv: &LValue) -> Option<Ty> {
-        let ty = match lv {
-            LValue::Var(name) => self.ty_of_var(name),
-            LValue::Index { array, indices } => self.ty_of_element(array, indices),
-        };
+        let ty = self.level_down(|v| match lv {
+            LValue::Var(name) => v.ty_of_var(name),
+            LValue::Index { array, indices } => v.ty_of_element(array, indices),
+        });
         if self.parallel_depth > 0 {
             if let LValue::Var(name) = lv {
                 if !self.privatized.iter().any(|p| p == name) {
@@ -204,6 +238,14 @@ impl<'a> Validator<'a> {
         for s in body {
             self.check_stmt(s);
         }
+    }
+
+    /// A block's body, one level down.
+    fn check_block(&mut self, body: &[Stmt]) {
+        self.level_down(|v| {
+            v.check_body(body);
+            Some(())
+        });
     }
 
     fn check_stmt(&mut self, s: &Stmt) {
@@ -224,8 +266,8 @@ impl<'a> Validator<'a> {
                 else_body,
             } => {
                 self.check_bool(cond);
-                self.check_body(then_body);
-                self.check_body(else_body);
+                self.check_block(then_body);
+                self.check_block(else_body);
             }
             Stmt::For(l) => {
                 match self.prog.ty_of(&l.var) {
@@ -280,7 +322,7 @@ impl<'a> Validator<'a> {
                     self.privatized.push(l.var.clone());
                     pushed += 1;
                 }
-                self.check_body(&l.body);
+                self.check_block(&l.body);
                 for _ in 0..pushed {
                     self.privatized.pop();
                 }
@@ -486,5 +528,35 @@ end subroutine
 "#,
         );
         assert!(errs.iter().any(|e| e.message.contains("nonzero")));
+    }
+
+    #[test]
+    fn nesting_limit_holds_for_ir_built_in_code() {
+        let src = "subroutine t(n, x, y)\n  integer, intent(in) :: n\n  \
+                   real, intent(in) :: x(n)\n  real, intent(inout) :: y(n)\n  \
+                   y(1) = x(1)\nend subroutine\n";
+        let mut p = parse_program(src).unwrap();
+        // A top-level `y(1) = x(1) + … + x(1)` of height `h`.
+        let with_height = |p: &mut Program, h: u32| {
+            let x1 = Expr::index("x", vec![Expr::IntLit(1)]);
+            let mut rhs = x1.clone();
+            for _ in 2..h {
+                rhs = rhs + x1.clone();
+            }
+            let Stmt::Assign { rhs: r, .. } = &mut p.body[0] else {
+                panic!("one assignment");
+            };
+            *r = rhs;
+        };
+        with_height(&mut p, MAX_NESTING);
+        assert!(validate(&p).is_empty(), "{:?}", validate(&p));
+        with_height(&mut p, MAX_NESTING + 1);
+        let errs = validate(&p);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].message.contains("nested deeper"), "{errs:?}");
+        // Far past the limit the walk still stops there. (Dropping a
+        // chain this deep recurses too, so it is kept short of that.)
+        with_height(&mut p, 20 * MAX_NESTING);
+        assert_eq!(validate(&p).len(), 1);
     }
 }

@@ -5,6 +5,7 @@
 //! deliberately poisoned request that panics inside the pipeline — then
 //! asserts the robustness contract: **zero 5xx responses**, the poisoned
 //! request degraded (HTTP 200, `degraded: true`) instead of erroring,
+//! a program nested far past the parser's budget refused with a 400,
 //! and the daemon still answers a clean request afterwards. Exits
 //! nonzero on any violation; `--out FILE` writes the final `/status`
 //! snapshot for artifact upload.
@@ -196,6 +197,25 @@ fn main() {
     if !poisoned_degraded {
         eprintln!("FAIL: poisoned request did not produce a degraded 200");
         failures += 1;
+    }
+
+    // 20 000 levels of parentheses (≈ 40 KB) are a parse error past the
+    // nesting budget, not a stack overflow that takes the daemon down.
+    let parens = format!("{}x(i){}", "(".repeat(20_000), ")".repeat(20_000));
+    let probe = AXPY_F.replace("y(i) + a * x(i)", &parens);
+    match request(addr, "POST", "/v1/analyze", &analysis_body(&probe, "")) {
+        Ok((400, _)) => println!("ok   deep-probe: 400"),
+        other => {
+            eprintln!("FAIL deep-probe: expected 400, got {other:?}");
+            failures += 1;
+        }
+    }
+    match request(addr, "GET", "/v1/status", "") {
+        Ok((200, _)) => println!("ok   status-after-probe: 200"),
+        other => {
+            eprintln!("FAIL status after the deep probe: {other:?}");
+            failures += 1;
+        }
     }
 
     // The daemon must still serve a clean request after the storm.

@@ -112,6 +112,14 @@ pub fn serve(addr: &str, cfg: ServiceConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
+/// Stack of a connection thread, which parses, analyzes and runs the
+/// request in place. Every walk over a program is recursive, and the
+/// parser bounds a program's depth at `formad_ir::MAX_NESTING`. At that
+/// limit the most demanding shape measured (a `tanh` chain) needs 512 KiB
+/// for analysis, adjoint generation and simulation in a release build and
+/// 2 MiB in a debug build.
+const CONN_STACK_BYTES: usize = 4 << 20;
+
 fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBool>) {
     let active = Arc::new(AtomicUsize::new(0));
     loop {
@@ -123,13 +131,13 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBoo
                 let service = Arc::clone(&service);
                 let conn_active = Arc::clone(&active);
                 active.fetch_add(1, Ordering::AcqRel);
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("serve-conn".into())
-                        .spawn(move || {
-                            handle_connection(conn, &service);
-                            conn_active.fetch_sub(1, Ordering::AcqRel);
-                        });
+                let spawned = std::thread::Builder::new()
+                    .name("serve-conn".into())
+                    .stack_size(CONN_STACK_BYTES)
+                    .spawn(move || {
+                        handle_connection(conn, &service);
+                        conn_active.fetch_sub(1, Ordering::AcqRel);
+                    });
                 if spawned.is_err() {
                     // Could not spawn (resource exhaustion): undo the
                     // count; the connection drops, which the client sees

@@ -5,14 +5,15 @@
 //! domain may satisfy the assertions; whenever brute force finds a model,
 //! the solver must not answer `Unsat`.
 //!
-//! Only free symbols are enumerated; formulas containing opaque atoms
-//! (uninterpreted applications etc.) are rejected since their semantics
-//! would need function enumeration.
+//! It reads the same assertions the solver is given. Only free symbols
+//! are enumerated; assertions containing opaque atoms (uninterpreted
+//! applications etc.) are rejected since their semantics would need
+//! function enumeration.
 
 use std::collections::HashMap;
 
 use crate::ctrl::Interrupt;
-use crate::formula::{Clause, Formula, Literal, Rel};
+use crate::formula::{Assertion, Literal, Rel};
 use crate::linexpr::{AtomKey, AtomTable, LinExpr};
 
 /// A satisfying assignment, symbol name → value.
@@ -21,16 +22,16 @@ pub type Model = HashMap<String, i64>;
 /// How many assignments are tried between interrupt checks.
 const INTERRUPT_STRIDE: u64 = 4096;
 
-/// Exhaustively search `lo..=hi` per symbol for a model of `formulas`.
+/// Exhaustively search `lo..=hi` per symbol for a model of `assertions`.
 /// Returns `Err` if a non-symbol atom appears, `Ok(None)` if no model
 /// exists in the box, `Ok(Some(model))` otherwise.
 pub fn find_model(
-    formulas: &[Formula],
+    assertions: &[Assertion],
     table: &AtomTable,
     lo: i64,
     hi: i64,
 ) -> Result<Option<Model>, String> {
-    find_model_under(formulas, table, lo, hi, &Interrupt::none())
+    find_model_under(assertions, table, lo, hi, &Interrupt::none())
 }
 
 /// [`find_model`] with a deadline/cancellation bundle, polled every
@@ -38,23 +39,23 @@ pub fn find_model(
 /// `Err("interrupted: ...")` — callers cross-validating against the solver
 /// must then skip the comparison, not treat it as "no model".
 pub fn find_model_under(
-    formulas: &[Formula],
+    assertions: &[Assertion],
     table: &AtomTable,
     lo: i64,
     hi: i64,
     interrupt: &Interrupt,
 ) -> Result<Option<Model>, String> {
-    let clauses: Vec<Clause> = formulas.iter().flat_map(|f| f.clone().to_cnf()).collect();
+    let clauses: Vec<&[Literal]> = assertions.iter().flat_map(Assertion::clauses).collect();
 
     // Collect atoms, reject opaque ones.
     let mut atoms: Vec<(u32, String)> = Vec::new();
     for c in &clauses {
-        for l in &c.lits {
+        for l in c.iter() {
             for a in l.expr.atoms() {
                 match table.key(a) {
-                    AtomKey::Sym(name) => {
+                    AtomKey::Sym(sym) => {
                         if !atoms.iter().any(|(id, _)| *id == a.0) {
-                            atoms.push((a.0, name.clone()));
+                            atoms.push((a.0, sym.to_string()));
                         }
                     }
                     other => return Err(format!("opaque atom {other:?} not enumerable")),
@@ -96,8 +97,8 @@ pub fn find_model_under(
     Ok(None)
 }
 
-fn clause_holds(c: &Clause, values: &HashMap<u32, i64>) -> bool {
-    c.lits.iter().any(|l| lit_holds(l, values))
+fn clause_holds(c: &[Literal], values: &HashMap<u32, i64>) -> bool {
+    c.iter().any(|l| lit_holds(l, values))
 }
 
 fn lit_holds(l: &Literal, values: &HashMap<u32, i64>) -> bool {
@@ -120,20 +121,23 @@ fn eval(e: &LinExpr, values: &HashMap<u32, i64>) -> i128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::Formula;
+    use crate::linexpr::LinExpr;
     use crate::solver::{SatResult, Solver};
-    use crate::term::Term;
+
+    fn sym(table: &mut AtomTable, name: &str) -> LinExpr {
+        LinExpr::atom(table.sym(name))
+    }
+
+    fn unit(lit: Literal) -> Assertion {
+        Assertion::all(vec![lit])
+    }
 
     #[test]
     fn finds_model_for_simple_system() {
         let mut table = AtomTable::new();
-        let f1 = Formula::term_ne(&Term::sym("x"), &Term::sym("y"), &mut table).unwrap();
-        let f2 = Formula::term_eq(
-            &(Term::sym("x") + Term::int(1)),
-            &Term::sym("y"),
-            &mut table,
-        )
-        .unwrap();
+        let (x, y) = (sym(&mut table, "x"), sym(&mut table, "y"));
+        let f1 = unit(Literal::ne(x.clone(), y.clone()));
+        let f2 = unit(Literal::eq(x.add(&LinExpr::constant(1)), y));
         let m = find_model(&[f1, f2], &table, -2, 2).unwrap().unwrap();
         assert_eq!(m["y"], m["x"] + 1);
     }
@@ -141,20 +145,18 @@ mod tests {
     #[test]
     fn no_model_when_unsat() {
         let mut table = AtomTable::new();
-        let f1 = Formula::term_eq(&Term::sym("x"), &Term::sym("y"), &mut table).unwrap();
-        let f2 = Formula::term_ne(&Term::sym("x"), &Term::sym("y"), &mut table).unwrap();
+        let (x, y) = (sym(&mut table, "x"), sym(&mut table, "y"));
+        let f1 = unit(Literal::eq(x.clone(), y.clone()));
+        let f2 = unit(Literal::ne(x, y));
         assert!(find_model(&[f1, f2], &table, -3, 3).unwrap().is_none());
     }
 
     #[test]
     fn opaque_atoms_rejected() {
         let mut table = AtomTable::new();
-        let f = Formula::term_eq(
-            &Term::app("c", vec![Term::sym("i")]),
-            &Term::int(0),
-            &mut table,
-        )
-        .unwrap();
+        let i = sym(&mut table, "i");
+        let ci = table.app("c".into(), vec![i]);
+        let f = unit(Literal::eq(ci, LinExpr::constant(0)));
         assert!(find_model(&[f], &table, 0, 1).is_err());
     }
 
@@ -171,12 +173,13 @@ mod tests {
             let mut s = Solver::new();
             let mut fs = Vec::new();
             for (a, b, eq) in case {
-                let f = if eq {
-                    Formula::term_eq(&Term::sym(a), &Term::sym(b), &mut s.table).unwrap()
+                let (a, b) = (sym(&mut s.table, a), sym(&mut s.table, b));
+                let f = unit(if eq {
+                    Literal::eq(a, b)
                 } else {
-                    Formula::term_ne(&Term::sym(a), &Term::sym(b), &mut s.table).unwrap()
-                };
-                s.assert(f.clone());
+                    Literal::ne(a, b)
+                });
+                s.assert(&f);
                 fs.push(f);
             }
             let solver_result = s.check();

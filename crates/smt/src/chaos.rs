@@ -15,10 +15,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::ctrl::{CancelToken, Deadline, StopReason};
-use crate::formula::Formula;
+use crate::formula::Assertion;
 use crate::linexpr::AtomTable;
 use crate::search::SearchCore;
-use crate::solver::{InternedFormula, SatResult, Solver, SolverApi, SolverBudget, SolverStats};
+use crate::solver::{SatResult, Solver, SolverApi, SolverBudget, SolverStats};
 
 /// Fault probabilities (per 1000 `check()` calls) and the deterministic
 /// seed that drives them.
@@ -154,8 +154,8 @@ impl SolverApi for ChaosSolver {
     fn pop(&mut self) {
         self.inner.pop();
     }
-    fn assert(&mut self, f: Formula) {
-        self.inner.assert(f);
+    fn assert(&mut self, a: &Assertion) {
+        self.inner.assert(a);
     }
     fn check(&mut self) -> SatResult {
         self.counters.inner.checks.fetch_add(1, Ordering::Relaxed);
@@ -197,9 +197,6 @@ impl SolverApi for ChaosSolver {
     fn reset_to_base(&mut self) {
         self.inner.reset_to_base();
     }
-    fn assert_interned(&mut self, f: &InternedFormula) {
-        self.inner.assert_interned(f);
-    }
     fn set_search_core(&mut self, core: SearchCore) {
         self.inner.set_search_core(core);
     }
@@ -208,12 +205,18 @@ impl SolverApi for ChaosSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::Formula;
-    use crate::term::Term;
+    use crate::formula::Literal;
+    use crate::linexpr::LinExpr;
+
+    /// `x` and `y` as rows of `s`'s table.
+    fn xy(s: &mut ChaosSolver) -> (LinExpr, LinExpr) {
+        let x = LinExpr::atom(s.table_mut().sym("x"));
+        (x, LinExpr::atom(s.table_mut().sym("y")))
+    }
 
     fn assert_xy_ne(s: &mut ChaosSolver) {
-        let f = Formula::term_ne(&Term::sym("x"), &Term::sym("y"), s.table_mut()).unwrap();
-        s.assert(f);
+        let (x, y) = xy(s);
+        s.assert(&Assertion::all(vec![Literal::ne(x, y)]));
     }
 
     #[test]
@@ -278,8 +281,9 @@ mod tests {
         });
         assert_xy_ne(&mut chaos);
         assert_eq!(chaos.check(), SatResult::Sat);
-        let f = Formula::term_eq(&Term::sym("x"), &Term::sym("y"), chaos.table_mut()).unwrap();
-        assert_eq!(chaos.check_with(f), SatResult::Unsat);
+        let (x, y) = xy(&mut chaos);
+        let q = Assertion::all(vec![Literal::eq(x, y)]);
+        assert_eq!(chaos.check_with(&q), SatResult::Unsat);
         assert_eq!(chaos.counters.faults(), 0);
     }
 }

@@ -20,25 +20,20 @@
 //! to this adjoint variable are unsafe").
 //!
 //! ```
-//! use formad_smt::{Formula, Solver, SatResult, Term};
+//! use formad_smt::{Assertion, LinExpr, Literal, SatResult, Solver};
 //!
 //! // Figure 2 of the paper: knowing i ≠ i' and c(i) ≠ c(i'),
 //! // prove c(i)+7 and c(i')+7 cannot collide.
 //! let mut s = Solver::new();
-//! let i = Term::sym("i");
-//! let ip = Term::sym("i'");
-//! let ci = Term::app("c", vec![i.clone()]);
-//! let cip = Term::app("c", vec![ip.clone()]);
-//! let k1 = Formula::term_ne(&i, &ip, &mut s.table).unwrap();
-//! let k2 = Formula::term_ne(&ci, &cip, &mut s.table).unwrap();
-//! s.assert(k1);
-//! s.assert(k2);
-//! let q = Formula::term_eq(
-//!     &(ci + Term::int(7)),
-//!     &(cip + Term::int(7)),
-//!     &mut s.table,
-//! ).unwrap();
-//! assert_eq!(s.check_with(q), SatResult::Unsat); // increment is safe
+//! let i = s.table.scalar("i".into(), 0, false);
+//! let ip = s.table.scalar("i".into(), 0, true);
+//! let ci = s.table.app("c".into(), vec![i.clone()]);
+//! let cip = s.table.app("c".into(), vec![ip.clone()]);
+//! s.assert(&Assertion::all(vec![Literal::ne(i, ip)]));
+//! s.assert(&Assertion::all(vec![Literal::ne(ci.clone(), cip.clone())]));
+//! let seven = LinExpr::constant(7);
+//! let q = Assertion::all(vec![Literal::eq(ci.add(&seven), cip.add(&seven))]);
+//! assert_eq!(s.check_with(&q), SatResult::Unsat); // increment is safe
 //! ```
 
 pub mod brute;
@@ -50,14 +45,12 @@ pub mod fx;
 pub mod linexpr;
 pub mod search;
 pub mod solver;
-pub mod term;
 
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosSolver};
 pub use ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
 pub use fm::{feasible, feasible_paced, Feasibility, FmBudget};
-pub use formula::{Clause, Formula, Literal, Rel};
+pub use formula::{Assertion, Literal, Rel};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};
-pub use linexpr::{normalize, AtomId, AtomKey, AtomTable, LinExpr, NormalizeError};
+pub use linexpr::{AtomId, AtomKey, AtomTable, LinExpr, NormalizeError, Symbol};
 pub use search::SearchCore;
-pub use solver::{InternedFormula, SatResult, Solver, SolverApi, SolverBudget, SolverStats};
-pub use term::Term;
+pub use solver::{SatResult, Solver, SolverApi, SolverBudget, SolverStats};

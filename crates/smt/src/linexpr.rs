@@ -1,28 +1,55 @@
-//! Normalization of [`Term`]s into linear expressions over interned atoms.
+//! Rows: linear expressions over interned atoms.
 //!
 //! A [`LinExpr`] is `constant + Σ coeff·atom` with `i128` coefficients. An
-//! atom is either a free symbol or an *opaque* interned sub-term: an
-//! uninterpreted function application (with linearly-normalized arguments,
-//! giving syntactic congruence — `c(i+0)` and `c(i)` intern to the same
-//! atom), a non-linear product, a division, or a modulo.
+//! atom is either a scalar [`Symbol`] or an *opaque* interned sub-term: an
+//! uninterpreted application of an integer array to argument rows (giving
+//! syntactic congruence — `c(i+0)` and `c(i)` intern to the same atom), a
+//! non-linear product, a division, or a modulo. The row builders
+//! ([`LinExpr::plus`], [`LinExpr::times`], [`AtomTable::app`], …) fold
+//! whatever is linear and intern the rest, so an index expression goes
+//! into the prover as one row without an intermediate term tree.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::fx::FxHashMap;
-use crate::term::Term;
 
 /// Interned atom identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AtomId(pub u32);
 
+/// A free integer symbol: a scalar's name, the instance number of the
+/// value it holds (paper §5.2, `0` for the value on entry) and whether it
+/// is the primed copy on the other side of a pair (§5.3).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Symbol {
+    pub name: Arc<str>,
+    pub instance: u32,
+    pub primed: bool,
+}
+
+impl fmt::Display for Symbol {
+    /// `name`, `name@instance`, then `'` when primed (`w@2'`).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.name)?;
+        if self.instance != 0 {
+            write!(f, "@{}", self.instance)?;
+        }
+        if self.primed {
+            f.write_str("'")?;
+        }
+        Ok(())
+    }
+}
+
 /// What an atom stands for.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AtomKey {
     /// Free integer symbol.
-    Sym(String),
-    /// Uninterpreted application with normalized arguments.
-    App(String, Vec<LinExpr>),
-    /// Non-linear product of two normalized expressions.
+    Sym(Symbol),
+    /// Uninterpreted application with argument rows.
+    App(Arc<str>, Vec<LinExpr>),
+    /// Non-linear product of two rows.
     MulOpaque(LinExpr, LinExpr),
     /// Truncated division.
     DivOpaque(LinExpr, LinExpr),
@@ -34,11 +61,7 @@ pub enum AtomKey {
 #[derive(Debug, Clone, Default)]
 pub struct AtomTable {
     keys: Vec<AtomKey>,
-    /// Ids of the compound keys (everything but `Sym`).
     map: FxHashMap<AtomKey, AtomId>,
-    /// Ids of the symbols, by name, so that looking one up borrows the
-    /// name instead of building an `AtomKey` around a copy of it.
-    syms: FxHashMap<String, AtomId>,
 }
 
 impl AtomTable {
@@ -49,9 +72,6 @@ impl AtomTable {
 
     /// Intern a key, returning its id.
     pub fn intern(&mut self, key: AtomKey) -> AtomId {
-        if let AtomKey::Sym(name) = &key {
-            return self.sym(name);
-        }
         if let Some(id) = self.map.get(&key) {
             return *id;
         }
@@ -61,15 +81,24 @@ impl AtomTable {
         id
     }
 
-    /// Intern a plain symbol.
+    /// The row of a scalar symbol.
+    pub fn scalar(&mut self, name: Arc<str>, instance: u32, primed: bool) -> LinExpr {
+        let sym = Symbol {
+            name,
+            instance,
+            primed,
+        };
+        LinExpr::atom(self.intern(AtomKey::Sym(sym)))
+    }
+
+    /// The atom of a plain symbol (instance 0, unprimed).
     pub fn sym(&mut self, name: &str) -> AtomId {
-        if let Some(id) = self.syms.get(name) {
-            return *id;
-        }
-        let id = AtomId(self.keys.len() as u32);
-        self.keys.push(AtomKey::Sym(name.to_string()));
-        self.syms.insert(name.to_string(), id);
-        id
+        self.scalar(Arc::from(name), 0, false).terms[0].0
+    }
+
+    /// The row of the application `f(args…)`.
+    pub fn app(&mut self, f: Arc<str>, args: Vec<LinExpr>) -> LinExpr {
+        LinExpr::atom(self.intern(AtomKey::App(f, args)))
     }
 
     /// Key of an atom.
@@ -86,50 +115,6 @@ impl AtomTable {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    /// Human-readable rendering of an atom (for diagnostics).
-    pub fn render(&self, id: AtomId) -> String {
-        match self.key(id) {
-            AtomKey::Sym(s) => s.clone(),
-            AtomKey::App(f, args) => {
-                let args: Vec<String> = args.iter().map(|a| self.render_lin(a)).collect();
-                format!("{f}({})", args.join(", "))
-            }
-            AtomKey::MulOpaque(a, b) => {
-                format!("({})*({})", self.render_lin(a), self.render_lin(b))
-            }
-            AtomKey::DivOpaque(a, b) => {
-                format!("({})/({})", self.render_lin(a), self.render_lin(b))
-            }
-            AtomKey::ModOpaque(a, b) => {
-                format!("({}) mod ({})", self.render_lin(a), self.render_lin(b))
-            }
-        }
-    }
-
-    /// Human-readable rendering of a linear expression.
-    pub fn render_lin(&self, e: &LinExpr) -> String {
-        let mut s = String::new();
-        let mut first = true;
-        for (atom, c) in &e.terms {
-            if !first {
-                s.push_str(" + ");
-            }
-            first = false;
-            if *c == 1 {
-                s.push_str(&self.render(*atom));
-            } else {
-                s.push_str(&format!("{}*{}", c, self.render(*atom)));
-            }
-        }
-        if e.constant != 0 || first {
-            if !first {
-                s.push_str(" + ");
-            }
-            s.push_str(&e.constant.to_string());
-        }
-        s
-    }
 }
 
 /// A linear expression `constant + Σ coeff·atom`; terms sorted by atom id,
@@ -140,6 +125,17 @@ pub struct LinExpr {
     pub constant: i128,
     /// `(atom, coefficient)` pairs, sorted by atom, coefficients ≠ 0.
     pub terms: Vec<(AtomId, i128)>,
+}
+
+/// Largest constant magnitude a row builder accepts.
+const LIMIT: i128 = 1 << 62;
+
+fn checked(v: i128) -> Result<i128, NormalizeError> {
+    if v.abs() > LIMIT {
+        Err(NormalizeError("coefficient overflow".into()))
+    } else {
+        Ok(v)
+    }
 }
 
 impl LinExpr {
@@ -175,8 +171,18 @@ impl LinExpr {
 
     /// `self + k·other`.
     pub fn add_scaled(&self, other: &LinExpr, k: i128) -> LinExpr {
-        let mut terms: Vec<(AtomId, i128)> =
-            Vec::with_capacity(self.terms.len() + other.terms.len());
+        let mut out = LinExpr {
+            constant: 0,
+            terms: Vec::with_capacity(self.terms.len() + other.terms.len()),
+        };
+        self.add_scaled_into(other, k, &mut out);
+        out
+    }
+
+    /// `out ← self + k·other`, reusing `out`'s buffer.
+    pub fn add_scaled_into(&self, other: &LinExpr, k: i128, out: &mut LinExpr) {
+        let terms = &mut out.terms;
+        terms.clear();
         let (mut i, mut j) = (0, 0);
         while i < self.terms.len() || j < other.terms.len() {
             let take_left = match (self.terms.get(i), other.terms.get(j)) {
@@ -208,10 +214,7 @@ impl LinExpr {
                 j += 1;
             }
         }
-        LinExpr {
-            constant: self.constant + k * other.constant,
-            terms,
-        }
+        out.constant = self.constant + k * other.constant;
     }
 
     /// `self + other`.
@@ -248,6 +251,58 @@ impl LinExpr {
     pub fn atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
         self.terms.iter().map(|(a, _)| *a)
     }
+
+    /// Row builder: `self + other`, refusing a constant beyond ±2⁶².
+    pub fn plus(&self, other: &LinExpr) -> Result<LinExpr, NormalizeError> {
+        let r = self.add(other);
+        checked(r.constant)?;
+        Ok(r)
+    }
+
+    /// Row builder: `self - other`, refusing a constant beyond ±2⁶².
+    pub fn minus(&self, other: &LinExpr) -> Result<LinExpr, NormalizeError> {
+        let r = self.sub(other);
+        checked(r.constant)?;
+        Ok(r)
+    }
+
+    /// Row builder: `self · other` — linear when either side is constant,
+    /// an opaque atom otherwise, with the operands ordered so `a·b` and
+    /// `b·a` unify.
+    pub fn times(self, other: LinExpr, table: &mut AtomTable) -> Result<LinExpr, NormalizeError> {
+        if self.is_const() {
+            checked(self.constant)?;
+            Ok(other.scale(self.constant))
+        } else if other.is_const() {
+            checked(other.constant)?;
+            Ok(self.scale(other.constant))
+        } else {
+            let (x, y) = if lin_cmp(&self, &other) == std::cmp::Ordering::Greater {
+                (other, self)
+            } else {
+                (self, other)
+            };
+            Ok(LinExpr::atom(table.intern(AtomKey::MulOpaque(x, y))))
+        }
+    }
+
+    /// Row builder: truncated `self / other`, folded when both are
+    /// constants, an opaque atom otherwise.
+    pub fn div(self, other: LinExpr, table: &mut AtomTable) -> LinExpr {
+        if other.is_const() && other.constant != 0 && self.is_const() {
+            return LinExpr::constant(self.constant / other.constant);
+        }
+        LinExpr::atom(table.intern(AtomKey::DivOpaque(self, other)))
+    }
+
+    /// Row builder: `self mod other`, folded when both are constants, an
+    /// opaque atom otherwise.
+    pub fn rem(self, other: LinExpr, table: &mut AtomTable) -> LinExpr {
+        if other.is_const() && other.constant != 0 && self.is_const() {
+            return LinExpr::constant(self.constant % other.constant);
+        }
+        LinExpr::atom(table.intern(AtomKey::ModOpaque(self, other)))
+    }
 }
 
 /// Greatest common divisor on absolute values.
@@ -261,7 +316,7 @@ pub fn gcd(a: i128, b: i128) -> i128 {
     a
 }
 
-/// Errors during normalization (coefficient overflow guard).
+/// A row builder refused its operands (coefficient overflow guard).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormalizeError(pub String);
 
@@ -273,84 +328,6 @@ impl fmt::Display for NormalizeError {
 
 impl std::error::Error for NormalizeError {}
 
-/// Normalize a term into a linear expression over interned atoms.
-pub fn normalize(term: &Term, table: &mut AtomTable) -> Result<LinExpr, NormalizeError> {
-    const LIMIT: i128 = 1 << 62;
-    let check = |v: i128| -> Result<i128, NormalizeError> {
-        if v.abs() > LIMIT {
-            Err(NormalizeError("coefficient overflow".into()))
-        } else {
-            Ok(v)
-        }
-    };
-    match term {
-        Term::Int(v) => Ok(LinExpr::constant(*v as i128)),
-        Term::Sym(s) => {
-            let id = table.sym(s);
-            Ok(LinExpr::atom(id))
-        }
-        Term::App(f, args) => {
-            let nargs: Result<Vec<LinExpr>, _> = args.iter().map(|a| normalize(a, table)).collect();
-            let id = table.intern(AtomKey::App(f.clone(), nargs?));
-            Ok(LinExpr::atom(id))
-        }
-        Term::Add(a, b) => {
-            let a = normalize(a, table)?;
-            let b = normalize(b, table)?;
-            let r = a.add(&b);
-            check(r.constant)?;
-            Ok(r)
-        }
-        Term::Sub(a, b) => {
-            let a = normalize(a, table)?;
-            let b = normalize(b, table)?;
-            let r = a.sub(&b);
-            check(r.constant)?;
-            Ok(r)
-        }
-        Term::Neg(a) => Ok(normalize(a, table)?.scale(-1)),
-        Term::Mul(a, b) => {
-            let a = normalize(a, table)?;
-            let b = normalize(b, table)?;
-            if a.is_const() {
-                check(a.constant)?;
-                Ok(b.scale(a.constant))
-            } else if b.is_const() {
-                check(b.constant)?;
-                Ok(a.scale(b.constant))
-            } else {
-                // Non-linear: opaque atom, canonicalized by ordering the
-                // operands deterministically so `a*b` and `b*a` unify.
-                let (x, y) = if lin_cmp(&a, &b) == std::cmp::Ordering::Greater {
-                    (b, a)
-                } else {
-                    (a, b)
-                };
-                let id = table.intern(AtomKey::MulOpaque(x, y));
-                Ok(LinExpr::atom(id))
-            }
-        }
-        Term::Div(a, b) => {
-            let a = normalize(a, table)?;
-            let b = normalize(b, table)?;
-            if b.is_const() && b.constant != 0 && a.is_const() {
-                return Ok(LinExpr::constant(a.constant / b.constant));
-            }
-            let id = table.intern(AtomKey::DivOpaque(a, b));
-            Ok(LinExpr::atom(id))
-        }
-        Term::Mod(a, b) => {
-            let a = normalize(a, table)?;
-            let b = normalize(b, table)?;
-            if b.is_const() && b.constant != 0 && a.is_const() {
-                return Ok(LinExpr::constant(a.constant % b.constant));
-            }
-            let id = table.intern(AtomKey::ModOpaque(a, b));
-            Ok(LinExpr::atom(id))
-        }
-    }
-}
-
 fn lin_cmp(a: &LinExpr, b: &LinExpr) -> std::cmp::Ordering {
     (a.constant, &a.terms).cmp(&(b.constant, &b.terms))
 }
@@ -358,41 +335,57 @@ fn lin_cmp(a: &LinExpr, b: &LinExpr) -> std::cmp::Ordering {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Term;
 
-    fn norm(t: &Term, tab: &mut AtomTable) -> LinExpr {
-        normalize(t, tab).unwrap()
+    fn sym(tab: &mut AtomTable, name: &str) -> LinExpr {
+        LinExpr::atom(tab.sym(name))
+    }
+
+    fn int(v: i128) -> LinExpr {
+        LinExpr::constant(v)
     }
 
     #[test]
     fn linear_combination_collapses() {
         let mut tab = AtomTable::new();
         // 2*i + 3 - i + 1  ==  i + 4
-        let t = Term::int(2) * Term::sym("i") + Term::int(3) - Term::sym("i") + Term::int(1);
-        let e = norm(&t, &mut tab);
-        let i = tab.sym("i");
+        let i = sym(&mut tab, "i");
+        let two_i = int(2).times(i.clone(), &mut tab).unwrap();
+        let e = two_i.plus(&int(3)).unwrap().minus(&i).unwrap();
+        let e = e.plus(&int(1)).unwrap();
         assert_eq!(e.constant, 4);
-        assert_eq!(e.terms, vec![(i, 1)]);
+        assert_eq!(e.terms, vec![(tab.sym("i"), 1)]);
     }
 
     #[test]
     fn symbols_intern_once_by_name_or_by_key() {
         let mut tab = AtomTable::new();
         let i = tab.sym("i");
-        let app = tab.intern(AtomKey::App("c".into(), vec![LinExpr::atom(i)]));
-        assert_eq!(tab.intern(AtomKey::Sym("i".into())), i);
-        let j = tab.intern(AtomKey::Sym("j".into()));
-        assert_eq!(tab.sym("j"), j);
-        assert_eq!((i, app, j), (AtomId(0), AtomId(1), AtomId(2)));
-        assert_eq!(tab.len(), 3);
-        assert_eq!(tab.key(j), &AtomKey::Sym("j".into()));
+        let app = tab.app("c".into(), vec![LinExpr::atom(i)]);
+        assert_eq!(tab.scalar("i".into(), 0, false), LinExpr::atom(i));
+        let i1 = tab.scalar("i".into(), 1, false);
+        let ip = tab.scalar("i".into(), 0, true);
+        assert_eq!(app, LinExpr::atom(AtomId(1)));
+        assert_eq!((i1.terms[0].0, ip.terms[0].0), (AtomId(2), AtomId(3)));
+        assert_eq!(tab.len(), 4);
+    }
+
+    #[test]
+    fn render_is_readable() {
+        let mut tab = AtomTable::new();
+        for (instance, primed, text) in [(0, false, "w"), (2, false, "w@2"), (2, true, "w@2'")] {
+            let id = tab.scalar("w".into(), instance, primed).terms[0].0;
+            let AtomKey::Sym(s) = tab.key(id) else {
+                panic!("a symbol");
+            };
+            assert_eq!(s.to_string(), text);
+        }
     }
 
     #[test]
     fn cancellation_to_zero() {
         let mut tab = AtomTable::new();
-        let t = Term::sym("i") - Term::sym("i");
-        let e = norm(&t, &mut tab);
+        let i = sym(&mut tab, "i");
+        let e = i.minus(&i).unwrap();
         assert!(e.is_const());
         assert_eq!(e.constant, 0);
     }
@@ -401,25 +394,21 @@ mod tests {
     fn syntactic_congruence_of_apps() {
         let mut tab = AtomTable::new();
         // c(i + 0) and c(i) intern to the same atom.
-        let a = norm(
-            &Term::app("c", vec![Term::sym("i") + Term::int(0)]),
-            &mut tab,
-        );
-        let b = norm(&Term::app("c", vec![Term::sym("i")]), &mut tab);
+        let i = sym(&mut tab, "i");
+        let a = tab.app("c".into(), vec![i.plus(&int(0)).unwrap()]);
+        let b = tab.app("c".into(), vec![i.clone()]);
         assert_eq!(a, b);
         // c(i + 1) is a different atom.
-        let c = norm(
-            &Term::app("c", vec![Term::sym("i") + Term::int(1)]),
-            &mut tab,
-        );
+        let c = tab.app("c".into(), vec![i.plus(&int(1)).unwrap()]);
         assert_ne!(a, c);
     }
 
     #[test]
     fn nonlinear_product_is_opaque_and_commutative() {
         let mut tab = AtomTable::new();
-        let ab = norm(&(Term::sym("a") * Term::sym("b")), &mut tab);
-        let ba = norm(&(Term::sym("b") * Term::sym("a")), &mut tab);
+        let (a, b) = (sym(&mut tab, "a"), sym(&mut tab, "b"));
+        let ab = a.clone().times(b.clone(), &mut tab).unwrap();
+        let ba = b.times(a, &mut tab).unwrap();
         assert_eq!(ab, ba);
         assert_eq!(ab.terms.len(), 1);
     }
@@ -427,32 +416,28 @@ mod tests {
     #[test]
     fn constant_product_stays_linear() {
         let mut tab = AtomTable::new();
-        let t = (Term::sym("i") + Term::int(2)) * Term::int(3);
-        let e = norm(&t, &mut tab);
-        let i = tab.sym("i");
+        let i = sym(&mut tab, "i");
+        let e = i.plus(&int(2)).unwrap().times(int(3), &mut tab).unwrap();
         assert_eq!(e.constant, 6);
-        assert_eq!(e.coeff(i), 3);
+        assert_eq!(e.coeff(tab.sym("i")), 3);
     }
 
     #[test]
     fn const_div_and_mod_fold() {
         let mut tab = AtomTable::new();
-        assert_eq!(
-            norm(
-                &Term::Div(Box::new(Term::int(7)), Box::new(Term::int(2))),
-                &mut tab
-            )
-            .constant,
-            3
-        );
-        assert_eq!(
-            norm(
-                &Term::Mod(Box::new(Term::int(7)), Box::new(Term::int(2))),
-                &mut tab
-            )
-            .constant,
-            1
-        );
+        assert_eq!(int(7).div(int(2), &mut tab).constant, 3);
+        assert_eq!(int(7).rem(int(2), &mut tab).constant, 1);
+        assert!(tab.is_empty());
+    }
+
+    #[test]
+    fn builders_refuse_huge_constants() {
+        let mut tab = AtomTable::new();
+        let big = int(LIMIT);
+        assert!(big.plus(&int(1)).is_err());
+        assert!(int(-LIMIT).minus(&int(1)).is_err());
+        let x = sym(&mut tab, "x");
+        assert!(int(LIMIT + 1).times(x, &mut tab).is_err());
     }
 
     #[test]
@@ -479,13 +464,5 @@ mod tests {
         assert_eq!(gcd(0, 5), 5);
         assert_eq!(gcd(-4, 6), 2);
         assert_eq!(gcd(0, 0), 0);
-    }
-
-    #[test]
-    fn render_is_readable() {
-        let mut tab = AtomTable::new();
-        let t = Term::app("c", vec![Term::sym("i")]) + Term::int(7);
-        let e = norm(&t, &mut tab);
-        assert_eq!(tab.render_lin(&e), "c(i) + 7");
     }
 }

@@ -1,5 +1,5 @@
-//! The search behind `Solver::check()`: "is this CNF over linear-integer
-//! literals satisfiable?"
+//! The search behind `Solver::check()`: "is this conjunction of clauses
+//! over linear-integer literals satisfiable?"
 //!
 //! One production path, [`search_stack`] ([`SearchCore::Presolved`]), in
 //! three steps sized to the traffic (tuple-disjointness disjunctions
@@ -34,12 +34,12 @@ use std::collections::hash_map::Entry;
 
 use crate::ctrl::{Governor, StopReason};
 use crate::fm::{feasible_paced, Feasibility};
-use crate::formula::{Clause, Literal};
+use crate::formula::{Assertion, Literal};
 use crate::fx::FxHashMap;
 use crate::linexpr::{AtomTable, LinExpr};
 use crate::solver::{SatResult, SolverBudget};
 
-use presolve::{canon_lit, CanonLit, VarKey};
+use presolve::{Arena, Lit};
 
 /// Which path answers `check()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,7 +53,7 @@ pub enum SearchCore {
 }
 
 /// Per-`check()` working state: budgets, work counters, the atom table,
-/// and the paced interrupt poller.
+/// the solver's presolve arena, and the paced interrupt poller.
 pub(crate) struct SearchCtx<'t> {
     pub(crate) budget: SolverBudget,
     pub(crate) lia_calls: u64,
@@ -63,6 +63,7 @@ pub(crate) struct SearchCtx<'t> {
     pub(crate) presolve_discharges: u64,
     pub(crate) presolve_clauses: u64,
     pub(crate) table: &'t AtomTable,
+    pub(crate) arena: &'t mut Arena,
     pub(crate) gov: Governor<'t>,
 }
 
@@ -70,6 +71,7 @@ impl<'t> SearchCtx<'t> {
     pub(crate) fn new(
         budget: SolverBudget,
         table: &'t AtomTable,
+        arena: &'t mut Arena,
         gov: Governor<'t>,
     ) -> SearchCtx<'t> {
         SearchCtx {
@@ -81,6 +83,7 @@ impl<'t> SearchCtx<'t> {
             presolve_discharges: 0,
             presolve_clauses: 0,
             table,
+            arena,
             gov,
         }
     }
@@ -117,7 +120,7 @@ impl<'t> SearchCtx<'t> {
 /// then the splitter.
 pub(crate) fn search_stack(
     frames: &mut Vec<presolve::Frame>,
-    chunks: &[presolve::Chunk],
+    chunks: &[Assertion],
     marks: &[usize],
     ctx: &mut SearchCtx<'_>,
 ) -> SatResult {
@@ -141,69 +144,78 @@ pub(crate) fn search_stack(
         ctx.presolve_discharges += 1;
         return SatResult::Sat;
     }
-    let fixed: Vec<Literal> = fixed.iter().map(|(key, p)| key.lit(*p)).collect();
-    let refs: Vec<&Literal> = fixed.iter().collect();
-    match theory::lits_feasible(&refs, ctx) {
+    let mut committed = theory::Committed::default();
+    for &lit in &fixed {
+        let (rel, expr) = ctx.arena.parts(lit);
+        committed.push(rel, expr);
+    }
+    // The level-0 check closes a copy only when the clauses still need the
+    // fixed set.
+    let level0 = match clauses.is_empty() {
+        true => std::mem::take(&mut committed),
+        false => committed.clone(),
+    };
+    match theory::lits_feasible(level0, ctx) {
         Feasibility::Infeasible => {
             ctx.presolve_discharges += 1;
             return SatResult::Unsat;
         }
         Feasibility::Unknown(r) => return SatResult::Unknown(r),
+        Feasibility::Feasible if clauses.is_empty() => {
+            ctx.presolve_discharges += 1;
+            return SatResult::Sat;
+        }
         Feasibility::Feasible => {}
     }
-    if clauses.is_empty() {
-        ctx.presolve_discharges += 1;
-        return SatResult::Sat;
-    }
-    match probe(refs, &clauses, ctx) {
+    match probe(&committed, &clauses, ctx) {
         Some(Feasibility::Feasible) => return SatResult::Sat,
         Some(Feasibility::Unknown(r)) => return SatResult::Unknown(r),
         Some(Feasibility::Infeasible) => ctx.conflicts += 1,
         None => {}
     }
-    let mut committed = theory::Committed::default();
-    for lit in &fixed {
-        committed.push(lit);
-    }
-    let clauses: Vec<Clause> = clauses.into_iter().map(|lits| Clause { lits }).collect();
+    let clauses: Vec<Vec<Literal>> = clauses
+        .iter()
+        .map(|c| c.iter().map(|&lit| ctx.arena.lit(lit)).collect())
+        .collect();
     split::search(&committed, &clauses, ctx)
 }
 
 /// The lazy probe: from each residual clause (≥ 2 canonical literals)
 /// take the first literal whose variable no earlier pick holds at the
-/// other polarity, and check `lits` (the fixed literals) plus the picks
+/// other polarity, and check the `fixed` literals plus the picks
 /// once. `Feasible` is a satisfying branch; `None` means some clause had
 /// every literal contradicted, so the walk says nothing.
-fn probe<'a>(
-    mut lits: Vec<&'a Literal>,
-    clauses: &'a [Vec<Literal>],
+fn probe(
+    fixed: &theory::Committed,
+    clauses: &[Vec<Lit>],
     ctx: &mut SearchCtx<'_>,
 ) -> Option<Feasibility> {
     if let Err(r) = ctx.enter_branch() {
         return Some(Feasibility::Unknown(r));
     }
-    let mut picked: FxHashMap<VarKey, bool> = FxHashMap::default();
+    let mut picked: FxHashMap<presolve::Key, bool> = FxHashMap::default();
+    let mut lits = fixed.clone();
     for clause in clauses {
         // `Some(None)`: the clause is satisfied by a pick already made.
-        let pick = clause.iter().find_map(|lit| {
-            let CanonLit::Var { key, polarity } = canon_lit(lit) else {
-                unreachable!("presolve leaves only variable literals");
-            };
-            match picked.entry(key) {
+        let pick = clause
+            .iter()
+            .find_map(|&(key, polarity)| match picked.entry(key) {
                 Entry::Occupied(held) if *held.get() != polarity => None,
                 Entry::Occupied(_) => Some(None),
                 Entry::Vacant(slot) => {
                     slot.insert(polarity);
-                    Some(Some(lit))
+                    Some(Some((key, polarity)))
                 }
-            }
-        });
-        lits.extend(pick?);
+            });
+        if let Some(lit) = pick? {
+            let (rel, expr) = ctx.arena.parts(lit);
+            lits.push(rel, expr);
+        }
     }
-    Some(theory::lits_feasible(&lits, ctx))
+    Some(theory::lits_feasible(lits, ctx))
 }
 
 /// Run the splitter over the flattened assertion clauses.
-pub(crate) fn search_flat(clauses: &[Clause], ctx: &mut SearchCtx<'_>) -> SatResult {
+pub(crate) fn search_flat(clauses: &[Vec<Literal>], ctx: &mut SearchCtx<'_>) -> SatResult {
     split::search(&theory::Committed::default(), clauses, ctx)
 }

@@ -12,8 +12,8 @@
 //!   disequality constantly true) and sign-normalized so the leading
 //!   coefficient is positive; `Le` integer-tightened (`c + Σ g·kᵢaᵢ ≤ 0`
 //!   becomes `⌈c/g⌉ + Σ kᵢaᵢ ≤ 0`, exact over ℤ). Canonical literals give
-//!   each boolean variable a unique [`VarKey`] with a polarity, so a
-//!   literal and its negation map to one variable.
+//!   each boolean variable a unique [`Key`] in the solver's [`Arena`]
+//!   with a polarity, so a literal and its negation map to one variable.
 //! * **Unit extraction** — one-literal clauses become *units*; a key fixed
 //!   at both polarities is an immediate `Unsat`, and clauses mentioning a
 //!   fixed key are resolved against it.
@@ -46,75 +46,212 @@
 //! sequence alone: a stack split into any frames presolves to exactly
 //! the problem the same chunks give a frameless solver.
 //!
+//! Literals live in the solver's [`Arena`] and are handled by id: a
+//! snapshot stores `(Key, polarity)` pairs, and [`finish`] works in
+//! buffers the arena keeps from one query to the next.
+//!
 //! Every rule is verdict-exact, which is what keeps reports
 //! byte-identical to the flat, presolve-free oracle.
 
-use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
+use std::mem::take;
 use std::sync::Arc;
 
 use crate::ctrl::StopReason;
-use crate::formula::{Clause, Literal, Rel};
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::formula::{Assertion, Literal, Rel};
+use crate::fx::{FxHashMap, FxHashSet, FxHasher};
 use crate::linexpr::{AtomId, AtomKey, AtomTable, LinExpr};
 
 use super::SearchCtx;
 
-/// Identity of a boolean variable in the abstraction: a relation class
-/// (`0` = equality family, `1` = inequality family) plus the canonical
-/// representative expression.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct VarKey {
+/// A boolean variable of the abstraction: the id of a canonical literal
+/// family in the solver's [`Arena`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub(crate) struct Key(u32);
+
+/// A canonical literal: a variable at a polarity.
+pub(crate) type Lit = (Key, bool);
+
+/// One interned variable.
+#[derive(Debug, Clone)]
+struct Entry {
+    /// `0`: the equality family (`Eq` / `Ne`); `1`: the inequality family
+    /// (`Le` at both polarities).
     class: u8,
+    /// The representative: the literal's expression at polarity `true`
+    /// (at both polarities in class 0).
     expr: LinExpr,
+    /// Class 1 at polarity `false`: `-expr + 1 ≤ 0`.
+    neg: LinExpr,
+    /// The key interned before this one with the same hash.
+    next: Option<Key>,
 }
 
-impl VarKey {
-    /// Relation and expression of the literal asserted when this variable
-    /// takes `polarity` — exactly the canonical form [`canon_lit`] maps
-    /// onto `(self, polarity)`, so a canonical literal never needs
-    /// storing beside its key.
-    fn parts(&self, polarity: bool) -> (Rel, Cow<'_, LinExpr>) {
-        match (self.class, polarity) {
-            (0, true) => (Rel::Eq, Cow::Borrowed(&self.expr)),
-            (0, false) => (Rel::Ne, Cow::Borrowed(&self.expr)),
-            (_, true) => (Rel::Le, Cow::Borrowed(&self.expr)),
-            (_, false) => {
-                // ¬(e ≤ 0) ⇔ -e + 1 ≤ 0.
-                let mut neg = self.expr.scale(-1);
-                neg.constant += 1;
-                (Rel::Le, Cow::Owned(neg))
-            }
-        }
-    }
-
-    /// The concrete literal asserted when this variable takes `polarity`.
-    pub(crate) fn lit(&self, polarity: bool) -> Literal {
-        let (rel, expr) = self.parts(polarity);
-        Literal {
-            rel,
-            expr: expr.into_owned(),
-        }
-    }
+/// The canonical literals one solver has met, addressed by [`Key`], plus
+/// the buffers presolve reuses from query to query. It lives and dies
+/// with its solver.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Arena {
+    entries: Vec<Entry>,
+    /// Hash of `(class, representative)` → the latest key with it.
+    heads: FxHashMap<u64, Key>,
+    /// Canonicalization buffer.
+    row: LinExpr,
+    /// Substitution buffers (see [`Snapshot::rewrite`]).
+    rewritten: LinExpr,
+    spare: LinExpr,
+    finish: Buffers,
 }
 
-/// Total order on canonical expressions (terms, then constant) — used only
-/// for deterministic tie-breaking, never exposed.
-fn lin_key_cmp(a: &LinExpr, b: &LinExpr) -> Ordering {
-    a.terms.cmp(&b.terms).then(a.constant.cmp(&b.constant))
-}
-
-pub(crate) fn var_key_cmp(a: &VarKey, b: &VarKey) -> Ordering {
-    a.class.cmp(&b.class).then(lin_key_cmp(&a.expr, &b.expr))
-}
-
-/// A canonicalized literal: ground truth value, or a variable + polarity
-/// (the rewritten, tightened literal itself is `key.lit(polarity)`).
+/// A canonicalized literal: ground truth value, or a variable + polarity.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum CanonLit {
     True,
     False,
-    Var { key: VarKey, polarity: bool },
+    Var(Lit),
+}
+
+impl CanonLit {
+    /// The variable literal, where resolution has left only those.
+    fn lit(self) -> Lit {
+        match self {
+            CanonLit::Var(l) => l,
+            _ => unreachable!("resolution leaves only variables"),
+        }
+    }
+}
+
+impl Arena {
+    /// Relation and expression of the literal `(key, polarity)` stands for.
+    pub(crate) fn parts(&self, (key, polarity): Lit) -> (Rel, &LinExpr) {
+        let e = &self.entries[key.0 as usize];
+        match (e.class, polarity) {
+            (0, true) => (Rel::Eq, &e.expr),
+            (0, false) => (Rel::Ne, &e.expr),
+            (_, true) => (Rel::Le, &e.expr),
+            (_, false) => (Rel::Le, &e.neg),
+        }
+    }
+
+    /// The concrete literal `(key, polarity)` stands for.
+    pub(crate) fn lit(&self, lit: Lit) -> Literal {
+        let (rel, expr) = self.parts(lit);
+        Literal {
+            rel,
+            expr: expr.clone(),
+        }
+    }
+
+    fn class(&self, key: Key) -> u8 {
+        self.entries[key.0 as usize].class
+    }
+
+    /// The representative expression of `key`.
+    fn expr(&self, key: Key) -> &LinExpr {
+        &self.entries[key.0 as usize].expr
+    }
+
+    /// The key of `(class, self.row)`, interning it when new.
+    fn intern_row(&mut self, class: u8) -> Key {
+        let mut h = FxHasher::default();
+        class.hash(&mut h);
+        self.row.hash(&mut h);
+        let h = h.finish();
+        let mut at = self.heads.get(&h).copied();
+        while let Some(key) = at {
+            let e = &self.entries[key.0 as usize];
+            if e.class == class && e.expr == self.row {
+                return key;
+            }
+            at = e.next;
+        }
+        let key = Key(self.entries.len() as u32);
+        let expr = self.row.clone();
+        let neg = match class {
+            0 => LinExpr::default(),
+            _ => {
+                let mut neg = expr.scale(-1);
+                neg.constant += 1;
+                neg
+            }
+        };
+        let next = self.heads.insert(h, key);
+        self.entries.push(Entry {
+            class,
+            expr,
+            neg,
+            next,
+        });
+        key
+    }
+
+    /// Canonicalize the literal `e rel 0`. Exact over ℤ.
+    pub(crate) fn canon(&mut self, rel: Rel, e: &LinExpr) -> CanonLit {
+        if e.is_const() {
+            let truth = match rel {
+                Rel::Eq => e.constant == 0,
+                Rel::Ne => e.constant != 0,
+                Rel::Le => e.constant <= 0,
+            };
+            return if truth {
+                CanonLit::True
+            } else {
+                CanonLit::False
+            };
+        }
+        let g = e.coeff_gcd(); // > 0: at least one nonzero coefficient
+        let row = &mut self.row;
+        let (class, polarity) = match rel {
+            Rel::Eq | Rel::Ne => {
+                if e.constant.rem_euclid(g) != 0 {
+                    // c + g·(…) is never 0 when g ∤ c (parity-style rule).
+                    return if rel == Rel::Eq {
+                        CanonLit::False
+                    } else {
+                        CanonLit::True
+                    };
+                }
+                scale_down(e, g, false, row);
+                if row.terms[0].1 < 0 {
+                    negate(row);
+                }
+                (0, rel == Rel::Eq)
+            }
+            Rel::Le => {
+                // The variable representative is the lesser (terms, then
+                // constant) of the literal and its negation `-n + 1`;
+                // tightening is involutive (gcd is now 1), so both
+                // polarities of one constraint land on the same key. The
+                // two differ in the sign of every coefficient, so the
+                // leading one decides.
+                scale_down(e, g, true, row);
+                let polarity = row.terms[0].1 < 0;
+                if !polarity {
+                    negate(row);
+                    row.constant += 1;
+                }
+                (1, polarity)
+            }
+        };
+        CanonLit::Var((self.intern_row(class), polarity))
+    }
+
+    /// The `±1`-coefficient symbol the unit `lit` can be solved for, if
+    /// it is an equality: the first one `blocked` does not rule out.
+    fn pivot(
+        &self,
+        (key, polarity): Lit,
+        table: &AtomTable,
+        blocked: impl Fn(AtomId) -> bool,
+    ) -> Option<(AtomId, i128)> {
+        if self.class(key) != 0 || !polarity {
+            return None;
+        }
+        self.expr(key).terms.iter().copied().find(|&(a, k)| {
+            (k == 1 || k == -1) && matches!(table.key(a), AtomKey::Sym(_)) && !blocked(a)
+        })
+    }
 }
 
 fn ceil_div(a: i128, b: i128) -> i128 {
@@ -122,15 +259,15 @@ fn ceil_div(a: i128, b: i128) -> i128 {
     a.div_euclid(b) + if a.rem_euclid(b) != 0 { 1 } else { 0 }
 }
 
-fn scale_down(e: &LinExpr, g: i128, ceil_constant: bool) -> LinExpr {
-    LinExpr {
-        constant: if ceil_constant {
-            ceil_div(e.constant, g)
-        } else {
-            e.constant / g
-        },
-        terms: e.terms.iter().map(|&(a, c)| (a, c / g)).collect(),
-    }
+/// `out ← e / g`, the constant rounded up when `ceil_constant`.
+fn scale_down(e: &LinExpr, g: i128, ceil_constant: bool, out: &mut LinExpr) {
+    out.constant = if ceil_constant {
+        ceil_div(e.constant, g)
+    } else {
+        e.constant / g
+    };
+    out.terms.clear();
+    out.terms.extend(e.terms.iter().map(|&(a, c)| (a, c / g)));
 }
 
 /// `e ← -e`, in place.
@@ -138,61 +275,6 @@ fn negate(e: &mut LinExpr) {
     e.constant = -e.constant;
     for (_, c) in &mut e.terms {
         *c = -*c;
-    }
-}
-
-/// Canonicalize one literal. Exact over ℤ.
-pub(crate) fn canon_lit(lit: &Literal) -> CanonLit {
-    let e = &lit.expr;
-    if e.is_const() {
-        let truth = match lit.rel {
-            Rel::Eq => e.constant == 0,
-            Rel::Ne => e.constant != 0,
-            Rel::Le => e.constant <= 0,
-        };
-        return if truth {
-            CanonLit::True
-        } else {
-            CanonLit::False
-        };
-    }
-    let g = e.coeff_gcd(); // > 0: at least one nonzero coefficient
-    match lit.rel {
-        Rel::Eq | Rel::Ne => {
-            if e.constant.rem_euclid(g) != 0 {
-                // c + g·(…) is never 0 when g ∤ c (parity-style rule).
-                return if lit.rel == Rel::Eq {
-                    CanonLit::False
-                } else {
-                    CanonLit::True
-                };
-            }
-            let mut n = scale_down(e, g, false);
-            if n.terms[0].1 < 0 {
-                negate(&mut n);
-            }
-            CanonLit::Var {
-                key: VarKey { class: 0, expr: n },
-                polarity: lit.rel == Rel::Eq,
-            }
-        }
-        Rel::Le => {
-            // The variable representative is the lesser (by
-            // `lin_key_cmp`) of the literal and its negation `-n + 1`;
-            // tightening is involutive (gcd is now 1), so both polarities
-            // of one constraint land on the same key. The two differ in
-            // the sign of every coefficient, so the leading one decides.
-            let mut expr = scale_down(e, g, true);
-            let polarity = expr.terms[0].1 < 0;
-            if !polarity {
-                negate(&mut expr);
-                expr.constant += 1;
-            }
-            CanonLit::Var {
-                key: VarKey { class: 1, expr },
-                polarity,
-            }
-        }
     }
 }
 
@@ -325,103 +407,75 @@ fn solve_for(def: &LinExpr, a: AtomId, k: i128) -> LinExpr {
 
 /// `e` with `a` replaced by `subst`, if `a` occurs in it.
 fn substitute(e: &LinExpr, a: AtomId, subst: &LinExpr) -> Option<LinExpr> {
+    let mut out = LinExpr::default();
+    substitute_into(e, a, subst, &mut out).then_some(out)
+}
+
+/// `out ← e` with `a` replaced by `subst`; `false` (and `out` unspecified)
+/// when `a` does not occur in `e`.
+fn substitute_into(e: &LinExpr, a: AtomId, subst: &LinExpr, out: &mut LinExpr) -> bool {
     let c = e.coeff(a);
-    (c != 0).then(|| {
-        // e - c·a + c·subst, merged in one pass.
-        let mut out = e.add_scaled(subst, c);
-        if let Ok(i) = out.terms.binary_search_by_key(&a, |&(x, _)| x) {
+    if c == 0 {
+        return false;
+    }
+    // e - c·a + c·subst, merged in one pass.
+    e.add_scaled_into(subst, c, out);
+    match out.terms.binary_search_by_key(&a, |&(x, _)| x) {
+        Ok(i) => {
             out.terms[i].1 -= c;
             if out.terms[i].1 == 0 {
                 out.terms.remove(i);
             }
-        } else {
-            out = out.add_scaled(&LinExpr::atom(a), -c);
         }
-        out
-    })
-}
-
-/// A variable key shared between the slot holding it and the lookup
-/// tables indexing it.
-type Key = Arc<VarKey>;
-
-/// A unit (fixed) literal in canonical form: `key.lit(polarity)`.
-#[derive(Debug, Clone)]
-struct Unit {
-    key: Key,
-    polarity: bool,
-}
-
-impl Unit {
-    fn parts(&self) -> (Rel, Cow<'_, LinExpr>) {
-        self.key.parts(self.polarity)
+        Err(i) => out.terms.insert(i, (a, -c)),
     }
-
-    /// The `±1`-coefficient symbol this unit equality can be solved for:
-    /// the first one `blocked` does not rule out.
-    fn pivot(&self, table: &AtomTable, blocked: impl Fn(AtomId) -> bool) -> Option<(AtomId, i128)> {
-        if self.key.class != 0 || !self.polarity {
-            return None;
-        }
-        self.key.expr.terms.iter().copied().find(|&(a, k)| {
-            (k == 1 || k == -1) && matches!(table.key(a), AtomKey::Sym(_)) && !blocked(a)
-        })
-    }
+    true
 }
 
-/// A residual clause: ≥ 2 canonical literals, as keys with polarities.
-#[derive(Debug, Clone)]
-struct Residual {
-    keys: Vec<(Key, bool)>,
+/// Whether two clauses of distinct literals hold the same literals.
+fn same_lits(a: &[Lit], b: &[Lit]) -> bool {
+    a.len() == b.len() && a.iter().all(|l| b.contains(l))
 }
 
-impl Residual {
-    fn lits(&self) -> Vec<Literal> {
-        self.keys.iter().map(|(k, p)| k.lit(*p)).collect()
-    }
+/// One literal of a clause on its way into the canonical form.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    /// As asserted.
+    Raw(&'a Literal),
+    /// Already canonical (a stored clause looked at again).
+    Canon(Lit),
 }
 
-/// Order-independent identity of a residual clause, for deduplication.
-type Signature = Vec<(Key, bool)>;
-
-fn signature(keys: &[(Key, bool)]) -> Signature {
-    let mut sig = keys.to_vec();
-    sig.sort_by(|(a, pa), (b, pb)| var_key_cmp(a, b).then(pa.cmp(pb)));
-    sig
-}
-
-/// The canonical literals of a clause, as keys with polarities: each
-/// literal rewritten by `rewrite` (`None`: unchanged), canonicalized,
-/// dropped when constantly false or falsified by a unit (`polarity_of`),
-/// merged with an earlier occurrence of its key. `None` when a literal is
-/// constantly true, holds as a unit, or meets its own negation.
+/// The canonical literals of a clause, into `keys`: constantly false
+/// literals and literals a unit falsifies (`polarity_of`) dropped, a
+/// repeated key merged. `false` when a literal is constantly true, holds
+/// as a unit, or meets its own negation.
 fn resolve_clause(
-    lits: &[Literal],
-    rewrite: impl Fn(&LinExpr) -> Option<LinExpr>,
-    polarity_of: impl Fn(&VarKey) -> Option<bool>,
-) -> Option<Vec<(Key, bool)>> {
-    let mut keys: Vec<(Key, bool)> = Vec::with_capacity(lits.len());
+    lits: impl Iterator<Item = CanonLit>,
+    polarity_of: impl Fn(Key) -> Option<bool>,
+    keys: &mut Vec<Lit>,
+) -> bool {
+    keys.clear();
     for lit in lits {
-        let rewritten = rewrite(&lit.expr).map(|expr| Literal { rel: lit.rel, expr });
-        match canon_lit(rewritten.as_ref().unwrap_or(lit)) {
-            CanonLit::True => return None,
+        match lit {
+            CanonLit::True => return false,
             CanonLit::False => {}
-            CanonLit::Var { key, polarity } => {
-                match polarity_of(&key) {
-                    Some(p) if p == polarity => return None,
+            CanonLit::Var((key, polarity)) => {
+                match polarity_of(key) {
+                    Some(p) if p == polarity => return false,
                     Some(_) => continue, // falsified by a unit
                     None => {}
                 }
-                match keys.iter().find(|(k, _)| **k == key) {
+                match keys.iter().find(|(k, _)| *k == key) {
                     // Opposite polarity within one clause: tautology.
-                    Some((_, p)) if *p != polarity => return None,
+                    Some((_, p)) if *p != polarity => return false,
                     Some(_) => {}
-                    None => keys.push((Arc::new(key), polarity)),
+                    None => keys.push((key, polarity)),
                 }
             }
         }
     }
-    Some(keys)
+    true
 }
 
 /// A unit or clause slot queued for another look.
@@ -496,30 +550,6 @@ fn occurrences<'a>(lists: impl Iterator<Item = &'a Vec<usize>>) -> Vec<usize> {
     slots
 }
 
-/// Live slot contents in slot order; `layers` runs nearest layer first.
-fn live_slots<'a, T>(layers: &[&'a Slots<T>]) -> Vec<&'a T> {
-    let mut out = Vec::new();
-    for (depth, owner) in layers.iter().enumerate().rev() {
-        let rewrites: Vec<&FxHashMap<usize, Option<T>>> = layers[..depth]
-            .iter()
-            .map(|l| &l.over)
-            .filter(|over| !over.is_empty())
-            .collect();
-        for (i, own) in owner.own.iter().enumerate() {
-            let slot = owner.base + i;
-            let current = rewrites
-                .iter()
-                .find_map(|over| over.get(&slot))
-                .unwrap_or(own);
-            out.extend(current.as_ref());
-        }
-    }
-    out
-}
-
-/// The assertion clauses of one `assert`, shared with the solver's stack.
-pub(crate) type Chunk = Arc<Vec<Clause>>;
-
 /// The closure of an assertion-stack prefix under the extension-safe
 /// rules, stored as one immutable layer over the snapshot of the frame
 /// below (see the module docs).
@@ -530,10 +560,12 @@ pub(crate) type Chunk = Arc<Vec<Clause>>;
 #[derive(Debug, Default)]
 pub(crate) struct Snapshot {
     parent: Option<Arc<Snapshot>>,
-    units: Slots<Unit>,
-    clauses: Slots<Residual>,
+    units: Slots<Lit>,
+    /// Residual clauses: ≥ 2 canonical literals each.
+    clauses: Slots<Vec<Lit>>,
     unit_of: FxHashMap<Key, usize>,
-    clause_of: FxHashMap<Signature, usize>,
+    /// Clause slots by their literals, sorted.
+    clause_of: FxHashMap<Vec<Lit>, usize>,
     /// Clause slots mentioning a variable key.
     key_occ: FxHashMap<Key, Vec<usize>>,
     /// Clause slots mentioning an atom at top level.
@@ -552,34 +584,34 @@ impl Snapshot {
         std::iter::successors(Some(self), |s| s.parent.as_deref())
     }
 
-    fn unit(&self, slot: usize) -> Option<&Unit> {
-        self.layers().find_map(|l| l.units.local(slot)).flatten()
+    fn unit(&self, slot: usize) -> Option<Lit> {
+        self.layers()
+            .find_map(|l| l.units.local(slot))
+            .flatten()
+            .copied()
     }
 
-    fn clause(&self, slot: usize) -> Option<&Residual> {
+    fn clause(&self, slot: usize) -> Option<&Vec<Lit>> {
         self.layers().find_map(|l| l.clauses.local(slot)).flatten()
     }
 
-    fn polarity_of(&self, key: &VarKey) -> Option<bool> {
+    fn polarity_of(&self, key: Key) -> Option<bool> {
         self.layers()
-            .filter_map(|l| l.unit_of.get(key))
+            .filter_map(|l| l.unit_of.get(&key))
             .filter_map(|&slot| self.unit(slot))
-            .find(|u| *u.key == *key)
-            .map(|u| u.polarity)
+            .find(|u| u.0 == key)
+            .map(|u| u.1)
     }
 
-    fn clause_with(&self, sig: &Signature) -> Option<usize> {
+    fn clause_with(&self, sig: &[Lit]) -> Option<usize> {
         self.layers()
             .filter_map(|l| l.clause_of.get(sig))
             .copied()
-            .find(|&slot| {
-                self.clause(slot)
-                    .is_some_and(|c| signature(&c.keys) == *sig)
-            })
+            .find(|&slot| self.clause(slot).is_some_and(|c| same_lits(c, sig)))
     }
 
-    fn clauses_mentioning(&self, key: &VarKey) -> Vec<usize> {
-        occurrences(self.layers().filter_map(|l| l.key_occ.get(key)))
+    fn clauses_mentioning(&self, key: Key) -> Vec<usize> {
+        occurrences(self.layers().filter_map(|l| l.key_occ.get(&key)))
     }
 
     fn clauses_holding(&self, a: AtomId) -> Vec<usize> {
@@ -589,9 +621,12 @@ impl Snapshot {
     /// Slots of the live units mentioning `a`, ascending. Units are not
     /// indexed by atom: only a new substitution asks, and its pivot
     /// typically occurs in most of them anyway.
-    fn units_holding(&self, a: AtomId) -> Vec<usize> {
+    fn units_holding(&self, a: AtomId, arena: &Arena) -> Vec<usize> {
         (0..self.units.end())
-            .filter(|&slot| self.unit(slot).is_some_and(|u| u.key.expr.coeff(a) != 0))
+            .filter(|&slot| {
+                self.unit(slot)
+                    .is_some_and(|u| arena.expr(u.0).coeff(a) != 0)
+            })
             .collect()
     }
 
@@ -611,57 +646,104 @@ impl Snapshot {
             .any(|l| l.subst.iter().any(|(pivot, _)| *pivot == a))
     }
 
-    /// `e` under every recorded substitution, oldest first; `None` when
-    /// it mentions no pivot.
-    fn rewrite(&self, e: &LinExpr) -> Option<LinExpr> {
-        let mut out = None;
-        self.rewrite_into(e, &mut out);
-        out
+    /// `out ← e` under every recorded substitution, oldest first, with
+    /// `spare` as the second buffer; `false` (and `out` unspecified) when
+    /// `e` mentions no pivot.
+    fn rewrite(&self, e: &LinExpr, out: &mut LinExpr, spare: &mut LinExpr) -> bool {
+        let mut changed = false;
+        self.rewrite_into(e, &mut changed, out, spare);
+        changed
     }
 
-    fn rewrite_into(&self, e: &LinExpr, out: &mut Option<LinExpr>) {
+    fn rewrite_into(
+        &self,
+        e: &LinExpr,
+        changed: &mut bool,
+        out: &mut LinExpr,
+        spare: &mut LinExpr,
+    ) {
         if let Some(p) = &self.parent {
-            p.rewrite_into(e, out);
+            p.rewrite_into(e, changed, out, spare);
         }
         for (a, subst) in &self.subst {
-            if let Some(next) = substitute(out.as_ref().unwrap_or(e), *a, subst) {
-                *out = Some(next);
+            let current = if *changed { &*out } else { e };
+            if substitute_into(current, *a, subst, spare) {
+                std::mem::swap(out, spare);
+                *changed = true;
             }
         }
     }
 
-    /// Bring a clause to canonical form against the current state:
-    /// substitute, canonicalize, resolve against the units, merge
-    /// repeated keys, then drop literals the intervals decide. `None`
+    /// Canonicalize a literal as rewritten by the recorded substitutions;
+    /// `None` when no substitution applies to it.
+    fn canon_rewritten(&self, src: Src<'_>, arena: &mut Arena) -> Option<CanonLit> {
+        let (mut out, mut spare) = (take(&mut arena.rewritten), take(&mut arena.spare));
+        let (rel, e) = match src {
+            Src::Raw(lit) => (lit.rel, &lit.expr),
+            Src::Canon(lit) => arena.parts(lit),
+        };
+        let canon = self
+            .rewrite(e, &mut out, &mut spare)
+            .then(|| arena.canon(rel, &out));
+        (arena.rewritten, arena.spare) = (out, spare);
+        canon
+    }
+
+    /// Bring a clause to canonical form against the current state, into
+    /// `keys`: substitute, canonicalize, resolve against the units, merge
+    /// repeated keys, then drop literals the intervals decide. `false`
     /// when the clause is satisfied.
-    fn normalize(&self, lits: &[Literal]) -> Option<Vec<(Key, bool)>> {
-        let mut keys = resolve_clause(lits, |e| self.rewrite(e), |key| self.polarity_of(key))?;
+    fn normalize<'a>(
+        &self,
+        lits: impl Iterator<Item = Src<'a>>,
+        arena: &mut Arena,
+        keys: &mut Vec<Lit>,
+    ) -> bool {
+        let canon = |src: Src<'_>| {
+            self.canon_rewritten(src, arena)
+                .unwrap_or_else(|| match src {
+                    Src::Raw(lit) => arena.canon(lit.rel, &lit.expr),
+                    // Canonicalization is idempotent.
+                    Src::Canon(lit) => CanonLit::Var(lit),
+                })
+        };
+        if !resolve_clause(lits.map(canon), |key| self.polarity_of(key), keys) {
+            return false;
+        }
         let mut i = 0;
         while keys.len() >= 2 && i < keys.len() {
-            let (rel, expr) = keys[i].0.parts(keys[i].1);
-            match interval_truth(rel, &expr, |a| self.interval(a)) {
-                Some(true) => return None,
+            let (rel, expr) = arena.parts(keys[i]);
+            match interval_truth(rel, expr, |a| self.interval(a)) {
+                Some(true) => return false,
                 Some(false) => {
                     keys.remove(i);
                 }
                 None => i += 1,
             }
         }
-        Some(keys)
+        true
     }
 
-    /// The live units and clauses in slot order.
-    fn materialize(&self) -> (Vec<Unit>, Vec<Vec<Literal>>) {
-        let layers: Vec<&Snapshot> = self.layers().collect();
-        let units: Vec<&Slots<Unit>> = layers.iter().map(|l| &l.units).collect();
-        let clauses: Vec<&Slots<Residual>> = layers.iter().map(|l| &l.clauses).collect();
-        (
-            live_slots(&units).into_iter().cloned().collect(),
-            live_slots(&clauses)
-                .into_iter()
-                .map(Residual::lits)
-                .collect(),
-        )
+    /// Visit the live slots of `pick(layer)` in slot order, each as the
+    /// nearest layer that rewrote it says.
+    fn for_each_live<T>(&self, pick: fn(&Snapshot) -> &Slots<T>, mut f: impl FnMut(&T)) {
+        let depth = self.layers().count();
+        for d in (0..depth).rev() {
+            let owner = pick(self.layers().nth(d).expect("within depth"));
+            for (i, own) in owner.own.iter().enumerate() {
+                let slot = owner.base + i;
+                let current = self
+                    .layers()
+                    .take(d)
+                    .map(|l| &pick(l).over)
+                    .filter(|over| !over.is_empty())
+                    .find_map(|over| over.get(&slot))
+                    .unwrap_or(own);
+                if let Some(v) = current {
+                    f(v);
+                }
+            }
+        }
     }
 }
 
@@ -681,14 +763,14 @@ enum Halt {
 /// from its clauses. `Err` when the governor interrupted the work.
 fn extend(
     parent: &Arc<Snapshot>,
-    below: &[Chunk],
-    delta: &[Chunk],
+    below: &[Assertion],
+    delta: &[Assertion],
     ctx: &mut SearchCtx<'_>,
 ) -> Result<Frame, StopReason> {
-    let mut grown = Extender::over(parent, ctx.table).absorb(delta, ctx);
+    let mut grown = Extender::over(parent).absorb(delta, ctx);
     if matches!(grown, Err(Halt::Repivot)) {
-        let whole: Vec<Chunk> = below.iter().chain(delta).cloned().collect();
-        grown = Extender::over(&Arc::default(), ctx.table).absorb(&whole, ctx);
+        let whole: Vec<Assertion> = below.iter().chain(delta).cloned().collect();
+        grown = Extender::over(&Arc::default()).absorb(&whole, ctx);
     }
     match grown {
         Ok(snapshot) => Ok(Frame::Live(Arc::new(snapshot))),
@@ -699,18 +781,20 @@ fn extend(
 }
 
 /// Builds one snapshot layer.
-struct Extender<'t> {
+struct Extender {
     top: Snapshot,
-    table: &'t AtomTable,
     /// Holders to revisit because a unit, interval or substitution they
     /// depend on changed.
     queue: VecDeque<Holder>,
     /// Unit slots added by the current chunk that may admit a pivot.
     pivotable: Vec<usize>,
+    /// The clause being normalized, and its sorted copy.
+    keys: Vec<Lit>,
+    sig: Vec<Lit>,
 }
 
-impl<'t> Extender<'t> {
-    fn over(parent: &Arc<Snapshot>, table: &'t AtomTable) -> Extender<'t> {
+impl Extender {
+    fn over(parent: &Arc<Snapshot>) -> Extender {
         Extender {
             top: Snapshot {
                 parent: Some(Arc::clone(parent)),
@@ -718,19 +802,20 @@ impl<'t> Extender<'t> {
                 clauses: Slots::above(&parent.clauses),
                 ..Snapshot::default()
             },
-            table,
             queue: VecDeque::new(),
             pivotable: Vec::new(),
+            keys: Vec::new(),
+            sig: Vec::new(),
         }
     }
 
-    fn absorb(mut self, chunks: &[Chunk], ctx: &mut SearchCtx<'_>) -> Result<Snapshot, Halt> {
+    fn absorb(mut self, chunks: &[Assertion], ctx: &mut SearchCtx<'_>) -> Result<Snapshot, Halt> {
         // Pivot eligibility is judged against everything the prefix binds
         // inside opaque atoms, so the delta's bindings are known before
         // its first clause is closed.
         let mut bound: FxHashSet<AtomId> = FxHashSet::default();
-        for lit in chunks.iter().flat_map(|ch| ch.iter()).flat_map(|c| &c.lits) {
-            opaque_bound_syms(&lit.expr, self.table, &mut bound);
+        for lit in chunks.iter().flat_map(Assertion::lits) {
+            opaque_bound_syms(&lit.expr, ctx.table, &mut bound);
         }
         for a in bound {
             if self.top.opaque_bound(a) {
@@ -742,13 +827,14 @@ impl<'t> Extender<'t> {
             self.top.opaque.insert(a);
         }
         for chunk in chunks {
-            for clause in chunk.iter() {
+            for clause in chunk.clauses() {
                 if let Some(r) = ctx.gov.poll() {
                     return Err(Halt::Stopped(r));
                 }
                 ctx.presolve_clauses += 1;
-                if let Some(keys) = self.top.normalize(&clause.lits) {
-                    self.store(None, keys)?;
+                let lits = clause.iter().map(Src::Raw);
+                if self.top.normalize(lits, ctx.arena, &mut self.keys) {
+                    self.store(None, ctx)?;
                 }
                 self.drain(ctx)?;
             }
@@ -757,18 +843,16 @@ impl<'t> Extender<'t> {
         Ok(self.top)
     }
 
-    /// File a normalized clause, at `slot` (already vacated) when it is a
-    /// rewrite of an existing one.
-    fn store(&mut self, slot: Option<usize>, mut keys: Vec<(Key, bool)>) -> Result<(), Halt> {
-        match keys.len() {
-            0 => Err(Halt::Unsat),
-            1 => {
-                let (key, polarity) = keys.pop().expect("one key");
-                self.add_unit(Unit { key, polarity }, None)
-            }
+    /// File the normalized clause in `self.keys`, at `slot` (already
+    /// vacated) when it is a rewrite of an existing one.
+    fn store(&mut self, slot: Option<usize>, ctx: &mut SearchCtx<'_>) -> Result<(), Halt> {
+        match self.keys[..] {
+            [] => Err(Halt::Unsat),
+            [unit] => self.add_unit(unit, None, ctx),
             _ => {
-                let sig = signature(&keys);
-                if let Some(dup) = self.top.clause_with(&sig) {
+                self.sig.clone_from(&self.keys);
+                self.sig.sort_unstable();
+                if let Some(dup) = self.top.clause_with(&self.sig) {
                     // The earlier of two equal clauses stays.
                     match slot {
                         Some(s) if s < dup => self.top.clauses.put(dup, None),
@@ -776,18 +860,14 @@ impl<'t> Extender<'t> {
                     }
                 }
                 let slot = slot.unwrap_or(self.top.clauses.end());
-                for (key, _) in &keys {
-                    self.top
-                        .key_occ
-                        .entry(Arc::clone(key))
-                        .or_default()
-                        .push(slot);
-                    for a in key.expr.atoms() {
+                for &(key, _) in &self.keys {
+                    self.top.key_occ.entry(key).or_default().push(slot);
+                    for a in ctx.arena.expr(key).atoms() {
                         self.top.atom_occ.entry(a).or_default().push(slot);
                     }
                 }
-                self.top.clause_of.insert(sig, slot);
-                self.top.clauses.put(slot, Some(Residual { keys }));
+                self.top.clause_of.insert(self.sig.clone(), slot);
+                self.top.clauses.put(slot, Some(self.keys.clone()));
                 Ok(())
             }
         }
@@ -795,25 +875,30 @@ impl<'t> Extender<'t> {
 
     /// Fix a canonical literal — at `slot` (already vacated) when it is a
     /// rewrite of an existing unit — and queue what it affects.
-    fn add_unit(&mut self, unit: Unit, slot: Option<usize>) -> Result<(), Halt> {
-        match self.top.polarity_of(&unit.key) {
-            Some(p) if p == unit.polarity => return Ok(()),
+    fn add_unit(
+        &mut self,
+        unit: Lit,
+        slot: Option<usize>,
+        ctx: &mut SearchCtx<'_>,
+    ) -> Result<(), Halt> {
+        match self.top.polarity_of(unit.0) {
+            Some(p) if p == unit.1 => return Ok(()),
             Some(_) => return Err(Halt::Unsat),
             None => {}
         }
         let slot = slot.unwrap_or(self.top.units.end());
-        let (rel, expr) = unit.parts();
-        let bound = unit_bound(rel, &expr);
-        if unit.pivot(self.table, |_| false).is_some() {
+        let (rel, expr) = ctx.arena.parts(unit);
+        let bound = unit_bound(rel, expr);
+        if ctx.arena.pivot(unit, ctx.table, |_| false).is_some() {
             self.pivotable.push(slot);
         }
         self.queue.extend(
             self.top
-                .clauses_mentioning(&unit.key)
+                .clauses_mentioning(unit.0)
                 .into_iter()
                 .map(Holder::Clause),
         );
-        self.top.unit_of.insert(Arc::clone(&unit.key), slot);
+        self.top.unit_of.insert(unit.0, slot);
         self.top.units.put(slot, Some(unit));
         if let Some((a, (lo, hi))) = bound {
             let old = self.top.interval(a);
@@ -841,31 +926,28 @@ impl<'t> Extender<'t> {
                     let Some(unit) = self.top.unit(slot) else {
                         continue;
                     };
-                    let (rel, expr) = unit.parts();
-                    let Some(expr) = self.top.rewrite(&expr) else {
+                    let Some(canon) = self.top.canon_rewritten(Src::Canon(unit), ctx.arena) else {
                         continue;
                     };
                     self.top.units.put(slot, None);
-                    match canon_lit(&Literal { rel, expr }) {
+                    match canon {
                         CanonLit::True => {}
                         CanonLit::False => return Err(Halt::Unsat),
-                        CanonLit::Var { key, polarity } => {
-                            let key = Arc::new(key);
-                            self.add_unit(Unit { key, polarity }, Some(slot))?;
-                        }
+                        CanonLit::Var(lit) => self.add_unit(lit, Some(slot), ctx)?,
                     }
                 }
                 Holder::Clause(slot) => {
                     let Some(clause) = self.top.clause(slot) else {
                         continue;
                     };
-                    let rewritten = match self.top.normalize(&clause.lits()) {
-                        Some(keys) if keys == clause.keys => continue,
-                        other => other,
-                    };
+                    let lits = clause.iter().map(|&l| Src::Canon(l));
+                    let kept = self.top.normalize(lits, ctx.arena, &mut self.keys);
+                    if kept && self.keys == *clause {
+                        continue;
+                    }
                     self.top.clauses.put(slot, None);
-                    if let Some(keys) = rewritten {
-                        self.store(Some(slot), keys)?;
+                    if kept {
+                        self.store(Some(slot), ctx)?;
                     }
                 }
             }
@@ -881,8 +963,10 @@ impl<'t> Extender<'t> {
             self.pivotable.dedup();
             let found = self.pivotable.iter().enumerate().find_map(|(i, &slot)| {
                 let unit = self.top.unit(slot)?;
-                let (a, k) = unit.pivot(self.table, |a| self.top.opaque_bound(a))?;
-                Some((i, slot, a, solve_for(&unit.key.expr, a, k)))
+                let (a, k) = ctx
+                    .arena
+                    .pivot(unit, ctx.table, |a| self.top.opaque_bound(a))?;
+                Some((i, slot, a, solve_for(ctx.arena.expr(unit.0), a, k)))
             });
             let Some((i, slot, a, subst)) = found else {
                 self.pivotable.clear();
@@ -895,8 +979,8 @@ impl<'t> Extender<'t> {
             self.top.subst.push((a, subst));
             // Units first, as the fixed set is rewritten before the
             // clauses are looked at again.
-            self.queue
-                .extend(self.top.units_holding(a).into_iter().map(Holder::Unit));
+            let units = self.top.units_holding(a, ctx.arena);
+            self.queue.extend(units.into_iter().map(Holder::Unit));
             self.queue
                 .extend(self.top.clauses_holding(a).into_iter().map(Holder::Clause));
             self.drain(ctx)?;
@@ -919,7 +1003,7 @@ pub(crate) enum Frame {
 /// the next call.
 pub(crate) fn presolve_stack(
     frames: &mut Vec<Frame>,
-    chunks: &[Chunk],
+    chunks: &[Assertion],
     marks: &[usize],
     ctx: &mut SearchCtx<'_>,
 ) -> Presolved {
@@ -945,7 +1029,12 @@ pub(crate) fn presolve_stack(
     }
     match frames.last().expect("level 0 always exists") {
         Frame::Unsat => Presolved::Unsat,
-        Frame::Live(top) => finish(top, ctx),
+        Frame::Live(top) => {
+            let mut bufs = std::mem::take(&mut ctx.arena.finish);
+            let done = finish(top, ctx, &mut bufs);
+            ctx.arena.finish = bufs;
+            done
+        }
     }
 }
 
@@ -956,44 +1045,106 @@ pub(crate) enum Presolved {
     /// Interrupted by the governor mid-presolve.
     Stopped(StopReason),
     /// Simplified problem: conjunctive fixed literals (outside the boolean
-    /// abstraction; each is `key.lit(polarity)`, spelled out only when
-    /// the search starts) plus residual clauses of ≥ 2 canonical literals
-    /// each.
+    /// abstraction) plus residual clauses of ≥ 2 canonical literals each.
     Reduced {
-        fixed: Vec<(Arc<VarKey>, bool)>,
-        clauses: Vec<Vec<Literal>>,
+        fixed: Vec<Lit>,
+        clauses: Vec<Vec<Lit>>,
     },
 }
 
-struct Fixed {
-    // Insertion-ordered for determinism; the map only answers lookups.
-    items: Vec<Unit>,
-    index: FxHashMap<Key, usize>,
+/// Clauses stored flat: literals plus the end of each clause. A literal
+/// is canonical, or decided by a substitution and not yet dropped by the
+/// next resolution round.
+#[derive(Debug, Clone, Default)]
+struct Flat {
+    lits: Vec<CanonLit>,
+    ends: Vec<usize>,
 }
 
-impl Fixed {
-    fn polarity_of(&self, key: &VarKey) -> Option<bool> {
-        self.index.get(key).map(|&i| self.items[i].polarity)
+impl Flat {
+    fn clear(&mut self) {
+        self.lits.clear();
+        self.ends.clear();
     }
 
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn clause(&self, k: usize) -> &[CanonLit] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.lits[start..self.ends[k]]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[CanonLit]> {
+        (0..self.len()).map(|k| self.clause(k))
+    }
+
+    fn push(&mut self, lits: impl IntoIterator<Item = CanonLit>) {
+        self.lits.extend(lits);
+        self.ends.push(self.lits.len());
+    }
+}
+
+/// The buffers [`finish`] reuses from query to query.
+#[derive(Debug, Clone, Default)]
+struct Buffers {
+    /// The fixed literals, in insertion order, and the polarity of each
+    /// fixed key (rebuilt when it falls out of step with the list).
+    fixed: Vec<Lit>,
+    spare: Vec<Lit>,
+    polarity: FxHashMap<Key, bool>,
+    work: Flat,
+    next: Flat,
+    /// The clause being resolved, and its sorted copy.
+    keys: Vec<Lit>,
+    sig: Vec<Lit>,
+    /// Clause dedup: hash of the sorted literals → latest clause of
+    /// `next`; `chain[k]` is the clause before `k` with the same hash.
+    seen: FxHashMap<u64, usize>,
+    chain: Vec<Option<usize>>,
+    opaque: FxHashSet<AtomId>,
+    iv: FxHashMap<AtomId, (i128, i128)>,
+    counts: FxHashMap<AtomId, u64>,
+}
+
+impl Buffers {
     /// Returns `false` on contradiction (key already fixed oppositely).
     #[must_use]
-    fn insert(&mut self, unit: Unit) -> bool {
-        match self.index.get(&unit.key) {
-            Some(&i) => self.items[i].polarity == unit.polarity,
+    fn insert(&mut self, (key, polarity): Lit) -> bool {
+        match self.polarity.get(&key) {
+            Some(&p) => p == polarity,
             None => {
-                self.index.insert(Arc::clone(&unit.key), self.items.len());
-                self.items.push(unit);
+                self.polarity.insert(key, polarity);
+                self.fixed.push((key, polarity));
                 true
             }
         }
     }
 
     fn rebuild_index(&mut self) {
-        self.index.clear();
-        for (i, unit) in self.items.iter().enumerate() {
-            self.index.insert(Arc::clone(&unit.key), i);
+        self.polarity.clear();
+        self.polarity.extend(self.fixed.iter().copied());
+    }
+
+    /// Whether `keys` repeats a clause already in `next`; records it
+    /// otherwise.
+    fn repeated(&mut self) -> bool {
+        self.sig.clone_from(&self.keys);
+        self.sig.sort_unstable();
+        let mut h = FxHasher::default();
+        self.sig.hash(&mut h);
+        let h = h.finish();
+        let mut at = self.seen.get(&h).copied();
+        while let Some(k) = at {
+            let c = self.next.clause(k);
+            if c.len() == self.sig.len() && c.iter().all(|w| self.sig.contains(&w.lit())) {
+                return true;
+            }
+            at = self.chain[k];
         }
+        self.chain.push(self.seen.insert(h, self.next.len()));
+        false
     }
 }
 
@@ -1001,12 +1152,15 @@ impl Fixed {
 /// the whole-problem ones included — to fixpoint over its units and
 /// clauses. The snapshot is not changed, so what is discharged here for
 /// one query is still there for the next.
-pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved {
-    let (items, mut work) = snapshot.materialize();
-    let mut fixed = Fixed {
-        items,
-        index: FxHashMap::default(),
-    };
+fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>, b: &mut Buffers) -> Presolved {
+    b.fixed.clear();
+    b.polarity.clear();
+    b.work.clear();
+    snapshot.for_each_live(|s| &s.units, |&u| b.fixed.push(u));
+    snapshot.for_each_live(
+        |s| &s.clauses,
+        |c| b.work.push(c.iter().map(|&l| CanonLit::Var(l))),
+    );
     // The snapshot is already closed under rule 1, so the first round
     // starts at rule 2 and the unit index is built only if a later round
     // needs it.
@@ -1018,42 +1172,37 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
         }
         let mut changed = false;
 
-        // 1. Canonicalize clauses; resolve against the fixed set; extract
-        //    units; drop tautologies/duplicates.
+        // 1. Resolve clauses against the fixed set; extract units; drop
+        //    tautologies/duplicates.
         if !std::mem::take(&mut closed) {
-            if fixed.index.len() != fixed.items.len() {
-                fixed.rebuild_index();
+            if b.polarity.len() != b.fixed.len() {
+                b.rebuild_index();
             }
-            ctx.presolve_clauses += work.len() as u64;
-            let mut seen_clauses: FxHashSet<Signature> = FxHashSet::default();
-            let mut next: Vec<Vec<Literal>> = Vec::with_capacity(work.len());
-            for clause in work.drain(..) {
-                let Some(mut keys) =
-                    resolve_clause(&clause, |_| None, |key| fixed.polarity_of(key))
-                else {
+            ctx.presolve_clauses += b.work.len() as u64;
+            b.seen.clear();
+            b.chain.clear();
+            b.next.clear();
+            for c in 0..b.work.len() {
+                let clause = b.work.clause(c);
+                let polarity_of = |key| b.polarity.get(&key).copied();
+                if !resolve_clause(clause.iter().copied(), polarity_of, &mut b.keys) {
                     changed = true; // satisfied
                     continue;
-                };
-                changed |= keys.len() != clause.len();
-                match keys.len() {
+                }
+                changed |= b.keys.len() != clause.len();
+                match b.keys.len() {
                     0 => return Presolved::Unsat,
                     1 => {
-                        let (key, polarity) = keys.pop().expect("one key");
-                        if !fixed.insert(Unit { key, polarity }) {
+                        if !b.insert(b.keys[0]) {
                             return Presolved::Unsat;
                         }
                         changed = true;
                     }
-                    _ => {
-                        if seen_clauses.insert(signature(&keys)) {
-                            next.push(Residual { keys }.lits());
-                        } else {
-                            changed = true; // duplicate clause dropped
-                        }
-                    }
+                    _ if b.repeated() => changed = true, // duplicate dropped
+                    _ => b.next.push(b.keys.iter().map(|&l| CanonLit::Var(l))),
                 }
             }
-            work = next;
+            std::mem::swap(&mut b.work, &mut b.next);
         }
 
         // 2. Equality substitution: solve one fixed equality for a ±1
@@ -1061,50 +1210,48 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
         //    against what the *current* problem binds inside opaque
         //    atoms, which discharges may have shrunk since the snapshot
         //    was taken.
-        let mut opaque: FxHashSet<AtomId> = FxHashSet::default();
-        for unit in &fixed.items {
-            opaque_bound_syms(&unit.parts().1, ctx.table, &mut opaque);
+        b.opaque.clear();
+        for &u in &b.fixed {
+            opaque_bound_syms(ctx.arena.expr(u.0), ctx.table, &mut b.opaque);
         }
-        for clause in &work {
-            for lit in clause {
-                opaque_bound_syms(&lit.expr, ctx.table, &mut opaque);
-            }
+        for w in &b.work.lits {
+            opaque_bound_syms(ctx.arena.expr(w.lit().0), ctx.table, &mut b.opaque);
         }
-        let pivot = fixed.items.iter().enumerate().find_map(|(i, unit)| {
-            let (a, k) = unit.pivot(ctx.table, |a| opaque.contains(&a))?;
+        let pivot = b.fixed.iter().enumerate().find_map(|(i, &unit)| {
+            let (a, k) = ctx
+                .arena
+                .pivot(unit, ctx.table, |a| b.opaque.contains(&a))?;
             Some((i, a, k))
         });
         if let Some((idx, a, k)) = pivot {
-            let subst = solve_for(&fixed.items[idx].key.expr, a, k);
-            for clause in work.iter_mut() {
-                for lit in clause.iter_mut() {
-                    if let Some(e) = substitute(&lit.expr, a, &subst) {
-                        lit.expr = e;
-                    }
-                }
+            let subst = solve_for(ctx.arena.expr(b.fixed[idx].0), a, k);
+            let arena = &mut *ctx.arena;
+            let mut substituted = |lit: Lit| {
+                let (rel, expr) = arena.parts(lit);
+                let expr = substitute(expr, a, &subst)?;
+                Some(arena.canon(rel, &expr))
+            };
+            for w in b.work.lits.iter_mut() {
+                *w = substituted(w.lit()).unwrap_or(*w);
             }
             // Rebuild the fixed set: drop the defining equality, substitute
             // into the rest, re-canonicalize (substituted literals may
             // become ground or collide with other fixed keys).
-            let old = std::mem::take(&mut fixed.items);
-            fixed.index.clear();
-            for (i, unit) in old.into_iter().enumerate() {
+            std::mem::swap(&mut b.fixed, &mut b.spare);
+            b.fixed.clear();
+            b.polarity.clear();
+            for i in 0..b.spare.len() {
                 if i == idx {
                     continue; // defining equality: pivot now occurs nowhere else
                 }
-                let (rel, expr) = unit.parts();
-                let rewritten = match substitute(&expr, a, &subst) {
+                let unit = b.spare[i];
+                let rewritten = match substituted(unit) {
                     None => unit,
-                    Some(expr) => match canon_lit(&Literal { rel, expr }) {
-                        CanonLit::True => continue,
-                        CanonLit::False => return Presolved::Unsat,
-                        CanonLit::Var { key, polarity } => Unit {
-                            key: Arc::new(key),
-                            polarity,
-                        },
-                    },
+                    Some(CanonLit::True) => continue,
+                    Some(CanonLit::False) => return Presolved::Unsat,
+                    Some(CanonLit::Var(lit)) => lit,
                 };
-                if !fixed.insert(rewritten) {
+                if !b.insert(rewritten) {
                     return Presolved::Unsat;
                 }
             }
@@ -1112,76 +1259,76 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
         }
 
         // 3. Interval propagation from single-atom fixed literals.
-        let mut iv: FxHashMap<AtomId, (i128, i128)> = FxHashMap::default();
-        for unit in &fixed.items {
-            let (rel, expr) = unit.parts();
-            if let Some((a, (lo, hi))) = unit_bound(rel, &expr) {
-                let entry = iv.entry(a).or_insert(UNBOUNDED);
+        b.iv.clear();
+        for &unit in &b.fixed {
+            let (rel, expr) = ctx.arena.parts(unit);
+            if let Some((a, (lo, hi))) = unit_bound(rel, expr) {
+                let entry = b.iv.entry(a).or_insert(UNBOUNDED);
                 *entry = (entry.0.max(lo), entry.1.min(hi));
             }
         }
-        if iv.values().any(|&(lo, hi)| lo > hi) {
+        if b.iv.values().any(|&(lo, hi)| lo > hi) {
             return Presolved::Unsat;
         }
-        if !iv.is_empty() {
+        if !b.iv.is_empty() {
+            let iv = &b.iv;
             let bounds = |a: AtomId| iv.get(&a).copied().unwrap_or(UNBOUNDED);
-            let mut next: Vec<Vec<Literal>> = Vec::with_capacity(work.len());
-            for clause in work.drain(..) {
-                let mut lits: Vec<Literal> = Vec::with_capacity(clause.len());
-                let mut satisfied = false;
-                for lit in clause {
-                    match interval_truth(lit.rel, &lit.expr, bounds) {
+            b.next.clear();
+            'clauses: for clause in b.work.iter() {
+                b.keys.clear();
+                for &w in clause {
+                    let (rel, expr) = ctx.arena.parts(w.lit());
+                    match interval_truth(rel, expr, bounds) {
                         Some(true) => {
-                            satisfied = true;
-                            break;
+                            changed = true; // satisfied
+                            continue 'clauses;
                         }
                         Some(false) => changed = true,
-                        None => lits.push(lit),
+                        None => b.keys.push(w.lit()),
                     }
                 }
-                if satisfied {
-                    changed = true;
-                    continue;
-                }
-                if lits.is_empty() {
+                if b.keys.is_empty() {
                     return Presolved::Unsat;
                 }
-                next.push(lits);
+                b.next.push(b.keys.iter().map(|&l| CanonLit::Var(l)));
             }
-            work = next;
+            std::mem::swap(&mut b.work, &mut b.next);
         }
 
         // 4. Free-atom discharge: a symbol with exactly one occurrence in
         //    the whole problem makes its literal unconditionally
         //    satisfiable (Ne/Le any coefficient; Eq needs ±1).
-        let mut counts: FxHashMap<AtomId, u64> = FxHashMap::default();
-        for unit in &fixed.items {
-            count_syms(&unit.parts().1, ctx.table, &mut counts);
+        b.counts.clear();
+        let live = b
+            .fixed
+            .iter()
+            .copied()
+            .chain(b.work.lits.iter().map(|w| w.lit()));
+        for lit in live {
+            count_syms(ctx.arena.parts(lit).1, ctx.table, &mut b.counts);
         }
-        for clause in &work {
-            for lit in clause {
-                count_syms(&lit.expr, ctx.table, &mut counts);
-            }
-        }
-        let free_lit = |rel: Rel, expr: &LinExpr| -> bool {
+        let counts = &b.counts;
+        let free_lit = |lit: Lit| -> bool {
+            let (rel, expr) = ctx.arena.parts(lit);
             expr.terms.iter().any(|&(a, k)| {
                 matches!(ctx.table.key(a), AtomKey::Sym(_))
                     && counts.get(&a) == Some(&1)
                     && (rel != Rel::Eq || k == 1 || k == -1)
             })
         };
-        let before = work.len();
-        work.retain(|clause| !clause.iter().any(|lit| free_lit(lit.rel, &lit.expr)));
-        if work.len() != before {
-            changed = true;
+        b.next.clear();
+        for clause in b.work.iter() {
+            if clause.iter().any(|w| free_lit(w.lit())) {
+                changed = true;
+            } else {
+                b.next.push(clause.iter().copied());
+            }
         }
-        let before = fixed.items.len();
-        fixed.items.retain(|unit| {
-            let (rel, expr) = unit.parts();
-            !free_lit(rel, &expr)
-        });
-        if fixed.items.len() != before {
-            fixed.rebuild_index();
+        std::mem::swap(&mut b.work, &mut b.next);
+        let before = b.fixed.len();
+        b.fixed.retain(|&unit| !free_lit(unit));
+        if b.fixed.len() != before {
+            b.rebuild_index();
             changed = true;
         }
 
@@ -1191,12 +1338,12 @@ pub(crate) fn finish(snapshot: &Snapshot, ctx: &mut SearchCtx<'_>) -> Presolved 
     }
 
     Presolved::Reduced {
-        fixed: fixed
-            .items
-            .into_iter()
-            .map(|unit| (unit.key, unit.polarity))
+        fixed: b.fixed.clone(),
+        clauses: b
+            .work
+            .iter()
+            .map(|c| c.iter().map(|w| w.lit()).collect())
             .collect(),
-        clauses: work,
     }
 }
 
@@ -1221,13 +1368,25 @@ mod tests {
         out
     }
 
+    /// Total order the `Le` representative is the lesser in.
+    fn lin_key_cmp(a: &LinExpr, b: &LinExpr) -> std::cmp::Ordering {
+        a.terms.cmp(&b.terms).then(a.constant.cmp(&b.constant))
+    }
+
+    /// `e / g`, the constant rounded up when `ceil`.
+    fn scaled(e: &LinExpr, g: i128, ceil: bool) -> LinExpr {
+        let mut out = LinExpr::default();
+        scale_down(e, g, ceil, &mut out);
+        out
+    }
+
     /// `Le` canonicalization spelled out: build the negation and keep the
     /// lesser of the two.
     fn reference_le(e: &LinExpr) -> (LinExpr, bool) {
-        let n = scale_down(e, e.coeff_gcd(), true);
+        let n = scaled(e, e.coeff_gcd(), true);
         let mut neg = n.scale(-1);
         neg.constant += 1;
-        if lin_key_cmp(&n, &neg) != Ordering::Greater {
+        if lin_key_cmp(&n, &neg) != std::cmp::Ordering::Greater {
             (n, true)
         } else {
             (neg, false)
@@ -1236,41 +1395,44 @@ mod tests {
 
     #[test]
     fn le_representative_is_the_lesser_of_literal_and_negation() {
+        let mut arena = Arena::default();
         for e in small_exprs().into_iter().filter(|e| !e.is_const()) {
             let lit = Literal {
                 rel: Rel::Le,
                 expr: e.clone(),
             };
-            let CanonLit::Var { key, polarity } = canon_lit(&lit) else {
+            let CanonLit::Var((key, polarity)) = arena.canon(lit.rel, &lit.expr) else {
                 panic!("{e:?} is not ground");
             };
-            assert_eq!((key.expr.clone(), polarity), reference_le(&e), "{e:?}");
-            // Both polarities of one constraint share the key.
-            let CanonLit::Var {
-                key: neg_key,
-                polarity: neg_polarity,
-            } = canon_lit(&lit.negate())
-            else {
+            let got = (arena.expr(key).clone(), polarity);
+            assert_eq!(got, reference_le(&e), "{e:?}");
+            // Both polarities of one constraint share the key, and the
+            // key spells the literal out at either polarity.
+            let neg = lit.negate();
+            let CanonLit::Var(neg_lit) = arena.canon(neg.rel, &neg.expr) else {
                 panic!("negation of {e:?} is not ground");
             };
-            assert_eq!((neg_key, neg_polarity), (key, !polarity), "{e:?}");
+            assert_eq!(neg_lit, (key, !polarity), "{e:?}");
+            let again = arena.lit((key, polarity));
+            assert!(matches!(
+                arena.canon(again.rel, &again.expr),
+                CanonLit::Var(l) if l == (key, polarity)
+            ));
         }
     }
 
     #[test]
     fn eq_representative_has_a_positive_leading_coefficient() {
+        let mut arena = Arena::default();
         for e in small_exprs().into_iter().filter(|e| !e.is_const()) {
-            let lit = Literal {
-                rel: Rel::Eq,
-                expr: e.clone(),
-            };
-            match canon_lit(&lit) {
-                CanonLit::Var { key, polarity } => {
+            match arena.canon(Rel::Eq, &e) {
+                CanonLit::Var((key, polarity)) => {
                     assert!(polarity);
-                    assert!(key.expr.terms[0].1 > 0, "{e:?}");
+                    let rep = arena.expr(key);
+                    assert!(rep.terms[0].1 > 0, "{e:?}");
                     let g = e.coeff_gcd();
                     let sign = if e.terms[0].1 < 0 { -1 } else { 1 };
-                    assert_eq!(key.expr, scale_down(&e, g, false).scale(sign), "{e:?}");
+                    assert_eq!(*rep, scaled(&e, g, false).scale(sign), "{e:?}");
                 }
                 CanonLit::False => assert_ne!(e.constant.rem_euclid(e.coeff_gcd()), 0),
                 CanonLit::True => panic!("{e:?} = 0 is not a tautology"),

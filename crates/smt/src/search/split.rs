@@ -10,27 +10,31 @@
 
 use crate::ctrl::StopReason;
 use crate::fm::Feasibility;
-use crate::formula::{Clause, Literal};
+use crate::formula::Literal;
 use crate::solver::SatResult;
 
 use super::theory::{committed_feasible, congruence_close, lit_feasible, Committed};
 use super::SearchCtx;
 
-pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>) -> SatResult {
+pub(crate) fn search(
+    c: &Committed,
+    clauses: &[Vec<Literal>],
+    ctx: &mut SearchCtx<'_>,
+) -> SatResult {
     if let Err(reason) = ctx.enter_branch() {
         return SatResult::Unknown(reason);
     }
 
     // Unit propagation with feasibility-based literal pruning.
     let mut committed = c.clone();
-    let mut live: Vec<Clause> = clauses.to_vec();
+    let mut live: Vec<Vec<Literal>> = clauses.to_vec();
     loop {
         let mut changed = false;
-        let mut next: Vec<Clause> = Vec::with_capacity(live.len());
+        let mut next: Vec<Vec<Literal>> = Vec::with_capacity(live.len());
         let mut saw_unknown: Option<StopReason> = None;
         for clause in live.into_iter() {
-            let mut kept: Vec<Literal> = Vec::with_capacity(clause.lits.len());
-            for lit in clause.lits.into_iter() {
+            let mut kept: Vec<Literal> = Vec::with_capacity(clause.len());
+            for lit in clause.into_iter() {
                 match lit_feasible(&lit, &committed, ctx) {
                     Feasibility::Infeasible => {
                         changed = true; // literal pruned
@@ -58,7 +62,7 @@ pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>)
                     committed = committed.with(&kept[0]);
                     changed = true;
                 }
-                _ => next.push(Clause { lits: kept }),
+                _ => next.push(kept),
             }
         }
         live = next;
@@ -86,10 +90,10 @@ pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>)
     let (idx, _) = live
         .iter()
         .enumerate()
-        .min_by_key(|(_, cl)| cl.lits.len())
+        .min_by_key(|(_, cl)| cl.len())
         .expect("live is nonempty");
     let clause = live[idx].clone();
-    let rest: Vec<Clause> = live
+    let rest: Vec<Vec<Literal>> = live
         .iter()
         .enumerate()
         .filter(|(k, _)| *k != idx)
@@ -97,7 +101,7 @@ pub(crate) fn search(c: &Committed, clauses: &[Clause], ctx: &mut SearchCtx<'_>)
         .collect();
 
     let mut any_unknown: Option<StopReason> = None;
-    for lit in &clause.lits {
+    for lit in &clause {
         let child = committed.with(lit);
         match search(&child, &rest, ctx) {
             SatResult::Sat => return SatResult::Sat,

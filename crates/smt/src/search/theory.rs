@@ -23,15 +23,16 @@ pub(crate) struct Committed {
 impl Committed {
     pub(crate) fn with(&self, lit: &Literal) -> Committed {
         let mut c = self.clone();
-        c.push(lit);
+        c.push(lit.rel, &lit.expr);
         c
     }
 
-    pub(crate) fn push(&mut self, lit: &Literal) {
-        match lit.rel {
-            Rel::Eq => self.eqs.push(lit.expr.clone()),
-            Rel::Le => self.ineqs.push(lit.expr.clone()),
-            Rel::Ne => self.nes.push(lit.expr.clone()),
+    /// Commit `expr rel 0`.
+    pub(crate) fn push(&mut self, rel: Rel, expr: &LinExpr) {
+        match rel {
+            Rel::Eq => self.eqs.push(expr.clone()),
+            Rel::Le => self.ineqs.push(expr.clone()),
+            Rel::Ne => self.nes.push(expr.clone()),
         }
     }
 
@@ -229,13 +230,9 @@ pub(crate) fn entailed_zero(e: &LinExpr, c: &Committed, ctx: &mut SearchCtx<'_>)
 }
 
 /// Feasibility of an explicit literal set (the level-0 check of the
-/// presolve-fixed literals and the probe): build the committed set,
-/// close it under congruence, and run the committed check.
-pub(crate) fn lits_feasible(lits: &[&Literal], ctx: &mut SearchCtx<'_>) -> Feasibility {
-    let mut c = Committed::default();
-    for lit in lits {
-        c.push(lit);
-    }
+/// presolve-fixed literals and the probe): close it under congruence and
+/// run the committed check.
+pub(crate) fn lits_feasible(mut c: Committed, ctx: &mut SearchCtx<'_>) -> Feasibility {
     congruence_close(&mut c, ctx);
     committed_feasible(&c, ctx)
 }

@@ -4,14 +4,13 @@
 //! [`crate::search`]: presolve, one lazy probe and a clause splitter,
 //! with the splitter alone selectable as a differential oracle.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
 use crate::fm::FmBudget;
-use crate::formula::{Clause, Formula};
+use crate::formula::{Assertion, Literal};
 use crate::linexpr::AtomTable;
-use crate::search::presolve::Frame;
+use crate::search::presolve::{Arena, Frame};
 use crate::search::{self, SearchCore, SearchCtx};
 
 /// Result of a satisfiability check.
@@ -145,42 +144,6 @@ impl Default for SolverBudget {
     }
 }
 
-/// A formula lowered to CNF once, shareable across assertion sites.
-///
-/// `prove_array` used to `Formula::clone()` every root and fact formula
-/// for every pair and re-run `to_cnf` inside `assert`; an
-/// `InternedFormula` pays the CNF conversion once and is asserted by
-/// reference-count bump afterwards.
-#[derive(Debug, Clone)]
-pub struct InternedFormula {
-    clauses: Arc<Vec<Clause>>,
-}
-
-impl InternedFormula {
-    /// Lower a formula to CNF and freeze it.
-    pub fn new(f: Formula) -> InternedFormula {
-        InternedFormula {
-            clauses: Arc::new(f.to_cnf()),
-        }
-    }
-
-    /// The frozen clauses.
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
-    }
-
-    /// Number of CNF clauses.
-    pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
-    }
-}
-
-impl From<Formula> for InternedFormula {
-    fn from(f: Formula) -> InternedFormula {
-        InternedFormula::new(f)
-    }
-}
-
 /// An incremental SMT-style solver for quantifier-free linear integer
 /// arithmetic over free atoms (symbols and opaque applications).
 ///
@@ -188,9 +151,9 @@ impl From<Formula> for InternedFormula {
 /// so the knowledge-exploitation procedure (`testVar`) can temporarily add
 /// a candidate-conflict equality and retract it.
 ///
-/// The assertion stack is a stack of shared *chunks* (one per `assert`),
-/// so asserting an [`InternedFormula`] is a reference-count bump instead
-/// of a clause copy.
+/// The assertion stack is a stack of shared [`Assertion`]s (one per
+/// `assert`), so asserting one is a reference-count bump instead of a
+/// clause copy.
 ///
 /// Beside the chunks sits one presolve snapshot per frame level, built
 /// lazily by the first `check()` that needs it, so a `push; assert(query);
@@ -199,12 +162,14 @@ impl From<Formula> for InternedFormula {
 pub struct Solver {
     /// Atom interner shared by all assertions.
     pub table: AtomTable,
-    chunks: Vec<Arc<Vec<Clause>>>,
+    chunks: Vec<Assertion>,
     frames: Vec<usize>,
     /// `snapshots[l]` is the presolved state of the chunks below frame
     /// mark `l` (of the whole stack for the top level). Never longer than
     /// `frames.len() + 1`; a level is dropped when its chunks change.
     snapshots: Vec<Frame>,
+    /// Canonical literals and presolve buffers, shared by every check.
+    arena: Arena,
     /// Statistics accumulated over the solver's lifetime.
     pub stats: SolverStats,
     budget: SolverBudget,
@@ -271,7 +236,7 @@ impl Solver {
 
     /// Number of asserted clauses currently on the stack.
     pub fn num_clauses(&self) -> usize {
-        self.chunks.iter().map(|c| c.len()).sum()
+        self.chunks.iter().map(|a| a.clauses().count()).sum()
     }
 
     /// Push a backtracking point.
@@ -286,16 +251,10 @@ impl Solver {
         self.snapshots.truncate(self.frames.len() + 1);
     }
 
-    /// Assert a formula (converted to CNF clauses).
-    pub fn assert(&mut self, f: Formula) {
-        self.assert_interned(&InternedFormula::new(f));
-    }
-
-    /// Assert a pre-lowered formula by sharing its clause chunk — no
-    /// clause copies, no repeated CNF conversion.
-    pub fn assert_interned(&mut self, f: &InternedFormula) {
+    /// Assert a clause or conjunction by sharing it — no literal copies.
+    pub fn assert(&mut self, a: &Assertion) {
         self.stats.assertions_added += 1;
-        self.chunks.push(Arc::clone(&f.clauses));
+        self.chunks.push(a.clone());
         // The top level's snapshot no longer covers its frame.
         self.snapshots.truncate(self.frames.len());
     }
@@ -320,16 +279,17 @@ impl Solver {
             interrupt.deadline = interrupt.deadline.earliest(Deadline::after(t));
         }
         let gov = Governor::new(&interrupt);
-        let mut ctx = SearchCtx::new(self.budget, &self.table, gov);
+        let mut ctx = SearchCtx::new(self.budget, &self.table, &mut self.arena, gov);
         // The oracle has no presolve layer and searches the flat clause
         // list; the default path presolves the delta against the frame
         // snapshots and never flattens the stack.
         let result = match self.search_core {
             SearchCore::Flat => {
-                let clauses: Vec<Clause> = self
+                let clauses: Vec<Vec<Literal>> = self
                     .chunks
                     .iter()
-                    .flat_map(|ch| ch.iter().cloned())
+                    .flat_map(Assertion::clauses)
+                    .map(<[Literal]>::to_vec)
                     .collect();
                 search::search_flat(&clauses, &mut ctx)
             }
@@ -347,10 +307,10 @@ impl Solver {
         result
     }
 
-    /// `push(); assert(f); check(); pop();` in one call.
-    pub fn check_with(&mut self, f: Formula) -> SatResult {
+    /// `push(); assert(a); check(); pop();` in one call.
+    pub fn check_with(&mut self, a: &Assertion) -> SatResult {
         self.push();
-        self.assert(f);
+        self.assert(a);
         let r = self.check();
         self.pop();
         r
@@ -374,14 +334,14 @@ fn fold_search_counters(stats: &mut SolverStats, ctx: &SearchCtx<'_>) {
 /// the degradation ladder in `formad-core` can be exercised under
 /// deterministic faults without a second code path.
 pub trait SolverApi {
-    /// The atom interner used to normalize terms into this solver.
+    /// The atom interner rows asserted into this solver are built over.
     fn table_mut(&mut self) -> &mut AtomTable;
     /// Push a backtracking point.
     fn push(&mut self);
     /// Pop to the previous backtracking point.
     fn pop(&mut self);
-    /// Assert a formula.
-    fn assert(&mut self, f: Formula);
+    /// Assert a clause or conjunction (shared, not copied).
+    fn assert(&mut self, a: &Assertion);
     /// Check satisfiability of the assertion stack.
     fn check(&mut self) -> SatResult;
     /// Statistics accumulated so far.
@@ -398,15 +358,12 @@ pub trait SolverApi {
     fn set_cancel_token(&mut self, token: CancelToken);
     /// Recover after a caught panic: drop all open frames.
     fn reset_to_base(&mut self);
-    /// Assert a pre-lowered formula without re-running CNF conversion or
-    /// copying clauses.
-    fn assert_interned(&mut self, f: &InternedFormula);
     /// Select the search engine answering later `check()` calls.
     fn set_search_core(&mut self, core: SearchCore);
-    /// `push(); assert(f); check(); pop();` in one call.
-    fn check_with(&mut self, f: Formula) -> SatResult {
+    /// `push(); assert(a); check(); pop();` in one call.
+    fn check_with(&mut self, a: &Assertion) -> SatResult {
         self.push();
-        self.assert(f);
+        self.assert(a);
         let r = self.check();
         self.pop();
         r
@@ -423,8 +380,8 @@ impl SolverApi for Solver {
     fn pop(&mut self) {
         Solver::pop(self);
     }
-    fn assert(&mut self, f: Formula) {
-        Solver::assert(self, f);
+    fn assert(&mut self, a: &Assertion) {
+        Solver::assert(self, a);
     }
     fn check(&mut self) -> SatResult {
         Solver::check(self)
@@ -450,9 +407,6 @@ impl SolverApi for Solver {
     fn reset_to_base(&mut self) {
         Solver::reset_to_base(self);
     }
-    fn assert_interned(&mut self, f: &InternedFormula) {
-        Solver::assert_interned(self, f);
-    }
     fn set_search_core(&mut self, core: SearchCore) {
         Solver::set_search_core(self, core);
     }
@@ -461,12 +415,26 @@ impl SolverApi for Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formula::Formula;
     use crate::linexpr::LinExpr;
-    use crate::term::Term;
 
-    fn sym(s: &str) -> Term {
-        Term::sym(s)
+    fn sym(s: &mut Solver, name: &str) -> LinExpr {
+        LinExpr::atom(s.table.sym(name))
+    }
+
+    fn app(s: &mut Solver, f: &str, arg: LinExpr) -> LinExpr {
+        s.table.app(f.into(), vec![arg])
+    }
+
+    fn int(v: i128) -> LinExpr {
+        LinExpr::constant(v)
+    }
+
+    fn eq(a: &LinExpr, b: &LinExpr) -> Assertion {
+        Assertion::all(vec![Literal::eq(a.clone(), b.clone())])
+    }
+
+    fn ne(a: &LinExpr, b: &LinExpr) -> Assertion {
+        Assertion::all(vec![Literal::ne(a.clone(), b.clone())])
     }
 
     #[test]
@@ -474,34 +442,27 @@ mod tests {
         // Knowledge: i ≠ i', c(i) ≠ c(i').
         // Query: c(i)+7 == c(i')+7 must be UNSAT.
         let mut s = Solver::new();
-        let f = Formula::term_ne(&sym("i"), &sym("i'"), &mut s.table).unwrap();
-        s.assert(f);
-        let ci = Term::app("c", vec![sym("i")]);
-        let cip = Term::app("c", vec![sym("i'")]);
-        let f = Formula::term_ne(&ci, &cip, &mut s.table).unwrap();
-        s.assert(f);
+        let (i, ip) = (sym(&mut s, "i"), sym(&mut s, "i'"));
+        s.assert(&ne(&i, &ip));
+        let ci = app(&mut s, "c", i);
+        let cip = app(&mut s, "c", ip);
+        s.assert(&ne(&ci, &cip));
         assert_eq!(s.check(), SatResult::Sat);
-        let q = Formula::term_eq(
-            &(ci.clone() + Term::int(7)),
-            &(cip.clone() + Term::int(7)),
-            &mut s.table,
-        )
-        .unwrap();
-        assert_eq!(s.check_with(q), SatResult::Unsat);
+        let q = eq(&ci.add(&int(7)), &cip.add(&int(7)));
+        assert_eq!(s.check_with(&q), SatResult::Unsat);
         // A shifted query with a *different* offset is satisfiable.
-        let q2 = Formula::term_eq(&(ci + Term::int(7)), &cip, &mut s.table).unwrap();
-        assert_eq!(s.check_with(q2), SatResult::Sat);
+        let q2 = eq(&ci.add(&int(7)), &cip);
+        assert_eq!(s.check_with(&q2), SatResult::Sat);
     }
 
     #[test]
     fn push_pop_restores_state() {
         let mut s = Solver::new();
-        let f = Formula::term_ne(&sym("x"), &sym("y"), &mut s.table).unwrap();
-        s.assert(f);
+        let (x, y) = (sym(&mut s, "x"), sym(&mut s, "y"));
+        s.assert(&ne(&x, &y));
         assert_eq!(s.num_clauses(), 1);
         s.push();
-        let g = Formula::term_eq(&sym("x"), &sym("y"), &mut s.table).unwrap();
-        s.assert(g);
+        s.assert(&eq(&x, &y));
         assert_eq!(s.check(), SatResult::Unsat);
         s.pop();
         assert_eq!(s.num_clauses(), 1);
@@ -512,25 +473,16 @@ mod tests {
     fn stride_two_parity() {
         // i = from + 2k, i' = from + 2k', k ≠ k'; query i' = i - 1 → UNSAT.
         let mut s = Solver::new();
-        let two = Term::int(2);
-        let f = Formula::term_eq(
-            &sym("i"),
-            &(sym("from") + two.clone() * sym("k")),
-            &mut s.table,
-        )
-        .unwrap();
-        s.assert(f);
-        let f =
-            Formula::term_eq(&sym("i'"), &(sym("from") + two * sym("k'")), &mut s.table).unwrap();
-        s.assert(f);
-        let f = Formula::term_ne(&sym("k"), &sym("k'"), &mut s.table).unwrap();
-        s.assert(f);
+        let [i, ip, from, k, kp] = ["i", "i'", "from", "k", "k'"].map(|n| sym(&mut s, n));
+        s.assert(&eq(&i, &from.add(&k.scale(2))));
+        s.assert(&eq(&ip, &from.add(&kp.scale(2))));
+        s.assert(&ne(&k, &kp));
         assert_eq!(s.check(), SatResult::Sat);
-        let q = Formula::term_eq(&sym("i'"), &(sym("i") - Term::int(1)), &mut s.table).unwrap();
-        assert_eq!(s.check_with(q), SatResult::Unsat);
+        let q = eq(&ip, &i.sub(&int(1)));
+        assert_eq!(s.check_with(&q), SatResult::Unsat);
         // Same-parity query i' = i + 2 is satisfiable.
-        let q = Formula::term_eq(&sym("i'"), &(sym("i") + Term::int(2)), &mut s.table).unwrap();
-        assert_eq!(s.check_with(q), SatResult::Sat);
+        let q = eq(&ip, &i.add(&int(2)));
+        assert_eq!(s.check_with(&q), SatResult::Sat);
     }
 
     #[test]
@@ -538,29 +490,21 @@ mod tests {
         // Knowledge: ¬(idd' = idd ∧ j' = j)   (2-D write disjointness)
         // Query: idd' = idd ∧ j' = j  → UNSAT.
         let mut s = Solver::new();
-        let f = Formula::tuple_ne(
-            &[sym("idd'"), sym("j'")],
-            &[sym("idd"), sym("j")],
-            &mut s.table,
-        )
-        .unwrap();
-        s.assert(f);
+        let [iddp, jp, idd, j, iuu] = ["idd'", "j'", "idd", "j", "iuu"].map(|n| sym(&mut s, n));
+        s.assert(&Assertion::clause(vec![
+            Literal::ne(iddp.clone(), idd.clone()),
+            Literal::ne(jp.clone(), j.clone()),
+        ]));
         assert_eq!(s.check(), SatResult::Sat);
-        let q = Formula::tuple_eq(
-            &[sym("idd'"), sym("j'")],
-            &[sym("idd"), sym("j")],
-            &mut s.table,
-        )
-        .unwrap();
-        assert_eq!(s.check_with(q), SatResult::Unsat);
+        let tuple_eq = |a: &LinExpr, b: &LinExpr| {
+            Assertion::all(vec![
+                Literal::eq(iddp.clone(), a.clone()),
+                Literal::eq(jp.clone(), b.clone()),
+            ])
+        };
+        assert_eq!(s.check_with(&tuple_eq(&idd, &j)), SatResult::Unsat);
         // Cross pair (idd', j') vs (iuu, j) not covered by this knowledge.
-        let q = Formula::tuple_eq(
-            &[sym("idd'"), sym("j'")],
-            &[sym("iuu"), sym("j")],
-            &mut s.table,
-        )
-        .unwrap();
-        assert_eq!(s.check_with(q), SatResult::Sat);
+        assert_eq!(s.check_with(&tuple_eq(&iuu, &j)), SatResult::Sat);
     }
 
     #[test]
@@ -569,35 +513,25 @@ mod tests {
         // increment at (eb + 0·n + i) paired with (c + 0·n + i): no
         // knowledge matches, stays SAT → atomics kept (paper §7.3).
         let mut s = Solver::new();
-        let n = sym("n");
-        let w1 = sym("eb'") + n.clone() * Term::int(-14399) + sym("i'");
-        let w2 = sym("eb") + n.clone() * Term::int(-14399) + sym("i");
-        let f = Formula::term_ne(&w1, &w2, &mut s.table).unwrap();
-        s.assert(f);
-        let f = Formula::term_ne(&sym("i"), &sym("i'"), &mut s.table).unwrap();
-        s.assert(f);
-        let q = Formula::term_eq(
-            &(sym("eb'") + sym("i'")),
-            &(sym("c") + sym("i")),
-            &mut s.table,
-        )
-        .unwrap();
-        assert_eq!(s.check_with(q), SatResult::Sat);
+        let [n, ebp, ip, eb, i, c] = ["n", "eb'", "i'", "eb", "i", "c"].map(|x| sym(&mut s, x));
+        let w1 = ebp.add(&n.scale(-14399)).add(&ip);
+        let w2 = eb.add(&n.scale(-14399)).add(&i);
+        s.assert(&ne(&w1, &w2));
+        s.assert(&ne(&i, &ip));
+        let q = eq(&ebp.add(&ip), &c.add(&i));
+        assert_eq!(s.check_with(&q), SatResult::Sat);
     }
 
     #[test]
     fn clause_branching_finds_unsat_across_disjunction() {
         // (x = 0 ∨ x = 1) ∧ x ≥ 2  → UNSAT needs branching both ways.
         let mut s = Solver::new();
-        let x = crate::linexpr::normalize(&sym("x"), &mut s.table).unwrap();
-        let zero = LinExpr::constant(0);
-        let one = LinExpr::constant(1);
-        let two = LinExpr::constant(2);
-        s.assert(Formula::Or(vec![
-            Formula::Lit(crate::formula::Literal::eq(x.clone(), zero)),
-            Formula::Lit(crate::formula::Literal::eq(x.clone(), one)),
+        let x = sym(&mut s, "x");
+        s.assert(&Assertion::clause(vec![
+            Literal::eq(x.clone(), int(0)),
+            Literal::eq(x.clone(), int(1)),
         ]));
-        s.assert(Formula::Lit(crate::formula::Literal::le(two, x)));
+        s.assert(&Assertion::all(vec![Literal::le(int(2), x)]));
         assert_eq!(s.check(), SatResult::Unsat);
     }
 
@@ -610,8 +544,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut s = Solver::new();
-        let f = hard_sat_query(&mut s.table, "a", "b");
-        s.assert(f);
+        let f = hard_sat_query(&mut s, "a", "b");
+        s.assert(&f);
         s.check();
         s.check();
         assert_eq!(s.stats.checks, 2);
@@ -627,23 +561,19 @@ mod tests {
         // Query commits j = i and asks whether c(j) can equal c(i'):
         // only EUF reasoning (j = i ⇒ c(j) = c(i)) closes this.
         let mut s = Solver::new();
-        let f = Formula::term_ne(&sym("i"), &sym("i'"), &mut s.table).unwrap();
-        s.assert(f);
-        let ci = Term::app("c", vec![sym("i")]);
-        let cip = Term::app("c", vec![sym("i'")]);
-        let cj = Term::app("c", vec![sym("j")]);
-        let f = Formula::term_ne(&ci, &cip, &mut s.table).unwrap();
-        s.assert(f);
+        let [i, ip, j] = ["i", "i'", "j"].map(|n| sym(&mut s, n));
+        s.assert(&ne(&i, &ip));
+        let ci = app(&mut s, "c", i.clone());
+        let cip = app(&mut s, "c", ip);
+        let cj = app(&mut s, "c", j.clone());
+        s.assert(&ne(&ci, &cip));
         s.push();
-        let f = Formula::term_eq(&sym("j"), &sym("i"), &mut s.table).unwrap();
-        s.assert(f);
-        let q = Formula::term_eq(&cj, &cip, &mut s.table).unwrap();
-        s.assert(q);
+        s.assert(&eq(&j, &i));
+        s.assert(&eq(&cj, &cip));
         assert_eq!(s.check(), SatResult::Unsat);
         s.pop();
         // Without the j = i commitment the query is satisfiable.
-        let q = Formula::term_eq(&cj, &cip, &mut s.table).unwrap();
-        assert_eq!(s.check_with(q), SatResult::Sat);
+        assert_eq!(s.check_with(&eq(&cj, &cip)), SatResult::Sat);
     }
 
     #[test]
@@ -651,53 +581,52 @@ mod tests {
         // j ≠ i gives no grounds to equate c(j) and c(i); both outcomes
         // must remain possible (SAT for equality and for disequality).
         let mut s = Solver::new();
-        let f = Formula::term_ne(&sym("j"), &sym("i"), &mut s.table).unwrap();
-        s.assert(f);
-        let ci = Term::app("c", vec![sym("i")]);
-        let cj = Term::app("c", vec![sym("j")]);
-        let q = Formula::term_eq(&cj, &ci, &mut s.table).unwrap();
-        assert_eq!(s.check_with(q), SatResult::Sat);
-        let q = Formula::term_ne(&cj, &ci, &mut s.table).unwrap();
-        assert_eq!(s.check_with(q), SatResult::Sat);
+        let [i, j] = ["i", "j"].map(|n| sym(&mut s, n));
+        s.assert(&ne(&j, &i));
+        let ci = app(&mut s, "c", i);
+        let cj = app(&mut s, "c", j);
+        assert_eq!(s.check_with(&eq(&cj, &ci)), SatResult::Sat);
+        assert_eq!(s.check_with(&ne(&cj, &ci)), SatResult::Sat);
     }
 
     #[test]
     fn nested_application_congruence() {
         // d(c(j)) vs d(c(i)) with j = i: needs two closure rounds.
         let mut s = Solver::new();
-        let dci = Term::app("d", vec![Term::app("c", vec![sym("i")])]);
-        let dcj = Term::app("d", vec![Term::app("c", vec![sym("j")])]);
-        let f = Formula::term_eq(&sym("j"), &sym("i"), &mut s.table).unwrap();
-        s.assert(f);
-        let q = Formula::term_ne(&dcj, &dci, &mut s.table).unwrap();
-        assert_eq!(s.check_with(q), SatResult::Unsat);
+        let [i, j] = ["i", "j"].map(|n| sym(&mut s, n));
+        let ci = app(&mut s, "c", i.clone());
+        let dci = app(&mut s, "d", ci);
+        let cj = app(&mut s, "c", j.clone());
+        let dcj = app(&mut s, "d", cj);
+        s.assert(&eq(&j, &i));
+        assert_eq!(s.check_with(&ne(&dcj, &dci)), SatResult::Unsat);
     }
 
     #[test]
     fn contradictory_ground_assertion() {
         let mut s = Solver::new();
-        let f = Formula::term_eq(&Term::int(1), &Term::int(2), &mut s.table).unwrap();
-        s.assert(f);
+        s.assert(&eq(&int(1), &int(2)));
         assert_eq!(s.check(), SatResult::Unsat);
     }
 
     #[test]
     fn interned_assert_matches_plain_assert() {
+        // One shared assertion asserted twice answers like two copies.
         let mut a = Solver::new();
         let mut b = Solver::new();
-        let fa = Formula::term_ne(&sym("x"), &sym("y"), &mut a.table).unwrap();
-        let fb = Formula::term_ne(&sym("x"), &sym("y"), &mut b.table).unwrap();
-        a.assert(fa);
-        let interned = InternedFormula::new(fb);
-        b.assert_interned(&interned);
-        b.assert_interned(&interned); // shared chunk, second rc bump
+        let (xa, ya) = (sym(&mut a, "x"), sym(&mut a, "y"));
+        let (xb, yb) = (sym(&mut b, "x"), sym(&mut b, "y"));
+        a.assert(&ne(&xa, &ya));
+        let shared = ne(&xb, &yb);
+        b.assert(&shared);
+        b.assert(&shared); // shared literals, second rc bump
         assert_eq!(a.num_clauses(), 1);
         assert_eq!(b.num_clauses(), 2);
         assert_eq!(b.stats.assertions_added, 2);
         assert_eq!(a.check(), b.check());
-        // Interned asserts pop cleanly like plain ones.
+        // Shared asserts pop cleanly like fresh ones.
         b.push();
-        b.assert_interned(&interned);
+        b.assert(&shared);
         assert_eq!(b.num_clauses(), 3);
         b.pop();
         assert_eq!(b.num_clauses(), 2);
@@ -705,16 +634,8 @@ mod tests {
 
     /// A query presolve cannot discharge: a genuine
     /// disjunction of inequalities with no unit literal to fix.
-    fn hard_sat_query(table: &mut AtomTable, x: &str, y: &str) -> Formula {
-        let le = |a: &Term, b: &Term, t: &mut AtomTable| {
-            Formula::Lit(crate::formula::Literal::le(
-                crate::linexpr::normalize(a, t).unwrap(),
-                crate::linexpr::normalize(b, t).unwrap(),
-            ))
-        };
-        Formula::or(vec![
-            le(&sym(x), &sym(y), table),
-            le(&sym(y), &sym(x), table),
-        ])
+    fn hard_sat_query(s: &mut Solver, x: &str, y: &str) -> Assertion {
+        let (x, y) = (sym(s, x), sym(s, y));
+        Assertion::clause(vec![Literal::le(x.clone(), y.clone()), Literal::le(y, x)])
     }
 }

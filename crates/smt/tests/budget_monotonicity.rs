@@ -12,21 +12,22 @@
 
 use proptest::prelude::*;
 
-use formad_smt::{normalize, Formula, Literal, SatResult, Solver, SolverBudget, StopReason, Term};
+use formad_smt::{Assertion, LinExpr, Literal, SatResult, Solver, SolverBudget, StopReason};
 
 /// A random conjunction of `=` / `≠` constraints between small linear
 /// terms over a 4-symbol pool.
 fn assert_constraints(s: &mut Solver, spec: &[(u8, u8, i8, bool)]) {
     const SYMS: [&str; 4] = ["a", "b", "c", "d"];
     for (l, r, off, eq) in spec {
-        let lhs = Term::sym(SYMS[(*l % 4) as usize]);
-        let rhs = Term::sym(SYMS[(*r % 4) as usize]) + Term::int(*off as i64);
-        let f = if *eq {
-            Formula::term_eq(&lhs, &rhs, &mut s.table).unwrap()
+        let lhs = LinExpr::atom(s.table.sym(SYMS[(*l % 4) as usize]));
+        let rhs = LinExpr::atom(s.table.sym(SYMS[(*r % 4) as usize]));
+        let rhs = rhs.add(&LinExpr::constant(*off as i128));
+        let lit = if *eq {
+            Literal::eq(lhs, rhs)
         } else {
-            Formula::term_ne(&lhs, &rhs, &mut s.table).unwrap()
+            Literal::ne(lhs, rhs)
         };
-        s.assert(f);
+        s.assert(&Assertion::all(vec![lit]));
     }
 }
 
@@ -100,22 +101,17 @@ proptest! {
 /// `a = 0` the probe's first picks are feasible; with `a = 1` they close
 /// a cycle and only the splitter finds the model.
 fn disjunctive_query(s: &mut Solver, a: i64) {
-    let (x, y, z) = (Term::sym("x"), Term::sym("y"), Term::sym("z"));
-    let mut le = |l: &Term, r: Term| {
-        let l = normalize(l, &mut s.table).unwrap();
-        let r = normalize(&r, &mut s.table).unwrap();
-        Formula::Lit(Literal::le(l, r))
+    let [x, y, z] = ["x", "y", "z"].map(|n| LinExpr::atom(s.table.sym(n)));
+    let le = |l: &LinExpr, r: &LinExpr, k: i64| {
+        Literal::le(l.clone(), r.sub(&LinExpr::constant(k as i128)))
     };
     let clauses = [
-        [
-            le(&x, y.clone() - Term::int(a)),
-            le(&y, x.clone() - Term::int(2)),
-        ],
-        [le(&y, z.clone()), le(&z, y.clone() - Term::int(2))],
-        [le(&z, x.clone()), le(&x, z.clone() - Term::int(2))],
+        [le(&x, &y, a), le(&y, &x, 2)],
+        [le(&y, &z, 0), le(&z, &y, 2)],
+        [le(&z, &x, 0), le(&x, &z, 2)],
     ];
     for clause in clauses {
-        s.assert(Formula::or(clause.to_vec()));
+        s.assert(&Assertion::clause(clause.to_vec()));
     }
 }
 

@@ -110,23 +110,29 @@ proptest! {
     }
 }
 
+/// `a = b`, asserted as a one-literal conjunction.
+fn eq_unit(a: LinExpr, b: LinExpr) -> formad_smt::Assertion {
+    formad_smt::Assertion::all(vec![formad_smt::Literal::eq(a, b)])
+}
+
+/// `a ≠ b`, asserted as a one-literal conjunction.
+fn ne_unit(a: LinExpr, b: LinExpr) -> formad_smt::Assertion {
+    formad_smt::Assertion::all(vec![formad_smt::Literal::ne(a, b)])
+}
+
 #[test]
 fn push_pop_stack_depth_stress() {
-    use formad_smt::{Formula, SatResult, Solver, Term};
+    use formad_smt::{SatResult, Solver};
     let mut s = Solver::new();
-    let f = Formula::term_ne(&Term::sym("x"), &Term::sym("y"), &mut s.table).unwrap();
-    s.assert(f);
+    let x = LinExpr::atom(s.table.sym("x"));
+    let y = LinExpr::atom(s.table.sym("y"));
+    let offset = |d: i64| y.add(&LinExpr::constant(d as i128));
+    s.assert(&ne_unit(x.clone(), y.clone()));
     // Nested pushes accumulate: x = y + d for d = 1..k are mutually
     // inconsistent, so everything from the second frame on is Unsat.
     for depth in 1..=10 {
         s.push();
-        let g = Formula::term_eq(
-            &Term::sym("x"),
-            &(Term::sym("y") + Term::int(depth)),
-            &mut s.table,
-        )
-        .unwrap();
-        s.assert(g);
+        s.assert(&eq_unit(x.clone(), offset(depth)));
         let expect = if depth == 1 {
             SatResult::Sat
         } else {
@@ -142,13 +148,7 @@ fn push_pop_stack_depth_stress() {
     // Independent frames: push/check/pop leaves no residue.
     for depth in 0..10 {
         s.push();
-        let g = Formula::term_eq(
-            &Term::sym("x"),
-            &(Term::sym("y") + Term::int(depth)),
-            &mut s.table,
-        )
-        .unwrap();
-        s.assert(g);
+        s.assert(&eq_unit(x.clone(), offset(depth)));
         let expect = if depth == 0 {
             SatResult::Unsat // contradicts x ≠ y
         } else {
@@ -161,7 +161,7 @@ fn push_pop_stack_depth_stress() {
 
 #[test]
 fn budget_exhaustion_returns_unknown_not_wrong() {
-    use formad_smt::{Formula, SatResult, Solver, SolverBudget, Term};
+    use formad_smt::{SatResult, Solver, SolverBudget};
     let tiny = SolverBudget {
         max_lia_calls: 1,
         max_branches: 1,
@@ -174,13 +174,9 @@ fn budget_exhaustion_returns_unknown_not_wrong() {
     // A satisfiable system with several disequalities: with a starved
     // budget the solver may answer Unknown, but never Unsat.
     for k in 0..6 {
-        let f = Formula::term_ne(
-            &Term::sym(format!("x{k}")),
-            &Term::sym(format!("x{}", k + 1)),
-            &mut s.table,
-        )
-        .unwrap();
-        s.assert(f);
+        let a = LinExpr::atom(s.table.sym(&format!("x{k}")));
+        let b = LinExpr::atom(s.table.sym(&format!("x{}", k + 1)));
+        s.assert(&ne_unit(a, b));
     }
     assert_ne!(s.check(), SatResult::Unsat);
 }

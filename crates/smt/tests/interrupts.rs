@@ -8,8 +8,7 @@
 use std::time::{Duration, Instant};
 
 use formad_smt::{
-    CancelToken, Deadline, Formula, LinExpr, Literal, SatResult, Solver, SolverBudget, StopReason,
-    Term,
+    Assertion, CancelToken, Deadline, LinExpr, Literal, SatResult, Solver, SolverBudget, StopReason,
 };
 
 /// An UNSAT pigeonhole-style instance the splitter cannot solve quickly:
@@ -21,19 +20,21 @@ fn hard_unsat_instance(n: usize) -> Solver {
         max_branches: u64::MAX,
         ..SolverBudget::default()
     });
-    let mut sum = Term::int(0);
+    let mut sum = LinExpr::constant(0);
     for i in 0..n {
-        let x = Term::sym(format!("x{i}"));
-        let xe = formad_smt::normalize(&x, &mut s.table).unwrap();
-        s.assert(Formula::Or(vec![
-            Formula::Lit(Literal::eq(xe.clone(), LinExpr::constant(0))),
-            Formula::Lit(Literal::eq(xe, LinExpr::constant(1))),
+        let x = LinExpr::atom(s.table.sym(&format!("x{i}")));
+        s.assert(&Assertion::clause(vec![
+            Literal::eq(x.clone(), LinExpr::constant(0)),
+            Literal::eq(x.clone(), LinExpr::constant(1)),
         ]));
-        sum = sum + x;
+        sum = sum.add(&x);
     }
     // sum ≥ n + 1, impossible for 0/1 variables.
-    let bound = formad_smt::normalize(&(Term::int(n as i64 + 1) - sum), &mut s.table).unwrap();
-    s.assert(Formula::Lit(Literal::le(bound, LinExpr::constant(0))));
+    let bound = LinExpr::constant(n as i128 + 1).sub(&sum);
+    s.assert(&Assertion::all(vec![Literal::le(
+        bound,
+        LinExpr::constant(0),
+    )]));
     s
 }
 

@@ -16,8 +16,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use formad_smt::{
-    brute, normalize, AtomTable, ChaosConfig, ChaosSolver, Formula, LinExpr, Literal, SatResult,
-    SearchCore, Solver, SolverApi, SolverStats, Term,
+    brute, Assertion, AtomTable, ChaosConfig, ChaosSolver, LinExpr, Literal, SatResult, SearchCore,
+    Solver, SolverApi, SolverStats,
 };
 use proptest::prelude::*;
 
@@ -25,7 +25,8 @@ const SYMS: [&str; 3] = ["x", "y", "z"];
 
 /// Spec of one literal: relation selector and `c0 + Σ coeffs·sym`.
 type LitSpec = (u8, i64, [i64; 3]);
-/// A formula is a conjunction of disjunctions of literal specs.
+/// A formula is a conjunction of disjunctions of literal specs, each
+/// disjunction asserted as one clause.
 type FormulaSpec = Vec<Vec<LitSpec>>;
 
 fn lin(table: &mut AtomTable, c0: i64, coeffs: &[i64; 3]) -> LinExpr {
@@ -49,15 +50,11 @@ fn build_lit(table: &mut AtomTable, (rel, c0, coeffs): &LitSpec) -> Literal {
     }
 }
 
-fn build(table: &mut AtomTable, spec: &FormulaSpec) -> Vec<Formula> {
+fn build(table: &mut AtomTable, spec: &FormulaSpec) -> Vec<Assertion> {
     spec.iter()
         .map(|clause| {
-            Formula::or(
-                clause
-                    .iter()
-                    .map(|l| Formula::Lit(build_lit(table, l)))
-                    .collect(),
-            )
+            let lits: Vec<Literal> = clause.iter().map(|l| build_lit(table, l)).collect();
+            Assertion::clause(lits)
         })
         .collect()
 }
@@ -67,7 +64,7 @@ fn run_core(core: SearchCore, spec: &FormulaSpec) -> (SatResult, SolverStats) {
     let mut s = Solver::new();
     s.set_search_core(core);
     for f in build(&mut s.table, spec) {
-        s.assert(f);
+        s.assert(&f);
     }
     (s.check(), s.stats)
 }
@@ -245,23 +242,30 @@ fn an_incomplete_probe_falls_through_too() {
 /// even coefficients), uninterpreted applications over them, and the
 /// `mod`/`div` opaque atoms — whatever can bind a symbol inside an opaque
 /// key and so gate a substitution pivot.
-fn pool(k: u8) -> Term {
-    let (x, y, z) = (Term::sym("x"), Term::sym("y"), Term::sym("z"));
+fn pool(k: u8, table: &mut AtomTable) -> LinExpr {
+    let mut sym = |name: &str| LinExpr::atom(table.sym(name));
+    let two = LinExpr::constant(2);
     match k % 7 {
-        0 => x,
-        1 => y,
-        2 => z,
-        3 => Term::app("c", vec![x]),
-        4 => Term::app("c", vec![y + Term::int(1)]),
-        5 => Term::Mod(Box::new(x), Box::new(Term::int(2))),
-        _ => Term::Div(Box::new(y), Box::new(Term::int(2))),
+        0 => sym("x"),
+        1 => sym("y"),
+        2 => sym("z"),
+        3 => {
+            let x = sym("x");
+            table.app("c".into(), vec![x])
+        }
+        4 => {
+            let y1 = sym("y").add(&LinExpr::constant(1));
+            table.app("c".into(), vec![y1])
+        }
+        5 => sym("x").rem(two, table),
+        _ => sym("y").div(two, table),
     }
 }
 
 /// `(relation, constant, [(pool atom, coefficient)])`.
 type ScriptLit = (u8, i64, Vec<(u8, i64)>);
-/// One `assert`: a conjunction of disjunctions, i.e. one chunk that may
-/// hold several clauses.
+/// A conjunction of disjunctions: one `assert` of a conjunction when
+/// every disjunction has one literal, else one `assert` per clause.
 type ScriptFormula = Vec<Vec<ScriptLit>>;
 
 #[derive(Debug, Clone)]
@@ -273,25 +277,29 @@ enum Op {
     Reset,
 }
 
-fn script_formula(table: &mut AtomTable, spec: &ScriptFormula) -> Formula {
+fn script_assertions(table: &mut AtomTable, spec: &ScriptFormula) -> Vec<Assertion> {
     let lit = |table: &mut AtomTable, (rel, c0, terms): &ScriptLit| {
         let mut e = LinExpr::constant(*c0 as i128);
         for (atom, coeff) in terms {
-            let a = normalize(&pool(*atom), table).expect("small terms");
+            let a = pool(*atom, table);
             e = e.add_scaled(&a, *coeff as i128);
         }
         let zero = LinExpr::constant(0);
-        Formula::Lit(match rel % 3 {
+        match rel % 3 {
             0 => Literal::eq(e, zero),
             1 => Literal::ne(e, zero),
             _ => Literal::le(e, zero),
-        })
+        }
     };
-    Formula::and(
-        spec.iter()
-            .map(|clause| Formula::or(clause.iter().map(|l| lit(table, l)).collect()))
-            .collect(),
-    )
+    let clauses: Vec<Vec<Literal>> = spec
+        .iter()
+        .map(|clause| clause.iter().map(|l| lit(table, l)).collect())
+        .collect();
+    if clauses.iter().all(|c| c.len() == 1) {
+        vec![Assertion::all(clauses.concat())]
+    } else {
+        clauses.into_iter().map(Assertion::clause).collect()
+    }
 }
 
 /// The same assertions, one `assert` each, on a solver without frames.
@@ -299,8 +307,9 @@ fn frameless(core: SearchCore, stack: &[Vec<ScriptFormula>]) -> Solver {
     let mut s = Solver::new();
     s.set_search_core(core);
     for spec in stack.iter().flatten() {
-        let f = script_formula(&mut s.table, spec);
-        s.assert(f);
+        for a in script_assertions(&mut s.table, spec) {
+            s.assert(&a);
+        }
     }
     s
 }
@@ -319,10 +328,10 @@ fn cross_check(framed: SatResult, stack: &[Vec<ScriptFormula>]) -> Result<(), St
         return Err(format!("framed {framed:?} but flat {flat:?} on {stack:?}"));
     }
     let mut table = AtomTable::new();
-    let formulas: Vec<Formula> = stack
+    let formulas: Vec<Assertion> = stack
         .iter()
         .flatten()
-        .map(|spec| script_formula(&mut table, spec))
+        .flat_map(|spec| script_assertions(&mut table, spec))
         .collect();
     // `Err` means an opaque atom is present: not enumerable.
     if let Ok(Some(model)) = brute::find_model(&formulas, &table, -6, 6) {
@@ -351,8 +360,9 @@ fn run_script(ops: &[Op]) -> Result<(), String> {
                 }
             }
             Op::Assert(spec) => {
-                let f = script_formula(&mut solver.table, spec);
-                solver.assert(f);
+                for a in script_assertions(&mut solver.table, spec) {
+                    solver.assert(&a);
+                }
                 stack.last_mut().expect("level 0").push(spec.clone());
             }
             Op::Check => cross_check(solver.check(), &stack)?,
@@ -403,26 +413,32 @@ proptest! {
     }
 }
 
-fn eq(a: &Term, b: &Term, s: &mut Solver) -> Formula {
-    Formula::term_eq(a, b, &mut s.table).unwrap()
+fn xy(table: &mut AtomTable) -> (LinExpr, LinExpr) {
+    (LinExpr::atom(table.sym("x")), LinExpr::atom(table.sym("y")))
 }
 
-fn ne(a: &Term, b: &Term, s: &mut Solver) -> Formula {
-    Formula::term_ne(a, b, &mut s.table).unwrap()
+fn eq(a: &LinExpr, b: &LinExpr) -> Assertion {
+    Assertion::all(vec![Literal::eq(a.clone(), b.clone())])
+}
+
+fn ne(a: &LinExpr, b: &LinExpr) -> Assertion {
+    Assertion::all(vec![Literal::ne(a.clone(), b.clone())])
+}
+
+fn plus(e: &LinExpr, k: i64) -> LinExpr {
+    e.add(&LinExpr::constant(k as i128))
 }
 
 #[test]
 fn free_atom_discharge_is_not_baked_into_the_snapshot() {
     // `x ≠ y` alone is discharged (both symbols occur once) — but only for
     // that query: the unit must still be there to contradict `x = y`.
-    let (x, y) = (Term::sym("x"), Term::sym("y"));
     let mut s = Solver::new();
-    let f = ne(&x, &y, &mut s);
-    s.assert(f);
+    let (x, y) = xy(&mut s.table);
+    s.assert(&ne(&x, &y));
     assert_eq!(s.check(), SatResult::Sat);
     assert_eq!(s.stats.presolve_discharges, 1);
-    let q = eq(&x, &y, &mut s);
-    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.check_with(&eq(&x, &y)), SatResult::Unsat);
     assert_eq!(s.check(), SatResult::Sat);
     assert_eq!(s.stats.lia_calls, 0);
 }
@@ -432,46 +448,42 @@ fn delta_binding_a_recorded_pivot_rederives_the_prefix() {
     // The base `x = y + 1` is solved for `x` in its snapshot. A delta that
     // mentions `c(x)` makes `x` ineligible as a pivot: substituting it away
     // would cut the link congruence needs to see `c(x) = c(y + 1)`.
-    let (x, y) = (Term::sym("x"), Term::sym("y"));
     let mut s = Solver::new();
-    let base = eq(&x, &(y.clone() + Term::int(1)), &mut s);
-    s.assert(base);
+    let (x, y) = xy(&mut s.table);
+    s.assert(&eq(&x, &plus(&y, 1)));
     assert_eq!(s.check(), SatResult::Sat);
     assert_eq!(s.stats.presolve_clauses, 1);
-    let cx = Term::app("c", vec![x.clone()]);
-    let cy1 = Term::app("c", vec![y.clone() + Term::int(1)]);
-    let q = ne(&cx, &cy1, &mut s);
-    assert_eq!(s.check_with(q), SatResult::Unsat);
+    let cx = s.table.app("c".into(), vec![x.clone()]);
+    let cy1 = s.table.app("c".into(), vec![plus(&y, 1)]);
+    assert_eq!(s.check_with(&ne(&cx, &cy1)), SatResult::Unsat);
     // The query re-derived the base clause along with its own.
     assert_eq!(s.stats.presolve_clauses, 3);
     // A delta that leaves the pivot alone extends the snapshot as is.
-    let q = eq(&x, &y, &mut s);
-    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.check_with(&eq(&x, &y)), SatResult::Unsat);
     assert_eq!(s.stats.presolve_clauses, 4);
 }
 
 /// A solver with `facts` disequalities `x ≠ y + k` under one frame.
 fn solver_with_fact_frame(facts: i64) -> Solver {
-    let (x, y) = (Term::sym("x"), Term::sym("y"));
     let mut s = Solver::new();
+    let (x, y) = xy(&mut s.table);
     s.push();
     for k in 1..=facts {
-        let f = ne(&x, &(y.clone() + Term::int(k)), &mut s);
-        s.assert(f);
+        s.assert(&ne(&x, &plus(&y, k)));
     }
     s
 }
 
-fn offset_query(s: &mut Solver, k: i64) -> Formula {
-    let (x, y) = (Term::sym("x"), Term::sym("y"));
-    eq(&x, &(y + Term::int(k)), s)
+fn offset_query(s: &mut Solver, k: i64) -> Assertion {
+    let (x, y) = xy(&mut s.table);
+    eq(&x, &plus(&y, k))
 }
 
 #[test]
 fn snapshot_survives_pop_and_dies_with_its_frame() {
     let mut s = solver_with_fact_frame(8);
     let q = offset_query(&mut s, 3);
-    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.check_with(&q), SatResult::Unsat);
     assert_eq!(s.stats.presolve_clauses, 8 + 1);
     // pop + re-push: the fact frame's snapshot is reused, each query
     // costs its own clause.
@@ -482,23 +494,23 @@ fn snapshot_survives_pop_and_dies_with_its_frame() {
         } else {
             SatResult::Sat
         };
-        assert_eq!(s.check_with(q), expect);
+        assert_eq!(s.check_with(&q), expect);
     }
     assert_eq!(s.stats.presolve_clauses, 8 + 4);
     // An assert into the covered frame drops its snapshot: the next check
     // canonicalizes that frame again (9 facts now) plus its query.
     let f = {
-        let (x, y) = (Term::sym("x"), Term::sym("y"));
-        ne(&x, &(y + Term::int(9)), &mut s)
+        let (x, y) = xy(&mut s.table);
+        ne(&x, &plus(&y, 9))
     };
-    s.assert(f);
+    s.assert(&f);
     let q = offset_query(&mut s, 9);
-    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.check_with(&q), SatResult::Unsat);
     assert_eq!(s.stats.presolve_clauses, 8 + 4 + 9 + 1);
     // Popping the frame itself leaves nothing to contradict.
     s.pop();
     let q = offset_query(&mut s, 3);
-    assert_eq!(s.check_with(q), SatResult::Sat);
+    assert_eq!(s.check_with(&q), SatResult::Sat);
 }
 
 #[test]
@@ -521,21 +533,19 @@ fn reset_after_a_caught_panic_drops_every_snapshot() {
         .find(|&seed| panics(seed) == [false, true, false])
         .expect("some seed faults only the second check");
 
-    let (x, y) = (Term::sym("x"), Term::sym("y"));
     let mut s = ChaosSolver::new(quiet(seed));
+    let (x, y) = xy(s.table_mut());
     for k in 1..=5 {
-        let f = Formula::term_ne(&x, &(y.clone() + Term::int(k)), s.table_mut()).unwrap();
-        s.assert(f);
+        s.assert(&ne(&x, &plus(&y, k)));
     }
     assert_eq!(s.check(), SatResult::Sat);
     assert_eq!(s.stats().presolve_clauses, 5);
     // The faulting query leaves its frame open behind the panic.
-    let q = Formula::term_eq(&x, &(y.clone() + Term::int(2)), s.table_mut()).unwrap();
-    let outcome = catch_unwind(AssertUnwindSafe(|| s.check_with(q)));
+    let q = eq(&x, &plus(&y, 2));
+    let outcome = catch_unwind(AssertUnwindSafe(|| s.check_with(&q)));
     assert!(outcome.is_err());
     s.reset_to_base();
     // The base is presolved afresh, and answers as before.
-    let q = Formula::term_eq(&x, &(y + Term::int(2)), s.table_mut()).unwrap();
-    assert_eq!(s.check_with(q), SatResult::Unsat);
+    assert_eq!(s.check_with(&q), SatResult::Unsat);
     assert_eq!(s.stats().presolve_clauses, 5 + 5 + 1);
 }

@@ -172,12 +172,13 @@ fn measured(inputs: &[Input]) -> Stages {
     first
 }
 
-/// Measured when the ceilings were set (PR 23, `--release`). The parent
-/// commit made 120 323 and 375 140 on the same inputs: its IR owned its
-/// children (`Box<Expr>`, `Vec<Expr>`) and spelled every identifier as a
-/// `String`, so each duplicated operand or seed was a deep copy.
-const HEAVY_MEASURED: u64 = 82_270;
-const CORPUS_MEASURED: u64 = 222_706;
+/// Measured when the ceilings were set (`--release`). The commit before
+/// made 82 270 and 222 706 on the same inputs: every index expression went
+/// through a term tree with a `String` per symbol, a formula tree and a
+/// CNF pass into presolve, which copied every literal of the stack into
+/// owned keys for each query.
+const HEAVY_MEASURED: u64 = 31_828;
+const CORPUS_MEASURED: u64 = 175_771;
 
 #[test]
 fn allocations_per_pass_stay_under_the_ceiling() {

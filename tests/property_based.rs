@@ -15,7 +15,7 @@ use formad_fuzz::strategies::{index_expr_src, permutation, program, real_vec};
 use formad_fuzz::GenConfig;
 use formad_ir::{parse_program, program_to_string, validate};
 use formad_machine::{dot_product_test, Bindings, Machine};
-use formad_smt::{brute, Formula, SatResult, Solver, Term};
+use formad_smt::{brute, Assertion, AtomTable, LinExpr, Literal, SatResult, Solver};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -58,19 +58,14 @@ proptest! {
                 RandLit::Ne(a, b, c) => (*a, *b, *c, 1),
                 RandLit::Le(a, b, c) => (*a, *b, *c, 2),
             };
-            let lhs = Term::sym(names[a]);
-            let rhs = Term::sym(names[b]) + Term::int(c);
-            let f = match kind {
-                0 => Formula::term_eq(&lhs, &rhs, &mut s.table).unwrap(),
-                1 => Formula::term_ne(&lhs, &rhs, &mut s.table).unwrap(),
-                _ => {
-                    // lhs ≤ rhs as a literal.
-                    let a = formad_smt::normalize(&lhs, &mut s.table).unwrap();
-                    let b = formad_smt::normalize(&rhs, &mut s.table).unwrap();
-                    Formula::Lit(formad_smt::Literal::le(a, b))
-                }
-            };
-            s.assert(f.clone());
+            let lhs = LinExpr::atom(s.table.sym(names[a]));
+            let rhs = LinExpr::atom(s.table.sym(names[b])).add(&LinExpr::constant(c as i128));
+            let f = Assertion::all(vec![match kind {
+                0 => Literal::eq(lhs, rhs),
+                1 => Literal::ne(lhs, rhs),
+                _ => Literal::le(lhs, rhs),
+            }]);
+            s.assert(&f);
             formulas.push(f);
         }
         let verdict = s.check();
@@ -87,16 +82,17 @@ proptest! {
         }
     }
 
-    /// Linear normalization: (x + y) − y ≡ x for arbitrary small terms.
+    /// Row building: (x + y) − y ≡ x for arbitrary small rows.
     #[test]
     fn normalization_cancels(coef in -5i64..=5, c in -10i64..=10) {
-        let mut table = formad_smt::AtomTable::new();
-        let x = Term::int(coef) * Term::sym("x") + Term::int(c);
-        let y = Term::app("f", vec![Term::sym("y")]);
-        let sum = x.clone() + y.clone() - y;
-        let n1 = formad_smt::normalize(&sum, &mut table).unwrap();
-        let n2 = formad_smt::normalize(&x, &mut table).unwrap();
-        prop_assert_eq!(n1, n2);
+        let mut table = AtomTable::new();
+        let sym = LinExpr::atom(table.sym("x"));
+        let x = LinExpr::constant(coef as i128).times(sym, &mut table).unwrap();
+        let x = x.plus(&LinExpr::constant(c as i128)).unwrap();
+        let fy = LinExpr::atom(table.sym("y"));
+        let y = table.app("f".into(), vec![fy]);
+        let sum = x.plus(&y).unwrap().minus(&y).unwrap();
+        prop_assert_eq!(sum, x);
     }
 }
 
