@@ -28,38 +28,68 @@
 //!
 //! Loops are fix-points in (2) and (3); arrays are tracked by name.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
-use formad_ir::{BoolExpr, Decl, Expr, ForLoop, LValue, Name, Program, Stmt};
+use formad_ir::{BoolExpr, Decl, Expr, ForLoop, FxHashMap, LValue, Name, Program, Stmt};
 
 /// Adjoint statements of one assignment: `(increments, vb-finalization)`.
 pub(crate) type AssignAdjoint = (Vec<Stmt>, Option<Stmt>);
 
-/// A set of declared names, by declaration index.
+/// A set of declared names, by declaration index. Up to 128 names the
+/// words sit inline, so a node's sets and the analyses' working sets
+/// cost no allocation; past that they spill to the heap. Every set of one
+/// plan has the same number of words.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Bits(Vec<u64>);
+pub(crate) enum Bits {
+    Inline([u64; 2]),
+    Heap(Box<[u64]>),
+}
 
 impl Bits {
     fn new(names: usize) -> Bits {
-        Bits(vec![0; names.div_ceil(64).max(1)])
+        Bits::filled(names, 0)
+    }
+
+    /// Every word `w`: the empty set for 0, a superset of every name for
+    /// `!0`.
+    fn filled(names: usize, w: u64) -> Bits {
+        if names <= 128 {
+            Bits::Inline([w; 2])
+        } else {
+            Bits::Heap(vec![w; names.div_ceil(64)].into())
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            Bits::Inline(w) => w,
+            Bits::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match self {
+            Bits::Inline(w) => w,
+            Bits::Heap(w) => w,
+        }
     }
 
     pub(crate) fn contains(&self, i: u32) -> bool {
-        self.0[i as usize / 64] >> (i % 64) & 1 == 1
+        self.words()[i as usize / 64] >> (i % 64) & 1 == 1
     }
 
     fn insert(&mut self, i: u32) {
-        self.0[i as usize / 64] |= 1 << (i % 64);
+        self.words_mut()[i as usize / 64] |= 1 << (i % 64);
     }
 
     fn remove(&mut self, i: u32) {
-        self.0[i as usize / 64] &= !(1 << (i % 64));
+        self.words_mut()[i as usize / 64] &= !(1 << (i % 64));
     }
 
     /// `self ∪= other`; true if `self` grew.
     fn union_with(&mut self, other: &Bits) -> bool {
         let mut grew = false;
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             grew |= *b & !*a != 0;
             *a |= *b;
         }
@@ -67,39 +97,70 @@ impl Bits {
     }
 
     fn subtract(&mut self, other: &Bits) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= !*b;
         }
     }
 
     fn intersect(&mut self, other: &Bits) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             *a &= *b;
         }
     }
 
     fn is_subset(&self, other: &Bits) -> bool {
-        self.0.iter().zip(&other.0).all(|(a, b)| a & !b == 0)
+        self.words()
+            .iter()
+            .zip(other.words())
+            .all(|(a, b)| a & !b == 0)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.0.iter().all(|w| *w == 0)
+        self.words().iter().all(|w| *w == 0)
     }
 
     /// Members in declaration order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.0.iter().enumerate().flat_map(|(w, bits)| {
-            (0..64u32)
-                .filter(move |b| bits >> b & 1 == 1)
-                .map(move |b| w as u32 * 64 + b)
+        self.words().iter().enumerate().flat_map(|(w, &bits)| {
+            let next = |b: &u64| Some(b & (b - 1)).filter(|b| *b != 0);
+            std::iter::successors(Some(bits).filter(|b| *b != 0), next)
+                .map(move |b| w as u32 * 64 + b.trailing_zeros())
         })
     }
 }
 
 /// The program's declarations, numbered.
 pub(crate) struct Names<'a> {
-    index: HashMap<&'a str, u32>,
+    index: FxHashMap<&'a str, u32>,
+    /// `index`'s answers, by identifier allocation.
+    by_alloc: RefCell<ByAlloc<Option<u32>>>,
     decls: Vec<&'a Decl>,
+}
+
+/// Per-identifier answers memoized by the identifier's allocation: the
+/// parser interns identifiers and the transform clones them, so a name is
+/// nearly always met in an allocation seen before, and its text is hashed
+/// once per allocation rather than once per occurrence. An entry holds
+/// its name, so the address stays its own while the memo lives.
+pub(crate) struct ByAlloc<T>(FxHashMap<usize, (Name, T)>);
+
+impl<T: Copy> Default for ByAlloc<T> {
+    fn default() -> Self {
+        ByAlloc(FxHashMap::default())
+    }
+}
+
+impl<T: Copy> ByAlloc<T> {
+    /// The answer for `n`, from `by_text` on its allocation's first sight.
+    pub(crate) fn get(&mut self, n: &Name, by_text: impl FnOnce() -> T) -> T {
+        let key = n.as_ptr() as usize;
+        if let Some((_, t)) = self.0.get(&key) {
+            return *t;
+        }
+        let t = by_text();
+        self.0.insert(key, (n.clone(), t));
+        t
+    }
 }
 
 impl<'a> Names<'a> {
@@ -110,7 +171,11 @@ impl<'a> Names<'a> {
             .enumerate()
             .map(|(i, d)| (d.name.as_str(), i as u32))
             .collect();
-        Names { index, decls }
+        Names {
+            index,
+            by_alloc: RefCell::default(),
+            decls,
+        }
     }
 
     pub(crate) fn name(&self, i: u32) -> &'a Name {
@@ -120,13 +185,23 @@ impl<'a> Names<'a> {
     /// The declared names `e` reads. Adjoint names are not declarations
     /// of the primal and drop out here.
     fn reads(&self, e: &Expr, into: &mut Bits) {
-        e.walk(&mut |sub| {
-            if let Expr::Var(n) | Expr::Index { array: n, .. } = sub {
-                if let Some(&i) = self.index.get(n.as_str()) {
-                    into.insert(i);
-                }
+        e.walk(&mut |sub| self.read(sub, into));
+    }
+
+    /// The declared name the node `e` itself reads, not its children: for
+    /// walks that already visit every sub-expression (`walk_exprs`).
+    fn read(&self, e: &Expr, into: &mut Bits) {
+        if let Expr::Var(n) | Expr::Index { array: n, .. } = e {
+            if let Some(i) = self.find(n) {
+                into.insert(i);
             }
-        });
+        }
+    }
+
+    /// The declaration index of `n`.
+    fn find(&self, n: &Name) -> Option<u32> {
+        let by_text = || self.index.get(n.as_str()).copied();
+        self.by_alloc.borrow_mut().get(n, by_text)
     }
 }
 
@@ -223,7 +298,7 @@ impl<'a> Plan<'a> {
                 candidates.insert(i as u32);
             }
         }
-        let mut stable = Bits(vec![!0; candidates.0.len()]);
+        let mut stable = Bits::filled(n, !0);
         stable.subtract(&b.written);
         stable.subtract(&b.counters);
         let mut recompute = Recompute {
@@ -318,7 +393,7 @@ impl<'a> Builder<'a, '_> {
                     else_body,
                 } => {
                     let mut cond_reads = self.bits();
-                    cond.walk_exprs(&mut |e| self.names.reads(e, &mut cond_reads));
+                    cond.walk_exprs(&mut |e| self.names.read(e, &mut cond_reads));
                     self.note_reads(&cond_reads);
                     Node::If(IfNode {
                         cond,
@@ -371,7 +446,7 @@ impl<'a> Builder<'a, '_> {
         let mut adjoint_reads = self.bits();
         if let Some((incs, fin)) = &adjoint {
             for st in incs.iter().chain(fin) {
-                st.walk_exprs(&mut |e| self.names.reads(e, &mut adjoint_reads));
+                st.walk_exprs(&mut |e| self.names.read(e, &mut adjoint_reads));
             }
         }
         Node::Assign(AssignNode {

@@ -60,4 +60,6 @@ pub use adjoint_expr::{adjoint_of_assign, AdjCtx, ExprAdjoint};
 pub use options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
 pub use tangent::differentiate_tangent;
 pub use transform::{differentiate, differentiate_validated, Adjoint, AdjointStats};
-pub use transpose::{affine_in, plan_transpose, Aff, ObligationPair, RegionWrites, TransposePlan};
+pub use transpose::{
+    affine_in, plan_transpose, Aff, ObligationPair, Obligations, RegionWrites, TransposePlan,
+};

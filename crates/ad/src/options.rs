@@ -62,6 +62,17 @@ impl ParallelTreatment {
         }
     }
 
+    /// True if some array of parallel loop `region` is `Transposed`.
+    pub fn transposes_in(&self, region: usize) -> bool {
+        match self {
+            ParallelTreatment::Serial => false,
+            ParallelTreatment::Uniform(m) => *m == IncMode::Transposed,
+            ParallelTreatment::PerArray(maps) => maps
+                .get(region)
+                .is_some_and(|m| m.values().any(|&m| m == IncMode::Transposed)),
+        }
+    }
+
     /// True if parallel pragmas are dropped entirely.
     pub fn is_serial(&self) -> bool {
         matches!(self, ParallelTreatment::Serial)

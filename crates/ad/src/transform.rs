@@ -33,18 +33,17 @@
 //! The generated subroutine computes adjoints only. The primal's outputs
 //! are **not** returned by it: run the primal for the value.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
 use formad_analysis::Activity;
 use formad_ir::{
-    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, Intent, LValue, Name, ParallelInfo, Program,
-    RedOp, Stmt, Ty,
+    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, FxHashMap, FxHashSet, Intent, LValue, Name,
+    ParallelInfo, Program, RedOp, Stmt, Ty,
 };
 
 use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
-use crate::dataflow::{AssignAdjoint, ForNode, Names, Node, Plan};
+use crate::dataflow::{AssignAdjoint, ByAlloc, ForNode, Names, Node, Plan};
 use crate::options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
 use crate::transpose::{plan_transpose, RegionWrites};
 
@@ -188,9 +187,9 @@ pub fn differentiate_validated(
 struct Xform<'a> {
     prog: &'a Program,
     /// Every active variable's adjoint name, made once, …
-    adjoints: HashMap<Name, Name>,
+    adjoints: FxHashMap<Name, Name>,
     /// … and the way back.
-    primals: HashMap<Name, Name>,
+    primals: FxHashMap<Name, Name>,
     opts: &'a AdjointOptions,
     branch_counter: usize,
     new_locals: Vec<Decl>,
@@ -203,8 +202,8 @@ struct Xform<'a> {
 impl<'a> Xform<'a> {
     fn new(p: &'a Program, act: Activity, opts: &'a AdjointOptions) -> Result<Xform<'a>, AdError> {
         // Adjoint-name collisions with existing declarations are errors.
-        let mut adjoints = HashMap::new();
-        let mut primals = HashMap::new();
+        let mut adjoints = FxHashMap::default();
+        let mut primals = FxHashMap::default();
         for d in p.decls() {
             if act.is_active(&d.name) && d.ty == Ty::Real {
                 let b = Name::from(format!("{}{}", d.name, opts.adjoint_suffix));
@@ -443,7 +442,7 @@ impl<'a> Xform<'a> {
         for e in [&l.lo, &l.hi, &l.step] {
             e.scalar_vars(&mut bound_vars);
         }
-        let mut assigned = HashSet::new();
+        let mut assigned = FxHashSet::default();
         for s in &l.body {
             s.walk(&mut |st| {
                 if let Stmt::Assign {
@@ -534,8 +533,13 @@ impl<'a> Xform<'a> {
         &self,
         region: usize,
         l: &ForLoop,
-        body: Vec<Stmt>,
-    ) -> (Vec<Stmt>, Vec<Stmt>, HashSet<Name>) {
+        mut body: Vec<Stmt>,
+    ) -> (Vec<Stmt>, Vec<Stmt>, FxHashSet<Name>) {
+        let mut gathers: Vec<Stmt> = Vec::new();
+        let mut fallback: FxHashSet<Name> = FxHashSet::default();
+        if !self.opts.parallel.transposes_in(region) {
+            return (gathers, body, fallback);
+        }
         // Primal arrays with an adjoint scatter in the body, with the
         // adjoint's name.
         let mut candidates: Vec<(Name, Name)> = Vec::new();
@@ -550,9 +554,6 @@ impl<'a> Xform<'a> {
                 }
             });
         }
-        let mut gathers: Vec<Stmt> = Vec::new();
-        let mut body = body;
-        let mut fallback: HashSet<Name> = HashSet::new();
         let forced = matches!(self.opts.parallel, ParallelTreatment::Uniform(_));
         let mut writes: Option<RegionWrites> = None;
         for (p, bname) in candidates {
@@ -567,27 +568,20 @@ impl<'a> Xform<'a> {
                 &self.opts.adjoint_suffix,
                 &|n| self.is_active(n),
             ) {
-                Ok(plan) if !forced || plan.forced_safe => plan,
+                Ok(plan) if !forced || plan.forced_safe() => plan,
                 _ => {
                     fallback.insert(p);
                     continue;
                 }
             };
-            let mut kept: Vec<Stmt> = Vec::with_capacity(body.len());
-            let mut removed = 0usize;
-            for s in &body {
-                let is_scatter = s.increment_parts().is_some_and(|(lhs, _)| {
+            let is_scatter = |s: &Stmt| {
+                s.increment_parts().is_some_and(|(lhs, _)| {
                     matches!(lhs, LValue::Index { .. }) && *lhs.name() == bname
-                });
-                if is_scatter {
-                    removed += 1;
-                } else {
-                    kept.push(s.clone());
-                }
-            }
-            if removed == plan.contributions {
-                gathers.extend(plan.gather_loops);
-                body = kept;
+                })
+            };
+            if body.iter().filter(|s| is_scatter(s)).count() == plan.contributions {
+                gathers.extend(plan.gather_loops());
+                body.retain(|s| !is_scatter(s));
             } else {
                 // The emitted body disagrees with the plan's accounting:
                 // keep the scatter and guard it instead.
@@ -604,52 +598,12 @@ impl<'a> Xform<'a> {
         region: usize,
         primal: &ParallelInfo,
         counter: &str,
-        body: Vec<Stmt>,
-        transposed_fallback: &HashSet<Name>,
+        mut body: Vec<Stmt>,
+        transposed_fallback: &FxHashSet<Name>,
     ) -> (ParallelInfo, Vec<Stmt>) {
-        // Names assigned (scalars) and referenced in the body.
-        let mut assigned_scalars: HashSet<Name> = HashSet::new();
-        let mut referenced: HashSet<Name> = HashSet::new();
-        // Primal name → adjoint name.
-        let mut incremented_adjoint_arrays: HashMap<Name, Name> = HashMap::new();
-        let mut incremented_adjoint_scalars: HashSet<Name> = HashSet::new();
+        let mut uses = NameUses::default();
         for s in &body {
-            s.walk(&mut |st| match st {
-                Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => {
-                    if let LValue::Var(v) = lhs {
-                        assigned_scalars.insert(v.clone());
-                    }
-                    if let Some(primal_name) = self.primal_of_adjoint(lhs.name()) {
-                        if st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. }) {
-                            if matches!(lhs, LValue::Index { .. }) {
-                                incremented_adjoint_arrays.insert(primal_name, lhs.name().clone());
-                            } else {
-                                incremented_adjoint_scalars.insert(lhs.name().clone());
-                            }
-                        }
-                    }
-                }
-                Stmt::For(inner) => {
-                    assigned_scalars.insert(inner.var.clone());
-                }
-                _ => {}
-            });
-            s.walk_exprs(&mut |e| {
-                if let Expr::Var(n) | Expr::Index { array: n, .. } = e {
-                    if !referenced.contains(n) {
-                        referenced.insert(n.clone());
-                    }
-                }
-            });
-            // Lvalue names too.
-            s.walk(&mut |st| match st {
-                Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs)
-                    if !referenced.contains(lhs.name()) =>
-                {
-                    referenced.insert(lhs.name().clone());
-                }
-                _ => {}
-            });
+            s.walk(&mut |st| uses.stmt(st, |n| self.primal_of_adjoint(n).is_some()));
         }
 
         let is_array = |n: &str| -> bool {
@@ -663,22 +617,15 @@ impl<'a> Xform<'a> {
             false
         };
 
-        let mut info = ParallelInfo::default();
-        let mut body = body;
-
         // Zero-init adjoints of primal-private real scalars at iteration
         // start (OpenMP privates are uninitialized).
         let mut preamble = Vec::new();
         for pvar in &primal.private {
             if let Some(b) = self.adjoint_of(pvar) {
-                if referenced.contains(&b) {
+                if uses.get(&b).referenced {
                     preamble.push(Stmt::assign(LValue::Var(b), Expr::real(0.0)));
                 }
             }
-        }
-        if !preamble.is_empty() {
-            preamble.extend(body);
-            body = preamble;
         }
 
         // An adjoint array may only be privatized by a reduction clause if
@@ -686,110 +633,73 @@ impl<'a> Xform<'a> {
         // the matching self-read): any other read would see the private
         // zero-initialized copy instead of the incoming seed values, and
         // any overwrite could not be merged. Mixed-access arrays fall back
-        // to atomics on their increments.
-        let mut reduction_eligible: HashSet<Name> = HashSet::new();
-        let mut reduction_fallback_atomic: HashSet<Name> = HashSet::new();
-        for (primal_name, bname) in &incremented_adjoint_arrays {
-            if self.opts.parallel.mode_of(region, primal_name) != IncMode::Reduction {
+        // to atomics on their increments. Each increment's rhs contains
+        // exactly one self-read; index expressions inside the lhs do not
+        // read the adjoint array.
+        let mut info = ParallelInfo::default();
+        let mut atomic_arrays: FxHashSet<Name> = FxHashSet::default();
+        for (name, u) in uses.names.iter().zip(&uses.uses) {
+            let primal_name = self.primal_of_adjoint(name);
+            let mode = |p: &Name| self.opts.parallel.mode_of(region, p);
+            let reduction = u.incremented_array
+                && primal_name
+                    .as_ref()
+                    .is_some_and(|p| mode(p) == IncMode::Reduction);
+            let reduction_eligible = u.other_writes == 0 && u.index_reads == u.inc_writes;
+            if u.incremented_array {
+                let p = primal_name
+                    .as_ref()
+                    .expect("an incremented adjoint has a primal");
+                if mode(p) == IncMode::Atomic
+                    || (reduction && !reduction_eligible)
+                    || transposed_fallback.contains(p)
+                {
+                    atomic_arrays.insert(name.clone());
+                }
+            }
+            if *name == counter {
                 continue;
             }
-            let mut total_reads = 0usize;
-            let mut self_reads = 0usize;
-            let mut non_increment_writes = 0usize;
-            for s in &body {
-                s.walk(&mut |st| {
-                    let is_inc =
-                        st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. });
-                    match st {
-                        Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. }
-                            if lhs.name() == bname =>
-                        {
-                            if is_inc {
-                                self_reads += 1;
-                            } else {
-                                non_increment_writes += 1;
-                            }
-                        }
-                        Stmt::Pop(lhs) if lhs.name() == bname => {
-                            non_increment_writes += 1;
-                        }
-                        _ => {}
-                    }
-                });
-                s.walk_exprs(&mut |e| {
-                    if let Expr::Index { array, .. } = e {
-                        if array == bname {
-                            total_reads += 1;
-                        }
-                    }
-                });
-            }
-            // Each increment's rhs contains exactly one self-read; index
-            // expressions inside the lhs do not read the adjoint array.
-            if non_increment_writes == 0 && total_reads == self_reads {
-                reduction_eligible.insert(primal_name.clone());
-            } else {
-                reduction_fallback_atomic.insert(primal_name.clone());
-            }
-        }
-
-        for name in &referenced {
-            if name == counter {
-                continue;
-            }
-            if is_array(name) {
-                let red = self
-                    .primal_of_adjoint(name)
-                    .map(|p| reduction_eligible.contains(&p))
-                    .unwrap_or(false);
-                if red {
+            if !u.referenced {
+                // Scalars that are only ever written — e.g. an inner
+                // sequential loop counter whose body never reads it —
+                // appear in no expression. They still race without a
+                // clause: privatize them.
+                if u.assigned_scalar && !is_array(name) {
+                    info.private.push(name.clone());
+                }
+            } else if is_array(name) {
+                if reduction && reduction_eligible {
                     info.reductions.push((RedOp::Add, name.clone()));
                 } else {
                     info.shared.push(name.clone());
                 }
             } else {
                 // Scalar.
-                let primal_private = primal.is_privatized(name) || {
-                    self.primal_of_adjoint(name)
-                        .map(|p| primal.is_privatized(&p))
-                        .unwrap_or(false)
-                };
-                if incremented_adjoint_scalars.contains(name) && !primal_private {
+                let primal_private = primal.is_privatized(name)
+                    || primal_name.is_some_and(|p| primal.is_privatized(&p));
+                if u.incremented_scalar && !primal_private {
                     // Shared scalar read by all threads in the primal:
                     // its adjoint accumulates across threads.
                     info.reductions.push((RedOp::Add, name.clone()));
-                } else if assigned_scalars.contains(name) {
+                } else if u.assigned_scalar {
                     info.private.push(name.clone());
                 } else {
                     info.shared.push(name.clone());
                 }
             }
         }
-        // Scalars that are only ever written — e.g. an inner sequential
-        // loop counter whose body never reads it — appear in no
-        // expression, so the `referenced` pass above misses them. They
-        // still race without a clause: privatize them.
-        for name in &assigned_scalars {
-            if name != counter && !referenced.contains(name) && !is_array(name) {
-                info.private.push(name.clone());
-            }
-        }
         info.shared.sort();
         info.private.sort();
         info.reductions.sort_by(|a, b| a.1.cmp(&b.1));
 
+        if !preamble.is_empty() {
+            preamble.extend(body);
+            body = preamble;
+        }
         // Apply atomic mode: rewrite plain increments to AtomicAdd — both
         // for arrays the plan marked Atomic and for reduction-ineligible
         // mixed-access arrays.
-        let atomic_arrays: HashSet<Name> = incremented_adjoint_arrays
-            .iter()
-            .filter(|(p, _)| {
-                self.opts.parallel.mode_of(region, p) == IncMode::Atomic
-                    || reduction_fallback_atomic.contains(*p)
-                    || transposed_fallback.contains(*p)
-            })
-            .map(|(_, b)| b.clone())
-            .collect();
         if !atomic_arrays.is_empty() {
             body = body
                 .into_iter()
@@ -800,9 +710,122 @@ impl<'a> Xform<'a> {
     }
 }
 
+/// How the body of an adjoint parallel loop uses one name.
+#[derive(Debug, Default, Clone, Copy)]
+struct Use {
+    /// Read in an expression, or written.
+    referenced: bool,
+    /// Assigned as a scalar, or an inner loop's counter.
+    assigned_scalar: bool,
+    /// An adjoint array incremented (plainly or atomically).
+    incremented_array: bool,
+    /// An adjoint scalar incremented.
+    incremented_scalar: bool,
+    /// Element reads `a(…)`, in any expression.
+    index_reads: u32,
+    /// Increments of it.
+    inc_writes: u32,
+    /// Other writes of it: assignments and pops.
+    other_writes: u32,
+}
+
+/// The names of a statement list, numbered as first met, with their uses:
+/// what [`Xform::parallel_adjoint_pragma`] reads off the body in one walk.
+#[derive(Default)]
+struct NameUses {
+    index: FxHashMap<Name, u32>,
+    by_alloc: ByAlloc<u32>,
+    names: Vec<Name>,
+    uses: Vec<Use>,
+}
+
+impl NameUses {
+    fn of(&mut self, n: &Name) -> &mut Use {
+        let NameUses {
+            index,
+            by_alloc,
+            names,
+            uses,
+        } = self;
+        let k = by_alloc.get(n, || {
+            *index.entry(n.clone()).or_insert_with(|| {
+                names.push(n.clone());
+                uses.push(Use::default());
+                (names.len() - 1) as u32
+            })
+        });
+        &mut uses[k as usize]
+    }
+
+    /// The uses of `n`; none if the body never mentions it.
+    fn get(&self, n: &Name) -> Use {
+        self.index
+            .get(n)
+            .map_or_else(Use::default, |&k| self.uses[k as usize])
+    }
+
+    fn reads(&mut self, e: &Expr) {
+        e.walk(&mut |sub| match sub {
+            Expr::Var(n) => self.of(n).referenced = true,
+            Expr::Index { array, .. } => {
+                let u = self.of(array);
+                u.referenced = true;
+                u.index_reads += 1;
+            }
+            _ => {}
+        });
+    }
+
+    /// One statement's own expressions and lvalue (not its nested
+    /// statements). `is_adjoint` tells adjoint names.
+    fn stmt(&mut self, st: &Stmt, is_adjoint: impl Fn(&str) -> bool) {
+        let lhs = match st {
+            Stmt::Assign { lhs, rhs } | Stmt::AtomicAdd { lhs, rhs } => {
+                lhs.indices().iter().for_each(|ix| self.reads(ix));
+                self.reads(rhs);
+                lhs
+            }
+            Stmt::Pop(lhs) => {
+                lhs.indices().iter().for_each(|ix| self.reads(ix));
+                lhs
+            }
+            Stmt::If { cond, .. } => {
+                cond.walk_exprs(&mut |e| self.reads(e));
+                return;
+            }
+            Stmt::For(l) => {
+                for e in [&l.lo, &l.hi, &l.step] {
+                    self.reads(e);
+                }
+                self.of(&l.var).assigned_scalar = true;
+                return;
+            }
+            Stmt::Push(e) => {
+                self.reads(e);
+                return;
+            }
+        };
+        let increment = st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. });
+        let scalar = matches!(lhs, LValue::Var(_));
+        let adjoint = is_adjoint(lhs.name());
+        let u = self.of(lhs.name());
+        u.referenced = true;
+        u.assigned_scalar |= scalar;
+        if increment {
+            u.inc_writes += 1;
+            if adjoint {
+                u.incremented_array |= !scalar;
+                u.incremented_scalar |= scalar;
+            }
+        } else {
+            u.other_writes += 1;
+        }
+    }
+}
+
 /// Rewrite increments to the given adjoint arrays as atomic updates,
 /// recursively through control flow.
-fn apply_atomic(s: Stmt, arrays: &HashSet<Name>) -> Stmt {
+fn apply_atomic(s: Stmt, arrays: &FxHashSet<Name>) -> Stmt {
     match s {
         Stmt::Assign { .. } => {
             let guarded = s.increment_parts().is_some_and(|(lhs, _)| {

@@ -21,19 +21,25 @@
 //! reversed loop requires that no adjoint *finalization* (`yb(w) = 0` or a
 //! scaled self-seed) aliases a gathered seed location — neither across
 //! iterations nor from a later statement of the same iteration. The plan
-//! does **not** decide this itself: it records the exact index pairs that
-//! must be shown disjoint ([`TransposePlan::cross_iter`] /
-//! [`TransposePlan::same_iter`]) so the caller can discharge them with the
-//! SMT machinery, plus a conservative structural verdict
-//! ([`TransposePlan::forced_safe`]) for uniform forced mode where no
-//! prover is in the loop.
+//! does **not** decide this itself: it lists the exact index pairs that
+//! must be shown disjoint ([`TransposePlan::obligations`]) so the caller
+//! can discharge them with the SMT machinery, and gives a conservative
+//! structural verdict ([`TransposePlan::forced_safe`]) for uniform forced
+//! mode where no prover is in the loop.
+//!
+//! [`plan_transpose`] does what every caller needs — the shape checks,
+//! the contributions and the layout of the gather loops, whose count the
+//! report states — and the plan builds the rest on request: the region
+//! prover reads the obligations, forced mode the structural verdict, and
+//! the AD transform the gather loops.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use formad_ir::{
-    expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, LValue, Name, ParallelInfo, Program,
-    Stmt, Ty, UnOp,
+    expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, FxHashSet, LValue, Name, ParallelInfo,
+    Program, Stmt, Ty, UnOp,
 };
 
 use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
@@ -60,8 +66,9 @@ pub struct Aff {
 }
 
 impl Aff {
-    /// Canonical rendering of the symbolic part, used to group
-    /// contributions whose maps differ only in the literal offset.
+    /// Canonical rendering of the symbolic part. Two decompositions with
+    /// the same symbolic part ([`Aff::same_syms`]) render alike; the
+    /// rendering orders the gather loops of different ones.
     pub fn sym_key(&self) -> String {
         let mut parts: Vec<String> = self
             .syms
@@ -76,6 +83,27 @@ impl Aff {
             .collect();
         parts.sort();
         parts.join("|")
+    }
+
+    /// True if both symbolic parts hold the same signed terms, in any
+    /// order: the maps differ at most in the literal offset.
+    pub fn same_syms(&self, other: &Aff) -> bool {
+        let count = |syms: &[(i64, Expr)], t: &(i64, Expr)| syms.iter().filter(|u| *u == t).count();
+        self.syms.len() == other.syms.len()
+            && self
+                .syms
+                .iter()
+                .all(|t| count(&self.syms, t) == count(&other.syms, t))
+    }
+
+    /// Order of symbolic parts: by [`Aff::sym_key`], rendered only when
+    /// the parts differ.
+    fn cmp_syms(&self, other: &Aff) -> Ordering {
+        if self.same_syms(other) {
+            Ordering::Equal
+        } else {
+            self.sym_key().cmp(&other.sym_key())
+        }
     }
 }
 
@@ -150,6 +178,16 @@ pub struct ObligationPair {
     pub write: Vec<Expr>,
 }
 
+/// What a gather needs shown before it may replace the scatter.
+#[derive(Debug, Clone, Default)]
+pub struct Obligations {
+    /// Seed-read vs finalization pairs at *different* iterations.
+    pub cross_iter: Vec<ObligationPair>,
+    /// Seed-read (statement s) vs finalization (statement s' > s) pairs at
+    /// the *same* iteration.
+    pub same_iter: Vec<ObligationPair>,
+}
+
 /// One adjoint increment to be replaced by a gather iteration.
 #[derive(Debug, Clone)]
 struct Contribution {
@@ -157,8 +195,26 @@ struct Contribution {
     aff: Aff,
     /// Increment value `e(i)` in terms of the primal counter.
     value: Expr,
-    /// Position among all contributions (for deterministic emission).
-    order: usize,
+}
+
+/// One gather loop: contributions with one inverse map up to a literal
+/// shift, whose offsets lie in `d_min..=d_max`.
+#[derive(Debug, Clone)]
+struct Cluster {
+    coef: i64,
+    d_min: i64,
+    d_max: i64,
+    /// Indices into the contributions, in emission order.
+    members: Vec<usize>,
+}
+
+/// A seed read or a finalizing write of a seed array's adjoint at one
+/// top-level statement; `site` numbers the distinct (array, index)
+/// locations, so equal ids mean equal index expressions.
+#[derive(Debug, Clone)]
+struct Access {
+    stmt: usize,
+    site: usize,
 }
 
 /// Result of planning the scatter-to-gather inversion for one array in one
@@ -169,22 +225,22 @@ pub struct TransposePlan {
     pub array: Name,
     /// Its adjoint name.
     pub adjoint: Name,
-    /// Replacement gather loops, to run *before* the residual reversed
-    /// loop (they read region-entry seed adjoint values).
-    pub gather_loops: Vec<Stmt>,
     /// Number of adjoint increments the gather loops replace; the emitter
     /// must remove exactly this many from the backward body.
     pub contributions: usize,
-    /// Seed arrays whose adjoints the gather reads.
-    pub seed_arrays: Vec<Name>,
-    /// Seed-read vs finalization pairs at *different* iterations.
-    pub cross_iter: Vec<ObligationPair>,
-    /// Seed-read (statement s) vs finalization (statement s' > s) pairs at
-    /// the *same* iteration.
-    pub same_iter: Vec<ObligationPair>,
-    /// Conservative structural proof that every obligation pair is
-    /// disjoint — the only evidence available under forced uniform mode.
-    pub forced_safe: bool,
+    /// The primal loop's counter, bounds and literal step.
+    var: Name,
+    lo: Expr,
+    last: Expr,
+    step: i64,
+    contribs: Vec<Contribution>,
+    clusters: Vec<Cluster>,
+    /// The distinct (seed array, rank-1 index) locations.
+    sites: Vec<(Name, Expr)>,
+    /// Seed reads, in statement order.
+    seeds: Vec<Access>,
+    /// Finalizing writes, in statement order.
+    finalizations: Vec<Access>,
 }
 
 /// What [`plan_transpose`] reads off a region body regardless of the
@@ -192,17 +248,17 @@ pub struct TransposePlan {
 #[derive(Debug)]
 pub struct RegionWrites {
     /// Arrays written anywhere in the region.
-    written_arrays: HashSet<Name>,
+    written_arrays: FxHashSet<Name>,
     /// Scalars assigned anywhere in the region, inner loop counters
     /// included.
-    assigned_scalars: HashSet<Name>,
+    assigned_scalars: FxHashSet<Name>,
 }
 
 impl RegionWrites {
     /// Scan the body of the parallel loop `l`.
     pub fn scan(l: &ForLoop) -> RegionWrites {
-        let mut written_arrays: HashSet<Name> = HashSet::new();
-        let mut assigned_scalars: HashSet<Name> = HashSet::new();
+        let mut written_arrays: FxHashSet<Name> = FxHashSet::default();
+        let mut assigned_scalars: FxHashSet<Name> = FxHashSet::default();
         for s in &l.body {
             s.walk(&mut |st| match st {
                 Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs) => {
@@ -231,8 +287,9 @@ impl RegionWrites {
 /// of `prog`, whose body scan is `writes`. `is_active` tells which primal
 /// names carry adjoints (an assignment to an inactive lvalue emits no
 /// adjoint and contributes no scatter). Returns a human-readable refusal
-/// reason when the region shape is not invertible; proving the recorded
-/// obligation pairs is the caller's job.
+/// reason when the region shape is not invertible or the gather would
+/// need too many loops; proving the plan's obligations is the caller's
+/// job.
 pub fn plan_transpose(
     prog: &Program,
     l: &ForLoop,
@@ -378,15 +435,33 @@ pub fn plan_transpose(
     let ctx = AdjCtx {
         adjoint_of: &|n: &str| (n == array).then(|| adjoint.clone()),
     };
-    let mut contributions: Vec<Contribution> = Vec::new();
-    // (contribution index ranges, seed index, stmt idx) per statement, for
-    // the obligation pairs below.
-    let mut stmt_seeds: Vec<(usize, Name, Expr)> = Vec::new();
+    let mut contribs: Vec<Contribution> = Vec::new();
+    // Seed reads and finalizations name their (array, index) location by
+    // a site id, so the obligation pairs below dedup on integers.
+    let mut sites: Vec<(Name, Expr)> = Vec::new();
+    let mut site_of = |y: &Name, e: &Expr| match sites.iter().position(|(a, ix)| a == y && ix == e)
+    {
+        Some(k) => k,
+        None => {
+            sites.push((y.clone(), e.clone()));
+            sites.len() - 1
+        }
+    };
+    let mut seeds: Vec<Access> = Vec::new();
+    let mut seed_adjoints: Vec<(&Name, Name)> = Vec::new();
     for (idx, lhs, rhs) in &contributing {
         let LValue::Index { array: y, indices } = lhs else {
             unreachable!()
         };
-        let seed = Expr::index(format!("{y}{suffix}"), indices.clone());
+        let yb = match seed_adjoints.iter().find(|(a, _)| *a == y) {
+            Some((_, yb)) => yb.clone(),
+            None => {
+                let yb = Name::from(format!("{y}{suffix}"));
+                seed_adjoints.push((y, yb.clone()));
+                yb
+            }
+        };
+        let seed = Expr::index(yb, indices.clone());
         let adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
         for inc in &adj.increments {
             let Some((inc_lhs, value)) = inc.increment_parts() else {
@@ -443,114 +518,301 @@ pub fn plan_transpose(
                     aff.coef
                 ));
             }
-            contributions.push(Contribution {
+            contribs.push(Contribution {
                 aff,
                 value: value.clone(),
-                order: contributions.len(),
             });
         }
         if !adj.increments.is_empty() {
-            stmt_seeds.push((*idx, y.clone(), indices[0].clone()));
+            seeds.push(Access {
+                stmt: *idx,
+                site: site_of(y, &indices[0]),
+            });
         }
     }
-    if contributions.is_empty() {
+    if contribs.is_empty() {
         return Err(format!("no adjoint scatter into `{adjoint}` to invert"));
+    }
+    let clusters = cluster(&contribs, step);
+    if clusters.len() > MAX_GATHER_LOOPS {
+        return Err(format!(
+            "gather would need {} loops (cap {MAX_GATHER_LOOPS})",
+            clusters.len()
+        ));
     }
 
     // Adjoint finalizations per seed array: every top-level write that is
     // not an exact increment zeroes (or rescales) `yb(w)` in the backward
     // sweep. Exact increments finalize nothing (paper §5.4).
-    let mut finalizations: Vec<(usize, Name, Expr)> = Vec::new();
+    let mut finalizations: Vec<Access> = Vec::new();
     for (idx, s) in l.body.iter().enumerate() {
         if let Stmt::Assign { lhs, .. } = s {
             let y = lhs.name();
             if seed_set.contains(y) && is_active(y) && s.increment_parts().is_none() {
-                finalizations.push((idx, y.clone(), lhs.indices()[0].clone()));
-            }
-        }
-    }
-
-    let mut cross_iter: Vec<ObligationPair> = Vec::new();
-    let mut same_iter: Vec<ObligationPair> = Vec::new();
-    // Pairs are distinct by (array, printed seed, printed write) — `Expr`
-    // is not `Hash`. Each index is printed once, not once per pair.
-    let mut printed: HashMap<String, usize> = HashMap::new();
-    let mut print_id = |e: &Expr| {
-        let next = printed.len();
-        *printed.entry(expr_to_string(e)).or_insert(next)
-    };
-    let seed_ids: Vec<usize> = stmt_seeds.iter().map(|(_, _, e)| print_id(e)).collect();
-    let write_ids: Vec<usize> = finalizations.iter().map(|(_, _, e)| print_id(e)).collect();
-    let mut seen_cross: HashSet<(&str, usize, usize)> = HashSet::new();
-    let mut seen_same: HashSet<(&str, usize, usize)> = HashSet::new();
-    for ((sidx, y, seed), seed_id) in stmt_seeds.iter().zip(seed_ids) {
-        for ((fidx, fy, w), &write_id) in finalizations.iter().zip(&write_ids) {
-            if y != fy {
-                continue;
-            }
-            let key = (y.as_str(), seed_id, write_id);
-            if seen_cross.insert(key) {
-                cross_iter.push(ObligationPair {
-                    array: y.clone(),
-                    seed: vec![seed.clone()],
-                    write: vec![w.clone()],
-                });
-            }
-            if fidx > sidx && seen_same.insert(key) {
-                same_iter.push(ObligationPair {
-                    array: y.clone(),
-                    seed: vec![seed.clone()],
-                    write: vec![w.clone()],
+                finalizations.push(Access {
+                    stmt: idx,
+                    site: site_of(y, &lhs.indices()[0]),
                 });
             }
         }
     }
-
-    // Structural disjointness for forced uniform mode (no prover): both
-    // sides must decompose affinely with matching counter coefficient and
-    // symbolic part, leaving a literal separation argument.
-    let pair_affs = |p: &ObligationPair| -> Option<(Aff, Aff)> {
-        let a = affine_in(&p.seed[0], &l.var)?;
-        let b = affine_in(&p.write[0], &l.var)?;
-        (a.coef == b.coef && a.coef.abs() == 1 && a.sym_key() == b.sym_key()).then_some((a, b))
-    };
-    let mut forced_safe = true;
-    for p in &cross_iter {
-        // Alias across iterations needs coef·(i−i') = lit_w − lit_s with
-        // i−i' a nonzero multiple of the step.
-        match pair_affs(p) {
-            Some((a, b)) => {
-                let diff = b.lit - a.lit;
-                if diff != 0 && (step == 1 || diff % step == 0) {
-                    forced_safe = false;
-                }
-            }
-            None => forced_safe = false,
-        }
-    }
-    for p in &same_iter {
-        match pair_affs(p) {
-            Some((a, b)) => {
-                if a.lit == b.lit {
-                    forced_safe = false;
-                }
-            }
-            None => forced_safe = false,
-        }
-    }
-
-    let gather_loops = build_gather_loops(l, &adjoint, &contributions, step)?;
 
     Ok(TransposePlan {
         array: array.into(),
         adjoint,
-        gather_loops,
-        contributions: contributions.len(),
-        seed_arrays: seed_set.into_iter().collect(),
-        cross_iter,
-        same_iter,
-        forced_safe,
+        contributions: contribs.len(),
+        var: l.var.clone(),
+        lo: l.lo.clone(),
+        last: last_iterate(l, step),
+        step,
+        contribs,
+        clusters,
+        sites,
+        seeds,
+        finalizations,
     })
+}
+
+/// Lay the contributions out in gather loops. They are grouped by
+/// (counter coefficient, symbolic part, offset residue) — members of a
+/// group share one inverse map up to a literal shift, so they can share a
+/// gather loop grid — and nearby literal offsets of a group share a loop.
+fn cluster(contribs: &[Contribution], step: i64) -> Vec<Cluster> {
+    // (residue, members) per group, in first-appearance order.
+    let mut groups: Vec<(i64, Vec<usize>)> = Vec::new();
+    for (k, c) in contribs.iter().enumerate() {
+        let res = c.aff.lit.rem_euclid(step);
+        let same = |(r, members): &&mut (i64, Vec<usize>)| {
+            let rep = &contribs[members[0]].aff;
+            *r == res && rep.coef == c.aff.coef && rep.same_syms(&c.aff)
+        };
+        match groups.iter_mut().find(same) {
+            Some((_, members)) => members.push(k),
+            None => groups.push((res, vec![k])),
+        }
+    }
+    groups.sort_by(|(ra, a), (rb, b)| {
+        let (a, b) = (&contribs[a[0]].aff, &contribs[b[0]].aff);
+        a.coef
+            .cmp(&b.coef)
+            .then_with(|| a.cmp_syms(b))
+            .then(ra.cmp(rb))
+    });
+
+    let mut clusters = Vec::new();
+    for (_, members) in groups {
+        let coef = contribs[members[0]].aff.coef;
+        let mut lits: Vec<i64> = members.iter().map(|&k| contribs[k].aff.lit).collect();
+        lits.sort_unstable();
+        lits.dedup();
+        let mut bands: Vec<(i64, i64)> = Vec::new();
+        for &d in &lits {
+            match bands.last_mut() {
+                Some((_, hi)) if d - *hi <= CLUSTER_GAP => *hi = d,
+                _ => bands.push((d, d)),
+            }
+        }
+        for (d_min, d_max) in bands {
+            clusters.push(Cluster {
+                coef,
+                d_min,
+                d_max,
+                // `members` is ascending, which is emission order.
+                members: members
+                    .iter()
+                    .copied()
+                    .filter(|&k| (d_min..=d_max).contains(&contribs[k].aff.lit))
+                    .collect(),
+            });
+        }
+    }
+    clusters
+}
+
+impl TransposePlan {
+    /// Number of gather loops [`TransposePlan::gather_loops`] builds.
+    pub fn gather_loop_count(&self) -> usize {
+        self.clusters.len()
+    }
+
+    /// Visit every distinct (seed read, finalizing write) pair of one seed
+    /// array: `same` is false for the cross-iteration family and true for
+    /// the same-iteration one (the write in a later statement). Each
+    /// family is deduplicated by site ids and visited in statement order.
+    fn pairs(&self, mut visit: impl FnMut(bool, usize, usize)) {
+        let n = self.sites.len();
+        let mut seen = vec![[false; 2]; n * n];
+        for s in &self.seeds {
+            for w in &self.finalizations {
+                if self.sites[s.site].0 != self.sites[w.site].0 {
+                    continue;
+                }
+                let seen = &mut seen[s.site * n + w.site];
+                if !seen[0] {
+                    seen[0] = true;
+                    visit(false, s.site, w.site);
+                }
+                if w.stmt > s.stmt && !seen[1] {
+                    seen[1] = true;
+                    visit(true, s.site, w.site);
+                }
+            }
+        }
+    }
+
+    /// The index pairs that must be shown disjoint before the gather may
+    /// replace the scatter.
+    pub fn obligations(&self) -> Obligations {
+        let mut out = Obligations::default();
+        self.pairs(|same, s, w| {
+            let pair = ObligationPair {
+                array: self.sites[s].0.clone(),
+                seed: vec![self.sites[s].1.clone()],
+                write: vec![self.sites[w].1.clone()],
+            };
+            if same {
+                out.same_iter.push(pair);
+            } else {
+                out.cross_iter.push(pair);
+            }
+        });
+        out
+    }
+
+    /// Conservative structural proof that every obligation pair is
+    /// disjoint — the only evidence available under forced uniform mode.
+    /// Both sides must decompose affinely with matching counter
+    /// coefficient and symbolic part, leaving a literal separation
+    /// argument.
+    pub fn forced_safe(&self) -> bool {
+        let affs: Vec<Option<Aff>> = self
+            .sites
+            .iter()
+            .map(|(_, e)| affine_in(e, &self.var))
+            .collect();
+        let mut safe = true;
+        self.pairs(|same, s, w| {
+            let (Some(a), Some(b)) = (&affs[s], &affs[w]) else {
+                safe = false;
+                return;
+            };
+            if a.coef != b.coef || a.coef.abs() != 1 || !a.same_syms(b) {
+                safe = false;
+            } else if same {
+                safe &= a.lit != b.lit;
+            } else {
+                // Alias across iterations needs coef·(i−i') = lit_w − lit_s
+                // with i−i' a nonzero multiple of the step.
+                let diff = b.lit - a.lit;
+                safe &= diff == 0 || (self.step != 1 && diff % self.step != 0);
+            }
+        });
+        safe
+    }
+
+    /// The gather loops, to run *before* the residual reversed loop (they
+    /// read region-entry seed adjoint values).
+    pub fn gather_loops(&self) -> Vec<Stmt> {
+        let own: Arc<[Expr]> = [Expr::var(&self.var)].into();
+        self.clusters
+            .iter()
+            .map(|c| self.gather_loop(c, &own))
+            .collect()
+    }
+
+    /// The loop of one cluster; `own` is the element an iteration owns,
+    /// `[i]`.
+    fn gather_loop(&self, cl: &Cluster, own: &Arc<[Expr]>) -> Stmt {
+        let (var, lo, last) = (&self.var, &self.lo, &self.last);
+        let (coef, d_min, d_max) = (cl.coef, cl.d_min, cl.d_max);
+        let syms = &self.contribs[cl.members[0]].aff.syms;
+        // The write band of offset `d`, where `coef·i_old + S + d` lands:
+        // its first and its last element.
+        let first = |d: i64| match coef {
+            1 => add_lit(add_syms(lo.clone(), syms), d),
+            _ => fold_sub(syms_plus_lit(syms, d), last.clone()),
+        };
+        let end = |d: i64| match coef {
+            1 => add_lit(add_syms(last.clone(), syms), d),
+            _ => fold_sub(syms_plus_lit(syms, d), lo.clone()),
+        };
+
+        let mut body: Vec<Stmt> = Vec::new();
+        for &k in &cl.members {
+            let c = &self.contribs[k];
+            let d = c.aff.lit;
+            // Invert coef·i_old + S + d = i_new for i_old.
+            let inverse = if coef == 1 {
+                add_lit(sub_syms(Expr::var(var), syms), -d)
+            } else {
+                fold_sub(syms_plus_lit(syms, d), Expr::var(var))
+            };
+            // `value` with the counter replaced by the inverse, and the
+            // literal chains that leaves folded, in one rebuild.
+            let inverse = inverse.map(&mut fold_lits);
+            let value = c.value.map(&mut |e| match e {
+                Expr::Var(n) if n == var => Some(inverse.clone()),
+                _ => fold_lits(e),
+            });
+            let inc = Stmt::increment(LValue::index(&self.adjoint, own.clone()), value);
+            // One-sided edge guards: only needed where the member's own
+            // band is narrower than the cluster's.
+            let mut guards: Vec<BoolExpr> = Vec::new();
+            if d > d_min {
+                guards.push(BoolExpr::cmp(CmpOp::Ge, Expr::var(var), first(d)));
+            }
+            if d < d_max {
+                guards.push(BoolExpr::cmp(CmpOp::Le, Expr::var(var), end(d)));
+            }
+            body.push(match guards.len() {
+                0 => inc,
+                1 => Stmt::If {
+                    cond: guards.pop().unwrap(),
+                    then_body: vec![inc],
+                    else_body: Vec::new(),
+                },
+                _ => {
+                    let hi_g = guards.pop().unwrap();
+                    let lo_g = guards.pop().unwrap();
+                    Stmt::If {
+                        cond: BoolExpr::And(lo_g.into(), hi_g.into()),
+                        then_body: vec![inc],
+                        else_body: Vec::new(),
+                    }
+                }
+            });
+        }
+
+        // Each iteration writes only its own element: plain shared
+        // increments are race-free by construction.
+        let mut referenced: BTreeSet<Name> = BTreeSet::new();
+        for s in &body {
+            s.walk_exprs(&mut |e| match e {
+                Expr::Var(n) => {
+                    referenced.insert(n.clone());
+                }
+                Expr::Index { array, .. } => {
+                    referenced.insert(array.clone());
+                }
+                _ => {}
+            });
+        }
+        referenced.remove(var);
+        let info = ParallelInfo {
+            shared: referenced.into_iter().collect(),
+            private: Vec::new(),
+            reductions: Vec::new(),
+        };
+        // Loop bounds covering the union of the members' write bands.
+        Stmt::For(Box::new(ForLoop {
+            var: var.clone(),
+            lo: first(d_min),
+            hi: end(d_max),
+            step: Expr::IntLit(self.step),
+            body,
+            parallel: Some(info),
+        }))
+    }
 }
 
 /// Fold-adding a literal to an expression.
@@ -603,62 +865,42 @@ fn syms_plus_lit(syms: &[(i64, Expr)], k: i64) -> Expr {
     }
 }
 
-/// Recursively fold integer-literal `+`/`−` chains (`i + 6 - 6` → `i`).
-/// The inverse-map substitution stacks the gather shift on top of the
-/// seed's own literal offset; a compiler folds the leftover arithmetic
-/// for free, but the interpreted backends would pay it on every gather
-/// element.
-fn fold_lit_chain(e: Expr) -> Expr {
-    let fold = |e: Arc<Expr>| fold_lit_chain(Arc::unwrap_or_clone(e));
-    let fold_all = |es: Arc<[Expr]>| es.iter().cloned().map(fold_lit_chain).collect();
-    match e {
-        Expr::Unary { op, arg } => Expr::Unary {
-            op,
-            arg: fold(arg).into(),
-        },
-        Expr::Call { func, args } => Expr::Call {
-            func,
-            args: fold_all(args),
-        },
-        Expr::Index { array, indices } => Expr::Index {
-            array,
-            indices: fold_all(indices),
-        },
-        Expr::Binary { op, lhs, rhs } if matches!(op, BinOp::Add | BinOp::Sub) => {
-            match (fold(lhs), fold(rhs)) {
-                (Expr::IntLit(a), Expr::IntLit(b)) => {
-                    Expr::IntLit(if op == BinOp::Add { a + b } else { a - b })
-                }
-                (l, Expr::IntLit(b)) => {
-                    let k = if op == BinOp::Add { b } else { -b };
-                    // Pull a literal off the left spine: `(x ± a) ± b`.
-                    match l {
-                        Expr::Binary {
-                            op: inner,
-                            lhs: x,
-                            rhs: ir,
-                        } if matches!(inner, BinOp::Add | BinOp::Sub) => match *ir {
-                            Expr::IntLit(a) => {
-                                let a = if inner == BinOp::Add { a } else { -a };
-                                add_lit(Arc::unwrap_or_clone(x), a + k)
-                            }
-                            _ => add_lit(
-                                Expr::Binary {
-                                    op: inner,
-                                    lhs: x,
-                                    rhs: ir,
-                                },
-                                k,
-                            ),
-                        },
-                        l => add_lit(l, k),
-                    }
-                }
-                (l, r) => Expr::binary(op, l, r),
-            }
+/// One step of folding integer-literal `+`/`−` chains (`i + 6 - 6` → `i`),
+/// for [`Expr::map`], which applies it bottom-up. The inverse-map
+/// substitution stacks the gather shift on top of the seed's own literal
+/// offset; a compiler folds the leftover arithmetic for free, but the
+/// interpreted backends would pay it on every gather element. `None`
+/// where the node is already folded.
+fn fold_lits(e: &Expr) -> Option<Expr> {
+    let Expr::Binary {
+        op: op @ (BinOp::Add | BinOp::Sub),
+        lhs,
+        rhs,
+    } = e
+    else {
+        return None;
+    };
+    let Expr::IntLit(b) = **rhs else {
+        return None;
+    };
+    let k = if *op == BinOp::Add { b } else { -b };
+    match &**lhs {
+        Expr::IntLit(a) => Some(Expr::IntLit(a + k)),
+        // Pull a literal off the left spine: `(x ± a) ± b`.
+        Expr::Binary {
+            op: inner @ (BinOp::Add | BinOp::Sub),
+            lhs: x,
+            rhs: ir,
+        } if matches!(**ir, Expr::IntLit(_)) => {
+            let Expr::IntLit(a) = **ir else {
+                unreachable!()
+            };
+            let a = if *inner == BinOp::Add { a } else { -a };
+            Some(add_lit((**x).clone(), a + k))
         }
-        Expr::Binary { op, lhs, rhs } => Expr::binary(op, fold(lhs), fold(rhs)),
-        other => other,
+        // `l + b` and `l - b` with `b > 0` are what `add_lit` builds.
+        _ if b > 0 => None,
+        l => Some(add_lit(l.clone(), k)),
     }
 }
 
@@ -680,153 +922,6 @@ fn last_iterate(l: &ForLoop, step: i64) -> Expr {
         l.lo.clone()
             + Expr::binary(BinOp::Div, l.hi.clone() - l.lo.clone(), l.step.clone()) * l.step.clone()
     }
-}
-
-fn build_gather_loops(
-    l: &ForLoop,
-    adjoint: &Name,
-    contributions: &[Contribution],
-    step: i64,
-) -> Result<Vec<Stmt>, String> {
-    let last = last_iterate(l, step);
-
-    // Group by (counter coefficient, symbolic part, offset residue):
-    // members of a group share one inverse map up to a literal shift, so
-    // they can share a gather loop grid.
-    let mut groups: BTreeMap<(i64, String, i64), Vec<usize>> = BTreeMap::new();
-    for (k, c) in contributions.iter().enumerate() {
-        let key = (c.aff.coef, c.aff.sym_key(), c.aff.lit.rem_euclid(step));
-        groups.entry(key).or_default().push(k);
-    }
-
-    let mut loops: Vec<Stmt> = Vec::new();
-    for ((coef, _symkey, _res), members) in &groups {
-        // Cluster nearby literal offsets into shared loops.
-        let mut lits: Vec<i64> = members.iter().map(|&k| contributions[k].aff.lit).collect();
-        lits.sort_unstable();
-        lits.dedup();
-        let mut clusters: Vec<(i64, i64)> = Vec::new();
-        for &d in &lits {
-            match clusters.last_mut() {
-                Some((_, hi)) if d - *hi <= CLUSTER_GAP => *hi = d,
-                _ => clusters.push((d, d)),
-            }
-        }
-
-        for (d_min, d_max) in clusters {
-            let mut cluster_members: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|&k| {
-                    let d = contributions[k].aff.lit;
-                    d >= d_min && d <= d_max
-                })
-                .collect();
-            cluster_members.sort_by_key(|&k| contributions[k].order);
-            let syms = &contributions[cluster_members[0]].aff.syms;
-
-            // Loop bounds covering the union of the members' write bands.
-            let (start, end) = if *coef == 1 {
-                (
-                    add_lit(add_syms(l.lo.clone(), syms), d_min),
-                    add_lit(add_syms(last.clone(), syms), d_max),
-                )
-            } else {
-                (
-                    fold_sub(syms_plus_lit(syms, d_min), last.clone()),
-                    fold_sub(syms_plus_lit(syms, d_max), l.lo.clone()),
-                )
-            };
-
-            let mut body: Vec<Stmt> = Vec::new();
-            for &k in &cluster_members {
-                let c = &contributions[k];
-                let d = c.aff.lit;
-                // Invert coef·i_old + S + d = i_new for i_old.
-                let inverse = if *coef == 1 {
-                    add_lit(sub_syms(Expr::var(&l.var), syms), -d)
-                } else {
-                    fold_sub(syms_plus_lit(syms, d), Expr::var(&l.var))
-                };
-                let value = fold_lit_chain(c.value.subst_var(&l.var, &inverse));
-                let inc = Stmt::increment(LValue::index(adjoint, [Expr::var(&l.var)]), value);
-                // One-sided edge guards: only needed where the member's
-                // own band is narrower than the cluster's.
-                let (lo_bound, hi_bound) = if *coef == 1 {
-                    (
-                        add_lit(add_syms(l.lo.clone(), syms), d),
-                        add_lit(add_syms(last.clone(), syms), d),
-                    )
-                } else {
-                    (
-                        fold_sub(syms_plus_lit(syms, d), last.clone()),
-                        fold_sub(syms_plus_lit(syms, d), l.lo.clone()),
-                    )
-                };
-                let mut guards: Vec<BoolExpr> = Vec::new();
-                if d > d_min {
-                    guards.push(BoolExpr::cmp(CmpOp::Ge, Expr::var(&l.var), lo_bound));
-                }
-                if d < d_max {
-                    guards.push(BoolExpr::cmp(CmpOp::Le, Expr::var(&l.var), hi_bound));
-                }
-                body.push(match guards.len() {
-                    0 => inc,
-                    1 => Stmt::If {
-                        cond: guards.pop().unwrap(),
-                        then_body: vec![inc],
-                        else_body: Vec::new(),
-                    },
-                    _ => {
-                        let hi_g = guards.pop().unwrap();
-                        let lo_g = guards.pop().unwrap();
-                        Stmt::If {
-                            cond: BoolExpr::And(lo_g.into(), hi_g.into()),
-                            then_body: vec![inc],
-                            else_body: Vec::new(),
-                        }
-                    }
-                });
-            }
-
-            // Each iteration writes only its own element: plain shared
-            // increments are race-free by construction.
-            let mut referenced: BTreeSet<Name> = BTreeSet::new();
-            for s in &body {
-                s.walk_exprs(&mut |e| match e {
-                    Expr::Var(n) => {
-                        referenced.insert(n.clone());
-                    }
-                    Expr::Index { array, .. } => {
-                        referenced.insert(array.clone());
-                    }
-                    _ => {}
-                });
-            }
-            referenced.remove(&l.var);
-            let info = ParallelInfo {
-                shared: referenced.into_iter().collect(),
-                private: Vec::new(),
-                reductions: Vec::new(),
-            };
-            loops.push(Stmt::For(Box::new(ForLoop {
-                var: l.var.clone(),
-                lo: start,
-                hi: end,
-                step: Expr::IntLit(step),
-                body,
-                parallel: Some(info),
-            })));
-        }
-    }
-
-    if loops.len() > MAX_GATHER_LOOPS {
-        return Err(format!(
-            "gather would need {} loops (cap {MAX_GATHER_LOOPS})",
-            loops.len()
-        ));
-    }
-    Ok(loops)
 }
 
 #[cfg(test)]
@@ -867,11 +962,12 @@ end subroutine
     fn exact_increment_seed_gathers_without_guards() {
         let p = plan(SHIFT, "x").unwrap();
         assert_eq!(p.contributions, 1);
-        assert_eq!(p.gather_loops.len(), 1);
+        assert_eq!(p.gather_loop_count(), 1);
         // No finalizations: trivially safe even without a prover.
-        assert!(p.cross_iter.is_empty() && p.same_iter.is_empty());
-        assert!(p.forced_safe);
-        let text = body_text(&p.gather_loops);
+        let ob = p.obligations();
+        assert!(ob.cross_iter.is_empty() && ob.same_iter.is_empty());
+        assert!(p.forced_safe());
+        let text = body_text(&p.gather_loops());
         assert!(text.contains("do i = 2, n + 1"), "{text}");
         assert!(text.contains("xb(i) = xb(i) + yb(i - 1)"), "{text}");
         assert!(!text.contains("if"), "{text}");
@@ -893,14 +989,15 @@ end subroutine
 "#;
         let p = plan(src, "x").unwrap();
         assert_eq!(p.contributions, 2);
-        assert_eq!(p.gather_loops.len(), 1, "offsets 0 and 2 share a loop");
+        assert_eq!(p.gather_loop_count(), 1, "offsets 0 and 2 share a loop");
         // Overwrite of y finalizes yb(i); seed reads yb(i) at the same
         // location but only at the same (s, s) — no later statement, and
         // cross-iteration the offsets match, so structurally safe.
-        assert_eq!(p.cross_iter.len(), 1);
-        assert!(p.same_iter.is_empty());
-        assert!(p.forced_safe);
-        let text = body_text(&p.gather_loops);
+        let ob = p.obligations();
+        assert_eq!(ob.cross_iter.len(), 1);
+        assert!(ob.same_iter.is_empty());
+        assert!(p.forced_safe());
+        let text = body_text(&p.gather_loops());
         assert!(text.contains("do i = 1, n + 2"), "{text}");
         assert!(text.contains("if (i .le. n) then"), "{text}");
         assert!(text.contains("if (i .ge. 3) then"), "{text}");
@@ -923,11 +1020,11 @@ subroutine rev(n, x, y)
 end subroutine
 "#;
         let p = plan(src, "x").unwrap();
-        assert_eq!(p.gather_loops.len(), 1);
-        let text = body_text(&p.gather_loops);
+        assert_eq!(p.gather_loop_count(), 1);
+        let text = body_text(&p.gather_loops());
         assert!(text.contains("do i = n + 1 - n, n + 1 - 1"), "{text}");
         assert!(text.contains("xb(i) = xb(i) + yb(n + 1 - i)"), "{text}");
-        assert!(p.forced_safe);
+        assert!(p.forced_safe());
     }
 
     #[test]
@@ -945,7 +1042,7 @@ subroutine st(n, x, y)
 end subroutine
 "#;
         let p = plan(src, "x").unwrap();
-        let text = body_text(&p.gather_loops);
+        let text = body_text(&p.gather_loops());
         assert!(text.contains(", 3"), "gather keeps the stride: {text}");
         assert!(text.contains("do i = 2, "), "{text}");
     }
@@ -1089,8 +1186,8 @@ subroutine al(n, x, y)
 end subroutine
 "#;
         let p = plan(src, "x").unwrap();
-        assert_eq!(p.same_iter.len(), 1);
-        assert!(!p.forced_safe);
+        assert_eq!(p.obligations().same_iter.len(), 1);
+        assert!(!p.forced_safe());
     }
 
     #[test]
@@ -1135,7 +1232,7 @@ end subroutine
         // Seed (2i) vs write (2i+1) cross-iteration: 2i = 2i'+1 has no
         // integer solution, but the affine forms differ non-literally
         // (coef 2), so the structural check refuses to vouch for it.
-        assert!(!p.forced_safe);
+        assert!(!p.forced_safe());
     }
 
     #[test]
@@ -1145,6 +1242,11 @@ end subroutine
         assert_eq!(a.coef, 1);
         assert_eq!(a.lit, -3);
         assert_eq!(a.sym_key(), "+s");
+        let b = affine_in(&(Expr::var("s") + Expr::var("i") + Expr::int(4)), "i").unwrap();
+        assert!(a.same_syms(&b) && b.same_syms(&a));
+        let c = affine_in(&(Expr::var("i") - Expr::var("s")), "i").unwrap();
+        assert!(!a.same_syms(&c));
+        assert_eq!(a.cmp_syms(&c), a.sym_key().cmp(&c.sym_key()));
         let e2 = Expr::int(7) - Expr::var("i");
         let a2 = affine_in(&e2, "i").unwrap();
         assert_eq!((a2.coef, a2.lit), (-1, 7));

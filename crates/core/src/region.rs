@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use formad_ad::{plan_transpose, ObligationPair, RegionWrites};
+use formad_ad::{plan_transpose, ObligationPair, Obligations, RegionWrites};
 use formad_analysis::{
     collect_refs, AccessKind, Activity, ArrayRef, Cfg, Contexts, CtxId, IncRole, Instances, NodeId,
 };
@@ -722,19 +722,23 @@ fn transpose_queries(
     tr: &Translator<'_>,
 ) -> Option<TransposeQueries> {
     let plan = plan_transpose(prog, l, writes, array, "b", &|n| activity.is_active(n)).ok()?;
+    let Obligations {
+        cross_iter,
+        same_iter,
+    } = plan.obligations();
     let translatable = |pairs: &[ObligationPair]| {
         pairs
             .iter()
             .all(|p| tr.check_tuple(&p.seed).is_ok() && tr.check_tuple(&p.write).is_ok())
     };
-    if !translatable(&plan.cross_iter) || !translatable(&plan.same_iter) {
+    if !translatable(&cross_iter) || !translatable(&same_iter) {
         return None;
     }
     Some(TransposeQueries {
-        cross: plan.cross_iter,
-        same: plan.same_iter,
+        cross: cross_iter,
+        same: same_iter,
         contributions: plan.contributions,
-        gather_loops: plan.gather_loops.len(),
+        gather_loops: plan.gather_loop_count(),
     })
 }
 

@@ -450,7 +450,8 @@ fn check_stmt(
             st.ints.insert(l.var.to_string(), v);
             es.iter().map(|e| st.eval(e)?.as_i()).collect()
         };
-        for p in plan.cross_iter.iter() {
+        let obligations = plan.obligations();
+        for p in obligations.cross_iter.iter() {
             // write locations per iteration, then probe every seed read.
             let mut write_iters: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
             for &v in &iters {
@@ -474,7 +475,7 @@ fn check_stmt(
                 }
             }
         }
-        for p in plan.same_iter.iter() {
+        for p in obligations.same_iter.iter() {
             for &v in &iters {
                 let sloc = eval_tuple(st, v, &p.seed)?;
                 let wloc = eval_tuple(st, v, &p.write)?;

@@ -200,29 +200,42 @@ impl Expr {
         }
     }
 
-    /// Rebuild the expression bottom-up through `f` (applied post-order).
-    pub fn map(&self, f: &mut impl FnMut(Expr) -> Expr) -> Expr {
+    /// Rebuild the expression bottom-up: `f` sees each node after its
+    /// children were rebuilt and returns its replacement, or `None` to keep
+    /// it. A subtree in which `f` replaced nothing comes back as the same
+    /// `Arc`s, not as a copy.
+    pub fn map(&self, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Expr {
+        self.map_changed(f).unwrap_or_else(|| self.clone())
+    }
+
+    /// [`Expr::map`], or `None` if `f` replaced nothing.
+    fn map_changed(&self, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Expr> {
         let rebuilt = match self {
-            Expr::IntLit(_) | Expr::RealLit(_) | Expr::Var(_) => self.clone(),
-            Expr::Index { array, indices } => Expr::Index {
+            Expr::IntLit(_) | Expr::RealLit(_) | Expr::Var(_) => None,
+            Expr::Index { array, indices } => map_all(indices, f).map(|indices| Expr::Index {
                 array: array.clone(),
-                indices: indices.iter().map(|ix| ix.map(f)).collect(),
-            },
-            Expr::Unary { op, arg } => Expr::Unary {
+                indices,
+            }),
+            Expr::Unary { op, arg } => arg.map_changed(f).map(|arg| Expr::Unary {
                 op: *op,
-                arg: Arc::new(arg.map(f)),
+                arg: Arc::new(arg),
+            }),
+            Expr::Binary { op, lhs, rhs } => match (lhs.map_changed(f), rhs.map_changed(f)) {
+                (None, None) => None,
+                (l, r) => Some(Expr::Binary {
+                    op: *op,
+                    lhs: l.map_or_else(|| lhs.clone(), Arc::new),
+                    rhs: r.map_or_else(|| rhs.clone(), Arc::new),
+                }),
             },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: Arc::new(lhs.map(f)),
-                rhs: Arc::new(rhs.map(f)),
-            },
-            Expr::Call { func, args } => Expr::Call {
-                func: *func,
-                args: args.iter().map(|a| a.map(f)).collect(),
-            },
+            Expr::Call { func, args } => {
+                map_all(args, f).map(|args| Expr::Call { func: *func, args })
+            }
         };
-        f(rebuilt)
+        match rebuilt {
+            Some(e) => Some(f(&e).unwrap_or(e)),
+            None => f(self),
+        }
     }
 
     /// Collect the names of all scalar variables read by this expression
@@ -250,10 +263,7 @@ impl Expr {
 
     /// Substitute every occurrence of scalar variable `name` with `repl`.
     pub fn subst_var(&self, name: &str, repl: &Expr) -> Expr {
-        self.map(&mut |e| match &e {
-            Expr::Var(n) if n == name => repl.clone(),
-            _ => e,
-        })
+        self.map(&mut |e| matches!(e, Expr::Var(n) if n == name).then(|| repl.clone()))
     }
 
     /// True if the expression contains any array reference.
@@ -272,6 +282,17 @@ impl Expr {
     pub fn structurally_eq(&self, other: &Expr) -> bool {
         self == other
     }
+}
+
+/// [`Expr::map`] over a slice of children: `None` if none changed, and
+/// one allocation once one does.
+fn map_all(xs: &Arc<[Expr]>, f: &mut impl FnMut(&Expr) -> Option<Expr>) -> Option<Arc<[Expr]>> {
+    let (k, first) = xs
+        .iter()
+        .enumerate()
+        .find_map(|(k, x)| x.map_changed(f).map(|e| (k, e)))?;
+    let rest = xs[k + 1..].iter().map(|x| x.map(f));
+    Some(xs[..k].iter().cloned().chain([first]).chain(rest).collect())
 }
 
 /// Comparison operators for boolean conditions.
@@ -338,22 +359,6 @@ impl BoolExpr {
                 b.walk_exprs(f);
             }
             BoolExpr::Not(a) => a.walk_exprs(f),
-        }
-    }
-
-    /// Rebuild with every arithmetic leaf expression mapped through `f`.
-    pub fn map_exprs(&self, f: &mut impl FnMut(Expr) -> Expr) -> BoolExpr {
-        match self {
-            BoolExpr::Cmp { op, lhs, rhs } => BoolExpr::Cmp {
-                op: *op,
-                lhs: lhs.map(f),
-                rhs: rhs.map(f),
-            },
-            BoolExpr::And(a, b) => {
-                BoolExpr::And(Arc::new(a.map_exprs(f)), Arc::new(b.map_exprs(f)))
-            }
-            BoolExpr::Or(a, b) => BoolExpr::Or(Arc::new(a.map_exprs(f)), Arc::new(b.map_exprs(f))),
-            BoolExpr::Not(a) => BoolExpr::Not(Arc::new(a.map_exprs(f))),
         }
     }
 }
@@ -460,6 +465,54 @@ mod tests {
             },
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    #[test]
+    fn map_shares_the_subtrees_it_keeps() {
+        let kept = Expr::index("x", vec![v("i") + Expr::int(1)]);
+        let e = kept.clone() * (v("j") + Expr::call(Intrinsic::Sin, [v("a")]));
+        let Expr::Binary { lhs, rhs, .. } = &e else {
+            unreachable!()
+        };
+        // `j` occurs on the right only: the left comes back as itself.
+        let s = e.subst_var("j", &v("k"));
+        let Expr::Binary {
+            lhs: l2, rhs: r2, ..
+        } = &s
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(lhs, l2));
+        assert!(!Arc::ptr_eq(rhs, r2));
+        let (Expr::Binary { rhs: call, .. }, Expr::Binary { rhs: call2, .. }) = (&**rhs, &**r2)
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(call, call2));
+        // A variable that does not occur: every child is shared.
+        let same = e.subst_var("zzz", &v("k"));
+        let Expr::Binary {
+            lhs: l3, rhs: r3, ..
+        } = &same
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(lhs, l3) && Arc::ptr_eq(rhs, r3));
+        // Inside an index: the untouched siblings of a rewritten index
+        // are shared, the indices slice is new.
+        let two = Expr::index("u", vec![v("i") * v("n"), v("j")]);
+        let Expr::Index { indices, .. } = &two else {
+            unreachable!()
+        };
+        let Expr::Index { indices: i2, .. } = two.subst_var("j", &v("k")) else {
+            unreachable!()
+        };
+        let (Expr::Binary { lhs: a, .. }, Expr::Binary { lhs: b, .. }) = (&indices[0], &i2[0])
+        else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b));
+        assert_eq!(i2[1], v("k"));
     }
 
     #[test]

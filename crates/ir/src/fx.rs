@@ -2,16 +2,21 @@
 //! than one analysis request.
 //!
 //! std's default SipHash-1-3 defends long-lived tables against keys
-//! crafted to collide; the prover's and the region analysis's maps are
-//! built and dropped inside one request whose budget and deadline already
-//! bound any collision cost, and their keys (atom ids, slot numbers,
-//! canonical linear expressions, index tuples) are a few machine words
-//! each. One multiply per word replaces SipHash's rounds, and — no random
-//! seed — iteration order repeats from run to run.
+//! crafted to collide; the maps of the prover, the region analysis and
+//! the AD transform are built and dropped inside one request whose
+//! budget and deadline already bound any collision cost, and their keys
+//! (atom ids, slot numbers, canonical linear expressions, index tuples,
+//! identifiers) are a few machine words each. One multiply per word
+//! replaces SipHash's rounds, and — no random seed — iteration order
+//! repeats from run to run.
 //!
 //! Long-lived shared maps (the fingerprint index, the AOT registry,
 //! everything in `formad-serve`) and public struct fields keep std's
 //! hasher.
+//!
+//! `formad-smt` compiles this same file as its `fx` module (it does not
+//! depend on this crate), so every analysis crate hashes with one
+//! definition.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

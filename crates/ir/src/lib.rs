@@ -43,6 +43,7 @@
 pub mod clike;
 pub mod expr;
 pub mod flavor;
+pub mod fx;
 mod lexer;
 pub mod name;
 pub mod parser;
@@ -56,6 +57,7 @@ pub mod validate;
 pub use clike::{parse_any, parse_clike};
 pub use expr::{BinOp, BoolExpr, CmpOp, Expr, Intrinsic, UnOp};
 pub use flavor::SourceFlavor;
+pub use fx::{FxHashMap, FxHashSet, FxHasher};
 pub use name::Name;
 pub use parser::{parse_expr, parse_program, ParseError, MAX_NESTING};
 pub use printer::{expr_to_string, program_to_string};

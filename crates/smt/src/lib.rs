@@ -41,6 +41,9 @@ pub mod chaos;
 pub mod ctrl;
 pub mod fm;
 pub mod formula;
+// The one Fx hasher lives in `formad-ir`; this crate has no dependency on
+// it and compiles the same source.
+#[path = "../../ir/src/fx.rs"]
 pub mod fx;
 pub mod linexpr;
 pub mod search;
