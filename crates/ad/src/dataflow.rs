@@ -131,8 +131,7 @@ impl Bits {
 
 /// The program's declarations, numbered.
 pub(crate) struct Names<'a> {
-    index: FxHashMap<&'a str, u32>,
-    /// `index`'s answers, by identifier allocation.
+    /// The declaration index of each identifier met.
     by_alloc: RefCell<ByAlloc<Option<u32>>>,
     decls: Vec<&'a Decl>,
 }
@@ -142,13 +141,8 @@ pub(crate) struct Names<'a> {
 /// nearly always met in an allocation seen before, and its text is hashed
 /// once per allocation rather than once per occurrence. An entry holds
 /// its name, so the address stays its own while the memo lives.
+#[derive(Default)]
 pub(crate) struct ByAlloc<T>(FxHashMap<usize, (Name, T)>);
-
-impl<T: Copy> Default for ByAlloc<T> {
-    fn default() -> Self {
-        ByAlloc(FxHashMap::default())
-    }
-}
 
 impl<T: Copy> ByAlloc<T> {
     /// The answer for `n`, from `by_text` on its allocation's first sight.
@@ -165,16 +159,9 @@ impl<T: Copy> ByAlloc<T> {
 
 impl<'a> Names<'a> {
     fn new(prog: &'a Program) -> Names<'a> {
-        let decls: Vec<&Decl> = prog.decls().collect();
-        let index = decls
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.name.as_str(), i as u32))
-            .collect();
         Names {
-            index,
             by_alloc: RefCell::default(),
-            decls,
+            decls: prog.decls().collect(),
         }
     }
 
@@ -200,7 +187,12 @@ impl<'a> Names<'a> {
 
     /// The declaration index of `n`.
     fn find(&self, n: &Name) -> Option<u32> {
-        let by_text = || self.index.get(n.as_str()).copied();
+        let by_text = || {
+            self.decls
+                .iter()
+                .position(|d| d.name == *n)
+                .map(|i| i as u32)
+        };
         self.by_alloc.borrow_mut().get(n, by_text)
     }
 }
@@ -357,10 +349,6 @@ struct Builder<'a, 'b> {
 }
 
 impl<'a> Builder<'a, '_> {
-    fn bits(&self) -> Bits {
-        Bits::new(self.n)
-    }
-
     /// A read of every scalar in `reads`, at the current position.
     fn note_reads(&mut self, reads: &Bits) {
         for i in reads.iter() {
@@ -392,7 +380,7 @@ impl<'a> Builder<'a, '_> {
                     then_body,
                     else_body,
                 } => {
-                    let mut cond_reads = self.bits();
+                    let mut cond_reads = Bits::new(self.n);
                     cond.walk_exprs(&mut |e| self.names.read(e, &mut cond_reads));
                     self.note_reads(&cond_reads);
                     Node::If(IfNode {
@@ -419,9 +407,9 @@ impl<'a> Builder<'a, '_> {
         rhs: &'a Expr,
         site: Option<(u32, u32)>,
     ) -> Node<'a> {
-        let target = self.names.index[lhs.name().as_str()];
+        let target = self.names.find(lhs.name()).expect("a declared target");
         let scalar = matches!(lhs, LValue::Var(_));
-        let mut index_reads = self.bits();
+        let mut index_reads = Bits::new(self.n);
         for ix in lhs.indices() {
             self.names.reads(ix, &mut index_reads);
         }
@@ -443,7 +431,7 @@ impl<'a> Builder<'a, '_> {
             }
         }
         let adjoint = (self.adjoint_of)(stmt);
-        let mut adjoint_reads = self.bits();
+        let mut adjoint_reads = Bits::new(self.n);
         if let Some((incs, fin)) = &adjoint {
             for st in incs.iter().chain(fin) {
                 st.walk_exprs(&mut |e| self.names.read(e, &mut adjoint_reads));
@@ -465,9 +453,9 @@ impl<'a> Builder<'a, '_> {
     }
 
     fn for_loop(&mut self, l: &'a ForLoop) -> Node<'a> {
-        let counter = self.names.index[l.var.as_str()];
+        let counter = self.names.find(&l.var).expect("a declared counter");
         self.counters.insert(counter);
-        let mut bound_reads = self.bits();
+        let mut bound_reads = Bits::new(self.n);
         for e in [&l.lo, &l.hi, &l.step] {
             self.names.reads(e, &mut bound_reads);
         }
@@ -478,7 +466,7 @@ impl<'a> Builder<'a, '_> {
         });
         // Parallel loops do not nest (`validate`).
         if region.is_some() {
-            self.privates = Some(self.bits());
+            self.privates = Some(Bits::new(self.n));
         }
         let serial = self.loops;
         self.loops += 1;
@@ -487,7 +475,7 @@ impl<'a> Builder<'a, '_> {
         self.enclosing.pop();
         let privates = match region {
             Some(_) => self.privates.take().expect("set on entry"),
-            None => self.bits(),
+            None => Bits::new(self.n),
         };
         Node::For(ForNode {
             l,
@@ -496,7 +484,7 @@ impl<'a> Builder<'a, '_> {
             bound_reads,
             privates,
             body,
-            exit_pushes: self.bits(),
+            exit_pushes: Bits::new(self.n),
             reversed: false,
             kept: false,
         })

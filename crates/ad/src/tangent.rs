@@ -91,20 +91,7 @@ impl<'a> Tangent<'a> {
 
     fn stmt(&self, s: &Stmt, out: &mut Vec<Stmt>) -> Result<(), AdError> {
         match s {
-            Stmt::Assign { lhs, rhs } => {
-                if self.is_active(lhs.name()) {
-                    let lhs_d = match lhs {
-                        LValue::Var(n) => LValue::var(self.tname(n)),
-                        LValue::Index { array, indices } => {
-                            LValue::index(self.tname(array), indices.clone())
-                        }
-                    };
-                    out.extend(self.tangent_assign(lhs_d, rhs));
-                }
-                out.push(s.clone());
-                Ok(())
-            }
-            Stmt::AtomicAdd { lhs, rhs } => {
+            Stmt::Assign { lhs, rhs } | Stmt::AtomicAdd { lhs, rhs } => {
                 if self.is_active(lhs.name()) {
                     let lhs_d = match lhs {
                         LValue::Var(n) => LValue::var(self.tname(n)),
@@ -113,8 +100,9 @@ impl<'a> Tangent<'a> {
                         }
                     };
                     // Tangent of an increment is an increment.
-                    let full = lhs.as_expr() + rhs.clone();
-                    out.extend(self.tangent_assign(lhs_d, &full));
+                    let full =
+                        matches!(s, Stmt::AtomicAdd { .. }).then(|| lhs.as_expr() + rhs.clone());
+                    out.extend(self.tangent_assign(lhs_d, full.as_ref().unwrap_or(rhs)));
                 }
                 out.push(s.clone());
                 Ok(())
@@ -152,20 +140,12 @@ impl<'a> Tangent<'a> {
 
     /// Tangent arrays/scalars inherit the primal's sharing.
     fn extend_clauses(&self, info: &mut ParallelInfo) {
-        let shared: Vec<Name> = info
-            .shared
-            .iter()
-            .filter(|v| self.is_active(v))
-            .map(|v| self.tname(v))
-            .collect();
-        info.shared.extend(shared);
-        let private: Vec<Name> = info
-            .private
-            .iter()
-            .filter(|v| self.is_active(v))
-            .map(|v| self.tname(v))
-            .collect();
-        info.private.extend(private);
+        for list in [&mut info.shared, &mut info.private] {
+            let tangents: Vec<Name> = (list.iter().filter(|v| self.is_active(v)))
+                .map(|v| self.tname(v))
+                .collect();
+            list.extend(tangents);
+        }
     }
 
     /// Statements assigning the directional derivative of `e` to `lhs_d`,

@@ -606,15 +606,14 @@ impl<'a> Xform<'a> {
             s.walk(&mut |st| uses.stmt(st, |n| self.primal_of_adjoint(n).is_some()));
         }
 
-        let is_array = |n: &str| -> bool {
-            if let Some(d) = self.prog.decl(n) {
-                return d.is_array();
-            }
-            // Adjoint array of a primal array.
-            if let Some(p) = self.primal_of_adjoint(n) {
-                return self.prog.decl(&p).map(|d| d.is_array()).unwrap_or(false);
-            }
-            false
+        let is_array = |n: &str| {
+            // An adjoint array is the adjoint of a primal array.
+            let primal = self.primal_of_adjoint(n);
+            let d = self
+                .prog
+                .decl(n)
+                .or_else(|| self.prog.decl(primal.as_deref()?));
+            d.is_some_and(|d| d.is_array())
         };
 
         // Zero-init adjoints of primal-private real scalars at iteration
@@ -640,22 +639,18 @@ impl<'a> Xform<'a> {
         let mut atomic_arrays: FxHashSet<Name> = FxHashSet::default();
         for (name, u) in uses.names.iter().zip(&uses.uses) {
             let primal_name = self.primal_of_adjoint(name);
-            let mode = |p: &Name| self.opts.parallel.mode_of(region, p);
-            let reduction = u.incremented_array
-                && primal_name
-                    .as_ref()
-                    .is_some_and(|p| mode(p) == IncMode::Reduction);
+            // Only an incremented adjoint array has a safeguard mode.
+            let (mode, fallback) = match &primal_name {
+                Some(p) if u.incremented_array => (
+                    Some(self.opts.parallel.mode_of(region, p)),
+                    transposed_fallback.contains(p),
+                ),
+                _ => (None, false),
+            };
+            let reduction = mode == Some(IncMode::Reduction);
             let reduction_eligible = u.other_writes == 0 && u.index_reads == u.inc_writes;
-            if u.incremented_array {
-                let p = primal_name
-                    .as_ref()
-                    .expect("an incremented adjoint has a primal");
-                if mode(p) == IncMode::Atomic
-                    || (reduction && !reduction_eligible)
-                    || transposed_fallback.contains(p)
-                {
-                    atomic_arrays.insert(name.clone());
-                }
+            if mode == Some(IncMode::Atomic) || (reduction && !reduction_eligible) || fallback {
+                atomic_arrays.insert(name.clone());
             }
             if *name == counter {
                 continue;
@@ -733,8 +728,7 @@ struct Use {
 /// what [`Xform::parallel_adjoint_pragma`] reads off the body in one walk.
 #[derive(Default)]
 struct NameUses {
-    index: FxHashMap<Name, u32>,
-    by_alloc: ByAlloc<u32>,
+    by_alloc: ByAlloc<usize>,
     names: Vec<Name>,
     uses: Vec<Use>,
 }
@@ -742,30 +736,29 @@ struct NameUses {
 impl NameUses {
     fn of(&mut self, n: &Name) -> &mut Use {
         let NameUses {
-            index,
             by_alloc,
             names,
             uses,
         } = self;
         let k = by_alloc.get(n, || {
-            *index.entry(n.clone()).or_insert_with(|| {
+            names.iter().position(|m| m == n).unwrap_or_else(|| {
                 names.push(n.clone());
                 uses.push(Use::default());
-                (names.len() - 1) as u32
+                names.len() - 1
             })
         });
-        &mut uses[k as usize]
+        &mut uses[k]
     }
 
     /// The uses of `n`; none if the body never mentions it.
     fn get(&self, n: &Name) -> Use {
-        self.index
-            .get(n)
-            .map_or_else(Use::default, |&k| self.uses[k as usize])
+        let k = self.names.iter().position(|m| m == n);
+        k.map_or_else(Use::default, |k| self.uses[k])
     }
 
-    fn reads(&mut self, e: &Expr) {
-        e.walk(&mut |sub| match sub {
+    /// The node `e` itself, not its children.
+    fn read(&mut self, e: &Expr) {
+        match e {
             Expr::Var(n) => self.of(n).referenced = true,
             Expr::Index { array, .. } => {
                 let u = self.of(array);
@@ -773,7 +766,11 @@ impl NameUses {
                 u.index_reads += 1;
             }
             _ => {}
-        });
+        }
+    }
+
+    fn reads(&mut self, e: &Expr) {
+        e.walk(&mut |sub| self.read(sub));
     }
 
     /// One statement's own expressions and lvalue (not its nested
@@ -781,30 +778,21 @@ impl NameUses {
     fn stmt(&mut self, st: &Stmt, is_adjoint: impl Fn(&str) -> bool) {
         let lhs = match st {
             Stmt::Assign { lhs, rhs } | Stmt::AtomicAdd { lhs, rhs } => {
-                lhs.indices().iter().for_each(|ix| self.reads(ix));
                 self.reads(rhs);
                 lhs
             }
-            Stmt::Pop(lhs) => {
-                lhs.indices().iter().for_each(|ix| self.reads(ix));
-                lhs
-            }
-            Stmt::If { cond, .. } => {
-                cond.walk_exprs(&mut |e| self.reads(e));
-                return;
-            }
+            Stmt::Pop(lhs) => lhs,
+            Stmt::If { cond, .. } => return cond.walk_exprs(&mut |e| self.read(e)),
+            Stmt::Push(e) => return self.reads(e),
             Stmt::For(l) => {
-                for e in [&l.lo, &l.hi, &l.step] {
-                    self.reads(e);
-                }
+                [&l.lo, &l.hi, &l.step]
+                    .into_iter()
+                    .for_each(|e| self.reads(e));
                 self.of(&l.var).assigned_scalar = true;
                 return;
             }
-            Stmt::Push(e) => {
-                self.reads(e);
-                return;
-            }
         };
+        lhs.indices().iter().for_each(|ix| self.reads(ix));
         let increment = st.increment_parts().is_some() || matches!(st, Stmt::AtomicAdd { .. });
         let scalar = matches!(lhs, LValue::Var(_));
         let adjoint = is_adjoint(lhs.name());
@@ -826,24 +814,20 @@ impl NameUses {
 /// Rewrite increments to the given adjoint arrays as atomic updates,
 /// recursively through control flow.
 fn apply_atomic(s: Stmt, arrays: &FxHashSet<Name>) -> Stmt {
+    let all = |b: Vec<Stmt>| b.into_iter().map(|t| apply_atomic(t, arrays)).collect();
+    let guarded = s
+        .increment_parts()
+        .is_some_and(|(lhs, _)| matches!(lhs, LValue::Index { .. }) && arrays.contains(lhs.name()));
     match s {
-        Stmt::Assign { .. } => {
-            let guarded = s.increment_parts().is_some_and(|(lhs, _)| {
-                matches!(lhs, LValue::Index { .. }) && arrays.contains(lhs.name())
-            });
-            match s {
-                // Take the increment apart the way `increment_parts` reads it.
-                Stmt::Assign {
-                    lhs,
-                    rhs: Expr::Binary { lhs: a, rhs: b, .. },
-                } if guarded => {
-                    let added = if lhs.reads_as(&a) { b } else { a };
-                    Stmt::AtomicAdd {
-                        lhs,
-                        rhs: Arc::unwrap_or_clone(added),
-                    }
-                }
-                s => s,
+        // Take the increment apart the way `increment_parts` reads it.
+        Stmt::Assign {
+            lhs,
+            rhs: Expr::Binary { lhs: a, rhs: b, .. },
+        } if guarded => {
+            let added = if lhs.reads_as(&a) { b } else { a };
+            Stmt::AtomicAdd {
+                lhs,
+                rhs: Arc::unwrap_or_clone(added),
             }
         }
         Stmt::If {
@@ -852,43 +836,36 @@ fn apply_atomic(s: Stmt, arrays: &FxHashSet<Name>) -> Stmt {
             else_body,
         } => Stmt::If {
             cond,
-            then_body: then_body
-                .into_iter()
-                .map(|t| apply_atomic(t, arrays))
-                .collect(),
-            else_body: else_body
-                .into_iter()
-                .map(|t| apply_atomic(t, arrays))
-                .collect(),
+            then_body: all(then_body),
+            else_body: all(else_body),
         },
         Stmt::For(mut l) => {
-            l.body = l
-                .body
-                .into_iter()
-                .map(|t| apply_atomic(t, arrays))
-                .collect();
+            l.body = all(l.body);
             Stmt::For(l)
         }
         other => other,
     }
 }
 
-/// Bounds of the reversed loop: `do v = last, lo, -step` where
-/// `last = lo + ((hi - lo) / step) * step` is the final iterate actually
-/// executed by the primal loop (integer division truncates toward zero,
+/// The final iterate the primal loop `l` actually executes: `last = lo +
+/// ((hi - lo) / step) * step` (integer division truncates toward zero,
 /// which also yields an empty reversed loop when the primal was empty).
-fn reversed_bounds(l: &ForLoop) -> (Expr, Expr, Expr) {
-    let last = if l.step == Expr::IntLit(1) {
+pub(crate) fn last_iterate(l: &ForLoop) -> Expr {
+    if l.step == Expr::IntLit(1) {
         l.hi.clone()
     } else {
         l.lo.clone()
             + Expr::binary(BinOp::Div, l.hi.clone() - l.lo.clone(), l.step.clone()) * l.step.clone()
-    };
+    }
+}
+
+/// Bounds of the reversed loop: `do v = last, lo, -step`.
+fn reversed_bounds(l: &ForLoop) -> (Expr, Expr, Expr) {
     let neg_step = match &l.step {
         Expr::IntLit(v) => Expr::IntLit(-v),
         other => other.clone().neg(),
     };
-    (last, l.lo.clone(), neg_step)
+    (last_iterate(l), l.lo.clone(), neg_step)
 }
 
 #[cfg(test)]

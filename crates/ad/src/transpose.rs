@@ -25,13 +25,9 @@
 //! must be shown disjoint ([`TransposePlan::obligations`]) so the caller
 //! can discharge them with the SMT machinery, and gives a conservative
 //! structural verdict ([`TransposePlan::forced_safe`]) for uniform forced
-//! mode where no prover is in the loop.
-//!
-//! [`plan_transpose`] does what every caller needs — the shape checks,
-//! the contributions and the layout of the gather loops, whose count the
-//! report states — and the plan builds the rest on request: the region
-//! prover reads the obligations, forced mode the structural verdict, and
-//! the AD transform the gather loops.
+//! mode where no prover is in the loop. [`plan_transpose`] does only what
+//! every caller needs (shape checks, contributions, gather-loop layout);
+//! the plan builds the rest on request.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -66,9 +62,9 @@ pub struct Aff {
 }
 
 impl Aff {
-    /// Canonical rendering of the symbolic part. Two decompositions with
-    /// the same symbolic part ([`Aff::same_syms`]) render alike; the
-    /// rendering orders the gather loops of different ones.
+    /// Canonical rendering of the symbolic part: equal for the same
+    /// symbolic part ([`Aff::same_syms`]), and the order of the gather
+    /// loops of different ones.
     pub fn sym_key(&self) -> String {
         let mut parts: Vec<String> = self
             .syms
@@ -94,16 +90,6 @@ impl Aff {
                 .syms
                 .iter()
                 .all(|t| count(&self.syms, t) == count(&other.syms, t))
-    }
-
-    /// Order of symbolic parts: by [`Aff::sym_key`], rendered only when
-    /// the parts differ.
-    fn cmp_syms(&self, other: &Aff) -> Ordering {
-        if self.same_syms(other) {
-            Ordering::Equal
-        } else {
-            self.sym_key().cmp(&other.sym_key())
-        }
     }
 }
 
@@ -146,25 +132,24 @@ fn decompose(e: &Expr, sign: i64, var: &str, aff: &mut Aff) -> Option<()> {
             decompose(lhs, sign, var, aff)?;
             decompose(rhs, -sign, var, aff)
         }
+        other if mentions(other, |e| matches!(e, Expr::Var(n) if n == var)) => None,
         other => {
-            if contains_var(other, var) {
-                None
-            } else {
-                aff.syms.push((sign, other.clone()));
-                Some(())
-            }
+            aff.syms.push((sign, other.clone()));
+            Some(())
         }
     }
 }
 
-fn contains_var(e: &Expr, var: &str) -> bool {
+/// True if some node of `e` satisfies `hit`.
+fn mentions(e: &Expr, hit: impl Fn(&Expr) -> bool) -> bool {
     let mut found = false;
-    e.walk(&mut |sub| {
-        if matches!(sub, Expr::Var(n) if n == var) {
-            found = true;
-        }
-    });
+    e.walk(&mut |sub| found |= hit(sub));
     found
+}
+
+/// True if `e` is an element of `array`.
+fn is_elem(e: &Expr, array: &str) -> bool {
+    matches!(e, Expr::Index { array: a, .. } if a == array)
 }
 
 /// One index pair the caller must prove disjoint before gathering.
@@ -208,22 +193,11 @@ struct Cluster {
     members: Vec<usize>,
 }
 
-/// A seed read or a finalizing write of a seed array's adjoint at one
-/// top-level statement; `site` numbers the distinct (array, index)
-/// locations, so equal ids mean equal index expressions.
-#[derive(Debug, Clone)]
-struct Access {
-    stmt: usize,
-    site: usize,
-}
-
 /// Result of planning the scatter-to-gather inversion for one array in one
 /// parallel region.
 #[derive(Debug, Clone)]
 pub struct TransposePlan {
-    /// The primal array whose adjoint scatter is inverted.
-    pub array: Name,
-    /// Its adjoint name.
+    /// The adjoint of the array whose scatter is inverted.
     pub adjoint: Name,
     /// Number of adjoint increments the gather loops replace; the emitter
     /// must remove exactly this many from the backward body.
@@ -235,12 +209,14 @@ pub struct TransposePlan {
     step: i64,
     contribs: Vec<Contribution>,
     clusters: Vec<Cluster>,
-    /// The distinct (seed array, rank-1 index) locations.
+    /// The distinct (seed array, rank-1 index) locations: equal site ids,
+    /// equal index expressions.
     sites: Vec<(Name, Expr)>,
-    /// Seed reads, in statement order.
-    seeds: Vec<Access>,
-    /// Finalizing writes, in statement order.
-    finalizations: Vec<Access>,
+    /// Seed reads as (top-level statement, site), in statement order.
+    seeds: Vec<(usize, usize)>,
+    /// Finalizing writes as (top-level statement, site), in statement
+    /// order.
+    finalizations: Vec<(usize, usize)>,
 }
 
 /// What [`plan_transpose`] reads off a region body regardless of the
@@ -266,9 +242,7 @@ impl RegionWrites {
                         LValue::Var(v) => (&mut assigned_scalars, v),
                         LValue::Index { array: a, .. } => (&mut written_arrays, a),
                     };
-                    if !set.contains(name) {
-                        set.insert(name.clone());
-                    }
+                    set.insert(name.clone());
                 }
                 Stmt::For(inner) => {
                     assigned_scalars.insert(inner.var.clone());
@@ -332,11 +306,7 @@ pub fn plan_transpose(
     // with no single inverse map.
     let refs_array = |s: &Stmt, name: &str| -> bool {
         let mut found = false;
-        s.walk_exprs(&mut |e| {
-            if matches!(e, Expr::Index { array: a, .. } if a == name) {
-                found = true;
-            }
-        });
+        s.walk_exprs(&mut |e| found |= is_elem(e, name));
         found
     };
     let mut contributing: Vec<(usize, &LValue, &Expr)> = Vec::new();
@@ -385,38 +355,24 @@ pub fn plan_transpose(
         for s in l.body.iter() {
             match s {
                 Stmt::Assign { lhs, rhs } if lhs.name() == y => {
-                    if lhs.indices().iter().any(|ix| {
-                        let mut f = false;
-                        ix.walk(&mut |e| {
-                            if matches!(e, Expr::Index { array: a, .. } if a == y) {
-                                f = true;
-                            }
-                        });
-                        f
-                    }) {
+                    if lhs
+                        .indices()
+                        .iter()
+                        .any(|ix| mentions(ix, |e| is_elem(e, y)))
+                    {
                         return Err(format!("seed array `{y}` indexes itself"));
                     }
                     // An exact increment's own self-read does not count.
                     let value = s.increment_parts().map_or(rhs, |(_, added)| added);
-                    let mut reads_y = false;
-                    value.walk(&mut |e| {
-                        if matches!(e, Expr::Index { array: a, .. } if a == y) {
-                            reads_y = true;
-                        }
-                    });
-                    if reads_y {
+                    if mentions(value, |e| is_elem(e, y)) {
                         return Err(format!("seed array `{y}` reads itself"));
                     }
                 }
                 other => {
                     let mut touches = refs_array(other, y);
-                    other.walk(&mut |st| match st {
-                        Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. } | Stmt::Pop(lhs)
-                            if lhs.name() == y =>
-                        {
-                            touches = true;
-                        }
-                        _ => {}
+                    other.walk(&mut |st| {
+                        touches |= matches!(st, Stmt::Assign { lhs, .. } | Stmt::AtomicAdd { lhs, .. }
+                            | Stmt::Pop(lhs) if lhs.name() == y);
                     });
                     if touches {
                         return Err(format!(
@@ -447,20 +403,19 @@ pub fn plan_transpose(
             sites.len() - 1
         }
     };
-    let mut seeds: Vec<Access> = Vec::new();
-    let mut seed_adjoints: Vec<(&Name, Name)> = Vec::new();
+    let mut seeds: Vec<(usize, usize)> = Vec::new();
+    let seed_adjoints: Vec<(&Name, Name)> = (seed_set.iter())
+        .map(|y| (y, Name::from(format!("{y}{suffix}"))))
+        .collect();
     for (idx, lhs, rhs) in &contributing {
         let LValue::Index { array: y, indices } = lhs else {
             unreachable!()
         };
-        let yb = match seed_adjoints.iter().find(|(a, _)| *a == y) {
-            Some((_, yb)) => yb.clone(),
-            None => {
-                let yb = Name::from(format!("{y}{suffix}"));
-                seed_adjoints.push((y, yb.clone()));
-                yb
-            }
-        };
+        let yb = &seed_adjoints
+            .iter()
+            .find(|(a, _)| *a == y)
+            .expect("a seed")
+            .1;
         let seed = Expr::index(yb, indices.clone());
         let adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
         for inc in &adj.increments {
@@ -524,10 +479,7 @@ pub fn plan_transpose(
             });
         }
         if !adj.increments.is_empty() {
-            seeds.push(Access {
-                stmt: *idx,
-                site: site_of(y, &indices[0]),
-            });
+            seeds.push((*idx, site_of(y, &indices[0])));
         }
     }
     if contribs.is_empty() {
@@ -544,26 +496,22 @@ pub fn plan_transpose(
     // Adjoint finalizations per seed array: every top-level write that is
     // not an exact increment zeroes (or rescales) `yb(w)` in the backward
     // sweep. Exact increments finalize nothing (paper §5.4).
-    let mut finalizations: Vec<Access> = Vec::new();
+    let mut finalizations: Vec<(usize, usize)> = Vec::new();
     for (idx, s) in l.body.iter().enumerate() {
         if let Stmt::Assign { lhs, .. } = s {
             let y = lhs.name();
             if seed_set.contains(y) && is_active(y) && s.increment_parts().is_none() {
-                finalizations.push(Access {
-                    stmt: idx,
-                    site: site_of(y, &lhs.indices()[0]),
-                });
+                finalizations.push((idx, site_of(y, &lhs.indices()[0])));
             }
         }
     }
 
     Ok(TransposePlan {
-        array: array.into(),
         adjoint,
         contributions: contribs.len(),
         var: l.var.clone(),
         lo: l.lo.clone(),
-        last: last_iterate(l, step),
+        last: crate::transform::last_iterate(l),
         step,
         contribs,
         clusters,
@@ -591,12 +539,14 @@ fn cluster(contribs: &[Contribution], step: i64) -> Vec<Cluster> {
             None => groups.push((res, vec![k])),
         }
     }
+    // By symbolic part, rendered only where the parts differ.
     groups.sort_by(|(ra, a), (rb, b)| {
         let (a, b) = (&contribs[a[0]].aff, &contribs[b[0]].aff);
-        a.coef
-            .cmp(&b.coef)
-            .then_with(|| a.cmp_syms(b))
-            .then(ra.cmp(rb))
+        let syms = || match a.same_syms(b) {
+            true => Ordering::Equal,
+            false => a.sym_key().cmp(&b.sym_key()),
+        };
+        a.coef.cmp(&b.coef).then_with(syms).then(ra.cmp(rb))
     });
 
     let mut clusters = Vec::new();
@@ -642,19 +592,19 @@ impl TransposePlan {
     fn pairs(&self, mut visit: impl FnMut(bool, usize, usize)) {
         let n = self.sites.len();
         let mut seen = vec![[false; 2]; n * n];
-        for s in &self.seeds {
-            for w in &self.finalizations {
-                if self.sites[s.site].0 != self.sites[w.site].0 {
+        for &(s_stmt, s) in &self.seeds {
+            for &(w_stmt, w) in &self.finalizations {
+                if self.sites[s].0 != self.sites[w].0 {
                     continue;
                 }
-                let seen = &mut seen[s.site * n + w.site];
+                let seen = &mut seen[s * n + w];
                 if !seen[0] {
                     seen[0] = true;
-                    visit(false, s.site, w.site);
+                    visit(false, s, w);
                 }
-                if w.stmt > s.stmt && !seen[1] {
+                if w_stmt > s_stmt && !seen[1] {
                     seen[1] = true;
-                    visit(true, s.site, w.site);
+                    visit(true, s, w);
                 }
             }
         }
@@ -729,11 +679,11 @@ impl TransposePlan {
         // The write band of offset `d`, where `coef·i_old + S + d` lands:
         // its first and its last element.
         let first = |d: i64| match coef {
-            1 => add_lit(add_syms(lo.clone(), syms), d),
+            1 => add_lit(add_syms(lo.clone(), syms, 1), d),
             _ => fold_sub(syms_plus_lit(syms, d), last.clone()),
         };
         let end = |d: i64| match coef {
-            1 => add_lit(add_syms(last.clone(), syms), d),
+            1 => add_lit(add_syms(last.clone(), syms, 1), d),
             _ => fold_sub(syms_plus_lit(syms, d), lo.clone()),
         };
 
@@ -743,7 +693,7 @@ impl TransposePlan {
             let d = c.aff.lit;
             // Invert coef·i_old + S + d = i_new for i_old.
             let inverse = if coef == 1 {
-                add_lit(sub_syms(Expr::var(var), syms), -d)
+                add_lit(add_syms(Expr::var(var), syms, -1), -d)
             } else {
                 fold_sub(syms_plus_lit(syms, d), Expr::var(var))
             };
@@ -757,29 +707,19 @@ impl TransposePlan {
             let inc = Stmt::increment(LValue::index(&self.adjoint, own.clone()), value);
             // One-sided edge guards: only needed where the member's own
             // band is narrower than the cluster's.
-            let mut guards: Vec<BoolExpr> = Vec::new();
-            if d > d_min {
-                guards.push(BoolExpr::cmp(CmpOp::Ge, Expr::var(var), first(d)));
-            }
-            if d < d_max {
-                guards.push(BoolExpr::cmp(CmpOp::Le, Expr::var(var), end(d)));
-            }
-            body.push(match guards.len() {
-                0 => inc,
-                1 => Stmt::If {
-                    cond: guards.pop().unwrap(),
+            let lo_g = (d > d_min).then(|| BoolExpr::cmp(CmpOp::Ge, Expr::var(var), first(d)));
+            let hi_g = (d < d_max).then(|| BoolExpr::cmp(CmpOp::Le, Expr::var(var), end(d)));
+            let guard = match (lo_g, hi_g) {
+                (Some(lo_g), Some(hi_g)) => Some(BoolExpr::And(lo_g.into(), hi_g.into())),
+                (lo_g, hi_g) => lo_g.or(hi_g),
+            };
+            body.push(match guard {
+                None => inc,
+                Some(cond) => Stmt::If {
+                    cond,
                     then_body: vec![inc],
                     else_body: Vec::new(),
                 },
-                _ => {
-                    let hi_g = guards.pop().unwrap();
-                    let lo_g = guards.pop().unwrap();
-                    Stmt::If {
-                        cond: BoolExpr::And(lo_g.into(), hi_g.into()),
-                        then_body: vec![inc],
-                        else_body: Vec::new(),
-                    }
-                }
             });
         }
 
@@ -787,14 +727,10 @@ impl TransposePlan {
         // increments are race-free by construction.
         let mut referenced: BTreeSet<Name> = BTreeSet::new();
         for s in &body {
-            s.walk_exprs(&mut |e| match e {
-                Expr::Var(n) => {
+            s.walk_exprs(&mut |e| {
+                if let Expr::Var(n) | Expr::Index { array: n, .. } = e {
                     referenced.insert(n.clone());
                 }
-                Expr::Index { array, .. } => {
-                    referenced.insert(array.clone());
-                }
-                _ => {}
             });
         }
         referenced.remove(var);
@@ -825,42 +761,25 @@ fn add_lit(e: Expr, k: i64) -> Expr {
     }
 }
 
-/// `base + Σ sign·sym`.
-fn add_syms(mut e: Expr, syms: &[(i64, Expr)]) -> Expr {
-    for (sign, t) in syms {
-        e = if *sign >= 0 {
-            e + t.clone()
-        } else {
-            e - t.clone()
-        };
-    }
-    e
-}
-
-/// `base − Σ sign·sym`.
-fn sub_syms(mut e: Expr, syms: &[(i64, Expr)]) -> Expr {
-    for (sign, t) in syms {
-        e = if *sign >= 0 {
-            e - t.clone()
-        } else {
-            e + t.clone()
-        };
-    }
-    e
+/// `base + s·Σ sign·sym`, for `s` = ±1.
+fn add_syms(base: Expr, syms: &[(i64, Expr)], s: i64) -> Expr {
+    syms.iter().fold(base, |e, (sign, t)| match sign * s >= 0 {
+        true => e + t.clone(),
+        false => e - t.clone(),
+    })
 }
 
 /// `Σ sign·sym + k` with no base term.
 fn syms_plus_lit(syms: &[(i64, Expr)], k: i64) -> Expr {
-    let mut it = syms.iter();
-    match it.next() {
+    match syms.split_first() {
         None => Expr::IntLit(k),
-        Some((s0, t0)) => {
+        Some(((s0, t0), rest)) => {
             let head = if *s0 >= 0 {
                 t0.clone()
             } else {
                 t0.clone().neg()
             };
-            add_lit(add_syms(head, it.as_slice()), k)
+            add_lit(add_syms(head, rest, 1), k)
         }
     }
 }
@@ -913,17 +832,6 @@ fn fold_sub(a: Expr, b: Expr) -> Expr {
     }
 }
 
-/// The last iterate the primal loop actually executes (mirrors the
-/// reversed-bounds rule of the backward sweep).
-fn last_iterate(l: &ForLoop, step: i64) -> Expr {
-    if step == 1 {
-        l.hi.clone()
-    } else {
-        l.lo.clone()
-            + Expr::binary(BinOp::Div, l.hi.clone() - l.lo.clone(), l.step.clone()) * l.step.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,22 +853,20 @@ mod tests {
         s
     }
 
-    const SHIFT: &str = r#"
-subroutine sh(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(inout) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n
-    y(i) = y(i) + x(i + 1)
-  end do
-end subroutine
-"#;
+    /// A `y = f(x)` kernel: `body` (statements on lines) in one parallel
+    /// `do i = 1, n, step`, `y` of the given intent.
+    fn xy(y_intent: &str, step: i64, body: &str) -> String {
+        let body: String = body.lines().map(|l| format!("    {l}\n")).collect();
+        format!(
+            "subroutine t(n, x, y)\n  integer, intent(in) :: n\n  real, intent(in) :: x(n)\n  \
+             real, intent({y_intent}) :: y(n)\n  integer :: i\n  !$omp parallel do shared(x, y)\n  \
+             do i = 1, n, {step}\n{body}  end do\nend subroutine\n"
+        )
+    }
 
     #[test]
     fn exact_increment_seed_gathers_without_guards() {
-        let p = plan(SHIFT, "x").unwrap();
+        let p = plan(&xy("inout", 1, "y(i) = y(i) + x(i + 1)"), "x").unwrap();
         assert_eq!(p.contributions, 1);
         assert_eq!(p.gather_loop_count(), 1);
         // No finalizations: trivially safe even without a prover.
@@ -975,18 +881,7 @@ end subroutine
 
     #[test]
     fn two_offsets_cluster_with_edge_guards() {
-        let src = r#"
-subroutine two(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(out) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n
-    y(i) = x(i) + 2.0 * x(i + 2)
-  end do
-end subroutine
-"#;
+        let src = &xy("out", 1, "y(i) = x(i) + 2.0 * x(i + 2)");
         let p = plan(src, "x").unwrap();
         assert_eq!(p.contributions, 2);
         assert_eq!(p.gather_loop_count(), 1, "offsets 0 and 2 share a loop");
@@ -1007,18 +902,7 @@ end subroutine
 
     #[test]
     fn reversed_map_inverts() {
-        let src = r#"
-subroutine rev(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(out) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n
-    y(i) = x(n + 1 - i)
-  end do
-end subroutine
-"#;
+        let src = &xy("out", 1, "y(i) = x(n + 1 - i)");
         let p = plan(src, "x").unwrap();
         assert_eq!(p.gather_loop_count(), 1);
         let text = body_text(&p.gather_loops());
@@ -1029,18 +913,7 @@ end subroutine
 
     #[test]
     fn strided_loop_keeps_step() {
-        let src = r#"
-subroutine st(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(out) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n, 3
-    y(i) = x(i + 1)
-  end do
-end subroutine
-"#;
+        let src = &xy("out", 3, "y(i) = x(i + 1)");
         let p = plan(src, "x").unwrap();
         let text = body_text(&p.gather_loops());
         assert!(text.contains(", 3"), "gather keeps the stride: {text}");
@@ -1068,18 +941,7 @@ end subroutine
 
     #[test]
     fn scaled_index_refused() {
-        let src = r#"
-subroutine sc(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(out) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n
-    y(i) = x(2 * i)
-  end do
-end subroutine
-"#;
+        let src = &xy("out", 1, "y(i) = x(2 * i)");
         let err = plan(src, "x").unwrap_err();
         assert!(
             err.contains("not ±1") || err.contains("not affine"),
@@ -1172,19 +1034,7 @@ end subroutine
         // Statement 2 finalizes yb(i), which statement 1's scatter seed
         // reads at the same location of the same iteration: hoisting the
         // seed read would observe the zeroed value.
-        let src = r#"
-subroutine al(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(out) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n
-    y(i) = x(i)
-    y(i) = x(i + 1)
-  end do
-end subroutine
-"#;
+        let src = &xy("out", 1, "y(i) = x(i)\ny(i) = x(i + 1)");
         let p = plan(src, "x").unwrap();
         assert_eq!(p.obligations().same_iter.len(), 1);
         assert!(!p.forced_safe());
@@ -1215,19 +1065,7 @@ end subroutine
 
     #[test]
     fn offset_finalization_unsafe_cross_iteration() {
-        let src = r#"
-subroutine of(n, x, y)
-  integer, intent(in) :: n
-  real, intent(in) :: x(n)
-  real, intent(out) :: y(n)
-  integer :: i
-  !$omp parallel do shared(x, y)
-  do i = 1, n
-    y(2 * i) = x(i)
-    y(2 * i + 1) = x(i + 1)
-  end do
-end subroutine
-"#;
+        let src = &xy("out", 1, "y(2 * i) = x(i)\ny(2 * i + 1) = x(i + 1)");
         let p = plan(src, "x").unwrap();
         // Seed (2i) vs write (2i+1) cross-iteration: 2i = 2i'+1 has no
         // integer solution, but the affine forms differ non-literally
@@ -1245,8 +1083,7 @@ end subroutine
         let b = affine_in(&(Expr::var("s") + Expr::var("i") + Expr::int(4)), "i").unwrap();
         assert!(a.same_syms(&b) && b.same_syms(&a));
         let c = affine_in(&(Expr::var("i") - Expr::var("s")), "i").unwrap();
-        assert!(!a.same_syms(&c));
-        assert_eq!(a.cmp_syms(&c), a.sym_key().cmp(&c.sym_key()));
+        assert!(!a.same_syms(&c) && a.sym_key() != c.sym_key());
         let e2 = Expr::int(7) - Expr::var("i");
         let a2 = affine_in(&e2, "i").unwrap();
         assert_eq!((a2.coef, a2.lit), (-1, 7));
