@@ -210,13 +210,11 @@ pub struct TransposePlan {
     contribs: Vec<Contribution>,
     clusters: Vec<Cluster>,
     /// The distinct (seed array, rank-1 index) locations: equal site ids,
-    /// equal index expressions.
-    sites: Vec<(Name, Expr)>,
-    /// Seed reads as (top-level statement, site), in statement order.
-    seeds: Vec<(usize, usize)>,
-    /// Finalizing writes as (top-level statement, site), in statement
-    /// order.
-    finalizations: Vec<(usize, usize)>,
+    /// Seed reads as (top-level statement, seed array, rank-1 index), in
+    /// statement order.
+    seeds: Vec<(usize, Name, Expr)>,
+    /// Finalizing writes, the same way.
+    finalizations: Vec<(usize, Name, Expr)>,
 }
 
 /// What [`plan_transpose`] reads off a region body regardless of the
@@ -392,18 +390,7 @@ pub fn plan_transpose(
         adjoint_of: &|n: &str| (n == array).then(|| adjoint.clone()),
     };
     let mut contribs: Vec<Contribution> = Vec::new();
-    // Seed reads and finalizations name their (array, index) location by
-    // a site id, so the obligation pairs below dedup on integers.
-    let mut sites: Vec<(Name, Expr)> = Vec::new();
-    let mut site_of = |y: &Name, e: &Expr| match sites.iter().position(|(a, ix)| a == y && ix == e)
-    {
-        Some(k) => k,
-        None => {
-            sites.push((y.clone(), e.clone()));
-            sites.len() - 1
-        }
-    };
-    let mut seeds: Vec<(usize, usize)> = Vec::new();
+    let mut seeds: Vec<(usize, Name, Expr)> = Vec::new();
     let seed_adjoints: Vec<(&Name, Name)> = (seed_set.iter())
         .map(|y| (y, Name::from(format!("{y}{suffix}"))))
         .collect();
@@ -479,7 +466,7 @@ pub fn plan_transpose(
             });
         }
         if !adj.increments.is_empty() {
-            seeds.push((*idx, site_of(y, &indices[0])));
+            seeds.push((*idx, y.clone(), indices[0].clone()));
         }
     }
     if contribs.is_empty() {
@@ -496,12 +483,12 @@ pub fn plan_transpose(
     // Adjoint finalizations per seed array: every top-level write that is
     // not an exact increment zeroes (or rescales) `yb(w)` in the backward
     // sweep. Exact increments finalize nothing (paper §5.4).
-    let mut finalizations: Vec<(usize, usize)> = Vec::new();
+    let mut finalizations: Vec<(usize, Name, Expr)> = Vec::new();
     for (idx, s) in l.body.iter().enumerate() {
         if let Stmt::Assign { lhs, .. } = s {
             let y = lhs.name();
             if seed_set.contains(y) && is_active(y) && s.increment_parts().is_none() {
-                finalizations.push((idx, site_of(y, &lhs.indices()[0])));
+                finalizations.push((idx, y.clone(), lhs.indices()[0].clone()));
             }
         }
     }
@@ -515,10 +502,29 @@ pub fn plan_transpose(
         step,
         contribs,
         clusters,
-        sites,
         seeds,
         finalizations,
     })
+}
+
+/// An (array, index) location an obligation pair refers to.
+type Site<'a> = (&'a Name, &'a Expr);
+
+/// `(statement, site id)` of each access, interning its (array, index)
+/// into `sites` by structural equality.
+fn site_ids<'a>(
+    sites: &mut Vec<Site<'a>>,
+    accesses: &'a [(usize, Name, Expr)],
+) -> Vec<(usize, usize)> {
+    let id = |(stmt, y, e): &'a (usize, Name, Expr)| {
+        let k = sites.iter().position(|&(a, ix)| a == y && ix == e);
+        let k = k.unwrap_or_else(|| {
+            sites.push((y, e));
+            sites.len() - 1
+        });
+        (*stmt, k)
+    };
+    accesses.iter().map(id).collect()
 }
 
 /// Lay the contributions out in gather loops. They are grouped by
@@ -585,47 +591,50 @@ impl TransposePlan {
         self.clusters.len()
     }
 
-    /// Visit every distinct (seed read, finalizing write) pair of one seed
-    /// array: `same` is false for the cross-iteration family and true for
-    /// the same-iteration one (the write in a later statement). Each
-    /// family is deduplicated by site ids and visited in statement order.
-    fn pairs(&self, mut visit: impl FnMut(bool, usize, usize)) {
-        let n = self.sites.len();
+    /// The distinct (seed read, finalizing write) pairs of one seed array,
+    /// as `(same, seed, write)` ids into the sites it returns; `same` marks
+    /// the same-iteration family (the write in a later statement). Each
+    /// family is deduplicated by site ids, in statement order.
+    fn pairs(&self) -> (Vec<Site<'_>>, Vec<(bool, usize, usize)>) {
+        let mut sites = Vec::new();
+        let seeds = site_ids(&mut sites, &self.seeds);
+        let finalizations = site_ids(&mut sites, &self.finalizations);
+        let n = sites.len();
         let mut seen = vec![[false; 2]; n * n];
-        for &(s_stmt, s) in &self.seeds {
-            for &(w_stmt, w) in &self.finalizations {
-                if self.sites[s].0 != self.sites[w].0 {
+        let mut pairs = Vec::new();
+        for &(s_stmt, s) in &seeds {
+            for &(w_stmt, w) in &finalizations {
+                if sites[s].0 != sites[w].0 {
                     continue;
                 }
-                let seen = &mut seen[s * n + w];
-                if !seen[0] {
-                    seen[0] = true;
-                    visit(false, s, w);
-                }
-                if w_stmt > s_stmt && !seen[1] {
-                    seen[1] = true;
-                    visit(true, s, w);
+                for same in [false, true] {
+                    let seen = &mut seen[s * n + w][usize::from(same)];
+                    if !*seen && (!same || w_stmt > s_stmt) {
+                        *seen = true;
+                        pairs.push((same, s, w));
+                    }
                 }
             }
         }
+        (sites, pairs)
     }
 
     /// The index pairs that must be shown disjoint before the gather may
     /// replace the scatter.
     pub fn obligations(&self) -> Obligations {
+        let (sites, pairs) = self.pairs();
         let mut out = Obligations::default();
-        self.pairs(|same, s, w| {
+        for (same, s, w) in pairs {
             let pair = ObligationPair {
-                array: self.sites[s].0.clone(),
-                seed: vec![self.sites[s].1.clone()],
-                write: vec![self.sites[w].1.clone()],
+                array: sites[s].0.clone(),
+                seed: vec![sites[s].1.clone()],
+                write: vec![sites[w].1.clone()],
             };
-            if same {
-                out.same_iter.push(pair);
-            } else {
-                out.cross_iter.push(pair);
+            match same {
+                true => out.same_iter.push(pair),
+                false => out.cross_iter.push(pair),
             }
-        });
+        }
         out
     }
 
@@ -635,29 +644,23 @@ impl TransposePlan {
     /// coefficient and symbolic part, leaving a literal separation
     /// argument.
     pub fn forced_safe(&self) -> bool {
-        let affs: Vec<Option<Aff>> = self
-            .sites
-            .iter()
-            .map(|(_, e)| affine_in(e, &self.var))
-            .collect();
-        let mut safe = true;
-        self.pairs(|same, s, w| {
+        let (sites, pairs) = self.pairs();
+        let affs: Vec<Option<Aff>> = sites.iter().map(|(_, e)| affine_in(e, &self.var)).collect();
+        pairs.iter().all(|&(same, s, w)| {
             let (Some(a), Some(b)) = (&affs[s], &affs[w]) else {
-                safe = false;
-                return;
+                return false;
             };
             if a.coef != b.coef || a.coef.abs() != 1 || !a.same_syms(b) {
-                safe = false;
+                false
             } else if same {
-                safe &= a.lit != b.lit;
+                a.lit != b.lit
             } else {
                 // Alias across iterations needs coef·(i−i') = lit_w − lit_s
                 // with i−i' a nonzero multiple of the step.
                 let diff = b.lit - a.lit;
-                safe &= diff == 0 || (self.step != 1 && diff % self.step != 0);
+                diff == 0 || (self.step != 1 && diff % self.step != 0)
             }
-        });
-        safe
+        })
     }
 
     /// The gather loops, to run *before* the residual reversed loop (they
