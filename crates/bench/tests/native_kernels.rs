@@ -96,6 +96,84 @@ fn executed_versions<'a>(
     progs
 }
 
+/// FNV-1a, 64 bits.
+fn fnv64(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// One line per executed version of every kernel: an FNV-64 of its AOT
+/// kernel source, and of the simulator's cycles and event counters at
+/// T = 1 and T = 4.
+fn kernel_fixture_lines() -> Vec<String> {
+    let mut out = Vec::new();
+    for case in cases() {
+        let versions = ProgramVersions::generate(&case.program, case.indep, case.dep);
+        let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
+        for (label, prog, bind) in executed_versions(&versions, &case.base, &adj_base) {
+            let lp = lower(prog, bind).expect("lower");
+            let bc = compile(&lp, prog).expect("bytecode");
+            let src = generate_source(&lp, &bc).expect("codegen");
+            let mut line = format!(
+                "{}/{label} aot {:016x}",
+                case.name.replace(' ', "_"),
+                fnv64(&src)
+            );
+            for threads in [1usize, 4] {
+                let r = run(prog, &mut bind.clone(), &Machine::with_threads(threads))
+                    .unwrap_or_else(|e| panic!("{} / {label}: sim: {e}", case.name));
+                let costs = format!("{} {} {:?}", r.wall_cycles, r.cpu_cycles, r.stats);
+                line.push_str(&format!(" sim{threads} {:016x}", fnv64(&costs)));
+            }
+            out.push(line);
+        }
+    }
+    out
+}
+
+/// The generated kernels and the simulator's costs, pinned: a change to
+/// the execution layer that claims to change no output must leave
+/// `fixtures/native_kernels.txt` alone. To record it again after an
+/// intended change:
+///
+/// ```text
+/// UPDATE_NATIVE_KERNELS=1 cargo test -p formad-bench --test native_kernels
+/// ```
+#[test]
+fn generated_kernels_and_simulated_costs_are_pinned() {
+    let now: String = kernel_fixture_lines()
+        .iter()
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/native_kernels.txt");
+    if std::env::var_os("UPDATE_NATIVE_KERNELS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture directory")).expect("mkdir");
+        std::fs::write(&path, &now).expect("fixture writes");
+    }
+    let recorded = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{}: {e}; run with UPDATE_NATIVE_KERNELS=1 to record it",
+            path.display()
+        )
+    });
+    assert_eq!(recorded.lines().count(), 5 * 4 + 3, "versions per kernel");
+    let moved: Vec<(&str, &str)> = recorded
+        .lines()
+        .zip(now.lines())
+        .filter(|(a, b)| a != b)
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "{} versions generate or simulate differently (recorded, now): {moved:#?}",
+        moved.len()
+    );
+}
+
 /// Every kernel × every discipline (FormAD plan / uniform atomic /
 /// uniform reduction / transposed gather where it exists, plus the
 /// primal) × {1, 4} threads satisfies the determinism contract, and the
