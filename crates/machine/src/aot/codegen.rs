@@ -722,8 +722,6 @@ impl Gen<'_> {
     /// Boolean expression as a Rust expression string. `&&`/`||`/`!` give
     /// the same short-circuit evaluation order as the bytecode's jump
     /// chains; comparison operands evaluate inside a block expression.
-    /// Integer comparisons go through f64 like the interpreter's
-    /// `compare`.
     fn gen_bool(&mut self, b: &LBool) -> Result<String, String> {
         Ok(match b {
             LBool::Cmp(op, ty, a, bb) => {
@@ -741,11 +739,7 @@ impl Gen<'_> {
                     CmpOp::Gt => ">",
                     CmpOp::Ge => ">=",
                 };
-                let cmp = match ty {
-                    Ty::Real => format!("{x} {o} {y}"),
-                    Ty::Int => format!("(({x}) as f64) {o} (({y}) as f64)"),
-                };
-                format!("{{ {stmts} {cmp} }}")
+                format!("{{ {stmts} {x} {o} {y} }}")
             }
             LBool::And(a, b) => format!("({} && {})", self.gen_bool(a)?, self.gen_bool(b)?),
             LBool::Or(a, b) => format!("({} || {})", self.gen_bool(a)?, self.gen_bool(b)?),

@@ -119,7 +119,7 @@ pub enum Instr {
         a: Reg,
         b: Reg,
     },
-    /// Int comparison (via f64, exactly like the interpreter).
+    /// Int comparison, exact on the whole `i64` range.
     CmpI {
         op: CmpOp,
         dst: Reg,

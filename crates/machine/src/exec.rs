@@ -1006,12 +1006,8 @@ fn exec_code(
                     _ => unreachable!("unary intrinsic compiled as Call2I"),
                 };
             }
-            // Integer comparisons go through f64 exactly like the
-            // interpreter's `compare`.
             Instr::CmpR { op, dst, a, b } => ii!(dst) = compare(op, rr!(a), rr!(b)) as i64,
-            Instr::CmpI { op, dst, a, b } => {
-                ii!(dst) = compare(op, ii!(a) as f64, ii!(b) as f64) as i64
-            }
+            Instr::CmpI { op, dst, a, b } => ii!(dst) = compare(op, ii!(a), ii!(b)) as i64,
             Instr::IdxFirst { dst, idx, arr } => {
                 let meta = &bc.arrays[arr as usize];
                 let v = ii!(idx);
@@ -1180,7 +1176,7 @@ fn combine(op: RedOp, a: f64, b: f64) -> f64 {
     }
 }
 
-fn compare(op: CmpOp, a: f64, b: f64) -> bool {
+fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     match op {
         CmpOp::Eq => a == b,
         CmpOp::Ne => a != b,

@@ -395,7 +395,7 @@ impl<'a> Interp<'a> {
                     Ty::Int => {
                         let l = self.eval_i(a)?;
                         let r = self.eval_i(x)?;
-                        compare(*op, l as f64, r as f64)
+                        compare(*op, l, r)
                     }
                     Ty::Real => {
                         let l = self.eval_r(a)?;
@@ -783,7 +783,7 @@ fn combine(op: RedOp, a: f64, b: f64) -> f64 {
     }
 }
 
-fn compare(op: CmpOp, a: f64, b: f64) -> bool {
+fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     match op {
         CmpOp::Eq => a == b,
         CmpOp::Ne => a != b,
