@@ -241,7 +241,7 @@ fn rustc_bin() -> std::ffi::OsString {
 
 /// The `rustc` flags every kernel is built with, input and output paths
 /// aside: generated code is always optimized and wraps on integer
-/// overflow, matching the release-built interpreter, and aborts on a
+/// overflow, as the host backends do in every build profile, and aborts on a
 /// panic, which a `no_std` crate must. Public so that a lint gate can
 /// compile exactly what [`load_or_compile`] compiles.
 pub fn kernel_rustc_flags() -> &'static [&'static str] {

@@ -940,9 +940,9 @@ fn exec_code(
                 let x = ii!(a);
                 let y = ii!(b);
                 ii!(dst) = match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
                     BinOp::Div => {
                         if y == 0 {
                             return Err(ExecError::new("integer division by zero"));
@@ -967,7 +967,7 @@ fn exec_code(
                 };
             }
             Instr::NegR { dst, a } => rr!(dst) = -rr!(a),
-            Instr::NegI { dst, a } => ii!(dst) = -ii!(a),
+            Instr::NegI { dst, a } => ii!(dst) = ii!(a).wrapping_neg(),
             Instr::Call1R { f, dst, a } => {
                 let x = rr!(a);
                 rr!(dst) = match f {
@@ -995,7 +995,7 @@ fn exec_code(
             Instr::Call1I { f, dst, a } => {
                 debug_assert!(matches!(f, Intrinsic::Abs));
                 let _ = f;
-                ii!(dst) = ii!(a).abs();
+                ii!(dst) = ii!(a).wrapping_abs();
             }
             Instr::Call2I { f, dst, a, b } => {
                 let x = ii!(a);

@@ -337,16 +337,16 @@ impl<'a> Interp<'a> {
             }
             LExpr::Neg(a) => {
                 self.charge(self.m.cost.flop);
-                -self.eval_i(a)?
+                self.eval_i(a)?.wrapping_neg()
             }
             LExpr::Bin(op, a, b) => {
                 let x = self.eval_i(a)?;
                 let y = self.eval_i(b)?;
                 self.charge(self.m.cost.flop);
                 match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
+                    BinOp::Add => x.wrapping_add(y),
+                    BinOp::Sub => x.wrapping_sub(y),
+                    BinOp::Mul => x.wrapping_mul(y),
                     BinOp::Div => {
                         if y == 0 {
                             return Err(ExecError::new("integer division by zero"));
@@ -373,7 +373,7 @@ impl<'a> Interp<'a> {
             LExpr::Call(f, args) => {
                 self.charge(self.m.cost.flop);
                 match f {
-                    Intrinsic::Abs => self.eval_i(&args[0])?.abs(),
+                    Intrinsic::Abs => self.eval_i(&args[0])?.wrapping_abs(),
                     Intrinsic::Min => self.eval_i(&args[0])?.min(self.eval_i(&args[1])?),
                     Intrinsic::Max => self.eval_i(&args[0])?.max(self.eval_i(&args[1])?),
                     other => {

@@ -1,6 +1,9 @@
 //! Integer semantics every backend shares, held on the simulator, the
 //! bytecode engine and the AOT kernel, in sequential code and inside a
-//! parallel region: comparisons are exact on the whole `i64` range.
+//! parallel region: comparisons are exact on the whole `i64` range, and
+//! `+ - * neg abs` wrap in every build profile (a debug build of the
+//! host backends used to panic where the release build and the kernels
+//! wrapped).
 
 use formad_ir::parse_program;
 use formad_machine::{run, run_aot, run_native, Bindings, Machine};
@@ -102,5 +105,43 @@ fn integer_comparisons_are_exact_above_two_to_the_53() {
                 "{backend}: k = {k}, m = {m}"
             );
         }
+    }
+}
+
+/// The five wrapping operations at the ends of the range, once in
+/// sequential code (into `r`) and once inside a region (into `q`).
+const WRAP: &str = r#"
+subroutine wrap(big, small, r, q)
+  integer, intent(in) :: big, small
+  integer, intent(inout) :: r(5)
+  integer, intent(inout) :: q(5)
+  integer :: i
+  r(1) = big + 1
+  r(2) = small - 1
+  r(3) = -small
+  r(4) = abs(small)
+  r(5) = big * 2
+  !$omp parallel do shared(q)
+  do i = 1, 1
+    q(1) = big + 1
+    q(2) = small - 1
+    q(3) = -small
+    q(4) = abs(small)
+    q(5) = big * 2
+  end do
+end subroutine
+"#;
+
+#[test]
+fn integer_arithmetic_wraps_in_every_build_profile() {
+    let bind = Bindings::new()
+        .int("big", i64::MAX)
+        .int("small", i64::MIN)
+        .int_array("r", vec![0; 5])
+        .int_array("q", vec![0; 5]);
+    let want = [i64::MIN, i64::MAX, i64::MIN, i64::MIN, -2];
+    for (backend, out) in on_every_backend(WRAP, &bind) {
+        assert_eq!(out.int_arrays["r"], want, "{backend}: sequential");
+        assert_eq!(out.int_arrays["q"], want, "{backend}: region");
     }
 }
