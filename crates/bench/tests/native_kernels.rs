@@ -116,8 +116,7 @@ fn kernel_fixture_lines() -> Vec<String> {
         let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
         for (label, prog, bind) in executed_versions(&versions, &case.base, &adj_base) {
             let lp = lower(prog, bind).expect("lower");
-            let bc = compile(&lp, prog).expect("bytecode");
-            let src = generate_source(&lp, &bc).expect("codegen");
+            let src = generate_source(&lp).expect("codegen");
             let mut line = format!(
                 "{}/{label} aot {:016x}",
                 case.name.replace(' ', "_"),
@@ -218,8 +217,7 @@ fn generated_kernels_compile_without_warnings() {
         let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
         for (_, prog, bind) in executed_versions(&versions, &case.base, &adj_base) {
             let lp = lower(prog, bind).expect("lower");
-            let bc = compile(&lp, prog).expect("bytecode");
-            let src = generate_source(&lp, &bc).expect("codegen");
+            let src = generate_source(&lp).expect("codegen");
             let file = dir.join(format!("{}.rs", prog.name));
             std::fs::write(&file, src).expect("write generated source");
             let out = std::process::Command::new("rustc")

@@ -33,33 +33,35 @@
 //!   formatting with it). Nothing is linked today; the stub keeps
 //!   loading from depending on that.
 //!
-//! The generated code must stay **bitwise identical** to the bytecode
-//! interpreter, so it mirrors `bytecode.rs`/`exec.rs` exactly:
+//! What a region *is* comes from the lowering's plan
+//! ([`crate::lower`]), the same one the simulator and the bytecode engine
+//! read: the regions and their numbering ([`LProgram::regions`]), each
+//! array's extents and strides ([`crate::lower::ArrMeta`]), which
+//! accesses go to a private reduction copy ([`LRegion::red_slot`]), the
+//! fused increment ([`fused_increment`]) and the chunk walk of
+//! [`crate::lower::Schedule::values`]. The code must stay **bitwise
+//! identical** to the bytecode engine's, so it also keeps its evaluation
+//! rules:
 //!
 //! - the same evaluation order everywhere (offsets before right-hand
 //!   sides, bounds checks per index in index order, `lo` → `hi` → `step`
 //!   for sequential loops, short-circuit `&&`/`||` in conditions);
-//! - the same floating-point association (the `a(i…) = a(i…) + e` fusion
-//!   computes `load + e`, atomic adds CAS with `cur + v`);
+//! - the same floating-point association (the fused increment computes
+//!   `load + e`, atomic adds CAS with `cur + v`);
 //! - the same memory orderings (relaxed plain element accesses,
-//!   acquire-release CAS for `!$omp atomic`);
-//! - the same iteration-to-thread assignment — the chunk loop lives
-//!   *inside* the generated function and walks ranks `a_begin..a_end`
-//!   with the value advancing by `step` per processed iteration in both
-//!   loop directions, matching `NativeEngine::run_region`.
+//!   acquire-release CAS for `!$omp atomic`).
 //!
 //! Runtime errors do not unwind across the FFI boundary: every error
 //! site records its details in the env and `break`s out of a labeled
 //! block with an `AOT_ERR_*` code; the host re-renders the exact
 //! interpreter message.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use formad_ir::{BinOp, CmpOp, Intrinsic, Ty};
 
-use crate::bytecode::{lexpr_eq, BcProgram};
-use crate::lower::{ArrId, LBool, LExpr, LFor, LProgram, LStmt};
+use crate::lower::{fused_increment, ArrId, LBool, LExpr, LFor, LProgram, LRegion, LStmt};
 
 /// The shared ABI definition, embedded verbatim into every generated
 /// kernel so both sides of the FFI boundary compile the same text.
@@ -83,28 +85,18 @@ pub extern "C" fn rust_eh_personality() {}
 
 /// Generate the complete cdylib source for `lp`. Fails (→ bytecode
 /// fallback) only on programs the bytecode compiler would reject too.
-pub fn generate_source(lp: &LProgram, bc: &BcProgram) -> Result<String, String> {
-    let mut regions = Vec::new();
-    collect_parallel(&lp.body, &mut regions);
-    if regions.len() != bc.regions.len() {
-        return Err(format!(
-            "region count mismatch: lowered tree has {}, bytecode has {}",
-            regions.len(),
-            bc.regions.len()
-        ));
-    }
+pub fn generate_source(lp: &LProgram) -> Result<String, String> {
     let mut g = Gen {
         lp,
-        bc,
-        red: HashMap::new(),
+        region: None,
         libm: BTreeSet::new(),
         tmp: 0,
         out: String::new(),
         ind: 0,
     };
-    for (k, f) in regions.iter().enumerate() {
+    for (k, r) in lp.regions.iter().enumerate() {
         g.out.push('\n');
-        g.region_fn(k, f)?;
+        g.region_fn(k, r)?;
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -135,42 +127,16 @@ pub fn generate_source(lp: &LProgram, bc: &BcProgram) -> Result<String, String> 
     let _ = writeln!(
         out,
         "#[no_mangle]\npub extern \"C\" fn formad_aot_region_count() -> u32 {{ {} }}",
-        regions.len()
+        lp.regions.len()
     );
     out.push_str(&g.out);
     Ok(out)
 }
 
-/// Parallel regions in bytecode emission order: a pre-order statement
-/// walk that recurses into `if` branches and *sequential* loop bodies.
-/// Parallel loops never nest (the bytecode compiler rejects that), so
-/// their bodies are not walked.
-fn collect_parallel<'a>(body: &'a [LStmt], out: &mut Vec<&'a LFor>) {
-    for s in body {
-        match s {
-            LStmt::If(_, then_b, else_b) => {
-                collect_parallel(then_b, out);
-                collect_parallel(else_b, out);
-            }
-            LStmt::For(f) => {
-                if f.parallel.is_some() {
-                    out.push(f);
-                } else {
-                    collect_parallel(&f.body, out);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 struct Gen<'a> {
     lp: &'a LProgram,
-    bc: &'a BcProgram,
-    /// `ArrId` → reduction-buffer ordinal for the region being generated
-    /// (statically resolved: redirected accesses compile to plain buffer
-    /// arithmetic, everything else to shared atomics).
-    red: HashMap<ArrId, usize>,
+    /// The region being generated.
+    region: Option<&'a LRegion>,
     /// The libm functions the regions generated so far call.
     libm: BTreeSet<&'static str>,
     tmp: usize,
@@ -178,7 +144,7 @@ struct Gen<'a> {
     ind: usize,
 }
 
-impl Gen<'_> {
+impl<'a> Gen<'a> {
     fn line(&mut self, s: &str) {
         for _ in 0..self.ind {
             self.out.push_str("    ");
@@ -192,15 +158,17 @@ impl Gen<'_> {
         format!("t{}", self.tmp)
     }
 
-    fn region_fn(&mut self, k: usize, f: &LFor) -> Result<(), String> {
-        let p = f.parallel.as_ref().expect("collect_parallel gave a region");
+    /// The private reduction copy `rb{j}` an access of `id` goes to, if
+    /// the region reduces `id` — compiled in as plain buffer arithmetic;
+    /// everything else goes to shared atomics.
+    fn red_slot(&self, id: ArrId) -> Option<usize> {
+        self.region.and_then(|r| r.red_slot(id))
+    }
+
+    fn region_fn(&mut self, k: usize, p: &'a LRegion) -> Result<(), String> {
+        let f = &p.for_loop;
         self.tmp = 0;
-        self.red = p
-            .red_arrays
-            .iter()
-            .enumerate()
-            .map(|(j, &(_, id))| (id, j))
-            .collect();
+        self.region = Some(p);
         self.line(&format!(
             "/// Region {k} of `{}` — runs this thread's chunk of ranks.",
             self.lp.name
@@ -262,10 +230,9 @@ impl Gen<'_> {
         self.line("let ae: i64 = (*env).a_end;");
         self.line("let rc: i32 = 'body: {");
         self.ind += 1;
-        // The chunk loop. Walking ranks ascending for positive steps and
-        // descending for negative ones makes the loop value advance by
-        // `+step` per processed iteration in *both* directions (see
-        // `run_region`), so one forward walk over `v` covers both.
+        // The chunk loop: `Schedule::values` of ranks `ab..ae` — the
+        // first value, then `+step` per processed iteration in *both*
+        // loop directions.
         self.line(&format!("let mut v: i64 = {first};"));
         self.line("let mut n: i64 = ae - ab;");
         self.line("while n > 0 {");
@@ -318,24 +285,16 @@ impl Gen<'_> {
                 // Interpreter order: offset (bounds errors) before rhs.
                 let off = self.offset(*id, idx)?;
                 match self.lp.arrays[*id as usize].ty {
-                    Ty::Real => {
-                        // Same `a(i…) = a(i…) + e` fusion as the bytecode
-                        // compiler: one offset, `load + e` association.
-                        if let LExpr::Bin(BinOp::Add, l, e) = rhs {
-                            if let LExpr::Elem(id2, idx2, _) = &**l {
-                                if id2 == id
-                                    && idx2.len() == idx.len()
-                                    && idx2.iter().zip(idx).all(|(a, b)| lexpr_eq(a, b))
-                                {
-                                    let v = self.gen_r(e)?;
-                                    self.inc_r(*id, &off, &v);
-                                    return Ok(());
-                                }
-                            }
+                    Ty::Real => match fused_increment(*id, idx, rhs) {
+                        Some(e) => {
+                            let v = self.gen_r(e)?;
+                            self.inc_r(*id, &off, &v);
                         }
-                        let v = self.gen_r(rhs)?;
-                        self.store_r(*id, &off, &v);
-                    }
+                        None => {
+                            let v = self.gen_r(rhs)?;
+                            self.store_r(*id, &off, &v);
+                        }
+                    },
                     Ty::Int => {
                         let v = self.gen_i(rhs)?;
                         self.line(&format!(
@@ -347,7 +306,7 @@ impl Gen<'_> {
             LStmt::AtomicAddElem(id, idx, rhs) => {
                 let off = self.offset(*id, idx)?;
                 let v = self.gen_r(rhs)?;
-                if let Some(&j) = self.red.get(id) {
+                if let Some(j) = self.red_slot(*id) {
                     // Discipline compiled in: the analysis privatized this
                     // array, so the "atomic" is a plain buffer add.
                     self.line(&format!("*rb{j}.add({off} as usize) += {v};"));
@@ -392,12 +351,8 @@ impl Gen<'_> {
                     self.line("}");
                 }
             }
-            LStmt::For(f) => {
-                if f.parallel.is_some() {
-                    return Err("nested parallel region".into());
-                }
-                self.seq_for(f)?;
-            }
+            LStmt::For(f) => self.seq_for(f)?,
+            LStmt::Parallel(_) => return Err("nested parallel region".into()),
             LStmt::Push(e, ty) => match ty {
                 Ty::Real => {
                     let v = self.gen_r(e)?;
@@ -476,7 +431,7 @@ impl Gen<'_> {
     /// Real-element store, redirected to the privatized buffer when the
     /// region's analysis reduced this array.
     fn store_r(&mut self, id: ArrId, off: &str, v: &str) {
-        if let Some(&j) = self.red.get(&id) {
+        if let Some(j) = self.red_slot(id) {
             self.line(&format!("*rb{j}.add({off} as usize) = {v};"));
         } else {
             self.line(&format!(
@@ -488,7 +443,7 @@ impl Gen<'_> {
     /// The fused plain increment: relaxed load, `+ v`, relaxed store —
     /// the FormAD-proved discipline that pays no synchronization at all.
     fn inc_r(&mut self, id: ArrId, off: &str, v: &str) {
-        if let Some(&j) = self.red.get(&id) {
+        if let Some(j) = self.red_slot(id) {
             self.line(&format!("*rb{j}.add({off} as usize) += {v};"));
         } else {
             let cur = self.t();
@@ -529,7 +484,8 @@ impl Gen<'_> {
         }
         for (k, ix) in idx.iter().enumerate() {
             let v = self.gen_i(ix)?;
-            let dim = self.bc.arrays[id as usize].dims[k];
+            let meta = &self.lp.arrays[id as usize];
+            let (dim, stride) = (meta.dims[k], meta.strides[k]);
             self.line(&format!("if {v} < 1i64 || {v} > {dim}i64 {{"));
             self.line(&format!(
                 "    (*env).err_value = {v}; (*env).err_arr = {id}u32; (*env).err_dim = {k}u32;"
@@ -539,7 +495,6 @@ impl Gen<'_> {
             if k == 0 {
                 self.line(&format!("let mut {d}: i64 = {v} - 1i64;"));
             } else {
-                let stride = self.bc.arrays[id as usize].strides[k];
                 self.line(&format!("{d} += ({v} - 1i64) * {stride}i64;"));
             }
         }
@@ -566,7 +521,7 @@ impl Gen<'_> {
                 }
                 let off = self.offset(*id, idx)?;
                 let d = self.t();
-                if let Some(&j) = self.red.get(id) {
+                if let Some(j) = self.red_slot(*id) {
                     self.line(&format!("let {d}: f64 = *rb{j}.add({off} as usize);"));
                 } else {
                     self.line(&format!(
@@ -752,7 +707,6 @@ impl Gen<'_> {
 mod tests {
     use super::*;
     use crate::bindings::Bindings;
-    use crate::bytecode::compile;
     use crate::lower::lower;
     use formad_ir::parse_program;
 
@@ -787,8 +741,7 @@ end subroutine
             .real_array("x", vec![0.5; 8])
             .real_array("y", vec![1.0; 8]);
         let lp = lower(&p, &bind).expect("lower");
-        let bc = compile(&lp, &p).expect("compile");
-        let src = generate_source(&lp, &bc).expect("codegen");
+        let src = generate_source(&lp).expect("codegen");
 
         let first_attribute = src.lines().find(|l| l.starts_with("#!"));
         assert_eq!(first_attribute, Some("#![no_std]"));

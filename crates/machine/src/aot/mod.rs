@@ -378,7 +378,7 @@ pub fn load_or_compile(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>, 
 }
 
 fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>, AotError> {
-    let src = codegen::generate_source(lp, bc).map_err(AotError::Codegen)?;
+    let src = codegen::generate_source(lp).map_err(AotError::Codegen)?;
     let hash = fnv128_hex(&src);
     // Hold the registry lock across the build so concurrent callers of
     // the same program compile once. Kernel builds are rare and bounded;

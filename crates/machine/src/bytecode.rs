@@ -8,14 +8,20 @@
 //! - scalar slot `s` lives in register `s` of its file; expression
 //!   temporaries are allocated above the scalar watermark with stack
 //!   discipline, so register files stay small and reusable;
-//! - multi-dimensional indexing is linearized with **precomputed
-//!   strides** ([`BcArray::strides`], Fortran column-major) and
+//! - multi-dimensional indexing is linearized with the strides lowering
+//!   computed ([`ArrMeta::strides`], Fortran column-major) and
 //!   per-dimension bounds checks identical to the interpreter's;
 //! - booleans compile to short-circuit conditional jumps, preserving the
 //!   interpreter's evaluation (and therefore error) order;
 //! - each `!$omp parallel do` body compiles into its own code block
-//!   ([`BcRegion`]); the main code evaluates the bounds into dedicated
-//!   registers and yields to the executor with [`Instr::EnterPar`].
+//!   ([`BcRegion`]), at the index lowering gave the region; the main code
+//!   evaluates the bounds into dedicated registers and yields to the
+//!   executor with [`Instr::EnterPar`];
+//! - an access to an array the region reduces names the thread's private
+//!   copy statically — view `n_arrays + j` of the worker's view table,
+//!   `j` being [`LRegion::red_slot`] — and an `!$omp atomic` increment
+//!   of it compiles to a plain [`Instr::IncR`] there, so the only
+//!   [`Instr::AtomicAddR`] left in a region is a shared one.
 //!
 //! Compilation is semantics-preserving by construction: operands are
 //! evaluated in exactly the order the interpreter walks them, so a
@@ -35,7 +41,9 @@ use std::collections::HashMap;
 use formad_ir::{BinOp, CmpOp, Intrinsic, Program, RedOp, Ty};
 
 use crate::bindings::ExecError;
-use crate::lower::{ArrId, LBool, LExpr, LFor, LProgram, LStmt, Slot};
+use crate::lower::{
+    fused_increment, ArrId, ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt, RegionId, Slot,
+};
 
 /// Register index within the real or int file.
 pub type Reg = u16;
@@ -161,8 +169,8 @@ pub enum Instr {
         off: Reg,
         src: Reg,
     },
-    /// `arr[off] += reals[src]` with a CAS loop when executed inside a
-    /// parallel region (`!$omp atomic`).
+    /// `arr[off] += reals[src]` with a CAS loop (`!$omp atomic` on a
+    /// shared array).
     AtomicAddR {
         arr: u16,
         off: Reg,
@@ -244,16 +252,6 @@ pub struct BcRegion {
     pub red_arrays: Vec<(RedOp, ArrId)>,
 }
 
-/// Array storage descriptor with precomputed column-major strides.
-#[derive(Debug, Clone)]
-pub struct BcArray {
-    pub name: String,
-    pub ty: Ty,
-    pub dims: Vec<i64>,
-    pub strides: Vec<i64>,
-    pub len: usize,
-}
-
 /// What a program parameter binds to (for transfer and write-back).
 #[derive(Debug, Clone)]
 pub enum BcParam {
@@ -281,7 +279,7 @@ pub struct BcProgram {
     pub regions: Vec<BcRegion>,
     pub n_real_regs: usize,
     pub n_int_regs: usize,
-    pub arrays: Vec<BcArray>,
+    pub arrays: Vec<ArrMeta>,
     /// Declared parameters in declaration order (write-back order).
     pub params: Vec<BcParam>,
     /// Every scalar name → (slot, ty), for binding transfer-in.
@@ -292,26 +290,7 @@ pub struct BcProgram {
 /// binding-transfer tables (the same information [`crate::interp::run`]
 /// uses).
 pub fn compile(lp: &LProgram, prog: &Program) -> Result<BcProgram, ExecError> {
-    let arrays: Vec<BcArray> = lp
-        .arrays
-        .iter()
-        .map(|m| {
-            let mut strides = Vec::with_capacity(m.dims.len());
-            let mut s = 1i64;
-            for d in &m.dims {
-                strides.push(s);
-                s *= d;
-            }
-            BcArray {
-                name: m.name.clone(),
-                ty: m.ty,
-                dims: m.dims.clone(),
-                strides,
-                len: m.len,
-            }
-        })
-        .collect();
-    if arrays.len() > u16::MAX as usize {
+    if lp.arrays.len() > u16::MAX as usize {
         return Err(ExecError::new("too many arrays for bytecode"));
     }
     let mut params = Vec::with_capacity(prog.params.len());
@@ -350,38 +329,10 @@ pub fn compile(lp: &LProgram, prog: &Program) -> Result<BcProgram, ExecError> {
         regions: c.regions,
         n_real_regs: c.max_r as usize,
         n_int_regs: c.max_i as usize,
-        arrays,
+        arrays: lp.arrays.clone(),
         params,
         scalar_slots: lp.scalar_slots.clone(),
     })
-}
-
-/// Structural equality of pure lowered expressions, used to recognize
-/// the increment pattern `a(i…) = a(i…) + e`. Constants compare by bits
-/// so a match implies identical evaluation.
-pub(crate) fn lexpr_eq(a: &LExpr, b: &LExpr) -> bool {
-    match (a, b) {
-        (LExpr::ConstR(x), LExpr::ConstR(y)) => x.to_bits() == y.to_bits(),
-        (LExpr::ConstI(x), LExpr::ConstI(y)) => x == y,
-        (LExpr::ScalarR(x), LExpr::ScalarR(y)) | (LExpr::ScalarI(x), LExpr::ScalarI(y)) => x == y,
-        (LExpr::Elem(i1, x1, _), LExpr::Elem(i2, x2, _)) => {
-            i1 == i2 && x1.len() == x2.len() && x1.iter().zip(x2).all(|(p, q)| lexpr_eq(p, q))
-        }
-        (LExpr::Bin(o1, l1, r1), LExpr::Bin(o2, l2, r2)) => {
-            o1 == o2 && lexpr_eq(l1, l2) && lexpr_eq(r1, r2)
-        }
-        (LExpr::Neg(x), LExpr::Neg(y)) | (LExpr::Coerce(x), LExpr::Coerce(y)) => lexpr_eq(x, y),
-        (LExpr::Call(f1, a1), LExpr::Call(f2, a2)) => {
-            f1 == f2 && a1.len() == a2.len() && a1.iter().zip(a2).all(|(p, q)| lexpr_eq(p, q))
-        }
-        _ => false,
-    }
-}
-
-/// Scalars a parallel body is allowed to write.
-struct RegionWriteSet {
-    real: Vec<Slot>,
-    int: Vec<Slot>,
 }
 
 struct Compiler<'a> {
@@ -393,8 +344,8 @@ struct Compiler<'a> {
     next_i: u32,
     max_r: u32,
     max_i: u32,
-    /// `Some` while compiling a parallel body: the writable scalar set.
-    region: Option<RegionWriteSet>,
+    /// The region whose body is being compiled.
+    region: Option<&'a LRegion>,
 }
 
 impl<'a> Compiler<'a> {
@@ -480,11 +431,8 @@ impl<'a> Compiler<'a> {
                 let d = self.alloc_r();
                 // `off` sits in a released temp, but nothing is emitted
                 // between the index computation and the load.
-                self.emit(Instr::LoadR {
-                    dst: d,
-                    arr: *id as u16,
-                    off,
-                });
+                let arr = self.view(*id)?;
+                self.emit(Instr::LoadR { dst: d, arr, off });
                 d
             }
             LExpr::Neg(a) => {
@@ -747,40 +695,35 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn check_region_write_r(&self, slot: Slot) -> Result<(), ExecError> {
-        if let Some(ws) = &self.region {
-            if !ws.real.contains(&slot) {
-                let name = self.scalar_name(slot, true);
-                return Err(ExecError::new(format!(
-                    "scalar `{name}` written inside a parallel region must be \
-                     private, a reduction, or the loop counter"
-                )));
-            }
-        }
-        Ok(())
+    /// The view an access of array `id` goes through: inside a region
+    /// that reduces `id`, the thread's private copy, view `n_arrays + j`
+    /// of the worker's view table; shared memory otherwise.
+    fn view(&self, id: ArrId) -> Result<u16, ExecError> {
+        let view = match self.region.and_then(|r| r.red_slot(id)) {
+            Some(j) => self.lp.arrays.len() + j,
+            None => id as usize,
+        };
+        u16::try_from(view).map_err(|_| ExecError::new("too many arrays for bytecode"))
     }
 
-    fn check_region_write_i(&self, slot: Slot) -> Result<(), ExecError> {
-        if let Some(ws) = &self.region {
-            if !ws.int.contains(&slot) {
-                let name = self.scalar_name(slot, false);
-                return Err(ExecError::new(format!(
+    fn check_region_write(&self, slot: Slot, is_real: bool) -> Result<(), ExecError> {
+        match self.region {
+            Some(r) if !r.may_write(slot, is_real) => {
+                let want = if is_real { Ty::Real } else { Ty::Int };
+                let name = self
+                    .lp
+                    .scalar_slots
+                    .iter()
+                    .find(|(_, (s, ty))| *s == slot && *ty == want)
+                    .map(|(n, _)| n.clone())
+                    .unwrap_or_else(|| format!("slot{slot}"));
+                Err(ExecError::new(format!(
                     "scalar `{name}` written inside a parallel region must be \
                      private, a reduction, or the loop counter"
-                )));
+                )))
             }
+            _ => Ok(()),
         }
-        Ok(())
-    }
-
-    fn scalar_name(&self, slot: Slot, is_real: bool) -> String {
-        let want = if is_real { Ty::Real } else { Ty::Int };
-        self.lp
-            .scalar_slots
-            .iter()
-            .find(|(_, (s, ty))| *s == slot && *ty == want)
-            .map(|(n, _)| n.clone())
-            .unwrap_or_else(|| format!("slot{slot}"))
     }
 
     fn compile_body(&mut self, body: &[LStmt]) -> Result<(), ExecError> {
@@ -795,7 +738,7 @@ impl<'a> Compiler<'a> {
     fn compile_stmt(&mut self, s: &LStmt) -> Result<(), ExecError> {
         match s {
             LStmt::AssignR(slot, rhs) => {
-                self.check_region_write_r(*slot)?;
+                self.check_region_write(*slot, true)?;
                 let r = self.compile_r(rhs)?;
                 if r != *slot as Reg {
                     self.emit(Instr::MovR {
@@ -806,7 +749,7 @@ impl<'a> Compiler<'a> {
                 Ok(())
             }
             LStmt::AssignI(slot, rhs) => {
-                self.check_region_write_i(*slot)?;
+                self.check_region_write(*slot, false)?;
                 let r = self.compile_i(rhs)?;
                 if r != *slot as Reg {
                     self.emit(Instr::MovI {
@@ -821,34 +764,17 @@ impl<'a> Compiler<'a> {
                 let off = self.compile_offset(*id, idx)?;
                 match self.lp.arrays[*id as usize].ty {
                     Ty::Real => {
-                        // Fuse `a(i…) = a(i…) + e` into one
-                        // read-modify-write. The interpreter evaluates the
-                        // inner load's (identical, pure) index expressions
-                        // a second time; reusing `off` gives the same
-                        // offset, the same bounds outcome, and the same
-                        // `cur + e` association, one address computation.
-                        if let LExpr::Bin(BinOp::Add, l, e) = rhs {
-                            if let LExpr::Elem(id2, idx2, _) = &**l {
-                                if id2 == id
-                                    && idx2.len() == idx.len()
-                                    && idx2.iter().zip(idx).all(|(a, b)| lexpr_eq(a, b))
-                                {
-                                    let r = self.compile_r(e)?;
-                                    self.emit(Instr::IncR {
-                                        arr: *id as u16,
-                                        off,
-                                        src: r,
-                                    });
-                                    return Ok(());
-                                }
+                        let arr = self.view(*id)?;
+                        match fused_increment(*id, idx, rhs) {
+                            Some(e) => {
+                                let src = self.compile_r(e)?;
+                                self.emit(Instr::IncR { arr, off, src });
+                            }
+                            None => {
+                                let src = self.compile_r(rhs)?;
+                                self.emit(Instr::StoreR { arr, off, src });
                             }
                         }
-                        let r = self.compile_r(rhs)?;
-                        self.emit(Instr::StoreR {
-                            arr: *id as u16,
-                            off,
-                            src: r,
-                        });
                     }
                     Ty::Int => {
                         let r = self.compile_i(rhs)?;
@@ -863,12 +789,14 @@ impl<'a> Compiler<'a> {
             }
             LStmt::AtomicAddElem(id, idx, rhs) => {
                 let off = self.compile_offset(*id, idx)?;
-                let r = self.compile_r(rhs)?;
-                self.emit(Instr::AtomicAddR {
-                    arr: *id as u16,
-                    off,
-                    src: r,
-                });
+                let src = self.compile_r(rhs)?;
+                let arr = self.view(*id)?;
+                // A private copy needs no atomicity.
+                if usize::from(arr) == *id as usize {
+                    self.emit(Instr::AtomicAddR { arr, off, src });
+                } else {
+                    self.emit(Instr::IncR { arr, off, src });
+                }
                 Ok(())
             }
             LStmt::If(cond, then_b, else_b) => {
@@ -905,12 +833,12 @@ impl<'a> Compiler<'a> {
                 Ok(())
             }
             LStmt::PopR(slot) => {
-                self.check_region_write_r(*slot)?;
+                self.check_region_write(*slot, true)?;
                 self.emit(Instr::PopR { dst: *slot as Reg });
                 Ok(())
             }
             LStmt::PopI(slot) => {
-                self.check_region_write_i(*slot)?;
+                self.check_region_write(*slot, false)?;
                 self.emit(Instr::PopI { dst: *slot as Reg });
                 Ok(())
             }
@@ -918,7 +846,7 @@ impl<'a> Compiler<'a> {
                 let off = self.compile_offset(*id, idx)?;
                 match self.lp.arrays[*id as usize].ty {
                     Ty::Real => self.emit(Instr::PopElemR {
-                        arr: *id as u16,
+                        arr: self.view(*id)?,
                         off,
                     }),
                     Ty::Int => self.emit(Instr::PopElemI {
@@ -928,33 +856,28 @@ impl<'a> Compiler<'a> {
                 };
                 Ok(())
             }
-            LStmt::For(f) => {
-                if f.parallel.is_some() {
-                    self.compile_parallel(f)
-                } else {
-                    self.compile_sequential(f)
-                }
-            }
+            LStmt::For(f) => self.compile_sequential(f),
+            LStmt::Parallel(k) => self.compile_parallel(*k),
         }
     }
 
+    /// Evaluate a loop's bounds once, in `lo`, `hi`, `step` order, into
+    /// persistent temps: the body may write the scalars they came from.
+    fn compile_bounds(&mut self, f: &LFor) -> Result<[Reg; 3], ExecError> {
+        let mut regs = [0; 3];
+        for (reg, e) in regs.iter_mut().zip([&f.lo, &f.hi, &f.step]) {
+            let src = self.compile_i(e)?;
+            *reg = self.alloc_i();
+            self.emit(Instr::MovI { dst: *reg, src });
+        }
+        Ok(regs)
+    }
+
     fn compile_sequential(&mut self, f: &LFor) -> Result<(), ExecError> {
-        // Evaluate bounds once into persistent temps (the body may write
-        // the scalars they came from), then drive the loop with the same
-        // `while (step>0 && v<=hi) || (step<0 && v>=hi)` condition the
-        // interpreter uses, keeping `v` distinct from the counter slot.
-        let lo_r = self.compile_i(&f.lo)?;
-        let v = self.alloc_i();
-        self.emit(Instr::MovI { dst: v, src: lo_r });
-        let hi_r = self.compile_i(&f.hi)?;
-        let hi = self.alloc_i();
-        self.emit(Instr::MovI { dst: hi, src: hi_r });
-        let st_r = self.compile_i(&f.step)?;
-        let step = self.alloc_i();
-        self.emit(Instr::MovI {
-            dst: step,
-            src: st_r,
-        });
+        // Drive the loop with the same `while (step>0 && v<=hi) ||
+        // (step<0 && v>=hi)` condition the interpreter uses, keeping `v`
+        // distinct from the counter slot.
+        let [v, hi, step] = self.compile_bounds(f)?;
         self.emit(Instr::StepNz { step });
         let cond = self.alloc_i();
         let head = self.here();
@@ -968,7 +891,7 @@ impl<'a> Compiler<'a> {
             cond,
             target: u32::MAX,
         });
-        self.check_region_write_i(f.var)?;
+        self.check_region_write(f.var, false)?;
         self.emit(Instr::MovI {
             dst: f.var as Reg,
             src: v,
@@ -986,41 +909,19 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn compile_parallel(&mut self, f: &LFor) -> Result<(), ExecError> {
+    fn compile_parallel(&mut self, k: RegionId) -> Result<(), ExecError> {
         if self.region.is_some() {
             return Err(ExecError::new(
                 "nested parallel regions are not supported by the native backend",
             ));
         }
-        let lp = f.parallel.as_ref().expect("parallel loop");
+        let lp = self.lp;
+        let region = &lp.regions[k as usize];
+        let f = &region.for_loop;
         // Bound registers live until EnterPar executes; the executor
         // reads them at region entry, so releasing them afterwards (via
         // the caller's statement-level mark) is safe.
-        let lo_r = self.compile_i(&f.lo)?;
-        let lo = self.alloc_i();
-        self.emit(Instr::MovI { dst: lo, src: lo_r });
-        let hi_r = self.compile_i(&f.hi)?;
-        let hi = self.alloc_i();
-        self.emit(Instr::MovI { dst: hi, src: hi_r });
-        let st_r = self.compile_i(&f.step)?;
-        let step = self.alloc_i();
-        self.emit(Instr::MovI {
-            dst: step,
-            src: st_r,
-        });
-
-        let mut ws = RegionWriteSet {
-            real: lp.private_r.clone(),
-            int: lp.private_i.clone(),
-        };
-        ws.int.push(f.var);
-        for (_, s, is_real) in &lp.red_scalars {
-            if *is_real {
-                ws.real.push(*s);
-            } else {
-                ws.int.push(*s);
-            }
-        }
+        let [lo, hi, step] = self.compile_bounds(f)?;
 
         // Compile the body into its own code block. Temporaries restart
         // at the scalar watermark: workers execute on private copies of
@@ -1029,7 +930,7 @@ impl<'a> Compiler<'a> {
         let outer_code = std::mem::take(&mut self.code);
         let outer_marks = self.marks();
         self.release((self.lp.n_real_scalars as u32, self.lp.n_int_scalars as u32));
-        self.region = Some(ws);
+        self.region = Some(region);
         let body_result = self.compile_body(&f.body);
         self.region = None;
         self.emit(Instr::Halt);
@@ -1037,22 +938,21 @@ impl<'a> Compiler<'a> {
         self.release(outer_marks);
         body_result?;
 
-        let region_idx = self.regions.len();
-        if region_idx > u16::MAX as usize {
+        if k > u32::from(u16::MAX) {
             return Err(ExecError::new("too many parallel regions for bytecode"));
         }
+        // Regions do not nest here, so this is lowering's numbering.
+        debug_assert_eq!(self.regions.len(), k as usize);
         self.regions.push(BcRegion {
             var: f.var as Reg,
             lo,
             hi,
             step,
             code: body_code,
-            red_scalars: lp.red_scalars.clone(),
-            red_arrays: lp.red_arrays.clone(),
+            red_scalars: region.red_scalars.clone(),
+            red_arrays: region.red_arrays.clone(),
         });
-        self.emit(Instr::EnterPar {
-            region: region_idx as u16,
-        });
+        self.emit(Instr::EnterPar { region: k as u16 });
         Ok(())
     }
 }

@@ -103,19 +103,13 @@ impl Bindings {
 
 impl BcProgram {
     /// Does the result depend on the order in which concurrent threads
-    /// commit? True iff some parallel region holds an atomic increment of
-    /// an array that region does not privatize (`reduction` arrays are
-    /// redirected to per-thread buffers and merged in rank order, so an
-    /// atomic on one is private).
+    /// commit? True iff some parallel region still holds an atomic
+    /// increment: one of a `reduction` array compiled to a plain add on
+    /// the thread's private copy, so every one left is shared.
     pub fn commit_order_dependent(&self) -> bool {
-        self.regions.iter().any(|r| {
-            r.code.iter().any(|i| match i {
-                Instr::AtomicAddR { arr, .. } => {
-                    !r.red_arrays.iter().any(|(_, id)| *id == u32::from(*arr))
-                }
-                _ => false,
-            })
-        })
+        self.regions
+            .iter()
+            .any(|r| r.code.iter().any(|i| matches!(i, Instr::AtomicAddR { .. })))
     }
 }
 

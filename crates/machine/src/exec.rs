@@ -3,10 +3,9 @@
 //! [`NativeEngine`] runs a [`BcProgram`] on real OS threads: sequential
 //! code interprets the flat instruction array directly; every
 //! `!$omp parallel do` region is dispatched to a persistent
-//! [`formad_runtime::ThreadPool`] with the **same static chunk
-//! scheduling** the simulated machine uses (value-ascending ranks,
-//! `div_ceil` chunks), so thread `t` executes — and tapes — exactly the
-//! iterations simulated thread `t` does. Results are bitwise equal to
+//! [`formad_runtime::ThreadPool`] with the **same static schedule** the
+//! simulated machine uses ([`Schedule`]), so thread `t` executes — and
+//! tapes — exactly the iterations simulated thread `t` does. Results are bitwise equal to
 //! the interpreter's on any number of OS workers for every program with
 //! no shared `!$omp atomic` increment; colliding atomic increments commit
 //! in hardware order, so such a program is bitwise equal on one OS worker
@@ -21,7 +20,9 @@
 //! increments use an acquire-release CAS loop — the same discipline as
 //! [`formad_runtime::AtomicF64`]. `reduction(+: arr)` clauses privatize
 //! into reusable per-thread buffers merged in ascending thread order,
-//! replicating the interpreter's combine order bit for bit.
+//! replicating the interpreter's combine order bit for bit; region code
+//! names a thread's buffer as view `n_arrays + j` of the worker's view
+//! table, so no access looks a redirect up.
 //!
 //! A run touches no memory that is not the program's own traffic.
 //! Parameter arrays are used where they sit in the caller's
@@ -38,13 +39,17 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use formad_ir::{BinOp, CmpOp, Intrinsic, Program, RedOp, Ty};
+use std::ops::Range;
+
+use formad_ir::{Program, RedOp, Ty};
 use formad_runtime::ThreadPool;
 
 use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
-use crate::bytecode::{compile, BcArray, BcParam, BcProgram, BcRegion, Instr};
-use crate::lower::lower;
+use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
+use crate::lower::{
+    combine, compare, identity, int_bin, int_call, lower, real_bin, real_call, ArrMeta, Schedule,
+};
 
 /// Compile `prog` against `bind` and run it with `threads` logical
 /// threads, writing parameter results back into `bind` — the native
@@ -171,12 +176,6 @@ impl RawView {
     }
 }
 
-/// Per-array views for one run (indexed by `ArrId`).
-#[derive(Default)]
-struct Mem {
-    views: Vec<RawView>,
-}
-
 // ---- per-thread state ----
 
 /// Per-thread mutable slots with interior mutability. Soundness
@@ -219,10 +218,10 @@ struct Tapes {
 struct Scratch {
     reals: Vec<f64>,
     ints: Vec<i64>,
-    /// `ArrId → index into red_bufs`, `u16::MAX` when not a reduction
-    /// array in the current region.
-    red_map: Vec<u16>,
     red_bufs: Vec<Vec<f64>>,
+    /// The worker's view table for bytecode: the shared arrays by
+    /// `ArrId`, then the region's `red_bufs`.
+    views: Vec<RawView>,
     red_ptrs: RedPtrs,
     err: Option<ExecError>,
     participated: bool,
@@ -235,30 +234,21 @@ struct RedPtrs(Vec<*mut f64>);
 
 // SAFETY: the pointers address the `red_bufs` of the `Scratch` that holds
 // them and are rewritten before every use, so they change threads only
-// together with the buffers they point into.
+// together with the buffers they point into. The same holds for the
+// views of them in `Scratch::views`.
 unsafe impl Send for RedPtrs {}
-
-/// Redirects real-array accesses of reduction arrays to the worker's
-/// privatized buffer (everything else goes to shared memory).
-struct Redirect<'a> {
-    map: &'a [u16],
-    bufs: &'a mut [Vec<f64>],
-}
 
 enum Exit {
     Done,
     Par { region: u16, resume: usize },
 }
 
-/// One logical thread's share of a parallel region: the loop geometry
-/// and the rank range `a_begin..a_end` of the static schedule.
+/// One logical thread's share of a parallel region: its ranks of the
+/// region's schedule.
 struct Chunk {
     thread: usize,
-    lo: i64,
-    step: i64,
-    count: i64,
-    a_begin: i64,
-    a_end: i64,
+    sched: Schedule,
+    ranks: Range<i64>,
 }
 
 /// Shared array base pointers handed to AOT region workers. Sync under
@@ -278,8 +268,9 @@ struct RunState {
     /// The main thread's register file.
     reals: Vec<f64>,
     ints: Vec<i64>,
-    /// Valid for one run only: they point into the caller's bindings.
-    mem: Mem,
+    /// Per-array views, by `ArrId`. Valid for one run only: they point
+    /// into the caller's bindings.
+    views: Vec<RawView>,
     bases: Bases,
     locals_r: Locals<f64>,
     locals_i: Locals<i64>,
@@ -415,7 +406,7 @@ impl NativeEngine {
         let mut st = std::mem::take(&mut self.state);
         let res = self.run_on(&mut st, bc, kernel, bind);
         // They point into `bind`, which the caller gets back now.
-        st.mem.views.clear();
+        st.views.clear();
         st.bases.0.clear();
         self.state = st;
         res
@@ -465,12 +456,12 @@ impl NativeEngine {
                     array_view(bound, meta, param, &mut st.locals_i)?
                 }
             };
-            st.mem.views.push(view);
+            st.views.push(view);
             st.bases.0.push(view.ptr);
         }
         // From here to the scalar write-back `bind` is not touched: the
         // views are the only way to its arrays.
-        let (mem, bases) = (&st.mem, &st.bases);
+        let (views, bases) = (&st.views, &st.bases);
 
         for t in 0..self.threads {
             // SAFETY: no region is running, so the main thread is the
@@ -488,26 +479,29 @@ impl NativeEngine {
                 pc,
                 &mut st.reals,
                 &mut st.ints,
-                mem,
+                views,
                 &self.tapes,
                 0,
-                None,
             )?;
             match exit {
                 Exit::Done => break,
                 Exit::Par { region, resume } => {
                     let reg = &bc.regions[region as usize];
                     match kernel.and_then(|k| k.region(region as usize)) {
-                        Some(f) => {
-                            self.run_region(reg, &mut st.reals, &mut st.ints, mem, |c, scratch| {
-                                self.chunk_aot(bc, reg, f, bases, c, scratch)
-                            })?
-                        }
-                        None => {
-                            self.run_region(reg, &mut st.reals, &mut st.ints, mem, |c, scratch| {
-                                self.chunk_bytecode(bc, reg, mem, c, scratch)
-                            })?
-                        }
+                        Some(f) => self.run_region(
+                            reg,
+                            &mut st.reals,
+                            &mut st.ints,
+                            views,
+                            |c, scratch| self.chunk_aot(bc, reg, f, bases, c, scratch),
+                        )?,
+                        None => self.run_region(
+                            reg,
+                            &mut st.reals,
+                            &mut st.ints,
+                            views,
+                            |c, scratch| self.chunk_bytecode(bc, reg, views, c, scratch),
+                        )?,
                     }
                     pc = resume;
                 }
@@ -537,52 +531,39 @@ impl NativeEngine {
         Ok(())
     }
 
-    /// Run one parallel region: geometry, static chunking, per-thread
-    /// scratch preparation and identity initialization, multiplexing onto
-    /// the OS workers, first-error-in-thread-order, and the
-    /// ascending-thread reduction merge. `body` executes one logical
-    /// thread's chunk — [`Self::chunk_bytecode`] or [`Self::chunk_aot`] —
-    /// and is the only thing the backends do differently, which is what
-    /// keeps them in lockstep.
+    /// Run one parallel region: its schedule, per-thread scratch
+    /// preparation and identity initialization, multiplexing onto the OS
+    /// workers, first-error-in-thread-order, and the ascending-thread
+    /// reduction merge. `body` executes one logical thread's chunk —
+    /// [`Self::chunk_bytecode`] or [`Self::chunk_aot`] — and is the only
+    /// thing the backends do differently, which is what keeps them in
+    /// lockstep.
     fn run_region(
         &self,
         reg: &BcRegion,
         reals: &mut [f64],
         ints: &mut [i64],
-        mem: &Mem,
+        views: &[RawView],
         body: impl Fn(&Chunk, &mut Scratch) -> Result<(), ExecError> + Sync,
     ) -> Result<(), ExecError> {
-        let lo = ints[reg.lo as usize];
-        let hi = ints[reg.hi as usize];
-        let step = ints[reg.step as usize];
-        if step == 0 {
-            return Err(ExecError::new("zero loop step"));
-        }
-        let count: i64 = if step > 0 {
-            if hi < lo {
-                0
-            } else {
-                (hi - lo) / step + 1
-            }
-        } else if hi > lo {
-            0
-        } else {
-            (lo - hi) / (-step) + 1
-        };
-        if count == 0 {
+        let t_n = self.threads;
+        let sched = Schedule::new(
+            ints[reg.lo as usize],
+            ints[reg.hi as usize],
+            ints[reg.step as usize],
+            t_n,
+        )?;
+        if sched.count == 0 {
             return Ok(());
         }
-        let t_n = self.threads;
-        let chunk = (count as usize).div_ceil(t_n);
 
         let worker = |t: usize| {
             // Sound: worker `t` is the only toucher of slots `t` now.
             let scratch = unsafe { self.scratch.get(t) };
             scratch.err = None;
             scratch.participated = false;
-            let a_begin = (t * chunk) as i64;
-            let a_end = (((t + 1) * chunk).min(count as usize)) as i64;
-            if a_begin >= a_end {
+            let ranks = sched.ranks(t);
+            if ranks.is_empty() {
                 return;
             }
             scratch.participated = true;
@@ -606,15 +587,12 @@ impl NativeEngine {
                 }
                 let buf = &mut scratch.red_bufs[k];
                 buf.clear();
-                buf.resize(mem.views[*id as usize].len, identity(*op));
+                buf.resize(views[*id as usize].len, identity(*op));
             }
             let share = Chunk {
                 thread: t,
-                lo,
-                step,
-                count,
-                a_begin,
-                a_end,
+                sched,
+                ranks,
             };
             scratch.err = body(&share, scratch).err();
         };
@@ -675,7 +653,7 @@ impl NativeEngine {
             // SAFETY: a real array (only those reduce) whose storage the
             // run holds exclusively; the region is over, so the main
             // thread is its only accessor, and this is the only slice.
-            let dst = unsafe { mem.views[*id as usize].as_reals_mut() };
+            let dst = unsafe { views[*id as usize].as_reals_mut() };
             let id = identity(*op);
             match op {
                 RedOp::Add => self.merge_array(k, id, dst, |a, b| a + b),
@@ -719,43 +697,33 @@ impl NativeEngine {
     }
 
     /// Chunk body of the bytecode backend: interpret the region's code
-    /// once per iteration, reduction arrays redirected to the thread's
-    /// privatized buffers.
+    /// once per iteration over the worker's view table — the shared
+    /// arrays, then the thread's privatized reduction buffers.
     fn chunk_bytecode(
         &self,
         bc: &BcProgram,
         reg: &BcRegion,
-        mem: &Mem,
+        shared: &[RawView],
         c: &Chunk,
         scratch: &mut Scratch,
     ) -> Result<(), ExecError> {
-        scratch.red_map.clear();
-        scratch.red_map.resize(bc.arrays.len(), u16::MAX);
-        for (k, (_, id)) in reg.red_arrays.iter().enumerate() {
-            scratch.red_map[*id as usize] = k as u16;
-        }
-        let mut redirect = Redirect {
-            map: &scratch.red_map,
-            bufs: &mut scratch.red_bufs,
-        };
-        // Ascending ranks in loop order (descending loops walk their
-        // chunk backwards) — identical to the simulated machine.
-        for k in 0..c.a_end - c.a_begin {
-            scratch.ints[reg.var as usize] = if c.step > 0 {
-                c.lo + (c.a_begin + k) * c.step
-            } else {
-                c.lo + (c.count - c.a_end + k) * c.step
-            };
+        scratch.views.clear();
+        scratch.views.extend_from_slice(shared);
+        let red_bufs = &mut scratch.red_bufs[..reg.red_arrays.len()];
+        scratch
+            .views
+            .extend(red_bufs.iter_mut().map(|b| RawView::of(b)));
+        for v in c.sched.values(c.ranks.clone()) {
+            scratch.ints[reg.var as usize] = v;
             let exit = exec_code(
                 bc,
                 &reg.code,
                 0,
                 &mut scratch.reals,
                 &mut scratch.ints,
-                mem,
+                &scratch.views,
                 &self.tapes,
                 c.thread,
-                Some(&mut redirect),
             )?;
             if let Exit::Par { .. } = exit {
                 unreachable!("nested regions rejected at compile");
@@ -787,11 +755,11 @@ impl NativeEngine {
         let tapes = unsafe { self.tapes.get(c.thread) };
         let mut env = AotEnv {
             abi: FORMAD_AOT_ABI,
-            lo: c.lo,
-            step: c.step,
-            count: c.count,
-            a_begin: c.a_begin,
-            a_end: c.a_end,
+            lo: c.sched.lo,
+            step: c.sched.step,
+            count: c.sched.count,
+            a_begin: c.ranks.start,
+            a_end: c.ranks.end,
             reals: scratch.reals.as_mut_ptr(),
             ints: scratch.ints.as_mut_ptr(),
             arrays: bases.0.as_ptr(),
@@ -860,7 +828,7 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
 /// what is bound under the local's name, which stays as it was.
 fn array_view<T: Copy + Default>(
     bound: Option<&mut Vec<T>>,
-    meta: &BcArray,
+    meta: &ArrMeta,
     is_param: bool,
     locals: &mut Locals<T>,
 ) -> Result<RawView, ExecError> {
@@ -891,8 +859,8 @@ fn array_view<T: Copy + Default>(
 // ---- the instruction loop ----
 
 /// Execute `code` from `pc` until `Halt` or `EnterPar`. Used for both
-/// the main program (thread 0's tape, no redirect) and region bodies
-/// (worker tape, reduction redirect).
+/// the main program (thread 0's tape, the shared views) and region bodies
+/// (the worker's tape and view table).
 #[allow(clippy::too_many_arguments)]
 fn exec_code(
     bc: &BcProgram,
@@ -900,10 +868,9 @@ fn exec_code(
     mut pc: usize,
     reals: &mut [f64],
     ints: &mut [i64],
-    mem: &Mem,
+    views: &[RawView],
     tapes: &PerThread<Tapes>,
     tape_id: usize,
-    mut redirect: Option<&mut Redirect<'_>>,
 ) -> Result<Exit, ExecError> {
     macro_rules! rr {
         ($r:expr) => {
@@ -924,88 +891,14 @@ fn exec_code(
             Instr::MovR { dst, src } => rr!(dst) = rr!(src),
             Instr::MovI { dst, src } => ii!(dst) = ii!(src),
             Instr::ItoR { dst, src } => rr!(dst) = ii!(src) as f64,
-            Instr::BinR { op, dst, a, b } => {
-                let x = rr!(a);
-                let y = rr!(b);
-                rr!(dst) = match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Pow => x.powf(y),
-                    BinOp::Mod => return Err(ExecError::new("mod in real context")),
-                };
-            }
-            Instr::BinI { op, dst, a, b } => {
-                let x = ii!(a);
-                let y = ii!(b);
-                ii!(dst) = match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            return Err(ExecError::new("integer division by zero"));
-                        }
-                        x.checked_div(y)
-                            .ok_or_else(|| ExecError::new("integer overflow in /"))?
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            return Err(ExecError::new("mod by zero"));
-                        }
-                        x.checked_rem(y)
-                            .ok_or_else(|| ExecError::new("integer overflow in mod"))?
-                    }
-                    BinOp::Pow => {
-                        if y < 0 {
-                            return Err(ExecError::new("negative integer exponent"));
-                        }
-                        x.checked_pow(y as u32)
-                            .ok_or_else(|| ExecError::new("integer overflow in **"))?
-                    }
-                };
-            }
+            Instr::BinR { op, dst, a, b } => rr!(dst) = real_bin(op, rr!(a), rr!(b))?,
+            Instr::BinI { op, dst, a, b } => ii!(dst) = int_bin(op, ii!(a), ii!(b))?,
             Instr::NegR { dst, a } => rr!(dst) = -rr!(a),
             Instr::NegI { dst, a } => ii!(dst) = ii!(a).wrapping_neg(),
-            Instr::Call1R { f, dst, a } => {
-                let x = rr!(a);
-                rr!(dst) = match f {
-                    Intrinsic::Sin => x.sin(),
-                    Intrinsic::Cos => x.cos(),
-                    Intrinsic::Exp => x.exp(),
-                    Intrinsic::Log => x.ln(),
-                    Intrinsic::Sqrt => x.sqrt(),
-                    Intrinsic::Tanh => x.tanh(),
-                    Intrinsic::Abs => x.abs(),
-                    Intrinsic::Min | Intrinsic::Max => {
-                        unreachable!("binary intrinsic compiled as Call1R")
-                    }
-                };
-            }
-            Instr::Call2R { f, dst, a, b } => {
-                let x = rr!(a);
-                let y = rr!(b);
-                rr!(dst) = match f {
-                    Intrinsic::Min => x.min(y),
-                    Intrinsic::Max => x.max(y),
-                    _ => unreachable!("unary intrinsic compiled as Call2R"),
-                };
-            }
-            Instr::Call1I { f, dst, a } => {
-                debug_assert!(matches!(f, Intrinsic::Abs));
-                let _ = f;
-                ii!(dst) = ii!(a).wrapping_abs();
-            }
-            Instr::Call2I { f, dst, a, b } => {
-                let x = ii!(a);
-                let y = ii!(b);
-                ii!(dst) = match f {
-                    Intrinsic::Min => x.min(y),
-                    Intrinsic::Max => x.max(y),
-                    _ => unreachable!("unary intrinsic compiled as Call2I"),
-                };
-            }
+            Instr::Call1R { f, dst, a } => rr!(dst) = real_call(f, rr!(a), 0.0),
+            Instr::Call2R { f, dst, a, b } => rr!(dst) = real_call(f, rr!(a), rr!(b)),
+            Instr::Call1I { f, dst, a } => ii!(dst) = int_call(f, ii!(a), 0)?,
+            Instr::Call2I { f, dst, a, b } => ii!(dst) = int_call(f, ii!(a), ii!(b))?,
             Instr::CmpR { op, dst, a, b } => ii!(dst) = compare(op, rr!(a), rr!(b)) as i64,
             Instr::CmpI { op, dst, a, b } => ii!(dst) = compare(op, ii!(a), ii!(b)) as i64,
             Instr::IdxFirst { dst, idx, arr } => {
@@ -1027,44 +920,24 @@ fn exec_code(
                 ii!(acc) += (v - 1) * meta.strides[dim as usize];
             }
             Instr::LoadR { dst, arr, off } => {
-                let off = ii!(off) as usize;
-                rr!(dst) = match red_buf(&mut redirect, arr) {
-                    Some(buf) => buf[off],
-                    None => mem.views[arr as usize].load_r(off),
-                };
+                rr!(dst) = views[arr as usize].load_r(ii!(off) as usize)
             }
             Instr::LoadI { dst, arr, off } => {
-                ii!(dst) = mem.views[arr as usize].load_i(ii!(off) as usize)
+                ii!(dst) = views[arr as usize].load_i(ii!(off) as usize)
             }
             Instr::StoreR { arr, off, src } => {
-                let off = ii!(off) as usize;
-                let v = rr!(src);
-                match red_buf(&mut redirect, arr) {
-                    Some(buf) => buf[off] = v,
-                    None => mem.views[arr as usize].store_r(off, v),
-                }
+                views[arr as usize].store_r(ii!(off) as usize, rr!(src))
             }
             Instr::StoreI { arr, off, src } => {
-                mem.views[arr as usize].store_i(ii!(off) as usize, ii!(src))
+                views[arr as usize].store_i(ii!(off) as usize, ii!(src))
             }
             Instr::AtomicAddR { arr, off, src } => {
-                let off = ii!(off) as usize;
-                let v = rr!(src);
-                match red_buf(&mut redirect, arr) {
-                    Some(buf) => buf[off] += v,
-                    None => mem.views[arr as usize].fetch_add_r(off, v),
-                }
+                views[arr as usize].fetch_add_r(ii!(off) as usize, rr!(src))
             }
             Instr::IncR { arr, off, src } => {
                 let off = ii!(off) as usize;
-                let v = rr!(src);
-                match red_buf(&mut redirect, arr) {
-                    Some(buf) => buf[off] += v,
-                    None => {
-                        let view = &mem.views[arr as usize];
-                        view.store_r(off, view.load_r(off) + v);
-                    }
-                }
+                let view = &views[arr as usize];
+                view.store_r(off, view.load_r(off) + rr!(src));
             }
             Instr::PushR { src } => {
                 let v = rr!(src);
@@ -1093,10 +966,7 @@ fn exec_code(
                     .r
                     .pop()
                     .ok_or_else(|| ExecError::new("pop from empty real tape"))?;
-                match red_buf(&mut redirect, arr) {
-                    Some(buf) => buf[off] = v,
-                    None => mem.views[arr as usize].store_r(off, v),
-                }
+                views[arr as usize].store_r(off, v);
             }
             Instr::PopElemI { arr, off } => {
                 let off = ii!(off) as usize;
@@ -1104,7 +974,7 @@ fn exec_code(
                     .i
                     .pop()
                     .ok_or_else(|| ExecError::new("pop from empty int tape"))?;
-                mem.views[arr as usize].store_i(off, v);
+                views[arr as usize].store_i(off, v);
             }
             Instr::Jmp { target } => pc = target as usize,
             Instr::JmpIfZero { cond, target } => {
@@ -1125,30 +995,9 @@ fn exec_code(
                 };
                 ii!(dst) = cont as i64;
             }
-            Instr::EnterPar { region } => {
-                if redirect.is_some() {
-                    return Err(ExecError::new("nested parallel region at runtime"));
-                }
-                return Ok(Exit::Par { region, resume: pc });
-            }
+            Instr::EnterPar { region } => return Ok(Exit::Par { region, resume: pc }),
             Instr::Halt => return Ok(Exit::Done),
         }
-    }
-}
-
-/// The privatized buffer for `arr` in the current region, if any.
-#[inline]
-fn red_buf<'a>(redirect: &'a mut Option<&mut Redirect<'_>>, arr: u16) -> Option<&'a mut Vec<f64>> {
-    match redirect {
-        Some(r) => {
-            let k = r.map[arr as usize];
-            if k == u16::MAX {
-                None
-            } else {
-                Some(&mut r.bufs[k as usize])
-            }
-        }
-        None => None,
     }
 }
 
@@ -1156,33 +1005,4 @@ fn oob(v: i64, d: i64, dim: usize, name: &str) -> ExecError {
     ExecError::new(format!(
         "index {v} out of bounds 1..={d} in dimension {dim} of `{name}`"
     ))
-}
-
-fn identity(op: RedOp) -> f64 {
-    match op {
-        RedOp::Add => 0.0,
-        RedOp::Mul => 1.0,
-        RedOp::Min => f64::INFINITY,
-        RedOp::Max => f64::NEG_INFINITY,
-    }
-}
-
-fn combine(op: RedOp, a: f64, b: f64) -> f64 {
-    match op {
-        RedOp::Add => a + b,
-        RedOp::Mul => a * b,
-        RedOp::Min => a.min(b),
-        RedOp::Max => a.max(b),
-    }
-}
-
-fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
 }

@@ -1,12 +1,11 @@
 //! Execution of lowered programs on the simulated machine.
 //!
-//! Sequential code accumulates wall cycles directly. A parallel loop is
-//! executed as `T` simulated threads with **static scheduling by
-//! value-ascending rank**: thread `t` always owns the same block of the
-//! iteration space regardless of the loop's direction, so a reversed
-//! adjoint loop assigns every iteration to the thread that ran it forward,
-//! and each thread pops its tape in exactly the reverse of its push order —
-//! the discipline the reverse-mode transformation relies on.
+//! Sequential code accumulates wall cycles directly. A parallel region is
+//! executed as `T` simulated threads, one after the other, each running
+//! its block of the region's [`Schedule`] — the static schedule by
+//! value-ascending rank that every backend shares, under which a
+//! reversed adjoint loop pops each thread's tape in exactly the reverse
+//! of its push order.
 //!
 //! Atomic updates execute like plain updates (the simulation is
 //! deterministic) but are charged the contended-atomic cost; `reduction`
@@ -15,11 +14,14 @@
 //! the *performance shape* of the paper's program versions is reproduced
 //! while their *semantics* stay exact.
 
-use formad_ir::{BinOp, CmpOp, Intrinsic, Program, RedOp, Ty};
+use formad_ir::{Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::cost::{CostModel, ExecResult, ExecStats};
-use crate::lower::{lower, ArrMeta, LBool, LExpr, LFor, LProgram, LStmt};
+use crate::lower::{
+    combine, compare, identity, int_bin, int_call, lower, real_bin, real_call, ArrMeta, LBool,
+    LExpr, LFor, LProgram, LRegion, LStmt, Schedule,
+};
 
 /// The simulated machine: thread count and cost model.
 #[derive(Debug, Clone, Copy)]
@@ -248,7 +250,6 @@ impl<'a> Interp<'a> {
 
     fn offset(&mut self, meta: &ArrMeta, idx: &[LExpr]) -> Result<usize, ExecError> {
         let mut off: i64 = 0;
-        let mut stride: i64 = 1;
         for (k, ix) in idx.iter().enumerate() {
             let v = self.eval_i(ix)?;
             let d = meta.dims[k];
@@ -259,8 +260,7 @@ impl<'a> Interp<'a> {
                     meta.name
                 )));
             }
-            off += (v - 1) * stride;
-            stride *= d;
+            off += (v - 1) * meta.strides[k];
             self.charge(self.m.cost.flop);
         }
         Ok(off as usize)
@@ -291,30 +291,16 @@ impl<'a> Interp<'a> {
                 let y = self.eval_r(b)?;
                 self.charge(self.m.cost.flop);
                 self.stats.flops += 1;
-                match op {
-                    BinOp::Add => x + y,
-                    BinOp::Sub => x - y,
-                    BinOp::Mul => x * y,
-                    BinOp::Div => x / y,
-                    BinOp::Pow => x.powf(y),
-                    BinOp::Mod => {
-                        return Err(ExecError::new("mod in real context"));
-                    }
-                }
+                real_bin(*op, x, y)?
             }
             LExpr::Call(f, args) => {
                 self.charge(self.m.cost.intrinsic);
-                match f {
-                    Intrinsic::Sin => self.eval_r(&args[0])?.sin(),
-                    Intrinsic::Cos => self.eval_r(&args[0])?.cos(),
-                    Intrinsic::Exp => self.eval_r(&args[0])?.exp(),
-                    Intrinsic::Log => self.eval_r(&args[0])?.ln(),
-                    Intrinsic::Sqrt => self.eval_r(&args[0])?.sqrt(),
-                    Intrinsic::Tanh => self.eval_r(&args[0])?.tanh(),
-                    Intrinsic::Abs => self.eval_r(&args[0])?.abs(),
-                    Intrinsic::Min => self.eval_r(&args[0])?.min(self.eval_r(&args[1])?),
-                    Intrinsic::Max => self.eval_r(&args[0])?.max(self.eval_r(&args[1])?),
-                }
+                let x = self.eval_r(&args[0])?;
+                let y = match args.get(1) {
+                    Some(b) => self.eval_r(b)?,
+                    None => 0.0,
+                };
+                real_call(*f, x, y)
             }
         })
     }
@@ -343,46 +329,16 @@ impl<'a> Interp<'a> {
                 let x = self.eval_i(a)?;
                 let y = self.eval_i(b)?;
                 self.charge(self.m.cost.flop);
-                match op {
-                    BinOp::Add => x.wrapping_add(y),
-                    BinOp::Sub => x.wrapping_sub(y),
-                    BinOp::Mul => x.wrapping_mul(y),
-                    BinOp::Div => {
-                        if y == 0 {
-                            return Err(ExecError::new("integer division by zero"));
-                        }
-                        x.checked_div(y)
-                            .ok_or_else(|| ExecError::new("integer overflow in /"))?
-                    }
-                    BinOp::Mod => {
-                        if y == 0 {
-                            return Err(ExecError::new("mod by zero"));
-                        }
-                        x.checked_rem(y)
-                            .ok_or_else(|| ExecError::new("integer overflow in mod"))?
-                    }
-                    BinOp::Pow => {
-                        if y < 0 {
-                            return Err(ExecError::new("negative integer exponent"));
-                        }
-                        x.checked_pow(y as u32)
-                            .ok_or_else(|| ExecError::new("integer overflow in **"))?
-                    }
-                }
+                int_bin(*op, x, y)?
             }
             LExpr::Call(f, args) => {
                 self.charge(self.m.cost.flop);
-                match f {
-                    Intrinsic::Abs => self.eval_i(&args[0])?.wrapping_abs(),
-                    Intrinsic::Min => self.eval_i(&args[0])?.min(self.eval_i(&args[1])?),
-                    Intrinsic::Max => self.eval_i(&args[0])?.max(self.eval_i(&args[1])?),
-                    other => {
-                        return Err(ExecError::new(format!(
-                            "intrinsic {} in integer context",
-                            other.name()
-                        )))
-                    }
-                }
+                let x = self.eval_i(&args[0])?;
+                let y = match args.get(1) {
+                    Some(b) => self.eval_i(b)?,
+                    None => 0,
+                };
+                int_call(*f, x, y)?
             }
         })
     }
@@ -522,16 +478,11 @@ impl<'a> Interp<'a> {
                 }
                 Ok(())
             }
-            LStmt::For(f) => {
-                // Parallel loops always take the region path so that
-                // fork/join, privatization, and merge costs are charged
-                // even at one thread (the paper's 1-thread overheads).
-                if f.parallel.is_some() {
-                    self.exec_parallel(f)
-                } else {
-                    self.exec_sequential(f)
-                }
-            }
+            LStmt::For(f) => self.exec_sequential(f),
+            // Parallel loops always take the region path so that
+            // fork/join, privatization, and merge costs are charged even
+            // at one thread (the paper's 1-thread overheads).
+            LStmt::Parallel(k) => self.exec_parallel(&self.lp.regions[*k as usize]),
         }
     }
 
@@ -552,43 +503,27 @@ impl<'a> Interp<'a> {
         Ok(())
     }
 
-    fn exec_parallel(&mut self, f: &LFor) -> Result<(), ExecError> {
+    fn exec_parallel(&mut self, region: &LRegion) -> Result<(), ExecError> {
+        let f = &region.for_loop;
         let lo = self.eval_i(&f.lo)?;
         let hi = self.eval_i(&f.hi)?;
         let step = self.eval_i(&f.step)?;
-        if step == 0 {
-            return Err(ExecError::new("zero loop step"));
-        }
-        let count: i64 = if step > 0 {
-            if hi < lo {
-                0
-            } else {
-                (hi - lo) / step + 1
-            }
-        } else if hi > lo {
-            0
-        } else {
-            (lo - hi) / (-step) + 1
-        };
-        let lp = f.parallel.as_ref().expect("parallel loop");
         let t_n = self.m.threads;
+        let sched = Schedule::new(lo, hi, step, t_n)?;
         self.stats.parallel_regions += 1;
         self.charge(self.m.cost.fork_join);
 
-        if count == 0 {
+        if sched.count == 0 {
             return Ok(());
         }
 
-        // Chunking by value-ascending rank (see module docs).
-        let chunk = (count as usize).div_ceil(t_n);
-
         // Save private scalars (restored after the region) and the counter.
-        let saved_r: Vec<f64> = lp
+        let saved_r: Vec<f64> = region
             .private_r
             .iter()
             .map(|s| self.reals[*s as usize])
             .collect();
-        let saved_i: Vec<i64> = lp
+        let saved_i: Vec<i64> = region
             .private_i
             .iter()
             .map(|s| self.ints[*s as usize])
@@ -596,7 +531,7 @@ impl<'a> Interp<'a> {
         let saved_counter = self.ints[f.var as usize];
 
         // Reduction bookkeeping.
-        let red_scalar_saved: Vec<f64> = lp
+        let red_scalar_saved: Vec<f64> = region
             .red_scalars
             .iter()
             .map(|(_, s, is_real)| {
@@ -607,27 +542,27 @@ impl<'a> Interp<'a> {
                 }
             })
             .collect();
-        let mut red_scalar_acc: Vec<f64> = lp
+        let mut red_scalar_acc: Vec<f64> = region
             .red_scalars
             .iter()
             .map(|(op, _, _)| identity(*op))
             .collect();
-        let red_arr_saved: Vec<Vec<f64>> = lp
+        let red_arr_saved: Vec<Vec<f64>> = region
             .red_arrays
             .iter()
             .map(|(_, id)| self.arr_r[*id as usize].clone())
             .collect();
-        let mut red_arr_acc: Vec<Vec<f64>> = lp
+        let mut red_arr_acc: Vec<Vec<f64>> = region
             .red_arrays
             .iter()
             .map(|(op, id)| vec![identity(*op); self.arr_r[*id as usize].len()])
             .collect();
-        let red_footprint: u64 = lp
+        let red_footprint: u64 = region
             .red_arrays
             .iter()
             .map(|(_, id)| self.arr_r[*id as usize].len() as u64)
             .sum();
-        if !lp.red_arrays.is_empty() {
+        if !region.red_arrays.is_empty() {
             self.stats.peak_reduction_bytes = self
                 .stats
                 .peak_reduction_bytes
@@ -647,31 +582,28 @@ impl<'a> Interp<'a> {
         let mut merge_serialized: u128 = 0;
 
         for t in 0..t_n {
-            let a_begin = (t * chunk) as i64;
-            let a_end = (((t + 1) * chunk).min(count as usize)) as i64;
-            if a_begin >= a_end {
+            let ranks = sched.ranks(t);
+            if ranks.is_empty() {
                 continue;
             }
             // Reset private copies to region-entry values (OpenMP privates
             // are formally uninitialized; entry values are a deterministic
             // stand-in, and generated adjoints initialize explicitly).
-            for (k, s) in lp.private_r.iter().enumerate() {
+            for (k, s) in region.private_r.iter().enumerate() {
                 self.reals[*s as usize] = saved_r[k];
             }
-            for (k, s) in lp.private_i.iter().enumerate() {
+            for (k, s) in region.private_i.iter().enumerate() {
                 self.ints[*s as usize] = saved_i[k];
             }
             // Identity-init reductions for this thread.
-            for (k, (op, s, is_real)) in lp.red_scalars.iter().enumerate() {
-                let _ = k;
+            for (op, s, is_real) in &region.red_scalars {
                 if *is_real {
                     self.reals[*s as usize] = identity(*op);
                 } else {
                     self.ints[*s as usize] = identity(*op) as i64;
                 }
             }
-            for (k, (op, id)) in lp.red_arrays.iter().enumerate() {
-                let _ = k;
+            for (op, id) in &region.red_arrays {
                 let arr = &mut self.arr_r[*id as usize];
                 for v in arr.iter_mut() {
                     *v = identity(*op);
@@ -683,22 +615,7 @@ impl<'a> Interp<'a> {
             // Each thread zero-initializes its privatized copies.
             self.charge(self.m.cost.red_init_per_elem * red_footprint);
 
-            // Iterate this thread's ascending ranks in loop order.
-            let ranks: Box<dyn Iterator<Item = i64>> = if step > 0 {
-                Box::new(a_begin..a_end)
-            } else {
-                Box::new((a_begin..a_end).rev())
-            };
-            for a in ranks {
-                // Value of ascending rank `a`: the iterate set is
-                // {lo, lo+step, …, lo+(count−1)·step}; for descending
-                // loops the smallest iterate is the *last* one, which may
-                // lie strictly above `hi`.
-                let v = if step > 0 {
-                    lo + a * step
-                } else {
-                    lo + (count - 1 - a) * step
-                };
+            for v in sched.values(ranks) {
                 self.ints[f.var as usize] = v;
                 self.charge(self.m.cost.loop_overhead);
                 self.exec_body(&f.body)?;
@@ -706,7 +623,7 @@ impl<'a> Interp<'a> {
             max_thread = max_thread.max(self.cycles);
 
             // Collect this thread's reduction partials.
-            for (k, (op, s, is_real)) in lp.red_scalars.iter().enumerate() {
+            for (k, (op, s, is_real)) in region.red_scalars.iter().enumerate() {
                 let part = if *is_real {
                     self.reals[*s as usize]
                 } else {
@@ -714,7 +631,7 @@ impl<'a> Interp<'a> {
                 };
                 red_scalar_acc[k] = combine(*op, red_scalar_acc[k], part);
             }
-            for (k, (op, id)) in lp.red_arrays.iter().enumerate() {
+            for (k, (op, id)) in region.red_arrays.iter().enumerate() {
                 let arr = &self.arr_r[*id as usize];
                 for (acc, v) in red_arr_acc[k].iter_mut().zip(arr) {
                     *acc = combine(*op, *acc, *v);
@@ -739,7 +656,7 @@ impl<'a> Interp<'a> {
         self.region_indirect_ops = prev_region_ind;
 
         // Apply reductions onto the saved originals.
-        for (k, (op, s, is_real)) in lp.red_scalars.iter().enumerate() {
+        for (k, (op, s, is_real)) in region.red_scalars.iter().enumerate() {
             let final_v = combine(*op, red_scalar_saved[k], red_scalar_acc[k]);
             if *is_real {
                 self.reals[*s as usize] = final_v;
@@ -747,50 +664,21 @@ impl<'a> Interp<'a> {
                 self.ints[*s as usize] = final_v as i64;
             }
         }
-        for (k, (op, id)) in lp.red_arrays.iter().enumerate() {
+        for (k, (op, id)) in region.red_arrays.iter().enumerate() {
             let arr = &mut self.arr_r[*id as usize];
             for (j, v) in arr.iter_mut().enumerate() {
                 *v = combine(*op, red_arr_saved[k][j], red_arr_acc[k][j]);
             }
         }
         // Restore private scalars and the counter (pre-region values).
-        for (k, s) in lp.private_r.iter().enumerate() {
+        for (k, s) in region.private_r.iter().enumerate() {
             self.reals[*s as usize] = saved_r[k];
         }
-        for (k, s) in lp.private_i.iter().enumerate() {
+        for (k, s) in region.private_i.iter().enumerate() {
             self.ints[*s as usize] = saved_i[k];
         }
         self.ints[f.var as usize] = saved_counter;
         Ok(())
-    }
-}
-
-fn identity(op: RedOp) -> f64 {
-    match op {
-        RedOp::Add => 0.0,
-        RedOp::Mul => 1.0,
-        RedOp::Min => f64::INFINITY,
-        RedOp::Max => f64::NEG_INFINITY,
-    }
-}
-
-fn combine(op: RedOp, a: f64, b: f64) -> f64 {
-    match op {
-        RedOp::Add => a + b,
-        RedOp::Mul => a * b,
-        RedOp::Min => a.min(b),
-        RedOp::Max => a.max(b),
-    }
-}
-
-fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
     }
 }
 

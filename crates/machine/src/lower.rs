@@ -1,7 +1,26 @@
 //! Lowering: resolve names to dense slots and array extents to strides so
-//! the interpreter runs without any hashing in the hot path.
+//! the interpreter runs without any hashing in the hot path — and decide,
+//! once for every backend, what a parallel region is.
+//!
+//! The simulator, the bytecode engine, AOT codegen and the determinism
+//! classifier all read these decisions instead of deriving them:
+//!
+//! - **region numbering**: each `!$omp parallel do` becomes an entry of
+//!   [`LProgram::regions`], numbered in the order the bytecode enters
+//!   them (pre-order through `if` branches and sequential loop bodies),
+//!   which is also the AOT kernel's `formad_region_<k>` order;
+//! - **the schedule**: trip count, the zero-step error, `div_ceil` chunks
+//!   of value-ascending ranks per logical thread and rank → loop value
+//!   ([`Schedule`]);
+//! - **reduction redirects**: which private buffer an access of a
+//!   `reduction` array names ([`LRegion::red_slot`]);
+//! - **the fused increment** `a(i…) = a(i…) + e` ([`fused_increment`]);
+//! - **the array descriptor** with its column-major strides ([`ArrMeta`]);
+//! - **leaf semantics**: reduction identities and combination,
+//!   comparisons, and the integer operations with their error messages.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use formad_ir::{
     BinOp, BoolExpr, CmpOp, Decl, Expr, Intrinsic, LValue, Program, RedOp, Stmt, Ty, UnOp,
@@ -13,6 +32,8 @@ use crate::bindings::{Bindings, ExecError};
 pub type Slot = u32;
 /// Index of an array in the array file.
 pub type ArrId = u32;
+/// Index of a parallel region in [`LProgram::regions`].
+pub type RegionId = u32;
 
 /// Lowered expression. Type is resolved statically; `Coerce` converts an
 /// integer subexpression to real where Fortran's mixed arithmetic demands.
@@ -49,7 +70,10 @@ pub enum LStmt {
     AssignElem(ArrId, Vec<LExpr>, LExpr, bool),
     AtomicAddElem(ArrId, Vec<LExpr>, LExpr),
     If(LBool, Vec<LStmt>, Vec<LStmt>),
+    /// A sequential loop.
     For(Box<LFor>),
+    /// A `!$omp parallel do` loop: region `k` of [`LProgram::regions`].
+    Parallel(RegionId),
     Push(LExpr, Ty),
     PopR(Slot),
     PopI(Slot),
@@ -64,20 +88,115 @@ pub struct LFor {
     pub hi: LExpr,
     pub step: LExpr,
     pub body: Vec<LStmt>,
-    pub parallel: Option<LParallel>,
 }
 
-/// Lowered parallel clauses.
-#[derive(Debug, Clone, Default)]
-pub struct LParallel {
+/// A parallel region: the loop and its data-sharing clauses.
+#[derive(Debug, Clone)]
+pub struct LRegion {
+    pub for_loop: LFor,
     /// Private real scalar slots.
     pub private_r: Vec<Slot>,
     /// Private integer scalar slots.
     pub private_i: Vec<Slot>,
     /// Scalar reductions `(op, slot, is_real)`.
     pub red_scalars: Vec<(RedOp, Slot, bool)>,
-    /// Array reductions (always on real arrays in generated adjoints).
+    /// Array reductions (real arrays only). Logical thread `t` works on
+    /// a private copy of each, identity-initialized, merged after the
+    /// region in ascending thread order.
     pub red_arrays: Vec<(RedOp, ArrId)>,
+}
+
+impl LRegion {
+    /// The redirect of an access to array `id` inside this region: the
+    /// ordinal of the private copy it reads and writes when the region
+    /// reduces `id` (the bytecode's view `n_arrays + j`, the kernel's
+    /// `rb{j}`), `None` when it goes to shared memory.
+    pub fn red_slot(&self, id: ArrId) -> Option<usize> {
+        self.red_arrays.iter().position(|&(_, a)| a == id)
+    }
+
+    /// May the body write scalar `slot` (of the real file when
+    /// `is_real`)? Only privates, reductions and the loop counter: a
+    /// shared scalar written by every thread is a data race.
+    pub fn may_write(&self, slot: Slot, is_real: bool) -> bool {
+        let private = if is_real {
+            &self.private_r
+        } else {
+            &self.private_i
+        };
+        private.contains(&slot)
+            || (!is_real && slot == self.for_loop.var)
+            || self
+                .red_scalars
+                .iter()
+                .any(|&(_, s, r)| s == slot && r == is_real)
+    }
+}
+
+/// The static schedule of one execution of a parallel region, the one
+/// every backend runs: iteration ranks `0..count` are numbered by
+/// ascending loop *value* whatever the loop's direction, and logical
+/// thread `t` owns the `t`-th `div_ceil(count, threads)`-sized block.
+/// A reversed adjoint loop therefore gives every iteration to the thread
+/// that ran it forward, and each thread pops its tape in exactly the
+/// reverse of its push order.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule {
+    pub lo: i64,
+    pub step: i64,
+    /// Number of iterations.
+    pub count: i64,
+    threads: usize,
+}
+
+impl Schedule {
+    /// The schedule of `do v = lo, hi, step` over `threads` logical
+    /// threads; a zero step is an error.
+    pub fn new(lo: i64, hi: i64, step: i64, threads: usize) -> Result<Schedule, ExecError> {
+        if step == 0 {
+            return Err(ExecError::new("zero loop step"));
+        }
+        let count = if step > 0 {
+            if hi < lo {
+                0
+            } else {
+                (hi - lo) / step + 1
+            }
+        } else if hi > lo {
+            0
+        } else {
+            (lo - hi) / (-step) + 1
+        };
+        Ok(Schedule {
+            lo,
+            step,
+            count,
+            threads,
+        })
+    }
+
+    /// The ranks logical thread `t` owns (empty for a thread past the
+    /// end of the iteration space).
+    pub fn ranks(&self, t: usize) -> Range<i64> {
+        let chunk = (self.count as usize).div_ceil(self.threads);
+        let end = ((t + 1) * chunk).min(self.count as usize);
+        (t * chunk) as i64..end as i64
+    }
+
+    /// The loop values of `ranks`, in loop order: ranks ascend for a
+    /// positive step and descend for a negative one, so the value
+    /// advances by `step` per iteration either way. Ascending rank `a`
+    /// has value `lo + a·step`, or `lo + (count − 1 − a)·step` for a
+    /// negative step, whose smallest iterate may lie strictly above `hi`.
+    pub fn values(&self, ranks: Range<i64>) -> impl Iterator<Item = i64> {
+        let first = if self.step > 0 {
+            ranks.start
+        } else {
+            self.count - ranks.end
+        };
+        let (lo, step) = (self.lo, self.step);
+        (0..ranks.end - ranks.start).map(move |k| lo + (first + k) * step)
+    }
 }
 
 /// An array's runtime storage descriptor.
@@ -87,6 +206,8 @@ pub struct ArrMeta {
     pub ty: Ty,
     /// Extent of each dimension.
     pub dims: Vec<i64>,
+    /// Column-major (Fortran) stride of each dimension.
+    pub strides: Vec<i64>,
     /// Number of elements.
     pub len: usize,
 }
@@ -99,6 +220,8 @@ pub struct LProgram {
     pub n_real_scalars: usize,
     pub n_int_scalars: usize,
     pub arrays: Vec<ArrMeta>,
+    /// The parallel regions, by [`RegionId`].
+    pub regions: Vec<LRegion>,
     /// Scalar name → (slot, ty) for binding transfer.
     pub scalar_slots: HashMap<String, (Slot, Ty)>,
     /// Array name → id.
@@ -110,6 +233,7 @@ struct Lowerer<'a> {
     scalar_slots: HashMap<String, (Slot, Ty)>,
     array_ids: HashMap<String, ArrId>,
     arrays: Vec<ArrMeta>,
+    regions: Vec<LRegion>,
     n_real: usize,
     n_int: usize,
     /// Scalars assigned from array reads in the *current innermost* loop
@@ -126,6 +250,7 @@ pub fn lower(prog: &Program, bind: &Bindings) -> Result<LProgram, ExecError> {
         scalar_slots: HashMap::new(),
         array_ids: HashMap::new(),
         arrays: Vec::new(),
+        regions: Vec::new(),
         n_real: 0,
         n_int: 0,
         gather_ctx: std::collections::HashSet::new(),
@@ -159,6 +284,7 @@ pub fn lower(prog: &Program, bind: &Bindings) -> Result<LProgram, ExecError> {
         n_real_scalars: lw.n_real,
         n_int_scalars: lw.n_int,
         arrays: lw.arrays,
+        regions: lw.regions,
         scalar_slots: lw.scalar_slots,
         array_ids: lw.array_ids,
     })
@@ -220,11 +346,18 @@ impl<'a> Lowerer<'a> {
                 d.name
             )));
         }
+        let mut strides = Vec::with_capacity(dims.len());
+        let mut stride = 1i64;
+        for d in &dims {
+            strides.push(stride);
+            stride *= d;
+        }
         let id = self.arrays.len() as ArrId;
         self.arrays.push(ArrMeta {
             name: d.name.to_string(),
             ty: d.ty,
             dims,
+            strides,
             len: len as usize,
         });
         self.array_ids.insert(d.name.to_string(), id);
@@ -415,39 +548,38 @@ impl<'a> Lowerer<'a> {
                 if vty != Ty::Int {
                     return Err(ExecError::new("loop counter must be integer"));
                 }
-                let parallel = match &l.parallel {
-                    None => None,
-                    Some(info) => {
-                        let mut lp = LParallel::default();
-                        for p in &info.private {
-                            let (slot, ty) = *self
-                                .scalar_slots
-                                .get(p.as_str())
-                                .ok_or_else(|| ExecError::new(format!("unbound private `{p}`")))?;
-                            match ty {
-                                Ty::Real => lp.private_r.push(slot),
-                                Ty::Int => lp.private_i.push(slot),
-                            }
+                let mut private_r = Vec::new();
+                let mut private_i = Vec::new();
+                let mut red_scalars = Vec::new();
+                let mut red_arrays = Vec::new();
+                if let Some(info) = &l.parallel {
+                    for p in &info.private {
+                        let (slot, ty) = *self
+                            .scalar_slots
+                            .get(p.as_str())
+                            .ok_or_else(|| ExecError::new(format!("unbound private `{p}`")))?;
+                        match ty {
+                            Ty::Real => private_r.push(slot),
+                            Ty::Int => private_i.push(slot),
                         }
-                        for (op, v) in &info.reductions {
-                            if let Some((slot, ty)) = self.scalar_slots.get(v.as_str()) {
-                                lp.red_scalars.push((*op, *slot, *ty == Ty::Real));
-                            } else if let Some(id) = self.array_ids.get(v.as_str()) {
-                                if self.arrays[*id as usize].ty != Ty::Real {
-                                    return Err(ExecError::new(
-                                        "array reductions only supported on real arrays",
-                                    ));
-                                }
-                                lp.red_arrays.push((*op, *id));
-                            } else {
-                                return Err(ExecError::new(format!(
-                                    "unbound reduction variable `{v}`"
-                                )));
-                            }
-                        }
-                        Some(lp)
                     }
-                };
+                    for (op, v) in &info.reductions {
+                        if let Some((slot, ty)) = self.scalar_slots.get(v.as_str()) {
+                            red_scalars.push((*op, *slot, *ty == Ty::Real));
+                        } else if let Some(id) = self.array_ids.get(v.as_str()) {
+                            if self.arrays[*id as usize].ty != Ty::Real {
+                                return Err(ExecError::new(
+                                    "array reductions only supported on real arrays",
+                                ));
+                            }
+                            red_arrays.push((*op, *id));
+                        } else {
+                            return Err(ExecError::new(format!(
+                                "unbound reduction variable `{v}`"
+                            )));
+                        }
+                    }
+                }
                 let lo = self.lower_expr(&l.lo, Ty::Int)?;
                 let hi = self.lower_expr(&l.hi, Ty::Int)?;
                 let step = self.lower_expr(&l.step, Ty::Int)?;
@@ -458,14 +590,26 @@ impl<'a> Lowerer<'a> {
                 Self::gather_scalars(&l.body, &mut self.gather_ctx);
                 let body = self.lower_body(&l.body)?;
                 self.gather_ctx = saved;
-                LStmt::For(Box::new(LFor {
+                let for_loop = LFor {
                     var,
                     lo,
                     hi,
                     step,
                     body,
-                    parallel,
-                }))
+                };
+                if l.parallel.is_none() {
+                    return Ok(LStmt::For(Box::new(for_loop)));
+                }
+                // Numbered after its body: regions the bytecode accepts do
+                // not nest, so this is the order it enters them in.
+                self.regions.push(LRegion {
+                    for_loop,
+                    private_r,
+                    private_i,
+                    red_scalars,
+                    red_arrays,
+                });
+                LStmt::Parallel((self.regions.len() - 1) as RegionId)
             }
             Stmt::Push(e) => {
                 let ty = self.ty_of_expr(e);
@@ -528,6 +672,161 @@ fn eval_const_int(e: &Expr, bind: &Bindings) -> Option<i64> {
     }
 }
 
+/// Structural equality of pure lowered expressions. Constants compare by
+/// bits, so a match implies identical evaluation.
+pub(crate) fn lexpr_eq(a: &LExpr, b: &LExpr) -> bool {
+    match (a, b) {
+        (LExpr::ConstR(x), LExpr::ConstR(y)) => x.to_bits() == y.to_bits(),
+        (LExpr::ConstI(x), LExpr::ConstI(y)) => x == y,
+        (LExpr::ScalarR(x), LExpr::ScalarR(y)) | (LExpr::ScalarI(x), LExpr::ScalarI(y)) => x == y,
+        (LExpr::Elem(i1, x1, _), LExpr::Elem(i2, x2, _)) => {
+            i1 == i2 && x1.len() == x2.len() && x1.iter().zip(x2).all(|(p, q)| lexpr_eq(p, q))
+        }
+        (LExpr::Bin(o1, l1, r1), LExpr::Bin(o2, l2, r2)) => {
+            o1 == o2 && lexpr_eq(l1, l2) && lexpr_eq(r1, r2)
+        }
+        (LExpr::Neg(x), LExpr::Neg(y)) | (LExpr::Coerce(x), LExpr::Coerce(y)) => lexpr_eq(x, y),
+        (LExpr::Call(f1, a1), LExpr::Call(f2, a2)) => {
+            f1 == f2 && a1.len() == a2.len() && a1.iter().zip(a2).all(|(p, q)| lexpr_eq(p, q))
+        }
+        _ => false,
+    }
+}
+
+/// The increment `e` when `a(idx) = rhs` is `a(idx) = a(idx) + e` on a
+/// real array `id`: the read-modify-write the native backends fuse into
+/// one address computation, a load, `+ e` and a store. The inner load's
+/// index expressions are pure and equal to `idx`, so reusing the store's
+/// offset gives the same offset, the same bounds outcome and the same
+/// `cur + e` association as evaluating the statement unfused, which is
+/// what the simulator does (and charges).
+pub(crate) fn fused_increment<'a>(id: ArrId, idx: &[LExpr], rhs: &'a LExpr) -> Option<&'a LExpr> {
+    match rhs {
+        LExpr::Bin(BinOp::Add, l, e) => match &**l {
+            LExpr::Elem(id2, idx2, _)
+                if *id2 == id
+                    && idx2.len() == idx.len()
+                    && idx2.iter().zip(idx).all(|(a, b)| lexpr_eq(a, b)) =>
+            {
+                Some(e)
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+// ---- leaf semantics, one definition for every backend ----
+
+/// Identity element of a reduction operator.
+pub(crate) fn identity(op: RedOp) -> f64 {
+    match op {
+        RedOp::Add => 0.0,
+        RedOp::Mul => 1.0,
+        RedOp::Min => f64::INFINITY,
+        RedOp::Max => f64::NEG_INFINITY,
+    }
+}
+
+/// Combine two partial results of a reduction.
+pub(crate) fn combine(op: RedOp, a: f64, b: f64) -> f64 {
+    match op {
+        RedOp::Add => a + b,
+        RedOp::Mul => a * b,
+        RedOp::Min => a.min(b),
+        RedOp::Max => a.max(b),
+    }
+}
+
+/// A comparison, on reals or (exactly) on integers.
+pub(crate) fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::Ne => a != b,
+        CmpOp::Lt => a < b,
+        CmpOp::Le => a <= b,
+        CmpOp::Gt => a > b,
+        CmpOp::Ge => a >= b,
+    }
+}
+
+/// A real binary operation.
+#[inline]
+pub(crate) fn real_bin(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
+    Ok(match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => x / y,
+        BinOp::Pow => x.powf(y),
+        BinOp::Mod => return Err(ExecError::new("mod in real context")),
+    })
+}
+
+/// A real intrinsic; `y` is `min`'s and `max`'s second argument.
+#[inline]
+pub(crate) fn real_call(f: Intrinsic, x: f64, y: f64) -> f64 {
+    match f {
+        Intrinsic::Sin => x.sin(),
+        Intrinsic::Cos => x.cos(),
+        Intrinsic::Exp => x.exp(),
+        Intrinsic::Log => x.ln(),
+        Intrinsic::Sqrt => x.sqrt(),
+        Intrinsic::Tanh => x.tanh(),
+        Intrinsic::Abs => x.abs(),
+        Intrinsic::Min => x.min(y),
+        Intrinsic::Max => x.max(y),
+    }
+}
+
+/// An integer intrinsic (`abs` wraps); `y` as for [`real_call`].
+#[inline]
+pub(crate) fn int_call(f: Intrinsic, x: i64, y: i64) -> Result<i64, ExecError> {
+    Ok(match f {
+        Intrinsic::Abs => x.wrapping_abs(),
+        Intrinsic::Min => x.min(y),
+        Intrinsic::Max => x.max(y),
+        other => {
+            return Err(ExecError::new(format!(
+                "intrinsic {} in integer context",
+                other.name()
+            )))
+        }
+    })
+}
+
+/// An integer binary operation: `+ - *` wrap in every build profile (as
+/// generated kernels do); `/`, `mod` and `**` are checked.
+#[inline]
+pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
+    Ok(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div => {
+            if y == 0 {
+                return Err(ExecError::new("integer division by zero"));
+            }
+            x.checked_div(y)
+                .ok_or_else(|| ExecError::new("integer overflow in /"))?
+        }
+        BinOp::Mod => {
+            if y == 0 {
+                return Err(ExecError::new("mod by zero"));
+            }
+            x.checked_rem(y)
+                .ok_or_else(|| ExecError::new("integer overflow in mod"))?
+        }
+        BinOp::Pow => {
+            if y < 0 {
+                return Err(ExecError::new("negative integer exponent"));
+            }
+            x.checked_pow(y as u32)
+                .ok_or_else(|| ExecError::new("integer overflow in **"))?
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,7 +856,86 @@ end subroutine
         assert_eq!(lp.arrays[0].len, 8);
         assert_eq!(lp.n_int_scalars, 2); // n, i
         assert_eq!(lp.n_real_scalars, 1); // a
-        assert!(matches!(lp.body[0], LStmt::For(_)));
+        assert!(matches!(lp.body[0], LStmt::Parallel(0)));
+        assert_eq!(lp.regions.len(), 1);
+    }
+
+    /// Regions are numbered in the order the bytecode enters them: a
+    /// pre-order walk through `if` branches and sequential loop bodies.
+    #[test]
+    fn regions_numbered_in_entry_order() {
+        let p = parse_program(
+            r#"
+subroutine t(n, c, y)
+  integer, intent(in) :: n, c
+  real, intent(inout) :: y(n)
+  integer :: i, j
+  if (c .gt. 0) then
+    !$omp parallel do shared(y)
+    do i = 1, n
+      y(i) = 1.0
+    end do
+  else
+    !$omp parallel do shared(y)
+    do i = 1, n
+      y(i) = 2.0
+    end do
+  end if
+  do j = 1, 3
+    !$omp parallel do shared(y)
+    do i = 1, n
+      y(i) = 3.0
+    end do
+  end do
+  !$omp parallel do shared(y)
+  do i = n, 1, -1
+    y(i) = 4.0
+  end do
+end subroutine
+"#,
+        )
+        .unwrap();
+        let lp = lower(&p, &Bindings::new().int("n", 4)).unwrap();
+        // The value each region stores, in region order.
+        let stored: Vec<f64> = lp
+            .regions
+            .iter()
+            .map(|r| match &r.for_loop.body[..] {
+                [LStmt::AssignElem(_, _, LExpr::ConstR(v), _)] => *v,
+                other => panic!("unexpected body {other:?}"),
+            })
+            .collect();
+        assert_eq!(stored, [1.0, 2.0, 3.0, 4.0]);
+        match &lp.body[..] {
+            [LStmt::If(_, then_b, else_b), LStmt::For(seq), LStmt::Parallel(3)] => {
+                assert!(matches!(then_b[..], [LStmt::Parallel(0)]));
+                assert!(matches!(else_b[..], [LStmt::Parallel(1)]));
+                assert!(matches!(seq.body[..], [LStmt::Parallel(2)]));
+            }
+            other => panic!("unexpected body {other:?}"),
+        }
+    }
+
+    /// Ranks ascend by loop value in both directions, blocks are
+    /// `div_ceil`-sized, and each thread's values advance by `step`.
+    #[test]
+    fn schedule_blocks_and_values() {
+        let up = Schedule::new(1, 10, 3, 3).unwrap(); // 1 4 7 10
+        assert_eq!(up.count, 4);
+        let blocks: Vec<Vec<i64>> = (0..3).map(|t| up.values(up.ranks(t)).collect()).collect();
+        assert_eq!(blocks, [vec![1, 4], vec![7, 10], vec![]]);
+        // The reversed loop gives each thread the values it ran forward.
+        let down = Schedule::new(10, 1, -3, 3).unwrap(); // 10 7 4 1
+        let blocks: Vec<Vec<i64>> = (0..3)
+            .map(|t| down.values(down.ranks(t)).collect())
+            .collect();
+        assert_eq!(blocks, [vec![4, 1], vec![10, 7], vec![]]);
+        // The smallest iterate of a descending loop may lie above `hi`.
+        let odd = Schedule::new(10, 2, -3, 1).unwrap(); // 10 7 4
+        assert_eq!(odd.values(odd.ranks(0)).collect::<Vec<_>>(), [10, 7, 4]);
+        assert_eq!(Schedule::new(1, 0, 1, 2).unwrap().count, 0);
+        let err = Schedule::new(1, 5, 0, 2).unwrap_err();
+        assert_eq!(err.message, "zero loop step");
     }
 
     #[test]
