@@ -37,9 +37,9 @@
 //! ([`crate::lower`]), the same one the simulator and the bytecode engine
 //! read: the regions and their numbering ([`LProgram::regions`]), each
 //! array's extents and strides ([`crate::lower::ArrMeta`]), which
-//! accesses go to a private reduction copy ([`LRegion::red_slot`]), the
-//! fused increment ([`fused_increment`]) and the chunk walk of
-//! [`crate::lower::Schedule::values`]. The code must stay **bitwise
+//! accesses go to a private reduction copy (`LRegion::red_slot`), the
+//! fused increment (`fused_increment`) and the chunk walk of
+//! `Schedule::values`. The code must stay **bitwise
 //! identical** to the bytecode engine's, so it also keeps its evaluation
 //! rules:
 //!

@@ -19,7 +19,7 @@
 //!   executor with [`Instr::EnterPar`];
 //! - an access to an array the region reduces names the thread's private
 //!   copy statically — view `n_arrays + j` of the worker's view table,
-//!   `j` being [`LRegion::red_slot`] — and an `!$omp atomic` increment
+//!   `j` being `LRegion::red_slot` — and an `!$omp atomic` increment
 //!   of it compiles to a plain [`Instr::IncR`] there, so the only
 //!   [`Instr::AtomicAddR`] left in a region is a shared one.
 //!

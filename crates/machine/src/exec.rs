@@ -4,7 +4,7 @@
 //! code interprets the flat instruction array directly; every
 //! `!$omp parallel do` region is dispatched to a persistent
 //! [`formad_runtime::ThreadPool`] with the **same static schedule** the
-//! simulated machine uses ([`Schedule`]), so thread `t` executes — and
+//! simulated machine uses (`lower::Schedule`), so thread `t` executes — and
 //! tapes — exactly the iterations simulated thread `t` does. Results are bitwise equal to
 //! the interpreter's on any number of OS workers for every program with
 //! no shared `!$omp atomic` increment; colliding atomic increments commit
@@ -219,8 +219,8 @@ struct Scratch {
     reals: Vec<f64>,
     ints: Vec<i64>,
     red_bufs: Vec<Vec<f64>>,
-    /// The worker's view table for bytecode: the shared arrays by
-    /// `ArrId`, then the region's `red_bufs`.
+    /// The worker's view table for bytecode, rewritten for every chunk:
+    /// the shared arrays by `ArrId`, then the region's `red_bufs`.
     views: Vec<RawView>,
     red_ptrs: RedPtrs,
     err: Option<ExecError>,

@@ -2,7 +2,7 @@
 //!
 //! Sequential code accumulates wall cycles directly. A parallel region is
 //! executed as `T` simulated threads, one after the other, each running
-//! its block of the region's [`Schedule`] — the static schedule by
+//! its block of the region's `Schedule` — the static schedule by
 //! value-ascending rank that every backend shares, under which a
 //! reversed adjoint loop pops each thread's tape in exactly the reverse
 //! of its push order.

@@ -11,10 +11,10 @@
 //!   which is also the AOT kernel's `formad_region_<k>` order;
 //! - **the schedule**: trip count, the zero-step error, `div_ceil` chunks
 //!   of value-ascending ranks per logical thread and rank → loop value
-//!   ([`Schedule`]);
+//!   (`Schedule`);
 //! - **reduction redirects**: which private buffer an access of a
-//!   `reduction` array names ([`LRegion::red_slot`]);
-//! - **the fused increment** `a(i…) = a(i…) + e` ([`fused_increment`]);
+//!   `reduction` array names (`LRegion::red_slot`);
+//! - **the fused increment** `a(i…) = a(i…) + e` (`fused_increment`);
 //! - **the array descriptor** with its column-major strides ([`ArrMeta`]);
 //! - **leaf semantics**: reduction identities and combination,
 //!   comparisons, and the integer operations with their error messages.
@@ -111,14 +111,14 @@ impl LRegion {
     /// ordinal of the private copy it reads and writes when the region
     /// reduces `id` (the bytecode's view `n_arrays + j`, the kernel's
     /// `rb{j}`), `None` when it goes to shared memory.
-    pub fn red_slot(&self, id: ArrId) -> Option<usize> {
+    pub(crate) fn red_slot(&self, id: ArrId) -> Option<usize> {
         self.red_arrays.iter().position(|&(_, a)| a == id)
     }
 
     /// May the body write scalar `slot` (of the real file when
     /// `is_real`)? Only privates, reductions and the loop counter: a
     /// shared scalar written by every thread is a data race.
-    pub fn may_write(&self, slot: Slot, is_real: bool) -> bool {
+    pub(crate) fn may_write(&self, slot: Slot, is_real: bool) -> bool {
         let private = if is_real {
             &self.private_r
         } else {
@@ -141,18 +141,18 @@ impl LRegion {
 /// that ran it forward, and each thread pops its tape in exactly the
 /// reverse of its push order.
 #[derive(Debug, Clone, Copy)]
-pub struct Schedule {
-    pub lo: i64,
-    pub step: i64,
+pub(crate) struct Schedule {
+    pub(crate) lo: i64,
+    pub(crate) step: i64,
     /// Number of iterations.
-    pub count: i64,
+    pub(crate) count: i64,
     threads: usize,
 }
 
 impl Schedule {
     /// The schedule of `do v = lo, hi, step` over `threads` logical
     /// threads; a zero step is an error.
-    pub fn new(lo: i64, hi: i64, step: i64, threads: usize) -> Result<Schedule, ExecError> {
+    pub(crate) fn new(lo: i64, hi: i64, step: i64, threads: usize) -> Result<Schedule, ExecError> {
         if step == 0 {
             return Err(ExecError::new("zero loop step"));
         }
@@ -177,7 +177,7 @@ impl Schedule {
 
     /// The ranks logical thread `t` owns (empty for a thread past the
     /// end of the iteration space).
-    pub fn ranks(&self, t: usize) -> Range<i64> {
+    pub(crate) fn ranks(&self, t: usize) -> Range<i64> {
         let chunk = (self.count as usize).div_ceil(self.threads);
         let end = ((t + 1) * chunk).min(self.count as usize);
         (t * chunk) as i64..end as i64
@@ -188,7 +188,7 @@ impl Schedule {
     /// advances by `step` per iteration either way. Ascending rank `a`
     /// has value `lo + a·step`, or `lo + (count − 1 − a)·step` for a
     /// negative step, whose smallest iterate may lie strictly above `hi`.
-    pub fn values(&self, ranks: Range<i64>) -> impl Iterator<Item = i64> {
+    pub(crate) fn values(&self, ranks: Range<i64>) -> impl Iterator<Item = i64> {
         let first = if self.step > 0 {
             ranks.start
         } else {
