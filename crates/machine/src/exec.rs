@@ -41,14 +41,15 @@ use std::sync::Arc;
 
 use std::ops::Range;
 
-use formad_ir::{Program, RedOp, Ty};
+use formad_ir::{BinOp, Program, RedOp, Ty};
 use formad_runtime::ThreadPool;
 
 use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
 use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, real_bin, real_call, ArrMeta, Schedule,
+    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, ArrMeta,
+    Schedule,
 };
 
 /// Compile `prog` against `bind` and run it with `threads` logical
@@ -805,15 +806,17 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
             let dim = env.err_dim as usize;
             oob(env.err_value, meta.dims[dim], dim + 1, &meta.name)
         }
-        a::AOT_ERR_DIV_ZERO => ExecError::new("integer division by zero"),
-        a::AOT_ERR_MOD_ZERO => ExecError::new("mod by zero"),
-        a::AOT_ERR_NEG_EXP => ExecError::new("negative integer exponent"),
-        a::AOT_ERR_POW_OVERFLOW => ExecError::new("integer overflow in **"),
+        // The code names the checked operation that failed; replaying it
+        // on the shared semantics renders the message every backend uses.
+        a::AOT_ERR_DIV_ZERO => int_fault(BinOp::Div, 1, 0),
+        a::AOT_ERR_DIV_OVERFLOW => int_fault(BinOp::Div, i64::MIN, -1),
+        a::AOT_ERR_MOD_ZERO => int_fault(BinOp::Mod, 1, 0),
+        a::AOT_ERR_MOD_OVERFLOW => int_fault(BinOp::Mod, i64::MIN, -1),
+        a::AOT_ERR_NEG_EXP => int_fault(BinOp::Pow, 2, -1),
+        a::AOT_ERR_POW_OVERFLOW => int_fault(BinOp::Pow, 2, 64),
         a::AOT_ERR_ZERO_STEP => ExecError::new("zero loop step"),
         a::AOT_ERR_POP_EMPTY_R => ExecError::new("pop from empty real tape"),
         a::AOT_ERR_POP_EMPTY_I => ExecError::new("pop from empty int tape"),
-        a::AOT_ERR_DIV_OVERFLOW => ExecError::new("integer overflow in /"),
-        a::AOT_ERR_MOD_OVERFLOW => ExecError::new("integer overflow in mod"),
         a::AOT_ERR_STEP_MISMATCH => ExecError::new(format!(
             "AOT region was generated for a literal step other than {}",
             env.step
@@ -1001,8 +1004,6 @@ fn exec_code(
     }
 }
 
-fn oob(v: i64, d: i64, dim: usize, name: &str) -> ExecError {
-    ExecError::new(format!(
-        "index {v} out of bounds 1..={d} in dimension {dim} of `{name}`"
-    ))
+fn int_fault(op: BinOp, x: i64, y: i64) -> ExecError {
+    int_bin(op, x, y).expect_err("operands the operation rejects")
 }

@@ -19,7 +19,7 @@ use formad_ir::{Program, Ty};
 use crate::bindings::{Bindings, ExecError};
 use crate::cost::{CostModel, ExecResult, ExecStats};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, real_bin, real_call, ArrMeta, LBool,
+    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, ArrMeta, LBool,
     LExpr, LFor, LProgram, LRegion, LStmt, Schedule,
 };
 
@@ -254,11 +254,7 @@ impl<'a> Interp<'a> {
             let v = self.eval_i(ix)?;
             let d = meta.dims[k];
             if v < 1 || v > d {
-                return Err(ExecError::new(format!(
-                    "index {v} out of bounds 1..={d} in dimension {} of `{}`",
-                    k + 1,
-                    meta.name
-                )));
+                return Err(oob(v, d, k + 1, &meta.name));
             }
             off += (v - 1) * meta.strides[k];
             self.charge(self.m.cost.flop);

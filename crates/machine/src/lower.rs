@@ -738,6 +738,14 @@ pub(crate) fn combine(op: RedOp, a: f64, b: f64) -> f64 {
     }
 }
 
+/// Index `v` of dimension `dim` (1-based) of array `name`, outside
+/// `1..=d`.
+pub(crate) fn oob(v: i64, d: i64, dim: usize, name: &str) -> ExecError {
+    ExecError::new(format!(
+        "index {v} out of bounds 1..={d} in dimension {dim} of `{name}`"
+    ))
+}
+
 /// A comparison, on reals or (exactly) on integers.
 pub(crate) fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     match op {
