@@ -2,7 +2,10 @@
 //!
 //! Execution substrate for the FormAD reproduction:
 //!
-//! - [`mod@lower`]: compiles `formad-ir` programs to a slot-resolved form;
+//! - [`mod@lower`]: compiles `formad-ir` programs to a slot-resolved form
+//!   and decides, once for every backend, what each parallel region is
+//!   (numbering, schedule, reduction redirects, fused increments, strides)
+//!   and what the leaf operations compute;
 //! - [`interp`]: a deterministic interpreter with a **simulated
 //!   shared-memory multiprocessor** — static-scheduled simulated threads,
 //!   thread-local tapes, privatizing `reduction` clauses, and a calibrated
