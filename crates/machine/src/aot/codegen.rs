@@ -39,9 +39,8 @@
 //! array's extents and strides ([`crate::lower::ArrMeta`]), which
 //! accesses go to a private reduction copy (`LRegion::red_slot`), the
 //! fused increment (`fused_increment`) and the chunk walk of
-//! `Schedule::values`. The code must stay **bitwise
-//! identical** to the bytecode engine's, so it also keeps its evaluation
-//! rules:
+//! `Schedule::values`. The code must stay **bitwise identical** to the
+//! bytecode engine's, so it also keeps its evaluation rules:
 //!
 //! - the same evaluation order everywhere (offsets before right-hand
 //!   sides, bounds checks per index in index order, `lo` → `hi` → `step`
