@@ -96,6 +96,40 @@ fn analyze_c_dialect() {
 }
 
 #[test]
+fn pragma_clause_names_keep_their_case() {
+    let fortran = "subroutine saxpy(n, X, Y)\n  integer, intent(in) :: n\n  \
+                   real, intent(in) :: X(n)\n  real, intent(inout) :: Y(n)\n  integer :: i\n  \
+                   !$omp parallel do shared(X, Y)\n  do i = 1, n\n    Y(i) = Y(i) + X(i)\n  \
+                   end do\nend subroutine\n";
+    let c = "void saxpy(int n, const double X[n], double Y[n]) {\n  int i;\n  \
+             #pragma omp parallel for shared(X, Y)\n  for (i = 1; i <= n; i++) {\n    \
+             Y[i] += X[i];\n  }\n}\n";
+    for (name, src) in [("upper.f90", fortran), ("upper.c", c)] {
+        let f = write_temp(name, src);
+        let (out, err, ok) = formad(&["analyze", f.to_str().unwrap(), "--wrt", "X", "--of", "Y"]);
+        assert!(ok, "{name}: {err}");
+        assert!(out.contains("adjoint of `X`: shared"), "{name}: {out}");
+    }
+}
+
+#[test]
+fn an_overflowing_real_literal_is_a_parse_error() {
+    let src = FIG2_F.replace(
+        "y(c(i)) = x(c(i) + 7)",
+        "y(c(i)) = y(c(i)) + 1e999 * x(c(i) + 7)",
+    );
+    let f = write_temp("overflow.f90", &src);
+    let args = ["adjoint", f.to_str().unwrap(), "--wrt", "x", "--of", "y"];
+    let (out, err, _) = formad(&args);
+    assert!(out.is_empty(), "{out}");
+    assert!(
+        err.contains("parse error at line 10: bad real literal `1e999`"),
+        "{err}"
+    );
+    assert_eq!(formad_code(&args), 3);
+}
+
+#[test]
 fn adjoint_output_is_the_paper_figure() {
     let f = write_temp("fig2b.f90", FIG2_F);
     let (out, _, ok) = formad(&["adjoint", f.to_str().unwrap(), "--wrt", "x", "--of", "y"]);

@@ -2,18 +2,21 @@
 //!
 //! The paper (§3, §8) says C support needs "only minor changes to the
 //! parser and scoping rules", and that is all a flavour is here: a
-//! [`Spelling`] table read by the one lexer, the one expression parser
-//! and the one expression writer, plus a declaration / statement shell on
-//! the parse side ([`crate::parser`], [`crate::clike`]) and on the print
-//! side ([`crate::printer`], [`crate::printer_c`]). Everything else — the
-//! token type, the cursor, expressions, conditions, subscripts, `parallel`
-//! clauses, tape calls — exists once.
+//! [`Spelling`] table, operator spellings ([`SourceFlavor::op`]) and
+//! function names ([`SourceFlavor::callee`]) read by the one lexer, the
+//! one expression parser and the one expression writer, plus a
+//! declaration / statement shell on the parse side ([`crate::parser`],
+//! [`crate::clike`]) and on the print side ([`crate::printer`],
+//! [`crate::printer_c`]). Everything else — the token type, the cursor,
+//! expressions, conditions, subscripts, `parallel` clauses, tape calls —
+//! exists once.
 //!
 //! Semantics note: the C flavour keeps the IR's Fortran conventions — array
 //! indexing is 1-based and `x[i][j]` denotes the same element as `x(i, j)`
 //! (first index fastest). It is C *syntax*, not C memory layout.
 
 use crate::expr::{BinOp, Intrinsic};
+use crate::lexer::Kw;
 use crate::lexer::Tok::{self, *};
 use crate::parser::{ParseError, Parser};
 use crate::printer::Writer;
@@ -36,115 +39,28 @@ pub(crate) enum Callee {
     Fun(Intrinsic),
 }
 
-/// How one flavour spells what both share.
+/// How one flavour spells what both share, beyond its operators
+/// ([`SourceFlavor::op`]) and function names ([`SourceFlavor::callee`]).
 pub(crate) struct Spelling {
-    /// Prefix of an OpenMP directive line.
+    /// Prefix of an OpenMP directive line (ASCII case ignored).
     pub pragma: &'static str,
-    /// Start of a comment that runs to the end of the line.
-    pub line_comment: &'static str,
     /// Keyword of the counted loop, in the source and after `parallel`.
-    pub loop_kw: &'static str,
+    pub loop_kw: Kw,
     /// Opening, separating and closing text of an array subscript list.
     pub subscript: [&'static str; 3],
-    /// Operators and punctuation, tried in order before [`COMMON_OPS`] (a
-    /// spelling that is a prefix of another comes after it). The first
-    /// spelling of a token is the one the printer and error messages use.
-    ops: &'static [(&'static str, Tok<'static>)],
-    /// Function names beyond [`Intrinsic::name`]; the first name of a
-    /// callee is the one printed.
-    funcs: &'static [(&'static str, Callee)],
 }
 
 const FORTRAN_SPELLING: Spelling = Spelling {
     pragma: "!$omp",
-    line_comment: "!",
-    loop_kw: "do",
+    loop_kw: Kw::Do,
     subscript: ["(", ", ", ")"],
-    ops: &[
-        (".and.", And),
-        (".or.", Or),
-        (".not.", Not),
-        (".eq.", Eq),
-        (".ne.", Ne),
-        (".lt.", Lt),
-        (".le.", Le),
-        (".gt.", Gt),
-        (".ge.", Ge),
-        ("**", DoubleStar),
-        ("/=", Ne),
-        ("::", DoubleColon),
-        (":", Colon),
-    ],
-    funcs: &[("mod", Callee::Bin(BinOp::Mod))],
 };
 
 const C_SPELLING: Spelling = Spelling {
     pragma: "#pragma omp",
-    line_comment: "//",
-    loop_kw: "for",
+    loop_kw: Kw::For,
     subscript: ["[", "][", "]"],
-    ops: &[
-        ("++", PlusPlus),
-        ("--", MinusMinus),
-        ("+=", PlusAssign),
-        ("-=", MinusAssign),
-        ("!=", Ne),
-        ("&&", And),
-        ("||", Or),
-        ("!", Not),
-        ("%", Percent),
-        ("[", LBracket),
-        ("]", RBracket),
-        ("{", LBrace),
-        ("}", RBrace),
-        (";", Semi),
-    ],
-    funcs: &[
-        ("pow", Callee::Bin(BinOp::Pow)),
-        ("fabs", Callee::Fun(Intrinsic::Abs)),
-        ("fmin", Callee::Fun(Intrinsic::Min)),
-        ("fmax", Callee::Fun(Intrinsic::Max)),
-    ],
 };
-
-/// Operators and punctuation both flavours spell the same way.
-const COMMON_OPS: &[(&str, Tok<'static>)] = &[
-    ("==", Eq),
-    ("<=", Le),
-    (">=", Ge),
-    ("+", Plus),
-    ("-", Minus),
-    ("*", Star),
-    ("/", Slash),
-    ("(", LParen),
-    (")", RParen),
-    (",", Comma),
-    ("=", Assign),
-    ("<", Lt),
-    (">", Gt),
-];
-
-impl Spelling {
-    /// Every operator spelling of the flavour, in lexing order.
-    pub fn ops(&self) -> impl Iterator<Item = &'static (&'static str, Tok<'static>)> {
-        self.ops.iter().chain(COMMON_OPS)
-    }
-
-    /// The flavour's spelling of an operator or punctuation token, if it
-    /// has one.
-    pub fn of(&self, tok: Tok<'_>) -> Option<&'static str> {
-        self.ops().find(|(_, t)| *t == tok).map(|(s, _)| *s)
-    }
-
-    /// The name a callee is printed under.
-    pub fn func_name(&self, callee: Callee) -> &'static str {
-        match (self.funcs.iter().find(|(_, c)| *c == callee), callee) {
-            (Some((name, _)), _) => name,
-            (None, Callee::Fun(f)) => f.name(),
-            (None, Callee::Bin(op)) => unreachable!("{op:?} has neither an infix nor a call form"),
-        }
-    }
-}
 
 impl SourceFlavor {
     /// Both flavours, Fortran first.
@@ -191,13 +107,13 @@ impl SourceFlavor {
 
     /// Parse a complete subroutine written in this flavour.
     pub fn parse(self, src: &str) -> Result<Program, ParseError> {
-        let mut p = Parser::new(src, self)?;
+        let mut p = Parser::new(src, self);
         let program = match self {
-            SourceFlavor::Fortran => p.subroutine()?,
-            SourceFlavor::C => p.function()?,
+            SourceFlavor::Fortran => p.subroutine(),
+            SourceFlavor::C => p.function(),
         };
-        p.expect(Tok::Eof)?;
-        Ok(program)
+        let program = program.and_then(|program| p.expect(Tok::Eof).map(|()| program));
+        p.finish(program)
     }
 
     /// Render a whole program in this flavour.
@@ -218,18 +134,74 @@ impl SourceFlavor {
         }
     }
 
-    /// What the function name `name` denotes; Fortran names are
-    /// case-insensitive.
-    pub(crate) fn callee(self, name: &str) -> Option<Callee> {
-        let same = |n: &str| match self {
-            SourceFlavor::Fortran => n.eq_ignore_ascii_case(name),
-            SourceFlavor::C => n == name,
-        };
-        let own = self.spelling().funcs.iter();
-        own.copied()
-            .chain(Intrinsic::ALL.map(|f| (f.name(), Callee::Fun(f))))
-            .find(|(n, _)| same(n))
-            .map(|(_, c)| c)
+    /// The flavour's spelling of an operator or punctuation token, if it
+    /// has one: the one the lexer reads first, the printer writes and
+    /// error messages name. Fortran also reads `== /= < <= > >=`.
+    pub(crate) fn op(self, tok: Tok<'_>) -> Option<&'static str> {
+        let fortran = self == SourceFlavor::Fortran;
+        let either = |f: &'static str, c: &'static str| if fortran { f } else { c };
+        Some(match tok {
+            Plus => "+",
+            Minus => "-",
+            Star => "*",
+            Slash => "/",
+            LParen => "(",
+            RParen => ")",
+            Comma => ",",
+            Assign => "=",
+            Eq => either(".eq.", "=="),
+            Ne => either(".ne.", "!="),
+            Lt => either(".lt.", "<"),
+            Le => either(".le.", "<="),
+            Gt => either(".gt.", ">"),
+            Ge => either(".ge.", ">="),
+            And => either(".and.", "&&"),
+            Or => either(".or.", "||"),
+            Not => either(".not.", "!"),
+            DoubleStar if fortran => "**",
+            DoubleColon if fortran => "::",
+            Colon if fortran => ":",
+            PlusPlus if !fortran => "++",
+            MinusMinus if !fortran => "--",
+            PlusAssign if !fortran => "+=",
+            MinusAssign if !fortran => "-=",
+            Percent if !fortran => "%",
+            LBracket if !fortran => "[",
+            RBracket if !fortran => "]",
+            LBrace if !fortran => "{",
+            RBrace if !fortran => "}",
+            Semi if !fortran => ";",
+            _ => return None,
+        })
+    }
+
+    /// What a function name of keyword class `kw` denotes in this
+    /// flavour, if it is a function here.
+    pub(crate) fn callee(self, kw: Kw) -> Option<Callee> {
+        let c = self == SourceFlavor::C;
+        Some(match kw {
+            Kw::Fun(f) => Callee::Fun(f),
+            Kw::Mod if !c => Callee::Bin(BinOp::Mod),
+            Kw::Pow if c => Callee::Bin(BinOp::Pow),
+            Kw::Fabs if c => Callee::Fun(Intrinsic::Abs),
+            Kw::Fmin if c => Callee::Fun(Intrinsic::Min),
+            Kw::Fmax if c => Callee::Fun(Intrinsic::Max),
+            _ => return None,
+        })
+    }
+
+    /// The name a callee is printed under: the flavour's own name where it
+    /// has one, else the intrinsic's.
+    pub(crate) fn func_name(self, callee: Callee) -> &'static str {
+        match (self, callee) {
+            (SourceFlavor::Fortran, Callee::Bin(BinOp::Mod)) => "mod",
+            (SourceFlavor::C, Callee::Bin(BinOp::Pow)) => "pow",
+            (SourceFlavor::C, Callee::Fun(Intrinsic::Abs)) => "fabs",
+            (SourceFlavor::C, Callee::Fun(Intrinsic::Min)) => "fmin",
+            (SourceFlavor::C, Callee::Fun(Intrinsic::Max)) => "fmax",
+            (_, Callee::Fun(f)) => f.name(),
+            (_, Callee::Bin(op)) => unreachable!("{op:?} has neither an infix nor a call form"),
+        }
     }
 }
 

@@ -50,10 +50,14 @@ impl Hasher for FxHasher {
         }
         let rest = chunks.remainder();
         if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
+            // The tail, little-endian and zero-padded, assembled in
+            // registers: a short identifier is all tail.
+            let tail = rest
+                .iter()
+                .rev()
+                .fold(0u64, |word, &b| (word << 8) | u64::from(b));
             // The length keeps "ab" and "ab\0" apart.
-            self.word(u64::from_le_bytes(tail) ^ ((rest.len() as u64) << 56));
+            self.word(tail ^ ((rest.len() as u64) << 56));
         }
     }
 

@@ -1,12 +1,16 @@
 //! The one hand-written lexer of both surface flavours.
 //!
-//! Tokens borrow identifiers and pragma text from the source. The flavour
-//! decides only the comment and pragma prefixes, whether a newline ends a
-//! statement, and which operator spellings exist
-//! ([`crate::flavor::Spelling`]); numbers and identifiers are the same.
+//! One pass over the bytes. A `match` on a token's first byte picks its
+//! class; a two-character operator needs one byte of lookahead, and only
+//! `!`, `#`, `/` and `.` look further (a directive or comment prefix, a
+//! dotted Fortran operator). Tokens borrow identifiers and pragma text
+//! from the source, and every identifier is classified against the
+//! keyword set once, here ([`Kw`]). The flavour decides the comment and
+//! pragma prefixes, whether a newline ends a statement, which operator
+//! spellings exist ([`SourceFlavor::op`]) and whether keywords ignore
+//! case; numbers and identifiers are the same.
 
-use std::borrow::Cow;
-
+use crate::expr::Intrinsic;
 use crate::flavor::SourceFlavor;
 use crate::parser::ParseError;
 
@@ -15,11 +19,13 @@ use crate::parser::ParseError;
 pub(crate) struct Token<'a> {
     pub kind: Tok<'a>,
     pub line: u32,
+    /// The keyword class of an identifier; [`Kw::None`] for every other
+    /// token.
+    pub kw: Kw,
 }
 
-/// Token kinds. Keywords are lexed as `Ident` and classified by the parser.
-/// A flavour never produces the operator tokens it has no spelling for, so
-/// the shared grammar can mention all of them.
+/// Token kinds. A flavour never produces the operator tokens it has no
+/// spelling for, so the shared grammar can mention all of them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Tok<'a> {
     Ident(&'a str),
@@ -68,18 +74,193 @@ impl Tok<'_> {
     /// The token as error messages name it, operators in the spelling of
     /// `flavor`.
     pub fn describe(self, flavor: SourceFlavor) -> String {
-        let spelling = flavor.spelling();
         match self {
             Tok::Ident(s) => format!("identifier `{s}`"),
             Tok::Int(v) => format!("integer `{v}`"),
             Tok::Real(v) => format!("real `{v}`"),
-            Tok::Pragma(p) => format!("pragma `{} {p}`", spelling.pragma),
+            Tok::Pragma(p) => format!("pragma `{} {p}`", flavor.spelling().pragma),
             Tok::Newline => "end of line".to_string(),
             Tok::Eof => "end of input".to_string(),
-            op => format!("`{}`", spelling.of(op).unwrap_or("operator")),
+            op => format!("`{}`", flavor.op(op).unwrap_or("operator")),
         }
     }
 }
+
+/// What an identifier is to the grammar, decided when it is lexed: a
+/// statement or declaration keyword, a function name, or [`Kw::None`].
+/// Fortran classifies the identifier with its ASCII case folded, C as
+/// written. A keyword is still an identifier: the parser reads it as one
+/// wherever the grammar does not ask for that keyword, and whether a
+/// function name is a function depends on the flavour
+/// ([`SourceFlavor::callee`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kw {
+    None,
+    /// An intrinsic's own name.
+    Fun(Intrinsic),
+    Mod,
+    Pow,
+    Fabs,
+    Fmin,
+    Fmax,
+    Subroutine,
+    End,
+    Real,
+    Integer,
+    Intent,
+    In,
+    Out,
+    Inout,
+    If,
+    Then,
+    Else,
+    Do,
+    Call,
+    Push,
+    Pop,
+    Void,
+    Const,
+    Int,
+    Double,
+    Float,
+    For,
+}
+
+/// Every keyword class and its (lower-case) spelling.
+const KEYWORDS: [(&str, Kw); 35] = [
+    ("sin", Kw::Fun(Intrinsic::Sin)),
+    ("cos", Kw::Fun(Intrinsic::Cos)),
+    ("exp", Kw::Fun(Intrinsic::Exp)),
+    ("log", Kw::Fun(Intrinsic::Log)),
+    ("sqrt", Kw::Fun(Intrinsic::Sqrt)),
+    ("abs", Kw::Fun(Intrinsic::Abs)),
+    ("min", Kw::Fun(Intrinsic::Min)),
+    ("max", Kw::Fun(Intrinsic::Max)),
+    ("tanh", Kw::Fun(Intrinsic::Tanh)),
+    ("mod", Kw::Mod),
+    ("pow", Kw::Pow),
+    ("fabs", Kw::Fabs),
+    ("fmin", Kw::Fmin),
+    ("fmax", Kw::Fmax),
+    ("subroutine", Kw::Subroutine),
+    ("end", Kw::End),
+    ("real", Kw::Real),
+    ("integer", Kw::Integer),
+    ("intent", Kw::Intent),
+    ("in", Kw::In),
+    ("out", Kw::Out),
+    ("inout", Kw::Inout),
+    ("if", Kw::If),
+    ("then", Kw::Then),
+    ("else", Kw::Else),
+    ("do", Kw::Do),
+    ("call", Kw::Call),
+    ("push", Kw::Push),
+    ("pop", Kw::Pop),
+    ("void", Kw::Void),
+    ("const", Kw::Const),
+    ("int", Kw::Int),
+    ("double", Kw::Double),
+    ("float", Kw::Float),
+    ("for", Kw::For),
+];
+
+/// The longest keyword, `subroutine`.
+const KW_MAX_LEN: usize = 10;
+
+/// A word of at most 16 bytes as one integer: byte `k` in bits `8k..`,
+/// zero above the word.
+const fn pack(word: &[u8]) -> u128 {
+    let mut key = 0;
+    let mut k = 0;
+    while k < word.len() {
+        key |= (word[k] as u128) << (8 * k);
+        k += 1;
+    }
+    key
+}
+
+/// [`KEYWORDS`] packed.
+const KEYS: [u128; KEYWORDS.len()] = {
+    let mut keys = [0; KEYWORDS.len()];
+    let mut k = 0;
+    while k < keys.len() {
+        keys[k] = pack(KEYWORDS[k].0.as_bytes());
+        k += 1;
+    }
+    keys
+};
+
+/// A multiplier under which [`slot`] is a perfect hash of [`KEYS`] (found
+/// by search; building [`SLOTS`] fails to compile if it stops being one).
+const SLOT_MUL: u64 = 0x9558_bf32_51d1_2ac1;
+
+/// Which of 64 slots a packed word hashes to; the first eight bytes tell
+/// every keyword apart.
+const fn slot(key: u128) -> usize {
+    ((key as u64).wrapping_mul(SLOT_MUL) >> 58) as usize
+}
+
+/// One plus the index in [`KEYWORDS`] of the keyword in each slot; 0 if
+/// none.
+const SLOTS: [u8; 64] = {
+    let mut slots = [0; 64];
+    let mut k = 0;
+    while k < KEYS.len() {
+        let s = slot(KEYS[k]);
+        assert!(slots[s] == 0, "two keywords share a slot");
+        slots[s] = k as u8 + 1;
+        k += 1;
+    }
+    slots
+};
+
+impl Kw {
+    /// The class of the identifier of `len` bytes that `rest` starts with,
+    /// its ASCII case folded if `fold`: one hash and one compare.
+    fn classify(rest: &[u8], len: usize, fold: bool) -> Kw {
+        // No keyword is one letter long, and most identifiers are.
+        if !(2..=KW_MAX_LEN).contains(&len) {
+            return Kw::None;
+        }
+        let raw = match rest.get(..16) {
+            Some(word) => u128::from_le_bytes(word.try_into().expect("16 bytes")),
+            None => pack(&rest[..len]),
+        };
+        let mask = (1 << (8 * len)) - 1;
+        let mut key = raw & mask;
+        if fold {
+            // Setting bit 5 of every byte lower-cases a letter and leaves a
+            // digit alone; it turns `_` into a byte no keyword has.
+            key |= 0x2020_2020_2020_2020_2020_2020_2020_2020 & mask;
+        }
+        match usize::from(SLOTS[slot(key)]) {
+            0 => Kw::None,
+            k if KEYS[k - 1] == key => KEYWORDS[k - 1].1,
+            _ => Kw::None,
+        }
+    }
+
+    /// The keyword as the grammar spells it.
+    pub fn word(self) -> &'static str {
+        KEYWORDS
+            .iter()
+            .find(|&&(_, kw)| kw == self)
+            .map_or("", |&(w, _)| w)
+    }
+}
+
+/// Bytes that continue an identifier: ASCII letters, digits and `_`.
+const IDENT: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = c.is_ascii_alphanumeric() || c == b'_';
+        b += 1;
+    }
+    table
+};
 
 /// Does `rest` start with `pat`, ASCII case ignored? Allocates nothing and
 /// looks at no more than `pat.len()` bytes.
@@ -92,129 +273,314 @@ fn line_len(rest: &[u8]) -> usize {
     rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len())
 }
 
-/// Tokenize a whole source string.
+/// The end of the digit run starting at `i`.
+fn digits(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && b[i].is_ascii_digit() {
+        i += 1;
+    }
+    i
+}
+
+/// The Fortran dotted operator `rest` starts with, and its length.
+fn dotted(rest: &[u8]) -> Option<(Tok<'static>, usize)> {
+    const DOTTED: [(&str, Tok); 9] = [
+        (".and.", Tok::And),
+        (".or.", Tok::Or),
+        (".not.", Tok::Not),
+        (".eq.", Tok::Eq),
+        (".ne.", Tok::Ne),
+        (".lt.", Tok::Lt),
+        (".le.", Tok::Le),
+        (".gt.", Tok::Gt),
+        (".ge.", Tok::Ge),
+    ];
+    DOTTED
+        .iter()
+        .find(|(pat, _)| starts_with(rest, pat))
+        .map(|&(pat, tok)| (tok, pat.len()))
+}
+
+/// The value of a real literal's text, whose exponent letter is a `d` at
+/// `d_at` if any. Rewriting the `d` happens on the stack for any literal
+/// of realistic length.
+fn real_value(text: &str, d_at: Option<usize>) -> Option<f64> {
+    let Some(at) = d_at else {
+        return text.parse().ok();
+    };
+    let mut buf = [0u8; 64];
+    match buf.get_mut(..text.len()) {
+        Some(copy) => {
+            copy.copy_from_slice(text.as_bytes());
+            copy[at] = b'e';
+            std::str::from_utf8(copy).ok()?.parse().ok()
+        }
+        None => text.replace(['d', 'D'], "e").parse().ok(),
+    }
+}
+
+/// The token stream of one source text, read on demand.
 ///
 /// Comments are skipped; a directive line becomes one [`Tok::Pragma`]. In
 /// the Fortran flavour consecutive newlines collapse into one `Newline`
 /// token and a pragma both ends the statement before it and swallows the
-/// newline after it; the C flavour has no `Newline` tokens.
-pub(crate) fn lex(src: &str, flavor: SourceFlavor) -> Result<Vec<Token<'_>>, ParseError> {
-    let b = src.as_bytes();
-    let n = b.len();
-    let fortran = flavor == SourceFlavor::Fortran;
-    let spelling = flavor.spelling();
-    let mut toks: Vec<Token> = Vec::with_capacity(n / 4 + 2);
-    let (mut i, mut line) = (0usize, 1u32);
+/// newline after it; the C flavour has no `Newline` tokens. After the
+/// last token, [`Lexer::next`] returns `Eof` for good. A `Lexer` is a
+/// position: a copy reads ahead, and restoring one backs up.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lexer<'a> {
+    src: &'a str,
+    /// The next byte to read.
+    at: usize,
+    line: u32,
+    fortran: bool,
+    /// Whether a token other than a line end or a directive came since
+    /// the last line end (Fortran's next newline is then a token).
+    line_open: bool,
+}
 
-    let end_line = |toks: &mut Vec<Token>, line: u32| {
-        let last = toks.last().map(|t| t.kind);
-        if fortran && !matches!(last, None | Some(Tok::Newline | Tok::Pragma(_))) {
-            toks.push(Token {
-                kind: Tok::Newline,
-                line,
-            });
+impl<'a> Lexer<'a> {
+    pub fn new(src: &'a str, flavor: SourceFlavor) -> Lexer<'a> {
+        Lexer {
+            src,
+            at: 0,
+            line: 1,
+            fortran: flavor == SourceFlavor::Fortran,
+            line_open: false,
         }
-    };
-    let digits = |mut i: usize| {
-        while i < n && b[i].is_ascii_digit() {
-            i += 1;
-        }
-        i
-    };
+    }
 
-    while i < n {
-        let c = b[i];
-        let rest = &b[i..];
-        let start = i;
-        let kind = if c == b'\n' {
-            end_line(&mut toks, line);
-            line += 1;
-            i += 1;
-            continue;
-        } else if matches!(c, b' ' | b'\t' | b'\r') {
-            i += 1;
-            continue;
-        } else if c.is_ascii_alphabetic() || c == b'_' {
-            while i < n && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                i += 1;
+    fn token(&mut self, kind: Tok<'a>, kw: Kw) -> Token<'a> {
+        self.line_open = !matches!(kind, Tok::Newline | Tok::Pragma(_));
+        Token {
+            kind,
+            line: self.line,
+            kw,
+        }
+    }
+
+    /// In Fortran, the `Newline` that ends an open line before `what`
+    /// (a line end, a directive, the end of input).
+    fn close_line(&mut self) -> Option<Token<'a>> {
+        (self.fortran && self.line_open).then(|| self.token(Tok::Newline, Kw::None))
+    }
+
+    /// The next token, or the error at the first character that starts
+    /// none. An error leaves the position where it is.
+    pub fn next(&mut self) -> Result<Token<'a>, ParseError> {
+        use Tok::*;
+        let (src, b) = (self.src, self.src.as_bytes());
+        let n = b.len();
+        let fortran = self.fortran;
+        loop {
+            while matches!(b.get(self.at), Some(b' ' | b'\t' | b'\r')) {
+                self.at += 1;
             }
-            Tok::Ident(&src[start..i])
-        } else if c.is_ascii_digit() {
-            i = digits(i);
-            // A fraction — unless the dot starts a Fortran dotted operator,
-            // as in `1.and.`.
-            let dotted_op = fortran && i + 1 < n && b[i + 1].is_ascii_alphabetic();
-            let mut is_real = i < n && b[i] == b'.' && !dotted_op;
-            if is_real {
-                i = digits(i + 1);
-            }
-            // An exponent; Fortran also writes it `d`.
-            if i < n && (matches!(b[i], b'e' | b'E') || fortran && matches!(b[i], b'd' | b'D')) {
-                let sign = usize::from(i + 1 < n && matches!(b[i + 1], b'+' | b'-'));
-                if i + 1 + sign < n && b[i + 1 + sign].is_ascii_digit() {
-                    is_real = true;
-                    i = digits(i + 1 + sign);
-                }
-            }
-            let mut text = Cow::Borrowed(&src[start..i]);
-            if text.contains(['d', 'D']) {
-                text = Cow::Owned(text.replace(['d', 'D'], "e"));
-            }
-            let bad = |what: &str| ParseError {
-                line,
-                message: format!("bad {what} literal `{text}`"),
+            let start = self.at;
+            let Some(&c) = b.get(start) else {
+                return Ok(self.close_line().unwrap_or(Token {
+                    kind: Eof,
+                    line: self.line,
+                    kw: Kw::None,
+                }));
             };
-            if is_real {
-                Tok::Real(text.parse().map_err(|_| bad("real"))?)
-            } else {
-                Tok::Int(text.parse().map_err(|_| bad("integer"))?)
-            }
-        } else if starts_with(rest, spelling.pragma) {
-            // A directive line; it also ends the statement before it.
-            i += line_len(rest);
-            end_line(&mut toks, line);
-            Tok::Pragma(src[start + spelling.pragma.len()..i].trim())
-        } else if starts_with(rest, spelling.line_comment) {
-            i += line_len(rest);
-            continue;
-        } else if !fortran && c == b'#' {
-            let text = src[start..start + line_len(rest)].trim();
-            return Err(ParseError {
-                line,
-                message: format!("unsupported directive `{text}`"),
-            });
-        } else if !fortran && rest.starts_with(b"/*") {
-            let len = src[start + 2..].find("*/").map_or(rest.len(), |at| at + 4);
-            line += rest[..len].iter().filter(|&&c| c == b'\n').count() as u32;
-            i += len;
-            continue;
-        } else if let Some((pat, kind)) = spelling
-            .ops()
-            // The first byte rejects most spellings without a slice compare.
-            .find(|(pat, _)| pat.as_bytes()[0] == c.to_ascii_lowercase() && starts_with(rest, pat))
-        {
-            i += pat.len();
-            *kind
+            let next = b.get(start + 1).copied().unwrap_or(0);
+            // `two` if the next byte is `second`, else `one`.
+            let pair = |second: u8, two: Tok<'static>, one: Tok<'static>| {
+                if next == second {
+                    (two, 2)
+                } else {
+                    (one, 1)
+                }
+            };
+            let (kind, len) = match c {
+                b'\n' => {
+                    let newline = self.close_line();
+                    self.at += 1;
+                    self.line += 1;
+                    match newline {
+                        Some(t) => return Ok(t),
+                        None => continue,
+                    }
+                }
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                    let mut i = start + 1;
+                    while i < n && IDENT[usize::from(b[i])] {
+                        i += 1;
+                    }
+                    self.at = i;
+                    let kw = Kw::classify(&b[start..], i - start, fortran);
+                    return Ok(self.token(Ident(&src[start..i]), kw));
+                }
+                b'0'..=b'9' => return self.number(),
+                b'!' | b'#' if starts_with(&b[start..], self.pragma()) => {
+                    // A directive line; it also ends the statement before
+                    // it.
+                    if let Some(t) = self.close_line() {
+                        return Ok(t);
+                    }
+                    self.at += line_len(&b[start..]);
+                    let text = src[start + self.pragma().len()..self.at].trim();
+                    return Ok(self.token(Pragma(text), Kw::None));
+                }
+                b'!' if fortran => {
+                    self.at += line_len(&b[start..]);
+                    continue;
+                }
+                b'#' if !fortran => {
+                    let text = src[start..start + line_len(&b[start..])].trim();
+                    return Err(ParseError {
+                        line: self.line,
+                        message: format!("unsupported directive `{text}`"),
+                    });
+                }
+                b'/' if !fortran && next == b'/' => {
+                    self.at += line_len(&b[start..]);
+                    continue;
+                }
+                b'/' if !fortran && next == b'*' => {
+                    let len = src[start + 2..].find("*/").map_or(n - start, |at| at + 4);
+                    let comment = &b[start..start + len];
+                    self.line += comment.iter().filter(|&&c| c == b'\n').count() as u32;
+                    self.at += len;
+                    continue;
+                }
+                b'.' if fortran => match dotted(&b[start..]) {
+                    Some(op) => op,
+                    None => return self.unexpected(),
+                },
+                b'(' => (LParen, 1),
+                b')' => (RParen, 1),
+                b',' => (Comma, 1),
+                b'=' => pair(b'=', Eq, Assign),
+                b'<' => pair(b'=', Le, Lt),
+                b'>' => pair(b'=', Ge, Gt),
+                b'*' if fortran => pair(b'*', DoubleStar, Star),
+                b'*' => (Star, 1),
+                b'/' if fortran => pair(b'=', Ne, Slash),
+                b'/' => (Slash, 1),
+                b':' if fortran => pair(b':', DoubleColon, Colon),
+                b'+' if fortran => (Plus, 1),
+                b'-' if fortran => (Minus, 1),
+                b'+' if next == b'=' => (PlusAssign, 2),
+                b'+' => pair(b'+', PlusPlus, Plus),
+                b'-' if next == b'=' => (MinusAssign, 2),
+                b'-' => pair(b'-', MinusMinus, Minus),
+                _ if fortran => return self.unexpected(),
+                b'!' => pair(b'=', Ne, Not),
+                b'&' if next == b'&' => (And, 2),
+                b'|' if next == b'|' => (Or, 2),
+                b'%' => (Percent, 1),
+                b'[' => (LBracket, 1),
+                b']' => (RBracket, 1),
+                b'{' => (LBrace, 1),
+                b'}' => (RBrace, 1),
+                b';' => (Semi, 1),
+                _ => return self.unexpected(),
+            };
+            self.at += len;
+            return Ok(self.token(kind, Kw::None));
+        }
+    }
+
+    /// The flavour's directive prefix.
+    fn pragma(&self) -> &'static str {
+        let flavor = if self.fortran {
+            SourceFlavor::Fortran
         } else {
-            let other = src[start..].chars().next().unwrap_or('?');
+            SourceFlavor::C
+        };
+        flavor.spelling().pragma
+    }
+
+    /// An integer or real literal.
+    fn number(&mut self) -> Result<Token<'a>, ParseError> {
+        let (b, start) = (self.src.as_bytes(), self.at);
+        let n = b.len();
+        let fortran = self.fortran;
+        let mut i = start;
+        // The integer value accumulates as the digits go by; `None` once it
+        // overflows.
+        let mut int = Some(0i64);
+        while i < n && b[i].is_ascii_digit() {
+            let d = i64::from(b[i] - b'0');
+            int = int.and_then(|v| v.checked_mul(10)?.checked_add(d));
+            i += 1;
+        }
+        // A fraction — unless the dot starts a Fortran dotted operator, as
+        // in `1.and.`.
+        let dotted_op = fortran && i + 1 < n && b[i + 1].is_ascii_alphabetic();
+        let mut is_real = i < n && b[i] == b'.' && !dotted_op;
+        if is_real {
+            i = digits(b, i + 1);
+        }
+        // An exponent; Fortran also writes it `d`.
+        let mut d_at = None;
+        let is_d = |c: u8| fortran && matches!(c, b'd' | b'D');
+        if i < n && (matches!(b[i], b'e' | b'E') || is_d(b[i])) {
+            let sign = usize::from(i + 1 < n && matches!(b[i + 1], b'+' | b'-'));
+            if i + 1 + sign < n && b[i + 1 + sign].is_ascii_digit() {
+                is_real = true;
+                d_at = is_d(b[i]).then_some(i - start);
+                i = digits(b, i + 1 + sign);
+            }
+        }
+        let text = &self.src[start..i];
+        let value = if is_real {
+            // A literal must read back as the number it names.
+            real_value(text, d_at)
+                .filter(|v| v.is_finite())
+                .map(Tok::Real)
+        } else {
+            int.map(Tok::Int)
+        };
+        let Some(kind) = value else {
+            let what = if is_real { "real" } else { "integer" };
             return Err(ParseError {
-                line,
-                message: format!("unexpected character `{other}`"),
+                line: self.line,
+                message: format!("bad {what} literal `{text}`"),
             });
         };
-        toks.push(Token { kind, line });
+        self.at = i;
+        Ok(self.token(kind, Kw::None))
     }
-    end_line(&mut toks, line);
-    toks.push(Token {
-        kind: Tok::Eof,
-        line,
-    });
-    Ok(toks)
+
+    /// The error for a character no token starts with.
+    fn unexpected<T>(&self) -> Result<T, ParseError> {
+        let other = self.src[self.at..].chars().next().unwrap_or('?');
+        Err(ParseError {
+            line: self.line,
+            message: format!("unexpected character `{other}`"),
+        })
+    }
+
+    /// The first error in the rest of the source, if any.
+    pub fn rest_error(mut self) -> Option<ParseError> {
+        loop {
+            match self.next() {
+                Ok(Token { kind: Tok::Eof, .. }) => return None,
+                Ok(_) => {}
+                Err(e) => return Some(e),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `src`, through `Eof`.
+    pub(crate) fn lex(src: &str, flavor: SourceFlavor) -> Result<Vec<Token<'_>>, ParseError> {
+        let mut lexer = Lexer::new(src, flavor);
+        let mut toks = Vec::new();
+        loop {
+            let t = lexer.next()?;
+            toks.push(t);
+            if t.kind == Tok::Eof {
+                return Ok(toks);
+            }
+        }
+    }
 
     fn kinds(src: &str) -> Vec<Tok<'_>> {
         let toks = lex(src, SourceFlavor::Fortran).unwrap();
@@ -330,5 +696,73 @@ mod tests {
         // Each flavour rejects the other's operators.
         assert!(lex("a .lt. b", SourceFlavor::C).is_err());
         assert!(lex("a && b", SourceFlavor::Fortran).is_err());
+    }
+
+    fn kws(src: &str, flavor: SourceFlavor) -> Vec<Kw> {
+        let toks = lex(src, flavor).unwrap();
+        toks.iter()
+            .filter(|t| matches!(t.kind, Tok::Ident(_)))
+            .map(|t| t.kw)
+            .collect()
+    }
+
+    #[test]
+    fn identifiers_are_classified_once_fortran_folding_case() {
+        assert_eq!(
+            kws(
+                "END Do subroutine SIN Mod pow x interior",
+                SourceFlavor::Fortran
+            ),
+            [
+                Kw::End,
+                Kw::Do,
+                Kw::Subroutine,
+                Kw::Fun(Intrinsic::Sin),
+                Kw::Mod,
+                Kw::Pow,
+                Kw::None,
+                Kw::None
+            ]
+        );
+        assert_eq!(
+            kws("If if For for fabs SIN", SourceFlavor::C),
+            [Kw::None, Kw::If, Kw::None, Kw::For, Kw::Fabs, Kw::None]
+        );
+        for (word, kw) in KEYWORDS {
+            assert_eq!(Kw::classify(word.as_bytes(), word.len(), false), kw);
+            assert_eq!(kw.word(), word);
+            assert!(word.len() <= KW_MAX_LEN);
+        }
+        for f in Intrinsic::ALL {
+            assert_eq!(
+                Kw::classify(f.name().as_bytes(), f.name().len(), false),
+                Kw::Fun(f)
+            );
+        }
+    }
+
+    #[test]
+    fn a_real_literal_must_be_finite() {
+        for (src, text) in [("y = 1e999", "1e999"), ("y = 2.5D400", "2.5D400")] {
+            let err = lex(src, SourceFlavor::Fortran).unwrap_err();
+            assert_eq!(err.message, format!("bad real literal `{text}`"));
+            assert_eq!(err.line, 1);
+        }
+        let err = lex("y = 1.0;\ny = 1e999 * x;", SourceFlavor::C).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "bad real literal `1e999`")
+        );
+        // Underflow reads back as zero, which is finite.
+        assert_eq!(kinds("1e-400")[0], Tok::Real(0.0));
+        // A `d` exponent past the stack buffer reads as its `e` twin.
+        let long = format!("0.{}1d2", "0".repeat(80));
+        assert_eq!(kinds(&long)[0], Tok::Real(1e-79));
+        assert_eq!(
+            lex("99999999999999999999", SourceFlavor::Fortran)
+                .unwrap_err()
+                .message,
+            "bad integer literal `99999999999999999999`"
+        );
     }
 }

@@ -5,15 +5,17 @@
 //! flavour's [`Spelling`](crate::flavor::Spelling). What differs per
 //! flavour is the declaration and statement shell: the Fortran one
 //! (`subroutine`, declaration lines, `do`, `if … then`, `call`) is at the
-//! end of this file, the C one is in [`crate::clike`].
+//! end of this file, the C one is in [`crate::clike`]. Keywords are
+//! compared by the class the lexer gave them ([`Kw`]); arithmetic is read
+//! by precedence climbing over [`infix`].
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
 use crate::flavor::{Callee, SourceFlavor};
-use crate::lexer::{lex, Tok, Token};
+use crate::fx::FxHashMap;
+use crate::lexer::{Kw, Lexer, Tok, Token};
 use crate::name::Name;
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, LValue, ParallelInfo, RedOp, Stmt};
@@ -41,7 +43,9 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 
 /// Parse a single Fortran-flavoured expression (used by tests and tools).
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    Parser::new(src, SourceFlavor::Fortran)?.expr()
+    let mut p = Parser::new(src, SourceFlavor::Fortran);
+    let e = p.expr();
+    p.finish(e)
 }
 
 pub(crate) type Parsed<T> = Result<T, ParseError>;
@@ -60,51 +64,120 @@ pub(crate) type Tree<T> = Parsed<(T, u32)>;
 /// recursive walk over an accepted program stays within a bounded stack.
 pub const MAX_NESTING: u32 = 256;
 
+/// The binary operator a token denotes between two operands. Its
+/// [`BinOp::precedence`] and left associativity drive the climb; `**`
+/// is not here: it binds a primary to a signed operand, right to left.
+fn infix(tok: Tok<'_>) -> Option<BinOp> {
+    match tok {
+        Tok::Plus => Some(BinOp::Add),
+        Tok::Minus => Some(BinOp::Sub),
+        Tok::Star => Some(BinOp::Mul),
+        Tok::Slash => Some(BinOp::Div),
+        Tok::Percent => Some(BinOp::Mod),
+        _ => None,
+    }
+}
+
+/// How far [`Parser::bool_primary`] looks for the end of a parenthesized
+/// group before it simply tries the comparison reading.
+const GROUP_SCAN: usize = 1024;
+
 /// The token cursor and everything both flavours parse the same way.
 pub(crate) struct Parser<'a> {
     pub flavor: SourceFlavor,
-    toks: Vec<Token<'a>>,
-    pos: usize,
+    /// The tokens after the current one.
+    lexer: Lexer<'a>,
+    /// The current token.
+    tok: Token<'a>,
+    /// The first lexical error, met when the lexer got there. It is the
+    /// result of the parse whatever the parser made of the tokens before
+    /// it (and the cursor reads it as the end of input).
+    lex_error: Option<ParseError>,
     /// Local declarations met so far (C declares them among statements).
     pub locals: Vec<Decl>,
     /// Every identifier met so far: each is allocated once per program.
-    names: HashSet<Name>,
+    names: FxHashMap<&'a str, Name>,
+    /// The subscripts and call arguments being read, innermost list last;
+    /// a finished list moves out in one allocation of its exact size.
+    items: Vec<Expr>,
     /// Nesting levels open at the cursor (see [`MAX_NESTING`]).
     nest: u32,
 }
 
 impl<'a> Parser<'a> {
-    pub fn new(src: &'a str, flavor: SourceFlavor) -> Parsed<Parser<'a>> {
-        Ok(Parser {
+    pub fn new(src: &'a str, flavor: SourceFlavor) -> Parser<'a> {
+        // A program names about one distinct thing per 64 bytes.
+        let names = FxHashMap::with_capacity_and_hasher(src.len() / 64, Default::default());
+        let mut p = Parser {
             flavor,
-            toks: lex(src, flavor)?,
-            pos: 0,
+            lexer: Lexer::new(src, flavor),
+            tok: Token {
+                kind: Tok::Eof,
+                line: 1,
+                kw: Kw::None,
+            },
+            lex_error: None,
             locals: Vec::new(),
-            names: HashSet::new(),
+            names,
+            items: Vec::new(),
             nest: 0,
-        })
+        };
+        p.tok = p.lex();
+        p
+    }
+
+    /// `result`, unless the source holds a lexical error: then the first
+    /// one, wherever the parser stopped.
+    pub fn finish<T>(self, result: Parsed<T>) -> Parsed<T> {
+        match self.lex_error.or_else(|| self.lexer.rest_error()) {
+            Some(e) => Err(e),
+            None => result,
+        }
     }
 
     // ---- cursor ----
 
+    /// The lexer's next token; past a lexical error, the end of input.
+    fn lex(&mut self) -> Token<'a> {
+        match self.lexer.next() {
+            Ok(t) => t,
+            Err(e) => {
+                let line = e.line;
+                self.lex_error.get_or_insert(e);
+                Token {
+                    kind: Tok::Eof,
+                    line,
+                    kw: Kw::None,
+                }
+            }
+        }
+    }
+
     pub fn peek(&self) -> Tok<'a> {
-        self.toks[self.pos].kind
+        self.tok.kind
     }
 
     /// The token after the current one.
     pub fn peek_next(&self) -> Tok<'a> {
-        self.toks[(self.pos + 1).min(self.toks.len() - 1)].kind
+        self.lexer.clone().next().map_or(Tok::Eof, |t| t.kind)
+    }
+
+    /// The keyword class of the current token.
+    pub fn kw(&self) -> Kw {
+        self.tok.kw
     }
 
     pub fn bump(&mut self) -> Tok<'a> {
         let t = self.peek();
-        self.pos = (self.pos + 1).min(self.toks.len() - 1);
+        if t != Tok::Eof {
+            self.tok = self.lex();
+        }
         t
     }
 
     pub fn err<T>(&self, msg: impl Into<String>) -> Parsed<T> {
         Err(ParseError {
-            line: self.toks[self.pos].line,
+            line: self.tok.line,
             message: msg.into(),
         })
     }
@@ -142,13 +215,8 @@ impl<'a> Parser<'a> {
     }
 
     /// The one shared [`Name`] of the identifier `s`.
-    pub fn intern(&mut self, s: &str) -> Name {
-        if let Some(n) = self.names.get(s) {
-            return n.clone();
-        }
-        let n = Name::from(s);
-        self.names.insert(n.clone());
-        n
+    pub fn intern(&mut self, s: &'a str) -> Name {
+        self.names.entry(s).or_insert_with(|| Name::from(s)).clone()
     }
 
     /// An identifier token, as a variable name.
@@ -157,29 +225,24 @@ impl<'a> Parser<'a> {
         Ok(self.intern(s))
     }
 
-    /// True if the current token is the keyword `word`. Fortran keywords
-    /// are case-insensitive.
-    pub fn at_kw(&self, word: &str) -> bool {
-        match (self.peek(), self.flavor) {
-            (Tok::Ident(s), SourceFlavor::Fortran) => s.eq_ignore_ascii_case(word),
-            (Tok::Ident(s), SourceFlavor::C) => s == word,
-            _ => false,
-        }
+    /// True if the current token is the keyword `kw`.
+    pub fn at_kw(&self, kw: Kw) -> bool {
+        self.kw() == kw
     }
 
-    pub fn eat_kw(&mut self, word: &str) -> bool {
-        let hit = self.at_kw(word);
+    pub fn eat_kw(&mut self, kw: Kw) -> bool {
+        let hit = self.at_kw(kw);
         if hit {
             self.bump();
         }
         hit
     }
 
-    pub fn expect_kw(&mut self, word: &str) -> Parsed<()> {
-        if self.eat_kw(word) {
+    pub fn expect_kw(&mut self, kw: Kw) -> Parsed<()> {
+        if self.eat_kw(kw) {
             Ok(())
         } else {
-            self.unexpected(&format!("keyword `{word}`"))
+            self.unexpected(&format!("keyword `{}`", kw.word()))
         }
     }
 
@@ -227,6 +290,29 @@ impl<'a> Parser<'a> {
             }
             self.expect(Tok::Comma)?;
         }
+    }
+
+    /// One or more comma-separated expressions up to and including
+    /// `close`, one nesting level down, pushed onto `items`; returns the
+    /// height of the tallest.
+    fn push_list(&mut self, close: Tok<'_>) -> Parsed<u32> {
+        self.nested(|p| {
+            let mut h = 0;
+            loop {
+                let (e, he) = p.expr_h()?;
+                h = h.max(he);
+                p.items.push(e);
+                if p.eat(close) {
+                    return Ok(h);
+                }
+                p.expect(Tok::Comma)?;
+            }
+        })
+    }
+
+    /// The items pushed since `items` held `base`, moved out.
+    fn take<C: FromIterator<Expr>>(&mut self, base: usize) -> C {
+        self.items.drain(base..).collect()
     }
 
     // ---- statements both flavours share ----
@@ -277,8 +363,8 @@ impl<'a> Parser<'a> {
 
     /// `push(e)` / `pop(lv)`: after Fortran's `call`, a statement in C.
     pub fn tape_call(&mut self) -> Parsed<Stmt> {
-        let push = self.at_kw("push");
-        if !push && !self.at_kw("pop") {
+        let push = self.at_kw(Kw::Push);
+        if !push && !self.at_kw(Kw::Pop) {
             return self.unexpected("call target `push` or `pop`");
         }
         self.bump();
@@ -293,14 +379,28 @@ impl<'a> Parser<'a> {
         Ok(stmt)
     }
 
+    /// Does directive or clause text `text` spell `word`? ASCII case is
+    /// ignored in Fortran only.
+    fn is_word(&self, text: &str, word: &str) -> bool {
+        match self.flavor {
+            SourceFlavor::Fortran => text.eq_ignore_ascii_case(word),
+            SourceFlavor::C => text == word,
+        }
+    }
+
+    /// `text` after its leading `word`, if it starts with it.
+    fn after_word(&self, text: &'a str, word: &str) -> Option<&'a str> {
+        let head = text.get(..word.len())?;
+        self.is_word(head, word).then(|| &text[word.len()..])
+    }
+
     /// The statement an OpenMP directive applies to: `atomic` turns the
     /// increment after it into an `AtomicAdd`, `parallel do|for` annotates
     /// the loop after it.
-    fn pragma_stmt(&mut self, pragma: &str) -> Parsed<Stmt> {
+    fn pragma_stmt(&mut self, pragma: &'a str) -> Parsed<Stmt> {
         let spelling = self.flavor.spelling();
         let (prefix, kw) = (spelling.pragma, spelling.loop_kw);
-        let lower = pragma.to_ascii_lowercase();
-        if lower == "atomic" {
+        if self.is_word(pragma, "atomic") {
             return match self.assignment()?.as_increment() {
                 Some((lhs, added)) => Ok(Stmt::AtomicAdd {
                     lhs: lhs.clone(),
@@ -311,15 +411,15 @@ impl<'a> Parser<'a> {
                 )),
             };
         }
-        let clauses = lower
-            .strip_prefix("parallel ")
-            .and_then(|r| r.strip_prefix(kw));
+        let clauses = self
+            .after_word(pragma, "parallel ")
+            .and_then(|r| self.after_word(r, kw.word()));
         let Some(clauses) = clauses else {
             return self.err(format!("unsupported pragma `{prefix} {pragma}`"));
         };
-        let info = parse_parallel_clauses(clauses, &mut |s| self.intern(s));
-        let info = info.or_else(|m| self.err(m))?;
+        let info = self.parallel_clauses(clauses).or_else(|m| self.err(m))?;
         if !self.at_kw(kw) {
+            let kw = kw.word();
             return self.err(format!(
                 "`{prefix} parallel {kw}` must be followed by a {kw} loop"
             ));
@@ -330,47 +430,99 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The clause list of a `parallel` loop pragma:
+    /// `shared(a, b) private(c) reduction(+: x)`. Clause names and
+    /// reduction operators are words ([`Parser::is_word`]); the variable
+    /// names keep their case.
+    fn parallel_clauses(&mut self, text: &'a str) -> Result<ParallelInfo, String> {
+        let mut info = ParallelInfo::default();
+        let mut rest = text.trim();
+        while !rest.is_empty() {
+            let open = rest
+                .find('(')
+                .ok_or_else(|| format!("malformed pragma clause near `{rest}`"))?;
+            let name = rest[..open].trim();
+            let close = rest[open..]
+                .find(')')
+                .ok_or_else(|| format!("unterminated clause `{name}`"))?
+                + open;
+            let args = &rest[open + 1..close];
+            // Which list the clause's names join.
+            enum Into {
+                Shared,
+                Private,
+                Reduction(RedOp),
+            }
+            let (into, vars) = if self.is_word(name, "shared") {
+                (Into::Shared, args)
+            } else if self.is_word(name, "private") {
+                (Into::Private, args)
+            } else if self.is_word(name, "reduction") {
+                let (op, vars) = args
+                    .split_once(':')
+                    .ok_or_else(|| "reduction clause needs `op: vars`".to_string())?;
+                let op = [RedOp::Add, RedOp::Mul, RedOp::Min, RedOp::Max]
+                    .into_iter()
+                    .find(|r| self.is_word(op.trim(), r.symbol()))
+                    .ok_or_else(|| format!("unknown reduction operator `{}`", op.trim()))?;
+                (Into::Reduction(op), vars)
+            } else {
+                return Err(format!("unknown pragma clause `{name}`"));
+            };
+            for var in vars.split(',') {
+                let var = self.intern(var.trim());
+                match into {
+                    Into::Shared => info.shared.push(var),
+                    Into::Private => info.private.push(var),
+                    Into::Reduction(op) => info.reductions.push((op, var)),
+                }
+            }
+            rest = rest[close + 1..].trim();
+        }
+        Ok(info)
+    }
+
     /// An assignment target and its height.
     fn lvalue_h(&mut self) -> Tree<LValue> {
         let name = self.name()?;
-        let (indices, h) = self.subscripts_h()?;
-        if indices.is_empty() {
-            return Ok((LValue::Var(name), 1));
+        match self.subscripts_h::<Arc<[Expr]>>()? {
+            None => Ok((LValue::Var(name), 1)),
+            Some((indices, h)) => self.fits(LValue::index(name, indices), h + 1),
         }
-        self.fits(LValue::index(name, indices), h + 1)
     }
 
     /// The subscripts (or declared extents) after a name: `(i, j)` in
     /// Fortran, `[i][j]` in C; empty if none follow.
     pub fn subscripts(&mut self) -> Parsed<Vec<Expr>> {
-        Ok(self.subscripts_h()?.0)
+        Ok(self.subscripts_h()?.map_or_else(Vec::new, |(dims, _)| dims))
     }
 
-    /// [`Parser::subscripts`] and the height of the tallest (0 if none).
-    fn subscripts_h(&mut self) -> Tree<Vec<Expr>> {
-        let mut out = Vec::new();
-        let mut h = 0;
-        match self.flavor {
+    /// The subscripts after a name and the height of the tallest, if any
+    /// follow.
+    fn subscripts_h<C: FromIterator<Expr>>(&mut self) -> Parsed<Option<(C, u32)>> {
+        let base = self.items.len();
+        let h = match self.flavor {
             SourceFlavor::Fortran => {
-                if self.eat(Tok::LParen) {
-                    out = self.nested(|p| p.list(Tok::RParen, |p| p.tallest(&mut h)))?;
+                if !self.eat(Tok::LParen) {
+                    return Ok(None);
                 }
+                self.push_list(Tok::RParen)?
             }
             SourceFlavor::C => {
+                let mut h = 0;
                 while self.eat(Tok::LBracket) {
-                    out.push(self.nested(|p| p.tallest(&mut h))?);
+                    let (e, he) = self.nested(Self::expr_h)?;
+                    h = h.max(he);
+                    self.items.push(e);
                     self.expect(Tok::RBracket)?;
                 }
+                if self.items.len() == base {
+                    return Ok(None);
+                }
+                h
             }
-        }
-        Ok((out, h))
-    }
-
-    /// An expression, raising `h` to its height.
-    fn tallest(&mut self, h: &mut u32) -> Parsed<Expr> {
-        let (e, he) = self.expr_h()?;
-        *h = (*h).max(he);
-        Ok(e)
+        };
+        Ok(Some((self.take(base), h)))
     }
 
     // ---- expressions ----
@@ -381,71 +533,58 @@ impl<'a> Parser<'a> {
 
     /// An expression and its height.
     pub fn expr_h(&mut self) -> Tree<Expr> {
-        self.add_expr()
+        self.climb(1)
     }
 
-    fn add_expr(&mut self) -> Tree<Expr> {
-        let (mut lhs, mut h) = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok((lhs, h)),
-            };
+    /// Operands joined by [`infix`] operators of precedence `min` or
+    /// tighter, each operator applied left to right once its right
+    /// operand (whose operators bind tighter still) is read.
+    fn climb(&mut self, min: u8) -> Tree<Expr> {
+        let (mut lhs, mut h) = self.operand()?;
+        while let Some(op) = infix(self.peek()).filter(|op| op.precedence() >= min) {
             self.bump();
-            let (rhs, hr) = self.mul_expr()?;
+            let (rhs, hr) = self.climb(op.precedence() + 1)?;
             (lhs, h) = self.fits(Expr::binary(op, lhs, rhs), h.max(hr) + 1)?;
         }
+        Ok((lhs, h))
     }
 
-    fn mul_expr(&mut self) -> Tree<Expr> {
-        let (mut lhs, mut h) = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => return Ok((lhs, h)),
-            };
-            self.bump();
-            let (rhs, hr) = self.unary_expr()?;
-            (lhs, h) = self.fits(Expr::binary(op, lhs, rhs), h.max(hr) + 1)?;
+    /// A signed operand: `-x`, `+x`, or a primary with an optional
+    /// right-associative `** x`.
+    fn operand(&mut self) -> Tree<Expr> {
+        match self.peek() {
+            Tok::Minus => {
+                self.bump();
+                // Fold negated literals so `-1` is a literal, keeping
+                // parsed and programmatically-built trees structurally
+                // identical.
+                return match self.nested(Self::operand)? {
+                    (Expr::IntLit(v), h) => Ok((Expr::IntLit(-v), h)),
+                    (Expr::RealLit(v), h) => Ok((Expr::RealLit(-v), h)),
+                    (other, h) => self.fits(
+                        Expr::Unary {
+                            op: UnOp::Neg,
+                            arg: Arc::new(other),
+                        },
+                        h + 1,
+                    ),
+                };
+            }
+            Tok::Plus => {
+                self.bump();
+                return self.nested(Self::operand);
+            }
+            _ => {}
         }
-    }
-
-    fn unary_expr(&mut self) -> Tree<Expr> {
-        if self.eat(Tok::Minus) {
-            // Fold negated literals so `-1` is a literal, keeping parsed
-            // and programmatically-built trees structurally identical.
-            return match self.nested(Self::unary_expr)? {
-                (Expr::IntLit(v), h) => Ok((Expr::IntLit(-v), h)),
-                (Expr::RealLit(v), h) => Ok((Expr::RealLit(-v), h)),
-                (other, h) => self.fits(
-                    Expr::Unary {
-                        op: UnOp::Neg,
-                        arg: Arc::new(other),
-                    },
-                    h + 1,
-                ),
-            };
-        }
-        if self.eat(Tok::Plus) {
-            return self.nested(Self::unary_expr);
-        }
-        self.pow_expr()
-    }
-
-    fn pow_expr(&mut self) -> Tree<Expr> {
-        let (base, h) = self.primary_expr()?;
+        let (base, h) = self.primary()?;
         if self.eat(Tok::DoubleStar) {
-            // `**` is right-associative.
-            let (exp, he) = self.nested(Self::unary_expr)?;
+            let (exp, he) = self.nested(Self::operand)?;
             return self.fits(Expr::binary(BinOp::Pow, base, exp), h.max(he) + 1);
         }
         Ok((base, h))
     }
 
-    fn primary_expr(&mut self) -> Tree<Expr> {
+    fn primary(&mut self) -> Tree<Expr> {
         match self.peek() {
             Tok::Int(v) => {
                 self.bump();
@@ -462,23 +601,29 @@ impl<'a> Parser<'a> {
                 Ok(e)
             }
             Tok::Ident(name) => {
+                let kw = self.kw();
                 self.bump();
                 // `name(` is a call if the flavour knows the function; in
                 // Fortran it is otherwise an array reference.
                 if self.peek() == Tok::LParen {
-                    if let Some(callee) = self.flavor.callee(name) {
+                    if let Some(callee) = self.flavor.callee(kw) {
                         return self.call(name, callee);
                     }
                     if self.flavor == SourceFlavor::C {
                         return self.err(format!("unknown function `{name}`"));
                     }
                 }
-                let (indices, h) = self.subscripts_h()?;
-                if indices.is_empty() {
-                    return Ok((Expr::Var(self.intern(name)), 1));
-                }
                 let name = self.intern(name);
-                self.fits(Expr::index(name, indices), h + 1)
+                match self.subscripts_h()? {
+                    None => Ok((Expr::Var(name), 1)),
+                    Some((indices, h)) => self.fits(
+                        Expr::Index {
+                            array: name,
+                            indices,
+                        },
+                        h + 1,
+                    ),
+                }
             }
             _ => self.unexpected("expression"),
         }
@@ -486,22 +631,20 @@ impl<'a> Parser<'a> {
 
     fn call(&mut self, name: &str, callee: Callee) -> Tree<Expr> {
         self.expect(Tok::LParen)?;
-        let mut h = 0;
-        let args = self.nested(|p| p.list(Tok::RParen, |p| p.tallest(&mut h)))?;
-        let h = h + 1;
+        let base = self.items.len();
+        let h = self.push_list(Tok::RParen)? + 1;
         let arity = match callee {
             Callee::Bin(_) => 2,
             Callee::Fun(f) => f.arity(),
         };
-        if args.len() != arity {
-            let got = args.len();
+        let got = self.items.len() - base;
+        if got != arity {
             return self.err(format!("`{name}` takes {arity} argument(s), got {got}"));
         }
         let e = match callee {
-            Callee::Fun(func) => Expr::call(func, args),
+            Callee::Fun(func) => Expr::call(func, self.take::<Arc<[Expr]>>(base)),
             Callee::Bin(op) => {
-                let mut args = args.into_iter();
-                let (Some(lhs), Some(rhs)) = (args.next(), args.next()) else {
+                let (Some(rhs), Some(lhs)) = (self.items.pop(), self.items.pop()) else {
                     unreachable!("arity checked above");
                 };
                 Expr::binary(op, lhs, rhs)
@@ -542,23 +685,61 @@ impl<'a> Parser<'a> {
         self.bool_primary()
     }
 
+    /// A comparison `a cmp b`, or a parenthesized condition. The
+    /// comparison reading comes first, so `(a + b) < c` is one; a `(` it
+    /// fails on opens a condition, and that reading's result (or error)
+    /// stands.
     fn bool_primary(&mut self) -> Tree<BoolExpr> {
-        // Disambiguate `(boolexpr)` from `(arith) cmp arith` by
-        // backtracking: first try a comparison.
-        let save = self.pos;
-        match self.try_cmp() {
-            Ok(c) => Ok(c),
-            Err(first_err) => {
-                self.pos = save;
-                if self.eat(Tok::LParen) {
-                    let inner = self.nested(Self::bool_or)?;
-                    self.expect(Tok::RParen)?;
-                    Ok(inner)
-                } else {
-                    Err(first_err)
-                }
+        if self.peek() != Tok::LParen {
+            return self.try_cmp();
+        }
+        if self.group_may_be_arith() {
+            let save = (self.lexer, self.tok);
+            if let Ok(c) = self.try_cmp() {
+                return Ok(c);
+            }
+            (self.lexer, self.tok) = save;
+        }
+        self.bump();
+        let inner = self.nested(Self::bool_or)?;
+        self.expect(Tok::RParen)?;
+        Ok(inner)
+    }
+
+    /// Could the parenthesized group at the cursor be an arithmetic
+    /// operand? Not if a token no arithmetic expression holds (a
+    /// comparison, a connective, a line end…) comes before its `)`: the
+    /// comparison reading would fail inside the group, so
+    /// [`Parser::bool_primary`] need not try it. Undecided after
+    /// [`GROUP_SCAN`] tokens means maybe.
+    fn group_may_be_arith(&self) -> bool {
+        let (mut ahead, mut tok) = (self.lexer, self.tok.kind);
+        let mut depth = 0u32;
+        for _ in 0..GROUP_SCAN {
+            match tok {
+                Tok::LParen => depth += 1,
+                Tok::RParen if depth == 1 => return true,
+                Tok::RParen => depth -= 1,
+                Tok::Ident(_)
+                | Tok::Int(_)
+                | Tok::Real(_)
+                | Tok::Plus
+                | Tok::Minus
+                | Tok::Star
+                | Tok::DoubleStar
+                | Tok::Slash
+                | Tok::Percent
+                | Tok::Comma
+                | Tok::LBracket
+                | Tok::RBracket => {}
+                _ => return false,
+            }
+            match ahead.next() {
+                Ok(t) => tok = t.kind,
+                Err(_) => return false,
             }
         }
+        true
     }
 
     fn try_cmp(&mut self) -> Tree<BoolExpr> {
@@ -580,7 +761,7 @@ impl<'a> Parser<'a> {
     // ---- the Fortran shell: declarations and block statements ----
 
     pub fn subroutine(&mut self) -> Parsed<Program> {
-        self.expect_kw("subroutine")?;
+        self.expect_kw(Kw::Subroutine)?;
         let name = self.ident()?.to_string();
         self.expect(Tok::LParen)?;
         let param_names = if self.eat(Tok::RParen) {
@@ -591,7 +772,7 @@ impl<'a> Parser<'a> {
         self.end_stmt()?;
 
         let mut params: Vec<Option<Decl>> = vec![None; param_names.len()];
-        while self.at_kw("real") || self.at_kw("integer") {
+        while self.at_kw(Kw::Real) || self.at_kw(Kw::Integer) {
             for mut d in self.decl_line()? {
                 if let Some(k) = param_names.iter().position(|p| *p == d.name) {
                     if params[k].is_some() {
@@ -609,9 +790,9 @@ impl<'a> Parser<'a> {
             return self.err(format!("parameter `{}` is never declared", param_names[k]));
         }
 
-        let body = self.stmts_until(&["end"])?;
-        self.expect_kw("end")?;
-        self.expect_kw("subroutine")?;
+        let body = self.stmts_until(&[Kw::End])?;
+        self.expect_kw(Kw::End)?;
+        self.expect_kw(Kw::Subroutine)?;
         // optional trailing name
         if let Tok::Ident(_) = self.peek() {
             self.bump();
@@ -627,25 +808,23 @@ impl<'a> Parser<'a> {
 
     /// `real|integer [, intent(…)] :: name[(extents)], …`
     fn decl_line(&mut self) -> Parsed<Vec<Decl>> {
-        let ty = if self.eat_kw("real") {
+        let ty = if self.eat_kw(Kw::Real) {
             Ty::Real
         } else {
-            self.expect_kw("integer")?;
+            self.expect_kw(Kw::Integer)?;
             Ty::Int
         };
         let mut intent = None;
         if self.eat(Tok::Comma) {
-            self.expect_kw("intent")?;
+            self.expect_kw(Kw::Intent)?;
             self.expect(Tok::LParen)?;
+            let kw = self.kw();
             let word = self.ident()?;
-            intent = Some(if word.eq_ignore_ascii_case("in") {
-                Intent::In
-            } else if word.eq_ignore_ascii_case("out") {
-                Intent::Out
-            } else if word.eq_ignore_ascii_case("inout") {
-                Intent::InOut
-            } else {
-                return self.err(format!("unknown intent `{word}`"));
+            intent = Some(match kw {
+                Kw::In => Intent::In,
+                Kw::Out => Intent::Out,
+                Kw::Inout => Intent::InOut,
+                _ => return self.err(format!("unknown intent `{word}`")),
             });
             self.expect(Tok::RParen)?;
         }
@@ -666,20 +845,20 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse statements until one of the stopper keywords (not consumed).
-    fn stmts_until(&mut self, stoppers: &[&str]) -> Parsed<Vec<Stmt>> {
+    fn stmts_until(&mut self, stoppers: &[Kw]) -> Parsed<Vec<Stmt>> {
         let mut out = Vec::new();
-        while !stoppers.iter().any(|s| self.at_kw(s)) && self.peek() != Tok::Eof {
+        while !stoppers.contains(&self.kw()) && self.peek() != Tok::Eof {
             out.push(self.stmt()?);
         }
         Ok(out)
     }
 
     fn fortran_stmt(&mut self) -> Parsed<Stmt> {
-        if self.at_kw("if") {
+        if self.at_kw(Kw::If) {
             self.fortran_if()
-        } else if self.at_kw("do") {
+        } else if self.at_kw(Kw::Do) {
             self.do_stmt(None)
-        } else if self.eat_kw("call") {
+        } else if self.eat_kw(Kw::Call) {
             self.tape_call()
         } else {
             self.assignment()
@@ -687,21 +866,21 @@ impl<'a> Parser<'a> {
     }
 
     fn fortran_if(&mut self) -> Parsed<Stmt> {
-        self.expect_kw("if")?;
+        self.expect_kw(Kw::If)?;
         self.expect(Tok::LParen)?;
         let cond = self.bool_expr()?;
         self.expect(Tok::RParen)?;
-        self.expect_kw("then")?;
+        self.expect_kw(Kw::Then)?;
         self.end_stmt()?;
-        let then_body = self.nested(|p| p.stmts_until(&["else", "end"]))?;
-        let else_body = if self.eat_kw("else") {
+        let then_body = self.nested(|p| p.stmts_until(&[Kw::Else, Kw::End]))?;
+        let else_body = if self.eat_kw(Kw::Else) {
             self.end_stmt()?;
-            self.nested(|p| p.stmts_until(&["end"]))?
+            self.nested(|p| p.stmts_until(&[Kw::End]))?
         } else {
             Vec::new()
         };
-        self.expect_kw("end")?;
-        self.expect_kw("if")?;
+        self.expect_kw(Kw::End)?;
+        self.expect_kw(Kw::If)?;
         self.end_stmt()?;
         Ok(Stmt::If {
             cond,
@@ -712,7 +891,7 @@ impl<'a> Parser<'a> {
 
     /// `do v = lo, hi[, step]` … `end do`
     fn do_stmt(&mut self, parallel: Option<ParallelInfo>) -> Parsed<Stmt> {
-        self.expect_kw("do")?;
+        self.expect_kw(Kw::Do)?;
         let var = self.name()?;
         self.expect(Tok::Assign)?;
         let lo = self.expr()?;
@@ -724,9 +903,9 @@ impl<'a> Parser<'a> {
             Expr::IntLit(1)
         };
         self.end_stmt()?;
-        let body = self.nested(|p| p.stmts_until(&["end"]))?;
-        self.expect_kw("end")?;
-        self.expect_kw("do")?;
+        let body = self.nested(|p| p.stmts_until(&[Kw::End]))?;
+        self.expect_kw(Kw::End)?;
+        self.expect_kw(Kw::Do)?;
         self.end_stmt()?;
         Ok(Stmt::For(Box::new(ForLoop {
             var,
@@ -737,50 +916,6 @@ impl<'a> Parser<'a> {
             parallel,
         })))
     }
-}
-
-/// Parse the (lower-cased) clause list of a `parallel` loop pragma:
-/// `shared(a, b) private(c) reduction(+: x)`.
-fn parse_parallel_clauses(
-    text: &str,
-    intern: &mut dyn FnMut(&str) -> Name,
-) -> Result<ParallelInfo, String> {
-    fn names<'a>(
-        args: &'a str,
-        intern: &'a mut dyn FnMut(&str) -> Name,
-    ) -> impl Iterator<Item = Name> + 'a {
-        args.split(',').map(|s| intern(s.trim()))
-    }
-    let mut info = ParallelInfo::default();
-    let mut rest = text.trim();
-    while !rest.is_empty() {
-        let open = rest
-            .find('(')
-            .ok_or_else(|| format!("malformed pragma clause near `{rest}`"))?;
-        let name = rest[..open].trim();
-        let close = rest[open..]
-            .find(')')
-            .ok_or_else(|| format!("unterminated clause `{name}`"))?
-            + open;
-        let args = &rest[open + 1..close];
-        match name {
-            "shared" => info.shared.extend(names(args, intern)),
-            "private" => info.private.extend(names(args, intern)),
-            "reduction" => {
-                let (op, vars) = args
-                    .split_once(':')
-                    .ok_or_else(|| "reduction clause needs `op: vars`".to_string())?;
-                let op = [RedOp::Add, RedOp::Mul, RedOp::Min, RedOp::Max]
-                    .into_iter()
-                    .find(|r| r.symbol() == op.trim())
-                    .ok_or_else(|| format!("unknown reduction operator `{}`", op.trim()))?;
-                info.reductions.extend(names(vars, intern).map(|v| (op, v)));
-            }
-            other => return Err(format!("unknown pragma clause `{other}`")),
-        }
-        rest = rest[close + 1..].trim();
-    }
-    Ok(info)
 }
 
 #[cfg(test)]
@@ -913,14 +1048,64 @@ end subroutine
 
     #[test]
     fn reduction_clause() {
-        let info = parse_parallel_clauses(" shared(u) reduction(+: s, t) private(w)", &mut |s| {
-            Name::from(s)
-        })
-        .unwrap();
+        let mut p = Parser::new("", SourceFlavor::Fortran);
+        let info = p
+            .parallel_clauses(" shared(u) reduction(+: s, t) private(w)")
+            .unwrap();
         assert_eq!(info.shared, vec!["u"]);
         assert_eq!(info.private, vec!["w"]);
         assert_eq!(info.reductions.len(), 2);
         assert_eq!(info.reductions[0], (RedOp::Add, Name::from("s")));
+    }
+
+    /// Saxpy over arrays `X`, `Y` whose parallel loop shares them as
+    /// `clauses`, in either flavour.
+    fn upper_saxpy(c: bool, clauses: &str) -> String {
+        if c {
+            format!(
+                "void t(int n, const double X[n], double Y[n]) {{\n  int i;\n  \
+                 #pragma omp parallel for {clauses}\n  \
+                 for (i = 1; i <= n; i++) {{\n    Y[i] += X[i];\n  }}\n}}\n"
+            )
+        } else {
+            format!(
+                "subroutine t(n, X, Y)\n  integer, intent(in) :: n\n  \
+                 real, intent(in) :: X(n)\n  real, intent(inout) :: Y(n)\n  \
+                 integer :: i\n  !$omp parallel do {clauses}\n  do i = 1, n\n    \
+                 Y(i) = Y(i) + X(i)\n  end do\nend subroutine\n"
+            )
+        }
+    }
+
+    #[test]
+    fn pragma_clause_names_keep_their_case() {
+        for c in [false, true] {
+            let p = crate::parse_any(&upper_saxpy(c, "shared(X, Y)")).unwrap();
+            let info = p.parallel_loops()[0].parallel.clone().unwrap();
+            assert_eq!(info.shared, vec!["X", "Y"], "C: {c}");
+            assert!(crate::validate(&p).is_empty(), "C: {c}");
+        }
+        // Directive and clause words ignore case in Fortran only.
+        let f = crate::parse_any(
+            &upper_saxpy(false, "SHARED(X, Y)").replace("parallel do", "PARALLEL DO"),
+        );
+        assert_eq!(
+            f.unwrap().parallel_loops()[0]
+                .parallel
+                .as_ref()
+                .unwrap()
+                .shared,
+            vec!["X", "Y"]
+        );
+        let c = crate::parse_any(&upper_saxpy(true, "SHARED(X, Y)")).unwrap_err();
+        assert_eq!(c.message, "unknown pragma clause `SHARED`");
+        let c = crate::parse_any(
+            &upper_saxpy(true, "shared(X)").replace("parallel for", "PARALLEL for"),
+        );
+        assert!(c
+            .unwrap_err()
+            .message
+            .starts_with("unsupported pragma `#pragma omp PARALLEL for"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! The one pretty-printer of both surface flavours.
 //!
 //! Expressions, conditions, lvalues, subscripts and pragmas are written
-//! once, precedence-aware, in the spellings of the flavour's
-//! [`Spelling`](crate::flavor::Spelling) table. What differs per flavour is
-//! the declaration and statement shell: the Fortran one is at the end of
-//! this file, the C one is in [`crate::printer_c`].
+//! once, precedence-aware, in the flavour's spellings
+//! ([`SourceFlavor::op`], [`Spelling`](crate::flavor::Spelling)). What
+//! differs per flavour is the declaration and statement shell: the Fortran
+//! one is at the end of this file, the C one is in [`crate::printer_c`].
 //!
 //! The Fortran printer and parser round-trip: `parse(print(p)) == p` for
 //! every valid program (verified by property tests and the fuzzer's
@@ -52,6 +52,29 @@ pub fn write_loop(s: &mut String, l: &ForLoop, level: usize) {
 /// subscript list).
 const CALL: [&str; 3] = ["(", ", ", ")"];
 
+/// Append `v` in decimal, without going through `core::fmt`.
+pub(crate) fn push_int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_uint(out, v.unsigned_abs());
+}
+
+/// Append `u` in decimal, without going through `core::fmt`.
+pub(crate) fn push_uint(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 /// The output buffer and everything both flavours write the same way.
 pub(crate) struct Writer<'s> {
     pub out: &'s mut String,
@@ -65,8 +88,15 @@ impl<'s> Writer<'s> {
 
     /// The flavour's spelling of an operator it has.
     fn op(&self, tok: Tok<'_>) -> &'static str {
-        let spelled = self.flavor.spelling().of(tok);
+        let spelled = self.flavor.op(tok);
         spelled.expect("the writer only asks for operators of its flavour")
+    }
+
+    /// ` symbol `, an infix operator between its operands.
+    fn infix(&mut self, symbol: &str) {
+        self.out.push(' ');
+        self.out.push_str(symbol);
+        self.out.push(' ');
     }
 
     pub fn indent(&mut self, level: usize) {
@@ -137,10 +167,11 @@ impl<'s> Writer<'s> {
 
     /// An OpenMP directive line: `what`, then the clauses of `info`.
     pub fn pragma(&mut self, what: &str, info: Option<&ParallelInfo>, level: usize) {
+        let spelling = self.flavor.spelling();
         self.indent(level);
-        let _ = write!(self.out, "{} {what}", self.flavor.spelling().pragma);
+        let _ = write!(self.out, "{} {what}", spelling.pragma);
         if let Some(info) = info {
-            let _ = write!(self.out, " {}", self.flavor.spelling().loop_kw);
+            let _ = write!(self.out, " {}", spelling.loop_kw.word());
             if !info.shared.is_empty() {
                 let _ = write!(self.out, " shared({})", info.shared.join(", "));
             }
@@ -172,7 +203,7 @@ impl<'s> Writer<'s> {
             Expr::IntLit(v) => {
                 let need = *v < 0 && parent_prec > 0;
                 self.open(need);
-                let _ = write!(self.out, "{v}");
+                push_int(self.out, *v);
                 self.close(need);
             }
             Expr::RealLit(v) => {
@@ -206,23 +237,22 @@ impl<'s> Writer<'s> {
                     BinOp::Pow => Tok::DoubleStar,
                     BinOp::Mod => Tok::Percent,
                 };
-                let spelling = self.flavor.spelling();
                 // An operator the flavour has no infix spelling for is a call.
-                let Some(symbol) = spelling.of(tok) else {
-                    self.out.push_str(spelling.func_name(Callee::Bin(*op)));
+                let Some(symbol) = self.flavor.op(tok) else {
+                    self.out.push_str(self.flavor.func_name(Callee::Bin(*op)));
                     return self.seq(CALL, [&**lhs, &**rhs]);
                 };
                 let prec = op.precedence();
                 self.open(prec < parent_prec);
                 self.expr(lhs, prec);
-                let _ = write!(self.out, " {symbol} ");
+                self.infix(symbol);
                 // Right operand of a left-associative operator needs a tighter
                 // context so that `a - (b - c)` keeps its parentheses.
                 self.expr(rhs, prec + 1);
                 self.close(prec < parent_prec);
             }
             Expr::Call { func, args } => {
-                let name = self.flavor.spelling().func_name(Callee::Fun(*func));
+                let name = self.flavor.func_name(Callee::Fun(*func));
                 self.out.push_str(name);
                 self.seq(CALL, args.iter());
             }
@@ -242,7 +272,7 @@ impl<'s> Writer<'s> {
                     CmpOp::Ge => Tok::Ge,
                 };
                 self.expr(lhs, 1);
-                let _ = write!(self.out, " {} ", self.op(tok));
+                self.infix(self.op(tok));
                 self.expr(rhs, 1);
             }
             BoolExpr::And(a, c) => self.connective(Tok::And, 2, a, c, parent_prec),
@@ -269,7 +299,7 @@ impl<'s> Writer<'s> {
     fn connective(&mut self, tok: Tok<'_>, prec: u8, a: &BoolExpr, c: &BoolExpr, parent_prec: u8) {
         self.open(parent_prec > prec);
         self.bool(a, prec);
-        let _ = write!(self.out, " {} ", self.op(tok));
+        self.infix(self.op(tok));
         self.bool(c, prec + 1);
         self.close(parent_prec > prec);
     }
@@ -309,7 +339,9 @@ impl<'s> Writer<'s> {
             self.pragma("parallel", Some(info), level);
         }
         self.indent(level);
-        let _ = write!(self.out, "do {} = ", l.var);
+        self.out.push_str("do ");
+        self.out.push_str(&l.var);
+        self.out.push_str(" = ");
         self.expr(&l.lo, 0);
         self.out.push_str(", ");
         self.expr(&l.hi, 0);

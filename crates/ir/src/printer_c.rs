@@ -17,7 +17,7 @@ use std::fmt::Write;
 
 use crate::expr::Expr;
 use crate::flavor::SourceFlavor;
-use crate::printer::Writer;
+use crate::printer::{push_uint, Writer};
 use crate::program::{Decl, Program};
 use crate::stmt::{LValue, Stmt};
 use crate::types::{Intent, Ty};
@@ -115,7 +115,8 @@ impl Writer<'_> {
                         let _ = write!(self.out, "{}{unit}", l.var);
                     }
                     Expr::IntLit(v) => {
-                        let _ = write!(self.out, "{} {update} {}", l.var, v.unsigned_abs());
+                        let _ = write!(self.out, "{} {update} ", l.var);
+                        push_uint(self.out, v.unsigned_abs());
                     }
                     step => {
                         let _ = write!(self.out, "{} {update} ", l.var);

@@ -103,7 +103,15 @@ impl<'a> Validator<'a> {
     fn ty_of_node(&mut self, e: &Expr) -> Option<Ty> {
         match e {
             Expr::IntLit(_) => Some(Ty::Int),
-            Expr::RealLit(_) => Some(Ty::Real),
+            Expr::RealLit(v) => {
+                // No source spells an infinity or a NaN, and printed as
+                // `inf` / `NaN` it would read back as a variable.
+                if !v.is_finite() {
+                    self.errors
+                        .push(err(format!("real literal `{v}` is not finite")));
+                }
+                Some(Ty::Real)
+            }
             Expr::Var(name) => self.ty_of_var(name),
             Expr::Index { array, indices } => self.ty_of_element(array, indices),
             Expr::Unary { arg, .. } => self.ty_of_expr(arg),
@@ -366,6 +374,22 @@ end subroutine
 "#,
         );
         assert!(errs.is_empty(), "{errs:?}");
+    }
+
+    #[test]
+    fn non_finite_real_literal_built_in_code_is_rejected() {
+        let src = "subroutine t(y)\n  real, intent(inout) :: y\n  y = 2.0 * y\nend subroutine\n";
+        let mut p = parse_program(src).unwrap();
+        assert!(validate(&p).is_empty());
+        for v in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let Stmt::Assign { rhs, .. } = &mut p.body[0] else {
+                panic!("an assignment")
+            };
+            *rhs = Expr::real(v) * Expr::var("y");
+            let errs = validate(&p);
+            assert_eq!(errs.len(), 1, "{errs:?}");
+            assert_eq!(errs[0].message, format!("real literal `{v}` is not finite"));
+        }
     }
 
     #[test]
