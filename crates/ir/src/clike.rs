@@ -21,7 +21,7 @@
 
 use crate::expr::Expr;
 use crate::flavor::SourceFlavor;
-use crate::lexer::{Kw, Tok};
+use crate::lexer::Tok;
 use crate::parser::{ParseError, Parsed, Parser};
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, ParallelInfo, Stmt};
@@ -40,14 +40,14 @@ pub fn parse_any(src: &str) -> Result<Program, ParseError> {
 impl Parser<'_> {
     /// `void name([const] type p[extent]…, …) { … }`
     pub(crate) fn function(&mut self) -> Parsed<Program> {
-        self.expect_kw(Kw::Void)?;
+        self.expect_kw("void")?;
         let name = self.ident()?.to_string();
         self.expect(Tok::LParen)?;
         let params = if self.eat(Tok::RParen) {
             Vec::new()
         } else {
             self.list(Tok::RParen, |p| {
-                let intent = if p.eat_kw(Kw::Const) {
+                let intent = if p.eat_kw("const") {
                     Intent::In
                 } else {
                     Intent::InOut
@@ -68,9 +68,9 @@ impl Parser<'_> {
     }
 
     fn base_ty(&mut self) -> Option<Ty> {
-        if self.eat_kw(Kw::Int) {
+        if self.eat_kw("int") {
             Some(Ty::Int)
-        } else if self.eat_kw(Kw::Double) || self.eat_kw(Kw::Float) {
+        } else if self.eat_kw("double") || self.eat_kw("float") {
             Some(Ty::Real)
         } else {
             None
@@ -106,11 +106,11 @@ impl Parser<'_> {
     }
 
     pub(crate) fn c_stmt(&mut self) -> Parsed<Stmt> {
-        if self.at_kw(Kw::If) {
+        if self.at_kw("if") {
             self.c_if()
-        } else if self.at_kw(Kw::For) {
+        } else if self.at_kw("for") {
             self.for_stmt(None)
-        } else if (self.at_kw(Kw::Push) || self.at_kw(Kw::Pop)) && self.peek_next() == Tok::LParen {
+        } else if (self.at_kw("push") || self.at_kw("pop")) && self.peek_next() == Tok::LParen {
             self.tape_call()
         } else {
             self.assignment()
@@ -118,12 +118,12 @@ impl Parser<'_> {
     }
 
     fn c_if(&mut self) -> Parsed<Stmt> {
-        self.expect_kw(Kw::If)?;
+        self.expect_kw("if")?;
         self.expect(Tok::LParen)?;
         let cond = self.bool_expr()?;
         self.expect(Tok::RParen)?;
         let then_body = self.nested(Self::block)?;
-        let else_body = if self.eat_kw(Kw::Else) {
+        let else_body = if self.eat_kw("else") {
             self.nested(Self::block)?
         } else {
             Vec::new()
@@ -137,9 +137,9 @@ impl Parser<'_> {
 
     /// `for ([int] v = lo; v <=|<|>=|> bound; v++ | v-- | v += s | v -= s) { … }`
     pub(crate) fn for_stmt(&mut self, parallel: Option<ParallelInfo>) -> Parsed<Stmt> {
-        self.expect_kw(Kw::For)?;
+        self.expect_kw("for")?;
         self.expect(Tok::LParen)?;
-        let declares = self.eat_kw(Kw::Int);
+        let declares = self.eat_kw("int");
         let var = self.name()?;
         if declares && !self.locals.iter().any(|d| d.name == var) {
             self.locals.push(Decl::local(&var, Ty::Int));

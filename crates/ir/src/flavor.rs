@@ -16,8 +16,8 @@
 //! (first index fastest). It is C *syntax*, not C memory layout.
 
 use crate::expr::{BinOp, Intrinsic};
-use crate::lexer::Kw;
 use crate::lexer::Tok::{self, *};
+use crate::lexer::{kw, Kw};
 use crate::parser::{ParseError, Parser};
 use crate::printer::Writer;
 use crate::program::Program;
@@ -45,20 +45,20 @@ pub(crate) struct Spelling {
     /// Prefix of an OpenMP directive line (ASCII case ignored).
     pub pragma: &'static str,
     /// Keyword of the counted loop, in the source and after `parallel`.
-    pub loop_kw: Kw,
+    pub loop_kw: &'static str,
     /// Opening, separating and closing text of an array subscript list.
     pub subscript: [&'static str; 3],
 }
 
 const FORTRAN_SPELLING: Spelling = Spelling {
     pragma: "!$omp",
-    loop_kw: Kw::Do,
+    loop_kw: "do",
     subscript: ["(", ", ", ")"],
 };
 
 const C_SPELLING: Spelling = Spelling {
     pragma: "#pragma omp",
-    loop_kw: Kw::For,
+    loop_kw: "for",
     subscript: ["[", "][", "]"],
 };
 
@@ -175,35 +175,58 @@ impl SourceFlavor {
         })
     }
 
-    /// What a function name of keyword class `kw` denotes in this
+    /// What a function name of keyword class `key` denotes in this
     /// flavour, if it is a function here.
-    pub(crate) fn callee(self, kw: Kw) -> Option<Callee> {
-        let c = self == SourceFlavor::C;
-        Some(match kw {
-            Kw::Fun(f) => Callee::Fun(f),
-            Kw::Mod if !c => Callee::Bin(BinOp::Mod),
-            Kw::Pow if c => Callee::Bin(BinOp::Pow),
-            Kw::Fabs if c => Callee::Fun(Intrinsic::Abs),
-            Kw::Fmin if c => Callee::Fun(Intrinsic::Min),
-            Kw::Fmax if c => Callee::Fun(Intrinsic::Max),
-            _ => return None,
-        })
+    pub(crate) fn callee(self, key: Kw) -> Option<Callee> {
+        let mut known = FUNCS.iter().zip(FUNC_KEYS);
+        let found = known.find(|&(&(_, only, _), k)| k == key && only.is_none_or(|f| f == self));
+        found.map(|(&(_, _, callee), _)| callee)
     }
 
     /// The name a callee is printed under: the flavour's own name where it
     /// has one, else the intrinsic's.
     pub(crate) fn func_name(self, callee: Callee) -> &'static str {
-        match (self, callee) {
-            (SourceFlavor::Fortran, Callee::Bin(BinOp::Mod)) => "mod",
-            (SourceFlavor::C, Callee::Bin(BinOp::Pow)) => "pow",
-            (SourceFlavor::C, Callee::Fun(Intrinsic::Abs)) => "fabs",
-            (SourceFlavor::C, Callee::Fun(Intrinsic::Min)) => "fmin",
-            (SourceFlavor::C, Callee::Fun(Intrinsic::Max)) => "fmax",
-            (_, Callee::Fun(f)) => f.name(),
-            (_, Callee::Bin(op)) => unreachable!("{op:?} has neither an infix nor a call form"),
+        let mut known = FUNCS.iter();
+        match known.find(|&&(_, only, c)| c == callee && only.is_none_or(|f| f == self)) {
+            Some(&(name, _, _)) => name,
+            None => unreachable!("{callee:?} has neither an infix nor a call form"),
         }
     }
 }
+
+/// Every function name, and the flavour it is limited to: a flavour's own
+/// names first, so that they print before an intrinsic's.
+const FUNCS: [(&str, Option<SourceFlavor>, Callee); 14] = {
+    use crate::expr::Intrinsic::*;
+    use Callee::Fun;
+    use SourceFlavor::{Fortran, C};
+    [
+        ("mod", Some(Fortran), Callee::Bin(BinOp::Mod)),
+        ("pow", Some(C), Callee::Bin(BinOp::Pow)),
+        ("fabs", Some(C), Fun(Abs)),
+        ("fmin", Some(C), Fun(Min)),
+        ("fmax", Some(C), Fun(Max)),
+        ("sin", None, Fun(Sin)),
+        ("cos", None, Fun(Cos)),
+        ("exp", None, Fun(Exp)),
+        ("log", None, Fun(Log)),
+        ("sqrt", None, Fun(Sqrt)),
+        ("abs", None, Fun(Abs)),
+        ("min", None, Fun(Min)),
+        ("max", None, Fun(Max)),
+        ("tanh", None, Fun(Tanh)),
+    ]
+};
+
+/// The keyword classes of [`FUNCS`].
+const FUNC_KEYS: [Kw; FUNCS.len()] = {
+    let (mut keys, mut k) = ([0; FUNCS.len()], 0);
+    while k < keys.len() {
+        keys[k] = kw(FUNCS[k].0);
+        k += 1;
+    }
+    keys
+};
 
 #[cfg(test)]
 mod tests {

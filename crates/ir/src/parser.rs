@@ -5,9 +5,7 @@
 //! flavour's [`Spelling`](crate::flavor::Spelling). What differs per
 //! flavour is the declaration and statement shell: the Fortran one
 //! (`subroutine`, declaration lines, `do`, `if … then`, `call`) is at the
-//! end of this file, the C one is in [`crate::clike`]. Keywords are
-//! compared by the class the lexer gave them ([`Kw`]); arithmetic is read
-//! by precedence climbing over [`infix`].
+//! end of this file, the C one is in [`crate::clike`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -15,7 +13,7 @@ use std::sync::Arc;
 use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
 use crate::flavor::{Callee, SourceFlavor};
 use crate::fx::FxHashMap;
-use crate::lexer::{Kw, Lexer, Tok, Token};
+use crate::lexer::{kw, Kw, Lexer, Tok, Token};
 use crate::name::Name;
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, LValue, ParallelInfo, RedOp, Stmt};
@@ -64,23 +62,17 @@ pub(crate) type Tree<T> = Parsed<(T, u32)>;
 /// recursive walk over an accepted program stays within a bounded stack.
 pub const MAX_NESTING: u32 = 256;
 
-/// The binary operator a token denotes between two operands. Its
-/// [`BinOp::precedence`] and left associativity drive the climb; `**`
-/// is not here: it binds a primary to a signed operand, right to left.
-fn infix(tok: Tok<'_>) -> Option<BinOp> {
-    match tok {
-        Tok::Plus => Some(BinOp::Add),
-        Tok::Minus => Some(BinOp::Sub),
-        Tok::Star => Some(BinOp::Mul),
-        Tok::Slash => Some(BinOp::Div),
-        Tok::Percent => Some(BinOp::Mod),
-        _ => None,
-    }
-}
-
-/// How far [`Parser::bool_primary`] looks for the end of a parenthesized
-/// group before it simply tries the comparison reading.
-const GROUP_SCAN: usize = 1024;
+/// The binary operators and their tokens: the parser climbs over the
+/// table by [`BinOp::precedence`] (`**`, right-associative, binds a
+/// primary to a signed operand instead), the printer spells from it.
+pub(crate) const BINARY: [(Tok<'static>, BinOp); 6] = [
+    (Tok::Plus, BinOp::Add),
+    (Tok::Minus, BinOp::Sub),
+    (Tok::Star, BinOp::Mul),
+    (Tok::Slash, BinOp::Div),
+    (Tok::Percent, BinOp::Mod),
+    (Tok::DoubleStar, BinOp::Pow),
+];
 
 /// The token cursor and everything both flavours parse the same way.
 pub(crate) struct Parser<'a> {
@@ -89,9 +81,7 @@ pub(crate) struct Parser<'a> {
     lexer: Lexer<'a>,
     /// The current token.
     tok: Token<'a>,
-    /// The first lexical error, met when the lexer got there. It is the
-    /// result of the parse whatever the parser made of the tokens before
-    /// it (and the cursor reads it as the end of input).
+    /// The first lexical error; past it the cursor reads the end of input.
     lex_error: Option<ParseError>,
     /// Local declarations met so far (C declares them among statements).
     pub locals: Vec<Decl>,
@@ -100,6 +90,9 @@ pub(crate) struct Parser<'a> {
     /// The subscripts and call arguments being read, innermost list last;
     /// a finished list moves out in one allocation of its exact size.
     items: Vec<Expr>,
+    /// Whether errors are only signals of a reading tried first
+    /// ([`Parser::bool_primary`]), whose messages nobody reads.
+    quiet: bool,
     /// Nesting levels open at the cursor (see [`MAX_NESTING`]).
     nest: u32,
 }
@@ -110,19 +103,20 @@ impl<'a> Parser<'a> {
         let names = FxHashMap::with_capacity_and_hasher(src.len() / 64, Default::default());
         let mut p = Parser {
             flavor,
-            lexer: Lexer::new(src, flavor),
             tok: Token {
                 kind: Tok::Eof,
                 line: 1,
-                kw: Kw::None,
+                kw: 0,
             },
+            lexer: Lexer::new(src, flavor),
             lex_error: None,
             locals: Vec::new(),
             names,
             items: Vec::new(),
+            quiet: false,
             nest: 0,
         };
-        p.tok = p.lex();
+        p.advance();
         p
     }
 
@@ -137,22 +131,6 @@ impl<'a> Parser<'a> {
 
     // ---- cursor ----
 
-    /// The lexer's next token; past a lexical error, the end of input.
-    fn lex(&mut self) -> Token<'a> {
-        match self.lexer.next() {
-            Ok(t) => t,
-            Err(e) => {
-                let line = e.line;
-                self.lex_error.get_or_insert(e);
-                Token {
-                    kind: Tok::Eof,
-                    line,
-                    kw: Kw::None,
-                }
-            }
-        }
-    }
-
     pub fn peek(&self) -> Tok<'a> {
         self.tok.kind
     }
@@ -162,15 +140,23 @@ impl<'a> Parser<'a> {
         self.lexer.clone().next().map_or(Tok::Eof, |t| t.kind)
     }
 
-    /// The keyword class of the current token.
-    pub fn kw(&self) -> Kw {
-        self.tok.kw
+    /// Move to the next token; past a lexical error, the end of input.
+    fn advance(&mut self) {
+        self.tok = self.lexer.next().unwrap_or_else(|e| {
+            let eof = Token {
+                kind: Tok::Eof,
+                line: e.line,
+                kw: 0,
+            };
+            self.lex_error.get_or_insert(e);
+            eof
+        });
     }
 
     pub fn bump(&mut self) -> Tok<'a> {
         let t = self.peek();
         if t != Tok::Eof {
-            self.tok = self.lex();
+            self.advance();
         }
         t
     }
@@ -184,6 +170,9 @@ impl<'a> Parser<'a> {
 
     /// An error saying what was expected instead of the current token.
     pub fn unexpected<T>(&self, expected: &str) -> Parsed<T> {
+        if self.quiet {
+            return self.err(String::new());
+        }
         let found = self.peek().describe(self.flavor);
         self.err(format!("expected {expected}, found {found}"))
     }
@@ -225,24 +214,26 @@ impl<'a> Parser<'a> {
         Ok(self.intern(s))
     }
 
-    /// True if the current token is the keyword `kw`.
-    pub fn at_kw(&self, kw: Kw) -> bool {
-        self.kw() == kw
+    /// True if the current token is the keyword `word`. Fortran keywords
+    /// are case-insensitive.
+    #[inline]
+    pub fn at_kw(&self, word: &str) -> bool {
+        self.tok.kw == kw(word)
     }
 
-    pub fn eat_kw(&mut self, kw: Kw) -> bool {
-        let hit = self.at_kw(kw);
+    pub fn eat_kw(&mut self, word: &str) -> bool {
+        let hit = self.at_kw(word);
         if hit {
             self.bump();
         }
         hit
     }
 
-    pub fn expect_kw(&mut self, kw: Kw) -> Parsed<()> {
-        if self.eat_kw(kw) {
+    pub fn expect_kw(&mut self, word: &str) -> Parsed<()> {
+        if self.eat_kw(word) {
             Ok(())
         } else {
-            self.unexpected(&format!("keyword `{}`", kw.word()))
+            self.unexpected(&format!("keyword `{word}`"))
         }
     }
 
@@ -310,11 +301,6 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// The items pushed since `items` held `base`, moved out.
-    fn take<C: FromIterator<Expr>>(&mut self, base: usize) -> C {
-        self.items.drain(base..).collect()
-    }
-
     // ---- statements both flavours share ----
 
     pub fn stmt(&mut self) -> Parsed<Stmt> {
@@ -363,8 +349,8 @@ impl<'a> Parser<'a> {
 
     /// `push(e)` / `pop(lv)`: after Fortran's `call`, a statement in C.
     pub fn tape_call(&mut self) -> Parsed<Stmt> {
-        let push = self.at_kw(Kw::Push);
-        if !push && !self.at_kw(Kw::Pop) {
+        let push = self.at_kw("push");
+        if !push && !self.at_kw("pop") {
             return self.unexpected("call target `push` or `pop`");
         }
         self.bump();
@@ -413,13 +399,12 @@ impl<'a> Parser<'a> {
         }
         let clauses = self
             .after_word(pragma, "parallel ")
-            .and_then(|r| self.after_word(r, kw.word()));
+            .and_then(|r| self.after_word(r, kw));
         let Some(clauses) = clauses else {
             return self.err(format!("unsupported pragma `{prefix} {pragma}`"));
         };
         let info = self.parallel_clauses(clauses).or_else(|m| self.err(m))?;
         if !self.at_kw(kw) {
-            let kw = kw.word();
             return self.err(format!(
                 "`{prefix} parallel {kw}` must be followed by a {kw} loop"
             ));
@@ -446,35 +431,27 @@ impl<'a> Parser<'a> {
                 .find(')')
                 .ok_or_else(|| format!("unterminated clause `{name}`"))?
                 + open;
-            let args = &rest[open + 1..close];
-            // Which list the clause's names join.
-            enum Into {
-                Shared,
-                Private,
-                Reduction(RedOp),
-            }
-            let (into, vars) = if self.is_word(name, "shared") {
-                (Into::Shared, args)
-            } else if self.is_word(name, "private") {
-                (Into::Private, args)
-            } else if self.is_word(name, "reduction") {
-                let (op, vars) = args
+            let (mut args, mut op) = (&rest[open + 1..close], None);
+            if self.is_word(name, "reduction") {
+                let (symbol, vars) = args
                     .split_once(':')
                     .ok_or_else(|| "reduction clause needs `op: vars`".to_string())?;
-                let op = [RedOp::Add, RedOp::Mul, RedOp::Min, RedOp::Max]
+                let symbol = symbol.trim();
+                let known = [RedOp::Add, RedOp::Mul, RedOp::Min, RedOp::Max]
                     .into_iter()
-                    .find(|r| self.is_word(op.trim(), r.symbol()))
-                    .ok_or_else(|| format!("unknown reduction operator `{}`", op.trim()))?;
-                (Into::Reduction(op), vars)
-            } else {
+                    .find(|r| self.is_word(symbol, r.symbol()));
+                let known =
+                    known.ok_or_else(|| format!("unknown reduction operator `{symbol}`"))?;
+                (args, op) = (vars, Some(known));
+            } else if !self.is_word(name, "shared") && !self.is_word(name, "private") {
                 return Err(format!("unknown pragma clause `{name}`"));
-            };
-            for var in vars.split(',') {
+            }
+            for var in args.split(',') {
                 let var = self.intern(var.trim());
-                match into {
-                    Into::Shared => info.shared.push(var),
-                    Into::Private => info.private.push(var),
-                    Into::Reduction(op) => info.reductions.push((op, var)),
+                match op {
+                    Some(op) => info.reductions.push((op, var)),
+                    None if self.is_word(name, "shared") => info.shared.push(var),
+                    None => info.private.push(var),
                 }
             }
             rest = rest[close + 1..].trim();
@@ -522,7 +499,7 @@ impl<'a> Parser<'a> {
                 h
             }
         };
-        Ok(Some((self.take(base), h)))
+        Ok(Some((self.items.drain(base..).collect(), h)))
     }
 
     // ---- expressions ----
@@ -541,12 +518,16 @@ impl<'a> Parser<'a> {
     /// operand (whose operators bind tighter still) is read.
     fn climb(&mut self, min: u8) -> Tree<Expr> {
         let (mut lhs, mut h) = self.operand()?;
-        while let Some(op) = infix(self.peek()).filter(|op| op.precedence() >= min) {
+        loop {
+            let tok = self.peek();
+            let next = BINARY.iter().find(|&&(t, op)| t == tok && op != BinOp::Pow);
+            let Some(&(_, op)) = next.filter(|(_, op)| op.precedence() >= min) else {
+                return Ok((lhs, h));
+            };
             self.bump();
             let (rhs, hr) = self.climb(op.precedence() + 1)?;
             (lhs, h) = self.fits(Expr::binary(op, lhs, rhs), h.max(hr) + 1)?;
         }
-        Ok((lhs, h))
     }
 
     /// A signed operand: `-x`, `+x`, or a primary with an optional
@@ -601,7 +582,7 @@ impl<'a> Parser<'a> {
                 Ok(e)
             }
             Tok::Ident(name) => {
-                let kw = self.kw();
+                let kw = self.tok.kw;
                 self.bump();
                 // `name(` is a call if the flavour knows the function; in
                 // Fortran it is otherwise an array reference.
@@ -642,7 +623,7 @@ impl<'a> Parser<'a> {
             return self.err(format!("`{name}` takes {arity} argument(s), got {got}"));
         }
         let e = match callee {
-            Callee::Fun(func) => Expr::call(func, self.take::<Arc<[Expr]>>(base)),
+            Callee::Fun(func) => Expr::call(func, self.items.drain(base..).collect::<Arc<[_]>>()),
             Callee::Bin(op) => {
                 let (Some(rhs), Some(lhs)) = (self.items.pop(), self.items.pop()) else {
                     unreachable!("arity checked above");
@@ -688,58 +669,24 @@ impl<'a> Parser<'a> {
     /// A comparison `a cmp b`, or a parenthesized condition. The
     /// comparison reading comes first, so `(a + b) < c` is one; a `(` it
     /// fails on opens a condition, and that reading's result (or error)
-    /// stands.
+    /// stands. The first reading's failure is only a signal, so it runs
+    /// quiet: its errors carry no message.
     fn bool_primary(&mut self) -> Tree<BoolExpr> {
         if self.peek() != Tok::LParen {
             return self.try_cmp();
         }
-        if self.group_may_be_arith() {
-            let save = (self.lexer, self.tok);
-            if let Ok(c) = self.try_cmp() {
-                return Ok(c);
-            }
-            (self.lexer, self.tok) = save;
+        let save = (self.lexer, self.tok);
+        self.quiet = true;
+        let cmp = self.try_cmp();
+        self.quiet = false;
+        if cmp.is_ok() {
+            return cmp;
         }
+        (self.lexer, self.tok) = save;
         self.bump();
         let inner = self.nested(Self::bool_or)?;
         self.expect(Tok::RParen)?;
         Ok(inner)
-    }
-
-    /// Could the parenthesized group at the cursor be an arithmetic
-    /// operand? Not if a token no arithmetic expression holds (a
-    /// comparison, a connective, a line end…) comes before its `)`: the
-    /// comparison reading would fail inside the group, so
-    /// [`Parser::bool_primary`] need not try it. Undecided after
-    /// [`GROUP_SCAN`] tokens means maybe.
-    fn group_may_be_arith(&self) -> bool {
-        let (mut ahead, mut tok) = (self.lexer, self.tok.kind);
-        let mut depth = 0u32;
-        for _ in 0..GROUP_SCAN {
-            match tok {
-                Tok::LParen => depth += 1,
-                Tok::RParen if depth == 1 => return true,
-                Tok::RParen => depth -= 1,
-                Tok::Ident(_)
-                | Tok::Int(_)
-                | Tok::Real(_)
-                | Tok::Plus
-                | Tok::Minus
-                | Tok::Star
-                | Tok::DoubleStar
-                | Tok::Slash
-                | Tok::Percent
-                | Tok::Comma
-                | Tok::LBracket
-                | Tok::RBracket => {}
-                _ => return false,
-            }
-            match ahead.next() {
-                Ok(t) => tok = t.kind,
-                Err(_) => return false,
-            }
-        }
-        true
     }
 
     fn try_cmp(&mut self) -> Tree<BoolExpr> {
@@ -761,7 +708,7 @@ impl<'a> Parser<'a> {
     // ---- the Fortran shell: declarations and block statements ----
 
     pub fn subroutine(&mut self) -> Parsed<Program> {
-        self.expect_kw(Kw::Subroutine)?;
+        self.expect_kw("subroutine")?;
         let name = self.ident()?.to_string();
         self.expect(Tok::LParen)?;
         let param_names = if self.eat(Tok::RParen) {
@@ -772,7 +719,7 @@ impl<'a> Parser<'a> {
         self.end_stmt()?;
 
         let mut params: Vec<Option<Decl>> = vec![None; param_names.len()];
-        while self.at_kw(Kw::Real) || self.at_kw(Kw::Integer) {
+        while self.at_kw("real") || self.at_kw("integer") {
             for mut d in self.decl_line()? {
                 if let Some(k) = param_names.iter().position(|p| *p == d.name) {
                     if params[k].is_some() {
@@ -790,9 +737,9 @@ impl<'a> Parser<'a> {
             return self.err(format!("parameter `{}` is never declared", param_names[k]));
         }
 
-        let body = self.stmts_until(&[Kw::End])?;
-        self.expect_kw(Kw::End)?;
-        self.expect_kw(Kw::Subroutine)?;
+        let body = self.stmts_until(&[kw("end")])?;
+        self.expect_kw("end")?;
+        self.expect_kw("subroutine")?;
         // optional trailing name
         if let Tok::Ident(_) = self.peek() {
             self.bump();
@@ -808,23 +755,26 @@ impl<'a> Parser<'a> {
 
     /// `real|integer [, intent(…)] :: name[(extents)], …`
     fn decl_line(&mut self) -> Parsed<Vec<Decl>> {
-        let ty = if self.eat_kw(Kw::Real) {
+        let ty = if self.eat_kw("real") {
             Ty::Real
         } else {
-            self.expect_kw(Kw::Integer)?;
+            self.expect_kw("integer")?;
             Ty::Int
         };
         let mut intent = None;
         if self.eat(Tok::Comma) {
-            self.expect_kw(Kw::Intent)?;
+            self.expect_kw("intent")?;
             self.expect(Tok::LParen)?;
-            let kw = self.kw();
+            let key = self.tok.kw;
             let word = self.ident()?;
-            intent = Some(match kw {
-                Kw::In => Intent::In,
-                Kw::Out => Intent::Out,
-                Kw::Inout => Intent::InOut,
-                _ => return self.err(format!("unknown intent `{word}`")),
+            intent = Some(if key == kw("in") {
+                Intent::In
+            } else if key == kw("out") {
+                Intent::Out
+            } else if key == kw("inout") {
+                Intent::InOut
+            } else {
+                return self.err(format!("unknown intent `{word}`"));
             });
             self.expect(Tok::RParen)?;
         }
@@ -847,18 +797,18 @@ impl<'a> Parser<'a> {
     /// Parse statements until one of the stopper keywords (not consumed).
     fn stmts_until(&mut self, stoppers: &[Kw]) -> Parsed<Vec<Stmt>> {
         let mut out = Vec::new();
-        while !stoppers.contains(&self.kw()) && self.peek() != Tok::Eof {
+        while !stoppers.contains(&self.tok.kw) && self.peek() != Tok::Eof {
             out.push(self.stmt()?);
         }
         Ok(out)
     }
 
     fn fortran_stmt(&mut self) -> Parsed<Stmt> {
-        if self.at_kw(Kw::If) {
+        if self.at_kw("if") {
             self.fortran_if()
-        } else if self.at_kw(Kw::Do) {
+        } else if self.at_kw("do") {
             self.do_stmt(None)
-        } else if self.eat_kw(Kw::Call) {
+        } else if self.eat_kw("call") {
             self.tape_call()
         } else {
             self.assignment()
@@ -866,21 +816,21 @@ impl<'a> Parser<'a> {
     }
 
     fn fortran_if(&mut self) -> Parsed<Stmt> {
-        self.expect_kw(Kw::If)?;
+        self.expect_kw("if")?;
         self.expect(Tok::LParen)?;
         let cond = self.bool_expr()?;
         self.expect(Tok::RParen)?;
-        self.expect_kw(Kw::Then)?;
+        self.expect_kw("then")?;
         self.end_stmt()?;
-        let then_body = self.nested(|p| p.stmts_until(&[Kw::Else, Kw::End]))?;
-        let else_body = if self.eat_kw(Kw::Else) {
+        let then_body = self.nested(|p| p.stmts_until(&[kw("else"), kw("end")]))?;
+        let else_body = if self.eat_kw("else") {
             self.end_stmt()?;
-            self.nested(|p| p.stmts_until(&[Kw::End]))?
+            self.nested(|p| p.stmts_until(&[kw("end")]))?
         } else {
             Vec::new()
         };
-        self.expect_kw(Kw::End)?;
-        self.expect_kw(Kw::If)?;
+        self.expect_kw("end")?;
+        self.expect_kw("if")?;
         self.end_stmt()?;
         Ok(Stmt::If {
             cond,
@@ -891,7 +841,7 @@ impl<'a> Parser<'a> {
 
     /// `do v = lo, hi[, step]` … `end do`
     fn do_stmt(&mut self, parallel: Option<ParallelInfo>) -> Parsed<Stmt> {
-        self.expect_kw(Kw::Do)?;
+        self.expect_kw("do")?;
         let var = self.name()?;
         self.expect(Tok::Assign)?;
         let lo = self.expr()?;
@@ -903,9 +853,9 @@ impl<'a> Parser<'a> {
             Expr::IntLit(1)
         };
         self.end_stmt()?;
-        let body = self.nested(|p| p.stmts_until(&[Kw::End]))?;
-        self.expect_kw(Kw::End)?;
-        self.expect_kw(Kw::Do)?;
+        let body = self.nested(|p| p.stmts_until(&[kw("end")]))?;
+        self.expect_kw("end")?;
+        self.expect_kw("do")?;
         self.end_stmt()?;
         Ok(Stmt::For(Box::new(ForLoop {
             var,

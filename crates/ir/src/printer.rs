@@ -12,9 +12,10 @@
 
 use std::fmt::Write;
 
-use crate::expr::{BinOp, BoolExpr, CmpOp, Expr, UnOp};
+use crate::expr::{BoolExpr, CmpOp, Expr, UnOp};
 use crate::flavor::{Callee, SourceFlavor};
 use crate::lexer::Tok;
+use crate::parser::BINARY;
 use crate::program::{Decl, Program};
 use crate::stmt::{ForLoop, LValue, ParallelInfo, Stmt};
 
@@ -61,18 +62,11 @@ pub(crate) fn push_int(out: &mut String, v: i64) {
 }
 
 /// Append `u` in decimal, without going through `core::fmt`.
-pub(crate) fn push_uint(out: &mut String, mut u: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (u % 10) as u8;
-        u /= 10;
-        if u == 0 {
-            break;
-        }
+pub(crate) fn push_uint(out: &mut String, u: u64) {
+    if u >= 10 {
+        push_uint(out, u / 10);
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.push(char::from(b'0' + (u % 10) as u8));
 }
 
 /// The output buffer and everything both flavours write the same way.
@@ -171,7 +165,7 @@ impl<'s> Writer<'s> {
         self.indent(level);
         let _ = write!(self.out, "{} {what}", spelling.pragma);
         if let Some(info) = info {
-            let _ = write!(self.out, " {}", spelling.loop_kw.word());
+            let _ = write!(self.out, " {}", spelling.loop_kw);
             if !info.shared.is_empty() {
                 let _ = write!(self.out, " shared({})", info.shared.join(", "));
             }
@@ -229,16 +223,9 @@ impl<'s> Writer<'s> {
                 self.close(parent_prec > 0);
             }
             Expr::Binary { op, lhs, rhs } => {
-                let tok = match op {
-                    BinOp::Add => Tok::Plus,
-                    BinOp::Sub => Tok::Minus,
-                    BinOp::Mul => Tok::Star,
-                    BinOp::Div => Tok::Slash,
-                    BinOp::Pow => Tok::DoubleStar,
-                    BinOp::Mod => Tok::Percent,
-                };
                 // An operator the flavour has no infix spelling for is a call.
-                let Some(symbol) = self.flavor.op(tok) else {
+                let tok = BINARY.iter().find(|&&(_, o)| o == *op).map(|&(t, _)| t);
+                let Some(symbol) = tok.and_then(|tok| self.flavor.op(tok)) else {
                     self.out.push_str(self.flavor.func_name(Callee::Bin(*op)));
                     return self.seq(CALL, [&**lhs, &**rhs]);
                 };
@@ -401,7 +388,7 @@ impl<'s> Writer<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Intrinsic;
+    use crate::expr::{BinOp, Intrinsic};
 
     fn v(n: &str) -> Expr {
         Expr::var(n)
