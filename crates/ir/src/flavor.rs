@@ -238,6 +238,26 @@ mod tests {
     use std::time::Instant;
 
     #[test]
+    fn every_intrinsic_is_a_function_under_its_own_name_in_both_flavours() {
+        use crate::expr::Intrinsic;
+        for flavor in SourceFlavor::ALL {
+            for f in Intrinsic::ALL {
+                assert_eq!(flavor.callee(kw(f.name())), Some(Callee::Fun(f)));
+            }
+        }
+        assert_eq!(
+            SourceFlavor::C.func_name(Callee::Fun(Intrinsic::Abs)),
+            "fabs"
+        );
+        assert_eq!(
+            SourceFlavor::Fortran.func_name(Callee::Fun(Intrinsic::Abs)),
+            "abs"
+        );
+        assert_eq!(SourceFlavor::C.callee(kw("mod")), None);
+        assert_eq!(SourceFlavor::Fortran.callee(kw("pow")), None);
+    }
+
+    #[test]
     fn names_round_trip_and_unknown_names_are_rejected() {
         for flavor in SourceFlavor::ALL {
             assert_eq!(SourceFlavor::from_name(flavor.name()), Some(flavor));
