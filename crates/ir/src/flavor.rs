@@ -2,8 +2,8 @@
 //!
 //! The paper (§3, §8) says C support needs "only minor changes to the
 //! parser and scoping rules", and that is all a flavour is here: a
-//! [`Spelling`] table, operator spellings ([`SourceFlavor::op`]) and
-//! function names ([`SourceFlavor::callee`]) read by the one lexer, the
+//! [`Spelling`] table, operator spellings (`SourceFlavor::op`) and
+//! function names (`SourceFlavor::callee`) read by the one lexer, the
 //! one expression parser and the one expression writer, plus a
 //! declaration / statement shell on the parse side ([`crate::parser`],
 //! [`crate::clike`]) and on the print side ([`crate::printer`],

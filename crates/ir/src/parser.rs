@@ -513,7 +513,7 @@ impl<'a> Parser<'a> {
         self.climb(1)
     }
 
-    /// Operands joined by [`infix`] operators of precedence `min` or
+    /// Operands joined by [`BINARY`] operators of precedence `min` or
     /// tighter, each operator applied left to right once its right
     /// operand (whose operators bind tighter still) is read.
     fn climb(&mut self, min: u8) -> Tree<Expr> {

@@ -2,7 +2,7 @@
 //!
 //! Expressions, conditions, lvalues, subscripts and pragmas are written
 //! once, precedence-aware, in the flavour's spellings
-//! ([`SourceFlavor::op`], [`Spelling`](crate::flavor::Spelling)). What
+//! (`SourceFlavor::op`, [`Spelling`](crate::flavor::Spelling)). What
 //! differs per flavour is the declaration and statement shell: the Fortran
 //! one is at the end of this file, the C one is in [`crate::printer_c`].
 //!
