@@ -16,6 +16,12 @@
 //! assignment's own left-hand side are collected separately so the caller
 //! can implement the `z̄ = Σ self-seeds` (or `z̄ = 0`, or — for exact
 //! increments — no statement at all, paper §5.4) rule.
+//!
+//! The partials of `tanh`, `exp` and `sqrt` are functions of the call's
+//! value (`scale_by_partial`). The walker states them over the call
+//! itself; the transform then binds that value to a temporary
+//! (`bind_values`) — taped by the forward sweep where it keeps the
+//! assignment, evaluated once in the backward sweep where it does not.
 
 use std::sync::Arc;
 
@@ -149,29 +155,12 @@ fn walk(
                 let d = Expr::binary(Mul, seed, call1(Intrinsic::Sin, &args[0])).neg();
                 walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
-            Intrinsic::Exp => {
-                let d = Expr::binary(Mul, seed, call1(Intrinsic::Exp, &args[0]));
+            Intrinsic::Exp | Intrinsic::Sqrt | Intrinsic::Tanh => {
+                let d = scale_by_partial(*func, Arc::new(e.clone()), seed, true);
                 walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Log => {
                 let d = Expr::binary(Div, seed, args[0].clone());
-                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
-            }
-            Intrinsic::Sqrt => {
-                let d = Expr::binary(
-                    Div,
-                    seed,
-                    Expr::RealLit(2.0) * call1(Intrinsic::Sqrt, &args[0]),
-                );
-                walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
-            }
-            Intrinsic::Tanh => {
-                let t: Arc<Expr> = call1(Intrinsic::Tanh, &args[0]).into();
-                let d = Expr::binary(
-                    Mul,
-                    seed,
-                    Expr::RealLit(1.0) - Expr::binary(Mul, t.clone(), t),
-                );
                 walk(&args[0], d.into(), lhs, ctx, out, self_seeds);
             }
             Intrinsic::Abs => {
@@ -234,6 +223,170 @@ fn walk(
                 );
             }
         },
+    }
+}
+
+/// `d` scaled by the derivative of `func` at the argument of the call whose
+/// value is `y`, for the intrinsics whose derivative is a function of that
+/// value: `tanh' = 1 − y²`, `exp' = y`, `sqrt' = 1 / (2y)`. `d_first` puts
+/// `d` left of a product, as in the adjoint's `seed · f'`; the tangent
+/// writes `f' · ẋ`.
+pub(crate) fn scale_by_partial(
+    func: Intrinsic,
+    y: Arc<Expr>,
+    d: impl Into<Arc<Expr>>,
+    d_first: bool,
+) -> Expr {
+    let p = match func {
+        Intrinsic::Tanh => Expr::RealLit(1.0) - Expr::binary(BinOp::Mul, y.clone(), y),
+        Intrinsic::Exp => Arc::unwrap_or_clone(y),
+        Intrinsic::Sqrt => return Expr::binary(BinOp::Div, d, Expr::RealLit(2.0) * y),
+        other => unreachable!("`{}` is not a function of its value", other.name()),
+    };
+    match d_first {
+        true => Expr::binary(BinOp::Mul, d, p),
+        false => Expr::binary(BinOp::Mul, p, d),
+    }
+}
+
+/// Temporaries holding the values of `tanh`, `exp` and `sqrt` calls:
+/// `(name, call)`, each after every temporary its call reads. A call in
+/// another's argument is stated through its temporary.
+pub(crate) type Values = Vec<(Name, Expr)>;
+
+/// The name of a temporary for the value of a call to `func`: `ad_tanh0`,
+/// `ad_exp1`, …, numbered from `*next` past every name `taken` refuses.
+pub(crate) fn value_name(func: Intrinsic, next: &mut usize, taken: impl Fn(&Name) -> bool) -> Name {
+    loop {
+        let t = Name::from(format!("ad_{}{}", func.name(), *next));
+        *next += 1;
+        if !taken(&t) {
+            return t;
+        }
+    }
+}
+
+/// Bind calls to `tanh`, `exp` and `sqrt` in the right-hand sides and
+/// conditions of `stmts` to temporaries named by `fresh`, and make `stmts`
+/// read those instead: every such call if `all`, else each one evaluated
+/// more than once. The values come out in the order to define them; a
+/// statement `name = call` gives each the bits the call gave.
+pub(crate) fn bind_values(
+    stmts: &mut [Stmt],
+    all: bool,
+    fresh: &mut dyn FnMut(Intrinsic) -> Name,
+) -> Values {
+    // Bottom-up, so a call is met after those in its argument and compared
+    // shallowly, stated over their stand-ins: a chain of calls costs its
+    // length. Binding all, the stand-in is the temporary; else it is the
+    // placeholder `k` (no identifier is a number) of the call's distinct
+    // form, until the evaluations are counted.
+    let mut values = Values::new();
+    let mut calls: Vec<(Expr, usize)> = Vec::new();
+    for_each_expr(stmts, &mut |e| {
+        *e = e.map(&mut |sub| {
+            let Expr::Call { func, .. } = sub else {
+                return None;
+            };
+            if !is_value_call(sub) {
+                return None;
+            }
+            if all {
+                let k = values.iter().position(|(_, c)| c == sub);
+                let k = k.unwrap_or_else(|| {
+                    values.push((fresh(*func), sub.clone()));
+                    values.len() - 1
+                });
+                return Some(Expr::Var(values[k].0.clone()));
+            }
+            let k = calls.iter().position(|(c, _)| c == sub);
+            let k = k.unwrap_or_else(|| {
+                calls.push((sub.clone(), 0));
+                calls.len() - 1
+            });
+            calls[k].1 += 1;
+            Some(Expr::Var(Name::from(k.to_string())))
+        })
+    });
+    if calls.is_empty() {
+        return values;
+    }
+    // What each placeholder stands for: its temporary, or the call.
+    let mut stands = Vec::with_capacity(calls.len());
+    for (call, evaluations) in calls {
+        let call = unplace(&call, &stands);
+        if evaluations > 1 {
+            let Expr::Call { func, .. } = call else {
+                unreachable!("value calls only")
+            };
+            let t = fresh(func);
+            values.push((t.clone(), call));
+            stands.push(Expr::Var(t));
+        } else {
+            stands.push(call);
+        }
+    }
+    for_each_expr(stmts, &mut |e| *e = unplace(e, &stands));
+    values
+}
+
+/// `e` with the placeholder `k` replaced by `stands[k]`.
+fn unplace(e: &Expr, stands: &[Expr]) -> Expr {
+    e.map(&mut |sub| match sub {
+        Expr::Var(n) => n.parse::<usize>().ok().map(|k| stands[k].clone()),
+        _ => None,
+    })
+}
+
+/// `e` with every call bound in `values` read from its temporary.
+pub(crate) fn read_values(e: &Expr, values: &Values) -> Expr {
+    e.map(&mut |sub| {
+        let bound = values.iter().find(|(_, call)| call == sub);
+        bound.map(|(name, _)| Expr::Var(name.clone()))
+    })
+}
+
+/// A call to `tanh`, `exp` or `sqrt`.
+pub(crate) fn is_value_call(e: &Expr) -> bool {
+    matches!(
+        e,
+        Expr::Call {
+            func: Intrinsic::Tanh | Intrinsic::Exp | Intrinsic::Sqrt,
+            ..
+        }
+    )
+}
+
+/// Every right-hand side and comparison operand in `stmts`, through `if`s.
+fn for_each_expr(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Expr)) {
+    for s in stmts {
+        match s {
+            Stmt::Assign { rhs, .. } | Stmt::AtomicAdd { rhs, .. } => f(rhs),
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+            } => {
+                cond_exprs(cond, f);
+                for_each_expr(then_body, f);
+                for_each_expr(else_body, f);
+            }
+            Stmt::For(_) | Stmt::Push(_) | Stmt::Pop(_) => {}
+        }
+    }
+}
+
+fn cond_exprs(c: &mut BoolExpr, f: &mut impl FnMut(&mut Expr)) {
+    match c {
+        BoolExpr::Cmp { lhs, rhs, .. } => {
+            f(lhs);
+            f(rhs);
+        }
+        BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+            cond_exprs(Arc::make_mut(a), f);
+            cond_exprs(Arc::make_mut(b), f);
+        }
+        BoolExpr::Not(a) => cond_exprs(Arc::make_mut(a), f),
     }
 }
 

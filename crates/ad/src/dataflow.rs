@@ -27,13 +27,21 @@
 //!    with it. The dependents' primal values are not a seed.
 //!
 //! Loops are fix-points in (2) and (3); arrays are tracked by name.
+//!
+//! An assignment (3) keeps whose adjoint statements read a `tanh`, `exp`
+//! or `sqrt` call tapes the call's value instead ([`Plan::tape_values`]):
+//! its adjoint no longer reads the call's operand, so (2) and (3) run
+//! again and drop the pushes and statements that only served that read.
 
 use std::cell::RefCell;
 
 use formad_ir::{BoolExpr, Decl, Expr, ForLoop, FxHashMap, LValue, Name, Program, Stmt};
 
-/// Adjoint statements of one assignment: `(increments, vb-finalization)`.
-pub(crate) type AssignAdjoint = (Vec<Stmt>, Option<Stmt>);
+use crate::adjoint_expr::{is_value_call, Values};
+
+/// Adjoint statements of one assignment: the increments, then the
+/// finalization of the target's adjoint, if any.
+pub(crate) type AssignAdjoint = Vec<Stmt>;
 
 /// A set of declared names, by declaration index. Up to 128 names the
 /// words sit inline, so a node's sets and the analyses' working sets
@@ -80,6 +88,10 @@ impl Bits {
 
     fn insert(&mut self, i: u32) {
         self.words_mut()[i as usize / 64] |= 1 << (i % 64);
+    }
+
+    fn clear(&mut self) {
+        self.words_mut().fill(0);
     }
 
     fn remove(&mut self, i: u32) {
@@ -185,6 +197,15 @@ impl<'a> Names<'a> {
         }
     }
 
+    /// The declared names `stmts` read.
+    fn stmt_reads(&self, stmts: &[Stmt]) -> Bits {
+        let mut into = Bits::new(self.decls.len());
+        for st in stmts {
+            st.walk_exprs(&mut |e| self.read(e, &mut into));
+        }
+        into
+    }
+
     /// The declaration index of `n`.
     fn find(&self, n: &Name) -> Option<u32> {
         let by_text = || {
@@ -225,6 +246,13 @@ pub(crate) struct AssignNode<'a> {
     pub(crate) push: bool,
     /// (3) The forward sweep keeps the statement.
     pub(crate) kept: bool,
+    /// The right-hand side calls `tanh`, `exp` or `sqrt`: the adjoint
+    /// statements may read such a call's value.
+    pub(crate) value_calls: bool,
+    /// The values of the `tanh` / `exp` / `sqrt` calls the adjoint
+    /// statements read, taped where the forward sweep computes them, and
+    /// the primal statement reading them.
+    pub(crate) taped: Option<(Values, Stmt)>,
 }
 
 pub(crate) struct IfNode<'a> {
@@ -257,6 +285,8 @@ pub(crate) struct ForNode<'a> {
 pub(crate) struct Plan<'a> {
     pub(crate) names: Names<'a>,
     pub(crate) body: Vec<Node<'a>>,
+    /// (1)'s members.
+    recomputed: Bits,
 }
 
 impl<'a> Plan<'a> {
@@ -300,23 +330,90 @@ impl<'a> Plan<'a> {
             members: Bits::new(n),
         };
         recompute.block(&mut body);
-        let recomputed = recompute.members;
+        let mut plan = Plan {
+            names,
+            body,
+            recomputed: recompute.members,
+        };
+        plan.decide();
+        plan
+    }
 
-        // (2)
+    /// (2) and (3).
+    fn decide(&mut self) {
+        let n = self.names.decls.len();
         let mut tbr = Tbr {
-            recomputed: &recomputed,
+            recomputed: &self.recomputed,
             used: Bits::new(n),
         };
         let mut recorded = Bits::new(n);
-        tbr.block(&mut body, &mut recorded);
+        tbr.block(&mut self.body, &mut recorded);
         let mut used = tbr.used;
-        close_recompute(&mut body, &mut used);
+        close_recompute(&mut self.body, &mut used);
+        recorded.subtract(&self.recomputed);
+        live_block(&mut self.body, &mut recorded);
+    }
 
-        // (3)
-        recorded.subtract(&recomputed);
-        live_block(&mut body, &mut recorded);
+    /// Let every assignment the forward sweep keeps tape the values of the
+    /// intrinsic calls its adjoint statements read instead of their
+    /// operands: `tape` rewrites the adjoint statements and returns the
+    /// values and the primal statement, or `None` if they read no such
+    /// call. The backward sweep then reads fewer primal names, so (2) and
+    /// (3) run again; that only takes pushes and statements away, and the
+    /// taping assignments stay.
+    pub(crate) fn tape_values(
+        &mut self,
+        mut tape: impl FnMut(&Stmt, &mut AssignAdjoint) -> Option<(Values, Stmt)>,
+    ) {
+        let names = &self.names;
+        let mut any = false;
+        visit_assigns(&mut self.body, &mut |a| {
+            let Some(adjoint) = a.adjoint.as_mut().filter(|_| a.kept && a.value_calls) else {
+                return;
+            };
+            a.taped = tape(a.stmt, adjoint);
+            if a.taped.is_some() {
+                a.adjoint_reads = names.stmt_reads(adjoint);
+                any = true;
+            }
+        });
+        if any {
+            reset(&mut self.body);
+            self.decide();
+        }
+    }
+}
 
-        Plan { names, body }
+/// Every assignment node, in source order.
+fn visit_assigns(nodes: &mut [Node], f: &mut impl FnMut(&mut AssignNode)) {
+    for node in nodes {
+        match node {
+            Node::Assign(a) => f(a),
+            Node::If(i) => {
+                visit_assigns(&mut i.then_body, f);
+                visit_assigns(&mut i.else_body, f);
+            }
+            Node::For(l) => visit_assigns(&mut l.body, f),
+        }
+    }
+}
+
+/// Clear what (2) and (3) decided; (1)'s flags are only narrowed again.
+fn reset(nodes: &mut [Node]) {
+    for node in nodes {
+        match node {
+            Node::Assign(a) => (a.push, a.kept) = (false, false),
+            Node::If(i) => {
+                (i.reversed, i.kept) = (false, false);
+                reset(&mut i.then_body);
+                reset(&mut i.else_body);
+            }
+            Node::For(f) => {
+                f.exit_pushes.clear();
+                (f.reversed, f.kept) = (false, false);
+                reset(&mut f.body);
+            }
+        }
     }
 }
 
@@ -414,7 +511,11 @@ impl<'a> Builder<'a, '_> {
             self.names.reads(ix, &mut index_reads);
         }
         let mut reads = index_reads.clone();
-        self.names.reads(rhs, &mut reads);
+        let mut value_calls = false;
+        rhs.walk(&mut |e| {
+            self.names.read(e, &mut reads);
+            value_calls |= is_value_call(e);
+        });
         if matches!(stmt, Stmt::AtomicAdd { .. }) {
             reads.insert(target);
         }
@@ -431,12 +532,10 @@ impl<'a> Builder<'a, '_> {
             }
         }
         let adjoint = (self.adjoint_of)(stmt);
-        let mut adjoint_reads = Bits::new(self.n);
-        if let Some((incs, fin)) = &adjoint {
-            for st in incs.iter().chain(fin) {
-                st.walk_exprs(&mut |e| self.names.read(e, &mut adjoint_reads));
-            }
-        }
+        let adjoint_reads = match &adjoint {
+            Some(stmts) => self.names.stmt_reads(stmts),
+            None => Bits::new(self.n),
+        };
         Node::Assign(AssignNode {
             stmt,
             lhs,
@@ -449,6 +548,8 @@ impl<'a> Builder<'a, '_> {
             recompute: false,
             push: false,
             kept: false,
+            value_calls,
+            taped: None,
         })
     }
 
@@ -639,7 +740,7 @@ fn live_block(nodes: &mut [Node], live: &mut Bits) -> bool {
     for node in nodes.iter_mut().rev() {
         match node {
             Node::Assign(a) => {
-                a.kept |= a.push || live.contains(a.target);
+                a.kept |= a.push || a.taped.is_some() || live.contains(a.target);
                 if a.kept {
                     if a.scalar {
                         live.remove(a.target);

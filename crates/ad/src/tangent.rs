@@ -11,13 +11,17 @@
 //! third oracle in the test suite: `⟨ȳ, ẏ⟩ = ⟨x̄, ẋ⟩` must hold between
 //! tangent and adjoint results.
 
+use std::cell::RefCell;
+use std::sync::Arc;
+
 use formad_ir::{
-    BinOp, BoolExpr, CmpOp, Expr, ForLoop, Intent, Intrinsic, LValue, Name, ParallelInfo, Program,
-    Stmt, Ty, UnOp,
+    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, Intent, Intrinsic, LValue, Name, ParallelInfo,
+    Program, Stmt, Ty, UnOp,
 };
 
 use formad_analysis::Activity;
 
+use crate::adjoint_expr::{bind_values, scale_by_partial, value_name};
 use crate::options::{AdError, AdjointOptions};
 
 /// Differentiate `p` in forward mode.
@@ -42,6 +46,7 @@ pub fn differentiate_tangent(p: &Program, opts: &AdjointOptions) -> Result<Progr
         prog: p,
         act,
         suffix: "d".to_string(),
+        values: RefCell::default(),
     };
 
     let mut out = Program::new(format!("{}_d", p.name));
@@ -63,6 +68,9 @@ pub fn differentiate_tangent(p: &Program, opts: &AdjointOptions) -> Result<Progr
         }
     }
     out.body = tg.body(&p.body)?;
+    let values = tg.values.into_inner();
+    out.locals
+        .extend(values.into_iter().map(|t| Decl::local(t, Ty::Real)));
     Ok(out)
 }
 
@@ -70,6 +78,8 @@ struct Tangent<'a> {
     prog: &'a Program,
     act: Activity,
     suffix: String,
+    /// The temporaries holding intrinsic values, in the order made.
+    values: RefCell<Vec<Name>>,
 }
 
 impl<'a> Tangent<'a> {
@@ -121,16 +131,20 @@ impl<'a> Tangent<'a> {
                 Ok(())
             }
             Stmt::For(l) => {
+                let made = self.values.borrow().len();
+                let body = self.body(&l.body)?;
                 let mut parallel = l.parallel.clone();
                 if let Some(info) = &mut parallel {
                     self.extend_clauses(info);
+                    info.private
+                        .extend_from_slice(&self.values.borrow()[made..]);
                 }
                 out.push(Stmt::For(Box::new(ForLoop {
                     var: l.var.clone(),
                     lo: l.lo.clone(),
                     hi: l.hi.clone(),
                     step: l.step.clone(),
-                    body: self.body(&l.body)?,
+                    body,
                     parallel,
                 })));
                 Ok(())
@@ -149,16 +163,33 @@ impl<'a> Tangent<'a> {
     }
 
     /// Statements assigning the directional derivative of `e` to `lhs_d`,
-    /// branching on non-smooth intrinsics.
+    /// branching on non-smooth intrinsics. A `tanh` / `exp` / `sqrt` value
+    /// they read twice is evaluated once, into a temporary, first.
     fn tangent_assign(&self, lhs_d: LValue, e: &Expr) -> Vec<Stmt> {
         // Enumerate non-smooth call sites; each gets a branch decision.
         let mut guards: Vec<BoolExpr> = Vec::new();
         collect_guards(e, &mut guards);
-        if guards.is_empty() {
-            return vec![Stmt::assign(lhs_d, self.texpr(e, &[]))];
-        }
-        // 2^k combinations of guard outcomes, nested ifs (k is tiny).
-        self.emit_guarded(lhs_d, e, &guards, &mut Vec::new())
+        let mut stmts = if guards.is_empty() {
+            vec![Stmt::assign(lhs_d, self.texpr(e, &[]))]
+        } else {
+            // 2^k combinations of guard outcomes, nested ifs (k is tiny).
+            self.emit_guarded(lhs_d, e, &guards, &mut Vec::new())
+        };
+        let values = bind_values(&mut stmts, false, &mut |f| self.value_temp(f));
+        let defs = values.into_iter();
+        defs.map(|(t, call)| Stmt::assign(LValue::Var(t), call))
+            .chain(stmts)
+            .collect()
+    }
+
+    /// A new real local for the value of a call to `func`.
+    fn value_temp(&self, func: Intrinsic) -> Name {
+        let mut values = self.values.borrow_mut();
+        let mut next = values.len();
+        let taken = |t: &Name| self.prog.decl(t).is_some() || values.contains(t);
+        let t = value_name(func, &mut next, taken);
+        values.push(t.clone());
+        t
     }
 
     fn emit_guarded(
@@ -243,19 +274,11 @@ impl<'a> Tangent<'a> {
                 Intrinsic::Cos => (Expr::call(Intrinsic::Sin, vec![args[0].clone()])
                     * self.texpr_inner(&args[0], choices, k))
                 .neg(),
-                Intrinsic::Exp => {
-                    Expr::call(Intrinsic::Exp, vec![args[0].clone()])
-                        * self.texpr_inner(&args[0], choices, k)
+                Intrinsic::Exp | Intrinsic::Sqrt | Intrinsic::Tanh => {
+                    let d = self.texpr_inner(&args[0], choices, k);
+                    scale_by_partial(*func, Arc::new(e.clone()), d, false)
                 }
                 Intrinsic::Log => self.texpr_inner(&args[0], choices, k) / args[0].clone(),
-                Intrinsic::Sqrt => {
-                    self.texpr_inner(&args[0], choices, k)
-                        / (Expr::real(2.0) * Expr::call(Intrinsic::Sqrt, vec![args[0].clone()]))
-                }
-                Intrinsic::Tanh => {
-                    let t = Expr::call(Intrinsic::Tanh, vec![args[0].clone()]);
-                    (Expr::real(1.0) - t.clone() * t) * self.texpr_inner(&args[0], choices, k)
-                }
                 Intrinsic::Abs | Intrinsic::Min | Intrinsic::Max => {
                     let choice = choices[*k];
                     *k += 1;
@@ -392,6 +415,36 @@ end subroutine
             text.contains("yd(i) = xd(i) * x(i) + x(i) * xd(i)"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn tanh_is_evaluated_once() {
+        let t = tangent(
+            r#"
+subroutine th(n, x, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, y)
+  do i = 1, n
+    y(i) = tanh(x(i))
+  end do
+end subroutine
+"#,
+            &["x"],
+            &["y"],
+        );
+        let text = program_to_string(&t);
+        assert!(text.contains("ad_tanh0 = tanh(x(i))"), "{text}");
+        assert!(
+            text.contains("yd(i) = (1.0 - ad_tanh0 * ad_tanh0) * xd(i)"),
+            "{text}"
+        );
+        // The tangent's evaluation and the primal's.
+        assert_eq!(text.matches("tanh(").count(), 2, "{text}");
+        assert!(text.contains("private(ad_tanh0)"), "{text}");
+        assert!(t.locals.iter().any(|d| d.name == "ad_tanh0"), "{text}");
     }
 
     #[test]

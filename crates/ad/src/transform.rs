@@ -27,8 +27,19 @@
 //! push nor the backward sweep reads. For a kernel that is linear in its
 //! active data nothing of the forward sweep survives, so its adjoint
 //! costs about what the primal does; a kernel whose partial derivatives
-//! read overwritten primal values (GFMC's `tanh`) keeps that part of the
-//! primal and its tape.
+//! read primal values the primal computes (GFMC's `tanh`) keeps that part
+//! of the primal and its tape.
+//!
+//! The partials of `tanh`, `exp` and `sqrt` are functions of the call's
+//! value. Where the forward sweep keeps an assignment whose adjoint reads
+//! one, it evaluates the call once into a private real temporary
+//! (`ad_tanh0`), pushes that, and the primal statement reads it; the
+//! backward sweep pops it instead of calling again, and no longer reads
+//! the operand, whose push goes (GFMC's `cr = tanh(cr) + …` tapes the
+//! `tanh`, not `cr`). Where the forward sweep drops the assignment, the
+//! backward sweep binds a call its partials evaluate more than once to a
+//! temporary, so `tanh'` costs one `tanh`. The temporaries are private in
+//! both sweeps' parallel loops and in the gather loops.
 //!
 //! The generated subroutine computes adjoints only. The primal's outputs
 //! are **not** returned by it: run the primal for the value.
@@ -38,11 +49,13 @@ use std::sync::Arc;
 
 use formad_analysis::Activity;
 use formad_ir::{
-    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, FxHashMap, FxHashSet, Intent, LValue, Name,
-    ParallelInfo, Program, RedOp, Stmt, Ty,
+    BinOp, BoolExpr, CmpOp, Decl, Expr, ForLoop, FxHashMap, FxHashSet, Intent, Intrinsic, LValue,
+    Name, ParallelInfo, Program, RedOp, Stmt, Ty,
 };
 
-use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
+use crate::adjoint_expr::{
+    adjoint_of_assign, bind_values, read_values, value_name, AdjCtx, Values,
+};
 use crate::dataflow::{AssignAdjoint, ByAlloc, ForNode, Names, Node, Plan};
 use crate::options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
 use crate::transpose::{plan_transpose, RegionWrites};
@@ -57,9 +70,12 @@ pub struct AdjointStats {
     pub fwd_kept: usize,
     /// Primal statements the forward sweep drops.
     pub fwd_dropped: usize,
-    /// `push` statements in the forward sweep: overwritten values,
-    /// scalars saved where a parallel iteration ends, branch flags.
+    /// `push` statements in the forward sweep of overwritten values,
+    /// scalars saved where a parallel iteration ends, and branch flags.
     pub push_sites: usize,
+    /// `push` statements in the forward sweep of `tanh` / `exp` / `sqrt`
+    /// values, taped instead of their operands.
+    pub value_pushes: usize,
     /// Scalars re-assigned at the head of a reversed loop body instead of
     /// being taped, in declaration order.
     pub recomputed: Vec<String>,
@@ -73,10 +89,11 @@ impl fmt::Display for AdjointStats {
         write!(
             f,
             "forward sweep keeps {} of {} statements / {} push sites / \
-             {} branches re-evaluated / recomputed: {}",
+             {} intrinsic values pushed / {} branches re-evaluated / recomputed: {}",
             self.fwd_kept,
             self.fwd_kept + self.fwd_dropped,
             self.push_sites,
+            self.value_pushes,
             self.branches_reevaluated,
             if self.recomputed.is_empty() {
                 "none".to_string()
@@ -145,7 +162,11 @@ pub fn differentiate_validated(
     }
 
     let mut xf = Xform::new(p, act, opts)?;
-    let Plan { names, mut body } = Plan::build(p, |s| xf.stmt_adjoint(s));
+    let mut plan = Plan::build(p, |s| xf.stmt_adjoint(s));
+    plan.tape_values(|s, adjoint| xf.tape_values(s, adjoint));
+    let Plan {
+        names, mut body, ..
+    } = plan;
     let fwd = xf.fwd_sweep(&names, &body);
     let bwd = xf.bwd_sweep(&names, &mut body)?;
 
@@ -192,6 +213,11 @@ struct Xform<'a> {
     primals: FxHashMap<Name, Name>,
     opts: &'a AdjointOptions,
     branch_counter: usize,
+    /// Temporaries named for intrinsic values so far.
+    value_counter: usize,
+    /// The taped value temporaries of the parallel loop being emitted in
+    /// the forward sweep.
+    region_temps: Vec<Name>,
     new_locals: Vec<Decl>,
     stats: AdjointStats,
     region_stats: Vec<AdjointStats>,
@@ -222,6 +248,8 @@ impl<'a> Xform<'a> {
             primals,
             opts,
             branch_counter: 0,
+            value_counter: 0,
+            region_temps: Vec::new(),
             new_locals: Vec::new(),
             stats: AdjointStats::default(),
             region_stats: vec![AdjointStats::default(); p.parallel_loop_count()],
@@ -254,7 +282,7 @@ impl<'a> Xform<'a> {
         let ctx = AdjCtx {
             adjoint_of: &|n: &str| self.adjoint_of(n),
         };
-        let adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
+        let mut adj = adjoint_of_assign(lhs, rhs, &seed, &ctx);
         let finalize = if adj.self_seeds.is_empty() {
             Some(Stmt::assign(adjoint_lv, Expr::real(0.0)))
         } else if adj.self_seeds.len() == 1 && *adj.self_seeds[0] == seed {
@@ -267,7 +295,36 @@ impl<'a> Xform<'a> {
             let sum = seeds.fold(Arc::unwrap_or_clone(first), |sum, s| sum + s);
             Some(Stmt::assign(adjoint_lv, sum))
         };
-        (adj.increments, finalize)
+        adj.increments.extend(finalize);
+        adj.increments
+    }
+
+    /// The forward sweep keeps `stmt`: bind every `tanh` / `exp` / `sqrt`
+    /// call its adjoint statements read to a temporary the forward sweep
+    /// tapes, and state `stmt` over the temporaries. `None` if there is
+    /// no such call.
+    fn tape_values(&mut self, stmt: &Stmt, adjoint: &mut AssignAdjoint) -> Option<(Values, Stmt)> {
+        let values = bind_values(adjoint, true, &mut |f| self.value_temp(f));
+        if values.is_empty() {
+            return None;
+        }
+        let stmt = match stmt {
+            Stmt::Assign { lhs, rhs } => Stmt::assign(lhs.clone(), read_values(rhs, &values)),
+            Stmt::AtomicAdd { lhs, rhs } => Stmt::AtomicAdd {
+                lhs: lhs.clone(),
+                rhs: read_values(rhs, &values),
+            },
+            _ => unreachable!("only assignments have adjoint statements"),
+        };
+        Some((values, stmt))
+    }
+
+    /// A new real local for the value of a call to `func`.
+    fn value_temp(&mut self, func: Intrinsic) -> Name {
+        let taken = |t: &Name| self.prog.decl(t).is_some() || self.primals.contains_key(t);
+        let t = value_name(func, &mut self.value_counter, taken);
+        self.new_locals.push(Decl::local(t.clone(), Ty::Real));
+        t
     }
 
     /// Adjoint statements of an assignment-like primal statement whose
@@ -315,11 +372,23 @@ impl<'a> Xform<'a> {
             match node {
                 Node::Assign(a) => {
                     if a.kept {
+                        let mut stmt = a.stmt;
+                        if let Some((values, taped)) = &a.taped {
+                            self.count(|s| s.value_pushes += values.len());
+                            for (t, call) in values {
+                                out.push(Stmt::assign(LValue::Var(t.clone()), call.clone()));
+                                out.push(Stmt::Push(Expr::Var(t.clone())));
+                                if self.region.is_some() {
+                                    self.region_temps.push(t.clone());
+                                }
+                            }
+                            stmt = taped;
+                        }
                         if a.push {
                             self.count(|s| s.push_sites += 1);
                             out.push(Stmt::Push(a.lhs.as_expr()));
                         }
-                        out.push(a.stmt.clone());
+                        out.push(stmt.clone());
                     }
                     self.count_fwd(a.kept);
                 }
@@ -354,10 +423,17 @@ impl<'a> Xform<'a> {
                         xf.count(|s| s.push_sites += 1);
                         body.push(Stmt::Push(Expr::Var(names.name(v).clone())));
                     }
+                    let temps = match f.region {
+                        Some(_) => std::mem::take(&mut xf.region_temps),
+                        None => Vec::new(),
+                    };
                     let parallel = if xf.opts.parallel.is_serial() {
                         None
                     } else {
-                        f.l.parallel.clone()
+                        f.l.parallel.clone().map(|mut info| {
+                            info.private.extend(temps);
+                            info
+                        })
                     };
                     out.push(Stmt::For(Box::new(ForLoop {
                         var: f.l.var.clone(),
@@ -396,9 +472,23 @@ impl<'a> Xform<'a> {
                     if a.push {
                         out.push(Stmt::Pop(a.lhs.clone()));
                     }
-                    if let Some((incs, fin)) = a.adjoint.take() {
-                        out.extend(incs);
-                        out.extend(fin);
+                    if let Some(mut adjoint) = a.adjoint.take() {
+                        match &a.taped {
+                            Some((values, _)) => {
+                                let pops = values.iter().rev();
+                                out.extend(pops.map(|(t, _)| Stmt::Pop(LValue::Var(t.clone()))));
+                            }
+                            None if a.value_calls => {
+                                let temp = &mut |f| self.value_temp(f);
+                                let values = bind_values(&mut adjoint, false, temp);
+                                let defs = values.into_iter();
+                                out.extend(
+                                    defs.map(|(t, call)| Stmt::assign(LValue::Var(t), call)),
+                                );
+                            }
+                            None => {}
+                        }
+                        out.extend(adjoint);
                     }
                 }
                 Node::If(i) => {
@@ -530,7 +620,7 @@ impl<'a> Xform<'a> {
     /// must additionally vouch for gather-disjointness structurally;
     /// per-array mode only arrives here with a proved verdict.
     fn apply_transposed(
-        &self,
+        &mut self,
         region: usize,
         l: &ForLoop,
         mut body: Vec<Stmt>,
@@ -580,7 +670,7 @@ impl<'a> Xform<'a> {
                 })
             };
             if body.iter().filter(|s| is_scatter(s)).count() == plan.contributions {
-                gathers.extend(plan.gather_loops());
+                gathers.extend(plan.gather_loops(&mut |f| self.value_temp(f)));
                 body.retain(|s| !is_scatter(s));
             } else {
                 // The emitted body disagrees with the plan's accounting:
@@ -588,7 +678,39 @@ impl<'a> Xform<'a> {
                 fallback.insert(p);
             }
         }
+        if !gathers.is_empty() {
+            self.drop_unread_values(&mut body);
+        }
         (gathers, body, fallback)
+    }
+
+    /// Delete the value temporaries of `body` that no later statement
+    /// reads — their readers were scatters a gather loop replaced — and
+    /// their declarations. A temporary is defined before its readers.
+    fn drop_unread_values(&mut self, body: &mut Vec<Stmt>) {
+        let mut read = FxHashSet::default();
+        let mut kept = Vec::with_capacity(body.len());
+        for s in body.drain(..).rev() {
+            if let Stmt::Assign {
+                lhs: LValue::Var(t),
+                ..
+            } = &s
+            {
+                let temp = self.prog.decl(t).is_none() && !self.primals.contains_key(t);
+                if temp && !read.contains(t) {
+                    self.new_locals.retain(|d| d.name != *t);
+                    continue;
+                }
+            }
+            s.walk_exprs(&mut |e| {
+                if let Expr::Var(n) = e {
+                    read.insert(n.clone());
+                }
+            });
+            kept.push(s);
+        }
+        kept.reverse();
+        *body = kept;
     }
 
     /// Build the data-sharing clauses of an adjoint parallel loop and apply
@@ -1108,6 +1230,7 @@ end subroutine
             fwd_kept: kept,
             fwd_dropped: dropped,
             push_sites: pushes,
+            value_pushes: 0,
             recomputed: recomputed.iter().map(|s| s.to_string()).collect(),
             branches_reevaluated: 0,
         };
@@ -1277,6 +1400,57 @@ end subroutine
     }
 
     #[test]
+    fn a_chain_of_calls_is_bound_one_temporary_per_call() {
+        // Each `tanh'` reads its value twice and every inner call sits in
+        // the argument of an outer one: 200 temporaries, each defined over
+        // the one before, and an adjoint whose size is the chain's.
+        let chain = (0..200).fold("x(i)".to_string(), |e, _| format!("tanh({e})"));
+        let src = format!(
+            "subroutine c(n, x, y)\n  integer, intent(in) :: n\n  real, intent(in) :: x(n)\n  \
+             real, intent(inout) :: y(n)\n  integer :: i\n  do i = 1, n\n    y(i) = {chain}\n  \
+             end do\nend subroutine\n"
+        );
+        let text = program_to_string(&diff(&src, &["x"], &["y"], ParallelTreatment::Serial));
+        assert_eq!(text.matches("tanh(").count(), 200, "{text}");
+        assert!(text.contains("ad_tanh0 = tanh(x(i))"), "{text}");
+        assert!(text.contains("ad_tanh199 = tanh(ad_tanh198)"), "{text}");
+        assert!(text.len() < 20_000, "{} bytes", text.len());
+    }
+
+    #[test]
+    fn transposed_mode_leaves_no_temporary_its_gather_took_the_reader_of() {
+        let src = r#"
+subroutine sh(n, x, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n + 1)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, y)
+  do i = 1, n
+    y(i) = y(i) + tanh(x(i + 1))
+  end do
+end subroutine
+"#;
+        let adj = diff(
+            src,
+            &["x"],
+            &["y"],
+            ParallelTreatment::Uniform(IncMode::Transposed),
+        );
+        let text = program_to_string(&adj);
+        // The gather loop alone: no residual reversed loop evaluating a
+        // value nobody reads, and one declared temporary.
+        assert_eq!(text.matches("do i =").count(), 1, "{text}");
+        assert!(text.contains("do i = 2, n + 1"), "{text}");
+        assert_eq!(text.matches("tanh(").count(), 1, "{text}");
+        let temps: Vec<&str> = (adj.locals.iter())
+            .map(|d| d.name.as_str())
+            .filter(|n| n.starts_with("ad_tanh"))
+            .collect();
+        assert_eq!(temps.len(), 1, "{text}");
+    }
+
+    #[test]
     fn transposed_mode_falls_back_to_atomic_on_indirect_map() {
         let src = r#"
 subroutine ind(n, x, y, c)
@@ -1327,6 +1501,78 @@ end subroutine
         );
         let text = program_to_string(&adj);
         assert!(text.contains("!$omp atomic"), "{text}");
+    }
+
+    /// `f` of an operand in a loop over `i` that runs twice, parallel or
+    /// not. `overwrite`: `y(i) = f(y(i)) + 0.5 * x(i)`, which the forward
+    /// sweep keeps; else `y(i) = f(x(i)) * x(i)`, which it drops.
+    fn value_program(f: &str, parallel: bool, overwrite: bool) -> String {
+        let pragma = if parallel {
+            "!$omp parallel do shared(x, y)"
+        } else {
+            ""
+        };
+        let stmt = if overwrite {
+            format!("y(i) = {f}(y(i)) + 0.5 * x(i)")
+        } else {
+            format!("y(i) = {f}(x(i)) * x(i)")
+        };
+        format!(
+            "subroutine v(n, x, y)\n  integer, intent(in) :: n\n  real, intent(in) :: x(n)\n  \
+             real, intent(inout) :: y(n)\n  integer :: i, rep\n  do rep = 1, 2\n    {pragma}\n    \
+             do i = 1, n\n      {stmt}\n    end do\n  end do\nend subroutine\n"
+        )
+    }
+
+    fn value_adjoint(f: &str, parallel: bool, overwrite: bool) -> (String, AdjointStats) {
+        let p = parse_program(&value_program(f, parallel, overwrite)).unwrap();
+        let opts = AdjointOptions::new(&["x"], &["y"], ParallelTreatment::Uniform(IncMode::Plain));
+        let adj = differentiate(&p, &opts).unwrap();
+        (program_to_string(&adj.program), adj.stats)
+    }
+
+    #[test]
+    fn a_kept_self_overwrite_tapes_the_intrinsic_value() {
+        for f in ["tanh", "exp", "sqrt"] {
+            for parallel in [true, false] {
+                let (text, stats) = value_adjoint(f, parallel, true);
+                let t = format!("ad_{f}0");
+                assert!(text.contains(&format!("{t} = {f}(y(i))")), "{text}");
+                assert!(text.contains(&format!("call push({t})")), "{text}");
+                assert!(text.contains(&format!("y(i) = {t} + 0.5 * x(i)")), "{text}");
+                assert!(text.contains(&format!("call pop({t})")), "{text}");
+                // The operand is not taped, and only the forward sweep
+                // calls the intrinsic.
+                assert!(!text.contains("push(y("), "{text}");
+                assert_eq!(text.matches(&format!("{f}(")).count(), 1, "{text}");
+                assert_eq!((stats.value_pushes, stats.push_sites), (1, 0), "{text}");
+                let pragmas: Vec<&str> = text.lines().filter(|l| l.contains("!$omp")).collect();
+                assert_eq!(pragmas.len(), if parallel { 2 } else { 0 }, "{text}");
+                for p in pragmas {
+                    assert!(p.contains("private(") && p.contains(&t), "{p}\n{text}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_dropped_assignment_evaluates_the_intrinsic_once() {
+        for f in ["tanh", "exp", "sqrt"] {
+            for parallel in [true, false] {
+                let (text, stats) = value_adjoint(f, parallel, false);
+                assert_eq!(stats.fwd_kept, 0, "{text}");
+                assert_eq!(stats.value_pushes, 0, "{text}");
+                assert!(!text.contains("push"), "{text}");
+                // The partial reads the value twice, the product rule once
+                // more: one evaluation, bound to a backward temporary.
+                assert_eq!(text.matches(&format!("{f}(")).count(), 1, "{text}");
+                assert!(text.contains(&format!("ad_{f}0 = {f}(x(i))")), "{text}");
+                if parallel {
+                    let pragma = text.lines().find(|l| l.contains("!$omp")).unwrap();
+                    assert!(pragma.contains(&format!("private(ad_{f}0)")), "{text}");
+                }
+            }
+        }
     }
 
     #[test]

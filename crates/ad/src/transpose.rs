@@ -34,11 +34,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use formad_ir::{
-    expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, FxHashSet, LValue, Name, ParallelInfo,
-    Program, Stmt, Ty, UnOp,
+    expr_to_string, BinOp, BoolExpr, CmpOp, Expr, ForLoop, FxHashSet, Intrinsic, LValue, Name,
+    ParallelInfo, Program, Stmt, Ty, UnOp,
 };
 
-use crate::adjoint_expr::{adjoint_of_assign, AdjCtx};
+use crate::adjoint_expr::{adjoint_of_assign, bind_values, AdjCtx};
 
 /// Largest literal-offset spread fused into a single gather loop. Larger
 /// gaps would make every gather iteration evaluate (and reject) guards for
@@ -664,18 +664,25 @@ impl TransposePlan {
     }
 
     /// The gather loops, to run *before* the residual reversed loop (they
-    /// read region-entry seed adjoint values).
-    pub fn gather_loops(&self) -> Vec<Stmt> {
+    /// read region-entry seed adjoint values). A `tanh` / `exp` / `sqrt`
+    /// value a contribution reads twice is evaluated once, into a private
+    /// real temporary named by `fresh`.
+    pub fn gather_loops(&self, fresh: &mut dyn FnMut(Intrinsic) -> Name) -> Vec<Stmt> {
         let own: Arc<[Expr]> = [Expr::var(&self.var)].into();
         self.clusters
             .iter()
-            .map(|c| self.gather_loop(c, &own))
+            .map(|c| self.gather_loop(c, &own, fresh))
             .collect()
     }
 
     /// The loop of one cluster; `own` is the element an iteration owns,
     /// `[i]`.
-    fn gather_loop(&self, cl: &Cluster, own: &Arc<[Expr]>) -> Stmt {
+    fn gather_loop(
+        &self,
+        cl: &Cluster,
+        own: &Arc<[Expr]>,
+        fresh: &mut dyn FnMut(Intrinsic) -> Name,
+    ) -> Stmt {
         let (var, lo, last) = (&self.var, &self.lo, &self.last);
         let (coef, d_min, d_max) = (cl.coef, cl.d_min, cl.d_max);
         let syms = &self.contribs[cl.members[0]].aff.syms;
@@ -691,6 +698,7 @@ impl TransposePlan {
         };
 
         let mut body: Vec<Stmt> = Vec::new();
+        let mut private: Vec<Name> = Vec::new();
         for &k in &cl.members {
             let c = &self.contribs[k];
             let d = c.aff.lit;
@@ -707,7 +715,17 @@ impl TransposePlan {
                 Expr::Var(n) if n == var => Some(inverse.clone()),
                 _ => fold_lits(e),
             });
-            let inc = Stmt::increment(LValue::index(&self.adjoint, own.clone()), value);
+            let mut member = vec![Stmt::increment(
+                LValue::index(&self.adjoint, own.clone()),
+                value,
+            )];
+            let values = bind_values(&mut member, false, fresh);
+            if !values.is_empty() {
+                private.extend(values.iter().map(|(t, _)| t.clone()));
+                let defs = values.into_iter();
+                let defs = defs.map(|(t, call)| Stmt::assign(LValue::Var(t), call));
+                member.splice(0..0, defs);
+            }
             // One-sided edge guards: only needed where the member's own
             // band is narrower than the cluster's.
             let lo_g = (d > d_min).then(|| BoolExpr::cmp(CmpOp::Ge, Expr::var(var), first(d)));
@@ -716,14 +734,14 @@ impl TransposePlan {
                 (Some(lo_g), Some(hi_g)) => Some(BoolExpr::And(lo_g.into(), hi_g.into())),
                 (lo_g, hi_g) => lo_g.or(hi_g),
             };
-            body.push(match guard {
-                None => inc,
-                Some(cond) => Stmt::If {
+            match guard {
+                None => body.extend(member),
+                Some(cond) => body.push(Stmt::If {
                     cond,
-                    then_body: vec![inc],
+                    then_body: member,
                     else_body: Vec::new(),
-                },
-            });
+                }),
+            }
         }
 
         // Each iteration writes only its own element: plain shared
@@ -737,9 +755,12 @@ impl TransposePlan {
             });
         }
         referenced.remove(var);
+        for t in &private {
+            referenced.remove(t);
+        }
         let info = ParallelInfo {
             shared: referenced.into_iter().collect(),
-            private: Vec::new(),
+            private,
             reductions: Vec::new(),
         };
         // Loop bounds covering the union of the members' write bands.
@@ -856,6 +877,10 @@ mod tests {
         s
     }
 
+    fn gathers(p: &TransposePlan) -> Vec<Stmt> {
+        p.gather_loops(&mut |f| format!("ad_{}", f.name()).into())
+    }
+
     /// A `y = f(x)` kernel: `body` (statements on lines) in one parallel
     /// `do i = 1, n, step`, `y` of the given intent.
     fn xy(y_intent: &str, step: i64, body: &str) -> String {
@@ -876,7 +901,7 @@ mod tests {
         let ob = p.obligations();
         assert!(ob.cross_iter.is_empty() && ob.same_iter.is_empty());
         assert!(p.forced_safe());
-        let text = body_text(&p.gather_loops());
+        let text = body_text(&gathers(&p));
         assert!(text.contains("do i = 2, n + 1"), "{text}");
         assert!(text.contains("xb(i) = xb(i) + yb(i - 1)"), "{text}");
         assert!(!text.contains("if"), "{text}");
@@ -895,7 +920,7 @@ mod tests {
         assert_eq!(ob.cross_iter.len(), 1);
         assert!(ob.same_iter.is_empty());
         assert!(p.forced_safe());
-        let text = body_text(&p.gather_loops());
+        let text = body_text(&gathers(&p));
         assert!(text.contains("do i = 1, n + 2"), "{text}");
         assert!(text.contains("if (i .le. n) then"), "{text}");
         assert!(text.contains("if (i .ge. 3) then"), "{text}");
@@ -904,11 +929,24 @@ mod tests {
     }
 
     #[test]
+    fn gather_evaluates_a_tanh_value_once() {
+        let p = plan(&xy("out", 1, "y(i) = tanh(x(i + 1))"), "x").unwrap();
+        let text = body_text(&gathers(&p));
+        assert!(text.contains("private(ad_tanh)"), "{text}");
+        assert!(text.contains("ad_tanh = tanh(x(i))"), "{text}");
+        assert!(
+            text.contains("xb(i) = xb(i) + yb(i - 1) * (1.0 - ad_tanh * ad_tanh)"),
+            "{text}"
+        );
+        assert_eq!(text.matches("tanh(").count(), 1, "{text}");
+    }
+
+    #[test]
     fn reversed_map_inverts() {
         let src = &xy("out", 1, "y(i) = x(n + 1 - i)");
         let p = plan(src, "x").unwrap();
         assert_eq!(p.gather_loop_count(), 1);
-        let text = body_text(&p.gather_loops());
+        let text = body_text(&gathers(&p));
         assert!(text.contains("do i = n + 1 - n, n + 1 - 1"), "{text}");
         assert!(text.contains("xb(i) = xb(i) + yb(n + 1 - i)"), "{text}");
         assert!(p.forced_safe());
@@ -918,7 +956,7 @@ mod tests {
     fn strided_loop_keeps_step() {
         let src = &xy("out", 3, "y(i) = x(i + 1)");
         let p = plan(src, "x").unwrap();
-        let text = body_text(&p.gather_loops());
+        let text = body_text(&gathers(&p));
         assert!(text.contains(", 3"), "gather keeps the stride: {text}");
         assert!(text.contains("do i = 2, "), "{text}");
     }

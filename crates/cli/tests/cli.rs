@@ -830,7 +830,7 @@ fn adjoint_statistics_reach_stderr_explain_and_the_trace() {
     let f = write_temp("gather.f90", GATHER_F);
     let file = f.to_str().unwrap();
     let line = "forward sweep keeps 0 of 4 statements / 0 push sites / \
-                1 branches re-evaluated / recomputed: t";
+                0 intrinsic values pushed / 1 branches re-evaluated / recomputed: t";
 
     // `adjoint`: one stderr line beside the search-core line.
     let (out, err, ok) = formad(&["adjoint", file, "--wrt", "x", "--of", "y"]);

@@ -392,6 +392,7 @@ impl TraceEvent {
                 o.num("fwd_kept", stats.fwd_kept as u64);
                 o.num("fwd_dropped", stats.fwd_dropped as u64);
                 o.num("push_sites", stats.push_sites as u64);
+                o.num("value_pushes", stats.value_pushes as u64);
                 o.str_list("recomputed", &stats.recomputed);
                 o.num("branches_reevaluated", stats.branches_reevaluated as u64);
             }
@@ -969,6 +970,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
                     "fwd_kept",
                     "fwd_dropped",
                     "push_sites",
+                    "value_pushes",
                     "branches_reevaluated",
                 ] {
                     need_num(e, f, &at)?;
@@ -1157,6 +1159,7 @@ mod tests {
             fwd_kept: 0,
             fwd_dropped: 2,
             push_sites: 0,
+            value_pushes: 0,
             recomputed: vec!["t".into()],
             branches_reevaluated: 1,
         };
@@ -1182,7 +1185,7 @@ mod tests {
             doc.contains(
                 "{\"ev\": \"adjoint\", \"id\": \"r0/adjoint\", \"region\": 0, \
                  \"fwd_kept\": 0, \"fwd_dropped\": 2, \"push_sites\": 0, \
-                 \"recomputed\": [\"t\"], \"branches_reevaluated\": 1}"
+                 \"value_pushes\": 0, \"recomputed\": [\"t\"], \"branches_reevaluated\": 1}"
             ),
             "{doc}"
         );
@@ -1196,7 +1199,7 @@ mod tests {
         assert!(
             text.contains(
                 "adjoint of region 0: forward sweep keeps 0 of 2 statements / 0 push sites / \
-                 1 branches re-evaluated / recomputed: t"
+                 0 intrinsic values pushed / 1 branches re-evaluated / recomputed: t"
             ),
             "{text}"
         );

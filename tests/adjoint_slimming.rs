@@ -57,6 +57,7 @@ fn assert_keeps_nothing(
             fwd_kept: 0,
             fwd_dropped: stmts,
             push_sites: 0,
+            value_pushes: 0,
             recomputed: own(recomputed),
             branches_reevaluated: branches,
         },
@@ -140,20 +141,32 @@ fn green_gauss_recomputes_its_gather_indices_in_the_reversed_edge_loop() {
 #[test]
 fn gfmc_star_keeps_what_tanh_needs() {
     // The fused variant: one region, `cr` overwritten by `tanh(cr)` in
-    // four statements of the same loop.
+    // four statements of the same loop. The forward sweep tapes the four
+    // `tanh` values, not the `cr` they overwrite.
     let primal = GfmcCase::new(8, 1).ir_star();
     let (text, stats) = formad_adjoint(&primal, GfmcCase::independents(), GfmcCase::dependents());
     assert_eq!(stats.fwd_dropped, 0, "{text}");
     assert_eq!(stats.fwd_kept, 17, "{text}");
-    assert_eq!(stats.push_sites, 4, "{text}");
+    assert_eq!((stats.push_sites, stats.value_pushes), (0, 4), "{text}");
     assert_eq!(
         stats.recomputed,
         own(&["idd", "iud", "idu", "iuu", "kk"]),
         "{text}"
     );
-    assert_eq!(text.matches("call push(cr(").count(), 4, "{text}");
-    assert_eq!(text.matches("call pop(cr(").count(), 4, "{text}");
+    for (k, row) in ["idd", "iud", "idu", "iuu"].iter().enumerate() {
+        let t = format!("ad_tanh{k}");
+        assert!(
+            text.contains(&format!("{t} = tanh(cr({row}, j))")),
+            "{text}"
+        );
+        assert!(text.contains(&format!("call push({t})")), "{text}");
+        assert!(text.contains(&format!("call pop({t})")), "{text}");
+    }
     assert_eq!(text.matches("call push(").count(), 4, "{text}");
+    assert_eq!(text.matches("call pop(").count(), 4, "{text}");
+    assert!(!text.contains("push(cr("), "{text}");
+    let backward = &text[text.find("do rep = nrep, 1, -1").expect("reversed loop")..];
+    assert!(!backward.contains("tanh("), "{text}");
 }
 
 // ---------------------------------------------------------------------

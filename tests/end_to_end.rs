@@ -117,10 +117,11 @@ fn adjoint_skips_primal_work_the_derivative_does_not_need() {
     assert_eq!(b_all.get_real_array("uoldb"), b_adj.get_real_array("uoldb"));
 }
 
-/// GFMC's spin flip is `cr = tanh(cr) + …`: the derivative of `tanh`
-/// reads the `cr` the statement overwrites, and that `cr` depends on the
-/// exchange region before it. Both forward regions stay, and the one
-/// value the backward sweep cannot get otherwise is taped.
+/// GFMC's spin flip is `cr = tanh(cr) + …`: the derivative of `tanh` is
+/// a function of the `tanh` value, which depends on the exchange region
+/// before it. Both forward regions stay, and the forward sweep tapes that
+/// value, not the `cr` the statement overwrites, so the backward sweep
+/// calls `tanh` no more.
 #[test]
 fn adjoint_keeps_primal_work_the_derivative_needs() {
     let case = GfmcCase::new(8, 2);
@@ -136,8 +137,16 @@ fn adjoint_keeps_primal_work_the_derivative_needs() {
     assert!(text.contains("do k12 = 1, np"), "{text}");
     assert!(text.contains("do i = 1, ns"), "{text}");
     assert_eq!(text.matches("call push(").count(), 1, "{text}");
-    assert!(text.contains("call push(cr(i, j))"), "{text}");
+    assert!(text.contains("ad_tanh0 = tanh(cr(i, j))"), "{text}");
+    assert!(text.contains("call push(ad_tanh0)"), "{text}");
+    assert!(
+        text.contains("cr(i, j) = ad_tanh0 + xf * cl(i, j)"),
+        "{text}"
+    );
     assert_eq!(text.matches("call pop(").count(), 1, "{text}");
+    assert!(text.contains("call pop(ad_tanh0)"), "{text}");
+    let backward = &text[text.find("do rep = nrep, 1, -1").expect("reversed loop")..];
+    assert!(!backward.contains("tanh("), "{text}");
 
     // The forward sweep is the primal here, so the primal's outputs come
     // out of the adjoint run as well — a by-product, not the contract.
