@@ -17,9 +17,10 @@ use formad_machine::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// `f` of an operand in a loop over `i` that runs twice, parallel or not.
-/// `overwrite`: `y(i) = f(y(i)) + 0.5 * x(i)`, which the forward sweep
-/// keeps; else `y(i) = f(x(i)) * x(i)`, which it drops.
+/// `f` of an operand (`f` names its operand `@`) in a loop over `i` that
+/// runs twice, parallel or not. `overwrite`: `y(i) = f(y(i)) + 0.5 *
+/// x(i)`, which the forward sweep keeps; else `y(i) = f(x(i)) * x(i)`,
+/// which it drops.
 fn source(f: &str, parallel: bool, overwrite: bool) -> String {
     let pragma = if parallel {
         "!$omp parallel do shared(x, y)"
@@ -27,9 +28,9 @@ fn source(f: &str, parallel: bool, overwrite: bool) -> String {
         ""
     };
     let stmt = if overwrite {
-        format!("y(i) = {f}(y(i)) + 0.5 * x(i)")
+        format!("y(i) = {} + 0.5 * x(i)", f.replace('@', "y(i)"))
     } else {
-        format!("y(i) = {f}(x(i)) * x(i)")
+        format!("y(i) = {} * x(i)", f.replace('@', "x(i)"))
     };
     format!(
         "subroutine v(n, x, y)\n  integer, intent(in) :: n\n  real, intent(in) :: x(n)\n  \
@@ -73,7 +74,8 @@ fn value_adjoints_pass_the_dot_test_and_agree_across_backends() {
     let mut rng = StdRng::seed_from_u64(0x7A4E);
     let positive = |rng: &mut StdRng| (0..n).map(|_| rng.gen_range(0.5..1.5)).collect();
     let mut engines = EngineCache::new();
-    for f in ["tanh", "exp", "sqrt"] {
+    // The nested call tapes two values per element, popped in reverse.
+    for f in ["tanh(@)", "exp(@)", "sqrt(@)", "tanh(exp(@) * 0.5)"] {
         for parallel in [true, false] {
             for overwrite in [true, false] {
                 let primal = parse_program(&source(f, parallel, overwrite)).unwrap();
