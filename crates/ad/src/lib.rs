@@ -57,7 +57,7 @@ pub mod transform;
 pub mod transpose;
 
 pub use adjoint_expr::{adjoint_of_assign, AdjCtx, ExprAdjoint};
-pub use options::{AdError, AdjointOptions, IncMode, ParallelTreatment};
+pub use options::{AdError, AdjointOptions, IncMode, ParallelTreatment, ADJOINT_MODES};
 pub use tangent::differentiate_tangent;
 pub use transform::{differentiate, differentiate_validated, Adjoint, AdjointStats};
 pub use transpose::{

@@ -32,6 +32,24 @@ impl fmt::Display for IncMode {
     }
 }
 
+/// The adjoint versions by name, as `formad adjoint --mode` reads them and
+/// `formad versions` prints them: `formad` takes each array's mode from
+/// the analysis (`None`); the others are the paper's uniform baselines
+/// plus the transposed discipline.
+pub const ADJOINT_MODES: [(&str, Option<ParallelTreatment>); 5] = [
+    ("formad", None),
+    ("serial", Some(ParallelTreatment::Serial)),
+    ("atomic", Some(ParallelTreatment::Uniform(IncMode::Atomic))),
+    (
+        "reduction",
+        Some(ParallelTreatment::Uniform(IncMode::Reduction)),
+    ),
+    (
+        "transposed",
+        Some(ParallelTreatment::Uniform(IncMode::Transposed)),
+    ),
+];
+
 /// Treatment of parallel loops in the generated adjoint, corresponding to
 /// the program versions benchmarked in the paper (§7):
 /// *Adjoint Serial*, *Adjoint Atomic*, *Adjoint Reduction*,

@@ -87,6 +87,17 @@ impl<'a> Tangent<'a> {
         self.prog.ty_of(name) == Some(Ty::Real) && self.act.is_active(name)
     }
 
+    /// True if `e` reads an active variable or array.
+    fn may_be_active(&self, e: &Expr) -> bool {
+        let mut active = false;
+        e.walk(&mut |sub| {
+            if let Expr::Var(n) | Expr::Index { array: n, .. } = sub {
+                active |= self.is_active(n);
+            }
+        });
+        active
+    }
+
     fn tname(&self, name: &str) -> Name {
         format!("{}{}", name, self.suffix).into()
     }
@@ -256,13 +267,20 @@ impl<'a> Tangent<'a> {
                 }
                 BinOp::Pow => {
                     let da = self.texpr_inner(lhs, choices, k);
-                    (**rhs).clone()
+                    let d = (**rhs).clone()
                         * Expr::binary(
                             BinOp::Pow,
                             (**lhs).clone(),
                             (**rhs).clone() - Expr::IntLit(1),
                         )
-                        * da
+                        * da;
+                    // An active exponent adds a**b·log(a)·ḃ, under the
+                    // adjoint's condition (`adjoint_expr.rs`).
+                    if !self.may_be_active(rhs) {
+                        return d;
+                    }
+                    let db = self.texpr_inner(rhs, choices, k);
+                    d + e.clone() * Expr::call(Intrinsic::Log, [(**lhs).clone()]) * db
                 }
                 BinOp::Mod => Expr::real(0.0),
             },

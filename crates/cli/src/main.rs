@@ -143,55 +143,26 @@
 //! Test hook: setting `FORMAD_INTERNAL_PANIC=1` panics deliberately inside
 //! the run so the exit-6 last-resort net stays covered by the test suite.
 
-use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use formad::{
-    Deadline, Formad, FormadErrorKind, FormadOptions, IncMode, ParallelTreatment, TraceSink,
+use formad::{FormadAnalysis, FormadErrorKind, SharedEngine, TraceSink, ADJOINT_MODES};
+use formad_ir::Program;
+use formad_serve::request::{
+    self, read_argv, Engines, Failure, Request, Verb, Word, CACHE_DIR_ENV,
 };
-use formad_ir::{parse_any, SourceFlavor};
 
 /// Distinct nonzero exit code per error classification.
-fn code_for(kind: FormadErrorKind) -> ExitCode {
-    ExitCode::from(match kind {
+fn code_for(kind: FormadErrorKind) -> u8 {
+    match kind {
         FormadErrorKind::Parse => 3,
         FormadErrorKind::Validate => 4,
         FormadErrorKind::Ad => 5,
         FormadErrorKind::ProverPanic => 6,
         FormadErrorKind::Deadline => 7,
-    })
-}
-
-struct Args {
-    command: String,
-    file: String,
-    /// Positional array name for `explain` (narrates every decision when
-    /// omitted).
-    array: Option<String>,
-    wrt: Vec<String>,
-    of: Vec<String>,
-    mode: String,
-    emit: SourceFlavor,
-    stride: bool,
-    contexts: bool,
-    increment: bool,
-    table1: Option<String>,
-    prover_timeout: Option<Duration>,
-    deadline_ms: Option<u64>,
-    /// Durable cache directory (`--cache-dir`, falling back to the
-    /// `FORMAD_CACHE_DIR` env var).
-    cache_dir: Option<String>,
-    trace: Option<String>,
-    /// `exec`: execution backend, `sim` or `native`.
-    backend: String,
-    /// `exec`: thread count for parallel regions.
-    threads: usize,
-    /// `exec`: scalar parameter assignments, in `--set` order.
-    sets: Vec<(String, String)>,
-    /// `exec`: seed for the deterministic real-array fill.
-    seed: u64,
+    }
 }
 
 fn usage() -> ExitCode {
@@ -215,192 +186,43 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_args() -> Result<Args, ExitCode> {
-    let mut argv = std::env::args().skip(1);
-    let command = argv.next().ok_or_else(usage)?;
-    let file = argv.next().ok_or_else(usage)?;
-    let mut args = Args {
-        command,
-        file,
-        array: None,
-        wrt: Vec::new(),
-        of: Vec::new(),
-        mode: "formad".into(),
-        emit: SourceFlavor::Fortran,
-        stride: true,
-        contexts: true,
-        increment: true,
-        table1: None,
-        prover_timeout: None,
-        deadline_ms: None,
-        cache_dir: std::env::var("FORMAD_CACHE_DIR").ok(),
-        trace: None,
-        backend: "sim".into(),
-        threads: 1,
-        sets: Vec::new(),
-        seed: 42,
-    };
-    let rest: Vec<String> = argv.collect();
-    let mut k = 0;
-    while k < rest.len() {
-        match rest[k].as_str() {
-            "--wrt" => {
-                k += 1;
-                args.wrt = rest
-                    .get(k)
-                    .ok_or_else(usage)?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--of" => {
-                k += 1;
-                args.of = rest
-                    .get(k)
-                    .ok_or_else(usage)?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--mode" => {
-                k += 1;
-                args.mode = rest.get(k).ok_or_else(usage)?.clone();
-            }
-            "--emit" => {
-                k += 1;
-                let name = rest.get(k).ok_or_else(usage)?;
-                args.emit = SourceFlavor::from_name(name).ok_or_else(|| {
-                    eprintln!("unknown emit dialect `{name}`");
-                    usage()
-                })?;
-            }
-            "--table1" => {
-                k += 1;
-                args.table1 = Some(rest.get(k).ok_or_else(usage)?.clone());
-            }
-            "--prover-timeout-ms" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                match raw.parse::<u64>() {
-                    Ok(ms) => args.prover_timeout = Some(Duration::from_millis(ms)),
-                    Err(_) => {
-                        eprintln!("--prover-timeout-ms expects an integer, got `{raw}`");
-                        return Err(usage());
-                    }
-                }
-            }
-            "--deadline-ms" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                match raw.parse::<u64>() {
-                    Ok(ms) => args.deadline_ms = Some(ms),
-                    Err(_) => {
-                        eprintln!("--deadline-ms expects an integer, got `{raw}`");
-                        return Err(usage());
-                    }
-                }
-            }
-            "--trace" => {
-                k += 1;
-                args.trace = Some(rest.get(k).ok_or_else(usage)?.clone());
-            }
-            // Parsed and discarded: proving is in-line, but the frozen
-            // `benchmark/src/cli.rs` still passes `--jobs 1`. Goes with
-            // ROADMAP item 10's benchmark PR.
-            "--jobs" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                if raw.parse::<usize>().is_err() {
-                    eprintln!("--jobs expects an integer, got `{raw}`");
-                    return Err(usage());
-                }
-            }
-            "--backend" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                if !matches!(raw.as_str(), "sim" | "native" | "aot") {
-                    eprintln!("--backend expects `sim`, `native` or `aot`, got `{raw}`");
-                    return Err(usage());
-                }
-                args.backend = raw.clone();
-            }
-            "--threads" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => args.threads = n,
-                    _ => {
-                        eprintln!("--threads expects a positive integer, got `{raw}`");
-                        return Err(usage());
-                    }
-                }
-            }
-            "--set" => {
-                k += 1;
-                for pair in rest.get(k).ok_or_else(usage)?.split(',') {
-                    let Some((name, value)) = pair.split_once('=') else {
-                        eprintln!("--set expects k=v pairs, got `{pair}`");
-                        return Err(usage());
-                    };
-                    args.sets
-                        .push((name.trim().to_string(), value.trim().to_string()));
-                }
-            }
-            "--seed" => {
-                k += 1;
-                let raw = rest.get(k).ok_or_else(usage)?;
-                match raw.parse::<u64>() {
-                    Ok(s) => args.seed = s,
-                    Err(_) => {
-                        eprintln!("--seed expects an integer, got `{raw}`");
-                        return Err(usage());
-                    }
-                }
-            }
-            "--cache-dir" => {
-                k += 1;
-                args.cache_dir = Some(rest.get(k).ok_or_else(usage)?.clone());
-            }
-            "--no-stride" => args.stride = false,
-            "--no-contexts" => args.contexts = false,
-            "--no-increment" => args.increment = false,
-            // Bare positional: the array name, for `explain` only.
-            other
-                if !other.starts_with('-') && args.command == "explain" && args.array.is_none() =>
-            {
-                args.array = Some(other.to_string());
-            }
-            other if !other.starts_with('-') => {
-                eprintln!("unexpected argument `{other}`");
-                return Err(usage());
-            }
-            other => {
-                eprintln!("unknown option `{other}`");
-                return Err(usage());
-            }
+/// Print a failed request and pick its exit code.
+fn fail(f: Failure) -> ExitCode {
+    let (text, code) = match f {
+        Failure::Usage(m) if m.is_empty() => return usage(),
+        Failure::Usage(m) => {
+            eprintln!("{m}");
+            return usage();
         }
-        k += 1;
-    }
-    // `exec` and `compile` take the program as-is; everything else
-    // differentiates and needs the independent/dependent sets.
-    if !matches!(args.command.as_str(), "exec" | "compile")
-        && (args.wrt.is_empty() || args.of.is_empty())
-    {
-        eprintln!("--wrt and --of are required");
-        return Err(usage());
-    }
-    Ok(args)
+        Failure::Input(m) => (m, 2),
+        Failure::Parse(m) => (m, 3),
+        Failure::Invalid(errs) => (format!("validation: {}", errs.join("\nvalidation: ")), 4),
+        Failure::Lower(m) => (m, 4),
+        Failure::Exec(m) => (format!("execution failed: {m}"), 4),
+        Failure::Pipeline(e) => (e.to_string(), code_for(e.kind)),
+    };
+    eprintln!("{text}");
+    ExitCode::from(code)
+}
+
+/// The exit code of a finished verb.
+fn done(result: Result<(), Failure>) -> ExitCode {
+    result.map_or_else(fail, |()| ExitCode::SUCCESS)
 }
 
 /// One stderr line about the durable fingerprint index, printed after
 /// the run's batched flush so warm-run scripts can confirm persistence
 /// landed without parsing the directory themselves.
-fn disk_diag(engine: &formad::SharedEngine, dir: &str, flushed: usize) {
+fn disk_diag(engine: &SharedEngine, dir: &Path, flushed: usize) {
     let fps = engine.fingerprints().map(|f| f.stats()).unwrap_or_default();
     eprintln!(
-        "formad: disk cache {dir}: {} regions fingerprint-served ({} from disk) / \
+        "formad: disk cache {}: {} regions fingerprint-served ({} from disk) / \
          {} records flushed / {} write errors",
-        fps.hits, fps.disk_hits, flushed, fps.write_errors
+        dir.display(),
+        fps.hits,
+        fps.disk_hits,
+        flushed,
+        fps.write_errors
     );
 }
 
@@ -409,7 +231,7 @@ fn disk_diag(engine: &formad::SharedEngine, dir: &str, flushed: usize) {
 /// report (which never contains perf numbers). When the adjoint was
 /// generated too, a second line says what it keeps of the forward sweep
 /// and the tape.
-fn search_diag(a: &formad::FormadAnalysis) {
+fn search_diag(a: &FormadAnalysis) {
     let s = &a.stats;
     eprintln!(
         "formad: search core: {} propagations / {} conflicts / {} presolve discharges / \
@@ -422,48 +244,25 @@ fn search_diag(a: &formad::FormadAnalysis) {
 }
 
 fn main() -> ExitCode {
-    // `serve`, `fuzz` and `cache` take no FILE argument, so they branch
-    // before the normal parser (which requires one).
-    {
-        let mut argv = std::env::args().skip(1);
-        match argv.next().as_deref() {
-            Some("serve") => return serve_cmd(&argv.collect::<Vec<String>>()),
-            Some("fuzz") => return fuzz_cmd(&argv.collect::<Vec<String>>()),
-            Some("cache") => return cache_cmd(&argv.collect::<Vec<String>>()),
-            _ => {}
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let cache_dir = request::cache_dir_from_env();
+    // `serve`, `fuzz` and `cache` take no FILE argument.
+    let rest = argv.get(1..).unwrap_or_default();
+    match argv.first().map(String::as_str) {
+        Some("serve") => return serve_cmd(rest, cache_dir),
+        Some("fuzz") => return fuzz_cmd(rest),
+        Some("cache") => return cache_cmd(rest, cache_dir),
+        _ => {}
     }
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(c) => return c,
+    let decoded = Request::from_args(&argv, cache_dir).and_then(|req| Ok((req.primal()?, req)));
+    let (primal, req) = match decoded {
+        Ok(d) => d,
+        Err(f) => return fail(f),
     };
-    let src = match fs::read_to_string(&args.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.file);
-            return ExitCode::from(2);
-        }
-    };
-    // Both the Fortran-like and the C-like dialects are accepted.
-    let primal = match parse_any(&src) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return code_for(FormadErrorKind::Parse);
-        }
-    };
-    let errs = formad_ir::validate(&primal);
-    if !errs.is_empty() {
-        for e in &errs {
-            eprintln!("validation: {e}");
-        }
-        return code_for(FormadErrorKind::Validate);
-    }
-
     // The pipeline's degradation ladder absorbs prover faults internally;
     // this is the last-resort net so a bug anywhere below still exits
     // with a diagnostic instead of a raw panic trace and code 101.
-    match catch_unwind(AssertUnwindSafe(|| run(&args, &primal))) {
+    match catch_unwind(AssertUnwindSafe(|| run(&req, &primal))) {
         Ok(code) => code,
         Err(payload) => {
             let msg = payload
@@ -472,22 +271,18 @@ fn main() -> ExitCode {
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("unknown panic");
             eprintln!("formad [prover-panic]: internal panic escaped recovery: {msg}");
-            code_for(FormadErrorKind::ProverPanic)
+            ExitCode::from(code_for(FormadErrorKind::ProverPanic))
         }
     }
 }
 
 /// Write the recorded trace (if `--trace` was given) to its file.
-fn write_trace(args: &Args, sink: &Option<TraceSink>) -> Result<(), ExitCode> {
-    let (Some(path), Some(s)) = (&args.trace, sink) else {
+fn write_trace(req: &Request, sink: &Option<TraceSink>) -> Result<(), Failure> {
+    let (Some(path), Some(s)) = (&req.trace, sink) else {
         return Ok(());
     };
-    let doc = formad::trace_json(&s.snapshot());
-    if let Err(e) = fs::write(path, doc) {
-        eprintln!("cannot write trace to {path}: {e}");
-        return Err(ExitCode::from(2));
-    }
-    Ok(())
+    std::fs::write(path, formad::trace_json(&s.snapshot()))
+        .map_err(|e| Failure::Input(format!("cannot write trace to {path}: {e}")))
 }
 
 /// `formad cache <stats|verify|clear>`: operator tooling for the durable
@@ -496,47 +291,39 @@ fn write_trace(args: &Args, sink: &Option<TraceSink>) -> Result<(), ExitCode> {
 /// verbs exist for humans who want to inspect or reset the directory.
 /// Exit codes: 0 success (for `verify`: everything parsed clean and the
 /// directory takes writes), 1 `verify` found a problem, 2 usage/IO.
-fn cache_cmd(rest: &[String]) -> ExitCode {
+fn cache_cmd(rest: &[String], mut dir: Option<PathBuf>) -> ExitCode {
     let cache_usage = || -> ExitCode {
         eprintln!("usage: formad cache <stats|verify|clear> [--cache-dir DIR]");
         ExitCode::from(2)
     };
-    let mut action: Option<String> = None;
-    let mut dir: Option<String> = std::env::var("FORMAD_CACHE_DIR").ok();
-    let mut k = 0;
-    while k < rest.len() {
-        match rest[k].as_str() {
-            "--cache-dir" => {
-                k += 1;
-                match rest.get(k) {
-                    Some(d) => dir = Some(d.clone()),
-                    None => return cache_usage(),
-                }
+    let mut action: Option<&str> = None;
+    for word in read_argv(rest, |_| false) {
+        match word {
+            Word::Flag("--cache-dir", Some(d)) => dir = Some(PathBuf::from(d)),
+            Word::Flag("--cache-dir", None) => return cache_usage(),
+            Word::Positional(a @ ("stats" | "verify" | "clear")) if action.is_none() => {
+                action = Some(a);
             }
-            a @ ("stats" | "verify" | "clear") if action.is_none() => {
-                action = Some(a.to_string());
-            }
-            other => {
+            Word::Flag(other, _) | Word::Positional(other) => {
                 eprintln!("unknown cache argument `{other}`");
                 return cache_usage();
             }
         }
-        k += 1;
     }
     let Some(action) = action else {
         return cache_usage();
     };
-    let Some(dir) = dir else {
-        eprintln!("formad cache: no directory (pass --cache-dir or set FORMAD_CACHE_DIR)");
+    let Some(path) = dir else {
+        eprintln!("formad cache: no directory (pass --cache-dir or set {CACHE_DIR_ENV})");
         return ExitCode::from(2);
     };
-    let path = std::path::Path::new(&dir);
+    let dir = path.display();
     if !path.is_dir() {
         eprintln!("formad cache {action}: {dir}: not a directory");
         return ExitCode::from(2);
     }
     if action == "clear" {
-        return match formad::clear_fp_file(path) {
+        return match formad::clear_fp_file(&path) {
             Ok(removed) => {
                 println!(
                     "cleared {dir}: {} fingerprint index file(s)",
@@ -550,7 +337,7 @@ fn cache_cmd(rest: &[String]) -> ExitCode {
             }
         };
     }
-    let report = formad::inspect_fp_file(path);
+    let report = formad::inspect_fp_file(&path);
     println!("cache dir:      {dir}");
     println!("format:         {}", formad::FP_FORMAT_VERSION);
     println!("fingerprints:   {} record(s)", report.records);
@@ -558,7 +345,7 @@ fn cache_cmd(rest: &[String]) -> ExitCode {
     if action == "stats" {
         return ExitCode::SUCCESS;
     }
-    let write_errors = u64::from(formad::probe_fp_write(path).is_err());
+    let write_errors = u64::from(formad::probe_fp_write(&path).is_err());
     println!("write errors:   {write_errors}");
     if report.corrupt > 0 {
         println!(
@@ -585,42 +372,27 @@ fn cache_cmd(rest: &[String]) -> ExitCode {
 /// SIGINT or a client POSTs `/v1/shutdown`. The bound address is the
 /// first stdout line, so scripts can start on an ephemeral port
 /// (`--addr 127.0.0.1:0`) and read where the daemon landed.
-fn serve_cmd(rest: &[String]) -> ExitCode {
+fn serve_cmd(rest: &[String], cache_dir: Option<PathBuf>) -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_string();
     let mut cfg = formad_serve::ServiceConfig {
-        cache_dir: std::env::var_os("FORMAD_CACHE_DIR").map(std::path::PathBuf::from),
+        cache_dir,
         ..Default::default()
     };
-    let mut k = 0;
-    while k < rest.len() {
-        let value = |k: &mut usize| -> Option<String> {
-            *k += 1;
-            rest.get(*k).cloned()
+    for word in read_argv(rest, |_| false) {
+        let Word::Flag(flag, value) = word else {
+            return usage();
         };
-        match rest[k].as_str() {
-            "--addr" => match value(&mut k) {
-                Some(a) => addr = a,
-                None => return usage(),
-            },
-            "--workers" => match value(&mut k).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => cfg.workers = n,
-                _ => return usage(),
-            },
-            "--queue" => match value(&mut k).and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => cfg.queue = n,
-                _ => return usage(),
-            },
-            "--deadline-ms" => match value(&mut k).and_then(|v| v.parse::<u64>().ok()) {
-                Some(ms) => cfg.default_deadline_ms = Some(ms),
-                _ => return usage(),
-            },
-            "--cache-dir" => match value(&mut k) {
-                Some(d) => cfg.cache_dir = Some(std::path::PathBuf::from(d)),
-                None => return usage(),
-            },
-            _ => return usage(),
+        let read = match flag {
+            "--addr" => value.map(|v| addr = v.to_string()),
+            "--workers" => num(value).filter(|n| *n > 0).map(|n| cfg.workers = n),
+            "--queue" => num(value).map(|n| cfg.queue = n),
+            "--deadline-ms" => num(value).map(|ms| cfg.default_deadline_ms = Some(ms)),
+            "--cache-dir" => value.map(|d| cfg.cache_dir = Some(PathBuf::from(d))),
+            _ => None,
+        };
+        if read.is_none() {
+            return usage();
         }
-        k += 1;
     }
     formad_serve::install_sigint_handler();
     let mut handle = match formad_serve::serve(&addr, cfg) {
@@ -649,73 +421,49 @@ fn fuzz_cmd(rest: &[String]) -> ExitCode {
     use formad_fuzz::{run_fuzz, ChaosConfig, EngineCache, FuzzConfig, Reproducer};
 
     let mut cfg = FuzzConfig::default();
-    let mut repro_path: Option<String> = None;
+    let mut repro_path: Option<&str> = None;
     let mut smoke = false;
-    let mut aot_every_given = false;
-    let mut k = 0;
-    while k < rest.len() {
-        let value = |k: &mut usize| -> Option<String> {
-            *k += 1;
-            rest.get(*k).cloned()
+    let mut aot_every = None;
+    for word in read_argv(rest, |w| w == "--smoke") {
+        let (flag, value) = match word {
+            Word::Flag(flag, value) => (flag, value),
+            Word::Positional(other) => (other, None),
         };
-        match rest[k].as_str() {
-            "--seed" => match value(&mut k).and_then(|v| v.parse().ok()) {
-                Some(s) => cfg.seed = s,
-                None => return usage(),
-            },
-            "--cases" => match value(&mut k).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.cases = n,
-                None => return usage(),
-            },
-            "--max-loops" => match value(&mut k).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.gen.max_loops = n,
-                _ => return usage(),
-            },
-            "--max-arrays" => match value(&mut k).and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => cfg.gen.max_arrays = n,
-                _ => return usage(),
-            },
-            "--corpus" => match value(&mut k) {
-                Some(d) => cfg.corpus = Some(std::path::PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--shrink-budget" => match value(&mut k).and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.shrink_budget = n,
-                None => return usage(),
-            },
-            "--aot-every" => match value(&mut k).and_then(|v| v.parse().ok()) {
-                Some(n) => {
-                    cfg.aot_every = n;
-                    aot_every_given = true;
-                }
-                None => return usage(),
-            },
-            "--chaos-legacy" => match value(&mut k).and_then(|v| v.parse::<u16>().ok()) {
-                Some(per_mille) if per_mille <= 1000 => {
-                    cfg.oracle.poison_legacy = Some(ChaosConfig {
-                        seed: cfg.seed,
-                        panic_per_mille: 0,
-                        unknown_per_mille: per_mille,
-                        delay_per_mille: 0,
-                        delay: Duration::ZERO,
-                    });
-                }
-                _ => return usage(),
-            },
-            "--smoke" => smoke = true,
-            "--repro" => match value(&mut k) {
-                Some(p) => repro_path = Some(p),
-                None => return usage(),
-            },
+        smoke |= flag == "--smoke";
+        let read = match flag {
+            "--seed" => num(value).map(|s| cfg.seed = s),
+            "--cases" => num(value).map(|n| cfg.cases = n),
+            "--max-loops" => num(value)
+                .filter(|n| *n >= 1)
+                .map(|n| cfg.gen.max_loops = n),
+            "--max-arrays" => num(value)
+                .filter(|n| *n >= 1)
+                .map(|n| cfg.gen.max_arrays = n),
+            "--corpus" => value.map(|d| cfg.corpus = Some(PathBuf::from(d))),
+            "--shrink-budget" => num(value).map(|n| cfg.shrink_budget = n),
+            "--aot-every" => num(value).map(|n| aot_every = Some(n)),
+            "--chaos-legacy" => num(value).filter(|p| *p <= 1000).map(|per_mille| {
+                cfg.oracle.poison_legacy = Some(ChaosConfig {
+                    seed: cfg.seed,
+                    panic_per_mille: 0,
+                    unknown_per_mille: per_mille,
+                    delay_per_mille: 0,
+                    delay: Duration::ZERO,
+                });
+            }),
+            "--smoke" => Some(()),
+            "--repro" => value.map(|p| repro_path = Some(p)),
             other => {
                 eprintln!("unknown fuzz option `{other}`");
-                return usage();
+                None
             }
+        };
+        if read.is_none() {
+            return usage();
         }
-        k += 1;
     }
     if let Some(path) = repro_path {
-        let repro = match Reproducer::load(std::path::Path::new(&path)) {
+        let repro = match Reproducer::load(Path::new(path)) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("formad fuzz --repro {path}: {e}");
@@ -734,13 +482,10 @@ fn fuzz_cmd(rest: &[String]) -> ExitCode {
             }
         };
     }
-    if smoke {
-        cfg.aot_every = 0;
-        cfg.oracle.check_aot = false;
-    } else if !aot_every_given {
-        cfg.aot_every = 16;
-    }
-    let t0 = std::time::Instant::now();
+    // `--smoke` never builds a kernel; otherwise every 16th case does.
+    cfg.aot_every = if smoke { 0 } else { aot_every.unwrap_or(16) };
+    cfg.oracle.check_aot &= !smoke;
+    let t0 = Instant::now();
     let out = match run_fuzz(&cfg) {
         Ok(o) => o,
         Err(e) => {
@@ -763,28 +508,9 @@ fn fuzz_cmd(rest: &[String]) -> ExitCode {
     }
 }
 
-/// Bind `--set`/`--seed` parameters for `exec`/`compile`, mapping bind
-/// failures onto the shared exit-code ladder.
-fn bind_for_exec(
-    args: &Args,
-    primal: &formad_ir::Program,
-) -> Result<formad_machine::Bindings, ExitCode> {
-    use formad_machine::{bind_params, BindError};
-    match bind_params(primal, &args.sets, args.seed) {
-        Ok(b) => Ok(b),
-        Err(e @ BindError::Lower(_)) => {
-            eprintln!("{e}");
-            Err(code_for(FormadErrorKind::Validate))
-        }
-        Err(e @ BindError::MissingInt { .. }) => {
-            eprintln!("{e}");
-            Err(ExitCode::from(2))
-        }
-        Err(e) => {
-            eprintln!("--set: {e}");
-            Err(ExitCode::from(2))
-        }
-    }
+/// `value` parsed as a number of the type its destination needs.
+fn num<T: std::str::FromStr>(value: Option<&str>) -> Option<T> {
+    value?.parse().ok()
 }
 
 /// `formad exec`: bind parameters, run on the chosen backend, print the
@@ -793,50 +519,28 @@ fn bind_for_exec(
 /// increment, so that output can be diffed across them directly.
 /// `--deadline-ms` is honored like `prove`: expiry — before or during
 /// the run — is a hard error (exit 7), so every CLI verb shares one
-/// deadline story and the service can reuse it per-request.
-fn exec_cmd(args: &Args, primal: &formad_ir::Program) -> ExitCode {
-    use formad_machine::{output_lines, run, run_aot, run_native, Machine};
-
-    let deadline = args.deadline_ms.map(Deadline::in_ms);
-    if let Some(c) = check_exec_deadline(&deadline, "execution started") {
-        return c;
-    }
-    let mut bind = match bind_for_exec(args, primal) {
-        Ok(b) => b,
-        Err(c) => return c,
-    };
-
-    let t0 = std::time::Instant::now();
-    let res = match args.backend.as_str() {
-        "native" => run_native(primal, &mut bind, args.threads),
-        "aot" => run_aot(primal, &mut bind, args.threads).map(|fallback| {
-            // Degradation, not errors: a failed kernel build lands on the
-            // bytecode backend with identical results and a stderr note.
-            if let Some(reason) = fallback {
-                eprintln!("formad: aot unavailable, fell back to native bytecode ({reason})");
-            }
-        }),
-        _ => run(primal, &mut bind, &Machine::with_threads(args.threads)).map(|_| ()),
-    };
+/// deadline story with the service.
+fn exec_cmd(req: &Request, primal: &Program) -> Result<(), Failure> {
+    let mut bind = req.bindings(primal)?;
+    let t0 = Instant::now();
+    let fallback = req.exec(primal, &mut bind, &Engines::default())?;
     let elapsed = t0.elapsed();
-    if let Err(e) = res {
-        eprintln!("execution failed: {e}");
-        return code_for(FormadErrorKind::Validate);
-    }
-    if let Some(c) = check_exec_deadline(&deadline, "execution finished") {
-        return c;
+    // Degradation, not errors: a failed kernel build lands on the
+    // bytecode backend with identical results and a stderr note.
+    if let Some(reason) = fallback {
+        eprintln!("formad: aot unavailable, fell back to native bytecode ({reason})");
     }
     eprintln!(
         "formad: exec `{}` backend={} threads={} in {:.6}s",
         primal.name,
-        args.backend,
-        args.threads,
+        req.backend.name(),
+        req.threads,
         elapsed.as_secs_f64()
     );
-    for line in output_lines(primal, &bind) {
+    for line in formad_machine::output_lines(primal, &bind) {
         println!("{line}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `formad compile`: ahead-of-time build the native kernel for a
@@ -845,27 +549,12 @@ fn exec_cmd(args: &Args, primal: &formad_ir::Program) -> ExitCode {
 /// `FORMAD_AOT_DIR`) starts warm. Unlike `exec`, a failed kernel build
 /// here is a hard error (exit 2): the entire point of the verb is the
 /// artifact, so there is nothing to degrade to.
-fn compile_cmd(args: &Args, primal: &formad_ir::Program) -> ExitCode {
+fn compile_cmd(req: &Request, primal: &Program) -> Result<(), Failure> {
     use formad_machine::{aot, compile, load_or_compile, lower};
 
-    let bind = match bind_for_exec(args, primal) {
-        Ok(b) => b,
-        Err(c) => return c,
-    };
-    let lp = match lower(primal, &bind) {
-        Ok(lp) => lp,
-        Err(e) => {
-            eprintln!("lower: {e}");
-            return code_for(FormadErrorKind::Validate);
-        }
-    };
-    let bc = match compile(&lp, primal) {
-        Ok(bc) => bc,
-        Err(e) => {
-            eprintln!("bytecode: {e}");
-            return code_for(FormadErrorKind::Validate);
-        }
-    };
+    let bind = req.bindings(primal)?;
+    let lp = lower(primal, &bind).map_err(|e| Failure::Lower(format!("lower: {e}")))?;
+    let bc = compile(&lp, primal).map_err(|e| Failure::Lower(format!("bytecode: {e}")))?;
     // Only parallel regions get AOT kernels; a purely sequential program
     // has nothing to build and shouldn't cost a rustc invocation.
     if bc.regions.is_empty() {
@@ -874,27 +563,18 @@ fn compile_cmd(args: &Args, primal: &formad_ir::Program) -> ExitCode {
             "nothing to compile: `{}` has no parallel regions",
             primal.name
         );
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let t0 = std::time::Instant::now();
-    let kernel = match load_or_compile(&lp, &bc) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("formad compile: {e}");
-            return ExitCode::from(2);
-        }
+    let t0 = Instant::now();
+    let kernel =
+        load_or_compile(&lp, &bc).map_err(|e| Failure::Input(format!("formad compile: {e}")))?;
+    let how = if aot::stats().compiles > 0 {
+        "fresh build"
+    } else {
+        "cache hit"
     };
-    let stats = aot::stats();
-    eprintln!(
-        "formad: compile `{}` in {:.3}s ({})",
-        primal.name,
-        t0.elapsed().as_secs_f64(),
-        if stats.compiles > 0 {
-            "fresh build"
-        } else {
-            "cache hit"
-        }
-    );
+    let secs = t0.elapsed().as_secs_f64();
+    eprintln!("formad: compile `{}` in {secs:.3}s ({how})", primal.name);
     println!("hash:    {}", kernel.hash());
     println!("regions: {}", kernel.region_count());
     println!("cdylib:  {}", kernel.lib_path().display());
@@ -902,63 +582,29 @@ fn compile_cmd(args: &Args, primal: &formad_ir::Program) -> ExitCode {
         println!("bytes:   {}", meta.len());
     }
     println!("source:  {}", kernel.source_path().display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Exec's half of the shared deadline story: expiry is the same hard
-/// failure (exit 7) the analysis pipeline reports, diagnostics included.
-fn check_exec_deadline(deadline: &Option<Deadline>, stage: &str) -> Option<ExitCode> {
-    let d = deadline.as_ref()?;
-    if !d.expired() {
-        return None;
-    }
-    eprintln!(
-        "{}",
-        formad::FormadError::new(
-            FormadErrorKind::Deadline,
-            format!("global deadline expired before {stage}"),
-        )
-    );
-    Some(code_for(FormadErrorKind::Deadline))
-}
-
-fn run(args: &Args, primal: &formad_ir::Program) -> ExitCode {
+fn run(req: &Request, primal: &Program) -> ExitCode {
     if std::env::var_os("FORMAD_INTERNAL_PANIC").is_some() {
         panic!("FORMAD_INTERNAL_PANIC test hook tripped");
     }
-    if args.command == "exec" {
-        return exec_cmd(args, primal);
+    match req.verb {
+        Verb::Exec => return done(exec_cmd(req, primal)),
+        Verb::Compile => return done(compile_cmd(req, primal)),
+        _ => {}
     }
-    if args.command == "compile" {
-        return compile_cmd(args, primal);
-    }
-    let wrt: Vec<&str> = args.wrt.iter().map(|s| s.as_str()).collect();
-    let of: Vec<&str> = args.of.iter().map(|s| s.as_str()).collect();
-    let mut opts = FormadOptions::new(&wrt, &of);
-    opts.region.stride_constraints = args.stride;
-    opts.region.use_contexts = args.contexts;
-    opts.region.use_increment_detection = args.increment;
-    opts.region.prover_timeout = args.prover_timeout;
-    opts.region.deadline = args.deadline_ms.map(Deadline::in_ms);
     // Durable region-fingerprint index rooted at `--cache-dir` (or
-    // `FORMAD_CACHE_DIR`); without one every region is analyzed.
-    let disk = args.cache_dir.as_ref().map(|dir| {
-        let engine = formad::SharedEngine::with_cache_dir(std::path::Path::new(dir));
-        opts.region.fingerprints = engine.fingerprints().cloned();
-        (dir.clone(), engine)
-    });
-    // `explain` always needs the event stream; other commands record one
-    // only when `--trace` asks for it.
-    let sink = (args.trace.is_some() || args.command == "explain").then(TraceSink::new);
-    opts.region.trace = sink.clone();
-    let tool = Formad::new(opts);
-
-    let code = run_diff(args, primal, &tool, &sink);
+    // the environment's default); without one every region is analyzed.
+    let engine = req
+        .cache_dir
+        .as_deref()
+        .map_or_else(SharedEngine::default, SharedEngine::with_cache_dir);
+    let code = done(run_diff(req, primal, &engine));
     // Flush even when the run degraded or missed its deadline: every
     // verdict proven so far is still valid and warms the next attempt.
-    if let Some((dir, engine)) = &disk {
-        let flushed = engine.flush_disk();
-        disk_diag(engine, dir, flushed);
+    if let Some(dir) = &req.cache_dir {
+        disk_diag(&engine, dir, engine.flush_disk());
     }
     code
 }
@@ -966,130 +612,60 @@ fn run(args: &Args, primal: &formad_ir::Program) -> ExitCode {
 /// The differentiation verbs (`analyze`/`prove`, `explain`, `adjoint`,
 /// `versions`), split out of [`run`] so the durable-cache flush in the
 /// caller runs no matter which arm (or early error return) finishes.
-fn run_diff(
-    args: &Args,
-    primal: &formad_ir::Program,
-    tool: &Formad,
-    sink: &Option<TraceSink>,
-) -> ExitCode {
-    match args.command.as_str() {
-        "analyze" | "prove" => {
-            let a = match tool.analyze(primal) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return code_for(e.kind);
-                }
-            };
+fn run_diff(req: &Request, primal: &Program, engine: &SharedEngine) -> Result<(), Failure> {
+    let opts = req.options();
+    let sink = opts.region.trace.clone();
+    match req.verb {
+        Verb::Analyze | Verb::Prove => {
+            let a = engine.analyze(primal, &opts)?;
             search_diag(&a);
-            match &args.table1 {
+            match &req.table1 {
                 Some(name) => {
                     println!("{}", formad::table1_header());
                     println!("{}", formad::table1_row(name, &a));
                 }
                 None => print!("{}", formad::full_report(&primal.name, &a)),
             }
-            if let Err(c) = write_trace(args, sink) {
-                return c;
-            }
-            ExitCode::SUCCESS
         }
-        "explain" => {
+        Verb::Explain => {
             // The narrative covers the adjoint's tape as well as the
             // safeguards, so the transformation runs too.
-            let a = match tool.differentiate(primal) {
-                Ok(r) => r.analysis,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return code_for(e.kind);
-                }
-            };
+            let a = engine.differentiate(primal, &opts)?.analysis;
             search_diag(&a);
             let events = sink.as_ref().map(TraceSink::snapshot).unwrap_or_default();
-            print!("{}", formad::explain(&events, args.array.as_deref()));
-            if let Err(c) = write_trace(args, sink) {
-                return c;
-            }
-            ExitCode::SUCCESS
+            print!("{}", formad::explain(&events, req.array.as_deref()));
         }
-        "adjoint" => {
-            let treatment = match args.mode.as_str() {
-                "formad" => None,
-                "serial" => Some(ParallelTreatment::Serial),
-                "atomic" => Some(ParallelTreatment::Uniform(IncMode::Atomic)),
-                "reduction" => Some(ParallelTreatment::Uniform(IncMode::Reduction)),
-                "transposed" => Some(ParallelTreatment::Uniform(IncMode::Transposed)),
-                other => {
-                    eprintln!("unknown mode `{other}`");
-                    return ExitCode::from(2);
+        Verb::Adjoint => {
+            let adjoint = match req.treatment()? {
+                None => {
+                    let r = engine.differentiate(primal, &opts)?;
+                    search_diag(&r.analysis);
+                    eprint!("{}", formad::full_report(&primal.name, &r.analysis));
+                    r.adjoint
                 }
+                Some(t) => engine.adjoint_with(primal, &opts, t)?,
             };
-            let adjoint = match treatment {
-                None => match tool.differentiate(primal) {
-                    Ok(r) => {
-                        search_diag(&r.analysis);
-                        eprint!("{}", formad::full_report(&primal.name, &r.analysis));
-                        r.adjoint
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return code_for(e.kind);
-                    }
-                },
-                Some(t) => match tool.adjoint_with(primal, t) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return code_for(e.kind);
-                    }
-                },
-            };
-            print!("{}", args.emit.print(&adjoint));
-            if let Err(c) = write_trace(args, sink) {
-                return c;
-            }
-            ExitCode::SUCCESS
+            print!("{}", req.emit.print(&adjoint));
         }
-        "versions" => {
-            let r = match tool.differentiate(primal) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{e}");
-                    return code_for(e.kind);
-                }
-            };
+        Verb::Versions => {
+            let r = engine.differentiate(primal, &opts)?;
             println!("! ===== analysis =====");
             for line in formad::full_report(&primal.name, &r.analysis).lines() {
                 println!("! {line}");
             }
             println!("\n! ===== adjoint (FormAD) =====");
-            print!("{}", args.emit.print(&r.adjoint));
-            for (label, t) in [
-                ("serial", ParallelTreatment::Serial),
-                ("atomic", ParallelTreatment::Uniform(IncMode::Atomic)),
-                ("reduction", ParallelTreatment::Uniform(IncMode::Reduction)),
-                (
-                    "transposed",
-                    ParallelTreatment::Uniform(IncMode::Transposed),
-                ),
-            ] {
+            print!("{}", req.emit.print(&r.adjoint));
+            for (label, mode) in &ADJOINT_MODES {
+                // `formad`, the mode without a fixed treatment, is above.
+                let Some(t) = mode.clone() else { continue };
                 println!("\n! ===== adjoint ({label}) =====");
-                match tool.adjoint_with(primal, t) {
-                    Ok(a) => print!("{}", args.emit.print(&a)),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return code_for(e.kind);
-                    }
-                }
+                print!(
+                    "{}",
+                    req.emit.print(&engine.adjoint_with(primal, &opts, t)?)
+                );
             }
-            if let Err(c) = write_trace(args, sink) {
-                return c;
-            }
-            ExitCode::SUCCESS
         }
-        other => {
-            eprintln!("unknown command `{other}`");
-            usage()
-        }
+        Verb::Exec | Verb::Compile => unreachable!("run handles the exec verbs"),
     }
+    write_trace(req, &sink)
 }

@@ -331,7 +331,8 @@ fn write_value(v: &Json, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Append `s` to `out` as a JSON string literal (with quotes).
+pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -40,8 +40,8 @@ use formad_analysis::{
 };
 use formad_ir::{count_stmts, Expr, ForLoop, Name, Program, Stmt, Ty};
 use formad_smt::{
-    Assertion, CancelToken, ChaosConfig, ChaosSolver, Deadline, FxHashMap, FxHashSet, LinExpr,
-    Literal, Rel, SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats, StopReason,
+    Assertion, ChaosConfig, ChaosSolver, Deadline, FxHashMap, FxHashSet, LinExpr, Literal, Rel,
+    SatResult, SearchCore, Solver, SolverApi, SolverBudget, SolverStats, StopReason,
 };
 
 use crate::trace::{QueryPerf, TraceEvent, TraceSink};
@@ -143,6 +143,9 @@ impl RegionAnalysis {
     }
 }
 
+/// Budget multiplier per retry rung of [`RegionOptions::max_retries`].
+pub const ESCALATION_FACTOR: u64 = 8;
+
 /// Tunables for the region analysis.
 #[derive(Debug, Clone)]
 pub struct RegionOptions {
@@ -159,14 +162,10 @@ pub struct RegionOptions {
     /// Solver budget for the first (cheap) proof attempt per array.
     pub budget: SolverBudget,
     /// Additional attempts after an `Unknown(Budget)`, each multiplying
-    /// the counter budgets by `escalation_factor`.
+    /// the counter budgets by [`ESCALATION_FACTOR`].
     pub max_retries: u32,
-    /// Budget multiplier per retry rung.
-    pub escalation_factor: u64,
     /// Wall-clock allowance per prover `check()` (`None` = unbounded).
     pub prover_timeout: Option<Duration>,
-    /// Cooperative cancellation observed by every prover call.
-    pub cancel: Option<CancelToken>,
     /// Fault injection for robustness tests: wraps the prover in a
     /// `ChaosSolver` (seed offset by region index).
     pub chaos: Option<ChaosConfig>,
@@ -208,9 +207,7 @@ impl Default for RegionOptions {
             use_increment_detection: true,
             budget: SolverBudget::default(),
             max_retries: 2,
-            escalation_factor: 8,
             prover_timeout: None,
-            cancel: None,
             chaos: None,
             jobs: 1,
             deadline: None,
@@ -289,9 +286,6 @@ pub fn analyze_region_with<S: SolverApi>(
     solver.set_budget(opts.budget);
     solver.set_search_core(opts.search_core);
     solver.set_timeout(opts.prover_timeout);
-    if let Some(token) = &opts.cancel {
-        solver.set_cancel_token(token.clone());
-    }
     if let Some(d) = opts.deadline {
         solver.set_deadline(d);
     }
@@ -820,8 +814,8 @@ fn run_proof_task<S: SolverApi>(
     for attempt in 0..=opts.max_retries {
         if attempt > 0 {
             budget = SolverBudget {
-                max_lia_calls: budget.max_lia_calls.saturating_mul(opts.escalation_factor),
-                max_branches: budget.max_branches.saturating_mul(opts.escalation_factor),
+                max_lia_calls: budget.max_lia_calls.saturating_mul(ESCALATION_FACTOR),
+                max_branches: budget.max_branches.saturating_mul(ESCALATION_FACTOR),
                 ..budget
             };
         }

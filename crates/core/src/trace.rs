@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex};
 
 use formad_ad::AdjointStats;
 
-use crate::json::Json;
+use crate::json::{write_string, Json};
 
 /// Version tag of the JSON document layout.
 pub const TRACE_SCHEMA: &str = "formad-trace/v1";
@@ -480,19 +480,7 @@ impl TraceSink {
 /// Escape `s` into a JSON string literal (with quotes).
 fn jstr(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_string(s, &mut out);
     out
 }
 

@@ -204,3 +204,43 @@ end subroutine
         1,
     );
 }
+
+#[test]
+fn power_with_active_exponent() {
+    let src = r#"
+subroutine pw(n, x, p, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(in) :: p(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, p, y)
+  do i = 1, n
+    y(i) = x(i) ** p(i)
+  end do
+end subroutine
+"#;
+    let n = 11;
+    let mut r = StdRng::seed_from_u64(5);
+    // A positive base keeps `log(x)` and the real power defined.
+    let x: Vec<f64> = (0..n).map(|_| r.gen_range(0.5..1.5)).collect();
+    let base = Bindings::new()
+        .int("n", n as i64)
+        .real_array("x", x)
+        .real_array("p", rv(&mut r, n))
+        .real_array("y", rv(&mut r, n));
+    let xd = rv(&mut r, n);
+    let pd = rv(&mut r, n);
+    let yb = rv(&mut r, n);
+    for threads in [1, 2] {
+        consistency(
+            src,
+            &base,
+            &["x", "p"],
+            &["y"],
+            &[("x", xd.clone()), ("p", pd.clone())],
+            &[("y", yb.clone())],
+            threads,
+        );
+    }
+}

@@ -23,6 +23,7 @@
 
 pub mod admission;
 pub mod http;
+pub mod request;
 pub mod server;
 pub mod service;
 
@@ -30,5 +31,6 @@ pub use admission::{Admission, Admit, Permit, ShedLevel};
 /// The workspace's one JSON value and parser lives in `formad::json`;
 /// re-exported at the path the service protocol's callers use.
 pub use formad::json::{self, Json};
+pub use request::{Failure, Request, Verb};
 pub use server::{install_sigint_handler, interrupted, serve, ServerHandle};
 pub use service::{Service, ServiceConfig};

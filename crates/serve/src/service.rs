@@ -3,7 +3,10 @@
 //!
 //! Request lifecycle for the analysis verbs (`analyze` / `prove`):
 //!
-//! 1. Parse JSON and the program — failures are the client's (HTTP 400).
+//! 1. Decode the body into a [`Request`] and parse and validate the
+//!    program — the field validator and the builders are
+//!    [`crate::request`]'s, shared with the CLI. Failures are the
+//!    client's (HTTP 400).
 //! 2. Pass the admission gate. Saturation *sheds*: the request is
 //!    answered immediately with the always-safe atomic discipline (HTTP
 //!    200, `degraded: true`) instead of queueing or erroring.
@@ -19,23 +22,23 @@
 //! exit 7. The service never returns a 5xx: every response is either the
 //! client's fault (4xx) or a correct — possibly degraded — answer.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use formad::{
-    full_report, Deadline, FormadAnalysis, FormadErrorKind, FormadOptions, IncMode,
-    ParallelTreatment, SharedEngine,
+    full_report, FormadAnalysis, FormadErrorKind, FormadOptions, IncMode, ParallelTreatment,
+    SharedEngine,
 };
-use formad_ir::{parse_any, Program, SourceFlavor};
-use formad_machine::{bind_params, output_lines, Machine, NativeEngine, NativeProgram};
-use formad_smt::{ChaosConfig, SolverBudget, SolverStats};
+use formad_ir::Program;
+use formad_machine::output_lines;
+use formad_smt::{SolverBudget, SolverStats};
 
 use crate::admission::{Admission, Admit, ShedLevel};
-use crate::http::{Request, Response};
+use crate::http::{self, Response};
 use crate::json::{obj, Json};
+use crate::request::{Backend, Engines, Failure, Request, Verb};
 
 /// Tunables for one service instance.
 #[derive(Debug, Clone)]
@@ -92,7 +95,7 @@ pub struct Service {
     /// Persistent native exec engines, one per logical thread count, so
     /// repeated `exec` requests reuse parked worker pools instead of
     /// spawning threads per request.
-    native: Mutex<HashMap<usize, NativeEngine>>,
+    native: Engines,
     shutdown: AtomicBool,
 }
 
@@ -109,7 +112,7 @@ impl Service {
             started: Instant::now(),
             counters: Counters::default(),
             stats: Mutex::new(SolverStats::default()),
-            native: Mutex::new(HashMap::new()),
+            native: Engines::default(),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -126,12 +129,15 @@ impl Service {
 
     /// Route one request. Total: never panics out (the caller still
     /// wraps in `catch_unwind` as a last net) and never produces a 5xx.
-    pub fn handle(&self, req: &Request) -> Response {
+    pub fn handle(&self, req: &http::Request) -> Response {
         let resp = match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/v1/analyze") | ("POST", "/v1/prove") => {
+            ("POST", "/v1/analyze" | "/v1/prove") => {
                 self.counters.analyze.fetch_add(1, Ordering::Relaxed);
-                // `prove` keeps the CLI alias: same verb, adjoint included.
-                self.analysis_request(&req.body, req.path.ends_with("prove"))
+                // The one transport difference: `/v1/prove` answers with
+                // the adjoint unless the body says `"adjoint": false`,
+                // while the CLI's `prove` is `analyze` and prints none.
+                let prove = req.path == "/v1/prove";
+                self.analysis_request(if prove { Verb::Prove } else { Verb::Analyze }, &req.body)
             }
             ("POST", "/v1/exec") => {
                 self.counters.exec.fetch_add(1, Ordering::Relaxed);
@@ -164,60 +170,19 @@ impl Service {
 
     // ---- analyze / prove ----
 
-    fn analysis_request(&self, body: &str, want_adjoint: bool) -> Response {
-        let req = match Json::parse(body) {
-            Ok(v) => v,
-            Err(e) => return client_error(400, "parse", &format!("bad JSON: {e}")),
+    fn analysis_request(&self, verb: Verb, body: &str) -> Response {
+        let decoded = Request::from_json(verb, body, self.cfg.default_deadline_ms)
+            .and_then(|req| Ok((req.primal()?, req)));
+        let (primal, req) = match decoded {
+            Ok(d) => d,
+            Err(f) => return failure(f),
         };
-        let Some(source) = req.get("program").and_then(Json::as_str) else {
-            return client_error(400, "parse", "`program` (string) is required");
-        };
-        let primal = match parse_any(source) {
-            Ok(p) => p,
-            Err(e) => return client_error(400, "parse", &e.to_string()),
-        };
-        let wrt = string_list(&req, "wrt");
-        let of = string_list(&req, "of");
-        if wrt.is_empty() || of.is_empty() {
-            return client_error(400, "validate", "`wrt` and `of` are required");
-        }
-        let emit = req.get("emit").and_then(Json::as_str).unwrap_or("fortran");
-        let Some(emit) = SourceFlavor::from_name(emit) else {
-            return client_error(400, "validate", &format!("unknown emit dialect `{emit}`"));
-        };
-        let want_adjoint = req
-            .get("adjoint")
-            .and_then(Json::as_bool)
-            .unwrap_or(want_adjoint);
-
-        let mut opts = base_options(&wrt, &of);
-        let deadline_ms = req
-            .get("deadline_ms")
-            .and_then(Json::as_u64)
-            .or(self.cfg.default_deadline_ms);
-        opts.region.deadline = deadline_ms.map(Deadline::in_ms);
-        if let Some(ms) = req.get("prover_timeout_ms").and_then(Json::as_u64) {
-            opts.region.prover_timeout = Some(Duration::from_millis(ms));
-        }
-        if let Some(chaos) = req.get("chaos") {
-            match chaos_config(chaos) {
-                Ok(cfg) => opts.region.chaos = Some(cfg),
-                Err(e) => return client_error(400, "validate", &e),
-            }
-        }
-        let poisoned = req.get("poison").and_then(Json::as_bool).unwrap_or(false);
-
+        let mut opts = req.options();
         let permit = match self.admission.admit(true) {
             Admit::Run(p) => p,
             Admit::Shed => {
-                return self.fallback_response(
-                    &primal,
-                    &opts,
-                    want_adjoint,
-                    emit,
-                    "load shed: admission queue saturated",
-                    "fallback",
-                );
+                let reason = "load shed: admission queue saturated";
+                return self.fallback_response(&primal, &req, reason, "fallback");
             }
             // Unreachable for degradable work; keep the arm total.
             Admit::Reject { retry_after_ms } => return rejected(retry_after_ms),
@@ -232,13 +197,13 @@ impl Service {
         // — injected chaos or a genuine bug — degrades the answer
         // instead of killing the daemon.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if poisoned {
+            if req.poison {
                 panic!("poisoned request (test hook)");
             }
-            if want_adjoint {
+            if req.adjoint {
                 self.engine
                     .differentiate_isolated(&primal, &opts)
-                    .map(|r| (r.analysis, Some(emit.print(&r.adjoint))))
+                    .map(|r| (r.analysis, Some(req.emit.print(&r.adjoint))))
             } else {
                 self.engine
                     .analyze_isolated(&primal, &opts)
@@ -258,31 +223,18 @@ impl Service {
                 self.analysis_response(&primal, &analysis, adjoint, level)
             }
             Ok(Err(e)) => match e.kind {
-                // The client's program or variable sets are at fault.
-                FormadErrorKind::Parse | FormadErrorKind::Validate | FormadErrorKind::Ad => {
-                    client_error(400, e.kind.label(), &e.message)
+                // Deadline expiry and escaped prover faults degrade: same
+                // contract as the pipeline's internal ladder.
+                FormadErrorKind::Deadline | FormadErrorKind::ProverPanic => {
+                    self.fallback_response(&primal, &req, &e.message, level.label())
                 }
-                // Deadline expiry and escaped prover faults degrade:
-                // same contract as the pipeline's internal ladder.
-                FormadErrorKind::Deadline | FormadErrorKind::ProverPanic => self.fallback_response(
-                    &primal,
-                    &opts,
-                    want_adjoint,
-                    emit,
-                    &e.message,
-                    level.label(),
-                ),
+                // The client's program or variable sets are at fault.
+                _ => failure(Failure::Pipeline(e)),
             },
             Err(_) => {
                 self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
-                self.fallback_response(
-                    &primal,
-                    &opts,
-                    want_adjoint,
-                    emit,
-                    "panic isolated: request pipeline unwound (cache overlay rolled back)",
-                    level.label(),
-                )
+                let reason = "panic isolated: request pipeline unwound (cache overlay rolled back)";
+                self.fallback_response(&primal, &req, reason, level.label())
             }
         }
     }
@@ -317,21 +269,19 @@ impl Service {
     fn fallback_response(
         &self,
         primal: &Program,
-        opts: &FormadOptions,
-        want_adjoint: bool,
-        emit: SourceFlavor,
+        req: &Request,
         reason: &str,
         shed_level: &str,
     ) -> Response {
         self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-        let adjoint = if want_adjoint {
+        let adjoint = if req.adjoint {
             let built = catch_unwind(AssertUnwindSafe(|| {
-                self.engine
-                    .adjoint_with(primal, opts, ParallelTreatment::Uniform(IncMode::Atomic))
+                let atomic = ParallelTreatment::Uniform(IncMode::Atomic);
+                self.engine.adjoint_with(primal, &req.options(), atomic)
             }));
             match built {
-                Ok(Ok(p)) => Some(emit.print(&p)),
-                Ok(Err(e)) => return client_error(400, e.kind.label(), &e.message),
+                Ok(Ok(p)) => Some(req.emit.print(&p)),
+                Ok(Err(e)) => return failure(Failure::Pipeline(e)),
                 Err(_) => {
                     self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
                     return client_error(400, "panic", "fallback adjoint generation panicked");
@@ -364,57 +314,17 @@ impl Service {
     // ---- exec ----
 
     fn exec_request(&self, body: &str) -> Response {
-        let req = match Json::parse(body) {
-            Ok(v) => v,
-            Err(e) => return client_error(400, "parse", &format!("bad JSON: {e}")),
-        };
-        let Some(source) = req.get("program").and_then(Json::as_str) else {
-            return client_error(400, "parse", "`program` (string) is required");
-        };
-        let primal = match parse_any(source) {
-            Ok(p) => p,
-            Err(e) => return client_error(400, "parse", &e.to_string()),
-        };
-        let errs = formad_ir::validate(&primal);
-        if !errs.is_empty() {
-            let joined: Vec<String> = errs.iter().map(|e| e.to_string()).collect();
-            return client_error(400, "validate", &joined.join("; "));
-        }
-        let seed = req.get("seed").and_then(Json::as_u64).unwrap_or(42);
-        let threads = req
-            .get("threads")
-            .and_then(Json::as_u64)
-            .map(|t| (t as usize).clamp(1, self.cfg.exec_threads_max))
-            .unwrap_or(1);
-        let backend = req.get("backend").and_then(Json::as_str).unwrap_or("sim");
-        if !matches!(backend, "sim" | "native" | "aot") {
-            return client_error(400, "validate", &format!("unknown backend `{backend}`"));
-        }
-        let deadline = req
-            .get("deadline_ms")
-            .and_then(Json::as_u64)
-            .or(self.cfg.default_deadline_ms)
-            .map(Deadline::in_ms);
-        let mut sets: Vec<(String, String)> = Vec::new();
-        if let Some(v) = req.get("sets") {
-            for (k, val) in v.fields() {
-                let raw = match val {
-                    Json::Str(s) => s.clone(),
-                    Json::Num(_) => val.render(),
-                    _ => {
-                        return client_error(
-                            400,
-                            "validate",
-                            &format!("`sets.{k}` must be a scalar"),
-                        )
-                    }
-                };
-                sets.push((k.clone(), raw));
-            }
-        }
-        let mut bind = match bind_params(&primal, &sets, seed) {
-            Ok(b) => b,
-            Err(e) => return client_error(400, "validate", &e.to_string()),
+        let decoded = Request::from_json(Verb::Exec, body, self.cfg.default_deadline_ms).and_then(
+            |mut req| {
+                req.threads = req.threads.min(self.cfg.exec_threads_max);
+                let primal = req.primal()?;
+                let bind = req.bindings(&primal)?;
+                Ok((req, primal, bind))
+            },
+        );
+        let (req, primal, mut bind) = match decoded {
+            Ok(d) => d,
+            Err(f) => return failure(f),
         };
 
         // `exec` cannot be degraded, so it is the one verb that may be
@@ -424,36 +334,20 @@ impl Service {
             Admit::Reject { retry_after_ms } => return rejected(retry_after_ms),
             Admit::Shed => unreachable!("non-degradable requests are never shed"),
         };
-        if let Some(d) = &deadline {
-            if d.expired() {
-                drop(permit);
-                return deadline_response("global deadline expired before execution started");
-            }
-        }
-        // `aot_fallback` carries the degradation note when an AOT kernel
-        // build fails and the request lands on the bytecode backend.
-        let outcome = catch_unwind(AssertUnwindSafe(|| match backend {
-            "native" | "aot" => {
-                self.run_on_parked_engine(&primal, &mut bind, threads, backend == "aot")
-            }
-            _ => formad_machine::run(&primal, &mut bind, &Machine::with_threads(threads))
-                .map(|_| None)
-                .map_err(|e| e.to_string()),
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            req.exec(&primal, &mut bind, &self.native)
         }));
         drop(permit);
-        let aot_fallback: Option<String> = match outcome {
+        // `aot_fallback` carries the degradation note when an AOT kernel
+        // build fails and the request lands on the bytecode backend.
+        let aot_fallback = match outcome {
             Ok(Ok(reason)) => reason,
-            Ok(Err(e)) => return client_error(400, "exec", &e),
+            Ok(Err(f)) => return failure(f),
             Err(_) => {
                 self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
                 return client_error(400, "panic", "execution panicked (isolated)");
             }
         };
-        if let Some(d) = &deadline {
-            if d.expired() {
-                return deadline_response("global deadline expired before execution finished");
-            }
-        }
         let outputs: Vec<Json> = output_lines(&primal, &bind)
             .into_iter()
             .map(Json::from)
@@ -461,8 +355,8 @@ impl Service {
         let mut fields = vec![
             ("ok", true.into()),
             ("program", primal.name.as_str().into()),
-            ("backend", backend.into()),
-            ("threads", threads.into()),
+            ("backend", req.backend.name().into()),
+            ("threads", req.threads.into()),
         ];
         if let Some(reason) = &aot_fallback {
             // Degradation, not errors: still 200, results identical to
@@ -470,32 +364,11 @@ impl Service {
             self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
             fields.push(("aot_fallback", true.into()));
             fields.push(("aot_fallback_reason", reason.as_str().into()));
-        } else if backend == "aot" {
+        } else if req.backend == Backend::Aot {
             fields.push(("aot_fallback", false.into()));
         }
         fields.push(("outputs", Json::Arr(outputs)));
         Response::json(200, obj(fields).render())
-    }
-
-    /// Climb the backend ladder ([`NativeProgram::compile`]) and run on a
-    /// persistent [`NativeEngine`] (one per logical thread count), so
-    /// repeated requests reuse parked worker pools. With `aot`, a failed
-    /// kernel build degrades to bytecode — `Ok(Some(reason))` — instead
-    /// of erroring, mirroring `formad exec --backend aot`.
-    fn run_on_parked_engine(
-        &self,
-        primal: &Program,
-        bind: &mut formad_machine::Bindings,
-        threads: usize,
-        aot: bool,
-    ) -> Result<Option<String>, String> {
-        let np = NativeProgram::compile(primal, bind, aot).map_err(|e| e.to_string())?;
-        let mut engines = self.native.lock().unwrap_or_else(|e| e.into_inner());
-        let engine = engines
-            .entry(threads)
-            .or_insert_with(|| NativeEngine::new(threads));
-        engine.run_program(&np, bind).map_err(|e| e.to_string())?;
-        Ok(np.aot_fallback)
     }
 
     // ---- status ----
@@ -503,14 +376,18 @@ impl Service {
     fn status_json(&self) -> Json {
         let (running, queued) = self.admission.occupancy();
         let stats = self.stats.lock().map(|s| *s).unwrap_or_default();
-        let fp = self.engine.fingerprints().map(|f| f.stats());
+        let fp = self
+            .engine
+            .fingerprints()
+            .map(|f| f.stats())
+            .unwrap_or_default();
         let aot = formad_machine::aot::stats();
+        let c = &self.counters;
+        let n = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
+        let uptime_ms = self.started.elapsed().as_millis() as u64;
         obj(vec![
             ("service", "formad-serve".into()),
-            (
-                "uptime_ms",
-                (self.started.elapsed().as_millis() as u64).into(),
-            ),
+            ("uptime_ms", uptime_ms.into()),
             (
                 "queue",
                 obj(vec![
@@ -523,32 +400,17 @@ impl Service {
             (
                 "requests",
                 obj(vec![
-                    (
-                        "analyze",
-                        self.counters.analyze.load(Ordering::Relaxed).into(),
-                    ),
-                    ("exec", self.counters.exec.load(Ordering::Relaxed).into()),
-                    (
-                        "status",
-                        self.counters.status.load(Ordering::Relaxed).into(),
-                    ),
+                    ("analyze", n(&c.analyze)),
+                    ("exec", n(&c.exec)),
+                    ("status", n(&c.status)),
                 ]),
             ),
             (
                 "responses",
                 obj(vec![
-                    (
-                        "ok_200",
-                        self.counters.ok_200.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "client_4xx",
-                        self.counters.client_4xx.load(Ordering::Relaxed).into(),
-                    ),
-                    (
-                        "rejected_429",
-                        self.counters.rejected_429.load(Ordering::Relaxed).into(),
-                    ),
+                    ("ok_200", n(&c.ok_200)),
+                    ("client_4xx", n(&c.client_4xx)),
+                    ("rejected_429", n(&c.rejected_429)),
                 ]),
             ),
             (
@@ -556,22 +418,13 @@ impl Service {
                 obj(vec![
                     ("admitted_full", self.admission.admitted_full().into()),
                     ("admitted_reduced", self.admission.admitted_reduced().into()),
-                    (
-                        "fallbacks",
-                        self.counters.fallbacks.load(Ordering::Relaxed).into(),
-                    ),
+                    ("fallbacks", n(&c.fallbacks)),
                     ("shed_at_admission", self.admission.shed_fallback().into()),
                     ("rejected", self.admission.rejected().into()),
                 ]),
             ),
-            (
-                "degraded_total",
-                self.counters.degraded.load(Ordering::Relaxed).into(),
-            ),
-            (
-                "panics_caught",
-                self.counters.panics_caught.load(Ordering::Relaxed).into(),
-            ),
+            ("degraded_total", n(&c.degraded)),
+            ("panics_caught", n(&c.panics_caught)),
             // Always 0: the frozen `benchmark/` package reads
             // `cache.inserts`. It goes with the follow-up `benchmark` PR
             // that drops the `serve.cache_inserts` row.
@@ -581,15 +434,12 @@ impl Service {
             (
                 "fingerprints",
                 obj(vec![
-                    ("entries", fp.as_ref().map_or(0, |f| f.entries).into()),
-                    ("hits", fp.as_ref().map_or(0, |f| f.hits).into()),
-                    ("disk_hits", fp.as_ref().map_or(0, |f| f.disk_hits).into()),
-                    ("misses", fp.as_ref().map_or(0, |f| f.misses).into()),
-                    ("inserts", fp.as_ref().map_or(0, |f| f.inserts).into()),
-                    (
-                        "write_errors",
-                        fp.as_ref().map_or(0, |f| f.write_errors).into(),
-                    ),
+                    ("entries", fp.entries.into()),
+                    ("hits", fp.hits.into()),
+                    ("disk_hits", fp.disk_hits.into()),
+                    ("misses", fp.misses.into()),
+                    ("inserts", fp.inserts.into()),
+                    ("write_errors", fp.write_errors.into()),
                 ]),
             ),
             // Exec-side analogue of the fingerprint index: the process-wide AOT
@@ -609,48 +459,6 @@ impl Service {
 }
 
 // ---- helpers ----
-
-fn base_options(wrt: &[String], of: &[String]) -> FormadOptions {
-    let wrt: Vec<&str> = wrt.iter().map(|s| s.as_str()).collect();
-    let of: Vec<&str> = of.iter().map(|s| s.as_str()).collect();
-    FormadOptions::new(&wrt, &of)
-}
-
-/// `"x,y"` or `["x","y"]` → list of names.
-fn string_list(req: &Json, key: &str) -> Vec<String> {
-    match req.get(key) {
-        Some(Json::Str(s)) => s
-            .split(',')
-            .map(|p| p.trim().to_string())
-            .filter(|p| !p.is_empty())
-            .collect(),
-        Some(Json::Arr(items)) => items
-            .iter()
-            .filter_map(|v| v.as_str().map(str::to_string))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-fn chaos_config(v: &Json) -> Result<ChaosConfig, String> {
-    let per_mille = |key: &str| -> Result<u16, String> {
-        match v.get(key) {
-            None => Ok(0),
-            Some(n) => n
-                .as_u64()
-                .filter(|n| *n <= 1000)
-                .map(|n| n as u16)
-                .ok_or_else(|| format!("`chaos.{key}` must be 0..=1000")),
-        }
-    };
-    Ok(ChaosConfig {
-        seed: v.get("seed").and_then(Json::as_u64).unwrap_or(1),
-        panic_per_mille: per_mille("panic_per_mille")?,
-        unknown_per_mille: per_mille("unknown_per_mille")?,
-        delay_per_mille: per_mille("delay_per_mille")?,
-        delay: Duration::from_millis(v.get("delay_ms").and_then(Json::as_u64).unwrap_or(1)),
-    })
-}
 
 /// The reduced-budget rung of the shed ladder: an eighth of the default
 /// work counters, no escalation retries, per-query wall clock capped.
@@ -705,6 +513,18 @@ fn rejected(retry_after_ms: u64) -> Response {
     .with_header("retry-after-ms", retry_after_ms.to_string())
 }
 
-fn deadline_response(message: &str) -> Response {
-    client_error(408, "deadline", message)
+/// The reply to a failed request: the client's fault, never a 5xx.
+fn failure(f: Failure) -> Response {
+    match f {
+        Failure::Usage(m) | Failure::Input(m) | Failure::Lower(m) => {
+            client_error(400, "validate", &m)
+        }
+        Failure::Invalid(errs) => client_error(400, "validate", &errs.join("; ")),
+        Failure::Parse(m) => client_error(400, "parse", &m),
+        Failure::Exec(m) => client_error(400, "exec", &m),
+        Failure::Pipeline(e) if e.kind == FormadErrorKind::Deadline => {
+            client_error(408, "deadline", &e.message)
+        }
+        Failure::Pipeline(e) => client_error(400, e.kind.label(), &e.message),
+    }
 }

@@ -639,3 +639,121 @@ fn restarted_daemon_serves_from_disk_with_zero_lia_calls() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---- field validation ----
+
+const AXPY: &str = "subroutine axpy(n, a, x, y)\n  integer, intent(in) :: n\n  \
+                    real, intent(in) :: a\n  real, intent(in) :: x(n)\n  \
+                    real, intent(inout) :: y(n)\n  integer :: i\n  \
+                    !$omp parallel do shared(x, y)\n  do i = 1, n\n    \
+                    y(i) = y(i) + a * x(i)\n  end do\nend subroutine\n";
+
+/// Assert `body` posted to `path` is a 400 `validate` naming `field`.
+fn assert_rejects_field(addr: SocketAddr, path: &str, body: &str, field: &str) {
+    let (status, json) = post(addr, path, body);
+    assert_eq!(status, 400, "{path} {body}: {json}");
+    assert_eq!(
+        json.get("kind").and_then(Json::as_str),
+        Some("validate"),
+        "{json}"
+    );
+    let error = json.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains(&format!("`{field}`")), "{field}: {error}");
+}
+
+/// An exec field that is present but of the wrong type or out of range
+/// is refused the way the CLI refuses the same flag, not replaced by its
+/// default.
+#[test]
+fn malformed_exec_fields_are_refused() {
+    let handle = start(ServiceConfig::default());
+    let addr = handle.addr();
+    let program = Json::Str(AXPY.to_string()).render();
+    for (field, value) in [
+        ("backend", "5"),
+        ("backend", r#""cuda""#),
+        ("seed", r#""x""#),
+        ("threads", "-3"),
+        ("threads", "0"),
+        ("threads", "1.5"),
+        ("deadline_ms", r#""soon""#),
+        ("sets", "5"),
+    ] {
+        let body = format!(r#"{{"program":{program},"sets":{{"n":8}},"{field}":{value}}}"#);
+        let body = body.replace(r#""sets":{"n":8},"sets""#, r#""sets""#);
+        assert_rejects_field(addr, "/v1/exec", &body, field);
+    }
+}
+
+/// The same for the analysis endpoints.
+#[test]
+fn malformed_analysis_fields_are_refused() {
+    let handle = start(ServiceConfig::default());
+    let addr = handle.addr();
+    for (field, value) in [
+        ("emit", "7"),
+        ("prover_timeout_ms", r#""x""#),
+        ("deadline_ms", "-1"),
+        ("adjoint", r#""yes""#),
+        ("poison", "1"),
+        ("wrt", "5"),
+        ("of", r#"["y", 3]"#),
+        ("chaos", "true"),
+    ] {
+        let mut body = prove_body(AXPY, &["x"], &["y"], &format!(r#","{field}":{value}"#));
+        if field == "wrt" || field == "of" {
+            // The first occurrence of a key is the one read.
+            body = format!(r#"{{"{field}":{value},{}"#, &body[1..]);
+        }
+        for path in ["/v1/analyze", "/v1/prove"] {
+            assert_rejects_field(addr, path, &body, field);
+        }
+    }
+    let (status, json) = post(
+        addr,
+        "/v1/prove",
+        &prove_body(AXPY, &["x"], &["y"], r#","chaos":{"seed":"x"}"#),
+    );
+    assert_eq!(status, 400, "{json}");
+    let error = json.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("`chaos.seed`"), "{error}");
+}
+
+/// Well-formed fields keep their meaning: `threads` above the service's
+/// ceiling is clamped to it, not refused, and `adjoint: false` on
+/// `/v1/prove` drops the adjoint from the reply.
+#[test]
+fn well_formed_fields_still_clamp_and_toggle() {
+    let handle = start(ServiceConfig {
+        exec_threads_max: 3,
+        ..ServiceConfig::default()
+    });
+    let addr = handle.addr();
+    let body = format!(
+        r#"{{"program":{},"backend":"native","threads":64,"seed":7,"deadline_ms":60000,"sets":{{"n":8,"a":"0.5"}}}}"#,
+        Json::Str(AXPY.to_string()).render()
+    );
+    let (status, json) = post(addr, "/v1/exec", &body);
+    assert_eq!(status, 200, "{json}");
+    assert_eq!(
+        json.get("threads").and_then(Json::as_u64),
+        Some(3),
+        "{json}"
+    );
+
+    let (status, json) = post(
+        addr,
+        "/v1/prove",
+        &prove_body(AXPY, &["x"], &["y"], r#","adjoint":false,"emit":"c""#),
+    );
+    assert_eq!(status, 200, "{json}");
+    assert!(json.get("adjoint").is_none(), "{json}");
+    let (status, json) = post(
+        addr,
+        "/v1/analyze",
+        &prove_body(AXPY, &["x"], &["y"], r#","adjoint":true,"emit":"c""#),
+    );
+    assert_eq!(status, 200, "{json}");
+    let adjoint = json.get("adjoint").and_then(Json::as_str).unwrap_or("");
+    assert!(adjoint.contains("void axpy_b("), "{adjoint}");
+}
