@@ -222,7 +222,7 @@ pub struct Request {
     /// Decoded from argv: messages name flags, not JSON keys.
     cli: bool,
     /// Source text of the program.
-    pub program: String,
+    program: String,
     pub array: Option<String>,
     /// The pipeline options the fields build (see [`Request::options`]).
     opts: FormadOptions,

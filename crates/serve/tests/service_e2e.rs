@@ -648,28 +648,15 @@ const AXPY: &str = "subroutine axpy(n, a, x, y)\n  integer, intent(in) :: n\n  \
                     !$omp parallel do shared(x, y)\n  do i = 1, n\n    \
                     y(i) = y(i) + a * x(i)\n  end do\nend subroutine\n";
 
-/// Assert `body` posted to `path` is a 400 `validate` naming `field`.
-fn assert_rejects_field(addr: SocketAddr, path: &str, body: &str, field: &str) {
-    let (status, json) = post(addr, path, body);
-    assert_eq!(status, 400, "{path} {body}: {json}");
-    assert_eq!(
-        json.get("kind").and_then(Json::as_str),
-        Some("validate"),
-        "{json}"
-    );
-    let error = json.get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(error.contains(&format!("`{field}`")), "{field}: {error}");
-}
-
-/// An exec field that is present but of the wrong type or out of range
-/// is refused the way the CLI refuses the same flag, not replaced by its
-/// default.
+/// A field that is present but of the wrong type or out of range is
+/// refused the way the CLI refuses the same flag (HTTP 400 `validate`
+/// naming the field), not replaced by its default.
 #[test]
-fn malformed_exec_fields_are_refused() {
+fn malformed_fields_are_refused() {
     let handle = start(ServiceConfig::default());
     let addr = handle.addr();
     let program = Json::Str(AXPY.to_string()).render();
-    for (field, value) in [
+    let exec = [
         ("backend", "5"),
         ("backend", r#""cuda""#),
         ("seed", r#""x""#),
@@ -678,19 +665,8 @@ fn malformed_exec_fields_are_refused() {
         ("threads", "1.5"),
         ("deadline_ms", r#""soon""#),
         ("sets", "5"),
-    ] {
-        let body = format!(r#"{{"program":{program},"sets":{{"n":8}},"{field}":{value}}}"#);
-        let body = body.replace(r#""sets":{"n":8},"sets""#, r#""sets""#);
-        assert_rejects_field(addr, "/v1/exec", &body, field);
-    }
-}
-
-/// The same for the analysis endpoints.
-#[test]
-fn malformed_analysis_fields_are_refused() {
-    let handle = start(ServiceConfig::default());
-    let addr = handle.addr();
-    for (field, value) in [
+    ];
+    let analysis = [
         ("emit", "7"),
         ("prover_timeout_ms", r#""x""#),
         ("deadline_ms", "-1"),
@@ -699,24 +675,25 @@ fn malformed_analysis_fields_are_refused() {
         ("wrt", "5"),
         ("of", r#"["y", 3]"#),
         ("chaos", "true"),
-    ] {
-        let mut body = prove_body(AXPY, &["x"], &["y"], &format!(r#","{field}":{value}"#));
-        if field == "wrt" || field == "of" {
-            // The first occurrence of a key is the one read.
-            body = format!(r#"{{"{field}":{value},{}"#, &body[1..]);
-        }
-        for path in ["/v1/analyze", "/v1/prove"] {
-            assert_rejects_field(addr, path, &body, field);
-        }
-    }
-    let (status, json) = post(
-        addr,
-        "/v1/prove",
-        &prove_body(AXPY, &["x"], &["y"], r#","chaos":{"seed":"x"}"#),
+        ("chaos", r#"{"seed":"x"}"#),
+    ];
+    let cases = (exec.iter().map(|c| ("/v1/exec", c))).chain(
+        analysis
+            .iter()
+            .flat_map(|c| [("/v1/analyze", c), ("/v1/prove", c)]),
     );
-    assert_eq!(status, 400, "{json}");
-    let error = json.get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(error.contains("`chaos.seed`"), "{error}");
+    for (path, (field, value)) in cases {
+        // The first occurrence of a key is the one read.
+        let body = format!(
+            r#"{{"{field}":{value},"program":{program},"wrt":"x","of":"y","sets":{{"n":8}}}}"#
+        );
+        let (status, json) = post(addr, path, &body);
+        assert_eq!(status, 400, "{path} {body}: {json}");
+        let kind = json.get("kind").and_then(Json::as_str);
+        assert_eq!(kind, Some("validate"), "{path} {body}: {json}");
+        let error = json.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(error.contains(&format!("`{field}")), "{field}: {error}");
+    }
 }
 
 /// Well-formed fields keep their meaning: `threads` above the service's
