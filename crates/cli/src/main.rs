@@ -140,8 +140,10 @@
 //! 3 parse, 4 validation, 5 AD failure, 6 prover panic that escaped the
 //! degradation ladder, 7 deadline.
 //!
-//! Test hook: setting `FORMAD_INTERNAL_PANIC=1` panics deliberately inside
-//! the run so the exit-6 last-resort net stays covered by the test suite.
+//! Test hook, debug builds only: setting `FORMAD_INTERNAL_PANIC=1` panics
+//! deliberately inside the run so the exit-6 last-resort net stays covered
+//! by the test suite. A release build has no such hook: nothing in its
+//! arguments or environment can make it panic on purpose.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -586,6 +588,7 @@ fn compile_cmd(req: &Request, primal: &Program) -> Result<(), Failure> {
 }
 
 fn run(req: &Request, primal: &Program) -> ExitCode {
+    #[cfg(debug_assertions)]
     if std::env::var_os("FORMAD_INTERNAL_PANIC").is_some() {
         panic!("FORMAD_INTERNAL_PANIC test hook tripped");
     }
