@@ -1,11 +1,13 @@
 //! Control contexts (paper §5.1).
 //!
 //! A *context* captures the set of control decisions that lead to executing
-//! an instruction. Two CFG nodes share a context when they are *control
-//! equivalent* (`a dom b ∧ b pdom a`, in either orientation); context `C₂`
-//! is *included* in `C₁` when any iteration executing an instruction of
-//! `C₂` necessarily executes the instructions of `C₁` — derived here from
-//! the dominator / post-dominator trees exactly as the paper describes.
+//! an instruction: two sites share a context when every execution of the
+//! body runs both or neither, and context `C₂` is *included* in `C₁` when
+//! any iteration executing an instruction of `C₂` necessarily executes the
+//! instructions of `C₁`. The body language has no jumps, so a context is
+//! the root (the body's top level) or a non-empty `if` arm or loop body
+//! ([`crate::body`] numbers them), and inclusion is "is nested in or the
+//! same as".
 //!
 //! Knowledge extraction attaches a fact from a reference pair to the
 //! innermost of the two references' contexts when they are comparable (the
@@ -13,106 +15,44 @@
 //! adjoint pair may only use facts attached to contexts that include *both*
 //! primal contexts (the "common root" and everything above it).
 
-use crate::cfg::{Cfg, NodeId, ENTRY};
-use crate::dom::{dominators, post_dominators, DomTree};
-
-/// Dense context identifier.
+/// Dense context identifier, numbered in pre-order: a context's parent
+/// has a smaller id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CtxId(pub u32);
 
-/// The context partition of a CFG.
+/// The contexts of a region body.
 #[derive(Debug)]
 pub struct Contexts {
-    /// Context of each CFG node.
+    /// Context of each site.
     pub ctx_of: Vec<CtxId>,
     /// Number of contexts.
     pub count: usize,
-    /// `incl[a][b]` ⇔ context `a` is included in context `b`
-    /// (`a ⊆ b`: executing `a` implies executing `b`).
-    incl: Vec<Vec<bool>>,
-    /// Context of the entry node (the body's root context).
+    /// The enclosing context of each; the root is its own.
+    parent: Vec<CtxId>,
+    /// The body's root context.
     pub root: CtxId,
 }
 
 impl Contexts {
-    /// Compute the context partition of `cfg`.
-    pub fn build(cfg: &Cfg<'_>) -> Contexts {
-        let dom = dominators(cfg);
-        let pdom = post_dominators(cfg);
-        Contexts::from_trees(cfg, &dom, &pdom)
-    }
-
-    /// Compute contexts from precomputed trees (lets callers reuse them).
-    pub fn from_trees(cfg: &Cfg<'_>, dom: &DomTree, pdom: &DomTree) -> Contexts {
-        let n = cfg.len();
-        // Control equivalence: a ~ b ⇔ (a dom b ∧ b pdom a) ∨ symmetric.
-        let equiv = |a: NodeId, b: NodeId| -> bool {
-            (dom.dominates(a, b) && pdom.dominates(b, a))
-                || (dom.dominates(b, a) && pdom.dominates(a, b))
-        };
-        // Union-find to close the relation into a partition.
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if equiv(a, b) {
-                    let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-                    if ra != rb {
-                        parent[ra] = rb;
-                    }
-                }
-            }
-        }
-        // Dense context ids.
-        let mut ids: Vec<Option<CtxId>> = vec![None; n];
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
-        let mut ctx_of = vec![CtxId(0); n];
-        for (node, slot) in ctx_of.iter_mut().enumerate() {
-            let rep = find(&mut parent, node);
-            let id = match ids[rep] {
-                Some(id) => id,
-                None => {
-                    let id = CtxId(members.len() as u32);
-                    ids[rep] = Some(id);
-                    members.push(Vec::new());
-                    id
-                }
-            };
-            *slot = id;
-            members[id.0 as usize].push(node);
-        }
-        let count = members.len();
-
-        // Node-level inclusion: executing `a` implies executing `b` when
-        // `b` dominates or post-dominates `a`. Lift to contexts with a
-        // universal check over members — conservative (may miss inclusions
-        // on irreducible graphs) and therefore sound.
-        let node_incl =
-            |a: NodeId, b: NodeId| -> bool { dom.dominates(b, a) || pdom.dominates(b, a) };
-        let mut incl = vec![vec![false; count]; count];
-        for (ca, ma) in members.iter().enumerate() {
-            for (cb, mb) in members.iter().enumerate() {
-                incl[ca][cb] = ma.iter().all(|&a| mb.iter().all(|&b| node_incl(a, b)));
-            }
-        }
-        let root = ctx_of[ENTRY];
+    pub(crate) fn new(ctx_of: Vec<CtxId>, parent: Vec<CtxId>) -> Contexts {
         Contexts {
             ctx_of,
-            count,
-            incl,
-            root,
+            count: parent.len(),
+            parent,
+            root: CtxId(0),
         }
+    }
+
+    /// `c` and the contexts enclosing it, innermost first.
+    fn chain(&self, c: CtxId) -> impl Iterator<Item = CtxId> + '_ {
+        std::iter::successors(Some(c), |&c| {
+            (c != self.root).then(|| self.parent[c.0 as usize])
+        })
     }
 
     /// Is context `a` included in context `b` (`a ⊆ b`)?
     pub fn included(&self, a: CtxId, b: CtxId) -> bool {
-        self.incl[a.0 as usize][b.0 as usize]
+        self.chain(a).any(|c| c == b)
     }
 
     /// Where to attach knowledge from a reference pair with contexts
@@ -120,7 +60,7 @@ impl Contexts {
     /// context that must execute both references), `None` otherwise (no
     /// control certainly executes both — paper §5.1).
     pub fn knowledge_site(&self, c1: CtxId, c2: CtxId) -> Option<CtxId> {
-        if c1 == c2 || self.included(c1, c2) {
+        if self.included(c1, c2) {
             Some(c1)
         } else if self.included(c2, c1) {
             Some(c2)
@@ -131,29 +71,39 @@ impl Contexts {
 
     /// Contexts whose knowledge may be used when testing an adjoint pair
     /// whose primal references live in `(c1, c2)`: every context including
-    /// both (the common root and its ancestors).
+    /// both (the common root and its ancestors), outermost first.
     pub fn usable_for(&self, c1: CtxId, c2: CtxId) -> Vec<CtxId> {
-        (0..self.count)
-            .map(|k| CtxId(k as u32))
-            .filter(|&c| self.included(c1, c) && self.included(c2, c))
-            .collect()
+        let mut out: Vec<CtxId> = self.chain(c2).filter(|&c| self.included(c1, c)).collect();
+        out.reverse();
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::NodeKind;
+    use crate::analyze_body;
+    use crate::body::tests::sites;
+    use crate::body::SiteId;
     use formad_ir::{parse_program, Stmt};
 
     fn body_of(src: &str) -> Vec<Stmt> {
         parse_program(src).unwrap().body
     }
 
-    fn cfg_and_ctx(body: &[Stmt]) -> (Cfg<'_>, Contexts) {
-        let cfg = Cfg::build(body);
-        let ctx = Contexts::build(&cfg);
-        (cfg, ctx)
+    /// The sites of `body` (pre-order, with their statements) and its
+    /// contexts.
+    fn sites_and_ctx(body: &[Stmt]) -> (Vec<(SiteId, &Stmt)>, Contexts) {
+        (sites(body), analyze_body(body).0)
+    }
+
+    /// Sites of the statements that are neither `if` nor `for`.
+    fn simple(sites: &[(SiteId, &Stmt)]) -> Vec<SiteId> {
+        sites
+            .iter()
+            .filter(|(_, s)| !matches!(s, Stmt::If { .. } | Stmt::For(_)))
+            .map(|&(n, _)| n)
+            .collect()
     }
 
     #[test]
@@ -167,9 +117,9 @@ subroutine t(a)
 end subroutine
 "#,
         );
-        let (cfg, ctx) = cfg_and_ctx(&body);
+        let (_sites, ctx) = sites_and_ctx(&body);
         // Entry, exit, and both statements all share the root context.
-        for n in 0..cfg.len() {
+        for n in 0..ctx.ctx_of.len() {
             assert_eq!(ctx.ctx_of[n], ctx.root);
         }
         assert_eq!(ctx.count, 1);
@@ -190,10 +140,8 @@ subroutine t(a, i, j)
 end subroutine
 "#,
         );
-        let (cfg, ctx) = cfg_and_ctx(&body);
-        let arms: Vec<_> = (0..cfg.len())
-            .filter(|&n| matches!(cfg.nodes[n], NodeKind::Simple(_)))
-            .collect();
+        let (sites, ctx) = sites_and_ctx(&body);
+        let arms = simple(&sites);
         assert_eq!(arms.len(), 2);
         let (c1, c2) = (ctx.ctx_of[arms[0]], ctx.ctx_of[arms[1]]);
         assert_ne!(c1, ctx.root);
@@ -233,10 +181,8 @@ subroutine t(a, i, j)
 end subroutine
 "#,
         );
-        let (cfg, ctx) = cfg_and_ctx(&body);
-        let stmts: Vec<_> = (0..cfg.len())
-            .filter(|&n| matches!(cfg.nodes[n], NodeKind::Simple(_)))
-            .collect();
+        let (sites, ctx) = sites_and_ctx(&body);
+        let stmts = simple(&sites);
         // First statement is root-context, the guarded one is included.
         let outer = ctx.ctx_of[stmts[0]];
         let guarded = ctx.ctx_of[stmts[1]];
@@ -260,13 +206,17 @@ subroutine t(n, u)
 end subroutine
 "#,
         );
-        let (cfg, ctx) = cfg_and_ctx(&body);
-        let head = (0..cfg.len())
-            .find(|&n| matches!(cfg.nodes[n], NodeKind::LoopHead(_)))
-            .unwrap();
-        let inner = (0..cfg.len())
-            .find(|&n| matches!(cfg.nodes[n], NodeKind::Simple(s) if s.increment_parts().is_some()))
-            .unwrap();
+        let (sites, ctx) = sites_and_ctx(&body);
+        let head = sites
+            .iter()
+            .find(|(_, s)| matches!(s, Stmt::For(_)))
+            .unwrap()
+            .0;
+        let inner = sites
+            .iter()
+            .find(|(_, s)| s.increment_parts().is_some())
+            .unwrap()
+            .0;
         assert_eq!(ctx.ctx_of[head], ctx.root);
         let body_ctx = ctx.ctx_of[inner];
         assert_ne!(body_ctx, ctx.root);
@@ -289,7 +239,7 @@ subroutine t(n, u, i, j)
 end subroutine
 "#,
         );
-        let (_cfg, ctx) = cfg_and_ctx(&body);
+        let (_sites, ctx) = sites_and_ctx(&body);
         for a in 0..ctx.count {
             let a = CtxId(a as u32);
             assert!(ctx.included(a, a));

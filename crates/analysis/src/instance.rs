@@ -9,11 +9,11 @@
 //! different values.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use formad_ir::{LValue, Name, Stmt};
+use formad_ir::Name;
 
-use crate::cfg::{Cfg, NodeId, NodeKind, ENTRY};
+use crate::body::SiteId;
 
 /// Instance number of a variable at a program point.
 pub type InstanceId = u32;
@@ -21,26 +21,23 @@ pub type InstanceId = u32;
 /// Result of the reaching-definitions pass.
 #[derive(Debug)]
 pub struct Instances {
-    /// `var → instance at each node`, for every variable the region
+    /// `var → instance at each site`, for every variable the region
     /// defines.
     at: HashMap<Name, Vec<InstanceId>>,
     /// Number of distinct definition sets per variable.
     counts: HashMap<Name, usize>,
 }
 
-/// The definitions of one variable reaching a point. Shared between the
-/// nodes it passes through unchanged.
-type DefSet = Arc<BTreeSet<NodeId>>;
-
-/// Reaching definitions per variable (by index into the sorted variable
-/// list); `None` until a definition reaches the point.
-type Env = Vec<Option<DefSet>>;
+/// The definitions of each scalar the region defines reaching one site
+/// (indexed like the sorted variable list). A set is shared between the
+/// sites it passes through unchanged.
+pub(crate) type Env = Vec<Rc<BTreeSet<SiteId>>>;
 
 impl Instances {
-    /// Instance of `var` for *uses* occurring at `node`. Variables never
+    /// Instance of `var` for *uses* occurring at `site`. Variables never
     /// assigned in the region have instance 0 everywhere.
-    pub fn instance(&self, node: NodeId, var: &str) -> InstanceId {
-        self.at.get(var).map_or(0, |ids| ids[node])
+    pub fn instance(&self, site: SiteId, var: &str) -> InstanceId {
+        self.at.get(var).map_or(0, |ids| ids[site])
     }
 
     /// Number of distinct instances of `var` in the region.
@@ -48,110 +45,23 @@ impl Instances {
         self.counts.get(var).copied().unwrap_or(1)
     }
 
-    /// Run reaching definitions over `cfg`.
-    ///
-    /// Definition points: scalar assignments (`x = ...`), `pop(x)`, and
-    /// loop heads (which define their counter). The entry node carries a
-    /// virtual definition of every variable, so instance 0 always denotes
-    /// "the value on entry to the region".
-    pub fn analyze(cfg: &Cfg<'_>) -> Instances {
-        // Which variable does each node define, if any?
-        let def_names: Vec<Option<&Name>> = cfg
-            .nodes
-            .iter()
-            .map(|n| match n {
-                NodeKind::Simple(Stmt::Assign {
-                    lhs: LValue::Var(v),
-                    ..
-                })
-                | NodeKind::Simple(Stmt::Pop(LValue::Var(v)))
-                | NodeKind::Simple(Stmt::AtomicAdd {
-                    lhs: LValue::Var(v),
-                    ..
-                }) => Some(v),
-                NodeKind::LoopHead(l) => Some(&l.var),
-                _ => None,
-            })
-            .collect();
-
-        let vars: Vec<&Name> = def_names
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        // What each defining node generates: the variable's index and the
-        // set holding just that node.
-        let gens: Vec<Option<(usize, DefSet)>> = def_names
-            .iter()
-            .enumerate()
-            .map(|(node, name)| {
-                let k = vars.binary_search(&(*name)?).expect("collected above");
-                Some((k, Arc::new(BTreeSet::from([node]))))
-            })
-            .collect();
-
-        // IN: var → set of defining nodes; ENTRY holds the virtual defs.
-        // OUT = gen ∪ (IN − kill) is read off IN where it is needed.
-        let entry_set: DefSet = Arc::new(BTreeSet::from([ENTRY]));
-        let mut ins: Vec<Env> = vec![vec![None; vars.len()]; cfg.len()];
-        ins[ENTRY] = vec![Some(entry_set.clone()); vars.len()];
-        let rpo = cfg.reverse_postorder();
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &node in &rpo {
-                if node == ENTRY {
-                    continue;
-                }
-                // IN = union of predecessor OUTs. A set that arrives the
-                // same from every predecessor is shared, not copied.
-                let env: Env = (0..vars.len())
-                    .map(|k| {
-                        let mut acc: Option<DefSet> = None;
-                        for &p in &cfg.preds[node] {
-                            let out = match &gens[p] {
-                                Some((var, own)) if *var == k => Some(own),
-                                _ => ins[p][k].as_ref(),
-                            };
-                            let Some(set) = out else { continue };
-                            match &mut acc {
-                                None => acc = Some(set.clone()),
-                                Some(a) if Arc::ptr_eq(a, set) || set.is_subset(a) => {}
-                                Some(a) => Arc::make_mut(a).extend(set.iter().copied()),
-                            }
-                        }
-                        acc
-                    })
-                    .collect();
-                if env != ins[node] {
-                    ins[node] = env;
-                    changed = true;
-                }
-            }
-        }
-
-        // Intern reaching sets into per-variable instance numbers, with
-        // instance 0 reserved for the entry-only set.
+    /// Number the reaching sets of each of `vars`, meeting the sites in
+    /// order; `ins[0]` is the entry's, whose set of every variable is
+    /// instance 0, "the value on entry to the region".
+    pub(crate) fn intern(vars: &[Name], ins: &[Env]) -> Instances {
         let mut at = HashMap::new();
         let mut counts = HashMap::new();
         for (k, v) in vars.iter().enumerate() {
-            let mut table: Vec<&DefSet> = vec![&entry_set];
+            let mut table: HashMap<&BTreeSet<SiteId>, InstanceId> = HashMap::new();
             let ids: Vec<InstanceId> = ins
                 .iter()
                 .map(|env| {
-                    let set = env[k].as_ref().unwrap_or(&entry_set);
-                    let id = table.iter().position(|s| *s == set).unwrap_or_else(|| {
-                        table.push(set);
-                        table.len() - 1
-                    });
-                    id as InstanceId
+                    let next = table.len() as InstanceId;
+                    *table.entry(&*env[k]).or_insert(next)
                 })
                 .collect();
-            at.insert((*v).clone(), ids);
-            counts.insert((*v).clone(), table.len());
+            at.insert(v.clone(), ids);
+            counts.insert(v.clone(), table.len());
         }
         Instances { at, counts }
     }
@@ -160,18 +70,22 @@ impl Instances {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use formad_ir::parse_program;
+    use crate::analyze_body;
+    use crate::body::tests::sites;
+    use formad_ir::{parse_program, Stmt};
 
     fn analyze(src: &str) -> (Vec<Stmt>,) {
         (parse_program(src).unwrap().body,)
     }
 
-    /// Find the node of the k-th Simple statement (in node order).
-    fn nth_simple(cfg: &Cfg<'_>, k: usize) -> NodeId {
-        (0..cfg.len())
-            .filter(|&n| matches!(cfg.nodes[n], NodeKind::Simple(_)))
+    /// The site of the k-th statement that is neither `if` nor `for`.
+    fn nth_simple(body: &[Stmt], k: usize) -> SiteId {
+        sites(body)
+            .into_iter()
+            .filter(|(_, s)| !matches!(s, Stmt::If { .. } | Stmt::For(_)))
             .nth(k)
             .unwrap()
+            .0
     }
 
     #[test]
@@ -186,10 +100,9 @@ subroutine t(n, u, w)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
-        assert_eq!(inst.instance(nth_simple(&cfg, 0), "w"), 0);
-        assert_eq!(inst.instance(nth_simple(&cfg, 1), "w"), 0);
+        let inst = analyze_body(&body).1;
+        assert_eq!(inst.instance(nth_simple(&body, 0), "w"), 0);
+        assert_eq!(inst.instance(nth_simple(&body, 1), "w"), 0);
         assert_eq!(inst.instance_count("w"), 1);
     }
 
@@ -207,10 +120,9 @@ subroutine t(n, u, w)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
-        let use1 = inst.instance(nth_simple(&cfg, 0), "w");
-        let use2 = inst.instance(nth_simple(&cfg, 2), "w");
+        let inst = analyze_body(&body).1;
+        let use1 = inst.instance(nth_simple(&body, 0), "w");
+        let use2 = inst.instance(nth_simple(&body, 2), "w");
         assert_eq!(use1, 0);
         assert_ne!(use1, use2);
     }
@@ -232,12 +144,11 @@ subroutine t(n, u, i, j)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
+        let inst = analyze_body(&body).1;
         // Node order: w=1, w=2, u(w)=...
-        let def1 = nth_simple(&cfg, 0);
-        let def2 = nth_simple(&cfg, 1);
-        let use_node = nth_simple(&cfg, 2);
+        let def1 = nth_simple(&body, 0);
+        let def2 = nth_simple(&body, 1);
+        let use_node = nth_simple(&body, 2);
         let at_use = inst.instance(use_node, "w");
         // The merged instance differs from both arms' outgoing defs and
         // from the entry instance.
@@ -264,27 +175,21 @@ subroutine t(n, u)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
+        let inst = analyze_body(&body).1;
         // Use inside the loop sees {w=0 def, w=w+1 def} merged — a fresh
         // instance distinct from both straight-line instances.
-        let use_node = (0..cfg.len())
-            .find(|&n| {
-                matches!(cfg.nodes[n], NodeKind::Simple(Stmt::Assign { ref lhs, .. })
-                    if lhs.name() == "u")
-            })
-            .unwrap();
+        let assigns_to = |name: &str| -> Vec<SiteId> {
+            sites(&body)
+                .into_iter()
+                .filter(|(_, s)| matches!(s, Stmt::Assign { lhs, .. } if lhs.name() == name))
+                .map(|(n, _)| n)
+                .collect()
+        };
+        let use_node = assigns_to("u")[0];
         let in_loop = inst.instance(use_node, "w");
         assert_ne!(in_loop, 0);
         // And the increment's own use sees the same merged instance.
-        let incr_node = (0..cfg.len())
-            .find(|&n| {
-                matches!(cfg.nodes[n], NodeKind::Simple(Stmt::Assign { ref lhs, .. })
-                    if lhs.name() == "w" )
-                    && cfg.preds[n].len() == 1
-                    && matches!(cfg.nodes[cfg.preds[n][0]], NodeKind::Simple(_))
-            })
-            .unwrap();
+        let incr_node = assigns_to("w")[1];
         assert_eq!(inst.instance(incr_node, "w"), in_loop);
     }
 
@@ -302,9 +207,8 @@ subroutine t(n, u)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
-        let use_node = nth_simple(&cfg, 0);
+        let inst = analyze_body(&body).1;
+        let use_node = nth_simple(&body, 0);
         // Inside the loop, j's reaching def is exactly the head: a single
         // fresh instance (not the entry instance).
         assert_ne!(inst.instance(use_node, "j"), 0);

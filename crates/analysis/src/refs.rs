@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use formad_ir::{Expr, LValue, Name, Stmt};
 
-use crate::cfg::{Cfg, NodeId, NodeKind};
+use crate::body::SiteId;
 
 /// Direction of an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,133 +40,100 @@ pub struct ArrayRef {
     pub indices: Arc<[Expr]>,
     /// Read or write.
     pub kind: AccessKind,
-    /// CFG node containing the reference.
-    pub node: NodeId,
+    /// Site containing the reference.
+    pub site: SiteId,
     /// Exact-increment tagging.
     pub inc: IncRole,
 }
 
-/// Collect every array reference in the CFG, in node order.
-pub fn collect_refs(cfg: &Cfg<'_>) -> Vec<ArrayRef> {
-    let mut out = Vec::new();
-    for (node, kind) in cfg.nodes.iter().enumerate() {
-        match kind {
-            NodeKind::Entry | NodeKind::Exit | NodeKind::Join => {}
-            NodeKind::Simple(s) => collect_stmt(s, node, &mut out),
-            NodeKind::Branch(cond) => {
-                cond.walk_exprs(&mut |e| collect_expr_reads(e, node, IncRole::None, &mut out));
-            }
-            NodeKind::LoopHead(l) => {
-                for e in [&l.lo, &l.hi, &l.step] {
-                    collect_expr_reads_deep(e, node, &mut out);
-                }
-            }
-        }
-    }
-    out
-}
-
-fn collect_stmt(s: &Stmt, node: NodeId, out: &mut Vec<ArrayRef>) {
+/// Collect the array references `s` makes at its own site, in evaluation
+/// order: an `if` reads in its condition and a loop in its bounds; their
+/// bodies are sites of their own.
+pub(crate) fn collect_site(s: &Stmt, site: SiteId, out: &mut Vec<ArrayRef>) {
+    let mut refs = Refs { site, out };
     match s {
-        Stmt::Assign { lhs, rhs } => {
-            let (wrole, added) = match s.increment_parts() {
-                Some((_, added)) => (IncRole::IncrementWrite, Some(added)),
-                None => (IncRole::None, None),
-            };
-            collect_lvalue_write(lhs, node, wrole, out);
-            match added {
-                Some(added) => {
-                    // Tag the self-read; the remaining reads come from the
-                    // added expression.
-                    if let LValue::Index { array, indices } = lhs {
-                        out.push(ArrayRef {
-                            array: array.clone(),
-                            indices: indices.clone(),
-                            kind: AccessKind::Read,
-                            node,
-                            inc: IncRole::IncrementRead,
-                        });
-                    }
-                    collect_expr_reads_deep(added, node, out);
-                }
-                None => collect_expr_reads_deep(rhs, node, out),
+        Stmt::Assign { lhs, rhs } => match s.increment_parts() {
+            // The self-read is tagged; the remaining reads come from the
+            // added expression.
+            Some((_, added)) => {
+                refs.write(lhs, IncRole::IncrementWrite);
+                refs.at(lhs, AccessKind::Read, IncRole::IncrementRead);
+                refs.reads(added);
             }
-        }
+            None => {
+                refs.write(lhs, IncRole::None);
+                refs.reads(rhs);
+            }
+        },
         Stmt::AtomicAdd { lhs, rhs } => {
-            collect_lvalue_write(lhs, node, IncRole::IncrementWrite, out);
-            if let LValue::Index { array, indices } = lhs {
-                out.push(ArrayRef {
-                    array: array.clone(),
-                    indices: indices.clone(),
-                    kind: AccessKind::Read,
-                    node,
-                    inc: IncRole::IncrementRead,
-                });
+            refs.write(lhs, IncRole::IncrementWrite);
+            refs.at(lhs, AccessKind::Read, IncRole::IncrementRead);
+            refs.reads(rhs);
+        }
+        Stmt::Push(e) => refs.reads(e),
+        Stmt::Pop(lv) => refs.write(lv, IncRole::None),
+        Stmt::If { cond, .. } => cond.walk_exprs(&mut |e| refs.read(e)),
+        Stmt::For(l) => {
+            for e in [&l.lo, &l.hi, &l.step] {
+                refs.reads(e);
             }
-            collect_expr_reads_deep(rhs, node, out);
-        }
-        Stmt::Push(e) => collect_expr_reads_deep(e, node, out),
-        Stmt::Pop(lv) => collect_lvalue_write(lv, node, IncRole::None, out),
-        // Control statements never reach here: the CFG splits them.
-        Stmt::If { .. } | Stmt::For(_) => unreachable!("structured stmt in Simple node"),
-    }
-}
-
-fn collect_lvalue_write(lv: &LValue, node: NodeId, role: IncRole, out: &mut Vec<ArrayRef>) {
-    if let LValue::Index { array, indices } = lv {
-        out.push(ArrayRef {
-            array: array.clone(),
-            indices: indices.clone(),
-            kind: AccessKind::Write,
-            node,
-            inc: role,
-        });
-        // Reads performed while computing the address.
-        for ix in indices.iter() {
-            collect_expr_reads_deep(ix, node, out);
         }
     }
 }
 
-/// Record every array read in `e`, including arrays read inside index
-/// expressions of other reads (e.g. `x(c(i) + 7)` yields reads of both
-/// `x` and `c`).
-fn collect_expr_reads_deep(e: &Expr, node: NodeId, out: &mut Vec<ArrayRef>) {
-    e.walk(&mut |sub| {
-        if let Expr::Index { array, indices } = sub {
-            out.push(ArrayRef {
-                array: array.clone(),
-                indices: indices.clone(),
-                kind: AccessKind::Read,
-                node,
-                inc: IncRole::None,
-            });
-        }
-    });
+struct Refs<'o> {
+    site: SiteId,
+    out: &'o mut Vec<ArrayRef>,
 }
 
-fn collect_expr_reads(e: &Expr, node: NodeId, inc: IncRole, out: &mut Vec<ArrayRef>) {
-    if let Expr::Index { array, indices } = e {
-        out.push(ArrayRef {
+impl Refs<'_> {
+    fn push(&mut self, array: &Name, indices: &Arc<[Expr]>, kind: AccessKind, inc: IncRole) {
+        self.out.push(ArrayRef {
             array: array.clone(),
             indices: indices.clone(),
-            kind: AccessKind::Read,
-            node,
+            kind,
+            site: self.site,
             inc,
         });
+    }
+
+    /// A reference to the element `lv` names, if it is one.
+    fn at(&mut self, lv: &LValue, kind: AccessKind, inc: IncRole) {
+        if let LValue::Index { array, indices } = lv {
+            self.push(array, indices, kind, inc);
+        }
+    }
+
+    /// A write to `lv`, then the reads computing its address.
+    fn write(&mut self, lv: &LValue, inc: IncRole) {
+        self.at(lv, AccessKind::Write, inc);
+        for ix in lv.indices() {
+            self.reads(ix);
+        }
+    }
+
+    /// Every array read in `e`, including arrays read inside index
+    /// expressions of other reads (`x(c(i) + 7)` reads both `x` and `c`).
+    fn reads(&mut self, e: &Expr) {
+        e.walk(&mut |sub| self.read(sub));
+    }
+
+    fn read(&mut self, e: &Expr) {
+        if let Expr::Index { array, indices } = e {
+            self.push(array, indices, AccessKind::Read, IncRole::None);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze_body;
     use formad_ir::parse_program;
 
     fn refs_of(src: &str) -> Vec<ArrayRef> {
         let p = parse_program(src).unwrap();
-        let loops = p.parallel_loops();
-        let cfg = Cfg::build(&loops[0].body);
-        collect_refs(&cfg)
+        analyze_body(&p.parallel_loops()[0].body).2
     }
 
     #[test]

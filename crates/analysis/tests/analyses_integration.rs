@@ -1,7 +1,7 @@
 //! Cross-analysis integration: contexts, instances, activity, and
 //! reference collection working together on realistic loop bodies.
 
-use formad_analysis::{collect_refs, AccessKind, Activity, Cfg, Contexts, Instances, NodeKind};
+use formad_analysis::{analyze_body, AccessKind, Activity, SiteId};
 use formad_ir::parse_program;
 
 #[test]
@@ -31,17 +31,14 @@ end subroutine
     )
     .unwrap();
     let l = &p.parallel_loops()[0];
-    let cfg = Cfg::build(&l.body);
-    let ctx = Contexts::build(&cfg);
-    let inst = Instances::analyze(&cfg);
-    let refs = collect_refs(&cfg);
+    let (ctx, inst, refs) = analyze_body(&l.body);
 
     // The gathers are root-context; the guarded updates live in a child.
-    let gather_nodes: Vec<_> = (0..cfg.len())
-        .filter(|&n| {
-            matches!(cfg.nodes[n], NodeKind::Simple(formad_ir::Stmt::Assign { ref lhs, .. })
-                if lhs.name() == "i" || lhs.name() == "j")
-        })
+    // Each gather is the only reader of `e2n` at its site.
+    let gather_nodes: Vec<SiteId> = refs
+        .iter()
+        .filter(|r| r.array == "e2n")
+        .map(|r| r.site)
         .collect();
     assert_eq!(gather_nodes.len(), 2);
     for &g in &gather_nodes {
@@ -51,13 +48,13 @@ end subroutine
         .iter()
         .find(|r| r.array == "grad" && r.kind == AccessKind::Write)
         .unwrap();
-    let guard_ctx = ctx.ctx_of[grad_write.node];
+    let guard_ctx = ctx.ctx_of[grad_write.site];
     assert_ne!(guard_ctx, ctx.root);
     assert!(ctx.included(guard_ctx, ctx.root));
 
     // The uses of i inside the guard see the instance defined by the
     // gather, not the entry instance.
-    assert_ne!(inst.instance(grad_write.node, "i"), 0);
+    assert_ne!(inst.instance(grad_write.site, "i"), 0);
     // dv and sij are read-only; grad has both reads and writes.
     assert!(refs
         .iter()
@@ -101,15 +98,13 @@ end subroutine
     )
     .unwrap();
     let l = &p.parallel_loops()[0];
-    let cfg = Cfg::build(&l.body);
-    let ctx = Contexts::build(&cfg);
-    let node_of = |name: &str| -> usize {
-        (0..cfg.len())
-            .find(|&n| {
-                matches!(cfg.nodes[n], NodeKind::Simple(formad_ir::Stmt::Assign { ref lhs, .. })
-                    if lhs.name() == name)
-            })
+    let (ctx, _, refs) = analyze_body(&l.body);
+    // The site of the assignment to `name(i)`, its only write.
+    let node_of = |name: &str| -> SiteId {
+        refs.iter()
+            .find(|r| r.array == name && r.kind == AccessKind::Write)
             .unwrap()
+            .site
     };
     let cu = ctx.ctx_of[node_of("u")];
     let cv = ctx.ctx_of[node_of("v")];
@@ -152,9 +147,7 @@ end subroutine
     )
     .unwrap();
     let l = &p.parallel_loops()[0];
-    let cfg = Cfg::build(&l.body);
-    let inst = Instances::analyze(&cfg);
-    let refs = collect_refs(&cfg);
+    let (_, inst, refs) = analyze_body(&l.body);
     let u_writes: Vec<_> = refs
         .iter()
         .filter(|r| r.array == "u" && r.kind == AccessKind::Write)
@@ -162,8 +155,8 @@ end subroutine
     assert_eq!(u_writes.len(), 2);
     // The two writes use k at *different* instances — the analysis must
     // not conflate u(k) before and after the k rebinding.
-    let i1 = inst.instance(u_writes[0].node, "k");
-    let i2 = inst.instance(u_writes[1].node, "k");
+    let i1 = inst.instance(u_writes[0].site, "k");
+    let i2 = inst.instance(u_writes[1].site, "k");
     assert_ne!(i1, i2);
 }
 

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use formad_ad::{plan_transpose, ObligationPair, Obligations, RegionWrites};
 use formad_analysis::{
-    collect_refs, AccessKind, Activity, ArrayRef, Cfg, Contexts, CtxId, IncRole, Instances, NodeId,
+    analyze_body, AccessKind, Activity, ArrayRef, Contexts, CtxId, IncRole, SiteId, ENTRY_SITE,
 };
 use formad_ir::{count_stmts, Expr, ForLoop, Name, Program, Stmt, Ty};
 use formad_smt::{
@@ -219,10 +219,10 @@ impl Default for RegionOptions {
 }
 
 /// One translated reference: its index tuple, kept as the IR expressions
-/// and the node whose instance numbering names their scalars.
+/// and the site whose instance numbering names their scalars.
 struct TrRef<'r> {
     exprs: &'r [Expr],
-    node: NodeId,
+    site: SiteId,
     /// The tuple as reports print it; one-to-one with what the prover is
     /// given, so it also identifies the tuple.
     text: String,
@@ -234,7 +234,7 @@ struct TrRef<'r> {
 impl<'r> TrRef<'r> {
     /// This tuple as one side of a pair.
     fn side(&self, primed: bool) -> Side<'r> {
-        Side::new(self.exprs, self.node, primed)
+        Side::new(self.exprs, self.site, primed)
     }
 }
 
@@ -277,10 +277,7 @@ pub fn analyze_region_with<S: SolverApi>(
     solver: &mut S,
 ) -> RegionAnalysis {
     let started = Instant::now();
-    let cfg = Cfg::build(&l.body);
-    let contexts = Contexts::build(&cfg);
-    let instances = Instances::analyze(&cfg);
-    let refs = collect_refs(&cfg);
+    let (contexts, instances, refs) = analyze_body(&l.body);
     let info = l.parallel.as_ref().expect("parallel region");
 
     solver.set_budget(opts.budget);
@@ -350,7 +347,7 @@ pub fn analyze_region_with<S: SolverApi>(
     let mut by_array: FxHashMap<&str, Vec<TrRef>> = FxHashMap::default();
     let mut tainted_arrays: FxHashMap<&str, String> = FxHashMap::default();
     for r in &refs {
-        let ctx = contexts.ctx_of[r.node];
+        let ctx = contexts.ctx_of[r.site];
         let ctx = if opts.use_contexts {
             ctx
         } else {
@@ -365,8 +362,8 @@ pub fn analyze_region_with<S: SolverApi>(
             Ok(()) => {
                 by_array.entry(&r.array).or_default().push(TrRef {
                     exprs: &r.indices,
-                    node: r.node,
-                    text: tr.render(&r.indices, r.node, false),
+                    site: r.site,
+                    text: tr.render(&r.indices, r.site, false),
                     ctx,
                     kind: r.kind,
                     inc,
@@ -685,7 +682,7 @@ fn verdict_str(r: &SatResult) -> String {
 
 /// The gather-disjointness obligations of a transposed-scatter plan,
 /// with every index translatable (every index is loop-invariant apart
-/// from the counter, so the entry node's instance numbering applies).
+/// from the counter, so the entry site's instance numbering applies).
 /// `None` whenever the scatter map is not invertible
 /// or some obligation index does not translate — the array then stays on
 /// the ordinary guard ladder.
@@ -973,15 +970,14 @@ fn prove_transpose<S: SolverApi>(
     tq: &TransposeQueries,
     tracer: &mut Option<TaskTracer<'_>>,
 ) -> bool {
-    let entry = formad_analysis::ENTRY;
     // `seed = write`, the write primed for a cross-iteration obligation.
     let check_pair = |solver: &mut S,
                       p: &ObligationPair,
                       cross: bool,
                       tracer: &mut Option<TaskTracer<'_>>|
      -> bool {
-        let mut seed = Side::new(&p.seed, entry, false);
-        let mut other = Side::new(&p.write, entry, cross);
+        let mut seed = Side::new(&p.seed, ENTRY_SITE, false);
+        let mut other = Side::new(&p.write, ENTRY_SITE, cross);
         let Ok(q) = tr.pair(Rel::Eq, &mut seed, &mut other, solver.table_mut()) else {
             return false;
         };
@@ -997,8 +993,8 @@ fn prove_transpose<S: SolverApi>(
                 array: t.array.clone(),
                 seq: t.qseq,
                 attempt: t.attempt,
-                write: tr.render(&p.write, entry, cross),
-                entry: tr.render(&p.seed, entry, false),
+                write: tr.render(&p.write, ENTRY_SITE, cross),
+                entry: tr.render(&p.seed, ENTRY_SITE, false),
                 verdict: verdict_str(&r),
                 perf: QueryPerf {
                     dur_us: t0.elapsed().as_micros() as u64,
@@ -1295,9 +1291,8 @@ fn stride_roots(
     if tr.varies(&l.lo) || tr.varies(&l.step) {
         return None;
     }
-    let entry = formad_analysis::ENTRY;
-    let lo = tr.row(&l.lo, entry, false, table).ok()?;
-    let step = tr.row(&l.step, entry, false, table).ok()?;
+    let lo = tr.row(&l.lo, ENTRY_SITE, false, table).ok()?;
+    let step = tr.row(&l.step, ENTRY_SITE, false, table).ok()?;
     // `counter = lo + step·k`, interning `k` after the bounds' atoms.
     let mut at = |counter: &LinExpr, primed: bool| -> Option<(Assertion, LinExpr)> {
         let k = table.scalar("k$".into(), 0, primed);

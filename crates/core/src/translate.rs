@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use formad_analysis::{Instances, NodeId};
+use formad_analysis::{Instances, SiteId};
 use formad_ir::{BinOp, Expr, Name};
 use formad_smt::{Assertion, AtomTable, FxHashSet, LinExpr, Literal, NormalizeError, Rel};
 
@@ -31,7 +31,7 @@ pub enum Taint {
 
 /// Context for translating index expressions of one parallel region.
 pub struct Translator<'a> {
-    /// Instance numbering of the region's CFG.
+    /// Instance numbering of the region body's sites.
     pub instances: &'a Instances,
     /// Parallel loop counter (always instance 0).
     pub counter: &'a Name,
@@ -42,23 +42,23 @@ pub struct Translator<'a> {
     pub privatized: &'a FxHashSet<Name>,
 }
 
-/// One side of a pair: an index tuple at the CFG node whose instance
+/// One side of a pair: an index tuple at the site whose instance
 /// numbering names its scalars, primed or not, with the row of each
 /// element once it has been built. Rows are built on first use, so atoms
 /// are interned in the order the pairs meet them.
 pub struct Side<'e> {
     exprs: &'e [Expr],
-    node: NodeId,
+    site: SiteId,
     primed: bool,
     rows: Vec<Option<LinExpr>>,
 }
 
 impl<'e> Side<'e> {
     /// A side none of whose rows is built yet.
-    pub fn new(exprs: &'e [Expr], node: NodeId, primed: bool) -> Side<'e> {
+    pub fn new(exprs: &'e [Expr], site: SiteId, primed: bool) -> Side<'e> {
         Side {
             exprs,
-            node,
+            site,
             primed,
             rows: vec![None; exprs.len()],
         }
@@ -66,13 +66,13 @@ impl<'e> Side<'e> {
 }
 
 impl<'a> Translator<'a> {
-    /// Instance number and priming of scalar `name` at `node`: the counter
+    /// Instance number and priming of scalar `name` at `site`: the counter
     /// keeps instance 0, and only it and the privatized scalars are primed.
-    fn symbol(&self, name: &Name, node: NodeId, primed: bool) -> (u32, bool) {
+    fn symbol(&self, name: &Name, site: SiteId, primed: bool) -> (u32, bool) {
         if name == self.counter {
             return (0, primed);
         }
-        let instance = self.instances.instance(node, name);
+        let instance = self.instances.instance(site, name);
         (instance, primed && self.privatized.contains(name))
     }
 
@@ -123,32 +123,32 @@ impl<'a> Translator<'a> {
         }
     }
 
-    /// The row of `e` (which passed [`Translator::check`]) at `node`, on
+    /// The row of `e` (which passed [`Translator::check`]) at `site`, on
     /// the primed side or not.
     pub fn row(
         &self,
         e: &Expr,
-        node: NodeId,
+        site: SiteId,
         primed: bool,
         table: &mut AtomTable,
     ) -> Result<LinExpr, NormalizeError> {
         Ok(match e {
             Expr::IntLit(v) => LinExpr::constant(*v as i128),
             Expr::Var(n) => {
-                let (instance, primed) = self.symbol(n, node, primed);
+                let (instance, primed) = self.symbol(n, site, primed);
                 table.scalar(n.into(), instance, primed)
             }
             Expr::Index { array, indices } => {
                 let args: Result<Vec<LinExpr>, _> = indices
                     .iter()
-                    .map(|ix| self.row(ix, node, primed, table))
+                    .map(|ix| self.row(ix, site, primed, table))
                     .collect();
                 table.app(array.into(), args?)
             }
-            Expr::Unary { arg, .. } => self.row(arg, node, primed, table)?.scale(-1),
+            Expr::Unary { arg, .. } => self.row(arg, site, primed, table)?.scale(-1),
             Expr::Binary { op, lhs, rhs } => {
-                let a = self.row(lhs, node, primed, table)?;
-                let b = self.row(rhs, node, primed, table)?;
+                let a = self.row(lhs, site, primed, table)?;
+                let b = self.row(rhs, site, primed, table)?;
                 match op {
                     BinOp::Add => a.plus(&b)?,
                     BinOp::Sub => a.minus(&b)?,
@@ -201,7 +201,7 @@ impl<'a> Translator<'a> {
         table: &mut AtomTable,
     ) -> Result<(), NormalizeError> {
         if side.rows[k].is_none() {
-            side.rows[k] = Some(self.row(&side.exprs[k], side.node, side.primed, table)?);
+            side.rows[k] = Some(self.row(&side.exprs[k], side.site, side.primed, table)?);
         }
         Ok(())
     }
@@ -209,24 +209,24 @@ impl<'a> Translator<'a> {
     /// A tuple as reports and traces print it: fully parenthesized, each
     /// scalar as `name`, `name@instance`, primed `name'`. The text is
     /// one-to-one with what the prover is given, so it also keys tuples.
-    pub fn render(&self, exprs: &[Expr], node: NodeId, primed: bool) -> String {
+    pub fn render(&self, exprs: &[Expr], site: SiteId, primed: bool) -> String {
         let mut s = String::new();
         for (k, e) in exprs.iter().enumerate() {
             if k > 0 {
                 s.push_str(", ");
             }
-            self.render_into(e, node, primed, &mut s);
+            self.render_into(e, site, primed, &mut s);
         }
         s
     }
 
-    fn render_into(&self, e: &Expr, node: NodeId, primed: bool, out: &mut String) {
+    fn render_into(&self, e: &Expr, site: SiteId, primed: bool, out: &mut String) {
         match e {
             Expr::IntLit(v) => {
                 let _ = write!(out, "{v}");
             }
             Expr::Var(n) => {
-                let (instance, primed) = self.symbol(n, node, primed);
+                let (instance, primed) = self.symbol(n, site, primed);
                 out.push_str(n);
                 if instance != 0 {
                     let _ = write!(out, "@{instance}");
@@ -242,18 +242,18 @@ impl<'a> Translator<'a> {
                     if k > 0 {
                         out.push_str(", ");
                     }
-                    self.render_into(ix, node, primed, out);
+                    self.render_into(ix, site, primed, out);
                 }
                 out.push(')');
             }
             Expr::Unary { arg, .. } => {
                 out.push_str("(-");
-                self.render_into(arg, node, primed, out);
+                self.render_into(arg, site, primed, out);
                 out.push(')');
             }
             Expr::Binary { op, lhs, rhs } => {
                 out.push('(');
-                self.render_into(lhs, node, primed, out);
+                self.render_into(lhs, site, primed, out);
                 out.push_str(match op {
                     BinOp::Add => " + ",
                     BinOp::Sub => " - ",
@@ -262,7 +262,7 @@ impl<'a> Translator<'a> {
                     BinOp::Mod => " mod ",
                     BinOp::Pow => unreachable!("checked: no exponentiation in an index"),
                 });
-                self.render_into(rhs, node, primed, out);
+                self.render_into(rhs, site, primed, out);
                 out.push(')');
             }
             Expr::RealLit(_) | Expr::Call { .. } => unreachable!("checked: integral index"),
@@ -273,7 +273,7 @@ impl<'a> Translator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use formad_analysis::{Cfg, Instances, NodeKind};
+    use formad_analysis::analyze_body;
     use formad_ir::{parse_expr, parse_program};
 
     fn setup(src: &str) -> (Vec<formad_ir::Stmt>,) {
@@ -282,12 +282,10 @@ mod tests {
         (l.body,)
     }
 
-    /// The `k`-th simple-statement node of `cfg`.
-    fn simple_node(cfg: &Cfg, k: usize) -> NodeId {
-        (0..cfg.len())
-            .filter(|&n| matches!(cfg.nodes[n], NodeKind::Simple(_)))
-            .nth(k)
-            .unwrap()
+    /// The site of the first reference to `array` in `body`.
+    fn site_of(body: &[formad_ir::Stmt], array: &str) -> SiteId {
+        let refs = analyze_body(body).2;
+        refs.iter().find(|r| r.array == array).unwrap().site
     }
 
     const FIG2: &str = r#"
@@ -307,8 +305,7 @@ end subroutine
     #[test]
     fn fig2_translation_and_priming() {
         let (body,) = setup(FIG2);
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
+        let inst = analyze_body(&body).1;
         let written: FxHashSet<Name> = FxHashSet::default();
         let privatized: FxHashSet<Name> = FxHashSet::default();
         let i = Name::from("i");
@@ -318,7 +315,7 @@ end subroutine
             written_arrays: &written,
             privatized: &privatized,
         };
-        let node = simple_node(&cfg, 0);
+        let node = site_of(&body, "y");
         let e = [parse_expr("c(i) + 7").unwrap()];
         assert_eq!(tr.render(&e, node, false), "(c(i) + 7)");
         assert_eq!(tr.render(&e, node, true), "(c(i') + 7)");
@@ -348,8 +345,7 @@ subroutine t(n, c, y)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
+        let inst = analyze_body(&body).1;
         let written: FxHashSet<Name> = FxHashSet::from_iter(["c".into()]);
         let privatized = FxHashSet::default();
         let i = Name::from("i");
@@ -391,8 +387,7 @@ subroutine t(n, mss, y)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
+        let inst = analyze_body(&body).1;
         let written = FxHashSet::default();
         let privatized: FxHashSet<Name> = FxHashSet::from_iter(["idd".into()]);
         let i = Name::from("i");
@@ -404,7 +399,7 @@ end subroutine
         };
         // idd at the y(idd) node has a non-zero instance (defined at the
         // previous statement).
-        let y_node = simple_node(&cfg, 1);
+        let y_node = site_of(&body, "y");
         let e = [parse_expr("idd").unwrap()];
         let t = tr.render(&e, y_node, false);
         assert!(t.starts_with("idd@"), "{t}");
@@ -435,8 +430,7 @@ subroutine t(n, y)
 end subroutine
 "#,
         );
-        let cfg = Cfg::build(&body);
-        let inst = Instances::analyze(&cfg);
+        let inst = analyze_body(&body).1;
         let i = Name::from("i");
         let tr = Translator {
             instances: &inst,
@@ -454,7 +448,7 @@ end subroutine
     /// no instanced scalars.
     fn with_privates(f: impl FnOnce(&Translator<'_>)) {
         let (body,) = setup(FIG2);
-        let inst = Instances::analyze(&Cfg::build(&body));
+        let inst = analyze_body(&body).1;
         let written = FxHashSet::default();
         let privatized: FxHashSet<Name> = FxHashSet::from_iter(["j".into(), "w".into()]);
         let i = Name::from("i");

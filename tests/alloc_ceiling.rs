@@ -174,13 +174,15 @@ fn measured(inputs: &[Input]) -> Stages {
     first
 }
 
-/// Measured when the ceilings were set (`--release`). The commit before
-/// made 31 828 and 175 771 on the same inputs: the data-flow plan of the
-/// AD transform allocated a bit-set per node and set, the transposition
+/// Measured when the ceilings were set (`--release`). Earlier code made
+/// 31 828 and 175 771 on the same inputs: the data-flow plan of the AD
+/// transform allocated a bit-set per node and set, the transposition
 /// planner built obligation pairs and gather loops nobody read, and every
-/// rewrite of an expression copied the subtrees it kept.
-const HEAVY_MEASURED: u64 = 28_494;
-const CORPUS_MEASURED: u64 = 162_209;
+/// rewrite of an expression copied the subtrees it kept. 27 941 and
+/// 158 910 meant each region's contexts and instances came from a
+/// control-flow graph with dominator and post-dominator trees.
+const HEAVY_MEASURED: u64 = 26_941;
+const CORPUS_MEASURED: u64 = 141_691;
 
 /// The front end's own stages, measured when their ceilings were set:
 /// (parse, print) per pass; they may only be re-recorded downward. Before,

@@ -92,10 +92,7 @@ fn fixture_lines() -> Vec<String> {
     let gen = GenConfig::default();
     for id in 0..200u64 {
         let case = campaign_case(3, id, &gen);
-        for (dialect, source) in [
-            ("f", case.source()),
-            ("c", program_to_clike(&case.program)),
-        ] {
+        for (dialect, source) in [("f", case.source()), ("c", program_to_clike(&case.program))] {
             let p = parse_any(&source).expect("corpus program parses");
             line(
                 &mut out,
@@ -112,8 +109,7 @@ fn fixture_lines() -> Vec<String> {
 #[test]
 fn analysis_trace_is_pinned() {
     let now: String = fixture_lines().iter().map(|l| format!("{l}\n")).collect();
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analysis_trace.txt");
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analysis_trace.txt");
     if std::env::var_os("UPDATE_ANALYSIS_TRACE").is_some() {
         std::fs::write(&path, &now).expect("fixture writes");
     }
