@@ -474,6 +474,58 @@ end subroutine
         assert!(engine.fingerprints().unwrap().is_empty());
     }
 
+    /// A tiny region, then one with `k` strided statements whose proof
+    /// dominates the run.
+    fn tiny_then_long(k: usize) -> String {
+        let mut src = format!(
+            "subroutine two(n, x, y, z)\n  integer, intent(in) :: n\n  \
+             real, intent(in) :: x({k} * n + {k})\n  real, intent(inout) :: y({k} * n + {k})\n  \
+             real, intent(inout) :: z(n)\n  integer :: i\n  \
+             !$omp parallel do shared(x, z)\n  do i = 1, n\n    z(i) = z(i) + x(i)\n  end do\n  \
+             !$omp parallel do shared(x, y)\n  do i = 1, n\n"
+        );
+        for j in 0..k {
+            src.push_str(&format!("    y({k} * i + {j}) = 2.0 * x({k} * i + {j})\n"));
+        }
+        src.push_str("  end do\nend subroutine\n");
+        src
+    }
+
+    #[test]
+    fn a_deadline_failure_leaves_the_engine_answering_like_a_cold_run() {
+        let primal = parse_program(&tiny_then_long(40)).unwrap();
+        let o = FormadOptions::new(&["x"], &["y", "z"]);
+        let report = |mut a: FormadAnalysis| {
+            for r in &mut a.regions {
+                r.time = Duration::ZERO;
+            }
+            crate::report::full_report(&primal.name, &a)
+        };
+        // The second of two cold runs is timed, so first-run costs do not
+        // stretch the deadline below.
+        let cold_run = || {
+            let started = Instant::now();
+            let a = Formad::new(o.clone()).analyze(&primal).unwrap();
+            (a, started.elapsed())
+        };
+        cold_run();
+        let (cold, cold_time) = cold_run();
+
+        // The deadline expires a third of the way into the run: inside the
+        // long region, after the tiny one has settled (definite, barring a
+        // scheduling stall), so the run fails with regions of both kinds.
+        let engine = SharedEngine::new();
+        let mut failing = o.clone();
+        failing.region.deadline = Some(formad_smt::Deadline::after(cold_time / 3));
+        let err = engine.analyze_isolated(&primal, &failing).unwrap_err();
+        assert_eq!(err.kind, FormadErrorKind::Deadline);
+
+        // Whatever the failed run left in the shared index, a clean run
+        // on the same engine reports exactly what a cold run does.
+        let clean = engine.analyze(&primal, &o).unwrap();
+        assert_eq!(report(clean), report(cold));
+    }
+
     #[test]
     fn formad_entry_points_ride_the_engine() {
         // The one-shot API is a thin shim over SharedEngine: same handle,
