@@ -5,23 +5,14 @@
 //! that the 102nd user's stencil is answered in microseconds because the
 //! first user's verdicts are still warm. [`SharedEngine`] is the seam
 //! between the two worlds: it owns the one shared store — the
-//! region-fingerprint index ([`crate::fingerprint`]) — and every pipeline
-//! entry point, one-shot [`Formad`](crate::Formad) methods included, runs
-//! *through* it rather than constructing state inline.
+//! region-fingerprint index ([`crate::fingerprint`]) — and hands it to
+//! every run. One-shot [`Formad`](crate::Formad) methods run on an
+//! engine with no index.
 //!
-//! Two execution modes:
-//!
-//! - **direct** ([`SharedEngine::analyze`] /
-//!   [`SharedEngine::differentiate`]): definite region outcomes land
-//!   straight in the shared index. This is the one-shot path.
-//! - **isolated** ([`SharedEngine::analyze_isolated`] /
-//!   [`SharedEngine::differentiate_isolated`]): the request runs against
-//!   a private [`overlay`](FingerprintIndex::overlay) of the shared
-//!   index. On success the overlay is absorbed (published); on error —
-//!   or if the pipeline panics and unwinds through the call — the
-//!   overlay is dropped and the shared index is untouched. A
-//!   multi-tenant daemon uses this so a poisoned request cannot leak
-//!   half-finished state into every later request's lookups.
+//! A run publishes each definite region the moment its analysis returns,
+//! also when the run fails later. That is safe because a region's
+//! verdict set depends on that region alone; see the fingerprint
+//! module's note on request isolation.
 //!
 //! The execution side has an analogue of this store: the process-wide
 //! AOT kernel registry in `formad-machine`'s `aot` module, which
@@ -49,7 +40,8 @@ use crate::trace::TraceEvent;
 /// Shared pipeline state: the region-fingerprint index that serves
 /// unchanged regions' whole decision sets. Cloning is cheap and shares
 /// the index (it is a handle), so one engine can serve any number of
-/// threads.
+/// threads. `SharedEngine::default()` has no index and analyzes every
+/// region.
 #[derive(Debug, Clone, Default)]
 pub struct SharedEngine {
     fingerprints: Option<FingerprintIndex>,
@@ -74,15 +66,6 @@ impl SharedEngine {
         }
     }
 
-    /// Adopt the fingerprint handle already configured in `options` —
-    /// the one-shot constructor: whatever the caller wired into
-    /// `options.region` *is* the engine's shared state.
-    pub fn from_options(options: &FormadOptions) -> SharedEngine {
-        SharedEngine {
-            fingerprints: options.region.fingerprints.clone(),
-        }
-    }
-
     /// The shared fingerprint index, if one is attached.
     pub fn fingerprints(&self) -> Option<&FingerprintIndex> {
         self.fingerprints.as_ref()
@@ -94,43 +77,53 @@ impl SharedEngine {
         self.fingerprints.as_ref().map_or(0, |f| f.flush())
     }
 
-    /// Analysis with outcomes published directly to the shared index.
+    /// Run the analysis (knowledge extraction + exploitation +
+    /// safeguard planning) against the shared index.
     pub fn analyze(
         &self,
         primal: &Program,
         options: &FormadOptions,
     ) -> Result<FormadAnalysis, FormadError> {
-        run_analysis(primal, &with_index(options, self.fingerprints.clone()))
+        analyze_front_end(primal, options, self.fingerprints.as_ref()).map(|(a, _)| a)
     }
 
-    /// Full pipeline with outcomes published directly to the shared
-    /// index.
+    /// Full pipeline against the shared index: analysis + reverse-mode
+    /// transformation with the derived per-array plan.
     pub fn differentiate(
         &self,
         primal: &Program,
         options: &FormadOptions,
     ) -> Result<DiffResult, FormadError> {
-        run_differentiate(primal, &with_index(options, self.fingerprints.clone()))
-    }
-
-    /// Analysis against a private overlay of the shared index: absorbed
-    /// on success, rolled back (dropped) on error or unwind.
-    pub fn analyze_isolated(
-        &self,
-        primal: &Program,
-        options: &FormadOptions,
-    ) -> Result<FormadAnalysis, FormadError> {
-        self.isolated(options, |o| run_analysis(primal, o))
-    }
-
-    /// Full pipeline against a private overlay of the shared index:
-    /// absorbed on success, rolled back (dropped) on error or unwind.
-    pub fn differentiate_isolated(
-        &self,
-        primal: &Program,
-        options: &FormadOptions,
-    ) -> Result<DiffResult, FormadError> {
-        self.isolated(options, |o| run_differentiate(primal, o))
+        let (mut analysis, activity) =
+            analyze_front_end(primal, options, self.fingerprints.as_ref())?;
+        let mark = Instant::now();
+        let ad_opts = ad_options(options, analysis.plan.clone());
+        let Adjoint {
+            program: adjoint,
+            stats,
+            regions,
+        } = differentiate_validated(primal, &ad_opts, activity)?;
+        if let Some(s) = options.region.trace.as_ref() {
+            s.record(TraceEvent::Phase {
+                id: "phase/ad".to_string(),
+                dur_us: mark.elapsed().as_micros() as u64,
+            });
+            // What the transformation kept of the forward sweep and the
+            // tape: the whole program, then each parallel region.
+            s.record(TraceEvent::Adjoint {
+                region: None,
+                stats: stats.clone(),
+            });
+            for (k, stats) in regions.into_iter().enumerate() {
+                s.record(TraceEvent::Adjoint {
+                    region: Some(k),
+                    stats,
+                });
+            }
+        }
+        check_deadline(options, "differentiation")?;
+        analysis.adjoint = Some(stats);
+        Ok(DiffResult { adjoint, analysis })
     }
 
     /// Generate an adjoint with an explicit treatment, no prover
@@ -145,32 +138,6 @@ impl SharedEngine {
     ) -> Result<Program, FormadError> {
         Ok(differentiate(primal, &ad_options(options, treatment))?.program)
     }
-
-    fn isolated<T>(
-        &self,
-        options: &FormadOptions,
-        run: impl FnOnce(&FormadOptions) -> Result<T, FormadError>,
-    ) -> Result<T, FormadError> {
-        // On success the overlay is absorbed (which, on a disk-backed
-        // base, also batches the new records to disk). If `run` unwinds,
-        // the overlay is dropped without an absorb — rollback is the
-        // no-op path.
-        let overlay = self.fingerprints.as_ref().map(|f| f.overlay());
-        let result = run(&with_index(options, overlay.clone()));
-        if result.is_ok() {
-            if let (Some(base), Some(ov)) = (&self.fingerprints, &overlay) {
-                base.absorb(ov);
-            }
-        }
-        result
-    }
-}
-
-/// `options` with `fingerprints` as the index the regions read and write.
-fn with_index(options: &FormadOptions, fingerprints: Option<FingerprintIndex>) -> FormadOptions {
-    let mut o = options.clone();
-    o.region.fingerprints = fingerprints;
-    o
 }
 
 /// Derived `AdjointOptions` for a treatment under `options`' inputs and
@@ -196,21 +163,13 @@ pub(crate) fn check_deadline(options: &FormadOptions, stage: &str) -> Result<(),
     Ok(())
 }
 
-/// The analysis pipeline body (knowledge extraction + exploitation +
-/// safeguard planning), run against exactly the fingerprint index wired
-/// into `options.region.fingerprints`.
-pub(crate) fn run_analysis(
-    primal: &Program,
-    options: &FormadOptions,
-) -> Result<FormadAnalysis, FormadError> {
-    analyze_front_end(primal, options).map(|(analysis, _)| analysis)
-}
-
-/// [`run_analysis`], also handing back the activity it computed on the
-/// validated primal so the AD transform does not redo either step.
+/// The analysis pipeline body against `index`, also handing back the
+/// activity it computed on the validated primal so the AD transform does
+/// not redo either step.
 fn analyze_front_end(
     primal: &Program,
     options: &FormadOptions,
+    index: Option<&FingerprintIndex>,
 ) -> Result<(FormadAnalysis, Activity), FormadError> {
     let sink = options.region.trace.as_ref();
     if let Some(s) = sink {
@@ -243,13 +202,9 @@ fn analyze_front_end(
     // Fingerprint serving is disabled under chaos: fault-injected
     // outcomes must not be replayed, and chaos suites must exercise the
     // prover itself.
-    let fpi = options
-        .region
-        .fingerprints
-        .as_ref()
-        .filter(|_| options.region.chaos.is_none());
+    let index = index.filter(|_| options.region.chaos.is_none());
     for (k, l) in primal.parallel_loops().into_iter().enumerate() {
-        let ra = match fpi {
+        let ra = match index {
             None => analyze_region(primal, l, k, &activity, &options.region),
             Some(idx) => {
                 // A served region's time is fingerprint + lookup + replay.
@@ -334,43 +289,6 @@ fn serve_region(
     ra
 }
 
-/// The full pipeline body: analysis + reverse-mode transformation with
-/// the derived per-array plan.
-pub(crate) fn run_differentiate(
-    primal: &Program,
-    options: &FormadOptions,
-) -> Result<DiffResult, FormadError> {
-    let (mut analysis, activity) = analyze_front_end(primal, options)?;
-    let mark = Instant::now();
-    let ad_opts = ad_options(options, analysis.plan.clone());
-    let Adjoint {
-        program: adjoint,
-        stats,
-        regions,
-    } = differentiate_validated(primal, &ad_opts, activity)?;
-    if let Some(s) = options.region.trace.as_ref() {
-        s.record(TraceEvent::Phase {
-            id: "phase/ad".to_string(),
-            dur_us: mark.elapsed().as_micros() as u64,
-        });
-        // What the transformation kept of the forward sweep and the
-        // tape: the whole program, then each parallel region.
-        s.record(TraceEvent::Adjoint {
-            region: None,
-            stats: stats.clone(),
-        });
-        for (k, stats) in regions.into_iter().enumerate() {
-            s.record(TraceEvent::Adjoint {
-                region: Some(k),
-                stats,
-            });
-        }
-    }
-    check_deadline(options, "differentiation")?;
-    analysis.adjoint = Some(stats);
-    Ok(DiffResult { adjoint, analysis })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,30 +368,6 @@ end subroutine
         assert!(served.regions[0].time.as_micros() as u64 >= served_us);
     }
 
-    #[test]
-    fn isolated_mode_absorbs_on_success() {
-        let primal = parse_program(FIG2).unwrap();
-        let engine = SharedEngine::new();
-        let a = engine.analyze_isolated(&primal, &opts()).unwrap();
-        assert!(a.all_safe());
-        // What the request proved is now in the shared base, not
-        // stranded in a dropped overlay.
-        assert_eq!(engine.fingerprints().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn isolated_mode_rolls_back_on_error() {
-        let engine = SharedEngine::new();
-        let primal = parse_program(FIG2).unwrap();
-        let mut o = opts();
-        // Pre-expired deadline: the pipeline fails with a hard Deadline
-        // error after the region loop; nothing may be published.
-        o.region.deadline = Some(formad_smt::Deadline::in_ms(0));
-        let err = engine.analyze_isolated(&primal, &o).unwrap_err();
-        assert_eq!(err.kind, FormadErrorKind::Deadline);
-        assert!(engine.fingerprints().unwrap().is_empty());
-    }
-
     /// A tiny region, then one with `k` strided statements whose proof
     /// dominates the run.
     fn tiny_then_long(k: usize) -> String {
@@ -517,23 +411,27 @@ end subroutine
         let engine = SharedEngine::new();
         let mut failing = o.clone();
         failing.region.deadline = Some(formad_smt::Deadline::after(cold_time / 3));
-        let err = engine.analyze_isolated(&primal, &failing).unwrap_err();
+        let err = engine.analyze(&primal, &failing).unwrap_err();
         assert_eq!(err.kind, FormadErrorKind::Deadline);
 
-        // Whatever the failed run left in the shared index, a clean run
-        // on the same engine reports exactly what a cold run does.
+        // The failed run published its definite regions only, and a clean
+        // run on the same engine serves them and reports exactly what a
+        // cold run does.
+        let index = engine.fingerprints().unwrap();
+        let published = index.len();
+        assert!(published < 2, "the long region timed out");
         let clean = engine.analyze(&primal, &o).unwrap();
+        assert_eq!(index.stats().hits, published as u64);
         assert_eq!(report(clean), report(cold));
     }
 
     #[test]
     fn formad_entry_points_ride_the_engine() {
-        // The one-shot API is a thin shim over SharedEngine: same handle,
-        // same verdicts.
+        // The one-shot API is an engine with no index: same verdicts.
         let primal = parse_program(FIG2).unwrap();
         let tool = Formad::new(opts());
         let direct = tool.analyze(&primal).unwrap();
-        let engine = SharedEngine::from_options(&tool.options);
+        let engine = SharedEngine::new();
         let via_engine = engine.analyze(&primal, &tool.options).unwrap();
         assert_eq!(direct.all_safe(), via_engine.all_safe());
         assert_eq!(

@@ -20,17 +20,23 @@
 //! guarantees a replayed region renders byte-identically to a cold run
 //! (the report's prover-health line can never be owed).
 //!
+//! That per-record rule is also what isolates requests from each other.
+//! A region's verdict set depends on its own loop and declarations only
+//! (paper §5: one solver per loop, knowledge from that loop's body), so
+//! it is final when the region's analysis returns, whatever happens to
+//! the rest of the run. A run that later fails — a deadline, a panic in
+//! another region — has published only verdicts a clean run would also
+//! reach, and a chaos run publishes nothing.
+//!
 //! The fingerprint is deliberately *not* renaming-invariant: decisions
 //! are keyed by concrete array names.
 //!
-//! Layering: an [`overlay`](FingerprintIndex::overlay) stages a
-//! request's records privately — lookups read through to the layers
-//! beneath, inserts stay in the overlay — and is
-//! [`absorb`](FingerprintIndex::absorb)ed on success or simply dropped
-//! on error/unwind. A base index opened with
-//! [`with_disk_dir`](FingerprintIndex::with_disk_dir) persists records
-//! to `fingerprints.fpi` in the cache directory; only the base stages
-//! records for the file. The store is strictly best-effort:
+//! The index is one map behind one mutex, owned by
+//! [`SharedEngine`](crate::SharedEngine). An index opened with
+//! [`with_disk_dir`](FingerprintIndex::with_disk_dir) starts with the
+//! records of `fingerprints.fpi` in the cache directory and stages every
+//! insert for the next [`flush`](FingerprintIndex::flush). The store is
+//! strictly best-effort:
 //!
 //! * any read error, version mismatch, or torn/corrupt line degrades
 //!   silently to a cold miss, never an error;
@@ -47,7 +53,7 @@
 //! Other files in the directory — such as the `proof-NN.fsc` shards an
 //! older release wrote — are never read or removed.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -112,7 +118,8 @@ fn read_versioned_lines(path: &Path, version: &str) -> Option<Vec<String>> {
 /// Which tier served a fingerprint lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FpTier {
-    /// The record was inserted (or absorbed) during this process's life.
+    /// The record was inserted during this process's life, or was
+    /// loaded from the durable file and has been served before.
     Memory,
     /// The record was loaded from the durable index file.
     Disk,
@@ -259,8 +266,7 @@ pub fn region_fingerprint(
 /// and `/v1/status`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FpStats {
-    /// Distinct fingerprints reachable from this layer (own, parents
-    /// and disk snapshot).
+    /// Records held.
     pub entries: u64,
     /// Lookups served (memory or disk).
     pub hits: u64,
@@ -275,53 +281,109 @@ pub struct FpStats {
     pub write_errors: u64,
 }
 
-#[derive(Debug)]
-struct FpDisk {
-    path: PathBuf,
-    snapshot: HashMap<String, Arc<RegionRecord>>,
-    pending: Mutex<HashMap<String, Arc<RegionRecord>>>,
+/// What the index's one mutex guards.
+#[derive(Debug, Default)]
+struct Entries {
+    /// Every record, with the tier its next lookup reports.
+    records: HashMap<String, (Arc<RegionRecord>, FpTier)>,
+    /// Records inserted since the last flush to the durable file.
+    pending: HashMap<String, Arc<RegionRecord>>,
+}
+
+#[derive(Debug, Default)]
+struct FpShared {
+    entries: Mutex<Entries>,
+    /// The durable index file, if the index has one.
+    file: Option<PathBuf>,
+    hits: AtomicU64,
+    disk_hits: AtomicU64,
+    misses: AtomicU64,
+    inserts: AtomicU64,
     write_errors: AtomicU64,
 }
 
-impl FpDisk {
-    fn open(dir: &Path) -> FpDisk {
-        let _ = std::fs::create_dir_all(dir);
+/// Concurrent fingerprint → [`RegionRecord`] index, optionally backed by
+/// a durable file. Cloning shares the index.
+#[derive(Debug, Clone, Default)]
+pub struct FingerprintIndex {
+    shared: Arc<FpShared>,
+}
+
+impl FingerprintIndex {
+    /// An empty in-memory index.
+    pub fn new() -> FingerprintIndex {
+        FingerprintIndex::default()
+    }
+
+    /// An index persisted under `dir`, holding the records of its file.
+    /// Never fails: a missing, unreadable or corrupt file, or a torn
+    /// line, degrades to fewer records.
+    pub fn with_disk_dir(dir: &Path) -> FingerprintIndex {
+        let _ = fs::create_dir_all(dir);
         let path = dir.join(FP_FILE);
-        let mut snapshot = HashMap::new();
-        if let Some(lines) = read_versioned_lines(&path, FP_FORMAT_VERSION) {
-            for line in &lines {
-                if line.is_empty() {
-                    continue;
-                }
-                // Torn/corrupt lines degrade to absent records.
-                if let Some((fp, rec)) = parse_record_line(line) {
-                    snapshot.insert(fp, Arc::new(rec));
+        let records = read_versioned_lines(&path, FP_FORMAT_VERSION)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|line| parse_record_line(line))
+            .map(|(fp, rec)| (fp, (Arc::new(rec), FpTier::Disk)))
+            .collect();
+        FingerprintIndex {
+            shared: Arc::new(FpShared {
+                entries: Mutex::new(Entries {
+                    records,
+                    pending: HashMap::new(),
+                }),
+                file: Some(path),
+                ..FpShared::default()
+            }),
+        }
+    }
+
+    /// Look up a record, reporting the tier it is served from. A record
+    /// loaded from the file is served from memory after its first lookup.
+    pub fn lookup(&self, fp: &str) -> Option<(Arc<RegionRecord>, FpTier)> {
+        let found = self.shared.entries.lock().ok().and_then(|mut e| {
+            let (rec, tier) = e.records.get_mut(fp)?;
+            Some((Arc::clone(rec), std::mem::replace(tier, FpTier::Memory)))
+        });
+        let s = &self.shared;
+        match &found {
+            Some((_, tier)) => {
+                s.hits.fetch_add(1, Ordering::Relaxed);
+                if *tier == FpTier::Disk {
+                    s.disk_hits.fetch_add(1, Ordering::Relaxed);
                 }
             }
+            None => {
+                s.misses.fetch_add(1, Ordering::Relaxed);
+            }
         }
-        FpDisk {
-            path,
-            snapshot,
-            pending: Mutex::new(HashMap::new()),
-            write_errors: AtomicU64::new(0),
-        }
+        found
     }
 
-    fn stage(&self, fp: &str, rec: &Arc<RegionRecord>) {
-        if self.snapshot.contains_key(fp) {
-            return;
+    /// Insert a record; an index with a file also stages it for the next
+    /// [`flush`](Self::flush).
+    pub fn insert(&self, fp: String, rec: RegionRecord) {
+        let rec = Arc::new(rec);
+        if let Ok(mut e) = self.shared.entries.lock() {
+            if self.shared.file.is_some() {
+                e.pending.insert(fp.clone(), Arc::clone(&rec));
+            }
+            e.records.insert(fp, (rec, FpTier::Memory));
         }
-        if let Ok(mut p) = self.pending.lock() {
-            p.entry(fp.to_owned()).or_insert_with(|| Arc::clone(rec));
-        }
+        self.shared.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Merge pending records into the index file (re-reading it fresh so
+    /// Merge the staged records into the index file (re-read fresh, so
     /// concurrent writers' records survive) and atomically replace it.
-    /// Returns the number of records that landed: 0 when the write failed.
-    fn flush(&self) -> usize {
-        let drained: HashMap<String, Arc<RegionRecord>> = match self.pending.lock() {
-            Ok(mut p) => std::mem::take(&mut *p),
+    /// Returns the number of records that landed: 0 without a file, with
+    /// nothing staged, or when the write failed.
+    pub fn flush(&self) -> usize {
+        let Some(path) = &self.shared.file else {
+            return 0;
+        };
+        let drained = match self.shared.entries.lock() {
+            Ok(mut e) => std::mem::take(&mut e.pending),
             Err(_) => return 0,
         };
         if drained.is_empty() {
@@ -333,14 +395,13 @@ impl FpDisk {
         static FLUSHING: Mutex<()> = Mutex::new(());
         let _one_writer = FLUSHING.lock();
         let mut merged: HashMap<String, String> = HashMap::new();
-        if let Some(lines) = read_versioned_lines(&self.path, FP_FORMAT_VERSION) {
+        if let Some(lines) = read_versioned_lines(path, FP_FORMAT_VERSION) {
             for line in lines {
                 if let Some(fp) = verify_record_line(&line) {
                     merged.insert(fp, line);
                 }
             }
         }
-        let written = drained.len();
         for (fp, rec) in &drained {
             merged.insert(fp.clone(), render_record_line(fp, rec));
         }
@@ -352,181 +413,33 @@ impl FpDisk {
             out.push_str(&merged[fp]);
             out.push('\n');
         }
-        if write_atomic(&self.path, &out).is_err() {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
+        if write_atomic(path, &out).is_err() {
+            self.shared.write_errors.fetch_add(1, Ordering::Relaxed);
             return 0;
         }
-        written
-    }
-}
-
-#[derive(Debug, Default)]
-struct FpInner {
-    map: Mutex<HashMap<String, Arc<RegionRecord>>>,
-    hits: AtomicU64,
-    disk_hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-}
-
-impl FpInner {
-    fn get(&self, fp: &str) -> Option<Arc<RegionRecord>> {
-        self.map.lock().map_or(None, |m| m.get(fp).cloned())
-    }
-}
-
-/// Concurrent fingerprint → [`RegionRecord`] index with overlay/absorb
-/// layering and an optional durable file beneath the memory chain.
-/// Cloning shares the index.
-#[derive(Debug, Clone, Default)]
-pub struct FingerprintIndex {
-    inner: Arc<FpInner>,
-    /// Read-through ancestors, nearest first.
-    parents: Vec<Arc<FpInner>>,
-    disk: Option<Arc<FpDisk>>,
-}
-
-impl FingerprintIndex {
-    /// An empty in-memory index.
-    pub fn new() -> FingerprintIndex {
-        FingerprintIndex::default()
+        drained.len()
     }
 
-    /// An index persisted under `dir`. Never fails; corruption degrades
-    /// to an empty snapshot.
-    pub fn with_disk_dir(dir: &Path) -> FingerprintIndex {
-        FingerprintIndex {
-            inner: Arc::new(FpInner::default()),
-            parents: Vec::new(),
-            disk: Some(Arc::new(FpDisk::open(dir))),
-        }
-    }
-
-    /// A private write layer over this index: lookups read through to
-    /// every layer beneath, inserts stay here until [`absorb`](Self::absorb).
-    pub fn overlay(&self) -> FingerprintIndex {
-        let mut parents = Vec::with_capacity(self.parents.len() + 1);
-        parents.push(Arc::clone(&self.inner));
-        parents.extend(self.parents.iter().cloned());
-        FingerprintIndex {
-            inner: Arc::new(FpInner::default()),
-            parents,
-            disk: self.disk.clone(),
-        }
-    }
-
-    fn is_base(&self) -> bool {
-        self.parents.is_empty()
-    }
-
-    /// Publish an overlay's records into this index; a base index also
-    /// batches them to the durable file.
-    pub fn absorb(&self, overlay: &FingerprintIndex) {
-        let Ok(src) = overlay.inner.map.lock() else {
-            return;
-        };
-        if let Ok(mut dst) = self.inner.map.lock() {
-            for (fp, rec) in src.iter() {
-                dst.insert(fp.clone(), Arc::clone(rec));
-            }
-        }
-        if let (true, Some(disk)) = (self.is_base(), self.disk.as_ref()) {
-            for (fp, rec) in src.iter() {
-                disk.stage(fp, rec);
-            }
-        }
-        drop(src);
-        // Roll the retiring overlay's counters up so served/miss
-        // activity inside absorbed requests stays visible at this layer.
-        for (dst, src) in [
-            (&self.inner.hits, &overlay.inner.hits),
-            (&self.inner.disk_hits, &overlay.inner.disk_hits),
-            (&self.inner.misses, &overlay.inner.misses),
-            (&self.inner.inserts, &overlay.inner.inserts),
-        ] {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        if self.is_base() {
-            self.flush();
-        }
-    }
-
-    /// Look up a record (own map, parents nearest-first, then the disk
-    /// snapshot), reporting the serving tier. Disk hits are promoted into
-    /// this layer's memory.
-    pub fn lookup(&self, fp: &str) -> Option<(Arc<RegionRecord>, FpTier)> {
-        let mem = self
-            .inner
-            .get(fp)
-            .or_else(|| self.parents.iter().find_map(|p| p.get(fp)));
-        if let Some(rec) = mem {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            return Some((rec, FpTier::Memory));
-        }
-        if let Some(rec) = self.disk.as_ref().and_then(|d| d.snapshot.get(fp).cloned()) {
-            if let Ok(mut m) = self.inner.map.lock() {
-                m.insert(fp.to_owned(), Arc::clone(&rec));
-            }
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Some((rec, FpTier::Disk));
-        }
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Insert a record; a base index also stages it for the durable
-    /// file.
-    pub fn insert(&self, fp: String, rec: RegionRecord) {
-        let rec = Arc::new(rec);
-        if let (true, Some(disk)) = (self.is_base(), self.disk.as_ref()) {
-            disk.stage(&fp, &rec);
-        }
-        if let Ok(mut m) = self.inner.map.lock() {
-            m.insert(fp, rec);
-        }
-        self.inner.inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Batch staged records to the durable file. No-op without one.
-    pub fn flush(&self) -> usize {
-        self.disk.as_ref().map_or(0, |d| d.flush())
-    }
-
-    /// Distinct fingerprints reachable from this layer. A record promoted
-    /// from the disk snapshot, or present in several layers, counts once.
+    /// Number of records held.
     pub fn len(&self) -> usize {
-        let layers: Vec<_> = std::iter::once(&self.inner)
-            .chain(&self.parents)
-            .filter_map(|l| l.map.lock().ok())
-            .collect();
-        let mut seen: HashSet<&str> = HashSet::new();
-        if let Some(d) = &self.disk {
-            seen.extend(d.snapshot.keys().map(String::as_str));
-        }
-        for m in &layers {
-            seen.extend(m.keys().map(String::as_str));
-        }
-        seen.len()
+        self.shared.entries.lock().map_or(0, |e| e.records.len())
     }
 
-    /// Whether no records are reachable.
+    /// Whether no records are held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> FpStats {
+        let s = &self.shared;
         FpStats {
             entries: self.len() as u64,
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            disk_hits: self.inner.disk_hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            inserts: self.inner.inserts.load(Ordering::Relaxed),
-            write_errors: self
-                .disk
-                .as_ref()
-                .map_or(0, |d| d.write_errors.load(Ordering::Relaxed)),
+            hits: s.hits.load(Ordering::Relaxed),
+            disk_hits: s.disk_hits.load(Ordering::Relaxed),
+            misses: s.misses.load(Ordering::Relaxed),
+            inserts: s.inserts.load(Ordering::Relaxed),
+            write_errors: s.write_errors.load(Ordering::Relaxed),
         }
     }
 }
@@ -846,19 +759,18 @@ end subroutine
     }
 
     #[test]
-    fn overlay_absorb_and_disk_roundtrip() {
+    fn flush_and_disk_roundtrip() {
         let dir = std::env::temp_dir().join(format!("formad-fpi-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let base = FingerprintIndex::with_disk_dir(&dir);
-        let ov = base.overlay();
-        ov.insert("f1".to_string(), sample_record());
-        assert!(ov.lookup("f1").is_some());
-        // Not yet published, and nothing durable yet.
-        assert!(base.lookup("f1").is_none());
-        base.absorb(&ov);
-        let (rec, tier) = base.lookup("f1").unwrap();
+        let idx = FingerprintIndex::with_disk_dir(&dir);
+        idx.insert("f1".to_string(), sample_record());
+        let (rec, tier) = idx.lookup("f1").unwrap();
         assert_eq!(tier, FpTier::Memory);
         assert_eq!(*rec, sample_record());
+        // Nothing durable before the flush.
+        assert!(FingerprintIndex::with_disk_dir(&dir).is_empty());
+        assert_eq!(idx.flush(), 1);
+        assert_eq!(idx.flush(), 0, "a flush stages nothing twice");
         // A fresh index over the same dir serves it from disk.
         let fresh = FingerprintIndex::with_disk_dir(&dir);
         let (rec, tier) = fresh.lookup("f1").unwrap();
@@ -867,6 +779,8 @@ end subroutine
         assert_eq!(fresh.stats().disk_hits, 1);
         // Second lookup is a memory hit (promotion).
         assert_eq!(fresh.lookup("f1").unwrap().1, FpTier::Memory);
+        assert_eq!(fresh.stats().hits, 2);
+        assert_eq!(fresh.stats().disk_hits, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -879,15 +793,11 @@ end subroutine
         assert_eq!(writer.flush(), 1);
         let fresh = FingerprintIndex::with_disk_dir(&dir);
         assert_eq!(fresh.len(), 1);
-        // Promotion copies the record into memory; it is still one record,
-        // also when seen through an overlay that promoted it again.
+        // Promotion flips the record's tier; it is still one record.
         assert_eq!(fresh.lookup("f1").unwrap().1, FpTier::Disk);
         assert_eq!(fresh.len(), 1);
-        let ov = fresh.overlay();
-        ov.insert("f1".to_string(), sample_record());
-        ov.insert("f2".to_string(), sample_record());
-        assert_eq!(ov.len(), 2);
-        assert_eq!(fresh.stats().entries, 1);
+        fresh.insert("f2".to_string(), sample_record());
+        assert_eq!(fresh.stats().entries, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,9 +36,8 @@
 //! - [`Formad::adjoint_with`] — the *Serial* / *Atomic* / *Reduction*
 //!   baseline versions;
 //! - [`SharedEngine`] — the resident-service form of the same pipeline:
-//!   one shared region-fingerprint index across requests, with
-//!   per-request overlay isolation (absorb on success, roll back on
-//!   failure).
+//!   one region-fingerprint index shared across requests, which stores
+//!   only definite region verdicts (see [`fingerprint`]).
 
 pub mod engine;
 pub mod fingerprint;

@@ -214,12 +214,11 @@ impl Formad {
         Formad { options }
     }
 
-    /// The engine this invocation runs on: whatever fingerprint index
-    /// is wired into `options.region.fingerprints` *is* the shared
-    /// state, so one-shot callers analyze every region and a resident
-    /// caller can pass the same handle to every `Formad` it builds.
+    /// The engine a one-shot invocation runs on: no fingerprint index,
+    /// so every region is analyzed. A resident caller keeps one
+    /// [`SharedEngine`] instead.
     fn engine(&self) -> SharedEngine {
-        SharedEngine::from_options(&self.options)
+        SharedEngine::default()
     }
 
     /// Run only the analysis (knowledge extraction + exploitation) and

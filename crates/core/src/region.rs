@@ -167,7 +167,8 @@ pub struct RegionOptions {
     /// Wall-clock allowance per prover `check()` (`None` = unbounded).
     pub prover_timeout: Option<Duration>,
     /// Fault injection for robustness tests: wraps the prover in a
-    /// `ChaosSolver` (seed offset by region index).
+    /// `ChaosSolver` (seed offset by region index). While set, the
+    /// engine's fingerprint index is neither read nor written.
     pub chaos: Option<ChaosConfig>,
     /// Read by nothing: proving is in-line on the region's one solver. The
     /// field stays only because the frozen `benchmark/src/pipeline.rs`
@@ -189,14 +190,6 @@ pub struct RegionOptions {
     /// select as a differential oracle. Verdicts and reports are
     /// identical for both.
     pub search_core: SearchCore,
-    /// Region-level fingerprint → verdict-set index (see
-    /// [`crate::fingerprint`]). `None` — the default — analyzes every
-    /// region from scratch; `Some` lets the pipeline serve unchanged
-    /// regions' entire decision sets without re-enumerating queries, and
-    /// records definite outcomes for future runs. Ignored while `chaos`
-    /// is configured (fault-injected outcomes must not be replayed, and
-    /// chaos runs must exercise the prover).
-    pub fingerprints: Option<crate::fingerprint::FingerprintIndex>,
 }
 
 impl Default for RegionOptions {
@@ -213,7 +206,6 @@ impl Default for RegionOptions {
             deadline: None,
             trace: None,
             search_core: SearchCore::Presolved,
-            fingerprints: None,
         }
     }
 }

@@ -352,9 +352,7 @@ pub fn run_case(
         let _ = std::fs::create_dir_all(&dir);
         let run_pass = |label: &str| -> Result<(FormadAnalysis, String), Divergence> {
             let engine = formad::SharedEngine::with_cache_dir(&dir);
-            let mut opts = options(case);
-            opts.region.fingerprints = engine.fingerprints().cloned();
-            let a = Formad::new(opts).analyze(prog).map_err(|e| {
+            let a = engine.analyze(prog, &options(case)).map_err(|e| {
                 Divergence::new(
                     OracleId::Persistence,
                     format!("{label} analysis failed: {e}"),

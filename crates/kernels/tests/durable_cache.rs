@@ -11,8 +11,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use formad::{
-    region_report, FingerprintIndex, Formad, FormadAnalysis, FormadOptions, SharedEngine,
-    TraceEvent, TraceSink,
+    region_report, Formad, FormadAnalysis, FormadOptions, SharedEngine, TraceEvent, TraceSink,
 };
 use formad_ir::{Expr, Program, Stmt};
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
@@ -71,9 +70,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
 /// per call, so only the directory carries state), flushing on return.
 fn analyze_disk(program: &Program, indep: &[&str], dep: &[&str], dir: &Path) -> FormadAnalysis {
     let engine = SharedEngine::with_cache_dir(dir);
-    let mut opts = FormadOptions::new(indep, dep);
-    opts.region.fingerprints = engine.fingerprints().cloned();
-    let a = Formad::new(opts).analyze(program).expect("analysis");
+    let opts = FormadOptions::new(indep, dep);
+    let a = engine.analyze(program, &opts).expect("analysis");
     engine.flush_disk();
     a
 }
@@ -98,9 +96,8 @@ fn reports_identical_across_warmth_tiers_and_job_counts() {
         // hits the promoted records without touching disk again.
         let engine = SharedEngine::with_cache_dir(&dir);
         for label in ["first", "second"] {
-            let mut opts = FormadOptions::new(&indep, &dep);
-            opts.region.fingerprints = engine.fingerprints().cloned();
-            let mut a = Formad::new(opts).analyze(&program).expect("analysis");
+            let opts = FormadOptions::new(&indep, &dep);
+            let mut a = engine.analyze(&program, &opts).expect("analysis");
             assert_eq!(want, report_of(&mut a), "{name}: memory-warm ({label})");
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -126,7 +123,7 @@ fn shared_index_on_and_off_reports_agree_on_every_kernel() {
     // One index handle shared across the entire suite — the harshest
     // sharing pattern: records inserted while analyzing one kernel are
     // eligible hits for every later kernel.
-    let shared = FingerprintIndex::new();
+    let shared = SharedEngine::new();
     for (name, program, indep, dep) in kernels {
         let opts = FormadOptions::new(&indep, &dep);
         let mut plain = Formad::new(opts).analyze(&program).expect("analysis");
@@ -134,9 +131,8 @@ fn shared_index_on_and_off_reports_agree_on_every_kernel() {
         // Cold, then warm against the same index: a served region
         // substitutes for an analysis, never for a different answer.
         for pass in ["cold", "warm"] {
-            let mut opts = FormadOptions::new(&indep, &dep);
-            opts.region.fingerprints = Some(shared.clone());
-            let mut a = Formad::new(opts).analyze(&program).expect("analysis");
+            let opts = FormadOptions::new(&indep, &dep);
+            let mut a = shared.analyze(&program, &opts).expect("analysis");
             assert_eq!(
                 want,
                 report_of(&mut a),
@@ -215,9 +211,8 @@ fn corrupted_dirs_degrade_to_cold_miss_with_identical_reports() {
         assert_eq!(a.stats.checks, cold.stats.checks, "{name}: {pass}");
     }
     let engine = SharedEngine::with_cache_dir(&unwritable);
-    let mut opts = FormadOptions::new(&indep, &dep);
-    opts.region.fingerprints = engine.fingerprints().cloned();
-    Formad::new(opts).analyze(&program).expect("analysis");
+    let opts = FormadOptions::new(&indep, &dep);
+    engine.analyze(&program, &opts).expect("analysis");
     assert_eq!(engine.flush_disk(), 0, "a flush that cannot land reports 0");
     assert_eq!(engine.fingerprints().unwrap().stats().write_errors, 1);
     let _ = std::fs::remove_dir_all(blocker.parent().unwrap());
@@ -238,9 +233,8 @@ fn concurrent_writers_to_one_dir_lose_no_record() {
                 let (dir, barrier) = (&dir, &barrier);
                 s.spawn(move || {
                     let engine = SharedEngine::with_cache_dir(dir);
-                    let mut opts = FormadOptions::new(indep, dep);
-                    opts.region.fingerprints = engine.fingerprints().cloned();
-                    let a = Formad::new(opts).analyze(program).expect("analysis");
+                    let opts = FormadOptions::new(indep, dep);
+                    let a = engine.analyze(program, &opts).expect("analysis");
                     barrier.wait();
                     assert_eq!(engine.flush_disk(), a.regions.len());
                     a.regions.len()
@@ -314,9 +308,8 @@ fn editing_one_gfmc_loop_reproves_only_that_region() {
     let engine = SharedEngine::with_cache_dir(&dir);
     let sink = TraceSink::new();
     let mut opts = FormadOptions::new(&indep, &dep);
-    opts.region.fingerprints = engine.fingerprints().cloned();
     opts.region.trace = Some(sink.clone());
-    let mut warm = Formad::new(opts).analyze(&edited).expect("analysis");
+    let mut warm = engine.analyze(&edited, &opts).expect("analysis");
 
     let events = sink.snapshot();
     let served: Vec<usize> = events

@@ -14,9 +14,10 @@
 //!   ladder ([`admission`]) keeps latency flat under load. Only `exec`
 //!   (which has no cheaper correct answer) can be told to retry later
 //!   (HTTP 429 + `retry_after_ms`).
-//! - Each request runs against a private overlay of the shared
-//!   fingerprint index; success absorbs it, failure rolls it back, so a
-//!   poisoned request can never corrupt the warm index.
+//! - Every request runs on the shared fingerprint index, which takes
+//!   only definite region verdicts — final when the region's analysis
+//!   returns — so a failed or poisoned request can never corrupt the
+//!   warm index.
 //!
 //! Start one with [`serve`] or via the CLI: `formad serve --addr
 //! 127.0.0.1:7878`.

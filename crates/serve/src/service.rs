@@ -10,11 +10,14 @@
 //! 2. Pass the admission gate. Saturation *sheds*: the request is
 //!    answered immediately with the always-safe atomic discipline (HTTP
 //!    200, `degraded: true`) instead of queueing or erroring.
-//! 3. Run the pipeline against a private overlay of the shared
-//!    fingerprint index ([`SharedEngine::differentiate_isolated`]), inside
-//!    `catch_unwind`. Success absorbs the overlay; an error or a panic
-//!    rolls it back, and a panic (or a pipeline-level deadline expiry)
-//!    still answers 200 with the atomic fallback.
+//! 3. Run the pipeline on the shared engine
+//!    ([`SharedEngine::differentiate`]) inside `catch_unwind`. Every
+//!    definite region it settles lands in the shared fingerprint index,
+//!    whatever the request's outcome: a region's verdicts depend on that
+//!    region alone (see `formad::fingerprint`). A panic or a
+//!    pipeline-level deadline expiry still answers 200 with the atomic
+//!    fallback. With a cache directory the new records are flushed to
+//!    disk before the reply.
 //!
 //! `exec` has no cheaper correct answer, so it is the only verb that can
 //! be told to come back later (HTTP 429 + `retry_after_ms`) and its
@@ -51,9 +54,9 @@ pub struct ServiceConfig {
     pub default_deadline_ms: Option<u64>,
     /// Upper bound on `exec` logical threads per request.
     pub exec_threads_max: usize,
-    /// Durable cache directory. When set, region fingerprints are read
-    /// through from disk and batched back on every absorbed request, so
-    /// warmth survives daemon restarts.
+    /// Durable cache directory. When set, the fingerprint index starts
+    /// with the records on disk and flushes new ones after every
+    /// analysis request, so warmth survives daemon restarts.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -192,25 +195,22 @@ impl Service {
             shrink_budgets(&mut opts);
         }
 
-        // Per-request panic isolation: the pipeline runs against a
-        // private index overlay (absorbed only on success), and a panic
-        // — injected chaos or a genuine bug — degrades the answer
-        // instead of killing the daemon.
+        // Per-request panic isolation: a panic — injected chaos or a
+        // genuine bug — degrades the answer instead of killing the daemon.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if req.poison {
                 panic!("poisoned request (test hook)");
             }
             if req.adjoint {
                 self.engine
-                    .differentiate_isolated(&primal, &opts)
+                    .differentiate(&primal, &opts)
                     .map(|r| (r.analysis, Some(req.emit.print(&r.adjoint))))
             } else {
-                self.engine
-                    .analyze_isolated(&primal, &opts)
-                    .map(|a| (a, None))
+                self.engine.analyze(&primal, &opts).map(|a| (a, None))
             }
         }));
         drop(permit);
+        self.engine.flush_disk();
 
         match outcome {
             Ok(Ok((analysis, adjoint))) => {
@@ -233,7 +233,7 @@ impl Service {
             },
             Err(_) => {
                 self.counters.panics_caught.fetch_add(1, Ordering::Relaxed);
-                let reason = "panic isolated: request pipeline unwound (cache overlay rolled back)";
+                let reason = "panic isolated: request pipeline unwound";
                 self.fallback_response(&primal, &req, reason, level.label())
             }
         }
