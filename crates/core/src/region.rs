@@ -25,7 +25,7 @@
 //! each per-array proof attempt is panic-isolated (`catch_unwind`), runs
 //! under the configured budget/deadline, and on `Unknown(Budget)` is
 //! retried with an escalated budget. Any failure mode — budget, deadline,
-//! cancellation, or a prover panic — degrades *that array* to `Guarded`
+//! or a prover panic — degrades *that array* to `Guarded`
 //! (atomics stay in place) and records why; it never aborts the analysis
 //! and never produces an unsound `Shared`.
 
@@ -74,7 +74,7 @@ pub enum Provenance {
     Refuted,
     /// The work budget ran out on every attempt of the retry ladder.
     BudgetExhausted,
-    /// The wall-clock deadline (or a cancellation) cut the proof short;
+    /// The wall-clock deadline cut the proof short;
     /// escalating the budget cannot help, so no retry was made.
     TimedOut,
     /// The prover panicked; the analysis recovered by keeping safeguards.
@@ -761,7 +761,7 @@ struct TaskTracer<'a> {
 /// Run the escalating-budget retry ladder for one array on the region's
 /// solver. This is the panic-isolated unit of work: the cheap pass runs
 /// first and only `Unknown(Budget)` outcomes are re-proven with larger
-/// counters. A deadline/cancellation trip is final (a bigger budget
+/// counters. A deadline trip is final (a bigger budget
 /// cannot beat the clock), and a panic consumes the attempt but leaves
 /// the solver balanced for the next array via `reset_to_base`.
 #[allow(clippy::too_many_arguments)]
@@ -903,7 +903,7 @@ fn run_proof_task<S: SolverApi>(
             }
             Ok(ArrayProof::Unknown(reason)) => {
                 last_failure = reason;
-                if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
+                if reason == StopReason::Deadline {
                     break;
                 }
             }
@@ -916,7 +916,7 @@ fn run_proof_task<S: SolverApi>(
         ));
     }
     let (decision, provenance) = settled.unwrap_or_else(|| match last_failure {
-        StopReason::Deadline | StopReason::Cancelled => (
+        StopReason::Deadline => (
             Decision::Guarded(format!(
                 "prover {last_failure} before a verdict; atomics kept"
             )),

@@ -276,12 +276,6 @@ impl Expr {
         });
         found
     }
-
-    /// Structural equality helper used by increment detection: literal-level
-    /// comparison, no normalization.
-    pub fn structurally_eq(&self, other: &Expr) -> bool {
-        self == other
-    }
 }
 
 /// [`Expr::map`] over a slice of children: `None` if none changed, and

@@ -56,17 +56,6 @@ impl Decl {
         }
     }
 
-    /// Array local.
-    pub fn local_array(name: impl Into<Name>, ty: Ty, dims: Vec<Expr>) -> Decl {
-        Decl {
-            name: name.into(),
-            ty,
-            dims,
-            intent: Intent::InOut,
-            is_local: true,
-        }
-    }
-
     /// True for array declarations.
     pub fn is_array(&self) -> bool {
         !self.dims.is_empty()

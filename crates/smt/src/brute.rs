@@ -34,7 +34,7 @@ pub fn find_model(
     find_model_under(assertions, table, lo, hi, &Interrupt::none())
 }
 
-/// [`find_model`] with a deadline/cancellation bundle, polled every
+/// [`find_model`] under an [`Interrupt`] deadline, polled every
 /// [`INTERRUPT_STRIDE`] assignments. A trip aborts the enumeration with
 /// `Err("interrupted: ...")` — callers cross-validating against the solver
 /// must then skip the comparison, not treat it as "no model".

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::ctrl::{CancelToken, Deadline, StopReason};
+use crate::ctrl::{Deadline, StopReason};
 use crate::formula::Assertion;
 use crate::linexpr::AtomTable;
 use crate::search::SearchCore;
@@ -190,9 +190,6 @@ impl SolverApi for ChaosSolver {
     }
     fn set_deadline(&mut self, deadline: Deadline) {
         self.inner.set_deadline(deadline);
-    }
-    fn set_cancel_token(&mut self, token: CancelToken) {
-        self.inner.set_cancel_token(token);
     }
     fn reset_to_base(&mut self) {
         self.inner.reset_to_base();

@@ -1,16 +1,14 @@
-//! Resource governance for prover queries: wall-clock deadlines and
-//! cooperative cancellation, checked at branch/elimination granularity.
+//! Resource governance for prover queries: wall-clock deadlines,
+//! checked at branch/elimination granularity.
 //!
 //! The paper's pipeline treats the theorem prover like a service
-//! dependency: any query may be abandoned (budget, timeout, cancellation,
-//! or a prover fault) and the caller must degrade to the safe answer —
+//! dependency: any query may be abandoned (budget, timeout, or a prover
+//! fault) and the caller must degrade to the safe answer —
 //! keep the atomic/reduction safeguard — never miscompile. The types here
 //! make the "why was this query abandoned" machine-readable so the
 //! degradation ladder in `formad-core` can record provenance.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why a check stopped without a definite verdict.
@@ -21,8 +19,6 @@ pub enum StopReason {
     Budget,
     /// The wall-clock deadline passed.
     Deadline,
-    /// The [`CancelToken`] was triggered.
-    Cancelled,
     /// The prover panicked and the caller recovered (set by the recovery
     /// wrapper in `formad-core`, never by the solver itself).
     Panicked,
@@ -33,31 +29,8 @@ impl fmt::Display for StopReason {
         match self {
             StopReason::Budget => write!(f, "budget exhausted"),
             StopReason::Deadline => write!(f, "deadline expired"),
-            StopReason::Cancelled => write!(f, "cancelled"),
             StopReason::Panicked => write!(f, "prover panicked"),
         }
-    }
-}
-
-/// Cooperative cancellation flag, shareable across threads.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Request cancellation; every solver holding a clone observes it at
-    /// its next governor poll.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
     }
 }
 
@@ -116,11 +89,10 @@ impl Deadline {
     }
 }
 
-/// Deadline + cancellation bundle threaded through a query.
+/// The deadline threaded through a query.
 #[derive(Debug, Clone, Default)]
 pub struct Interrupt {
     pub deadline: Deadline,
-    pub cancel: Option<CancelToken>,
 }
 
 impl Interrupt {
@@ -129,31 +101,18 @@ impl Interrupt {
     }
 
     pub fn with_deadline(deadline: Deadline) -> Interrupt {
-        Interrupt {
-            deadline,
-            cancel: None,
-        }
+        Interrupt { deadline }
     }
 
-    /// True when neither a deadline nor a token is attached (polling can
-    /// be skipped entirely).
+    /// True when no deadline is attached (polling can be skipped
+    /// entirely).
     pub fn is_inert(&self) -> bool {
-        self.deadline.is_none() && self.cancel.is_none()
+        self.deadline.is_none()
     }
 
-    /// Immediate (unpaced) trip check. Cancellation outranks the
-    /// deadline: an explicit cancel is reported even if the clock also
-    /// ran out.
+    /// Immediate (unpaced) trip check.
     pub fn tripped(&self) -> Option<StopReason> {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return Some(StopReason::Cancelled);
-            }
-        }
-        if self.deadline.expired() {
-            return Some(StopReason::Deadline);
-        }
-        None
+        self.deadline.expired().then_some(StopReason::Deadline)
     }
 }
 
@@ -189,7 +148,7 @@ impl<'a> Governor<'a> {
     }
 
     /// Poll for an interrupt. Cheap on the fast path (a decrement); every
-    /// `period` calls it consults the token and the clock.
+    /// `period` calls it consults the clock.
     pub fn poll(&mut self) -> Option<StopReason> {
         if self.latched.is_some() {
             return self.latched;
@@ -227,37 +186,6 @@ mod tests {
         assert_eq!(g.poll(), Some(StopReason::Deadline));
         // Latched thereafter.
         assert_eq!(g.poll(), Some(StopReason::Deadline));
-    }
-
-    #[test]
-    fn cancel_token_observed_within_one_period() {
-        let token = CancelToken::new();
-        let i = Interrupt {
-            deadline: Deadline::none(),
-            cancel: Some(token.clone()),
-        };
-        let mut g = Governor::with_period(&i, 8);
-        assert_eq!(g.poll(), None);
-        token.cancel();
-        let mut seen = None;
-        for _ in 0..8 {
-            seen = g.poll();
-            if seen.is_some() {
-                break;
-            }
-        }
-        assert_eq!(seen, Some(StopReason::Cancelled));
-    }
-
-    #[test]
-    fn cancellation_outranks_deadline() {
-        let token = CancelToken::new();
-        token.cancel();
-        let i = Interrupt {
-            deadline: Deadline::after(Duration::ZERO),
-            cancel: Some(token),
-        };
-        assert_eq!(i.tripped(), Some(StopReason::Cancelled));
     }
 
     #[test]

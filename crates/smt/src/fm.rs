@@ -29,7 +29,7 @@ pub enum Feasibility {
     Feasible,
     /// No integer solution exists (proof by derivation — sound).
     Infeasible,
-    /// Work budget, deadline, or cancellation tripped; treat as feasible
+    /// Work budget or deadline tripped; treat as feasible
     /// for safety. The payload says which resource ran out.
     Unknown(StopReason),
 }
@@ -69,7 +69,7 @@ pub fn feasible(eqs: &[LinExpr], ineqs: &[LinExpr], budget: &FmBudget) -> Feasib
 
 /// Decide feasibility under a shared [`Governor`]: the elimination polls
 /// it at pivot/row granularity and abandons the run with
-/// `Unknown(Deadline | Cancelled)` as soon as it trips. The solver
+/// `Unknown(Deadline)` as soon as it trips. The solver
 /// threads one governor through all its feasibility calls so pacing is
 /// shared across a whole `check()`.
 pub fn feasible_paced(

@@ -50,7 +50,7 @@ pub mod search;
 pub mod solver;
 
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosSolver};
-pub use ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
+pub use ctrl::{Deadline, Governor, Interrupt, StopReason};
 pub use fm::{feasible, feasible_paced, Feasibility, FmBudget};
 pub use formula::{Assertion, Literal, Rel};
 pub use fx::{FxHashMap, FxHashSet, FxHasher};

@@ -124,7 +124,7 @@ pub(crate) fn search_stack(
     marks: &[usize],
     ctx: &mut SearchCtx<'_>,
 ) -> SatResult {
-    // A pre-tripped deadline/cancellation must win before any presolve
+    // A pre-tripped deadline must win before any presolve
     // conclusion (first governor poll is immediate).
     if let Some(r) = ctx.gov.poll() {
         return SatResult::Unknown(r);

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use crate::ctrl::{CancelToken, Deadline, Governor, Interrupt, StopReason};
+use crate::ctrl::{Deadline, Governor, Interrupt, StopReason};
 use crate::fm::FmBudget;
 use crate::formula::{Assertion, Literal};
 use crate::linexpr::AtomTable;
@@ -20,7 +20,7 @@ pub enum SatResult {
     Sat,
     /// Provably no integer model exists.
     Unsat,
-    /// Budget, deadline, or cancellation tripped (the payload says
+    /// Budget or deadline tripped (the payload says
     /// which); callers must treat this like `Sat` (keep safeguards).
     Unknown(StopReason),
 }
@@ -56,8 +56,8 @@ pub struct SolverStats {
     pub branches: u64,
     /// Number of `check()` calls that ended `Unknown` (any reason).
     pub unknowns: u64,
-    /// `Unknown`s attributable to the wall-clock deadline or an explicit
-    /// cancellation (as opposed to work-counter budgets).
+    /// `Unknown`s attributable to the wall-clock deadline (as opposed to
+    /// work-counter budgets).
     pub interrupts: u64,
     /// Always 0: counters of the deleted query-level cache, read by the
     /// frozen `benchmark/` package. They go with the follow-up `benchmark`
@@ -173,7 +173,7 @@ pub struct Solver {
     /// Statistics accumulated over the solver's lifetime.
     pub stats: SolverStats,
     budget: SolverBudget,
-    /// Absolute deadline + cancellation shared by every `check()`.
+    /// Absolute deadline shared by every `check()`.
     interrupt: Interrupt,
     /// Per-`check()` wall-clock allowance, combined with the absolute
     /// deadline at each call (the tighter bound wins).
@@ -210,11 +210,6 @@ impl Solver {
     /// Set an absolute wall-clock deadline shared by all later checks.
     pub fn set_deadline(&mut self, deadline: Deadline) {
         self.interrupt.deadline = deadline;
-    }
-
-    /// Attach a cooperative cancellation token.
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.interrupt.cancel = Some(token);
     }
 
     /// Set a per-`check()` wall-clock allowance (`None` = unbounded).
@@ -270,7 +265,7 @@ impl Solver {
     }
 
     /// Check satisfiability of all assertions on the stack, respecting
-    /// the work budget, the wall-clock deadline, and the cancel token.
+    /// the work budget and the wall-clock deadline.
     pub fn check(&mut self) -> SatResult {
         self.stats.checks = self.stats.checks.saturating_add(1);
         // Effective interrupt: absolute deadline ∧ per-check timeout.
@@ -299,7 +294,7 @@ impl Solver {
         };
         if let SatResult::Unknown(reason) = result {
             self.stats.unknowns = self.stats.unknowns.saturating_add(1);
-            if matches!(reason, StopReason::Deadline | StopReason::Cancelled) {
+            if reason == StopReason::Deadline {
                 self.stats.interrupts = self.stats.interrupts.saturating_add(1);
             }
         }
@@ -354,8 +349,6 @@ pub trait SolverApi {
     fn set_timeout(&mut self, timeout: Option<Duration>);
     /// Absolute deadline shared by later checks.
     fn set_deadline(&mut self, deadline: Deadline);
-    /// Cooperative cancellation token.
-    fn set_cancel_token(&mut self, token: CancelToken);
     /// Recover after a caught panic: drop all open frames.
     fn reset_to_base(&mut self);
     /// Select the search engine answering later `check()` calls.
@@ -400,9 +393,6 @@ impl SolverApi for Solver {
     }
     fn set_deadline(&mut self, deadline: Deadline) {
         Solver::set_deadline(self, deadline);
-    }
-    fn set_cancel_token(&mut self, token: CancelToken) {
-        Solver::set_cancel_token(self, token);
     }
     fn reset_to_base(&mut self) {
         Solver::reset_to_base(self);

@@ -1,4 +1,4 @@
-//! Deadline, cancellation, and budget-escalation behavior of the solver.
+//! Deadline and budget-escalation behavior of the solver.
 //!
 //! The degradation contract: a tripped resource governor yields
 //! `Unknown(reason)` — never a wrong `Sat`/`Unsat`, never a hang — and
@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use formad_smt::{
-    Assertion, CancelToken, Deadline, LinExpr, Literal, SatResult, Solver, SolverBudget, StopReason,
+    Assertion, Deadline, LinExpr, Literal, SatResult, Solver, SolverBudget, StopReason,
 };
 
 /// An UNSAT pigeonhole-style instance the splitter cannot solve quickly:
@@ -62,16 +62,6 @@ fn absolute_deadline_equivalent_to_timeout() {
     let mut s = hard_unsat_instance(24);
     s.set_deadline(Deadline::in_ms(10));
     assert_eq!(s.check(), SatResult::Unknown(StopReason::Deadline));
-}
-
-#[test]
-fn cancellation_trips_immediately_and_outranks_deadline() {
-    let mut s = hard_unsat_instance(8);
-    let token = CancelToken::new();
-    s.set_cancel_token(token.clone());
-    s.set_timeout(Some(Duration::from_millis(1)));
-    token.cancel();
-    assert_eq!(s.check(), SatResult::Unknown(StopReason::Cancelled));
 }
 
 #[test]
