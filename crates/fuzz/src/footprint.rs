@@ -30,7 +30,8 @@ use std::collections::HashMap;
 use formad::{Decision, FormadAnalysis};
 use formad_ad::{plan_transpose, RegionWrites};
 use formad_analysis::Activity;
-use formad_ir::{expr_to_string, BinOp, BoolExpr, CmpOp, Expr, Intrinsic, Program, Stmt, Ty, UnOp};
+use formad_ir::{expr_to_string, BoolExpr, Expr, Intrinsic, Program, Stmt, Ty, UnOp};
+use formad_machine::lower::{compare, int_bin, int_call, real_bin, real_call};
 use formad_machine::Bindings;
 
 /// One adjoint access: array, element (1-based), and whether the
@@ -132,78 +133,39 @@ impl State {
                     return Err(format!("unbound array `{array}`"));
                 }
             }
-            Expr::Unary { op, arg } => {
-                let v = self.eval(arg)?;
-                match (op, v) {
-                    (UnOp::Neg, V::I(a)) => V::I(-a),
-                    (UnOp::Neg, V::R(a)) => V::R(-a),
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.eval(lhs)?;
-                let b = self.eval(rhs)?;
-                if let (V::I(x), V::I(y)) = (a, b) {
-                    match op {
-                        BinOp::Add => V::I(x.wrapping_add(y)),
-                        BinOp::Sub => V::I(x.wrapping_sub(y)),
-                        BinOp::Mul => V::I(x.wrapping_mul(y)),
-                        BinOp::Div => V::I(x.checked_div(y).ok_or("integer division by zero")?),
-                        BinOp::Mod => V::I(x.checked_rem(y).ok_or("mod by zero")?),
-                        BinOp::Pow => {
-                            V::I(x.pow(u32::try_from(y).map_err(|_| "negative int power")?))
-                        }
-                    }
-                } else {
-                    let (x, y) = (a.as_r(), b.as_r());
-                    match op {
-                        BinOp::Add => V::R(x + y),
-                        BinOp::Sub => V::R(x - y),
-                        BinOp::Mul => V::R(x * y),
-                        BinOp::Div => V::R(x / y),
-                        BinOp::Mod => V::R(x % y),
-                        BinOp::Pow => V::R(x.powf(y)),
-                    }
-                }
-            }
+            Expr::Unary { op: UnOp::Neg, arg } => match self.eval(arg)? {
+                V::I(a) => V::I(a.wrapping_neg()),
+                V::R(a) => V::R(-a),
+            },
+            // The machine's own operations: an integer operation needs
+            // integer operands, anything else is real.
+            Expr::Binary { op, lhs, rhs } => match (self.eval(lhs)?, self.eval(rhs)?) {
+                (V::I(x), V::I(y)) => V::I(int_bin(*op, x, y).map_err(|e| e.message)?),
+                (a, b) => V::R(real_bin(*op, a.as_r(), b.as_r()).map_err(|e| e.message)?),
+            },
             Expr::Call { func, args } => {
-                let v: Vec<f64> = args
+                let v: Vec<V> = args
                     .iter()
-                    .map(|a| self.eval(a).map(V::as_r))
+                    .map(|a| self.eval(a))
                     .collect::<Result<_, _>>()?;
-                let r = match func {
-                    Intrinsic::Sin => v[0].sin(),
-                    Intrinsic::Cos => v[0].cos(),
-                    Intrinsic::Exp => v[0].exp(),
-                    Intrinsic::Log => v[0].ln(),
-                    Intrinsic::Sqrt => v[0].sqrt(),
-                    Intrinsic::Abs => v[0].abs(),
-                    Intrinsic::Tanh => v[0].tanh(),
-                    Intrinsic::Min => v[0].min(v[1]),
-                    Intrinsic::Max => v[0].max(v[1]),
-                };
-                V::R(r)
+                let arg = |k: usize| v.get(k).copied().unwrap_or(V::I(0));
+                let int = matches!(func, Intrinsic::Abs | Intrinsic::Min | Intrinsic::Max)
+                    && v.iter().all(|a| matches!(a, V::I(_)));
+                if int {
+                    V::I(int_call(*func, arg(0).as_i()?, arg(1).as_i()?).map_err(|e| e.message)?)
+                } else {
+                    V::R(real_call(*func, arg(0).as_r(), arg(1).as_r()))
+                }
             }
         })
     }
 
     fn eval_bool(&self, b: &BoolExpr) -> Result<bool, String> {
         Ok(match b {
-            BoolExpr::Cmp { op, lhs, rhs } => {
-                let a = self.eval(lhs)?;
-                let c = self.eval(rhs)?;
-                let (x, y) = match (a, c) {
-                    (V::I(x), V::I(y)) => (x as f64, y as f64),
-                    _ => (a.as_r(), c.as_r()),
-                };
-                match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                }
-            }
+            BoolExpr::Cmp { op, lhs, rhs } => match (self.eval(lhs)?, self.eval(rhs)?) {
+                (V::I(x), V::I(y)) => compare(*op, x, y),
+                (a, c) => compare(*op, a.as_r(), c.as_r()),
+            },
             BoolExpr::And(a, b) => self.eval_bool(a)? && self.eval_bool(b)?,
             BoolExpr::Or(a, b) => self.eval_bool(a)? || self.eval_bool(b)?,
             BoolExpr::Not(a) => !self.eval_bool(a)?,

@@ -172,6 +172,46 @@ fn footprint_oracle_detects_unsound_shared_verdicts() {
     assert!(err.contains("x"), "detail names the array: {err}");
 }
 
+/// The footprint oracle evaluates with the machine's own operations: an
+/// integer intrinsic stays an integer (`x(min(i, n))` read "expected
+/// integer, got real 1"), and an overflowing `**` is an error, not a
+/// panic.
+#[test]
+fn footprint_oracle_evaluates_like_the_machine() {
+    use formad::{Formad, FormadOptions};
+    use formad_ir::parse_program;
+
+    let check = |body: &str, sets: &[(&str, &str)]| {
+        let src = format!(
+            "subroutine f(n, k, x, y)\n  integer, intent(in) :: n, k\n  \
+             real, intent(in) :: x(n)\n  real, intent(inout) :: y(n)\n  integer :: i\n  \
+             !$omp parallel do shared(x, y)\n  do i = 1, n\n    {body}\n  end do\n\
+             end subroutine\n"
+        );
+        let prog = parse_program(&src).unwrap();
+        let sets: Vec<(String, String)> = sets
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        let bind = formad_machine::bind_params(&prog, &sets, 3).unwrap();
+        let analysis = Formad::new(FormadOptions::new(&["x"], &["y"]))
+            .analyze(&prog)
+            .unwrap();
+        let (wrt, of) = (vec!["x".to_string()], vec!["y".to_string()]);
+        formad_fuzz::footprint::check_footprints(&prog, &bind, &analysis, &wrt, &of)
+    };
+    check("y(i) = y(i) + x(min(i, n))", &[("n", "8"), ("k", "1")])
+        .expect("an integer `min` indexes an array");
+    check(
+        "y(i) = y(i) + x(max(k, i - n) + abs(i - k))",
+        &[("n", "8"), ("k", "1")],
+    )
+    .expect("integer `max` and `abs` index an array");
+    let err = check("y(i) = y(i) + 2 ** k * x(i)", &[("n", "8"), ("k", "64")])
+        .expect_err("2 ** 64 overflows");
+    assert!(err.contains("integer overflow in **"), "{err}");
+}
+
 #[test]
 fn reproducer_files_round_trip() {
     let case = campaign_case(9, 4, &GenConfig::default());

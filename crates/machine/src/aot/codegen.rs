@@ -642,8 +642,10 @@ impl<'a> Gen<'a> {
                     }
                     BinOp::Pow => {
                         self.line(&format!("if {y} < 0i64 {{ break 'body AOT_ERR_NEG_EXP; }}"));
+                        // `lower::int_pow`: an exponent of 2^32 or more is
+                        // not truncated.
                         self.line(&format!(
-                            "let {d}: i64 = match {x}.checked_pow({y} as u32) {{ Some(z) => z, None => break 'body AOT_ERR_POW_OVERFLOW, }};"
+                            "let {d}: i64 = match ({x}, u32::try_from({y})) {{ (_, Ok(e)) => match {x}.checked_pow(e) {{ Some(z) => z, None => break 'body AOT_ERR_POW_OVERFLOW, }}, (0 | 1, Err(_)) => {x}, (-1, Err(_)) => 1 - 2 * ({y} & 1), _ => break 'body AOT_ERR_POW_OVERFLOW, }};"
                         ));
                     }
                 }

@@ -18,6 +18,9 @@
 //! - **the array descriptor** with its column-major strides ([`ArrMeta`]);
 //! - **leaf semantics**: reduction identities and combination,
 //!   comparisons, and the integer operations with their error messages.
+//!   The arithmetic ([`int_bin`], [`real_bin`], [`int_call`],
+//!   [`real_call`], [`compare`]) is public, so an oracle that replays a
+//!   program outside the machine computes what the backends compute.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -664,7 +667,7 @@ fn eval_const_int(e: &Expr, bind: &Bindings) -> Option<i64> {
                     if b < 0 {
                         return None;
                     }
-                    a.checked_pow(b as u32)?
+                    int_pow(a, b)?
                 }
             })
         }
@@ -747,7 +750,7 @@ pub(crate) fn oob(v: i64, d: i64, dim: usize, name: &str) -> ExecError {
 }
 
 /// A comparison, on reals or (exactly) on integers.
-pub(crate) fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
+pub fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
     match op {
         CmpOp::Eq => a == b,
         CmpOp::Ne => a != b,
@@ -760,7 +763,7 @@ pub(crate) fn compare<T: PartialOrd>(op: CmpOp, a: T, b: T) -> bool {
 
 /// A real binary operation.
 #[inline]
-pub(crate) fn real_bin(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
+pub fn real_bin(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
     Ok(match op {
         BinOp::Add => x + y,
         BinOp::Sub => x - y,
@@ -773,7 +776,7 @@ pub(crate) fn real_bin(op: BinOp, x: f64, y: f64) -> Result<f64, ExecError> {
 
 /// A real intrinsic; `y` is `min`'s and `max`'s second argument.
 #[inline]
-pub(crate) fn real_call(f: Intrinsic, x: f64, y: f64) -> f64 {
+pub fn real_call(f: Intrinsic, x: f64, y: f64) -> f64 {
     match f {
         Intrinsic::Sin => x.sin(),
         Intrinsic::Cos => x.cos(),
@@ -789,7 +792,7 @@ pub(crate) fn real_call(f: Intrinsic, x: f64, y: f64) -> f64 {
 
 /// An integer intrinsic (`abs` wraps); `y` as for [`real_call`].
 #[inline]
-pub(crate) fn int_call(f: Intrinsic, x: i64, y: i64) -> Result<i64, ExecError> {
+pub fn int_call(f: Intrinsic, x: i64, y: i64) -> Result<i64, ExecError> {
     Ok(match f {
         Intrinsic::Abs => x.wrapping_abs(),
         Intrinsic::Min => x.min(y),
@@ -806,7 +809,7 @@ pub(crate) fn int_call(f: Intrinsic, x: i64, y: i64) -> Result<i64, ExecError> {
 /// An integer binary operation: `+ - *` wrap in every build profile (as
 /// generated kernels do); `/`, `mod` and `**` are checked.
 #[inline]
-pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
+pub fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
     Ok(match op {
         BinOp::Add => x.wrapping_add(y),
         BinOp::Sub => x.wrapping_sub(y),
@@ -829,10 +832,22 @@ pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, ExecError> {
             if y < 0 {
                 return Err(ExecError::new("negative integer exponent"));
             }
-            x.checked_pow(y as u32)
-                .ok_or_else(|| ExecError::new("integer overflow in **"))?
+            int_pow(x, y).ok_or_else(|| ExecError::new("integer overflow in **"))?
         }
     })
+}
+
+/// `x ** y` for `y ≥ 0`, `None` on overflow. An exponent of 2³² or more
+/// is not truncated: only bases 0, 1 and −1 have a result then.
+fn int_pow(x: i64, y: i64) -> Option<i64> {
+    match u32::try_from(y) {
+        Ok(e) => x.checked_pow(e),
+        Err(_) => match x {
+            0 | 1 => Some(x),
+            -1 => Some(1 - 2 * (y & 1)),
+            _ => None,
+        },
+    }
 }
 
 #[cfg(test)]

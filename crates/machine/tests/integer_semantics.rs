@@ -1,9 +1,9 @@
 //! Integer semantics every backend shares, held on the simulator, the
 //! bytecode engine and the AOT kernel, in sequential code and inside a
-//! parallel region: comparisons are exact on the whole `i64` range, and
+//! parallel region: comparisons are exact on the whole `i64` range,
 //! `+ - * neg abs` wrap in every build profile (a debug build of the
 //! host backends used to panic where the release build and the kernels
-//! wrapped).
+//! wrapped), and `**` reads its whole exponent.
 
 use formad_ir::parse_program;
 use formad_machine::{run, run_aot, run_native, Bindings, Machine};
@@ -144,4 +144,96 @@ fn integer_arithmetic_wraps_in_every_build_profile() {
         assert_eq!(out.int_arrays["r"], want, "{backend}: sequential");
         assert_eq!(out.int_arrays["q"], want, "{backend}: region");
     }
+}
+
+/// `b ** e` once in sequential code (into `r`) and once inside a region
+/// (into `q`).
+const POW: &str = r#"
+subroutine pw(b, e, r, q)
+  integer, intent(in) :: b, e
+  integer, intent(inout) :: r(1)
+  integer, intent(inout) :: q(1)
+  integer :: i
+  r(1) = b ** e
+  !$omp parallel do shared(q)
+  do i = 1, 1
+    q(1) = b ** e
+  end do
+end subroutine
+"#;
+
+/// The region's half of [`POW`] alone, so a failing power is reached
+/// inside the region.
+const POW_IN_REGION: &str = r#"
+subroutine pwr(b, e, q)
+  integer, intent(in) :: b, e
+  integer, intent(inout) :: q(1)
+  integer :: i
+  !$omp parallel do shared(q)
+  do i = 1, 1
+    q(1) = b ** e
+  end do
+end subroutine
+"#;
+
+/// An exponent of 2³² or more is not truncated to 32 bits: bases 0, 1
+/// and −1 give their exact power, and every other base overflows (2 **
+/// (2³² + 1) read 2, and 2 ** 2³² read 1).
+#[test]
+fn integer_power_keeps_the_whole_exponent() {
+    let e32 = 1i64 << 32;
+    for (b, e, want) in [
+        (2, 10, Some(1024)),
+        (-3, 3, Some(-27)),
+        (0, e32, Some(0)),
+        (1, e32 + 1, Some(1)),
+        (-1, e32, Some(1)),
+        (-1, e32 + 1, Some(-1)),
+        (-1, i64::MAX, Some(-1)),
+        (2, 64, None),
+        (2, e32, None),
+        (2, e32 + 1, None),
+        (-2, e32 + 1, None),
+        (3, i64::MAX, None),
+    ] {
+        let bind = Bindings::new()
+            .int("b", b)
+            .int("e", e)
+            .int_array("r", vec![0])
+            .int_array("q", vec![0]);
+        match want {
+            Some(want) => {
+                for (backend, out) in on_every_backend(POW, &bind) {
+                    assert_eq!(out.int_arrays["r"], [want], "{backend}: {b} ** {e}");
+                    assert_eq!(out.int_arrays["q"], [want], "{backend}: {b} ** {e}");
+                }
+            }
+            None => {
+                for src in [POW, POW_IN_REGION] {
+                    for (backend, err) in errors_on_every_backend(src, &bind) {
+                        assert!(
+                            err.contains("integer overflow in **"),
+                            "{backend}: {b} ** {e}: {err}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The error each backend reports for `src` against `bind`, at one and
+/// at two threads.
+fn errors_on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, String)> {
+    let p = parse_program(src).expect("parse");
+    let mut out = Vec::new();
+    for threads in [1usize, 2] {
+        let err = run(&p, &mut bind.clone(), &Machine::with_threads(threads)).unwrap_err();
+        out.push((format!("sim T={threads}"), err.message));
+        let err = run_native(&p, &mut bind.clone(), threads).unwrap_err();
+        out.push((format!("bytecode T={threads}"), err.message));
+        let err = run_aot(&p, &mut bind.clone(), threads).unwrap_err();
+        out.push((format!("aot T={threads}"), err.message));
+    }
+    out
 }
