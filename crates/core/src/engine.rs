@@ -142,7 +142,7 @@ impl SharedEngine {
 
 /// Derived `AdjointOptions` for a treatment under `options`' inputs and
 /// outputs.
-pub(crate) fn ad_options(options: &FormadOptions, treatment: ParallelTreatment) -> AdjointOptions {
+fn ad_options(options: &FormadOptions, treatment: ParallelTreatment) -> AdjointOptions {
     let indep: Vec<&str> = options.independents.iter().map(|s| s.as_str()).collect();
     let dep: Vec<&str> = options.dependents.iter().map(|s| s.as_str()).collect();
     AdjointOptions::new(&indep, &dep, treatment)
@@ -151,7 +151,7 @@ pub(crate) fn ad_options(options: &FormadOptions, treatment: ParallelTreatment) 
 /// Enforce the optional global deadline: expiry is a hard pipeline
 /// failure (exit 7 from the CLI), unlike `prover_timeout` whose expiry
 /// degrades arrays and still succeeds.
-pub(crate) fn check_deadline(options: &FormadOptions, stage: &str) -> Result<(), FormadError> {
+fn check_deadline(options: &FormadOptions, stage: &str) -> Result<(), FormadError> {
     if let Some(d) = options.region.deadline {
         if d.expired() {
             return Err(FormadError::new(

@@ -173,9 +173,8 @@ fn footprint_oracle_detects_unsound_shared_verdicts() {
 }
 
 /// The footprint oracle evaluates with the machine's own operations: an
-/// integer intrinsic stays an integer (`x(min(i, n))` read "expected
-/// integer, got real 1"), and an overflowing `**` is an error, not a
-/// panic.
+/// integer intrinsic stays an integer, so it can index an array, and an
+/// overflowing `**` is an error, not a panic.
 #[test]
 fn footprint_oracle_evaluates_like_the_machine() {
     use formad::{Formad, FormadOptions};

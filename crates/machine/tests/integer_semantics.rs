@@ -177,8 +177,7 @@ end subroutine
 "#;
 
 /// An exponent of 2³² or more is not truncated to 32 bits: bases 0, 1
-/// and −1 give their exact power, and every other base overflows (2 **
-/// (2³² + 1) read 2, and 2 ** 2³² read 1).
+/// and −1 give their exact power, and every other base overflows.
 #[test]
 fn integer_power_keeps_the_whole_exponent() {
     let e32 = 1i64 << 32;
