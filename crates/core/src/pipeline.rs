@@ -172,6 +172,9 @@ impl From<AdError> for FormadError {
 /// theorem-prover analysis to avoid atomic updates wherever the primal's
 /// parallelization proves them unnecessary.
 ///
+/// Each call runs on an engine with no fingerprint index, so every
+/// region is analyzed; a resident caller keeps one [`SharedEngine`].
+///
 /// ```
 /// use formad::{Formad, FormadOptions};
 /// use formad_ir::parse_program;
@@ -214,23 +217,16 @@ impl Formad {
         Formad { options }
     }
 
-    /// The engine a one-shot invocation runs on: no fingerprint index,
-    /// so every region is analyzed. A resident caller keeps one
-    /// [`SharedEngine`] instead.
-    fn engine(&self) -> SharedEngine {
-        SharedEngine::default()
-    }
-
     /// Run only the analysis (knowledge extraction + exploitation) and
     /// derive the safeguard plan.
     pub fn analyze(&self, primal: &Program) -> Result<FormadAnalysis, FormadError> {
-        self.engine().analyze(primal, &self.options)
+        SharedEngine::default().analyze(primal, &self.options)
     }
 
     /// Full pipeline: analysis + reverse-mode transformation with the
     /// derived per-array plan (the paper's *Adjoint FormAD* version).
     pub fn differentiate(&self, primal: &Program) -> Result<DiffResult, FormadError> {
-        self.engine().differentiate(primal, &self.options)
+        SharedEngine::default().differentiate(primal, &self.options)
     }
 
     /// Generate an adjoint with an explicit treatment (the paper's
@@ -240,6 +236,6 @@ impl Formad {
         primal: &Program,
         treatment: ParallelTreatment,
     ) -> Result<Program, FormadError> {
-        self.engine().adjoint_with(primal, &self.options, treatment)
+        SharedEngine::default().adjoint_with(primal, &self.options, treatment)
     }
 }
