@@ -180,9 +180,11 @@ fn measured(inputs: &[Input]) -> Stages {
 /// planner built obligation pairs and gather loops nobody read, and every
 /// rewrite of an expression copied the subtrees it kept. 27 941 and
 /// 158 910 meant each region's contexts and instances came from a
-/// control-flow graph with dominator and post-dominator trees.
-const HEAVY_MEASURED: u64 = 26_941;
-const CORPUS_MEASURED: u64 = 141_691;
+/// control-flow graph with dominator and post-dominator trees; 26 941 and
+/// 141 691, that every pipeline call cloned its options to hand the
+/// fingerprint index in.
+const HEAVY_MEASURED: u64 = 26_901;
+const CORPUS_MEASURED: u64 = 140_698;
 
 /// The front end's own stages, measured when their ceilings were set:
 /// (parse, print) per pass; they may only be re-recorded downward. Before,
