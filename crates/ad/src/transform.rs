@@ -114,6 +114,10 @@ pub struct Adjoint {
     /// The share of [`Adjoint::stats`] inside each parallel loop of the
     /// primal, in pre-order.
     pub regions: Vec<AdjointStats>,
+    /// The primal parallel loop each parallel loop of
+    /// [`Adjoint::program`] comes from, both in pre-order: its forward
+    /// sweep copy, its gather loops and its reversed loop.
+    pub loop_regions: Vec<usize>,
 }
 
 /// Differentiate `p` in reverse mode.
@@ -198,10 +202,12 @@ pub fn differentiate_validated(
             .recomputed
             .sort_by_key(|v| p.decls().position(|d| d.name == *v));
     }
+    debug_assert_eq!(adj.parallel_loop_count(), xf.loop_regions.len());
     Ok(Adjoint {
         program: adj,
         stats: xf.stats,
         regions: xf.region_stats,
+        loop_regions: xf.loop_regions,
     })
 }
 
@@ -221,6 +227,9 @@ struct Xform<'a> {
     new_locals: Vec<Decl>,
     stats: AdjointStats,
     region_stats: Vec<AdjointStats>,
+    /// [`Adjoint::loop_regions`] so far. Parallel loops do not nest, and
+    /// both sweeps emit them in the order the program lists them.
+    loop_regions: Vec<usize>,
     /// The parallel loop of the primal being emitted, if inside one.
     region: Option<usize>,
 }
@@ -253,6 +262,7 @@ impl<'a> Xform<'a> {
             new_locals: Vec::new(),
             stats: AdjointStats::default(),
             region_stats: vec![AdjointStats::default(); p.parallel_loop_count()],
+            loop_regions: Vec::new(),
             region: None,
         })
     }
@@ -435,6 +445,9 @@ impl<'a> Xform<'a> {
                             info
                         })
                     };
+                    if let (Some(k), Some(_)) = (f.region, &parallel) {
+                        xf.loop_regions.push(k);
+                    }
                     out.push(Stmt::For(Box::new(ForLoop {
                         var: f.l.var.clone(),
                         lo: f.l.lo.clone(),
@@ -580,6 +593,7 @@ impl<'a> Xform<'a> {
                 let (gathers, body, transposed_fallback) = self.apply_transposed(region, l, body);
                 // Gather loops read region-entry seed adjoints, so
                 // they run before the residual reversed loop.
+                self.loop_regions.extend(gathers.iter().map(|_| region));
                 out.extend(gathers);
                 if body.is_empty() && f.exit_pushes.is_empty() {
                     return Ok(out);
@@ -592,6 +606,7 @@ impl<'a> Xform<'a> {
                     head,
                     &transposed_fallback,
                 );
+                self.loop_regions.push(region);
                 (Some(info), body)
             }
             _ => {

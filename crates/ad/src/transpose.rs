@@ -761,7 +761,7 @@ impl TransposePlan {
         let info = ParallelInfo {
             shared: referenced.into_iter().collect(),
             private,
-            reductions: Vec::new(),
+            ..ParallelInfo::default()
         };
         // Loop bounds covering the union of the members' write bands.
         Stmt::For(Box::new(ForLoop {

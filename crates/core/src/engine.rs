@@ -21,7 +21,7 @@
 //! verdicts, so a daemon's repeat `exec` requests skip `rustc` exactly
 //! like its repeat `prove` requests skip the solver.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -29,12 +29,12 @@ use formad_ad::{
     differentiate, differentiate_validated, Adjoint, AdjointOptions, IncMode, ParallelTreatment,
 };
 use formad_analysis::Activity;
-use formad_ir::Program;
+use formad_ir::{Name, Program, Stmt};
 use formad_smt::SolverStats;
 
 use crate::fingerprint::{region_fingerprint, FingerprintIndex, RegionRecord};
 use crate::pipeline::{DiffResult, FormadAnalysis, FormadError, FormadErrorKind, FormadOptions};
-use crate::region::{analyze_region, decision_event, Decision, RegionAnalysis};
+use crate::region::{analyze_region, decision_event, Decision, Provenance, RegionAnalysis};
 use crate::trace::TraceEvent;
 
 /// Shared pipeline state: the region-fingerprint index that serves
@@ -88,7 +88,10 @@ impl SharedEngine {
     }
 
     /// Full pipeline against the shared index: analysis + reverse-mode
-    /// transformation with the derived per-array plan.
+    /// transformation with the derived per-array plan. Each parallel loop
+    /// of the adjoint carries its region's proof set
+    /// (`ParallelInfo::proved`, see `attach_proofs`); this is the one
+    /// path that fills it.
     pub fn differentiate(
         &self,
         primal: &Program,
@@ -99,10 +102,19 @@ impl SharedEngine {
         let mark = Instant::now();
         let ad_opts = ad_options(options, analysis.plan.clone());
         let Adjoint {
-            program: adjoint,
+            program: mut adjoint,
             stats,
             regions,
+            loop_regions,
         } = differentiate_validated(primal, &ad_opts, activity)?;
+        let suffix = &ad_opts.adjoint_suffix;
+        attach_proofs(
+            &mut adjoint,
+            primal,
+            &analysis.regions,
+            &loop_regions,
+            suffix,
+        );
         if let Some(s) = options.region.trace.as_ref() {
             s.record(TraceEvent::Phase {
                 id: "phase/ad".to_string(),
@@ -129,7 +141,9 @@ impl SharedEngine {
     /// Generate an adjoint with an explicit treatment, no prover
     /// involved. This is the always-safe fallback a service answers with
     /// when it sheds load: `ParallelTreatment::Uniform(IncMode::Atomic)`
-    /// is correct for every program the validator accepts.
+    /// is correct for every program the validator accepts. No treatment
+    /// is a proof, `Uniform(Plain)` included: the adjoint's proof sets
+    /// stay empty.
     pub fn adjoint_with(
         &self,
         primal: &Program,
@@ -137,6 +151,71 @@ impl SharedEngine {
         treatment: ParallelTreatment,
     ) -> Result<Program, FormadError> {
         Ok(differentiate(primal, &ad_options(options, treatment))?.program)
+    }
+}
+
+/// Give each parallel loop of `adjoint` the proof set of the primal
+/// region it comes from (`loop_regions`, pre-order): the adjoint `ab` of
+/// every array `a` whose decision there is `Shared` or `Transposed` with
+/// provenance `Proved`. A fingerprint-served region replays its recorded
+/// provenance, and the index holds definite regions only. An adjoint
+/// array is declared by the adjoint and not by the primal, so a primal
+/// array that happens to be called `ab` never gets a proof.
+fn attach_proofs(
+    adjoint: &mut Program,
+    primal: &Program,
+    regions: &[RegionAnalysis],
+    loop_regions: &[usize],
+    suffix: &str,
+) {
+    if adjoint.parallel_loop_count() != loop_regions.len() {
+        return;
+    }
+    let proofs: Vec<BTreeSet<Name>> = regions
+        .iter()
+        .map(|ra| {
+            let proved = |a: &str| {
+                matches!(
+                    ra.decisions.get(a),
+                    Some(Decision::Shared | Decision::Transposed(_))
+                ) && ra.provenance.get(a) == Some(&Provenance::Proved)
+            };
+            adjoint
+                .decls()
+                .filter(|d| d.is_array() && primal.decl(&d.name).is_none())
+                .filter(|d| d.name.strip_suffix(suffix).is_some_and(proved))
+                .map(|d| d.name.clone())
+                .collect()
+        })
+        .collect();
+    let mut next = loop_regions.iter().map(|&k| proofs.get(k));
+    stamp_proofs(&mut adjoint.body, &mut next);
+}
+
+/// Set the proof set of each parallel loop of `body`, in pre-order, to
+/// the next one `next` yields (`None`: no proof).
+fn stamp_proofs<'a>(
+    body: &mut [Stmt],
+    next: &mut impl Iterator<Item = Option<&'a BTreeSet<Name>>>,
+) {
+    for s in body {
+        match s {
+            Stmt::For(l) => {
+                if let Some(info) = &mut l.parallel {
+                    info.proved = next.next().flatten().cloned().unwrap_or_default();
+                }
+                stamp_proofs(&mut l.body, next);
+            }
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                stamp_proofs(then_body, next);
+                stamp_proofs(else_body, next);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -423,6 +502,36 @@ end subroutine
         let clean = engine.analyze(&primal, &o).unwrap();
         assert_eq!(index.stats().hits, published as u64);
         assert_eq!(report(clean), report(cold));
+    }
+
+    /// The proof sets of each parallel loop of an adjoint, in pre-order.
+    fn proofs(p: &Program) -> Vec<Vec<String>> {
+        p.parallel_loops()
+            .iter()
+            .map(|l| {
+                let info = l.parallel.as_ref().expect("a parallel loop");
+                info.proved.iter().map(|n| n.to_string()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn only_the_analysis_fills_proof_sets() {
+        let primal = parse_program(FIG2).unwrap();
+        let engine = SharedEngine::new();
+        let cold = engine.differentiate(&primal, &opts()).unwrap().adjoint;
+        assert_eq!(proofs(&cold), [["xb", "yb"]]);
+        // A fingerprint-served region replays its `Proved` verdicts.
+        let served = engine.differentiate(&primal, &opts()).unwrap();
+        assert_eq!(served.analysis.stats.checks, 0);
+        assert_eq!(proofs(&served.adjoint), [["xb", "yb"]]);
+        // An explicit treatment is no proof, not even a uniform plain one.
+        for mode in [IncMode::Plain, IncMode::Atomic] {
+            let adj = engine
+                .adjoint_with(&primal, &opts(), ParallelTreatment::Uniform(mode))
+                .unwrap();
+            assert_eq!(proofs(&adj), [Vec::<String>::new()]);
+        }
     }
 
     #[test]

@@ -520,8 +520,7 @@ impl<'r> Builder<'r> {
         shared.dedup();
         let mut info = ParallelInfo {
             shared,
-            private: Vec::new(),
-            reductions: Vec::new(),
+            ..ParallelInfo::default()
         };
         // Inner sequential loop counters must be private (the executors
         // enforce this, matching OpenMP semantics).

@@ -1,5 +1,7 @@
 //! Statements, loops, and OpenMP-style parallel annotations.
 
+use std::collections::BTreeSet;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::expr::{BinOp, BoolExpr, Expr};
@@ -94,7 +96,13 @@ impl RedOp {
 }
 
 /// OpenMP-style data-sharing annotations attached to a parallel `do` loop.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Equality and `Debug` see the clauses only, not [`ParallelInfo::proved`]
+/// (an empty set prints nothing, a non-empty one prints as a fourth
+/// field): the set is a permission the code generator may use, not part
+/// of what the loop computes, and a print → parse round trip — which
+/// drops it — gives back an equal tree.
+#[derive(Clone, Default)]
 pub struct ParallelInfo {
     /// Variables explicitly declared `shared(...)`.
     pub shared: Vec<Name>,
@@ -103,6 +111,33 @@ pub struct ParallelInfo {
     pub private: Vec<Name>,
     /// `reduction(op: var)` clauses.
     pub reductions: Vec<(RedOp, Name)>,
+    /// Arrays whose every write in this loop a `Proved` disjointness
+    /// verdict covers, so the generated kernel may access them with plain
+    /// loads and stores. Empty by default and never printed or parsed:
+    /// only an in-process analysis fills it (`SharedEngine::differentiate`
+    /// in `formad-core`), so no program read from text carries a proof.
+    pub proved: BTreeSet<Name>,
+}
+
+impl PartialEq for ParallelInfo {
+    fn eq(&self, other: &ParallelInfo) -> bool {
+        self.shared == other.shared
+            && self.private == other.private
+            && self.reductions == other.reductions
+    }
+}
+
+impl fmt::Debug for ParallelInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut d = f.debug_struct("ParallelInfo");
+        d.field("shared", &self.shared)
+            .field("private", &self.private)
+            .field("reductions", &self.reductions);
+        if !self.proved.is_empty() {
+            d.field("proved", &self.proved);
+        }
+        d.finish()
+    }
 }
 
 impl ParallelInfo {
@@ -396,6 +431,7 @@ mod tests {
             shared: vec!["u".into()],
             private: vec!["t".into()],
             reductions: vec![(RedOp::Add, "s".into())],
+            proved: BTreeSet::new(),
         };
         assert!(p.is_privatized("t"));
         assert!(p.is_privatized("s"));

@@ -74,8 +74,9 @@ pub struct AotEnv {
     pub reals: *mut f64,
     pub ints: *mut i64,
     /// Shared array base pointers, indexed by `ArrId`. Real arrays hold
-    /// f64 bits, integer arrays hold i64 bits; both travel as `u64`
-    /// cells accessed with relaxed atomics.
+    /// f64 bits, integer arrays hold i64 bits; both travel as `u64`.
+    /// A region reads and writes an array plainly or as relaxed atomic
+    /// cells, as the lowering's access fact for it says.
     pub arrays: *const *mut u64,
     /// Privatized reduction buffers for this thread, indexed by the
     /// region's reduction-array ordinal.

@@ -5,7 +5,9 @@
 //! compile time: array extents and column-major strides become integer
 //! literals, the region-analysis increment discipline (plain store /
 //! atomic CAS / privatized reduction buffer) is compiled in rather than
-//! branched on per access, and a region whose step is a literal in the
+//! branched on per access, each array is read and written plainly or
+//! through relaxed atomic cells as the region's access fact says, and a
+//! region whose step is a literal in the
 //! lowered tree — every forward loop and every reversed adjoint loop —
 //! walks its chunk with that literal as its stride.
 //!
@@ -37,7 +39,8 @@
 //! ([`crate::lower`]), the same one the simulator and the bytecode engine
 //! read: the regions and their numbering ([`LProgram::regions`]), each
 //! array's extents and strides ([`crate::lower::ArrMeta`]), which
-//! accesses go to a private reduction copy (`LRegion::red_slot`), the
+//! accesses go to a private reduction copy (`LRegion::red_slot`), which
+//! arrays are plain and which are cells (`LRegion::access`), the
 //! fused increment (`fused_increment`) and the chunk walk of
 //! `Schedule::values`. The code must stay **bitwise identical** to the
 //! bytecode engine's, so it also keeps its evaluation rules:
@@ -47,8 +50,10 @@
 //!   for sequential loops, short-circuit `&&`/`||` in conditions);
 //! - the same floating-point association (the fused increment computes
 //!   `load + e`, atomic adds CAS with `cur + v`);
-//! - the same memory orderings (relaxed plain element accesses,
-//!   acquire-release CAS for `!$omp atomic`).
+//! - the same arithmetic on every access, plain or cell: a relaxed
+//!   atomic load or store is the plain one a race cannot tear, so the
+//!   access fact changes no value; `!$omp atomic` is an acquire-release
+//!   CAS on a cell.
 //!
 //! Runtime errors do not unwind across the FFI boundary: every error
 //! site records its details in the env and `break`s out of a labeled
@@ -60,7 +65,7 @@ use std::fmt::Write as _;
 
 use formad_ir::{BinOp, CmpOp, Intrinsic, Ty};
 
-use crate::lower::{fused_increment, ArrId, LBool, LExpr, LFor, LProgram, LRegion, LStmt};
+use crate::lower::{fused_increment, Access, ArrId, LBool, LExpr, LFor, LProgram, LRegion, LStmt};
 
 /// The shared ABI definition, embedded verbatim into every generated
 /// kernel so both sides of the FFI boundary compile the same text.
@@ -296,9 +301,7 @@ impl<'a> Gen<'a> {
                     },
                     Ty::Int => {
                         let v = self.gen_i(rhs)?;
-                        self.line(&format!(
-                            "(&*(ap{id}.add({off} as usize) as *const AtomicI64)).store({v}, Ordering::Relaxed);"
-                        ));
+                        self.store_i(*id, &off, &v);
                     }
                 }
             }
@@ -387,9 +390,7 @@ impl<'a> Gen<'a> {
                         self.line("til -= 1;");
                         let v = self.t();
                         self.line(&format!("let {v}: i64 = *tip.add(til);"));
-                        self.line(&format!(
-                            "(&*(ap{id}.add({off} as usize) as *const AtomicI64)).store({v}, Ordering::Relaxed);"
-                        ));
+                        self.store_i(*id, &off, &v);
                     }
                 }
             }
@@ -427,30 +428,54 @@ impl<'a> Gen<'a> {
         Ok(())
     }
 
+    /// Is array `id` plain in the region being generated?
+    fn plain(&self, id: ArrId) -> bool {
+        self.region.is_some_and(|r| r.access(id) == Access::Plain)
+    }
+
     /// Real-element store, redirected to the privatized buffer when the
     /// region's analysis reduced this array.
     fn store_r(&mut self, id: ArrId, off: &str, v: &str) {
         if let Some(j) = self.red_slot(id) {
             self.line(&format!("*rb{j}.add({off} as usize) = {v};"));
+        } else if self.plain(id) {
+            self.line(&format!("{} = {v};", place(id, off, "*mut f64")));
         } else {
             self.line(&format!(
-                "(&*(ap{id}.add({off} as usize) as *const AtomicU64)).store(({v}).to_bits(), Ordering::Relaxed);"
+                "{}.store(({v}).to_bits(), Ordering::Relaxed);",
+                cell(id, off, "AtomicU64")
             ));
         }
     }
 
-    /// The fused plain increment: relaxed load, `+ v`, relaxed store —
-    /// the FormAD-proved discipline that pays no synchronization at all.
+    /// Integer-element store.
+    fn store_i(&mut self, id: ArrId, off: &str, v: &str) {
+        if self.plain(id) {
+            self.line(&format!("{} = {v};", place(id, off, "*mut i64")));
+        } else {
+            self.line(&format!(
+                "{}.store({v}, Ordering::Relaxed);",
+                cell(id, off, "AtomicI64")
+            ));
+        }
+    }
+
+    /// The fused increment: load, `+ v`, store, with no synchronization —
+    /// the FormAD-proved discipline. Plain when the proof reached the
+    /// region, relaxed cells when it did not.
     fn inc_r(&mut self, id: ArrId, off: &str, v: &str) {
         if let Some(j) = self.red_slot(id) {
             self.line(&format!("*rb{j}.add({off} as usize) += {v};"));
+        } else if self.plain(id) {
+            self.line(&format!("{} += {v};", place(id, off, "*mut f64")));
         } else {
             let cur = self.t();
+            let cell = cell(id, off, "AtomicU64");
             self.line(&format!(
-                "let {cur}: f64 = f64::from_bits((&*(ap{id}.add({off} as usize) as *const AtomicU64)).load(Ordering::Relaxed));"
+                "let {cur}: f64 = f64::from_bits({cell}.load(Ordering::Relaxed));"
             ));
             self.line(&format!(
-                "(&*(ap{id}.add({off} as usize) as *const AtomicU64)).store(({cur} + {v}).to_bits(), Ordering::Relaxed);"
+                "{cell}.store(({cur} + {v}).to_bits(), Ordering::Relaxed);"
             ));
         }
     }
@@ -522,9 +547,15 @@ impl<'a> Gen<'a> {
                 let d = self.t();
                 if let Some(j) = self.red_slot(*id) {
                     self.line(&format!("let {d}: f64 = *rb{j}.add({off} as usize);"));
+                } else if self.plain(*id) {
+                    self.line(&format!(
+                        "let {d}: f64 = {};",
+                        place(*id, &off, "*const f64")
+                    ));
                 } else {
                     self.line(&format!(
-                        "let {d}: f64 = f64::from_bits((&*(ap{id}.add({off} as usize) as *const AtomicU64)).load(Ordering::Relaxed));"
+                        "let {d}: f64 = f64::from_bits({}.load(Ordering::Relaxed));",
+                        cell(*id, &off, "AtomicU64")
                     ));
                 }
                 d
@@ -605,9 +636,17 @@ impl<'a> Gen<'a> {
                 }
                 let off = self.offset(*id, idx)?;
                 let d = self.t();
-                self.line(&format!(
-                    "let {d}: i64 = (&*(ap{id}.add({off} as usize) as *const AtomicI64)).load(Ordering::Relaxed);"
-                ));
+                if self.plain(*id) {
+                    self.line(&format!(
+                        "let {d}: i64 = {};",
+                        place(*id, &off, "*const i64")
+                    ));
+                } else {
+                    self.line(&format!(
+                        "let {d}: i64 = {}.load(Ordering::Relaxed);",
+                        cell(*id, &off, "AtomicI64")
+                    ));
+                }
                 d
             }
             LExpr::Neg(x) => {
@@ -702,6 +741,17 @@ impl<'a> Gen<'a> {
             LBool::Not(x) => format!("(!{})", self.gen_bool(x)?),
         })
     }
+}
+
+/// Element `off` of array `id` through a raw pointer of type `ptr`
+/// (`*const f64` to load, `*mut f64` to store): a plain access.
+fn place(id: ArrId, off: &str, ptr: &str) -> String {
+    format!("*(ap{id}.add({off} as usize) as {ptr})")
+}
+
+/// Element `off` of array `id` as a relaxed atomic cell of type `atomic`.
+fn cell(id: ArrId, off: &str, atomic: &str) -> String {
+    format!("(&*(ap{id}.add({off} as usize) as *const {atomic}))")
 }
 
 #[cfg(test)]

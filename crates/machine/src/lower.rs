@@ -14,6 +14,8 @@
 //!   (`Schedule`);
 //! - **reduction redirects**: which private buffer an access of a
 //!   `reduction` array names (`LRegion::red_slot`);
+//! - **the access fact** of each array in each region, plain or cell
+//!   (`LRegion::access`);
 //! - **the fused increment** `a(i…) = a(i…) + e` (`fused_increment`);
 //! - **the array descriptor** with its column-major strides ([`ArrMeta`]);
 //! - **leaf semantics**: reduction identities and combination,
@@ -26,7 +28,8 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use formad_ir::{
-    BinOp, BoolExpr, CmpOp, Decl, Expr, Intrinsic, LValue, Program, RedOp, Stmt, Ty, UnOp,
+    BinOp, BoolExpr, CmpOp, Decl, Expr, Intrinsic, LValue, ParallelInfo, Program, RedOp, Stmt, Ty,
+    UnOp,
 };
 
 use crate::bindings::{Bindings, ExecError};
@@ -107,6 +110,22 @@ pub struct LRegion {
     /// a private copy of each, identity-initialized, merged after the
     /// region in ascending thread order.
     pub red_arrays: Vec<(RedOp, ArrId)>,
+    /// How the body may access each array of the program, by [`ArrId`]
+    /// ([`LRegion::access`]).
+    pub(crate) access: Vec<Access>,
+}
+
+/// How a region's body may access an array's shared storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Plain loads and stores: no other iteration of the region writes
+    /// an element this one touches. The array is not written in the
+    /// region, or the loop's proof set (`ParallelInfo::proved`) covers
+    /// every write and none is an atomic update.
+    Plain,
+    /// Relaxed atomic loads and stores, the cell every access may race
+    /// on.
+    Cell,
 }
 
 impl LRegion {
@@ -116,6 +135,11 @@ impl LRegion {
     /// `rb{j}`), `None` when it goes to shared memory.
     pub(crate) fn red_slot(&self, id: ArrId) -> Option<usize> {
         self.red_arrays.iter().position(|&(_, a)| a == id)
+    }
+
+    /// The access fact of array `id` in this region.
+    pub fn access(&self, id: ArrId) -> Access {
+        self.access[id as usize]
     }
 
     /// May the body write scalar `slot` (of the real file when
@@ -306,6 +330,61 @@ impl<'a> Lowerer<'a> {
             ix.scalar_vars(&mut vars);
             vars.iter().any(|v| self.gather_ctx.contains(v))
         })
+    }
+
+    /// The access fact of every array in the region of `info` whose
+    /// lowered body is `body`: `Plain` unless the body writes the array
+    /// (a store, a fused increment, an atomic update, a tape pop) and
+    /// either `info` holds no proof for it or one of the writes is an
+    /// atomic update — a CAS target stays a cell whatever the proof says.
+    fn access(&self, info: &ParallelInfo, body: &[LStmt]) -> Vec<Access> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Writes {
+            None,
+            Plain,
+            Atomic,
+        }
+        fn scan(body: &[LStmt], w: &mut [Writes]) {
+            for s in body {
+                match s {
+                    LStmt::AssignElem(id, ..) | LStmt::PopElem(id, ..) => {
+                        let w = &mut w[*id as usize];
+                        if *w == Writes::None {
+                            *w = Writes::Plain;
+                        }
+                    }
+                    LStmt::AtomicAddElem(id, ..) => w[*id as usize] = Writes::Atomic,
+                    LStmt::If(_, a, b) => {
+                        scan(a, w);
+                        scan(b, w);
+                    }
+                    LStmt::For(f) => scan(&f.body, w),
+                    LStmt::AssignR(..)
+                    | LStmt::AssignI(..)
+                    | LStmt::Parallel(_)
+                    | LStmt::Push(..)
+                    | LStmt::PopR(_)
+                    | LStmt::PopI(_) => {}
+                }
+            }
+        }
+        let mut writes = vec![Writes::None; self.arrays.len()];
+        scan(body, &mut writes);
+        let mut access: Vec<Access> = writes
+            .iter()
+            .map(|w| match w {
+                Writes::None => Access::Plain,
+                Writes::Plain | Writes::Atomic => Access::Cell,
+            })
+            .collect();
+        for name in &info.proved {
+            if let Some(&id) = self.array_ids.get(name.as_str()) {
+                if writes[id as usize] == Writes::Plain {
+                    access[id as usize] = Access::Plain;
+                }
+            }
+        }
+        access
     }
 
     /// Scalars assigned from array-reading expressions directly in `body`
@@ -600,9 +679,10 @@ impl<'a> Lowerer<'a> {
                     step,
                     body,
                 };
-                if l.parallel.is_none() {
+                let Some(info) = &l.parallel else {
                     return Ok(LStmt::For(Box::new(for_loop)));
-                }
+                };
+                let access = self.access(info, &for_loop.body);
                 // Numbered after its body: regions the bytecode accepts do
                 // not nest, so this is the order it enters them in.
                 self.regions.push(LRegion {
@@ -611,6 +691,7 @@ impl<'a> Lowerer<'a> {
                     private_i,
                     red_scalars,
                     red_arrays,
+                    access,
                 });
                 LStmt::Parallel((self.regions.len() - 1) as RegionId)
             }

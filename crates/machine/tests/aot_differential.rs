@@ -5,19 +5,27 @@
 //! 1 and 4 logical threads — the same gate the bytecode backend passed
 //! in `bench/tests/native_kernels.rs`.
 //!
+//! The same test reads the generated source: the proof reaches the
+//! FormAD adjoints as plain stores, and no discipline without one stores
+//! plainly. The trust-boundary tests below hold the second half for
+//! programs that carry no proof: a primal read from text, an explicit
+//! treatment and an adjoint that went through text.
+//!
 //! A second test forces kernel compilation to fail (by pointing
 //! `FORMAD_AOT_RUSTC` at a nonexistent binary and the cache at an empty
 //! directory) and proves the degradation contract: the run still
 //! succeeds, on the bytecode backend, with identical results.
 
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
 use formad::{Formad, FormadOptions, IncMode, ParallelTreatment};
-use formad_ir::Program;
-use formad_kernels::{GfmcCase, GreenGaussCase, StencilCase};
+use formad_ir::{parse_any, program_to_string, Program};
+use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
+use formad_machine::aot::generate_source;
 use formad_machine::{
     adjoint_bindings, check_cell, compile, load_or_compile, lower, run, run_aot, Bindings, Compare,
-    EngineCache, Machine,
+    EngineCache, LProgram, Machine,
 };
 
 /// `FORMAD_AOT_RUSTC`/`FORMAD_AOT_DIR` are process-global; tests that
@@ -38,6 +46,7 @@ fn cases() -> Vec<Case> {
     let st8 = StencilCase::large(48, 1);
     let gf = GfmcCase::new(8, 1);
     let gg = GreenGaussCase::linear(40, 2);
+    let lbm = LbmExecCase::new(60, 96);
     vec![
         Case {
             name: "stencil r=1",
@@ -67,7 +76,88 @@ fn cases() -> Vec<Case> {
             indep: GreenGaussCase::independents(),
             dep: GreenGaussCase::dependents(),
         },
+        Case {
+            name: "lbm",
+            program: lbm.ir(),
+            base: lbm.bindings(7),
+            indep: LbmExecCase::independents(),
+            dep: LbmExecCase::dependents(),
+        },
     ]
+}
+
+/// What one region function of a kernel source does with each array,
+/// by `ArrId`: the arrays it writes (a store, an increment or a CAS) and
+/// the arrays it touches with a plain load or store.
+#[derive(Debug, Default)]
+struct RegionText {
+    written: BTreeSet<u32>,
+    plain: BTreeSet<u32>,
+}
+
+impl RegionText {
+    /// Arrays written here and also accessed plainly.
+    fn plain_written(&self) -> Vec<u32> {
+        self.written.intersection(&self.plain).copied().collect()
+    }
+}
+
+/// Read each `formad_region_<k>` of `src`. An element access is
+/// `*(ap<id>.add(…))`; a cell is that place behind `&`, a plain access
+/// is not. A line that starts with a plain place stores to it.
+fn region_texts(src: &str) -> Vec<RegionText> {
+    src.split("fn formad_region_")
+        .skip(1)
+        .map(|body| {
+            let mut r = RegionText::default();
+            for line in body.lines().map(str::trim) {
+                let stores = line.starts_with("*(ap")
+                    || line.contains(".store(")
+                    || line.contains(": &AtomicU64 = ");
+                for (at, _) in line.match_indices("*(ap") {
+                    let digits: String = line[at + 4..]
+                        .chars()
+                        .take_while(char::is_ascii_digit)
+                        .collect();
+                    let Ok(id) = digits.parse::<u32>() else {
+                        continue;
+                    };
+                    if stores {
+                        r.written.insert(id);
+                    }
+                    if !line[..at].ends_with('&') {
+                        r.plain.insert(id);
+                    }
+                }
+            }
+            r
+        })
+        .collect()
+}
+
+/// The kernel source of `prog` bound to `bind`.
+fn kernel_text(prog: &Program, bind: &Bindings) -> (LProgram, Vec<RegionText>) {
+    let lp = lower(prog, bind).expect("lower");
+    let src = generate_source(&lp).expect("codegen");
+    let texts = region_texts(&src);
+    assert_eq!(texts.len(), lp.regions.len());
+    (lp, texts)
+}
+
+/// No region of `prog`'s kernel accesses an array it writes plainly.
+fn assert_cells_for_written(what: &str, prog: &Program, bind: &Bindings) {
+    let (lp, texts) = kernel_text(prog, bind);
+    for (k, r) in texts.iter().enumerate() {
+        let names: Vec<&str> = r
+            .plain_written()
+            .iter()
+            .map(|&id| lp.arrays[id as usize].name.as_str())
+            .collect();
+        assert!(
+            names.is_empty(),
+            "{what}: region {k} writes {names:?} with plain accesses"
+        );
+    }
 }
 
 /// The three increment disciplines plus the primal (the same set
@@ -107,7 +197,18 @@ fn all_kernels_all_disciplines_bitwise_aot() {
             } else {
                 &adj_base
             };
-            let lp = lower(&prog, bind).expect("lower");
+            let (lp, texts) = kernel_text(&prog, bind);
+            match label {
+                "adj-FormAD" => assert!(
+                    texts.iter().any(|r| !r.plain_written().is_empty()),
+                    "{}: the proof did not reach a plain store",
+                    case.name
+                ),
+                "adj-atomic" | "adj-reduction" => {
+                    assert_cells_for_written(&format!("{} / {label}", case.name), &prog, bind)
+                }
+                _ => {}
+            }
             let bc = compile(&lp, &prog).expect("bytecode");
             let kernel = load_or_compile(&lp, &bc)
                 .unwrap_or_else(|e| panic!("{} / {label}: AOT must build in-tree: {e}", case.name));
@@ -208,4 +309,100 @@ fn rustc_stderr_is_cut_at_a_char_boundary() {
         None,
         "cut-stderr fallback: sim vs aot"
     );
+}
+
+/// Figure 2 of the paper, in the C dialect so the text goes through
+/// `parse_any`'s dispatch.
+const FIG2: &str = r#"
+void fig2(int n, const double x[n + 7], double y[n], const int c[n]) {
+  int i;
+  #pragma omp parallel for shared(x, y, c)
+  for (i = 1; i <= n; i++) {
+    y[c[i]] = x[c[i] + 7];
+  }
+}
+"#;
+
+/// A racy primal: every iteration writes `y(1)`.
+const RACY: &str = r#"
+subroutine racy(n, x, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, y)
+  do i = 1, n
+    y(1) = x(i)
+  end do
+end subroutine
+"#;
+
+fn boundary_bindings(primal: &Program) -> Bindings {
+    let n = 8;
+    let bind = Bindings::new()
+        .int("n", n)
+        .real_array("x", vec![0.5; n as usize + 7])
+        .real_array("y", vec![0.0; n as usize]);
+    if primal.decl("c").is_some() {
+        bind.int_array("c", (1..=n).rev().collect())
+    } else {
+        bind
+    }
+}
+
+/// The trust boundary: a plain access to an array a region writes needs
+/// a proof from the analysis in this process. A primal read from text, an
+/// adjoint from an explicit treatment — `Uniform(Plain)` too — and an
+/// adjoint that went through text carry none, so they keep cells for
+/// every array they write, the racy program included.
+#[test]
+fn programs_without_a_proof_keep_cells_for_what_they_write() {
+    for (what, src) in [("figure 2", FIG2), ("racy", RACY)] {
+        let primal = parse_any(src).expect("parse");
+        let bind = boundary_bindings(&primal);
+        assert_cells_for_written(&format!("{what} primal"), &primal, &bind);
+
+        let tool = Formad::new(FormadOptions::new(&["x"], &["y"]));
+        let adj_bind = adjoint_bindings(&primal, &bind, &["x"], &["y"]);
+        let plain = tool
+            .adjoint_with(&primal, ParallelTreatment::Uniform(IncMode::Plain))
+            .expect("uniform plain adjoint");
+        assert_cells_for_written(&format!("{what} Uniform(Plain)"), &plain, &adj_bind);
+
+        let proved = tool
+            .differentiate(&primal)
+            .expect("formad pipeline")
+            .adjoint;
+        let reread = parse_any(&program_to_string(&proved)).expect("re-parse");
+        // Equality does not see the proof set, which the text dropped.
+        assert_eq!(reread, proved);
+        assert_cells_for_written(&format!("{what} adjoint read back"), &reread, &adj_bind);
+    }
+}
+
+/// The other half of the rule, and the proof the round trip above
+/// dropped: arrays a region does not write are read plainly in every
+/// program, and Figure 2's proved adjoint stores its adjoints plainly.
+#[test]
+fn read_only_arrays_and_proved_adjoints_are_plain() {
+    let primal = parse_any(FIG2).expect("parse");
+    let bind = boundary_bindings(&primal);
+    let (lp, texts) = kernel_text(&primal, &bind);
+    let id = |name: &str| lp.array_ids[name];
+    assert!(texts[0].plain.contains(&id("x")) && texts[0].plain.contains(&id("c")));
+    assert!(!texts[0].plain.contains(&id("y")), "y is written");
+
+    let tool = Formad::new(FormadOptions::new(&["x"], &["y"]));
+    let adjoint = tool
+        .differentiate(&primal)
+        .expect("formad pipeline")
+        .adjoint;
+    let adj_bind = adjoint_bindings(&primal, &bind, &["x"], &["y"]);
+    let (lp, texts) = kernel_text(&adjoint, &adj_bind);
+    let written: Vec<&str> = texts
+        .iter()
+        .flat_map(|r| r.plain_written())
+        .map(|id| lp.arrays[id as usize].name.as_str())
+        .collect();
+    assert_eq!(written, ["xb", "yb"]);
 }
