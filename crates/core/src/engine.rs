@@ -171,6 +171,13 @@ fn attach_proofs(
     if adjoint.parallel_loop_count() != loop_regions.len() {
         return;
     }
+    // (primal name, adjoint array), once for every region.
+    let adjoints: Vec<(&str, &Name)> = adjoint
+        .decls()
+        .filter_map(|d| Some((d.name.strip_suffix(suffix)?, d)))
+        .filter(|(_, d)| d.is_array() && primal.decl(&d.name).is_none())
+        .map(|(a, d)| (a, &d.name))
+        .collect();
     let proofs: Vec<BTreeSet<Name>> = regions
         .iter()
         .map(|ra| {
@@ -180,12 +187,8 @@ fn attach_proofs(
                     Some(Decision::Shared | Decision::Transposed(_))
                 ) && ra.provenance.get(a) == Some(&Provenance::Proved)
             };
-            adjoint
-                .decls()
-                .filter(|d| d.is_array() && primal.decl(&d.name).is_none())
-                .filter(|d| d.name.strip_suffix(suffix).is_some_and(proved))
-                .map(|d| d.name.clone())
-                .collect()
+            let proved = adjoints.iter().filter(|(a, _)| proved(a));
+            proved.map(|&(_, b)| b.clone()).collect()
         })
         .collect();
     let mut next = loop_regions.iter().map(|&k| proofs.get(k));
