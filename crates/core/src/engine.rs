@@ -168,9 +168,6 @@ fn attach_proofs(
     loop_regions: &[usize],
     suffix: &str,
 ) {
-    if adjoint.parallel_loop_count() != loop_regions.len() {
-        return;
-    }
     // (primal name, adjoint array), once for every region.
     let adjoints: Vec<(&str, &Name)> = adjoint
         .decls()
@@ -181,45 +178,55 @@ fn attach_proofs(
     let proofs: Vec<BTreeSet<Name>> = regions
         .iter()
         .map(|ra| {
-            let proved = |a: &str| {
-                matches!(
-                    ra.decisions.get(a),
-                    Some(Decision::Shared | Decision::Transposed(_))
-                ) && ra.provenance.get(a) == Some(&Provenance::Proved)
-            };
-            let proved = adjoints.iter().filter(|(a, _)| proved(a));
-            proved.map(|&(_, b)| b.clone()).collect()
+            let proved = ra.provenance.iter().filter(|(a, p)| {
+                **p == Provenance::Proved
+                    && matches!(
+                        ra.decisions.get(a.as_str()),
+                        Some(Decision::Shared | Decision::Transposed(_))
+                    )
+            });
+            let adjoint_of = |a: &String| adjoints.iter().find(|(p, _)| p == a);
+            proved
+                .filter_map(|(a, _)| Some(adjoint_of(a)?.1.clone()))
+                .collect()
         })
         .collect();
     let mut next = loop_regions.iter().map(|&k| proofs.get(k));
-    stamp_proofs(&mut adjoint.body, &mut next);
+    if stamp_proofs(&mut adjoint.body, &mut next) != loop_regions.len() {
+        // The loops and their regions disagree: no loop keeps a proof.
+        stamp_proofs(&mut adjoint.body, &mut std::iter::repeat(None));
+    }
 }
 
 /// Set the proof set of each parallel loop of `body`, in pre-order, to
-/// the next one `next` yields (`None`: no proof).
+/// the next one `next` yields (`None`: no proof). Returns the number of
+/// parallel loops.
 fn stamp_proofs<'a>(
     body: &mut [Stmt],
     next: &mut impl Iterator<Item = Option<&'a BTreeSet<Name>>>,
-) {
+) -> usize {
+    let mut loops = 0;
     for s in body {
         match s {
             Stmt::For(l) => {
                 if let Some(info) = &mut l.parallel {
                     info.proved = next.next().flatten().cloned().unwrap_or_default();
+                    loops += 1;
                 }
-                stamp_proofs(&mut l.body, next);
+                loops += stamp_proofs(&mut l.body, next);
             }
             Stmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                stamp_proofs(then_body, next);
-                stamp_proofs(else_body, next);
+                loops += stamp_proofs(then_body, next);
+                loops += stamp_proofs(else_body, next);
             }
             _ => {}
         }
     }
+    loops
 }
 
 /// Derived `AdjointOptions` for a treatment under `options`' inputs and
