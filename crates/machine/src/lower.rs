@@ -333,10 +333,10 @@ impl<'a> Lowerer<'a> {
     }
 
     /// The access fact of every array in the region of `info` whose
-    /// lowered body is `body`: `Plain` unless the body writes the array
-    /// (a store, a fused increment, an atomic update, a tape pop) and
-    /// either `info` holds no proof for it or one of the writes is an
-    /// atomic update — a CAS target stays a cell whatever the proof says.
+    /// lowered body is `body`: `Plain` when the body does not write the
+    /// array (no store, fused increment, atomic update or tape pop), or
+    /// when `info` proves it and no write is an atomic update — a CAS
+    /// target stays a cell whatever the proof says.
     fn access(&self, info: &ParallelInfo, body: &[LStmt]) -> Vec<Access> {
         #[derive(Clone, Copy, PartialEq)]
         enum Writes {
@@ -370,21 +370,14 @@ impl<'a> Lowerer<'a> {
         }
         let mut writes = vec![Writes::None; self.arrays.len()];
         scan(body, &mut writes);
-        let mut access: Vec<Access> = writes
-            .iter()
-            .map(|w| match w {
+        let proved = |meta: &ArrMeta| info.proved.contains(meta.name.as_str());
+        (writes.iter().zip(&self.arrays))
+            .map(|(w, meta)| match w {
                 Writes::None => Access::Plain,
+                Writes::Plain if proved(meta) => Access::Plain,
                 Writes::Plain | Writes::Atomic => Access::Cell,
             })
-            .collect();
-        for name in &info.proved {
-            if let Some(&id) = self.array_ids.get(name.as_str()) {
-                if writes[id as usize] == Writes::Plain {
-                    access[id as usize] = Access::Plain;
-                }
-            }
-        }
-        access
+            .collect()
     }
 
     /// Scalars assigned from array-reading expressions directly in `body`
