@@ -117,7 +117,7 @@ pub struct LRegion {
 
 /// How a region's body may access an array's shared storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
+pub(crate) enum Access {
     /// Plain loads and stores: no other iteration of the region writes
     /// an element this one touches. The array is not written in the
     /// region, or the loop's proof set (`ParallelInfo::proved`) covers
@@ -138,7 +138,7 @@ impl LRegion {
     }
 
     /// The access fact of array `id` in this region.
-    pub fn access(&self, id: ArrId) -> Access {
+    pub(crate) fn access(&self, id: ArrId) -> Access {
         self.access[id as usize]
     }
 
