@@ -178,21 +178,20 @@ pub(crate) struct Schedule {
 
 impl Schedule {
     /// The schedule of `do v = lo, hi, step` over `threads` logical
-    /// threads; a zero step is an error.
+    /// threads; a zero step, or a trip count that does not fit an `i64`,
+    /// is an error.
     pub(crate) fn new(lo: i64, hi: i64, step: i64, threads: usize) -> Result<Schedule, ExecError> {
         if step == 0 {
             return Err(ExecError::new("zero loop step"));
         }
-        let count = if step > 0 {
-            if hi < lo {
-                0
-            } else {
-                (hi - lo) / step + 1
-            }
-        } else if hi > lo {
+        let count = if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
             0
         } else {
-            (lo - hi) / (-step) + 1
+            // |hi − lo| and |step| always fit a `u64`; only the count may not.
+            (hi.abs_diff(lo) / step.unsigned_abs())
+                .checked_add(1)
+                .and_then(|c| i64::try_from(c).ok())
+                .ok_or_else(|| ExecError::new("integer overflow in loop trip count"))?
         };
         Ok(Schedule {
             lo,
@@ -221,8 +220,10 @@ impl Schedule {
         } else {
             self.count - ranks.end
         };
+        // The value lies between `lo` and `hi`, so it fits an `i64`;
+        // `rank · step` alone may not when `|hi − lo|` exceeds `i64::MAX`.
         let (lo, step) = (self.lo, self.step);
-        (0..ranks.end - ranks.start).map(move |k| lo + (first + k) * step)
+        (0..ranks.end - ranks.start).map(move |k| lo.wrapping_add((first + k).wrapping_mul(step)))
     }
 }
 

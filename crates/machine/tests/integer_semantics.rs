@@ -236,3 +236,61 @@ fn errors_on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, String)> 
     }
     out
 }
+
+/// A parallel loop over `lo..=hi` by `s` that counts its iterations
+/// into `y(1)`.
+const TRIP: &str = r#"
+subroutine trip(lo, hi, s, y)
+  integer, intent(in) :: lo, hi, s
+  real, intent(inout) :: y(1)
+  integer :: i
+  !$omp parallel do shared(y)
+  do i = lo, hi, s
+    !$omp atomic
+    y(1) = y(1) + 1.0
+  end do
+end subroutine
+"#;
+
+/// A trip count is exact over the whole `i64` range, and one that does
+/// not fit an `i64` is an error on every backend. It used to be computed
+/// as `(hi − lo) / step + 1`, which wrapped to zero or below in a release
+/// build, so the loop silently ran no iteration (and panicked in a debug
+/// build).
+#[test]
+fn parallel_trip_count_is_exact_or_an_error() {
+    let (min, max) = (i64::MIN, i64::MAX);
+    let far = 6_917_529_027_641_081_856_i64;
+    for (lo, hi, s, want) in [
+        (max - 2, max, 1, Some(3.0)),
+        (min + 2, min, -1, Some(3.0)),
+        (0, -5, min, Some(1.0)),
+        (min, max, max, Some(3.0)),
+        (max, min, min, Some(2.0)),
+        (5, 4, 1, Some(0.0)),
+        (min, max, 1, None),
+        (-far, far, 1, None),
+        (max, min, -1, None),
+    ] {
+        let bind = Bindings::new()
+            .int("lo", lo)
+            .int("hi", hi)
+            .int("s", s)
+            .real_array("y", vec![0.0]);
+        match want {
+            Some(want) => {
+                for (backend, out) in on_every_backend(TRIP, &bind) {
+                    assert_eq!(out.real_arrays["y"], [want], "{backend}: {lo}, {hi}, {s}");
+                }
+            }
+            None => {
+                for (backend, err) in errors_on_every_backend(TRIP, &bind) {
+                    assert!(
+                        err.contains("integer overflow in loop trip count"),
+                        "{backend}: {lo}, {hi}, {s}: {err}"
+                    );
+                }
+            }
+        }
+    }
+}
