@@ -1,7 +1,7 @@
 //! Native stencil kernels on the host CPU: one real-hardware data point
-//! per program version of Figures 3/4 (single-core host, so one thread —
-//! the paper's 1-thread column, where atomics are already ~10–25× slower
-//! and reductions ~2×).
+//! per program version of Figures 3/4 at one thread — the paper's
+//! 1-thread column, where atomics are already ~10–25× slower and
+//! reductions ~2×.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use formad_kernels::NativeStencil;

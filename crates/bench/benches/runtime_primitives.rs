@@ -1,5 +1,6 @@
-//! Real wall-clock costs of the three increment disciplines — the
-//! hardware calibration behind the simulated machine's cost model.
+//! Real wall-clock costs of the three increment disciplines as
+//! `formad-runtime` primitives, without a generated kernel around them:
+//! the floor under the measured `repro bench-kernels` cells.
 //!
 //! Expected ordering (matching the paper's single-thread observations):
 //! plain ≪ reduction-with-merge < atomic-CAS-loop.

@@ -1,207 +1,12 @@
-//! Experiment drivers for every table and figure of the paper.
-//!
-//! All runtimes are *simulated wall cycles* of the `formad-machine`
-//! multiprocessor (the host has one core; see DESIGN.md). Absolute values
-//! are reported in giga-cycles; parallel speedups are dimensionless and
-//! directly comparable to the paper's Figures 5, 6, 8, 10.
+//! The paper's analysis results: Table 1 and the §7.3 LBM narrative.
+//! The figures' run times are measured cells of
+//! [`crate::kernel_bench`].
 
 use std::fmt::Write as _;
 
 use formad::{table1_header, table1_row, Formad, FormadOptions};
 use formad_ir::Program;
 use formad_kernels::{lbm, GfmcCase, GreenGaussCase, StencilCase};
-use formad_machine::{run, Bindings, Machine};
-
-use crate::versions::{adjoint_bindings, ProgramVersions};
-
-/// Thread counts of the paper's plots.
-pub const PAPER_THREADS: [usize; 5] = [1, 2, 4, 8, 18];
-
-/// One figure's data: per-version absolute simulated times and the serial
-/// baselines used for speedups.
-#[derive(Debug)]
-pub struct FigureData {
-    /// Benchmark label.
-    pub name: String,
-    /// Thread counts measured.
-    pub threads: Vec<usize>,
-    /// `(version label, giga-cycles per thread count)`.
-    pub series: Vec<(String, Vec<f64>)>,
-    /// Serial primal baseline (giga-cycles).
-    pub primal_serial: f64,
-    /// Serial adjoint baseline (giga-cycles).
-    pub adjoint_serial: f64,
-}
-
-impl FigureData {
-    /// Absolute-time CSV (Figures 3, 4, 7, 9).
-    pub fn absolute_csv(&self) -> String {
-        let mut s = String::from("threads");
-        for (label, _) in &self.series {
-            let _ = write!(s, ",{label}");
-        }
-        s.push('\n');
-        for (k, t) in self.threads.iter().enumerate() {
-            let _ = write!(s, "{t}");
-            for (_, vals) in &self.series {
-                let _ = write!(s, ",{:.6}", vals[k]);
-            }
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Speedup CSV (Figures 5, 6, 8, 10): primal versions against the
-    /// serial primal, adjoint versions against the serial adjoint.
-    pub fn speedup_csv(&self) -> String {
-        let mut s = String::from("threads");
-        for (label, _) in &self.series {
-            let _ = write!(s, ",{label}");
-        }
-        s.push('\n');
-        for (k, t) in self.threads.iter().enumerate() {
-            let _ = write!(s, "{t}");
-            for (label, vals) in &self.series {
-                let base = if label.starts_with("primal") {
-                    self.primal_serial
-                } else {
-                    self.adjoint_serial
-                };
-                let _ = write!(s, ",{:.4}", base / vals[k]);
-            }
-            s.push('\n');
-        }
-        s
-    }
-
-    /// Speedup of a version at a thread count (for tests/reports).
-    pub fn speedup(&self, label: &str, threads: usize) -> f64 {
-        let k = self
-            .threads
-            .iter()
-            .position(|t| *t == threads)
-            .unwrap_or_else(|| panic!("thread count {threads} not measured"));
-        let (_, vals) = self
-            .series
-            .iter()
-            .find(|(l, _)| l == label)
-            .unwrap_or_else(|| panic!("no series {label}"));
-        let base = if label.starts_with("primal") {
-            self.primal_serial
-        } else {
-            self.adjoint_serial
-        };
-        base / vals[k]
-    }
-
-    /// Absolute simulated time of a version at a thread count.
-    pub fn time(&self, label: &str, threads: usize) -> f64 {
-        let k = self.threads.iter().position(|t| *t == threads).unwrap();
-        let (_, vals) = self.series.iter().find(|(l, _)| l == label).unwrap();
-        vals[k]
-    }
-}
-
-fn gcycles(prog: &Program, bind: &Bindings, threads: usize) -> f64 {
-    let mut b = bind.clone();
-    let r = run(prog, &mut b, &Machine::with_threads(threads))
-        .unwrap_or_else(|e| panic!("simulated run of `{}` failed: {e}", prog.name));
-    r.wall_cycles as f64 / 1e9
-}
-
-/// Run the five-version protocol over the paper's thread counts.
-fn run_protocol(
-    name: &str,
-    versions: &ProgramVersions,
-    base: &Bindings,
-    indep: &[&str],
-    dep: &[&str],
-    threads: &[usize],
-) -> FigureData {
-    let adj_base = adjoint_bindings(&versions.primal, base, indep, dep);
-    let primal_serial = gcycles(&versions.primal_serial, base, 1);
-    let adjoint_serial = gcycles(&versions.adj_serial, &adj_base, 1);
-    let mut series: Vec<(String, Vec<f64>)> = vec![
-        ("primal".into(), Vec::new()),
-        ("adj-FormAD".into(), Vec::new()),
-        ("adj-atomic".into(), Vec::new()),
-        ("adj-reduction".into(), Vec::new()),
-    ];
-    for &t in threads {
-        series[0].1.push(gcycles(&versions.primal, base, t));
-        series[1]
-            .1
-            .push(gcycles(&versions.adj_formad, &adj_base, t));
-        series[2]
-            .1
-            .push(gcycles(&versions.adj_atomic, &adj_base, t));
-        series[3]
-            .1
-            .push(gcycles(&versions.adj_reduction, &adj_base, t));
-    }
-    FigureData {
-        name: name.to_string(),
-        threads: threads.to_vec(),
-        series,
-        primal_serial,
-        adjoint_serial,
-    }
-}
-
-/// Figures 3/5 (radius 1) and 4/6 (radius 8): stencil absolute time and
-/// speedup.
-pub fn stencil_figure(radius: usize, n: usize, sweeps: usize, threads: &[usize]) -> FigureData {
-    let case = StencilCase { n, sweeps, radius };
-    let versions = ProgramVersions::generate(
-        &case.ir(),
-        StencilCase::independents(),
-        StencilCase::dependents(),
-    );
-    let base = case.bindings(0xBEEF);
-    run_protocol(
-        &format!("stencil r={radius} n={n} sweeps={sweeps}"),
-        &versions,
-        &base,
-        StencilCase::independents(),
-        StencilCase::dependents(),
-        threads,
-    )
-}
-
-/// Figures 7/8: GFMC (split version) absolute time and speedup.
-pub fn gfmc_figure(ns: usize, repeats: usize, threads: &[usize]) -> FigureData {
-    let case = GfmcCase::new(ns, repeats);
-    let versions =
-        ProgramVersions::generate(&case.ir(), GfmcCase::independents(), GfmcCase::dependents());
-    let base = case.bindings_split(0xBEEF);
-    run_protocol(
-        &format!("gfmc ns={ns} reps={repeats}"),
-        &versions,
-        &base,
-        GfmcCase::independents(),
-        GfmcCase::dependents(),
-        threads,
-    )
-}
-
-/// Figures 9/10: Green-Gauss gradients absolute time and speedup.
-pub fn green_gauss_figure(nodes: usize, repeats: usize, threads: &[usize]) -> FigureData {
-    let case = GreenGaussCase::linear(nodes, repeats);
-    let versions = ProgramVersions::generate(
-        &case.ir(),
-        GreenGaussCase::independents(),
-        GreenGaussCase::dependents(),
-    );
-    let base = case.bindings(0xBEEF);
-    run_protocol(
-        &format!("green-gauss nodes={nodes} reps={repeats}"),
-        &versions,
-        &base,
-        GreenGaussCase::independents(),
-        GreenGaussCase::dependents(),
-        threads,
-    )
-}
 
 /// One row of Table 1.
 #[derive(Debug)]

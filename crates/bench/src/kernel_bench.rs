@@ -27,26 +27,14 @@
 //!   commits in hardware order, so it is held bitwise on one OS worker
 //!   and within `1e-9` relative tolerance on real ones, and what the
 //!   timed engine actually produced is recorded per series (`bitwise`).
-//! * **ordering** — the simulated cost model predicts which of
-//!   FormAD/atomic is faster at the check thread count; the measured
-//!   wall-clock ordering must be available for comparison (recorded,
-//!   and summarized in `orderings_agree`).
+//! * **ordering** — the measured FormAD-over-atomic ratio at the check
+//!   thread count is recorded per kernel (`measured_formad_over_atomic`);
+//!   `bench/tests/bench_artifact.rs` holds it above 1 on every kernel of
+//!   the committed artifact.
 //! * **discipline** — the per-array increment modes the FormAD version
 //!   actually ran under come straight from the analysis report
 //!   ([`formad::FormadAnalysis::discipline_map`]), not from re-deriving
 //!   anything here.
-//!
-//! The cost model is additionally *calibrated* against the measured
-//! data: the simulator charges cycles per abstract memory/ALU event,
-//! but an interpreted backend pays a per-instruction dispatch overhead
-//! the model does not see — which is exactly why a predicted 155×
-//! FormAD-over-atomic can measure as 1.0× under the bytecode backend.
-//! Fitting `wall_s ≈ p·model_cycles + q·instructions` over every
-//! measured bytecode cell recovers that overhead (`q/p` = model cycles
-//! one dispatched instruction costs) and yields `predicted_calibrated`,
-//! the ratio the *bytecode* backend should measure; the raw model ratio
-//! remains the prediction for the AOT backend, which compiles the
-//! dispatch away.
 //!
 //! Results serialize to JSON by hand (`BENCH_kernels.json` at the repo
 //! root) — the workspace takes no serde dependency.
@@ -83,8 +71,9 @@ struct KernelCase {
 /// whose colliding adjoint scatter the transposed discipline exists to
 /// flip (the paper's LBM fixture itself stays analysis-only: privatized
 /// scalars keep it guarded).
-/// `smoke` shrinks the sizes to CI scale — ordering and bitwise checks
-/// still run, wall-clock numbers are too small to mean anything.
+/// `smoke` shrinks the sizes to CI scale — the determinism contract
+/// still holds every cell, wall-clock numbers are too small to mean
+/// anything.
 fn cases(smoke: bool) -> Vec<KernelCase> {
     let (st_n, st_sweeps, gf_ns, gf_reps, gg_nodes, gg_reps) = if smoke {
         (512, 1, 16, 1, 512, 1)
@@ -178,76 +167,6 @@ impl VersionTiming {
     }
 }
 
-/// One cell of the calibration data: what the cost model charged vs
-/// what the bytecode backend measured.
-#[derive(Debug, Clone, Copy)]
-struct CalPoint {
-    /// Simulated wall cycles of the cell (the model's cost).
-    cycles: f64,
-    /// Instructions the cell retires — the dispatch-bearing event count
-    /// (flops + memory + atomics + tape traffic + indirections).
-    instructions: f64,
-    /// Measured bytecode best wall-clock, seconds.
-    wall_s: f64,
-}
-
-/// The dispatch-overhead calibration fitted over every measured
-/// bytecode cell: `wall_s ≈ p·model_cycles + q·instructions`.
-#[derive(Debug, Clone, Copy)]
-pub struct Calibration {
-    /// Cells fitted.
-    pub points: usize,
-    /// Seconds one simulated cycle costs on this host (`p`).
-    pub seconds_per_cycle: f64,
-    /// Seconds one dispatched instruction costs beyond its modeled
-    /// cycles (`q`).
-    pub seconds_per_instruction: f64,
-    /// `q/p`: how many model cycles of overhead the interpreter's
-    /// dispatch adds per instruction. Large values explain why modeled
-    /// discipline gaps vanish under interpretation.
-    pub dispatch_cycles_per_op: f64,
-}
-
-impl Calibration {
-    /// Least-squares fit through the origin on two regressors (2×2
-    /// normal equations). Degenerate systems fall back to the
-    /// instructions-only model — on an interpreter the dispatch term
-    /// dominates, so that is the safe direction to collapse.
-    fn fit(points: &[CalPoint]) -> Calibration {
-        let (mut scc, mut sci, mut sii, mut scy, mut siy) = (0.0, 0.0, 0.0, 0.0, 0.0);
-        for pt in points {
-            scc += pt.cycles * pt.cycles;
-            sci += pt.cycles * pt.instructions;
-            sii += pt.instructions * pt.instructions;
-            scy += pt.cycles * pt.wall_s;
-            siy += pt.instructions * pt.wall_s;
-        }
-        let det = scc * sii - sci * sci;
-        let (mut p, mut q) = if det.abs() > f64::EPSILON * scc * sii {
-            ((scy * sii - siy * sci) / det, (siy * scc - scy * sci) / det)
-        } else {
-            (0.0, 0.0)
-        };
-        if p <= 0.0 || q <= 0.0 {
-            // Negative coefficients mean the regressors are nearly
-            // collinear on this data; keep the physical model.
-            p = 0.0;
-            q = if sii > 0.0 { siy / sii } else { 0.0 };
-        }
-        Calibration {
-            points: points.len(),
-            seconds_per_cycle: p,
-            seconds_per_instruction: q,
-            dispatch_cycles_per_op: if p > 0.0 { q / p } else { f64::INFINITY },
-        }
-    }
-
-    /// Predicted wall-clock of a cell under the fitted model.
-    fn predict(&self, cycles: f64, instructions: f64) -> f64 {
-        self.seconds_per_cycle * cycles + self.seconds_per_instruction * instructions
-    }
-}
-
 /// Everything measured for one kernel.
 #[derive(Debug)]
 pub struct KernelExecData {
@@ -265,35 +184,18 @@ pub struct KernelExecData {
     /// True when the AOT kernels built and were measured; false means
     /// the build degraded and only bytecode numbers exist.
     pub aot_available: bool,
-    /// Thread count of the ordering cross-check.
+    /// Thread count of the headline ratios: the largest measured.
     pub check_threads: usize,
-    /// Simulated cost-model prediction: atomic Gcycles / FormAD Gcycles
-    /// at `check_threads` (> 1 means FormAD predicted faster). This is
-    /// the prediction for a backend with no dispatch overhead — i.e.
-    /// the AOT backend.
-    pub predicted_formad_over_atomic: f64,
-    /// The same ratio predicted by the *calibrated* model (dispatch
-    /// overhead included) — what the bytecode backend should measure.
-    pub predicted_calibrated: f64,
     /// Measured: best atomic wall-clock / best FormAD wall-clock at
-    /// `check_threads`, on the AOT backend when available (the backend
-    /// the raw model predicts), else bytecode.
+    /// `check_threads`, on the AOT backend when available, else
+    /// bytecode (> 1 means FormAD is faster).
     pub measured_formad_over_atomic: f64,
-    /// Simulated cost-model prediction: atomic Gcycles / transposed
-    /// Gcycles at `check_threads` (> 1 means the gather is predicted to
-    /// beat the CAS loop). NaN when the kernel has no transposed
-    /// version (non-invertible scatter map).
-    pub predicted_atomic_over_transposed: f64,
     /// Measured: best atomic wall-clock / best transposed wall-clock at
     /// `check_threads` on the headline backend. NaN when the kernel has
-    /// no transposed version.
+    /// no transposed version (non-invertible scatter map).
     pub measured_atomic_over_transposed: f64,
-    /// Did the measured ordering match the cost model's prediction?
-    pub ordering_agrees: bool,
     /// All timings: versions × backends × thread counts.
     pub series: Vec<VersionTiming>,
-    /// Calibration inputs per (version, threads) cell, bytecode backend.
-    cal_cells: Vec<(String, usize, CalPoint)>,
 }
 
 impl KernelExecData {
@@ -404,22 +306,6 @@ pub struct KernelBenchResult {
     /// bitwise on one worker and within tolerance on real ones (see each
     /// series' `bitwise` flag for what was actually observed).
     pub all_bitwise: bool,
-    /// Every kernel's measured FormAD/atomic ordering matched the cost
-    /// model's prediction.
-    pub orderings_agree: bool,
-    /// The fitted dispatch-overhead calibration.
-    pub calibration: Calibration,
-}
-
-/// The dispatch-bearing event count of one simulated run.
-fn instruction_count(stats: &formad_machine::ExecStats) -> f64 {
-    (stats.flops
-        + stats.reads
-        + stats.writes
-        + stats.atomic_ops
-        + stats.tape_pushes
-        + stats.tape_pops
-        + stats.indirect_ops) as f64
 }
 
 /// Run the benchmark: the four-version protocol over `threads` and both
@@ -475,10 +361,6 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
             compiled.push((*label, bc, kernel, *bind));
         }
         let mut series = Vec::new();
-        let mut cal_cells = Vec::new();
-        let mut gcycles_formad = f64::NAN;
-        let mut gcycles_atomic = f64::NAN;
-        let mut gcycles_transposed = f64::NAN;
         for &t in threads {
             let mut engine = NativeEngine::new(t);
             // Verification pass: the determinism contract on both native
@@ -487,9 +369,7 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
             // cell on the timed engine above (clamped to the host's
             // cores), held to the same reference — so the engine whose
             // times are published is verified and warm, and `bitwise` is
-            // what *it* produced. The sim run inside the contract also
-            // yields the cost model's cycles and event counts for the
-            // ordering check and the dispatch calibration.
+            // what *it* produced.
             let mut cell_bitwise: Vec<(usize, &'static str, bool)> = Vec::new();
             for (i, (label, bc, kernel, bind)) in compiled.iter().enumerate() {
                 let cell = check_cell(
@@ -513,25 +393,6 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
                         .admits(&out)
                         .unwrap_or_else(|d| panic!("{ctx}: sim vs timed engine: {d}"));
                     cell_bitwise.push((i, backend, bw));
-                }
-                let res = cell.sim;
-                cal_cells.push((
-                    label.to_string(),
-                    t,
-                    CalPoint {
-                        cycles: res.wall_cycles as f64,
-                        instructions: instruction_count(&res.stats),
-                        wall_s: f64::NAN, // attached after timing
-                    },
-                ));
-                if t == check_threads {
-                    let g = res.wall_cycles as f64 / 1e9;
-                    match *label {
-                        "adj-FormAD" => gcycles_formad = g,
-                        "adj-atomic" => gcycles_atomic = g,
-                        "adj-transposed" => gcycles_transposed = g,
-                        _ => {}
-                    }
                 }
             }
             // Timed iterations, interleaved round-robin across versions
@@ -574,14 +435,6 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
                 });
             }
         }
-        // Attach the measured bytecode time to each calibration cell.
-        for (version, t, pt) in &mut cal_cells {
-            pt.wall_s = series
-                .iter()
-                .find(|s| s.version == *version && s.backend == "bytecode" && s.threads == *t)
-                .expect("bytecode series exists for every cell")
-                .best_s();
-        }
         let mut data = KernelExecData {
             name: case.name,
             all_safe: versions.analysis.all_safe(),
@@ -589,43 +442,16 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
             native_matches_sim: true,
             aot_available,
             check_threads,
-            predicted_formad_over_atomic: gcycles_atomic / gcycles_formad,
-            predicted_calibrated: f64::NAN, // filled after the global fit
             measured_formad_over_atomic: 0.0,
-            predicted_atomic_over_transposed: gcycles_atomic / gcycles_transposed,
             measured_atomic_over_transposed: f64::NAN,
-            ordering_agrees: false,
             series,
-            cal_cells,
         };
         data.measured_formad_over_atomic =
             data.best_s("adj-atomic", check_threads) / data.best_s("adj-FormAD", check_threads);
         data.measured_atomic_over_transposed = data
             .atomic_over_transposed_on(data.headline_backend())
             .unwrap_or(f64::NAN);
-        data.ordering_agrees =
-            (data.predicted_formad_over_atomic >= 1.0) == (data.measured_formad_over_atomic >= 1.0);
         kernels.push(data);
-    }
-    // Fit the dispatch calibration over every bytecode cell of every
-    // kernel, then ask the calibrated model for each kernel's
-    // FormAD-over-atomic at the check thread count.
-    let points: Vec<CalPoint> = kernels
-        .iter()
-        .flat_map(|k| k.cal_cells.iter().map(|(_, _, pt)| *pt))
-        .collect();
-    let calibration = Calibration::fit(&points);
-    for k in &mut kernels {
-        let cell = |version: &str| {
-            k.cal_cells
-                .iter()
-                .find(|(v, t, _)| v == version && *t == k.check_threads)
-                .map(|(_, _, pt)| *pt)
-        };
-        if let (Some(a), Some(f)) = (cell("adj-atomic"), cell("adj-FormAD")) {
-            k.predicted_calibrated = calibration.predict(a.cycles, a.instructions)
-                / calibration.predict(f.cycles, f.instructions);
-        }
     }
     KernelBenchResult {
         nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -633,8 +459,6 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
         threads: threads.to_vec(),
         smoke,
         all_bitwise: true,
-        orderings_agree: kernels.iter().all(|k| k.ordering_agrees),
-        calibration,
         kernels,
     }
 }
@@ -829,23 +653,8 @@ pub fn kernel_bench_json(r: &KernelBenchResult) -> String {
         let _ = writeln!(o, "      \"check_threads\": {},", k.check_threads);
         let _ = writeln!(
             o,
-            "      \"predicted_formad_over_atomic\": {:.4},",
-            k.predicted_formad_over_atomic
-        );
-        let _ = writeln!(
-            o,
-            "      \"predicted_calibrated\": {},",
-            json_ratio(k.predicted_calibrated)
-        );
-        let _ = writeln!(
-            o,
             "      \"measured_formad_over_atomic\": {:.4},",
             k.measured_formad_over_atomic
-        );
-        let _ = writeln!(
-            o,
-            "      \"predicted_atomic_over_transposed\": {},",
-            json_ratio(k.predicted_atomic_over_transposed)
         );
         let _ = writeln!(
             o,
@@ -857,7 +666,6 @@ pub fn kernel_bench_json(r: &KernelBenchResult) -> String {
             "      \"measured_backend\": \"{}\",",
             k.headline_backend()
         );
-        let _ = writeln!(o, "      \"ordering_agrees\": {},", k.ordering_agrees);
         let _ = writeln!(
             o,
             "      \"formad_beats_atomic\": {},",
@@ -867,28 +675,16 @@ pub fn kernel_bench_json(r: &KernelBenchResult) -> String {
         o.push_str("    }");
         kernels.push(o);
     }
-    let c = &r.calibration;
-    let calibration = format!(
-        "{{\"points\": {}, \"seconds_per_cycle\": {:.6e}, \
-         \"seconds_per_instruction\": {:.6e}, \"dispatch_cycles_per_op\": {}}}",
-        c.points,
-        c.seconds_per_cycle,
-        c.seconds_per_instruction,
-        json_ratio(c.dispatch_cycles_per_op)
-    );
     format!(
         "{{\n  \"bench\": \"kernel_exec\",\n  \"backends\": [\"bytecode\", \"aot\"],\n  \
          \"nproc\": {},\n  \"iters\": {},\n  \"threads\": {},\n  \"smoke\": {},\n  \
-         \"all_bitwise\": {},\n  \"orderings_agree\": {},\n  \
-         \"calibration\": {},\n  \"summary\": {},\n  \
+         \"all_bitwise\": {},\n  \"summary\": {},\n  \
          \"kernels\": [\n{}\n  ]\n}}\n",
         r.nproc,
         r.iters,
         json_usize_list(&r.threads),
         r.smoke,
         r.all_bitwise,
-        r.orderings_agree,
-        calibration,
         summary_json(r),
         kernels.join(",\n")
     )
@@ -903,7 +699,6 @@ mod tests {
         let r = kernel_bench(2, &[1, 2], true);
         assert!(r.all_bitwise);
         assert_eq!(r.kernels.len(), 5);
-        let mut bytecode_cells = 0;
         for k in &r.kernels {
             assert!(k.native_matches_sim, "{} not verified", k.name);
             assert!(!k.disciplines.is_empty(), "{} has no disciplines", k.name);
@@ -921,8 +716,6 @@ mod tests {
                 "{}: versions × backends × thread counts",
                 k.name
             );
-            bytecode_cells += versions.len() * 2;
-            assert!(k.predicted_formad_over_atomic.is_finite());
             assert!(k.measured_formad_over_atomic > 0.0);
         }
         // The in-tree toolchain builds every kernel; a silent universal
@@ -931,17 +724,6 @@ mod tests {
             r.kernels.iter().all(|k| k.aot_available),
             "AOT must build in-tree"
         );
-        // The calibration fit saw every bytecode cell and recovered a
-        // positive per-instruction dispatch cost.
-        assert_eq!(r.calibration.points, bytecode_cells);
-        assert!(r.calibration.seconds_per_instruction > 0.0);
-        for k in &r.kernels {
-            assert!(
-                k.predicted_calibrated.is_finite() && k.predicted_calibrated > 0.0,
-                "{}: calibrated prediction missing",
-                k.name
-            );
-        }
         // The stencils and Green-Gauss are fully proven safe: their FormAD
         // discipline must be plain everywhere.
         for k in &r.kernels {
@@ -969,8 +751,7 @@ mod tests {
         }
         // The LBM streaming step is the tentpole: the analysis *proves*
         // the srcgrid gather safe, the transposed cells run bitwise on
-        // every backend, and both cost-model and measurement report a
-        // ratio.
+        // every backend, and the measurement reports a ratio.
         let lbm = r
             .kernels
             .iter()
@@ -994,7 +775,6 @@ mod tests {
             tr_cells.iter().all(|s| s.bitwise),
             "transposed gather is deterministic on every backend"
         );
-        assert!(lbm.predicted_atomic_over_transposed.is_finite());
         assert!(lbm.measured_atomic_over_transposed > 0.0);
         let j = kernel_bench_json(&r);
         assert!(j.contains("\"bench\": \"kernel_exec\""));
@@ -1008,7 +788,6 @@ mod tests {
         assert!(j.contains("\"t2_over_t1\": {\"primal\": "));
         assert!(j.contains("\"note\""));
         assert!(j.contains("\"summary\""));
-        assert!(j.contains("\"calibration\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }

@@ -1,10 +1,12 @@
 //! # formad-bench
 //!
-//! Experiment drivers regenerating every table and figure of the paper's
-//! evaluation (§7) on the simulated shared-memory machine. The `repro`
-//! binary is the command-line front end; this library holds the reusable
-//! pieces so integration tests can assert the figures' *shape* (who wins,
-//! by roughly what factor, where crossovers fall).
+//! Drivers for the paper's evaluation (§7): Table 1 and the LBM
+//! narrative from the analysis, the figures' run times from measured
+//! kernels on the native backends ([`kernel_bench`], every cell held to
+//! the determinism contract against the reference interpreter), plus the
+//! ablation grid, the prover suite and the benchmark pair runner. The
+//! `repro` binary is the command-line front end; this library holds the
+//! reusable pieces so integration tests can assert on them.
 
 pub mod ablation;
 pub mod experiments;
@@ -14,12 +16,9 @@ pub mod prover_bench;
 pub mod versions;
 
 pub use ablation::{ablation_grid, ablation_text, AblationRow};
-pub use experiments::{
-    gfmc_figure, green_gauss_figure, lbm_report, stencil_figure, table1, FigureData, Table1Row,
-    PAPER_THREADS,
-};
+pub use experiments::{lbm_report, table1, Table1Row};
 pub use kernel_bench::{
-    kernel_bench, kernel_bench_json, Calibration, KernelBenchResult, KernelExecData, VersionTiming,
-    BACKENDS, EXEC_THREADS,
+    kernel_bench, kernel_bench_json, KernelBenchResult, KernelExecData, VersionTiming, BACKENDS,
+    EXEC_THREADS,
 };
 pub use versions::{adjoint_bindings, ProgramVersions};

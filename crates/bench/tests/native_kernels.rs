@@ -107,8 +107,8 @@ fn fnv64(text: &str) -> u64 {
 }
 
 /// One line per executed version of every kernel: an FNV-64 of its AOT
-/// kernel source, of the simulator's cycles and event counters at T = 1
-/// and T = 4, and of the event counters alone at T = 1 and T = 4.
+/// kernel source, and of the simulator's event counters at T = 1 and
+/// T = 4.
 fn kernel_fixture_lines() -> Vec<String> {
     let mut out = Vec::new();
     for case in cases() {
@@ -122,23 +122,19 @@ fn kernel_fixture_lines() -> Vec<String> {
                 case.name.replace(' ', "_"),
                 fnv64(&src)
             );
-            let mut stats = String::new();
             for threads in [1usize, 4] {
                 let r = run(prog, &mut bind.clone(), &Machine::with_threads(threads))
                     .unwrap_or_else(|e| panic!("{} / {label}: sim: {e}", case.name));
-                let costs = format!("{} {} {:?}", r.wall_cycles, r.cpu_cycles, r.stats);
-                line.push_str(&format!(" sim{threads} {:016x}", fnv64(&costs)));
                 let counts = format!("{:?}", r.stats);
-                stats.push_str(&format!(" stats{threads} {:016x}", fnv64(&counts)));
+                line.push_str(&format!(" stats{threads} {:016x}", fnv64(&counts)));
             }
-            line.push_str(&stats);
             out.push(line);
         }
     }
     out
 }
 
-/// The generated kernels and the simulator's costs, pinned: a change to
+/// The generated kernels and the simulator's event counts, pinned: a change to
 /// the execution layer that claims to change no output must leave
 /// `fixtures/native_kernels.txt` alone. To record it again after an
 /// intended change:

@@ -84,8 +84,8 @@
 //!                      the default)
 //!
 //! exec options:
-//!   --backend B        sim (default; tree-walking interpreter with the
-//!                      synthetic cost model) | native (flat register
+//!   --backend B        sim (default; the tree-walking reference
+//!                      interpreter) | native (flat register
 //!                      bytecode on real OS threads) | aot (parallel
 //!                      regions compiled to a native cdylib via `rustc`,
 //!                      cached under `FORMAD_AOT_DIR`, falling back to

@@ -1,11 +1,10 @@
 //! Native (real-hardware) stencil kernels.
 //!
 //! Hand-lowered Rust equivalents of the generated stencil programs, used
-//! by the criterion benches to measure *actual* wall-clock cost ratios of
-//! the three increment disciplines on the host CPU — the calibration
-//! evidence for the simulated machine's cost model. The math mirrors the
-//! generated adjoint exactly (the stencil is linear, so its adjoint needs
-//! no tape).
+//! by the criterion benches and the `exec_adjoint` benchmark to measure
+//! wall-clock cost ratios of the three increment disciplines on the host
+//! CPU next to the generated kernels. The math mirrors the generated
+//! adjoint exactly (the stencil is linear, so its adjoint needs no tape).
 
 use formad_runtime::{parallel_for, AtomicF64Slice, ReductionBuffers};
 

@@ -33,7 +33,6 @@ use formad_ir::Program;
 use crate::aot::AotKernel;
 use crate::bindings::Bindings;
 use crate::bytecode::{BcProgram, Instr};
-use crate::cost::ExecResult;
 use crate::exec::NativeEngine;
 use crate::interp::{run, Machine};
 
@@ -157,8 +156,6 @@ impl std::error::Error for CellError {}
 pub struct CellOutcome {
     /// The simulated reference run's results.
     pub reference: Bindings,
-    /// Its cost-model cycles and event counts.
-    pub sim: ExecResult,
     /// Must every run of the cell be bitwise? A schedule-independent
     /// program, or one logical thread (which commits in rank order).
     exact: bool,
@@ -198,12 +195,11 @@ pub fn check_cell(
 ) -> Result<CellOutcome, CellError> {
     let threads = threads.max(1);
     let mut reference = bind.clone();
-    let sim = run(prog, &mut reference, &Machine::with_threads(threads))
+    run(prog, &mut reference, &Machine::with_threads(threads))
         .map_err(|e| CellError::Run(format!("sim run (T={threads}) failed: {e}")))?;
     let dependent = bc.commit_order_dependent();
     let cell = CellOutcome {
         reference,
-        sim,
         // At T=1 the real-worker run *is* the rank-ordered one-worker leg.
         exact: !dependent || threads == 1,
     };

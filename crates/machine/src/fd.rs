@@ -41,7 +41,7 @@ impl DotTest {
 ///   arrays).
 /// * `v` — direction per independent (same length as the array);
 ///   `ybar` — weights per dependent.
-/// * `machine` — thread count/cost model (results must not depend on it).
+/// * `machine` — thread count (results must not depend on it).
 #[allow(clippy::too_many_arguments)]
 pub fn dot_product_test(
     primal: &Program,

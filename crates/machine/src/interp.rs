@@ -1,44 +1,70 @@
-//! Execution of lowered programs on the simulated machine.
+//! Execution of lowered programs by the reference interpreter.
 //!
-//! Sequential code accumulates wall cycles directly. A parallel region is
-//! executed as `T` simulated threads, one after the other, each running
-//! its block of the region's `Schedule` — the static schedule by
-//! value-ascending rank that every backend shares, under which a
-//! reversed adjoint loop pops each thread's tape in exactly the reverse
-//! of its push order.
+//! The interpreter is the semantics every other backend is held to, and
+//! the deterministic counter of what a run does ([`ExecStats`]). A
+//! parallel region is executed as `T` logical threads, one after the
+//! other, each running its block of the region's `Schedule` — the static
+//! schedule by value-ascending rank that every backend shares, under
+//! which a reversed adjoint loop pops each thread's tape in exactly the
+//! reverse of its push order.
 //!
-//! Atomic updates execute like plain updates (the simulation is
-//! deterministic) but are charged the contended-atomic cost; `reduction`
-//! clauses really privatize (identity-initialized copies, merged after the
-//! region) and are charged initialization and serialized-merge costs, so
-//! the *performance shape* of the paper's program versions is reproduced
-//! while their *semantics* stay exact.
+//! Atomic updates execute like plain updates (one thread runs at a time)
+//! and are counted; `reduction` clauses really privatize
+//! (identity-initialized copies, merged after the region in ascending
+//! thread order). The interpreter measures no time: every time figure
+//! comes from the native backends.
 
 use formad_ir::{Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
-use crate::cost::{CostModel, ExecResult, ExecStats};
 use crate::lower::{
     combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, ArrMeta, LBool,
     LExpr, LFor, LProgram, LRegion, LStmt, Schedule,
 };
 
-/// The simulated machine: thread count and cost model.
+/// Cumulative event counters of one execution.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Plain floating/integer operations executed.
+    pub flops: u64,
+    /// Memory reads.
+    pub reads: u64,
+    /// Memory writes.
+    pub writes: u64,
+    /// Atomic updates executed.
+    pub atomic_ops: u64,
+    /// Tape pushes.
+    pub tape_pushes: u64,
+    /// Tape pops.
+    pub tape_pops: u64,
+    /// Parallel regions entered.
+    pub parallel_regions: u64,
+    /// Elements privatized+merged by reduction clauses.
+    pub reduction_elems: u64,
+    /// Indirect (gather/scatter) memory accesses.
+    pub indirect_ops: u64,
+    /// Peak extra bytes held by reduction privatization.
+    pub peak_reduction_bytes: u64,
+}
+
+/// Result of one interpreted execution.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecResult {
+    /// Event counters.
+    pub stats: ExecStats,
+}
+
+/// The interpreter's configuration: the number of logical threads.
 #[derive(Debug, Clone, Copy)]
 pub struct Machine {
-    /// Number of simulated threads for parallel regions.
+    /// Number of logical threads for parallel regions.
     pub threads: usize,
-    /// Cycle costs.
-    pub cost: CostModel,
 }
 
 impl Machine {
-    /// A machine with `threads` threads and default costs.
+    /// A machine with `threads` logical threads.
     pub fn with_threads(threads: usize) -> Machine {
-        Machine {
-            threads,
-            cost: CostModel::default(),
-        }
+        Machine { threads }
     }
 
     /// Single-threaded machine.
@@ -59,11 +85,7 @@ pub fn run(
     let mut it = Interp::new(&lp, machine, bind, prog)?;
     it.exec_body(&lp.body)?;
     it.write_back(bind, prog);
-    Ok(ExecResult {
-        wall_cycles: it.cycles,
-        cpu_cycles: it.cpu_cycles,
-        stats: it.stats,
-    })
+    Ok(ExecResult { stats: it.stats })
 }
 
 struct Interp<'a> {
@@ -76,14 +98,7 @@ struct Interp<'a> {
     tapes_r: Vec<Vec<f64>>,
     tapes_i: Vec<Vec<i64>>,
     cur_tape: usize,
-    /// Threads active in the enclosing parallel region (1 outside).
-    active_threads: usize,
-    cycles: u128,
-    cpu_cycles: u128,
     stats: ExecStats,
-    /// Memory ops in the current parallel region (bandwidth floor).
-    region_mem_ops: u64,
-    region_indirect_ops: u64,
 }
 
 impl<'a> Interp<'a> {
@@ -181,12 +196,7 @@ impl<'a> Interp<'a> {
             tapes_r: vec![Vec::new(); t],
             tapes_i: vec![Vec::new(); t],
             cur_tape: 0,
-            active_threads: 1,
-            cycles: 0,
-            cpu_cycles: 0,
             stats: ExecStats::default(),
-            region_mem_ops: 0,
-            region_indirect_ops: 0,
         })
     }
 
@@ -220,30 +230,17 @@ impl<'a> Interp<'a> {
         }
     }
 
+    /// Count one memory access.
     #[inline]
-    fn charge(&mut self, c: u64) {
-        self.cycles += c as u128;
-    }
-
-    /// Charge one memory access, tracking the bandwidth-floor counters.
-    #[inline]
-    fn charge_mem(&mut self, indirect: bool, write: bool) {
-        let c = if indirect {
+    fn count_mem(&mut self, indirect: bool, write: bool) {
+        if indirect {
             self.stats.indirect_ops += 1;
-            self.region_indirect_ops += 1;
-            self.m.cost.mem_indirect
-        } else if write {
-            self.m.cost.mem_write
-        } else {
-            self.m.cost.mem_read
-        };
-        self.region_mem_ops += 1;
+        }
         if write {
             self.stats.writes += 1;
         } else {
             self.stats.reads += 1;
         }
-        self.charge(c);
     }
 
     // ---- expression evaluation ----
@@ -257,7 +254,6 @@ impl<'a> Interp<'a> {
                 return Err(oob(v, d, k + 1, &meta.name));
             }
             off += (v - 1) * meta.strides[k];
-            self.charge(self.m.cost.flop);
         }
         Ok(off as usize)
     }
@@ -268,29 +264,21 @@ impl<'a> Interp<'a> {
             LExpr::ConstI(v) => *v as f64,
             LExpr::ScalarR(s) => self.reals[*s as usize],
             LExpr::ScalarI(s) => self.ints[*s as usize] as f64,
-            LExpr::Coerce(inner) => {
-                self.charge(self.m.cost.flop);
-                self.eval_i(inner)? as f64
-            }
+            LExpr::Coerce(inner) => self.eval_i(inner)? as f64,
             LExpr::Elem(id, idx, indirect) => {
                 let meta = &self.lp.arrays[*id as usize];
                 let off = self.offset(meta, idx)?;
-                self.charge_mem(*indirect, false);
+                self.count_mem(*indirect, false);
                 self.arr_r[*id as usize][off]
             }
-            LExpr::Neg(a) => {
-                self.charge(self.m.cost.flop);
-                -self.eval_r(a)?
-            }
+            LExpr::Neg(a) => -self.eval_r(a)?,
             LExpr::Bin(op, a, b) => {
                 let x = self.eval_r(a)?;
                 let y = self.eval_r(b)?;
-                self.charge(self.m.cost.flop);
                 self.stats.flops += 1;
                 real_bin(*op, x, y)?
             }
             LExpr::Call(f, args) => {
-                self.charge(self.m.cost.intrinsic);
                 let x = self.eval_r(&args[0])?;
                 let y = match args.get(1) {
                     Some(b) => self.eval_r(b)?,
@@ -314,21 +302,16 @@ impl<'a> Interp<'a> {
             LExpr::Elem(id, idx, indirect) => {
                 let meta = &self.lp.arrays[*id as usize];
                 let off = self.offset(meta, idx)?;
-                self.charge_mem(*indirect, false);
+                self.count_mem(*indirect, false);
                 self.arr_i[*id as usize][off]
             }
-            LExpr::Neg(a) => {
-                self.charge(self.m.cost.flop);
-                self.eval_i(a)?.wrapping_neg()
-            }
+            LExpr::Neg(a) => self.eval_i(a)?.wrapping_neg(),
             LExpr::Bin(op, a, b) => {
                 let x = self.eval_i(a)?;
                 let y = self.eval_i(b)?;
-                self.charge(self.m.cost.flop);
                 int_bin(*op, x, y)?
             }
             LExpr::Call(f, args) => {
-                self.charge(self.m.cost.flop);
                 let x = self.eval_i(&args[0])?;
                 let y = match args.get(1) {
                     Some(b) => self.eval_i(b)?,
@@ -341,21 +324,18 @@ impl<'a> Interp<'a> {
 
     fn eval_bool(&mut self, b: &LBool) -> Result<bool, ExecError> {
         Ok(match b {
-            LBool::Cmp(op, ty, a, x) => {
-                self.charge(self.m.cost.flop);
-                match ty {
-                    Ty::Int => {
-                        let l = self.eval_i(a)?;
-                        let r = self.eval_i(x)?;
-                        compare(*op, l, r)
-                    }
-                    Ty::Real => {
-                        let l = self.eval_r(a)?;
-                        let r = self.eval_r(x)?;
-                        compare(*op, l, r)
-                    }
+            LBool::Cmp(op, ty, a, x) => match ty {
+                Ty::Int => {
+                    let l = self.eval_i(a)?;
+                    let r = self.eval_i(x)?;
+                    compare(*op, l, r)
                 }
-            }
+                Ty::Real => {
+                    let l = self.eval_r(a)?;
+                    let r = self.eval_r(x)?;
+                    compare(*op, l, r)
+                }
+            },
             LBool::And(a, b) => self.eval_bool(a)? && self.eval_bool(b)?,
             LBool::Or(a, b) => self.eval_bool(a)? || self.eval_bool(b)?,
             LBool::Not(a) => !self.eval_bool(a)?,
@@ -387,7 +367,7 @@ impl<'a> Interp<'a> {
                 let meta = &self.lp.arrays[*id as usize];
                 let ty = meta.ty;
                 let off = self.offset(meta, idx)?;
-                self.charge_mem(*indirect, true);
+                self.count_mem(*indirect, true);
                 match ty {
                     Ty::Real => {
                         let v = self.eval_r(rhs)?;
@@ -404,10 +384,6 @@ impl<'a> Interp<'a> {
                 let meta = &self.lp.arrays[*id as usize];
                 let off = self.offset(meta, idx)?;
                 let v = self.eval_r(rhs)?;
-                let t = self.active_threads as u64;
-                let c = self.m.cost.atomic_base * t * (100 + self.m.cost.atomic_quad_pct * (t - 1))
-                    / 100;
-                self.charge(c);
                 self.stats.atomic_ops += 1;
                 self.arr_r[*id as usize][off] += v;
                 Ok(())
@@ -420,7 +396,6 @@ impl<'a> Interp<'a> {
                 }
             }
             LStmt::Push(e, ty) => {
-                self.charge(self.m.cost.tape_op);
                 self.stats.tape_pushes += 1;
                 match ty {
                     Ty::Real => {
@@ -435,7 +410,6 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
             LStmt::PopR(slot) => {
-                self.charge(self.m.cost.tape_op);
                 self.stats.tape_pops += 1;
                 let v = self.tapes_r[self.cur_tape]
                     .pop()
@@ -444,7 +418,6 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
             LStmt::PopI(slot) => {
-                self.charge(self.m.cost.tape_op);
                 self.stats.tape_pops += 1;
                 let v = self.tapes_i[self.cur_tape]
                     .pop()
@@ -453,8 +426,7 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
             LStmt::PopElem(id, idx, indirect) => {
-                self.charge(self.m.cost.tape_op);
-                self.charge_mem(*indirect, true);
+                self.count_mem(*indirect, true);
                 self.stats.tape_pops += 1;
                 let meta = &self.lp.arrays[*id as usize];
                 let off = self.offset(meta, idx)?;
@@ -475,9 +447,8 @@ impl<'a> Interp<'a> {
                 Ok(())
             }
             LStmt::For(f) => self.exec_sequential(f),
-            // Parallel loops always take the region path so that
-            // fork/join, privatization, and merge costs are charged even
-            // at one thread (the paper's 1-thread overheads).
+            // Parallel loops always take the region path, at one thread
+            // too, so regions and reductions are counted alike.
             LStmt::Parallel(k) => self.exec_parallel(&self.lp.regions[*k as usize]),
         }
     }
@@ -492,7 +463,6 @@ impl<'a> Interp<'a> {
         let mut v = lo;
         while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
             self.ints[f.var as usize] = v;
-            self.charge(self.m.cost.loop_overhead);
             self.exec_body(&f.body)?;
             v += step;
         }
@@ -507,7 +477,6 @@ impl<'a> Interp<'a> {
         let t_n = self.m.threads;
         let sched = Schedule::new(lo, hi, step, t_n)?;
         self.stats.parallel_regions += 1;
-        self.charge(self.m.cost.fork_join);
 
         if sched.count == 0 {
             return Ok(());
@@ -558,25 +527,12 @@ impl<'a> Interp<'a> {
             .iter()
             .map(|(_, id)| self.arr_r[*id as usize].len() as u64)
             .sum();
-        if !region.red_arrays.is_empty() {
-            self.stats.peak_reduction_bytes = self
-                .stats
-                .peak_reduction_bytes
-                .max(red_footprint * 8 * t_n as u64);
-        }
+        self.stats.peak_reduction_bytes = self
+            .stats
+            .peak_reduction_bytes
+            .max(red_footprint * 8 * t_n as u64);
 
-        let outer_cycles = self.cycles;
-        let prev_active = self.active_threads;
         let prev_tape = self.cur_tape;
-        self.active_threads = t_n;
-        let prev_region_mem = self.region_mem_ops;
-        let prev_region_ind = self.region_indirect_ops;
-        self.region_mem_ops = 0;
-        self.region_indirect_ops = 0;
-
-        let mut max_thread: u128 = 0;
-        let mut merge_serialized: u128 = 0;
-
         for t in 0..t_n {
             let ranks = sched.ranks(t);
             if ranks.is_empty() {
@@ -607,16 +563,10 @@ impl<'a> Interp<'a> {
             }
 
             self.cur_tape = t;
-            self.cycles = 0;
-            // Each thread zero-initializes its privatized copies.
-            self.charge(self.m.cost.red_init_per_elem * red_footprint);
-
             for v in sched.values(ranks) {
                 self.ints[f.var as usize] = v;
-                self.charge(self.m.cost.loop_overhead);
                 self.exec_body(&f.body)?;
             }
-            max_thread = max_thread.max(self.cycles);
 
             // Collect this thread's reduction partials.
             for (k, (op, s, is_real)) in region.red_scalars.iter().enumerate() {
@@ -634,22 +584,8 @@ impl<'a> Interp<'a> {
                 }
                 self.stats.reduction_elems += arr.len() as u64;
             }
-            merge_serialized += (self.m.cost.red_merge_per_elem * red_footprint) as u128;
-            self.cpu_cycles += self.cycles;
         }
-
-        // Wall time: slowest thread plus the serialized merges, but never
-        // below the shared-memory bandwidth floor of the region's total
-        // traffic (direct streams are cheap, random gathers expensive).
-        let direct = self.region_mem_ops - self.region_indirect_ops;
-        let floor: u128 = ((direct * self.m.cost.seq_bw_tenths
-            + self.region_indirect_ops * self.m.cost.rand_bw_tenths)
-            / 10) as u128;
-        self.cycles = outer_cycles + max_thread.max(floor) + merge_serialized;
-        self.active_threads = prev_active;
         self.cur_tape = prev_tape;
-        self.region_mem_ops = prev_region_mem;
-        self.region_indirect_ops = prev_region_ind;
 
         // Apply reductions onto the saved originals.
         for (k, (op, s, is_real)) in region.red_scalars.iter().enumerate() {
@@ -716,7 +652,8 @@ end subroutine
             out.get_real_array("y").unwrap(),
             &[12.0, 14.0, 16.0, 18.0, 20.0]
         );
-        assert!(res.wall_cycles > 0);
+        assert_eq!(res.stats.parallel_regions, 1);
+        assert_eq!(res.stats.writes, 5);
     }
 
     #[test]
@@ -733,28 +670,6 @@ end subroutine
             let (par, _) = exec(SAXPY, mk(), threads);
             assert_eq!(serial.get_real_array("y"), par.get_real_array("y"));
         }
-    }
-
-    #[test]
-    fn parallel_wall_cycles_scale_down() {
-        let mk = || {
-            Bindings::new()
-                .int("n", 1000)
-                .real("a", 1.5)
-                .real_array("x", vec![1.0; 1000])
-                .real_array("y", vec![1.0; 1000])
-        };
-        let mut b1 = mk();
-        let p = parse_program(SAXPY).unwrap();
-        let r1 = run(&p, &mut b1, &Machine::with_threads(1)).unwrap();
-        let mut b8 = mk();
-        let r8 = run(&p, &mut b8, &Machine::with_threads(8)).unwrap();
-        assert!(
-            r8.wall_cycles * 4 < r1.wall_cycles,
-            "8 threads should be ≥4× faster: {} vs {}",
-            r8.wall_cycles,
-            r1.wall_cycles
-        );
     }
 
     #[test]
@@ -780,8 +695,8 @@ end subroutine
         let (oa, ra) = exec(src, mk(), 4);
         let (op_, rp) = exec(&plain_src, mk(), 4);
         assert_eq!(oa.get_real_array("y"), op_.get_real_array("y"));
-        assert!(ra.wall_cycles > 2 * rp.wall_cycles);
         assert_eq!(ra.stats.atomic_ops, 100);
+        assert_eq!(rp.stats.atomic_ops, 0);
     }
 
     #[test]

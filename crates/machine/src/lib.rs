@@ -6,12 +6,10 @@
 //!   and decides, once for every backend, what each parallel region is
 //!   (numbering, schedule, reduction redirects, fused increments, strides)
 //!   and what the leaf operations compute;
-//! - [`interp`]: a deterministic interpreter with a **simulated
-//!   shared-memory multiprocessor** — static-scheduled simulated threads,
-//!   thread-local tapes, privatizing `reduction` clauses, and a calibrated
-//!   [`cost::CostModel`] charging plain/atomic/reduction accesses so the
-//!   paper's scalability experiments (run on an 18-core Xeon) can be
-//!   regenerated on a single-core host;
+//! - [`interp`]: the deterministic reference interpreter — logical
+//!   threads run one after the other over the shared static schedule,
+//!   with thread-local tapes and privatizing `reduction` clauses — and
+//!   the exact event counters ([`ExecStats`]) fixtures and CI pin;
 //! - [`bytecode`] + [`exec`]: the **native backend** — lowered programs
 //!   compile to a flat register bytecode executed on real OS threads via
 //!   a persistent `formad-runtime` pool, with the same static chunk
@@ -28,14 +26,14 @@
 //! - [`fd`]: dot-product (finite-difference) validation of adjoints and
 //!   tangents, parameterized over the execution backend.
 //!
-//! Semantics are exact and backend-independent; only the *cycle
-//! accounting* models parallel hardware. See `DESIGN.md` ("Execution
-//! backends", "Determinism contract") for the rationale.
+//! Semantics are exact and backend-independent. The interpreter measures
+//! no time: every time figure comes from the bytecode engine or the AOT
+//! kernel on real cores. See `DESIGN.md` ("Execution backends",
+//! "Determinism contract") for the rationale.
 
 pub mod aot;
 pub mod bindings;
 pub mod bytecode;
-pub mod cost;
 pub mod differential;
 pub mod driver;
 pub mod exec;
@@ -46,10 +44,9 @@ pub mod lower;
 pub use aot::{load_or_compile, run_aot, AotError, AotKernel};
 pub use bindings::{Bindings, ExecError};
 pub use bytecode::{compile, BcProgram};
-pub use cost::{CostModel, ExecResult, ExecStats};
 pub use differential::{check_cell, CellError, CellOutcome, Compare, EngineCache};
 pub use driver::{adjoint_bindings, bind_params, fill_real, output_lines, BindError};
 pub use exec::{run_native, NativeEngine, NativeProgram};
 pub use fd::{dot_product_test, dot_product_test_with, tangent_dot_test, DotTest};
-pub use interp::{run, Machine};
+pub use interp::{run, ExecResult, ExecStats, Machine};
 pub use lower::{lower, LProgram};

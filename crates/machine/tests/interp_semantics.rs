@@ -1,6 +1,6 @@
 //! Language-semantics tests of the execution substrate: Fortran loop
-//! rules, sharing clauses, tape discipline across regions, and cost-model
-//! invariants.
+//! rules, sharing clauses, tape discipline across regions, and the exact
+//! event counters.
 
 use formad_ir::parse_program;
 use formad_machine::{run, Bindings, Machine};
@@ -169,76 +169,6 @@ end subroutine
 }
 
 #[test]
-fn wall_cycles_monotone_in_safeguard_strength() {
-    // Same semantics, increasing cost: plain < reduction < atomic for
-    // this footprint-heavy loop at 4 threads.
-    let plain = r#"
-subroutine t(n, y)
-  integer, intent(in) :: n
-  real, intent(inout) :: y(n)
-  integer :: i
-  !$omp parallel do shared(y)
-  do i = 1, n
-    y(i) = y(i) + 1.0
-  end do
-end subroutine
-"#;
-    let atomic = plain.replace(
-        "    y(i) = y(i) + 1.0",
-        "    !$omp atomic\n    y(i) = y(i) + 1.0",
-    );
-    let reduction = plain.replace(
-        "!$omp parallel do shared(y)",
-        "!$omp parallel do reduction(+: y)",
-    );
-    let mk = || {
-        Bindings::new()
-            .int("n", 500)
-            .real_array("y", vec![0.0; 500])
-    };
-    let (op, rp) = exec(plain, mk(), 4);
-    let (oa, ra) = exec(&atomic, mk(), 4);
-    let (or_, rr) = exec(&reduction, mk(), 4);
-    assert_eq!(op.get_real_array("y"), oa.get_real_array("y"));
-    assert_eq!(op.get_real_array("y"), or_.get_real_array("y"));
-    assert!(rp.wall_cycles < rr.wall_cycles, "plain < reduction");
-    assert!(rr.wall_cycles < ra.wall_cycles, "reduction < atomic");
-}
-
-#[test]
-fn atomic_cost_grows_with_thread_count() {
-    let src = r#"
-subroutine t(n, y)
-  integer, intent(in) :: n
-  real, intent(inout) :: y(n)
-  integer :: i
-  !$omp parallel do shared(y)
-  do i = 1, n
-    !$omp atomic
-    y(i) = y(i) + 1.0
-  end do
-end subroutine
-"#;
-    let mk = || {
-        Bindings::new()
-            .int("n", 2000)
-            .real_array("y", vec![0.0; 2000])
-    };
-    let p = parse_program(src).unwrap();
-    let mut prev = 0u128;
-    for threads in [1usize, 4, 18] {
-        let mut b = mk();
-        let r = run(&p, &mut b, &Machine::with_threads(threads)).unwrap();
-        assert!(
-            r.wall_cycles > prev,
-            "atomic wall time must grow with threads: {} at T={threads}",
-            r.wall_cycles
-        );
-        prev = r.wall_cycles;
-    }
-}
-
-#[test]
 fn stats_counters_are_exact() {
     let src = r#"
 subroutine t(n, x, y)
@@ -265,6 +195,51 @@ end subroutine
     assert_eq!(r.stats.parallel_regions, 1);
     // Pops restored the original y.
     assert_eq!(out.get_real_array("y").unwrap(), vec![2.0; n].as_slice());
+
+    // The three safeguards of one increment loop compute the same values
+    // and differ in exactly the events they add: one atomic update per
+    // iteration at every thread count, or one privatized copy of `y` per
+    // thread, merged element by element.
+    let plain = r#"
+subroutine t(n, y)
+  integer, intent(in) :: n
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(y)
+  do i = 1, n
+    y(i) = y(i) + 1.0
+  end do
+end subroutine
+"#;
+    let atomic = plain.replace(
+        "    y(i) = y(i) + 1.0",
+        "    !$omp atomic\n    y(i) = y(i) + 1.0",
+    );
+    let reduction = plain.replace(
+        "!$omp parallel do shared(y)",
+        "!$omp parallel do reduction(+: y)",
+    );
+    let n = 500;
+    let mk = || {
+        Bindings::new()
+            .int("n", n as i64)
+            .real_array("y", vec![0.0; n])
+    };
+    let (op, rp) = exec(plain, mk(), 4);
+    let (or_, rr) = exec(&reduction, mk(), 4);
+    assert_eq!(op.get_real_array("y"), or_.get_real_array("y"));
+    assert_eq!((rp.stats.reads, rp.stats.writes), (n as u64, n as u64));
+    assert_eq!((rp.stats.atomic_ops, rp.stats.reduction_elems), (0, 0));
+    assert_eq!(rp.stats.peak_reduction_bytes, 0);
+    assert_eq!((rr.stats.reads, rr.stats.writes), (n as u64, n as u64));
+    assert_eq!(rr.stats.reduction_elems, 4 * n as u64);
+    assert_eq!(rr.stats.peak_reduction_bytes, 8 * 4 * n as u64);
+    for threads in [1usize, 4, 18] {
+        let (oa, ra) = exec(&atomic, mk(), threads);
+        assert_eq!(op.get_real_array("y"), oa.get_real_array("y"));
+        assert_eq!(ra.stats.atomic_ops, n as u64, "T={threads}");
+        assert_eq!((ra.stats.reads, ra.stats.writes), (0, 0), "T={threads}");
+    }
 }
 
 #[test]
