@@ -253,10 +253,8 @@ end subroutine
 "#;
 
 /// A trip count is exact over the whole `i64` range, and one that does
-/// not fit an `i64` is an error on every backend. It used to be computed
-/// as `(hi − lo) / step + 1`, which wrapped to zero or below in a release
-/// build, so the loop silently ran no iteration (and panicked in a debug
-/// build).
+/// not fit an `i64` is an error on every backend, not a loop that
+/// silently runs no iteration.
 #[test]
 fn parallel_trip_count_is_exact_or_an_error() {
     let (min, max) = (i64::MIN, i64::MAX);
