@@ -109,7 +109,7 @@ fn pairs(rest: &[String]) {
 /// interpreter, and record wall-clock per discipline × backend as JSON.
 fn bench_kernels(rest: &[String]) {
     let mut iters = 9usize;
-    let mut threads: Vec<usize> = formad_bench::EXEC_THREADS.to_vec();
+    let mut threads: Vec<usize> = formad_bench::exec_threads();
     let mut smoke = false;
     let mut out = "BENCH_kernels.json".to_string();
     let mut k = 0;

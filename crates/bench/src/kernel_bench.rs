@@ -50,9 +50,16 @@ use formad_machine::{
 
 use crate::versions::{adjoint_bindings, ProgramVersions};
 
-/// Default thread counts measured (the host rarely has 18 real cores;
-/// oversubscription beyond 4 adds noise without information).
-pub const EXEC_THREADS: [usize; 3] = [1, 2, 4];
+/// Default thread counts measured: one, and the host's cores. More
+/// threads than cores would time the OS scheduler, not the kernel.
+pub fn exec_threads() -> Vec<usize> {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if nproc > 1 {
+        vec![1, nproc]
+    } else {
+        vec![1]
+    }
+}
 
 /// The two real-hardware backends, in series order.
 pub const BACKENDS: [&str; 2] = ["bytecode", "aot"];
@@ -177,10 +184,6 @@ pub struct KernelExecData {
     /// `(region, array, mode)` — the increment discipline each adjoint
     /// array ran under in the FormAD version, from the analysis report.
     pub disciplines: Vec<(usize, String, String)>,
-    /// True: every cell was cross-run under the simulated interpreter
-    /// and satisfied the determinism contract (the harness panics
-    /// otherwise).
-    pub native_matches_sim: bool,
     /// True when the AOT kernels built and were measured; false means
     /// the build degraded and only bytecode numbers exist.
     pub aot_available: bool,
@@ -439,7 +442,6 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
             name: case.name,
             all_safe: versions.analysis.all_safe(),
             disciplines,
-            native_matches_sim: true,
             aot_available,
             check_threads,
             measured_formad_over_atomic: 0.0,
@@ -648,7 +650,6 @@ pub fn kernel_bench_json(r: &KernelBenchResult) -> String {
             "      \"disciplines\": [\n{}\n      ],",
             disciplines.join(",\n")
         );
-        let _ = writeln!(o, "      \"native_matches_sim\": {},", k.native_matches_sim);
         let _ = writeln!(o, "      \"aot_available\": {},", k.aot_available);
         let _ = writeln!(o, "      \"check_threads\": {},", k.check_threads);
         let _ = writeln!(
@@ -700,7 +701,6 @@ mod tests {
         assert!(r.all_bitwise);
         assert_eq!(r.kernels.len(), 5);
         for k in &r.kernels {
-            assert!(k.native_matches_sim, "{} not verified", k.name);
             assert!(!k.disciplines.is_empty(), "{} has no disciplines", k.name);
             // versions × 2 thread counts × both backends when the AOT
             // build succeeded (it degrades to bytecode-only otherwise);

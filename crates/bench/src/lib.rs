@@ -18,7 +18,7 @@ pub mod versions;
 pub use ablation::{ablation_grid, ablation_text, AblationRow};
 pub use experiments::{lbm_report, table1, Table1Row};
 pub use kernel_bench::{
-    kernel_bench, kernel_bench_json, KernelBenchResult, KernelExecData, VersionTiming, BACKENDS,
-    EXEC_THREADS,
+    exec_threads, kernel_bench, kernel_bench_json, KernelBenchResult, KernelExecData,
+    VersionTiming, BACKENDS,
 };
 pub use versions::{adjoint_bindings, ProgramVersions};

@@ -71,6 +71,12 @@ use crate::lower::{fused_increment, Access, ArrId, LBool, LExpr, LFor, LProgram,
 /// kernel so both sides of the FFI boundary compile the same text.
 const ABI_SRC: &str = include_str!("abi.rs");
 
+/// Error code of a sequential loop whose trip count does not fit an
+/// `i64`. It is not in `abi.rs`, whose text every kernel embeds: only a
+/// kernel with a sequential loop can return it, and only such a kernel's
+/// text changes with it. The host decodes it with the `AOT_ERR_*` codes.
+pub(crate) const AOT_ERR_TRIP_COUNT: i32 = 12;
+
 /// What a `no_std` cdylib must bring itself (module docs): the panic
 /// handler and the personality symbol `core`'s unwind tables name.
 const FREESTANDING_SRC: &str = r#"
@@ -414,15 +420,28 @@ impl<'a> Gen<'a> {
         self.line(&format!(
             "if {tst} == 0 {{ break 'body AOT_ERR_ZERO_STEP; }}"
         ));
-        let v = self.t();
-        self.line(&format!("let mut {v}: i64 = {tlo};"));
+        // `lower::trip_count`: the count ends the loop, so the counter
+        // may wrap after the last iteration without effect.
+        let (left, v) = (self.t(), self.t());
+        self.line(&format!("let mut {left}: u64 = 0;"));
         self.line(&format!(
-            "while (if {tst} > 0 {{ {v} <= {thi} }} else {{ {v} >= {thi} }}) {{"
+            "if ({tst} > 0 && {thi} >= {tlo}) || ({tst} < 0 && {thi} <= {tlo}) {{"
         ));
+        self.line(&format!(
+            "    {left} = {thi}.abs_diff({tlo}) / {tst}.unsigned_abs();"
+        ));
+        self.line(&format!(
+            "    if {left} >= i64::MAX as u64 {{ break 'body {AOT_ERR_TRIP_COUNT}; }}"
+        ));
+        self.line(&format!("    {left} += 1;"));
+        self.line("}");
+        self.line(&format!("let mut {v}: i64 = {tlo};"));
+        self.line(&format!("while {left} > 0 {{"));
         self.ind += 1;
         self.line(&format!("si{} = {v};", f.var));
         self.body(&f.body)?;
-        self.line(&format!("{v} += {tst};"));
+        self.line(&format!("{v} = {v}.wrapping_add({tst});"));
+        self.line(&format!("{left} -= 1;"));
         self.ind -= 1;
         self.line("}");
         Ok(())

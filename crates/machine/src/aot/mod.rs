@@ -48,6 +48,7 @@ use crate::exec::{NativeEngine, NativeProgram};
 use crate::lower::LProgram;
 
 pub use codegen::generate_source;
+pub(crate) use codegen::AOT_ERR_TRIP_COUNT;
 
 /// Signature of a generated region entry point.
 pub type RegionFn = unsafe extern "C" fn(*mut abi::AotEnv) -> i32;

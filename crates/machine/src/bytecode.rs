@@ -215,14 +215,11 @@ pub enum Instr {
         cond: Reg,
         target: u32,
     },
-    /// Error out if `ints[step] == 0` (zero loop step).
-    StepNz {
-        step: Reg,
-    },
-    /// `ints[dst] = if step > 0 { v <= hi } else { v >= hi }` as 0/1.
-    LoopCond {
+    /// `ints[dst]` = the trip count of `do v = lo, hi, step`
+    /// (`lower::trip_count`, whose errors it raises).
+    TripCount {
         dst: Reg,
-        v: Reg,
+        lo: Reg,
         hi: Reg,
         step: Reg,
     },
@@ -874,21 +871,21 @@ impl<'a> Compiler<'a> {
     }
 
     fn compile_sequential(&mut self, f: &LFor) -> Result<(), ExecError> {
-        // Drive the loop with the same `while (step>0 && v<=hi) ||
-        // (step<0 && v>=hi)` condition the interpreter uses, keeping `v`
-        // distinct from the counter slot.
+        // Run the loop's exact trip count, keeping `v` distinct from the
+        // counter slot: the count ends the loop, so `v` may wrap after
+        // the last iteration without effect.
         let [v, hi, step] = self.compile_bounds(f)?;
-        self.emit(Instr::StepNz { step });
-        let cond = self.alloc_i();
-        let head = self.here();
-        self.emit(Instr::LoopCond {
-            dst: cond,
-            v,
+        let (left, one) = (self.alloc_i(), self.alloc_i());
+        self.emit(Instr::TripCount {
+            dst: left,
+            lo: v,
             hi,
             step,
         });
+        self.emit(Instr::ConstI { dst: one, v: 1 });
+        let head = self.here();
         let exit = self.emit(Instr::JmpIfZero {
-            cond,
+            cond: left,
             target: u32::MAX,
         });
         self.check_region_write(f.var, false)?;
@@ -897,12 +894,9 @@ impl<'a> Compiler<'a> {
             src: v,
         });
         self.compile_body(&f.body)?;
-        self.emit(Instr::BinI {
-            op: BinOp::Add,
-            dst: v,
-            a: v,
-            b: step,
-        });
+        for (dst, op, b) in [(v, BinOp::Add, step), (left, BinOp::Sub, one)] {
+            self.emit(Instr::BinI { op, dst, a: dst, b });
+        }
         self.emit(Instr::Jmp { target: head });
         let end = self.here();
         self.patch(exit, end);

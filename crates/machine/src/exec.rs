@@ -19,7 +19,8 @@
 //! FormAD-proved *plain* discipline pays nothing), and `!$omp atomic`
 //! increments use an acquire-release CAS loop — the same discipline as
 //! [`formad_runtime::AtomicF64`]. `reduction(+: arr)` clauses privatize
-//! into reusable per-thread buffers merged in ascending thread order,
+//! into per-thread buffers that hold the identity between regions and are
+//! merged in ascending thread order, on the pool when they are large,
 //! replicating the interpreter's combine order bit for bit; region code
 //! names a thread's buffer as view `n_arrays + j` of the worker's view
 //! table, so no access looks a redirect up.
@@ -48,8 +49,8 @@ use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
 use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, ArrMeta,
-    Schedule,
+    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, trip_count,
+    ArrMeta, Schedule,
 };
 
 /// Compile `prog` against `bind` and run it with `threads` logical
@@ -123,15 +124,16 @@ impl RawView {
         }
     }
 
-    /// The storage as a plain real slice.
+    /// Elements `at` of the storage as a plain real slice.
     ///
     /// # Safety
-    /// The view must be of a real array whose storage is still alive, and
-    /// nothing else may access that storage while the slice is: no region
-    /// is running and the caller holds no other slice of it.
+    /// The view must be of a real array whose storage is still alive,
+    /// `at` must lie within it, and nothing else may access those
+    /// elements while the slice is alive.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn as_reals_mut(&self) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.ptr as *mut f64, self.len)
+    unsafe fn reals_mut(&self, at: Range<usize>) -> &mut [f64] {
+        debug_assert!(at.start <= at.end && at.end <= self.len);
+        std::slice::from_raw_parts_mut((self.ptr as *mut f64).add(at.start), at.len())
     }
 
     #[inline]
@@ -219,13 +221,38 @@ struct Tapes {
 struct Scratch {
     reals: Vec<f64>,
     ints: Vec<i64>,
-    red_bufs: Vec<Vec<f64>>,
+    red_bufs: Vec<RedBuf>,
     /// The worker's view table for bytecode, rewritten for every chunk:
     /// the shared arrays by `ArrId`, then the region's `red_bufs`.
     views: Vec<RawView>,
     red_ptrs: RedPtrs,
     err: Option<ExecError>,
     participated: bool,
+}
+
+/// One logical thread's private copy of the array a region reduces in
+/// some slot. Between regions every element holds the identity: the
+/// merge writes it back into each partial as it reads it.
+#[derive(Default)]
+struct RedBuf {
+    data: Vec<f64>,
+    /// `Some(bits)` when every element is the identity with these bits.
+    /// `None` from region entry until the merge, so a buffer a failed
+    /// region wrote into is refilled on its next use.
+    clean: Option<u64>,
+}
+
+impl RedBuf {
+    /// Identity-fill for a region reducing `len` elements with
+    /// `identity`. A clean buffer with the same identity keeps its
+    /// elements, which already hold it: `resize` only cuts or extends.
+    fn enter(&mut self, len: usize, identity: f64) {
+        if self.clean != Some(identity.to_bits()) {
+            self.data.clear();
+        }
+        self.data.resize(len, identity);
+        self.clean = None;
+    }
 }
 
 /// Base pointers of one thread's `red_bufs`, laid out as AOT regions take
@@ -273,6 +300,8 @@ struct RunState {
     /// into the caller's bindings.
     views: Vec<RawView>,
     bases: Bases,
+    /// The partials one region's merge reads, by array, then by thread.
+    parts: Vec<RawView>,
     locals_r: Locals<f64>,
     locals_i: Locals<i64>,
 }
@@ -409,6 +438,7 @@ impl NativeEngine {
         // They point into `bind`, which the caller gets back now.
         st.views.clear();
         st.bases.0.clear();
+        st.parts.clear();
         self.state = st;
         res
     }
@@ -488,21 +518,14 @@ impl NativeEngine {
                 Exit::Done => break,
                 Exit::Par { region, resume } => {
                     let reg = &bc.regions[region as usize];
+                    let (reals, ints, parts) = (&mut st.reals, &mut st.ints, &mut st.parts);
                     match kernel.and_then(|k| k.region(region as usize)) {
-                        Some(f) => self.run_region(
-                            reg,
-                            &mut st.reals,
-                            &mut st.ints,
-                            views,
-                            |c, scratch| self.chunk_aot(bc, reg, f, bases, c, scratch),
-                        )?,
-                        None => self.run_region(
-                            reg,
-                            &mut st.reals,
-                            &mut st.ints,
-                            views,
-                            |c, scratch| self.chunk_bytecode(bc, reg, views, c, scratch),
-                        )?,
+                        Some(f) => self.run_region(reg, reals, ints, views, parts, |c, s| {
+                            self.chunk_aot(bc, reg, f, bases, c, s)
+                        })?,
+                        None => self.run_region(reg, reals, ints, views, parts, |c, s| {
+                            self.chunk_bytecode(bc, reg, views, c, s)
+                        })?,
                     }
                     pc = resume;
                 }
@@ -538,13 +561,14 @@ impl NativeEngine {
     /// reduction merge. `body` executes one logical thread's chunk —
     /// [`Self::chunk_bytecode`] or [`Self::chunk_aot`] — and is the only
     /// thing the backends do differently, which is what keeps them in
-    /// lockstep.
+    /// lockstep. `parts` is the merge's list of partials.
     fn run_region(
         &self,
         reg: &BcRegion,
         reals: &mut [f64],
         ints: &mut [i64],
         views: &[RawView],
+        parts: &mut Vec<RawView>,
         body: impl Fn(&Chunk, &mut Scratch) -> Result<(), ExecError> + Sync,
     ) -> Result<(), ExecError> {
         let t_n = self.threads;
@@ -584,11 +608,9 @@ impl NativeEngine {
             }
             for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
                 if scratch.red_bufs.len() <= k {
-                    scratch.red_bufs.push(Vec::new());
+                    scratch.red_bufs.push(RedBuf::default());
                 }
-                let buf = &mut scratch.red_bufs[k];
-                buf.clear();
-                buf.resize(views[*id as usize].len, identity(*op));
+                scratch.red_bufs[k].enter(views[*id as usize].len, identity(*op));
             }
             let share = Chunk {
                 thread: t,
@@ -650,51 +672,52 @@ impl NativeEngine {
                 ints[*s as usize] = combine(*op, saved, acc) as i64;
             }
         }
-        for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-            // SAFETY: a real array (only those reduce) whose storage the
-            // run holds exclusively; the region is over, so the main
-            // thread is its only accessor, and this is the only slice.
-            let dst = unsafe { views[*id as usize].as_reals_mut() };
-            let id = identity(*op);
-            match op {
-                RedOp::Add => self.merge_array(k, id, dst, |a, b| a + b),
-                RedOp::Mul => self.merge_array(k, id, dst, |a, b| a * b),
-                RedOp::Min => self.merge_array(k, id, dst, f64::min),
-                RedOp::Max => self.merge_array(k, id, dst, f64::max),
+        // The partials of the reduced arrays, by array, then by thread
+        // ascending; the main thread is the only toucher of every slot.
+        parts.clear();
+        for k in 0..reg.red_arrays.len() {
+            for t in 0..t_n {
+                let scratch = unsafe { self.scratch.get(t) };
+                if scratch.participated {
+                    parts.push(RawView::of(&mut scratch.red_bufs[k].data));
+                }
+            }
+        }
+        let live = parts.len() / reg.red_arrays.len().max(1);
+        // Worker `w` of `n` folds the `w`-th of `n` runs of blocks of every
+        // array: each element is folded by one worker, in the same order
+        // whatever `n` is.
+        let fold = |w: usize, n: usize| {
+            for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
+                let (dst, parts) = (views[*id as usize], &parts[k * live..][..live]);
+                let blocks = dst.len.div_ceil(MERGE_BLOCK);
+                let (mine, id) = (blocks * w / n..blocks * (w + 1) / n, identity(*op));
+                match op {
+                    RedOp::Add => merge_blocks(dst, parts, mine, id, |a, b| a + b),
+                    RedOp::Mul => merge_blocks(dst, parts, mine, id, |a, b| a * b),
+                    RedOp::Min => merge_blocks(dst, parts, mine, id, f64::min),
+                    RedOp::Max => merge_blocks(dst, parts, mine, id, f64::max),
+                }
+            }
+        };
+        let len: usize = reg
+            .red_arrays
+            .iter()
+            .map(|(_, id)| views[*id as usize].len)
+            .sum();
+        match self.os_threads.min(len / MERGE_SPLIT).max(1) {
+            1 => fold(0, 1),
+            n => self.pool.run(n, &|w| fold(w, n)),
+        }
+        for t in 0..t_n {
+            let scratch = unsafe { self.scratch.get(t) };
+            for (buf, (op, _)) in scratch.red_bufs.iter_mut().zip(&reg.red_arrays) {
+                if scratch.participated {
+                    buf.clean = Some(identity(*op).to_bits());
+                }
             }
         }
         Ok(())
-    }
-
-    /// Fold every participating thread's private copy of the region's
-    /// `k`-th reduced array onto the shared one, `dst`: per element
-    /// `dst ⊕ ((identity ⊕ p0) ⊕ p1 …)`, threads ascending — the
-    /// interpreter's association bit for bit, `-0.0` and NaNs included.
-    /// One sweep over every buffer, a block at a time so the accumulator
-    /// stays on the stack; `op` is the reduction's operator, chosen once
-    /// per array instead of once per element.
-    fn merge_array(&self, k: usize, identity: f64, dst: &mut [f64], op: impl Fn(f64, f64) -> f64) {
-        const BLOCK: usize = 256;
-        let mut acc = [0.0f64; BLOCK];
-        for (b, out) in dst.chunks_mut(BLOCK).enumerate() {
-            let acc = &mut acc[..out.len()];
-            acc.fill(identity);
-            for t in 0..self.threads {
-                // SAFETY: no region is running, so the main thread is the
-                // only toucher of every slot.
-                let scratch = unsafe { self.scratch.get(t) };
-                if !scratch.participated {
-                    continue;
-                }
-                let part = &scratch.red_bufs[k][b * BLOCK..][..out.len()];
-                for (a, p) in acc.iter_mut().zip(part) {
-                    *a = op(*a, *p);
-                }
-            }
-            for (d, a) in out.iter_mut().zip(acc.iter()) {
-                *d = op(*d, *a);
-            }
-        }
     }
 
     /// Chunk body of the bytecode backend: interpret the region's code
@@ -713,7 +736,7 @@ impl NativeEngine {
         let red_bufs = &mut scratch.red_bufs[..reg.red_arrays.len()];
         scratch
             .views
-            .extend(red_bufs.iter_mut().map(|b| RawView::of(b)));
+            .extend(red_bufs.iter_mut().map(|b| RawView::of(&mut b.data)));
         for v in c.sched.values(c.ranks.clone()) {
             scratch.ints[reg.var as usize] = v;
             let exit = exec_code(
@@ -751,7 +774,7 @@ impl NativeEngine {
         scratch
             .red_ptrs
             .0
-            .extend(red_bufs.iter_mut().map(|buf| buf.as_mut_ptr()));
+            .extend(red_bufs.iter_mut().map(|buf| buf.data.as_mut_ptr()));
         // Sound: only logical thread `c.thread` touches its tape now.
         let tapes = unsafe { self.tapes.get(c.thread) };
         let mut env = AotEnv {
@@ -797,6 +820,62 @@ impl NativeEngine {
     }
 }
 
+/// Elements per block of the reduction merge: its accumulator lives on
+/// the stack.
+const MERGE_BLOCK: usize = 256;
+/// Elements per worker below which a merge runs inline: 8192 elements of
+/// two partials fold in a few microseconds, the time one pool dispatch
+/// takes.
+const MERGE_SPLIT: usize = 8192;
+
+/// Fold blocks `blocks` of the partials `parts` (participating threads
+/// ascending) onto the shared array `dst`: per element
+/// `dst ⊕ ((identity ⊕ p0) ⊕ p1 …)` — the interpreter's association bit
+/// for bit, `-0.0` and NaNs included — writing the identity back into
+/// each partial as it is read. One pass per block, and one over the whole
+/// span when there is one partial; `op` is the reduction's operator,
+/// chosen once per array instead of once per element.
+fn merge_blocks(
+    dst: RawView,
+    parts: &[RawView],
+    blocks: Range<usize>,
+    identity: f64,
+    op: impl Fn(f64, f64) -> f64,
+) {
+    // Which operand `min` / `max` return on a `±0` tie is the compiler's
+    // choice. Seen as a constant, the identity lets it fold and reorder
+    // `op(d, op(identity, p))`, and the merge then stops matching the
+    // interpreter's association; an opaque one keeps the order written.
+    let identity = std::hint::black_box(identity);
+    let span = |b: Range<usize>| b.start * MERGE_BLOCK..dst.len.min(b.end * MERGE_BLOCK);
+    // SAFETY, for every slice below: the partials and `dst` are real
+    // arrays no region is running on, and `blocks` are this caller's alone.
+    if let [part] = parts {
+        let at = span(blocks);
+        let out = unsafe { dst.reals_mut(at.clone()) };
+        for (d, p) in out.iter_mut().zip(unsafe { part.reals_mut(at) }) {
+            *d = op(*d, op(identity, *p));
+            *p = identity;
+        }
+        return;
+    }
+    let mut acc = [0.0f64; MERGE_BLOCK];
+    for b in blocks {
+        let at = span(b..b + 1);
+        let acc = &mut acc[..at.len()];
+        acc.fill(identity);
+        for part in parts {
+            for (a, p) in acc.iter_mut().zip(unsafe { part.reals_mut(at.clone()) }) {
+                *a = op(*a, *p);
+                *p = identity;
+            }
+        }
+        for (d, a) in unsafe { dst.reals_mut(at) }.iter_mut().zip(acc.iter()) {
+            *d = op(*d, *a);
+        }
+    }
+}
+
 /// Re-render an AOT region error code as the exact interpreter message.
 fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> ExecError {
     use crate::aot::abi as a;
@@ -815,6 +894,9 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
         a::AOT_ERR_NEG_EXP => int_fault(BinOp::Pow, 2, -1),
         a::AOT_ERR_POW_OVERFLOW => int_fault(BinOp::Pow, 2, 64),
         a::AOT_ERR_ZERO_STEP => ExecError::new("zero loop step"),
+        crate::aot::AOT_ERR_TRIP_COUNT => {
+            trip_count(0, i64::MAX, 1).expect_err("a count past `i64`")
+        }
         a::AOT_ERR_POP_EMPTY_R => ExecError::new("pop from empty real tape"),
         a::AOT_ERR_POP_EMPTY_I => ExecError::new("pop from empty int tape"),
         a::AOT_ERR_STEP_MISMATCH => ExecError::new(format!(
@@ -985,18 +1067,8 @@ fn exec_code(
                     pc = target as usize;
                 }
             }
-            Instr::StepNz { step } => {
-                if ii!(step) == 0 {
-                    return Err(ExecError::new("zero loop step"));
-                }
-            }
-            Instr::LoopCond { dst, v, hi, step } => {
-                let cont = if ii!(step) > 0 {
-                    ii!(v) <= ii!(hi)
-                } else {
-                    ii!(v) >= ii!(hi)
-                };
-                ii!(dst) = cont as i64;
+            Instr::TripCount { dst, lo, hi, step } => {
+                ii!(dst) = trip_count(ii!(lo), ii!(hi), ii!(step))?
             }
             Instr::EnterPar { region } => return Ok(Exit::Par { region, resume: pc }),
             Instr::Halt => return Ok(Exit::Done),

@@ -18,8 +18,8 @@ use formad_ir::{Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, ArrMeta, LBool,
-    LExpr, LFor, LProgram, LRegion, LStmt, Schedule,
+    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, trip_count,
+    ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt, Schedule,
 };
 
 /// Cumulative event counters of one execution.
@@ -457,14 +457,11 @@ impl<'a> Interp<'a> {
         let lo = self.eval_i(&f.lo)?;
         let hi = self.eval_i(&f.hi)?;
         let step = self.eval_i(&f.step)?;
-        if step == 0 {
-            return Err(ExecError::new("zero loop step"));
-        }
         let mut v = lo;
-        while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
+        for _ in 0..trip_count(lo, hi, step)? {
             self.ints[f.var as usize] = v;
             self.exec_body(&f.body)?;
-            v += step;
+            v = v.wrapping_add(step);
         }
         Ok(())
     }

@@ -181,22 +181,10 @@ impl Schedule {
     /// threads; a zero step, or a trip count that does not fit an `i64`,
     /// is an error.
     pub(crate) fn new(lo: i64, hi: i64, step: i64, threads: usize) -> Result<Schedule, ExecError> {
-        if step == 0 {
-            return Err(ExecError::new("zero loop step"));
-        }
-        let count = if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
-            0
-        } else {
-            // |hi − lo| and |step| always fit a `u64`; only the count may not.
-            (hi.abs_diff(lo) / step.unsigned_abs())
-                .checked_add(1)
-                .and_then(|c| i64::try_from(c).ok())
-                .ok_or_else(|| ExecError::new("integer overflow in loop trip count"))?
-        };
         Ok(Schedule {
             lo,
             step,
-            count,
+            count: trip_count(lo, hi, step)?,
             threads,
         })
     }
@@ -225,6 +213,24 @@ impl Schedule {
         let (lo, step) = (self.lo, self.step);
         (0..ranks.end - ranks.start).map(move |k| lo.wrapping_add((first + k).wrapping_mul(step)))
     }
+}
+
+/// The number of iterations of `do v = lo, hi, step`, sequential or
+/// parallel; a zero step, or a count that does not fit an `i64`, is an
+/// error. A loop runs exactly this many iterations: the count ends it, not
+/// the counter, which may wrap once the last iteration is done.
+pub(crate) fn trip_count(lo: i64, hi: i64, step: i64) -> Result<i64, ExecError> {
+    if step == 0 {
+        return Err(ExecError::new("zero loop step"));
+    }
+    if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
+        return Ok(0);
+    }
+    // |hi − lo| and |step| always fit a `u64`; only the count may not.
+    (hi.abs_diff(lo) / step.unsigned_abs())
+        .checked_add(1)
+        .and_then(|c| i64::try_from(c).ok())
+        .ok_or_else(|| ExecError::new("integer overflow in loop trip count"))
 }
 
 /// An array's runtime storage descriptor.

@@ -292,3 +292,75 @@ fn parallel_trip_count_is_exact_or_an_error() {
         }
     }
 }
+
+/// A sequential loop over `lo..=hi` by `s` that counts its iterations
+/// into `y(1)`, in sequential code and inside a one-iteration region —
+/// the only place the AOT kernel runs a sequential loop.
+const SEQ_TRIP: [&str; 2] = [
+    r#"
+subroutine seqtrip(lo, hi, s, y)
+  integer, intent(in) :: lo, hi, s
+  real, intent(inout) :: y(1)
+  integer :: i
+  do i = lo, hi, s
+    y(1) = y(1) + 1.0
+  end do
+end subroutine
+"#,
+    r#"
+subroutine seqtrip(lo, hi, s, y)
+  integer, intent(in) :: lo, hi, s
+  real, intent(inout) :: y(1)
+  integer :: i, k
+  !$omp parallel do shared(y) private(i)
+  do k = 1, 1
+    do i = lo, hi, s
+      y(1) = y(1) + 1.0
+    end do
+  end do
+end subroutine
+"#,
+];
+
+/// A sequential loop runs its exact trip count to the edge of the `i64`
+/// range — its counter used to wrap past `i64::MAX` and the loop never
+/// ended — and one whose count does not fit an `i64` is the parallel
+/// loop's error, on every backend.
+#[test]
+fn sequential_trip_count_is_exact_or_an_error() {
+    let (min, max) = (i64::MIN, i64::MAX);
+    for (lo, hi, s, want) in [
+        (max - 1, max, 1, Some(2.0)),
+        (min + 1, min, -1, Some(2.0)),
+        (max, max, 1, Some(1.0)),
+        (max - 1, max, 2, Some(1.0)),
+        (min, max, max, Some(3.0)),
+        (max, min, min, Some(2.0)),
+        (5, 4, 1, Some(0.0)),
+        (min, max, 1, None),
+        (max, min, -1, None),
+    ] {
+        let bind = Bindings::new()
+            .int("lo", lo)
+            .int("hi", hi)
+            .int("s", s)
+            .real_array("y", vec![0.0]);
+        for src in SEQ_TRIP {
+            match want {
+                Some(want) => {
+                    for (backend, out) in on_every_backend(src, &bind) {
+                        assert_eq!(out.real_arrays["y"], [want], "{backend}: {lo}, {hi}, {s}");
+                    }
+                }
+                None => {
+                    for (backend, err) in errors_on_every_backend(src, &bind) {
+                        assert!(
+                            err.contains("integer overflow in loop trip count"),
+                            "{backend}: {lo}, {hi}, {s}: {err}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
