@@ -20,7 +20,7 @@
 //! increments use an acquire-release CAS loop — the same discipline as
 //! [`formad_runtime::AtomicF64`]. `reduction(+: arr)` clauses privatize
 //! into per-thread buffers that hold the identity between regions and are
-//! merged in ascending thread order, on the pool when they are large,
+//! merged in ascending thread order,
 //! replicating the interpreter's combine order bit for bit; region code
 //! names a thread's buffer as view `n_arrays + j` of the worker's view
 //! table, so no access looks a redirect up.
@@ -124,16 +124,15 @@ impl RawView {
         }
     }
 
-    /// Elements `at` of the storage as a plain real slice.
+    /// The storage as a plain real slice.
     ///
     /// # Safety
-    /// The view must be of a real array whose storage is still alive,
-    /// `at` must lie within it, and nothing else may access those
-    /// elements while the slice is alive.
+    /// The view must be of a real array whose storage is still alive, and
+    /// nothing else may access that storage while the slice is: no region
+    /// is running and the caller holds no other slice of it.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn reals_mut(&self, at: Range<usize>) -> &mut [f64] {
-        debug_assert!(at.start <= at.end && at.end <= self.len);
-        std::slice::from_raw_parts_mut((self.ptr as *mut f64).add(at.start), at.len())
+    unsafe fn as_reals_mut(&self) -> &mut [f64] {
+        std::slice::from_raw_parts_mut(self.ptr as *mut f64, self.len)
     }
 
     #[inline]
@@ -672,49 +671,25 @@ impl NativeEngine {
                 ints[*s as usize] = combine(*op, saved, acc) as i64;
             }
         }
-        // The partials of the reduced arrays, by array, then by thread
-        // ascending; the main thread is the only toucher of every slot.
-        parts.clear();
-        for k in 0..reg.red_arrays.len() {
+        for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
+            let (dst, id) = (views[*id as usize], identity(*op));
+            // The participating threads' partials, ascending, clean once
+            // the merge below has reset them; the main thread is the only
+            // toucher of every slot.
+            parts.clear();
             for t in 0..t_n {
                 let scratch = unsafe { self.scratch.get(t) };
                 if scratch.participated {
-                    parts.push(RawView::of(&mut scratch.red_bufs[k].data));
+                    let buf = &mut scratch.red_bufs[k];
+                    buf.clean = Some(id.to_bits());
+                    parts.push(RawView::of(&mut buf.data));
                 }
             }
-        }
-        let live = parts.len() / reg.red_arrays.len().max(1);
-        // Worker `w` of `n` folds the `w`-th of `n` runs of blocks of every
-        // array: each element is folded by one worker, in the same order
-        // whatever `n` is.
-        let fold = |w: usize, n: usize| {
-            for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-                let (dst, parts) = (views[*id as usize], &parts[k * live..][..live]);
-                let blocks = dst.len.div_ceil(MERGE_BLOCK);
-                let (mine, id) = (blocks * w / n..blocks * (w + 1) / n, identity(*op));
-                match op {
-                    RedOp::Add => merge_blocks(dst, parts, mine, id, |a, b| a + b),
-                    RedOp::Mul => merge_blocks(dst, parts, mine, id, |a, b| a * b),
-                    RedOp::Min => merge_blocks(dst, parts, mine, id, f64::min),
-                    RedOp::Max => merge_blocks(dst, parts, mine, id, f64::max),
-                }
-            }
-        };
-        let len: usize = reg
-            .red_arrays
-            .iter()
-            .map(|(_, id)| views[*id as usize].len)
-            .sum();
-        match self.os_threads.min(len / MERGE_SPLIT).max(1) {
-            1 => fold(0, 1),
-            n => self.pool.run(n, &|w| fold(w, n)),
-        }
-        for t in 0..t_n {
-            let scratch = unsafe { self.scratch.get(t) };
-            for (buf, (op, _)) in scratch.red_bufs.iter_mut().zip(&reg.red_arrays) {
-                if scratch.participated {
-                    buf.clean = Some(identity(*op).to_bits());
-                }
+            match op {
+                RedOp::Add => merge_array(dst, parts, id, |a, b| a + b),
+                RedOp::Mul => merge_array(dst, parts, id, |a, b| a * b),
+                RedOp::Min => merge_array(dst, parts, id, f64::min),
+                RedOp::Max => merge_array(dst, parts, id, f64::max),
             }
         }
         Ok(())
@@ -823,54 +798,42 @@ impl NativeEngine {
 /// Elements per block of the reduction merge: its accumulator lives on
 /// the stack.
 const MERGE_BLOCK: usize = 256;
-/// Elements per worker below which a merge runs inline: 8192 elements of
-/// two partials fold in a few microseconds, the time one pool dispatch
-/// takes.
-const MERGE_SPLIT: usize = 8192;
 
-/// Fold blocks `blocks` of the partials `parts` (participating threads
-/// ascending) onto the shared array `dst`: per element
-/// `dst ⊕ ((identity ⊕ p0) ⊕ p1 …)` — the interpreter's association bit
-/// for bit, `-0.0` and NaNs included — writing the identity back into
-/// each partial as it is read. One pass per block, and one over the whole
-/// span when there is one partial; `op` is the reduction's operator,
-/// chosen once per array instead of once per element.
-fn merge_blocks(
-    dst: RawView,
-    parts: &[RawView],
-    blocks: Range<usize>,
-    identity: f64,
-    op: impl Fn(f64, f64) -> f64,
-) {
+/// Fold the partials `parts` (participating threads ascending) onto the
+/// shared array `dst`: per element `dst ⊕ ((identity ⊕ p0) ⊕ p1 …)` — the
+/// interpreter's association bit for bit, `-0.0` and NaNs included —
+/// writing the identity back into each partial as it is read. One pass
+/// per block, and one over the whole array when there is one partial;
+/// `op` is the reduction's operator, chosen once per array instead of
+/// once per element.
+fn merge_array(dst: RawView, parts: &[RawView], identity: f64, op: impl Fn(f64, f64) -> f64) {
     // Which operand `min` / `max` return on a `±0` tie is the compiler's
     // choice. Seen as a constant, the identity lets it fold and reorder
     // `op(d, op(identity, p))`, and the merge then stops matching the
     // interpreter's association; an opaque one keeps the order written.
     let identity = std::hint::black_box(identity);
-    let span = |b: Range<usize>| b.start * MERGE_BLOCK..dst.len.min(b.end * MERGE_BLOCK);
-    // SAFETY, for every slice below: the partials and `dst` are real
-    // arrays no region is running on, and `blocks` are this caller's alone.
+    // SAFETY, for every slice below: the partials and `dst` are distinct
+    // real arrays no region is running on, each sliced once at a time.
+    let out = unsafe { dst.as_reals_mut() };
     if let [part] = parts {
-        let at = span(blocks);
-        let out = unsafe { dst.reals_mut(at.clone()) };
-        for (d, p) in out.iter_mut().zip(unsafe { part.reals_mut(at) }) {
+        for (d, p) in out.iter_mut().zip(unsafe { part.as_reals_mut() }) {
             *d = op(*d, op(identity, *p));
             *p = identity;
         }
         return;
     }
     let mut acc = [0.0f64; MERGE_BLOCK];
-    for b in blocks {
-        let at = span(b..b + 1);
-        let acc = &mut acc[..at.len()];
+    for (b, out) in out.chunks_mut(MERGE_BLOCK).enumerate() {
+        let acc = &mut acc[..out.len()];
         acc.fill(identity);
         for part in parts {
-            for (a, p) in acc.iter_mut().zip(unsafe { part.reals_mut(at.clone()) }) {
+            let part = unsafe { &mut part.as_reals_mut()[b * MERGE_BLOCK..][..out.len()] };
+            for (a, p) in acc.iter_mut().zip(part) {
                 *a = op(*a, *p);
                 *p = identity;
             }
         }
-        for (d, a) in unsafe { dst.reals_mut(at) }.iter_mut().zip(acc.iter()) {
+        for (d, a) in out.iter_mut().zip(acc.iter()) {
             *d = op(*d, *a);
         }
     }

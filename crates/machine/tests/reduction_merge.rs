@@ -13,8 +13,7 @@ use formad_machine::{compile, load_or_compile, lower, run, Bindings, Machine, Na
 /// Extent of `x`; `n` only bounds the loops, so one compiled program
 /// (and one AOT kernel) serves every iteration count.
 const K: usize = 40_000;
-/// Extent of `y`: 65 merge blocks, enough to split its merge over two
-/// OS workers.
+/// Extent of `y`: 65 merge blocks, the last one partial.
 const M: usize = 16_500;
 /// Extent of `z`, reduced through the same slot as `y`.
 const P: usize = 4_099;
