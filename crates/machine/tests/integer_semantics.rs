@@ -323,9 +323,9 @@ end subroutine
 ];
 
 /// A sequential loop runs its exact trip count to the edge of the `i64`
-/// range — its counter used to wrap past `i64::MAX` and the loop never
-/// ended — and one whose count does not fit an `i64` is the parallel
-/// loop's error, on every backend.
+/// range — the count, not the counter, ends the loop, so the counter may
+/// wrap after the last iteration — and one whose count does not fit an
+/// `i64` is the parallel loop's error, on every backend.
 #[test]
 fn sequential_trip_count_is_exact_or_an_error() {
     let (min, max) = (i64::MIN, i64::MAX);
