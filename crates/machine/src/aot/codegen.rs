@@ -78,39 +78,26 @@ const ABI_SRC: &str = include_str!("abi.rs");
 /// Region codes are allocated across both files; the build fails if an
 /// `abi.rs` code takes this one.
 pub(crate) const AOT_ERR_TRIP_COUNT: i32 = 12;
-const _: () = assert!(
-    !abi_declares_code(AOT_ERR_TRIP_COUNT),
-    "AOT_ERR_TRIP_COUNT collides with an abi.rs code"
-);
-
-/// Whether `abi.rs` declares a `pub const AOT_…: i32 = code;`.
-const fn abi_declares_code(code: i32) -> bool {
-    let (src, key): (&[u8], &[u8]) = (ABI_SRC.as_bytes(), b"pub const AOT_");
+const _: () = {
+    // Every `: i32 = N;` in `abi.rs` declares a region code.
+    let (src, key) = (ABI_SRC.as_bytes(), b": i32 = ");
     let mut i = 0;
-    while i + key.len() <= src.len() {
-        let mut k = 0;
+    while i + key.len() < src.len() {
+        let (mut k, mut v) = (0, 0);
         while k < key.len() && src[i + k] == key[k] {
             k += 1;
         }
-        if k == key.len() {
-            // Past the `=` and its space: the decimal value, up to `;`.
-            let (mut j, mut v) = (i + k, 0);
-            while src[j] != b'=' {
-                j += 1;
-            }
-            j += 2;
-            while src[j] != b';' {
-                v = v * 10 + (src[j] - b'0') as i32;
-                j += 1;
-            }
-            if v == code {
-                return true;
-            }
+        while k >= key.len() && src[i + k].is_ascii_digit() {
+            v = v * 10 + (src[i + k] - b'0') as i32;
+            k += 1;
         }
+        assert!(
+            k <= key.len() || v != AOT_ERR_TRIP_COUNT,
+            "an abi.rs code takes AOT_ERR_TRIP_COUNT"
+        );
         i += 1;
     }
-    false
-}
+};
 
 /// What a `no_std` cdylib must bring itself (module docs): the panic
 /// handler and the personality symbol `core`'s unwind tables name.
