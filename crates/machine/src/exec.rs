@@ -674,10 +674,11 @@ impl NativeEngine {
         for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
             let (dst, id) = (views[*id as usize], identity(*op));
             // The participating threads' partials, ascending, clean once
-            // the merge below has reset them; the main thread is the only
-            // toucher of every slot.
+            // the merge below has reset them.
             parts.clear();
             for t in 0..t_n {
+                // SAFETY: the region is over, so the main thread is the
+                // only toucher of every slot.
                 let scratch = unsafe { self.scratch.get(t) };
                 if scratch.participated {
                     let buf = &mut scratch.red_bufs[k];
