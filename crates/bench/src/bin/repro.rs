@@ -13,7 +13,8 @@
 //!                         contract against the reference interpreter
 //!                         (bitwise, atomic adjoints excepted) — the run
 //!                         times of Figures 3–10; JSON written to PATH
-//!                         (default BENCH_kernels.json)
+//!                         (default BENCH_kernels.json; K defaults to 31,
+//!                         LIST to 1 and the host's cores)
 //! repro pairs --parent REV [--workload W]... [--pairs N] [--seeds S,S,…]
 //!             [--seconds T]
 //!                         the benchmark in alternated pairs against REV,
@@ -103,89 +104,41 @@ fn pairs(rest: &[String]) {
 }
 
 /// `bench-kernels [--iters K] [--threads LIST] [--smoke] [--out PATH]` —
-/// run the four-version protocol natively on both real backends
-/// (register bytecode on OS threads, and AOT-compiled native kernels),
-/// hold every cell to the determinism contract against the reference
-/// interpreter, and record wall-clock per discipline × backend as JSON.
+/// time the version protocol on both native backends, every cell held
+/// to the determinism contract against the reference interpreter, and
+/// write the JSON artifact (also printed).
 fn bench_kernels(rest: &[String]) {
-    let mut iters = 9usize;
-    let mut threads: Vec<usize> = formad_bench::exec_threads();
-    let mut smoke = false;
-    let mut out = "BENCH_kernels.json".to_string();
-    let mut k = 0;
-    while k < rest.len() {
-        let need = |k: usize| {
-            rest.get(k + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{} expects a value", rest[k]);
-                std::process::exit(2);
-            })
+    let fail = |msg: String| -> ! {
+        eprintln!("bench-kernels: {msg}");
+        std::process::exit(2);
+    };
+    let (mut iters, mut threads) = (31, formad_bench::exec_threads());
+    let (mut smoke, mut out) = (false, "BENCH_kernels.json".to_string());
+    let mut args = rest.iter();
+    while let Some(flag) = args.next() {
+        if flag == "--smoke" {
+            smoke = true;
+            continue;
+        }
+        let value = args
+            .next()
+            .unwrap_or_else(|| fail(format!("{flag} expects a value")));
+        let number = |v: &str| -> usize {
+            v.trim()
+                .parse()
+                .unwrap_or_else(|_| fail(format!("{flag} expects integers, got `{v}`")))
         };
-        match rest[k].as_str() {
-            "--iters" => {
-                iters = need(k).parse().unwrap_or_else(|_| {
-                    eprintln!("--iters expects an integer");
-                    std::process::exit(2);
-                });
-                k += 2;
-            }
-            "--threads" => {
-                threads = need(k)
-                    .split(',')
-                    .map(|t| {
-                        t.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("--threads expects a comma-separated integer list");
-                            std::process::exit(2);
-                        })
-                    })
-                    .collect();
-                k += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                k += 1;
-            }
-            "--out" => {
-                out = need(k);
-                k += 2;
-            }
-            other => {
-                eprintln!("unknown bench-kernels option `{other}`");
-                std::process::exit(2);
-            }
+        match flag.as_str() {
+            "--iters" => iters = number(value),
+            "--threads" => threads = value.split(',').map(number).collect(),
+            "--out" => out = value.clone(),
+            other => fail(format!("unknown option `{other}`")),
         }
     }
-    let r = formad_bench::kernel_bench(iters, &threads, smoke);
-    let json = formad_bench::kernel_bench_json(&r);
+    let json = formad_bench::kernel_bench_json(&formad_bench::kernel_bench(iters, &threads, smoke));
     fs::write(&out, &json).expect("write bench output");
     print!("{json}");
-    for kd in &r.kernels {
-        let t = kd.check_threads;
-        eprintln!(
-            "bench-kernels: {} @T={t} [{}]: FormAD {:.6}s vs atomic {:.6}s vs reduction {:.6}s \
-             (atomic/FormAD {:.2}×)",
-            kd.name,
-            kd.headline_backend(),
-            kd.best_s("adj-FormAD", t),
-            kd.best_s("adj-atomic", t),
-            kd.best_s("adj-reduction", t),
-            kd.measured_formad_over_atomic,
-        );
-        if let Some(x) = kd.aot_over_bytecode("adj-FormAD") {
-            eprintln!(
-                "bench-kernels: {}: aot removed {x:.1}× dispatch overhead on the FormAD \
-                 adjoint (bytecode atomic/FormAD: {})",
-                kd.name,
-                kd.formad_over_atomic_on("bytecode")
-                    .map(|r| format!("{r:.2}×"))
-                    .unwrap_or_else(|| "n/a".into()),
-            );
-        }
-    }
-    eprintln!(
-        "bench-kernels: all cells within the determinism contract against the reference \
-         interpreter: {}; wrote {out}",
-        r.all_bitwise
-    );
+    eprintln!("bench-kernels: every cell within the determinism contract; wrote {out}");
 }
 
 fn all(outdir: &Path) {

@@ -122,7 +122,7 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (at - lo as f64)
 }
 
-fn spread(values: &[f64]) -> Spread {
+pub(crate) fn spread(values: &[f64]) -> Spread {
     let mut v = values.to_vec();
     v.sort_by(f64::total_cmp);
     Spread {

@@ -89,6 +89,15 @@ impl Json {
         write_value(self, &mut out);
         out
     }
+
+    /// Render for a file people read: a container that holds an object
+    /// puts one entry per line, indented two spaces a level; any other
+    /// value renders compactly on its line.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        write_pretty(self, 0, &mut out);
+        out
+    }
 }
 
 impl fmt::Display for Json {
@@ -331,6 +340,43 @@ fn write_value(v: &Json, out: &mut String) {
     }
 }
 
+/// Does `v` hold an object, at any depth?
+fn holds_object(v: &Json) -> bool {
+    let nested = |v: &Json| matches!(v, Json::Obj(_)) || holds_object(v);
+    match v {
+        Json::Arr(items) => items.iter().any(nested),
+        Json::Obj(fields) => fields.iter().any(|(_, v)| nested(v)),
+        _ => false,
+    }
+}
+
+fn write_pretty(v: &Json, depth: usize, out: &mut String) {
+    let (entries, open, close): (Vec<(Option<&str>, &Json)>, _, _) = match v {
+        Json::Arr(items) if holds_object(v) => {
+            (items.iter().map(|i| (None, i)).collect(), '[', ']')
+        }
+        Json::Obj(fields) if holds_object(v) => (
+            fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            '{',
+            '}',
+        ),
+        _ => return write_value(v, out),
+    };
+    out.push(open);
+    for (i, (key, val)) in entries.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(key) = key {
+            write_string(key, out);
+            out.push_str(": ");
+        }
+        write_pretty(val, depth + 1, out);
+    }
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
+    out.push(close);
+}
+
 /// Append `s` to `out` as a JSON string literal (with quotes).
 pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
@@ -374,6 +420,19 @@ mod tests {
         assert_eq!(v.get("program").unwrap().as_str(), Some("do i = 1, n\n"));
         // render → parse is the identity on the value.
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn pretty_rendering_breaks_only_around_objects() {
+        let v =
+            Json::parse(r#"{"n":2,"xs":[1,2],"rows":[{"a":[0.5,1]},{"b":null}],"e":{}}"#).unwrap();
+        let text = v.render_pretty();
+        assert_eq!(
+            text,
+            "{\n  \"n\": 2,\n  \"xs\": [1,2],\n  \"rows\": [\n    {\"a\":[0.5,1]},\n    \
+             {\"b\":null}\n  ],\n  \"e\": {}\n}"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), v);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!   target, so results stay bitwise equal to the interpreters'. Only
 //!   the functions a kernel calls are declared (an unused declaration is
 //!   a `dead_code` warning, and a kernel that calls none does not link
-//!   libm at all). `abs`, `min`, `max` and `checked_*` are `core`;
+//!   libm at all). `abs` and `checked_*` are `core`; real `min` / `max`
+//!   are `lower.rs`'s own functions, emitted from its source text into
+//!   the kernels that call them;
 //! - a `#[panic_handler]` that calls libc `abort()`. No generated
 //!   operation can panic (every index, divisor, exponent and tape pop is
 //!   checked and reported through an `AOT_ERR_*` code, integer
@@ -65,7 +67,10 @@ use std::fmt::Write as _;
 
 use formad_ir::{BinOp, CmpOp, Intrinsic, Ty};
 
-use crate::lower::{fused_increment, Access, ArrId, LBool, LExpr, LFor, LProgram, LRegion, LStmt};
+use crate::lower::{
+    fused_increment, Access, ArrId, LBool, LExpr, LFor, LProgram, LRegion, LStmt, REAL_MAX_SRC,
+    REAL_MIN_SRC,
+};
 
 /// The shared ABI definition, embedded verbatim into every generated
 /// kernel so both sides of the FFI boundary compile the same text.
@@ -122,6 +127,7 @@ pub fn generate_source(lp: &LProgram) -> Result<String, String> {
         lp,
         region: None,
         libm: BTreeSet::new(),
+        helpers: BTreeSet::new(),
         tmp: 0,
         out: String::new(),
         ind: 0,
@@ -153,6 +159,9 @@ pub fn generate_source(lp: &LProgram) -> Result<String, String> {
         }
         out.push_str("}\n");
     }
+    for src in &g.helpers {
+        let _ = write!(out, "\n{src}\n");
+    }
     out.push_str(
         "\n#[no_mangle]\npub extern \"C\" fn formad_aot_abi() -> u32 { FORMAD_AOT_ABI }\n\n",
     );
@@ -171,6 +180,9 @@ struct Gen<'a> {
     region: Option<&'a LRegion>,
     /// The libm functions the regions generated so far call.
     libm: BTreeSet<&'static str>,
+    /// The source of the `lower.rs` functions they call (real `min` /
+    /// `max`).
+    helpers: BTreeSet<&'static str>,
     tmp: usize,
     out: String,
     ind: usize,
@@ -630,12 +642,13 @@ impl<'a> Gen<'a> {
                     Intrinsic::Min | Intrinsic::Max => {
                         let x = self.gen_r(&args[0])?;
                         let y = self.gen_r(&args[1])?;
-                        let m = if matches!(f, Intrinsic::Min) {
-                            "min"
+                        let (m, src) = if matches!(f, Intrinsic::Min) {
+                            ("real_min", REAL_MIN_SRC)
                         } else {
-                            "max"
+                            ("real_max", REAL_MAX_SRC)
                         };
-                        self.line(&format!("let {d}: f64 = {x}.{m}({y});"));
+                        self.helpers.insert(src);
+                        self.line(&format!("let {d}: f64 = {m}({x}, {y});"));
                     }
                     Intrinsic::Abs => {
                         let x = self.gen_r(&args[0])?;

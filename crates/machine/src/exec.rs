@@ -49,8 +49,8 @@ use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
 use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, trip_count,
-    ArrMeta, Schedule,
+    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, real_max,
+    real_min, trip_count, ArrMeta, Schedule,
 };
 
 /// Compile `prog` against `bind` and run it with `threads` logical
@@ -689,8 +689,8 @@ impl NativeEngine {
             match op {
                 RedOp::Add => merge_array(dst, parts, id, |a, b| a + b),
                 RedOp::Mul => merge_array(dst, parts, id, |a, b| a * b),
-                RedOp::Min => merge_array(dst, parts, id, f64::min),
-                RedOp::Max => merge_array(dst, parts, id, f64::max),
+                RedOp::Min => merge_array(dst, parts, id, real_min),
+                RedOp::Max => merge_array(dst, parts, id, real_max),
             }
         }
         Ok(())
@@ -808,11 +808,6 @@ const MERGE_BLOCK: usize = 256;
 /// `op` is the reduction's operator, chosen once per array instead of
 /// once per element.
 fn merge_array(dst: RawView, parts: &[RawView], identity: f64, op: impl Fn(f64, f64) -> f64) {
-    // Which operand `min` / `max` return on a `±0` tie is the compiler's
-    // choice. Seen as a constant, the identity lets it fold and reorder
-    // `op(d, op(identity, p))`, and the merge then stops matching the
-    // interpreter's association; an opaque one keeps the order written.
-    let identity = std::hint::black_box(identity);
     // SAFETY, for every slice below: the partials and `dst` are distinct
     // real arrays no region is running on, each sliced once at a time.
     let out = unsafe { dst.as_reals_mut() };

@@ -19,7 +19,8 @@
 //! - **the fused increment** `a(i…) = a(i…) + e` (`fused_increment`);
 //! - **the array descriptor** with its column-major strides ([`ArrMeta`]);
 //! - **leaf semantics**: reduction identities and combination,
-//!   comparisons, and the integer operations with their error messages.
+//!   comparisons, real `min` / `max` with their `±0` and NaN rule, and
+//!   the integer operations with their error messages.
 //!   The arithmetic ([`int_bin`], [`real_bin`], [`int_call`],
 //!   [`real_call`], [`compare`]) is public, so an oracle that replays a
 //!   program outside the machine computes what the backends compute.
@@ -817,8 +818,35 @@ pub(crate) fn combine(op: RedOp, a: f64, b: f64) -> f64 {
     match op {
         RedOp::Add => a + b,
         RedOp::Mul => a * b,
-        RedOp::Min => a.min(b),
-        RedOp::Max => a.max(b),
+        RedOp::Min => real_min(a, b),
+        RedOp::Max => real_max(a, b),
+    }
+}
+
+/// Define each item and keep its source text in the const named before
+/// it, so a generated kernel can carry the very function the host runs.
+macro_rules! with_source {
+    ($($src:ident = $item:item)*) => {
+        $(
+            $item
+            pub(crate) const $src: &str = stringify!($item);
+        )*
+    };
+}
+
+// `min` / `max` on reals, one rule for every backend: `-0.0` orders below
+// `+0.0`, and a NaN operand yields the other operand (the first when both
+// are NaN). `f64::min` / `max` leave the `±0` tie to the compiler, which
+// may decide it differently at each call site. An AOT kernel that calls
+// `min` or `max` carries the function's text (`REAL_MIN_SRC`, ...).
+with_source! {
+    REAL_MIN_SRC = #[inline]
+    pub(crate) fn real_min(a: f64, b: f64) -> f64 {
+        if a < b || (a == b && a.is_sign_negative()) || b.is_nan() { a } else { b }
+    }
+    REAL_MAX_SRC = #[inline]
+    pub(crate) fn real_max(a: f64, b: f64) -> f64 {
+        if a > b || (a == b && a.is_sign_positive()) || b.is_nan() { a } else { b }
     }
 }
 
@@ -866,8 +894,8 @@ pub fn real_call(f: Intrinsic, x: f64, y: f64) -> f64 {
         Intrinsic::Sqrt => x.sqrt(),
         Intrinsic::Tanh => x.tanh(),
         Intrinsic::Abs => x.abs(),
-        Intrinsic::Min => x.min(y),
-        Intrinsic::Max => x.max(y),
+        Intrinsic::Min => real_min(x, y),
+        Intrinsic::Max => real_max(x, y),
     }
 }
 

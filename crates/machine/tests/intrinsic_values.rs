@@ -3,7 +3,9 @@
 //! backward sweep evaluates the call once where the forward sweep drops
 //! it. Under every parallel treatment, each such adjoint must agree with
 //! finite differences and keep the determinism contract
-//! (`formad_machine::differential`) on sim, bytecode and AOT.
+//! (`formad_machine::differential`) on sim, bytecode and AOT. Real
+//! `min` / `max` follow one rule on all three: `-0.0` below `+0.0`, and a
+//! NaN operand yields the other operand.
 
 use std::sync::Arc;
 
@@ -11,8 +13,8 @@ use formad::{Formad, FormadOptions};
 use formad_ad::{differentiate, AdjointOptions, IncMode, ParallelTreatment};
 use formad_ir::{parse_program, Program};
 use formad_machine::{
-    adjoint_bindings, check_cell, compile, dot_product_test, load_or_compile, lower, Bindings,
-    EngineCache, Machine,
+    adjoint_bindings, check_cell, compile, dot_product_test, load_or_compile, lower, run, Bindings,
+    EngineCache, Machine, NativeEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,6 +120,65 @@ fn value_adjoints_pass_the_dot_test_and_agree_across_backends() {
                             .unwrap_or_else(|e| panic!("{at} T={threads}: {e}"));
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn real_min_max_break_ties_by_the_rule_on_every_backend() {
+    let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+    // (a, b, min(a, b), max(a, b)): `±0` ties in both operand orders, a
+    // NaN on either side, and two NaNs (the first operand's payload).
+    let cases = [
+        (0.0, -0.0, -0.0, 0.0),
+        (-0.0, 0.0, -0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        (-0.0, -0.0, -0.0, -0.0),
+        (nan(1), 1.5, 1.5, 1.5),
+        (1.5, nan(2), 1.5, 1.5),
+        (nan(3), -0.0, -0.0, -0.0),
+        (0.0, nan(4), 0.0, 0.0),
+        (nan(5), nan(6), nan(5), nan(5)),
+        (-2.0, 3.0, -2.0, 3.0),
+    ];
+    let src = "subroutine mm(n, a, b, y, z)\n  integer, intent(in) :: n\n  \
+               real, intent(in) :: a(n), b(n)\n  real, intent(inout) :: y(n), z(n)\n  \
+               integer :: i\n  !$omp parallel do shared(a, b, y, z)\n  do i = 1, n\n    \
+               y(i) = min(a(i), b(i))\n    z(i) = max(a(i), b(i))\n  end do\nend subroutine\n";
+    let p = parse_program(src).unwrap();
+    let col = |k: usize| {
+        cases
+            .iter()
+            .map(|c| [c.0, c.1, c.2, c.3][k])
+            .collect::<Vec<f64>>()
+    };
+    let bind = Bindings::new()
+        .int("n", cases.len() as i64)
+        .real_array("a", col(0))
+        .real_array("b", col(1))
+        .real_array("y", vec![7.0; cases.len()])
+        .real_array("z", vec![7.0; cases.len()]);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let lp = lower(&p, &bind).unwrap();
+    let bc = compile(&lp, &p).unwrap();
+    let kernel = load_or_compile(&lp, &bc).expect("AOT must build in-tree");
+    for threads in [1, 2] {
+        let mut engine = NativeEngine::with_os_threads(threads, threads);
+        for backend in ["sim", "bytecode", "aot"] {
+            let mut out = bind.clone();
+            match backend {
+                "sim" => run(&p, &mut out, &Machine::with_threads(threads)).map(drop),
+                "bytecode" => engine.run(&bc, &mut out),
+                _ => engine.run_with(&bc, Some(&kernel), &mut out),
+            }
+            .unwrap_or_else(|e| panic!("{backend} T={threads}: {e}"));
+            for (arr, k) in [("y", 2), ("z", 3)] {
+                assert_eq!(
+                    bits(&out.real_arrays[arr]),
+                    bits(&col(k)),
+                    "{backend} T={threads}: `{arr}`"
+                );
             }
         }
     }

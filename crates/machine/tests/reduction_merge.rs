@@ -72,6 +72,13 @@ fn bindings(n: usize, f: i64) -> Bindings {
         x[i - 1] = -0.0;
         x[i + 1] = 0.0;
     }
+    // `y(11)` meets `-0.0`, `0.0`, `-0.0` and `y(13)` the reverse, each
+    // after a NaN of its own: ties between partials, in both orders.
+    for (k, i) in [10, 10 + M, 10 + 2 * M].into_iter().enumerate() {
+        let zero = if k % 2 == 0 { -0.0 } else { 0.0 };
+        x[i - 1] = zero;
+        x[i + 1] = -zero;
+    }
     x[101 - 1] = qnan(0x1234);
     x[202 - 1] = snan(0x55);
     x[303 - 1] = f64::INFINITY;
@@ -79,6 +86,8 @@ fn bindings(n: usize, f: i64) -> Bindings {
     let mut y: Vec<f64> = (0..M).map(|c| (c % 11) as f64 - 5.0).collect();
     y[6 - 1] = 0.0;
     y[8 - 1] = -0.0;
+    y[11 - 1] = qnan(0xa1);
+    y[13 - 1] = snan(0xa3);
     y[50 - 1] = qnan(0xbeef);
     y[51 - 1] = snan(0x77);
     let mut z: Vec<f64> = (0..P).map(|c| 1.0 + (c % 5) as f64 / 4.0).collect();
@@ -94,6 +103,33 @@ fn bindings(n: usize, f: i64) -> Bindings {
         .real_array("x", x)
         .real_array("y", y)
         .real_array("z", z)
+}
+
+/// The first cell of `a` (1-based) that a successful `min` / `max` run
+/// of `n` iterations left with other bits than the rule gives: the
+/// least (greatest) of the values the cell met, its initial value
+/// included, with `-0.0` below `+0.0` and NaNs skipped. Order does not
+/// matter under the rule, so this is the same for every association.
+fn min_max_mismatch(op: &str, a: &str, n: usize, got: &[f64]) -> Option<usize> {
+    if op != "min" && op != "max" {
+        return None;
+    }
+    let b = bindings(n, 0);
+    let (x, init) = (&b.real_arrays["x"], &b.real_arrays[a]);
+    let extent = init.len();
+    let mut met: Vec<Vec<f64>> = init.iter().map(|&v| vec![v]).collect();
+    for i in 1..=n {
+        met[i % extent].push(x[i - 1]);
+    }
+    (0..extent).map(|c| c + 1).find(|&cell| {
+        let values = met[cell - 1].iter().copied().filter(|v| !v.is_nan());
+        let want = if op == "min" {
+            values.min_by(f64::total_cmp)
+        } else {
+            values.max_by(f64::total_cmp)
+        };
+        want.is_some_and(|w| w.to_bits() != got[cell - 1].to_bits())
+    })
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -143,11 +179,14 @@ fn merged_buffers_stay_clean_and_every_run_matches_the_interpreter() {
                     let native = engine.run_with(&bc, aot.then_some(&*kernel), &mut got);
                     match (sim, native) {
                         (Ok(_), Ok(())) => {
-                            for a in ["y", "z"] {
+                            for (a, op) in [("y", op1), ("z", op2)] {
                                 assert!(
                                     bits(&got.real_arrays[a]) == bits(&want.real_arrays[a]),
                                     "{what}: `{a}` differs from the interpreter's"
                                 );
+                                if let Some(c) = min_max_mismatch(op, a, n, &got.real_arrays[a]) {
+                                    panic!("{what}: `{a}({c})` breaks the min / max rule");
+                                }
                             }
                         }
                         (Err(s), Err(e)) => {
