@@ -11,7 +11,7 @@
 // bytecode backend instead of misreading memory.
 
 /// ABI version stamped into every artifact.
-pub const FORMAD_AOT_ABI: u32 = 2;
+pub const FORMAD_AOT_ABI: u32 = 3;
 
 /// Error codes a region function may return. `0` is success; everything
 /// else maps 1:1 onto an interpreter `ExecError` message (the host owns
@@ -34,6 +34,8 @@ pub const AOT_ERR_MOD_OVERFLOW: i32 = 10;
 /// Both sides read the same lowered loop, so this marks a bug in one of
 /// them, not an error of the program being run.
 pub const AOT_ERR_STEP_MISMATCH: i32 = 11;
+/// A sequential loop whose trip count does not fit an `i64`.
+pub const AOT_ERR_TRIP_COUNT: i32 = 12;
 
 /// One value tape (f64 or i64 elements), shared between the host `Vec`
 /// and the generated code. The dylib pushes/pops inline through

@@ -76,34 +76,6 @@ use crate::lower::{
 /// kernel so both sides of the FFI boundary compile the same text.
 const ABI_SRC: &str = include_str!("abi.rs");
 
-/// Error code of a sequential loop whose trip count does not fit an
-/// `i64`. It is not in `abi.rs`, whose text every kernel embeds: only a
-/// kernel with a sequential loop can return it, and only such a kernel's
-/// text changes with it. The host decodes it with the `AOT_ERR_*` codes.
-/// Region codes are allocated across both files; the build fails if an
-/// `abi.rs` code takes this one.
-pub(crate) const AOT_ERR_TRIP_COUNT: i32 = 12;
-const _: () = {
-    // Every `: i32 = N;` in `abi.rs` declares a region code.
-    let (src, key) = (ABI_SRC.as_bytes(), b": i32 = ");
-    let mut i = 0;
-    while i + key.len() < src.len() {
-        let (mut k, mut v) = (0, 0);
-        while k < key.len() && src[i + k] == key[k] {
-            k += 1;
-        }
-        while k >= key.len() && src[i + k].is_ascii_digit() {
-            v = v * 10 + (src[i + k] - b'0') as i32;
-            k += 1;
-        }
-        assert!(
-            k <= key.len() || v != AOT_ERR_TRIP_COUNT,
-            "an abi.rs code takes AOT_ERR_TRIP_COUNT"
-        );
-        i += 1;
-    }
-};
-
 /// What a `no_std` cdylib must bring itself (module docs): the panic
 /// handler and the personality symbol `core`'s unwind tables name.
 const FREESTANDING_SRC: &str = r#"
@@ -123,6 +95,14 @@ pub extern "C" fn rust_eh_personality() {}
 /// Generate the complete cdylib source for `lp`. Fails (→ bytecode
 /// fallback) only on programs the bytecode compiler would reject too.
 pub fn generate_source(lp: &LProgram) -> Result<String, String> {
+    generate(lp).map(|(src, _)| src)
+}
+
+/// The cdylib source for `lp` and its cache key. The key is the hash of
+/// the source up to its last item, `formad_aot_source_hash()`, which
+/// returns the key's 32 hex digits so the loader can tell which source an
+/// artifact was built from.
+pub(crate) fn generate(lp: &LProgram) -> Result<(String, String), String> {
     let mut g = Gen {
         lp,
         region: None,
@@ -171,7 +151,13 @@ pub fn generate_source(lp: &LProgram) -> Result<String, String> {
         lp.regions.len()
     );
     out.push_str(&g.out);
-    Ok(out)
+    let key = super::fnv128_hex(&out);
+    let _ = write!(
+        out,
+        "\n#[no_mangle]\npub extern \"C\" fn formad_aot_source_hash() -> *const u8 {{ \
+         b\"{key}\".as_ptr() }}\n"
+    );
+    Ok((out, key))
 }
 
 struct Gen<'a> {
@@ -465,7 +451,7 @@ impl<'a> Gen<'a> {
             "    {left} = {thi}.abs_diff({tlo}) / {tst}.unsigned_abs();"
         ));
         self.line(&format!(
-            "    if {left} >= i64::MAX as u64 {{ break 'body {AOT_ERR_TRIP_COUNT}; }}"
+            "    if {left} >= i64::MAX as u64 {{ break 'body AOT_ERR_TRIP_COUNT; }}"
         ));
         self.line(&format!("    {left} += 1;"));
         self.line("}");

@@ -4,9 +4,11 @@
 //! Pipeline: [`codegen::generate_source`] emits one specialized Rust
 //! function per parallel region; the source is hashed (FNV-1a × 2,
 //! 128 bits — the hash covers the embedded ABI text, so an ABI bump
-//! changes every key); `rustc` compiles it once into
+//! changes every key) and the hash is compiled into the source as
+//! `formad_aot_source_hash()`; `rustc` compiles it once into
 //! `formad_aot_<hash>.so` in the kernel cache directory; `dlopen` loads
-//! it and the region functions are dispatched by
+//! it, the loader checks that its ABI version and source hash are the
+//! ones expected, and the region functions are dispatched by
 //! [`NativeEngine::run_with`] with the exact chunk schedule, scratch
 //! preparation, and reduction merge the bytecode path uses — which is
 //! why results stay inside the determinism contract
@@ -16,7 +18,10 @@
 //! Cache directory resolution: `FORMAD_AOT_DIR` env var, else
 //! `$CARGO_TARGET_DIR/formad-aot`, else a `formad-aot` directory inside
 //! the nearest `target` ancestor of the running executable, else the
-//! system temp dir. The generated `.rs` is kept beside the `.so` for
+//! system temp dir. The directory is created owner-only (mode 0700), and
+//! one that is group- or world-writable or owned by another user is
+//! refused: its artifacts are code this process runs. The generated
+//! `.rs` is kept beside the `.so` for
 //! inspection and CI artifact upload. Artifacts are written via
 //! temp-file + rename so concurrent processes never observe a torn
 //! `.so`. Loaded libraries are never `dlclose`d (region functions must
@@ -48,7 +53,6 @@ use crate::exec::{NativeEngine, NativeProgram};
 use crate::lower::LProgram;
 
 pub use codegen::generate_source;
-pub(crate) use codegen::AOT_ERR_TRIP_COUNT;
 
 /// Signature of a generated region entry point.
 pub type RegionFn = unsafe extern "C" fn(*mut abi::AotEnv) -> i32;
@@ -101,7 +105,8 @@ pub enum AotError {
     Io(String),
     /// `rustc` failed (or could not be spawned).
     Compile(String),
-    /// `dlopen`/`dlsym` failed or the artifact's ABI disagrees.
+    /// `dlopen`/`dlsym` failed, or the artifact's ABI or source hash
+    /// disagrees.
     Load(String),
 }
 
@@ -160,7 +165,8 @@ pub fn stats() -> AotStats {
 // ---- cache ----
 
 /// The kernel cache directory (see module docs for the resolution
-/// order). Not created until an artifact is written.
+/// order). Not created until an artifact is written, and then by
+/// `private_dir`.
 pub fn cache_dir() -> PathBuf {
     if let Some(d) = std::env::var_os("FORMAD_AOT_DIR") {
         if !d.is_empty() {
@@ -193,6 +199,46 @@ fn fnv128_hex(s: &str) -> String {
         h2 = (h2 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
     format!("{h1:016x}{h2:016x}")
+}
+
+/// Create `dir` owner-only (0700) if it is missing, and refuse it if
+/// another user could plant an artifact in it: group- or world-writable,
+/// or owned by a uid other than this process's.
+#[cfg(unix)]
+fn private_dir(dir: &Path) -> Result<(), AotError> {
+    use std::os::unix::fs::{DirBuilderExt, MetadataExt};
+    extern "C" {
+        fn geteuid() -> u32;
+    }
+    let io = |what: &str, e: std::io::Error| AotError::Io(format!("{what} {}: {e}", dir.display()));
+    std::fs::DirBuilder::new()
+        .recursive(true)
+        .mode(0o700)
+        .create(dir)
+        .map_err(|e| io("create", e))?;
+    let meta = std::fs::metadata(dir).map_err(|e| io("stat", e))?;
+    let mode = meta.mode() & 0o777;
+    if mode & 0o022 != 0 {
+        return Err(AotError::Io(format!(
+            "{} is group- or world-writable (mode {mode:o})",
+            dir.display()
+        )));
+    }
+    // SAFETY: `geteuid` takes nothing, cannot fail and touches no memory.
+    let uid = unsafe { geteuid() };
+    if meta.uid() != uid {
+        return Err(AotError::Io(format!(
+            "{} is owned by uid {}, not {uid}",
+            dir.display(),
+            meta.uid()
+        )));
+    }
+    Ok(())
+}
+
+#[cfg(not(unix))]
+fn private_dir(dir: &Path) -> Result<(), AotError> {
+    std::fs::create_dir_all(dir).map_err(|e| AotError::Io(format!("create {}: {e}", dir.display())))
 }
 
 fn registry() -> &'static Mutex<HashMap<String, Arc<AotKernel>>> {
@@ -379,8 +425,7 @@ pub fn load_or_compile(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>, 
 }
 
 fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>, AotError> {
-    let src = codegen::generate_source(lp).map_err(AotError::Codegen)?;
-    let hash = fnv128_hex(&src);
+    let (src, hash) = codegen::generate(lp).map_err(AotError::Codegen)?;
     // Hold the registry lock across the build so concurrent callers of
     // the same program compile once. Kernel builds are rare and bounded;
     // contention here is not a hot path.
@@ -390,8 +435,7 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
         return Ok(Arc::clone(k));
     }
     let dir = cache_dir();
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| AotError::Io(format!("create {}: {e}", dir.display())))?;
+    private_dir(&dir)?;
     let so = dir.join(format!("formad_aot_{hash}.so"));
     let rs = dir.join(format!("formad_aot_{hash}.rs"));
     if so.exists() {
@@ -414,6 +458,20 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
         return Err(AotError::Load(format!(
             "artifact ABI {got} != expected {}",
             abi::FORMAD_AOT_ABI
+        )));
+    }
+    // The file name says which source the artifact was built from; the
+    // artifact itself must agree before any of its code runs a region.
+    let key_sym = dl::sym(&lib, "formad_aot_source_hash").map_err(AotError::Load)?;
+    // SAFETY: an artifact of this ABI defines the symbol as
+    // `extern "C" fn() -> *const u8`, returning a `'static` byte literal
+    // of the key's 32 hex digits (`codegen::generate`), as long as `hash`.
+    let key_fn: extern "C" fn() -> *const u8 = unsafe { std::mem::transmute(key_sym) };
+    let got = unsafe { std::slice::from_raw_parts(key_fn(), hash.len()) };
+    if got != hash.as_bytes() {
+        return Err(AotError::Load(format!(
+            "artifact source hash {} != expected {hash}",
+            String::from_utf8_lossy(got)
         )));
     }
     let cnt_sym = dl::sym(&lib, "formad_aot_region_count").map_err(AotError::Load)?;

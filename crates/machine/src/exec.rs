@@ -17,11 +17,14 @@
 //! Memory model: array elements are accessed through relaxed
 //! `AtomicU64`/`AtomicI64` views (plain `mov`s on x86-64, so the
 //! FormAD-proved *plain* discipline pays nothing), and `!$omp atomic`
-//! increments use an acquire-release CAS loop — the same discipline as
-//! [`formad_runtime::AtomicF64`]. `reduction(+: arr)` clauses privatize
-//! into per-thread buffers that hold the identity between regions and are
-//! merged in ascending thread order,
-//! replicating the interpreter's combine order bit for bit; region code
+//! increments are a CAS loop on the element's bits: load relaxed, add in
+//! `f64`, `compare_exchange_weak` with acquire-release success and
+//! acquire failure ordering, retry from the value seen on failure (see
+//! `RawView::fetch_add_r`; AOT kernels emit the same loop). No increment
+//! is lost, and colliding ones commit in hardware order.
+//! `reduction(+: arr)` clauses privatize into per-thread buffers that
+//! hold the identity between regions and are merged in ascending thread
+//! order, replicating the interpreter's combine order bit for bit; region code
 //! names a thread's buffer as view `n_arrays + j` of the worker's view
 //! table, so no access looks a redirect up.
 //!
@@ -149,8 +152,8 @@ impl RawView {
         unsafe { (*(self.ptr.add(off) as *const AtomicU64)).store(v.to_bits(), Ordering::Relaxed) }
     }
 
-    /// `!$omp atomic` increment: acquire-release CAS loop, the same
-    /// protocol as `formad_runtime::AtomicF64::fetch_add`.
+    /// `!$omp atomic` increment: the acquire-release CAS loop of the
+    /// module docs.
     #[inline]
     fn fetch_add_r(&self, off: usize, v: f64) {
         debug_assert!(off < self.len);
@@ -853,9 +856,7 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
         a::AOT_ERR_NEG_EXP => int_fault(BinOp::Pow, 2, -1),
         a::AOT_ERR_POW_OVERFLOW => int_fault(BinOp::Pow, 2, 64),
         a::AOT_ERR_ZERO_STEP => ExecError::new("zero loop step"),
-        crate::aot::AOT_ERR_TRIP_COUNT => {
-            trip_count(0, i64::MAX, 1).expect_err("a count past `i64`")
-        }
+        a::AOT_ERR_TRIP_COUNT => trip_count(0, i64::MAX, 1).expect_err("a count past `i64`"),
         a::AOT_ERR_POP_EMPTY_R => ExecError::new("pop from empty real tape"),
         a::AOT_ERR_POP_EMPTY_I => ExecError::new("pop from empty int tape"),
         a::AOT_ERR_STEP_MISMATCH => ExecError::new(format!(

@@ -14,7 +14,9 @@
 //! A second test forces kernel compilation to fail (by pointing
 //! `FORMAD_AOT_RUSTC` at a nonexistent binary and the cache at an empty
 //! directory) and proves the degradation contract: the run still
-//! succeeds, on the bytecode backend, with identical results.
+//! succeeds, on the bytecode backend, with identical results. The same
+//! contract holds when the cache holds an artifact built from another
+//! source, or is a directory other users can write to.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -309,6 +311,146 @@ fn rustc_stderr_is_cut_at_a_char_boundary() {
         None,
         "cut-stderr fallback: sim vs aot"
     );
+}
+
+/// `y(i) = y(i) <op> a * x(i)` over one parallel region.
+fn axpy(name: &str, op: char) -> Program {
+    parse_any(&format!(
+        "subroutine {name}(n, a, x, y)
+  integer, intent(in) :: n
+  real, intent(in) :: a
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(x, y)
+  do i = 1, n
+    y(i) = y(i) {op} a * x(i)
+  end do
+end subroutine
+"
+    ))
+    .expect("parse")
+}
+
+fn axpy_bindings(n: usize) -> Bindings {
+    Bindings::new()
+        .int("n", n as i64)
+        .real("a", 1.5)
+        .real_array("x", (0..n).map(|i| 0.25 * i as f64).collect())
+        .real_array("y", (0..n).map(|i| 1.0 / (1 + i) as f64).collect())
+}
+
+/// Run `prog` on sim and on AOT at 2 threads with the cache in `dir`;
+/// return the fallback reason after checking the two agree bitwise.
+fn aot_fallback_in(dir: &std::path::Path, prog: &Program, bind: &Bindings) -> Option<String> {
+    std::env::set_var("FORMAD_AOT_DIR", dir);
+    let mut sim = bind.clone();
+    run(prog, &mut sim, &Machine::with_threads(2)).expect("sim");
+    let mut aot = bind.clone();
+    let fallback = run_aot(prog, &mut aot, 2);
+    std::env::remove_var("FORMAD_AOT_DIR");
+    let fallback = fallback.expect("an AOT run succeeds, degraded or not");
+    assert_eq!(
+        sim.first_difference(&aot, Compare::Bitwise),
+        None,
+        "{}: sim vs aot (fallback {fallback:?})",
+        prog.name
+    );
+    fallback
+}
+
+/// An artifact is loaded only if it was built from the source its name
+/// stands for. Kernel A's `.so` copied under kernel B's name (both have
+/// one region, so the region count cannot tell them apart) must not run
+/// B: the load fails on the source hash and the run degrades to
+/// bytecode, bitwise equal to sim.
+#[test]
+fn an_artifact_under_another_kernels_name_degrades() {
+    let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = std::env::temp_dir().join(format!("formad-aot-swaptest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (a, b) = (axpy("swap_axpy_plus", '+'), axpy("swap_axpy_minus", '-'));
+    let bind = axpy_bindings(53);
+    assert_eq!(aot_fallback_in(&dir, &a, &bind), None, "kernel A builds");
+    let so_of = |stem: &str| dir.join(format!("{stem}.so"));
+    let stems = || -> BTreeSet<String> {
+        std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                Some(name.strip_suffix(".rs")?.to_owned())
+            })
+            .collect()
+    };
+    let a_stem = stems().into_iter().next().expect("kernel A's source");
+    // B's name: a build with an unusable compiler writes B's source,
+    // then fails, so B is neither built nor loaded.
+    std::env::set_var("FORMAD_AOT_RUSTC", "/nonexistent/formad-test-rustc");
+    let reason = aot_fallback_in(&dir, &b, &bind);
+    std::env::remove_var("FORMAD_AOT_RUSTC");
+    assert!(reason.is_some_and(|r| r.contains("failed to spawn")));
+    let b_stem = stems()
+        .into_iter()
+        .find(|s| *s != a_stem)
+        .expect("kernel B's source");
+    std::fs::copy(so_of(&a_stem), so_of(&b_stem)).expect("copy A's artifact");
+    let reason = aot_fallback_in(&dir, &b, &bind);
+    let _ = std::fs::remove_dir_all(&dir);
+    let reason = reason.expect("a foreign artifact must degrade the run");
+    let b_hash = b_stem.trim_start_matches("formad_aot_");
+    let a_hash = a_stem.trim_start_matches("formad_aot_");
+    assert!(
+        reason.contains("source hash") && reason.contains(a_hash) && reason.contains(b_hash),
+        "unexpected fallback reason: {reason}"
+    );
+}
+
+/// A cache directory other users could write to is refused before any
+/// artifact in it is opened: a group- or world-writable one (the reason
+/// names the mode), and one owned by another uid (exercised where this
+/// process may `chown`, i.e. as root).
+#[cfg(unix)]
+#[test]
+fn a_cache_dir_others_can_write_degrades() {
+    use std::os::unix::fs::PermissionsExt;
+
+    let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());
+    let dir = std::env::temp_dir().join(format!("formad-aot-modetest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A kernel loaded once is served from memory, so each step runs its
+    // own program.
+    let prog = |step: &str| axpy(&format!("mode_axpy_{step}"), '+');
+    let bind = axpy_bindings(59);
+    // Created by the loader: owner-only.
+    assert_eq!(aot_fallback_in(&dir, &prog("private"), &bind), None);
+    let mode = std::fs::metadata(&dir)
+        .expect("cache dir")
+        .permissions()
+        .mode();
+    assert_eq!(mode & 0o777, 0o700);
+
+    std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o777)).expect("chmod");
+    let reason = aot_fallback_in(&dir, &prog("shared"), &bind);
+    let reason = reason.expect("a world-writable cache dir must degrade the run");
+    assert!(
+        reason.contains("mode 777"),
+        "unexpected fallback reason: {reason}"
+    );
+
+    std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o700)).expect("chmod");
+    let uid = std::fs::metadata(&dir).map(|m| std::os::unix::fs::MetadataExt::uid(&m));
+    let other = uid.expect("cache dir") + 1;
+    if std::os::unix::fs::chown(&dir, Some(other), None).is_ok() {
+        let reason = aot_fallback_in(&dir, &prog("foreign"), &bind);
+        let reason = reason.expect("a cache dir owned by another uid must degrade the run");
+        assert!(
+            reason.contains(&format!("owned by uid {other}")),
+            "unexpected fallback reason: {reason}"
+        );
+    } else {
+        eprintln!("owner check not exercised: this process may not chown");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Figure 2 of the paper, in the C dialect so the text goes through

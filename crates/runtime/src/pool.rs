@@ -1,12 +1,12 @@
-//! Statically-scheduled parallel-for over a persistent worker pool.
+//! A persistent worker pool for statically-scheduled parallel regions.
 //!
-//! Workers are OS threads spawned once and parked on a condvar between
-//! parallel regions, so a program that executes thousands of `!$omp
-//! parallel do` regions (every sweep of every generated adjoint) pays
-//! thread-creation cost once instead of per region. Scheduling is the
-//! same static contiguous-chunk mapping the simulated machine in
-//! `formad-machine` uses, so thread `t` owns identical iterations in
-//! both backends.
+//! Workers are OS threads spawned once, in [`ThreadPool::new`], and
+//! parked on a condvar between parallel regions, so a program that
+//! executes thousands of `!$omp parallel do` regions (every sweep of
+//! every generated adjoint) pays thread-creation cost once instead of
+//! per region. The caller owns the schedule: `task(t)` runs worker `t`'s
+//! share (`formad_machine::lower::Schedule`). Dropping the pool joins
+//! every worker.
 //!
 //! A panic inside a worker is caught, carried back to the submitting
 //! thread, and re-raised there with [`std::panic::resume_unwind`] — the
@@ -15,38 +15,8 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-
-/// Iterator over one thread's chunk of `0..count` (static schedule,
-/// contiguous blocks — the same mapping `formad-machine` simulates).
-#[derive(Debug, Clone)]
-pub struct ChunkIter {
-    next: usize,
-    end: usize,
-}
-
-impl Iterator for ChunkIter {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        if self.next < self.end {
-            let v = self.next;
-            self.next += 1;
-            Some(v)
-        } else {
-            None
-        }
-    }
-}
-
-/// The chunk of thread `t` out of `threads` for `count` iterations.
-pub fn chunk_of(count: usize, threads: usize, t: usize) -> ChunkIter {
-    let chunk = count.div_ceil(threads.max(1));
-    ChunkIter {
-        next: (t * chunk).min(count),
-        end: ((t + 1) * chunk).min(count),
-    }
-}
 
 /// Type-erased pointer to the job closure. The pool guarantees the
 /// pointee outlives the job (the submitter blocks in [`ThreadPool::run`]
@@ -111,40 +81,16 @@ impl ThreadPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let mut pool = ThreadPool {
-            shared,
-            workers: Vec::new(),
-        };
-        pool.ensure_workers(threads);
-        pool
-    }
-
-    /// Number of live workers.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Grow the pool to at least `threads` workers (never shrinks while
-    /// running; a [`shutdown`](ThreadPool::shutdown) pool regrows from
-    /// zero on the next call).
-    pub fn ensure_workers(&mut self, threads: usize) {
-        if self.workers.len() < threads {
-            // Revive a drained pool: clear the flag before spawning so a
-            // fresh worker doesn't immediately exit.
-            self.shared.lock().shutdown = false;
-        }
-        while self.workers.len() < threads {
-            let t = self.workers.len();
-            let shared = Arc::clone(&self.shared);
-            // Snapshot the epoch under the lock so the new worker never
-            // mistakes an already-finished job for fresh work.
-            let start_epoch = self.shared.lock().epoch;
-            let handle = std::thread::Builder::new()
-                .name(format!("formad-worker-{t}"))
-                .spawn(move || worker_loop(shared, t, start_epoch))
-                .expect("spawn pool worker");
-            self.workers.push(handle);
-        }
+        let workers = (0..threads)
+            .map(|t| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("formad-worker-{t}"))
+                    .spawn(move || worker_loop(shared, t))
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        ThreadPool { shared, workers }
     }
 
     /// Run `task(t)` on workers `0..participants` and block until all
@@ -189,43 +135,23 @@ impl ThreadPool {
             resume_unwind(p);
         }
     }
+}
 
-    /// Gracefully shut the pool down: wait for any in-flight region to
-    /// drain (never tear a worker down mid-region), then wake every
-    /// parked worker and join them all. Idempotent — calling it on an
-    /// already-drained pool is a no-op — and reversible:
-    /// [`ensure_workers`](ThreadPool::ensure_workers) revives a drained
-    /// pool, so a daemon can drain at quiesce points without giving up
-    /// the pool for good. `Drop` delegates here.
-    pub fn shutdown(&mut self) {
-        {
-            let mut st = self.shared.lock();
-            // `&mut self` means no submitter is blocked in `run`, but a
-            // poisoned/odd state could still show in-flight work; wait it
-            // out rather than yanking workers mid-region.
-            while st.remaining > 0 {
-                st = self
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
+impl Drop for ThreadPool {
+    /// Wake every parked worker and join it. No region is in flight:
+    /// [`ThreadPool::run`] returns only after its region finished, and
+    /// `drop` has the pool to itself.
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.work_cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>, t: usize, mut last_epoch: u64) {
+fn worker_loop(shared: Arc<PoolShared>, t: usize) {
+    let mut last_epoch = 0;
     loop {
         let (job, participate) = {
             let mut st = shared.lock();
@@ -245,6 +171,9 @@ fn worker_loop(shared: Arc<PoolShared>, t: usize, mut last_epoch: u64) {
             continue;
         }
         let job = job.expect("dispatched epoch carries a job");
+        // SAFETY: the submitter blocks in `run` until `remaining` reaches
+        // zero, which this worker's decrement below comes before, so the
+        // closure is alive for the whole call.
         let task = unsafe { &*job.0 };
         let result = catch_unwind(AssertUnwindSafe(|| task(t)));
         let mut st = shared.lock();
@@ -260,129 +189,25 @@ fn worker_loop(shared: Arc<PoolShared>, t: usize, mut last_epoch: u64) {
     }
 }
 
-/// The process-wide pool behind [`parallel_for`]. Guarded by a mutex so
-/// concurrent or reentrant `parallel_for` calls cannot interleave jobs;
-/// contenders fall back to scoped threads instead of blocking.
-fn global_pool() -> &'static Mutex<ThreadPool> {
-    static POOL: OnceLock<Mutex<ThreadPool>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(ThreadPool::new(0)))
-}
-
-/// Gracefully drain the process-wide pool behind [`parallel_for`]: wait
-/// for any in-flight region, then join every parked worker. The pool
-/// respawns workers on its next use, so this is safe to call at any
-/// quiesce point — a resident daemon drains on shutdown so process exit
-/// never kills a worker mid-region.
-pub fn drain_global_pool() {
-    let mut pool = global_pool().lock().unwrap_or_else(|e| e.into_inner());
-    pool.shutdown();
-}
-
-/// Run `task(t)` for `t in 0..threads`, preferring the persistent global
-/// pool and falling back to scoped threads when the pool is busy (a
-/// concurrent or nested call). Worker panics re-raise with their
-/// original payload either way.
-pub fn run_threads(threads: usize, task: &(dyn Fn(usize) + Sync)) {
-    match global_pool().try_lock() {
-        Ok(mut pool) => {
-            pool.ensure_workers(threads);
-            pool.run(threads, task);
-        }
-        Err(std::sync::TryLockError::Poisoned(poisoned)) => {
-            let mut pool = poisoned.into_inner();
-            pool.ensure_workers(threads);
-            pool.run(threads, task);
-        }
-        Err(std::sync::TryLockError::WouldBlock) => {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || task(t))).collect();
-                for h in handles {
-                    if let Err(p) = h.join() {
-                        resume_unwind(p);
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// Run `body(thread_id, iter)` for every `iter` in `0..count`, split into
-/// static chunks over `threads` pooled OS threads. With one thread the
-/// body runs inline — no dispatch overhead, matching the serial program
-/// versions of the paper. A worker panic re-raises on the caller with
-/// the worker's original payload.
-pub fn parallel_for<F>(threads: usize, count: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let threads = threads.max(1);
-    if threads == 1 {
-        for i in 0..count {
-            body(0, i);
-        }
-        return;
-    }
-    run_threads(threads, &|t| {
-        for i in chunk_of(count, threads, t) {
-            body(t, i);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn chunks_partition_exactly() {
-        for count in [0usize, 1, 7, 16, 100] {
-            for threads in [1usize, 2, 3, 8, 17] {
-                let mut seen = vec![0u32; count];
-                for t in 0..threads {
-                    for i in chunk_of(count, threads, t) {
-                        seen[i] += 1;
-                    }
-                }
-                assert!(
-                    seen.iter().all(|c| *c == 1),
-                    "count={count} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_for_covers_all_iterations() {
-        let hits = AtomicUsize::new(0);
-        parallel_for(4, 1000, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn single_thread_runs_inline_in_order() {
-        let mut order = Vec::new();
-        let cell = std::sync::Mutex::new(&mut order);
-        parallel_for(1, 5, |t, i| {
-            assert_eq!(t, 0);
-            cell.lock().unwrap().push(i);
-        });
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
 
     #[test]
     fn pool_reuses_workers_across_jobs() {
         let pool = ThreadPool::new(4);
         let hits = AtomicUsize::new(0);
+        let threads = Mutex::new(HashSet::new());
         for _ in 0..100 {
             pool.run(4, &|_| {
                 hits.fetch_add(1, Ordering::Relaxed);
+                threads.lock().unwrap().insert(std::thread::current().id());
             });
         }
         assert_eq!(hits.load(Ordering::Relaxed), 400);
-        assert_eq!(pool.workers(), 4);
+        assert_eq!(threads.into_inner().unwrap().len(), 4);
     }
 
     #[test]
@@ -397,10 +222,11 @@ mod tests {
 
     #[test]
     fn panic_payload_reaches_caller() {
+        let pool = ThreadPool::new(4);
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallel_for(4, 100, |_, i| {
-                if i == 37 {
-                    panic!("iteration 37 exploded");
+            pool.run(4, &|t| {
+                if t == 2 {
+                    panic!("worker 2 exploded");
                 }
             });
         }))
@@ -411,7 +237,7 @@ mod tests {
             .map(str::to_owned)
             .or_else(|| caught.downcast_ref::<String>().cloned())
             .expect("payload is a string");
-        assert_eq!(msg, "iteration 37 exploded");
+        assert_eq!(msg, "worker 2 exploded");
     }
 
     #[test]
@@ -438,32 +264,11 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_graceful_idempotent_and_reversible() {
-        let mut pool = ThreadPool::new(4);
-        let hits = AtomicUsize::new(0);
-        pool.run(4, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.shutdown();
-        assert_eq!(pool.workers(), 0);
-        // Idempotent.
-        pool.shutdown();
-        assert_eq!(pool.workers(), 0);
-        // Reversible: ensure_workers revives a drained pool.
-        pool.ensure_workers(2);
-        assert_eq!(pool.workers(), 2);
-        pool.run(2, &|_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 6);
-    }
-
-    #[test]
     fn shutdown_after_a_panicking_job_does_not_panic() {
-        // Regression: draining must not re-raise or deadlock when the
-        // last region panicked — the payload was already delivered to
-        // the submitter, and the workers are parked cleanly.
-        let mut pool = ThreadPool::new(2);
+        // Regression: joining must not re-raise or deadlock when the last
+        // region panicked — the payload was already delivered to the
+        // submitter, and the workers are parked cleanly.
+        let pool = ThreadPool::new(2);
         let err = catch_unwind(AssertUnwindSafe(|| {
             pool.run(2, &|t| {
                 if t == 0 {
@@ -472,34 +277,6 @@ mod tests {
             });
         }));
         assert!(err.is_err());
-        pool.shutdown();
-        assert_eq!(pool.workers(), 0);
-    }
-
-    #[test]
-    fn global_pool_drains_and_respawns() {
-        let hits = AtomicUsize::new(0);
-        parallel_for(3, 30, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        drain_global_pool();
-        // The drained pool revives transparently on next use.
-        parallel_for(3, 30, |_, _| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 60);
-        drain_global_pool();
-        drain_global_pool();
-    }
-
-    #[test]
-    fn nested_parallel_for_falls_back_without_deadlock() {
-        let hits = AtomicUsize::new(0);
-        parallel_for(2, 4, |_, _| {
-            parallel_for(2, 10, |_, _| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 40);
+        drop(pool);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! One long-lived daemon multiplexes `analyze` / `prove` / `exec`
 //! requests (JSON over HTTP on a local socket) onto a single shared
-//! engine: one region-fingerprint index, one runtime worker pool, one
-//! set of aggregate statistics. The robustness contract is
+//! engine: one region-fingerprint index, one set of parked native exec
+//! engines (each with its own worker pool), one set of aggregate
+//! statistics. The robustness contract is
 //! *degradation-not-errors*, lifted from the pipeline to the wire:
 //!
 //! - Requests that the prover cannot serve in time — saturation, an

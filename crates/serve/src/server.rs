@@ -1,8 +1,8 @@
 //! The accept loop around [`Service`]: one thread per connection, a
 //! nonblocking listener polled every ~10ms so shutdown signals (SIGINT,
 //! `/v1/shutdown`, or an in-process [`ServerHandle::stop`]) are noticed
-//! promptly, and a graceful drain on exit — in-flight connections finish,
-//! then the shared runtime worker pool is parked.
+//! promptly, and a graceful drain on exit — in-flight connections finish
+//! before the loop returns.
 
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,7 +70,7 @@ impl ServerHandle {
     }
 
     /// Wait for the accept loop (and all in-flight connections) to
-    /// finish. The runtime worker pool is parked before this returns.
+    /// finish.
     pub fn join(&mut self) {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
@@ -151,12 +151,11 @@ fn accept_loop(listener: TcpListener, service: Arc<Service>, stop: Arc<AtomicBoo
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Graceful drain: let in-flight requests answer, then park the
-    // shared runtime pool so no worker is left mid-region.
+    // Graceful drain: let in-flight requests answer. Each parked
+    // `NativeEngine` joins its own pool when it is dropped.
     while active.load(Ordering::Acquire) > 0 {
         std::thread::sleep(Duration::from_millis(5));
     }
-    formad_runtime::drain_global_pool();
 }
 
 fn handle_connection(mut conn: TcpStream, service: &Service) {
