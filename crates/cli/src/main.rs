@@ -361,7 +361,10 @@ fn cache_cmd(rest: &[String], mut dir: Option<PathBuf>) -> ExitCode {
             formad::FP_FORMAT_VERSION
         );
     }
-    if report.corrupt > 0 || report.bad_version || write_errors > 0 {
+    if let Some(why) = &report.refused {
+        println!("refused:        {why} (analysis runs neither read nor write it)");
+    }
+    if report.corrupt > 0 || report.bad_version || write_errors > 0 || report.refused.is_some() {
         println!("verify: problems found (analysis output is unaffected)");
         ExitCode::from(1)
     } else {

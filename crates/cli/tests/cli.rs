@@ -1409,12 +1409,22 @@ fn cache_verb_stats_verify_clear_ladder() {
     assert!(ok, "{err}");
     let (out, _, ok) = formad(&["cache", "stats", "--cache-dir", d]);
     assert!(ok, "{out}");
-    assert!(out.contains("format:         formad-fpi/v1"), "{out}");
+    assert!(out.contains("format:         formad-fpi/v2"), "{out}");
     assert!(out.contains("fingerprints:   1 record(s)"), "{out}");
     let (out, _, ok) = formad(&["cache", "verify", "--cache-dir", d]);
     assert!(ok, "{out}");
     assert!(out.contains("write errors:   0"), "{out}");
     assert!(out.contains("verify: clean"), "{out}");
+    // A directory others can write is refused: `verify` names the mode.
+    {
+        use std::os::unix::fs::PermissionsExt;
+        let chmod = |mode| std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(mode));
+        chmod(0o777).unwrap();
+        let (out, _, ok) = formad(&["cache", "verify", "--cache-dir", d]);
+        assert!(!ok, "{out}");
+        assert!(out.contains("refused:") && out.contains("(mode 777)"), "{out}");
+        chmod(0o755).unwrap();
+    }
     // A stale shard file of the deleted proof store is not the index's
     // business: neither read nor flagged.
     std::fs::write(dir.join("proof-00.fsc"), "formad-proofcache/v1\n").unwrap();

@@ -35,23 +35,31 @@
 //! [`SharedEngine`](crate::SharedEngine). An index opened with
 //! [`with_disk_dir`](FingerprintIndex::with_disk_dir) starts with the
 //! records of `fingerprints.fpi` in the cache directory and stages every
-//! insert for the next [`flush`](FingerprintIndex::flush). The store is
-//! strictly best-effort:
+//! insert for the next [`flush`](FingerprintIndex::flush).
+//!
+//! The file is the one place where verdicts enter the pipeline without a
+//! proof, so the directory must pass the stores' trust rule,
+//! [`formad_ir::store::private_dir`], the one the AOT kernel cache
+//! follows: a directory that is group- or world-writable or owned by
+//! another uid is neither read nor written, and the run is cold. Within
+//! a trusted directory the store is strictly best-effort:
 //!
 //! * any read error, version mismatch, or torn/corrupt line degrades
 //!   silently to a cold miss, never an error;
-//! * any write error is counted ([`FpStats::write_errors`]) and
-//!   otherwise ignored — the run's results are unaffected, only future
-//!   warmth is lost;
-//! * writes are atomic: the merged content goes to a process-unique
-//!   `*.tmp-…` sibling that is `rename`d into place. Every writer merges
-//!   the freshly re-read file with its own pending records before
-//!   renaming; writers in one process do so one at a time and lose
-//!   nothing, while a race between processes drops only the loser's
+//! * any write error, a refused directory's included, is counted
+//!   ([`FpStats::write_errors`]) and otherwise ignored — the run's
+//!   results are unaffected, only future warmth is lost;
+//! * writes are atomic ([`formad_ir::store::write_atomic`]). Every
+//!   writer merges the freshly re-read file with its own pending records
+//!   before renaming; writers in one process do so one at a time and
+//!   lose nothing, while a race between processes drops only the loser's
 //!   not-yet-re-read records (a future cold miss, never a wrong answer).
 //!
-//! Other files in the directory — such as the `proof-NN.fsc` shards an
-//! older release wrote — are never read or removed.
+//! A record line is `<fingerprint> <fnv64(payload) hex> <payload>`, the
+//! payload one compact JSON object. The checksum rejects torn lines; it
+//! is no defence against a writer, which is what the directory rule is
+//! for. Other files in the directory — such as the `proof-NN.fsc`
+//! shards an older release wrote — are never read or removed.
 
 use std::collections::HashMap;
 use std::fs;
@@ -62,46 +70,19 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use formad_analysis::Activity;
+use formad_ir::store::{fnv128_hex, fnv64, private_dir, write_atomic};
 use formad_ir::{expr_to_string, printer::write_loop, ForLoop, Program};
 use formad_smt::SolverStats;
 
+use crate::json::{obj, Json};
 use crate::region::{Decision, Provenance, RegionAnalysis, RegionOptions};
 
 /// Version header of the on-disk fingerprint index; also mixed into every
 /// fingerprint so a format bump invalidates the whole index.
-pub const FP_FORMAT_VERSION: &str = "formad-fpi/v1";
+pub const FP_FORMAT_VERSION: &str = "formad-fpi/v2";
 
 /// File name of the fingerprint index within a cache directory.
 pub const FP_FILE: &str = "fingerprints.fpi";
-
-/// FNV-1a 64-bit hash, used for fingerprints and record checksums.
-fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_from(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continue an FNV-1a hash whose state is `h` over `bytes`.
-fn fnv64_from(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Atomically replace `path` with `contents` (tmp file + rename). The tmp
-/// name is unique per process so concurrent writers never clobber each
-/// other's tmp files.
-fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut os = path.as_os_str().to_os_string();
-    os.push(format!(".tmp-{}-{seq}", std::process::id()));
-    let tmp = PathBuf::from(os);
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = fs::remove_file(&tmp);
-    })
-}
 
 /// Read a version-headed line file. Returns the body lines, or `None` if
 /// the file is missing, unreadable, not valid UTF-8, or carries a
@@ -132,6 +113,13 @@ impl FpTier {
             FpTier::Memory => "memory",
             FpTier::Disk => "disk",
         }
+    }
+
+    /// The tier whose [`label`](Self::label) is `label`.
+    pub fn from_label(label: &str) -> Option<FpTier> {
+        [FpTier::Memory, FpTier::Disk]
+            .into_iter()
+            .find(|t| t.label() == label)
     }
 }
 
@@ -217,6 +205,71 @@ impl RegionRecord {
             recovered_panics: 0,
         }
     }
+
+    /// The record as one JSON object, the payload of an index line.
+    fn to_json(&self) -> Json {
+        let strings = |v: &[String]| Json::Arr(v.iter().map(|s| Json::from(s.as_str())).collect());
+        let decisions = self
+            .decisions
+            .iter()
+            .map(|(arr, d, p)| {
+                obj(vec![
+                    ("array", arr.as_str().into()),
+                    ("decision", d.kind().into()),
+                    ("reason", d.reason().unwrap_or_default().into()),
+                    ("provenance", p.tag().into()),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("loop_var", self.loop_var.as_str().into()),
+            ("loc", self.loc.into()),
+            ("model_size", self.model_size.into()),
+            ("unique_exprs", self.unique_exprs.into()),
+            ("queries", self.queries.into()),
+            ("decisions", Json::Arr(decisions)),
+            ("warnings", strings(&self.warnings)),
+            ("safe_write_exprs", strings(&self.safe_write_exprs)),
+            ("rejected_exprs", strings(&self.rejected_exprs)),
+        ])
+    }
+
+    /// Inverse of [`to_json`](Self::to_json); `None` on any missing or
+    /// ill-typed field, unknown decision kind or provenance tag.
+    fn from_json(j: &Json) -> Option<RegionRecord> {
+        let str_of = |j: &Json, key: &str| j.get(key)?.as_str().map(str::to_owned);
+        let num = |key: &str| j.get(key)?.as_u64();
+        let strings = |key: &str| -> Option<Vec<String>> {
+            j.get(key)?
+                .as_arr()?
+                .iter()
+                .map(|s| s.as_str().map(str::to_owned))
+                .collect()
+        };
+        let decisions = j
+            .get("decisions")?
+            .as_arr()?
+            .iter()
+            .map(|d| {
+                Some((
+                    str_of(d, "array")?,
+                    Decision::from_kind(&str_of(d, "decision")?, str_of(d, "reason")?)?,
+                    Provenance::from_tag(&str_of(d, "provenance")?)?,
+                ))
+            })
+            .collect::<Option<_>>()?;
+        Some(RegionRecord {
+            loop_var: str_of(j, "loop_var")?,
+            loc: usize::try_from(num("loc")?).ok()?,
+            model_size: usize::try_from(num("model_size")?).ok()?,
+            unique_exprs: usize::try_from(num("unique_exprs")?).ok()?,
+            queries: num("queries")?,
+            decisions,
+            warnings: strings("warnings")?,
+            safe_write_exprs: strings("safe_write_exprs")?,
+            rejected_exprs: strings("rejected_exprs")?,
+        })
+    }
 }
 
 /// Compute a region's fingerprint: a 128-bit FNV hash (hex) over the
@@ -256,10 +309,7 @@ pub fn region_fingerprint(
         buf.push_str("]\n");
     }
     write_loop(&mut buf, l, 1);
-    let h1 = fnv64(buf.as_bytes());
-    // FNV is a running hash: `fp2\n` followed by the buffer.
-    let h2 = fnv64_from(fnv64(b"fp2\n"), buf.as_bytes());
-    format!("{h1:016x}{h2:016x}")
+    fnv128_hex(&buf)
 }
 
 /// Counter snapshot of a [`FingerprintIndex`], exported into diagnostics
@@ -295,6 +345,9 @@ struct FpShared {
     entries: Mutex<Entries>,
     /// The durable index file, if the index has one.
     file: Option<PathBuf>,
+    /// Why the file's directory failed [`private_dir`]: nothing is read
+    /// from it, and every flush into it is a write error.
+    refused: Option<String>,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -317,16 +370,20 @@ impl FingerprintIndex {
 
     /// An index persisted under `dir`, holding the records of its file.
     /// Never fails: a missing, unreadable or corrupt file, or a torn
-    /// line, degrades to fewer records.
+    /// line, degrades to fewer records, and a directory that fails
+    /// [`private_dir`] to none.
     pub fn with_disk_dir(dir: &Path) -> FingerprintIndex {
-        let _ = fs::create_dir_all(dir);
         let path = dir.join(FP_FILE);
-        let records = read_versioned_lines(&path, FP_FORMAT_VERSION)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|line| parse_record_line(line))
-            .map(|(fp, rec)| (fp, (Arc::new(rec), FpTier::Disk)))
-            .collect();
+        let refused = private_dir(dir).err();
+        let records = match refused {
+            Some(_) => HashMap::new(),
+            None => read_versioned_lines(&path, FP_FORMAT_VERSION)
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|line| parse_record_line(line))
+                .map(|(fp, rec)| (fp, (Arc::new(rec), FpTier::Disk)))
+                .collect(),
+        };
         FingerprintIndex {
             shared: Arc::new(FpShared {
                 entries: Mutex::new(Entries {
@@ -334,9 +391,15 @@ impl FingerprintIndex {
                     pending: HashMap::new(),
                 }),
                 file: Some(path),
+                refused,
                 ..FpShared::default()
             }),
         }
+    }
+
+    /// Why the index's directory is not trusted, if it is not.
+    pub fn refused(&self) -> Option<&str> {
+        self.shared.refused.as_deref()
     }
 
     /// Look up a record, reporting the tier it is served from. A record
@@ -377,7 +440,8 @@ impl FingerprintIndex {
     /// Merge the staged records into the index file (re-read fresh, so
     /// concurrent writers' records survive) and atomically replace it.
     /// Returns the number of records that landed: 0 without a file, with
-    /// nothing staged, or when the write failed.
+    /// nothing staged, or when the directory is refused or the write
+    /// failed.
     pub fn flush(&self) -> usize {
         let Some(path) = &self.shared.file else {
             return 0;
@@ -389,6 +453,10 @@ impl FingerprintIndex {
         if drained.is_empty() {
             return 0;
         }
+        if self.shared.refused.is_some() {
+            self.shared.write_errors.fetch_add(1, Ordering::Relaxed);
+            return 0;
+        }
         // Read-merge-replace is one step for the writers of this process,
         // so they lose nothing to each other. Another process can still
         // replace the file between this read and the rename.
@@ -397,8 +465,8 @@ impl FingerprintIndex {
         let mut merged: HashMap<String, String> = HashMap::new();
         if let Some(lines) = read_versioned_lines(path, FP_FORMAT_VERSION) {
             for line in lines {
-                if let Some(fp) = verify_record_line(&line) {
-                    merged.insert(fp, line);
+                if let Some((fp, _)) = checked_line(&line) {
+                    merged.insert(fp.to_owned(), line);
                 }
             }
         }
@@ -413,7 +481,7 @@ impl FingerprintIndex {
             out.push_str(&merged[fp]);
             out.push('\n');
         }
-        if write_atomic(path, &out).is_err() {
+        if write_atomic(path, out.as_bytes()).is_err() {
             self.shared.write_errors.fetch_add(1, Ordering::Relaxed);
             return 0;
         }
@@ -444,166 +512,33 @@ impl FingerprintIndex {
     }
 }
 
-// ---------------------------------------------------------------------
-// On-disk record lines.
-// ---------------------------------------------------------------------
-//
-// One record per line: `<fp> <fnv64(payload) hex> <payload>` where the
-// payload is the record's fields joined by tabs, each field escaped
-// (`\` → `\\`, tab → `\t`, newline → `\n`). Vectors are length-prefixed.
-// The checksum rejects torn lines; an unparseable payload behind a valid
-// checksum (format drift) is also dropped rather than trusted.
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-fn decision_code(d: &Decision) -> (&'static str, &str) {
-    match d {
-        Decision::Shared => ("s", ""),
-        Decision::Transposed(r) => ("t", r),
-        Decision::Guarded(r) => ("g", r),
-    }
-}
-
-fn provenance_from_tag(tag: &str) -> Option<Provenance> {
-    Some(match tag {
-        "proved" => Provenance::Proved,
-        "refuted" => Provenance::Refuted,
-        "budget-exhausted" => Provenance::BudgetExhausted,
-        "timed-out" => Provenance::TimedOut,
-        "recovered" => Provenance::Recovered,
-        _ => return None,
-    })
-}
-
-fn render_payload(rec: &RegionRecord) -> String {
-    let mut f: Vec<String> = vec![
-        esc(&rec.loop_var),
-        rec.loc.to_string(),
-        rec.model_size.to_string(),
-        rec.unique_exprs.to_string(),
-        rec.queries.to_string(),
-        rec.decisions.len().to_string(),
-    ];
-    for (arr, d, p) in &rec.decisions {
-        let (code, reason) = decision_code(d);
-        f.push(esc(arr));
-        f.push(code.to_string());
-        f.push(esc(reason));
-        f.push(p.tag().to_string());
-    }
-    for list in [&rec.warnings, &rec.safe_write_exprs, &rec.rejected_exprs] {
-        f.push(list.len().to_string());
-        f.extend(list.iter().map(|s| esc(s)));
-    }
-    f.join("\t")
-}
-
 fn render_record_line(fp: &str, rec: &RegionRecord) -> String {
-    let payload = render_payload(rec);
+    let payload = rec.to_json().render();
     format!("{fp} {:016x} {payload}", fnv64(payload.as_bytes()))
 }
 
-/// Checksum-only validation; returns the fingerprint of a healthy line.
-fn verify_record_line(line: &str) -> Option<String> {
+/// The fingerprint and payload of a line whose checksum holds.
+fn checked_line(line: &str) -> Option<(&str, &str)> {
     let mut parts = line.splitn(3, ' ');
     let fp = parts.next()?;
     let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
     let payload = parts.next()?;
-    (fnv64(payload.as_bytes()) == sum).then(|| fp.to_owned())
+    (fnv64(payload.as_bytes()) == sum).then_some((fp, payload))
 }
 
-fn parse_payload(payload: &str) -> Option<RegionRecord> {
-    let fields: Vec<&str> = payload.split('\t').collect();
-    let mut it = fields.into_iter();
-    let mut next = move || it.next();
-    let loop_var = unesc(next()?)?;
-    let loc = next()?.parse().ok()?;
-    let model_size = next()?.parse().ok()?;
-    let unique_exprs = next()?.parse().ok()?;
-    let queries = next()?.parse().ok()?;
-    let ndec: usize = next()?.parse().ok()?;
-    let mut decisions = Vec::with_capacity(ndec);
-    for _ in 0..ndec {
-        let arr = unesc(next()?)?;
-        let code = next()?;
-        let reason = unesc(next()?)?;
-        let d = match code {
-            "s" => Decision::Shared,
-            "t" => Decision::Transposed(reason),
-            "g" => Decision::Guarded(reason),
-            _ => return None,
-        };
-        let p = provenance_from_tag(next()?)?;
-        decisions.push((arr, d, p));
-    }
-    let mut lists: [Vec<String>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for list in &mut lists {
-        let n: usize = next()?.parse().ok()?;
-        for _ in 0..n {
-            list.push(unesc(next()?)?);
-        }
-    }
-    let [warnings, safe_write_exprs, rejected_exprs] = lists;
-    if next().is_some() {
-        return None;
-    }
-    Some(RegionRecord {
-        loop_var,
-        loc,
-        model_size,
-        unique_exprs,
-        queries,
-        decisions,
-        warnings,
-        safe_write_exprs,
-        rejected_exprs,
-    })
-}
-
+/// A line whose checksum holds and whose payload is a record; a payload
+/// that does not parse behind a valid checksum (format drift) is dropped
+/// rather than trusted.
 fn parse_record_line(line: &str) -> Option<(String, RegionRecord)> {
-    let mut parts = line.splitn(3, ' ');
-    let fp = parts.next()?.to_owned();
-    let sum = u64::from_str_radix(parts.next()?, 16).ok()?;
-    let payload = parts.next()?;
-    if fnv64(payload.as_bytes()) != sum {
-        return None;
-    }
-    Some((fp, parse_payload(payload)?))
+    let (fp, payload) = checked_line(line)?;
+    let rec = RegionRecord::from_json(&Json::parse(payload).ok()?)?;
+    Some((fp.to_owned(), rec))
 }
 
 /// Offline report over a cache directory's fingerprint index, for the
 /// `formad cache` verb. All zero when no index file exists yet, which is
 /// not corruption.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FpFileReport {
     /// Record lines that parse.
     pub records: u64,
@@ -614,16 +549,24 @@ pub struct FpFileReport {
     /// The file exists but is unreadable or does not start with
     /// [`FP_FORMAT_VERSION`]; analysis runs treat it as empty.
     pub bad_version: bool,
+    /// Why the directory fails [`private_dir`] (its mode or its owner);
+    /// analysis runs neither read nor write the file.
+    pub refused: Option<String>,
 }
 
 /// Inspect `dir`'s index file without touching it.
 pub fn inspect_fp_file(dir: &Path) -> FpFileReport {
     let path = dir.join(FP_FILE);
+    let refused = if dir.is_dir() { private_dir(dir).err() } else { None };
     let Ok(meta) = fs::metadata(&path) else {
-        return FpFileReport::default();
+        return FpFileReport {
+            refused,
+            ..FpFileReport::default()
+        };
     };
     let mut report = FpFileReport {
         bytes: meta.len(),
+        refused,
         ..FpFileReport::default()
     };
     let Some(lines) = read_versioned_lines(&path, FP_FORMAT_VERSION) else {
@@ -643,7 +586,7 @@ pub fn inspect_fp_file(dir: &Path) -> FpFileReport {
 /// probe file through the same tmp + rename path a flush takes.
 pub fn probe_fp_write(dir: &Path) -> io::Result<()> {
     let probe = dir.join(format!("{FP_FILE}.probe"));
-    write_atomic(&probe, "")?;
+    write_atomic(&probe, b"")?;
     fs::remove_file(&probe)
 }
 

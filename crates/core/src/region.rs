@@ -63,6 +63,49 @@ pub enum Decision {
     Guarded(String),
 }
 
+impl Decision {
+    const SHARED: &'static str = "shared";
+    const TRANSPOSED: &'static str = "transposed";
+    const GUARDED: &'static str = "guarded";
+
+    /// The decision's kind as traces and index records spell it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Decision::Shared => Decision::SHARED,
+            Decision::Transposed(_) => Decision::TRANSPOSED,
+            Decision::Guarded(_) => Decision::GUARDED,
+        }
+    }
+
+    /// The decision of [`kind`](Self::kind) `kind` carrying `reason`
+    /// (dropped for `shared`).
+    pub fn from_kind(kind: &str, reason: String) -> Option<Decision> {
+        match kind {
+            Decision::SHARED => Some(Decision::Shared),
+            Decision::TRANSPOSED => Some(Decision::Transposed(reason)),
+            Decision::GUARDED => Some(Decision::Guarded(reason)),
+            _ => None,
+        }
+    }
+
+    /// The guard reason or transposition summary; `None` for `shared`.
+    pub fn reason(&self) -> Option<&str> {
+        match self {
+            Decision::Shared => None,
+            Decision::Transposed(r) | Decision::Guarded(r) => Some(r),
+        }
+    }
+
+    /// The verdict as the report and `formad explain` phrase it.
+    pub fn phrase(&self) -> &'static str {
+        match self {
+            Decision::Shared => "shared (no atomics needed)",
+            Decision::Transposed(_) => "transposed (gather, no atomics needed)",
+            Decision::Guarded(_) => Decision::GUARDED,
+        }
+    }
+}
+
 /// How a per-array decision was reached — the rung of the degradation
 /// ladder the analysis ended on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +125,15 @@ pub enum Provenance {
 }
 
 impl Provenance {
-    /// Short tag for reports.
+    const ALL: [Provenance; 5] = [
+        Provenance::Proved,
+        Provenance::Refuted,
+        Provenance::BudgetExhausted,
+        Provenance::TimedOut,
+        Provenance::Recovered,
+    ];
+
+    /// Short tag for reports, traces and index records.
     pub fn tag(&self) -> &'static str {
         match self {
             Provenance::Proved => "proved",
@@ -91,6 +142,11 @@ impl Provenance {
             Provenance::TimedOut => "timed-out",
             Provenance::Recovered => "recovered",
         }
+    }
+
+    /// The provenance whose [`tag`](Self::tag) is `tag`.
+    pub fn from_tag(tag: &str) -> Option<Provenance> {
+        Provenance::ALL.into_iter().find(|p| p.tag() == tag)
     }
 }
 
@@ -649,17 +705,12 @@ pub(crate) fn decision_event(
     d: &Decision,
     p: Provenance,
 ) -> TraceEvent {
-    let (decision, reason) = match d {
-        Decision::Shared => ("shared".to_string(), String::new()),
-        Decision::Transposed(r) => ("transposed".to_string(), r.clone()),
-        Decision::Guarded(r) => ("guarded".to_string(), r.clone()),
-    };
     TraceEvent::Decision {
         region,
         array: array.to_string(),
-        decision,
+        decision: d.kind().to_string(),
         provenance: p.tag().to_string(),
-        reason,
+        reason: d.reason().unwrap_or_default().to_string(),
     }
 }
 

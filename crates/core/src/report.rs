@@ -3,7 +3,7 @@
 use std::fmt::Write;
 
 use crate::pipeline::FormadAnalysis;
-use crate::region::{Decision, Provenance, RegionAnalysis};
+use crate::region::{Provenance, RegionAnalysis};
 
 /// Render one Table-1-style row: `problem, time, model size, queries,
 /// exprs, loc`.
@@ -47,23 +47,8 @@ pub fn region_report(r: &RegionAnalysis) -> String {
             .get(arr.as_str())
             .map(Provenance::tag)
             .unwrap_or("unrecorded");
-        match d {
-            Decision::Shared => {
-                let _ = writeln!(
-                    s,
-                    "  adjoint of `{arr}`: shared (no atomics needed) [{tag}]"
-                );
-            }
-            Decision::Transposed(reason) => {
-                let _ = writeln!(
-                    s,
-                    "  adjoint of `{arr}`: transposed (gather, no atomics needed) [{tag}] — {reason}"
-                );
-            }
-            Decision::Guarded(reason) => {
-                let _ = writeln!(s, "  adjoint of `{arr}`: guarded [{tag}] — {reason}");
-            }
-        }
+        let reason = d.reason().map(|why| format!(" — {why}")).unwrap_or_default();
+        let _ = writeln!(s, "  adjoint of `{arr}`: {} [{tag}]{reason}", d.phrase());
     }
     if r.stats.unknowns > 0 || r.recovered_panics > 0 {
         let _ = writeln!(

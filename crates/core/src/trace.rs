@@ -29,7 +29,9 @@ use std::sync::{Arc, Mutex};
 
 use formad_ad::AdjointStats;
 
+use crate::fingerprint::FpTier;
 use crate::json::{write_string, Json};
+use crate::region::{Decision, Provenance};
 
 /// Version tag of the JSON document layout.
 pub const TRACE_SCHEMA: &str = "formad-trace/v1";
@@ -720,12 +722,10 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
                 }
             },
         }
-        let verdict = match decision.as_str() {
-            "shared" => "shared (no atomics needed)".to_string(),
-            "transposed" => format!("transposed (gather, no atomics needed) — {reason}"),
-            _ => format!("guarded — {reason}"),
-        };
-        let _ = writeln!(s, "  decision: {verdict} [{provenance}]");
+        let d = Decision::from_kind(decision, reason.clone())
+            .unwrap_or_else(|| Decision::Guarded(reason.clone()));
+        let why = d.reason().map(|why| format!(" — {why}")).unwrap_or_default();
+        let _ = writeln!(s, "  decision: {}{why} [{provenance}]", d.phrase());
     }
     if !matched {
         match array {
@@ -814,14 +814,6 @@ fn need_str_list(o: &Json, key: &str, at: &str) -> Result<(), String> {
         Err(format!("{at}: `{key}` must contain only strings"))
     }
 }
-
-const PROVENANCE_TAGS: [&str; 5] = [
-    "proved",
-    "refuted",
-    "budget-exhausted",
-    "timed-out",
-    "recovered",
-];
 
 /// Validate a rendered trace document against [`TRACE_SCHEMA`]: the
 /// schema tag, per-event required fields, span-id uniqueness within each
@@ -928,10 +920,10 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
                     provenance: need_str(e, "provenance", &at)?,
                     reason: need_str(e, "reason", &at)?,
                 };
-                if d.decision != "shared" && d.decision != "transposed" && d.decision != "guarded" {
+                if Decision::from_kind(&d.decision, String::new()).is_none() {
                     return Err(format!("{at}: bad decision `{}`", d.decision));
                 }
-                if !PROVENANCE_TAGS.contains(&d.provenance.as_str()) {
+                if Provenance::from_tag(&d.provenance).is_none() {
                     return Err(format!("{at}: bad provenance `{}`", d.provenance));
                 }
                 summary.decisions.push(d);
@@ -940,7 +932,7 @@ pub fn validate_trace(src: &str) -> Result<TraceSummary, String> {
                 need_num(e, "region", &at)?;
                 need_str(e, "fingerprint", &at)?;
                 let tier = need_str(e, "tier", &at)?;
-                if !matches!(tier.as_str(), "memory" | "disk") {
+                if FpTier::from_label(&tier).is_none() {
                     return Err(format!("{at}: bad serving tier `{tier}`"));
                 }
                 need_num(e, "arrays", &at)?;

@@ -9,7 +9,9 @@
 //! - one lexer, recursive-descent [`parser`] and [`printer`] (parser ∘ printer
 //!   = identity) for both spellings of the surface syntax ([`SourceFlavor`]);
 //! - [`mod@validate`]: static well-formedness checks, including detection of
-//!   obviously racy primal programs (shared scalar writes in parallel loops).
+//!   obviously racy primal programs (shared scalar writes in parallel loops);
+//! - [`store`]: the hash, atomic write and directory trust rule shared by
+//!   the AOT kernel cache and the region fingerprint index.
 //!
 //! The language is the subset of Fortran + OpenMP exercised by the paper
 //! *"Automatic Differentiation of Parallel Loops with Formal Methods"*
@@ -51,6 +53,7 @@ pub mod printer;
 pub mod printer_c;
 pub mod program;
 pub mod stmt;
+pub mod store;
 pub mod types;
 pub mod validate;
 

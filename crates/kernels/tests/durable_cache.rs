@@ -162,10 +162,11 @@ fn corrupt(dir: &Path, mode: &str) {
             "garbage" => {
                 std::fs::write(&path, b"\x00\xff\x7f not a cache file \x01\x02").expect("write");
             }
-            "wrong-version" => {
+            "wrong-version" | "v1" => {
+                let version = if mode == "v1" { "v1" } else { "v999" };
                 let text = std::fs::read_to_string(&path).unwrap_or_default();
                 let rest = text.split_once('\n').map(|(_, r)| r).unwrap_or("");
-                std::fs::write(&path, format!("formad-fpi/v999\n{rest}")).expect("write");
+                std::fs::write(&path, format!("formad-fpi/{version}\n{rest}")).expect("write");
             }
             other => panic!("unknown corruption mode `{other}`"),
         }
@@ -178,7 +179,7 @@ fn corrupted_dirs_degrade_to_cold_miss_with_identical_reports() {
     let dir = fresh_dir("corrupt");
     let mut cold = analyze_disk(&program, &indep, &dep, &dir);
     let want = report_of(&mut cold);
-    for mode in ["truncated", "garbage", "wrong-version"] {
+    for mode in ["truncated", "garbage", "wrong-version", "v1"] {
         corrupt(&dir, mode);
         let mut a = analyze_disk(&program, &indep, &dep, &dir);
         assert_eq!(
@@ -341,5 +342,161 @@ fn editing_one_gfmc_loop_reproves_only_that_region() {
         report_of(&mut warm),
         "edited rerun changed an unedited verdict"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A gather: `x(c(i))` may repeat across iterations, so the adjoint's
+/// increment of `xb` must stay atomic (`guarded [refuted]`).
+const GATHER: &str = r#"
+subroutine gather(n, x, y, c)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer, intent(in) :: c(n)
+  integer :: i
+  !$omp parallel do shared(x, y, c)
+  do i = 1, n
+    y(i) = x(c(i))
+  end do
+end subroutine
+"#;
+
+/// Rewrite `x`'s recorded decision in `dir`'s index as `shared` /
+/// `proved`, with a checksum that holds: what anyone who can write the
+/// directory can do.
+fn forge_x_proved(dir: &Path) {
+    use formad::json::{obj, Json};
+    let index = dir.join("fingerprints.fpi");
+    let text = std::fs::read_to_string(&index).expect("index file");
+    let mut lines = text.lines();
+    let mut out = format!("{}\n", lines.next().expect("version header"));
+    let mut forged = 0;
+    for line in lines {
+        let mut parts = line.splitn(3, ' ');
+        let (fp, _sum, payload) = (parts.next().unwrap(), parts.next().unwrap(), parts.next().unwrap());
+        let mut rec = Json::parse(payload).expect("record payload");
+        let Json::Obj(fields) = &mut rec else {
+            panic!("record is not an object")
+        };
+        for (key, val) in fields.iter_mut() {
+            let Json::Arr(decisions) = val else { continue };
+            if key != "decisions" {
+                continue;
+            }
+            for d in decisions.iter_mut() {
+                if d.get("array").and_then(Json::as_str) == Some("x") {
+                    *d = obj(vec![
+                        ("array", "x".into()),
+                        ("decision", "shared".into()),
+                        ("reason", "".into()),
+                        ("provenance", "proved".into()),
+                    ]);
+                    forged += 1;
+                }
+            }
+        }
+        let payload = rec.render();
+        let sum = formad_ir::store::fnv64(payload.as_bytes());
+        out.push_str(&format!("{fp} {sum:016x} {payload}\n"));
+    }
+    assert_eq!(forged, 1, "one record decides `x`");
+    std::fs::write(&index, out).expect("write forged index");
+}
+
+/// What a run over `dir` says about `x`: the report, and whether the
+/// adjoint dropped `xb`'s atomic (its increment not under `!$omp atomic`,
+/// or a proof set naming `xb`).
+fn gather_run(program: &Program, dir: &Path) -> (String, bool) {
+    let engine = SharedEngine::with_cache_dir(dir);
+    let opts = FormadOptions::new(&["x"], &["y"]);
+    let mut diff = engine.differentiate(program, &opts).expect("differentiate");
+    let report = report_of(&mut diff.analysis);
+    let text = formad_ir::program_to_string(&diff.adjoint);
+    let lines: Vec<&str> = text.lines().collect();
+    let incr = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("xb(c(i)) = xb(c(i)) +"))
+        .expect("xb increment in the adjoint");
+    let atomic = lines[incr - 1].trim() == "!$omp atomic";
+    let mut proved_xb = false;
+    fn walk(body: &[Stmt], hit: &mut bool) {
+        for s in body {
+            if let Stmt::For(l) = s {
+                if let Some(p) = &l.parallel {
+                    *hit |= p.proved.iter().any(|n| n.as_str() == "xb");
+                }
+                walk(&l.body, hit);
+            }
+        }
+    }
+    walk(&diff.adjoint.body, &mut proved_xb);
+    engine.flush_disk();
+    (report, !atomic || proved_xb)
+}
+
+/// The index is the one place verdicts enter without a proof, so a
+/// directory another user can write is not read: a forged `proved`
+/// record there changes neither the report nor the adjoint's atomics,
+/// and nothing is flushed into it.
+#[test]
+fn forged_verdicts_in_a_dir_others_can_write_are_not_read() {
+    use std::os::unix::fs::{MetadataExt, PermissionsExt};
+
+    let program = formad_ir::parse_program(GATHER).expect("parse");
+    let dir = fresh_dir("forged");
+    let (cold, dropped) = gather_run(&program, &dir);
+    assert!(
+        cold.contains("adjoint of `x`: guarded [refuted]"),
+        "{cold}"
+    );
+    assert!(!dropped, "the cold adjoint keeps xb's atomic");
+    forge_x_proved(&dir);
+    let forged = std::fs::read(dir.join("fingerprints.fpi")).unwrap();
+    let chmod = |mode| std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(mode));
+
+    // The forgery is well-formed: in a trusted directory it is served,
+    // checksum and all. The directory rule is the defence, not the sum.
+    chmod(0o700).unwrap();
+    let (trusted, dropped) = gather_run(&program, &dir);
+    assert!(
+        trusted.contains("adjoint of `x`: shared (no atomics needed) [proved]"),
+        "{trusted}"
+    );
+    assert!(dropped);
+
+    let uid = std::fs::metadata(&dir).unwrap().uid();
+    let legs: [(&str, &dyn Fn() -> bool, String); 2] = [
+        ("mode 0777", &|| chmod(0o777).is_ok(), "(mode 777)".to_string()),
+        (
+            "foreign owner",
+            &|| chmod(0o700).is_ok() && std::os::unix::fs::chown(&dir, Some(uid + 1), None).is_ok(),
+            format!("owned by uid {}", uid + 1),
+        ),
+    ];
+    for (leg, refuse, why) in legs {
+        if !refuse() {
+            eprintln!("{leg} leg skipped: this process may not chown");
+            continue;
+        }
+        let (report, dropped) = gather_run(&program, &dir);
+        assert_eq!(cold, report, "{leg}: a forged record was read");
+        assert!(!dropped, "{leg}: the adjoint dropped xb's atomic");
+        let engine = SharedEngine::with_cache_dir(&dir);
+        let index = engine.fingerprints().unwrap();
+        assert!(index.is_empty(), "{leg}: a record was read");
+        assert!(index.refused().is_some_and(|r| r.contains(&why)), "{leg}");
+        engine
+            .analyze(&program, &FormadOptions::new(&["x"], &["y"]))
+            .expect("analysis");
+        assert_eq!(engine.flush_disk(), 0, "{leg}: a flush landed");
+        assert_eq!(index.stats().write_errors, 1, "{leg}");
+        assert_eq!(
+            std::fs::read(dir.join("fingerprints.fpi")).unwrap(),
+            forged,
+            "{leg}: the refused directory was written"
+        );
+        let verify = formad::inspect_fp_file(&dir);
+        assert!(verify.refused.is_some_and(|r| r.contains(&why)), "{leg}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -151,7 +151,7 @@ pub(crate) fn generate(lp: &LProgram) -> Result<(String, String), String> {
         lp.regions.len()
     );
     out.push_str(&g.out);
-    let key = super::fnv128_hex(&out);
+    let key = formad_ir::store::fnv128_hex(&out);
     let _ = write!(
         out,
         "\n#[no_mangle]\npub extern \"C\" fn formad_aot_source_hash() -> *const u8 {{ \

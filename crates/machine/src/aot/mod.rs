@@ -18,13 +18,13 @@
 //! Cache directory resolution: `FORMAD_AOT_DIR` env var, else
 //! `$CARGO_TARGET_DIR/formad-aot`, else a `formad-aot` directory inside
 //! the nearest `target` ancestor of the running executable, else the
-//! system temp dir. The directory is created owner-only (mode 0700), and
-//! one that is group- or world-writable or owned by another user is
-//! refused: its artifacts are code this process runs. The generated
-//! `.rs` is kept beside the `.so` for
-//! inspection and CI artifact upload. Artifacts are written via
-//! temp-file + rename so concurrent processes never observe a torn
-//! `.so`. Loaded libraries are never `dlclose`d (region functions must
+//! system temp dir. The directory follows the stores' one trust rule,
+//! [`formad_ir::store::private_dir`]: it is created owner-only (mode
+//! 0700), and one that is group- or world-writable or owned by another
+//! user is refused, because its artifacts are code this process runs.
+//! The generated `.rs` is kept beside the `.so` for inspection and CI
+//! artifact upload. Artifacts are written via temp-file + rename so
+//! concurrent processes never observe a torn `.so`. Loaded libraries are never `dlclose`d (region functions must
 //! stay callable for the process lifetime); a process-wide registry
 //! dedups loads by hash.
 //!
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use formad_ir::Program;
+use formad_ir::{store, Program};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::bytecode::BcProgram;
@@ -166,7 +166,7 @@ pub fn stats() -> AotStats {
 
 /// The kernel cache directory (see module docs for the resolution
 /// order). Not created until an artifact is written, and then by
-/// `private_dir`.
+/// [`store::private_dir`].
 pub fn cache_dir() -> PathBuf {
     if let Some(d) = std::env::var_os("FORMAD_AOT_DIR") {
         if !d.is_empty() {
@@ -188,77 +188,9 @@ pub fn cache_dir() -> PathBuf {
     std::env::temp_dir().join("formad-aot")
 }
 
-/// 128-bit content hash as 32 hex chars: two independent FNV-1a-style
-/// streams. Not cryptographic — it keys a local build cache, where the
-/// failure mode of a collision is a stale-but-ABI-checked artifact.
-fn fnv128_hex(s: &str) -> String {
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut h2: u64 = 0x6c62_272e_07bb_0142;
-    for b in s.bytes() {
-        h1 = (h1 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        h2 = (h2 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-    format!("{h1:016x}{h2:016x}")
-}
-
-/// Create `dir` owner-only (0700) if it is missing, and refuse it if
-/// another user could plant an artifact in it: group- or world-writable,
-/// or owned by a uid other than this process's.
-#[cfg(unix)]
-fn private_dir(dir: &Path) -> Result<(), AotError> {
-    use std::os::unix::fs::{DirBuilderExt, MetadataExt};
-    extern "C" {
-        fn geteuid() -> u32;
-    }
-    let io = |what: &str, e: std::io::Error| AotError::Io(format!("{what} {}: {e}", dir.display()));
-    std::fs::DirBuilder::new()
-        .recursive(true)
-        .mode(0o700)
-        .create(dir)
-        .map_err(|e| io("create", e))?;
-    let meta = std::fs::metadata(dir).map_err(|e| io("stat", e))?;
-    let mode = meta.mode() & 0o777;
-    if mode & 0o022 != 0 {
-        return Err(AotError::Io(format!(
-            "{} is group- or world-writable (mode {mode:o})",
-            dir.display()
-        )));
-    }
-    // SAFETY: `geteuid` takes nothing, cannot fail and touches no memory.
-    let uid = unsafe { geteuid() };
-    if meta.uid() != uid {
-        return Err(AotError::Io(format!(
-            "{} is owned by uid {}, not {uid}",
-            dir.display(),
-            meta.uid()
-        )));
-    }
-    Ok(())
-}
-
-#[cfg(not(unix))]
-fn private_dir(dir: &Path) -> Result<(), AotError> {
-    std::fs::create_dir_all(dir).map_err(|e| AotError::Io(format!("create {}: {e}", dir.display())))
-}
-
 fn registry() -> &'static Mutex<HashMap<String, Arc<AotKernel>>> {
     static REG: OnceLock<Mutex<HashMap<String, Arc<AotKernel>>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Atomic file write: temp name in the same directory, then rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), AotError> {
-    let dir = path.parent().unwrap_or(Path::new("."));
-    let tmp = dir.join(format!(
-        ".{}.{}.tmp",
-        path.file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default(),
-        std::process::id()
-    ));
-    std::fs::write(&tmp, bytes)
-        .map_err(|e| AotError::Io(format!("write {}: {e}", tmp.display())))?;
-    std::fs::rename(&tmp, path).map_err(|e| AotError::Io(format!("rename {}: {e}", path.display())))
 }
 
 /// The compiler to spawn: `FORMAD_AOT_RUSTC` if set (read on every
@@ -435,18 +367,22 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
         return Ok(Arc::clone(k));
     }
     let dir = cache_dir();
-    private_dir(&dir)?;
+    store::private_dir(&dir).map_err(AotError::Io)?;
     let so = dir.join(format!("formad_aot_{hash}.so"));
     let rs = dir.join(format!("formad_aot_{hash}.rs"));
+    let write_rs = || {
+        store::write_atomic(&rs, src.as_bytes())
+            .map_err(|e| AotError::Io(format!("write {}: {e}", rs.display())))
+    };
     if so.exists() {
         // Keep the source beside the artifact even when another process
         // built it, so CI can always upload the pair.
         if !rs.exists() {
-            write_atomic(&rs, src.as_bytes())?;
+            write_rs()?;
         }
         STATS.disk_hits.fetch_add(1, Ordering::Relaxed);
     } else {
-        write_atomic(&rs, src.as_bytes())?;
+        write_rs()?;
         compile_cdylib(&rs, &so)?;
         STATS.compiles.fetch_add(1, Ordering::Relaxed);
     }
@@ -570,14 +506,6 @@ subroutine saxpy_aot_unit(n, a, x, y, s)
   end do
 end subroutine
 "#;
-
-    #[test]
-    fn hash_is_stable_and_content_keyed() {
-        let a = fnv128_hex("hello");
-        assert_eq!(a, fnv128_hex("hello"));
-        assert_ne!(a, fnv128_hex("hello!"));
-        assert_eq!(a.len(), 32);
-    }
 
     #[test]
     fn aot_matches_sim_end_to_end() {

@@ -68,11 +68,7 @@ impl std::error::Error for BindError {}
 /// keyed by the seed and the array name, mapped into (-1, 1). Keyed per
 /// name so reordering assignments or declarations never changes data.
 pub fn fill_real(name: &str, seed: u64, len: usize) -> Vec<f64> {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64; // FNV-1a over the name
-    for b in name.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut s = seed ^ h;
+    let mut s = seed ^ formad_ir::store::fnv64(name.as_bytes());
     (0..len)
         .map(|_| {
             s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
