@@ -1422,7 +1422,10 @@ fn cache_verb_stats_verify_clear_ladder() {
         chmod(0o777).unwrap();
         let (out, _, ok) = formad(&["cache", "verify", "--cache-dir", d]);
         assert!(!ok, "{out}");
-        assert!(out.contains("refused:") && out.contains("(mode 777)"), "{out}");
+        assert!(
+            out.contains("refused:") && out.contains("(mode 777)"),
+            "{out}"
+        );
         chmod(0o755).unwrap();
     }
     // A stale shard file of the deleted proof store is not the index's

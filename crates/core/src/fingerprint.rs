@@ -557,7 +557,11 @@ pub struct FpFileReport {
 /// Inspect `dir`'s index file without touching it.
 pub fn inspect_fp_file(dir: &Path) -> FpFileReport {
     let path = dir.join(FP_FILE);
-    let refused = if dir.is_dir() { private_dir(dir).err() } else { None };
+    let refused = if dir.is_dir() {
+        private_dir(dir).err()
+    } else {
+        None
+    };
     let Ok(meta) = fs::metadata(&path) else {
         return FpFileReport {
             refused,

@@ -47,7 +47,10 @@ pub fn region_report(r: &RegionAnalysis) -> String {
             .get(arr.as_str())
             .map(Provenance::tag)
             .unwrap_or("unrecorded");
-        let reason = d.reason().map(|why| format!(" — {why}")).unwrap_or_default();
+        let reason = d
+            .reason()
+            .map(|why| format!(" — {why}"))
+            .unwrap_or_default();
         let _ = writeln!(s, "  adjoint of `{arr}`: {} [{tag}]{reason}", d.phrase());
     }
     if r.stats.unknowns > 0 || r.recovered_panics > 0 {

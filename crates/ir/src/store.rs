@@ -91,7 +91,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hashes_are_fnv_and_content_keyed() {
+    fn hash_is_stable_and_content_keyed() {
         // FNV-1a 64 reference values.
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);

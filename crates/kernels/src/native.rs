@@ -30,11 +30,18 @@ impl NativeStencil {
         for offset in 0..stride {
             // `do i = stride + offset, n - r, stride`, 0-based.
             for i in (stride + offset - 1..unew.len() - r).step_by(stride) {
-                for k in 0..=r {
-                    unew[i - k] += self.w[k] * uold[i - k];
+                // `unew(i - k) += w(k) * uold(i - k)` for k = 0..=r, then
+                // `unew(i - k) += w(r + 1 + k) * uold(i - k - 1)` for
+                // k = 0..r, over windows sliced once per `i`: the loops
+                // walk them backwards from `i` and check no bounds.
+                let (here, left) = (&uold[i - r..=i], &uold[i - r..i]);
+                let window = unew[i - r..=i].iter_mut().rev();
+                for ((u, o), wk) in window.zip(here.iter().rev()).zip(&self.w[..=r]) {
+                    *u += wk * o;
                 }
-                for k in 0..r {
-                    unew[i - k] += self.w[r + 1 + k] * uold[i - k - 1];
+                let window = unew[i + 1 - r..=i].iter_mut().rev();
+                for ((u, o), wk) in window.zip(left.iter().rev()).zip(&self.w[r + 1..]) {
+                    *u += wk * o;
                 }
             }
         }

@@ -373,7 +373,11 @@ fn forge_x_proved(dir: &Path) {
     let mut forged = 0;
     for line in lines {
         let mut parts = line.splitn(3, ' ');
-        let (fp, _sum, payload) = (parts.next().unwrap(), parts.next().unwrap(), parts.next().unwrap());
+        let (fp, _sum, payload) = (
+            parts.next().unwrap(),
+            parts.next().unwrap(),
+            parts.next().unwrap(),
+        );
         let mut rec = Json::parse(payload).expect("record payload");
         let Json::Obj(fields) = &mut rec else {
             panic!("record is not an object")
@@ -445,10 +449,7 @@ fn forged_verdicts_in_a_dir_others_can_write_are_not_read() {
     let program = formad_ir::parse_program(GATHER).expect("parse");
     let dir = fresh_dir("forged");
     let (cold, dropped) = gather_run(&program, &dir);
-    assert!(
-        cold.contains("adjoint of `x`: guarded [refuted]"),
-        "{cold}"
-    );
+    assert!(cold.contains("adjoint of `x`: guarded [refuted]"), "{cold}");
     assert!(!dropped, "the cold adjoint keeps xb's atomic");
     forge_x_proved(&dir);
     let forged = std::fs::read(dir.join("fingerprints.fpi")).unwrap();
@@ -466,7 +467,11 @@ fn forged_verdicts_in_a_dir_others_can_write_are_not_read() {
 
     let uid = std::fs::metadata(&dir).unwrap().uid();
     let legs: [(&str, &dyn Fn() -> bool, String); 2] = [
-        ("mode 0777", &|| chmod(0o777).is_ok(), "(mode 777)".to_string()),
+        (
+            "mode 0777",
+            &|| chmod(0o777).is_ok(),
+            "(mode 777)".to_string(),
+        ),
         (
             "foreign owner",
             &|| chmod(0o700).is_ok() && std::os::unix::fs::chown(&dir, Some(uid + 1), None).is_ok(),

@@ -36,13 +36,12 @@
 //! threads it would be a data race, so it is rejected at compile time.
 //! Generated adjoints always privatize correctly.
 
-use std::collections::HashMap;
-
 use formad_ir::{BinOp, CmpOp, Intrinsic, Program, RedOp, Ty};
 
 use crate::bindings::ExecError;
 use crate::lower::{
-    fused_increment, ArrId, ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt, RegionId, Slot,
+    fused_increment, ArrId, ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt, RegionId,
+    ScalarMeta, Slot,
 };
 
 /// Register index within the real or int file.
@@ -249,23 +248,6 @@ pub struct BcRegion {
     pub red_arrays: Vec<(RedOp, ArrId)>,
 }
 
-/// What a program parameter binds to (for transfer and write-back).
-#[derive(Debug, Clone)]
-pub enum BcParam {
-    RealScalar(String, Slot),
-    IntScalar(String, Slot),
-    Array(String, ArrId),
-}
-
-impl BcParam {
-    /// The parameter's declared name.
-    pub fn name(&self) -> &str {
-        match self {
-            BcParam::RealScalar(n, _) | BcParam::IntScalar(n, _) | BcParam::Array(n, _) => n,
-        }
-    }
-}
-
 /// A compiled program, self-contained for execution: code, regions,
 /// register file sizes, array descriptors, and binding-transfer tables.
 #[derive(Debug)]
@@ -277,33 +259,16 @@ pub struct BcProgram {
     pub n_real_regs: usize,
     pub n_int_regs: usize,
     pub arrays: Vec<ArrMeta>,
-    /// Declared parameters in declaration order (write-back order).
-    pub params: Vec<BcParam>,
-    /// Every scalar name → (slot, ty), for binding transfer-in.
-    pub scalar_slots: HashMap<String, (Slot, Ty)>,
+    /// Every scalar, for binding transfer ([`LProgram::scalars`]).
+    pub scalars: Vec<ScalarMeta>,
 }
 
-/// Compile a lowered program. `prog` supplies the parameter list for the
-/// binding-transfer tables (the same information [`crate::interp::run`]
-/// uses).
-pub fn compile(lp: &LProgram, prog: &Program) -> Result<BcProgram, ExecError> {
+/// Compile a lowered program. `lp` carries everything the code and the
+/// binding transfer need; `_prog`, the program it was lowered from, is
+/// not read.
+pub fn compile(lp: &LProgram, _prog: &Program) -> Result<BcProgram, ExecError> {
     if lp.arrays.len() > u16::MAX as usize {
         return Err(ExecError::new("too many arrays for bytecode"));
-    }
-    let mut params = Vec::with_capacity(prog.params.len());
-    for d in &prog.params {
-        if d.is_array() {
-            params.push(BcParam::Array(
-                d.name.to_string(),
-                lp.array_ids[d.name.as_str()],
-            ));
-        } else {
-            let (slot, ty) = lp.scalar_slots[d.name.as_str()];
-            match ty {
-                Ty::Real => params.push(BcParam::RealScalar(d.name.to_string(), slot)),
-                Ty::Int => params.push(BcParam::IntScalar(d.name.to_string(), slot)),
-            }
-        }
     }
     let mut c = Compiler {
         lp,
@@ -327,8 +292,7 @@ pub fn compile(lp: &LProgram, prog: &Program) -> Result<BcProgram, ExecError> {
         n_real_regs: c.max_r as usize,
         n_int_regs: c.max_i as usize,
         arrays: lp.arrays.clone(),
-        params,
-        scalar_slots: lp.scalar_slots.clone(),
+        scalars: lp.scalars.clone(),
     })
 }
 
@@ -709,10 +673,10 @@ impl<'a> Compiler<'a> {
                 let want = if is_real { Ty::Real } else { Ty::Int };
                 let name = self
                     .lp
-                    .scalar_slots
+                    .scalars
                     .iter()
-                    .find(|(_, (s, ty))| *s == slot && *ty == want)
-                    .map(|(n, _)| n.clone())
+                    .find(|s| s.slot == slot && s.ty == want)
+                    .map(|s| s.name.clone())
                     .unwrap_or_else(|| format!("slot{slot}"));
                 Err(ExecError::new(format!(
                     "scalar `{name}` written inside a parallel region must be \

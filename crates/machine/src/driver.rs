@@ -15,6 +15,7 @@ use std::fmt;
 use formad_ir::{Intent, Program, Ty};
 
 use crate::bindings::Bindings;
+use crate::fd::zero_unbound_shadows;
 use crate::lower::lower;
 
 /// Why a parameter binding could not be built. Front ends map these to
@@ -169,12 +170,14 @@ pub fn bind_params(
 }
 
 /// Extend primal bindings with adjoint seeds, the way every differential
-/// suite and `fd::dot_product_test` seed a full backpropagation pass:
-/// dependents' bars at 1.0, independents' bars accumulated from zero
-/// (names that bind no real array are skipped), and every other real
-/// parameter `prog` declares that is still unbound zeroed — a bar array
-/// to the length of the array it shadows. Handed the primal, whose
-/// parameters `base` already binds, the last step adds nothing.
+/// suite seeds a full backpropagation pass: dependents' bars at 1.0,
+/// independents' bars accumulated from zero (names that bind no real
+/// array are skipped), and every other real parameter `prog` declares
+/// that is still unbound zeroed — a bar array to the length of the array
+/// it shadows, by the routine `fd::dot_product_test` zeroes its own with
+/// (which seeds its dependents' bars with its weights `ȳ` instead, and
+/// leaves scalars alone). Handed the primal, whose parameters `base`
+/// already binds, the last step adds nothing.
 pub fn adjoint_bindings<S: AsRef<str>>(
     prog: &Program,
     base: &Bindings,
@@ -195,20 +198,12 @@ pub fn adjoint_bindings<S: AsRef<str>>(
                 .or_insert_with(|| vec![0.0; arr.len()]);
         }
     }
-    for d in prog.params.iter().filter(|d| d.ty == Ty::Real) {
-        if !d.is_array() {
+    for d in &prog.params {
+        if d.ty == Ty::Real && !d.is_array() {
             b.real_scalars.entry(d.name.to_string()).or_insert(0.0);
-        } else if !b.real_arrays.contains_key(d.name.as_str()) {
-            let shadowed = d
-                .name
-                .strip_suffix('b')
-                .and_then(|s| base.get_real_array(s));
-            if let Some(arr) = shadowed {
-                b.real_arrays
-                    .insert(d.name.to_string(), vec![0.0; arr.len()]);
-            }
         }
     }
+    zero_unbound_shadows(prog, base, &mut b, "b");
     b
 }
 

@@ -50,10 +50,10 @@ use formad_runtime::ThreadPool;
 
 use crate::aot::{load_or_compile, AotKernel};
 use crate::bindings::{Bindings, ExecError};
-use crate::bytecode::{compile, BcParam, BcProgram, BcRegion, Instr};
+use crate::bytecode::{compile, BcProgram, BcRegion, Instr};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, real_max,
-    real_min, trip_count, ArrMeta, Schedule,
+    bind_entry, combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call,
+    real_max, real_min, trip_count, write_back_scalars, ArrMeta, Schedule,
 };
 
 /// Compile `prog` against `bind` and run it with `threads` logical
@@ -452,41 +452,22 @@ impl NativeEngine {
         kernel: Option<&AotKernel>,
         bind: &mut Bindings,
     ) -> Result<(), ExecError> {
-        let is_param = |name: &str| bc.params.iter().any(|p| p.name() == name);
         st.reals.clear();
         st.reals.resize(bc.n_real_regs, 0.0);
         st.ints.clear();
         st.ints.resize(bc.n_int_regs, 0);
-        for (name, (slot, ty)) in &bc.scalar_slots {
-            match ty {
-                Ty::Real => {
-                    if let Some(v) = bind.real_scalars.get(name) {
-                        st.reals[*slot as usize] = *v;
-                    } else if is_param(name) {
-                        return Err(ExecError::new(format!("parameter `{name}` is unbound")));
-                    }
-                }
-                Ty::Int => {
-                    if let Some(v) = bind.int_scalars.get(name) {
-                        st.ints[*slot as usize] = *v;
-                    } else if is_param(name) {
-                        return Err(ExecError::new(format!("parameter `{name}` is unbound")));
-                    }
-                }
-            }
-        }
+        bind_entry(&bc.scalars, &bc.arrays, bind, &mut st.reals, &mut st.ints)?;
         st.locals_r.used = 0;
         st.locals_i.used = 0;
         for meta in &bc.arrays {
-            let param = is_param(&meta.name);
             let view = match meta.ty {
                 Ty::Real => {
                     let bound = bind.real_arrays.get_mut(&meta.name);
-                    array_view(bound, meta, param, &mut st.locals_r)?
+                    array_view(bound, meta, &mut st.locals_r)
                 }
                 Ty::Int => {
                     let bound = bind.int_arrays.get_mut(&meta.name);
-                    array_view(bound, meta, param, &mut st.locals_i)?
+                    array_view(bound, meta, &mut st.locals_i)
                 }
             };
             st.views.push(view);
@@ -534,26 +515,7 @@ impl NativeEngine {
             }
         }
 
-        for p in &bc.params {
-            match p {
-                BcParam::RealScalar(name, slot) => {
-                    *bind
-                        .real_scalars
-                        .get_mut(name)
-                        .expect("scalar parameters were found bound at entry") =
-                        st.reals[*slot as usize];
-                }
-                BcParam::IntScalar(name, slot) => {
-                    *bind
-                        .int_scalars
-                        .get_mut(name)
-                        .expect("scalar parameters were found bound at entry") =
-                        st.ints[*slot as usize];
-                }
-                // Ran in place.
-                BcParam::Array(..) => {}
-            }
-        }
+        write_back_scalars(&bc.scalars, bind, &st.reals, &st.ints);
         Ok(())
     }
 
@@ -867,28 +829,18 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
     }
 }
 
-/// The storage a run uses for one array. A parameter runs in the vector
-/// bound to it, where that sits in the caller's bindings; a local gets
-/// the next engine-owned buffer, zero-filled — or filled with a copy of
-/// what is bound under the local's name, which stays as it was.
+/// The storage a run uses for one array, whose binding [`bind_entry`]
+/// has checked. A parameter runs in the vector bound to it, where that
+/// sits in the caller's bindings; a local gets the next engine-owned
+/// buffer, zero-filled — or filled with a copy of what is bound under
+/// the local's name, which stays as it was.
 fn array_view<T: Copy + Default>(
     bound: Option<&mut Vec<T>>,
     meta: &ArrMeta,
-    is_param: bool,
     locals: &mut Locals<T>,
-) -> Result<RawView, ExecError> {
+) -> RawView {
     match bound {
-        Some(v) if v.len() != meta.len => Err(ExecError::new(format!(
-            "array `{}` bound with {} elements, declared {}",
-            meta.name,
-            v.len(),
-            meta.len
-        ))),
-        Some(v) if is_param => Ok(RawView::of(v)),
-        None if is_param => Err(ExecError::new(format!(
-            "parameter array `{}` is unbound",
-            meta.name
-        ))),
+        Some(v) if meta.param => RawView::of(v),
         initial => {
             let buf = locals.next();
             buf.clear();
@@ -896,7 +848,7 @@ fn array_view<T: Copy + Default>(
                 Some(v) => buf.extend_from_slice(v),
                 None => buf.resize(meta.len, T::default()),
             }
-            Ok(RawView::of(buf))
+            RawView::of(buf)
         }
     }
 }

@@ -7,7 +7,7 @@
 //! tolerance. The tangent-mode variant checks `⟨w, ẏ⟩` for `ẏ = J·ẋ`
 //! against the same finite-difference value directly.
 
-use formad_ir::Program;
+use formad_ir::{Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::interp::{run, Machine};
@@ -83,31 +83,7 @@ pub fn dot_product_test_with<R>(
 where
     R: FnMut(&Program, &mut Bindings) -> Result<(), ExecError>,
 {
-    // --- finite differences: g(s) = ⟨ȳ, F(x + s·v)⟩ -----------------------
-    let mut eval_g = |s: f64| -> Result<f64, ExecError> {
-        let mut b = base.clone();
-        for (name, v) in independents {
-            let arr = b
-                .real_arrays
-                .get_mut(*name)
-                .ok_or_else(|| ExecError::new(format!("independent `{name}` unbound")))?;
-            for (a, d) in arr.iter_mut().zip(v) {
-                *a += s * d;
-            }
-        }
-        runner(primal, &mut b)?;
-        let mut g = 0.0;
-        for (name, w) in dependents {
-            let arr = b
-                .get_real_array(name)
-                .ok_or_else(|| ExecError::new(format!("dependent `{name}` unbound")))?;
-            for (y, wy) in arr.iter().zip(w) {
-                g += y * wy;
-            }
-        }
-        Ok(g)
-    };
-    let fd_value = (eval_g(h)? - eval_g(-h)?) / (2.0 * h);
+    let fd_value = central_difference(primal, base, independents, dependents, h, &mut runner)?;
 
     // --- adjoint: x̄ = Jᵀ ȳ, then ⟨x̄, v⟩ ---------------------------------
     let mut b = base.clone();
@@ -128,19 +104,7 @@ where
             .or_insert_with(|| vec![0.0; v.len()]);
     }
     // Any other active adjoint parameters default to zero.
-    for d in &adjoint.params {
-        if d.is_array()
-            && !b.real_arrays.contains_key(d.name.as_str())
-            && d.ty == formad_ir::Ty::Real
-        {
-            if let Some(stem) = d.name.strip_suffix(suffix) {
-                if let Some(primal_arr) = base.get_real_array(stem) {
-                    b.real_arrays
-                        .insert(d.name.to_string(), vec![0.0; primal_arr.len()]);
-                }
-            }
-        }
-    }
+    zero_unbound_shadows(adjoint, base, &mut b, suffix);
     runner(adjoint, &mut b)?;
     let mut adjoint_value = 0.0;
     for (name, v) in independents {
@@ -182,31 +146,8 @@ pub fn tangent_dot_test(
     h: f64,
     suffix: &str,
 ) -> Result<DotTest, ExecError> {
-    // --- finite differences: g(s) = ⟨w, F(x + s·ẋ)⟩ -----------------------
-    let eval_g = |s: f64| -> Result<f64, ExecError> {
-        let mut b = base.clone();
-        for (name, v) in independents {
-            let arr = b
-                .real_arrays
-                .get_mut(*name)
-                .ok_or_else(|| ExecError::new(format!("independent `{name}` unbound")))?;
-            for (a, d) in arr.iter_mut().zip(v) {
-                *a += s * d;
-            }
-        }
-        run(primal, &mut b, machine)?;
-        let mut g = 0.0;
-        for (name, w) in dependents {
-            let arr = b
-                .get_real_array(name)
-                .ok_or_else(|| ExecError::new(format!("dependent `{name}` unbound")))?;
-            for (y, wy) in arr.iter().zip(w) {
-                g += y * wy;
-            }
-        }
-        Ok(g)
-    };
-    let fd_value = (eval_g(h)? - eval_g(-h)?) / (2.0 * h);
+    let mut runner = |p: &Program, b: &mut Bindings| run(p, b, machine).map(|_| ());
+    let fd_value = central_difference(primal, base, independents, dependents, h, &mut runner)?;
 
     // --- tangent: ẏ = J·ẋ, then ⟨w, ẏ⟩ -----------------------------------
     let mut b = base.clone();
@@ -227,20 +168,8 @@ pub fn tangent_dot_test(
             .or_insert_with(|| vec![0.0; w.len()]);
     }
     // Any other active tangent parameters default to zero.
-    for d in &tangent.params {
-        if d.is_array()
-            && !b.real_arrays.contains_key(d.name.as_str())
-            && d.ty == formad_ir::Ty::Real
-        {
-            if let Some(stem) = d.name.strip_suffix(suffix) {
-                if let Some(primal_arr) = base.get_real_array(stem) {
-                    b.real_arrays
-                        .insert(d.name.to_string(), vec![0.0; primal_arr.len()]);
-                }
-            }
-        }
-    }
-    run(tangent, &mut b, machine)?;
+    zero_unbound_shadows(tangent, base, &mut b, suffix);
+    runner(tangent, &mut b)?;
     let mut tangent_value = 0.0;
     for (name, w) in dependents {
         let yd = b
@@ -257,4 +186,68 @@ pub fn tangent_dot_test(
         adjoint_value: tangent_value,
         rel_error: (fd_value - tangent_value).abs() / denom,
     })
+}
+
+/// `⟨w, J·v⟩` by central differences on the primal:
+/// `(g(h) − g(−h)) / 2h` with `g(s) = ⟨w, F(x + s·v)⟩`, for directions
+/// `v` per independent and weights `w` per dependent.
+fn central_difference<R>(
+    primal: &Program,
+    base: &Bindings,
+    independents: &[(&str, Vec<f64>)],
+    dependents: &[(&str, Vec<f64>)],
+    h: f64,
+    runner: &mut R,
+) -> Result<f64, ExecError>
+where
+    R: FnMut(&Program, &mut Bindings) -> Result<(), ExecError>,
+{
+    let mut eval_g = |s: f64| -> Result<f64, ExecError> {
+        let mut b = base.clone();
+        for (name, v) in independents {
+            let arr = b
+                .real_arrays
+                .get_mut(*name)
+                .ok_or_else(|| ExecError::new(format!("independent `{name}` unbound")))?;
+            for (a, d) in arr.iter_mut().zip(v) {
+                *a += s * d;
+            }
+        }
+        runner(primal, &mut b)?;
+        let mut g = 0.0;
+        for (name, w) in dependents {
+            let arr = b
+                .get_real_array(name)
+                .ok_or_else(|| ExecError::new(format!("dependent `{name}` unbound")))?;
+            for (y, wy) in arr.iter().zip(w) {
+                g += y * wy;
+            }
+        }
+        Ok(g)
+    };
+    Ok((eval_g(h)? - eval_g(-h)?) / (2.0 * h))
+}
+
+/// Bind every real array parameter of `prog` that `b` does not bind yet
+/// and that shadows an array of `base` (its name is that array's plus
+/// `suffix`) to zeros of the shadowed array's length: the derivative
+/// arrays a seeding left out start from zero.
+pub(crate) fn zero_unbound_shadows(
+    prog: &Program,
+    base: &Bindings,
+    b: &mut Bindings,
+    suffix: &str,
+) {
+    for d in &prog.params {
+        if d.is_array() && d.ty == Ty::Real && !b.real_arrays.contains_key(d.name.as_str()) {
+            let shadowed = d
+                .name
+                .strip_suffix(suffix)
+                .and_then(|stem| base.get_real_array(stem));
+            if let Some(arr) = shadowed {
+                b.real_arrays
+                    .insert(d.name.to_string(), vec![0.0; arr.len()]);
+            }
+        }
+    }
 }

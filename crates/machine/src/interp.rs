@@ -18,8 +18,9 @@ use formad_ir::{Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::lower::{
-    combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call, trip_count,
-    ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt, Schedule,
+    bind_entry, combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call,
+    trip_count, write_back_scalars, ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt,
+    Schedule,
 };
 
 /// Cumulative event counters of one execution.
@@ -82,9 +83,9 @@ pub fn run(
     machine: &Machine,
 ) -> Result<ExecResult, ExecError> {
     let lp = lower(prog, bind)?;
-    let mut it = Interp::new(&lp, machine, bind, prog)?;
+    let mut it = Interp::new(&lp, machine, bind)?;
     it.exec_body(&lp.body)?;
-    it.write_back(bind, prog);
+    it.write_back(bind);
     Ok(ExecResult { stats: it.stats })
 }
 
@@ -102,85 +103,24 @@ struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    fn new(
-        lp: &'a LProgram,
-        m: &'a Machine,
-        bind: &Bindings,
-        prog: &Program,
-    ) -> Result<Interp<'a>, ExecError> {
+    fn new(lp: &'a LProgram, m: &'a Machine, bind: &Bindings) -> Result<Interp<'a>, ExecError> {
         let mut reals = vec![0.0; lp.n_real_scalars];
         let mut ints = vec![0i64; lp.n_int_scalars];
+        bind_entry(&lp.scalars, &lp.arrays, bind, &mut reals, &mut ints)?;
+        // Every array gets its own copy: a parameter's goes back into
+        // `bind` at the end, a local's initial value stays there.
         let mut arr_r: Vec<Vec<f64>> = Vec::with_capacity(lp.arrays.len());
         let mut arr_i: Vec<Vec<i64>> = Vec::with_capacity(lp.arrays.len());
-        let param_names: Vec<&str> = prog.params.iter().map(|d| d.name.as_str()).collect();
-
-        for (name, (slot, ty)) in &lp.scalar_slots {
-            match ty {
-                Ty::Real => {
-                    if let Some(v) = bind.real_scalars.get(name) {
-                        reals[*slot as usize] = *v;
-                    } else if param_names.contains(&name.as_str()) {
-                        return Err(ExecError::new(format!("parameter `{name}` is unbound")));
-                    }
-                }
-                Ty::Int => {
-                    if let Some(v) = bind.int_scalars.get(name) {
-                        ints[*slot as usize] = *v;
-                    } else if param_names.contains(&name.as_str()) {
-                        return Err(ExecError::new(format!("parameter `{name}` is unbound")));
-                    }
-                }
-            }
-        }
         for meta in &lp.arrays {
-            let is_param = param_names.contains(&meta.name.as_str());
             match meta.ty {
                 Ty::Real => {
-                    let data = match bind.real_arrays.get(&meta.name) {
-                        Some(v) => {
-                            if v.len() != meta.len {
-                                return Err(ExecError::new(format!(
-                                    "array `{}` bound with {} elements, declared {}",
-                                    meta.name,
-                                    v.len(),
-                                    meta.len
-                                )));
-                            }
-                            v.clone()
-                        }
-                        None if is_param => {
-                            return Err(ExecError::new(format!(
-                                "parameter array `{}` is unbound",
-                                meta.name
-                            )))
-                        }
-                        None => vec![0.0; meta.len],
-                    };
-                    arr_r.push(data);
+                    let bound = bind.real_arrays.get(&meta.name);
+                    arr_r.push(bound.cloned().unwrap_or_else(|| vec![0.0; meta.len]));
                     arr_i.push(Vec::new());
                 }
                 Ty::Int => {
-                    let data = match bind.int_arrays.get(&meta.name) {
-                        Some(v) => {
-                            if v.len() != meta.len {
-                                return Err(ExecError::new(format!(
-                                    "array `{}` bound with {} elements, declared {}",
-                                    meta.name,
-                                    v.len(),
-                                    meta.len
-                                )));
-                            }
-                            v.clone()
-                        }
-                        None if is_param => {
-                            return Err(ExecError::new(format!(
-                                "parameter array `{}` is unbound",
-                                meta.name
-                            )))
-                        }
-                        None => vec![0i64; meta.len],
-                    };
-                    arr_i.push(data);
+                    let bound = bind.int_arrays.get(&meta.name);
+                    arr_i.push(bound.cloned().unwrap_or_else(|| vec![0; meta.len]));
                     arr_r.push(Vec::new());
                 }
             }
@@ -200,34 +140,23 @@ impl<'a> Interp<'a> {
         })
     }
 
-    fn write_back(&mut self, bind: &mut Bindings, prog: &Program) {
-        for d in &prog.params {
-            if d.is_array() {
-                let id = self.lp.array_ids[d.name.as_str()] as usize;
-                match d.ty {
-                    Ty::Real => {
-                        bind.real_arrays
-                            .insert(d.name.to_string(), std::mem::take(&mut self.arr_r[id]));
-                    }
-                    Ty::Int => {
-                        bind.int_arrays
-                            .insert(d.name.to_string(), std::mem::take(&mut self.arr_i[id]));
-                    }
+    fn write_back(&mut self, bind: &mut Bindings) {
+        for (id, meta) in self.lp.arrays.iter().enumerate() {
+            if !meta.param {
+                continue;
+            }
+            match meta.ty {
+                Ty::Real => {
+                    bind.real_arrays
+                        .insert(meta.name.clone(), std::mem::take(&mut self.arr_r[id]));
                 }
-            } else {
-                let (slot, ty) = self.lp.scalar_slots[d.name.as_str()];
-                match ty {
-                    Ty::Real => {
-                        bind.real_scalars
-                            .insert(d.name.to_string(), self.reals[slot as usize]);
-                    }
-                    Ty::Int => {
-                        bind.int_scalars
-                            .insert(d.name.to_string(), self.ints[slot as usize]);
-                    }
+                Ty::Int => {
+                    bind.int_arrays
+                        .insert(meta.name.clone(), std::mem::take(&mut self.arr_i[id]));
                 }
             }
         }
+        write_back_scalars(&self.lp.scalars, bind, &self.reals, &self.ints);
     }
 
     /// Count one memory access.

@@ -234,11 +234,23 @@ pub(crate) fn trip_count(lo: i64, hi: i64, step: i64) -> Result<i64, ExecError> 
         .ok_or_else(|| ExecError::new("integer overflow in loop trip count"))
 }
 
+/// A scalar's register slot, and whether it is a parameter.
+#[derive(Debug, Clone)]
+pub struct ScalarMeta {
+    pub name: String,
+    pub slot: Slot,
+    pub ty: Ty,
+    /// Declared a parameter (read from the bindings, written back).
+    pub param: bool,
+}
+
 /// An array's runtime storage descriptor.
 #[derive(Debug, Clone)]
 pub struct ArrMeta {
     pub name: String,
     pub ty: Ty,
+    /// Declared a parameter (run in its bound vector, left there).
+    pub param: bool,
     /// Extent of each dimension.
     pub dims: Vec<i64>,
     /// Column-major (Fortran) stride of each dimension.
@@ -257,8 +269,8 @@ pub struct LProgram {
     pub arrays: Vec<ArrMeta>,
     /// The parallel regions, by [`RegionId`].
     pub regions: Vec<LRegion>,
-    /// Scalar name → (slot, ty) for binding transfer.
-    pub scalar_slots: HashMap<String, (Slot, Ty)>,
+    /// Every scalar, in declaration order (parameters first).
+    pub scalars: Vec<ScalarMeta>,
     /// Array name → id.
     pub array_ids: HashMap<String, ArrId>,
 }
@@ -291,8 +303,10 @@ pub fn lower(prog: &Program, bind: &Bindings) -> Result<LProgram, ExecError> {
         gather_ctx: std::collections::HashSet::new(),
     };
     // Two passes: scalars first so extents (which reference scalar
-    // parameters like `n`) can be evaluated, then arrays.
-    for d in prog.decls() {
+    // parameters like `n`) can be evaluated, then arrays. `decls` lists
+    // the parameters first.
+    let mut scalars = Vec::new();
+    for (k, d) in prog.decls().enumerate() {
         if !d.is_array() {
             let slot = match d.ty {
                 Ty::Real => {
@@ -305,11 +319,17 @@ pub fn lower(prog: &Program, bind: &Bindings) -> Result<LProgram, ExecError> {
                 }
             };
             lw.scalar_slots.insert(d.name.to_string(), (slot, d.ty));
+            scalars.push(ScalarMeta {
+                name: d.name.to_string(),
+                slot,
+                ty: d.ty,
+                param: k < prog.params.len(),
+            });
         }
     }
-    for d in prog.decls() {
+    for (k, d) in prog.decls().enumerate() {
         if d.is_array() {
-            lw.lower_array_decl(d, bind)?;
+            lw.lower_array_decl(d, k < prog.params.len(), bind)?;
         }
     }
     let body = lw.lower_body(&prog.body)?;
@@ -320,9 +340,84 @@ pub fn lower(prog: &Program, bind: &Bindings) -> Result<LProgram, ExecError> {
         n_int_scalars: lw.n_int,
         arrays: lw.arrays,
         regions: lw.regions,
-        scalar_slots: lw.scalar_slots,
+        scalars,
         array_ids: lw.array_ids,
     })
+}
+
+/// The entry half of the binding protocol every backend follows, so
+/// each reports the same error for the same bindings: every scalar slot
+/// takes its bound value (a local may be bound too; an unbound local
+/// stays zero), and an unbound scalar parameter is an error; then, array
+/// by array, a bound vector of the wrong length is an error, and so is
+/// an unbound parameter array. A bound local array is not checked
+/// further: it is the local's initial value. Nothing in `bind` changes.
+pub(crate) fn bind_entry(
+    scalars: &[ScalarMeta],
+    arrays: &[ArrMeta],
+    bind: &Bindings,
+    reals: &mut [f64],
+    ints: &mut [i64],
+) -> Result<(), ExecError> {
+    for s in scalars {
+        let slot = s.slot as usize;
+        match s.ty {
+            Ty::Real => match bind.real_scalars.get(&s.name) {
+                Some(v) => reals[slot] = *v,
+                None if s.param => return Err(unbound_param(s)),
+                None => {}
+            },
+            Ty::Int => match bind.int_scalars.get(&s.name) {
+                Some(v) => ints[slot] = *v,
+                None if s.param => return Err(unbound_param(s)),
+                None => {}
+            },
+        }
+    }
+    for meta in arrays {
+        let len = match meta.ty {
+            Ty::Real => bind.real_arrays.get(&meta.name).map(Vec::len),
+            Ty::Int => bind.int_arrays.get(&meta.name).map(Vec::len),
+        };
+        match len {
+            Some(n) if n != meta.len => {
+                return Err(ExecError::new(format!(
+                    "array `{}` bound with {n} elements, declared {}",
+                    meta.name, meta.len
+                )))
+            }
+            None if meta.param => {
+                return Err(ExecError::new(format!(
+                    "parameter array `{}` is unbound",
+                    meta.name
+                )))
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
+/// The exit half: write every scalar parameter back into `bind`.
+/// Arrays are the backends' own business.
+pub(crate) fn write_back_scalars(
+    scalars: &[ScalarMeta],
+    bind: &mut Bindings,
+    reals: &[f64],
+    ints: &[i64],
+) {
+    const BOUND: &str = "scalar parameters were found bound at entry";
+    for s in scalars.iter().filter(|s| s.param) {
+        let slot = s.slot as usize;
+        match s.ty {
+            Ty::Real => *bind.real_scalars.get_mut(&s.name).expect(BOUND) = reals[slot],
+            Ty::Int => *bind.int_scalars.get_mut(&s.name).expect(BOUND) = ints[slot],
+        }
+    }
+}
+
+fn unbound_param(s: &ScalarMeta) -> ExecError {
+    ExecError::new(format!("parameter `{}` is unbound", s.name))
 }
 
 impl<'a> Lowerer<'a> {
@@ -412,7 +507,12 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_array_decl(&mut self, d: &Decl, bind: &Bindings) -> Result<(), ExecError> {
+    fn lower_array_decl(
+        &mut self,
+        d: &Decl,
+        param: bool,
+        bind: &Bindings,
+    ) -> Result<(), ExecError> {
         let mut dims = Vec::with_capacity(d.dims.len());
         for e in &d.dims {
             dims.push(eval_const_int(e, bind).ok_or_else(|| {
@@ -439,6 +539,7 @@ impl<'a> Lowerer<'a> {
         self.arrays.push(ArrMeta {
             name: d.name.to_string(),
             ty: d.ty,
+            param,
             dims,
             strides,
             len: len as usize,
