@@ -7,6 +7,7 @@
 //! native runner).
 
 use formad_bench::{adjoint_bindings, ProgramVersions};
+use formad_ir::store::fnv64;
 use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
 use formad_machine::aot::{generate_source, kernel_rustc_flags};
@@ -96,16 +97,6 @@ fn executed_versions<'a>(
     progs
 }
 
-/// FNV-1a, 64 bits.
-fn fnv64(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
 /// One line per executed version of every kernel: an FNV-64 of its AOT
 /// kernel source, and of the simulator's event counters at T = 1 and
 /// T = 4.
@@ -120,13 +111,16 @@ fn kernel_fixture_lines() -> Vec<String> {
             let mut line = format!(
                 "{}/{label} aot {:016x}",
                 case.name.replace(' ', "_"),
-                fnv64(&src)
+                fnv64(src.as_bytes())
             );
             for threads in [1usize, 4] {
                 let r = run(prog, &mut bind.clone(), &Machine::with_threads(threads))
                     .unwrap_or_else(|e| panic!("{} / {label}: sim: {e}", case.name));
                 let counts = format!("{:?}", r.stats);
-                line.push_str(&format!(" stats{threads} {:016x}", fnv64(&counts)));
+                line.push_str(&format!(
+                    " stats{threads} {:016x}",
+                    fnv64(counts.as_bytes())
+                ));
             }
             out.push(line);
         }

@@ -1302,7 +1302,9 @@ fn fuzz_rejects_unknown_options() {
 fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("formad-cli-cache-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    // Owner-only whatever the umask: the index trusts no other directory.
+    use std::os::unix::fs::DirBuilderExt;
+    std::fs::DirBuilder::new().mode(0o700).create(&dir).unwrap();
     dir
 }
 

@@ -724,10 +724,7 @@ pub fn explain(events: &[TraceEvent], array: Option<&str>) -> String {
         }
         let d = Decision::from_kind(decision, reason.clone())
             .unwrap_or_else(|| Decision::Guarded(reason.clone()));
-        let why = d
-            .reason()
-            .map(|why| format!(" — {why}"))
-            .unwrap_or_default();
+        let why = d.reason().map(|r| format!(" — {r}")).unwrap_or_default();
         let _ = writeln!(s, "  decision: {}{why} [{provenance}]", d.phrase());
     }
     if !matched {

@@ -348,8 +348,9 @@ pub fn run_case(
             case.seed,
             case.id
         ));
+        // The engine creates the directory owner-only, as the index's
+        // trust rule wants whatever the umask.
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::create_dir_all(&dir);
         let run_pass = |label: &str| -> Result<(FormadAnalysis, String), Divergence> {
             let engine = formad::SharedEngine::with_cache_dir(&dir);
             let a = engine.analyze(prog, &options(case)).map_err(|e| {

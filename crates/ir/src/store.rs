@@ -101,24 +101,4 @@ mod tests {
         assert_ne!(a, fnv128_hex("hello!"));
         assert_eq!(&a[..16], format!("{:016x}", fnv64(b"hello")));
     }
-
-    #[cfg(unix)]
-    #[test]
-    fn private_dir_creates_0700_and_refuses_shared_dirs() {
-        use std::os::unix::fs::PermissionsExt;
-        let root = std::env::temp_dir().join(format!("formad-store-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
-        let dir = root.join("cache");
-        private_dir(&dir).unwrap();
-        let mode = fs::metadata(&dir).unwrap().permissions().mode() & 0o777;
-        assert_eq!(mode, 0o700);
-        write_atomic(&dir.join("f"), b"x").unwrap();
-        assert_eq!(fs::read(dir.join("f")).unwrap(), b"x");
-        fs::set_permissions(&dir, fs::Permissions::from_mode(0o777)).unwrap();
-        let err = private_dir(&dir).unwrap_err();
-        assert!(err.contains("(mode 777)"), "{err}");
-        fs::set_permissions(&dir, fs::Permissions::from_mode(0o755)).unwrap();
-        private_dir(&dir).unwrap();
-        let _ = fs::remove_dir_all(&root);
-    }
 }

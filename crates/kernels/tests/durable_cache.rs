@@ -62,7 +62,8 @@ fn report_of(a: &mut FormadAnalysis) -> String {
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("formad-durable-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create cache dir");
+    // Owner-only whatever the umask: the index trusts no other directory.
+    formad_ir::store::private_dir(&dir).expect("create cache dir");
     dir
 }
 
@@ -361,60 +362,31 @@ subroutine gather(n, x, y, c)
 end subroutine
 "#;
 
-/// Rewrite `x`'s recorded decision in `dir`'s index as `shared` /
-/// `proved`, with a checksum that holds: what anyone who can write the
-/// directory can do.
+/// Rewrite `x`'s recorded decision in `dir`'s one-record index as
+/// `shared` / `proved`, with a checksum that holds: what anyone who can
+/// write the directory can do.
 fn forge_x_proved(dir: &Path) {
-    use formad::json::{obj, Json};
     let index = dir.join("fingerprints.fpi");
     let text = std::fs::read_to_string(&index).expect("index file");
-    let mut lines = text.lines();
-    let mut out = format!("{}\n", lines.next().expect("version header"));
-    let mut forged = 0;
-    for line in lines {
-        let mut parts = line.splitn(3, ' ');
-        let (fp, _sum, payload) = (
-            parts.next().unwrap(),
-            parts.next().unwrap(),
-            parts.next().unwrap(),
-        );
-        let mut rec = Json::parse(payload).expect("record payload");
-        let Json::Obj(fields) = &mut rec else {
-            panic!("record is not an object")
-        };
-        for (key, val) in fields.iter_mut() {
-            let Json::Arr(decisions) = val else { continue };
-            if key != "decisions" {
-                continue;
-            }
-            for d in decisions.iter_mut() {
-                if d.get("array").and_then(Json::as_str) == Some("x") {
-                    *d = obj(vec![
-                        ("array", "x".into()),
-                        ("decision", "shared".into()),
-                        ("reason", "".into()),
-                        ("provenance", "proved".into()),
-                    ]);
-                    forged += 1;
-                }
-            }
-        }
-        let payload = rec.render();
-        let sum = formad_ir::store::fnv64(payload.as_bytes());
-        out.push_str(&format!("{fp} {sum:016x} {payload}\n"));
-    }
-    assert_eq!(forged, 1, "one record decides `x`");
-    std::fs::write(&index, out).expect("write forged index");
+    let (head, line) = text.trim_end().split_once('\n').expect("one record");
+    let mut parts = line.splitn(3, ' ');
+    let (fp, payload) = (parts.next().unwrap(), parts.nth(1).unwrap());
+    let refuted = r#"{"array":"x","decision":"guarded","reason":"cannot prove (c(i)) disjoint from (c(i))","provenance":"refuted"}"#;
+    let proved = r#"{"array":"x","decision":"shared","reason":"","provenance":"proved"}"#;
+    assert!(payload.contains(refuted), "{payload}");
+    let payload = payload.replace(refuted, proved);
+    let sum = formad_ir::store::fnv64(payload.as_bytes());
+    std::fs::write(&index, format!("{head}\n{fp} {sum:016x} {payload}\n")).expect("write");
 }
 
-/// What a run over `dir` says about `x`: the report, and whether the
-/// adjoint dropped `xb`'s atomic (its increment not under `!$omp atomic`,
-/// or a proof set naming `xb`).
-fn gather_run(program: &Program, dir: &Path) -> (String, bool) {
+/// One run over `dir`, flushed: the report, whether the adjoint dropped
+/// `xb`'s atomic (its increment not under `!$omp atomic`, or a proof set
+/// naming `xb`), and the engine.
+fn gather_run(program: &Program, dir: &Path) -> (String, bool, SharedEngine) {
     let engine = SharedEngine::with_cache_dir(dir);
     let opts = FormadOptions::new(&["x"], &["y"]);
     let mut diff = engine.differentiate(program, &opts).expect("differentiate");
-    let report = report_of(&mut diff.analysis);
+    engine.flush_disk();
     let text = formad_ir::program_to_string(&diff.adjoint);
     let lines: Vec<&str> = text.lines().collect();
     let incr = lines
@@ -422,20 +394,14 @@ fn gather_run(program: &Program, dir: &Path) -> (String, bool) {
         .position(|l| l.trim_start().starts_with("xb(c(i)) = xb(c(i)) +"))
         .expect("xb increment in the adjoint");
     let atomic = lines[incr - 1].trim() == "!$omp atomic";
-    let mut proved_xb = false;
-    fn walk(body: &[Stmt], hit: &mut bool) {
-        for s in body {
-            if let Stmt::For(l) = s {
-                if let Some(p) = &l.parallel {
-                    *hit |= p.proved.iter().any(|n| n.as_str() == "xb");
-                }
-                walk(&l.body, hit);
-            }
-        }
-    }
-    walk(&diff.adjoint.body, &mut proved_xb);
-    engine.flush_disk();
-    (report, !atomic || proved_xb)
+    let proved = diff.adjoint.body.iter().any(|s| match s {
+        Stmt::For(l) => l
+            .parallel
+            .as_ref()
+            .is_some_and(|p| p.proved.iter().any(|n| n.as_str() == "xb")),
+        _ => false,
+    });
+    (report_of(&mut diff.analysis), !atomic || proved, engine)
 }
 
 /// The index is the one place verdicts enter without a proof, so a
@@ -448,7 +414,7 @@ fn forged_verdicts_in_a_dir_others_can_write_are_not_read() {
 
     let program = formad_ir::parse_program(GATHER).expect("parse");
     let dir = fresh_dir("forged");
-    let (cold, dropped) = gather_run(&program, &dir);
+    let (cold, dropped, _) = gather_run(&program, &dir);
     assert!(cold.contains("adjoint of `x`: guarded [refuted]"), "{cold}");
     assert!(!dropped, "the cold adjoint keeps xb's atomic");
     forge_x_proved(&dir);
@@ -457,49 +423,35 @@ fn forged_verdicts_in_a_dir_others_can_write_are_not_read() {
 
     // The forgery is well-formed: in a trusted directory it is served,
     // checksum and all. The directory rule is the defence, not the sum.
-    chmod(0o700).unwrap();
-    let (trusted, dropped) = gather_run(&program, &dir);
+    let (trusted, dropped, _) = gather_run(&program, &dir);
     assert!(
-        trusted.contains("adjoint of `x`: shared (no atomics needed) [proved]"),
+        trusted.contains("`x`: shared (no atomics needed) [proved]"),
         "{trusted}"
     );
     assert!(dropped);
 
-    let uid = std::fs::metadata(&dir).unwrap().uid();
-    let legs: [(&str, &dyn Fn() -> bool, String); 2] = [
-        (
-            "mode 0777",
-            &|| chmod(0o777).is_ok(),
-            "(mode 777)".to_string(),
-        ),
-        (
-            "foreign owner",
-            &|| chmod(0o700).is_ok() && std::os::unix::fs::chown(&dir, Some(uid + 1), None).is_ok(),
-            format!("owned by uid {}", uid + 1),
-        ),
-    ];
-    for (leg, refuse, why) in legs {
-        if !refuse() {
-            eprintln!("{leg} leg skipped: this process may not chown");
-            continue;
-        }
-        let (report, dropped) = gather_run(&program, &dir);
+    let other = std::fs::metadata(&dir).unwrap().uid() + 1;
+    for leg in ["mode 0777", "foreign owner"] {
+        let why = if leg == "mode 0777" {
+            chmod(0o777).unwrap();
+            "(mode 777)".to_string()
+        } else {
+            chmod(0o700).unwrap();
+            if std::os::unix::fs::chown(&dir, Some(other), None).is_err() {
+                eprintln!("{leg} leg skipped: this process may not chown");
+                continue;
+            }
+            format!("owned by uid {other}")
+        };
+        let (report, dropped, engine) = gather_run(&program, &dir);
         assert_eq!(cold, report, "{leg}: a forged record was read");
         assert!(!dropped, "{leg}: the adjoint dropped xb's atomic");
-        let engine = SharedEngine::with_cache_dir(&dir);
         let index = engine.fingerprints().unwrap();
-        assert!(index.is_empty(), "{leg}: a record was read");
         assert!(index.refused().is_some_and(|r| r.contains(&why)), "{leg}");
-        engine
-            .analyze(&program, &FormadOptions::new(&["x"], &["y"]))
-            .expect("analysis");
-        assert_eq!(engine.flush_disk(), 0, "{leg}: a flush landed");
-        assert_eq!(index.stats().write_errors, 1, "{leg}");
-        assert_eq!(
-            std::fs::read(dir.join("fingerprints.fpi")).unwrap(),
-            forged,
-            "{leg}: the refused directory was written"
-        );
+        assert_eq!(index.stats().disk_hits, 0, "{leg}");
+        assert_eq!(index.stats().write_errors, 1, "{leg}: a flush landed");
+        let file = std::fs::read(dir.join("fingerprints.fpi")).unwrap();
+        assert_eq!(file, forged, "{leg}: the refused directory was written");
         let verify = formad::inspect_fp_file(&dir);
         assert!(verify.refused.is_some_and(|r| r.contains(&why)), "{leg}");
     }

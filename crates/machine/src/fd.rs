@@ -78,50 +78,22 @@ pub fn dot_product_test_with<R>(
     dependents: &[(&str, Vec<f64>)],
     h: f64,
     suffix: &str,
-    mut runner: R,
+    runner: R,
 ) -> Result<DotTest, ExecError>
 where
     R: FnMut(&Program, &mut Bindings) -> Result<(), ExecError>,
 {
-    let fd_value = central_difference(primal, base, independents, dependents, h, &mut runner)?;
-
-    // --- adjoint: x̄ = Jᵀ ȳ, then ⟨x̄, v⟩ ---------------------------------
-    let mut b = base.clone();
-    for (name, w) in dependents {
-        let arr_len = base
-            .get_real_array(name)
-            .ok_or_else(|| ExecError::new(format!("dependent `{name}` unbound")))?
-            .len();
-        assert_eq!(arr_len, w.len(), "seed length mismatch for {name}");
-        b.real_arrays.insert(format!("{name}{suffix}"), w.clone());
-    }
-    for (name, v) in independents {
-        // Zero-initialized adjoint accumulators (unless the variable is
-        // also a dependent and already seeded).
-        let key = format!("{name}{suffix}");
-        b.real_arrays
-            .entry(key)
-            .or_insert_with(|| vec![0.0; v.len()]);
-    }
-    // Any other active adjoint parameters default to zero.
-    zero_unbound_shadows(adjoint, base, &mut b, suffix);
-    runner(adjoint, &mut b)?;
-    let mut adjoint_value = 0.0;
-    for (name, v) in independents {
-        let xb = b
-            .get_real_array(&format!("{name}{suffix}"))
-            .ok_or_else(|| ExecError::new(format!("adjoint of `{name}` missing")))?;
-        for (g, d) in xb.iter().zip(v) {
-            adjoint_value += g * d;
-        }
-    }
-
-    let denom = fd_value.abs().max(adjoint_value.abs()).max(1e-12);
-    Ok(DotTest {
-        fd_value,
-        adjoint_value,
-        rel_error: (fd_value - adjoint_value).abs() / denom,
-    })
+    dot_test(
+        primal,
+        adjoint,
+        base,
+        independents,
+        dependents,
+        h,
+        suffix,
+        true,
+        runner,
+    )
 }
 
 /// Run the tangent-mode dot-product test.
@@ -146,45 +118,77 @@ pub fn tangent_dot_test(
     h: f64,
     suffix: &str,
 ) -> Result<DotTest, ExecError> {
-    let mut runner = |p: &Program, b: &mut Bindings| run(p, b, machine).map(|_| ());
-    let fd_value = central_difference(primal, base, independents, dependents, h, &mut runner)?;
+    dot_test(
+        primal,
+        tangent,
+        base,
+        independents,
+        dependents,
+        h,
+        suffix,
+        false,
+        |p, b| run(p, b, machine).map(|_| ()),
+    )
+}
 
-    // --- tangent: ẏ = J·ẋ, then ⟨w, ẏ⟩ -----------------------------------
+/// The test both modes share: `⟨w, J·v⟩` by [`central_difference`]
+/// against one run of `derived`. Reverse mode seeds the dependents' bars
+/// with `w` and reads `⟨x̄, v⟩`; forward mode seeds the independents'
+/// tangents with `v` and reads `⟨w, ẏ⟩`. The read arrays accumulate
+/// from zero unless also seeded, and so does every other derivative
+/// array `derived` declares ([`zero_unbound_shadows`]).
+#[allow(clippy::too_many_arguments)]
+fn dot_test<R>(
+    primal: &Program,
+    derived: &Program,
+    base: &Bindings,
+    independents: &[(&str, Vec<f64>)],
+    dependents: &[(&str, Vec<f64>)],
+    h: f64,
+    suffix: &str,
+    reverse: bool,
+    mut runner: R,
+) -> Result<DotTest, ExecError>
+where
+    R: FnMut(&Program, &mut Bindings) -> Result<(), ExecError>,
+{
+    let fd_value = central_difference(primal, base, independents, dependents, h, &mut runner)?;
+    let (seeds, reads, seed_role, read_role) = if reverse {
+        (dependents, independents, "dependent", "adjoint")
+    } else {
+        (independents, dependents, "independent", "tangent")
+    };
     let mut b = base.clone();
-    for (name, v) in independents {
+    for (name, seed) in seeds {
         let arr_len = base
             .get_real_array(name)
-            .ok_or_else(|| ExecError::new(format!("independent `{name}` unbound")))?
+            .ok_or_else(|| ExecError::new(format!("{seed_role} `{name}` unbound")))?
             .len();
-        assert_eq!(arr_len, v.len(), "seed length mismatch for {name}");
-        b.real_arrays.insert(format!("{name}{suffix}"), v.clone());
-    }
-    for (name, w) in dependents {
-        // Zero-initialized tangent outputs (unless the variable is also
-        // an independent and already seeded).
-        let key = format!("{name}{suffix}");
+        assert_eq!(arr_len, seed.len(), "seed length mismatch for {name}");
         b.real_arrays
-            .entry(key)
-            .or_insert_with(|| vec![0.0; w.len()]);
+            .insert(format!("{name}{suffix}"), seed.clone());
     }
-    // Any other active tangent parameters default to zero.
-    zero_unbound_shadows(tangent, base, &mut b, suffix);
-    runner(tangent, &mut b)?;
-    let mut tangent_value = 0.0;
-    for (name, w) in dependents {
-        let yd = b
+    for (name, weights) in reads {
+        b.real_arrays
+            .entry(format!("{name}{suffix}"))
+            .or_insert_with(|| vec![0.0; weights.len()]);
+    }
+    zero_unbound_shadows(derived, base, &mut b, suffix);
+    runner(derived, &mut b)?;
+    let mut derived_value = 0.0;
+    for (name, weights) in reads {
+        let d = b
             .get_real_array(&format!("{name}{suffix}"))
-            .ok_or_else(|| ExecError::new(format!("tangent of `{name}` missing")))?;
-        for (g, wy) in yd.iter().zip(w) {
-            tangent_value += g * wy;
+            .ok_or_else(|| ExecError::new(format!("{read_role} of `{name}` missing")))?;
+        for (g, w) in d.iter().zip(weights) {
+            derived_value += g * w;
         }
     }
-
-    let denom = fd_value.abs().max(tangent_value.abs()).max(1e-12);
+    let denom = fd_value.abs().max(derived_value.abs()).max(1e-12);
     Ok(DotTest {
         fd_value,
-        adjoint_value: tangent_value,
-        rel_error: (fd_value - tangent_value).abs() / denom,
+        adjoint_value: derived_value,
+        rel_error: (fd_value - derived_value).abs() / denom,
     })
 }
 

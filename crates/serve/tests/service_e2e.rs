@@ -558,7 +558,9 @@ fn status_counters_are_monotone_and_sum_consistently() {
 fn restarted_daemon_serves_from_disk_with_zero_lia_calls() {
     let dir = std::env::temp_dir().join(format!("formad-serve-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    // Owner-only whatever the umask: the index trusts no other directory.
+    use std::os::unix::fs::DirBuilderExt;
+    std::fs::DirBuilder::new().mode(0o700).create(&dir).unwrap();
     let cfg = || ServiceConfig {
         cache_dir: Some(dir.clone()),
         ..ServiceConfig::default()

@@ -175,13 +175,11 @@ fn gfmc_star_keeps_what_tanh_needs() {
 
 /// FNV-1a over the bit patterns.
 fn checksum(values: &[f64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for v in values {
-        for b in v.to_bits().to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .collect();
+    formad_ir::store::fnv64(&bytes)
 }
 
 /// `kernel/version/array → checksum` of every adjoint array after one

@@ -26,27 +26,18 @@ use formad::{Formad, FormadOptions};
 use formad_ad::{IncMode, ParallelTreatment};
 use formad_fuzz::harness::campaign_case;
 use formad_fuzz::GenConfig;
+use formad_ir::store::fnv64;
 use formad_ir::{parse_any, program_to_clike, program_to_string, Program};
-
-/// FNV-1a, 64 bits.
-fn fnv64(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// One fixture line's value: both dialects' hashes, or the error.
 fn hashes(adjoint: Result<Program, String>) -> String {
     match adjoint {
         Ok(p) => format!(
             "{:016x} {:016x}",
-            fnv64(&program_to_string(&p)),
-            fnv64(&program_to_clike(&p))
+            fnv64(program_to_string(&p).as_bytes()),
+            fnv64(program_to_clike(&p).as_bytes())
         ),
-        Err(e) => format!("error {:016x}", fnv64(&e)),
+        Err(e) => format!("error {:016x}", fnv64(e.as_bytes())),
     }
 }
 

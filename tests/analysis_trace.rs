@@ -26,17 +26,8 @@ use common::heavy;
 use formad::{deterministic_json, Formad, FormadOptions, TraceSink};
 use formad_fuzz::harness::campaign_case;
 use formad_fuzz::GenConfig;
+use formad_ir::store::fnv64;
 use formad_ir::{parse_any, program_to_clike, Program};
-
-/// FNV-1a, 64 bits.
-fn fnv64(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// The hash of the deterministic trace of analysing `p`, or of the error.
 fn trace_hash(p: &Program, wrt: &[String], of: &[String], use_contexts: bool) -> String {
@@ -47,8 +38,11 @@ fn trace_hash(p: &Program, wrt: &[String], of: &[String], use_contexts: bool) ->
     opts.region.use_contexts = use_contexts;
     opts.region.trace = Some(sink.clone());
     match Formad::new(opts).analyze(p) {
-        Ok(_) => format!("{:016x}", fnv64(&deterministic_json(&sink.snapshot()))),
-        Err(e) => format!("error {:016x}", fnv64(&e.to_string())),
+        Ok(_) => format!(
+            "{:016x}",
+            fnv64(deterministic_json(&sink.snapshot()).as_bytes())
+        ),
+        Err(e) => format!("error {:016x}", fnv64(e.to_string().as_bytes())),
     }
 }
 

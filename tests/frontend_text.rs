@@ -22,18 +22,9 @@ use std::path::PathBuf;
 use formad_bench::prover_bench;
 use formad_fuzz::harness::campaign_case;
 use formad_fuzz::GenConfig;
+use formad_ir::store::fnv64;
 use formad_ir::{parse_any, program_to_clike, program_to_string};
 use formad_kernels::{LbmExecCase, StencilCase};
-
-/// FNV-1a, 64 bits.
-fn fnv64(text: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// One fixture line's value: the tree's and both dialects' hashes, or the
 /// error's.
@@ -41,11 +32,11 @@ fn parsed(source: &str) -> String {
     match parse_any(source) {
         Ok(p) => format!(
             "{:016x} {:016x} {:016x}",
-            fnv64(&format!("{p:?}")),
-            fnv64(&program_to_string(&p)),
-            fnv64(&program_to_clike(&p))
+            fnv64(format!("{p:?}").as_bytes()),
+            fnv64(program_to_string(&p).as_bytes()),
+            fnv64(program_to_clike(&p).as_bytes())
         ),
-        Err(e) => format!("error {:016x}", fnv64(&e.to_string())),
+        Err(e) => format!("error {:016x}", fnv64(e.to_string().as_bytes())),
     }
 }
 
@@ -124,7 +115,7 @@ fn fixture_lines() -> Vec<String> {
             for (k, edited) in edits(&source, id).iter().enumerate() {
                 let verdict = match parse_any(edited) {
                     Ok(_) => "ok".to_string(),
-                    Err(e) => format!("{:016x}", fnv64(&e.to_string())),
+                    Err(e) => format!("{:016x}", fnv64(e.to_string().as_bytes())),
                 };
                 out.push(format!("corpus{id:04}/edit{k} {verdict}"));
             }
