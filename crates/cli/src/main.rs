@@ -84,12 +84,12 @@
 //!                      the default)
 //!
 //! exec options:
-//!   --backend B        sim (default; the tree-walking reference
-//!                      interpreter) | native (flat register
-//!                      bytecode on real OS threads) | aot (parallel
-//!                      regions compiled to a native cdylib via `rustc`,
-//!                      cached under `FORMAD_AOT_DIR`, falling back to
-//!                      native bytecode if the compile fails). Outputs
+//!   --backend B        sim (default; the reference interpreter) |
+//!                      native (flat register bytecode on real OS
+//!                      threads) | aot (parallel regions compiled
+//!                      to a native cdylib via `rustc`, cached under
+//!                      `FORMAD_AOT_DIR`, falling back to native
+//!                      bytecode if the compile fails). Outputs
 //!                      are bitwise-identical across all three unless
 //!                      the program holds an `!$omp atomic` increment:
 //!                      colliding atomics commit in hardware order on
@@ -216,10 +216,15 @@ fn done(result: Result<(), Failure>) -> ExitCode {
 /// the run's batched flush so warm-run scripts can confirm persistence
 /// landed without parsing the directory themselves.
 fn disk_diag(engine: &SharedEngine, dir: &Path, flushed: usize) {
-    let fps = engine.fingerprints().map(|f| f.stats()).unwrap_or_default();
+    let index = engine.fingerprints();
+    let fps = index.map(|f| f.stats()).unwrap_or_default();
+    let refused = index
+        .and_then(|f| f.refused())
+        .map(|why| format!(" / refused: {why}"))
+        .unwrap_or_default();
     eprintln!(
         "formad: disk cache {}: {} regions fingerprint-served ({} from disk) / \
-         {} records flushed / {} write errors",
+         {} records flushed / {} write errors{refused}",
         dir.display(),
         fps.hits,
         fps.disk_hits,

@@ -1428,6 +1428,22 @@ fn cache_verb_stats_verify_clear_ladder() {
             out.contains("refused:") && out.contains("(mode 777)"),
             "{out}"
         );
+        // So does the disk-cache line of an analysis run against it.
+        let (_, err, ok) = formad(&[
+            "adjoint",
+            f.to_str().unwrap(),
+            "--wrt",
+            "x",
+            "--of",
+            "y",
+            "--cache-dir",
+            d,
+        ]);
+        assert!(ok, "{err}");
+        assert!(
+            err.contains("refused:") && err.contains("(mode 777)"),
+            "{err}"
+        );
         chmod(0o755).unwrap();
     }
     // A stale shard file of the deleted proof store is not the index's

@@ -13,14 +13,48 @@
 //! (identity-initialized copies, merged after the region in ascending
 //! thread order). The interpreter measures no time: every time figure
 //! comes from the native backends.
+//!
+//! [`run`] does not walk the lowered tree. It first builds, once per
+//! call, one closure for each statement, expression and condition of the
+//! [`LProgram`], specialised to its kind, with its slots, its array's
+//! extents, strides and name, and its operator resolved, and then calls
+//! the closure of the body. The built form keeps four rules:
+//!
+//! - **Evaluation order.** Each closure evaluates its parts in the
+//!   order the lowered tree lists them: a store's subscripts before its
+//!   right-hand side, each subscript's bounds check before the next
+//!   subscript, a pop's target before the tape, a loop's `lo`, `hi` and
+//!   `step` before its trip count, the left operand before the right.
+//!   Of two errors a statement can raise, the first is the one every
+//!   backend reports; `.and.` / `.or.` do not evaluate a right operand
+//!   the left one decides.
+//! - **Leaves in place.** A subscript `v`, `v + c`, `v - c`, `c + v` or
+//!   `c` is a slot plus a constant, read without a call; on a
+//!   one-dimensional array it is the whole offset, bounds-checked like
+//!   any other. A real constant, scalar or element is read inside the
+//!   closure that uses it: accesses and operations are built once per
+//!   address shape (`by_shape!`) and operand kind (`by_kind!`). The
+//!   fused increment `a(i…) = a(i…) + e` computes its offset once, as
+//!   the native backends do.
+//! - **Counters.** The events a statement causes whenever it runs (its
+//!   reads, writes, flops, indirect accesses, tape and atomic operations,
+//!   the region it enters) are summed when it is built, those of a fused
+//!   increment as if unfused. A block adds its statements' sum once per
+//!   execution, a loop adds its body's sum times its trip count, and the
+//!   right operand of `.and.` / `.or.` adds its own when it is evaluated.
+//!   A failed run returns no counters, so a run that succeeds counts
+//!   exactly the events it executed.
+//! - **Regions.** Private save and restore, identity-initialized
+//!   reduction copies, the ascending merge and the per-thread tapes are
+//!   the region's own run, unchanged by the build.
 
-use formad_ir::{Program, Ty};
+use formad_ir::{BinOp, Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::lower::{
-    bind_entry, combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call,
-    trip_count, write_back_scalars, ArrMeta, LBool, LExpr, LFor, LProgram, LRegion, LStmt,
-    Schedule,
+    bind_entry, combine, compare, fused_increment, identity, int_bin, int_call, lower, oob,
+    real_bin, real_call, trip_count, write_back_scalars, ArrId, LBool, LExpr, LFor, LProgram,
+    LRegion, LStmt, Schedule, Slot,
 };
 
 /// Cumulative event counters of one execution.
@@ -46,6 +80,38 @@ pub struct ExecStats {
     pub indirect_ops: u64,
     /// Peak extra bytes held by reduction privatization.
     pub peak_reduction_bytes: u64,
+}
+
+impl ExecStats {
+    /// Count one memory access.
+    fn access(&mut self, indirect: bool, write: bool) {
+        if indirect {
+            self.indirect_ops += 1;
+        }
+        if write {
+            self.writes += 1;
+        } else {
+            self.reads += 1;
+        }
+    }
+
+    /// Add `n` times the per-execution events `per` of a built block.
+    /// Wrapping: a failed run discards its counters, and one that
+    /// succeeds cannot execute 2⁶⁴ events.
+    #[inline]
+    fn add_times(&mut self, per: &ExecStats, n: u64) {
+        fn add(to: &mut u64, per: u64, n: u64) {
+            *to = to.wrapping_add(per.wrapping_mul(n));
+        }
+        add(&mut self.flops, per.flops, n);
+        add(&mut self.reads, per.reads, n);
+        add(&mut self.writes, per.writes, n);
+        add(&mut self.atomic_ops, per.atomic_ops, n);
+        add(&mut self.tape_pushes, per.tape_pushes, n);
+        add(&mut self.tape_pops, per.tape_pops, n);
+        add(&mut self.parallel_regions, per.parallel_regions, n);
+        add(&mut self.indirect_ops, per.indirect_ops, n);
+    }
 }
 
 /// Result of one interpreted execution.
@@ -83,15 +149,18 @@ pub fn run(
     machine: &Machine,
 ) -> Result<ExecResult, ExecError> {
     let lp = lower(prog, bind)?;
-    let mut it = Interp::new(&lp, machine, bind)?;
-    it.exec_body(&lp.body)?;
-    it.write_back(bind);
-    Ok(ExecResult { stats: it.stats })
+    let mut st = State::new(&lp, machine.threads.max(1), bind)?;
+    let built = Builder {
+        lp: &lp,
+        threads: machine.threads,
+    };
+    built.block(&lp.body).once(&mut st).map_err(|e| *e)?;
+    st.write_back(&lp, bind);
+    Ok(ExecResult { stats: st.stats })
 }
 
-struct Interp<'a> {
-    lp: &'a LProgram,
-    m: &'a Machine,
+/// The mutable state of one run.
+struct State {
     reals: Vec<f64>,
     ints: Vec<i64>,
     arr_r: Vec<Vec<f64>>,
@@ -102,8 +171,8 @@ struct Interp<'a> {
     stats: ExecStats,
 }
 
-impl<'a> Interp<'a> {
-    fn new(lp: &'a LProgram, m: &'a Machine, bind: &Bindings) -> Result<Interp<'a>, ExecError> {
+impl State {
+    fn new(lp: &LProgram, threads: usize, bind: &Bindings) -> Result<State, ExecError> {
         let mut reals = vec![0.0; lp.n_real_scalars];
         let mut ints = vec![0i64; lp.n_int_scalars];
         bind_entry(&lp.scalars, &lp.arrays, bind, &mut reals, &mut ints)?;
@@ -125,23 +194,20 @@ impl<'a> Interp<'a> {
                 }
             }
         }
-        let t = m.threads.max(1);
-        Ok(Interp {
-            lp,
-            m,
+        Ok(State {
             reals,
             ints,
             arr_r,
             arr_i,
-            tapes_r: vec![Vec::new(); t],
-            tapes_i: vec![Vec::new(); t],
+            tapes_r: vec![Vec::new(); threads],
+            tapes_i: vec![Vec::new(); threads],
             cur_tape: 0,
             stats: ExecStats::default(),
         })
     }
 
-    fn write_back(&mut self, bind: &mut Bindings) {
-        for (id, meta) in self.lp.arrays.iter().enumerate() {
+    fn write_back(&mut self, lp: &LProgram, bind: &mut Bindings) {
+        for (id, meta) in lp.arrays.iter().enumerate() {
             if !meta.param {
                 continue;
             }
@@ -156,388 +222,700 @@ impl<'a> Interp<'a> {
                 }
             }
         }
-        write_back_scalars(&self.lp.scalars, bind, &self.reals, &self.ints);
+        write_back_scalars(&lp.scalars, bind, &self.reals, &self.ints);
     }
 
-    /// Count one memory access.
+    /// Pop the current thread's real tape.
+    fn pop_r(&mut self) -> Result<f64, Fault> {
+        self.tapes_r[self.cur_tape]
+            .pop()
+            .ok_or_else(|| ExecError::new("pop from empty real tape").into())
+    }
+
+    /// Pop the current thread's integer tape.
+    fn pop_i(&mut self) -> Result<i64, Fault> {
+        self.tapes_i[self.cur_tape]
+            .pop()
+            .ok_or_else(|| ExecError::new("pop from empty int tape").into())
+    }
+}
+
+/// The error of a built closure, boxed so that a closure's result fits
+/// in two registers.
+type Fault = Box<ExecError>;
+
+/// A built statement, expression or condition.
+type Eval<'a, T> = Box<dyn Fn(&mut State) -> Result<T, Fault> + 'a>;
+
+/// A built statement list and the events its statements cause whenever
+/// they run; the events of nested blocks are theirs.
+struct Block<'a> {
+    stmts: Vec<Eval<'a, ()>>,
+    events: ExecStats,
+}
+
+impl Block<'_> {
+    /// Run the statements once, counting their events.
+    fn once(&self, st: &mut State) -> Result<(), Fault> {
+        st.stats.add_times(&self.events, 1);
+        self.exec(st)
+    }
+
+    /// Run the statements; the caller counts their events.
+    fn exec(&self, st: &mut State) -> Result<(), Fault> {
+        self.stmts.iter().try_for_each(|s| s(st))
+    }
+}
+
+/// A built integer operand: a slot plus a constant (`v`, `v + c`,
+/// `v - c`, `c + v`), a constant, or a closure.
+enum Int<'a> {
+    Var(usize, i64),
+    Const(i64),
+    Expr(Eval<'a, i64>),
+}
+
+impl Int<'_> {
     #[inline]
-    fn count_mem(&mut self, indirect: bool, write: bool) {
-        if indirect {
-            self.stats.indirect_ops += 1;
-        }
-        if write {
-            self.stats.writes += 1;
-        } else {
-            self.stats.reads += 1;
+    fn at(&self, st: &mut State) -> Result<i64, Fault> {
+        match self {
+            // `+` on integers wraps, and so does the fused form.
+            Int::Var(s, c) => Ok(st.ints[*s].wrapping_add(*c)),
+            Int::Const(c) => Ok(*c),
+            Int::Expr(f) => f(st),
         }
     }
+}
 
-    // ---- expression evaluation ----
+/// How a built element address computes its offset: each subscript is
+/// checked against its extent before the next is evaluated.
+trait Address {
+    fn id(&self) -> usize;
+    fn offset(&self, st: &mut State) -> Result<usize, Fault>;
+}
 
-    fn offset(&mut self, meta: &ArrMeta, idx: &[LExpr]) -> Result<usize, ExecError> {
-        let mut off: i64 = 0;
-        for (k, ix) in idx.iter().enumerate() {
-            let v = self.eval_i(ix)?;
-            let d = meta.dims[k];
+/// An element of an `N`-dimensional array whose every subscript is a
+/// slot plus a constant, with its extent and stride: `a(v + c)` is one
+/// slot read, a wrapping add and the bounds check.
+struct VarPlace<'a, const N: usize> {
+    id: usize,
+    vars: [(usize, i64, i64, i64); N],
+    name: &'a str,
+}
+
+impl<const N: usize> Address for VarPlace<'_, N> {
+    fn id(&self) -> usize {
+        self.id
+    }
+
+    #[inline]
+    fn offset(&self, st: &mut State) -> Result<usize, Fault> {
+        let mut off = 0;
+        for (k, &(slot, c, d, stride)) in self.vars.iter().enumerate() {
+            let v = st.ints[slot].wrapping_add(c);
             if v < 1 || v > d {
-                return Err(oob(v, d, k + 1, &meta.name));
+                return Err(oob(v, d, k + 1, self.name).into());
             }
-            off += (v - 1) * meta.strides[k];
+            off += (v - 1) * stride;
         }
         Ok(off as usize)
     }
+}
 
-    fn eval_r(&mut self, e: &LExpr) -> Result<f64, ExecError> {
-        Ok(match e {
-            LExpr::ConstR(v) => *v,
-            LExpr::ConstI(v) => *v as f64,
-            LExpr::ScalarR(s) => self.reals[*s as usize],
-            LExpr::ScalarI(s) => self.ints[*s as usize] as f64,
-            LExpr::Coerce(inner) => self.eval_i(inner)? as f64,
-            LExpr::Elem(id, idx, indirect) => {
-                let meta = &self.lp.arrays[*id as usize];
-                let off = self.offset(meta, idx)?;
-                self.count_mem(*indirect, false);
-                self.arr_r[*id as usize][off]
-            }
-            LExpr::Neg(a) => -self.eval_r(a)?,
-            LExpr::Bin(op, a, b) => {
-                let x = self.eval_r(a)?;
-                let y = self.eval_r(b)?;
-                self.stats.flops += 1;
-                real_bin(*op, x, y)?
-            }
-            LExpr::Call(f, args) => {
-                let x = self.eval_r(&args[0])?;
-                let y = match args.get(1) {
-                    Some(b) => self.eval_r(b)?,
-                    None => 0.0,
-                };
-                real_call(*f, x, y)
-            }
-        })
+/// Any other element address: each subscript with its dimension's
+/// extent and stride.
+struct SubsPlace<'a> {
+    id: usize,
+    subs: Vec<(Int<'a>, i64, i64)>,
+    name: &'a str,
+}
+
+impl Address for SubsPlace<'_> {
+    fn id(&self) -> usize {
+        self.id
     }
 
-    fn eval_i(&mut self, e: &LExpr) -> Result<i64, ExecError> {
-        Ok(match e {
-            LExpr::ConstI(v) => *v,
-            LExpr::ConstR(_) => {
-                return Err(ExecError::new("real literal in integer context"));
-            }
-            LExpr::ScalarI(s) => self.ints[*s as usize],
-            LExpr::ScalarR(_) | LExpr::Coerce(_) => {
-                return Err(ExecError::new("real value in integer context"));
-            }
-            LExpr::Elem(id, idx, indirect) => {
-                let meta = &self.lp.arrays[*id as usize];
-                let off = self.offset(meta, idx)?;
-                self.count_mem(*indirect, false);
-                self.arr_i[*id as usize][off]
-            }
-            LExpr::Neg(a) => self.eval_i(a)?.wrapping_neg(),
-            LExpr::Bin(op, a, b) => {
-                let x = self.eval_i(a)?;
-                let y = self.eval_i(b)?;
-                int_bin(*op, x, y)?
-            }
-            LExpr::Call(f, args) => {
-                let x = self.eval_i(&args[0])?;
-                let y = match args.get(1) {
-                    Some(b) => self.eval_i(b)?,
-                    None => 0,
-                };
-                int_call(*f, x, y)?
-            }
-        })
-    }
-
-    fn eval_bool(&mut self, b: &LBool) -> Result<bool, ExecError> {
-        Ok(match b {
-            LBool::Cmp(op, ty, a, x) => match ty {
-                Ty::Int => {
-                    let l = self.eval_i(a)?;
-                    let r = self.eval_i(x)?;
-                    compare(*op, l, r)
-                }
-                Ty::Real => {
-                    let l = self.eval_r(a)?;
-                    let r = self.eval_r(x)?;
-                    compare(*op, l, r)
-                }
-            },
-            LBool::And(a, b) => self.eval_bool(a)? && self.eval_bool(b)?,
-            LBool::Or(a, b) => self.eval_bool(a)? || self.eval_bool(b)?,
-            LBool::Not(a) => !self.eval_bool(a)?,
-        })
-    }
-
-    // ---- statement execution ----
-
-    fn exec_body(&mut self, body: &[LStmt]) -> Result<(), ExecError> {
-        for s in body {
-            self.exec_stmt(s)?;
+    #[inline]
+    fn offset(&self, st: &mut State) -> Result<usize, Fault> {
+        let check = |v: i64, d: i64, k: usize| match v < 1 || v > d {
+            true => Err(Fault::from(oob(v, d, k, self.name))),
+            false => Ok(v - 1),
+        };
+        if let [(i, d, _), (j, e, stride)] = &self.subs[..] {
+            let v = check(i.at(st)?, *d, 1)?;
+            return Ok((v + check(j.at(st)?, *e, 2)? * stride) as usize);
         }
-        Ok(())
-    }
-
-    fn exec_stmt(&mut self, s: &LStmt) -> Result<(), ExecError> {
-        match s {
-            LStmt::AssignR(slot, rhs) => {
-                let v = self.eval_r(rhs)?;
-                self.reals[*slot as usize] = v;
-                Ok(())
-            }
-            LStmt::AssignI(slot, rhs) => {
-                let v = self.eval_i(rhs)?;
-                self.ints[*slot as usize] = v;
-                Ok(())
-            }
-            LStmt::AssignElem(id, idx, rhs, indirect) => {
-                let meta = &self.lp.arrays[*id as usize];
-                let ty = meta.ty;
-                let off = self.offset(meta, idx)?;
-                self.count_mem(*indirect, true);
-                match ty {
-                    Ty::Real => {
-                        let v = self.eval_r(rhs)?;
-                        self.arr_r[*id as usize][off] = v;
-                    }
-                    Ty::Int => {
-                        let v = self.eval_i(rhs)?;
-                        self.arr_i[*id as usize][off] = v;
-                    }
-                }
-                Ok(())
-            }
-            LStmt::AtomicAddElem(id, idx, rhs) => {
-                let meta = &self.lp.arrays[*id as usize];
-                let off = self.offset(meta, idx)?;
-                let v = self.eval_r(rhs)?;
-                self.stats.atomic_ops += 1;
-                self.arr_r[*id as usize][off] += v;
-                Ok(())
-            }
-            LStmt::If(cond, then_b, else_b) => {
-                if self.eval_bool(cond)? {
-                    self.exec_body(then_b)
-                } else {
-                    self.exec_body(else_b)
-                }
-            }
-            LStmt::Push(e, ty) => {
-                self.stats.tape_pushes += 1;
-                match ty {
-                    Ty::Real => {
-                        let v = self.eval_r(e)?;
-                        self.tapes_r[self.cur_tape].push(v);
-                    }
-                    Ty::Int => {
-                        let v = self.eval_i(e)?;
-                        self.tapes_i[self.cur_tape].push(v);
-                    }
-                }
-                Ok(())
-            }
-            LStmt::PopR(slot) => {
-                self.stats.tape_pops += 1;
-                let v = self.tapes_r[self.cur_tape]
-                    .pop()
-                    .ok_or_else(|| ExecError::new("pop from empty real tape"))?;
-                self.reals[*slot as usize] = v;
-                Ok(())
-            }
-            LStmt::PopI(slot) => {
-                self.stats.tape_pops += 1;
-                let v = self.tapes_i[self.cur_tape]
-                    .pop()
-                    .ok_or_else(|| ExecError::new("pop from empty int tape"))?;
-                self.ints[*slot as usize] = v;
-                Ok(())
-            }
-            LStmt::PopElem(id, idx, indirect) => {
-                self.count_mem(*indirect, true);
-                self.stats.tape_pops += 1;
-                let meta = &self.lp.arrays[*id as usize];
-                let off = self.offset(meta, idx)?;
-                match meta.ty {
-                    Ty::Real => {
-                        let v = self.tapes_r[self.cur_tape]
-                            .pop()
-                            .ok_or_else(|| ExecError::new("pop from empty real tape"))?;
-                        self.arr_r[*id as usize][off] = v;
-                    }
-                    Ty::Int => {
-                        let v = self.tapes_i[self.cur_tape]
-                            .pop()
-                            .ok_or_else(|| ExecError::new("pop from empty int tape"))?;
-                        self.arr_i[*id as usize][off] = v;
-                    }
-                }
-                Ok(())
-            }
-            LStmt::For(f) => self.exec_sequential(f),
-            // Parallel loops always take the region path, at one thread
-            // too, so regions and reductions are counted alike.
-            LStmt::Parallel(k) => self.exec_parallel(&self.lp.regions[*k as usize]),
+        let mut off = 0;
+        for (k, (i, d, stride)) in self.subs.iter().enumerate() {
+            off += check(i.at(st)?, *d, k + 1)? * stride;
         }
+        Ok(off as usize)
+    }
+}
+
+/// A built element address, by shape.
+enum Place<'a> {
+    Var(VarPlace<'a, 1>),
+    Var2(VarPlace<'a, 2>),
+    Subs(SubsPlace<'a>),
+}
+
+/// `$body`, a closure over the [`Address`] `$p`, built once for each
+/// shape of `$place`, so that an access branches on no shape.
+macro_rules! by_shape {
+    ($place:expr, |$p:ident| $body:expr) => {
+        match $place {
+            Place::Var($p) => $body,
+            Place::Var2($p) => $body,
+            Place::Subs($p) => $body,
+        }
+    };
+}
+
+/// A real operand that the closure using it reads in place.
+trait Real {
+    fn get(&self, st: &mut State) -> Result<f64, Fault>;
+}
+
+impl Real for f64 {
+    fn get(&self, _: &mut State) -> Result<f64, Fault> {
+        Ok(*self)
+    }
+}
+
+/// A real scalar.
+struct Scalar(usize);
+
+impl Real for Scalar {
+    fn get(&self, st: &mut State) -> Result<f64, Fault> {
+        Ok(st.reals[self.0])
+    }
+}
+
+/// An element of a real array.
+struct Elem<P>(P);
+
+impl<P: Address> Real for Elem<P> {
+    fn get(&self, st: &mut State) -> Result<f64, Fault> {
+        let o = self.0.offset(st)?;
+        Ok(st.arr_r[self.0.id()][o])
+    }
+}
+
+impl Real for Eval<'_, f64> {
+    fn get(&self, st: &mut State) -> Result<f64, Fault> {
+        self(st)
+    }
+}
+
+/// A built real operand, by kind: a leaf, read in place, or a closure.
+enum Operand<'a> {
+    Const(f64),
+    Scalar(usize),
+    Elem(Place<'a>),
+    Expr(Eval<'a, f64>),
+}
+
+/// `$body`, a closure over the [`Real`] `$o`, built once for each kind
+/// of `$operand`, so that reading a leaf costs no call.
+macro_rules! by_kind {
+    ($operand:expr, |$o:ident| $body:expr) => {
+        match $operand {
+            Operand::Const(v) => {
+                let $o = v;
+                $body
+            }
+            Operand::Scalar(s) => {
+                let $o = Scalar(s);
+                $body
+            }
+            Operand::Elem(p) => by_shape!(p, |p| {
+                let $o = Elem(p);
+                $body
+            }),
+            Operand::Expr(f) => {
+                let $o = f;
+                $body
+            }
+        }
+    };
+}
+
+/// The closure of `f(x, y)` over two built real operands, `x` first.
+fn pair<'a, T: 'a>(
+    x: Operand<'a>,
+    y: Operand<'a>,
+    f: impl Fn(f64, f64) -> Result<T, Fault> + Copy + 'a,
+) -> Eval<'a, T> {
+    by_kind!(x, |x| by_kind!(y, |y| Box::new(move |st| {
+        let a = x.get(st)?;
+        f(a, y.get(st)?)
+    })))
+}
+
+/// A built loop: its counter, bounds and body.
+struct Loop<'a> {
+    var: usize,
+    lo: Int<'a>,
+    hi: Int<'a>,
+    step: Int<'a>,
+    body: Block<'a>,
+}
+
+impl Loop<'_> {
+    /// `lo`, `hi` and `step`, in that order.
+    fn bounds(&self, st: &mut State) -> Result<(i64, i64, i64), Fault> {
+        Ok((self.lo.at(st)?, self.hi.at(st)?, self.step.at(st)?))
     }
 
-    fn exec_sequential(&mut self, f: &LFor) -> Result<(), ExecError> {
-        let lo = self.eval_i(&f.lo)?;
-        let hi = self.eval_i(&f.hi)?;
-        let step = self.eval_i(&f.step)?;
+    fn run_sequential(&self, st: &mut State) -> Result<(), Fault> {
+        let (lo, hi, step) = self.bounds(st)?;
+        let n = trip_count(lo, hi, step)?;
+        st.stats.add_times(&self.body.events, n as u64);
         let mut v = lo;
-        for _ in 0..trip_count(lo, hi, step)? {
-            self.ints[f.var as usize] = v;
-            self.exec_body(&f.body)?;
+        for _ in 0..n {
+            st.ints[self.var] = v;
+            self.body.exec(st)?;
             v = v.wrapping_add(step);
         }
         Ok(())
     }
+}
 
-    fn exec_parallel(&mut self, region: &LRegion) -> Result<(), ExecError> {
-        let f = &region.for_loop;
-        let lo = self.eval_i(&f.lo)?;
-        let hi = self.eval_i(&f.hi)?;
-        let step = self.eval_i(&f.step)?;
-        let t_n = self.m.threads;
-        let sched = Schedule::new(lo, hi, step, t_n)?;
-        self.stats.parallel_regions += 1;
+/// Builds the closures of one lowered program. Every builder adds the
+/// events of what it builds to `ev`.
+struct Builder<'a> {
+    lp: &'a LProgram,
+    threads: usize,
+}
 
-        if sched.count == 0 {
-            return Ok(());
-        }
+impl<'a> Builder<'a> {
+    fn block(&self, body: &'a [LStmt]) -> Block<'a> {
+        let mut events = ExecStats::default();
+        let stmts = body.iter().map(|s| self.stmt(s, &mut events)).collect();
+        Block { stmts, events }
+    }
 
-        // Save private scalars (restored after the region) and the counter.
-        let saved_r: Vec<f64> = region
-            .private_r
-            .iter()
-            .map(|s| self.reals[*s as usize])
+    fn place(&self, id: ArrId, idx: &'a [LExpr], ev: &mut ExecStats) -> Place<'a> {
+        let meta = &self.lp.arrays[id as usize];
+        let (id, name) = (id as usize, meta.name.as_str());
+        let subs: Vec<_> = (idx.iter().enumerate())
+            .map(|(k, e)| (self.int(e, ev), meta.dims[k], meta.strides[k]))
             .collect();
-        let saved_i: Vec<i64> = region
-            .private_i
-            .iter()
-            .map(|s| self.ints[*s as usize])
-            .collect();
-        let saved_counter = self.ints[f.var as usize];
-
-        // Reduction bookkeeping.
-        let red_scalar_saved: Vec<f64> = region
-            .red_scalars
-            .iter()
-            .map(|(_, s, is_real)| {
-                if *is_real {
-                    self.reals[*s as usize]
-                } else {
-                    self.ints[*s as usize] as f64
-                }
+        let vars: Vec<_> = (subs.iter())
+            .map_while(|&(ref i, d, stride)| match *i {
+                Int::Var(slot, c) => Some((slot, c, d, stride)),
+                _ => None,
             })
             .collect();
-        let mut red_scalar_acc: Vec<f64> = region
-            .red_scalars
-            .iter()
-            .map(|(op, _, _)| identity(*op))
-            .collect();
-        let red_arr_saved: Vec<Vec<f64>> = region
-            .red_arrays
-            .iter()
-            .map(|(_, id)| self.arr_r[*id as usize].clone())
-            .collect();
-        let mut red_arr_acc: Vec<Vec<f64>> = region
-            .red_arrays
-            .iter()
-            .map(|(op, id)| vec![identity(*op); self.arr_r[*id as usize].len()])
-            .collect();
-        let red_footprint: u64 = region
-            .red_arrays
-            .iter()
-            .map(|(_, id)| self.arr_r[*id as usize].len() as u64)
-            .sum();
-        self.stats.peak_reduction_bytes = self
-            .stats
-            .peak_reduction_bytes
-            .max(red_footprint * 8 * t_n as u64);
-
-        let prev_tape = self.cur_tape;
-        for t in 0..t_n {
-            let ranks = sched.ranks(t);
-            if ranks.is_empty() {
-                continue;
-            }
-            // Reset private copies to region-entry values (OpenMP privates
-            // are formally uninitialized; entry values are a deterministic
-            // stand-in, and generated adjoints initialize explicitly).
-            for (k, s) in region.private_r.iter().enumerate() {
-                self.reals[*s as usize] = saved_r[k];
-            }
-            for (k, s) in region.private_i.iter().enumerate() {
-                self.ints[*s as usize] = saved_i[k];
-            }
-            // Identity-init reductions for this thread.
-            for (op, s, is_real) in &region.red_scalars {
-                if *is_real {
-                    self.reals[*s as usize] = identity(*op);
-                } else {
-                    self.ints[*s as usize] = identity(*op) as i64;
-                }
-            }
-            for (op, id) in &region.red_arrays {
-                let arr = &mut self.arr_r[*id as usize];
-                for v in arr.iter_mut() {
-                    *v = identity(*op);
-                }
-            }
-
-            self.cur_tape = t;
-            for v in sched.values(ranks) {
-                self.ints[f.var as usize] = v;
-                self.exec_body(&f.body)?;
-            }
-
-            // Collect this thread's reduction partials.
-            for (k, (op, s, is_real)) in region.red_scalars.iter().enumerate() {
-                let part = if *is_real {
-                    self.reals[*s as usize]
-                } else {
-                    self.ints[*s as usize] as f64
-                };
-                red_scalar_acc[k] = combine(*op, red_scalar_acc[k], part);
-            }
-            for (k, (op, id)) in region.red_arrays.iter().enumerate() {
-                let arr = &self.arr_r[*id as usize];
-                for (acc, v) in red_arr_acc[k].iter_mut().zip(arr) {
-                    *acc = combine(*op, *acc, *v);
-                }
-                self.stats.reduction_elems += arr.len() as u64;
-            }
+        match (vars.len() == subs.len(), &vars[..]) {
+            (true, &[a]) => Place::Var(VarPlace {
+                id,
+                vars: [a],
+                name,
+            }),
+            (true, &[a, b]) => Place::Var2(VarPlace {
+                id,
+                vars: [a, b],
+                name,
+            }),
+            _ => Place::Subs(SubsPlace { id, subs, name }),
         }
-        self.cur_tape = prev_tape;
-
-        // Apply reductions onto the saved originals.
-        for (k, (op, s, is_real)) in region.red_scalars.iter().enumerate() {
-            let final_v = combine(*op, red_scalar_saved[k], red_scalar_acc[k]);
-            if *is_real {
-                self.reals[*s as usize] = final_v;
-            } else {
-                self.ints[*s as usize] = final_v as i64;
-            }
-        }
-        for (k, (op, id)) in region.red_arrays.iter().enumerate() {
-            let arr = &mut self.arr_r[*id as usize];
-            for (j, v) in arr.iter_mut().enumerate() {
-                *v = combine(*op, red_arr_saved[k][j], red_arr_acc[k][j]);
-            }
-        }
-        // Restore private scalars and the counter (pre-region values).
-        for (k, s) in region.private_r.iter().enumerate() {
-            self.reals[*s as usize] = saved_r[k];
-        }
-        for (k, s) in region.private_i.iter().enumerate() {
-            self.ints[*s as usize] = saved_i[k];
-        }
-        self.ints[f.var as usize] = saved_counter;
-        Ok(())
     }
+
+    fn int(&self, e: &'a LExpr, ev: &mut ExecStats) -> Int<'a> {
+        let f: Eval<'a, i64> = match e {
+            LExpr::ConstI(c) => return Int::Const(*c),
+            LExpr::ScalarI(s) => return Int::Var(*s as usize, 0),
+            LExpr::Bin(op, a, b) => match (op, &**a, &**b) {
+                (BinOp::Add, LExpr::ScalarI(s), LExpr::ConstI(c))
+                | (BinOp::Add, LExpr::ConstI(c), LExpr::ScalarI(s)) => {
+                    return Int::Var(*s as usize, *c)
+                }
+                (BinOp::Sub, LExpr::ScalarI(s), LExpr::ConstI(c)) => {
+                    return Int::Var(*s as usize, c.wrapping_neg())
+                }
+                (op, a, b) => {
+                    let (op, a, b) = (*op, self.int(a, ev), self.int(b, ev));
+                    Box::new(move |st| Ok(int_bin(op, a.at(st)?, b.at(st)?)?))
+                }
+            },
+            LExpr::Call(f, args) => {
+                let (f, x) = (*f, self.int(&args[0], ev));
+                let y = args.get(1).map_or(Int::Const(0), |y| self.int(y, ev));
+                Box::new(move |st| Ok(int_call(f, x.at(st)?, y.at(st)?)?))
+            }
+            LExpr::Elem(id, idx, indirect) => {
+                let p = self.place(*id, idx, ev);
+                ev.access(*indirect, false);
+                by_shape!(p, |p| Box::new(move |st| {
+                    let o = p.offset(st)?;
+                    Ok(st.arr_i[p.id][o])
+                }))
+            }
+            LExpr::Neg(a) => {
+                let a = self.int(a, ev);
+                Box::new(move |st| Ok(a.at(st)?.wrapping_neg()))
+            }
+            LExpr::ConstR(_) => {
+                Box::new(|_| Err(ExecError::new("real literal in integer context").into()))
+            }
+            LExpr::ScalarR(_) | LExpr::Coerce(_) => {
+                Box::new(|_| Err(ExecError::new("real value in integer context").into()))
+            }
+        };
+        Int::Expr(f)
+    }
+
+    fn real(&self, e: &'a LExpr, ev: &mut ExecStats) -> Operand<'a> {
+        let f: Eval<'a, f64> = match e {
+            LExpr::ConstR(v) => return Operand::Const(*v),
+            LExpr::ConstI(v) => return Operand::Const(*v as f64),
+            LExpr::ScalarR(s) => return Operand::Scalar(*s as usize),
+            LExpr::Elem(id, idx, indirect) => {
+                let p = self.place(*id, idx, ev);
+                ev.access(*indirect, false);
+                return Operand::Elem(p);
+            }
+            LExpr::ScalarI(_) | LExpr::Coerce(_) => {
+                let i = match e {
+                    LExpr::Coerce(inner) => self.int(inner, ev),
+                    _ => self.int(e, ev),
+                };
+                Box::new(move |st| Ok(i.at(st)? as f64))
+            }
+            LExpr::Neg(a) => by_kind!(self.real(a, ev), |a| Box::new(move |st| Ok(-a.get(st)?))),
+            LExpr::Bin(op, a, b) => {
+                let (a, b) = (self.real(a, ev), self.real(b, ev));
+                ev.flops += 1;
+                match *op {
+                    BinOp::Add => pair(a, b, |x, y| Ok(x + y)),
+                    BinOp::Sub => pair(a, b, |x, y| Ok(x - y)),
+                    BinOp::Mul => pair(a, b, |x, y| Ok(x * y)),
+                    BinOp::Div => pair(a, b, |x, y| Ok(x / y)),
+                    op => pair(a, b, move |x, y| Ok(real_bin(op, x, y)?)),
+                }
+            }
+            LExpr::Call(f, args) => {
+                let (f, x) = (*f, self.real(&args[0], ev));
+                let y = args
+                    .get(1)
+                    .map_or(Operand::Const(0.0), |y| self.real(y, ev));
+                pair(x, y, move |x, y| Ok(real_call(f, x, y)))
+            }
+        };
+        Operand::Expr(f)
+    }
+
+    fn cond(&self, b: &'a LBool, ev: &mut ExecStats) -> Eval<'a, bool> {
+        match b {
+            LBool::Cmp(op, Ty::Int, l, r) => {
+                let (op, l, r) = (*op, self.int(l, ev), self.int(r, ev));
+                Box::new(move |st| Ok(compare(op, l.at(st)?, r.at(st)?)))
+            }
+            LBool::Cmp(op, Ty::Real, l, r) => {
+                let op = *op;
+                pair(self.real(l, ev), self.real(r, ev), move |x, y| {
+                    Ok(compare(op, x, y))
+                })
+            }
+            // The right operand runs, and counts its events, only when
+            // the left one does not decide.
+            LBool::And(l, r) | LBool::Or(l, r) => {
+                let (decides, l) = (matches!(b, LBool::Or(..)), self.cond(l, ev));
+                let mut r_ev = ExecStats::default();
+                let r = self.cond(r, &mut r_ev);
+                Box::new(move |st| {
+                    if l(st)? == decides {
+                        return Ok(decides);
+                    }
+                    st.stats.add_times(&r_ev, 1);
+                    r(st)
+                })
+            }
+            LBool::Not(a) => {
+                let a = self.cond(a, ev);
+                Box::new(move |st| Ok(!a(st)?))
+            }
+        }
+    }
+
+    fn stmt(&self, s: &'a LStmt, ev: &mut ExecStats) -> Eval<'a, ()> {
+        match s {
+            LStmt::AssignR(slot, rhs) => {
+                let s = *slot as usize;
+                by_kind!(self.real(rhs, ev), |r| Box::new(move |st| {
+                    st.reals[s] = r.get(st)?;
+                    Ok(())
+                }))
+            }
+            LStmt::AssignI(slot, rhs) => {
+                let (s, rhs) = (*slot as usize, self.int(rhs, ev));
+                Box::new(move |st| {
+                    st.ints[s] = rhs.at(st)?;
+                    Ok(())
+                })
+            }
+            LStmt::AssignElem(id, idx, rhs, indirect) => {
+                let p = self.place(*id, idx, ev);
+                ev.access(*indirect, true);
+                if self.lp.arrays[*id as usize].ty == Ty::Int {
+                    let rhs = self.int(rhs, ev);
+                    return by_shape!(p, |p| Box::new(move |st| {
+                        let o = p.offset(st)?;
+                        st.arr_i[p.id][o] = rhs.at(st)?;
+                        Ok(())
+                    }));
+                }
+                // Counts the unfused load and add of a fused increment too.
+                let unfused = self.real(rhs, ev);
+                let Some(inc) = fused_increment(*id, idx, rhs) else {
+                    return by_shape!(p, |p| by_kind!(unfused, |r| Box::new(move |st| {
+                        let o = p.offset(st)?;
+                        st.arr_r[p.id][o] = r.get(st)?;
+                        Ok(())
+                    })));
+                };
+                // The load's subscripts equal the store's and are pure, so
+                // its offset is the store's; it loads before `inc` runs.
+                let inc = self.real(inc, &mut ExecStats::default());
+                by_shape!(p, |p| by_kind!(inc, |r| Box::new(move |st| {
+                    let o = p.offset(st)?;
+                    let cur = st.arr_r[p.id][o];
+                    st.arr_r[p.id][o] = cur + r.get(st)?;
+                    Ok(())
+                })))
+            }
+            LStmt::AtomicAddElem(id, idx, rhs) => {
+                let (p, rhs) = (self.place(*id, idx, ev), self.real(rhs, ev));
+                ev.atomic_ops += 1;
+                by_shape!(p, |p| by_kind!(rhs, |r| Box::new(move |st| {
+                    let o = p.offset(st)?;
+                    st.arr_r[p.id][o] += r.get(st)?;
+                    Ok(())
+                })))
+            }
+            LStmt::If(c, then_b, else_b) => {
+                let c = self.cond(c, ev);
+                let (then_b, else_b) = (self.block(then_b), self.block(else_b));
+                Box::new(move |st| match c(st)? {
+                    true => then_b.once(st),
+                    false => else_b.once(st),
+                })
+            }
+            LStmt::Push(e, Ty::Real) => {
+                ev.tape_pushes += 1;
+                by_kind!(self.real(e, ev), |r| Box::new(move |st| {
+                    let v = r.get(st)?;
+                    st.tapes_r[st.cur_tape].push(v);
+                    Ok(())
+                }))
+            }
+            LStmt::Push(e, Ty::Int) => {
+                ev.tape_pushes += 1;
+                let e = self.int(e, ev);
+                Box::new(move |st| {
+                    let v = e.at(st)?;
+                    st.tapes_i[st.cur_tape].push(v);
+                    Ok(())
+                })
+            }
+            LStmt::PopR(slot) => {
+                ev.tape_pops += 1;
+                let s = *slot as usize;
+                Box::new(move |st| {
+                    st.reals[s] = st.pop_r()?;
+                    Ok(())
+                })
+            }
+            LStmt::PopI(slot) => {
+                ev.tape_pops += 1;
+                let s = *slot as usize;
+                Box::new(move |st| {
+                    st.ints[s] = st.pop_i()?;
+                    Ok(())
+                })
+            }
+            LStmt::PopElem(id, idx, indirect) => {
+                ev.access(*indirect, true);
+                ev.tape_pops += 1;
+                let p = self.place(*id, idx, ev);
+                match self.lp.arrays[*id as usize].ty {
+                    Ty::Real => by_shape!(p, |p| Box::new(move |st| {
+                        let o = p.offset(st)?;
+                        st.arr_r[p.id][o] = st.pop_r()?;
+                        Ok(())
+                    })),
+                    Ty::Int => by_shape!(p, |p| Box::new(move |st| {
+                        let o = p.offset(st)?;
+                        st.arr_i[p.id][o] = st.pop_i()?;
+                        Ok(())
+                    })),
+                }
+            }
+            LStmt::For(f) => {
+                let l = self.for_loop(f, ev);
+                Box::new(move |st| l.run_sequential(st))
+            }
+            // Parallel loops always take the region path, at one thread
+            // too, so regions and reductions are counted alike.
+            LStmt::Parallel(k) => {
+                let region = &self.lp.regions[*k as usize];
+                ev.parallel_regions += 1;
+                let (l, t_n) = (self.for_loop(&region.for_loop, ev), self.threads);
+                Box::new(move |st| run_region(st, region, &l, t_n))
+            }
+        }
+    }
+
+    /// A loop; the events of its bounds are the enclosing statement's.
+    fn for_loop(&self, f: &'a LFor, ev: &mut ExecStats) -> Loop<'a> {
+        let (lo, hi) = (self.int(&f.lo, ev), self.int(&f.hi, ev));
+        Loop {
+            var: f.var as usize,
+            lo,
+            hi,
+            step: self.int(&f.step, ev),
+            body: self.block(&f.body),
+        }
+    }
+}
+
+/// Run one parallel region on `t_n` logical threads; `l` is its loop.
+fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Result<(), Fault> {
+    let (lo, hi, step) = l.bounds(st)?;
+    let sched = Schedule::new(lo, hi, step, t_n)?;
+    if sched.count == 0 {
+        return Ok(());
+    }
+    st.stats.add_times(&l.body.events, sched.count as u64);
+
+    // Private scalars and the counter get their entry values back after
+    // the region. Each thread starts from the entry values too (OpenMP
+    // privates are formally uninitialized; entry values are a
+    // deterministic stand-in, and generated adjoints initialize
+    // explicitly).
+    let saved_r: Vec<f64> = region
+        .private_r
+        .iter()
+        .map(|&s| st.reals[s as usize])
+        .collect();
+    let saved_i: Vec<i64> = region
+        .private_i
+        .iter()
+        .map(|&s| st.ints[s as usize])
+        .collect();
+    let saved_counter = st.ints[l.var];
+    let restore = |st: &mut State| {
+        for (&s, &v) in region.private_r.iter().zip(&saved_r) {
+            st.reals[s as usize] = v;
+        }
+        for (&s, &v) in region.private_i.iter().zip(&saved_i) {
+            st.ints[s as usize] = v;
+        }
+    };
+    // Reduced scalars live as reals here, whatever their type.
+    let get = |st: &State, s: Slot, real: bool| match real {
+        true => st.reals[s as usize],
+        false => st.ints[s as usize] as f64,
+    };
+    let set = |st: &mut State, s: Slot, real: bool, v: f64| match real {
+        true => st.reals[s as usize] = v,
+        false => st.ints[s as usize] = v as i64,
+    };
+    let red_scalar_saved: Vec<f64> = (region.red_scalars.iter())
+        .map(|&(_, s, real)| get(st, s, real))
+        .collect();
+    let mut red_scalar_acc: Vec<f64> = (region.red_scalars.iter())
+        .map(|&(op, ..)| identity(op))
+        .collect();
+    // A reduced array's shared values wait here while each thread works
+    // on a fresh identity-initialized copy; the first thread's partials,
+    // combined onto the identity in place, become the accumulator. An
+    // array named by two clauses is moved once and copied for the other.
+    let ids: Vec<ArrId> = region.red_arrays.iter().map(|&(_, id)| id).collect();
+    let mut red_arr_saved: Vec<Vec<f64>> = Vec::with_capacity(ids.len());
+    for (k, &id) in ids.iter().enumerate() {
+        let saved = match ids[..k].iter().position(|&i| i == id) {
+            Some(j) => red_arr_saved[j].clone(),
+            None => std::mem::take(&mut st.arr_r[id as usize]),
+        };
+        red_arr_saved.push(saved);
+    }
+    let mut red_arr_acc: Vec<Option<Vec<f64>>> = vec![None; region.red_arrays.len()];
+    let red_footprint: u64 = red_arr_saved.iter().map(|a| a.len() as u64).sum();
+    st.stats.peak_reduction_bytes =
+        (st.stats.peak_reduction_bytes).max(red_footprint * 8 * t_n as u64);
+
+    let prev_tape = st.cur_tape;
+    for t in 0..t_n {
+        let ranks = sched.ranks(t);
+        if ranks.is_empty() {
+            continue;
+        }
+        restore(st);
+        for &(op, s, real) in &region.red_scalars {
+            set(st, s, real, identity(op));
+        }
+        for (&(op, id), saved) in region.red_arrays.iter().zip(&red_arr_saved) {
+            st.arr_r[id as usize] = vec![identity(op); saved.len()];
+        }
+        st.cur_tape = t;
+        for v in sched.values(ranks) {
+            st.ints[l.var] = v;
+            l.body.exec(st)?;
+        }
+        // Collect this thread's reduction partials.
+        for (k, &(op, s, real)) in region.red_scalars.iter().enumerate() {
+            red_scalar_acc[k] = combine(op, red_scalar_acc[k], get(st, s, real));
+        }
+        for (k, (acc, &(op, id))) in red_arr_acc.iter_mut().zip(&region.red_arrays).enumerate() {
+            let mut part = match ids[k + 1..].contains(&id) {
+                true => st.arr_r[id as usize].clone(),
+                false => std::mem::take(&mut st.arr_r[id as usize]),
+            };
+            st.stats.reduction_elems += part.len() as u64;
+            *acc = Some(match acc.take() {
+                Some(mut acc) => {
+                    acc.iter_mut()
+                        .zip(&part)
+                        .for_each(|(a, v)| *a = combine(op, *a, *v));
+                    acc
+                }
+                None => {
+                    part.iter_mut()
+                        .for_each(|v| *v = combine(op, identity(op), *v));
+                    part
+                }
+            });
+        }
+    }
+    st.cur_tape = prev_tape;
+
+    // Apply reductions onto the saved originals.
+    for (k, &(op, s, real)) in region.red_scalars.iter().enumerate() {
+        set(
+            st,
+            s,
+            real,
+            combine(op, red_scalar_saved[k], red_scalar_acc[k]),
+        );
+    }
+    for ((acc, saved), &(op, id)) in red_arr_acc
+        .into_iter()
+        .zip(&red_arr_saved)
+        .zip(&region.red_arrays)
+    {
+        // `count > 0`, so some thread ran and left its partials.
+        let mut acc = acc.expect("a thread ran the region");
+        acc.iter_mut()
+            .zip(saved)
+            .for_each(|(a, v)| *a = combine(op, *v, *a));
+        st.arr_r[id as usize] = acc;
+    }
+    restore(st);
+    st.ints[l.var] = saved_counter;
+    Ok(())
 }
 
 #[cfg(test)]

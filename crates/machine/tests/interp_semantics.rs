@@ -3,7 +3,7 @@
 //! event counters.
 
 use formad_ir::parse_program;
-use formad_machine::{run, Bindings, Machine};
+use formad_machine::{run, run_aot, run_native, Bindings, Machine};
 
 fn exec(src: &str, b: Bindings, threads: usize) -> (Bindings, formad_machine::ExecResult) {
     let p = parse_program(src).unwrap();
@@ -240,6 +240,44 @@ end subroutine
         assert_eq!(ra.stats.atomic_ops, n as u64, "T={threads}");
         assert_eq!((ra.stats.reads, ra.stats.writes), (0, 0), "T={threads}");
     }
+
+    // The right operand of `.and.` / `.or.` reads `x(i)` only when the
+    // left one does not decide, and only the gather `x(c(i))` is
+    // indirect: of n = 10 iterations with k = 4, the first guard reads
+    // `x(i)` 6 times and gathers 6 times (2 reads, 1 indirect each), the
+    // second reads `x(i)` 6 times and increments `y(i)` 4 times.
+    let guarded = r#"
+subroutine t(n, k, c, x, y)
+  integer, intent(in) :: n, k
+  integer, intent(in) :: c(n)
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do shared(c, x, y)
+  do i = 1, n
+    if (i .gt. k .and. x(i) .gt. 0.0) then
+      y(i) = x(c(i))
+    end if
+    if (i .le. k .or. x(i) .lt. 0.0) then
+      y(i) = y(i) + 1.0
+    end if
+  end do
+end subroutine
+"#;
+    let n = 10;
+    for threads in [1usize, 3] {
+        let b = Bindings::new()
+            .int("n", n as i64)
+            .int("k", 4)
+            .int_array("c", (1..=n as i64).rev().collect())
+            .real_array("x", (1..=n).map(|v| v as f64).collect())
+            .real_array("y", vec![0.0; n]);
+        let (out, r) = exec(guarded, b, threads);
+        let s = r.stats;
+        assert_eq!((s.reads, s.writes, s.flops), (28, 10, 4), "T={threads}");
+        assert_eq!(s.indirect_ops, 6, "T={threads}");
+        assert_eq!(out.get_real_array("y").unwrap()[4], 6.0);
+    }
 }
 
 #[test]
@@ -271,4 +309,124 @@ end subroutine
     let (out, _) = exec(src, b, 2);
     // For c(i) > 0: (j,k) in {(1,1),(1,2),(2,1),(2,2)}; even sums: (1,1),(2,2).
     assert_eq!(out.get_real_array("y").unwrap(), &[2.0, 0.0, 2.0, 0.0]);
+}
+
+/// The message of the first error `src` raises against `bind` on the
+/// simulator, the bytecode engine and the AOT kernel, at one and at two
+/// threads.
+fn first_errors(src: &str, bind: &Bindings) -> Vec<(String, String)> {
+    let p = parse_program(src).expect("parse");
+    let mut out = Vec::new();
+    for threads in [1usize, 2] {
+        let m = Machine::with_threads(threads);
+        let err = run(&p, &mut bind.clone(), &m).expect_err("sim must fail");
+        out.push((format!("sim T={threads}"), err.message));
+        let err = run_native(&p, &mut bind.clone(), threads).expect_err("bytecode must fail");
+        out.push((format!("bytecode T={threads}"), err.message));
+        let err = run_aot(&p, &mut bind.clone(), threads).expect_err("aot must fail");
+        out.push((format!("aot T={threads}"), err.message));
+    }
+    out
+}
+
+/// Where one statement can raise two errors, the one evaluated first
+/// wins: the left-hand subscript before the right-hand side, each
+/// subscript's bounds check before the next subscript, a loop's `lo`,
+/// `hi` and `step` in that order before its zero-step check, the left
+/// operand before the right, and the target's subscript before the
+/// tape. `z` is 0 and `n + 1` is past the end of every array. Each
+/// statement runs in sequential code and as the body of a one-iteration
+/// parallel region.
+#[test]
+fn the_first_of_two_errors_wins() {
+    let oob = |v: &str| format!("index 4 out of bounds 1..=3 in dimension 1 of `{v}`");
+    let div = "integer division by zero".to_string();
+    let cases: [(&str, String); 11] = [
+        ("y(n + 1) = x(1) + k / z", oob("y")),
+        ("s = x(n + 1) + k / z", oob("x")),
+        ("m = k / z + c(n + 1)", div.clone()),
+        ("u(n + 1, k / z) = 1.0", oob("u")),
+        ("u(k / z, n + 1) = 1.0", div.clone()),
+        ("s = min(x(n + 1), k / z * 1.0)", oob("x")),
+        ("if (c(n + 1) .gt. k / z) then\n  s = 1.0\nend if", oob("c")),
+        ("call push(x(n + 1) + k / z)", oob("x")),
+        ("call pop(y(n + 1))", oob("y")),
+        ("do j = c(n + 1), k / z\n  s = 1.0\nend do", oob("c")),
+        ("do j = 1, k / z, 0\n  s = 1.0\nend do", div.clone()),
+    ];
+    let bind = Bindings::new()
+        .int("n", 3)
+        .int("k", 5)
+        .int("z", 0)
+        .int_array("c", vec![1; 3])
+        .real_array("x", vec![1.0; 3])
+        .real_array("y", vec![0.0; 3])
+        .real_array("u", vec![0.0; 9]);
+    let program = |body: &str, region: bool| {
+        let (open, close) = if region {
+            (
+                "!$omp parallel do shared(c, x, y, u) private(s, m, j)\ndo i = 1, 1\n",
+                "\nend do",
+            )
+        } else {
+            ("", "")
+        };
+        format!(
+            "subroutine t(n, k, z, c, x, y, u)\n  integer, intent(in) :: n, k, z\n  \
+             integer, intent(in) :: c(n)\n  real, intent(in) :: x(n)\n  \
+             real, intent(inout) :: y(n)\n  real, intent(inout) :: u(n, n)\n  \
+             real :: s\n  integer :: m, i, j\n{open}{body}{close}\nend subroutine\n"
+        )
+    };
+    for (body, want) in &cases {
+        for region in [false, true] {
+            for (backend, got) in first_errors(&program(body, region), &bind) {
+                assert_eq!(&got, want, "{backend}, region {region}: {body}");
+            }
+        }
+    }
+    // An atomic update exists only in a region; its target's subscript
+    // is checked before its increment runs.
+    let atomic = program("!$omp atomic\ny(n + 1) = y(n + 1) + k / z", true);
+    for (backend, got) in first_errors(&atomic, &bind) {
+        assert_eq!(got, oob("y"), "{backend}: atomic");
+    }
+    // A region's own bounds: `hi` fails before the zero step is seen.
+    let region = program("s = 1.0", true).replace("do i = 1, 1", "do i = 1, k / z, 0");
+    for (backend, got) in first_errors(&region, &bind) {
+        assert_eq!(got, div, "{backend}: region bounds");
+    }
+}
+
+/// Two reduction clauses may name one array: every thread starts from
+/// the last clause's identity, each clause merges the thread's partials
+/// in its own operator, and the last clause's merge is the result (here
+/// `+`: 5 + 4·1 + 2 for `y(1)`).
+#[test]
+fn an_array_in_two_reduction_clauses() {
+    let src = r#"
+subroutine t(n, y)
+  integer, intent(in) :: n
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do reduction(max: y) reduction(+: y)
+  do i = 1, n
+    y(1) = y(1) + 1.0
+    y(i) = y(i) + 2.0
+  end do
+end subroutine
+"#;
+    for threads in [1usize, 3] {
+        let b = Bindings::new()
+            .int("n", 4)
+            .real_array("y", vec![5.0, -1.0, 2.0, 3.0]);
+        let (out, r) = exec(src, b, threads);
+        let y = out.get_real_array("y").unwrap();
+        assert_eq!(y, &[11.0, 1.0, 4.0, 5.0], "T={threads}");
+        // Both clauses privatize and merge: 4 elements each, per thread
+        // that ran (T = 3 gives two threads work).
+        let ran = threads.min(2) as u64;
+        assert_eq!(r.stats.reduction_elems, 8 * ran, "T={threads}");
+        assert_eq!(r.stats.peak_reduction_bytes, 64 * threads as u64);
+    }
 }

@@ -82,7 +82,7 @@ const VERBS: [(&str, Verb); 7] = [
 /// Where `exec` runs the program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The tree-walking reference interpreter.
+    /// The reference interpreter.
     Sim,
     /// Register bytecode on real OS threads.
     Native,

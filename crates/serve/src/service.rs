@@ -376,11 +376,12 @@ impl Service {
     fn status_json(&self) -> Json {
         let (running, queued) = self.admission.occupancy();
         let stats = self.stats.lock().map(|s| *s).unwrap_or_default();
-        let fp = self
-            .engine
-            .fingerprints()
-            .map(|f| f.stats())
-            .unwrap_or_default();
+        let index = self.engine.fingerprints();
+        let fp = index.map(|f| f.stats()).unwrap_or_default();
+        // Why the cache directory is not trusted, or `null`.
+        let refused = index
+            .and_then(|f| f.refused())
+            .map_or(Json::Null, Json::from);
         let aot = formad_machine::aot::stats();
         let c = &self.counters;
         let n = |counter: &AtomicU64| Json::from(counter.load(Ordering::Relaxed));
@@ -440,6 +441,7 @@ impl Service {
                     ("misses", fp.misses.into()),
                     ("inserts", fp.inserts.into()),
                     ("write_errors", fp.write_errors.into()),
+                    ("refused", refused),
                 ]),
             ),
             // Exec-side analogue of the fingerprint index: the process-wide AOT

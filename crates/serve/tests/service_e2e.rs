@@ -642,6 +642,39 @@ fn restarted_daemon_serves_from_disk_with_zero_lia_calls() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A cache directory others can write is refused, and `/v1/status`
+/// says why in `fingerprints.refused`; without a cache directory it is
+/// `null`.
+#[test]
+fn status_names_a_refused_cache_directory() {
+    use std::os::unix::fs::PermissionsExt;
+    let dir = std::env::temp_dir().join(format!("formad-serve-refused-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).unwrap();
+    std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o777)).unwrap();
+    let refused = |cfg: ServiceConfig| {
+        let mut handle = start(cfg);
+        let (s, status) = post_get(handle.addr(), "/v1/status");
+        assert_eq!(s, 200, "{status}");
+        let refused = status
+            .get("fingerprints")
+            .and_then(|f| f.get("refused"))
+            .cloned();
+        let (_, sh) = post(handle.addr(), "/v1/shutdown", "");
+        assert!(sh.get("ok").and_then(Json::as_bool) == Some(true));
+        handle.join();
+        refused
+    };
+    let why = refused(ServiceConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    });
+    let why = why.as_ref().and_then(Json::as_str).unwrap_or("");
+    assert!(why.contains("(mode 777)"), "{why}");
+    assert_eq!(refused(ServiceConfig::default()), Some(Json::Null));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- field validation ----
 
 const AXPY: &str = "subroutine axpy(n, a, x, y)\n  integer, intent(in) :: n\n  \
