@@ -367,6 +367,25 @@ fn distinct_exit_codes_per_error_kind() {
     );
 }
 
+/// One name in two reduction clauses is refused before anything runs:
+/// `exec` exits 4 (validate) and names both clauses.
+#[test]
+fn a_name_in_two_reduction_clauses_exits_4() {
+    let src = AXPY_F.replace("shared(x, y)", "reduction(+: y) reduction(max: y)");
+    assert!(src.contains("reduction(max: y)"));
+    let f = write_temp("two_reductions.f90", &src);
+    let out = Command::new(env!("CARGO_BIN_EXE_formad"))
+        .args(["exec", f.to_str().unwrap(), "--set", "n=8,a=0.5"])
+        .output()
+        .expect("run formad");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{err}");
+    assert!(
+        err.contains("`reduction(+: y)` and `reduction(max: y)`"),
+        "{err}"
+    );
+}
+
 #[test]
 fn prover_timeout_flag_accepted_and_validated() {
     let f = write_temp("timeout.f90", FIG2_F);
@@ -804,6 +823,41 @@ fn exec_aot_falls_back_when_the_toolchain_is_broken() {
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("failed to spawn"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A kernel is linked by the first `ld` on `PATH`. With `rustc` on
+/// `PATH` but no `ld`, a cold `exec --backend aot` compiles the object,
+/// cannot link it, degrades naming the linker, and prints sim's output.
+#[cfg(unix)]
+#[test]
+fn exec_aot_without_a_linker_on_path_falls_back() {
+    let sysroot = Command::new("rustc")
+        .args(["--print", "sysroot"])
+        .output()
+        .expect("rustc on PATH");
+    let rustc =
+        std::path::PathBuf::from(String::from_utf8_lossy(&sysroot.stdout).trim()).join("bin/rustc");
+    let f = write_temp("axpy_nold.f90", AXPY_F);
+    let tmp = std::env::temp_dir().join(format!("formad-cli-nold-{}", std::process::id()));
+    let bin = tmp.join("bin");
+    std::fs::create_dir_all(&bin).expect("scratch dir");
+    std::os::unix::fs::symlink(&rustc, bin.join("rustc")).expect("rustc link");
+    let file = f.to_str().unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_formad"))
+        .args(["exec", file, "--set", "n=40,a=0.5", "--backend", "aot"])
+        .env("PATH", &bin)
+        .env("FORMAD_AOT_DIR", tmp.join("cache"))
+        .env_remove("FORMAD_AOT_RUSTC")
+        .output()
+        .expect("run formad");
+    let _ = std::fs::remove_dir_all(&tmp);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("fell back to native bytecode"), "{err}");
+    assert!(err.contains("aot link: no `ld` linker on PATH"), "{err}");
+    let (sim, _, ok) = formad(&["exec", file, "--set", "n=40,a=0.5", "--backend", "sim"]);
+    assert!(ok);
+    assert_eq!(sim, String::from_utf8_lossy(&out.stdout));
 }
 
 /// Green-Gauss-shaped gather: the index scalar is recomputed, the branch

@@ -228,7 +228,7 @@ pub struct RegionOptions {
     pub chaos: Option<ChaosConfig>,
     /// Read by nothing: proving is in-line on the region's one solver. The
     /// field stays only because the frozen `benchmark/src/pipeline.rs`
-    /// assigns it; it goes with ROADMAP item 10's benchmark PR.
+    /// assigns it; it goes with ROADMAP item 1's `benchmark/` PR.
     pub jobs: usize,
     /// Hard wall-clock deadline for the whole analysis. Unlike
     /// `prover_timeout` (whose expiry *degrades* the affected arrays and

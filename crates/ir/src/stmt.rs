@@ -146,6 +146,23 @@ impl ParallelInfo {
     pub fn is_privatized(&self, name: &str) -> bool {
         self.private.iter().any(|p| p == name) || self.reductions.iter().any(|(_, v)| v == name)
     }
+
+    /// The refusal of the first name two `reduction` clauses share,
+    /// naming both clauses. OpenMP allows a list item in one reduction
+    /// clause of a construct; the validator and the lowering every
+    /// backend goes through both refuse a second.
+    pub fn duplicate_reduction(&self) -> Option<String> {
+        let r = &self.reductions;
+        r.iter().enumerate().find_map(|(k, (op, name))| {
+            let (first, _) = r[..k].iter().find(|(_, v)| v == name)?;
+            Some(format!(
+                "`{name}` is named by two reduction clauses, `reduction({}: {name})` and \
+                 `reduction({}: {name})`",
+                first.symbol(),
+                op.symbol()
+            ))
+        })
+    }
 }
 
 /// A counted `do` loop, possibly a parallel one.

@@ -313,6 +313,9 @@ impl<'a> Validator<'a> {
                             )));
                         }
                     }
+                    if let Some(m) = info.duplicate_reduction() {
+                        self.errors.push(err(m));
+                    }
                     for name in info
                         .private
                         .iter()
@@ -503,6 +506,28 @@ end subroutine
 "#,
         );
         assert!(errs.is_empty(), "{errs:?}");
+    }
+
+    #[test]
+    fn one_name_in_two_reduction_clauses_caught() {
+        let errs = check(
+            r#"
+subroutine t(n, y)
+  integer, intent(in) :: n
+  real, intent(inout) :: y(n)
+  integer :: i
+  !$omp parallel do reduction(+: y) reduction(max: y)
+  do i = 1, n
+    y(i) = y(i) + 1.0
+  end do
+end subroutine
+"#,
+        );
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(
+            errs[0].message,
+            "`y` is named by two reduction clauses, `reduction(+: y)` and `reduction(max: y)`"
+        );
     }
 
     #[test]

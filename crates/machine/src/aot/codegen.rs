@@ -11,31 +11,33 @@
 //! lowered tree — every forward loop and every reversed adjoint loop —
 //! walks its chunk with that literal as its stride.
 //!
-//! A kernel is a **freestanding crate**: `#![no_std]`, so the cdylib
-//! links `core` and nothing of `std` — a few KiB instead of 4.3 MB, and
-//! the link step of a cold build more than halved (EXPERIMENTS.md, "AOT
+//! A kernel is a **freestanding crate**: `#![no_std]`, so its object
+//! holds `core` inlined and nothing of `std` — a few KiB instead of
+//! 4.3 MB, and one object that `ld` links alone (EXPERIMENTS.md, "AOT
 //! cold start"). What it needs from outside it names itself:
 //!
 //! - the transcendentals are calls into libm (`sin cos exp log sqrt tanh
 //!   pow`) — the symbols `f64::sin`, `ln`, `powf` … lower to on this
 //!   target, so results stay bitwise equal to the interpreters'. Only
 //!   the functions a kernel calls are declared (an unused declaration is
-//!   a `dead_code` warning, and a kernel that calls none does not link
-//!   libm at all). `abs` and `checked_*` are `core`; real `min` / `max`
-//!   are `lower.rs`'s own functions, emitted from its source text into
-//!   the kernels that call them;
+//!   a `dead_code` warning), in a block under `#[link(name = "m")]`,
+//!   and the build links libm exactly when that block is there. They,
+//!   and `abort`, resolve from the host process at `dlopen`. `abs` and
+//!   `checked_*` are `core`; real `min` / `max` are `lower.rs`'s own
+//!   functions, emitted from its source text into the kernels that call
+//!   them;
 //! - a `#[panic_handler]` that calls libc `abort()`. No generated
 //!   operation can panic (every index, divisor, exponent and tape pop is
 //!   checked and reported through an `AOT_ERR_*` code, integer
 //!   arithmetic wraps), so it exists to satisfy the language, and aborts
 //!   rather than hangs if that ever stops being true;
 //! - a `rust_eh_personality` stub: the precompiled `core` is built
-//!   unwinding, so whatever is linked from it rather than inlined names
-//!   that symbol in its unwind tables and `dlopen` refuses the kernel
-//!   without a definition. One `x % y` in place of `checked_rem` is
-//!   enough: its overflow panic links `core::panicking` (and 600 KB of
-//!   formatting with it). Nothing is linked today; the stub keeps
-//!   loading from depending on that.
+//!   unwinding, so a `core` function called rather than inlined names
+//!   that symbol in its unwind tables. None is called today, and the
+//!   link names no `core` archive, so one would stay undefined and fail
+//!   the `dlopen`: one `x % y` in place of `checked_rem` is enough, its
+//!   overflow panic calls `core::panicking`. The stub is kernel text,
+//!   which the cache key hashes, and stays.
 //!
 //! What a region *is* comes from the lowering's plan
 //! ([`crate::lower`]), the same one the simulator and the bytecode engine
@@ -92,6 +94,10 @@ fn panic(_: &core::panic::PanicInfo) -> ! {
 pub extern "C" fn rust_eh_personality() {}
 "#;
 
+/// The attribute of the block that declares a kernel's libm functions:
+/// the build links libm exactly when a kernel's source has it.
+pub(crate) const LIBM_LINK: &str = "#[link(name = \"m\")]";
+
 /// Generate the complete cdylib source for `lp`. Fails (→ bytecode
 /// fallback) only on programs the bytecode compiler would reject too.
 pub fn generate_source(lp: &LProgram) -> Result<String, String> {
@@ -132,7 +138,7 @@ pub(crate) fn generate(lp: &LProgram) -> Result<(String, String), String> {
     out.push_str(ABI_SRC);
     out.push_str(FREESTANDING_SRC);
     if !g.libm.is_empty() {
-        out.push_str("\n#[link(name = \"m\")]\nextern \"C\" {\n");
+        let _ = write!(out, "\n{LIBM_LINK}\nextern \"C\" {{\n");
         for name in &g.libm {
             let y = if *name == "pow" { ", y: f64" } else { "" };
             let _ = writeln!(out, "    fn {name}(x: f64{y}) -> f64;");

@@ -1,13 +1,23 @@
 //! AOT native backend: compile lowered parallel regions to a real
-//! cdylib and run them through [`crate::exec::NativeEngine`].
+//! shared object and run them through [`crate::exec::NativeEngine`].
 //!
 //! Pipeline: [`codegen::generate_source`] emits one specialized Rust
 //! function per parallel region; the source is hashed (FNV-1a × 2,
 //! 128 bits — the hash covers the embedded ABI text, so an ABI bump
 //! changes every key) and the hash is compiled into the source as
-//! `formad_aot_source_hash()`; `rustc` compiles it once into
-//! `formad_aot_<hash>.so` in the kernel cache directory; `dlopen` loads
-//! it, the loader checks that its ABI version and source hash are the
+//! `formad_aot_source_hash()`. A build is two steps: `rustc
+//! --emit=obj` compiles the source into one object in the kernel cache
+//! directory, and `ld -shared -z relro -z now --gc-sections` links that
+//! object alone into `formad_aot_<hash>.so`; the object is deleted
+//! whether the build succeeds or not. rustc's own cdylib link would run
+//! the `cc` driver over the `core` and `compiler_builtins` archives and
+//! a version script, for a kernel whose only imports are `abort` and the
+//! libm functions it calls. Those imports resolve from the host process,
+//! which has libc and libm loaded, when `dlopen(RTLD_NOW)` loads the
+//! `.so`; a symbol that does not resolve fails the load. The `ld` line
+//! names libm only for a kernel that calls it, and only for its symbol
+//! versions ([`link_shared`]). The loader
+//! then checks that the artifact's ABI version and source hash are the
 //! ones expected, and the region functions are dispatched by
 //! [`NativeEngine::run_with`] with the exact chunk schedule, scratch
 //! preparation, and reduction merge the bytecode path uses — which is
@@ -24,17 +34,19 @@
 //! user is refused, because its artifacts are code this process runs.
 //! The generated `.rs` is kept beside the `.so` for inspection and CI
 //! artifact upload. Artifacts are written via temp-file + rename so
-//! concurrent processes never observe a torn `.so`. Loaded libraries are never `dlclose`d (region functions must
-//! stay callable for the process lifetime); a process-wide registry
-//! dedups loads by hash.
+//! concurrent processes never observe a torn `.so`. Loaded libraries are
+//! never `dlclose`d (region functions must stay callable for the process
+//! lifetime); a process-wide registry dedups loads by hash.
 //!
 //! Failure contract: every error here is an [`AotError`] the caller is
 //! expected to *degrade* on — [`run_aot`] and the CLI/service wire-ups
 //! fall back to the bytecode backend, report the reason, and still
-//! return the results the contract promises. Test hook: `FORMAD_AOT_RUSTC`
+//! return the results the contract promises. A missing `ld` degrades
+//! like a missing `rustc`. Test hook: `FORMAD_AOT_RUSTC`
 //! overrides the compiler binary, so pointing it at a nonexistent path
 //! forces the compile-failure path deterministically. Without it the
-//! compiler is `<sysroot>/bin/rustc` of the `rustc` on `PATH`.
+//! compiler is `<sysroot>/bin/rustc` of the `rustc` on `PATH`, and the
+//! linker is the first `ld` on `PATH`; each is resolved once per process.
 
 pub mod abi;
 mod codegen;
@@ -105,6 +117,8 @@ pub enum AotError {
     Io(String),
     /// `rustc` failed (or could not be spawned).
     Compile(String),
+    /// No `ld` on `PATH`, or `ld` failed (or could not be spawned).
+    Link(String),
     /// `dlopen`/`dlsym` failed, or the artifact's ABI or source hash
     /// disagrees.
     Load(String),
@@ -116,6 +130,7 @@ impl fmt::Display for AotError {
             AotError::Codegen(m) => write!(f, "aot codegen: {m}"),
             AotError::Io(m) => write!(f, "aot cache: {m}"),
             AotError::Compile(m) => write!(f, "aot compile: {m}"),
+            AotError::Link(m) => write!(f, "aot link: {m}"),
             AotError::Load(m) => write!(f, "aot load: {m}"),
         }
     }
@@ -235,36 +250,95 @@ pub fn kernel_rustc_flags() -> &'static [&'static str] {
     ]
 }
 
-/// Compile `src` into a cdylib at `out` (temp + rename).
-fn compile_cdylib(src: &Path, out: &Path) -> Result<(), AotError> {
-    let tmp = out.with_extension(format!("so.{}.tmp", std::process::id()));
-    let res = std::process::Command::new(rustc_bin())
-        .args(kernel_rustc_flags())
-        .arg("-o")
-        .arg(&tmp)
-        .arg(src)
-        .output();
-    let out_res = match res {
-        Ok(o) => o,
-        Err(e) => {
-            return Err(AotError::Compile(format!(
-                "failed to spawn `{}`: {e}",
-                rustc_bin().to_string_lossy()
-            )))
-        }
-    };
-    if !out_res.status.success() {
-        let mut msg = String::from_utf8_lossy(&out_res.stderr).into_owned();
-        if msg.len() > 2000 {
-            // `truncate` panics inside a character, and rustc echoes the
-            // generated source's non-ASCII header comment in diagnostics.
-            msg.truncate(msg.floor_char_boundary(2000));
-            msg.push_str(" …");
-        }
+/// The linker: the first `ld` on `PATH`, resolved once per process.
+fn ld_bin() -> Option<&'static Path> {
+    static LD: OnceLock<Option<PathBuf>> = OnceLock::new();
+    LD.get_or_init(|| {
+        let path = std::env::var_os("PATH")?;
+        std::env::split_paths(&path)
+            .map(|dir| dir.join("ld"))
+            .find(|ld| ld.is_file())
+    })
+    .as_deref()
+}
+
+/// Build `src` into a shared object at `out` (temp + rename): `rustc`
+/// emits the kernel's one object beside `out`, and `ld` links it, with
+/// libm when `libm`. The object is removed on every path.
+fn compile_cdylib(src: &Path, out: &Path, libm: bool) -> Result<(), AotError> {
+    // rustc names its intermediate files after the output's stem (up to
+    // the first dot), so the process id goes before the extension.
+    let stem = out.file_stem().unwrap_or_default().to_string_lossy();
+    let pid = std::process::id();
+    let obj = out.with_file_name(format!("{stem}_{pid}.o"));
+    let tmp = out.with_extension(format!("so.{pid}.tmp"));
+    let built = emit_object(src, &obj).and_then(|()| link_shared(&obj, &tmp, libm));
+    let _ = std::fs::remove_file(&obj);
+    if let Err(e) = built {
         let _ = std::fs::remove_file(&tmp);
-        return Err(AotError::Compile(format!("rustc failed: {msg}")));
+        return Err(e);
     }
     std::fs::rename(&tmp, out).map_err(|e| AotError::Io(format!("rename {}: {e}", out.display())))
+}
+
+/// rustc's or ld's stderr, cut to 2000 bytes.
+fn diagnostic(stderr: &[u8]) -> String {
+    let mut msg = String::from_utf8_lossy(stderr).into_owned();
+    if msg.len() > 2000 {
+        // `truncate` panics inside a character, and rustc echoes the
+        // generated source's non-ASCII header comment in diagnostics.
+        msg.truncate(msg.floor_char_boundary(2000));
+        msg.push_str(" …");
+    }
+    msg
+}
+
+/// `rustc --emit=obj`: codegen only. rustc does not link, so neither the
+/// `cc` driver nor the `core` and `compiler_builtins` archives take part.
+fn emit_object(src: &Path, obj: &Path) -> Result<(), AotError> {
+    let out = std::process::Command::new(rustc_bin())
+        .args(kernel_rustc_flags())
+        .arg("--emit=obj")
+        .arg("-o")
+        .arg(obj)
+        .arg(src)
+        .output()
+        .map_err(|e| {
+            let bin = rustc_bin();
+            AotError::Compile(format!("failed to spawn `{}`: {e}", bin.to_string_lossy()))
+        })?;
+    if !out.status.success() {
+        return Err(AotError::Compile(format!(
+            "rustc failed: {}",
+            diagnostic(&out.stderr)
+        )));
+    }
+    Ok(())
+}
+
+/// `ld -shared` of the one object. The object's only imports are
+/// `abort` and the libm functions it calls, and all of them resolve from
+/// the host process at `dlopen`. libm is still named when the kernel
+/// calls it, for its symbol versions: glibc defines `exp`, `log` and
+/// `pow` twice, and an unversioned reference binds to the oldest
+/// definition, a wrapper whose NaNs differ in their bits from those of
+/// the one the interpreters call.
+fn link_shared(obj: &Path, so: &Path, libm: bool) -> Result<(), AotError> {
+    let ld = ld_bin().ok_or_else(|| AotError::Link("no `ld` linker on PATH".into()))?;
+    let out = std::process::Command::new(ld)
+        .args(["-shared", "-z", "relro", "-z", "now", "--gc-sections", "-o"])
+        .arg(so)
+        .arg(obj)
+        .args(libm.then_some("-lm"))
+        .output()
+        .map_err(|e| AotError::Link(format!("failed to spawn `{}`: {e}", ld.display())))?;
+    if !out.status.success() {
+        return Err(AotError::Link(format!(
+            "ld failed: {}",
+            diagnostic(&out.stderr)
+        )));
+    }
+    Ok(())
 }
 
 // ---- loading ----
@@ -383,7 +457,7 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
         STATS.disk_hits.fetch_add(1, Ordering::Relaxed);
     } else {
         write_rs()?;
-        compile_cdylib(&rs, &so)?;
+        compile_cdylib(&rs, &so, src.contains(codegen::LIBM_LINK))?;
         STATS.compiles.fetch_add(1, Ordering::Relaxed);
     }
     let lib = dl::open(&so).map_err(AotError::Load)?;

@@ -1,9 +1,10 @@
 //! Flat register bytecode for lowered programs.
 //!
-//! The tree-walking interpreter in [`crate::interp`] chases `Box`ed
-//! [`LExpr`] nodes on every evaluation. For *real* wall-clock execution
-//! (see [`crate::exec`]) we compile an [`LProgram`] once into a dense
-//! instruction array over two register files (f64 / i64):
+//! The reference interpreter in [`crate::interp`] builds one closure
+//! per node of the lowered tree and counts every event it executes. For
+//! *real* wall-clock execution (see [`crate::exec`]) an [`LProgram`] is
+//! compiled once into a dense instruction array over two register files
+//! (f64 / i64):
 //!
 //! - scalar slot `s` lives in register `s` of its file; expression
 //!   temporaries are allocated above the scalar watermark with stack

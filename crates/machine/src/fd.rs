@@ -7,6 +7,8 @@
 //! tolerance. The tangent-mode variant checks `⟨w, ẏ⟩` for `ẏ = J·ẋ`
 //! against the same finite-difference value directly.
 
+use std::collections::HashMap;
+
 use formad_ir::{Program, Ty};
 
 use crate::bindings::{Bindings, ExecError};
@@ -152,13 +154,24 @@ fn dot_test<R>(
 where
     R: FnMut(&Program, &mut Bindings) -> Result<(), ExecError>,
 {
-    let fd_value = central_difference(primal, base, independents, dependents, h, &mut runner)?;
+    // The one copy of `base` the test makes; each run starts from it
+    // refreshed in place.
+    let mut b = base.clone();
+    let fd_value = central_difference(
+        primal,
+        base,
+        &mut b,
+        independents,
+        dependents,
+        h,
+        &mut runner,
+    )?;
     let (seeds, reads, seed_role, read_role) = if reverse {
         (dependents, independents, "dependent", "adjoint")
     } else {
         (independents, dependents, "independent", "tangent")
     };
-    let mut b = base.clone();
+    refresh(&mut b, base);
     for (name, seed) in seeds {
         let arr_len = base
             .get_real_array(name)
@@ -194,10 +207,12 @@ where
 
 /// `⟨w, J·v⟩` by central differences on the primal:
 /// `(g(h) − g(−h)) / 2h` with `g(s) = ⟨w, F(x + s·v)⟩`, for directions
-/// `v` per independent and weights `w` per dependent.
+/// `v` per independent and weights `w` per dependent. Each evaluation
+/// runs on `work`, refreshed from `base` first.
 fn central_difference<R>(
     primal: &Program,
     base: &Bindings,
+    work: &mut Bindings,
     independents: &[(&str, Vec<f64>)],
     dependents: &[(&str, Vec<f64>)],
     h: f64,
@@ -207,7 +222,8 @@ where
     R: FnMut(&Program, &mut Bindings) -> Result<(), ExecError>,
 {
     let mut eval_g = |s: f64| -> Result<f64, ExecError> {
-        let mut b = base.clone();
+        let b = &mut *work;
+        refresh(b, base);
         for (name, v) in independents {
             let arr = b
                 .real_arrays
@@ -217,7 +233,7 @@ where
                 *a += s * d;
             }
         }
-        runner(primal, &mut b)?;
+        runner(primal, b)?;
         let mut g = 0.0;
         for (name, w) in dependents {
             let arr = b
@@ -230,6 +246,27 @@ where
         Ok(g)
     };
     Ok((eval_g(h)? - eval_g(-h)?) / (2.0 * h))
+}
+
+/// Make `work` equal to `base` again, reusing its vectors' storage: a
+/// run may change the values under `base`'s names, and the caller may
+/// have bound names `base` does not have.
+fn refresh(work: &mut Bindings, base: &Bindings) {
+    fn copy<T: Clone>(work: &mut HashMap<String, T>, base: &HashMap<String, T>) {
+        work.retain(|k, _| base.contains_key(k));
+        for (k, v) in base {
+            match work.get_mut(k) {
+                Some(w) => w.clone_from(v),
+                None => {
+                    work.insert(k.clone(), v.clone());
+                }
+            }
+        }
+    }
+    copy(&mut work.real_scalars, &base.real_scalars);
+    copy(&mut work.int_scalars, &base.int_scalars);
+    copy(&mut work.real_arrays, &base.real_arrays);
+    copy(&mut work.int_arrays, &base.int_arrays);
 }
 
 /// Bind every real array parameter of `prog` that `b` does not bind yet

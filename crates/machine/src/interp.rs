@@ -140,9 +140,20 @@ impl Machine {
     }
 }
 
-/// Run `prog` against `bind` on `machine`. Parameter arrays and scalars
-/// are read from the bindings and written back afterwards; locals are
-/// zero-initialized.
+/// Run `prog` against `bind` on `machine`. Parameter scalars are read
+/// from the bindings and written back after a successful run; locals are
+/// zero-initialized, and an array bound under the name of a local is
+/// that local's initial value, copied and left as it was.
+///
+/// Parameter arrays are not copied: each bound vector moves into the run
+/// and moves back under its name when the run ends, however it ends, so
+/// the caller gets its own vectors back. The error contract is the
+/// native engine's ([`crate::exec::NativeEngine::run_with`]): an unbound
+/// parameter or a wrongly sized array is reported before anything has
+/// been written, and after any `Err` every array is still in `bind` under
+/// its name with its declared length (a reduced array holds the values
+/// it had on entry to its region, any other whatever the run had written
+/// so far) and no scalar in `bind` has changed.
 pub fn run(
     prog: &Program,
     bind: &mut Bindings,
@@ -154,8 +165,10 @@ pub fn run(
         lp: &lp,
         threads: machine.threads,
     };
-    built.block(&lp.body).once(&mut st).map_err(|e| *e)?;
-    st.write_back(&lp, bind);
+    let ran = built.block(&lp.body).once(&mut st);
+    st.give_back_arrays(&lp, bind);
+    ran.map_err(|e| *e)?;
+    write_back_scalars(&lp.scalars, bind, &st.reals, &st.ints);
     Ok(ExecResult { stats: st.stats })
 }
 
@@ -172,24 +185,36 @@ struct State {
 }
 
 impl State {
-    fn new(lp: &LProgram, threads: usize, bind: &Bindings) -> Result<State, ExecError> {
+    /// The entry state. A parameter array moves out of `bind`, leaving
+    /// an empty vector under its name until [`State::give_back_arrays`];
+    /// a local gets a copy of its bound initial value, or zeros.
+    fn new(lp: &LProgram, threads: usize, bind: &mut Bindings) -> Result<State, ExecError> {
         let mut reals = vec![0.0; lp.n_real_scalars];
         let mut ints = vec![0i64; lp.n_int_scalars];
         bind_entry(&lp.scalars, &lp.arrays, bind, &mut reals, &mut ints)?;
-        // Every array gets its own copy: a parameter's goes back into
-        // `bind` at the end, a local's initial value stays there.
+        fn entry<T: Clone + Default>(
+            bound: Option<&mut Vec<T>>,
+            param: bool,
+            len: usize,
+        ) -> Vec<T> {
+            match bound {
+                Some(v) if param => std::mem::take(v),
+                Some(v) => v.clone(),
+                None => vec![T::default(); len],
+            }
+        }
         let mut arr_r: Vec<Vec<f64>> = Vec::with_capacity(lp.arrays.len());
         let mut arr_i: Vec<Vec<i64>> = Vec::with_capacity(lp.arrays.len());
         for meta in &lp.arrays {
             match meta.ty {
                 Ty::Real => {
-                    let bound = bind.real_arrays.get(&meta.name);
-                    arr_r.push(bound.cloned().unwrap_or_else(|| vec![0.0; meta.len]));
+                    let bound = bind.real_arrays.get_mut(&meta.name);
+                    arr_r.push(entry(bound, meta.param, meta.len));
                     arr_i.push(Vec::new());
                 }
                 Ty::Int => {
-                    let bound = bind.int_arrays.get(&meta.name);
-                    arr_i.push(bound.cloned().unwrap_or_else(|| vec![0; meta.len]));
+                    let bound = bind.int_arrays.get_mut(&meta.name);
+                    arr_i.push(entry(bound, meta.param, meta.len));
                     arr_r.push(Vec::new());
                 }
             }
@@ -206,23 +231,21 @@ impl State {
         })
     }
 
-    fn write_back(&mut self, lp: &LProgram, bind: &mut Bindings) {
-        for (id, meta) in lp.arrays.iter().enumerate() {
-            if !meta.param {
-                continue;
-            }
+    /// Move every parameter array back under its name in `bind`.
+    fn give_back_arrays(&mut self, lp: &LProgram, bind: &mut Bindings) {
+        const BOUND: &str = "parameter arrays were found bound at entry";
+        for (id, meta) in lp.arrays.iter().enumerate().filter(|(_, m)| m.param) {
             match meta.ty {
                 Ty::Real => {
-                    bind.real_arrays
-                        .insert(meta.name.clone(), std::mem::take(&mut self.arr_r[id]));
+                    let slot = bind.real_arrays.get_mut(&meta.name).expect(BOUND);
+                    *slot = std::mem::take(&mut self.arr_r[id]);
                 }
                 Ty::Int => {
-                    bind.int_arrays
-                        .insert(meta.name.clone(), std::mem::take(&mut self.arr_i[id]));
+                    let slot = bind.int_arrays.get_mut(&meta.name).expect(BOUND);
+                    *slot = std::mem::take(&mut self.arr_i[id]);
                 }
             }
         }
-        write_back_scalars(&lp.scalars, bind, &self.reals, &self.ints);
     }
 
     /// Pop the current thread's real tape.
@@ -831,17 +854,12 @@ fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Res
         .collect();
     // A reduced array's shared values wait here while each thread works
     // on a fresh identity-initialized copy; the first thread's partials,
-    // combined onto the identity in place, become the accumulator. An
-    // array named by two clauses is moved once and copied for the other.
-    let ids: Vec<ArrId> = region.red_arrays.iter().map(|&(_, id)| id).collect();
-    let mut red_arr_saved: Vec<Vec<f64>> = Vec::with_capacity(ids.len());
-    for (k, &id) in ids.iter().enumerate() {
-        let saved = match ids[..k].iter().position(|&i| i == id) {
-            Some(j) => red_arr_saved[j].clone(),
-            None => std::mem::take(&mut st.arr_r[id as usize]),
-        };
-        red_arr_saved.push(saved);
-    }
+    // combined onto the identity in place, become the accumulator, and
+    // the merge writes back into the waiting vector. A failed region
+    // puts the waiting vectors back unmerged.
+    let red_arr_saved: Vec<Vec<f64>> = (region.red_arrays.iter())
+        .map(|&(_, id)| std::mem::take(&mut st.arr_r[id as usize]))
+        .collect();
     let mut red_arr_acc: Vec<Option<Vec<f64>>> = vec![None; region.red_arrays.len()];
     let red_footprint: u64 = red_arr_saved.iter().map(|a| a.len() as u64).sum();
     st.stats.peak_reduction_bytes =
@@ -863,17 +881,19 @@ fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Res
         st.cur_tape = t;
         for v in sched.values(ranks) {
             st.ints[l.var] = v;
-            l.body.exec(st)?;
+            if let Err(e) = l.body.exec(st) {
+                for (saved, &(_, id)) in red_arr_saved.into_iter().zip(&region.red_arrays) {
+                    st.arr_r[id as usize] = saved;
+                }
+                return Err(e);
+            }
         }
         // Collect this thread's reduction partials.
         for (k, &(op, s, real)) in region.red_scalars.iter().enumerate() {
             red_scalar_acc[k] = combine(op, red_scalar_acc[k], get(st, s, real));
         }
-        for (k, (acc, &(op, id))) in red_arr_acc.iter_mut().zip(&region.red_arrays).enumerate() {
-            let mut part = match ids[k + 1..].contains(&id) {
-                true => st.arr_r[id as usize].clone(),
-                false => std::mem::take(&mut st.arr_r[id as usize]),
-            };
+        for (acc, &(op, id)) in red_arr_acc.iter_mut().zip(&region.red_arrays) {
+            let mut part = std::mem::take(&mut st.arr_r[id as usize]);
             st.stats.reduction_elems += part.len() as u64;
             *acc = Some(match acc.take() {
                 Some(mut acc) => {
@@ -901,17 +921,18 @@ fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Res
             combine(op, red_scalar_saved[k], red_scalar_acc[k]),
         );
     }
-    for ((acc, saved), &(op, id)) in red_arr_acc
+    for ((acc, mut saved), &(op, id)) in red_arr_acc
         .into_iter()
-        .zip(&red_arr_saved)
+        .zip(red_arr_saved)
         .zip(&region.red_arrays)
     {
         // `count > 0`, so some thread ran and left its partials.
-        let mut acc = acc.expect("a thread ran the region");
-        acc.iter_mut()
-            .zip(saved)
-            .for_each(|(a, v)| *a = combine(op, *v, *a));
-        st.arr_r[id as usize] = acc;
+        let acc = acc.expect("a thread ran the region");
+        saved
+            .iter_mut()
+            .zip(&acc)
+            .for_each(|(v, a)| *v = combine(op, *v, *a));
+        st.arr_r[id as usize] = saved;
     }
     restore(st);
     st.ints[l.var] = saved_counter;

@@ -737,6 +737,9 @@ impl<'a> Lowerer<'a> {
                 let mut red_scalars = Vec::new();
                 let mut red_arrays = Vec::new();
                 if let Some(info) = &l.parallel {
+                    if let Some(m) = info.duplicate_reduction() {
+                        return Err(ExecError::new(m));
+                    }
                     for p in &info.private {
                         let (slot, ty) = *self
                             .scalar_slots

@@ -359,6 +359,76 @@ fn aot_fallback_in(dir: &std::path::Path, prog: &Program, bind: &Bindings) -> Op
     fallback
 }
 
+/// A kernel that calls every libm function codegen emits builds in a
+/// fresh cache directory, so `ld` links it here, loads, and matches sim
+/// bitwise, NaN results included: glibc defines `exp`, `log` and `pow`
+/// twice, and a kernel bound to the other definition than the
+/// interpreters' returns NaNs with other bits.
+#[test]
+fn a_kernel_calling_all_of_libm_links_and_matches_sim() {
+    let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());
+    let prog = parse_any(
+        "subroutine libm_all(n, x, w, y)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(in) :: w(n)
+  real, intent(inout) :: y(n, 7)
+  integer :: i
+  !$omp parallel do shared(x, w, y)
+  do i = 1, n
+    y(i, 1) = sin(x(i))
+    y(i, 2) = cos(x(i))
+    y(i, 3) = exp(x(i))
+    y(i, 4) = log(x(i))
+    y(i, 5) = sqrt(x(i))
+    y(i, 6) = tanh(x(i))
+    y(i, 7) = x(i) ** w(i)
+  end do
+end subroutine
+",
+    )
+    .expect("parse");
+    let specials = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        -2.5,
+        0.5,
+        1e-300,
+        1e300,
+        710.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let m = specials.len();
+    let n = m * m;
+    let bind = Bindings::new()
+        .int("n", n as i64)
+        .real_array("x", (0..n).map(|i| specials[i % m]).collect())
+        .real_array("w", (0..n).map(|i| specials[i / m]).collect())
+        .real_array("y", vec![0.0; n * 7]);
+    let dir = std::env::temp_dir().join(format!("formad-aot-libmtest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fallback = aot_fallback_in(&dir, &prog, &bind);
+    let sources: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the cache directory")
+        .map(|e| e.expect("an entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| std::fs::read_to_string(p).expect("the kernel source"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(fallback, None, "the kernel must build and load");
+    assert_eq!(sources.len(), 1);
+    for f in ["sin", "cos", "exp", "log", "sqrt", "tanh", "pow"] {
+        assert!(
+            sources[0].contains(&format!("    fn {f}(x: f64")),
+            "`{f}` is not declared"
+        );
+    }
+}
+
 /// An artifact is loaded only if it was built from the source its name
 /// stands for. Kernel A's `.so` copied under kernel B's name (both have
 /// one region, so the region count cannot tell them apart) must not run

@@ -398,10 +398,28 @@ fn the_first_of_two_errors_wins() {
     }
 }
 
-/// Two reduction clauses may name one array: every thread starts from
-/// the last clause's identity, each clause merges the thread's partials
-/// in its own operator, and the last clause's merge is the result (here
-/// `+`: 5 + 4·1 + 2 for `y(1)`).
+/// Run a program on one backend at `T` threads; the error message.
+type Runner = fn(&formad_ir::Program, &mut Bindings, usize) -> Result<(), String>;
+
+/// sim, bytecode and AOT.
+const BACKENDS: [(&str, Runner); 3] = [
+    ("sim", |p, b, t| {
+        run(p, b, &Machine::with_threads(t))
+            .map(drop)
+            .map_err(|e| e.message)
+    }),
+    ("bytecode", |p, b, t| {
+        run_native(p, b, t).map_err(|e| e.message)
+    }),
+    ("aot", |p, b, t| {
+        run_aot(p, b, t).map(drop).map_err(|e| e.message)
+    }),
+];
+
+/// OpenMP allows one reduction clause per list item, and the backends
+/// did not agree on a second (sim merged the last clause, native and AOT
+/// another), so one name in two clauses is refused: by the validator,
+/// and by the lowering every backend runs, with the bindings untouched.
 #[test]
 fn an_array_in_two_reduction_clauses() {
     let src = r#"
@@ -416,17 +434,129 @@ subroutine t(n, y)
   end do
 end subroutine
 "#;
+    let want = "`y` is named by two reduction clauses, `reduction(max: y)` and `reduction(+: y)`";
+    let p = parse_program(src).unwrap();
+    let errs = formad_ir::validate(&p);
+    assert_eq!(errs.len(), 1, "{errs:?}");
+    assert_eq!(errs[0].message, want);
+    let y0 = vec![5.0, -1.0, 2.0, 3.0];
     for threads in [1usize, 3] {
-        let b = Bindings::new()
-            .int("n", 4)
-            .real_array("y", vec![5.0, -1.0, 2.0, 3.0]);
-        let (out, r) = exec(src, b, threads);
-        let y = out.get_real_array("y").unwrap();
-        assert_eq!(y, &[11.0, 1.0, 4.0, 5.0], "T={threads}");
-        // Both clauses privatize and merge: 4 elements each, per thread
-        // that ran (T = 3 gives two threads work).
-        let ran = threads.min(2) as u64;
-        assert_eq!(r.stats.reduction_elems, 8 * ran, "T={threads}");
-        assert_eq!(r.stats.peak_reduction_bytes, 64 * threads as u64);
+        for (backend, runner) in BACKENDS {
+            let mut b = Bindings::new().int("n", 4).real_array("y", y0.clone());
+            let got = runner(&p, &mut b, threads);
+            assert_eq!(got, Err(want.to_string()), "{backend}, T={threads}");
+            assert_eq!(
+                b.get_real_array("y"),
+                Some(&y0[..]),
+                "{backend}, T={threads}"
+            );
+        }
+    }
+}
+
+/// A run that fails in the last iteration of its region, out of bounds
+/// or popping an empty tape, leaves every parameter array in the
+/// bindings under its name with its declared length and every scalar as
+/// it was, on sim, bytecode and AOT: arrays are run in place, and scalars
+/// are written back only by a run that succeeds.
+#[test]
+fn a_run_failing_in_its_last_iteration_keeps_the_bindings_whole() {
+    let failing = [
+        ("y(i + i / n) = 0.0", "out of bounds"),
+        (
+            "if (i .eq. n) then\n      call pop(v)\n    end if",
+            "pop from empty real tape",
+        ),
+    ];
+    for (last, expect) in failing {
+        let src = format!(
+            "subroutine t(n, k, a, x, y, s, c)
+  integer, intent(in) :: n
+  integer, intent(inout) :: k
+  real, intent(inout) :: a
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  real, intent(inout) :: s(2)
+  integer, intent(inout) :: c(n)
+  integer :: i
+  real :: v
+  k = k + 1
+  a = a * 2.0
+  !$omp parallel do shared(x, y, c) private(v) reduction(+: s)
+  do i = 1, n
+    y(i) = y(i) + x(i)
+    c(i) = c(i) + 1
+    s(1) = s(1) + x(i)
+    {last}
+  end do
+end subroutine
+"
+        );
+        let p = parse_program(&src).unwrap();
+        let n = 9;
+        let bind = Bindings::new()
+            .int("n", n)
+            .int("k", 4)
+            .real("a", 0.75)
+            .real_array("x", (0..n).map(|i| i as f64 + 0.5).collect())
+            .real_array("y", vec![1.0; n as usize])
+            .real_array("s", vec![3.0, 4.0])
+            .int_array("c", vec![7; n as usize]);
+        for threads in [1usize, 2] {
+            for (backend, runner) in BACKENDS {
+                let what = format!("{expect} / {backend} / T={threads}");
+                let mut b = bind.clone();
+                let err = runner(&p, &mut b, threads).expect_err(&what);
+                assert!(err.contains(expect), "{what}: {err}");
+                assert_eq!(b.int_scalars, bind.int_scalars, "{what}");
+                assert_eq!(b.real_scalars, bind.real_scalars, "{what}");
+                for (name, len) in [("x", n as usize), ("y", n as usize), ("s", 2)] {
+                    let got = b.get_real_array(name).map(<[f64]>::len);
+                    assert_eq!(got, Some(len), "{what}: `{name}`");
+                }
+                assert_eq!(b.int_arrays["c"].len(), n as usize, "{what}: `c`");
+            }
+        }
+    }
+}
+
+/// A successful interpreted run hands the caller back its own vectors,
+/// a reduced array's included: the parameter arrays are run in place,
+/// not copied in and out.
+#[test]
+fn a_successful_sim_run_returns_the_callers_vectors() {
+    let src = r#"
+subroutine t(n, x, y, s, c)
+  integer, intent(in) :: n
+  real, intent(in) :: x(n)
+  real, intent(inout) :: y(n)
+  real, intent(inout) :: s(2)
+  integer, intent(inout) :: c(n)
+  integer :: i
+  !$omp parallel do shared(x, y, c) reduction(+: s)
+  do i = 1, n
+    y(i) = y(i) + x(i)
+    c(i) = c(i) + 1
+    s(1) = s(1) + x(i)
+  end do
+end subroutine
+"#;
+    let p = parse_program(src).unwrap();
+    for threads in [1usize, 2] {
+        let mut b = Bindings::new()
+            .int("n", 5)
+            .real_array("x", vec![1.0, 2.0, 3.0, 4.0, 5.0])
+            .real_array("y", vec![1.0; 5])
+            .real_array("s", vec![0.5, 0.0])
+            .int_array("c", vec![0; 5]);
+        let before: Vec<*const f64> = ["x", "y", "s"].map(|a| b.real_arrays[a].as_ptr()).to_vec();
+        let c_before = b.int_arrays["c"].as_ptr();
+        run(&p, &mut b, &Machine::with_threads(threads)).unwrap();
+        let after: Vec<*const f64> = ["x", "y", "s"].map(|a| b.real_arrays[a].as_ptr()).to_vec();
+        assert_eq!(before, after, "T={threads}");
+        assert_eq!(c_before, b.int_arrays["c"].as_ptr(), "T={threads}");
+        assert_eq!(b.get_real_array("s"), Some(&[15.5, 0.0][..]), "T={threads}");
+        assert_eq!(b.get_real_array("y"), Some(&[2.0, 3.0, 4.0, 5.0, 6.0][..]));
+        assert_eq!(b.int_arrays["c"], vec![1; 5]);
     }
 }

@@ -731,6 +731,30 @@ fn malformed_fields_are_refused() {
     }
 }
 
+/// One name in two reduction clauses is a program the validator
+/// refuses: 400 `validate`, naming both clauses.
+#[test]
+fn a_name_in_two_reduction_clauses_is_refused() {
+    let handle = start(ServiceConfig::default());
+    let program = AXPY.replace("shared(x, y)", "reduction(+: y) reduction(max: y)");
+    let body = format!(
+        r#"{{"program":{},"sets":{{"n":8}}}}"#,
+        Json::Str(program).render()
+    );
+    let (status, json) = post(handle.addr(), "/v1/exec", &body);
+    assert_eq!(status, 400, "{json}");
+    assert_eq!(
+        json.get("kind").and_then(Json::as_str),
+        Some("validate"),
+        "{json}"
+    );
+    let error = json.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        error.contains("`reduction(+: y)` and `reduction(max: y)`"),
+        "{error}"
+    );
+}
+
 /// Well-formed fields keep their meaning: `threads` above the service's
 /// ceiling is clamped to it, not refused, and `adjoint: false` on
 /// `/v1/prove` drops the adjoint from the reply.
