@@ -8,8 +8,7 @@
 //!                         real wall-clock of the version protocol (primal,
 //!                         FormAD/atomic/reduction adjoints, plus the
 //!                         transposed gather where the scatter inverts) on
-//!                         both native backends (register bytecode and
-//!                         AOT-compiled kernels), held to the determinism
+//!                         AOT-compiled kernels, held to the determinism
 //!                         contract against the reference interpreter
 //!                         (bitwise, atomic adjoints excepted) — the run
 //!                         times of Figures 3–10; JSON written to PATH

@@ -1,15 +1,16 @@
 //! Real-hardware kernel benchmark: the paper's Table-2 protocol executed
-//! on the native backends — flat bytecode on OS threads, and the AOT
-//! backend (parallel regions compiled to a native cdylib via `rustc`).
+//! on the AOT backend (parallel regions compiled to a native kernel via
+//! `rustc`, run on OS threads; host code on the interpreter's closures).
 //!
 //! For each executable kernel (both stencils, split GFMC, Green-Gauss,
 //! and the literal-offset LBM streaming step) the version protocol —
 //! *Primal*, *Adjoint FormAD*, *Adjoint Atomic*, *Adjoint Reduction*,
 //! plus *Adjoint Transposed* wherever the scatter map inverts — is
 //! compiled once and run on real OS threads via
-//! [`formad_machine::NativeEngine`], with the engines, compiled bytecode
-//! and AOT kernels reused across iterations (the paper's steady-state
-//! regime).
+//! [`formad_machine::NativeEngine`], with the engines, host programs and
+//! AOT kernels reused across iterations (the paper's steady-state
+//! regime). A version whose kernel does not build has no cells: without
+//! a kernel its regions run on the interpreter, which measures no time.
 //!
 //! A kernel's cells — every (version, backend, thread count) — are timed
 //! in one round-robin: each of the `iters` rounds runs every cell once,
@@ -18,7 +19,7 @@
 //! thread counts carries no more of it than a ratio across versions.
 //!
 //! Before it is timed, every cell goes through
-//! [`formad_machine::check_cell`] on both native backends, then one
+//! [`formad_machine::check_cell`] on its AOT kernel, then one
 //! untimed run on the engine that times it (one per thread count,
 //! clamped to the host's cores), held to the same reference. A
 //! divergent backend would invalidate every measurement, so the harness
@@ -64,8 +65,8 @@ fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The two real-hardware backends, in series order.
-pub const BACKENDS: [&str; 2] = ["bytecode", "aot"];
+/// The real-hardware backends, in series order.
+pub const BACKENDS: [&str; 1] = ["aot"];
 
 /// The versions of the protocol, in series order.
 const VERSIONS: [&str; 5] = [
@@ -160,7 +161,7 @@ pub struct VersionTiming {
     /// Version label (one of `primal`, `adj-FormAD`, `adj-atomic`,
     /// `adj-reduction`, `adj-transposed`).
     pub version: &'static str,
-    /// Execution backend (`bytecode` or `aot`).
+    /// Execution backend (`aot`).
     pub backend: &'static str,
     /// OS threads used.
     pub threads: usize,
@@ -199,7 +200,7 @@ pub struct KernelExecData {
     /// array ran under in the FormAD version, from the analysis report.
     pub disciplines: Vec<(usize, String, String)>,
     /// True when the AOT kernels built and were measured; false means
-    /// the build degraded and only bytecode numbers exist.
+    /// some build degraded and its version has no cells.
     pub aot_available: bool,
     /// Every cell: versions × backends × thread counts.
     pub series: Vec<VersionTiming>,
@@ -231,8 +232,8 @@ pub struct KernelBenchResult {
     pub kernels: Vec<KernelExecData>,
 }
 
-/// One version of a kernel, compiled: bytecode always, the AOT kernel
-/// when the toolchain cooperates.
+/// One version of a kernel, compiled: its host program always, the AOT
+/// kernel when the toolchain cooperates.
 struct Version<'a> {
     label: &'static str,
     prog: &'a Program,
@@ -241,8 +242,8 @@ struct Version<'a> {
     kernel: Option<Arc<AotKernel>>,
 }
 
-/// Run the benchmark: the version protocol over `threads` and both
-/// backends, every cell held to the determinism contract against the
+/// Run the benchmark: the version protocol over `threads` on AOT, every
+/// cell held to the determinism contract against the
 /// simulated interpreter, then `iters` rounds that each time every cell
 /// of the kernel once.
 pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBenchResult {
@@ -263,8 +264,8 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
             progs.push(("adj-transposed", tr, &adj_base));
         }
         // Extents are baked into the generated source, so one AOT kernel
-        // serves every thread count. A failed build degrades that version
-        // to bytecode-only; it does not abort the benchmark.
+        // serves every thread count. A failed build leaves that version
+        // untimed; it does not abort the benchmark.
         let compiled: Vec<Version> = progs
             .into_iter()
             .map(|(label, prog, bind)| {
@@ -294,26 +295,25 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
                 let kernel = ver.kernel.as_deref();
                 let cell = check_cell(&mut checkers, ver.prog, &ver.bc, kernel, ver.bind, t)
                     .unwrap_or_else(|err| panic!("{} / {}: {err}", case.name, ver.label));
-                let backends =
-                    std::iter::once(("bytecode", None)).chain(kernel.map(|k| ("aot", Some(k))));
-                for (backend, k) in backends {
-                    let ctx = format!("{} / {} [{backend}] at T={t}", case.name, ver.label);
-                    let mut out = ver.bind.clone();
-                    timed[e]
-                        .run_with(&ver.bc, k, &mut out)
-                        .unwrap_or_else(|err| panic!("{ctx}: timed engine failed: {err}"));
-                    let bitwise = cell
-                        .admits(&out)
-                        .unwrap_or_else(|d| panic!("{ctx}: sim vs timed engine: {d}"));
-                    series.push(VersionTiming {
-                        version: ver.label,
-                        backend,
-                        threads: t,
-                        bitwise,
-                        iter_s: Vec::with_capacity(iters),
-                    });
-                    plan.push((v, e, k));
-                }
+                let Some(k) = kernel else {
+                    continue;
+                };
+                let ctx = format!("{} / {} [aot] at T={t}", case.name, ver.label);
+                let mut out = ver.bind.clone();
+                timed[e]
+                    .run_with(&ver.bc, Some(k), &mut out)
+                    .unwrap_or_else(|err| panic!("{ctx}: timed engine failed: {err}"));
+                let bitwise = cell
+                    .admits(&out)
+                    .unwrap_or_else(|d| panic!("{ctx}: sim vs timed engine: {d}"));
+                series.push(VersionTiming {
+                    version: ver.label,
+                    backend: "aot",
+                    threads: t,
+                    bitwise,
+                    iter_s: Vec::with_capacity(iters),
+                });
+                plan.push((v, e, k));
             }
         }
         for _ in 0..iters {
@@ -321,9 +321,11 @@ pub fn kernel_bench(iters: usize, threads: &[usize], smoke: bool) -> KernelBench
                 let ver = &compiled[v];
                 let mut b = ver.bind.clone();
                 let t0 = Instant::now();
-                timed[e].run_with(&ver.bc, k, &mut b).unwrap_or_else(|err| {
-                    panic!("{} run of `{}` failed: {err}", cell.backend, ver.label)
-                });
+                timed[e]
+                    .run_with(&ver.bc, Some(k), &mut b)
+                    .unwrap_or_else(|err| {
+                        panic!("{} run of `{}` failed: {err}", cell.backend, ver.label)
+                    });
                 cell.iter_s.push(t0.elapsed().as_secs_f64());
             }
         }
@@ -358,19 +360,13 @@ fn ratio(a: Option<f64>, b: Option<f64>) -> Json {
 }
 
 /// One kernel's `summary` entry: the fastest cell overall and among
-/// adjoints; per version, best-over-threads bytecode time over AOT time
-/// (`aot_over_bytecode`, the dispatch the AOT backend removed) and the
-/// AOT time at two threads over one (`t2_over_t1`); per backend, the
+/// adjoints; per version, the AOT time at two threads over one
+/// (`t2_over_t1`); per backend, the
 /// FormAD adjoint over the primal at one thread (`adjoint_over_primal`,
 /// the paper's metric), and atomic over FormAD and over transposed at
 /// `check_threads`.
-fn kernel_summary(k: &KernelExecData, threads: &[usize], check: usize) -> Json {
+fn kernel_summary(k: &KernelExecData, check: usize) -> Json {
     let best = |v: &str, b: &str, t: usize| k.best(v, b, t);
-    let best_any_t = |v: &str, b: &str| {
-        (threads.iter())
-            .filter_map(|&t| best(v, b, t))
-            .reduce(f64::min)
-    };
     let per_version = |f: &dyn Fn(&str) -> Json| obj(VERSIONS.map(|v| (v, f(v))).to_vec());
     let per_backend = |f: &dyn Fn(&str) -> Json| obj(BACKENDS.map(|b| (b, f(b))).to_vec());
     let fastest = |adjoint_only: bool| {
@@ -390,10 +386,6 @@ fn kernel_summary(k: &KernelExecData, threads: &[usize], check: usize) -> Json {
         ("name", k.name.as_str().into()),
         ("fastest", fastest(false)),
         ("fastest_adjoint", fastest(true)),
-        (
-            "aot_over_bytecode",
-            per_version(&|v| ratio(best_any_t(v, "bytecode"), best_any_t(v, "aot"))),
-        ),
         (
             "t2_over_t1",
             per_version(&|v| ratio(best(v, "aot", 2), best(v, "aot", 1))),
@@ -434,10 +426,7 @@ pub fn kernel_bench_json(r: &KernelBenchResult) -> String {
                 .into(),
         ));
     }
-    let sums = r
-        .kernels
-        .iter()
-        .map(|k| kernel_summary(k, &r.threads, check));
+    let sums = r.kernels.iter().map(|k| kernel_summary(k, check));
     summary.push(("kernels", Json::Arr(sums.collect())));
     let kernel = |k: &KernelExecData| {
         let disciplines = (k.disciplines.iter())
@@ -499,17 +488,17 @@ mod tests {
         assert_eq!(r.kernels.len(), 5);
         for k in &r.kernels {
             assert!(!k.disciplines.is_empty(), "{} has no disciplines", k.name);
-            // versions × 2 thread counts × both backends when the AOT
-            // build succeeded (it degrades to bytecode-only otherwise);
-            // the version count varies — kernels with an invertible
-            // scatter map carry an extra adj-transposed row.
+            // versions × 2 thread counts when the AOT build succeeded
+            // (a version it failed for has no cells); the version count
+            // varies — kernels with an invertible scatter map carry an
+            // extra adj-transposed row.
             let versions: std::collections::BTreeSet<&str> =
                 k.series.iter().map(|s| s.version).collect();
             assert!(versions.len() == 4 || versions.len() == 5, "{versions:?}");
-            let backends = if k.aot_available { 2 } else { 1 };
+            assert!(k.aot_available, "{}: AOT must build in-tree", k.name);
             assert_eq!(
                 k.series.len(),
-                versions.len() * 2 * backends,
+                versions.len() * 2 * BACKENDS.len(),
                 "{}: versions × backends × thread counts",
                 k.name
             );
@@ -518,12 +507,6 @@ mod tests {
                 assert!(s.iqr_s().is_finite() && s.iqr_s() >= 0.0);
             }
         }
-        // The in-tree toolchain builds every kernel; a silent universal
-        // fallback would make the AOT columns vacuous.
-        assert!(
-            r.kernels.iter().all(|k| k.aot_available),
-            "AOT must build in-tree"
-        );
         // The stencils and Green-Gauss are fully proven safe: their FormAD
         // discipline must be plain everywhere.
         for k in &r.kernels {
@@ -550,7 +533,7 @@ mod tests {
         }
         // The LBM streaming step is the tentpole: the analysis *proves*
         // the srcgrid gather safe and the transposed cells run bitwise on
-        // every backend.
+        // AOT.
         let lbm = r
             .kernels
             .iter()
@@ -572,7 +555,7 @@ mod tests {
         assert!(!tr_cells.is_empty(), "lbm must carry adj-transposed");
         assert!(
             tr_cells.iter().all(|s| s.bitwise),
-            "transposed gather is deterministic on every backend"
+            "transposed gather is deterministic on AOT"
         );
         // The artifact parses back; each ratio sits in `summary` only.
         let j = Json::parse(&kernel_bench_json(&r)).expect("artifact parses");

@@ -41,18 +41,19 @@ fn items(j: &Json) -> &[Json] {
     }
 }
 
-/// The backend a kernel's headline ratios are read on: AOT when its
-/// kernels built, bytecode otherwise.
+/// The backend a kernel's headline ratios are read on: AOT, the one the
+/// artifact times, whose kernels must all have built.
 fn headline_backend(j: &Json, name: &str) -> &'static str {
     let raw = items(get(j, "kernels"))
         .iter()
         .find(|&k| str_of(k, "name") == name)
         .unwrap_or_else(|| panic!("no raw row for `{name}`"));
-    if get(raw, "aot_available").as_bool() == Some(true) {
-        "aot"
-    } else {
-        "bytecode"
-    }
+    assert_eq!(
+        get(raw, "aot_available").as_bool(),
+        Some(true),
+        "`{name}`: AOT kernels must build"
+    );
+    "aot"
 }
 
 /// One kernel's summary row.
@@ -134,6 +135,7 @@ fn summary_block_is_complete_and_consistent() {
         .iter()
         .map(|b| b.as_str().expect("backend name").to_string())
         .collect();
+    assert_eq!(backends, ["aot"], "AOT is the one timed backend");
     assert_eq!(
         num_of(summary, "check_threads"),
         threads.iter().copied().fold(0.0, f64::max),
@@ -180,29 +182,12 @@ fn summary_block_is_complete_and_consistent() {
             num_of(fastest, "best_s") <= num_of(adj, "best_s"),
             "`{name}`: global fastest slower than fastest adjoint"
         );
-        // Dispatch-removal factors exist for all four base versions and
-        // are positive finite ratios; the transposed entry exists
-        // exactly for the kernels that carry a transposed version.
-        let aob = get(k, "aot_over_bytecode");
-        for version in ["primal", "adj-FormAD", "adj-atomic", "adj-reduction"] {
-            let r = num_of(aob, version);
-            assert!(
-                r.is_finite() && r > 0.0,
-                "`{name}`: aot_over_bytecode[{version}] = {r}"
-            );
-        }
+        // The bytecode engine is gone, and so is its ratio.
+        assert!(
+            k.get("aot_over_bytecode").is_none(),
+            "`{name}`: aot_over_bytecode is back"
+        );
         let has_transposed = kernel_has_transposed(&j, &name);
-        match get(aob, "adj-transposed") {
-            Json::Null => assert!(
-                !has_transposed,
-                "`{name}`: transposed cells exist but no aot_over_bytecode ratio"
-            ),
-            Json::Num(r) => assert!(
-                has_transposed && *r > 0.0,
-                "`{name}`: aot_over_bytecode[adj-transposed] = {r}"
-            ),
-            other => panic!("`{name}`: aot_over_bytecode[adj-transposed] = {other}"),
-        }
         // What the second thread buys each version on AOT. Recorded, not
         // yet held to a threshold (ROADMAP item 2(a)).
         let t2 = get(k, "t2_over_t1");

@@ -1,10 +1,9 @@
-//! Kernel-level validation of the native bytecode backend: every
-//! generated adjoint version of every executable Table-2 kernel must
-//! (a) satisfy the determinism contract (`formad_machine::differential`)
-//! between the simulated interpreter and the native executor, in the
-//! class its compiled program falls in, and (b) be a correct derivative
-//! when executed natively (finite-difference dot-product test with a
-//! native runner).
+//! Kernel-level validation of the native engine: every generated
+//! adjoint version of every executable Table-2 kernel must (a) satisfy
+//! the determinism contract (`formad_machine::differential`) between the
+//! simulated interpreter and its AOT kernel, in the class its compiled
+//! program falls in, and (b) be a correct derivative when executed
+//! natively (finite-difference dot-product test with an AOT runner).
 
 use formad_bench::{adjoint_bindings, ProgramVersions};
 use formad_ir::store::fnv64;
@@ -12,8 +11,8 @@ use formad_ir::Program;
 use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
 use formad_machine::aot::{generate_source, kernel_rustc_flags};
 use formad_machine::{
-    check_cell, compile, dot_product_test_with, lower, run, run_native, Bindings, EngineCache,
-    Machine,
+    check_cell, compile, dot_product_test_with, load_or_compile, lower, run, run_aot, Bindings,
+    EngineCache, Machine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -181,15 +180,17 @@ fn all_kernels_all_disciplines_satisfy_the_contract() {
         let adj_base = adjoint_bindings(&versions.primal, &case.base, case.indep, case.dep);
         for (label, prog, bind) in executed_versions(&versions, &case.base, &adj_base) {
             let lp = lower(prog, bind).expect("lower");
-            let bc = compile(&lp, prog).expect("bytecode");
+            let bc = compile(&lp, prog).expect("host program");
             assert_eq!(
                 bc.commit_order_dependent(),
                 label == "adj-atomic",
                 "{} / {label}: classification",
                 case.name
             );
+            let kernel = load_or_compile(&lp, &bc)
+                .unwrap_or_else(|e| panic!("{} / {label}: AOT must build in-tree: {e}", case.name));
             for threads in [1usize, 4] {
-                check_cell(&mut engines, prog, &bc, None, bind, threads)
+                check_cell(&mut engines, prog, &bc, Some(&kernel), bind, threads)
                     .unwrap_or_else(|e| panic!("{} / {label}: {e}", case.name));
             }
         }
@@ -235,7 +236,7 @@ fn generated_kernels_compile_without_warnings() {
 
 /// The natively executed adjoints must also be *correct* derivatives:
 /// finite-difference dot-product test with both the primal and the
-/// adjoint run through the bytecode executor.
+/// adjoint run on their AOT kernels.
 #[test]
 fn native_adjoints_pass_fd_check() {
     for case in cases() {
@@ -279,7 +280,7 @@ fn native_adjoints_pass_fd_check() {
                     &dependents,
                     1e-6,
                     "b",
-                    |p, b| run_native(p, b, threads),
+                    |p, b| run_aot(p, b, threads).map(drop),
                 )
                 .unwrap_or_else(|e| panic!("{} / {label} T={threads}: {e}", case.name));
                 assert!(
@@ -319,15 +320,13 @@ fn fd_vectors(case: &Case) -> (SeedVectors, SeedVectors) {
     (independents, dependents)
 }
 
-/// The transposed adjoint is a correct derivative on *all three*
-/// backends: the same dot-product test run under the simulated
-/// interpreter and under the AOT backend (kernels compiled once per
-/// program and selected by name inside the runner), at 1 and 4 threads.
-/// The bytecode backend is covered by `native_adjoints_pass_fd_check`
-/// above.
+/// The transposed adjoint is a correct derivative on both semantics:
+/// the same dot-product test run under the simulated interpreter and
+/// under the AOT backend (kernels compiled once per program and selected
+/// by name inside the runner, on one engine), at 1 and 4 threads.
 #[test]
 fn transposed_adjoints_pass_fd_on_sim_and_aot() {
-    use formad_machine::{load_or_compile, NativeEngine};
+    use formad_machine::NativeEngine;
     use std::collections::HashMap;
 
     let mut tested = 0;
@@ -342,7 +341,7 @@ fn transposed_adjoints_pass_fd_on_sim_and_aot() {
         let mut compiled = HashMap::new();
         for (prog, bind) in [(&versions.primal, &case.base), (adj, &adj_base)] {
             let lp = lower(prog, bind).expect("lower");
-            let bc = compile(&lp, prog).expect("bytecode");
+            let bc = compile(&lp, prog).expect("host program");
             let kernel = load_or_compile(&lp, &bc)
                 .unwrap_or_else(|e| panic!("{}: AOT must build in-tree: {e}", case.name));
             compiled.insert(prog.name.clone(), (bc, kernel));
@@ -431,7 +430,7 @@ fn forced_transposed_request_falls_back_to_atomic_and_stays_correct() {
         "fallback must guard the non-invertible scatter: {forced_txt}"
     );
     let adj_base = adjoint_bindings(&case.program, &case.base, case.indep, case.dep);
-    let bc = compile(&lower(&forced, &adj_base).expect("lower"), &forced).expect("bytecode");
+    let bc = compile(&lower(&forced, &adj_base).expect("lower"), &forced).expect("host program");
     assert!(
         bc.commit_order_dependent(),
         "a request that degraded to atomics is held to the atomic class"
@@ -451,7 +450,7 @@ fn forced_transposed_request_falls_back_to_atomic_and_stays_correct() {
             &dependents,
             1e-6,
             "b",
-            |p, b| run_native(p, b, threads),
+            |p, b| run_aot(p, b, threads).map(drop),
         )
         .unwrap_or_else(|e| panic!("forced fallback T={threads}: {e}"));
         assert!(

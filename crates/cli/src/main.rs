@@ -57,12 +57,13 @@
 //!                      0 disables shrinking)
 //!   --aot-every N      also build + run the AOT kernel on every N-th
 //!                      case (one `rustc` invocation per program
-//!                      version; default: every 16th, --smoke: never)
+//!                      version; default: every 16th, --smoke: never
+//!                      unless given)
 //!   --chaos-legacy P   poison the flat search oracle with P‰ Unknown
 //!                      answers — a self-test that the harness catches,
 //!                      shrinks and reports an injected oracle bug
-//!   --smoke            CI profile: skip AOT checks so the run stays in
-//!                      tens of seconds
+//!   --smoke            CI profile: no AOT checks unless --aot-every is
+//!                      given, so the run stays in tens of seconds
 //!   --repro FILE       replay one reproducer file instead of running a
 //!                      campaign (exit 1 if it still diverges)
 //!
@@ -85,13 +86,15 @@
 //!
 //! exec options:
 //!   --backend B        sim (default; the reference interpreter) |
-//!                      native (flat register bytecode on real OS
-//!                      threads) | aot (parallel regions compiled
-//!                      to a native cdylib via `rustc`, cached under
-//!                      `FORMAD_AOT_DIR`, falling back to native
-//!                      bytecode if the compile fails). Outputs
-//!                      are bitwise-identical across all three unless
-//!                      the program holds an `!$omp atomic` increment:
+//!                      aot (parallel regions compiled to a native
+//!                      kernel via `rustc` and run on real OS threads,
+//!                      cached under `FORMAD_AOT_DIR`; sequential code
+//!                      on the interpreter; without a kernel the
+//!                      regions run on the interpreter too, and the
+//!                      reason is printed) | native (another name for
+//!                      aot). Outputs are bitwise-identical across the
+//!                      backends unless the program holds an
+//!                      `!$omp atomic` increment:
 //!                      colliding atomics commit in hardware order on
 //!                      real cores, so those agree up to floating-point
 //!                      reassociation (bitwise again at `--threads 1`).
@@ -492,8 +495,9 @@ fn fuzz_cmd(rest: &[String]) -> ExitCode {
             }
         };
     }
-    // `--smoke` never builds a kernel; otherwise every 16th case does.
-    cfg.aot_every = if smoke { 0 } else { aot_every.unwrap_or(16) };
+    // `--smoke` builds a kernel only every `--aot-every`-th case when
+    // that is given; otherwise every 16th case does.
+    cfg.aot_every = aot_every.unwrap_or(if smoke { 0 } else { 16 });
     cfg.oracle.check_aot &= !smoke;
     let t0 = Instant::now();
     let out = match run_fuzz(&cfg) {
@@ -524,7 +528,7 @@ fn num<T: std::str::FromStr>(value: Option<&str>) -> Option<T> {
 }
 
 /// `formad exec`: bind parameters, run on the chosen backend, print the
-/// `intent(out)`/`intent(inout)` results. All three backends are
+/// `intent(out)`/`intent(inout)` results. The backends are
 /// bitwise-identical on every program without an `!$omp atomic`
 /// increment, so that output can be diffed across them directly.
 /// `--deadline-ms` is honored like `prove`: expiry — before or during
@@ -535,10 +539,10 @@ fn exec_cmd(req: &Request, primal: &Program) -> Result<(), Failure> {
     let t0 = Instant::now();
     let fallback = req.exec(primal, &mut bind, &Engines::default())?;
     let elapsed = t0.elapsed();
-    // Degradation, not errors: a failed kernel build lands on the
-    // bytecode backend with identical results and a stderr note.
+    // Degradation, not errors: a failed kernel build runs the regions on
+    // the interpreter, with identical results and a stderr note.
     if let Some(reason) = fallback {
-        eprintln!("formad: aot unavailable, fell back to native bytecode ({reason})");
+        eprintln!("formad: aot unavailable, fell back to sim ({reason})");
     }
     eprintln!(
         "formad: exec `{}` backend={} threads={} in {:.6}s",
@@ -564,10 +568,10 @@ fn compile_cmd(req: &Request, primal: &Program) -> Result<(), Failure> {
 
     let bind = req.bindings(primal)?;
     let lp = lower(primal, &bind).map_err(|e| Failure::Lower(format!("lower: {e}")))?;
-    let bc = compile(&lp, primal).map_err(|e| Failure::Lower(format!("bytecode: {e}")))?;
+    let bc = compile(&lp, primal).map_err(|e| Failure::Lower(format!("host program: {e}")))?;
     // Only parallel regions get AOT kernels; a purely sequential program
     // has nothing to build and shouldn't cost a rustc invocation.
-    if bc.regions.is_empty() {
+    if bc.region_count() == 0 {
         println!("regions: 0");
         println!(
             "nothing to compile: `{}` has no parallel regions",

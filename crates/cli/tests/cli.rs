@@ -371,19 +371,38 @@ fn distinct_exit_codes_per_error_kind() {
 /// `exec` exits 4 (validate) and names both clauses.
 #[test]
 fn a_name_in_two_reduction_clauses_exits_4() {
-    let src = AXPY_F.replace("shared(x, y)", "reduction(+: y) reduction(max: y)");
-    assert!(src.contains("reduction(max: y)"));
-    let f = write_temp("two_reductions.f90", &src);
-    let out = Command::new(env!("CARGO_BIN_EXE_formad"))
-        .args(["exec", f.to_str().unwrap(), "--set", "n=8,a=0.5"])
-        .output()
-        .expect("run formad");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(4), "{err}");
-    assert!(
-        err.contains("`reduction(+: y)` and `reduction(max: y)`"),
-        "{err}"
-    );
+    let two_reductions = AXPY_F.replace("shared(x, y)", "reduction(+: y) reduction(max: y)");
+    assert!(two_reductions.contains("reduction(max: y)"));
+    // Ran before it was refused: `s = 1.5` on sim, `s = 4.49…` on AOT.
+    let private_reduced = "subroutine pr(n, x, s)\n  integer, intent(in) :: n\n  \
+                           real, intent(in) :: x(n)\n  real, intent(inout) :: s\n  \
+                           integer :: i\n  !$omp parallel do private(s) reduction(+: s)\n  \
+                           do i = 1, n\n    s = s + x(i)\n  end do\nend subroutine\n";
+    let cases = [
+        (
+            two_reductions.as_str(),
+            "n=8,a=0.5",
+            "`reduction(+: y)` and `reduction(max: y)`",
+        ),
+        (
+            private_reduced,
+            "n=7,s=1.5",
+            "`s` is named by two clauses, `private(s)` and `reduction(+: s)`",
+        ),
+    ];
+    for (k, (src, sets, want)) in cases.into_iter().enumerate() {
+        let f = write_temp(&format!("two_clauses_{k}.f90"), src);
+        for backend in ["sim", "native", "aot"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_formad"))
+                .args(["exec", f.to_str().unwrap(), "--set", sets])
+                .args(["--threads", "3", "--seed", "1", "--backend", backend])
+                .output()
+                .expect("run formad");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(4), "{backend}: {err}");
+            assert!(err.contains(want), "{backend}: {err}");
+        }
+    }
 }
 
 #[test]
@@ -603,8 +622,9 @@ fn exec_runs_both_backends_with_identical_output() {
     };
     let sim = run_with("sim", "1");
     assert!(sim.contains("y: len=64 sum="), "{sim}");
-    // The bytecode executor is bitwise-identical to the interpreter, so
-    // the printed sums match exactly — at any thread count.
+    // `native` (AOT, host code on the interpreter's closures) is
+    // bitwise-identical to the interpreter, so the printed sums match
+    // exactly — at any thread count.
     assert_eq!(sim, run_with("native", "1"));
     assert_eq!(sim, run_with("native", "4"));
     assert_eq!(sim, run_with("sim", "4"));
@@ -778,8 +798,8 @@ fn exec_aot_backend_matches_sim_and_compile_prewarms() {
 #[test]
 fn exec_aot_falls_back_when_the_toolchain_is_broken() {
     // Degradation, not errors: with no usable `rustc` and a cold cache,
-    // `exec --backend aot` lands on the bytecode backend, succeeds, and
-    // prints the same outputs — plus a stderr note naming the reason.
+    // `exec --backend aot` runs its regions on the interpreter, succeeds,
+    // and prints the same outputs — plus a stderr note naming the reason.
     let f = write_temp("axpy_aotfail.f90", AXPY_F);
     let dir = std::env::temp_dir().join(format!("formad-cli-aotfail-{}", std::process::id()));
     let args = [
@@ -798,7 +818,7 @@ fn exec_aot_falls_back_when_the_toolchain_is_broken() {
         .expect("run formad");
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{err}");
-    assert!(err.contains("fell back to native bytecode"), "{err}");
+    assert!(err.contains("fell back to sim"), "{err}");
     let (sim, _, ok) = formad(&[
         "exec",
         f.to_str().unwrap(),
@@ -827,7 +847,9 @@ fn exec_aot_falls_back_when_the_toolchain_is_broken() {
 
 /// A kernel is linked by the first `ld` on `PATH`. With `rustc` on
 /// `PATH` but no `ld`, a cold `exec --backend aot` compiles the object,
-/// cannot link it, degrades naming the linker, and prints sim's output.
+/// cannot link it, degrades naming the linker, and prints sim's output;
+/// so does a compiler that is not there. `native` is another name for
+/// `aot` and degrades alike.
 #[cfg(unix)]
 #[test]
 fn exec_aot_without_a_linker_on_path_falls_back() {
@@ -843,21 +865,35 @@ fn exec_aot_without_a_linker_on_path_falls_back() {
     std::fs::create_dir_all(&bin).expect("scratch dir");
     std::os::unix::fs::symlink(&rustc, bin.join("rustc")).expect("rustc link");
     let file = f.to_str().unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_formad"))
-        .args(["exec", file, "--set", "n=40,a=0.5", "--backend", "aot"])
-        .env("PATH", &bin)
-        .env("FORMAD_AOT_DIR", tmp.join("cache"))
-        .env_remove("FORMAD_AOT_RUSTC")
-        .output()
-        .expect("run formad");
-    let _ = std::fs::remove_dir_all(&tmp);
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{err}");
-    assert!(err.contains("fell back to native bytecode"), "{err}");
-    assert!(err.contains("aot link: no `ld` linker on PATH"), "{err}");
     let (sim, _, ok) = formad(&["exec", file, "--set", "n=40,a=0.5", "--backend", "sim"]);
     assert!(ok);
-    assert_eq!(sim, String::from_utf8_lossy(&out.stdout));
+    for backend in ["aot", "native"] {
+        let no_ld = Command::new(env!("CARGO_BIN_EXE_formad"))
+            .args(["exec", file, "--set", "n=40,a=0.5", "--backend", backend])
+            .env("PATH", &bin)
+            .env("FORMAD_AOT_DIR", tmp.join("cache"))
+            .env_remove("FORMAD_AOT_RUSTC")
+            .output()
+            .expect("run formad");
+        let no_rustc = Command::new(env!("CARGO_BIN_EXE_formad"))
+            .args(["exec", file, "--set", "n=40,a=0.5", "--backend", backend])
+            .env("FORMAD_AOT_DIR", tmp.join("cache"))
+            .env("FORMAD_AOT_RUSTC", "/nonexistent")
+            .output()
+            .expect("run formad");
+        for (out, reason) in [
+            (no_ld, "aot link: no `ld` linker on PATH"),
+            (no_rustc, "aot compile: failed to spawn `/nonexistent`"),
+        ] {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(0), "{backend}: {err}");
+            assert!(err.contains("fell back to sim"), "{backend}: {err}");
+            assert!(err.contains(reason), "{backend}: {err}");
+            assert!(err.contains(&format!("backend={backend}")), "{err}");
+            assert_eq!(sim, String::from_utf8_lossy(&out.stdout), "{backend}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 /// Green-Gauss-shaped gather: the index scalar is recomputed, the branch

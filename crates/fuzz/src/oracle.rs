@@ -29,7 +29,8 @@
 //!    `Shared` verdict (see [`crate::footprint`]).
 //! 7. `ExecBitwise` — primal and all four adjoint disciplines must
 //!    satisfy the determinism contract ([`formad_machine::differential`])
-//!    across {sim, bytecode, aot} at every thread count: programs with no
+//!    between sim and the AOT kernel (on the cases that build one) at
+//!    every thread count: programs with no
 //!    shared atomic increment bitwise on real OS workers, the others
 //!    bitwise on one OS worker and within tolerance on real ones;
 //!    reduction-free primals additionally bitwise across thread counts
@@ -472,7 +473,7 @@ pub fn run_case(
         let bc = compile(&lp, vprog).map_err(|e| {
             Divergence::new(OracleId::Pipeline, format!("{label}: compile failed: {e}"))
         })?;
-        let kernel = if cfg.check_aot && !bc.regions.is_empty() {
+        let kernel = if cfg.check_aot && bc.region_count() > 0 {
             summary.aot_checked = true;
             Some(load_or_compile(&lp, &bc).map_err(|e| {
                 Divergence::new(

@@ -217,7 +217,7 @@ fn reproducer_files_round_trip() {
     let repro = Reproducer {
         case,
         oracle: OracleId::ExecBitwise,
-        detail: "sim vs bytecode T=3: array `y0`[2]: 1.5 vs 1.25".to_string(),
+        detail: "sim vs aot T=3: array `y0`[2]: 1.5 vs 1.25".to_string(),
         config: OracleConfig {
             poison_legacy: Some(ChaosConfig {
                 seed: 11,

@@ -163,6 +163,37 @@ impl ParallelInfo {
             ))
         })
     }
+
+    /// The refusal of the first name two kinds of data-sharing clause
+    /// share — `shared`, `private`, `reduction` — naming both clauses.
+    /// OpenMP gives a list item one data-sharing attribute per construct,
+    /// and the backends did not agree on two (`private(s) reduction(+:
+    /// s)` privatized `s` on the interpreter and reduced it in the
+    /// kernel); the validator and the lowering every backend goes through
+    /// both refuse it, beside [`ParallelInfo::duplicate_reduction`].
+    pub fn conflicting_clauses(&self) -> Option<String> {
+        let shared = self.shared.iter().enumerate().map(|(k, n)| (0, k, n));
+        let private = self.private.iter().enumerate().map(|(k, n)| (1, k, n));
+        let reduced = (self.reductions.iter().enumerate()).map(|(k, (_, n))| (2, k, n));
+        let all = shared.chain(private).chain(reduced);
+        let clause = |kind: usize, k: usize| match kind {
+            0 => format!("shared({})", self.shared[k]),
+            1 => format!("private({})", self.private[k]),
+            _ => {
+                let (op, name) = &self.reductions[k];
+                format!("reduction({}: {name})", op.symbol())
+            }
+        };
+        all.clone().enumerate().find_map(|(i, (kind, k, name))| {
+            let (first, f, _) =
+                (all.clone().take(i)).find(|&(fk, _, n)| fk != kind && n == name)?;
+            Some(format!(
+                "`{name}` is named by two clauses, `{}` and `{}`",
+                clause(first, f),
+                clause(kind, k)
+            ))
+        })
+    }
 }
 
 /// A counted `do` loop, possibly a parallel one.

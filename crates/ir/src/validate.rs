@@ -316,6 +316,9 @@ impl<'a> Validator<'a> {
                     if let Some(m) = info.duplicate_reduction() {
                         self.errors.push(err(m));
                     }
+                    if let Some(m) = info.conflicting_clauses() {
+                        self.errors.push(err(m));
+                    }
                     for name in info
                         .private
                         .iter()
@@ -510,24 +513,46 @@ end subroutine
 
     #[test]
     fn one_name_in_two_reduction_clauses_caught() {
-        let errs = check(
-            r#"
-subroutine t(n, y)
+        let cases = [
+            (
+                "reduction(+: y) reduction(max: y)",
+                "`y` is named by two reduction clauses, `reduction(+: y)` and `reduction(max: y)`",
+            ),
+            (
+                "private(s) reduction(+: s)",
+                "`s` is named by two clauses, `private(s)` and `reduction(+: s)`",
+            ),
+            (
+                "shared(y) reduction(+: y)",
+                "`y` is named by two clauses, `shared(y)` and `reduction(+: y)`",
+            ),
+            (
+                "shared(s) private(s)",
+                "`s` is named by two clauses, `shared(s)` and `private(s)`",
+            ),
+        ];
+        for (clauses, want) in cases {
+            let body = match clauses.contains("s)") {
+                true => "y(i) = y(i) + 1.0\n    s = s + y(i)",
+                false => "y(i) = y(i) + 1.0",
+            };
+            let errs = check(&format!(
+                "
+subroutine t(n, y, s)
   integer, intent(in) :: n
   real, intent(inout) :: y(n)
+  real, intent(inout) :: s
   integer :: i
-  !$omp parallel do reduction(+: y) reduction(max: y)
+  !$omp parallel do {clauses}
   do i = 1, n
-    y(i) = y(i) + 1.0
+    {body}
   end do
 end subroutine
-"#,
-        );
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert_eq!(
-            errs[0].message,
-            "`y` is named by two reduction clauses, `reduction(+: y)` and `reduction(max: y)`"
-        );
+"
+            ));
+            assert_eq!(errs.len(), 1, "{clauses}: {errs:?}");
+            assert_eq!(errs[0].message, want, "{clauses}");
+        }
     }
 
     #[test]

@@ -40,14 +40,13 @@
 //!   which the cache key hashes, and stays.
 //!
 //! What a region *is* comes from the lowering's plan
-//! ([`crate::lower`]), the same one the simulator and the bytecode engine
-//! read: the regions and their numbering ([`LProgram::regions`]), each
+//! ([`crate::lower`]), the same one the interpreter reads: the regions and their numbering ([`LProgram::regions`]), each
 //! array's extents and strides ([`crate::lower::ArrMeta`]), which
 //! accesses go to a private reduction copy (`LRegion::red_slot`), which
 //! arrays are plain and which are cells (`LRegion::access`), the
 //! fused increment (`fused_increment`) and the chunk walk of
 //! `Schedule::values`. The code must stay **bitwise identical** to the
-//! bytecode engine's, so it also keeps its evaluation rules:
+//! interpreter's, so it also keeps its evaluation rules:
 //!
 //! - the same evaluation order everywhere (offsets before right-hand
 //!   sides, bounds checks per index in index order, `lo` → `hi` → `step`
@@ -98,8 +97,9 @@ pub extern "C" fn rust_eh_personality() {}
 /// the build links libm exactly when a kernel's source has it.
 pub(crate) const LIBM_LINK: &str = "#[link(name = \"m\")]";
 
-/// Generate the complete cdylib source for `lp`. Fails (→ bytecode
-/// fallback) only on programs the bytecode compiler would reject too.
+/// Generate the complete cdylib source for `lp`. Fails (→ the
+/// interpreter's region path) on a shape it does not handle: a nested
+/// region, or an operand of the wrong type for its context.
 pub fn generate_source(lp: &LProgram) -> Result<String, String> {
     generate(lp).map(|(src, _)| src)
 }
@@ -431,8 +431,8 @@ impl<'a> Gen<'a> {
     }
 
     /// Sequential loop nested inside a region. Bounds are evaluated once
-    /// into fresh locals — in `lo`, `hi`, `step` order like the bytecode
-    /// compiler — because the body may overwrite their source scalars.
+    /// into fresh locals — in `lo`, `hi`, `step` order like the
+    /// interpreter — because the body may overwrite their source scalars.
     fn seq_for(&mut self, f: &LFor) -> Result<(), String> {
         let lo = self.gen_i(&f.lo)?;
         let tlo = self.t();
@@ -761,8 +761,8 @@ impl<'a> Gen<'a> {
     }
 
     /// Boolean expression as a Rust expression string. `&&`/`||`/`!` give
-    /// the same short-circuit evaluation order as the bytecode's jump
-    /// chains; comparison operands evaluate inside a block expression.
+    /// the same short-circuit evaluation order as the interpreter's
+    /// conditions; comparison operands evaluate inside a block expression.
     fn gen_bool(&mut self, b: &LBool) -> Result<String, String> {
         Ok(match b {
             LBool::Cmp(op, ty, a, bb) => {

@@ -19,10 +19,10 @@
 //! versions ([`link_shared`]). The loader
 //! then checks that the artifact's ABI version and source hash are the
 //! ones expected, and the region functions are dispatched by
-//! [`NativeEngine::run_with`] with the exact chunk schedule, scratch
-//! preparation, and reduction merge the bytecode path uses — which is
-//! why results stay inside the determinism contract
-//! ([`crate::differential`]): bitwise identical to the other backends for
+//! [`NativeEngine::run_with`] with the interpreter's chunk schedule,
+//! private-copy preparation, and reduction merge order — which is why
+//! results stay inside the determinism contract
+//! ([`crate::differential`]): bitwise identical to the interpreter for
 //! every program without a shared atomic increment.
 //!
 //! Cache directory resolution: `FORMAD_AOT_DIR` env var, else
@@ -40,8 +40,8 @@
 //!
 //! Failure contract: every error here is an [`AotError`] the caller is
 //! expected to *degrade* on — [`run_aot`] and the CLI/service wire-ups
-//! fall back to the bytecode backend, report the reason, and still
-//! return the results the contract promises. A missing `ld` degrades
+//! run the program's regions on the interpreter's path instead, report
+//! the reason, and still return the results the contract promises. A missing `ld` degrades
 //! like a missing `rustc`. Test hook: `FORMAD_AOT_RUSTC`
 //! overrides the compiler binary, so pointing it at a nonexistent path
 //! forces the compile-failure path deterministically. Without it the
@@ -60,8 +60,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use formad_ir::{store, Program};
 
 use crate::bindings::{Bindings, ExecError};
-use crate::bytecode::BcProgram;
-use crate::exec::{NativeEngine, NativeProgram};
+use crate::exec::{BcProgram, NativeEngine, NativeProgram};
 use crate::lower::LProgram;
 
 pub use codegen::generate_source;
@@ -108,7 +107,7 @@ impl AotKernel {
 }
 
 /// Why an AOT kernel could not be produced or loaded. Callers degrade to
-/// the bytecode backend on every variant.
+/// the interpreter's semantics on every variant.
 #[derive(Debug, Clone)]
 pub enum AotError {
     /// The lowered program has a shape codegen does not handle.
@@ -163,7 +162,7 @@ pub struct AotStats {
     pub disk_hits: u64,
     /// Lookups served by the in-process registry.
     pub cache_hits: u64,
-    /// Codegen/compile/load failures (each one degraded to bytecode).
+    /// Codegen/compile/load failures (each one degraded to the interpreter).
     pub failures: u64,
 }
 
@@ -420,8 +419,9 @@ mod dl {
 }
 
 /// Generate, build (or reuse), and load the AOT kernel for a lowered
-/// program. Compile `bc` from the same `lp` first — the bytecode is the
-/// fallback *and* performs the region-legality checks codegen assumes.
+/// program. Compile `bc` from the same `lp` first — the host program
+/// runs the kernel's regions *and* its build performs the region-legality
+/// check codegen assumes (no shared scalar written in a region).
 pub fn load_or_compile(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>, AotError> {
     let res = load_or_compile_inner(lp, bc);
     if res.is_err() {
@@ -487,10 +487,10 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
     let cnt_sym = dl::sym(&lib, "formad_aot_region_count").map_err(AotError::Load)?;
     let cnt_fn: extern "C" fn() -> u32 = unsafe { std::mem::transmute(cnt_sym) };
     let n = cnt_fn() as usize;
-    if n != bc.regions.len() {
+    if n != bc.region_count() {
         return Err(AotError::Load(format!(
             "artifact has {n} regions, program has {}",
-            bc.regions.len()
+            bc.region_count()
         )));
     }
     let mut regions = Vec::with_capacity(n);
@@ -511,16 +511,16 @@ fn load_or_compile_inner(lp: &LProgram, bc: &BcProgram) -> Result<Arc<AotKernel>
 }
 
 /// Compile `prog` and run it on the AOT backend with `threads` logical
-/// threads — the AOT counterpart of [`crate::exec::run_native`]. On any
-/// AOT failure the run transparently degrades to the bytecode backend
-/// (the determinism contract holds either way) and the fallback reason
-/// is returned for reporting.
+/// threads — the native counterpart of [`crate::interp::run`]. On any
+/// AOT failure the regions run on the interpreter's path (the
+/// determinism contract holds either way) and the fallback reason is
+/// returned for reporting.
 pub fn run_aot(
     prog: &Program,
     bind: &mut Bindings,
     threads: usize,
 ) -> Result<Option<String>, ExecError> {
-    let np = NativeProgram::compile(prog, bind, true)?;
+    let np = NativeProgram::compile(prog, bind)?;
     NativeEngine::new(threads).run_program(&np, bind)?;
     Ok(np.aot_fallback)
 }
@@ -559,7 +559,7 @@ pub(crate) unsafe extern "C" fn grow_tape_i(env: *mut abi::AotEnv) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::compile;
+    use crate::exec::compile;
     use crate::interp::{run as run_sim, Machine};
     use crate::lower::lower;
     use formad_ir::parse_program;

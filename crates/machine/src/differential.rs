@@ -1,15 +1,15 @@
 //! The determinism contract: what "the backends agree" means, written
 //! once and derived from the compiled program.
 //!
-//! A compiled program falls in one of two classes, read off its bytecode
-//! by [`BcProgram::commit_order_dependent`]:
+//! A compiled program falls in one of two classes, read off its lowered
+//! regions by [`BcProgram::commit_order_dependent`]:
 //!
 //! - **schedule-independent** — plain and transposed accesses,
 //!   rank-ordered reductions, serial code. No two logical threads touch
 //!   the same shared location, so the result is a function of the
-//!   program and the thread count alone: every native backend must
-//!   reproduce the simulated interpreter **bit for bit on real OS
-//!   workers**, one per logical thread, whatever the host's core count.
+//!   program and the thread count alone: the AOT kernel must reproduce
+//!   the simulated interpreter **bit for bit on real OS workers**, one
+//!   per logical thread, whatever the host's core count.
 //! - **commit-order-dependent** — some parallel region CAS-increments a
 //!   shared array (`!$omp atomic`, the safeguard FormAD keeps when it
 //!   could not prove disjointness). Colliding increments commit in
@@ -32,8 +32,7 @@ use formad_ir::Program;
 
 use crate::aot::AotKernel;
 use crate::bindings::Bindings;
-use crate::bytecode::{BcProgram, Instr};
-use crate::exec::NativeEngine;
+use crate::exec::{BcProgram, NativeEngine};
 use crate::interp::{run, Machine};
 
 /// Relative tolerance of the real-worker leg of a commit-order-dependent
@@ -97,18 +96,6 @@ impl Bindings {
             }
         }
         None
-    }
-}
-
-impl BcProgram {
-    /// Does the result depend on the order in which concurrent threads
-    /// commit? True iff some parallel region still holds an atomic
-    /// increment: one of a `reduction` array compiled to a plain add on
-    /// the thread's private copy, so every one left is shared.
-    pub fn commit_order_dependent(&self) -> bool {
-        self.regions
-            .iter()
-            .any(|r| r.code.iter().any(|i| matches!(i, Instr::AtomicAddR { .. })))
     }
 }
 
@@ -182,9 +169,10 @@ impl CellOutcome {
 }
 
 /// Check one (program, thread count) cell: run `prog` under the
-/// simulated interpreter and `bc` on every native backend handed in —
-/// bytecode always, the AOT `kernel` when there is one — and compare as
-/// the program's class demands (module docs).
+/// simulated interpreter and, when there is an AOT `kernel` of `bc`, `bc`
+/// on it — and compare as the program's class demands (module docs).
+/// Without a kernel the cell has no native leg: an engine without one
+/// runs its regions on the interpreter's path, which is the reference.
 pub fn check_cell(
     engines: &mut EngineCache,
     prog: &Program,
@@ -208,35 +196,34 @@ pub fn check_cell(
     } else {
         "schedule-independent"
     };
-    let backends = std::iter::once(("bytecode", None)).chain(kernel.map(|k| ("aot", Some(k))));
-    for (backend, kernel) in backends {
-        let mut on = |os_threads: usize| -> Result<Bindings, CellError> {
-            let mut out = bind.clone();
-            engines
-                .get(threads, os_threads)
-                .run_with(bc, kernel, &mut out)
-                .map_err(|e| {
-                    CellError::Run(format!(
-                        "{backend} run (T={threads}, {os_threads} OS workers) failed: {e}"
-                    ))
-                })?;
-            Ok(out)
-        };
-        // One OS worker per logical thread: real concurrency whenever
-        // T ≥ 2, on any host.
-        cell.admits(&on(threads)?).map_err(|d| {
-            CellError::Diverged(format!(
-                "sim vs {backend} T={threads} on {threads} OS workers ({class} program): {d}"
-            ))
-        })?;
-        if !cell.exact {
-            let in_order = on(1)?;
-            if let Some(d) = cell.reference.first_difference(&in_order, Compare::Bitwise) {
-                return Err(CellError::Diverged(format!(
-                    "sim vs {backend} T={threads} on one OS worker (rank order, must be \
-                     bitwise): {d}"
-                )));
-            }
+    let Some(kernel) = kernel else {
+        return Ok(cell);
+    };
+    let mut on = |os_threads: usize| -> Result<Bindings, CellError> {
+        let mut out = bind.clone();
+        engines
+            .get(threads, os_threads)
+            .run_with(bc, Some(kernel), &mut out)
+            .map_err(|e| {
+                CellError::Run(format!(
+                    "aot run (T={threads}, {os_threads} OS workers) failed: {e}"
+                ))
+            })?;
+        Ok(out)
+    };
+    // One OS worker per logical thread: real concurrency whenever T ≥ 2,
+    // on any host.
+    cell.admits(&on(threads)?).map_err(|d| {
+        CellError::Diverged(format!(
+            "sim vs aot T={threads} on {threads} OS workers ({class} program): {d}"
+        ))
+    })?;
+    if !cell.exact {
+        let in_order = on(1)?;
+        if let Some(d) = cell.reference.first_difference(&in_order, Compare::Bitwise) {
+            return Err(CellError::Diverged(format!(
+                "sim vs aot T={threads} on one OS worker (rank order, must be bitwise): {d}"
+            )));
         }
     }
     Ok(cell)
@@ -245,7 +232,7 @@ pub fn check_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile, lower};
+    use crate::{compile, load_or_compile, lower};
     use formad_ir::parse_program;
 
     /// One parallel loop over `i = 1, n` around `body`.
@@ -271,7 +258,7 @@ mod tests {
         ))
     }
 
-    /// Hold the compiled code of `compiled` to the reference semantics of
+    /// Hold the AOT kernel of `compiled` to the reference semantics of
     /// `reference` at `threads` — a stand-in for a backend that computes
     /// something else.
     fn check_against(
@@ -283,12 +270,14 @@ mod tests {
             .int("n", 700)
             .real_array("x", (0..700).map(|k| (k as f64 * 0.3).sin()).collect())
             .real_array("y", vec![0.25; 700]);
-        let bc = compile(&lower(compiled, &bind).expect("lower"), compiled).expect("compile");
+        let lp = lower(compiled, &bind).expect("lower");
+        let bc = compile(&lp, compiled).expect("compile");
+        let kernel = load_or_compile(&lp, &bc).expect("kernel");
         check_cell(
             &mut EngineCache::new(),
             reference,
             &bc,
-            None,
+            Some(&kernel),
             &bind,
             threads,
         )

@@ -1,93 +1,220 @@
-//! Real-hardware execution of compiled bytecode.
+//! The native engine: host code on the reference interpreter's closures,
+//! parallel regions on AOT kernels over real OS threads.
 //!
-//! [`NativeEngine`] runs a [`BcProgram`] on real OS threads: sequential
-//! code interprets the flat instruction array directly; every
-//! `!$omp parallel do` region is dispatched to a persistent
-//! [`formad_runtime::ThreadPool`] with the **same static schedule** the
-//! simulated machine uses (`lower::Schedule`), so thread `t` executes — and
-//! tapes — exactly the iterations simulated thread `t` does. Results are bitwise equal to
-//! the interpreter's on any number of OS workers for every program with
-//! no shared `!$omp atomic` increment; colliding atomic increments commit
-//! in hardware order, so such a program is bitwise equal on one OS worker
-//! (logical threads then run in rank order) and equal up to
-//! floating-point reassociation on several — the determinism contract of
-//! [`crate::differential`]. Logical threads are multiplexed onto at most
-//! the host's physically available cores (see [`NativeEngine::new`]).
+//! [`compile`] builds a lowered program's closure form once
+//! ([`crate::interp`]) into a [`BcProgram`], the prebuilt host program.
+//! [`NativeEngine`] runs it: sequential statements and every region's
+//! prologue (its bounds and schedule) execute on the closures, over the
+//! arrays moved in from the caller's [`Bindings`] as [`crate::interp::run`]
+//! moves them, and each `!$omp parallel do` region the AOT kernel compiled
+//! is dispatched to a persistent [`formad_runtime::ThreadPool`] with the
+//! **same static schedule** the interpreter uses (`lower::Schedule`), so
+//! thread `t` executes — and tapes — exactly the iterations logical
+//! thread `t` of the interpreter does. Without a kernel (no `rustc`, no
+//! `ld`, or a program codegen refuses) a region runs on the interpreter's
+//! own region path, on the calling thread: "no kernel" means the
+//! interpreter's semantics, not a third one.
 //!
-//! Memory model: array elements are accessed through relaxed
-//! `AtomicU64`/`AtomicI64` views (plain `mov`s on x86-64, so the
-//! FormAD-proved *plain* discipline pays nothing), and `!$omp atomic`
-//! increments are a CAS loop on the element's bits: load relaxed, add in
-//! `f64`, `compare_exchange_weak` with acquire-release success and
-//! acquire failure ordering, retry from the value seen on failure (see
-//! `RawView::fetch_add_r`; AOT kernels emit the same loop). No increment
-//! is lost, and colliding ones commit in hardware order.
-//! `reduction(+: arr)` clauses privatize into per-thread buffers that
-//! hold the identity between regions and are merged in ascending thread
-//! order, replicating the interpreter's combine order bit for bit; region code
-//! names a thread's buffer as view `n_arrays + j` of the worker's view
-//! table, so no access looks a redirect up.
+//! Results are bitwise equal to the interpreter's on any number of OS
+//! workers for every program with no shared `!$omp atomic` increment;
+//! colliding atomic increments commit in hardware order, so such a
+//! program is bitwise equal on one OS worker (logical threads then run in
+//! rank order) and equal up to floating-point reassociation on several —
+//! the determinism contract of [`crate::differential`]. Logical threads
+//! are multiplexed onto at most the host's physically available cores
+//! (see [`NativeEngine::new`]).
+//!
+//! Memory model: the kernel accesses array elements plainly or through
+//! relaxed atomic cells, as each region's access fact says, and
+//! `!$omp atomic` increments are an acquire-release CAS loop on the
+//! element's bits (`aot::codegen`). `reduction(+: arr)` clauses privatize
+//! into per-thread buffers that hold the identity between regions and are
+//! merged in ascending thread order, replicating the interpreter's combine
+//! order bit for bit.
 //!
 //! A run touches no memory that is not the program's own traffic.
-//! Parameter arrays are used where they sit in the caller's
-//! [`Bindings`] — the engine holds the bindings exclusively for the run
-//! and points its views at their vectors, so nothing is copied in or out
-//! and an array can never be missing afterwards. Everything else a run
-//! needs — the main register file, the views, local arrays, per-thread
-//! register-file copies, tapes, reduction buffers — lives in buffers the
-//! engine keeps across regions and runs, so a warm run (same engine, a
-//! program it has run before) makes no heap allocation at all, whatever
-//! the array lengths; `tests/exec_alloc_ceiling.rs` holds that.
+//! Parameter arrays are used where they sit in the caller's bindings —
+//! swapped into the engine's state for the run and back out when it ends,
+//! however it ends — so nothing is copied in or out and an array can never
+//! be missing afterwards. Everything else a run needs — the scalar files,
+//! local arrays, tapes, per-thread scalar copies, reduction buffers —
+//! lives in buffers the engine keeps across regions and runs, so a warm
+//! run on a kernel (same engine, a program it has run before) makes no
+//! heap allocation at all, whatever the array lengths;
+//! `tests/exec_alloc_ceiling.rs` holds that.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
+use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use formad_ir::{BinOp, Program, RedOp, Ty};
 use formad_runtime::ThreadPool;
 
-use crate::aot::{load_or_compile, AotKernel};
+use crate::aot::{load_or_compile, AotKernel, RegionFn};
 use crate::bindings::{Bindings, ExecError};
-use crate::bytecode::{compile, BcProgram, BcRegion, Instr};
+use crate::interp::{build, Bases, Block, Layout, RegionPlan, RegionRunner, State, Tapes};
 use crate::lower::{
-    bind_entry, combine, compare, identity, int_bin, int_call, lower, oob, real_bin, real_call,
-    real_max, real_min, trip_count, write_back_scalars, ArrMeta, Schedule,
+    combine, identity, int_bin, lower, oob, real_max, real_min, trip_count, write_back_scalars,
+    ArrMeta, LProgram, LRegion, LStmt, ScalarMeta, Schedule, Slot,
 };
 
-/// Compile `prog` against `bind` and run it with `threads` logical
-/// threads, writing parameter results back into `bind` — the native
-/// counterpart of [`crate::interp::run`]. For repeated execution, keep a
-/// [`NativeEngine`] and a compiled [`BcProgram`] instead.
-pub fn run_native(prog: &Program, bind: &mut Bindings, threads: usize) -> Result<(), ExecError> {
-    let np = NativeProgram::compile(prog, bind, false)?;
-    NativeEngine::new(threads).run_program(&np, bind)
+/// The prebuilt host program of one lowered program: the closure form
+/// of its body ([`crate::interp`]) and what a run binds. Any
+/// [`NativeEngine`] runs it, with or without the AOT kernel of the same
+/// lowered program. (The name is the one the bytecode engine's compiled
+/// form had; the benchmark still compiles against it.)
+pub struct BcProgram {
+    pub name: String,
+    body: Block,
+    n_real: usize,
+    n_int: usize,
+    pub arrays: Vec<ArrMeta>,
+    /// Every scalar, for binding transfer ([`LProgram::scalars`]).
+    pub scalars: Vec<ScalarMeta>,
+    regions: usize,
+    commit_order_dependent: bool,
 }
 
-/// The backend ladder, climbed once: a program lowered and compiled to
-/// bytecode and — when the AOT backend was asked for and its kernel
+impl fmt::Debug for BcProgram {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BcProgram")
+            .field("name", &self.name)
+            .field("regions", &self.regions)
+            .finish_non_exhaustive()
+    }
+}
+
+impl BcProgram {
+    /// Number of parallel regions, the entry points its kernel has.
+    pub fn region_count(&self) -> usize {
+        self.regions
+    }
+
+    /// Does the result depend on the order in which concurrent threads
+    /// commit? True iff some parallel region holds an atomic increment of
+    /// an array it does not reduce: one of a `reduction` array lands on
+    /// the thread's private copy, so every one left is shared.
+    pub fn commit_order_dependent(&self) -> bool {
+        self.commit_order_dependent
+    }
+
+    fn layout(&self) -> Layout<'_> {
+        Layout {
+            n_real: self.n_real,
+            n_int: self.n_int,
+            scalars: &self.scalars,
+            arrays: &self.arrays,
+        }
+    }
+}
+
+/// Build the host program of a lowered program; `_prog`, the program it
+/// was lowered from, is not read.
+///
+/// One restriction the interpreter does not enforce: a scalar written
+/// inside a parallel body must be `private`, a `reduction`, or the loop
+/// counter. The interpreter runs its threads one after the other, so a
+/// shared-scalar write there is deterministic but meaningless; on real
+/// threads it would be a data race, so it is refused here. Generated
+/// adjoints always privatize correctly.
+pub fn compile(lp: &LProgram, _prog: &Program) -> Result<BcProgram, ExecError> {
+    check_region_writes(lp, &lp.body, None)?;
+    Ok(BcProgram {
+        name: lp.name.clone(),
+        body: build(lp),
+        n_real: lp.n_real_scalars,
+        n_int: lp.n_int_scalars,
+        arrays: lp.arrays.clone(),
+        scalars: lp.scalars.clone(),
+        regions: lp.regions.len(),
+        commit_order_dependent: lp
+            .regions
+            .iter()
+            .any(|r| shared_atomic(r, &r.for_loop.body)),
+    })
+}
+
+/// Refuse a write, in `body`, of a scalar `region` does not privatize.
+fn check_region_writes(
+    lp: &LProgram,
+    body: &[LStmt],
+    region: Option<&LRegion>,
+) -> Result<(), ExecError> {
+    let check = |slot: Slot, is_real: bool| match region {
+        Some(r) if !r.may_write(slot, is_real) => {
+            let want = if is_real { Ty::Real } else { Ty::Int };
+            let name = (lp.scalars.iter())
+                .find(|s| s.slot == slot && s.ty == want)
+                .map_or_else(|| format!("slot{slot}"), |s| s.name.clone());
+            Err(ExecError::new(format!(
+                "scalar `{name}` written inside a parallel region must be \
+                 private, a reduction, or the loop counter"
+            )))
+        }
+        _ => Ok(()),
+    };
+    for s in body {
+        match s {
+            LStmt::AssignR(slot, _) | LStmt::PopR(slot) => check(*slot, true)?,
+            LStmt::AssignI(slot, _) | LStmt::PopI(slot) => check(*slot, false)?,
+            LStmt::If(_, then_b, else_b) => {
+                check_region_writes(lp, then_b, region)?;
+                check_region_writes(lp, else_b, region)?;
+            }
+            LStmt::For(f) => {
+                check(f.var, false)?;
+                check_region_writes(lp, &f.body, region)?;
+            }
+            LStmt::Parallel(k) => {
+                let inner = &lp.regions[*k as usize];
+                check_region_writes(lp, &inner.for_loop.body, Some(inner))?;
+            }
+            LStmt::AssignElem(..)
+            | LStmt::AtomicAddElem(..)
+            | LStmt::Push(..)
+            | LStmt::PopElem(..) => {}
+        }
+    }
+    Ok(())
+}
+
+/// Does `body`, part of `region`, atomically increment an array the
+/// region does not reduce? A nested region answers for itself.
+fn shared_atomic(region: &LRegion, body: &[LStmt]) -> bool {
+    body.iter().any(|s| match s {
+        LStmt::AtomicAddElem(id, ..) => region.red_slot(*id).is_none(),
+        LStmt::If(_, then_b, else_b) => {
+            shared_atomic(region, then_b) || shared_atomic(region, else_b)
+        }
+        LStmt::For(f) => shared_atomic(region, &f.body),
+        _ => false,
+    })
+}
+
+/// A program lowered, its host program built and — when its kernel
 /// could be built — the compiled entry points of its parallel regions.
 /// Any engine runs it with [`NativeEngine::run_program`]; the one-shot
-/// [`run_native`] / [`crate::aot::run_aot`] and the service's parked
-/// engines all go through here.
+/// [`crate::aot::run_aot`] and the CLI's and the service's engines all go
+/// through here.
 pub struct NativeProgram {
     bc: BcProgram,
     kernel: Option<Arc<AotKernel>>,
-    /// Why an asked-for AOT kernel is missing: the run degrades to the
-    /// bytecode backend (the determinism contract holds either way) and
+    /// Why the kernel is missing: the run's regions take the
+    /// interpreter's path (the determinism contract holds either way) and
     /// this is the reason to report.
     pub aot_fallback: Option<String>,
 }
 
 impl NativeProgram {
-    pub fn compile(prog: &Program, bind: &Bindings, aot: bool) -> Result<NativeProgram, ExecError> {
+    pub fn compile(prog: &Program, bind: &Bindings) -> Result<NativeProgram, ExecError> {
         let lp = lower(prog, bind)?;
         let bc = compile(&lp, prog)?;
         // Only parallel regions are compiled ahead of time; with none
         // there is nothing to build, so skip the rustc invocation entirely
-        // (and report no fallback — bytecode IS the complete plan here).
-        let (kernel, aot_fallback) = if aot && !bc.regions.is_empty() {
+        // (and report no fallback — the host program IS the complete plan
+        // here).
+        let (kernel, aot_fallback) = if bc.region_count() > 0 {
             match load_or_compile(&lp, &bc) {
                 Ok(kernel) => (Some(kernel), None),
                 Err(e) => (None, Some(e.to_string())),
@@ -100,84 +227,6 @@ impl NativeProgram {
             kernel,
             aot_fallback,
         })
-    }
-}
-
-// ---- shared-memory array views ----
-
-/// Raw view of one array's storage; elements are accessed with relaxed
-/// atomics so concurrent disjoint writes from pool workers are defined
-/// behaviour (f64 bits travel through `AtomicU64`).
-#[derive(Clone, Copy)]
-struct RawView {
-    ptr: *mut u64,
-    len: usize,
-}
-
-unsafe impl Send for RawView {}
-unsafe impl Sync for RawView {}
-
-impl RawView {
-    /// View of `data`, whose elements are 8-byte words (`f64` or `i64`).
-    fn of<T>(data: &mut [T]) -> RawView {
-        const { assert!(std::mem::size_of::<T>() == 8 && std::mem::align_of::<T>() == 8) };
-        RawView {
-            ptr: data.as_mut_ptr() as *mut u64,
-            len: data.len(),
-        }
-    }
-
-    /// The storage as a plain real slice.
-    ///
-    /// # Safety
-    /// The view must be of a real array whose storage is still alive, and
-    /// nothing else may access that storage while the slice is: no region
-    /// is running and the caller holds no other slice of it.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn as_reals_mut(&self) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.ptr as *mut f64, self.len)
-    }
-
-    #[inline]
-    fn load_r(&self, off: usize) -> f64 {
-        debug_assert!(off < self.len);
-        f64::from_bits(unsafe {
-            (*(self.ptr.add(off) as *const AtomicU64)).load(Ordering::Relaxed)
-        })
-    }
-
-    #[inline]
-    fn store_r(&self, off: usize, v: f64) {
-        debug_assert!(off < self.len);
-        unsafe { (*(self.ptr.add(off) as *const AtomicU64)).store(v.to_bits(), Ordering::Relaxed) }
-    }
-
-    /// `!$omp atomic` increment: the acquire-release CAS loop of the
-    /// module docs.
-    #[inline]
-    fn fetch_add_r(&self, off: usize, v: f64) {
-        debug_assert!(off < self.len);
-        let cell = unsafe { &*(self.ptr.add(off) as *const AtomicU64) };
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    #[inline]
-    fn load_i(&self, off: usize) -> i64 {
-        debug_assert!(off < self.len);
-        unsafe { (*(self.ptr.add(off) as *const AtomicI64)).load(Ordering::Relaxed) }
-    }
-
-    #[inline]
-    fn store_i(&self, off: usize, v: i64) {
-        debug_assert!(off < self.len);
-        unsafe { (*(self.ptr.add(off) as *const AtomicI64)).store(v, Ordering::Relaxed) }
     }
 }
 
@@ -207,26 +256,12 @@ impl<T: Default> PerThread<T> {
     }
 }
 
-/// Value tapes of one (simulated or real) thread. Tape `t` is pushed by
-/// whichever code runs as thread `t` — the main thread between regions
-/// (as thread 0) and pool worker `t` inside them — and persists across
-/// regions, which is what lets a reversed parallel loop pop values its
-/// forward twin pushed.
-#[derive(Default)]
-struct Tapes {
-    r: Vec<f64>,
-    i: Vec<i64>,
-}
-
-/// Reusable worker scratch: register-file copy and reduction buffers.
+/// Reusable worker scratch: scalar-file copy and reduction buffers.
 #[derive(Default)]
 struct Scratch {
     reals: Vec<f64>,
     ints: Vec<i64>,
     red_bufs: Vec<RedBuf>,
-    /// The worker's view table for bytecode, rewritten for every chunk:
-    /// the shared arrays by `ArrId`, then the region's `red_bufs`.
-    views: Vec<RawView>,
     red_ptrs: RedPtrs,
     err: Option<ExecError>,
     participated: bool,
@@ -264,90 +299,58 @@ struct RedPtrs(Vec<*mut f64>);
 
 // SAFETY: the pointers address the `red_bufs` of the `Scratch` that holds
 // them and are rewritten before every use, so they change threads only
-// together with the buffers they point into. The same holds for the
-// views of them in `Scratch::views`.
+// together with the buffers they point into.
 unsafe impl Send for RedPtrs {}
 
-enum Exit {
-    Done,
-    Par { region: u16, resume: usize },
+/// The state's tapes, one per logical thread, handed to the workers:
+/// logical thread `t` is claimed by exactly one worker, which alone
+/// touches tape `t` while the region runs.
+#[derive(Clone, Copy)]
+struct TapesPtr(*mut Tapes);
+
+unsafe impl Send for TapesPtr {}
+unsafe impl Sync for TapesPtr {}
+
+impl TapesPtr {
+    /// Logical thread `t`'s tape.
+    ///
+    /// # Safety
+    /// The caller is the one toucher of tape `t` while the reference
+    /// lives, and the state holds a tape for every logical thread.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get<'a>(self, t: usize) -> &'a mut Tapes {
+        &mut *self.0.add(t)
+    }
 }
 
 /// One logical thread's share of a parallel region: its ranks of the
 /// region's schedule.
 struct Chunk {
-    thread: usize,
     sched: Schedule,
     ranks: Range<i64>,
 }
 
-/// Shared array base pointers handed to AOT region workers. Sync under
-/// the same contract as [`RawView`]: the generated code performs element
-/// accesses through relaxed atomics, never plain concurrent writes.
-#[derive(Default)]
-struct Bases(Vec<*mut u64>);
-
-unsafe impl Send for Bases {}
-unsafe impl Sync for Bases {}
-
-/// What one run needs besides the program's own arrays and the
-/// per-thread state: kept by the engine across runs, so a warm run
-/// re-fills these buffers instead of allocating them.
-#[derive(Default)]
-struct RunState {
-    /// The main thread's register file.
-    reals: Vec<f64>,
-    ints: Vec<i64>,
-    /// Per-array views, by `ArrId`. Valid for one run only: they point
-    /// into the caller's bindings.
-    views: Vec<RawView>,
-    bases: Bases,
-    /// The partials one region's merge reads, by array, then by thread.
-    parts: Vec<RawView>,
-    locals_r: Locals<f64>,
-    locals_i: Locals<i64>,
-}
-
-/// Storage of a program's local arrays: buffers handed out in `ArrId`
-/// order, whose capacity outlives the run.
-#[derive(Default)]
-struct Locals<T> {
-    bufs: Vec<Vec<T>>,
-    used: usize,
-}
-
-impl<T> Locals<T> {
-    fn next(&mut self) -> &mut Vec<T> {
-        if self.used == self.bufs.len() {
-            self.bufs.push(Vec::new());
-        }
-        self.used += 1;
-        &mut self.bufs[self.used - 1]
-    }
-}
-
 // ---- the engine ----
 
-/// A reusable native executor: persistent thread pool, per-thread tapes
-/// and scratch buffers, and the buffers of the run itself.
+/// A reusable native executor: persistent thread pool, per-thread
+/// scratch buffers, and the buffers of the run itself.
 ///
 /// `threads` is the number of *logical* threads — it fixes the static
 /// chunk schedule, the per-thread tapes, and the reduction merge order,
-/// exactly like the simulated machine's thread count. Logical threads
-/// are multiplexed onto at most `os_threads` real OS workers: asking a
-/// host for more threads than it has cores adds context-switch noise
-/// without adding parallelism, so [`NativeEngine::new`] clamps the
-/// worker count to the host's available parallelism. Every logical thread
-/// owns its register file, tape, and reduction buffers, so the
-/// multiplexing changes no result except the commit order of colliding
-/// `!$omp atomic` increments.
+/// exactly like the interpreter's thread count. Logical threads are
+/// multiplexed onto at most `os_threads` real OS workers: asking a host
+/// for more threads than it has cores adds context-switch noise without
+/// adding parallelism, so [`NativeEngine::new`] clamps the worker count
+/// to the host's available parallelism. Every logical thread owns its
+/// scalar copies, tape, and reduction buffers, so the multiplexing
+/// changes no result except the commit order of colliding `!$omp atomic`
+/// increments.
 pub struct NativeEngine {
     threads: usize,
     os_threads: usize,
     pool: ThreadPool,
-    tapes: PerThread<Tapes>,
     scratch: PerThread<Scratch>,
-    state: RunState,
+    state: State<'static>,
 }
 
 impl NativeEngine {
@@ -371,9 +374,8 @@ impl NativeEngine {
             os_threads: os,
             // One worker runs regions inline on the caller's thread.
             pool: ThreadPool::new(if os > 1 { os } else { 0 }),
-            tapes: PerThread::new(threads),
             scratch: PerThread::new(threads),
-            state: RunState::default(),
+            state: State::default(),
         }
     }
 
@@ -387,16 +389,8 @@ impl NativeEngine {
         self.os_threads
     }
 
-    /// Execute `bc` against `bind`: parameters are read from the
-    /// bindings and written back afterwards, locals zero-initialized —
-    /// the same contract (and the same error messages) as the simulated
-    /// interpreter. The error contract is [`NativeEngine::run_with`]'s.
-    pub fn run(&mut self, bc: &BcProgram, bind: &mut Bindings) -> Result<(), ExecError> {
-        self.run_with(bc, None, bind)
-    }
-
-    /// Execute a [`NativeProgram`]: its AOT kernel where it has one,
-    /// bytecode otherwise. The error contract is
+    /// Execute a [`NativeProgram`]: its AOT kernel where it has one, the
+    /// interpreter's region path otherwise. The error contract is
     /// [`NativeEngine::run_with`]'s.
     pub fn run_program(
         &mut self,
@@ -406,12 +400,13 @@ impl NativeEngine {
         self.run_with(&np.bc, np.kernel.as_deref(), bind)
     }
 
-    /// Like [`NativeEngine::run`], but parallel regions dispatch to the
-    /// AOT `kernel`'s compiled entry points when one is provided (and it
-    /// has the region — otherwise that region interprets bytecode).
-    /// Sequential code always interprets: regions are the hot path, and
-    /// keeping one interpreter for the scaffolding keeps the backends
-    /// trivially in lockstep everywhere except the generated functions.
+    /// Execute `bc` against `bind`: parameters are read from the
+    /// bindings and written back afterwards, locals zero-initialized —
+    /// the same contract (and the same error messages) as the
+    /// interpreter. Host code runs on `bc`'s closures; each parallel
+    /// region dispatches to the AOT `kernel`'s compiled entry point when
+    /// one is provided, and runs on the interpreter's region path, on the
+    /// calling thread, when `kernel` is `None`.
     ///
     /// Parameter arrays are read and written where they sit in `bind`;
     /// an array bound under the name of a *local* is that local's initial
@@ -433,118 +428,64 @@ impl NativeEngine {
         bind: &mut Bindings,
     ) -> Result<(), ExecError> {
         // The state leaves the engine for the run, so that regions can
-        // share `self` with the workers while the main register file is
-        // borrowed mutably, and returns to it on every exit.
-        let mut st = std::mem::take(&mut self.state);
-        let res = self.run_on(&mut st, bc, kernel, bind);
-        // They point into `bind`, which the caller gets back now.
-        st.views.clear();
-        st.bases.0.clear();
-        st.parts.clear();
+        // share `self` with the workers while the state is borrowed
+        // mutably, and returns to it on every exit.
+        let st = std::mem::take(&mut self.state);
+        let (res, st) = self.run_on(st, bc, kernel, bind);
         self.state = st;
         res
     }
 
     fn run_on(
         &self,
-        st: &mut RunState,
+        st: State<'static>,
         bc: &BcProgram,
         kernel: Option<&AotKernel>,
         bind: &mut Bindings,
-    ) -> Result<(), ExecError> {
-        st.reals.clear();
-        st.reals.resize(bc.n_real_regs, 0.0);
-        st.ints.clear();
-        st.ints.resize(bc.n_int_regs, 0);
-        bind_entry(&bc.scalars, &bc.arrays, bind, &mut st.reals, &mut st.ints)?;
-        st.locals_r.used = 0;
-        st.locals_i.used = 0;
-        for meta in &bc.arrays {
-            let view = match meta.ty {
-                Ty::Real => {
-                    let bound = bind.real_arrays.get_mut(&meta.name);
-                    array_view(bound, meta, &mut st.locals_r)
-                }
-                Ty::Int => {
-                    let bound = bind.int_arrays.get_mut(&meta.name);
-                    array_view(bound, meta, &mut st.locals_i)
-                }
-            };
-            st.views.push(view);
-            st.bases.0.push(view.ptr);
+    ) -> (Result<(), ExecError>, State<'static>) {
+        let dispatch = kernel.map(|kernel| Dispatch {
+            engine: self,
+            bc,
+            kernel,
+        });
+        let mut st: State<'_> = st;
+        st.native = dispatch.as_ref().map(|d| d as &dyn RegionRunner);
+        let layout = bc.layout();
+        let res = st.enter(&layout, self.threads, bind).and_then(|()| {
+            let ran = bc.body.once(&mut st);
+            st.leave(&layout, bind);
+            ran.map_err(|e| *e)
+        });
+        if res.is_ok() {
+            write_back_scalars(&bc.scalars, bind, &st.reals, &st.ints);
         }
-        // From here to the scalar write-back `bind` is not touched: the
-        // views are the only way to its arrays.
-        let (views, bases) = (&st.views, &st.bases);
-
-        for t in 0..self.threads {
-            // SAFETY: no region is running, so the main thread is the
-            // only toucher of every slot.
-            let tp = unsafe { self.tapes.get(t) };
-            tp.r.clear();
-            tp.i.clear();
-        }
-
-        let mut pc = 0usize;
-        loop {
-            let exit = exec_code(
-                bc,
-                &bc.code,
-                pc,
-                &mut st.reals,
-                &mut st.ints,
-                views,
-                &self.tapes,
-                0,
-            )?;
-            match exit {
-                Exit::Done => break,
-                Exit::Par { region, resume } => {
-                    let reg = &bc.regions[region as usize];
-                    let (reals, ints, parts) = (&mut st.reals, &mut st.ints, &mut st.parts);
-                    match kernel.and_then(|k| k.region(region as usize)) {
-                        Some(f) => self.run_region(reg, reals, ints, views, parts, |c, s| {
-                            self.chunk_aot(bc, reg, f, bases, c, s)
-                        })?,
-                        None => self.run_region(reg, reals, ints, views, parts, |c, s| {
-                            self.chunk_bytecode(bc, reg, views, c, s)
-                        })?,
-                    }
-                    pc = resume;
-                }
-            }
-        }
-
-        write_back_scalars(&bc.scalars, bind, &st.reals, &st.ints);
-        Ok(())
+        // They point into arrays the caller gets back now.
+        st.bases.0.clear();
+        (res, st.park())
     }
 
-    /// Run one parallel region: its schedule, per-thread scratch
-    /// preparation and identity initialization, multiplexing onto the OS
-    /// workers, first-error-in-thread-order, and the ascending-thread
-    /// reduction merge. `body` executes one logical thread's chunk —
-    /// [`Self::chunk_bytecode`] or [`Self::chunk_aot`] — and is the only
-    /// thing the backends do differently, which is what keeps them in
-    /// lockstep. `parts` is the merge's list of partials.
+    /// Run one parallel region on the kernel's entry point `f`: its
+    /// per-thread scratch preparation and identity initialization,
+    /// multiplexing onto the OS workers, first-error-in-thread-order, and
+    /// the ascending-thread reduction merge.
     fn run_region(
         &self,
-        reg: &BcRegion,
-        reals: &mut [f64],
-        ints: &mut [i64],
-        views: &[RawView],
-        parts: &mut Vec<RawView>,
-        body: impl Fn(&Chunk, &mut Scratch) -> Result<(), ExecError> + Sync,
+        bc: &BcProgram,
+        reg: &RegionPlan,
+        f: RegionFn,
+        sched: Schedule,
+        st: &mut State<'_>,
     ) -> Result<(), ExecError> {
         let t_n = self.threads;
-        let sched = Schedule::new(
-            ints[reg.lo as usize],
-            ints[reg.hi as usize],
-            ints[reg.step as usize],
-            t_n,
-        )?;
-        if sched.count == 0 {
-            return Ok(());
+        st.bases.0.clear();
+        for (id, meta) in bc.arrays.iter().enumerate() {
+            st.bases.0.push(match meta.ty {
+                Ty::Real => st.arr_r[id].as_mut_ptr() as *mut u64,
+                Ty::Int => st.arr_i[id].as_mut_ptr() as *mut u64,
+            });
         }
+        let tapes = TapesPtr(st.tapes.as_mut_ptr());
+        let (reals, ints, bases) = (&st.reals, &st.ints, &st.bases);
 
         let worker = |t: usize| {
             // Sound: worker `t` is the only toucher of slots `t` now.
@@ -556,7 +497,7 @@ impl NativeEngine {
                 return;
             }
             scratch.participated = true;
-            // Private copy of the whole register file: privates start at
+            // Private copy of both scalar files: privates start at
             // region-entry values, exactly like the interpreter.
             scratch.reals.clear();
             scratch.reals.extend_from_slice(reals);
@@ -574,14 +515,12 @@ impl NativeEngine {
                 if scratch.red_bufs.len() <= k {
                     scratch.red_bufs.push(RedBuf::default());
                 }
-                scratch.red_bufs[k].enter(views[*id as usize].len, identity(*op));
+                scratch.red_bufs[k].enter(bc.arrays[*id as usize].len, identity(*op));
             }
-            let share = Chunk {
-                thread: t,
-                sched,
-                ranks,
-            };
-            scratch.err = body(&share, scratch).err();
+            let share = Chunk { sched, ranks };
+            // Sound: logical thread `t` is this worker's alone.
+            let tape = unsafe { tapes.get(t) };
+            scratch.err = chunk_aot(bc, reg, f, bases, &share, scratch, tape).err();
         };
 
         // Multiplex the logical threads onto the OS workers (round-robin
@@ -602,9 +541,11 @@ impl NativeEngine {
             });
         }
 
-        // First error in thread order — the order the simulated machine
-        // would have encountered it.
+        // First error in thread order — the order the interpreter would
+        // have encountered it.
         for t in 0..t_n {
+            // SAFETY: the region is over, so the main thread is the only
+            // toucher of every slot.
             let scratch = unsafe { self.scratch.get(t) };
             if let Some(e) = scratch.err.take() {
                 return Err(e);
@@ -629,135 +570,67 @@ impl NativeEngine {
                 acc = combine(*op, acc, part);
             }
             if *is_real {
-                let saved = reals[*s as usize];
-                reals[*s as usize] = combine(*op, saved, acc);
+                let saved = st.reals[*s as usize];
+                st.reals[*s as usize] = combine(*op, saved, acc);
             } else {
-                let saved = ints[*s as usize] as f64;
-                ints[*s as usize] = combine(*op, saved, acc) as i64;
+                let saved = st.ints[*s as usize] as f64;
+                st.ints[*s as usize] = combine(*op, saved, acc) as i64;
             }
         }
         for (k, (op, id)) in reg.red_arrays.iter().enumerate() {
-            let (dst, id) = (views[*id as usize], identity(*op));
-            // The participating threads' partials, ascending, clean once
-            // the merge below has reset them.
-            parts.clear();
-            for t in 0..t_n {
-                // SAFETY: the region is over, so the main thread is the
-                // only toucher of every slot.
-                let scratch = unsafe { self.scratch.get(t) };
-                if scratch.participated {
-                    let buf = &mut scratch.red_bufs[k];
-                    buf.clean = Some(id.to_bits());
-                    parts.push(RawView::of(&mut buf.data));
+            let (dst, id) = (&mut st.arr_r[*id as usize][..], identity(*op));
+            match op {
+                RedOp::Add => self.merge_array(dst, k, id, |a, b| a + b),
+                RedOp::Mul => self.merge_array(dst, k, id, |a, b| a * b),
+                RedOp::Min => self.merge_array(dst, k, id, real_min),
+                RedOp::Max => self.merge_array(dst, k, id, real_max),
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold the partials of reduction buffer `k` (participating threads
+    /// ascending) onto the shared array `dst`: per element `dst ⊕
+    /// ((identity ⊕ p0) ⊕ p1 …)` — the interpreter's association bit for
+    /// bit, `-0.0` and NaNs included — writing the identity back into
+    /// each partial as it is read, which leaves the buffers clean. One
+    /// pass per block, and one over the whole array when there is one
+    /// partial; `op` is the reduction's operator, chosen once per array
+    /// instead of once per element.
+    fn merge_array(&self, dst: &mut [f64], k: usize, identity: f64, op: impl Fn(f64, f64) -> f64) {
+        // SAFETY, for every slot below: the region is over, so the main
+        // thread is the only toucher of every slot, and it holds one
+        // slot's buffer at a time.
+        let partial = |t: usize| {
+            let scratch = unsafe { self.scratch.get(t) };
+            let buf = &mut scratch.red_bufs[k];
+            buf.clean = Some(identity.to_bits());
+            &mut buf.data
+        };
+        let participated = |t: &usize| unsafe { self.scratch.get(*t) }.participated;
+        let mut participants = (0..self.threads).filter(participated);
+        if let (Some(t), 0) = (participants.next(), participants.count()) {
+            for (d, p) in dst.iter_mut().zip(partial(t).iter_mut()) {
+                *d = op(*d, op(identity, *p));
+                *p = identity;
+            }
+            return;
+        }
+        let mut acc = [0.0f64; MERGE_BLOCK];
+        for (b, out) in dst.chunks_mut(MERGE_BLOCK).enumerate() {
+            let acc = &mut acc[..out.len()];
+            acc.fill(identity);
+            for t in (0..self.threads).filter(participated) {
+                let part = &mut partial(t)[b * MERGE_BLOCK..][..out.len()];
+                for (a, p) in acc.iter_mut().zip(part) {
+                    *a = op(*a, *p);
+                    *p = identity;
                 }
             }
-            match op {
-                RedOp::Add => merge_array(dst, parts, id, |a, b| a + b),
-                RedOp::Mul => merge_array(dst, parts, id, |a, b| a * b),
-                RedOp::Min => merge_array(dst, parts, id, real_min),
-                RedOp::Max => merge_array(dst, parts, id, real_max),
+            for (d, a) in out.iter_mut().zip(acc.iter()) {
+                *d = op(*d, *a);
             }
         }
-        Ok(())
-    }
-
-    /// Chunk body of the bytecode backend: interpret the region's code
-    /// once per iteration over the worker's view table — the shared
-    /// arrays, then the thread's privatized reduction buffers.
-    fn chunk_bytecode(
-        &self,
-        bc: &BcProgram,
-        reg: &BcRegion,
-        shared: &[RawView],
-        c: &Chunk,
-        scratch: &mut Scratch,
-    ) -> Result<(), ExecError> {
-        scratch.views.clear();
-        scratch.views.extend_from_slice(shared);
-        let red_bufs = &mut scratch.red_bufs[..reg.red_arrays.len()];
-        scratch
-            .views
-            .extend(red_bufs.iter_mut().map(|b| RawView::of(&mut b.data)));
-        for v in c.sched.values(c.ranks.clone()) {
-            scratch.ints[reg.var as usize] = v;
-            let exit = exec_code(
-                bc,
-                &reg.code,
-                0,
-                &mut scratch.reals,
-                &mut scratch.ints,
-                &scratch.views,
-                &self.tapes,
-                c.thread,
-            )?;
-            if let Exit::Par { .. } = exit {
-                unreachable!("nested regions rejected at compile");
-            }
-        }
-        Ok(())
-    }
-
-    /// Chunk body of the AOT backend: one call into the region's compiled
-    /// entry point, which walks the chunk itself.
-    fn chunk_aot(
-        &self,
-        bc: &BcProgram,
-        reg: &BcRegion,
-        f: crate::aot::RegionFn,
-        bases: &Bases,
-        c: &Chunk,
-        scratch: &mut Scratch,
-    ) -> Result<(), ExecError> {
-        use crate::aot::abi::{AotEnv, AotTape, FORMAD_AOT_ABI};
-
-        let red_bufs = &mut scratch.red_bufs[..reg.red_arrays.len()];
-        scratch.red_ptrs.0.clear();
-        scratch
-            .red_ptrs
-            .0
-            .extend(red_bufs.iter_mut().map(|buf| buf.data.as_mut_ptr()));
-        // Sound: only logical thread `c.thread` touches its tape now.
-        let tapes = unsafe { self.tapes.get(c.thread) };
-        let mut env = AotEnv {
-            abi: FORMAD_AOT_ABI,
-            lo: c.sched.lo,
-            step: c.sched.step,
-            count: c.sched.count,
-            a_begin: c.ranks.start,
-            a_end: c.ranks.end,
-            reals: scratch.reals.as_mut_ptr(),
-            ints: scratch.ints.as_mut_ptr(),
-            arrays: bases.0.as_ptr(),
-            red_bufs: scratch.red_ptrs.0.as_ptr(),
-            tape_r: AotTape {
-                ptr: tapes.r.as_mut_ptr() as *mut u8,
-                len: tapes.r.len(),
-                cap: tapes.r.capacity(),
-                host: (&mut tapes.r) as *mut Vec<f64> as *mut core::ffi::c_void,
-            },
-            tape_i: AotTape {
-                ptr: tapes.i.as_mut_ptr() as *mut u8,
-                len: tapes.i.len(),
-                cap: tapes.i.capacity(),
-                host: (&mut tapes.i) as *mut Vec<i64> as *mut core::ffi::c_void,
-            },
-            grow_r: crate::aot::grow_tape_r,
-            grow_i: crate::aot::grow_tape_i,
-            err_value: 0,
-            err_arr: 0,
-            err_dim: 0,
-        };
-        let rc = unsafe { f(&mut env) };
-        // Adopt whatever the region pushed/popped; the generated
-        // epilogue synced `len` on success *and* error exits.
-        unsafe {
-            tapes.r.set_len(env.tape_r.len);
-            tapes.i.set_len(env.tape_i.len);
-        }
-        if rc != 0 {
-            return Err(decode_aot_error(bc, &env, rc));
-        }
-        Ok(())
     }
 }
 
@@ -765,47 +638,97 @@ impl NativeEngine {
 /// the stack.
 const MERGE_BLOCK: usize = 256;
 
-/// Fold the partials `parts` (participating threads ascending) onto the
-/// shared array `dst`: per element `dst ⊕ ((identity ⊕ p0) ⊕ p1 …)` — the
-/// interpreter's association bit for bit, `-0.0` and NaNs included —
-/// writing the identity back into each partial as it is read. One pass
-/// per block, and one over the whole array when there is one partial;
-/// `op` is the reduction's operator, chosen once per array instead of
-/// once per element.
-fn merge_array(dst: RawView, parts: &[RawView], identity: f64, op: impl Fn(f64, f64) -> f64) {
-    // SAFETY, for every slice below: the partials and `dst` are distinct
-    // real arrays no region is running on, each sliced once at a time.
-    let out = unsafe { dst.as_reals_mut() };
-    if let [part] = parts {
-        for (d, p) in out.iter_mut().zip(unsafe { part.as_reals_mut() }) {
-            *d = op(*d, op(identity, *p));
-            *p = identity;
-        }
-        return;
-    }
-    let mut acc = [0.0f64; MERGE_BLOCK];
-    for (b, out) in out.chunks_mut(MERGE_BLOCK).enumerate() {
-        let acc = &mut acc[..out.len()];
-        acc.fill(identity);
-        for part in parts {
-            let part = unsafe { &mut part.as_reals_mut()[b * MERGE_BLOCK..][..out.len()] };
-            for (a, p) in acc.iter_mut().zip(part) {
-                *a = op(*a, *p);
-                *p = identity;
-            }
-        }
-        for (d, a) in out.iter_mut().zip(acc.iter()) {
-            *d = op(*d, *a);
-        }
+/// The engine's region runner for one run on one kernel.
+struct Dispatch<'e> {
+    engine: &'e NativeEngine,
+    bc: &'e BcProgram,
+    kernel: &'e AotKernel,
+}
+
+impl RegionRunner for Dispatch<'_> {
+    fn run_region(
+        &self,
+        region: &RegionPlan,
+        sched: Schedule,
+        st: &mut State<'_>,
+    ) -> Result<(), ExecError> {
+        let f = self.kernel.region(region.k).ok_or_else(|| {
+            ExecError::new(format!(
+                "AOT kernel has no entry point for region {}",
+                region.k
+            ))
+        })?;
+        self.engine.run_region(self.bc, region, f, sched, st)
     }
 }
 
+/// One logical thread's chunk: one call into the region's compiled entry
+/// point, which walks the chunk itself.
+fn chunk_aot(
+    bc: &BcProgram,
+    reg: &RegionPlan,
+    f: RegionFn,
+    bases: &Bases,
+    c: &Chunk,
+    scratch: &mut Scratch,
+    tapes: &mut Tapes,
+) -> Result<(), ExecError> {
+    use crate::aot::abi::{AotEnv, AotTape, FORMAD_AOT_ABI};
+
+    let red_bufs = &mut scratch.red_bufs[..reg.red_arrays.len()];
+    scratch.red_ptrs.0.clear();
+    scratch
+        .red_ptrs
+        .0
+        .extend(red_bufs.iter_mut().map(|buf| buf.data.as_mut_ptr()));
+    let mut env = AotEnv {
+        abi: FORMAD_AOT_ABI,
+        lo: c.sched.lo,
+        step: c.sched.step,
+        count: c.sched.count,
+        a_begin: c.ranks.start,
+        a_end: c.ranks.end,
+        reals: scratch.reals.as_mut_ptr(),
+        ints: scratch.ints.as_mut_ptr(),
+        arrays: bases.0.as_ptr(),
+        red_bufs: scratch.red_ptrs.0.as_ptr(),
+        tape_r: AotTape {
+            ptr: tapes.r.as_mut_ptr() as *mut u8,
+            len: tapes.r.len(),
+            cap: tapes.r.capacity(),
+            host: (&mut tapes.r) as *mut Vec<f64> as *mut core::ffi::c_void,
+        },
+        tape_i: AotTape {
+            ptr: tapes.i.as_mut_ptr() as *mut u8,
+            len: tapes.i.len(),
+            cap: tapes.i.capacity(),
+            host: (&mut tapes.i) as *mut Vec<i64> as *mut core::ffi::c_void,
+        },
+        grow_r: crate::aot::grow_tape_r,
+        grow_i: crate::aot::grow_tape_i,
+        err_value: 0,
+        err_arr: 0,
+        err_dim: 0,
+    };
+    let rc = unsafe { f(&mut env) };
+    // Adopt whatever the region pushed/popped; the generated epilogue
+    // synced `len` on success *and* error exits.
+    unsafe {
+        tapes.r.set_len(env.tape_r.len);
+        tapes.i.set_len(env.tape_i.len);
+    }
+    if rc != 0 {
+        return Err(decode_aot_error(&bc.arrays, &env, rc));
+    }
+    Ok(())
+}
+
 /// Re-render an AOT region error code as the exact interpreter message.
-fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> ExecError {
+fn decode_aot_error(arrays: &[ArrMeta], env: &crate::aot::abi::AotEnv, rc: i32) -> ExecError {
     use crate::aot::abi as a;
     match rc {
         a::AOT_ERR_OOB => {
-            let meta = &bc.arrays[env.err_arr as usize];
+            let meta = &arrays[env.err_arr as usize];
             let dim = env.err_dim as usize;
             oob(env.err_value, meta.dims[dim], dim + 1, &meta.name)
         }
@@ -826,165 +749,6 @@ fn decode_aot_error(bc: &BcProgram, env: &crate::aot::abi::AotEnv, rc: i32) -> E
             env.step
         )),
         other => ExecError::new(format!("AOT region returned unknown error code {other}")),
-    }
-}
-
-/// The storage a run uses for one array, whose binding [`bind_entry`]
-/// has checked. A parameter runs in the vector bound to it, where that
-/// sits in the caller's bindings; a local gets the next engine-owned
-/// buffer, zero-filled — or filled with a copy of what is bound under
-/// the local's name, which stays as it was.
-fn array_view<T: Copy + Default>(
-    bound: Option<&mut Vec<T>>,
-    meta: &ArrMeta,
-    locals: &mut Locals<T>,
-) -> RawView {
-    match bound {
-        Some(v) if meta.param => RawView::of(v),
-        initial => {
-            let buf = locals.next();
-            buf.clear();
-            match initial {
-                Some(v) => buf.extend_from_slice(v),
-                None => buf.resize(meta.len, T::default()),
-            }
-            RawView::of(buf)
-        }
-    }
-}
-
-// ---- the instruction loop ----
-
-/// Execute `code` from `pc` until `Halt` or `EnterPar`. Used for both
-/// the main program (thread 0's tape, the shared views) and region bodies
-/// (the worker's tape and view table).
-#[allow(clippy::too_many_arguments)]
-fn exec_code(
-    bc: &BcProgram,
-    code: &[Instr],
-    mut pc: usize,
-    reals: &mut [f64],
-    ints: &mut [i64],
-    views: &[RawView],
-    tapes: &PerThread<Tapes>,
-    tape_id: usize,
-) -> Result<Exit, ExecError> {
-    macro_rules! rr {
-        ($r:expr) => {
-            reals[$r as usize]
-        };
-    }
-    macro_rules! ii {
-        ($r:expr) => {
-            ints[$r as usize]
-        };
-    }
-    loop {
-        let instr = code[pc];
-        pc += 1;
-        match instr {
-            Instr::ConstR { dst, v } => rr!(dst) = v,
-            Instr::ConstI { dst, v } => ii!(dst) = v,
-            Instr::MovR { dst, src } => rr!(dst) = rr!(src),
-            Instr::MovI { dst, src } => ii!(dst) = ii!(src),
-            Instr::ItoR { dst, src } => rr!(dst) = ii!(src) as f64,
-            Instr::BinR { op, dst, a, b } => rr!(dst) = real_bin(op, rr!(a), rr!(b))?,
-            Instr::BinI { op, dst, a, b } => ii!(dst) = int_bin(op, ii!(a), ii!(b))?,
-            Instr::NegR { dst, a } => rr!(dst) = -rr!(a),
-            Instr::NegI { dst, a } => ii!(dst) = ii!(a).wrapping_neg(),
-            Instr::Call1R { f, dst, a } => rr!(dst) = real_call(f, rr!(a), 0.0),
-            Instr::Call2R { f, dst, a, b } => rr!(dst) = real_call(f, rr!(a), rr!(b)),
-            Instr::Call1I { f, dst, a } => ii!(dst) = int_call(f, ii!(a), 0)?,
-            Instr::Call2I { f, dst, a, b } => ii!(dst) = int_call(f, ii!(a), ii!(b))?,
-            Instr::CmpR { op, dst, a, b } => ii!(dst) = compare(op, rr!(a), rr!(b)) as i64,
-            Instr::CmpI { op, dst, a, b } => ii!(dst) = compare(op, ii!(a), ii!(b)) as i64,
-            Instr::IdxFirst { dst, idx, arr } => {
-                let meta = &bc.arrays[arr as usize];
-                let v = ii!(idx);
-                let d = meta.dims[0];
-                if v < 1 || v > d {
-                    return Err(oob(v, d, 1, &meta.name));
-                }
-                ii!(dst) = v - 1;
-            }
-            Instr::IdxAcc { acc, idx, arr, dim } => {
-                let meta = &bc.arrays[arr as usize];
-                let v = ii!(idx);
-                let d = meta.dims[dim as usize];
-                if v < 1 || v > d {
-                    return Err(oob(v, d, dim as usize + 1, &meta.name));
-                }
-                ii!(acc) += (v - 1) * meta.strides[dim as usize];
-            }
-            Instr::LoadR { dst, arr, off } => {
-                rr!(dst) = views[arr as usize].load_r(ii!(off) as usize)
-            }
-            Instr::LoadI { dst, arr, off } => {
-                ii!(dst) = views[arr as usize].load_i(ii!(off) as usize)
-            }
-            Instr::StoreR { arr, off, src } => {
-                views[arr as usize].store_r(ii!(off) as usize, rr!(src))
-            }
-            Instr::StoreI { arr, off, src } => {
-                views[arr as usize].store_i(ii!(off) as usize, ii!(src))
-            }
-            Instr::AtomicAddR { arr, off, src } => {
-                views[arr as usize].fetch_add_r(ii!(off) as usize, rr!(src))
-            }
-            Instr::IncR { arr, off, src } => {
-                let off = ii!(off) as usize;
-                let view = &views[arr as usize];
-                view.store_r(off, view.load_r(off) + rr!(src));
-            }
-            Instr::PushR { src } => {
-                let v = rr!(src);
-                // Sound: tape `tape_id` is exclusively this thread's.
-                unsafe { tapes.get(tape_id) }.r.push(v);
-            }
-            Instr::PushI { src } => {
-                let v = ii!(src);
-                unsafe { tapes.get(tape_id) }.i.push(v);
-            }
-            Instr::PopR { dst } => {
-                rr!(dst) = unsafe { tapes.get(tape_id) }
-                    .r
-                    .pop()
-                    .ok_or_else(|| ExecError::new("pop from empty real tape"))?;
-            }
-            Instr::PopI { dst } => {
-                ii!(dst) = unsafe { tapes.get(tape_id) }
-                    .i
-                    .pop()
-                    .ok_or_else(|| ExecError::new("pop from empty int tape"))?;
-            }
-            Instr::PopElemR { arr, off } => {
-                let off = ii!(off) as usize;
-                let v = unsafe { tapes.get(tape_id) }
-                    .r
-                    .pop()
-                    .ok_or_else(|| ExecError::new("pop from empty real tape"))?;
-                views[arr as usize].store_r(off, v);
-            }
-            Instr::PopElemI { arr, off } => {
-                let off = ii!(off) as usize;
-                let v = unsafe { tapes.get(tape_id) }
-                    .i
-                    .pop()
-                    .ok_or_else(|| ExecError::new("pop from empty int tape"))?;
-                views[arr as usize].store_i(off, v);
-            }
-            Instr::Jmp { target } => pc = target as usize,
-            Instr::JmpIfZero { cond, target } => {
-                if ii!(cond) == 0 {
-                    pc = target as usize;
-                }
-            }
-            Instr::TripCount { dst, lo, hi, step } => {
-                ii!(dst) = trip_count(ii!(lo), ii!(hi), ii!(step))?
-            }
-            Instr::EnterPar { region } => return Ok(Exit::Par { region, resume: pc }),
-            Instr::Halt => return Ok(Exit::Done),
-        }
     }
 }
 

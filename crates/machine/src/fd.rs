@@ -68,9 +68,9 @@ pub fn dot_product_test(
 }
 
 /// [`dot_product_test`] with a caller-supplied runner, so adjoints can be
-/// validated under *any* execution backend (e.g. the native bytecode
-/// executor via [`crate::exec::run_native`]) — the runner executes a
-/// program against bindings, writing parameter results back.
+/// validated under *any* execution backend (e.g. an AOT kernel via
+/// [`crate::aot::run_aot`]) — the runner executes a program against
+/// bindings, writing parameter results back.
 #[allow(clippy::too_many_arguments)]
 pub fn dot_product_test_with<R>(
     primal: &Program,

@@ -12,13 +12,16 @@
 //! and are counted; `reduction` clauses really privatize
 //! (identity-initialized copies, merged after the region in ascending
 //! thread order). The interpreter measures no time: every time figure
-//! comes from the native backends.
+//! comes from the AOT kernels.
 //!
-//! [`run`] does not walk the lowered tree. It first builds, once per
-//! call, one closure for each statement, expression and condition of the
+//! [`run`] does not walk the lowered tree. It first builds ([`build`])
+//! one closure for each statement, expression and condition of the
 //! [`LProgram`], specialised to its kind, with its slots, its array's
 //! extents, strides and name, and its operator resolved, and then calls
-//! the closure of the body. The built form keeps four rules:
+//! the closure of the body. The closures own what they capture, so the
+//! native engine ([`crate::exec`]) builds them once per program and runs
+//! its host code — everything outside the parallel regions its kernel
+//! compiled — on them, run after run. The built form keeps four rules:
 //!
 //! - **Evaluation order.** Each closure evaluates its parts in the
 //!   order the lowered tree lists them: a store's subscripts before its
@@ -35,7 +38,7 @@
 //!   closure that uses it: accesses and operations are built once per
 //!   address shape (`by_shape!`) and operand kind (`by_kind!`). The
 //!   fused increment `a(i…) = a(i…) + e` computes its offset once, as
-//!   the native backends do.
+//!   the kernels do.
 //! - **Counters.** The events a statement causes whenever it runs (its
 //!   reads, writes, flops, indirect accesses, tape and atomic operations,
 //!   the region it enters) are summed when it is built, those of a fused
@@ -44,17 +47,21 @@
 //!   right operand of `.and.` / `.or.` adds its own when it is evaluated.
 //!   A failed run returns no counters, so a run that succeeds counts
 //!   exactly the events it executed.
-//! - **Regions.** Private save and restore, identity-initialized
-//!   reduction copies, the ascending merge and the per-thread tapes are
-//!   the region's own run, unchanged by the build.
+//! - **Regions.** A region's closure evaluates its bounds and its
+//!   schedule, then hands the region to the state's [`RegionRunner`]
+//!   when it has one (the native engine's kernel dispatch) and runs it
+//!   itself otherwise: private save and restore, identity-initialized
+//!   reduction copies, the ascending merge and the per-thread tapes.
 
-use formad_ir::{BinOp, Program, Ty};
+use std::sync::Arc;
+
+use formad_ir::{BinOp, Program, RedOp, Ty};
 
 use crate::bindings::{Bindings, ExecError};
 use crate::lower::{
     bind_entry, combine, compare, fused_increment, identity, int_bin, int_call, lower, oob,
-    real_bin, real_call, trip_count, write_back_scalars, ArrId, LBool, LExpr, LFor, LProgram,
-    LRegion, LStmt, Schedule, Slot,
+    real_bin, real_call, trip_count, write_back_scalars, ArrId, ArrMeta, LBool, LExpr, LFor,
+    LProgram, LStmt, ScalarMeta, Schedule, Slot,
 };
 
 /// Cumulative event counters of one execution.
@@ -160,104 +167,204 @@ pub fn run(
     machine: &Machine,
 ) -> Result<ExecResult, ExecError> {
     let lp = lower(prog, bind)?;
-    let mut st = State::new(&lp, machine.threads.max(1), bind)?;
-    let built = Builder {
-        lp: &lp,
-        threads: machine.threads,
-    };
-    let ran = built.block(&lp.body).once(&mut st);
-    st.give_back_arrays(&lp, bind);
+    let layout = Layout::of(&lp);
+    let mut st = State::default();
+    st.enter(&layout, machine.threads, bind)?;
+    let ran = build(&lp).once(&mut st);
+    st.leave(&layout, bind);
     ran.map_err(|e| *e)?;
     write_back_scalars(&lp.scalars, bind, &st.reals, &st.ints);
     Ok(ExecResult { stats: st.stats })
 }
 
-/// The mutable state of one run.
-struct State {
-    reals: Vec<f64>,
-    ints: Vec<i64>,
-    arr_r: Vec<Vec<f64>>,
-    arr_i: Vec<Vec<i64>>,
-    tapes_r: Vec<Vec<f64>>,
-    tapes_i: Vec<Vec<i64>>,
-    cur_tape: usize,
-    stats: ExecStats,
+/// What a run binds: the scalar files' sizes, every scalar and every
+/// array.
+pub(crate) struct Layout<'a> {
+    pub(crate) n_real: usize,
+    pub(crate) n_int: usize,
+    pub(crate) scalars: &'a [ScalarMeta],
+    pub(crate) arrays: &'a [ArrMeta],
 }
 
-impl State {
-    /// The entry state. A parameter array moves out of `bind`, leaving
-    /// an empty vector under its name until [`State::give_back_arrays`];
-    /// a local gets a copy of its bound initial value, or zeros.
-    fn new(lp: &LProgram, threads: usize, bind: &mut Bindings) -> Result<State, ExecError> {
-        let mut reals = vec![0.0; lp.n_real_scalars];
-        let mut ints = vec![0i64; lp.n_int_scalars];
-        bind_entry(&lp.scalars, &lp.arrays, bind, &mut reals, &mut ints)?;
-        fn entry<T: Clone + Default>(
-            bound: Option<&mut Vec<T>>,
-            param: bool,
-            len: usize,
-        ) -> Vec<T> {
+impl Layout<'_> {
+    pub(crate) fn of(lp: &LProgram) -> Layout<'_> {
+        Layout {
+            n_real: lp.n_real_scalars,
+            n_int: lp.n_int_scalars,
+            scalars: &lp.scalars,
+            arrays: &lp.arrays,
+        }
+    }
+}
+
+/// One logical thread's value tapes. A tape persists across regions,
+/// which is what lets a reversed parallel loop pop values its forward
+/// twin pushed; code outside the regions uses thread 0's.
+#[derive(Default)]
+pub(crate) struct Tapes {
+    pub(crate) r: Vec<f64>,
+    pub(crate) i: Vec<i64>,
+}
+
+/// Base pointers of a run's arrays, by [`ArrId`], as AOT regions take
+/// them.
+#[derive(Default)]
+pub(crate) struct Bases(pub(crate) Vec<*mut u64>);
+
+// SAFETY: the pointers address the arrays of the `State` that holds them
+// and are rewritten before every region that reads them.
+unsafe impl Send for Bases {}
+unsafe impl Sync for Bases {}
+
+/// Runs the parallel regions of a state whose host code the built
+/// closures run: the native engine's kernel dispatch.
+pub(crate) trait RegionRunner: Sync {
+    /// Run `region`, whose bounds gave `sched` (at least one iteration),
+    /// on the scalars and arrays of `st`.
+    fn run_region(
+        &self,
+        region: &RegionPlan,
+        sched: Schedule,
+        st: &mut State<'_>,
+    ) -> Result<(), ExecError>;
+}
+
+/// The mutable state of one run. Its buffers outlive the run: the
+/// native engine keeps one state and re-enters it, so a warm run
+/// allocates nothing.
+#[derive(Default)]
+pub(crate) struct State<'r> {
+    pub(crate) reals: Vec<f64>,
+    pub(crate) ints: Vec<i64>,
+    /// Arrays by [`ArrId`], in the file of their type; the slot in the
+    /// other file is unused.
+    pub(crate) arr_r: Vec<Vec<f64>>,
+    pub(crate) arr_i: Vec<Vec<i64>>,
+    /// One per logical thread, at least.
+    pub(crate) tapes: Vec<Tapes>,
+    pub(crate) bases: Bases,
+    cur_tape: usize,
+    /// The logical threads regions are scheduled on.
+    pub(crate) threads: usize,
+    stats: ExecStats,
+    /// Where regions run; the interpreter's own region path when `None`.
+    pub(crate) native: Option<&'r dyn RegionRunner>,
+}
+
+impl State<'_> {
+    /// Enter a run of `layout` on `threads` logical threads. Every
+    /// scalar slot takes its bound value or zero; a parameter array's
+    /// vector is swapped out of `bind` with the buffer this state held
+    /// in its slot, until [`State::leave`]; a local fills its slot's
+    /// buffer with a copy of its bound initial value, or zeros.
+    pub(crate) fn enter(
+        &mut self,
+        layout: &Layout<'_>,
+        threads: usize,
+        bind: &mut Bindings,
+    ) -> Result<(), ExecError> {
+        self.reals.clear();
+        self.reals.resize(layout.n_real, 0.0);
+        self.ints.clear();
+        self.ints.resize(layout.n_int, 0);
+        bind_entry(
+            layout.scalars,
+            layout.arrays,
+            bind,
+            &mut self.reals,
+            &mut self.ints,
+        )?;
+        fn entry<T: Copy + Default>(slot: &mut Vec<T>, bound: Option<&mut Vec<T>>, meta: &ArrMeta) {
             match bound {
-                Some(v) if param => std::mem::take(v),
-                Some(v) => v.clone(),
-                None => vec![T::default(); len],
+                Some(v) if meta.param => std::mem::swap(slot, v),
+                Some(v) => {
+                    slot.clear();
+                    slot.extend_from_slice(v);
+                }
+                None => {
+                    slot.clear();
+                    slot.resize(meta.len, T::default());
+                }
             }
         }
-        let mut arr_r: Vec<Vec<f64>> = Vec::with_capacity(lp.arrays.len());
-        let mut arr_i: Vec<Vec<i64>> = Vec::with_capacity(lp.arrays.len());
-        for meta in &lp.arrays {
+        let n = layout.arrays.len();
+        if self.arr_r.len() < n {
+            self.arr_r.resize_with(n, Vec::new);
+            self.arr_i.resize_with(n, Vec::new);
+        }
+        for (id, meta) in layout.arrays.iter().enumerate() {
             match meta.ty {
-                Ty::Real => {
-                    let bound = bind.real_arrays.get_mut(&meta.name);
-                    arr_r.push(entry(bound, meta.param, meta.len));
-                    arr_i.push(Vec::new());
-                }
-                Ty::Int => {
-                    let bound = bind.int_arrays.get_mut(&meta.name);
-                    arr_i.push(entry(bound, meta.param, meta.len));
-                    arr_r.push(Vec::new());
-                }
+                Ty::Real => entry(
+                    &mut self.arr_r[id],
+                    bind.real_arrays.get_mut(&meta.name),
+                    meta,
+                ),
+                Ty::Int => entry(
+                    &mut self.arr_i[id],
+                    bind.int_arrays.get_mut(&meta.name),
+                    meta,
+                ),
             }
         }
-        Ok(State {
-            reals,
-            ints,
-            arr_r,
-            arr_i,
-            tapes_r: vec![Vec::new(); threads],
-            tapes_i: vec![Vec::new(); threads],
-            cur_tape: 0,
-            stats: ExecStats::default(),
-        })
+        let threads = threads.max(1);
+        if self.tapes.len() < threads {
+            self.tapes.resize_with(threads, Tapes::default);
+        }
+        for t in &mut self.tapes {
+            t.r.clear();
+            t.i.clear();
+        }
+        self.cur_tape = 0;
+        self.threads = threads;
+        self.stats = ExecStats::default();
+        Ok(())
     }
 
-    /// Move every parameter array back under its name in `bind`.
-    fn give_back_arrays(&mut self, lp: &LProgram, bind: &mut Bindings) {
+    /// Swap every parameter array back under its name in `bind`.
+    pub(crate) fn leave(&mut self, layout: &Layout<'_>, bind: &mut Bindings) {
         const BOUND: &str = "parameter arrays were found bound at entry";
-        for (id, meta) in lp.arrays.iter().enumerate().filter(|(_, m)| m.param) {
+        for (id, meta) in layout.arrays.iter().enumerate().filter(|(_, m)| m.param) {
             match meta.ty {
                 Ty::Real => {
                     let slot = bind.real_arrays.get_mut(&meta.name).expect(BOUND);
-                    *slot = std::mem::take(&mut self.arr_r[id]);
+                    std::mem::swap(slot, &mut self.arr_r[id]);
                 }
                 Ty::Int => {
                     let slot = bind.int_arrays.get_mut(&meta.name).expect(BOUND);
-                    *slot = std::mem::take(&mut self.arr_i[id]);
+                    std::mem::swap(slot, &mut self.arr_i[id]);
                 }
             }
+        }
+    }
+
+    /// The same buffers, with no region runner.
+    pub(crate) fn park(self) -> State<'static> {
+        State {
+            reals: self.reals,
+            ints: self.ints,
+            arr_r: self.arr_r,
+            arr_i: self.arr_i,
+            tapes: self.tapes,
+            bases: self.bases,
+            cur_tape: 0,
+            threads: self.threads,
+            stats: ExecStats::default(),
+            native: None,
         }
     }
 
     /// Pop the current thread's real tape.
     fn pop_r(&mut self) -> Result<f64, Fault> {
-        self.tapes_r[self.cur_tape]
+        self.tapes[self.cur_tape]
+            .r
             .pop()
             .ok_or_else(|| ExecError::new("pop from empty real tape").into())
     }
 
     /// Pop the current thread's integer tape.
     fn pop_i(&mut self) -> Result<i64, Fault> {
-        self.tapes_i[self.cur_tape]
+        self.tapes[self.cur_tape]
+            .i
             .pop()
             .ok_or_else(|| ExecError::new("pop from empty int tape").into())
     }
@@ -265,42 +372,42 @@ impl State {
 
 /// The error of a built closure, boxed so that a closure's result fits
 /// in two registers.
-type Fault = Box<ExecError>;
+pub(crate) type Fault = Box<ExecError>;
 
 /// A built statement, expression or condition.
-type Eval<'a, T> = Box<dyn Fn(&mut State) -> Result<T, Fault> + 'a>;
+type Eval<T> = Box<dyn Fn(&mut State<'_>) -> Result<T, Fault> + Send + Sync>;
 
 /// A built statement list and the events its statements cause whenever
 /// they run; the events of nested blocks are theirs.
-struct Block<'a> {
-    stmts: Vec<Eval<'a, ()>>,
+pub(crate) struct Block {
+    stmts: Vec<Eval<()>>,
     events: ExecStats,
 }
 
-impl Block<'_> {
+impl Block {
     /// Run the statements once, counting their events.
-    fn once(&self, st: &mut State) -> Result<(), Fault> {
+    pub(crate) fn once(&self, st: &mut State<'_>) -> Result<(), Fault> {
         st.stats.add_times(&self.events, 1);
         self.exec(st)
     }
 
     /// Run the statements; the caller counts their events.
-    fn exec(&self, st: &mut State) -> Result<(), Fault> {
+    fn exec(&self, st: &mut State<'_>) -> Result<(), Fault> {
         self.stmts.iter().try_for_each(|s| s(st))
     }
 }
 
 /// A built integer operand: a slot plus a constant (`v`, `v + c`,
 /// `v - c`, `c + v`), a constant, or a closure.
-enum Int<'a> {
+enum Int {
     Var(usize, i64),
     Const(i64),
-    Expr(Eval<'a, i64>),
+    Expr(Eval<i64>),
 }
 
-impl Int<'_> {
+impl Int {
     #[inline]
-    fn at(&self, st: &mut State) -> Result<i64, Fault> {
+    fn at(&self, st: &mut State<'_>) -> Result<i64, Fault> {
         match self {
             // `+` on integers wraps, and so does the fused form.
             Int::Var(s, c) => Ok(st.ints[*s].wrapping_add(*c)),
@@ -314,30 +421,30 @@ impl Int<'_> {
 /// checked against its extent before the next is evaluated.
 trait Address {
     fn id(&self) -> usize;
-    fn offset(&self, st: &mut State) -> Result<usize, Fault>;
+    fn offset(&self, st: &mut State<'_>) -> Result<usize, Fault>;
 }
 
 /// An element of an `N`-dimensional array whose every subscript is a
 /// slot plus a constant, with its extent and stride: `a(v + c)` is one
 /// slot read, a wrapping add and the bounds check.
-struct VarPlace<'a, const N: usize> {
+struct VarPlace<const N: usize> {
     id: usize,
     vars: [(usize, i64, i64, i64); N],
-    name: &'a str,
+    name: Arc<str>,
 }
 
-impl<const N: usize> Address for VarPlace<'_, N> {
+impl<const N: usize> Address for VarPlace<N> {
     fn id(&self) -> usize {
         self.id
     }
 
     #[inline]
-    fn offset(&self, st: &mut State) -> Result<usize, Fault> {
+    fn offset(&self, st: &mut State<'_>) -> Result<usize, Fault> {
         let mut off = 0;
         for (k, &(slot, c, d, stride)) in self.vars.iter().enumerate() {
             let v = st.ints[slot].wrapping_add(c);
             if v < 1 || v > d {
-                return Err(oob(v, d, k + 1, self.name).into());
+                return Err(oob(v, d, k + 1, &self.name).into());
             }
             off += (v - 1) * stride;
         }
@@ -347,21 +454,21 @@ impl<const N: usize> Address for VarPlace<'_, N> {
 
 /// Any other element address: each subscript with its dimension's
 /// extent and stride.
-struct SubsPlace<'a> {
+struct SubsPlace {
     id: usize,
-    subs: Vec<(Int<'a>, i64, i64)>,
-    name: &'a str,
+    subs: Vec<(Int, i64, i64)>,
+    name: Arc<str>,
 }
 
-impl Address for SubsPlace<'_> {
+impl Address for SubsPlace {
     fn id(&self) -> usize {
         self.id
     }
 
     #[inline]
-    fn offset(&self, st: &mut State) -> Result<usize, Fault> {
+    fn offset(&self, st: &mut State<'_>) -> Result<usize, Fault> {
         let check = |v: i64, d: i64, k: usize| match v < 1 || v > d {
-            true => Err(Fault::from(oob(v, d, k, self.name))),
+            true => Err(Fault::from(oob(v, d, k, &self.name))),
             false => Ok(v - 1),
         };
         if let [(i, d, _), (j, e, stride)] = &self.subs[..] {
@@ -377,10 +484,10 @@ impl Address for SubsPlace<'_> {
 }
 
 /// A built element address, by shape.
-enum Place<'a> {
-    Var(VarPlace<'a, 1>),
-    Var2(VarPlace<'a, 2>),
-    Subs(SubsPlace<'a>),
+enum Place {
+    Var(VarPlace<1>),
+    Var2(VarPlace<2>),
+    Subs(SubsPlace),
 }
 
 /// `$body`, a closure over the [`Address`] `$p`, built once for each
@@ -397,11 +504,11 @@ macro_rules! by_shape {
 
 /// A real operand that the closure using it reads in place.
 trait Real {
-    fn get(&self, st: &mut State) -> Result<f64, Fault>;
+    fn get(&self, st: &mut State<'_>) -> Result<f64, Fault>;
 }
 
 impl Real for f64 {
-    fn get(&self, _: &mut State) -> Result<f64, Fault> {
+    fn get(&self, _: &mut State<'_>) -> Result<f64, Fault> {
         Ok(*self)
     }
 }
@@ -410,7 +517,7 @@ impl Real for f64 {
 struct Scalar(usize);
 
 impl Real for Scalar {
-    fn get(&self, st: &mut State) -> Result<f64, Fault> {
+    fn get(&self, st: &mut State<'_>) -> Result<f64, Fault> {
         Ok(st.reals[self.0])
     }
 }
@@ -419,24 +526,24 @@ impl Real for Scalar {
 struct Elem<P>(P);
 
 impl<P: Address> Real for Elem<P> {
-    fn get(&self, st: &mut State) -> Result<f64, Fault> {
+    fn get(&self, st: &mut State<'_>) -> Result<f64, Fault> {
         let o = self.0.offset(st)?;
         Ok(st.arr_r[self.0.id()][o])
     }
 }
 
-impl Real for Eval<'_, f64> {
-    fn get(&self, st: &mut State) -> Result<f64, Fault> {
+impl Real for Eval<f64> {
+    fn get(&self, st: &mut State<'_>) -> Result<f64, Fault> {
         self(st)
     }
 }
 
 /// A built real operand, by kind: a leaf, read in place, or a closure.
-enum Operand<'a> {
+enum Operand {
     Const(f64),
     Scalar(usize),
-    Elem(Place<'a>),
-    Expr(Eval<'a, f64>),
+    Elem(Place),
+    Expr(Eval<f64>),
 }
 
 /// `$body`, a closure over the [`Real`] `$o`, built once for each kind
@@ -465,11 +572,11 @@ macro_rules! by_kind {
 }
 
 /// The closure of `f(x, y)` over two built real operands, `x` first.
-fn pair<'a, T: 'a>(
-    x: Operand<'a>,
-    y: Operand<'a>,
-    f: impl Fn(f64, f64) -> Result<T, Fault> + Copy + 'a,
-) -> Eval<'a, T> {
+fn pair<T: 'static>(
+    x: Operand,
+    y: Operand,
+    f: impl Fn(f64, f64) -> Result<T, Fault> + Copy + Send + Sync + 'static,
+) -> Eval<T> {
     by_kind!(x, |x| by_kind!(y, |y| Box::new(move |st| {
         let a = x.get(st)?;
         f(a, y.get(st)?)
@@ -477,21 +584,21 @@ fn pair<'a, T: 'a>(
 }
 
 /// A built loop: its counter, bounds and body.
-struct Loop<'a> {
+struct Loop {
     var: usize,
-    lo: Int<'a>,
-    hi: Int<'a>,
-    step: Int<'a>,
-    body: Block<'a>,
+    lo: Int,
+    hi: Int,
+    step: Int,
+    body: Block,
 }
 
-impl Loop<'_> {
+impl Loop {
     /// `lo`, `hi` and `step`, in that order.
-    fn bounds(&self, st: &mut State) -> Result<(i64, i64, i64), Fault> {
+    fn bounds(&self, st: &mut State<'_>) -> Result<(i64, i64, i64), Fault> {
         Ok((self.lo.at(st)?, self.hi.at(st)?, self.step.at(st)?))
     }
 
-    fn run_sequential(&self, st: &mut State) -> Result<(), Fault> {
+    fn run_sequential(&self, st: &mut State<'_>) -> Result<(), Fault> {
         let (lo, hi, step) = self.bounds(st)?;
         let n = trip_count(lo, hi, step)?;
         st.stats.add_times(&self.body.events, n as u64);
@@ -505,23 +612,47 @@ impl Loop<'_> {
     }
 }
 
+/// What a built region keeps of its [`crate::lower::LRegion`]: its
+/// number and its data-sharing clauses.
+pub(crate) struct RegionPlan {
+    /// The region's [`crate::lower::RegionId`].
+    pub(crate) k: usize,
+    private_r: Vec<Slot>,
+    private_i: Vec<Slot>,
+    /// Scalar reductions `(op, slot, is_real)`.
+    pub(crate) red_scalars: Vec<(RedOp, Slot, bool)>,
+    /// Array reductions (real arrays only).
+    pub(crate) red_arrays: Vec<(RedOp, ArrId)>,
+}
+
+/// Build the closures of `lp`'s body.
+pub(crate) fn build(lp: &LProgram) -> Block {
+    let names = lp
+        .arrays
+        .iter()
+        .map(|m| Arc::from(m.name.as_str()))
+        .collect();
+    Builder { lp, names }.block(&lp.body)
+}
+
 /// Builds the closures of one lowered program. Every builder adds the
 /// events of what it builds to `ev`.
 struct Builder<'a> {
     lp: &'a LProgram,
-    threads: usize,
+    /// Array names by [`ArrId`], shared by the places that report them.
+    names: Vec<Arc<str>>,
 }
 
-impl<'a> Builder<'a> {
-    fn block(&self, body: &'a [LStmt]) -> Block<'a> {
+impl Builder<'_> {
+    fn block(&self, body: &[LStmt]) -> Block {
         let mut events = ExecStats::default();
         let stmts = body.iter().map(|s| self.stmt(s, &mut events)).collect();
         Block { stmts, events }
     }
 
-    fn place(&self, id: ArrId, idx: &'a [LExpr], ev: &mut ExecStats) -> Place<'a> {
+    fn place(&self, id: ArrId, idx: &[LExpr], ev: &mut ExecStats) -> Place {
         let meta = &self.lp.arrays[id as usize];
-        let (id, name) = (id as usize, meta.name.as_str());
+        let (id, name) = (id as usize, Arc::clone(&self.names[id as usize]));
         let subs: Vec<_> = (idx.iter().enumerate())
             .map(|(k, e)| (self.int(e, ev), meta.dims[k], meta.strides[k]))
             .collect();
@@ -546,8 +677,8 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn int(&self, e: &'a LExpr, ev: &mut ExecStats) -> Int<'a> {
-        let f: Eval<'a, i64> = match e {
+    fn int(&self, e: &LExpr, ev: &mut ExecStats) -> Int {
+        let f: Eval<i64> = match e {
             LExpr::ConstI(c) => return Int::Const(*c),
             LExpr::ScalarI(s) => return Int::Var(*s as usize, 0),
             LExpr::Bin(op, a, b) => match (op, &**a, &**b) {
@@ -590,8 +721,8 @@ impl<'a> Builder<'a> {
         Int::Expr(f)
     }
 
-    fn real(&self, e: &'a LExpr, ev: &mut ExecStats) -> Operand<'a> {
-        let f: Eval<'a, f64> = match e {
+    fn real(&self, e: &LExpr, ev: &mut ExecStats) -> Operand {
+        let f: Eval<f64> = match e {
             LExpr::ConstR(v) => return Operand::Const(*v),
             LExpr::ConstI(v) => return Operand::Const(*v as f64),
             LExpr::ScalarR(s) => return Operand::Scalar(*s as usize),
@@ -630,7 +761,7 @@ impl<'a> Builder<'a> {
         Operand::Expr(f)
     }
 
-    fn cond(&self, b: &'a LBool, ev: &mut ExecStats) -> Eval<'a, bool> {
+    fn cond(&self, b: &LBool, ev: &mut ExecStats) -> Eval<bool> {
         match b {
             LBool::Cmp(op, Ty::Int, l, r) => {
                 let (op, l, r) = (*op, self.int(l, ev), self.int(r, ev));
@@ -663,7 +794,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn stmt(&self, s: &'a LStmt, ev: &mut ExecStats) -> Eval<'a, ()> {
+    fn stmt(&self, s: &LStmt, ev: &mut ExecStats) -> Eval<()> {
         match s {
             LStmt::AssignR(slot, rhs) => {
                 let s = *slot as usize;
@@ -730,7 +861,7 @@ impl<'a> Builder<'a> {
                 ev.tape_pushes += 1;
                 by_kind!(self.real(e, ev), |r| Box::new(move |st| {
                     let v = r.get(st)?;
-                    st.tapes_r[st.cur_tape].push(v);
+                    st.tapes[st.cur_tape].r.push(v);
                     Ok(())
                 }))
             }
@@ -739,7 +870,7 @@ impl<'a> Builder<'a> {
                 let e = self.int(e, ev);
                 Box::new(move |st| {
                     let v = e.at(st)?;
-                    st.tapes_i[st.cur_tape].push(v);
+                    st.tapes[st.cur_tape].i.push(v);
                     Ok(())
                 })
             }
@@ -785,14 +916,31 @@ impl<'a> Builder<'a> {
             LStmt::Parallel(k) => {
                 let region = &self.lp.regions[*k as usize];
                 ev.parallel_regions += 1;
-                let (l, t_n) = (self.for_loop(&region.for_loop, ev), self.threads);
-                Box::new(move |st| run_region(st, region, &l, t_n))
+                let l = self.for_loop(&region.for_loop, ev);
+                let plan = RegionPlan {
+                    k: *k as usize,
+                    private_r: region.private_r.clone(),
+                    private_i: region.private_i.clone(),
+                    red_scalars: region.red_scalars.clone(),
+                    red_arrays: region.red_arrays.clone(),
+                };
+                Box::new(move |st| {
+                    let (lo, hi, step) = l.bounds(st)?;
+                    let sched = Schedule::new(lo, hi, step, st.threads)?;
+                    if sched.count == 0 {
+                        return Ok(());
+                    }
+                    match st.native {
+                        Some(native) => Ok(native.run_region(&plan, sched, st)?),
+                        None => run_region(st, &plan, &l, sched),
+                    }
+                })
             }
         }
     }
 
     /// A loop; the events of its bounds are the enclosing statement's.
-    fn for_loop(&self, f: &'a LFor, ev: &mut ExecStats) -> Loop<'a> {
+    fn for_loop(&self, f: &LFor, ev: &mut ExecStats) -> Loop {
         let (lo, hi) = (self.int(&f.lo, ev), self.int(&f.hi, ev));
         Loop {
             var: f.var as usize,
@@ -804,13 +952,15 @@ impl<'a> Builder<'a> {
     }
 }
 
-/// Run one parallel region on `t_n` logical threads; `l` is its loop.
-fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Result<(), Fault> {
-    let (lo, hi, step) = l.bounds(st)?;
-    let sched = Schedule::new(lo, hi, step, t_n)?;
-    if sched.count == 0 {
-        return Ok(());
-    }
+/// Run one parallel region on the state's logical threads, one after
+/// the other; `l` is its loop, whose bounds gave `sched`.
+fn run_region(
+    st: &mut State<'_>,
+    region: &RegionPlan,
+    l: &Loop,
+    sched: Schedule,
+) -> Result<(), Fault> {
+    let t_n = st.threads;
     st.stats.add_times(&l.body.events, sched.count as u64);
 
     // Private scalars and the counter get their entry values back after
@@ -829,7 +979,7 @@ fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Res
         .map(|&s| st.ints[s as usize])
         .collect();
     let saved_counter = st.ints[l.var];
-    let restore = |st: &mut State| {
+    let restore = |st: &mut State<'_>| {
         for (&s, &v) in region.private_r.iter().zip(&saved_r) {
             st.reals[s as usize] = v;
         }
@@ -838,11 +988,11 @@ fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Res
         }
     };
     // Reduced scalars live as reals here, whatever their type.
-    let get = |st: &State, s: Slot, real: bool| match real {
+    let get = |st: &State<'_>, s: Slot, real: bool| match real {
         true => st.reals[s as usize],
         false => st.ints[s as usize] as f64,
     };
-    let set = |st: &mut State, s: Slot, real: bool, v: f64| match real {
+    let set = |st: &mut State<'_>, s: Slot, real: bool, v: f64| match real {
         true => st.reals[s as usize] = v,
         false => st.ints[s as usize] = v as i64,
     };
@@ -885,6 +1035,7 @@ fn run_region(st: &mut State, region: &LRegion, l: &Loop<'_>, t_n: usize) -> Res
                 for (saved, &(_, id)) in red_arr_saved.into_iter().zip(&region.red_arrays) {
                     st.arr_r[id as usize] = saved;
                 }
+                st.cur_tape = prev_tape;
                 return Err(e);
             }
         }

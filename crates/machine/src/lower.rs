@@ -2,12 +2,12 @@
 //! the interpreter runs without any hashing in the hot path — and decide,
 //! once for every backend, what a parallel region is.
 //!
-//! The simulator, the bytecode engine, AOT codegen and the determinism
+//! The interpreter, the native engine, AOT codegen and the determinism
 //! classifier all read these decisions instead of deriving them:
 //!
 //! - **region numbering**: each `!$omp parallel do` becomes an entry of
-//!   [`LProgram::regions`], numbered in the order the bytecode enters
-//!   them (pre-order through `if` branches and sequential loop bodies),
+//!   [`LProgram::regions`], numbered in the order a run enters them
+//!   (pre-order through `if` branches and sequential loop bodies),
 //!   which is also the AOT kernel's `formad_region_<k>` order;
 //! - **the schedule**: trip count, the zero-step error, `div_ceil` chunks
 //!   of value-ascending ranks per logical thread and rank → loop value
@@ -132,8 +132,8 @@ pub(crate) enum Access {
 impl LRegion {
     /// The redirect of an access to array `id` inside this region: the
     /// ordinal of the private copy it reads and writes when the region
-    /// reduces `id` (the bytecode's view `n_arrays + j`, the kernel's
-    /// `rb{j}`), `None` when it goes to shared memory.
+    /// reduces `id` (the kernel's `rb{j}`), `None` when it goes to
+    /// shared memory.
     pub(crate) fn red_slot(&self, id: ArrId) -> Option<usize> {
         self.red_arrays.iter().position(|&(_, a)| a == id)
     }
@@ -740,6 +740,9 @@ impl<'a> Lowerer<'a> {
                     if let Some(m) = info.duplicate_reduction() {
                         return Err(ExecError::new(m));
                     }
+                    if let Some(m) = info.conflicting_clauses() {
+                        return Err(ExecError::new(m));
+                    }
                     for p in &info.private {
                         let (slot, ty) = *self
                             .scalar_slots
@@ -788,8 +791,8 @@ impl<'a> Lowerer<'a> {
                     return Ok(LStmt::For(Box::new(for_loop)));
                 };
                 let access = self.access(info, &for_loop.body);
-                // Numbered after its body: regions the bytecode accepts do
-                // not nest, so this is the order it enters them in.
+                // Numbered after its body: regions a kernel runs do not
+                // nest, so this is the order a run enters them in.
                 self.regions.push(LRegion {
                     for_loop,
                     private_r,
@@ -1096,7 +1099,7 @@ end subroutine
         assert_eq!(lp.regions.len(), 1);
     }
 
-    /// Regions are numbered in the order the bytecode enters them: a
+    /// Regions are numbered in the order a run enters them: a
     /// pre-order walk through `if` branches and sequential loop bodies.
     #[test]
     fn regions_numbered_in_entry_order() {

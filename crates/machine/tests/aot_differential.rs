@@ -1,9 +1,8 @@
 //! The AOT differential wall: every generated adjoint version of every
-//! executable Table-2 kernel, run through the AOT native backend AND the
-//! bytecode executor, must satisfy the determinism contract
-//! (`formad_machine::differential`) against the simulated interpreter at
-//! 1 and 4 logical threads — the same gate the bytecode backend passed
-//! in `bench/tests/native_kernels.rs`.
+//! executable Table-2 kernel, run through the AOT native backend, must
+//! satisfy the determinism contract (`formad_machine::differential`)
+//! against the simulated interpreter at 1 and 4 logical threads — the
+//! gate `bench/tests/native_kernels.rs` holds too.
 //!
 //! The same test reads the generated source: the proof reaches the
 //! FormAD adjoints as plain stores, and no discipline without one stores
@@ -14,7 +13,8 @@
 //! A second test forces kernel compilation to fail (by pointing
 //! `FORMAD_AOT_RUSTC` at a nonexistent binary and the cache at an empty
 //! directory) and proves the degradation contract: the run still
-//! succeeds, on the bytecode backend, with identical results. The same
+//! succeeds, its regions on the interpreter's path, with identical
+//! results. The same
 //! contract holds when the cache holds an artifact built from another
 //! source, or is a directory other users can write to.
 
@@ -211,10 +211,10 @@ fn all_kernels_all_disciplines_bitwise_aot() {
                 }
                 _ => {}
             }
-            let bc = compile(&lp, &prog).expect("bytecode");
+            let bc = compile(&lp, &prog).expect("host program");
             let kernel = load_or_compile(&lp, &bc)
                 .unwrap_or_else(|e| panic!("{} / {label}: AOT must build in-tree: {e}", case.name));
-            assert_eq!(kernel.region_count(), bc.regions.len());
+            assert_eq!(kernel.region_count(), bc.region_count());
             for threads in [1usize, 4] {
                 check_cell(&mut engines, &prog, &bc, Some(&kernel), bind, threads)
                     .unwrap_or_else(|e| panic!("{} / {label}: {e}", case.name));
@@ -224,10 +224,10 @@ fn all_kernels_all_disciplines_bitwise_aot() {
 }
 
 /// Degradation, not errors: with a broken `rustc` and a cold cache the
-/// AOT entry point must fall back to the bytecode backend, succeed, and
-/// produce bitwise-identical results.
+/// AOT entry point must run the regions on the interpreter's path,
+/// succeed, and produce bitwise-identical results.
 #[test]
-fn forced_compile_failure_falls_back_to_bytecode() {
+fn forced_compile_failure_falls_back_to_sim() {
     let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());
     // Cold cache + unusable compiler: the extents are baked into the
     // generated source, so a size no other test binds guarantees the
@@ -432,8 +432,8 @@ end subroutine
 /// An artifact is loaded only if it was built from the source its name
 /// stands for. Kernel A's `.so` copied under kernel B's name (both have
 /// one region, so the region count cannot tell them apart) must not run
-/// B: the load fails on the source hash and the run degrades to
-/// bytecode, bitwise equal to sim.
+/// B: the load fails on the source hash and the run degrades to the
+/// interpreter's path, bitwise equal to sim.
 #[test]
 fn an_artifact_under_another_kernels_name_degrades() {
     let _guard = AOT_ENV.lock().unwrap_or_else(|p| p.into_inner());

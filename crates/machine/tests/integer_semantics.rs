@@ -1,12 +1,12 @@
-//! Integer semantics every backend shares, held on the simulator, the
-//! bytecode engine and the AOT kernel, in sequential code and inside a
-//! parallel region: comparisons are exact on the whole `i64` range,
+//! Integer semantics every backend shares, held on the simulator and the
+//! native engine's AOT kernel, in sequential code and inside a parallel
+//! region: comparisons are exact on the whole `i64` range,
 //! `+ - * neg abs` wrap in every build profile (a debug build of the
 //! host backends used to panic where the release build and the kernels
 //! wrapped), and `**` reads its whole exponent.
 
 use formad_ir::parse_program;
-use formad_machine::{run, run_aot, run_native, Bindings, Machine};
+use formad_machine::{run, run_aot, Bindings, Machine};
 
 /// `src` run against `bind` on every backend, at one and at two threads.
 fn on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, Bindings)> {
@@ -16,9 +16,6 @@ fn on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, Bindings)> {
         let mut sim = bind.clone();
         run(&p, &mut sim, &Machine::with_threads(threads)).expect("sim run");
         out.push((format!("sim T={threads}"), sim));
-        let mut native = bind.clone();
-        run_native(&p, &mut native, threads).expect("bytecode run");
-        out.push((format!("bytecode T={threads}"), native));
         let mut aot = bind.clone();
         let fallback = run_aot(&p, &mut aot, threads).expect("aot run");
         assert_eq!(fallback, None, "AOT must actually run in-tree");
@@ -229,8 +226,6 @@ fn errors_on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, String)> 
     for threads in [1usize, 2] {
         let err = run(&p, &mut bind.clone(), &Machine::with_threads(threads)).unwrap_err();
         out.push((format!("sim T={threads}"), err.message));
-        let err = run_native(&p, &mut bind.clone(), threads).unwrap_err();
-        out.push((format!("bytecode T={threads}"), err.message));
         let err = run_aot(&p, &mut bind.clone(), threads).unwrap_err();
         out.push((format!("aot T={threads}"), err.message));
     }

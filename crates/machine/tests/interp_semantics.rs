@@ -3,7 +3,7 @@
 //! event counters.
 
 use formad_ir::parse_program;
-use formad_machine::{run, run_aot, run_native, Bindings, Machine};
+use formad_machine::{run, run_aot, Bindings, Machine};
 
 fn exec(src: &str, b: Bindings, threads: usize) -> (Bindings, formad_machine::ExecResult) {
     let p = parse_program(src).unwrap();
@@ -312,8 +312,7 @@ end subroutine
 }
 
 /// The message of the first error `src` raises against `bind` on the
-/// simulator, the bytecode engine and the AOT kernel, at one and at two
-/// threads.
+/// simulator and the AOT kernel, at one and at two threads.
 fn first_errors(src: &str, bind: &Bindings) -> Vec<(String, String)> {
     let p = parse_program(src).expect("parse");
     let mut out = Vec::new();
@@ -321,8 +320,6 @@ fn first_errors(src: &str, bind: &Bindings) -> Vec<(String, String)> {
         let m = Machine::with_threads(threads);
         let err = run(&p, &mut bind.clone(), &m).expect_err("sim must fail");
         out.push((format!("sim T={threads}"), err.message));
-        let err = run_native(&p, &mut bind.clone(), threads).expect_err("bytecode must fail");
-        out.push((format!("bytecode T={threads}"), err.message));
         let err = run_aot(&p, &mut bind.clone(), threads).expect_err("aot must fail");
         out.push((format!("aot T={threads}"), err.message));
     }
@@ -401,15 +398,12 @@ fn the_first_of_two_errors_wins() {
 /// Run a program on one backend at `T` threads; the error message.
 type Runner = fn(&formad_ir::Program, &mut Bindings, usize) -> Result<(), String>;
 
-/// sim, bytecode and AOT.
-const BACKENDS: [(&str, Runner); 3] = [
+/// sim and AOT.
+const BACKENDS: [(&str, Runner); 2] = [
     ("sim", |p, b, t| {
         run(p, b, &Machine::with_threads(t))
             .map(drop)
             .map_err(|e| e.message)
-    }),
-    ("bytecode", |p, b, t| {
-        run_native(p, b, t).map_err(|e| e.message)
     }),
     ("aot", |p, b, t| {
         run_aot(p, b, t).map(drop).map_err(|e| e.message)
@@ -420,36 +414,57 @@ const BACKENDS: [(&str, Runner); 3] = [
 /// did not agree on a second (sim merged the last clause, native and AOT
 /// another), so one name in two clauses is refused: by the validator,
 /// and by the lowering every backend runs, with the bindings untouched.
+/// The same holds for a name in two kinds of clause: `private(s)
+/// reduction(+: s)` left `s` at its entry value on sim and reduced it on
+/// AOT.
 #[test]
 fn an_array_in_two_reduction_clauses() {
-    let src = r#"
-subroutine t(n, y)
+    let template = r#"
+subroutine t(n, y, s)
   integer, intent(in) :: n
   real, intent(inout) :: y(n)
+  real, intent(inout) :: s
   integer :: i
-  !$omp parallel do reduction(max: y) reduction(+: y)
+  !$omp parallel do CLAUSES
   do i = 1, n
-    y(1) = y(1) + 1.0
-    y(i) = y(i) + 2.0
+    BODY
   end do
 end subroutine
 "#;
-    let want = "`y` is named by two reduction clauses, `reduction(max: y)` and `reduction(+: y)`";
-    let p = parse_program(src).unwrap();
-    let errs = formad_ir::validate(&p);
-    assert_eq!(errs.len(), 1, "{errs:?}");
-    assert_eq!(errs[0].message, want);
-    let y0 = vec![5.0, -1.0, 2.0, 3.0];
-    for threads in [1usize, 3] {
-        for (backend, runner) in BACKENDS {
-            let mut b = Bindings::new().int("n", 4).real_array("y", y0.clone());
-            let got = runner(&p, &mut b, threads);
-            assert_eq!(got, Err(want.to_string()), "{backend}, T={threads}");
-            assert_eq!(
-                b.get_real_array("y"),
-                Some(&y0[..]),
-                "{backend}, T={threads}"
-            );
+    let cases = [
+        (
+            "reduction(max: y) reduction(+: y)",
+            "y(1) = y(1) + 1.0\n    y(i) = y(i) + 2.0",
+            "`y` is named by two reduction clauses, `reduction(max: y)` and `reduction(+: y)`",
+        ),
+        (
+            "shared(y) private(s) reduction(+: s)",
+            "s = s + y(i)",
+            "`s` is named by two clauses, `private(s)` and `reduction(+: s)`",
+        ),
+    ];
+    for (clauses, body, want) in cases {
+        let src = template.replace("CLAUSES", clauses).replace("BODY", body);
+        let p = parse_program(&src).unwrap();
+        let errs = formad_ir::validate(&p);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].message, want);
+        let y0 = vec![5.0, -1.0, 2.0, 3.0];
+        for threads in [1usize, 3] {
+            for (backend, runner) in BACKENDS {
+                let mut b = Bindings::new()
+                    .int("n", 4)
+                    .real("s", 1.5)
+                    .real_array("y", y0.clone());
+                let got = runner(&p, &mut b, threads);
+                assert_eq!(got, Err(want.to_string()), "{backend}, T={threads}");
+                assert_eq!(
+                    b.get_real_array("y"),
+                    Some(&y0[..]),
+                    "{backend}, T={threads}"
+                );
+                assert_eq!(b.get_real("s"), Some(1.5), "{backend}, T={threads}");
+            }
         }
     }
 }
@@ -457,7 +472,7 @@ end subroutine
 /// A run that fails in the last iteration of its region, out of bounds
 /// or popping an empty tape, leaves every parameter array in the
 /// bindings under its name with its declared length and every scalar as
-/// it was, on sim, bytecode and AOT: arrays are run in place, and scalars
+/// it was, on sim and AOT: arrays are run in place, and scalars
 /// are written back only by a run that succeeds.
 #[test]
 fn a_run_failing_in_its_last_iteration_keeps_the_bindings_whole() {

@@ -3,8 +3,8 @@
 //! backward sweep evaluates the call once where the forward sweep drops
 //! it. Under every parallel treatment, each such adjoint must agree with
 //! finite differences and keep the determinism contract
-//! (`formad_machine::differential`) on sim, bytecode and AOT. Real
-//! `min` / `max` follow one rule on all three: `-0.0` below `+0.0`, and a
+//! (`formad_machine::differential`) on sim and AOT. Real `min` / `max`
+//! follow one rule on both: `-0.0` below `+0.0`, and a
 //! NaN operand yields the other operand.
 
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn value_adjoints_pass_the_dot_test_and_agree_across_backends() {
                     );
                     let lp = lower(&adj, &bind).unwrap_or_else(|e| panic!("{at}: {e}"));
                     let bc = compile(&lp, &adj).unwrap_or_else(|e| panic!("{at}: {e}"));
-                    let kernel = (!bc.regions.is_empty()).then(|| {
+                    let kernel = (bc.region_count() > 0).then(|| {
                         load_or_compile(&lp, &bc)
                             .unwrap_or_else(|e| panic!("{at}: AOT must build in-tree: {e}"))
                     });
@@ -165,11 +165,10 @@ fn real_min_max_break_ties_by_the_rule_on_every_backend() {
     let kernel = load_or_compile(&lp, &bc).expect("AOT must build in-tree");
     for threads in [1, 2] {
         let mut engine = NativeEngine::with_os_threads(threads, threads);
-        for backend in ["sim", "bytecode", "aot"] {
+        for backend in ["sim", "aot"] {
             let mut out = bind.clone();
             match backend {
                 "sim" => run(&p, &mut out, &Machine::with_threads(threads)).map(drop),
-                "bytecode" => engine.run(&bc, &mut out),
                 _ => engine.run_with(&bc, Some(&kernel), &mut out),
             }
             .unwrap_or_else(|e| panic!("{backend} T={threads}: {e}"));

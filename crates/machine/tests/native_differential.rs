@@ -1,34 +1,34 @@
-//! Differential tests: the native bytecode executor must agree with the
-//! simulated tree-walking interpreter on every program it accepts —
+//! Differential tests: the native engine — host code on the
+//! interpreter's closures, regions on AOT kernels over real OS workers —
+//! must agree with the simulated interpreter on every program it accepts:
 //! same results, under the determinism contract of
-//! `formad_machine::differential`, and the same errors. The reduction
-//! merge and the error contract of `NativeEngine::run_with` are shared
-//! with the AOT backend and held on both.
+//! `formad_machine::differential`, and the same errors. The error
+//! contract of `NativeEngine::run_with` is held with a kernel and without
+//! one.
 
 use std::sync::Arc;
 
 use formad_ir::{parse_program, Program};
 use formad_machine::{
-    check_cell, compile, load_or_compile, lower, run, run_native, AotKernel, BcProgram, Bindings,
+    check_cell, compile, load_or_compile, lower, run, run_aot, AotKernel, BcProgram, Bindings,
     Compare, EngineCache, Machine, NativeEngine,
 };
 
-/// Run `src` under both backends at `threads`: the cell must satisfy the
-/// contract.
+/// Run `src` on the simulator and on its AOT kernel at `threads`: the
+/// cell must satisfy the contract.
 fn assert_backends_agree(engines: &mut EngineCache, src: &str, bind: &Bindings, threads: usize) {
-    let p = parse_program(src).expect("parse");
-    let bc = compile(&lower(&p, bind).expect("lower"), &p).expect("compile");
-    check_cell(engines, &p, &bc, None, bind, threads)
+    let (p, bc, kernel) = build_aot(src, bind);
+    check_cell(engines, &p, &bc, Some(&kernel), bind, threads)
         .unwrap_or_else(|e| panic!("`{}`: {e}", p.name));
 }
 
-/// Where the simulator errors the native executor must report the same
+/// Where the simulator errors the native engine must report the same
 /// error.
 fn assert_same_error(src: &str, bind: &Bindings, threads: usize) {
     let p = parse_program(src).expect("parse");
     let a = run(&p, &mut bind.clone(), &Machine::with_threads(threads))
         .expect_err("the simulator must fail");
-    let b = run_native(&p, &mut bind.clone(), threads)
+    let b = run_aot(&p, &mut bind.clone(), threads)
         .expect_err("native must fail where the simulator does");
     assert_eq!(a.message, b.message, "error divergence at T={threads}");
 }
@@ -491,7 +491,7 @@ end subroutine
         .int("n", 4)
         .real("s", 0.0)
         .real_array("y", vec![1.0; 4]);
-    let err = formad_machine::run_native(&p, &mut b, 2).expect_err("must reject");
+    let err = run_aot(&p, &mut b, 2).expect_err("must reject");
     assert!(
         err.message.contains("written inside a parallel region"),
         "{err}"
@@ -668,11 +668,11 @@ fn a_failed_run_leaves_bindings_and_engine_usable() {
         let p = parse_program(&src).expect("parse");
         let lp = lower(&p, &good).expect("lower");
         let bc = compile(&lp, &p).expect("compile");
-        let aot = (!bc.regions.is_empty())
+        let aot = (bc.region_count() > 0)
             .then(|| load_or_compile(&lp, &bc).expect("AOT must build in-tree"));
         let before = bad.unwrap_or(&good);
         for kernel in [None, aot.as_deref()] {
-            let backend = if kernel.is_some() { "aot" } else { "bytecode" };
+            let backend = if kernel.is_some() { "aot" } else { "no kernel" };
             let what = format!("{what} [{backend}]");
             let mut bind = before.clone();
             let err = engine
@@ -688,7 +688,7 @@ fn a_failed_run_leaves_bindings_and_engine_usable() {
                     "{what}"
                 );
             }
-            // The engine is as good as new, on either backend.
+            // The engine is as good as new, with a kernel or without.
             for next in [None, Some(&*saxpy_kernel)] {
                 let mut got = saxpy_bind.clone();
                 engine

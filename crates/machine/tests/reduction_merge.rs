@@ -1,6 +1,6 @@
 //! The reduction merge of `NativeEngine`, held bitwise against the
-//! interpreter on bytecode and on AOT over a sequence of runs on one
-//! engine. A thread's private copy of a reduced array holds the
+//! interpreter on AOT over a sequence of runs on one engine, its logical
+//! threads multiplexed onto two OS workers. A thread's private copy of a reduced array holds the
 //! operator's identity between regions and is refilled only when it
 //! may not: after a region that failed, or when the next region reduces
 //! with another identity. A copy left with partials, or marked clean
@@ -168,33 +168,30 @@ fn merged_buffers_stay_clean_and_every_run_matches_the_interpreter() {
         assert!(!bc.commit_order_dependent());
         let kernel = load_or_compile(&lp, &bc).expect("AOT must build in-tree");
         for threads in [1, 2, 3, 5] {
-            for aot in [false, true] {
-                let mut engine = NativeEngine::with_os_threads(threads, 2);
-                let backend = if aot { "aot" } else { "bytecode" };
-                for (step, (n, f)) in RUNS.into_iter().enumerate() {
-                    let what = format!("({op1}, {op2}) T={threads} {backend} run {step}");
-                    let mut want = bindings(n, f);
-                    let sim = run(&p, &mut want, &Machine::with_threads(threads));
-                    let mut got = bindings(n, f);
-                    let native = engine.run_with(&bc, aot.then_some(&*kernel), &mut got);
-                    match (sim, native) {
-                        (Ok(_), Ok(())) => {
-                            for (a, op) in [("y", op1), ("z", op2)] {
-                                assert!(
-                                    bits(&got.real_arrays[a]) == bits(&want.real_arrays[a]),
-                                    "{what}: `{a}` differs from the interpreter's"
-                                );
-                                if let Some(c) = min_max_mismatch(op, a, n, &got.real_arrays[a]) {
-                                    panic!("{what}: `{a}({c})` breaks the min / max rule");
-                                }
+            let mut engine = NativeEngine::with_os_threads(threads, 2);
+            for (step, (n, f)) in RUNS.into_iter().enumerate() {
+                let what = format!("({op1}, {op2}) T={threads} aot run {step}");
+                let mut want = bindings(n, f);
+                let sim = run(&p, &mut want, &Machine::with_threads(threads));
+                let mut got = bindings(n, f);
+                let native = engine.run_with(&bc, Some(&kernel), &mut got);
+                match (sim, native) {
+                    (Ok(_), Ok(())) => {
+                        for (a, op) in [("y", op1), ("z", op2)] {
+                            assert!(
+                                bits(&got.real_arrays[a]) == bits(&want.real_arrays[a]),
+                                "{what}: `{a}` differs from the interpreter's"
+                            );
+                            if let Some(c) = min_max_mismatch(op, a, n, &got.real_arrays[a]) {
+                                panic!("{what}: `{a}({c})` breaks the min / max rule");
                             }
                         }
-                        (Err(s), Err(e)) => {
-                            assert_eq!(s.message, e.message, "{what}");
-                            assert!(e.message.contains("out of bounds"), "{what}: {e}");
-                        }
-                        (s, e) => panic!("{what}: interpreter {s:?}, engine {e:?}"),
                     }
+                    (Err(s), Err(e)) => {
+                        assert_eq!(s.message, e.message, "{what}");
+                        assert!(e.message.contains("out of bounds"), "{what}: {e}");
+                    }
+                    (s, e) => panic!("{what}: interpreter {s:?}, engine {e:?}"),
                 }
             }
         }

@@ -84,9 +84,12 @@ const VERBS: [(&str, Verb); 7] = [
 pub enum Backend {
     /// The reference interpreter.
     Sim,
-    /// Register bytecode on real OS threads.
+    /// Another name for [`Backend::Aot`], kept for the clients that
+    /// send it.
     Native,
-    /// Parallel regions compiled to a native kernel, bytecode elsewhere.
+    /// Parallel regions on a compiled kernel over real OS threads, host
+    /// code on the interpreter's closures; without a kernel, the
+    /// interpreter's semantics throughout.
     Aot,
 }
 
@@ -494,7 +497,8 @@ impl Request {
 
     /// Run `primal` on the request's backend and thread count, native
     /// backends on a parked engine of `engines`. `Ok(Some(reason))` is an
-    /// AOT kernel that could not be built: the run degraded to bytecode.
+    /// AOT kernel that could not be built: the run's regions took the
+    /// interpreter's path, with the interpreter's results.
     /// The deadline is checked before and after the run.
     pub fn exec(
         &self,
@@ -506,16 +510,14 @@ impl Request {
         let ran = match self.backend {
             Backend::Sim => formad_machine::run(primal, bind, &Machine::with_threads(self.threads))
                 .map(|_| None),
-            Backend::Native | Backend::Aot => {
-                NativeProgram::compile(primal, bind, self.backend == Backend::Aot).and_then(|np| {
-                    let mut parked = engines.0.lock().unwrap_or_else(|e| e.into_inner());
-                    let engine = parked
-                        .entry(self.threads)
-                        .or_insert_with(|| NativeEngine::new(self.threads));
-                    engine.run_program(&np, bind)?;
-                    Ok(np.aot_fallback)
-                })
-            }
+            Backend::Native | Backend::Aot => NativeProgram::compile(primal, bind).and_then(|np| {
+                let mut parked = engines.0.lock().unwrap_or_else(|e| e.into_inner());
+                let engine = parked
+                    .entry(self.threads)
+                    .or_insert_with(|| NativeEngine::new(self.threads));
+                engine.run_program(&np, bind)?;
+                Ok(np.aot_fallback)
+            }),
         };
         let fallback = ran.map_err(|e| Failure::Exec(e.to_string()))?;
         self.check_deadline("execution finished")?;

@@ -339,7 +339,8 @@ impl Service {
         }));
         drop(permit);
         // `aot_fallback` carries the degradation note when an AOT kernel
-        // build fails and the request lands on the bytecode backend.
+        // build fails and the request's regions take the interpreter's
+        // path.
         let aot_fallback = match outcome {
             Ok(Ok(reason)) => reason,
             Ok(Err(f)) => return failure(f),
@@ -364,7 +365,7 @@ impl Service {
             self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
             fields.push(("aot_fallback", true.into()));
             fields.push(("aot_fallback_reason", reason.as_str().into()));
-        } else if req.backend == Backend::Aot {
+        } else if req.backend != Backend::Sim {
             fields.push(("aot_fallback", false.into()));
         }
         fields.push(("outputs", Json::Arr(outputs)));

@@ -331,10 +331,11 @@ fn soak_saturated_all_panic_storm_then_clean_request_from_warm_cache() {
 
 // ---- exec backends over the wire ----
 
-/// `exec` requests served on all three backends return identical
-/// outputs; with a warm (in-tree) toolchain the AOT backend serves
-/// without falling back, and with a broken one it degrades to bytecode —
-/// still HTTP 200, still identical — with the reason in the response.
+/// `exec` requests served on every backend name return identical
+/// outputs; with a warm (in-tree) toolchain `aot` and `native` (another
+/// name for it) serve without falling back, and with a broken one they
+/// degrade to the interpreter — still HTTP 200, still identical — with
+/// the reason in the response.
 /// One test fn: the broken-toolchain phase mutates process-global env.
 #[test]
 fn exec_aot_over_the_wire_matches_sim_and_degrades_on_compile_failure() {
@@ -368,7 +369,9 @@ fn exec_aot_over_the_wire_matches_sim_and_degrades_on_compile_failure() {
     let outputs = |j: &Json| j.get("outputs").unwrap().render();
     assert_eq!(outputs(&sim), outputs(&native));
     assert_eq!(outputs(&sim), outputs(&aot));
-    assert_eq!(aot.get("aot_fallback").and_then(Json::as_bool), Some(false));
+    for j in [&aot, &native] {
+        assert_eq!(j.get("aot_fallback").and_then(Json::as_bool), Some(false));
+    }
 
     // Status exports the kernel-registry counters next to the proof
     // cache's: the request above either built fresh or hit a cache.
@@ -382,26 +385,31 @@ fn exec_aot_over_the_wire_matches_sim_and_degrades_on_compile_failure() {
     assert!(total >= 1, "no aot activity recorded: {json}");
 
     // Broken toolchain + unseen extent (cold registry and disk cache):
-    // the build must actually run, fail, and degrade to bytecode.
-    std::env::set_var("FORMAD_AOT_RUSTC", "/nonexistent/formad-test-rustc");
+    // the build must actually run, fail, and degrade to the interpreter.
+    std::env::set_var("FORMAD_AOT_RUSTC", "/nonexistent");
     let dir = std::env::temp_dir().join(format!("formad-serve-aotfail-{}", std::process::id()));
     std::env::set_var("FORMAD_AOT_DIR", &dir);
-    let degraded = exec("aot", 49);
+    let degraded = [exec("aot", 49), exec("native", 49)];
     let plain = exec("sim", 49);
     std::env::remove_var("FORMAD_AOT_RUSTC");
     std::env::remove_var("FORMAD_AOT_DIR");
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        degraded.get("aot_fallback").and_then(Json::as_bool),
-        Some(true),
-        "{degraded}"
-    );
-    let reason = degraded
-        .get("aot_fallback_reason")
-        .and_then(Json::as_str)
-        .expect("fallback reason");
-    assert!(reason.contains("failed to spawn"), "{reason}");
-    assert_eq!(outputs(&degraded), outputs(&plain));
+    for degraded in degraded {
+        assert_eq!(
+            degraded.get("aot_fallback").and_then(Json::as_bool),
+            Some(true),
+            "{degraded}"
+        );
+        let reason = degraded
+            .get("aot_fallback_reason")
+            .and_then(Json::as_str)
+            .expect("fallback reason");
+        assert!(
+            reason.contains("failed to spawn `/nonexistent`"),
+            "{reason}"
+        );
+        assert_eq!(outputs(&degraded), outputs(&plain));
+    }
 }
 
 /// GET for the status endpoint (the shared `post` helper always POSTs).
@@ -731,28 +739,40 @@ fn malformed_fields_are_refused() {
     }
 }
 
-/// One name in two reduction clauses is a program the validator
-/// refuses: 400 `validate`, naming both clauses.
+/// One name in two reduction clauses, or in two kinds of data-sharing
+/// clause, is a program the validator refuses on every backend: 400
+/// `validate`, naming both clauses.
 #[test]
 fn a_name_in_two_reduction_clauses_is_refused() {
     let handle = start(ServiceConfig::default());
-    let program = AXPY.replace("shared(x, y)", "reduction(+: y) reduction(max: y)");
-    let body = format!(
-        r#"{{"program":{},"sets":{{"n":8}}}}"#,
-        Json::Str(program).render()
-    );
-    let (status, json) = post(handle.addr(), "/v1/exec", &body);
-    assert_eq!(status, 400, "{json}");
-    assert_eq!(
-        json.get("kind").and_then(Json::as_str),
-        Some("validate"),
-        "{json}"
-    );
-    let error = json.get("error").and_then(Json::as_str).unwrap_or("");
-    assert!(
-        error.contains("`reduction(+: y)` and `reduction(max: y)`"),
-        "{error}"
-    );
+    let private_reduced = AXPY.replace("shared(x, y)", "shared(x, y) private(a) reduction(+: a)");
+    let cases = [
+        (
+            AXPY.replace("shared(x, y)", "reduction(+: y) reduction(max: y)"),
+            "`reduction(+: y)` and `reduction(max: y)`",
+        ),
+        (
+            private_reduced,
+            "`a` is named by two clauses, `private(a)` and `reduction(+: a)`",
+        ),
+    ];
+    for (program, want) in cases {
+        for backend in ["sim", "native", "aot"] {
+            let body = format!(
+                r#"{{"program":{},"backend":"{backend}","threads":3,"sets":{{"n":8,"a":1.5}}}}"#,
+                Json::Str(program.clone()).render()
+            );
+            let (status, json) = post(handle.addr(), "/v1/exec", &body);
+            assert_eq!(status, 400, "{backend}: {json}");
+            assert_eq!(
+                json.get("kind").and_then(Json::as_str),
+                Some("validate"),
+                "{backend}: {json}"
+            );
+            let error = json.get("error").and_then(Json::as_str).unwrap_or("");
+            assert!(error.contains(want), "{backend}: {error}");
+        }
+    }
 }
 
 /// Well-formed fields keep their meaning: `threads` above the service's

@@ -8,7 +8,8 @@
 //! allocator for are a clock-free measure of exactly that: they repeat
 //! from run to run and from host to host. This test runs stencil r=8
 //! (primal, adj-FormAD, adj-reduction) and LBM-exec adj-reduction at one
-//! thread on both native backends, at a size `n` and at `4n`, and holds
+//! thread on their AOT kernels — host code on the interpreter's closures,
+//! regions on the kernel — at a size `n` and at `4n`, and holds
 //! each warm run to the same number of bytes at both sizes, and that
 //! number to [`WARM_RUN_BYTES`]. A run that clones its bindings allocates
 //! 8 bytes per element of every bound array and fails both.
@@ -113,28 +114,27 @@ fn cells(scale: usize) -> Vec<(String, Program, Bindings)> {
     ]
 }
 
-/// Bytes one warm `run_with` of each cell allocates, bytecode then AOT.
+/// Bytes one warm `run_with` of each cell allocates on its AOT kernel.
 fn warm_run_bytes(engine: &mut NativeEngine, scale: usize) -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for (name, prog, bind) in cells(scale) {
         let lp = lower(&prog, &bind).expect("kernel lowers");
-        let bc = compile(&lp, &prog).expect("kernel compiles to bytecode");
+        let bc = compile(&lp, &prog).expect("host program builds");
         let aot = load_or_compile(&lp, &bc).expect("AOT must build in-tree");
-        for (backend, kernel) in [("bytecode", None), ("aot", Some(&*aot))] {
-            let mut warm_up = bind.clone();
-            engine
-                .run_with(&bc, kernel, &mut warm_up)
-                .expect("warm-up run");
-            let mut b = bind.clone();
-            let bytes = bytes_in(|| engine.run_with(&bc, kernel, &mut b).expect("warm run"));
-            assert!(
-                warm_up
-                    .first_difference(&b, formad_machine::Compare::Bitwise)
-                    .is_none(),
-                "{name} [{backend}]: the warm run computed something else"
-            );
-            out.push((format!("{name} [{backend}]"), bytes));
-        }
+        let kernel = Some(&*aot);
+        let mut warm_up = bind.clone();
+        engine
+            .run_with(&bc, kernel, &mut warm_up)
+            .expect("warm-up run");
+        let mut b = bind.clone();
+        let bytes = bytes_in(|| engine.run_with(&bc, kernel, &mut b).expect("warm run"));
+        assert!(
+            warm_up
+                .first_difference(&b, formad_machine::Compare::Bitwise)
+                .is_none(),
+            "{name} [aot]: the warm run computed something else"
+        );
+        out.push((format!("{name} [aot]"), bytes));
     }
     out
 }
