@@ -1595,7 +1595,7 @@ end subroutine
         // Found by the differential fuzzer: `j` is assigned by the inner
         // `do` header but never read, so the reference scan misses it and
         // the adjoint region used to emit no clause for it at all — the
-        // bytecode compiler then rejects the adjoint.
+        // native engine's `compile` then rejects the adjoint.
         let src = r#"
 subroutine rep(n, x, y)
   integer, intent(in) :: n

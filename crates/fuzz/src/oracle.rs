@@ -139,7 +139,9 @@ impl fmt::Display for Divergence {
 #[derive(Debug, Clone)]
 pub struct OracleConfig {
     /// Thread counts for the execution cross-check; the first entry is
-    /// the reference schedule.
+    /// the reference schedule. The default, T ∈ {1, 2, 4}, puts the
+    /// rank-ordered leg, the smallest real split and more logical threads
+    /// than a 2-core host has cores beside sim.
     pub threads: Vec<usize>,
     /// Also build and run the AOT kernel (one `rustc` invocation per
     /// program — expensive; the harness samples it).
@@ -156,7 +158,7 @@ pub struct OracleConfig {
 impl Default for OracleConfig {
     fn default() -> Self {
         OracleConfig {
-            threads: vec![1, 3],
+            threads: vec![1, 2, 4],
             check_aot: false,
             fd_h: 1e-6,
             fd_tol: 1e-4,

@@ -6,7 +6,9 @@
 //! wrapped), and `**` reads its whole exponent.
 
 use formad_ir::parse_program;
-use formad_machine::{run, run_aot, Bindings, Machine};
+use formad_machine::{
+    compile, load_or_compile, lower, run, run_aot, Bindings, Machine, NativeEngine,
+};
 
 /// `src` run against `bind` on every backend, at one and at two threads.
 fn on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, Bindings)> {
@@ -219,14 +221,21 @@ fn integer_power_keeps_the_whole_exponent() {
 }
 
 /// The error each backend reports for `src` against `bind`, at one and
-/// at two threads.
+/// at two threads. A program with regions runs them on its AOT kernel,
+/// which must build, so that no leg falls back to the simulator.
 fn errors_on_every_backend(src: &str, bind: &Bindings) -> Vec<(String, String)> {
     let p = parse_program(src).expect("parse");
+    let lp = lower(&p, bind).expect("lower");
+    let bc = compile(&lp, &p).expect("compile");
+    let kernel =
+        (bc.region_count() > 0).then(|| load_or_compile(&lp, &bc).expect("AOT must build in-tree"));
     let mut out = Vec::new();
     for threads in [1usize, 2] {
         let err = run(&p, &mut bind.clone(), &Machine::with_threads(threads)).unwrap_err();
         out.push((format!("sim T={threads}"), err.message));
-        let err = run_aot(&p, &mut bind.clone(), threads).unwrap_err();
+        let err = NativeEngine::new(threads)
+            .run_with(&bc, kernel.as_deref(), &mut bind.clone())
+            .unwrap_err();
         out.push((format!("aot T={threads}"), err.message));
     }
     out

@@ -23,12 +23,18 @@ fn assert_backends_agree(engines: &mut EngineCache, src: &str, bind: &Bindings, 
 }
 
 /// Where the simulator errors the native engine must report the same
-/// error.
+/// error; a program with regions runs them on its AOT kernel, which must
+/// build.
 fn assert_same_error(src: &str, bind: &Bindings, threads: usize) {
     let p = parse_program(src).expect("parse");
     let a = run(&p, &mut bind.clone(), &Machine::with_threads(threads))
         .expect_err("the simulator must fail");
-    let b = run_aot(&p, &mut bind.clone(), threads)
+    let lp = lower(&p, bind).expect("lower");
+    let bc = compile(&lp, &p).expect("compile");
+    let kernel =
+        (bc.region_count() > 0).then(|| load_or_compile(&lp, &bc).expect("AOT must build in-tree"));
+    let b = NativeEngine::new(threads)
+        .run_with(&bc, kernel.as_deref(), &mut bind.clone())
         .expect_err("native must fail where the simulator does");
     assert_eq!(a.message, b.message, "error divergence at T={threads}");
 }
