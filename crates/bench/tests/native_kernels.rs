@@ -12,7 +12,7 @@ use formad_kernels::{GfmcCase, GreenGaussCase, LbmExecCase, StencilCase};
 use formad_machine::aot::{generate_source, kernel_rustc_flags};
 use formad_machine::{
     check_cell, compile, dot_product_test_with, load_or_compile, lower, run, run_aot, Bindings,
-    EngineCache, Machine,
+    EngineCache, Machine, NativeEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -168,10 +168,12 @@ fn generated_kernels_and_simulated_costs_are_pinned() {
 
 /// Every kernel × every discipline (FormAD plan / uniform atomic /
 /// uniform reduction / transposed gather where it exists, plus the
-/// primal) × {1, 4} threads satisfies the determinism contract, and the
-/// class each cell is held to is the table the hand-set per-kernel flags
-/// used to approximate: the atomic adjoint depends on commit order on
-/// *every* kernel, and nothing else does.
+/// primal) × {1, 2, 4} threads satisfies the determinism contract, and
+/// the class each cell is held to is the table the hand-set per-kernel
+/// flags used to approximate: the atomic adjoint depends on commit order
+/// on *every* kernel, and nothing else does. A race-free cell is bitwise
+/// on one OS worker per logical thread (`check_cell`) and on a single OS
+/// worker that runs every logical thread in turn.
 #[test]
 fn all_kernels_all_disciplines_satisfy_the_contract() {
     let mut engines = EngineCache::new();
@@ -189,9 +191,21 @@ fn all_kernels_all_disciplines_satisfy_the_contract() {
             );
             let kernel = load_or_compile(&lp, &bc)
                 .unwrap_or_else(|e| panic!("{} / {label}: AOT must build in-tree: {e}", case.name));
-            for threads in [1usize, 4] {
-                check_cell(&mut engines, prog, &bc, Some(&kernel), bind, threads)
+            for threads in [1usize, 2, 4] {
+                let cell = check_cell(&mut engines, prog, &bc, Some(&kernel), bind, threads)
                     .unwrap_or_else(|e| panic!("{} / {label}: {e}", case.name));
+                if !bc.commit_order_dependent() {
+                    let mut out = bind.clone();
+                    NativeEngine::with_os_threads(threads, 1)
+                        .run_with(&bc, Some(&kernel), &mut out)
+                        .unwrap_or_else(|e| panic!("{} / {label}: one worker: {e}", case.name));
+                    assert_eq!(
+                        cell.admits(&out),
+                        Ok(true),
+                        "{} / {label}: T={threads} on one OS worker",
+                        case.name
+                    );
+                }
             }
         }
     }
@@ -326,7 +340,6 @@ fn fd_vectors(case: &Case) -> (SeedVectors, SeedVectors) {
 /// by name inside the runner, on one engine), at 1 and 4 threads.
 #[test]
 fn transposed_adjoints_pass_fd_on_sim_and_aot() {
-    use formad_machine::NativeEngine;
     use std::collections::HashMap;
 
     let mut tested = 0;
