@@ -610,11 +610,7 @@ impl NativeEngine {
         let participated = |t: &usize| unsafe { self.scratch.get(*t) }.participated;
         let mut participants = (0..self.threads).filter(participated);
         if let (Some(t), 0) = (participants.next(), participants.count()) {
-            for (d, p) in dst.iter_mut().zip(partial(t).iter_mut()) {
-                *d = op(*d, op(identity, *p));
-                *p = identity;
-            }
-            return;
+            return merge_one(dst, partial(t), identity, op);
         }
         let mut acc = [0.0f64; MERGE_BLOCK];
         for (b, out) in dst.chunks_mut(MERGE_BLOCK).enumerate() {
@@ -637,6 +633,26 @@ impl NativeEngine {
 /// Elements per block of the reduction merge: its accumulator lives on
 /// the stack.
 const MERGE_BLOCK: usize = 256;
+
+/// [`NativeEngine::merge_array`] with one partial: `dst ⊕ (identity ⊕
+/// p)` per element, resetting `part` to the identity. Four elements a
+/// step: a plain zip of the two slices compiles to a two-lane loop that
+/// is not unrolled, and merged a 100 000-element reduction 10–20 %
+/// slower than this at T = 1.
+fn merge_one(dst: &mut [f64], part: &mut [f64], identity: f64, op: impl Fn(f64, f64) -> f64) {
+    let n = dst.len().min(part.len());
+    let (mut d4, mut p4) = (dst[..n].chunks_exact_mut(4), part[..n].chunks_exact_mut(4));
+    for (d, p) in (&mut d4).zip(&mut p4) {
+        for k in 0..4 {
+            d[k] = op(d[k], op(identity, p[k]));
+            p[k] = identity;
+        }
+    }
+    for (d, p) in d4.into_remainder().iter_mut().zip(p4.into_remainder()) {
+        *d = op(*d, op(identity, *p));
+        *p = identity;
+    }
+}
 
 /// The engine's region runner for one run on one kernel.
 struct Dispatch<'e> {
